@@ -29,7 +29,7 @@ import time
 from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
-from .courant_core import check_axioms, check_leibniz, standard_structure
+from .courant_core import check_axioms, check_degree_cap, check_leibniz, standard_structure
 from .phsim import (
     InputSignal,
     dirac_structure_of,
@@ -38,7 +38,7 @@ from .phsim import (
     simulate_ph,
     write_csv,
 )
-from .polyexpr import ParseError, PolyMap, parse
+from .polyexpr import ExponentOverflowError, ParseError, PolyMap, parse
 from .scene import Scene, SceneError, load_scene, structure_to_json
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
@@ -155,6 +155,10 @@ def _verdict_lines(name: str, verdict) -> list[str]:
 def _cmd_axioms(args) -> int:
     scene = _load(args)
     structure = _resolve_structure(scene, args.structure)
+    try:
+        check_degree_cap(structure.bundle, args.degree_cap)
+    except ValueError as exc:
+        raise SceneError(f"--degree-cap: {exc}") from None
     report = check_axioms(structure, degree_cap=args.degree_cap, seed=args.seed)
     payload = {
         "command": "axioms",
@@ -424,10 +428,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.degree_cap < 0:
+        sys.stderr.write(f"error: --degree-cap must be >= 0, got {args.degree_cap}\n")
+        return 2
     started = time.perf_counter()
     try:
         payload, lines = _HANDLERS[args.command](args)
-    except SceneError as exc:
+    except (SceneError, ExponentOverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if payload is None:

@@ -34,6 +34,7 @@ tuple.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,21 @@ from typing import Sequence
 
 from . import linalg
 from .bundles import LinearSubspace, Section, TrivialBundle
-from .polyexpr import Polynomial, PolyMap, monomials_up_to
+from .polyexpr import (
+    Polynomial,
+    PolyMap,
+    _add_into,
+    _checked,
+    _coeff,
+    _deriv,
+    _mul_into,
+    _pack,
+    _product,
+    _scaled,
+    _unpack,
+    monomials_up_to,
+    poly_sum,
+)
 
 __all__ = [
     "CourantStructure",
@@ -57,6 +72,8 @@ __all__ = [
     "lie_derivative_oneform",
     "AxiomReport",
     "check_axioms",
+    "check_degree_cap",
+    "MAX_FAMILY",
     "LeibnizReport",
     "check_leibniz",
     "dirac_check",
@@ -139,16 +156,11 @@ class CourantStructure:
         """<f, g>(x) = f(x)^T G g(x), exact."""
         self._check_section(f)
         self._check_section(g)
-        n = self.bundle.base_dim
-        acc = Polynomial(n)
-        for i, fi in enumerate(f):
-            if fi.is_zero():
-                continue
-            for j, gj in enumerate(g):
-                gij = self.metric[i][j]
-                if gij and not gj.is_zero():
-                    acc = acc + fi * gj * gij
-        return acc
+        return poly_sum(self.bundle.base_dim, (
+            fi * gj * self.metric[i][j]
+            for i, fi in enumerate(f) if not fi.is_zero()
+            for j, gj in enumerate(g) if self.metric[i][j] and not gj.is_zero()
+        ))
 
     def anchor_field(self, f: Section) -> PolyMap:
         """The vector field rho(f) = A(x) f(x) on the base."""
@@ -163,13 +175,10 @@ class CourantStructure:
     def anchor_apply(self, f: Section, fn: Polynomial) -> Polynomial:
         """rho(f) acting as a derivation on a base function."""
         self._check_section(f)
-        n = self.bundle.base_dim
-        acc = Polynomial(n)
         field = self.anchor_field(f)
-        for a in range(n):
-            if not field[a].is_zero():
-                acc = acc + field[a] * fn.diff(a)
-        return acc
+        return poly_sum(self.bundle.base_dim, (
+            v * fn.diff(a) for a, v in enumerate(field) if not v.is_zero()
+        ))
 
     def derived_operator(self, fn: Polynomial) -> Section:
         """D(fn): the unique section with <D(fn), s> = rho(s)(fn)."""
@@ -177,14 +186,13 @@ class CourantStructure:
         if fn.num_vars != n:
             raise ValueError("function must use the base variables")
         grad = fn.gradient()
-        comps = []
-        for h in range(k):
-            acc = Polynomial(n)
-            for a in range(n):
-                entry = self._dual_anchor[h][a]
-                if not (entry.is_zero() or grad[a].is_zero()):
-                    acc = acc + entry * grad[a]
-            comps.append(acc)
+        comps = [
+            poly_sum(n, (
+                entry * grad[a] for a, entry in enumerate(self._dual_anchor[h])
+                if not (entry.is_zero() or grad[a].is_zero())
+            ))
+            for h in range(k)
+        ]
         return Section(self.bundle, PolyMap(n, comps))
 
     def frame_bracket(self, i: int, j: int) -> Section:
@@ -202,9 +210,10 @@ class CourantStructure:
         self._check_section(f)
         self._check_section(g)
         n, k = self.bundle.base_dim, self.bundle.rank
-        out = [Polynomial(n) for _ in range(k)]
-        df = [[fi.diff(a) for a in range(n)] for fi in f]
-        dg = [[gj.diff(a) for a in range(n)] for gj in g]
+        parts: list[list[Polynomial]] = [[] for _ in range(k)]   # summands per component
+        zero = [Polynomial(n)] * n
+        df = [zero if fi.is_zero() else [fi.diff(a) for a in range(n)] for fi in f]
+        dg = [zero if gj.is_zero() else [gj.diff(a) for a in range(n)] for gj in g]
         for i, fi in enumerate(f):
             fi_zero = fi.is_zero()
             for j, gj in enumerate(g):
@@ -216,45 +225,42 @@ class CourantStructure:
                     for h in range(k):
                         c = self.structure_functions.get((i, j, h))
                         if c is not None:
-                            out[h] = out[h] + prod * c
+                            parts[h].append(prod * c)
                 if not fi_zero:
                     # f_i rho(e_i)(g_j) e_j
-                    acc = Polynomial(n)
-                    for a in range(n):
-                        entry = self.anchor[a][i]
-                        if not (entry.is_zero() or dg[j][a].is_zero()):
-                            acc = acc + entry * dg[j][a]
+                    acc = self._anchor_derivative(i, dg[j])
                     if not acc.is_zero():
-                        out[j] = out[j] + fi * acc
+                        parts[j].append(fi * acc)
                 if not gj_zero:
                     # - g_j rho(e_j)(f_i) e_i
-                    acc = Polynomial(n)
-                    for a in range(n):
-                        entry = self.anchor[a][j]
-                        if not (entry.is_zero() or df[i][a].is_zero()):
-                            acc = acc + entry * df[i][a]
+                    acc = self._anchor_derivative(j, df[i])
                     if not acc.is_zero():
-                        out[i] = out[i] - gj * acc
+                        parts[i].append(-(gj * acc))
         # sum_ij G_ij g_j D(f_i)
         for i, fi in enumerate(f):
             if fi.is_zero():
                 continue
-            s = Polynomial(n)
-            for j, gj in enumerate(g):
-                gij = self.metric[i][j]
-                if gij and not gj.is_zero():
-                    s = s + gj * gij
+            s = poly_sum(n, (
+                gj * self.metric[i][j]
+                for j, gj in enumerate(g) if self.metric[i][j] and not gj.is_zero()
+            ))
             if s.is_zero():
                 continue
             for h in range(k):
-                acc = Polynomial(n)
-                for a in range(n):
-                    entry = self._dual_anchor[h][a]
-                    if not (entry.is_zero() or df[i][a].is_zero()):
-                        acc = acc + entry * df[i][a]
+                acc = poly_sum(n, (
+                    entry * df[i][a] for a, entry in enumerate(self._dual_anchor[h])
+                    if not (entry.is_zero() or df[i][a].is_zero())
+                ))
                 if not acc.is_zero():
-                    out[h] = out[h] + s * acc
-        return Section(self.bundle, PolyMap(n, out))
+                    parts[h].append(s * acc)
+        return Section(self.bundle, PolyMap(n, [poly_sum(n, p) for p in parts]))
+
+    def _anchor_derivative(self, i: int, grad: list[Polynomial]) -> Polynomial:
+        """rho(e_i) applied to the function whose partials are `grad`."""
+        return poly_sum(self.bundle.base_dim, (
+            self.anchor[a][i] * d for a, d in enumerate(grad)
+            if not (self.anchor[a][i].is_zero() or d.is_zero())
+        ))
 
     def _check_section(self, f: Section):
         if f.bundle != self.bundle:
@@ -499,163 +505,86 @@ def decode_tag(bundle: TrivialBundle, degree_cap: int, tag_exponent: int) -> Sec
     )
 
 
-# -- fast packed-exponent kernel for the certification sweep -------------------
+# -- packed term dicts for the certification sweep ----------------------------
 
-# Exponents are packed into one int, eight bits per variable (x variables
-# first, then tag variables).  Products add keys; only x variables are ever
-# differentiated.  Degree budget per variable is 255, far above anything the
-# sweeps produce; tag exponents are bounded by the family size, checked below.
-
-_SHIFT = 8
-_MASK = (1 << _SHIFT) - 1
+# The sweep works on the structure's own packed term dicts (x variables
+# first, then the two tag variables) with the polyexpr kernel.  Each product
+# runs its outer loop over the smaller factor.  Exponents are limited by
+# polyexpr.MAX_EXPONENT, and a product that would exceed it raises instead of
+# aliasing; tag exponents stay below the family size, checked below.
 
 
-def _pack(exps) -> int:
-    key = 0
-    for v, e in enumerate(exps):
-        key |= e << (_SHIFT * v)
-    return key
-
-
-def _unpack(key: int, num_vars: int) -> tuple[int, ...]:
-    return tuple((key >> (_SHIFT * v)) & _MASK for v in range(num_vars))
-
-
-def _fp(poly: Polynomial) -> dict:
-    out = {}
-    for exps, coeff in poly.terms.items():
-        out[_pack(exps)] = int(coeff) if coeff.denominator == 1 else coeff
-    return out
-
-
-def _fp_deriv(p: dict, var: int) -> dict:
-    shift = _SHIFT * var
-    dec = 1 << shift
-    out = {}
-    for key, c in p.items():
-        e = (key >> shift) & _MASK
-        if e:
-            out[key - dec] = c * e
-    return out
-
-
-def _fp_accum(dst: dict, src: dict, scale=1) -> None:
-    for key, c in src.items():
-        val = c * scale
-        cur = dst.get(key)
-        if cur is None:
-            dst[key] = val
-        else:
-            cur = cur + val
-            if cur:
-                dst[key] = cur
-            else:
-                del dst[key]
-
-
-def _fp_mul(p: dict, q: dict) -> dict:
+def _mul(p: dict, q: dict, num_vars: int) -> dict:
     if len(p) > len(q):
         p, q = q, p
-    out = {}
-    for kp, cp in p.items():
-        for kq, cq in q.items():
-            key = kp + kq
-            val = cp * cq
-            cur = out.get(key)
-            if cur is None:
-                out[key] = val
-            else:
-                cur = cur + val
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
-    return out
+    return _product(p, q, num_vars)
 
 
-def _fp_accum_mul(dst: dict, p: dict, q: dict, sign=1) -> None:
+def _accum_mul(dst: dict, p: dict, q: dict, sign=1) -> None:
     if len(p) > len(q):
         p, q = q, p
-    for kp, cp in p.items():
-        cps = cp * sign
-        for kq, cq in q.items():
-            key = kp + kq
-            val = cps * cq
-            cur = dst.get(key)
-            if cur is None:
-                dst[key] = val
-            else:
-                cur = cur + val
-                if cur:
-                    dst[key] = cur
-                else:
-                    del dst[key]
+    _mul_into(dst, p if sign == 1 else _scaled(p, sign), q)
 
 
 class _FastStructure:
-    """Packed-int copy of the frame data, for the certification sweep."""
+    """The frame data as packed term dicts, for the certification sweep.
+
+    The dicts are shared with the structure's polynomials and never
+    mutated.  Every method returns new dicts, overflow-checked.
+    """
 
     def __init__(self, s: CourantStructure, extra: int):
-        self.n = s.bundle.base_dim
+        n = s.bundle.base_dim
         self.k = s.bundle.rank
-        self.num_vars = self.n + extra
+        self.num_vars = n + extra
         self.anchor_terms = [
-            [
-                (a, _fp(s.anchor[a][i]))
-                for a in range(self.n)
-                if not s.anchor[a][i].is_zero()
-            ]
+            [(a, s.anchor[a][i]._packed) for a in range(n) if not s.anchor[a][i].is_zero()]
             for i in range(self.k)
         ]
         self.dual_rows = [
-            [
-                (a, _fp(s._dual_anchor[h][a]))
-                for a in range(self.n)
-                if not s._dual_anchor[h][a].is_zero()
-            ]
-            for h in range(self.k)
+            [(a, row[a]._packed) for a in range(n) if not row[a].is_zero()]
+            for row in s._dual_anchor
         ]
-        self.metric = [
-            [int(v) if v.denominator == 1 else v for v in row] for row in s.metric
-        ]
+        self.metric = [[_coeff(v) for v in row] for row in s.metric]
         grouped: dict[tuple[int, int], list] = {}
         for (i, j, h), p in s.structure_functions.items():
-            grouped.setdefault((i, j), []).append((h, _fp(p)))
+            grouped.setdefault((i, j), []).append((h, p._packed))
         self.c_entries = [(i, j, hs) for (i, j), hs in grouped.items()]
 
-    def section(self, f: Section) -> list[dict]:
-        return [_fp(p) for p in f]
+    def _done(self, out: list[dict]) -> list[dict]:
+        return [_checked(entry, self.num_vars) for entry in out]
 
     def bracket(self, f: list[dict], g: list[dict]) -> list[dict]:
+        nv = self.num_vars
         out = [dict() for _ in range(self.k)]
         for i, fi in enumerate(f):
             if not fi:
                 continue
             for a, entry in self.anchor_terms[i]:
-                fie = _fp_mul(fi, entry)
+                fie = _mul(fi, entry, nv)
                 for j, gj in enumerate(g):
                     if not gj:
                         continue
-                    d = _fp_deriv(gj, a)
+                    d = _deriv(gj, a)
                     if d:
-                        _fp_accum_mul(out[j], fie, d)
+                        _accum_mul(out[j], fie, d)
         for j, gj in enumerate(g):
             if not gj:
                 continue
             for a, entry in self.anchor_terms[j]:
-                gje = _fp_mul(gj, entry)
+                gje = _mul(gj, entry, nv)
                 for i, fi in enumerate(f):
                     if not fi:
                         continue
-                    d = _fp_deriv(fi, a)
+                    d = _deriv(fi, a)
                     if d:
-                        _fp_accum_mul(out[i], gje, d, -1)
+                        _accum_mul(out[i], gje, d, -1)
         for i, j, hs in self.c_entries:
             fi, gj = f[i], g[j]
             if fi and gj:
-                prod = _fp_mul(fi, gj)
+                prod = _mul(fi, gj, nv)
                 for h, centry in hs:
-                    _fp_accum_mul(out[h], prod, centry)
+                    _accum_mul(out[h], prod, centry)
         for i, fi in enumerate(f):
             if not fi:
                 continue
@@ -663,17 +592,17 @@ class _FastStructure:
             grow = self.metric[i]
             for j, gj in enumerate(g):
                 if grow[j] and gj:
-                    _fp_accum(s, gj, grow[j])
+                    _add_into(s, _scaled(gj, grow[j]))
             if not s:
                 continue
             derivs = {}
             for h, alist in enumerate(self.dual_rows):
                 for a, entry in alist:
                     if a not in derivs:
-                        derivs[a] = _fp_deriv(fi, a)
+                        derivs[a] = _deriv(fi, a)
                     if derivs[a]:
-                        _fp_accum_mul(out[h], _fp_mul(s, entry), derivs[a])
-        return out
+                        _accum_mul(out[h], _mul(s, entry, nv), derivs[a])
+        return self._done(out)
 
     def pairing(self, f: list[dict], g: list[dict]) -> dict:
         out: dict = {}
@@ -683,8 +612,8 @@ class _FastStructure:
             grow = self.metric[i]
             for j, gj in enumerate(g):
                 if grow[j] and gj:
-                    _fp_accum_mul(out, _fp_mul(fi, gj), {0: grow[j]})
-        return out
+                    _accum_mul(out, _mul(fi, gj, self.num_vars), {0: grow[j]})
+        return _checked(out, self.num_vars)
 
     def anchor_apply(self, f: list[dict], p: dict) -> dict:
         out: dict = {}
@@ -692,10 +621,10 @@ class _FastStructure:
             if not fi:
                 continue
             for a, entry in self.anchor_terms[i]:
-                d = _fp_deriv(p, a)
+                d = _deriv(p, a)
                 if d:
-                    _fp_accum_mul(out, _fp_mul(fi, entry), d)
-        return out
+                    _accum_mul(out, _mul(fi, entry, self.num_vars), d)
+        return _checked(out, self.num_vars)
 
     def derived(self, p: dict) -> list[dict]:
         out = [dict() for _ in range(self.k)]
@@ -703,10 +632,10 @@ class _FastStructure:
         for h, alist in enumerate(self.dual_rows):
             for a, entry in alist:
                 if a not in derivs:
-                    derivs[a] = _fp_deriv(p, a)
+                    derivs[a] = _deriv(p, a)
                 if derivs[a]:
-                    _fp_accum_mul(out[h], derivs[a], entry)
-        return out
+                    _accum_mul(out[h], derivs[a], entry)
+        return self._done(out)
 
 
 # -- axiom checking -------------------------------------------------------------
@@ -798,6 +727,27 @@ def _witness_from_tags(
     }
 
 
+MAX_FAMILY = 256
+
+
+def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
+    """Reject a degree cap the certificate does not accept; return the family size.
+
+    The family of monomial frame sections up to the cap has rank * C(n + cap, n)
+    members.  The sweep's cost grows with the cube of that size, so the
+    certificate accepts at most MAX_FAMILY of them.
+    """
+    if degree_cap < 0:
+        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
+    family = bundle.rank * math.comb(bundle.base_dim + degree_cap, degree_cap)
+    if family > MAX_FAMILY:
+        raise ValueError(
+            f"degree cap {degree_cap} gives a family of {family} sections, "
+            f"more than the {MAX_FAMILY} the certificate accepts; lower the cap"
+        )
+    return family
+
+
 def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomCheck]:
     """Exact certification of all three axioms over the monomial family.
 
@@ -805,20 +755,14 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     sections of coefficient degree <= degree_cap; see the module docstring.
     """
     n, k = s.bundle.base_dim, s.bundle.rank
-    monos = monomials_up_to(n, degree_cap)
-    family = k * len(monos)
+    family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
     if k == 0:
         check = AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
         return {"i": check, "ii": check, "iii": check}
-    if family - 1 > _MASK:
-        raise ValueError(
-            f"degree cap {degree_cap} gives a family of {family} sections, "
-            f"beyond the packed-exponent budget; lower the cap"
-        )
     fast = _FastStructure(s, extra=2)
-    f2 = fast.section(tagged_generating_section(s.bundle, degree_cap, 2, n))
-    f3 = fast.section(tagged_generating_section(s.bundle, degree_cap, 2, n + 1))
+    f2 = [p._packed for p in tagged_generating_section(s.bundle, degree_cap, 2, n)]
+    f3 = [p._packed for p in tagged_generating_section(s.bundle, degree_cap, 2, n + 1)]
     basis = monomial_frame_basis(s.bundle, degree_cap)
     inner23 = fast.bracket(f2, f3)
     pair23 = fast.pairing(f2, f3)
@@ -828,9 +772,9 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     # axiom (iii): two slots, fully tagged, one identity
     defect3 = fast.bracket(f2, f3)
     for comp, entry in enumerate(fast.bracket(f3, f2)):
-        _fp_accum(defect3[comp], entry)
+        _add_into(defect3[comp], entry)
     for comp, entry in enumerate(fast.derived(pair23)):
-        _fp_accum(defect3[comp], entry, -1)
+        _add_into(defect3[comp], _scaled(entry, -1))
     witness3 = None
     for comp, entry in enumerate(defect3):
         if entry:
@@ -846,17 +790,16 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     witness1 = None
     witness2 = None
     for i, alpha in basis:
-        mono_key = _pack(tuple(alpha) + (0, 0))
         ba = [dict() for _ in range(k)]
-        ba[i] = {mono_key: 1}
+        ba[i] = {_pack(alpha): 1}
         inner_a2 = fast.bracket(ba, f2)
         inner_a3 = fast.bracket(ba, f3)
         if witness1 is None:
             defect1 = fast.bracket(ba, inner23)
             for comp, entry in enumerate(fast.bracket(inner_a2, f3)):
-                _fp_accum(defect1[comp], entry, -1)
+                _add_into(defect1[comp], _scaled(entry, -1))
             for comp, entry in enumerate(fast.bracket(f2, inner_a3)):
-                _fp_accum(defect1[comp], entry, -1)
+                _add_into(defect1[comp], _scaled(entry, -1))
             for comp, entry in enumerate(defect1):
                 if entry:
                     fixed = Section.frame(
@@ -870,8 +813,8 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
                     break
         if witness2 is None:
             defect2 = fast.anchor_apply(ba, pair23)
-            _fp_accum(defect2, fast.pairing(inner_a2, f3), -1)
-            _fp_accum(defect2, fast.pairing(f2, inner_a3), -1)
+            _add_into(defect2, _scaled(fast.pairing(inner_a2, f3), -1))
+            _add_into(defect2, _scaled(fast.pairing(f2, inner_a3), -1))
             if defect2:
                 fixed = Section.frame(s.bundle, i, Polynomial.monomial(n, alpha))
                 witness2 = _witness_from_tags(

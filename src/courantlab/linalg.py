@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyexpr import Polynomial, PolyMap
+from .polyexpr import Polynomial, PolyMap, poly_sum
 
 Matrix = list[list[Fraction]]
 
@@ -186,11 +186,9 @@ def pmat_mul(a, b) -> list[list[Polynomial]]:
     for row in a:
         out_row = []
         for col in zip(*b):
-            acc = Polynomial(nv)
-            for x, y in zip(row, col):
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y
-            out_row.append(acc)
+            out_row.append(poly_sum(nv, (
+                x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())
+            )))
         out.append(out_row)
     return out
 
@@ -202,11 +200,9 @@ def pmat_vec(a, v: Sequence[Polynomial], num_vars: int | None = None) -> list[Po
             nv = num_vars
         else:
             nv = v[0].num_vars if v else (row[0].num_vars if row else 0)
-        acc = Polynomial(nv)
-        for x, y in zip(row, v):
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        out.append(acc)
+        out.append(poly_sum(nv, (
+            x * y for x, y in zip(row, v) if not (x.is_zero() or y.is_zero())
+        )))
     return out
 
 

@@ -26,7 +26,6 @@ so the grid lands exactly on T.
 from __future__ import annotations
 
 import math
-import random  # noqa: F401  (kept out; simulations are deterministic)
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence

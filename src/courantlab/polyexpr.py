@@ -1,15 +1,32 @@
 """Exact multivariate polynomials over the rationals.
 
 Every symbolic object in this package (sections, anchors, brackets, base
-maps) reduces to arithmetic here, so the representation is deliberately
-simple and fully exact:
+maps) reduces to arithmetic here.  A polynomial is stored as
 
-    Polynomial = number of variables + {exponent tuple -> Fraction}
+    Polynomial = number of variables + {packed monomial key -> coefficient}
 
-The zero polynomial has an empty term map.  Two polynomials are equal iff
-their variable counts and term maps are equal; all operations prune zero
-coefficients, so structural equality is polynomial identity.  Coefficients
-are `fractions.Fraction`, never floats.
+A monomial x1^e1 ... xn^en is packed into one int (the Kronecker
+substitution, as in Monagan & Pearce, "Parallel sparse polynomial
+multiplication using heaps", ISSAC 2009): variable i owns the bit field
+[16 i, 16 i + 16), the first variable the lowest bits.  Multiplying two
+monomials adds their keys.  The top bit of each field is a guard bit.
+Stored exponents stay below it (at most `MAX_EXPONENT`), so the sum of two
+keys never carries from one field into the next, and a product whose
+exponent reaches the guard bit raises `ExponentOverflowError` instead of aliasing
+into the next variable.  A key does not depend on the variable count, so
+appending variables leaves keys unchanged and `lift` is a shift.
+
+Coefficients are ints when integral and `fractions.Fraction` otherwise,
+never floats.  The zero polynomial has an empty term map, and every
+operation deletes a term when it cancels, so structural equality is
+polynomial identity.  Terms keep insertion order: a product runs its outer
+loop over the left factor and its inner loop over the right one, and the
+first term of a result is what witness reports print.
+
+The public `terms` attribute is a read-only view of the same map with
+exponent-tuple keys and `Fraction` values.  Its len() is O(1); keys are
+decoded only while iterating.  `constant_value()` and `eval()` return
+`Fraction` too.
 
 A `PolyMap` is a tuple of polynomials sharing one input arity: a polynomial
 map R^n -> R^k.  It serves both as the coefficient vector of a bundle
@@ -30,12 +47,16 @@ literals into a rational literal.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["Polynomial", "PolyMap", "ParseError", "parse", "monomials_up_to"]
+__all__ = ["Polynomial", "PolyMap", "ParseError", "parse", "monomials_up_to",
+           "poly_sum", "MAX_EXPONENT", "ExponentOverflowError"]
 
 
 def monomials_up_to(num_vars: int, degree: int) -> list[tuple[int, ...]]:
@@ -59,6 +80,10 @@ def monomials_up_to(num_vars: int, degree: int) -> list[tuple[int, ...]]:
     return [e for d in sorted(by_degree) for e in sorted(by_degree[d])]
 
 
+class ExponentOverflowError(OverflowError):
+    """A product needs an exponent above MAX_EXPONENT in some variable."""
+
+
 class ParseError(ValueError):
     """Syntax or name error in a polynomial expression, with position."""
 
@@ -67,15 +92,162 @@ class ParseError(ValueError):
         self.position = position
 
 
+# -- packed monomial keys and the term-dict kernel -----------------------------
+#
+# The functions below work on bare term dicts {key: int | Fraction} and are
+# shared with the certification sweep in courant_core.  None of them
+# mutates an argument other than `dst`.
+
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1     # the bit above is the guard bit
+
+
+@lru_cache(maxsize=None)
+def _guard_mask(num_vars: int) -> int:
+    return sum(1 << (_BITS * v + _BITS - 1) for v in range(num_vars))
+
+
+def _pack(exps: Sequence[int]) -> int:
+    key = 0
+    for v, e in enumerate(exps):
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(
+                f"exponent {e} in {tuple(exps)} is outside 0..{MAX_EXPONENT}"
+            )
+        key |= e << (_BITS * v)
+    return key
+
+
+def _unpack(key: int, num_vars: int) -> tuple[int, ...]:
+    return tuple((key >> (_BITS * v)) & _FIELD for v in range(num_vars))
+
+
+def _coeff(value) -> Scalar:
+    """An exact coefficient: int when integral, Fraction otherwise."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return int(value.numerator) if value.denominator == 1 else value
+
+
+def _checked(terms: dict, num_vars: int) -> dict:
+    """Return `terms`, or raise if a key has reached a guard bit."""
+    if terms and reduce(or_, terms) & _guard_mask(num_vars):
+        raise ExponentOverflowError(
+            f"a product has an exponent above {MAX_EXPONENT}, "
+            f"the per-variable limit of the packed monomial keys"
+        )
+    return terms
+
+
+def _scaled(terms: dict, scale) -> dict:
+    return {key: c * scale for key, c in terms.items()}
+
+
+def _add_into(dst: dict, src: dict) -> None:
+    """dst += src, in src's order, deleting terms that cancel."""
+    for key, c in src.items():
+        cur = dst.get(key)
+        if cur is None:
+            dst[key] = c
+        else:
+            cur = cur + c
+            if cur:
+                dst[key] = cur
+            else:
+                del dst[key]
+
+
+def _mul_into(dst: dict, p: dict, q: dict) -> None:
+    """dst += p * q: outer loop over p, inner loop over q."""
+    for kp, cp in p.items():
+        for kq, cq in q.items():
+            key = kp + kq
+            cur = dst.get(key)
+            if cur is None:
+                dst[key] = cp * cq
+            else:
+                cur = cur + cp * cq
+                if cur:
+                    dst[key] = cur
+                else:
+                    del dst[key]
+
+
+def _product(p: dict, q: dict, num_vars: int) -> dict:
+    """p * q as a new dict, in `_mul_into` order, overflow-checked."""
+    if len(p) == 1:
+        # a monomial factor maps distinct keys to distinct keys: no merging
+        (kp, cp), = p.items()
+        out = {kp + kq: cp * cq for kq, cq in q.items()}
+    elif len(q) == 1:
+        (kq, cq), = q.items()
+        out = {kp + kq: cp * cq for kp, cp in p.items()}
+    else:
+        out = {}
+        _mul_into(out, p, q)
+    for key, c in out.items():
+        if type(c) is Fraction and c.denominator == 1:
+            out[key] = c.numerator
+    return _checked(out, num_vars)
+
+
+def _deriv(terms: dict, var: int) -> dict:
+    """Partial derivative; lowering one exponent never merges two keys."""
+    shift = _BITS * var
+    one = 1 << shift
+    out = {}
+    for key, c in terms.items():
+        e = (key >> shift) & _FIELD
+        if e:
+            out[key - one] = c * e
+    return out
+
+
+class _TermsView(Mapping):
+    """Read-only {exponent tuple: Fraction} view of a packed term dict."""
+
+    __slots__ = ("_packed", "_num_vars")
+
+    def __init__(self, packed: dict, num_vars: int):
+        self._packed = packed
+        self._num_vars = num_vars
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        n = self._num_vars
+        return (_unpack(key, n) for key in self._packed)
+
+    def __getitem__(self, exps):
+        try:
+            if len(exps) != self._num_vars:
+                raise KeyError(exps)
+            return Fraction(self._packed[_pack(exps)])
+        except (TypeError, ValueError):
+            raise KeyError(exps) from None
+
+    def items(self):
+        """A list of (exponent tuple, Fraction) pairs, in term order."""
+        n = self._num_vars
+        return [(_unpack(key, n), Fraction(c)) for key, c in self._packed.items()]
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("num_vars", "terms")
+    __slots__ = ("num_vars", "_packed")
 
     def __init__(self, num_vars: int, terms=None):
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if terms:
             for exps, coeff in (terms.items() if hasattr(terms, "items") else terms):
                 exps = tuple(exps)
@@ -83,21 +255,19 @@ class Polynomial:
                     raise ValueError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {num_vars}"
                     )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                coeff = Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
-                    acc = clean.get(exps)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        clean[exps] = coeff
-                    elif exps in clean:
-                        del clean[exps]
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
+                    _add_into(clean, {_pack(exps): coeff})
+        _set_num_vars(self, num_vars)
+        _set_packed(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {exponent tuple: Fraction} view of the terms."""
+        return _TermsView(self._packed, self.num_vars)
 
     # -- constructors ---------------------------------------------------
 
@@ -107,42 +277,39 @@ class Polynomial:
 
     @classmethod
     def constant(cls, num_vars: int, value: Scalar) -> "Polynomial":
-        value = Fraction(value)
-        if not value:
-            return cls(num_vars)
-        return cls(num_vars, {(0,) * num_vars: value})
+        if num_vars < 0:
+            raise ValueError("num_vars must be >= 0")
+        value = _coeff(value)
+        return _raw(num_vars, {0: value} if value else {})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        exps = [0] * num_vars
-        exps[index] = 1
-        return cls(num_vars, {tuple(exps): Fraction(1)})
+        return _raw(num_vars, {1 << (_BITS * index): 1})
 
     @classmethod
     def monomial(cls, num_vars: int, exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        return cls(num_vars, {tuple(exps): Fraction(coeff)})
+        return cls(num_vars, {tuple(exps): coeff})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._packed)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (errors otherwise)."""
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"polynomial {self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(self._packed.get(0, 0))
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        n = self.num_vars
+        return max((sum(_unpack(key, n)) for key in self._packed), default=0)
 
     # -- ring arithmetic -------------------------------------------------
 
@@ -164,53 +331,39 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[exps] = total
-            elif exps in out:
-                del out[exps]
+        out = dict(self._packed)
+        _add_into(out, other._packed)
         return _raw(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return _raw(self.num_vars, _scaled(self._packed, -1))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._packed)
+        _add_into(out, _scaled(other._packed, -1))
+        return _raw(self.num_vars, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                return Polynomial(self.num_vars)
-            return _raw(self.num_vars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        if isinstance(other, Polynomial):
+            self._check_arity(other)
+            return _raw(self.num_vars, _product(self._packed, other._packed, self.num_vars))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check_arity(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    out[exps] = total
-                elif exps in out:
-                    del out[exps]
-        return _raw(self.num_vars, out)
+        other = _coeff(other)
+        if not other:
+            return Polynomial(self.num_vars)
+        return _raw(self.num_vars, _scaled(self._packed, other))
 
     __rmul__ = __mul__
 
@@ -228,14 +381,14 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.num_vars, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.num_vars, other)
+        return self.num_vars == other.num_vars and self._packed == other._packed
 
     def __hash__(self):
-        return hash((self.num_vars, frozenset(self.terms.items())))
+        return hash((self.num_vars, frozenset(self._packed.items())))
 
     # -- calculus ---------------------------------------------------------
 
@@ -245,18 +398,7 @@ class Polynomial:
             raise ValueError(
                 f"variable index {var_index} out of range for {self.num_vars} variables"
             )
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var_index]
-            if e:
-                lowered = exps[:var_index] + (e - 1,) + exps[var_index + 1:]
-                acc = out.get(lowered)
-                total = coeff * e if acc is None else acc + coeff * e
-                if total:
-                    out[lowered] = total
-                elif lowered in out:
-                    del out[lowered]
-        return _raw(self.num_vars, out)
+        return _raw(self.num_vars, _deriv(self._packed, var_index))
 
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(i) for i in range(self.num_vars)]
@@ -268,7 +410,7 @@ class Polynomial:
                 f"point has {len(point)} coordinates, expected {self.num_vars}"
             )
         point = [Fraction(v) for v in point]
-        return _horner(list(self.terms.items()), point, 0)
+        return _horner(list(self._packed.items()), point, 0)
 
     def compose(self, maps: "PolyMap | Sequence[Polynomial]") -> "Polynomial":
         """Substitute `maps[i]` for variable i; exact expansion.
@@ -282,31 +424,30 @@ class Polynomial:
             )
         if self.num_vars == 0:
             inner_vars = maps.num_inputs if isinstance(maps, PolyMap) else 0
-            return Polynomial(inner_vars, {(0,) * inner_vars: c for _, c in self.terms.items()})
+            return _raw(inner_vars, dict(self._packed))
         inner_vars = outputs[0].num_vars
         for q in outputs:
             if q.num_vars != inner_vars:
                 raise ValueError("substituted maps disagree on variable count")
         # cache powers of each substituted polynomial
         powers: list[list[Polynomial]] = [[Polynomial.constant(inner_vars, 1)] for _ in outputs]
-        result = Polynomial(inner_vars)
-        for exps, coeff in self.terms.items():
-            factor = Polynomial.constant(inner_vars, coeff)
-            for i, e in enumerate(exps):
+        out: dict = {}
+        for key, coeff in self._packed.items():
+            factor = _raw(inner_vars, {0: coeff})
+            for i, e in enumerate(_unpack(key, self.num_vars)):
                 while len(powers[i]) <= e:
                     powers[i].append(powers[i][-1] * outputs[i])
                 if e:
                     factor = factor * powers[i][e]
-            result = result + factor
-        return result
+            _add_into(out, factor._packed)
+        return _raw(inner_vars, out)
 
     def lift(self, new_num_vars: int, offset: int = 0) -> "Polynomial":
         """Reinterpret in a larger variable set, variable i -> i + offset."""
         if offset < 0 or offset + self.num_vars > new_num_vars:
             raise ValueError("lift target does not fit")
-        pre = (0,) * offset
-        post = (0,) * (new_num_vars - offset - self.num_vars)
-        return _raw(new_num_vars, {pre + e + post: c for e, c in self.terms.items()})
+        shift = _BITS * offset
+        return _raw(new_num_vars, {key << shift: c for key, c in self._packed.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -315,11 +456,12 @@ class Polynomial:
             names = [f"x{i + 1}" for i in range(self.num_vars)]
         elif len(names) != self.num_vars:
             raise ValueError("wrong number of variable names")
-        if not self.terms:
+        if not self._packed:
             return "0"
+        terms = [(_unpack(key, self.num_vars), c) for key, c in self._packed.items()]
+        terms.sort(key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
         parts: list[str] = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            coeff = self.terms[exps]
+        for exps, coeff in terms:
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"
                 for i, e in enumerate(exps)
@@ -345,23 +487,43 @@ class Polynomial:
         return f"Polynomial({self.num_vars}, {self.to_string()!r})"
 
 
-def _raw(num_vars: int, terms: dict) -> Polynomial:
-    """Internal: wrap an already-canonical term dict without copying."""
+# The slot setters write past Polynomial.__setattr__, which refuses every write.
+_set_num_vars = Polynomial.num_vars.__set__
+_set_packed = Polynomial._packed.__set__
+
+
+def _raw(num_vars: int, packed: dict) -> Polynomial:
+    """Internal: wrap an already-canonical packed term dict without copying."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "num_vars", num_vars)
-    object.__setattr__(p, "terms", terms)
+    _set_num_vars(p, num_vars)
+    _set_packed(p, packed)
     return p
 
 
+def poly_sum(num_vars: int, polys: Iterable[Polynomial]) -> Polynomial:
+    """The sum of `polys`, accumulated in place.
+
+    The terms and their order are those of the chain
+    Polynomial(num_vars) + p1 + p2 + ..., without a copy per addition.
+    """
+    out: dict = {}
+    for p in polys:
+        if p.num_vars != num_vars:
+            raise ValueError(f"variable-count mismatch: {p.num_vars} vs {num_vars}")
+        _add_into(out, p._packed)
+    return _raw(num_vars, out)
+
+
 def _horner(items, point, var: int):
-    """Recursive Horner evaluation, grouping on the leading variable."""
+    """Recursive Horner evaluation over packed keys, grouping on one variable."""
     if not items:
         return Fraction(0)
     if var == len(point):
         return sum((c for _, c in items), Fraction(0))
+    shift = _BITS * var
     groups: dict[int, list] = {}
-    for exps, coeff in items:
-        groups.setdefault(exps[var], []).append((exps, coeff))
+    for key, coeff in items:
+        groups.setdefault((key >> shift) & _FIELD, []).append((key, coeff))
     x = point[var]
     acc = Fraction(0)
     prev = None
@@ -528,10 +690,14 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     def parse_term() -> Polynomial:
         acc = parse_factor()
         while True:
-            kind, value, _ = lex.peek()
+            kind, value, pos = lex.peek()
             if kind == "op" and value == "*":
                 lex.next()
-                acc = acc * parse_factor()
+                rhs = parse_factor()
+                try:
+                    acc = acc * rhs
+                except ExponentOverflowError as exc:
+                    raise ParseError(str(exc), pos) from None
             else:
                 return acc
 
@@ -545,7 +711,10 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
                 raise ParseError("negative exponent", pos)
             if kind != "int":
                 raise ParseError("expected a non-negative integer exponent", pos)
-            return base ** int(value)
+            try:
+                return base ** int(value)
+            except ExponentOverflowError as exc:
+                raise ParseError(str(exc), pos) from None
         return base
 
     def parse_base() -> Polynomial:

@@ -20,7 +20,13 @@ from courantlab.courant_core import (
     tagged_generating_section,
     vf_bracket,
 )
-from courantlab.polyexpr import PolyMap, Polynomial, parse
+from courantlab.polyexpr import (
+    MAX_EXPONENT,
+    ExponentOverflowError,
+    PolyMap,
+    Polynomial,
+    parse,
+)
 
 from conftest import fd_partial
 
@@ -248,6 +254,48 @@ class TestCheckAxioms:
         payload = report.to_json()
         assert set(payload) == {"i", "ii", "iii"}
         assert all(entry["status"] == "pass" for entry in payload.values())
+
+
+def _plain_defect(s, axiom, sections):
+    """An axiom's defect on explicit sections, through the public operations."""
+    if axiom == "i":
+        f, g, h = sections
+        d = s.bracket(f, s.bracket(g, h)) - s.bracket(s.bracket(f, g), h) \
+            - s.bracket(g, s.bracket(f, h))
+        return d.coeffs.to_strings(), d.is_zero()
+    if axiom == "ii":
+        f, g, h = sections
+        d = s.anchor_apply(f, s.pairing(g, h)) - s.pairing(s.bracket(f, g), h) \
+            - s.pairing(g, s.bracket(f, h))
+        return [d.to_string()], d.is_zero()
+    f, g = sections
+    d = s.bracket(f, g) + s.bracket(g, f) - s.derived_operator(s.pairing(f, g))
+    return d.coeffs.to_strings(), d.is_zero()
+
+
+class TestPackedKeyOverflow:
+    def test_high_degree_anchor_does_not_alias(self):
+        # With 8-bit exponent fields, x1^256 carried into the first tag
+        # variable's field, and witness decoding read a frame index of 2.
+        bundle = TrivialBundle(1, 2, "E")
+        x = parse("x1^256", ["x1"])
+        s = CourantStructure(bundle, [[x, x]], [[0, 1], [1, 0]])
+        report = check_axioms(s, degree_cap=1, n_random=0)
+        failed = [name for name, check in report.checks.items() if not check.passed]
+        assert failed
+        for name in failed:
+            witness = report.checks[name].witness
+            sections = [Section.from_exprs(bundle, texts) for texts in witness["sections"]]
+            defect, is_zero = _plain_defect(s, name, sections)
+            assert not is_zero
+            assert defect == witness["defect"]
+
+    def test_sweep_beyond_the_exponent_limit_raises(self):
+        bundle = TrivialBundle(1, 2, "E")
+        x = Polynomial.monomial(1, (MAX_EXPONENT // 2 + 1,))
+        s = CourantStructure(bundle, [[x, x]], [[0, 1], [1, 0]])
+        with pytest.raises(ExponentOverflowError):
+            check_axioms(s, degree_cap=1, n_random=0)
 
 
 class TestTaggedSweepInternals:

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from courantlab import linalg
 from courantlab.polyexpr import (
+    MAX_EXPONENT,
+    ExponentOverflowError,
     ParseError,
     PolyMap,
     Polynomial,
@@ -249,3 +252,76 @@ def test_lift():
     assert lifted == parse("x2*x3", ["x1", "x2", "x3", "x4"])
     with pytest.raises(ValueError):
         p.lift(2, 1)
+
+
+class TestPackedKeys:
+    """Each variable owns a fixed bit field; products must never carry."""
+
+    def test_field_maximum_is_exact(self):
+        top = Polynomial.monomial(2, (MAX_EXPONENT, 1), 3)
+        assert top.terms == {(MAX_EXPONENT, 1): Fraction(3)}
+        assert top.degree() == MAX_EXPONENT + 1
+        assert top.diff(0).terms == {(MAX_EXPONENT - 1, 1): Fraction(3 * MAX_EXPONENT)}
+        half = Polynomial.monomial(2, (MAX_EXPONENT // 2, 0))
+        assert (half * half * Polynomial.variable(2, 0)).terms == {(MAX_EXPONENT, 0): 1}
+
+    def test_product_crossing_a_field_raises(self):
+        # x1^MAX * x1 would carry into x2's field and read as x2 without the guard bit
+        top = Polynomial.monomial(2, (MAX_EXPONENT, 0))
+        x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        with pytest.raises(ExponentOverflowError, match=str(MAX_EXPONENT)):
+            top * x1
+        with pytest.raises(ExponentOverflowError):
+            (top + x2) * (x1 + 1)
+        with pytest.raises(ExponentOverflowError):
+            Polynomial.variable(1, 0) ** (MAX_EXPONENT + 1)
+
+    def test_exponent_beyond_the_field_is_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            Polynomial.monomial(1, (MAX_EXPONENT + 1,))
+
+    def test_parse_reports_overflow_with_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("x1^20000*x1^20000", ["x1"])
+        assert err.value.position == 8
+        with pytest.raises(ParseError, match="exponent above"):
+            parse("x1^40000", ["x1"])
+
+    def test_lift_keeps_terms(self):
+        p = parse("3*x1^5*x2 - 1/2", ["x1", "x2"])
+        lifted = p.lift(5, 2)
+        assert lifted.terms == {(0, 0, 5, 1, 0): Fraction(3), (0, 0, 0, 0, 0): Fraction(-1, 2)}
+        assert lifted.lift(6, 0).terms == {e + (0,): c for e, c in lifted.terms.items()}
+
+
+class TestCoefficientTypes:
+    """Integral coefficients are stored as ints; the public values are Fractions."""
+
+    def test_public_values_are_fractions(self):
+        p = parse("3*x1^2 - 2*x1*x2 + 5", ["x1", "x2"]) * parse("x2 + 4", ["x1", "x2"])
+        assert p.terms[(0, 0)] == 20
+        assert {type(c) for c in p.terms.values()} == {Fraction}
+        assert {type(c) for _, c in p.terms.items()} == {Fraction}
+        assert {type(p.terms[e]) for e in p.terms} == {Fraction}
+        assert {type(c) for c in dict(p.terms).values()} == {Fraction}
+        assert type(p.terms.get((0, 0))) is Fraction
+        assert type(p.eval([1, 2])) is Fraction
+        assert type(Polynomial.constant(0, 3).eval([])) is Fraction
+        assert type(Polynomial.constant(2, 7).constant_value()) is Fraction
+        assert type(Polynomial(2).constant_value()) is Fraction
+        assert type(Polynomial.constant(1, Fraction(6, 3)).constant_value()) is Fraction
+
+    def test_terms_is_a_read_only_view(self):
+        p = parse("x1 + 1", ["x1"])
+        with pytest.raises(TypeError):
+            p.terms[(1,)] = Fraction(2)
+        assert len(p.terms) == 2 and (1,) in p.terms and (2,) not in p.terms
+
+    def test_linalg_on_constant_values_stays_rational(self):
+        rows = [[parse("2", []), parse("1", [])], [parse("1", []), parse("3", [])]]
+        m = linalg.pmat_constant_value(rows)
+        assert {type(v) for row in m for v in row} == {Fraction}
+        assert type(linalg.det(m)) is Fraction and linalg.det(m) == 5
+        inv = linalg.inverse(m)
+        assert {type(v) for row in inv for v in row} == {Fraction}
+        assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]

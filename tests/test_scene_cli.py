@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from courantlab.cli import main
-from courantlab.courant_core import check_axioms, standard_structure
+from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
 from courantlab.scene import SceneError, load_scene, structure_to_json
 
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
@@ -152,6 +152,28 @@ class TestCLI:
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["axioms", "--structure", "standard3", "--degree-cap", "-1"],
+        # 6 * C(12, 3) = 1320 monomial frame sections, over the 256 accepted
+        ["axioms", "--structure", "standard3", "--degree-cap", "9"],
+        ["leibniz", "--structure", "standard1", "--degree-cap", "-1"],
+        ["intrinsic", "--n", "1", "--m", "0", "--degree-cap", "-1"],
+    ])
+    def test_bad_degree_cap_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "degree-cap" in lines[0]
+
+    def test_family_limit_is_256_sections(self, capsys):
+        # standard1 has rank 2 over R^1: cap 127 gives 2 * 128 = 256 sections
+        assert check_degree_cap(standard_structure(1).bundle, 127) == 256
+        with pytest.raises(ValueError, match="258 sections"):
+            check_axioms(standard_structure(1), degree_cap=128, n_random=0)
+        assert main(["axioms", "--structure", "standard1", "--degree-cap", "128"]) == 2
 
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -1,0 +1,61 @@
+"""Witness bytes of the axiom certificate, pinned against a recorded fixture.
+
+Which tuple the certificate reports as a witness depends on the order in
+which the kernel inserts and deletes terms, so a change to the kernel or to
+the sweep can change a witness without changing any verdict.  The fixture
+holds, one line per probe, the canonical JSON of `check_axioms(...).to_json()`
+for standard(n), n = 1, 2, 3, with the metric scaled by -2/5 and one
+structure function c_ij^h = 3/2, at degree caps 3, 2 and 1.
+
+Regenerate it only when a witness change is intended:
+
+    PYTHONPATH=src python tests/test_witness_golden.py > tests/data/axiom_witnesses.jsonl
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from courantlab.courant_core import (
+    CourantStructure,
+    check_axioms,
+    scaled_structure,
+    standard_structure,
+)
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "axiom_witnesses.jsonl"
+
+
+def probes():
+    for n in (1, 2, 3):
+        base = scaled_structure(standard_structure(n), Fraction(-2, 5))
+        last = 2 * n - 1
+        for bump in ((0, 1, 0), (0, 1, last), (last, 0, 1), (1, 1, 0)):
+            s = CourantStructure(base.bundle, base.anchor, base.metric, {bump: Fraction(3, 2)})
+            for cap in (3, 2, 1):
+                yield f"n{n}_c{bump[0]}{bump[1]}{bump[2]}_cap{cap}", s, cap
+
+
+def probe_line(name, s, cap) -> str:
+    report = check_axioms(s, degree_cap=cap, n_random=0).to_json()
+    return json.dumps({"probe": name, "report": report}, sort_keys=True)
+
+
+PROBES = list(probes())
+EXPECTED = FIXTURE.read_text().splitlines() if FIXTURE.exists() else []
+
+
+def test_fixture_covers_every_probe():
+    assert [json.loads(line)["probe"] for line in EXPECTED] == [p[0] for p in PROBES]
+
+
+@pytest.mark.parametrize("index", range(len(PROBES)), ids=[p[0] for p in PROBES])
+def test_witness_bytes(index):
+    assert probe_line(*PROBES[index]) == EXPECTED[index]
+
+
+if __name__ == "__main__":
+    for probe in PROBES:
+        print(probe_line(*probe))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -93,22 +94,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--phi", help="JSON file with a constant fiber_matrix for the splitting")
 
-    p = sub.add_parser("simulate", help="integrate a port-Hamiltonian system to CSV")
-    _common_flags(p)
-    p.add_argument("--system", required=True)
-    p.add_argument("--input", required=True, dest="input_name")
-    p.add_argument("--x0", required=True, help="comma-separated initial state")
-    p.add_argument("--T", type=float, required=True, dest="t_final")
-    p.add_argument("--h", type=float, required=True, dest="step")
-
-    p = sub.add_parser("project", help="interaction run projected to the open behavior")
-    _common_flags(p)
-    p.add_argument("--system", required=True)
-    p.add_argument("--input", required=True, dest="input_name")
-    p.add_argument("--x0", required=True)
-    p.add_argument("--z0", required=True)
-    p.add_argument("--T", type=float, required=True, dest="t_final")
-    p.add_argument("--h", type=float, required=True, dest="step")
+    for name, text in (("simulate", "integrate a port-Hamiltonian system to CSV"),
+                       ("project", "interaction run projected to the open behavior")):
+        p = sub.add_parser(name, help=text)
+        _common_flags(p)
+        p.add_argument("--system", required=True)
+        p.add_argument("--input", required=True, dest="input_name")
+        p.add_argument("--x0", required=True, help="comma-separated initial state")
+        if name == "project":
+            p.add_argument("--z0", required=True)
+        p.add_argument("--T", type=float, required=True, dest="t_final")
+        p.add_argument("--h", type=float, required=True, dest="step")
 
     p = sub.add_parser("dirac", help="check the interconnection graph for maximal isotropy")
     _common_flags(p)
@@ -345,10 +341,13 @@ def _parse_vector(text: str, expected: int, what: str):
         raise SceneError(f"bad {what}: {exc}") from exc
     if len(values) != expected:
         raise SceneError(f"{what} must have {expected} components")
+    if not all(map(math.isfinite, values)):
+        raise SceneError(f"{what} must be finite, got {text!r}")
     return values
 
 
-def _cmd_simulate(args):
+def _cmd_trajectory(args):
+    """simulate (the open system) and project (the interaction run's behavior)."""
     scene = _load(args)
     if args.system not in scene.ph_systems:
         raise SceneError(f"unknown ph_system {args.system!r}")
@@ -357,36 +356,25 @@ def _cmd_simulate(args):
         raise SceneError(f"unknown input {args.input_name!r}")
     signal = scene.inputs[args.input_name]
     x0 = _parse_vector(args.x0, system.n, "--x0")
-    trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
+    z0 = _parse_vector(args.z0, system.m, "--z0") if args.command == "project" else None
+    for flag, value in (("--T", args.t_final), ("--h", args.step)):
+        if not (math.isfinite(value) and value > 0):
+            raise SceneError(f"{flag} must be positive and finite, got {value!r}")
+    if args.step > args.t_final:
+        raise SceneError(f"--h {args.step!r} is longer than the horizon --T {args.t_final!r}")
+    if z0 is None:
+        trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
+        rows = trajectory
+    else:
+        trajectory = simulate_interaction(system, signal, x0, z0, args.t_final, args.step)
+        rows = project_behavior(trajectory)
     if trajectory.diverged:
         sys.stderr.write("warning: trajectory overflowed before the horizon\n")
     if args.out:
         with open(args.out, "w") as fh:
-            write_csv(trajectory, fh)
+            write_csv(rows, fh)
     else:
-        write_csv(trajectory, sys.stdout)
-    return None, None
-
-
-def _cmd_project(args):
-    scene = _load(args)
-    if args.system not in scene.ph_systems:
-        raise SceneError(f"unknown ph_system {args.system!r}")
-    system = scene.ph_systems[args.system]
-    if args.input_name not in scene.inputs:
-        raise SceneError(f"unknown input {args.input_name!r}")
-    signal = scene.inputs[args.input_name]
-    x0 = _parse_vector(args.x0, system.n, "--x0")
-    z0 = _parse_vector(args.z0, system.m, "--z0")
-    trajectory = simulate_interaction(system, signal, x0, z0, args.t_final, args.step)
-    projected = project_behavior(trajectory)
-    if trajectory.diverged:
-        sys.stderr.write("warning: trajectory overflowed before the horizon\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(projected, fh)
-    else:
-        write_csv(projected, sys.stdout)
+        write_csv(rows, sys.stdout)
     return None, None
 
 
@@ -416,8 +404,8 @@ _HANDLERS = {
     "morphism": _cmd_morphism,
     "pullback": _cmd_pullback,
     "intrinsic": _cmd_intrinsic,
-    "simulate": _cmd_simulate,
-    "project": _cmd_project,
+    "simulate": _cmd_trajectory,
+    "project": _cmd_trajectory,
     "dirac": _cmd_dirac,
 }
 

@@ -6,18 +6,35 @@ Three closely related systems share one fixed-step RK4 integrator:
   closed system      dx/dt = J grad H(x)
   interaction system dx/dt = J grad H(x) + B u(t),   dz/dt = -B^T grad H(x)
 
-with J skew (checked exactly on rational input), H an exact polynomial
-whose gradient is differentiated symbolically and only then evaluated in
-double precision, and u polynomial in t.  The interaction system is the
-closed Hamiltonian system of H_u(t, x, z) = H(x) + u(t)^T z on the
-extended space, and projecting its trajectories by (x, z) -> (x, -dz/dt)
-recovers the open system's behavior: -dz/dt = B^T grad H(x) = y.
+with J skew (checked exactly on rational input), H an exact polynomial and
+u polynomial in t.  The interaction system is the closed Hamiltonian system
+of H_u(t, x, z) = H(x) + u(t)^T z on the extended space, and projecting its
+trajectories by (x, z) -> (x, -dz/dt) recovers the open system's behavior:
+-dz/dt = B^T grad H(x) = y.
+
+Every right-hand side is a polynomial, so a run first forms its fields
+exactly, once, in the rational kernel:
+
+  F_i(x) = sum_k J_ik dH/dx_k     n polynomials in x
+  Y_l(x) = sum_i B_il dH/dx_i     m polynomials in x
+  V_i(t) = sum_l B_il u_l(t)      n polynomials in t
+
+and compiles each family into one straight-line float function
+(`_compile`).  Each coefficient is rounded to float once, from its exact
+value, and the RK4 loop then runs on Python floats with dx/dt = F(x) + V(t).
+The output at grid point k is Y(x_k), the stage-1 evaluation of step k (the
+last grid point gets one evaluation after the loop).  An interaction run
+also evaluates Y at the other three stage points, for its z stages.
 
 The z samples never feed back into x, and the x stages perform literally
 the same floating-point operations with or without the z channel, so the
 x marginal of an interaction run is bitwise identical to the plain run.
 dz/dt is recorded from the right-hand side at the grid points (not by
 differencing), which makes the projection an algebraic identity there.
+
+A run stops after the first grid row whose x is not finite, keeps that row
+and reports `diverged`.  The compiled code writes powers as repeated
+products, which overflow to inf where `float ** int` would raise.
 
 If T is not an integer multiple of h the step is adjusted to T/round(T/h)
 so the grid lands exactly on T.
@@ -26,16 +43,16 @@ so the grid lands exactly on T.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg
 from .bundles import LinearSubspace
 from .courant_core import CourantStructure, dirac_check, standard_structure
-from .polyexpr import Polynomial, PolyMap, parse
+from .polyexpr import Polynomial, PolyMap, parse, poly_sum
 
 __all__ = [
     "PHSystem",
@@ -147,41 +164,61 @@ class Trajectory:
         return self.states[:, :dim]
 
 
-def _compile(poly: Polynomial) -> Callable[[np.ndarray], float]:
-    terms = [
-        (float(coeff), [(i, e) for i, e in enumerate(exps) if e])
-        for exps, coeff in poly.terms.items()
+# Operands per flat `+` or `*` chain.  Longer chains are grouped in
+# parentheses, because CPython's compiler recurses once per operand of a
+# chain and fails at a few thousand (a monomial x1^32767, a sum of 10^4 terms).
+_CHAIN = 64
+
+
+def _chain(operands: list[str], op: str) -> str:
+    """Join left to right, grouping runs of _CHAIN operands if there are more."""
+    while len(operands) > _CHAIN:
+        operands = [
+            "(" + op.join(operands[i:i + _CHAIN]) + ")"
+            for i in range(0, len(operands), _CHAIN)
+        ]
+    return op.join(operands)
+
+
+def _compile(polys: Iterable[Polynomial], num_vars: int):
+    """One float function: point -> [p(point) for p in polys].
+
+    The source is straight-line code built from `repr(float(coeff))`
+    literals, the names v0..v{num_vars-1}, `*`, `+` and grouping
+    parentheses; no text from a scene reaches it.  Powers are repeated
+    products, so overflow gives inf rather than OverflowError.
+    """
+    values = []
+    for poly in polys:
+        terms = []
+        for exps, coeff in poly.terms.items():
+            factors = [] if coeff == 1 else [repr(float(coeff))]
+            for i, e in enumerate(exps):
+                factors.extend([f"v{i}"] * e)
+            terms.append(_chain(factors, "*") if factors else "1.0")
+        values.append(_chain(terms, " + ") if terms else "0.0")
+    lines = ["def evaluate(point):"]
+    if num_vars:
+        lines.append("    " + "".join(f"v{i}, " for i in range(num_vars)) + "= point")
+    lines.append("    return [" + ", ".join(values) + "]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<phsim field>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def _fields(system: PHSystem, u: InputSignal | None):
+    """F = J grad H, Y = B^T grad H and V = B u, formed exactly."""
+    n = system.n
+    grad = system.gradient()
+    f = [poly_sum(n, (g * c for g, c in zip(grad, row))) for row in system.j]
+    y = [
+        poly_sum(n, (g * row[l] for g, row in zip(grad, system.b)))
+        for l in range(system.m)
     ]
-
-    def evaluate(point) -> float:
-        total = 0.0
-        for coeff, exps in terms:
-            value = coeff
-            for i, e in exps:
-                value *= point[i] ** e
-            total += value
-        return total
-
-    return evaluate
-
-
-def _compile_gradient(h: Polynomial):
-    grads = [_compile(g) for g in h.gradient()]
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        return np.array([g(x) for g in grads], dtype=float)
-
-    return evaluate
-
-
-def _compile_input(u: InputSignal):
-    comps = [_compile(p) for p in u.u]
-
-    def evaluate(t: float) -> np.ndarray:
-        point = (t,)
-        return np.array([c(point) for c in comps], dtype=float)
-
-    return evaluate
+    v = [] if u is None else [
+        poly_sum(1, (p * c for p, c in zip(u.u, row))) for row in system.b
+    ]
+    return f, y, v
 
 
 def _grid(t_final: float, h: float) -> tuple[int, float]:
@@ -192,65 +229,68 @@ def _grid(t_final: float, h: float) -> tuple[int, float]:
 
 
 def _run(system: PHSystem, u: InputSignal | None, x0, t_final, h, z0=None):
-    """Shared RK4 core; the x stage arithmetic never touches z."""
+    """Shared RK4 core on float lists; the x stage arithmetic never touches z."""
     if u is not None and u.m != system.m:
         raise ValueError(f"input has {u.m} channels, system has {system.m} ports")
     steps, dt = _grid(t_final, h)
-    jmat = np.array([[float(v) for v in row] for row in system.j], dtype=float)
-    bmat = np.array(
-        [[float(v) for v in row] for row in system.b], dtype=float
-    ).reshape(system.n, system.m)
-    grad = _compile_gradient(system.hamiltonian)
-    u_fn = _compile_input(u) if u is not None and system.m else None
+    n, m = system.n, system.m
+    f_polys, y_polys, v_polys = _fields(system, u)
+    f_fn = _compile(f_polys, n)
+    y_fn = _compile(y_polys, n)
+    v_fn = _compile(v_polys, 1) if any(not p.is_zero() for p in v_polys) else None
 
-    def fx(t: float, x: np.ndarray) -> np.ndarray:
-        rhs = jmat @ grad(x)
-        if u_fn is not None:
-            rhs = rhs + bmat @ u_fn(t)
-        return rhs
+    def rhs(t: float, point: list) -> list:
+        if v_fn is None:
+            return f_fn(point)
+        return [a + b for a, b in zip(f_fn(point), v_fn((t,)))]
 
     track_z = z0 is not None
     x = np.array(x0, dtype=float)
-    if x.shape != (system.n,):
-        raise ValueError(f"x0 must have {system.n} coordinates")
+    if x.shape != (n,):
+        raise ValueError(f"x0 must have {n} coordinates")
+    x = x.tolist()
     if track_z:
         z = np.array(z0, dtype=float)
-        if z.shape != (system.m,):
-            raise ValueError(f"z0 must have {system.m} coordinates")
+        if z.shape != (m,):
+            raise ValueError(f"z0 must have {m} coordinates")
+        z = z.tolist()
     times = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, system.n))
+    xs = np.empty((steps + 1, n))
+    ys = np.empty((steps + 1, m))
+    zs = np.empty((steps + 1, m)) if track_z else None
     xs[0] = x
-    zs = np.empty((steps + 1, system.m)) if track_z else None
     if track_z:
         zs[0] = z
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t = times[k]
-            k1 = fx(t, x)
-            k2 = fx(t + dt / 2, x + (dt / 2) * k1)
-            k3 = fx(t + dt / 2, x + (dt / 2) * k2)
-            k4 = fx(t + dt, x + dt * k3)
-            if track_z:
-                # z stages reuse the same gradient expressions at the x stage values
-                g1 = -(bmat.T @ grad(x))
-                g2 = -(bmat.T @ grad(x + (dt / 2) * k1))
-                g3 = -(bmat.T @ grad(x + (dt / 2) * k2))
-                g4 = -(bmat.T @ grad(x + dt * k3))
-                z = z + (dt / 6) * (g1 + 2 * g2 + 2 * g3 + g4)
-                zs[k + 1] = z
-            x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            xs[k + 1] = x
-            if not np.all(np.isfinite(x)):
-                diverged = True
-                times = times[: k + 2]
-                xs = xs[: k + 2]
-                if track_z:
-                    zs = zs[: k + 2]
-                break
-    with np.errstate(over="ignore", invalid="ignore"):
-        outputs = np.array([bmat.T @ grad(xi) for xi in xs])
-    return times, xs, zs, outputs, dt, diverged
+    half, sixth = dt / 2, dt / 6
+    rows, diverged = steps + 1, False
+    for k in range(steps):
+        t = k * dt  # times[k], as a Python float
+        k1 = rhs(t, x)
+        x2 = [a + half * b for a, b in zip(x, k1)]
+        k2 = rhs(t + half, x2)
+        x3 = [a + half * b for a, b in zip(x, k2)]
+        k3 = rhs(t + half, x3)
+        x4 = [a + dt * b for a, b in zip(x, k3)]
+        k4 = rhs(t + dt, x4)
+        y1 = y_fn(x)
+        ys[k] = y1
+        if track_z:
+            # dz/dt = -Y, evaluated at the same four stage points as x
+            z = [
+                c - sixth * (a + 2 * b + 2 * d + e)
+                for c, a, b, d, e in zip(z, y1, y_fn(x2), y_fn(x3), y_fn(x4))
+            ]
+            zs[k + 1] = z
+        x = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        xs[k + 1] = x
+        if not all(map(math.isfinite, x)):
+            rows, diverged = k + 2, True
+            break
+    ys[rows - 1] = y_fn(x)
+    return (
+        times[:rows], xs[:rows], zs[:rows] if track_z else None, ys[:rows],
+        dt, diverged,
+    )
 
 
 def simulate_ph(
@@ -265,9 +305,9 @@ def simulate_poisson(j, hamiltonian: Polynomial, x0, t_final: float, h: float) -
     """Integrate the closed system x' = J grad H; reports the energy drift."""
     system = PHSystem(j, [[] for _ in range(len(linalg.mat(j)))], hamiltonian, label="closed")
     times, xs, _, outputs, dt, diverged = _run(system, None, x0, t_final, h)
-    h_fn = _compile(hamiltonian)
-    h0 = h_fn(xs[0])
-    drift = max(abs(h_fn(xi) - h0) for xi in xs)
+    h_fn = _compile([hamiltonian], system.n)
+    energies = [h_fn(xi)[0] for xi in xs.tolist()]
+    drift = max(abs(e - energies[0]) for e in energies)
     return Trajectory(
         times, xs, outputs, dt, system=system, energy_drift=drift, diverged=diverged
     )
@@ -326,14 +366,14 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
     system = trajectory.system
     if system is None:
         raise ValueError("trajectory carries no system")
-    h_fn = _compile(system.hamiltonian)
-    u_fn = _compile_input(u) if system.m else None
+    h_fn = _compile([system.hamiltonian], system.n)
+    u_fn = _compile(u.u, 1) if system.m else None
     xs = trajectory.x
-    delta = h_fn(xs[-1]) - h_fn(xs[0])
+    delta = h_fn(xs[-1].tolist())[0] - h_fn(xs[0].tolist())[0]
     integrand = np.zeros(len(trajectory.times))
     if u_fn is not None:
-        for idx, t in enumerate(trajectory.times):
-            integrand[idx] = float(trajectory.outputs[idx] @ u_fn(t))
+        for idx, t in enumerate(trajectory.times.tolist()):
+            integrand[idx] = float(trajectory.outputs[idx] @ u_fn((t,)))
     dt = trajectory.step
     intervals = len(trajectory.times) - 1
     supplied = 0.0
@@ -371,8 +411,12 @@ def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     return subspace, dirac_check(ambient, subspace)
 
 
+# rows formatted per write: bounds the text held in memory at once
+_CSV_CHUNK = 256
+
+
 def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
-    """t, x1..xn, y1..ym rows with 17 significant digits."""
+    """t, x1..xn, y1..ym rows with 17 significant digits, written in chunks."""
     xs = trajectory.states if include_z else trajectory.x
     n_cols = xs.shape[1]
     m = trajectory.outputs.shape[1]
@@ -381,13 +425,13 @@ def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
         + [f"x{i + 1}" for i in range(n_cols)]
         + [f"y{i + 1}" for i in range(m)]
     )
-    lines = [",".join(header)]
-    for idx, t in enumerate(trajectory.times):
-        row = [t, *xs[idx], *trajectory.outputs[idx]]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    times = trajectory.times
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(times), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            block = np.hstack(
+                [times[start:stop, None], xs[start:stop], trajectory.outputs[start:stop]]
+            )
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -1,14 +1,18 @@
 import io
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courantlab.courant_core import dirac_check, standard_structure
 from courantlab.bundles import LinearSubspace
 from courantlab.phsim import (
     InputSignal,
     PHSystem,
+    Trajectory,
+    _compile,
     dirac_structure_of,
     energy_balance,
     project_behavior,
@@ -77,6 +81,13 @@ class TestSimulatePH:
         sys = PHSystem([[0, 1], [-1, 0]], [[0], [0]], h)
         traj = simulate_ph(sys, InputSignal.zero(1), [10.0, 10.0], 50.0, 0.5)
         assert traj.diverged
+
+    def test_divergence_on_the_last_step(self):
+        h = parse("x1^4 + x2^4", ["x1", "x2"])
+        sys = PHSystem(J_OSC, B_OSC, h)
+        traj = simulate_ph(sys, InputSignal.zero(1), [1e100, 1.0], 0.1, 0.1)
+        assert traj.diverged and len(traj.times) == 2
+        assert not np.all(np.isfinite(traj.x[-1]))
 
 
 class TestSimulatePoisson:
@@ -219,3 +230,73 @@ class TestCSV:
         assert len(lines) == len(traj.times) + 1
         value = float(lines[2].split(",")[1])
         assert value == traj.x[1][0]  # 17 significant digits round-trip
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # 2500 rows span several write chunks; rows hold inf, nan and -0.0
+        rng = np.random.default_rng(5)
+        rows = 2500
+        states = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        outputs = rng.normal(size=(rows, 2))
+        states[7] = [np.inf, -np.inf, np.nan]
+        states[1500] = [-0.0, 0.0, 5e-324]
+        outputs[2499] = [np.nan, -0.0]
+        traj = Trajectory(np.arange(rows) * 1e-3, states, outputs, 1e-3, z_dim=1)
+        for include_z in (False, True):
+            xs = traj.states if include_z else traj.x
+            header = (["t"] + [f"x{i + 1}" for i in range(xs.shape[1])]
+                      + [f"y{i + 1}" for i in range(outputs.shape[1])])
+            lines = [",".join(header)]
+            for idx, t in enumerate(traj.times):
+                row = [t, *xs[idx], *traj.outputs[idx]]
+                lines.append(",".join(f"{v:.17g}" for v in row))
+            expected = "\n".join(lines) + "\n"
+            buffer = io.StringIO()
+            write_csv(traj, buffer, include_z=include_z)
+            assert buffer.getvalue() == expected
+            path = tmp_path / f"run_{include_z}.csv"
+            write_csv(traj, path, include_z=include_z)
+            assert path.read_text() == expected
+
+
+NAMES = ["x1", "x2", "x3"]
+coefficients = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def polynomials(draw, max_terms=6):
+    exps = st.tuples(*[st.integers(0, 4)] * len(NAMES))
+    terms = draw(st.dictionaries(exps, coefficients, max_size=max_terms))
+    return Polynomial(len(NAMES), terms)
+
+
+class TestCompile:
+    @settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
+    @given(polynomials(), st.lists(st.floats(-3, 3), min_size=3, max_size=3))
+    def test_matches_exact_evaluation(self, p, point):
+        value, = _compile([p], 3)(point)
+        exact = p.eval(point)  # Fraction(v) of a float is exact
+        # rounding is relative to the sum of the terms' magnitudes
+        scale = sum(abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(point, exps))
+                    for exps, c in p.terms.items())
+        assert abs(value - float(exact)) <= 1e-12 * scale
+
+    def test_several_outputs_and_zero(self):
+        polys = [parse("x1 - 2*x2", NAMES[:2]), Polynomial(2), parse("3", NAMES[:2])]
+        assert _compile(polys, 2)([5.0, 1.0]) == [3.0, 0.0, 3.0]
+        assert _compile([], 2)([5.0, 1.0]) == []
+
+    def test_power_overflow_gives_inf(self):
+        # float ** int raises OverflowError here; repeated products give inf
+        assert _compile([parse("x1^4", ["x1"])], 1)([1e100]) == [math.inf]
+
+    def test_long_chains_compile(self):
+        # past CPython's compiler depth for a flat chain of operands
+        x = 1 + 2 ** -20
+        value, = _compile([parse("x1^5000", ["x1"])], 1)([x])
+        assert value == pytest.approx(x ** 5000, rel=1e-11)
+        many = Polynomial(3, {(a, b, c): 1 for a in range(20) for b in range(20)
+                              for c in range(13)})
+        assert _compile([many], 3)([1.0, 1.0, 1.0]) == [5200.0]

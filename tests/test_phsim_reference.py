@@ -1,0 +1,162 @@
+"""The compiled RK4 core against a plain numpy RK4 loop.
+
+`reference_run` is the simulator's earlier core, kept here as the reference:
+per-term closures for grad H, J @ grad H + B @ u(t) in numpy, the z stages
+recomputing grad H at the four stage points, and the outputs B^T grad H
+from a separate pass over the grid.  The compiled core forms J grad H,
+B^T grad H and B u exactly and rounds each coefficient once, so the two
+agree to rounding, not bitwise.  The tolerance was fixed before the
+comparison: max abs difference <= 1e-12 over 10 000 steps.
+"""
+
+import numpy as np
+import pytest
+
+from courantlab.phsim import (
+    InputSignal,
+    PHSystem,
+    _grid,
+    simulate_interaction,
+    simulate_ph,
+)
+from courantlab.polyexpr import parse
+
+TOL = 1e-12
+J_OSC = [[0, 1], [-1, 0]]
+B_OSC = [[1], [0]]
+
+
+def _reference_compile(poly):
+    terms = [
+        (float(coeff), [(i, e) for i, e in enumerate(exps) if e])
+        for exps, coeff in poly.terms.items()
+    ]
+
+    def evaluate(point):
+        total = 0.0
+        for coeff, exps in terms:
+            value = coeff
+            for i, e in exps:
+                value *= point[i] ** e
+            total += value
+        return total
+
+    return evaluate
+
+
+def reference_run(system, u, x0, t_final, h, z0=None):
+    """(times, xs, zs, outputs, diverged) from the numpy loop."""
+    steps, dt = _grid(t_final, h)
+    jmat = np.array([[float(v) for v in row] for row in system.j], dtype=float)
+    bmat = np.array(
+        [[float(v) for v in row] for row in system.b], dtype=float
+    ).reshape(system.n, system.m)
+    grads = [_reference_compile(g) for g in system.gradient()]
+    comps = [_reference_compile(p) for p in u.u]
+
+    def grad(x):
+        return np.array([g(x) for g in grads], dtype=float)
+
+    def u_fn(t):
+        return np.array([c((t,)) for c in comps], dtype=float)
+
+    def fx(t, x):
+        return jmat @ grad(x) + bmat @ u_fn(t)
+
+    track_z = z0 is not None
+    x = np.array(x0, dtype=float)
+    z = np.array(z0, dtype=float) if track_z else None
+    times = np.arange(steps + 1) * dt
+    xs = np.empty((steps + 1, system.n))
+    xs[0] = x
+    zs = np.empty((steps + 1, system.m)) if track_z else None
+    if track_z:
+        zs[0] = z
+    diverged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            t = times[k]
+            k1 = fx(t, x)
+            k2 = fx(t + dt / 2, x + (dt / 2) * k1)
+            k3 = fx(t + dt / 2, x + (dt / 2) * k2)
+            k4 = fx(t + dt, x + dt * k3)
+            if track_z:
+                g1 = -(bmat.T @ grad(x))
+                g2 = -(bmat.T @ grad(x + (dt / 2) * k1))
+                g3 = -(bmat.T @ grad(x + (dt / 2) * k2))
+                g4 = -(bmat.T @ grad(x + dt * k3))
+                z = z + (dt / 6) * (g1 + 2 * g2 + 2 * g3 + g4)
+                zs[k + 1] = z
+            x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            xs[k + 1] = x
+            if not np.all(np.isfinite(x)):
+                diverged = True
+                times = times[: k + 2]
+                xs = xs[: k + 2]
+                if track_z:
+                    zs = zs[: k + 2]
+                break
+        outputs = np.array([bmat.T @ grad(xi) for xi in xs])
+    return times, xs, zs, outputs, diverged
+
+
+def oscillator():
+    return PHSystem(J_OSC, B_OSC, parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"]))
+
+
+def quartic():
+    """n = 4, m = 2: H = sum a_i/2 x_i^2 + b_i/4 x_i^4, a skew J with gyration."""
+    names = ["x1", "x2", "x3", "x4"]
+    h = parse(
+        "1/2*x1^2 + 1/8*x1^4 + 3/4*x2^2 + 1/16*x2^4 "
+        "+ 1/4*x3^2 + 1/8*x3^4 + 1/2*x4^2 + 1/16*x4^4",
+        names,
+    )
+    j = [[0, 1, -2, 0], [-1, 0, 1, 2], [2, -1, 0, -1], [0, -2, 1, 0]]
+    b = [[1, 0], [0, 1], [-1, 1], [0, -1]]
+    return PHSystem(j, b, h, "quartic")
+
+
+CASES = [
+    ("oscillator_u0", oscillator, InputSignal.zero(1), [1.0, 0.0], [0.0]),
+    ("oscillator_u1", oscillator, InputSignal.constant([1]), [1.0, 0.0], [0.0]),
+    ("oscillator_ut", oscillator, InputSignal.from_exprs(["t"]), [1.0, 0.0], [0.0]),
+    ("quartic", quartic, InputSignal.from_exprs(["1/20 - 1/200*t", "-1/40 + 1/200*t"]),
+     [0.6, -0.3, 0.8, 0.1], [0.25, -0.5]),
+]
+
+
+@pytest.mark.parametrize("name, make, u, x0, z0", CASES, ids=[c[0] for c in CASES])
+def test_matches_reference_loop_over_10000_steps(name, make, u, x0, z0):
+    system = make()
+    times, xs, zs, outputs, diverged = reference_run(system, u, x0, 10.0, 1e-3, z0=z0)
+    assert len(times) == 10_001 and not diverged
+    ph = simulate_ph(system, u, x0, 10.0, 1e-3)
+    inter = simulate_interaction(system, u, x0, z0, 10.0, 1e-3)
+    assert np.array_equal(ph.times, times) and np.array_equal(inter.times, times)
+    assert np.abs(ph.x - xs).max() <= TOL
+    assert np.abs(ph.outputs - outputs).max() <= TOL
+    assert np.abs(inter.x - xs).max() <= TOL
+    assert np.abs(inter.states[:, system.n:] - zs).max() <= TOL
+    assert np.abs(inter.outputs - outputs).max() <= TOL
+
+
+def test_divergence_index_matches_reference():
+    # test_overflow_detection's system stops after step 2, H = x1^4 + x2^4
+    # from x1 = 1e100 after step 1; both keep their first non-finite row
+    cases = [
+        (PHSystem(J_OSC, [[0], [0]], parse("x1^2*x2^2", ["x1", "x2"])),
+         [10.0, 10.0], 50.0, 0.5, 3),
+        (PHSystem(J_OSC, B_OSC, parse("x1^4 + x2^4", ["x1", "x2"])),
+         [1e100, 1.0], 1.0, 0.1, 2),
+    ]
+    for system, x0, t_final, h, rows in cases:
+        u = InputSignal.zero(1)
+        times, xs, _, _, diverged = reference_run(system, u, x0, t_final, h)
+        assert diverged and len(times) == rows
+        for traj in (simulate_ph(system, u, x0, t_final, h),
+                     simulate_interaction(system, u, x0, [0.0], t_final, h)):
+            assert traj.diverged
+            assert len(traj.times) == traj.states.shape[0] == traj.outputs.shape[0] == rows
+            assert np.abs(traj.x[:-1] - xs[:-1]).max() <= TOL * np.abs(xs[:-1]).max()
+            assert not np.all(np.isfinite(traj.x[-1]))

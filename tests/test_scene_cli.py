@@ -200,6 +200,29 @@ class TestCLI:
             assert va[:3] == vb[:3]  # identical x columns, bitwise
             assert abs(float(va[3]) - float(vb[3])) <= 1e-12
 
+    @pytest.mark.parametrize("command, override", [
+        ("simulate", ["--x0=nan,0"]),
+        ("simulate", ["--x0=inf,0"]),
+        ("project", ["--z0=nan"]),
+        ("simulate", ["--h", "0"]),
+        ("simulate", ["--h", "-0.001"]),
+        ("project", ["--h", "nan"]),
+        ("simulate", ["--T", "nan"]),
+        ("project", ["--T", "inf"]),
+        ("simulate", ["--T", "1", "--h", "5"]),
+    ])
+    def test_bad_trajectory_input_exit_2(self, capsys, command, override):
+        argv = [command, "--scene", str(SCENE), "--system", "oscillator",
+                "--input", "unit", "--x0", "1,0", "--T", "0.01", "--h", "0.001"]
+        if command == "project":
+            argv += ["--z0", "0"]
+        argv += override  # argparse keeps the last value of a repeated flag
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_dirac(self, capsys):
         code = main(["dirac", "--scene", str(SCENE), "--system", "oscillator", "--json"])
         payload = json.loads(capsys.readouterr().out)

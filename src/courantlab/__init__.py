@@ -12,7 +12,6 @@ from .bundles import (
     NonExistenceCertificate,
     Section,
     TrivialBundle,
-    apply_morphism,
     check_related,
     compose_morphisms,
     related_section,

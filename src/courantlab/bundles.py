@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .polyexpr import Polynomial, PolyMap, monomials_up_to, parse
+from .polyexpr import Polynomial, PolyMap, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -257,11 +257,6 @@ def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMor
     if inner.retraction is not None and outer.retraction is not None:
         retraction = inner.retraction.compose(outer.retraction)
     return BundleMorphism(inner.source, outer.target, base, fiber, retraction=retraction)
-
-
-def apply_morphism(phi: BundleMorphism, f: Section) -> PolyMap:
-    """Module-level alias of BundleMorphism.apply."""
-    return phi.apply(f)
 
 
 def check_related(phi: BundleMorphism, f: Section, g: Section) -> bool:

@@ -32,7 +32,6 @@ from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
 from .courant_core import check_axioms, check_degree_cap, check_leibniz, standard_structure
 from .phsim import (
-    InputSignal,
     dirac_structure_of,
     project_behavior,
     simulate_interaction,
@@ -202,7 +201,7 @@ def _cmd_morphism(args):
     if args.pairs == "auto":
         if phi.is_identity_base():
             verdict = morphisms_mod.check_identity_base(
-                s1, s2, phi, degree_cap=args.degree_cap, seed=args.seed
+                s1, s2, phi, degree_cap=args.degree_cap
             )
         else:
             verdict = morphisms_mod.check_general_base(
@@ -362,12 +361,15 @@ def _cmd_trajectory(args):
             raise SceneError(f"{flag} must be positive and finite, got {value!r}")
     if args.step > args.t_final:
         raise SceneError(f"--h {args.step!r} is longer than the horizon --T {args.t_final!r}")
-    if z0 is None:
-        trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
-        rows = trajectory
-    else:
-        trajectory = simulate_interaction(system, signal, x0, z0, args.t_final, args.step)
-        rows = project_behavior(trajectory)
+    try:
+        if z0 is None:
+            trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
+            rows = trajectory
+        else:
+            trajectory = simulate_interaction(system, signal, x0, z0, args.t_final, args.step)
+            rows = project_behavior(trajectory)
+    except ValueError as exc:
+        raise SceneError(f"ph_system {args.system!r}, input {args.input_name!r}: {exc}") from None
     if trajectory.diverged:
         sys.stderr.write("warning: trajectory overflowed before the horizon\n")
     if args.out:

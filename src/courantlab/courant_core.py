@@ -65,7 +65,6 @@ __all__ = [
     "product_structure",
     "dorfman_bracket",
     "vf_bracket",
-    "d_function",
     "d_oneform",
     "interior_oneform",
     "interior_twoform",
@@ -369,11 +368,6 @@ def vf_bracket(x: Sequence[Polynomial], y: Sequence[Polynomial]) -> list[Polynom
     return out
 
 
-def d_function(fn: Polynomial) -> list[Polynomial]:
-    """Exterior derivative of a function, as one-form components."""
-    return fn.gradient()
-
-
 def d_oneform(alpha: Sequence[Polynomial]) -> list[list[Polynomial]]:
     """Exterior derivative of a one-form: (d alpha)_ij = d_i a_j - d_j a_i."""
     n = len(alpha)
@@ -406,7 +400,7 @@ def lie_derivative_oneform(
 ) -> list[Polynomial]:
     """Cartan's formula: L_X alpha = iota_X d(alpha) + d(iota_X alpha)."""
     contracted = interior_twoform(x, d_oneform(alpha))
-    exact_part = d_function(interior_oneform(x, alpha))
+    exact_part = interior_oneform(x, alpha).gradient()
     return [a + b for a, b in zip(contracted, exact_part)]
 
 
@@ -688,6 +682,23 @@ def _axiom_defect_iii(s: CourantStructure, f, g) -> Section:
     return s.bracket(f, g) + s.bracket(g, f) - s.derived_operator(s.pairing(f, g))
 
 
+_AXIOM_DEFECTS = {"i": _axiom_defect_i, "ii": _axiom_defect_ii, "iii": _axiom_defect_iii}
+
+
+def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
+    """An axiom's defect on explicit sections as a witness; None if it vanishes."""
+    defect = _AXIOM_DEFECTS[axiom](s, *sections)
+    if defect.is_zero():
+        return None
+    return {
+        "sections": [sec.coeffs.to_strings() for sec in sections],
+        "defect": (
+            [defect.to_string()] if axiom == "ii" else defect.coeffs.to_strings()
+        ),
+        "component": None,
+    }
+
+
 def _witness_from_tags(
     s: CourantStructure, degree_cap: int, axiom: str, slot_sections, defect_key,
     component: int | None,
@@ -703,28 +714,14 @@ def _witness_from_tags(
         else:
             resolved.append(decode_tag(s.bundle, degree_cap, exps[tag_pos]))
             tag_pos += 1
-    if axiom == "i":
-        defect = _axiom_defect_i(s, *resolved)
-        defect_str = defect.coeffs.to_strings()
-        nonzero = not defect.is_zero()
-    elif axiom == "ii":
-        defect = _axiom_defect_ii(s, *resolved)
-        defect_str = [defect.to_string()]
-        nonzero = not defect.is_zero()
-    else:
-        defect = _axiom_defect_iii(s, *resolved)
-        defect_str = defect.coeffs.to_strings()
-        nonzero = not defect.is_zero()
-    if not nonzero:
+    witness = _plain_witness(s, axiom, resolved)
+    if witness is None:
         raise RuntimeError(
             "internal inconsistency: tagged sweep flagged a tuple whose "
             "plain defect vanishes"
         )
-    return {
-        "sections": [sec.coeffs.to_strings() for sec in resolved],
-        "defect": defect_str,
-        "component": component,
-    }
+    witness["component"] = component
+    return witness
 
 
 MAX_FAMILY = 256
@@ -843,43 +840,24 @@ def check_axioms(
     (iii) [[f,g]] + [[g,f]] = D(<f,g>)
 
     Each axiom is certified over every tuple of monomial frame sections up
-    to the degree cap (multilinearity makes that a certificate for all
-    sections of coefficient degree <= cap), then spot-checked on seeded
-    random tuples and on tuples drawn from any supplied section family.
-    All comparisons are polynomial identities with zero tolerance.
+    to the degree cap; multilinearity makes that a certificate for all
+    sections of coefficient degree <= cap, so no random draw at or below
+    the cap can change a verdict.  Supplied sections may exceed the cap:
+    n_random tuples are drawn from them with the given seed and checked
+    directly.  Without supplied sections nothing is drawn.  All comparisons
+    are polynomial identities with zero tolerance.
     """
     checks = _certify_axioms(s, degree_cap)
-    rng = random.Random(seed)
     pool: list[Section] = list(sections)
-    for _ in range(n_random):
-        pool.append(random_section(rng, s.bundle, degree_cap))
-    samples = min(n_random, len(pool))
+    rng = random.Random(seed)
+    samples = n_random if pool else 0
     for _ in range(samples):
         f, g, h = (pool[rng.randrange(len(pool))] for _ in range(3))
-        if checks["i"].passed:
-            d = _axiom_defect_i(s, f, g, h)
-            if not d.is_zero():
-                checks["i"] = AxiomCheck(
-                    False, "random spot check failed",
-                    {"sections": [x.coeffs.to_strings() for x in (f, g, h)],
-                     "defect": d.coeffs.to_strings(), "component": None},
-                )
-        if checks["ii"].passed:
-            d2 = _axiom_defect_ii(s, f, g, h)
-            if not d2.is_zero():
-                checks["ii"] = AxiomCheck(
-                    False, "random spot check failed",
-                    {"sections": [x.coeffs.to_strings() for x in (f, g, h)],
-                     "defect": [d2.to_string()], "component": None},
-                )
-        if checks["iii"].passed:
-            d3 = _axiom_defect_iii(s, f, g)
-            if not d3.is_zero():
-                checks["iii"] = AxiomCheck(
-                    False, "random spot check failed",
-                    {"sections": [x.coeffs.to_strings() for x in (f, g)],
-                     "defect": d3.coeffs.to_strings(), "component": None},
-                )
+        for name, slots in (("i", (f, g, h)), ("ii", (f, g, h)), ("iii", (f, g))):
+            if checks[name].passed:
+                witness = _plain_witness(s, name, slots)
+                if witness is not None:
+                    checks[name] = AxiomCheck(False, "random spot check failed", witness)
     for name, check in checks.items():
         if check.passed:
             check.detail += f"; {samples} random tuples"

@@ -14,9 +14,10 @@ pointwise criteria that characterize classical morphisms:
     (anchor)   A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x)
 
 All checks are exact polynomial identities.  The bracket and metric
-conditions are bilinear in the section slots, so they are certified over
+conditions are bilinear in the section slots, so certifying them over
 every pair of monomial frame sections up to the degree cap with tagged
-generating sections (see courant_core), then spot-checked on random pairs.
+generating sections (see courant_core) covers every pair of sections of
+coefficient degree <= cap; no random pair below the cap is drawn.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -42,7 +43,6 @@ from .courant_core import (
     CourantStructure,
     decode_tag,
     lift_structure,
-    random_polynomial,
     random_section,
     tagged_generating_section,
 )
@@ -118,6 +118,29 @@ def _first_nonzero_term(polys: list[Polynomial]):
     return None
 
 
+def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None:
+    """A failure located at the first nonzero entry of a defect matrix."""
+    where = next(
+        ((r, c) for r, row in enumerate(defect) for c, p in enumerate(row) if not p.is_zero()),
+        None,
+    )
+    if where is None:
+        return None
+    return ConditionFailure(
+        condition, {key: list(where)}, [p.to_string() for row in defect for p in row]
+    )
+
+
+_ORDER = {"bracket": 0, "metric": 1, "anchor": 2}
+
+
+def _verdict(failures: list, detail: str) -> MorphismVerdict:
+    """The verdict on the failures found, in bracket, metric, anchor order."""
+    found = [f for f in failures if f is not None]
+    found.sort(key=lambda f: _ORDER[f.condition])
+    return MorphismVerdict(found, detail=detail)
+
+
 def _validate(s1: CourantStructure, s2: CourantStructure, phi: BundleMorphism):
     if phi.source != s1.bundle:
         raise ValueError("morphism source does not match the first structure")
@@ -133,10 +156,14 @@ def check_identity_base(
     s2: CourantStructure,
     phi: BundleMorphism,
     degree_cap: int = 3,
-    n_random: int = 20,
-    seed: int = 0,
 ) -> MorphismVerdict:
-    """Exact morphism verdict for a bundle morphism over the identity."""
+    """Exact morphism verdict for a bundle morphism over the identity.
+
+    The bracket condition is certified over every pair of monomial frame
+    sections up to the degree cap; a failing pair is decoded from the
+    certificate and its plain defect recomputed.  The metric and anchor
+    conditions are matrix identities.
+    """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
         raise ValueError("identity-base check needs equal base dimensions")
@@ -145,7 +172,7 @@ def check_identity_base(
     n = s1.bundle.base_dim
     failures: list[ConditionFailure] = []
 
-    # (bracket): certified over tagged generating sections, spot-checked randomly
+    # (bracket): certified over tagged generating sections
     s1l = lift_structure(s1, 2)
     s2l = lift_structure(s2, 2)
     phil = _lift_morphism(phi, 2)
@@ -157,30 +184,8 @@ def check_identity_base(
     )
     defect = [a - b for a, b in zip(lhs, rhs.coeffs)]
     hit = _first_nonzero_term(defect)
-    if hit is None:
-        rng = random.Random(seed)
-        for _ in range(n_random):
-            f = random_section(rng, s1.bundle, degree_cap)
-            g = random_section(rng, s1.bundle, degree_cap)
-            d = [
-                a - b
-                for a, b in zip(
-                    phi.apply(s1.bracket(f, g)),
-                    s2.bracket(
-                        Section(s2.bundle, phi.apply(f)),
-                        Section(s2.bundle, phi.apply(g)),
-                    ).coeffs,
-                )
-            ]
-            if _first_nonzero_term(d) is not None:
-                failures.append(ConditionFailure(
-                    "bracket",
-                    {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings()},
-                    [p.to_string() for p in d],
-                ))
-                break
-    else:
-        comp, exps = hit
+    if hit is not None:
+        _, exps = hit
         f = decode_tag(s1.bundle, degree_cap, exps[n])
         g = decode_tag(s1.bundle, degree_cap, exps[n + 1])
         d = [
@@ -205,42 +210,14 @@ def check_identity_base(
         linalg.pmat_mul(pt, linalg.pmat_constant(s2.metric, n)), phi.fiber_matrix
     )
     mdefect = linalg.pmat_sub(induced, linalg.pmat_constant(s1.metric, n))
-    if not linalg.pmat_is_zero(mdefect):
-        where = [
-            (i, j)
-            for i, row in enumerate(mdefect)
-            for j, p in enumerate(row)
-            if not p.is_zero()
-        ]
-        failures.append(ConditionFailure(
-            "metric",
-            {"fiber_pair": list(where[0])},
-            [p.to_string() for row in mdefect for p in row],
-        ))
+    failures.append(_matrix_failure("metric", "fiber_pair", mdefect))
 
     # (anchor): A2 P = A1 as a polynomial identity
     adefect = linalg.pmat_sub(
         linalg.pmat_mul(s2.anchor, phi.fiber_matrix), s1.anchor
     )
-    if not linalg.pmat_is_zero(adefect):
-        where = [
-            (a, i)
-            for a, row in enumerate(adefect)
-            for i, p in enumerate(row)
-            if not p.is_zero()
-        ]
-        failures.append(ConditionFailure(
-            "anchor",
-            {"entry": list(where[0])},
-            [p.to_string() for row in adefect for p in row],
-        ))
-
-    order = {"bracket": 0, "metric": 1, "anchor": 2}
-    failures.sort(key=lambda f: order[f.condition])
-    return MorphismVerdict(
-        failures,
-        detail=f"identity-base criteria at degree cap {degree_cap}",
-    )
+    failures.append(_matrix_failure("anchor", "entry", adefect))
+    return _verdict(failures, f"identity-base criteria at degree cap {degree_cap}")
 
 
 # -- general base ----------------------------------------------------------------
@@ -278,7 +255,6 @@ def check_general_base(
     phi: BundleMorphism,
     pairs="auto",
     degree_cap: int = 3,
-    n_random: int = 10,
     seed: int = 0,
     n_perturbations: int = 0,
 ) -> MorphismVerdict:
@@ -292,10 +268,10 @@ def check_general_base(
 
     n_perturbations > 0 turns on strict representative checking: the same
     conditions are re-checked on representatives perturbed by terms that
-    vanish on the image, which is the full "any (and hence each)"
-    quantifier.  Zero-section embeddings generally fail the strict check
-    even when they verify on the retraction family; see the module
-    docstring.
+    vanish on the image, drawn with the given seed; this is the full
+    "any (and hence each)" quantifier.  Zero-section embeddings generally
+    fail the strict check even when they verify on the retraction family;
+    see the module docstring.
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
@@ -355,20 +331,6 @@ def check_general_base(
                     "f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
                     "representatives": variant_label,
                 }, [mdef.to_string()])
-        # random plain spot checks through the unlifted path
-        for _ in range(n_random):
-            f1 = random_section(rng, s1.bundle, degree_cap)
-            f2 = random_section(rng, s1.bundle, degree_cap)
-            g1 = related_section(phi, f1)
-            g2 = related_section(phi, f2)
-            bdef, mdef = _pair_defects(s1, s2, phi, f1, f2, g1, g2)
-            if _first_nonzero_term(bdef) is not None:
-                note("bracket", {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
-                                 "representatives": "random"},
-                     [p.to_string() for p in bdef])
-            if not mdef.is_zero():
-                note("metric", {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
-                                "representatives": "random"}, [mdef.to_string()])
     else:
         checked = []
         for f, g in pairs:
@@ -402,24 +364,8 @@ def check_general_base(
         ]
     else:
         rhs = linalg.pmat_mul(phi.base_map.jacobian(), s1.anchor)
-    adefect = linalg.pmat_sub(lhs, rhs)
-    if not linalg.pmat_is_zero(adefect):
-        where = [
-            (a, i)
-            for a, row in enumerate(adefect)
-            for i, p in enumerate(row)
-            if not p.is_zero()
-        ]
-        failures.append(ConditionFailure(
-            "anchor", {"entry": list(where[0])},
-            [p.to_string() for row in adefect for p in row],
-        ))
-
-    order = {"bracket": 0, "metric": 1, "anchor": 2}
-    failures.sort(key=lambda f: order[f.condition])
-    return MorphismVerdict(
-        failures, detail=f"general-base criteria at degree cap {degree_cap}"
-    )
+    failures.append(_matrix_failure("anchor", "entry", linalg.pmat_sub(lhs, rhs)))
+    return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 
 
 # -- graph presentation ------------------------------------------------------------

@@ -186,13 +186,20 @@ def _compile(polys: Iterable[Polynomial], num_vars: int):
     The source is straight-line code built from `repr(float(coeff))`
     literals, the names v0..v{num_vars-1}, `*`, `+` and grouping
     parentheses; no text from a scene reaches it.  Powers are repeated
-    products, so overflow gives inf rather than OverflowError.
+    products, so overflow gives inf rather than OverflowError.  A
+    coefficient outside the float range raises ValueError.
     """
     values = []
     for poly in polys:
         terms = []
         for exps, coeff in poly.terms.items():
-            factors = [] if coeff == 1 else [repr(float(coeff))]
+            try:
+                factors = [] if coeff == 1 else [repr(float(coeff))]
+            except OverflowError:
+                size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+                raise ValueError(
+                    f"a field coefficient of size 10^{size:.0f} is outside the float range"
+                ) from None
             for i, e in enumerate(exps):
                 factors.extend([f"v{i}"] * e)
             terms.append(_chain(factors, "*") if factors else "1.0")

@@ -37,8 +37,8 @@ from fractions import Fraction
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle
-from .courant_core import CourantStructure, random_section
-from .morphisms import check_general_base
+from .courant_core import AxiomCheck, CourantStructure, random_section
+from .morphisms import _image_vanishing_multipliers, check_general_base
 from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
@@ -88,23 +88,10 @@ class PullbackProblem:
 
 
 @dataclass
-class HypothesisCheck:
-    passed: bool
-    detail: str
-    witness: dict | None = None
-
-    def to_json(self) -> dict:
-        out = {"status": "pass" if self.passed else "fail", "detail": self.detail}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-@dataclass
 class HypothesisReport:
-    anchor_tangent: HypothesisCheck
-    pairing_nondegenerate: HypothesisCheck
-    sections_involutive: HypothesisCheck
+    anchor_tangent: AxiomCheck
+    pairing_nondegenerate: AxiomCheck
+    sections_involutive: AxiomCheck
 
     @property
     def all_passed(self) -> bool:
@@ -146,19 +133,25 @@ def _extended_frames(p: PullbackProblem) -> list[Section]:
     return frames
 
 
-def _fiber_coefficients(p: PullbackProblem, g_inv, vec):
-    """Solve P(x) c(x) = vec(x) through the exact projector; (c, residual)."""
-    phi = p.morphism
+def _fiber_solver(p: PullbackProblem, g_inv):
+    """solve(vec) -> (c, residual): P(x) c(x) = vec(x) through the exact projector.
+
+    The projector's fixed factors P^T G and G'^-1 are built once per solver.
+    """
+    fiber = p.morphism.fiber_matrix
     n = p.source_bundle.base_dim
     pt_g = linalg.pmat_mul(
-        linalg.pmat_transpose(phi.fiber_matrix),
-        linalg.pmat_constant(p.ambient.metric, n),
+        linalg.pmat_transpose(fiber), linalg.pmat_constant(p.ambient.metric, n)
     )
-    half = linalg.pmat_vec(pt_g, vec, num_vars=n)
-    coeffs = linalg.pmat_vec(linalg.pmat_constant(g_inv, n), half, num_vars=n)
-    reproduced = linalg.pmat_vec(phi.fiber_matrix, coeffs, num_vars=n)
-    residual = [a - b for a, b in zip(reproduced, vec)]
-    return coeffs, residual
+    g_inv_n = linalg.pmat_constant(g_inv, n)
+
+    def solve(vec):
+        half = linalg.pmat_vec(pt_g, vec, num_vars=n)
+        coeffs = linalg.pmat_vec(g_inv_n, half, num_vars=n)
+        reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
+        return coeffs, [a - b for a, b in zip(reproduced, vec)]
+
+    return solve
 
 
 def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
@@ -181,9 +174,9 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     )
     tangency_defect = linalg.pmat_mul(complement, anchored)
     if linalg.pmat_is_zero(tangency_defect):
-        anchor_check = HypothesisCheck(True, "anchor maps image fibers into image tangents")
+        anchor_check = AxiomCheck(True, "anchor maps image fibers into image tangents")
     else:
-        anchor_check = HypothesisCheck(
+        anchor_check = AxiomCheck(
             False,
             "anchor leaves the image tangent spaces",
             {"defect": [[q.to_string() for q in row] for row in tangency_defect]},
@@ -196,11 +189,11 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
         g_matrix = linalg.pmat_constant_value(induced)
         determinant = linalg.det(g_matrix)
         if determinant != 0:
-            pairing_check = HypothesisCheck(
+            pairing_check = AxiomCheck(
                 True, f"induced pairing constant with determinant {determinant}"
             )
         else:
-            pairing_check = HypothesisCheck(
+            pairing_check = AxiomCheck(
                 False,
                 "induced pairing is degenerate",
                 {"induced_metric": [[str(v) for v in row] for row in g_matrix]},
@@ -212,7 +205,7 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
             for j, q in enumerate(row)
             if not q.is_constant()
         )
-        pairing_check = HypothesisCheck(
+        pairing_check = AxiomCheck(
             False,
             "induced pairing is not constant on fibers; entry "
             f"{offender} = {induced[offender[0]][offender[1]]}",
@@ -221,14 +214,14 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
 
     # (c) involutivity of image-valued sections, via extended frames
     if pairing_check.passed:
-        g_inv = linalg.inverse(linalg.pmat_constant_value(induced))
+        solve = _fiber_solver(p, linalg.inverse(linalg.pmat_constant_value(induced)))
         frames = _extended_frames(p)
         witness = None
         for i, ei in enumerate(frames):
             for j, ej in enumerate(frames):
                 bracket = p.ambient.bracket(ei, ej)
                 on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-                _, residual = _fiber_coefficients(p, g_inv, on_image)
+                _, residual = solve(on_image)
                 if any(not q.is_zero() for q in residual):
                     witness = {
                         "frame_pair": [i, j],
@@ -238,15 +231,15 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
             if witness is not None:
                 break
         if witness is None:
-            involutive_check = HypothesisCheck(
+            involutive_check = AxiomCheck(
                 True, "frame brackets stay in the image along the base image"
             )
         else:
-            involutive_check = HypothesisCheck(
+            involutive_check = AxiomCheck(
                 False, "a frame bracket leaves the image", witness
             )
     else:
-        involutive_check = HypothesisCheck(
+        involutive_check = AxiomCheck(
             False, "blocked: induced pairing is not constant nondegenerate"
         )
 
@@ -300,14 +293,14 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
         phi.fiber_matrix,
     )
     induced = linalg.pmat_constant_value(_induced_metric(p))
-    g_inv = linalg.inverse(induced) if induced else []
+    solve = _fiber_solver(p, linalg.inverse(induced) if induced else [])
     frames = _extended_frames(p)
     structure_functions: dict[tuple[int, int, int], Polynomial] = {}
     for i, ei in enumerate(frames):
         for j, ej in enumerate(frames):
             bracket = p.ambient.bracket(ei, ej)
             on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-            coeffs, residual = _fiber_coefficients(p, g_inv, on_image)
+            coeffs, residual = solve(on_image)
             if any(not q.is_zero() for q in residual):
                 raise ValueError(
                     f"frame bracket ({i},{j}) left the image despite the hypothesis check"
@@ -333,17 +326,6 @@ def well_definedness_test(p: PullbackProblem, alternative_retraction: PolyMap) -
     return construct(p) == construct(other)
 
 
-def _image_vanishing(phi: BundleMorphism) -> list[Polynomial]:
-    composed = phi.base_map.compose(phi.retraction)
-    big = phi.target.base_dim
-    out = []
-    for a in range(big):
-        q = Polynomial.variable(big, a) - composed[a]
-        if not q.is_zero():
-            out.append(q)
-    return out
-
-
 def extension_perturbation_test(
     p: PullbackProblem, n_perturbations: int = 2, seed: int = 0
 ) -> bool:
@@ -357,11 +339,11 @@ def extension_perturbation_test(
     """
     base = construct(p, enforce_hypotheses=False)
     phi = p.morphism
-    multipliers = _image_vanishing(phi)
+    multipliers = _image_vanishing_multipliers(phi)
     if not multipliers:
         return True  # the embedding is onto; extensions are unique
     rng = random.Random(seed)
-    g_inv = linalg.inverse(base.metric) if base.metric else []
+    solve = _fiber_solver(p, linalg.inverse(base.metric) if base.metric else [])
     frames = _extended_frames(p)
     zero = Polynomial(base.bundle.base_dim)
     for _ in range(n_perturbations):
@@ -373,7 +355,7 @@ def extension_perturbation_test(
             for j, ej in enumerate(perturbed):
                 bracket = p.ambient.bracket(ei, ej)
                 on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-                coeffs, _ = _fiber_coefficients(p, g_inv, on_image)
+                coeffs, _ = solve(on_image)
                 for h, c in enumerate(coeffs):
                     if base.structure_functions.get((i, j, h), zero) != c:
                         return False

@@ -99,6 +99,28 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+_SECTIONS = ("bundles", "sections", "courant_structures", "morphisms", "ph_systems", "inputs")
+
+
+def _entries(raw: dict, section: str) -> dict:
+    """A scene section: an object whose every entry is an object."""
+    entries = raw.get(section, {})
+    if not isinstance(entries, dict):
+        raise SceneError(f"scene field {section!r} must be an object, got {entries!r}")
+    for name, spec in entries.items():
+        if not isinstance(spec, dict):
+            raise SceneError(f"{section} entry {name!r} must be an object, got {spec!r}")
+    return entries
+
+
+def _matrix(spec: dict, key: str, where: str) -> list:
+    """A matrix field: a list of rows, each a list."""
+    rows = _require(spec, key, where)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SceneError(f"{where}: {key} must be a list of lists, got {rows!r}")
+    return rows
+
+
 def load_scene(path) -> Scene:
     try:
         with open(path) as fh:
@@ -114,16 +136,13 @@ def load_scene(path) -> Scene:
         raise SceneError(
             f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
         )
-    known = {
-        "schema_version", "bundles", "sections", "courant_structures",
-        "morphisms", "ph_systems", "inputs",
-    }
     for key in raw:
-        if key not in known:
+        if key != "schema_version" and key not in _SECTIONS:
             raise SceneError(f"unknown scene field {key!r}")
+    entries = {section: _entries(raw, section) for section in _SECTIONS}
     scene = Scene()
 
-    for name, spec in raw.get("bundles", {}).items():
+    for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
         base_dim = _require(spec, "base_dim", where)
         rank = _require(spec, "rank", where)
@@ -139,7 +158,7 @@ def load_scene(path) -> Scene:
             raise SceneError(f"{where}: reference to unknown bundle {name!r}")
         return scene.bundles[name]
 
-    for name, spec in raw.get("sections", {}).items():
+    for name, spec in entries["sections"].items():
         where = f"section {name!r}"
         bundle = bundle_ref(_require(spec, "bundle", where), where)
         coeffs = _require(spec, "coeffs", where)
@@ -149,17 +168,16 @@ def load_scene(path) -> Scene:
         polys = [_expr(c, names, where) for c in coeffs]
         scene.sections[name] = Section(bundle, PolyMap(bundle.base_dim, polys))
 
-    for name, spec in raw.get("courant_structures", {}).items():
+    for name, spec in entries["courant_structures"].items():
         where = f"courant_structure {name!r}"
         bundle = bundle_ref(_require(spec, "bundle", where), where)
         names = _vars(bundle.base_dim)
-        anchor_rows = _require(spec, "anchor", where)
-        if not isinstance(anchor_rows, list) or len(anchor_rows) != bundle.base_dim:
+        anchor_rows = _matrix(spec, "anchor", where)
+        if len(anchor_rows) != bundle.base_dim:
             raise SceneError(f"{where}: anchor must have {bundle.base_dim} rows")
         anchor = [[_expr(e, names, where) for e in row] for row in anchor_rows]
         metric = [
-            [_rational(v, where) for v in row]
-            for row in _require(spec, "metric", where)
+            [_rational(v, where) for v in row] for row in _matrix(spec, "metric", where)
         ]
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
@@ -175,7 +193,7 @@ def load_scene(path) -> Scene:
         except ValueError as exc:
             raise SceneError(f"{where}: {exc}") from exc
 
-    for name, spec in raw.get("morphisms", {}).items():
+    for name, spec in entries["morphisms"].items():
         where = f"morphism {name!r}"
         source = bundle_ref(_require(spec, "source", where), where)
         target = bundle_ref(_require(spec, "target", where), where)
@@ -187,7 +205,7 @@ def load_scene(path) -> Scene:
         base_map = PolyMap(
             source.base_dim, [_expr(e, src_names, where) for e in base_exprs]
         )
-        fiber_rows = _require(spec, "fiber_matrix", where)
+        fiber_rows = _matrix(spec, "fiber_matrix", where)
         fiber = [[_expr(e, src_names, where) for e in row] for row in fiber_rows]
         retraction = None
         if "retraction" in spec:
@@ -202,12 +220,12 @@ def load_scene(path) -> Scene:
         except ValueError as exc:
             raise SceneError(f"{where}: {exc}") from exc
 
-    for name, spec in raw.get("ph_systems", {}).items():
+    for name, spec in entries["ph_systems"].items():
         where = f"ph_system {name!r}"
         n = _require(spec, "n", where)
         m = _require(spec, "m", where)
-        jm = [[_rational(v, where) for v in row] for row in _require(spec, "J", where)]
-        bm = [[_rational(v, where) for v in row] for row in _require(spec, "B", where)]
+        jm = [[_rational(v, where) for v in row] for row in _matrix(spec, "J", where)]
+        bm = [[_rational(v, where) for v in row] for row in _matrix(spec, "B", where)]
         if len(jm) != n or (m and len(bm) != n):
             raise SceneError(f"{where}: J must be {n}x{n} and B {n}x{m}")
         h = _expr(_require(spec, "H", where), _vars(n), where)
@@ -216,7 +234,7 @@ def load_scene(path) -> Scene:
         except ValueError as exc:
             raise SceneError(f"{where}: {exc}") from exc
 
-    for name, spec in raw.get("inputs", {}).items():
+    for name, spec in entries["inputs"].items():
         where = f"input {name!r}"
         exprs = _require(spec, "u", where)
         scene.inputs[name] = InputSignal(

@@ -87,8 +87,8 @@ def test_criterion_01_axiom_certification():
         assert result.all_passed, f"standard({n}) failed an axiom"
     elapsed = time.perf_counter() - started
     assert elapsed <= 60.0, f"axiom certification took {elapsed:.1f}s"
-    report(1, f"standard(1..3) certified at degree cap 3 + 100 random tuples "
-              f"in {elapsed:.1f}s (zero tolerance)")
+    report(1, f"standard(1..3) certified at degree cap 3 over every monomial "
+              f"tuple in {elapsed:.1f}s (zero tolerance)")
 
 
 def test_criterion_02_bracket_oracle_equivalence():
@@ -115,7 +115,7 @@ def test_criterion_03_scaled_structures():
         certified = check_axioms(s3, degree_cap=2, n_random=50, seed=0)
         assert certified.all_passed
     report(3, "scaled metrics (2, -1, 1/3) certified: n<=2 at cap 3, n=3 at "
-              "cap 2 plus random degree-3 tuples (exact)")
+              "cap 2 (exact)")
 
 
 def test_criterion_04_leibniz_ledger():

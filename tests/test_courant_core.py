@@ -249,6 +249,30 @@ class TestCheckAxioms:
         extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
         assert check_axioms(s, sections=extra, n_random=10).all_passed
 
+    def test_supplied_sections_above_the_cap_are_checked(self):
+        # anchor [1, 1]: rho o D = A G^-1 A^T = 2, which no constant section sees
+        bundle = TrivialBundle(1, 2, "E")
+        one = Polynomial.constant(1, 1)
+        s = CourantStructure(bundle, [[one, one]], [[0, 1], [1, 0]])
+        assert check_axioms(s, degree_cap=0, n_random=20).all_passed
+        extra = [Section.from_exprs(bundle, ["x1", "0"]), Section.from_exprs(bundle, ["0", "x1"])]
+        report = check_axioms(s, sections=extra, degree_cap=0, n_random=20)
+        failed = [name for name, check in report.checks.items() if not check.passed]
+        assert failed
+        for name in failed:
+            witness = report.checks[name].witness
+            sections = [Section.from_exprs(bundle, texts) for texts in witness["sections"]]
+            defect, is_zero = _plain_defect(s, name, sections)
+            assert not is_zero and defect == witness["defect"]
+
+    def test_tuples_are_drawn_from_supplied_sections_only(self):
+        s = standard_structure(1)
+        report = check_axioms(s, degree_cap=1, n_random=50)
+        assert all(c.detail.endswith("; 0 random tuples") for c in report.checks.values())
+        extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
+        report = check_axioms(s, sections=extra, degree_cap=1, n_random=50)
+        assert all(c.detail.endswith("; 50 random tuples") for c in report.checks.values())
+
     def test_report_serialization(self):
         report = check_axioms(standard_structure(1), n_random=5)
         payload = report.to_json()

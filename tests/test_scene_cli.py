@@ -223,6 +223,38 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_coefficient_outside_float_range_exit_2(self, tmp_path, capsys, command):
+        scene = json.loads(SCENE.read_text())
+        scene["ph_systems"]["oscillator"]["H"] = "10^400*x1^2 + 1/2*x2^2"
+        argv = [command, "--scene", str(write_scene(tmp_path, scene)),
+                "--system", "oscillator", "--input", "unit", "--x0", "1,0",
+                "--T", "0.01", "--h", "0.001"]
+        if command == "project":
+            argv += ["--z0", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "float range" in lines[0]
+
+    @pytest.mark.parametrize("fragment, message", [
+        ({"bundles": {"b": 5}}, "bundles entry 'b' must be an object"),
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2}},
+          "courant_structures": {"s": {"bundle": "E", "anchor": [["1", "0"]],
+                                       "metric": 5}}},
+         "metric must be a list of lists"),
+    ], ids=["bundle_not_object", "metric_not_matrix"])
+    def test_malformed_scene_shape_exit_2(self, tmp_path, capsys, fragment, message):
+        path = write_scene(tmp_path, {"schema_version": 1, **fragment})
+        assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert message in lines[0]
+
     def test_dirac(self, capsys):
         code = main(["dirac", "--scene", str(SCENE), "--system", "oscillator", "--json"])
         payload = json.loads(capsys.readouterr().out)

@@ -45,9 +45,9 @@ from .polyexpr import Polynomial, PolyMap
 from .pullback import (
     HypothesisReport,
     PullbackProblem,
+    _rejection,
     check_hypotheses,
     construct,
-    rejection_condition,
 )
 
 __all__ = [
@@ -251,13 +251,11 @@ def uniqueness_check(
     chi = splitting_composite(n, m, splitting)
     problem = PullbackProblem(ambient, chi.source, chi)
     structure = construct(problem, enforce_hypotheses=False)
-    if rejection_condition(problem, structure) is not None:
-        return False
     if m == 0 and structure != standard_structure(n):
         return False
     rng = random.Random(seed)
     for expected, candidate in _perturbed_candidates(structure, n_perturbations, rng):
-        rejection = rejection_condition(problem, candidate)
+        rejection = _rejection(structure, candidate)
         if rejection is None or rejection[0] != expected:
             return False
     return True

@@ -305,11 +305,14 @@ def check_general_base(
                 w = random_section(rng, s2l.bundle, 1, terms=1)
                 perturbed.append(g + q * w)
             variants.append((*perturbed, f"perturbation {round_idx}"))
+        # the source side does not depend on the representatives
+        lifted_bracket = phil.apply(s1l.bracket(fa, fb))
+        lifted_pairing = s1l.pairing(fa, fb)
         for gxa, gxb, variant_label in variants:
             bdef = [
                 a - b
                 for a, b in zip(
-                    phil.apply(s1l.bracket(fa, fb)),
+                    lifted_bracket,
                     (p.compose(phil.base_map) for p in s2l.bracket(gxa, gxb).coeffs),
                 )
             ]
@@ -322,7 +325,7 @@ def check_general_base(
                     "f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
                     "representatives": variant_label,
                 }, [p.to_string() for p in bdef])
-            mdef = s1l.pairing(fa, fb) - s2l.pairing(gxa, gxb).compose(phil.base_map)
+            mdef = lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)
             if not mdef.is_zero() and "metric" not in {f.condition for f in failures}:
                 exps = next(iter(mdef.terms))
                 f1 = decode_tag(s1.bundle, degree_cap, exps[n])

@@ -16,6 +16,15 @@ exponent reaches the guard bit raises `ExponentOverflowError` instead of aliasin
 into the next variable.  A key does not depend on the variable count, so
 appending variables leaves keys unchanged and `lift` is a shift.
 
+The same linearity makes substitution cheap when each substituted
+polynomial is one term c_i * x^(k_i) or zero, as for the zero-section base
+maps x -> (x, 0): `compose` then sends the key e of each term to
+sum e_i k_i and its coefficient c to c * prod(c_i^e_i), in one pass and
+without polynomial products.  If some term's sum of e_i times the largest
+exponent of output i could pass `MAX_EXPONENT`, the whole call falls back
+to the general expansion, which raises `ExponentOverflowError` exactly as
+before.
+
 Coefficients are ints when integral and `fractions.Fraction` otherwise,
 never floats.  The zero polynomial has an empty term map, and every
 operation deletes a term when it cancels, so structural equality is
@@ -188,10 +197,51 @@ def _product(p: dict, q: dict, num_vars: int) -> dict:
     else:
         out = {}
         _mul_into(out, p, q)
-    for key, c in out.items():
+    return _checked(_normalised(out), num_vars)
+
+
+def _normalised(terms: dict) -> dict:
+    """Turn integral Fraction coefficients into ints, in place; return `terms`."""
+    for key, c in terms.items():
         if type(c) is Fraction and c.denominator == 1:
-            out[key] = c.numerator
-    return _checked(out, num_vars)
+            terms[key] = c.numerator
+    return terms
+
+
+def _substitute_monomials(terms: dict, outputs, num_vars: int) -> dict | None:
+    """`terms` with variable i replaced by `outputs[i]`, each a single term or
+    zero, by key arithmetic; None if a term could overflow a key field."""
+    subs = []   # per variable: (shift, key or None for zero, coeff, largest exponent)
+    for i, q in enumerate(outputs):
+        if q._packed:
+            (k, c), = q._packed.items()
+            subs.append((_BITS * i, k, c, max(_unpack(k, num_vars), default=0)))
+        else:
+            subs.append((_BITS * i, None, 0, 0))
+    out: dict = {}
+    for key, coeff in terms.items():
+        new_key = 0
+        bound = 0
+        dropped = False
+        for shift, k, c, top in subs:
+            e = (key >> shift) & _FIELD
+            if not e:
+                continue
+            if k is None:
+                dropped = True
+                continue
+            bound += e * top
+            new_key += e * k
+            if c != 1:
+                coeff = coeff * c ** e
+        if bound > MAX_EXPONENT:
+            return None
+        if dropped:
+            continue
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            coeff = coeff.numerator
+        _add_into(out, {new_key: coeff})
+    return out
 
 
 def _deriv(terms: dict, var: int) -> dict:
@@ -415,7 +465,16 @@ class Polynomial:
     def compose(self, maps: "PolyMap | Sequence[Polynomial]") -> "Polynomial":
         """Substitute `maps[i]` for variable i; exact expansion.
 
-        The result lives in the variables of the substituted maps.
+        The result lives in the variables of the substituted maps.  When
+        every substituted polynomial is a single term c_i * x^(k_i) or zero,
+        the substitution is a linear map on the packed keys: term
+        c * x^e goes to c * prod(c_i^e_i) * x^(sum e_i k_i), and to nothing
+        if it has a positive exponent on a zero output.  That path runs in
+        one pass over the terms.  A call where some term could reach the
+        guard bit (sum of e_i times the largest exponent of output i, over
+        the nonzero outputs, above `MAX_EXPONENT`) takes the general path,
+        which raises `ExponentOverflowError` exactly when an intermediate
+        product overflows.  Both paths give the same terms in the same order.
         """
         outputs = maps.outputs if isinstance(maps, PolyMap) else tuple(maps)
         if len(outputs) != self.num_vars:
@@ -429,17 +488,24 @@ class Polynomial:
         for q in outputs:
             if q.num_vars != inner_vars:
                 raise ValueError("substituted maps disagree on variable count")
+        if all(len(q._packed) <= 1 for q in outputs):
+            out = _substitute_monomials(self._packed, outputs, inner_vars)
+            if out is not None:
+                return _raw(inner_vars, out)
         # cache powers of each substituted polynomial
         powers: list[list[Polynomial]] = [[Polynomial.constant(inner_vars, 1)] for _ in outputs]
-        out: dict = {}
+        out = {}
         for key, coeff in self._packed.items():
-            factor = _raw(inner_vars, {0: coeff})
+            factor = None
             for i, e in enumerate(_unpack(key, self.num_vars)):
                 while len(powers[i]) <= e:
                     powers[i].append(powers[i][-1] * outputs[i])
                 if e:
-                    factor = factor * powers[i][e]
-            _add_into(out, factor._packed)
+                    factor = powers[i][e] if factor is None else factor * powers[i][e]
+            if factor is None:
+                _add_into(out, {0: coeff})
+            else:
+                _add_into(out, _normalised(_scaled(factor._packed, coeff)))
         return _raw(inner_vars, out)
 
     def lift(self, new_num_vars: int, offset: int = 0) -> "Polynomial":

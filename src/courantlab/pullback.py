@@ -382,8 +382,12 @@ def rejection_condition(p: PullbackProblem, candidate: CourantStructure):
     breaks the anchor-compatibility condition.  Returns (condition, defect)
     or None when the candidate matches the construction.
     """
-    constructed = construct(p, enforce_hypotheses=False)
-    n = p.source_bundle.base_dim
+    return _rejection(construct(p, enforce_hypotheses=False), candidate)
+
+
+def _rejection(constructed: CourantStructure, candidate: CourantStructure):
+    """`rejection_condition` against an already constructed structure."""
+    n = constructed.bundle.base_dim
     if candidate.metric != constructed.metric:
         defect = linalg.mat_sub(candidate.metric, constructed.metric)
         return "metric", [[str(v) for v in row] for row in defect]

@@ -26,8 +26,9 @@ be written as JSON integers or as strings like "3/2".
       "inputs":     {NAME: {"u": [expr in t, ...]}}
     }
 
-Loading validates everything eagerly: unknown references, duplicate names,
-and malformed expressions raise SceneError (CLI exit code 2).
+Loading validates everything eagerly: field shapes, unknown references,
+duplicate names and malformed expressions raise SceneError (CLI exit
+code 2).  Every field's JSON shape is checked before any object is built.
 """
 
 from __future__ import annotations
@@ -93,32 +94,51 @@ def _vars(n: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n)]
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise SceneError(f"{where}: missing field {key!r}")
-    return mapping[key]
-
-
-_SECTIONS = ("bundles", "sections", "courant_structures", "morphisms", "ph_systems", "inputs")
+# The fields of each scene section and the JSON shape of each; a trailing
+# "?" marks an optional field.  Expressions and rationals inside a field are
+# checked where they are parsed.
+_FIELDS = {
+    "bundles": {"base_dim": "integer", "rank": "integer"},
+    "sections": {"bundle": "string", "coeffs": "list"},
+    "courant_structures": {"bundle": "string", "anchor": "matrix", "metric": "matrix",
+                           "structure_functions?": "object"},
+    "morphisms": {"source": "string", "target": "string", "base_map": "list",
+                  "fiber_matrix": "matrix", "retraction?": "list"},
+    "ph_systems": {"n": "integer", "m": "integer", "J": "matrix", "B": "matrix",
+                   "H": "string"},
+    "inputs": {"u": "list"},
+}
+_SHAPES = {
+    "integer": ("an integer", lambda v: isinstance(v, int)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "matrix": ("a list of lists",
+               lambda v: isinstance(v, list) and all(isinstance(row, list) for row in v)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+_SECTIONS = tuple(_FIELDS)
 
 
 def _entries(raw: dict, section: str) -> dict:
-    """A scene section: an object whose every entry is an object."""
+    """A scene section whose entries have every field in its declared shape."""
     entries = raw.get(section, {})
     if not isinstance(entries, dict):
         raise SceneError(f"scene field {section!r} must be an object, got {entries!r}")
     for name, spec in entries.items():
         if not isinstance(spec, dict):
             raise SceneError(f"{section} entry {name!r} must be an object, got {spec!r}")
+        where = f"{section[:-1]} {name!r}"
+        for key, shape in _FIELDS[section].items():
+            optional = key.endswith("?")
+            key = key.rstrip("?")
+            if key not in spec:
+                if optional:
+                    continue
+                raise SceneError(f"{where}: missing field {key!r}")
+            noun, fits = _SHAPES[shape]
+            if not fits(spec[key]):
+                raise SceneError(f"{where}: {key} must be {noun}, got {spec[key]!r}")
     return entries
-
-
-def _matrix(spec: dict, key: str, where: str) -> list:
-    """A matrix field: a list of rows, each a list."""
-    rows = _require(spec, key, where)
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise SceneError(f"{where}: {key} must be a list of lists, got {rows!r}")
-    return rows
 
 
 def load_scene(path) -> Scene:
@@ -144,12 +164,10 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
-        base_dim = _require(spec, "base_dim", where)
-        rank = _require(spec, "rank", where)
-        if not isinstance(base_dim, int) or not isinstance(rank, int):
-            raise SceneError(f"{where}: base_dim and rank must be integers")
         try:
-            scene.bundles[name] = TrivialBundle(base_dim, rank, spec.get("label", name))
+            scene.bundles[name] = TrivialBundle(
+                spec["base_dim"], spec["rank"], spec.get("label", name)
+            )
         except ValueError as exc:
             raise SceneError(f"{where}: {exc}") from exc
 
@@ -160,9 +178,9 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["sections"].items():
         where = f"section {name!r}"
-        bundle = bundle_ref(_require(spec, "bundle", where), where)
-        coeffs = _require(spec, "coeffs", where)
-        if not isinstance(coeffs, list) or len(coeffs) != bundle.rank:
+        bundle = bundle_ref(spec["bundle"], where)
+        coeffs = spec["coeffs"]
+        if len(coeffs) != bundle.rank:
             raise SceneError(f"{where}: coeffs must list {bundle.rank} expressions")
         names = _vars(bundle.base_dim)
         polys = [_expr(c, names, where) for c in coeffs]
@@ -170,15 +188,12 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["courant_structures"].items():
         where = f"courant_structure {name!r}"
-        bundle = bundle_ref(_require(spec, "bundle", where), where)
+        bundle = bundle_ref(spec["bundle"], where)
         names = _vars(bundle.base_dim)
-        anchor_rows = _matrix(spec, "anchor", where)
-        if len(anchor_rows) != bundle.base_dim:
+        if len(spec["anchor"]) != bundle.base_dim:
             raise SceneError(f"{where}: anchor must have {bundle.base_dim} rows")
-        anchor = [[_expr(e, names, where) for e in row] for row in anchor_rows]
-        metric = [
-            [_rational(v, where) for v in row] for row in _matrix(spec, "metric", where)
-        ]
+        anchor = [[_expr(e, names, where) for e in row] for row in spec["anchor"]]
+        metric = [[_rational(v, where) for v in row] for row in spec["metric"]]
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
             try:
@@ -195,18 +210,16 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["morphisms"].items():
         where = f"morphism {name!r}"
-        source = bundle_ref(_require(spec, "source", where), where)
-        target = bundle_ref(_require(spec, "target", where), where)
+        source = bundle_ref(spec["source"], where)
+        target = bundle_ref(spec["target"], where)
         src_names = _vars(source.base_dim)
         tgt_names = _vars(target.base_dim)
-        base_exprs = _require(spec, "base_map", where)
-        if not isinstance(base_exprs, list) or len(base_exprs) != target.base_dim:
+        if len(spec["base_map"]) != target.base_dim:
             raise SceneError(f"{where}: base_map must list {target.base_dim} expressions")
         base_map = PolyMap(
-            source.base_dim, [_expr(e, src_names, where) for e in base_exprs]
+            source.base_dim, [_expr(e, src_names, where) for e in spec["base_map"]]
         )
-        fiber_rows = _matrix(spec, "fiber_matrix", where)
-        fiber = [[_expr(e, src_names, where) for e in row] for row in fiber_rows]
+        fiber = [[_expr(e, src_names, where) for e in row] for row in spec["fiber_matrix"]]
         retraction = None
         if "retraction" in spec:
             retraction = PolyMap(
@@ -222,13 +235,12 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["ph_systems"].items():
         where = f"ph_system {name!r}"
-        n = _require(spec, "n", where)
-        m = _require(spec, "m", where)
-        jm = [[_rational(v, where) for v in row] for row in _matrix(spec, "J", where)]
-        bm = [[_rational(v, where) for v in row] for row in _matrix(spec, "B", where)]
+        n, m = spec["n"], spec["m"]
+        jm = [[_rational(v, where) for v in row] for row in spec["J"]]
+        bm = [[_rational(v, where) for v in row] for row in spec["B"]]
         if len(jm) != n or (m and len(bm) != n):
             raise SceneError(f"{where}: J must be {n}x{n} and B {n}x{m}")
-        h = _expr(_require(spec, "H", where), _vars(n), where)
+        h = _expr(spec["H"], _vars(n), where)
         try:
             scene.ph_systems[name] = PHSystem(jm, bm, h, spec.get("label", name))
         except ValueError as exc:
@@ -236,9 +248,8 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["inputs"].items():
         where = f"input {name!r}"
-        exprs = _require(spec, "u", where)
         scene.inputs[name] = InputSignal(
-            PolyMap(1, [_expr(e, ["t"], where) for e in exprs])
+            PolyMap(1, [_expr(e, ["t"], where) for e in spec["u"]])
         )
 
     return scene

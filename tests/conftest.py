@@ -6,11 +6,30 @@ Lagrange-interpolation derivative avoids symbolic differentiation
 (it is exact for polynomials once enough nodes are used).
 """
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from courantlab.polyexpr import Polynomial
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def src_on_child_pythonpath():
+    """Put `src` on PYTHONPATH for child interpreters.
+
+    Tests that run `python -m courantlab.cli` in a subprocess need the
+    package on the child's path; pyproject's `pythonpath` covers only
+    pytest's own sys.path.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        ))
+        yield
 
 
 def eval_term_by_term(poly: Polynomial, point) -> Fraction:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import linalg
+from courantlab import intrinsic, linalg, pullback
 from courantlab.bundles import Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
@@ -112,6 +112,19 @@ class TestUniqueness:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
     def test_uniqueness_check(self, n, m):
         assert uniqueness_check(n, m)
+
+    def test_uniqueness_check_constructs_the_pullback_once(self, monkeypatch):
+        calls = []
+        original = pullback.construct
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pullback, "construct", counting)
+        monkeypatch.setattr(intrinsic, "construct", counting)
+        assert uniqueness_check(2, 1)
+        assert len(calls) == 1
 
     def test_perturbed_candidates_rejected_with_names(self):
         chi = splitting_composite(1, 1)

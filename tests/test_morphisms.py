@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from courantlab import linalg
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms, related_section
 from courantlab.courant_core import (
+    CourantStructure,
     check_axioms,
     product_structure,
     random_section,
@@ -136,6 +138,28 @@ class TestGeneralBase:
         strict = check_general_base(s1, s2, phi, n_perturbations=3)
         assert not strict.is_morphism
         assert "bracket" in strict.failed_conditions()
+
+    def test_source_side_computed_once_for_all_representatives(self, monkeypatch):
+        s1 = standard_structure(1)
+        s2 = standard_structure(2)
+        source_brackets = []
+        original = CourantStructure.bracket
+
+        def counting(self, a, b):
+            if self.bundle.rank == s1.bundle.rank:
+                source_brackets.append(1)
+            return original(self, a, b)
+
+        monkeypatch.setattr(CourantStructure, "bracket", counting)
+        verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), n_perturbations=3)
+        assert len(source_brackets) == 1
+        assert json.dumps(verdict.to_json(), sort_keys=True) == (
+            '{"detail": "general-base criteria at degree cap 3", "failures": '
+            '[{"condition": "bracket", "defect": ["0", "0", "0", '
+            '"-1/2*x1^3*x3^7 - 1/2*x1^2*x3^6 - 1/2*x1*x3^5 - 1/2*x3^4"], '
+            '"witness": {"f1": ["1", "0"], "f2": ["0", "1"], '
+            '"representatives": "perturbation 0"}}], "is_morphism": false}'
+        )
 
     def test_supplied_y2_dependent_pairs_break_bracket_condition(self):
         s1 = standard_structure(1)

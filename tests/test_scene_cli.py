@@ -245,7 +245,23 @@ class TestCLI:
           "courant_structures": {"s": {"bundle": "E", "anchor": [["1", "0"]],
                                        "metric": 5}}},
          "metric must be a list of lists"),
-    ], ids=["bundle_not_object", "metric_not_matrix"])
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2}},
+          "courant_structures": {"s": {"bundle": "E", "anchor": [["1", "0"]],
+                                       "metric": [[0, 1], [1, 0]],
+                                       "structure_functions": 5}}},
+         "structure_functions must be an object"),
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2}},
+          "morphisms": {"f": {"source": "E", "target": "E", "base_map": ["x1"],
+                              "fiber_matrix": [["1", "0"], ["0", "1"]],
+                              "retraction": 5}}},
+         "retraction must be a list"),
+        ({"inputs": {"u0": {"u": 5}}}, "u must be a list"),
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2}},
+          "courant_structures": {"s": {"bundle": ["E"], "anchor": [["1", "0"]],
+                                       "metric": [[0, 1], [1, 0]]}}},
+         "bundle must be a string"),
+    ], ids=["bundle_not_object", "metric_not_matrix", "structure_functions_not_object",
+            "retraction_not_list", "input_not_list", "bundle_name_not_string"])
     def test_malformed_scene_shape_exit_2(self, tmp_path, capsys, fragment, message):
         path = write_scene(tmp_path, {"schema_version": 1, **fragment})
         assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2

@@ -68,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leibniz", help="check the bracket Leibniz rules")
     _common_flags(p)
     p.add_argument("--structure", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100,
+                   help="accepted for compatibility and no longer used: the "
+                        "rules are certified exactly")
 
     p = sub.add_parser("morphism", help="classical Courant morphism verdict")
     _common_flags(p)
@@ -173,8 +175,10 @@ def _cmd_axioms(args) -> int:
 def _cmd_leibniz(args) -> int:
     scene = _load(args)
     structure = _resolve_structure(scene, args.structure)
-    report = check_leibniz(structure, n_samples=args.samples, seed=args.seed,
-                           degree_cap=min(args.degree_cap, 2))
+    try:
+        report = check_leibniz(structure, degree_cap=args.degree_cap)
+    except ValueError as exc:
+        raise SceneError(f"--degree-cap: {exc}") from None
     ok = report.all_passed
     payload = {
         "command": "leibniz",

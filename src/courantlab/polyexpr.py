@@ -30,7 +30,8 @@ never floats.  The zero polynomial has an empty term map, and every
 operation deletes a term when it cancels, so structural equality is
 polynomial identity.  Terms keep insertion order: a product runs its outer
 loop over the left factor and its inner loop over the right one, and the
-first term of a result is what witness reports print.
+first term of a result is what witness reports print.  Powers have one
+order too: `**` and `compose` both form q^e by binary powering (`_power`).
 
 The public `terms` attribute is a read-only view of the same map with
 exponent-tuple keys and `Fraction` values.  Its len() is O(1); keys are
@@ -152,7 +153,10 @@ def _checked(terms: dict, num_vars: int) -> dict:
 
 
 def _scaled(terms: dict, scale) -> dict:
-    return {key: c * scale for key, c in terms.items()}
+    """`terms` times a nonzero scalar, integral Fractions turned into ints."""
+    out = {key: c * scale for key, c in terms.items()}
+    # an int +-1 keeps every coefficient's type and denominator
+    return out if type(scale) is int and abs(scale) == 1 else _normalised(out)
 
 
 def _add_into(dst: dict, src: dict) -> None:
@@ -163,10 +167,12 @@ def _add_into(dst: dict, src: dict) -> None:
             dst[key] = c
         else:
             cur = cur + c
-            if cur:
-                dst[key] = cur
-            else:
+            if not cur:
                 del dst[key]
+            elif type(cur) is Fraction and cur.denominator == 1:
+                dst[key] = cur.numerator
+            else:
+                dst[key] = cur
 
 
 def _mul_into(dst: dict, p: dict, q: dict) -> None:
@@ -420,15 +426,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        result = Polynomial.constant(self.num_vars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, _power_cache(self))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -492,20 +490,19 @@ class Polynomial:
             out = _substitute_monomials(self._packed, outputs, inner_vars)
             if out is not None:
                 return _raw(inner_vars, out)
-        # cache powers of each substituted polynomial
-        powers: list[list[Polynomial]] = [[Polynomial.constant(inner_vars, 1)] for _ in outputs]
+        # cache powers of each substituted polynomial, formed as q ** e forms them
+        powers = [_power_cache(q) for q in outputs]
         out = {}
         for key, coeff in self._packed.items():
             factor = None
             for i, e in enumerate(_unpack(key, self.num_vars)):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * outputs[i])
                 if e:
-                    factor = powers[i][e] if factor is None else factor * powers[i][e]
+                    qe = _power(outputs[i], e, powers[i])
+                    factor = qe if factor is None else factor * qe
             if factor is None:
                 _add_into(out, {0: coeff})
             else:
-                _add_into(out, _normalised(_scaled(factor._packed, coeff)))
+                _add_into(out, _scaled(factor._packed, coeff))
         return _raw(inner_vars, out)
 
     def lift(self, new_num_vars: int, offset: int = 0) -> "Polynomial":
@@ -564,6 +561,43 @@ def _raw(num_vars: int, packed: dict) -> Polynomial:
     _set_num_vars(p, num_vars)
     _set_packed(p, packed)
     return p
+
+
+def _power_cache(q: Polynomial) -> dict:
+    return {0: Polynomial.constant(q.num_vars, 1), 1: q}
+
+
+def _power(q: Polynomial, e: int, cache: dict) -> Polynomial:
+    """q ** e by binary powering, low bit first, as one fixed power order.
+
+    q^e is the product of the squares q^(2^t) over the set bits of e,
+    multiplied on in increasing t, and q^(2^t) = q^(2^(t-1)) * q^(2^(t-1)).
+    `q ** e` and the power cache of `compose` both go through here, so they
+    give the same terms in the same order, and both form exactly the squares
+    up to the top bit of e (the products that can raise
+    `ExponentOverflowError`).  `cache` holds {0: 1, 1: q} and every power
+    formed so far; it is extended in place.
+    """
+    result = cache.get(e)
+    if result is not None:
+        return result
+    square, bit, done = q, 1, 0
+    while True:
+        if e & bit:
+            done += bit
+            p = cache.get(done)
+            if p is None:
+                p = square if result is None else result * square
+                cache[done] = p
+            result = p
+        bit <<= 1
+        if bit > e:
+            return result
+        p = cache.get(bit)
+        if p is None:
+            p = square * square
+            cache[bit] = p
+        square = p
 
 
 def poly_sum(num_vars: int, polys: Iterable[Polynomial]) -> Polynomial:

@@ -136,8 +136,8 @@ def test_criterion_04_leibniz_ledger():
         + (s.pairing(f, g) * mu) * s.derived_operator(lam)
     )
     assert s.bracket(lam * f, mu * g) != variant
-    report(4, "corrected two-sided rule exact on 100 random tuples; "
-              "final-slot variant falsified with stored witness")
+    report(4, "both Leibniz rules certified by one tagged identity each, complete "
+              "at cap 1; final-slot variant falsified with the decoded witness")
 
 
 def test_criterion_05_identity_base_criterion():

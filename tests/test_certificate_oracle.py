@@ -2,7 +2,8 @@
 
 `check_axioms` certifies each axiom with one tagged polynomial identity,
 computed by the packed sweep; the morphism checks certify the bracket and
-metric conditions the same way on lifted structures.  These tests recompute
+metric conditions the same way on lifted structures, and `check_leibniz`
+certifies the Leibniz rules with one tagged identity per rule.  These tests recompute
 the verdicts the slow way, through `CourantStructure.bracket`, `pairing`,
 `anchor_apply` and `derived_operator` on explicit sections: over every tuple
 of the monomial frame family up to the degree cap, and over seeded random
@@ -15,10 +16,12 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab.bundles import BundleMorphism, Section, related_section
+from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
+from courantlab import linalg
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
+    check_leibniz,
     monomial_frame_basis,
     random_section,
     scaled_structure,
@@ -26,7 +29,7 @@ from courantlab.courant_core import (
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import check_general_base, check_identity_base
-from courantlab.polyexpr import Polynomial
+from courantlab.polyexpr import Polynomial, monomials_up_to, parse
 
 ARITY = {"i": 3, "ii": 3, "iii": 2}
 
@@ -180,3 +183,98 @@ def test_general_base_random_related_pairs_agree_with_verdict(s1, s2, phi, expec
         if s1.pairing(f1, f2) != s2.pairing(g1, g2).compose(phi.base_map):
             found.add("metric")
     assert found == expected & {"bracket", "metric"}
+
+
+# -- the Leibniz certificate ---------------------------------------------------
+
+
+def leibniz_defects(s, f, g, lam, mu):
+    """Rule 1, rule 2 and the final-slot variant, written out term by term."""
+    rule1 = s.bracket(f, lam * g) - lam * s.bracket(f, g) - s.anchor_apply(f, lam) * g
+    lhs = s.bracket(lam * f, mu * g)
+    rest = (lhs - (lam * mu) * s.bracket(f, g) - lam * s.anchor_apply(f, mu) * g
+            - (s.pairing(f, g) * mu) * s.derived_operator(lam))
+    cross = mu * s.anchor_apply(g, lam)
+    return rule1, rest + cross * f, rest + cross * g
+
+
+def leibniz_failures(s, cap):
+    """The failing (f, g, lam, mu) tuples of each identity, as witness strings."""
+    n = s.bundle.base_dim
+    sections = monomial_family(s.bundle, cap)
+    functions = [Polynomial.monomial(n, alpha) for alpha in monomials_up_to(n, cap)]
+    failing = ([], [], [])
+    for f, g, lam, mu in itertools.product(sections, sections, functions, functions):
+        for found, defect in zip(failing, leibniz_defects(s, f, g, lam, mu)):
+            if not defect.is_zero():
+                found.append((f.coeffs.to_strings(), g.coeffs.to_strings(),
+                              lam.to_string(), mu.to_string()))
+    return failing
+
+
+def witness_arguments(s, w):
+    names = s.bundle.var_names()
+    return (Section.from_exprs(s.bundle, w["f"]), Section.from_exprs(s.bundle, w["g"]),
+            parse(w["lam"], names), parse(w["mu"], names))
+
+
+LEIBNIZ_ENUMERATED = [
+    ("std1_scaled", SCALED1),
+    ("std2_bump013", bumped(STD2, (0, 1, 3))),
+]
+
+
+@pytest.mark.parametrize("s", [case[1] for case in LEIBNIZ_ENUMERATED],
+                         ids=[case[0] for case in LEIBNIZ_ENUMERATED])
+def test_leibniz_certificate_equals_enumeration(s):
+    report = check_leibniz(s)
+    rule1, rule2, variant = leibniz_failures(s, 1)
+    assert report.second_slot.passed == (not rule1)
+    assert report.two_sided.passed == (not rule2)
+    assert report.variant_falsified == bool(variant)
+    assert "complete" in report.second_slot.detail
+    w = report.variant_witness
+    assert (w["f"], w["g"], w["lam"], w["mu"]) in variant
+    defect = leibniz_defects(s, *witness_arguments(s, w))[2]
+    assert not defect.is_zero() and defect.coeffs.to_strings() == w["defect"]
+
+
+def test_leibniz_certificate_finds_a_dropped_derived_term(monkeypatch):
+    # without sum_ij G_ij g_j D(f_i) the bracket still satisfies rule 1, since
+    # that term is C-infinity-linear in g, but rule 2 loses <f,g> mu D(lam)
+    original = CourantStructure.bracket
+
+    def mutated(self, f, g):
+        out = original(self, f, g)
+        for i, fi in enumerate(f):
+            weight = sum((gj * self.metric[i][j] for j, gj in enumerate(g)),
+                         Polynomial(self.bundle.base_dim))
+            out = out - self.derived_operator(fi) * weight
+        return out
+
+    monkeypatch.setattr(CourantStructure, "bracket", mutated)
+    report = check_leibniz(STD2)
+    assert report.second_slot.passed
+    assert not report.two_sided.passed
+    w = report.two_sided.witness
+    assert not leibniz_defects(STD2, *witness_arguments(STD2, w))[1].is_zero()
+    rule1, rule2, _ = leibniz_failures(STD2, 1)
+    assert not rule1 and (w["f"], w["g"], w["lam"], w["mu"]) in rule2
+
+
+def test_leibniz_certificate_without_anchor():
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    so3 = CourantStructure(TrivialBundle(0, 3, "so3"), [], linalg.identity(3),
+                           {key: Polynomial.constant(0, v) for key, v in eps.items()})
+    report = check_leibniz(so3)
+    assert report.all_passed
+    assert not report.variant_falsified and report.variant_witness is None
+
+
+def test_leibniz_certificate_at_cap_0_is_bounded():
+    # constant lam has rho(g)(lam) = 0, so the variant coincides with rule 2
+    report = check_leibniz(STD2, degree_cap=0)
+    assert report.all_passed and not report.variant_falsified
+    assert "bounded" in report.second_slot.detail
+    assert "bounded" in report.two_sided.detail

@@ -1,7 +1,8 @@
 """Property tests of `Polynomial.compose` against a term-by-term oracle.
 
 Maps whose outputs are single terms or zero take the key-arithmetic path;
-other maps take the general path through cached powers.  Either way the
+other maps take the general path through cached powers, formed in the
+binary-powering order of `Polynomial.__pow__`.  Either way the
 result must equal the oracle's sum of c * prod(q_i ** e_i), taken in the
 order of the composed polynomial's terms, with the same term order, the
 same stored coefficient types and the same overflow behaviour.
@@ -100,6 +101,17 @@ def test_monomial_substitution_matches_oracle(case):
 @given(general_maps())
 def test_general_substitution_matches_oracle(case):
     assert_same(*case)
+
+
+@pytest.mark.parametrize("order", [[(2,), (0,), (1,)], [(0,), (2,), (1,)]])
+def test_cube_of_a_trinomial_in_power_order(order):
+    # x1^3 after x1 -> 3*x1^2 + 3*x1 - 1: a cache of q^3 = q^2 * q and the
+    # oracle's q ** 3 = q * q^2 give equal polynomials in different term
+    # orders, for these two insertion orders of q's terms
+    coeffs = {(2,): 3, (0,): -1, (1,): 3}
+    q = Polynomial(1, {exps: coeffs[exps] for exps in order})
+    assert_same(Polynomial.monomial(1, (3,)), [q])
+    assert list((q ** 3).terms) == list((q * (q * q)).terms)
 
 
 near_top = st.sampled_from(

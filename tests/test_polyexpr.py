@@ -311,6 +311,15 @@ class TestCoefficientTypes:
         assert type(Polynomial(2).constant_value()) is Fraction
         assert type(Polynomial.constant(1, Fraction(6, 3)).constant_value()) is Fraction
 
+    def test_integral_results_of_scaling_and_addition_are_ints(self):
+        p = parse("1/2*x1 + 1/3", ["x1"])
+        for q in (p * 2, p + p, p * 6, 3 * (p + p), p - p * 3):
+            stored = [(c, type(c)) for c in q._packed.values()]
+            assert all(t is int or c.denominator != 1 for c, t in stored), stored
+        assert (p * 2)._packed == {1: 1, 0: Fraction(2, 3)}
+        assert (p + p)._packed == {1: 1, 0: Fraction(2, 3)}
+        assert p * 6 == parse("3*x1 + 2", ["x1"]) and type((p * 6)._packed[0]) is int
+
     def test_terms_is_a_read_only_view(self):
         p = parse("x1 + 1", ["x1"])
         with pytest.raises(TypeError):

@@ -158,6 +158,8 @@ class TestCLI:
         # 6 * C(12, 3) = 1320 monomial frame sections, over the 256 accepted
         ["axioms", "--structure", "standard3", "--degree-cap", "9"],
         ["leibniz", "--structure", "standard1", "--degree-cap", "-1"],
+        # the Leibniz certificate runs at cap 1: 24 * C(13, 1) = 312 sections
+        ["leibniz", "--structure", "standard12"],
         ["intrinsic", "--n", "1", "--m", "0", "--degree-cap", "-1"],
     ])
     def test_bad_degree_cap_exit_2(self, capsys, argv):

@@ -316,7 +316,7 @@ def _cmd_intrinsic(args):
     result = intrinsic_mod.build_intrinsic(
         args.n, args.m, splitting, degree_cap=args.degree_cap
     )
-    unique = intrinsic_mod.uniqueness_check(args.n, args.m, splitting, seed=args.seed)
+    unique = intrinsic_mod._uniqueness(result.structure, args.m, seed=args.seed)
     all_arrows = all(v.is_morphism for v in result.chain_verdicts.values())
     payload = {
         "command": "intrinsic",

@@ -251,7 +251,14 @@ def uniqueness_check(
     chi = splitting_composite(n, m, splitting)
     problem = PullbackProblem(ambient, chi.source, chi)
     structure = construct(problem, enforce_hypotheses=False)
-    if m == 0 and structure != standard_structure(n):
+    return _uniqueness(structure, m, n_perturbations, seed)
+
+
+def _uniqueness(
+    structure: CourantStructure, m: int, n_perturbations: int = 5, seed: int = 0
+) -> bool:
+    """`uniqueness_check` on an already constructed structure."""
+    if m == 0 and structure != standard_structure(structure.bundle.base_dim):
         return False
     rng = random.Random(seed)
     for expected, candidate in _perturbed_candidates(structure, n_perturbations, rng):

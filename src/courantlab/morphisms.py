@@ -14,10 +14,19 @@ pointwise criteria that characterize classical morphisms:
     (anchor)   A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x)
 
 All checks are exact polynomial identities.  The bracket and metric
-conditions are bilinear in the section slots, so certifying them over
-every pair of monomial frame sections up to the degree cap with tagged
-generating sections (see courant_core) covers every pair of sections of
-coefficient degree <= cap; no random pair below the cap is drawn.
+conditions are certified over every pair of monomial frame sections with
+tagged generating sections (see courant_core), and that certificate is
+complete at degree 1: it covers every pair of smooth sections.  In each
+slot the defect is a differential operator of order <= 1 with polynomial
+coefficients, sum_beta a_beta d^beta with |beta| <= 1; the
+retraction-generated representatives g = P(r) f(r) compose with r and, in
+the condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied
+to x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller
+beta, so by induction on alpha it vanishes iff it vanishes on every
+x^alpha e_i with |alpha| <= 1.  The checks therefore sweep the family at
+min(degree_cap, 1); an explicit cap 0 sweeps constant sections only and
+stays a bounded claim.  The verdict's detail names the requested cap, which
+the complete certificate covers.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -29,7 +38,9 @@ retraction family verifies (zero-section embeddings are the canonical
 case: a related pair like (dx-section, extension + z*x*dx) picks up an
 x*dz bracket component along the image).  Strict representative checking
 is available through n_perturbations > 0, which re-checks the conditions
-on representatives perturbed by image-vanishing terms.
+on representatives perturbed by image-vanishing terms.  A perturbed
+representative g + q*w is affine, not linear, in the tagged family, so the
+order argument does not reach it and that path sweeps at the requested cap.
 """
 
 from __future__ import annotations
@@ -133,6 +144,10 @@ def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None
 
 _ORDER = {"bracket": 0, "metric": 1, "anchor": 2}
 
+# differential order of the bracket and metric conditions in each slot: the
+# monomial family up to this degree certifies every smooth section
+_SWEEP_ORDER = 1
+
 
 def _verdict(failures: list, detail: str) -> MorphismVerdict:
     """The verdict on the failures found, in bracket, metric, anchor order."""
@@ -160,9 +175,11 @@ def check_identity_base(
     """Exact morphism verdict for a bundle morphism over the identity.
 
     The bracket condition is certified over every pair of monomial frame
-    sections up to the degree cap; a failing pair is decoded from the
-    certificate and its plain defect recomputed.  The metric and anchor
-    conditions are matrix identities.
+    sections of degree <= min(degree_cap, 1), which is complete for all
+    smooth sections at any cap >= 1 (see the module docstring); cap 0 is a
+    bounded claim over constant sections.  A failing pair is decoded from
+    the certificate and its plain defect recomputed.  The metric and anchor
+    conditions are matrix identities.  The detail names the requested cap.
     """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
@@ -173,11 +190,12 @@ def check_identity_base(
     failures: list[ConditionFailure] = []
 
     # (bracket): certified over tagged generating sections
+    cap = min(degree_cap, _SWEEP_ORDER)
     s1l = lift_structure(s1, 2)
     s2l = lift_structure(s2, 2)
     phil = _lift_morphism(phi, 2)
-    fa = tagged_generating_section(s1.bundle, degree_cap, 2, n)
-    fb = tagged_generating_section(s1.bundle, degree_cap, 2, n + 1)
+    fa = tagged_generating_section(s1.bundle, cap, 2, n)
+    fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
     lhs = phil.apply(s1l.bracket(fa, fb))
     rhs = s2l.bracket(
         Section(s2l.bundle, phil.apply(fa)), Section(s2l.bundle, phil.apply(fb))
@@ -186,22 +204,13 @@ def check_identity_base(
     hit = _first_nonzero_term(defect)
     if hit is not None:
         _, exps = hit
-        f = decode_tag(s1.bundle, degree_cap, exps[n])
-        g = decode_tag(s1.bundle, degree_cap, exps[n + 1])
-        d = [
-            a - b
-            for a, b in zip(
-                phi.apply(s1.bracket(f, g)),
-                s2.bracket(
-                    Section(s2.bundle, phi.apply(f)),
-                    Section(s2.bundle, phi.apply(g)),
-                ).coeffs,
-            )
-        ]
+        f = decode_tag(s1.bundle, cap, exps[n])
+        g = decode_tag(s1.bundle, cap, exps[n + 1])
+        images = (Section(s2.bundle, phi.apply(f)), Section(s2.bundle, phi.apply(g)))
         failures.append(ConditionFailure(
             "bracket",
             {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings()},
-            [p.to_string() for p in d],
+            _plain_defect(s1, s2, phi, "bracket", f, g, *images),
         ))
 
     # (metric): P^T G2 P = G1 as a polynomial identity
@@ -223,17 +232,34 @@ def check_identity_base(
 # -- general base ----------------------------------------------------------------
 
 
-def _pair_defects(s1, s2, phi, f1, f2, g1, g2):
-    """(bracket, metric) defects for one related pair of pairs."""
-    bdef = [
+def _bracket_defect(s1, s2, phi, f1, f2, g1, g2) -> list[Polynomial]:
+    """phi o [[f1,f2]]_1 - [[g1,g2]]_2 o phi0, componentwise."""
+    return [
         a - b
         for a, b in zip(
             phi.apply(s1.bracket(f1, f2)),
             (p.compose(phi.base_map) for p in s2.bracket(g1, g2).coeffs),
         )
     ]
-    mdef = s1.pairing(f1, f2) - s2.pairing(g1, g2).compose(phi.base_map)
-    return bdef, mdef
+
+
+def _metric_defect(s1, s2, phi, f1, f2, g1, g2) -> list[Polynomial]:
+    """<f1,f2>_1 - <g1,g2>_2 o phi0, as a one-entry list."""
+    return [s1.pairing(f1, f2) - s2.pairing(g1, g2).compose(phi.base_map)]
+
+
+_PAIR_DEFECTS = {"bracket": _bracket_defect, "metric": _metric_defect}
+
+
+def _plain_defect(s1, s2, phi, condition, f1, f2, g1, g2) -> list[str]:
+    """A decoded pair's plain defect on `condition`, re-verified nonzero."""
+    defect = _PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, g1, g2)
+    if all(p.is_zero() for p in defect):
+        raise RuntimeError(
+            "internal inconsistency: tagged sweep flagged a pair whose "
+            "plain defect vanishes"
+        )
+    return [p.to_string() for p in defect]
 
 
 def _image_vanishing_multipliers(phi: BundleMorphism) -> list[Polynomial]:
@@ -262,16 +288,22 @@ def check_general_base(
 
     pairs="auto" derives related sections from the morphism's retraction
     (required in that mode); the bracket and metric conditions are then
-    certified over every pair of monomial frame sections up to the degree
-    cap with their retraction-generated representatives, the generating
-    family the involutivity reduction rests on.
+    certified over every pair of monomial frame sections of degree
+    <= min(degree_cap, 1) with their retraction-generated representatives,
+    the generating family the involutivity reduction rests on.  That is
+    complete for all smooth sections at any cap >= 1 (see the module
+    docstring); cap 0 is a bounded claim.  A failing pair is decoded and
+    reported with its plain defect, recomputed on explicit sections.  The
+    detail names the requested cap.
 
     n_perturbations > 0 turns on strict representative checking: the same
     conditions are re-checked on representatives perturbed by terms that
     vanish on the image, drawn with the given seed; this is the full
-    "any (and hence each)" quantifier.  Zero-section embeddings generally
-    fail the strict check even when they verify on the retraction family;
-    see the module docstring.
+    "any (and hence each)" quantifier.  The perturbed representatives are
+    affine in the tagged family, so the whole check then sweeps at the
+    requested cap, and a failure reports the tagged sweep's defect.
+    Zero-section embeddings generally fail the strict check even when they
+    verify on the retraction family; see the module docstring.
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
@@ -288,11 +320,13 @@ def check_general_base(
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
+        # perturbed representatives are affine in the family: no order argument
+        cap = degree_cap if n_perturbations > 0 else min(degree_cap, _SWEEP_ORDER)
         s1l = lift_structure(s1, 2)
         s2l = lift_structure(s2, 2)
         phil = _lift_morphism(phi, 2)
-        fa = tagged_generating_section(s1.bundle, degree_cap, 2, n)
-        fb = tagged_generating_section(s1.bundle, degree_cap, 2, n + 1)
+        fa = tagged_generating_section(s1.bundle, cap, 2, n)
+        fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
         ga = related_section(phil, fa)
         gb = related_section(phil, fb)
         rng = random.Random(seed)
@@ -316,24 +350,26 @@ def check_general_base(
                     (p.compose(phil.base_map) for p in s2l.bracket(gxa, gxb).coeffs),
                 )
             ]
-            hit = _first_nonzero_term(bdef)
-            if hit is not None and "bracket" not in {f.condition for f in failures}:
-                comp, exps = hit
-                f1 = decode_tag(s1.bundle, degree_cap, exps[n])
-                f2 = decode_tag(s1.bundle, degree_cap, exps[n + 1])
-                note("bracket", {
-                    "f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
-                    "representatives": variant_label,
-                }, [p.to_string() for p in bdef])
             mdef = lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)
-            if not mdef.is_zero() and "metric" not in {f.condition for f in failures}:
-                exps = next(iter(mdef.terms))
-                f1 = decode_tag(s1.bundle, degree_cap, exps[n])
-                f2 = decode_tag(s1.bundle, degree_cap, exps[n + 1])
-                note("metric", {
+            failed = {f.condition for f in failures}
+            for condition, defect in (("bracket", bdef), ("metric", [mdef])):
+                hit = _first_nonzero_term(defect)
+                if hit is None or condition in failed:
+                    continue
+                exps = hit[1]
+                f1 = decode_tag(s1.bundle, cap, exps[n])
+                f2 = decode_tag(s1.bundle, cap, exps[n + 1])
+                if variant_label == "retraction":
+                    shown = _plain_defect(
+                        s1, s2, phi, condition, f1, f2,
+                        related_section(phi, f1), related_section(phi, f2),
+                    )
+                else:
+                    shown = [p.to_string() for p in defect]
+                note(condition, {
                     "f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
                     "representatives": variant_label,
-                }, [mdef.to_string()])
+                }, shown)
     else:
         checked = []
         for f, g in pairs:
@@ -346,14 +382,12 @@ def check_general_base(
             checked.append((f, g))
         for f1, g1 in checked:
             for f2, g2 in checked:
-                bdef, mdef = _pair_defects(s1, s2, phi, f1, f2, g1, g2)
-                if _first_nonzero_term(bdef) is not None:
-                    note("bracket", {"f1": f1.coeffs.to_strings(),
-                                     "f2": f2.coeffs.to_strings()},
-                         [p.to_string() for p in bdef])
-                if not mdef.is_zero():
-                    note("metric", {"f1": f1.coeffs.to_strings(),
-                                    "f2": f2.coeffs.to_strings()}, [mdef.to_string()])
+                for condition, defect_of in _PAIR_DEFECTS.items():
+                    defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
+                    if _first_nonzero_term(defect) is not None:
+                        note(condition, {"f1": f1.coeffs.to_strings(),
+                                         "f2": f2.coeffs.to_strings()},
+                             [p.to_string() for p in defect])
 
     # (anchor): A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x), exact; over a point
     # the right side degenerates to the zero matrix

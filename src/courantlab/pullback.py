@@ -21,6 +21,12 @@ off the extended frame sections:
   P(x) c'_ij(x) = [[e^_i, e^_j]](phi0(x)),   solved exactly through the
   projector P G'^-1 P^T G onto the column space of P.
 
+Each problem brackets its k^2 extended frame pairs once: the first use of
+the frame table (a cached property of the problem) brackets every pair,
+pulls it back along phi0 and solves it through the projector, stopping at
+the first pair whose bracket leaves the image.  Hypothesis (c), `construct`
+and both well-definedness tests read that table.
+
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
 a testable statement here: the construction must not depend on the choice
@@ -34,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle
@@ -85,6 +92,35 @@ class PullbackProblem:
                     raise ValueError(
                         f"fiber matrix is column-rank deficient at sample point {point}"
                     )
+
+    @cached_property
+    def _frame_table(self):
+        """(structure functions, first residual) read off the frame brackets.
+
+        Each pair (i, j) of extended frames is bracketed once, pulled back
+        along phi0 and solved for P c'_ij; the scan stops at the first pair
+        whose bracket leaves the image, returned as the witness
+        {"frame_pair", "residual"}, else the witness is None.  Needs a
+        constant nondegenerate induced pairing.
+        """
+        induced = linalg.pmat_constant_value(_induced_metric(self))
+        solve = _fiber_solver(self, linalg.inverse(induced) if induced else [])
+        frames = _extended_frames(self)
+        base_map = self.morphism.base_map
+        structure_functions: dict[tuple[int, int, int], Polynomial] = {}
+        for i, ei in enumerate(frames):
+            for j, ej in enumerate(frames):
+                bracket = self.ambient.bracket(ei, ej)
+                coeffs, residual = solve([q.compose(base_map) for q in bracket.coeffs])
+                if any(not q.is_zero() for q in residual):
+                    return structure_functions, {
+                        "frame_pair": [i, j],
+                        "residual": [q.to_string() for q in residual],
+                    }
+                for h, c in enumerate(coeffs):
+                    if not c.is_zero():
+                        structure_functions[(i, j, h)] = c
+        return structure_functions, None
 
 
 @dataclass
@@ -214,22 +250,7 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
 
     # (c) involutivity of image-valued sections, via extended frames
     if pairing_check.passed:
-        solve = _fiber_solver(p, linalg.inverse(linalg.pmat_constant_value(induced)))
-        frames = _extended_frames(p)
-        witness = None
-        for i, ei in enumerate(frames):
-            for j, ej in enumerate(frames):
-                bracket = p.ambient.bracket(ei, ej)
-                on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-                _, residual = solve(on_image)
-                if any(not q.is_zero() for q in residual):
-                    witness = {
-                        "frame_pair": [i, j],
-                        "residual": [q.to_string() for q in residual],
-                    }
-                    break
-            if witness is not None:
-                break
+        _, witness = p._frame_table
         if witness is None:
             involutive_check = AxiomCheck(
                 True, "frame brackets stay in the image along the base image"
@@ -284,7 +305,6 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
         if p.source_bundle.rank and linalg.det(linalg.pmat_constant_value(induced)) == 0:
             raise ValueError("induced pairing is degenerate on the image")
     phi = p.morphism
-    n = p.source_bundle.base_dim
     anchor = linalg.pmat_mul(
         linalg.pmat_mul(
             linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
@@ -293,21 +313,12 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
         phi.fiber_matrix,
     )
     induced = linalg.pmat_constant_value(_induced_metric(p))
-    solve = _fiber_solver(p, linalg.inverse(induced) if induced else [])
-    frames = _extended_frames(p)
-    structure_functions: dict[tuple[int, int, int], Polynomial] = {}
-    for i, ei in enumerate(frames):
-        for j, ej in enumerate(frames):
-            bracket = p.ambient.bracket(ei, ej)
-            on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-            coeffs, residual = solve(on_image)
-            if any(not q.is_zero() for q in residual):
-                raise ValueError(
-                    f"frame bracket ({i},{j}) left the image despite the hypothesis check"
-                )
-            for h, c in enumerate(coeffs):
-                if not c.is_zero():
-                    structure_functions[(i, j, h)] = c
+    structure_functions, witness = p._frame_table
+    if witness is not None:
+        i, j = witness["frame_pair"]
+        raise ValueError(
+            f"frame bracket ({i},{j}) left the image despite the hypothesis check"
+        )
     return CourantStructure(p.source_bundle, anchor, induced, structure_functions)
 
 

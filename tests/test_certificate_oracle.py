@@ -185,6 +185,90 @@ def test_general_base_random_related_pairs_agree_with_verdict(s1, s2, phi, expec
     assert found == expected & {"bracket", "metric"}
 
 
+# -- morphism certificates at their differential order --------------------------
+
+
+def identity_bracket_failures(s1, s2, phi, cap):
+    """Failing (f, g) pairs of the identity-base bracket condition."""
+    family = monomial_family(s1.bundle, cap)
+    return [
+        (f.coeffs.to_strings(), g.coeffs.to_strings())
+        for f, g in itertools.product(family, repeat=2)
+        if not plain_identity_bracket_vanishes(s1, s2, phi, f, g)
+    ]
+
+
+def related_pair_failures(s1, s2, phi, cap):
+    """Failing (f1, f2) pairs of the bracket and metric conditions, with
+    retraction-generated representatives."""
+    family = monomial_family(s1.bundle, cap)
+    related = [related_section(phi, f) for f in family]
+    failing = {"bracket": [], "metric": []}
+    for (f1, g1), (f2, g2) in itertools.product(zip(family, related), repeat=2):
+        pair = (f1.coeffs.to_strings(), f2.coeffs.to_strings())
+        image = phi.apply(s1.bracket(f1, f2))
+        pulled = [p.compose(phi.base_map) for p in s2.bracket(g1, g2).coeffs]
+        if list(image) != pulled:
+            failing["bracket"].append(pair)
+        if s1.pairing(f1, f2) != s2.pairing(g1, g2).compose(phi.base_map):
+            failing["metric"].append(pair)
+    return failing
+
+
+def fiber_scaling(s, a):
+    n = s.bundle.base_dim
+    diag = [a] * n + [1 / Fraction(a)] * n
+    return BundleMorphism.constant(
+        s.bundle, s.bundle, [[diag[i] if i == j else 0 for j in range(2 * n)]
+                             for i in range(2 * n)])
+
+
+SCALED2 = scaled_structure(STD2, 3)
+
+ORDER_CASES = [
+    ("doubling", STD1, STD1, doubling_map(STD1)),
+    ("fiber_scaling", SCALED2, SCALED2, fiber_scaling(SCALED2, Fraction(-3, 2))),
+    ("lam_differ", SCALED1, scaled_structure(STD1, 3), BundleMorphism.identity(STD1.bundle)),
+    ("zero_section", SCALED1, scaled_structure(STD2, Fraction(-2, 5)),
+     pontryagin_embedding(1, 1)),
+    ("pontryagin_1_1", STD1, STD2, pontryagin_embedding(1, 1)),
+]
+
+
+@pytest.mark.parametrize("s1, s2, phi", [case[1:] for case in ORDER_CASES],
+                         ids=[case[0] for case in ORDER_CASES])
+def test_default_cap_verdict_equals_cap2_enumeration(s1, s2, phi):
+    # the checks sweep at degree 1, the conditions' differential order; the
+    # cap-2 family sees every failure a cap-1 sweep must already catch
+    failing = related_pair_failures(s1, s2, phi, 2)
+    verdict = check_general_base(s1, s2, phi)
+    for condition, pairs in failing.items():
+        found = [f for f in verdict.failures if f.condition == condition]
+        assert bool(found) == bool(pairs), condition
+        if found:
+            assert (found[0].witness["f1"], found[0].witness["f2"]) in pairs
+    if phi.is_identity_base():
+        pairs = identity_bracket_failures(s1, s2, phi, 2)
+        found = [f for f in check_identity_base(s1, s2, phi).failures
+                 if f.condition == "bracket"]
+        assert bool(found) == bool(pairs)
+        if found:
+            assert (found[0].witness["f"], found[0].witness["g"]) in pairs
+
+
+def test_doubling_bracket_passes_at_cap_0_and_fails_at_cap_1():
+    # constant sections bracket to zero on both sides, so cap 0 is a bounded
+    # claim; [d_x, x d_x] = d_x is the first failing pair, of degree 1
+    phi = doubling_map(STD1)
+    assert not identity_bracket_failures(STD1, STD1, phi, 0)
+    assert not related_pair_failures(STD1, STD1, phi, 0)["bracket"]
+    assert identity_bracket_failures(STD1, STD1, phi, 1)
+    for cap, expected in ((0, set()), (1, {"bracket"})):
+        for check in (check_identity_base, check_general_base):
+            verdict = check(STD1, STD1, phi, degree_cap=cap)
+            assert verdict.failed_conditions() & {"bracket"} == expected
+
+
 # -- the Leibniz certificate ---------------------------------------------------
 
 

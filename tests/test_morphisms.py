@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import linalg
+from courantlab import linalg, morphisms
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms, related_section
 from courantlab.courant_core import (
     CourantStructure,
@@ -161,6 +162,43 @@ class TestGeneralBase:
             '"representatives": "perturbation 0"}}], "is_morphism": false}'
         )
 
+    def test_retraction_failure_reports_plain_defect(self):
+        # doubling the tangent row of the Pontryagin embedding: [d_x, x d_x]
+        # = d_x maps to 2 d_x, the doubled pair brackets to 4 d_x; and
+        # <d_x, dx> = 1 against <2 d_x, dx> = 2.  The defects are those of
+        # the decoded pair on plain sections, free of the sweep's tags.
+        s1 = standard_structure(1)
+        s2 = standard_structure(2)
+        phi = pontryagin_embedding(1, 1)
+        fiber = [list(row) for row in phi.fiber_matrix]
+        fiber[0] = [2 * p for p in fiber[0]]
+        doubled = BundleMorphism(phi.source, phi.target, phi.base_map, fiber,
+                                 retraction=phi.retraction)
+        verdict = check_general_base(s1, s2, doubled)
+        assert json.dumps(verdict.to_json(), sort_keys=True) == (
+            '{"detail": "general-base criteria at degree cap 3", "failures": ['
+            '{"condition": "bracket", "defect": ["-2", "0", "0", "0"], '
+            '"witness": {"f1": ["1", "0"], "f2": ["x1", "0"], '
+            '"representatives": "retraction"}}, '
+            '{"condition": "metric", "defect": ["-1"], '
+            '"witness": {"f1": ["1", "0"], "f2": ["0", "1"], '
+            '"representatives": "retraction"}}, '
+            '{"condition": "anchor", "defect": ["1", "0", "0", "0"], '
+            '"witness": {"entry": [0, 0]}}], "is_morphism": false}'
+        )
+        for failure in verdict.failures[:2]:
+            f1, f2 = (Section.from_exprs(s1.bundle, failure.witness[key])
+                      for key in ("f1", "f2"))
+            g1, g2 = related_section(doubled, f1), related_section(doubled, f2)
+            if failure.condition == "bracket":
+                image = doubled.apply(s1.bracket(f1, f2))
+                pulled = [p.compose(doubled.base_map) for p in s2.bracket(g1, g2).coeffs]
+                plain = [(a - b).to_string() for a, b in zip(image, pulled)]
+            else:
+                plain = [(s1.pairing(f1, f2)
+                          - s2.pairing(g1, g2).compose(doubled.base_map)).to_string()]
+            assert failure.defect == plain
+
     def test_supplied_y2_dependent_pairs_break_bracket_condition(self):
         s1 = standard_structure(1)
         s2 = standard_structure(2)
@@ -262,3 +300,69 @@ class TestGraphSubbundle:
         assert graph.base_embedding == PolyMap.from_exprs(
             ["x1", "x1^2", "x1^3"], ["x1"]
         )
+
+
+# -- cap invariance: degree 1 is the conditions' differential order ---------------
+
+bounded = settings(max_examples=40, deadline=None, database=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+nonzero = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@st.composite
+def polynomial_fiber_maps(draw):
+    """(s, phi): standard(n) and a fiber map over the identity whose entries
+    are polynomials of degree <= 1."""
+    n = draw(st.integers(1, 2))
+    s = standard_structure(n)
+    k = 2 * n
+    entry = st.dictionaries(st.tuples(*[st.integers(0, 1)] * n), small, max_size=2)
+    matrix = [[Polynomial(n, draw(entry)) for _ in range(k)] for _ in range(k)]
+    return s, BundleMorphism(s.bundle, s.bundle, PolyMap.identity(n), matrix)
+
+
+@st.composite
+def scaled_zero_sections(draw):
+    """(s1, s2, phi): the zero-section embedding of lam1 * standard(n) into
+    lam2 * standard(n + 1), tangent fibers scaled by a, cotangent by b."""
+    n = draw(st.integers(1, 2))
+    lam1, lam2, a, b = (draw(nonzero) for _ in range(4))
+    s1 = scaled_structure(standard_structure(n), lam1)
+    s2 = scaled_structure(standard_structure(n + 1), lam2)
+    fiber = [[0] * (2 * n) for _ in range(2 * n + 2)]
+    for i in range(n):
+        fiber[i][i] = a
+        fiber[n + 1 + i][n + i] = b
+    fiber = [[Polynomial.constant(n, v) for v in row] for row in fiber]
+    base = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + [Polynomial(n)])
+    retraction = PolyMap(n + 1, [Polynomial.variable(n + 1, i) for i in range(n)])
+    return s1, s2, BundleMorphism(s1.bundle, s2.bundle, base, fiber, retraction)
+
+
+def cap_free_reports(check, *args):
+    """to_json() at caps 1, 2 and 3, as swept (order 1) and as a full sweep
+    of each cap, with the cap number cut from the detail."""
+    out = set()
+    for order in (morphisms._SWEEP_ORDER, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(morphisms, "_SWEEP_ORDER", order)
+            for cap in (1, 2, 3):
+                report = check(*args, degree_cap=cap).to_json()
+                assert report["detail"].endswith(f"degree cap {cap}")
+                report["detail"] = report["detail"][: -len(str(cap))]
+                out.add(json.dumps(report, sort_keys=True))
+    return out
+
+
+@bounded
+@given(polynomial_fiber_maps())
+def test_identity_base_report_is_cap_invariant(case):
+    s, phi = case
+    assert len(cap_free_reports(check_identity_base, s, s, phi)) == 1
+
+
+@bounded
+@given(scaled_zero_sections())
+def test_general_base_report_is_cap_invariant(case):
+    assert len(cap_free_reports(check_general_base, *case)) == 1

@@ -1,8 +1,11 @@
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from courantlab import linalg
+from courantlab.cli import main
 from courantlab.bundles import BundleMorphism, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
     CourantStructure,
@@ -15,6 +18,7 @@ from courantlab.morphisms import check_general_base
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
+    _extended_frames,
     check_hypotheses,
     construct,
     extension_perturbation_test,
@@ -205,3 +209,68 @@ class TestFunctoriality:
         middle = construct(PullbackProblem(amb3, outer.source, outer))
         two_step = construct(PullbackProblem(middle, inner.source, inner))
         assert one_step == two_step == standard_structure(1)
+
+
+class TestFrameTable:
+    """Each problem brackets its k^2 extended frame pairs exactly once."""
+
+    DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
+
+    @staticmethod
+    def frame_brackets(monkeypatch, base_dim, rank):
+        """Record the plain brackets made in the ambient structure."""
+        calls = []
+        original = CourantStructure.bracket
+
+        def counting(self, a, b):
+            if (self.bundle.base_dim, self.bundle.rank) == (base_dim, rank):
+                calls.append((tuple(a.coeffs.to_strings()), tuple(b.coeffs.to_strings())))
+            return original(self, a, b)
+
+        monkeypatch.setattr(CourantStructure, "bracket", counting)
+        return calls
+
+    @staticmethod
+    def frame_pairs(problem):
+        frames = [tuple(f.coeffs.to_strings()) for f in _extended_frames(problem)]
+        return [(a, b) for a in frames for b in frames]
+
+    def test_intrinsic_op_brackets_each_frame_pair_once(self, monkeypatch, capsys):
+        n, m = 2, 1
+        calls = self.frame_brackets(monkeypatch, n + m, 2 * (n + m))
+        assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
+        chi = splitting_composite(n, m)
+        pairs = self.frame_pairs(PullbackProblem(standard_structure(n + m), chi.source, chi))
+        assert len(pairs) == (2 * n + 2 * m) ** 2
+        assert Counter(calls) == Counter(pairs)
+
+    def test_alt_retraction_op_brackets_each_problem_once(self, monkeypatch, capsys):
+        # two problems, the given retraction and the alternative one; the
+        # zero section's constant fiber map gives both the same frames
+        calls = self.frame_brackets(monkeypatch, 2, 4)
+        assert main([
+            "pullback", "--scene", str(self.DEMO), "--ambient", "standard2",
+            "--morphism", "zero_section_embedding",
+            "--alt-retraction", '["x1 + x2^2"]', "--json",
+        ]) == 0
+        pairs = self.frame_pairs(pontryagin_problem())
+        assert len(pairs) == 4
+        assert Counter(calls) == Counter(pairs * 2)
+
+    def test_failing_scan_stops_at_the_reported_pair(self, monkeypatch):
+        # [[d_x, dx]] picks up d_z, which leaves the image of the zero
+        # section: hypothesis (c) and construct report the same first pair
+        # from one scan
+        phi = pontryagin_embedding(1, 1)
+        base = standard_structure(2)
+        bumped = CourantStructure(base.bundle, base.anchor, base.metric,
+                                  {(0, 2, 1): Polynomial.constant(2, 1)})
+        p = PullbackProblem(bumped, phi.source, phi)
+        report = check_hypotheses(p)
+        assert not report.sections_involutive.passed
+        i, j = report.sections_involutive.witness["frame_pair"]
+        assert (i, j) == (0, 1)
+        calls = self.frame_brackets(monkeypatch, 2, 4)
+        with pytest.raises(ValueError, match=rf"frame bracket \({i},{j}\)"):
+            construct(p, enforce_hypotheses=False)
+        assert calls == []

@@ -250,7 +250,7 @@ def _cmd_pullback(args):
         problem = pullback_mod.PullbackProblem(ambient, phi.source, phi)
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
-    report = pullback_mod.check_hypotheses(problem)
+    report = problem.hypotheses
     payload = {
         "command": "pullback",
         "morphism": args.map_name,
@@ -374,8 +374,12 @@ def _cmd_trajectory(args):
             rows = project_behavior(trajectory)
     except ValueError as exc:
         raise SceneError(f"ph_system {args.system!r}, input {args.input_name!r}: {exc}") from None
+    if trajectory.step != args.step:
+        sys.stderr.write(f"warning: --h {args.step!r} does not divide --T {args.t_final!r}; "
+                         f"the effective step is {trajectory.step!r}\n")
     if trajectory.diverged:
-        sys.stderr.write("warning: trajectory overflowed before the horizon\n")
+        sys.stderr.write(f"warning: trajectory overflowed before the horizon, at step "
+                         f"{len(trajectory.times) - 1} (t = {float(trajectory.times[-1])!r})\n")
     if args.out:
         with open(args.out, "w") as fh:
             write_csv(rows, fh)

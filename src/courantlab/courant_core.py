@@ -867,7 +867,7 @@ def check_axioms(
             if checks[name].passed:
                 witness = _plain_witness(s, name, slots)
                 if witness is not None:
-                    checks[name] = AxiomCheck(False, "random spot check failed", witness)
+                    checks[name] = AxiomCheck(False, "supplied-section tuple check failed", witness)
     for name, check in checks.items():
         if check.passed:
             check.detail += f"; {samples} random tuples"

@@ -19,21 +19,32 @@ exactly, once, in the rational kernel:
   Y_l(x) = sum_i B_il dH/dx_i     m polynomials in x
   V_i(t) = sum_l B_il u_l(t)      n polynomials in t
 
-and compiles each family into one straight-line float function
-(`_compile`).  Each coefficient is rounded to float once, from its exact
-value, and the RK4 loop then runs on Python floats with dx/dt = F(x) + V(t).
-The output at grid point k is Y(x_k), the stage-1 evaluation of step k (the
-last grid point gets one evaluation after the loop).  An interaction run
-also evaluates Y at the other three stage points, for its z stages.
+and generates one RK4 loop function per run from them (`_loop`), from float
+source built of `repr(float(coeff))` literals and generated names only, so
+no scene text reaches it and each coefficient is rounded once.  The loop
+keeps x (and z) in scalar locals, evaluates V once per time point (never
+when V = 0) and stores grid rows in `array('d')` columns.  Its float
+operations, in order, are those of the list-based RK4 loop it replaced:
 
-The z samples never feed back into x, and the x stages perform literally
-the same floating-point operations with or without the z channel, so the
-x marginal of an interaction run is bitwise identical to the plain run.
-dz/dt is recorded from the right-hand side at the grid points (not by
-differencing), which makes the projection an algebraic identity there.
+  k_s = (F(stage point s)) + V(stage time s)    no "+ V" when V = 0
+  stage points x + (h/2) k_1, x + (h/2) k_2, x + h k_3
+  x <- x + (h/6) (k_1 + 2 k_2 + 2 k_3 + k_4)
+  z <- z - (h/6) (y_1 + 2 y_2 + 2 y_3 + y_4)
+
+Leaving out "+ V" keeps a -0.0 slope -0.0.  The output at grid point k is
+Y(x_k), the stage-1 evaluation of step k (the last grid point gets one
+evaluation after the loop).  An interaction run also evaluates Y at the
+other three stage points, for its z stages.
+
+The z samples never feed back into x, and the x statements of the loop are
+generated from F and V alone, so they perform literally the same floating-
+point operations with or without the z channel: the x marginal of an
+interaction run is bitwise identical to the plain run.  dz/dt is recorded
+from the right-hand side at the grid points (not by differencing), which
+makes the projection an algebraic identity there.
 
 A run stops after the first grid row whose x is not finite, keeps that row
-and reports `diverged`.  The compiled code writes powers as repeated
+and reports `diverged`.  The generated code writes powers as repeated
 products, which overflow to inf where `float ** int` would raise.
 
 If T is not an integer multiple of h the step is adjusted to T/round(T/h)
@@ -43,6 +54,7 @@ so the grid lands exactly on T.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -180,37 +192,42 @@ def _chain(operands: list[str], op: str) -> str:
     return op.join(operands)
 
 
-def _compile(polys: Iterable[Polynomial], num_vars: int):
-    """One float function: point -> [p(point) for p in polys].
+def _expr(poly: Polynomial, names: Sequence[str]) -> str:
+    """Float source for poly at the variables `names`.
 
-    The source is straight-line code built from `repr(float(coeff))`
-    literals, the names v0..v{num_vars-1}, `*`, `+` and grouping
-    parentheses; no text from a scene reaches it.  Powers are repeated
-    products, so overflow gives inf rather than OverflowError.  A
+    Built from `repr(float(coeff))` literals, the given names, `*`, `+` and
+    grouping parentheses; no text from a scene reaches it.  Powers are
+    repeated products, so overflow gives inf rather than OverflowError.  A
     coefficient outside the float range raises ValueError.
     """
-    values = []
-    for poly in polys:
-        terms = []
-        for exps, coeff in poly.terms.items():
-            try:
-                factors = [] if coeff == 1 else [repr(float(coeff))]
-            except OverflowError:
-                size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
-                raise ValueError(
-                    f"a field coefficient of size 10^{size:.0f} is outside the float range"
-                ) from None
-            for i, e in enumerate(exps):
-                factors.extend([f"v{i}"] * e)
-            terms.append(_chain(factors, "*") if factors else "1.0")
-        values.append(_chain(terms, " + ") if terms else "0.0")
-    lines = ["def evaluate(point):"]
-    if num_vars:
-        lines.append("    " + "".join(f"v{i}, " for i in range(num_vars)) + "= point")
-    lines.append("    return [" + ", ".join(values) + "]")
+    terms = []
+    for exps, coeff in poly.terms.items():
+        try:
+            factors = [] if coeff == 1 else [repr(float(coeff))]
+        except OverflowError:
+            size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
+            raise ValueError(
+                f"a field coefficient of size 10^{size:.0f} is outside the float range"
+            ) from None
+        for name, e in zip(names, exps):
+            factors.extend([name] * e)
+        terms.append(_chain(factors, "*") if factors else "1.0")
+    return _chain(terms, " + ") if terms else "0.0"
+
+
+def _define(lines: list[str], name: str):
     namespace: dict = {}
     exec(compile("\n".join(lines), "<phsim field>", "exec"), namespace)
-    return namespace["evaluate"]
+    return namespace[name]
+
+
+def _compile(polys: Iterable[Polynomial], num_vars: int):
+    """One float function: point -> [p(point) for p in polys] (see `_expr`)."""
+    names = [f"v{i}" for i in range(num_vars)]
+    return _define([
+        "def evaluate(point):", f"    [{', '.join(names)}] = point",
+        "    return [" + ", ".join(_expr(p, names) for p in polys) + "]",
+    ], "evaluate")
 
 
 def _fields(system: PHSystem, u: InputSignal | None):
@@ -235,68 +252,76 @@ def _grid(t_final: float, h: float) -> tuple[int, float]:
     return steps, t_final / steps
 
 
+def _loop(f_polys, y_polys, v_polys, track_z: bool):
+    """The fused RK4 loop of a run (see the module docstring); V is None when zero.
+
+    The generated run(steps, dt, half, sixth, isfinite, *x, *z, *X, *Y, *Z)
+    starts from the scalars x and z, stores grid row j of each coordinate in
+    its column buffer (X[i][j], Y[l][j], Z[l][j]) and returns (rows, diverged).
+    """
+    n, m = len(f_polys), len(y_polys)
+    x, z = [f"x{i}" for i in range(n)], [f"z{l}" for l in range(m if track_z else 0)]
+    points = [x] + [[f"p{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
+    body = [] if v_polys is None else ["t0 = k * dt", "t1 = t0 + half", "t3 = t0 + dt"] + [
+        f"v{s}_{i} = {_expr(p, ['t' + s])}" for s in "013" for i, p in enumerate(v_polys)]
+    for s, point in enumerate(points):
+        for i, p in enumerate(f_polys):
+            value = _expr(p, point)
+            body.append(f"k{s}_{i} = " + (
+                value if v_polys is None else f"({value}) + v{'0113'[s]}_{i}"))
+        if s < 3:
+            step = "dt" if s == 2 else "half"
+            body += [f"p{s + 1}_{i} = x{i} + {step} * k{s}_{i}" for i in range(n)]
+    for s in range(4 if track_z else 1):
+        body += [f"y{s}_{l} = {_expr(p, points[s])}" for l, p in enumerate(y_polys)]
+    body += [f"Y{l}[k] = y0_{l}" for l in range(m)] + ["j = k + 1"]
+
+    def rk4(name, sign, slope, i):
+        return [f"{name} = {name} {sign} sixth * ({slope}0_{i} + 2.0 * {slope}1_{i} + "
+                f"2.0 * {slope}2_{i} + {slope}3_{i})", f"{name.upper()}[j] = {name}"]
+
+    for l, name in enumerate(z):
+        body += rk4(name, "-", "y", l)
+    for i, name in enumerate(x):
+        body += rk4(name, "+", "k", i)
+    finite = " and ".join(f"isfinite({name})" for name in x) or "True"
+    body += [f"if not ({finite}):", "    diverged = True", "    break"]
+    columns = [v.upper() for v in x] + [f"Y{l}" for l in range(m)] + [v.upper() for v in z]
+    return _define([
+        f"def run(steps, dt, half, sixth, isfinite, {', '.join(x + z + columns)}):",
+        "    diverged = False",
+        "    for k in range(steps):",
+        *("        " + line for line in body),
+        *(f"    Y{l}[j] = {_expr(p, x)}" for l, p in enumerate(y_polys)),
+        "    return j + 1, diverged",
+    ], "run")
+
+
 def _run(system: PHSystem, u: InputSignal | None, x0, t_final, h, z0=None):
-    """Shared RK4 core on float lists; the x stage arithmetic never touches z."""
+    """Shared RK4 core: one generated loop per run; the x stages never read z."""
     if u is not None and u.m != system.m:
         raise ValueError(f"input has {u.m} channels, system has {system.m} ports")
     steps, dt = _grid(t_final, h)
     n, m = system.n, system.m
     f_polys, y_polys, v_polys = _fields(system, u)
-    f_fn = _compile(f_polys, n)
-    y_fn = _compile(y_polys, n)
-    v_fn = _compile(v_polys, 1) if any(not p.is_zero() for p in v_polys) else None
-
-    def rhs(t: float, point: list) -> list:
-        if v_fn is None:
-            return f_fn(point)
-        return [a + b for a, b in zip(f_fn(point), v_fn((t,)))]
-
+    if all(p.is_zero() for p in v_polys):
+        v_polys = None
     track_z = z0 is not None
+    run = _loop(f_polys, y_polys, v_polys, track_z)
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"x0 must have {n} coordinates")
-    x = x.tolist()
-    if track_z:
-        z = np.array(z0, dtype=float)
-        if z.shape != (m,):
-            raise ValueError(f"z0 must have {m} coordinates")
-        z = z.tolist()
-    times = np.arange(steps + 1) * dt
-    xs = np.empty((steps + 1, n))
-    ys = np.empty((steps + 1, m))
-    zs = np.empty((steps + 1, m)) if track_z else None
-    xs[0] = x
-    if track_z:
-        zs[0] = z
-    half, sixth = dt / 2, dt / 6
-    rows, diverged = steps + 1, False
-    for k in range(steps):
-        t = k * dt  # times[k], as a Python float
-        k1 = rhs(t, x)
-        x2 = [a + half * b for a, b in zip(x, k1)]
-        k2 = rhs(t + half, x2)
-        x3 = [a + half * b for a, b in zip(x, k2)]
-        k3 = rhs(t + half, x3)
-        x4 = [a + dt * b for a, b in zip(x, k3)]
-        k4 = rhs(t + dt, x4)
-        y1 = y_fn(x)
-        ys[k] = y1
-        if track_z:
-            # dz/dt = -Y, evaluated at the same four stage points as x
-            z = [
-                c - sixth * (a + 2 * b + 2 * d + e)
-                for c, a, b, d, e in zip(z, y1, y_fn(x2), y_fn(x3), y_fn(x4))
-            ]
-            zs[k + 1] = z
-        x = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-        xs[k + 1] = x
-        if not all(map(math.isfinite, x)):
-            rows, diverged = k + 2, True
-            break
-    ys[rows - 1] = y_fn(x)
+    z = np.array(z0 if track_z else [], dtype=float)
+    if track_z and z.shape != (m,):
+        raise ValueError(f"z0 must have {m} coordinates")
+    x, z = x.tolist(), z.tolist()
+    # row 0 holds the initial state; the loop writes every later row it keeps
+    buffers = [array("d", [v]) * (steps + 1) for v in x + [0.0] * m + z]
+    rows, diverged = run(steps, dt, dt / 2, dt / 6, math.isfinite, *x, *z, *buffers)
+    table = np.array(buffers).reshape(len(buffers), steps + 1).T[:rows]
     return (
-        times[:rows], xs[:rows], zs[:rows] if track_z else None, ys[:rows],
-        dt, diverged,
+        np.arange(rows) * dt, table[:, :n], table[:, n + m:] if track_z else None,
+        table[:, n:n + m], dt, diverged,
     )
 
 

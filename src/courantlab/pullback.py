@@ -25,7 +25,8 @@ Each problem brackets its k^2 extended frame pairs once: the first use of
 the frame table (a cached property of the problem) brackets every pair,
 pulls it back along phi0 and solves it through the projector, stopping at
 the first pair whose bracket leaves the image.  Hypothesis (c), `construct`
-and both well-definedness tests read that table.
+and both well-definedness tests read that table; the hypothesis report and
+the constructed structure are cached on the problem the same way.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -121,6 +122,25 @@ class PullbackProblem:
                     if not c.is_zero():
                         structure_functions[(i, j, h)] = c
         return structure_functions, None
+
+    @cached_property
+    def hypotheses(self) -> HypothesisReport:
+        """`check_hypotheses` of this problem, computed once."""
+        return check_hypotheses(self)
+
+    @cached_property
+    def _structure(self) -> CourantStructure:
+        """The constructed structure; `construct` checks its gates first."""
+        phi = self.morphism
+        anchor = linalg.pmat_mul(
+            linalg.pmat_mul(
+                linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
+                linalg.pmat_compose(self.ambient.anchor, phi.base_map),
+            ),
+            phi.fiber_matrix,
+        )
+        induced = linalg.pmat_constant_value(_induced_metric(self))
+        return CourantStructure(self.source_bundle, anchor, induced, self._frame_table[0])
 
 
 @dataclass
@@ -277,7 +297,7 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
     well-definedness question.
     """
     if enforce_hypotheses:
-        report = check_hypotheses(p)
+        report = p.hypotheses
         if not report.all_passed:
             failed = [
                 name
@@ -304,22 +324,13 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
             )
         if p.source_bundle.rank and linalg.det(linalg.pmat_constant_value(induced)) == 0:
             raise ValueError("induced pairing is degenerate on the image")
-    phi = p.morphism
-    anchor = linalg.pmat_mul(
-        linalg.pmat_mul(
-            linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
-            linalg.pmat_compose(p.ambient.anchor, phi.base_map),
-        ),
-        phi.fiber_matrix,
-    )
-    induced = linalg.pmat_constant_value(_induced_metric(p))
-    structure_functions, witness = p._frame_table
+    witness = p._frame_table[1]
     if witness is not None:
         i, j = witness["frame_pair"]
         raise ValueError(
             f"frame bracket ({i},{j}) left the image despite the hypothesis check"
         )
-    return CourantStructure(p.source_bundle, anchor, induced, structure_functions)
+    return p._structure
 
 
 def well_definedness_test(p: PullbackProblem, alternative_retraction: PolyMap) -> bool:

@@ -260,6 +260,7 @@ class TestCheckAxioms:
         failed = [name for name, check in report.checks.items() if not check.passed]
         assert failed
         for name in failed:
+            assert report.checks[name].detail == "supplied-section tuple check failed"
             witness = report.checks[name].witness
             sections = [Section.from_exprs(bundle, texts) for texts in witness["sections"]]
             defect, is_zero = _plain_defect(s, name, sections)

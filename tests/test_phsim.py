@@ -109,6 +109,17 @@ class TestSimulatePoisson:
         assert np.array_equal(closed_run.times, open_run.times)
         assert np.array_equal(closed_run.x, open_run.x)
 
+    def test_signed_zero_survives_without_input(self):
+        # with V = 0 the slope is J grad H alone, never J grad H + 0.0, so
+        # x2 = -0.0 with slope -1.0*x1 = -0.0 stays -0.0; the closed run
+        # (m = 0) and the open run with u = 0 are the same floats
+        h = parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"])
+        closed_run = simulate_poisson(J_OSC, h, [0.0, -0.0], 1.0, 1e-2)
+        open_run = simulate_ph(oscillator(), InputSignal.zero(1), [0.0, -0.0], 1.0, 1e-2)
+        assert not np.any(closed_run.x) and np.all(np.signbit(closed_run.x[:, 1]))
+        assert closed_run.x.tobytes() == open_run.x.tobytes()
+        assert closed_run.outputs.shape == (101, 0)
+
 
 class TestInteraction:
     def test_x_marginal_bitwise_equal(self):

@@ -1,13 +1,22 @@
-"""The compiled RK4 core against a plain numpy RK4 loop.
+"""The compiled RK4 core against two plain reference loops.
 
-`reference_run` is the simulator's earlier core, kept here as the reference:
-per-term closures for grad H, J @ grad H + B @ u(t) in numpy, the z stages
-recomputing grad H at the four stage points, and the outputs B^T grad H
-from a separate pass over the grid.  The compiled core forms J grad H,
-B^T grad H and B u exactly and rounds each coefficient once, so the two
-agree to rounding, not bitwise.  The tolerance was fixed before the
-comparison: max abs difference <= 1e-12 over 10 000 steps.
+`reference_run` is the simulator's earliest core: per-term closures for
+grad H, J @ grad H + B @ u(t) in numpy, the z stages recomputing grad H at
+the four stage points, and the outputs B^T grad H from a separate pass over
+the grid.  The compiled core forms J grad H, B^T grad H and B u exactly and
+rounds each coefficient once, so the two agree to rounding, not bitwise.
+The tolerance was fixed before the comparison: max abs difference <= 1e-12
+over 10 000 steps.
+
+`list_reference_run` is the RK4 loop on Python float lists that the fused
+loop replaced: the same compiled fields called once per stage through a
+right-hand-side closure.  Every float operation of the fused loop is the
+one this loop performs, in the same order, so the two must agree bitwise,
+signed zeros and NaNs included.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,11 +24,14 @@ import pytest
 from courantlab.phsim import (
     InputSignal,
     PHSystem,
+    _compile,
+    _fields,
     _grid,
+    _run,
     simulate_interaction,
     simulate_ph,
 )
-from courantlab.polyexpr import parse
+from courantlab.polyexpr import Polynomial, parse
 
 TOL = 1e-12
 J_OSC = [[0, 1], [-1, 0]]
@@ -100,6 +112,73 @@ def reference_run(system, u, x0, t_final, h, z0=None):
     return times, xs, zs, outputs, diverged
 
 
+def list_reference_run(system, u, x0, t_final, h, z0=None):
+    """(times, xs, zs, outputs, dt, diverged) from the list-based loop."""
+    steps, dt = _grid(t_final, h)
+    n, m = system.n, system.m
+    f_polys, y_polys, v_polys = _fields(system, u)
+    f_fn = _compile(f_polys, n)
+    y_fn = _compile(y_polys, n)
+    v_fn = _compile(v_polys, 1) if any(not p.is_zero() for p in v_polys) else None
+
+    def rhs(t, point):
+        if v_fn is None:
+            return f_fn(point)
+        return [a + b for a, b in zip(f_fn(point), v_fn((t,)))]
+
+    track_z = z0 is not None
+    x = [float(v) for v in x0]
+    z = [float(v) for v in z0] if track_z else None
+    times = np.arange(steps + 1) * dt
+    xs = np.empty((steps + 1, n))
+    ys = np.empty((steps + 1, m))
+    zs = np.empty((steps + 1, m)) if track_z else None
+    xs[0] = x
+    if track_z:
+        zs[0] = z
+    half, sixth = dt / 2, dt / 6
+    rows, diverged = steps + 1, False
+    for k in range(steps):
+        t = k * dt
+        k1 = rhs(t, x)
+        x2 = [a + half * b for a, b in zip(x, k1)]
+        k2 = rhs(t + half, x2)
+        x3 = [a + half * b for a, b in zip(x, k2)]
+        k3 = rhs(t + half, x3)
+        x4 = [a + dt * b for a, b in zip(x, k3)]
+        k4 = rhs(t + dt, x4)
+        y1 = y_fn(x)
+        ys[k] = y1
+        if track_z:
+            z = [
+                c - sixth * (a + 2 * b + 2 * d + e)
+                for c, a, b, d, e in zip(z, y1, y_fn(x2), y_fn(x3), y_fn(x4))
+            ]
+            zs[k + 1] = z
+        x = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        xs[k + 1] = x
+        if not all(map(math.isfinite, x)):
+            rows, diverged = k + 2, True
+            break
+    ys[rows - 1] = y_fn(x)
+    return (
+        times[:rows], xs[:rows], zs[:rows] if track_z else None, ys[:rows],
+        dt, diverged,
+    )
+
+
+def assert_bitwise(got, want):
+    """Equal shapes and bytes: array_equal that also tells -0.0 from 0.0."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
 def oscillator():
     return PHSystem(J_OSC, B_OSC, parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"]))
 
@@ -160,3 +239,71 @@ def test_divergence_index_matches_reference():
             assert len(traj.times) == traj.states.shape[0] == traj.outputs.shape[0] == rows
             assert np.abs(traj.x[:-1] - xs[:-1]).max() <= TOL * np.abs(xs[:-1]).max()
             assert not np.all(np.isfinite(traj.x[-1]))
+
+
+def diverging_quadratic():
+    return PHSystem(J_OSC, [[0], [0]], parse("x1^2*x2^2", ["x1", "x2"]))
+
+
+def diverging_quartic():
+    return PHSystem(J_OSC, B_OSC, parse("x1^4 + x2^4", ["x1", "x2"]))
+
+
+def closed_oscillator():
+    """m = 0: the closed system of `simulate_poisson`, with no input."""
+    return PHSystem(J_OSC, [[], []], parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"]))
+
+
+# (name, system, input, x0, z0, T, h, rows); rows < T/h + 1 marks a divergence
+BITWISE_CASES = [
+    *((name, make, u, x0, z0, 10.0, 1e-3, 10_001) for name, make, u, x0, z0 in CASES),
+    ("diverging_quadratic", diverging_quadratic, InputSignal.zero(1),
+     [10.0, 10.0], [0.5], 50.0, 0.5, 3),
+    ("diverging_quartic", diverging_quartic, InputSignal.from_exprs(["1 + t"]),
+     [1e100, 1.0], [0.5], 1.0, 0.1, 2),
+    ("closed_m0", closed_oscillator, None, [1.0, 0.5], None, 1.0, 1e-3, 1001),
+    # V = (1, 0): the zero component is still added, turning x2 = -0.0 into 0.0
+    ("signed_zero_u1", oscillator, InputSignal.constant([1]), [0.0, -0.0], [-0.0],
+     0.1, 1e-3, 101),
+]
+
+
+@pytest.mark.parametrize("name, make, u, x0, z0, t_final, h, rows", BITWISE_CASES,
+                         ids=[c[0] for c in BITWISE_CASES])
+def test_fused_loop_bitwise_equals_list_loop(name, make, u, x0, z0, t_final, h, rows):
+    system = make()
+    for z in [None] if z0 is None else [None, z0]:
+        want = list_reference_run(system, u, x0, t_final, h, z0=z)
+        got = _run(system, u, x0, t_final, h, z0=z)
+        assert_bitwise(got, want)
+        times, xs, zs, outputs, _, diverged = got
+        assert len(times) == rows and diverged == (rows < round(t_final / h) + 1)
+        if z is not None:
+            # the z rows stop at the same grid row as x
+            assert zs.shape == (rows, system.m)
+
+
+def test_long_chains_compile_in_the_fused_loop():
+    # F_1 = Y_1 = x1^5000 + every monomial of degree <= 3 in x2..x31, 5457
+    # terms: both chains pass CPython's compiler depth unless `_chain`
+    # groups them, and F_1 appears once per stage
+    n = 32
+    terms = {}
+    for degree in range(4):
+        for combo in itertools.combinations_with_replacement(range(1, 31), degree):
+            exps = [0] * n
+            for i in combo:
+                exps[i] += 1
+            exps[31] = 1
+            terms[tuple(exps)] = 1
+    terms[(5000,) + (0,) * 30 + (1,)] = 1
+    j = [[0] * n for _ in range(n)]
+    j[0][31], j[31][0] = 1, -1
+    b = [[0] for _ in range(n)]
+    b[31][0] = 1
+    system = PHSystem(j, b, Polynomial(n, terms))
+    u = InputSignal.constant([1])
+    x0 = [0.99] + [0.01] * 31
+    got = _run(system, u, x0, 0.002, 1e-3)
+    assert_bitwise(got, list_reference_run(system, u, x0, 0.002, 1e-3))
+    assert np.all(np.isfinite(got[1])) and 0.0 < got[1][-1, 0] ** 5000

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from courantlab import linalg
+from courantlab import pullback as pullback_mod
 from courantlab.cli import main
 from courantlab.bundles import BundleMorphism, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
@@ -256,6 +258,29 @@ class TestFrameTable:
         pairs = self.frame_pairs(pontryagin_problem())
         assert len(pairs) == 4
         assert Counter(calls) == Counter(pairs * 2)
+
+    def test_alt_retraction_op_checks_hypotheses_once_per_problem(self, monkeypatch, capsys):
+        # the report, construct and the well-definedness test share one
+        # check of each problem: the given one and the alternative
+        calls = Counter()
+        original = pullback_mod.check_hypotheses
+
+        def counting(problem):
+            calls[id(problem)] += 1
+            return original(problem)
+
+        monkeypatch.setattr(pullback_mod, "check_hypotheses", counting)
+        argv = ["pullback", "--scene", str(self.DEMO), "--ambient", "standard2",
+                "--morphism", "zero_section_embedding",
+                "--alt-retraction", '["x1 + x2^2"]', "--json"]
+        assert main(argv) == 0
+        assert sorted(calls.values()) == [1, 1]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["well_defined"] and payload["hypotheses"]["anchor_tangent"]["status"] == "pass"
+
+    def test_construct_builds_once(self):
+        p = pontryagin_problem()
+        assert construct(p) is construct(p) is construct(p, enforce_hypotheses=False)
 
     def test_failing_scan_stops_at_the_reported_pair(self, monkeypatch):
         # [[d_x, dx]] picks up d_z, which leaves the image of the zero

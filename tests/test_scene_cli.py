@@ -241,6 +241,49 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "float range" in lines[0]
 
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_input_coefficient_outside_float_range_exit_2(self, tmp_path, capsys, command):
+        # V = B u is compiled into the RK4 loop apart from F and Y
+        scene = json.loads(SCENE.read_text())
+        scene["inputs"]["huge"] = {"u": ["10^400*t"]}
+        argv = [command, "--scene", str(write_scene(tmp_path, scene)),
+                "--system", "oscillator", "--input", "huge", "--x0", "1,0",
+                "--T", "0.01", "--h", "0.001"]
+        if command == "project":
+            argv += ["--z0", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "float range" in lines[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_run_metadata_warnings(self, tmp_path, capsys, command):
+        # T / h = 10 / 3 rounds to 3 steps of 1/3; x1 = 1e100 overflows
+        # x1^4 + x2^4 on the first step
+        scene = json.loads(SCENE.read_text())
+        scene["ph_systems"]["oscillator"]["H"] = "x1^4 + x2^4"
+        argv = [command, "--scene", str(write_scene(tmp_path, scene)),
+                "--system", "oscillator", "--input", "off", "--x0=1e100,1",
+                "--T", "1", "--h", "0.3"]
+        if command == "project":
+            argv += ["--z0", "0"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: --h 0.3 does not divide --T 1.0; the effective step is "
+            "0.3333333333333333",
+            "warning: trajectory overflowed before the horizon, at step 1 "
+            "(t = 0.3333333333333333)",
+        ]
+        rows = captured.out.splitlines()
+        assert len(rows) == 3 and rows[2].startswith("0.33333333333333331,")
+
+    def test_exact_grid_prints_no_warning(self, capsys):
+        assert main(["simulate", "--scene", str(SCENE), "--system", "oscillator",
+                     "--input", "unit", "--x0", "1,0", "--T", "10", "--h", "0.001"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("fragment, message", [
         ({"bundles": {"b": 5}}, "bundles entry 'b' must be an object"),
         ({"bundles": {"E": {"base_dim": 1, "rank": 2}},

@@ -48,7 +48,10 @@ def _common_flags(sub):
     sub.add_argument("--scene", help="scene JSON file")
     sub.add_argument("--seed", type=int, default=0, help="seed for random sections")
     sub.add_argument("--degree-cap", type=int, default=3,
-                     help="degree cap for section families")
+                     help="degree cap for section families; the axiom, Leibniz "
+                          "and morphism certificates are complete for all "
+                          "smooth sections at any cap >= 1, and cap 0 bounds "
+                          "the claim to constant sections")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
     sub.add_argument("--out", help="write the report or CSV here instead of stdout")
 

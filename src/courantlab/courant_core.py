@@ -31,15 +31,41 @@ cancel, so a single polynomial identity per axiom is equivalent to the full
 enumeration, and a nonzero term decodes back into an explicit witness
 tuple.
 
-The Leibniz rules of the bracket (Liu, Weinstein & Xu 1997) are certified
-the same way, with four tagged slots: f and g are generating sections, and
-lam and mu are generating functions sum_a t^a x^alpha_a.  Each rule's defect
-is a differential operator of order <= 1 in each of f, g, lam and mu.  Such
-an operator vanishes on all smooth arguments iff it vanishes on every tuple
-of monomials x^alpha with |alpha| <= 1: applied to x^alpha it gives alpha!
-times its coefficient of order alpha plus terms fixed by smaller alpha, so
-by induction every coefficient is zero.  The certificate therefore runs at
-cap min(degree_cap, 1) and is complete whenever that cap is 1.
+Degree 1 is enough.  If, in one slot, a defect is a differential operator
+of order <= 1 with polynomial coefficients, it vanishes on all smooth
+arguments iff it vanishes on every x^alpha e_i with |alpha| <= 1: applied
+to x^alpha it gives alpha! times its coefficient of order alpha plus terms
+fixed by smaller alpha, so by induction every coefficient is zero.  Taking
+the slots one at a time (the others held first on the family, then on
+arbitrary sections) extends this to whole tuples.  Every certificate here
+is of that kind, so each sweeps at cap min(degree_cap, SWEEP_ORDER) and is
+complete for all smooth sections at any cap >= 1; an explicit cap 0 sweeps
+constant sections only and stays a bounded claim.
+
+The orders.  The bracket is first order in each slot, and axioms (ii) and
+(iii) apply it once.  Axiom (i) nests two brackets, which allows order 2
+per slot, but the second-order parts cancel for any frame data with
+constant symmetric G, whether or not the axioms hold.  Write rho_i for
+rho(e_i) and G h D f for sum_ij G_ij h_j D(f_i); D(lam) has the symbol
+G^-1 A^T xi lam, so two operators below cancel when their second-order
+symbols agree:
+  * in h: f_i g_l rho_i rho_l h from [[f,[[g,h]]]] against
+    g_l f_i rho_l rho_i h from [[g,[[f,h]]]], leaving the first-order
+    [rho_i, rho_l] h;
+  * in g: rho(f) rho(h) g from [[f,[[g,h]]]] against rho(h) rho(f) g from
+    [[[[f,g]],h]], and rho(f)(G h D g) against G h D(rho(f) g), the same
+    pair of sources;
+  * in f: rho(h) rho(g) f from [[[[f,g]],h]] against rho(g) rho(h) f from
+    [[g,[[f,h]]]]; of the D-terms, rho(h)(G g D f) against
+    G h D(G g D f), both from [[[[f,g]],h]] (G symmetric), and
+    G h D(rho(g) f) from [[[[f,g]],h]] against rho(g)(G h D f) from
+    [[g,[[f,h]]]].
+
+The Leibniz rules of the bracket (Liu, Weinstein & Xu 1997) are first
+order in each of f, g, lam and mu, and are certified the same way with
+four tagged slots: f and g are generating sections, and lam and mu are
+generating functions sum_a t^a x^alpha_a.  `tests/test_certificate_oracle.py`
+checks the order-1 property of every axiom slot on random frame data.
 """
 
 from __future__ import annotations
@@ -83,6 +109,7 @@ __all__ = [
     "check_axioms",
     "check_degree_cap",
     "MAX_FAMILY",
+    "SWEEP_ORDER",
     "LeibnizReport",
     "check_leibniz",
     "dirac_check",
@@ -736,6 +763,10 @@ def _witness_from_tags(
 
 MAX_FAMILY = 256
 
+# differential order of every certified defect in each slot: the monomial
+# family up to this degree is complete for all smooth sections
+SWEEP_ORDER = 1
+
 
 def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
     """Reject a degree cap the certificate does not accept; return the family size.
@@ -759,11 +790,14 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     """Exact certification of all three axioms over the monomial family.
 
     Equivalent to enumerating every (ordered) tuple of monomial frame
-    sections of coefficient degree <= degree_cap; see the module docstring.
+    sections of coefficient degree <= min(degree_cap, SWEEP_ORDER), which
+    is complete for all smooth sections at any cap >= 1; see the module
+    docstring.  The label names the requested cap and its family.
     """
     n, k = s.bundle.base_dim, s.bundle.rank
     family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
+    degree_cap = min(degree_cap, SWEEP_ORDER)
     if k == 0:
         check = AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
         return {"i": check, "ii": check, "iii": check}
@@ -849,13 +883,13 @@ def check_axioms(
     (ii)  rho(f)<g,h> = <[[f,g]],h> + <g,[[f,h]]>
     (iii) [[f,g]] + [[g,f]] = D(<f,g>)
 
-    Each axiom is certified over every tuple of monomial frame sections up
-    to the degree cap; multilinearity makes that a certificate for all
-    sections of coefficient degree <= cap, so no random draw at or below
-    the cap can change a verdict.  Supplied sections may exceed the cap:
-    n_random tuples are drawn from them with the given seed and checked
-    directly.  Without supplied sections nothing is drawn.  All comparisons
-    are polynomial identities with zero tolerance.
+    Each axiom is certified over every tuple of monomial frame sections of
+    degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
+    certificate for all smooth sections (see the module docstring), so no
+    draw can change a verdict; cap 0 bounds the claim to constant sections.
+    n_random tuples are drawn from the supplied sections with the given
+    seed and checked directly.  Without supplied sections nothing is drawn.
+    All comparisons are polynomial identities with zero tolerance.
     """
     checks = _certify_axioms(s, degree_cap)
     pool: list[Section] = list(sections)
@@ -958,16 +992,16 @@ def check_leibniz(
 
     Each defect is R-multilinear in (f, g, lam, mu).  The four slots are
     filled with tagged generating families, one tag variable each, at the
-    effective cap min(degree_cap, 1): f and g with
+    effective cap min(degree_cap, SWEEP_ORDER): f and g with
     `tagged_generating_section`, lam and mu with sum_a t^a x^alpha_a (the
     same family on the rank-1 bundle).  The defects are evaluated on
     `lift_structure(s, 4)`.  Distinct tuples land on distinct
     tag monomials, so one polynomial identity per defect is the enumeration
     of every tuple of the family.  Each defect is a differential operator
-    of order <= 1 in each argument, so a tuple family of degree <= 1 is
-    complete for all smooth arguments (by induction on the exponent, as
-    in the module docstring); at cap 0 the verdict is bounded to constant
-    coefficients, on which the variant cannot fail.
+    of order <= 1 in each argument, so a tuple family of degree
+    <= SWEEP_ORDER is complete for all smooth arguments (see the module
+    docstring); at cap 0 the verdict is bounded to constant coefficients,
+    on which the variant cannot fail.
 
     A failing rule and the variant report the tuple decoded from the least
     nonzero packed key of their defect, re-expanded with plain sections.
@@ -975,7 +1009,7 @@ def check_leibniz(
     "not falsified".)  `n_samples` and `seed` are accepted for compatibility
     and unused.  Raises ValueError when the family exceeds MAX_FAMILY.
     """
-    cap = min(degree_cap, 1)
+    cap = min(degree_cap, SWEEP_ORDER)
     family = check_degree_cap(s.bundle, cap)
     n = s.bundle.base_dim
     # functions are the sections of the rank-1 bundle

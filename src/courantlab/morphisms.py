@@ -24,9 +24,11 @@ the condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied
 to x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller
 beta, so by induction on alpha it vanishes iff it vanishes on every
 x^alpha e_i with |alpha| <= 1.  The checks therefore sweep the family at
-min(degree_cap, 1); an explicit cap 0 sweeps constant sections only and
-stays a bounded claim.  The verdict's detail names the requested cap, which
-the complete certificate covers.
+min(degree_cap, SWEEP_ORDER); an explicit cap 0 sweeps constant sections
+only and stays a bounded claim.  The verdict's detail names the requested
+cap, which the complete certificate covers.  A failing condition reports
+its least failing pair (see `_least_failing_pair`), which is the same at
+every cap >= 1.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -51,13 +53,14 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle, related_section
 from .courant_core import (
+    SWEEP_ORDER,
     CourantStructure,
     decode_tag,
     lift_structure,
     random_section,
     tagged_generating_section,
 )
-from .polyexpr import Polynomial, PolyMap
+from .polyexpr import Polynomial, PolyMap, monomials_up_to
 
 __all__ = [
     "ConditionFailure",
@@ -121,12 +124,30 @@ def _lift_morphism(phi: BundleMorphism, extra: int) -> BundleMorphism:
     return BundleMorphism(src, tgt, _lift_polymap(phi.base_map, extra), fiber, retraction)
 
 
-def _first_nonzero_term(polys: list[Polynomial]):
-    for comp, p in enumerate(polys):
-        if not p.is_zero():
-            exps = next(iter(p.terms))
-            return comp, exps
-    return None
+def _least_failing_pair(bundle: TrivialBundle, cap: int, defect: list[Polynomial]):
+    """The least family pair (f, g) among a tagged defect's nonzero terms;
+    None if the defect vanishes.
+
+    Pairs are ordered by the larger coefficient degree, then by f's tag,
+    then by g's; a tag i*M + a orders by frame index i, then by the index a
+    in the graded `monomials_up_to` list.  So the least pair does not
+    depend on term order, and when a pair of degree <= 1 fails it is the
+    same pair at every cap >= 1.
+    """
+    n = bundle.base_dim
+    degrees = [sum(alpha) for alpha in monomials_up_to(n, cap)]
+    size = len(degrees)
+    least = min(
+        (
+            (max(degrees[exps[n] % size], degrees[exps[n + 1] % size]),
+             exps[n], exps[n + 1])
+            for p in defect for exps in p.terms
+        ),
+        default=None,
+    )
+    if least is None:
+        return None
+    return tuple(decode_tag(bundle, cap, tag) for tag in least[1:])
 
 
 def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None:
@@ -143,10 +164,6 @@ def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None
 
 
 _ORDER = {"bracket": 0, "metric": 1, "anchor": 2}
-
-# differential order of the bracket and metric conditions in each slot: the
-# monomial family up to this degree certifies every smooth section
-_SWEEP_ORDER = 1
 
 
 def _verdict(failures: list, detail: str) -> MorphismVerdict:
@@ -175,11 +192,12 @@ def check_identity_base(
     """Exact morphism verdict for a bundle morphism over the identity.
 
     The bracket condition is certified over every pair of monomial frame
-    sections of degree <= min(degree_cap, 1), which is complete for all
-    smooth sections at any cap >= 1 (see the module docstring); cap 0 is a
-    bounded claim over constant sections.  A failing pair is decoded from
-    the certificate and its plain defect recomputed.  The metric and anchor
-    conditions are matrix identities.  The detail names the requested cap.
+    sections of degree <= min(degree_cap, SWEEP_ORDER), which is complete
+    for all smooth sections at any cap >= 1 (see the module docstring); cap
+    0 is a bounded claim over constant sections.  The least failing pair is
+    decoded from the certificate and its plain defect recomputed.  The
+    metric and anchor conditions are matrix identities.  The detail names
+    the requested cap.
     """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
@@ -190,7 +208,7 @@ def check_identity_base(
     failures: list[ConditionFailure] = []
 
     # (bracket): certified over tagged generating sections
-    cap = min(degree_cap, _SWEEP_ORDER)
+    cap = min(degree_cap, SWEEP_ORDER)
     s1l = lift_structure(s1, 2)
     s2l = lift_structure(s2, 2)
     phil = _lift_morphism(phi, 2)
@@ -200,12 +218,11 @@ def check_identity_base(
     rhs = s2l.bracket(
         Section(s2l.bundle, phil.apply(fa)), Section(s2l.bundle, phil.apply(fb))
     )
-    defect = [a - b for a, b in zip(lhs, rhs.coeffs)]
-    hit = _first_nonzero_term(defect)
-    if hit is not None:
-        _, exps = hit
-        f = decode_tag(s1.bundle, cap, exps[n])
-        g = decode_tag(s1.bundle, cap, exps[n + 1])
+    pair = _least_failing_pair(
+        s1.bundle, cap, [a - b for a, b in zip(lhs, rhs.coeffs)]
+    )
+    if pair is not None:
+        f, g = pair
         images = (Section(s2.bundle, phi.apply(f)), Section(s2.bundle, phi.apply(g)))
         failures.append(ConditionFailure(
             "bracket",
@@ -289,12 +306,12 @@ def check_general_base(
     pairs="auto" derives related sections from the morphism's retraction
     (required in that mode); the bracket and metric conditions are then
     certified over every pair of monomial frame sections of degree
-    <= min(degree_cap, 1) with their retraction-generated representatives,
-    the generating family the involutivity reduction rests on.  That is
-    complete for all smooth sections at any cap >= 1 (see the module
-    docstring); cap 0 is a bounded claim.  A failing pair is decoded and
-    reported with its plain defect, recomputed on explicit sections.  The
-    detail names the requested cap.
+    <= min(degree_cap, SWEEP_ORDER) with their retraction-generated
+    representatives, the generating family the involutivity reduction
+    rests on.  That is complete for all smooth sections at any cap >= 1
+    (see the module docstring); cap 0 is a bounded claim.  The least
+    failing pair is decoded and reported with its plain defect, recomputed
+    on explicit sections.  The detail names the requested cap.
 
     n_perturbations > 0 turns on strict representative checking: the same
     conditions are re-checked on representatives perturbed by terms that
@@ -321,7 +338,7 @@ def check_general_base(
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
         # perturbed representatives are affine in the family: no order argument
-        cap = degree_cap if n_perturbations > 0 else min(degree_cap, _SWEEP_ORDER)
+        cap = degree_cap if n_perturbations > 0 else min(degree_cap, SWEEP_ORDER)
         s1l = lift_structure(s1, 2)
         s2l = lift_structure(s2, 2)
         phil = _lift_morphism(phi, 2)
@@ -332,11 +349,15 @@ def check_general_base(
         rng = random.Random(seed)
         variants: list[tuple[Section, Section, str]] = [(ga, gb, "retraction")]
         multipliers = _image_vanishing_multipliers(phil)
+        nn = s2l.bundle.base_dim
         for round_idx in range(n_perturbations if multipliers else 0):
             perturbed = []
             for g in (ga, gb):
                 q = rng.choice(multipliers)
-                w = random_section(rng, s2l.bundle, 1, terms=1)
+                # w is drawn over the target's own variables: a tag variable
+                # in w would shift the family pair its terms decode to
+                w = random_section(rng, s2.bundle, 1, terms=1)
+                w = Section(s2l.bundle, PolyMap(nn, [p.lift(nn) for p in w]))
                 perturbed.append(g + q * w)
             variants.append((*perturbed, f"perturbation {round_idx}"))
         # the source side does not depend on the representatives
@@ -353,12 +374,12 @@ def check_general_base(
             mdef = lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)
             failed = {f.condition for f in failures}
             for condition, defect in (("bracket", bdef), ("metric", [mdef])):
-                hit = _first_nonzero_term(defect)
-                if hit is None or condition in failed:
+                if condition in failed:
                     continue
-                exps = hit[1]
-                f1 = decode_tag(s1.bundle, cap, exps[n])
-                f2 = decode_tag(s1.bundle, cap, exps[n + 1])
+                pair = _least_failing_pair(s1.bundle, cap, defect)
+                if pair is None:
+                    continue
+                f1, f2 = pair
                 if variant_label == "retraction":
                     shown = _plain_defect(
                         s1, s2, phi, condition, f1, f2,
@@ -384,7 +405,7 @@ def check_general_base(
             for f2, g2 in checked:
                 for condition, defect_of in _PAIR_DEFECTS.items():
                     defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
-                    if _first_nonzero_term(defect) is not None:
+                    if any(not p.is_zero() for p in defect):
                         note(condition, {"f1": f1.coeffs.to_strings(),
                                          "f2": f2.coeffs.to_strings()},
                              [p.to_string() for p in defect])

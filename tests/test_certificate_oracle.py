@@ -8,8 +8,13 @@ the verdicts the slow way, through `CourantStructure.bracket`, `pairing`,
 `anchor_apply` and `derived_operator` on explicit sections: over every tuple
 of the monomial frame family up to the degree cap, and over seeded random
 draws at or below the cap, which the certificates imply.
-"""
 
+Every certificate sweeps only the degree-1 family, which is complete
+because each defect is of differential order <= 1 in each slot.  For the
+axioms that rests on cancellations in the nested brackets of axiom (i);
+`test_axiom_defects_are_first_order_in_every_slot` checks the order
+directly on random frame data, where no axiom holds.
+"""
 import itertools
 import random
 from fractions import Fraction
@@ -23,6 +28,7 @@ from courantlab.courant_core import (
     check_axioms,
     check_leibniz,
     monomial_frame_basis,
+    random_polynomial,
     random_section,
     scaled_structure,
     standard_structure,
@@ -34,19 +40,21 @@ from courantlab.polyexpr import Polynomial, monomials_up_to, parse
 ARITY = {"i": 3, "ii": 3, "iii": 2}
 
 
-def axiom_defect_vanishes(s, axiom, sections) -> bool:
+def axiom_defect(s, axiom, sections):
     if axiom == "i":
         f, g, h = sections
-        d = s.bracket(f, s.bracket(g, h)) - s.bracket(s.bracket(f, g), h) \
+        return s.bracket(f, s.bracket(g, h)) - s.bracket(s.bracket(f, g), h) \
             - s.bracket(g, s.bracket(f, h))
-    elif axiom == "ii":
+    if axiom == "ii":
         f, g, h = sections
-        d = s.anchor_apply(f, s.pairing(g, h)) - s.pairing(s.bracket(f, g), h) \
+        return s.anchor_apply(f, s.pairing(g, h)) - s.pairing(s.bracket(f, g), h) \
             - s.pairing(g, s.bracket(f, h))
-    else:
-        f, g = sections
-        d = s.bracket(f, g) + s.bracket(g, f) - s.derived_operator(s.pairing(f, g))
-    return d.is_zero()
+    f, g = sections
+    return s.bracket(f, g) + s.bracket(g, f) - s.derived_operator(s.pairing(f, g))
+
+
+def axiom_defect_vanishes(s, axiom, sections) -> bool:
+    return axiom_defect(s, axiom, sections).is_zero()
 
 
 def monomial_family(bundle, cap):
@@ -362,3 +370,124 @@ def test_leibniz_certificate_at_cap_0_is_bounded():
     assert report.all_passed and not report.variant_falsified
     assert "bounded" in report.second_slot.detail
     assert "bounded" in report.two_sided.detail
+
+
+# -- axiom certificates at differential order 1 ----------------------------------
+
+
+def random_frame_data(rng, n, rank, anchor_degree=2, c_degree=1):
+    """Frame data with polynomial anchor and structure functions and a
+    random constant symmetric invertible metric; no axiom need hold.  The
+    anchor is never zero.  Half the draws make the lowered structure
+    functions totally skew, which (ii) and (iii) need (at rank 2 that
+    leaves c = 0)."""
+    bundle = TrivialBundle(n, rank, "random")
+    pool = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]
+    while True:
+        metric = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                metric[i][j] = metric[j][i] = rng.choice(pool)
+        if linalg.det(linalg.mat(metric)) != 0:
+            break
+    anchor = [[random_polynomial(rng, n, anchor_degree, rng.randint(0, 2))
+               for _ in range(rank)] for _ in range(n)]
+    if all(p.is_zero() for row in anchor for p in row):
+        anchor[0][0] = Polynomial.variable(n, 0) + 1
+    lowered = {key: random_polynomial(rng, n, c_degree, rng.randint(0, 2))
+               for key in itertools.product(range(rank), repeat=3)}
+    if rng.random() < 0.5:
+        lowered = {(i, j, l): sum((lowered[perm] * sign for perm, sign in (
+            ((i, j, l), 1), ((j, l, i), 1), ((l, i, j), 1),
+            ((j, i, l), -1), ((i, l, j), -1), ((l, j, i), -1))), Polynomial(n))
+            for i, j, l in lowered}
+    inverse = linalg.inverse(linalg.mat(metric))
+    c = {(i, j, h): sum((lowered[(i, j, l)] * inverse[l][h] for l in range(rank)),
+                        Polynomial(n))
+         for i, j, h in itertools.product(range(rank), repeat=3)}
+    return CourantStructure(bundle, anchor, metric, c)
+
+
+def satisfies_first_order_identity(op, bundle) -> bool:
+    """Whether op(x_a x_b e_i) = x_a op(x_b e_i) + x_b op(x_a e_i)
+    - x_a x_b op(e_i) for every i and a <= b: true for a linear
+    differential operator of order <= 1, false for one with a nonzero
+    second-order part (order <= 2 here)."""
+    n = bundle.base_dim
+    x = [Polynomial.variable(n, a) for a in range(n)]
+    one = Polynomial.constant(n, 1)
+    for i in range(bundle.rank):
+        at = {}
+        for p in [one] + x:
+            at[p] = op(Section.frame(bundle, i, p))
+        for a in range(n):
+            for b in range(a, n):
+                lhs = op(Section.frame(bundle, i, x[a] * x[b]))
+                rhs = x[a] * at[x[b]] + x[b] * at[x[a]] - (x[a] * x[b]) * at[one]
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def slot_operators(s, rng):
+    """For each axiom and slot, the defect as an operator on that slot, the
+    other slots held at random sections of degree <= 2."""
+    for axiom, arity in ARITY.items():
+        fixed = [random_section(rng, s.bundle, 2) for _ in range(arity)]
+        for slot in range(arity):
+            def op(sec, axiom=axiom, slot=slot, fixed=fixed):
+                args = list(fixed)
+                args[slot] = sec
+                return axiom_defect(s, axiom, args)
+            yield f"{axiom}/{slot}", op
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_axiom_defects_are_first_order_in_every_slot(seed):
+    # the fact the degree-1 sweep rests on: nesting two brackets in (i)
+    # leaves no second-order part, for any frame data with constant G
+    rng = random.Random(seed)
+    s = random_frame_data(rng, n=1 + seed % 2, rank=2 + seed % 3 // 2)
+    for name, op in slot_operators(s, rng):
+        assert satisfies_first_order_identity(op, s.bundle), name
+    # control: [[f,[[g,h]]]] alone carries f_i g_l rho_i rho_l h, second order in h
+    f, g = (random_section(rng, s.bundle, 2) for _ in range(2))
+
+    def control(h):
+        return s.bracket(f, s.bracket(g, h))
+
+    assert not satisfies_first_order_identity(control, s.bundle)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cap2_verdicts_equal_cap2_enumeration_on_random_frame_data(seed):
+    # the certificate sweeps degree <= 1 only; brute force over every cap-2
+    # tuple must agree on each axiom, and the witness must be a failing tuple
+    rng = random.Random(100 + seed)
+    n = 1 + seed % 2
+    s = random_frame_data(rng, n, 2, anchor_degree=1 + seed % 2)
+    report = check_axioms(s, degree_cap=2, n_random=0)
+    family = monomial_family(s.bundle, 2)
+    brackets = {(a, b): s.bracket(f, g) for (a, f), (b, g)
+                in itertools.product(enumerate(family), repeat=2)}
+
+    def defect(axiom, idx):
+        tup = [family[a] for a in idx]
+        if axiom == "iii":
+            return axiom_defect(s, axiom, tup)
+        (a, f), (b, g), (c, h) = zip(idx, tup)
+        if axiom == "i":
+            return (s.bracket(f, brackets[b, c]) - s.bracket(brackets[a, b], h)
+                    - s.bracket(g, brackets[a, c]))
+        return (s.anchor_apply(f, s.pairing(g, h)) - s.pairing(brackets[a, b], h)
+                - s.pairing(g, brackets[a, c]))
+
+    names = [sec.coeffs.to_strings() for sec in family]
+    for axiom, arity in ARITY.items():
+        check = report.checks[axiom]
+        fails = any(not defect(axiom, idx).is_zero()
+                    for idx in itertools.product(range(len(family)), repeat=arity))
+        assert check.passed == (not fails), axiom
+        if fails:
+            idx = [names.index(sec) for sec in check.witness["sections"]]
+            assert not defect(axiom, idx).is_zero(), axiom

@@ -344,9 +344,9 @@ def cap_free_reports(check, *args):
     """to_json() at caps 1, 2 and 3, as swept (order 1) and as a full sweep
     of each cap, with the cap number cut from the detail."""
     out = set()
-    for order in (morphisms._SWEEP_ORDER, 3):
+    for order in (morphisms.SWEEP_ORDER, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(morphisms, "_SWEEP_ORDER", order)
+            mp.setattr(morphisms, "SWEEP_ORDER", order)
             for cap in (1, 2, 3):
                 report = check(*args, degree_cap=cap).to_json()
                 assert report["detail"].endswith(f"degree cap {cap}")
@@ -366,3 +366,14 @@ def test_identity_base_report_is_cap_invariant(case):
 @given(scaled_zero_sections())
 def test_general_base_report_is_cap_invariant(case):
     assert len(cap_free_reports(check_general_base, *case)) == 1
+
+
+def test_least_failing_pair_is_the_same_at_every_cap():
+    # the full cap-2 and cap-3 sweeps also see the failing pair
+    # ([x1, 0], [x1^2, 0]); the least pair, of degree 1, is reported at every cap
+    s = standard_structure(1)
+    phi = BundleMorphism.constant(s.bundle, s.bundle, [[1, 0], [1, 0]])
+    assert len(cap_free_reports(check_identity_base, s, s, phi)) == 1
+    bracket = check_identity_base(s, s, phi).failures[0]
+    assert bracket.condition == "bracket"
+    assert bracket.witness == {"f": ["x1", "0"], "g": ["1", "0"]}

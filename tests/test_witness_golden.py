@@ -5,7 +5,9 @@ which the kernel inserts and deletes terms, so a change to the kernel or to
 the sweep can change a witness without changing any verdict.  The fixture
 holds, one line per probe, the canonical JSON of `check_axioms(...).to_json()`
 for standard(n), n = 1, 2, 3, with the metric scaled by -2/5 and one
-structure function c_ij^h = 3/2, at degree caps 3, 2 and 1.
+structure function c_ij^h = 3/2, at degree caps 3, 2 and 1.  The
+certificate sweeps the degree-1 family at every cap >= 1, so the three
+lines of a probe differ only in their detail text.
 
 Regenerate it only when a witness change is intended:
 
@@ -54,6 +56,19 @@ def test_fixture_covers_every_probe():
 @pytest.mark.parametrize("index", range(len(PROBES)), ids=[p[0] for p in PROBES])
 def test_witness_bytes(index):
     assert probe_line(*PROBES[index]) == EXPECTED[index]
+
+
+def test_reports_agree_across_caps_but_for_the_detail():
+    by_structure = {}
+    for line in EXPECTED:
+        record = json.loads(line)
+        for check in record["report"].values():
+            check.pop("detail")
+        structure = record["probe"].rsplit("_cap", 1)[0]
+        by_structure.setdefault(structure, []).append(record["report"])
+    assert len(by_structure) == len(PROBES) // 3
+    for structure, reports in by_structure.items():
+        assert len(reports) == 3 and reports[0] == reports[1] == reports[2], structure
 
 
 if __name__ == "__main__":

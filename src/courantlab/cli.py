@@ -21,6 +21,7 @@ the human-readable rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -56,7 +57,10 @@ def _common_flags(sub):
     sub.add_argument("--out", help="write the report or CSV here instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    `main` call in the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="courantlab",
         description="Exact Courant algebroid workbench and port-Hamiltonian simulator",

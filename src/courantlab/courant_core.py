@@ -120,10 +120,17 @@ __all__ = [
 
 class CourantStructure:
     """Frame presentation (anchor, metric, structure functions) of a
-    Courant algebroid structure on a trivial bundle."""
+    Courant algebroid structure on a trivial bundle.
+
+    The constructor checks the shapes, the symmetry of G and det G != 0.
+    G^-1 and the rows of G^-1 A^T that the derived operator needs are
+    formed on first use (by `bracket`, `derived_operator`, the certification
+    sweep or a read of `metric_inverse`), so a structure that is only
+    compared, composed or printed never inverts its metric.
+    """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
-                 "metric_inverse", "_dual_anchor")
+                 "_inverse", "_dual")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
         n, k = bundle.base_dim, bundle.rank
@@ -159,16 +166,33 @@ class CourantStructure:
         object.__setattr__(self, "anchor", rows)
         object.__setattr__(self, "metric", g)
         object.__setattr__(self, "structure_functions", c)
-        object.__setattr__(self, "metric_inverse", linalg.inverse(g) if k else [])
-        # rows of G^-1 A^T: the derived operator D(lam)_h = sum_a dual[h][a] d_a lam
-        dual = linalg.pmat_mul(
-            linalg.pmat_constant(self.metric_inverse, n),
-            linalg.pmat_transpose(rows) if rows else [[] for _ in range(k)],
-        ) if k else []
-        object.__setattr__(self, "_dual_anchor", dual)
+        object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CourantStructure is immutable")
+
+    @property
+    def metric_inverse(self):
+        """G^-1, formed on first use."""
+        if self._inverse is None:
+            object.__setattr__(
+                self, "_inverse", linalg.inverse(self.metric) if self.metric else []
+            )
+        return self._inverse
+
+    @property
+    def _dual_anchor(self):
+        """Rows of G^-1 A^T, formed on first use: the derived operator is
+        D(lam)_h = sum_a dual[h][a] d_a lam."""
+        if self._dual is None:
+            n, k = self.bundle.base_dim, self.bundle.rank
+            dual = linalg.pmat_mul(
+                linalg.pmat_constant(self.metric_inverse, n),
+                linalg.pmat_transpose(self.anchor) if self.anchor else [[] for _ in range(k)],
+            ) if k else []
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
     def __eq__(self, other):
         if not isinstance(other, CourantStructure):

@@ -219,10 +219,6 @@ def pmat_is_zero(a) -> bool:
     return all(p.is_zero() for row in a for p in row)
 
 
-def pmat_eval(a, point) -> Matrix:
-    return [[p.eval(point) for p in row] for row in a]
-
-
 def pmat_constant_value(a) -> Matrix:
     """Extract the Fraction matrix from a constant polynomial matrix."""
     return [[p.constant_value() for p in row] for row in a]

@@ -21,12 +21,23 @@ off the extended frame sections:
   P(x) c'_ij(x) = [[e^_i, e^_j]](phi0(x)),   solved exactly through the
   projector P G'^-1 P^T G onto the column space of P.
 
-Each problem brackets its k^2 extended frame pairs once: the first use of
-the frame table (a cached property of the problem) brackets every pair,
-pulls it back along phi0 and solves it through the projector, stopping at
-the first pair whose bracket leaves the image.  Hypothesis (c), `construct`
-and both well-definedness tests read that table; the hypothesis report and
-the constructed structure are cached on the problem the same way.
+Each problem makes one bracket.  The first use of the frame table (a cached
+property of the problem) sums the extended frames with inert tags,
+F = sum_i t^i e^_i and F' = sum_j s^j e^_j, on the ambient lifted by two
+variables, brackets F with F' once, composes the result once with phi0
+(lifted by the identity on the tags) and solves it once through the
+projector, whose factors are lifted to the tags too.  The coefficient of
+t^i s^j in the solution and in its residual is that of the pair (i, j):
+  * every step is R-linear in each frame slot;
+  * the lifted anchor has zero rows for the tags and the lifted base map is
+    the identity on them, so nothing differentiates or substitutes along a
+    tag;
+  * distinct pairs land on distinct tag monomials, so no two pairs cancel.
+The witness of a bracket leaving the image is the least such pair in
+row-major order, the pair a scan over (i, j) would meet first.  Hypothesis
+(c), `construct` and both well-definedness tests read that table; the
+hypothesis report and the constructed structure are cached on the problem
+the same way.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -40,14 +51,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle
-from .courant_core import AxiomCheck, CourantStructure, random_section
-from .morphisms import _image_vanishing_multipliers, check_general_base
-from .polyexpr import Polynomial, PolyMap
+from .courant_core import AxiomCheck, CourantStructure, lift_structure, random_section
+from .morphisms import _image_vanishing_multipliers, _lift_polymap, check_general_base
+from .polyexpr import _BITS, Polynomial, PolyMap, _raw, _unpack, poly_sum
 
 __all__ = [
     "PullbackProblem",
@@ -58,15 +68,6 @@ __all__ = [
     "extension_perturbation_test",
     "uniqueness_test",
 ]
-
-_SAMPLE_COORDS = [0, 1, -1, Fraction(1, 2), 2, Fraction(-1, 3), 3]
-
-
-def _sample_points(dim: int, count: int = 5):
-    pts = []
-    for s in range(count):
-        pts.append([Fraction(_SAMPLE_COORDS[(s + i) % len(_SAMPLE_COORDS)]) for i in range(dim)])
-    return pts
 
 
 @dataclass(frozen=True)
@@ -85,43 +86,60 @@ class PullbackProblem:
             raise ValueError("morphism target does not match the ambient bundle")
         if phi.retraction is None:
             raise ValueError("pullback needs a morphism with a retraction")
-        k = self.source_bundle.rank
-        if k:
-            for point in _sample_points(self.source_bundle.base_dim):
-                sampled = linalg.pmat_eval(phi.fiber_matrix, point)
-                if linalg.rank(sampled) != k:
-                    raise ValueError(
-                        f"fiber matrix is column-rank deficient at sample point {point}"
-                    )
+
+    @cached_property
+    def _tagged(self):
+        """(ambient, base map, solve) over two inert tag variables appended.
+
+        The ambient is `lift_structure(ambient, 2)` and the base map is lifted
+        by the identity on the tags.  solve(vec) -> (c, residual) solves
+        P(x) c(x) = vec(x) through the exact projector P G'^-1 P^T G, with P,
+        P^T G and G'^-1 lifted to the n + 2 variables once per problem.
+        Needs a constant nondegenerate induced pairing.
+        """
+        n = self.source_bundle.base_dim + 2
+        induced = linalg.pmat_constant_value(_induced_metric(self))
+        g_inv = linalg.pmat_constant(linalg.inverse(induced) if induced else [], n)
+        fiber = [[q.lift(n) for q in row] for row in self.morphism.fiber_matrix]
+        pt_g = linalg.pmat_mul(
+            linalg.pmat_transpose(fiber), linalg.pmat_constant(self.ambient.metric, n)
+        )
+
+        def solve(vec):
+            half = linalg.pmat_vec(pt_g, vec, num_vars=n)
+            coeffs = linalg.pmat_vec(g_inv, half, num_vars=n)
+            reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
+            return coeffs, [a - b for a, b in zip(reproduced, vec)]
+
+        return (lift_structure(self.ambient, 2),
+                _lift_polymap(self.morphism.base_map, 2), solve)
 
     @cached_property
     def _frame_table(self):
-        """(structure functions, first residual) read off the frame brackets.
+        """(structure functions, witness) read off one tagged frame bracket.
 
-        Each pair (i, j) of extended frames is bracketed once, pulled back
-        along phi0 and solved for P c'_ij; the scan stops at the first pair
-        whose bracket leaves the image, returned as the witness
-        {"frame_pair", "residual"}, else the witness is None.  Needs a
-        constant nondegenerate induced pairing.
+        Every step is R-linear in each frame slot, nothing differentiates or
+        substitutes along the inert tags, and distinct pairs land on distinct
+        tag monomials, so the table equals the pairwise one.  The witness is
+        {"frame_pair", "residual"} of the least pair (i, j), in row-major
+        order, whose bracket leaves the image, else None.  The structure
+        functions are those of the pairs before it, inserted in (i, j, h)
+        order.  Needs a constant nondegenerate induced pairing.
         """
-        induced = linalg.pmat_constant_value(_induced_metric(self))
-        solve = _fiber_solver(self, linalg.inverse(induced) if induced else [])
-        frames = _extended_frames(self)
-        base_map = self.morphism.base_map
-        structure_functions: dict[tuple[int, int, int], Polynomial] = {}
-        for i, ei in enumerate(frames):
-            for j, ej in enumerate(frames):
-                bracket = self.ambient.bracket(ei, ej)
-                coeffs, residual = solve([q.compose(base_map) for q in bracket.coeffs])
-                if any(not q.is_zero() for q in residual):
-                    return structure_functions, {
-                        "frame_pair": [i, j],
-                        "residual": [q.to_string() for q in residual],
-                    }
-                for h, c in enumerate(coeffs):
-                    if not c.is_zero():
-                        structure_functions[(i, j, h)] = c
-        return structure_functions, None
+        coeffs, residual = _frame_brackets(self, _extended_frames(self))
+        first = min((key[:2] for key in residual), default=None)
+        witness = None
+        if first is not None:
+            zero = Polynomial(self.source_bundle.base_dim)
+            witness = {
+                "frame_pair": list(first),
+                "residual": [residual.get((*first, h), zero).to_string()
+                             for h in range(self.ambient.bundle.rank)],
+            }
+        structure_functions = {
+            key: coeffs[key] for key in sorted(coeffs) if first is None or key[:2] < first
+        }
+        return structure_functions, witness
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
@@ -189,25 +207,41 @@ def _extended_frames(p: PullbackProblem) -> list[Section]:
     return frames
 
 
-def _fiber_solver(p: PullbackProblem, g_inv):
-    """solve(vec) -> (c, residual): P(x) c(x) = vec(x) through the exact projector.
+def _frame_brackets(p: PullbackProblem, frames: list[Section]):
+    """(c, residual) of every pair of `frames`, from one tagged bracket.
 
-    The projector's fixed factors P^T G and G'^-1 are built once per solver.
+    Both are {(i, j, h): Polynomial} dicts of the nonzero entries:
+    P c_ij = [[f_i, f_j]] o phi0 + residual_ij, read off the coefficient of
+    t^i s^j (see the module docstring for why that is exact).
     """
-    fiber = p.morphism.fiber_matrix
+    ambient, base_map, solve = p._tagged
+    nn = ambient.bundle.base_dim
+
+    def tagged(tag: int) -> Section:
+        powers = [Polynomial.monomial(nn, [i * (v == tag) for v in range(nn)])
+                  for i in range(len(frames))]
+        return Section(ambient.bundle, PolyMap(nn, [
+            poly_sum(nn, (f[c].lift(nn) * powers[i]
+                          for i, f in enumerate(frames) if not f[c].is_zero()))
+            for c in range(ambient.bundle.rank)
+        ]))
+
+    bracket = ambient.bracket(tagged(nn - 2), tagged(nn - 1))
+    coeffs, residual = solve([q.compose(base_map) for q in bracket.coeffs])
     n = p.source_bundle.base_dim
-    pt_g = linalg.pmat_mul(
-        linalg.pmat_transpose(fiber), linalg.pmat_constant(p.ambient.metric, n)
-    )
-    g_inv_n = linalg.pmat_constant(g_inv, n)
+    return _split_tags(coeffs, n), _split_tags(residual, n)
 
-    def solve(vec):
-        half = linalg.pmat_vec(pt_g, vec, num_vars=n)
-        coeffs = linalg.pmat_vec(g_inv_n, half, num_vars=n)
-        reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
-        return coeffs, [a - b for a, b in zip(reproduced, vec)]
 
-    return solve
+def _split_tags(polys: list[Polynomial], n: int) -> dict:
+    """{(i, j, h): the coefficient of t^i s^j in polys[h]}, over the first n
+    variables; t and s are the last two of n + 2."""
+    low = (1 << (_BITS * n)) - 1
+    parts: dict[tuple[int, int, int], dict] = {}
+    for h, q in enumerate(polys):
+        for key, c in q._packed.items():
+            i, j = _unpack(key >> (_BITS * n), 2)
+            parts.setdefault((i, j, h), {})[key & low] = c
+    return {key: _raw(n, terms) for key, terms in parts.items()}
 
 
 def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
@@ -355,32 +389,24 @@ def extension_perturbation_test(
 
     Each round adds to every extended frame section a random section scaled
     by a polynomial vanishing on the image of the base map, then reads the
-    structure functions off the perturbed brackets along the image; the
-    result must be identical.  This is the constructive face of the
-    well-definedness argument ("f^ + z*h leaves the result unchanged").
+    structure functions off the perturbed brackets along the image (one
+    tagged bracket per round, as for the frame table); the result must be
+    identical.  This is the constructive face of the well-definedness
+    argument ("f^ + z*h leaves the result unchanged").
     """
     base = construct(p, enforce_hypotheses=False)
-    phi = p.morphism
-    multipliers = _image_vanishing_multipliers(phi)
+    multipliers = _image_vanishing_multipliers(p.morphism)
     if not multipliers:
         return True  # the embedding is onto; extensions are unique
     rng = random.Random(seed)
-    solve = _fiber_solver(p, linalg.inverse(base.metric) if base.metric else [])
     frames = _extended_frames(p)
-    zero = Polynomial(base.bundle.base_dim)
     for _ in range(n_perturbations):
         perturbed = [
             frame + rng.choice(multipliers) * random_section(rng, p.ambient.bundle, 1, terms=1)
             for frame in frames
         ]
-        for i, ei in enumerate(perturbed):
-            for j, ej in enumerate(perturbed):
-                bracket = p.ambient.bracket(ei, ej)
-                on_image = [q.compose(phi.base_map) for q in bracket.coeffs]
-                coeffs, _ = solve(on_image)
-                for h, c in enumerate(coeffs):
-                    if base.structure_functions.get((i, j, h), zero) != c:
-                        return False
+        if _frame_brackets(p, perturbed)[0] != base.structure_functions:
+            return False
     return True
 
 

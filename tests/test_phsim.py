@@ -283,16 +283,39 @@ def polynomials(draw, max_terms=6):
     return Polynomial(len(NAMES), terms)
 
 
+def assert_matches_exact(p, point):
+    value, = _compile([p], 3)(point)
+    exact = p.eval(point)  # Fraction(v) of a float is exact
+    # rounding is relative to the sum of the terms' magnitudes
+    scale = sum(abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(point, exps))
+                for exps, c in p.terms.items())
+    # Gradual underflow adds an absolute error that no relative bound can
+    # cover.  In IEEE double arithmetic fl(a*b) = a*b*(1 + d) + e with
+    # |d| <= 2^-53 and |e| <= 2^-1075 (half the least subnormal 2^-1074),
+    # e = 0 unless the product is subnormal, and a sum of subnormals is
+    # exact.  A term is the chain coeff * v * v * ..., so each e is carried
+    # only by the variable factors after it: the absolute part is at most
+    # 2^-1074 times the number of products times the largest product of
+    # later factors, max(1, |v|)^degree.
+    products = sum(max(sum(exps) - (c == 1), 0) for exps, c in p.terms.items())
+    later = max([1.0, *map(abs, point)]) ** max((sum(exps) for exps in p.terms), default=0)
+    assert abs(value - float(exact)) <= 1e-12 * scale + products * 2.0 ** -1074 * later
+
+
 class TestCompile:
     @settings(max_examples=60, deadline=timedelta(seconds=2), database=None)
     @given(polynomials(), st.lists(st.floats(-3, 3), min_size=3, max_size=3))
     def test_matches_exact_evaluation(self, p, point):
-        value, = _compile([p], 3)(point)
-        exact = p.eval(point)  # Fraction(v) of a float is exact
-        # rounding is relative to the sum of the terms' magnitudes
-        scale = sum(abs(float(c)) * math.prod(abs(v) ** e for v, e in zip(point, exps))
-                    for exps, c in p.terms.items())
-        assert abs(value - float(exact)) <= 1e-12 * scale
+        assert_matches_exact(p, point)
+
+    @pytest.mark.parametrize("text, point", [
+        # 0.5 * 5e-324 rounds to 0 (a tie, to even): 0.0 against 5e-324
+        ("1/2*x2*x3", [0.0, 5e-324, 2.0]),
+        # 1.5 * 5e-324 rounds to 1e-323 (a tie, to even): 2e-323 against 1.5e-323
+        ("x1*x2*x3", [1.5, 5e-324, 2.0]),
+    ])
+    def test_matches_exact_evaluation_below_the_normal_range(self, text, point):
+        assert_matches_exact(parse(text, NAMES), point)
 
     def test_several_outputs_and_zero(self):
         polys = [parse("x1 - 2*x2", NAMES[:2]), Polynomial(2), parse("3", NAMES[:2])]

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,11 +13,13 @@ from courantlab.bundles import BundleMorphism, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
+    random_polynomial,
+    random_section,
     scaled_structure,
     standard_structure,
 )
 from courantlab.intrinsic import pontryagin_embedding, splitting_composite
-from courantlab.morphisms import check_general_base
+from courantlab.morphisms import _image_vanishing_multipliers, check_general_base
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
@@ -28,6 +31,7 @@ from courantlab.pullback import (
     uniqueness_test,
     well_definedness_test,
 )
+from courantlab.scene import load_scene, structure_to_json
 
 
 def pontryagin_problem(n=1, m=1):
@@ -45,15 +49,53 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="retraction"):
             PullbackProblem(s, s.bundle, phi)
 
-    def test_rank_deficiency_detected(self):
-        s = standard_structure(1)
-        phi = BundleMorphism(
-            s.bundle, s.bundle, PolyMap.identity(1),
-            linalg.pmat_constant([[1, 0], [0, 0]], 1),
-            retraction=PolyMap.identity(1),
+    def test_rank_deficiency_detected(self, tmp_path, capsys):
+        # singular everywhere: P^T G P vanishes
+        self.assert_rejected_by_pairing(
+            tmp_path, capsys, ["1", "0", "0", "0"],
+            {"induced_metric": [["0", "0"], ["0", "0"]]},
         )
-        with pytest.raises(ValueError, match="rank"):
-            PullbackProblem(s, s.bundle, phi)
+
+    def test_rank_deficiency_at_one_point_detected(self, tmp_path, capsys):
+        # singular only at x1 = 0: P^T G P = [[0, x1], [x1, 0]] is not constant
+        self.assert_rejected_by_pairing(
+            tmp_path, capsys, ["x1", "0", "0", "1"], {"entry": [0, 1]}
+        )
+
+    @staticmethod
+    def assert_rejected_by_pairing(tmp_path, capsys, matrix, witness):
+        # hypothesis (b) implies injectivity exactly: P v = 0 gives
+        # G' v = P^T G P v = 0, and det G' is a nonzero constant
+        s = standard_structure(1)
+        fiber = [[parse(e, ["x1"]) for e in matrix[:2]], [parse(e, ["x1"]) for e in matrix[2:]]]
+        phi = BundleMorphism(
+            s.bundle, s.bundle, PolyMap.identity(1), fiber, retraction=PolyMap.identity(1),
+        )
+        p = PullbackProblem(s, s.bundle, phi)
+        report = check_hypotheses(p)
+        assert not report.pairing_nondegenerate.passed
+        assert report.pairing_nondegenerate.witness == witness
+        assert not report.sections_involutive.passed
+        with pytest.raises(ValueError, match="pairing_nondegenerate"):
+            construct(p)
+        scene = tmp_path / "deficient.json"
+        scene.write_text(json.dumps({
+            "schema_version": 1,
+            "bundles": {"P1": {"base_dim": 1, "rank": 2}},
+            "courant_structures": {"s": {
+                "bundle": "P1", "anchor": [["1", "0"]], "metric": [[0, 1], [1, 0]],
+            }},
+            "morphisms": {"phi": {
+                "source": "P1", "target": "P1", "base_map": ["x1"],
+                "fiber_matrix": [matrix[:2], matrix[2:]], "retraction": ["x1"],
+            }},
+        }))
+        code = main(["pullback", "--scene", str(scene), "--ambient", "s",
+                     "--morphism", "phi", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["hypotheses"]["pairing_nondegenerate"]["witness"] == witness
+        assert "structure" not in payload
 
 
 class TestHypotheses:
@@ -214,50 +256,79 @@ class TestFunctoriality:
 
 
 class TestFrameTable:
-    """Each problem brackets its k^2 extended frame pairs exactly once."""
+    """Each problem makes one bracket: its extended frames, summed with inert
+    tags, on the tag-lifted ambient.  No plain frame pair is bracketed."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
     @staticmethod
-    def frame_brackets(monkeypatch, base_dim, rank):
-        """Record the plain brackets made in the ambient structure."""
-        calls = []
+    def brackets(monkeypatch):
+        """Record every bracket made, as (structure, f, g strings), and the
+        tag-lifted ambients the pullback module builds."""
+        calls, lifted = [], []
         original = CourantStructure.bracket
+        original_lift = pullback_mod.lift_structure
 
         def counting(self, a, b):
-            if (self.bundle.base_dim, self.bundle.rank) == (base_dim, rank):
-                calls.append((tuple(a.coeffs.to_strings()), tuple(b.coeffs.to_strings())))
+            calls.append((self, tuple(a.coeffs.to_strings()), tuple(b.coeffs.to_strings())))
             return original(self, a, b)
 
+        def recording(structure, extra):
+            lifted.append(original_lift(structure, extra))
+            return lifted[-1]
+
         monkeypatch.setattr(CourantStructure, "bracket", counting)
-        return calls
+        monkeypatch.setattr(pullback_mod, "lift_structure", recording)
+        return calls, lifted
 
     @staticmethod
     def frame_pairs(problem):
         frames = [tuple(f.coeffs.to_strings()) for f in _extended_frames(problem)]
         return [(a, b) for a in frames for b in frames]
 
+    @staticmethod
+    def tagged_frames(problem):
+        """(sum_i t^i e^_i, sum_j s^j e^_j) as strings over N + 2 variables."""
+        frames = _extended_frames(problem)
+        nn = problem.ambient.bundle.base_dim + 2
+        sums = []
+        for tag in (nn - 2, nn - 1):
+            t = Polynomial.variable(nn, tag)
+            sums.append(tuple(
+                sum((f[c].lift(nn) * t ** i for i, f in enumerate(frames)), Polynomial(nn)).to_string()
+                for c in range(problem.ambient.bundle.rank)
+            ))
+        return tuple(sums)
+
+    def assert_one_tagged_bracket_per_problem(self, calls, lifted, problems):
+        assert len(lifted) == len(problems)
+        on_lifted = [(f, g) for s, f, g in calls if any(s is l for l in lifted)]
+        assert on_lifted == [self.tagged_frames(p) for p in problems]
+        pairs = {pair for p in problems for pair in self.frame_pairs(p)}
+        assert not [c for c in calls if c[1:] in pairs]
+
     def test_intrinsic_op_brackets_each_frame_pair_once(self, monkeypatch, capsys):
+        # all k^2 pairs in one tagged bracket
         n, m = 2, 1
-        calls = self.frame_brackets(monkeypatch, n + m, 2 * (n + m))
+        calls, lifted = self.brackets(monkeypatch)
         assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
         chi = splitting_composite(n, m)
-        pairs = self.frame_pairs(PullbackProblem(standard_structure(n + m), chi.source, chi))
-        assert len(pairs) == (2 * n + 2 * m) ** 2
-        assert Counter(calls) == Counter(pairs)
+        problem = PullbackProblem(standard_structure(n + m), chi.source, chi)
+        assert len(self.frame_pairs(problem)) == (2 * n + 2 * m) ** 2
+        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem])
 
     def test_alt_retraction_op_brackets_each_problem_once(self, monkeypatch, capsys):
         # two problems, the given retraction and the alternative one; the
         # zero section's constant fiber map gives both the same frames
-        calls = self.frame_brackets(monkeypatch, 2, 4)
+        calls, lifted = self.brackets(monkeypatch)
         assert main([
             "pullback", "--scene", str(self.DEMO), "--ambient", "standard2",
             "--morphism", "zero_section_embedding",
             "--alt-retraction", '["x1 + x2^2"]', "--json",
         ]) == 0
-        pairs = self.frame_pairs(pontryagin_problem())
-        assert len(pairs) == 4
-        assert Counter(calls) == Counter(pairs * 2)
+        problem = pontryagin_problem()
+        assert len(self.frame_pairs(problem)) == 4
+        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem, problem])
 
     def test_alt_retraction_op_checks_hypotheses_once_per_problem(self, monkeypatch, capsys):
         # the report, construct and the well-definedness test share one
@@ -285,17 +356,260 @@ class TestFrameTable:
     def test_failing_scan_stops_at_the_reported_pair(self, monkeypatch):
         # [[d_x, dx]] picks up d_z, which leaves the image of the zero
         # section: hypothesis (c) and construct report the same first pair
-        # from one scan
+        # from one tagged bracket
         phi = pontryagin_embedding(1, 1)
         base = standard_structure(2)
         bumped = CourantStructure(base.bundle, base.anchor, base.metric,
                                   {(0, 2, 1): Polynomial.constant(2, 1)})
         p = PullbackProblem(bumped, phi.source, phi)
+        calls, lifted = self.brackets(monkeypatch)
         report = check_hypotheses(p)
         assert not report.sections_involutive.passed
         i, j = report.sections_involutive.witness["frame_pair"]
         assert (i, j) == (0, 1)
-        calls = self.frame_brackets(monkeypatch, 2, 4)
+        assert len(lifted) == 1
+        assert [c[1:] for c in calls if c[0] is lifted[0]] == [self.tagged_frames(p)]
+        calls.clear()
         with pytest.raises(ValueError, match=rf"frame bracket \({i},{j}\)"):
             construct(p, enforce_hypotheses=False)
+        assert len(lifted) == 1
         assert calls == []
+
+
+# -- the tagged frame table against the pairwise scan it replaced -------------
+
+
+def reference_solver(problem):
+    """solve(vec) -> (c, residual): P c = vec through the projector, in n variables."""
+    fiber = problem.morphism.fiber_matrix
+    n = problem.source_bundle.base_dim
+    pt_g = linalg.pmat_mul(
+        linalg.pmat_transpose(fiber), linalg.pmat_constant(problem.ambient.metric, n)
+    )
+    induced = linalg.pmat_constant_value(linalg.pmat_mul(pt_g, fiber)) if pt_g else []
+    g_inv = linalg.pmat_constant(linalg.inverse(induced) if induced else [], n)
+
+    def solve(vec):
+        half = linalg.pmat_vec(pt_g, vec, num_vars=n)
+        coeffs = linalg.pmat_vec(g_inv, half, num_vars=n)
+        reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
+        return coeffs, [a - b for a, b in zip(reproduced, vec)]
+
+    return solve
+
+
+def reference_frame_table(problem):
+    """(structure functions, witness) by the pairwise scan: each of the k^2
+    extended frame pairs is bracketed, pulled back along phi0 and solved on
+    its own, and the scan stops at the first pair that leaves the image."""
+    solve = reference_solver(problem)
+    frames = _extended_frames(problem)
+    base_map = problem.morphism.base_map
+    structure_functions = {}
+    for i, ei in enumerate(frames):
+        for j, ej in enumerate(frames):
+            bracket = problem.ambient.bracket(ei, ej)
+            coeffs, residual = solve([q.compose(base_map) for q in bracket.coeffs])
+            if any(not q.is_zero() for q in residual):
+                return structure_functions, {
+                    "frame_pair": [i, j],
+                    "residual": [q.to_string() for q in residual],
+                }
+            for h, c in enumerate(coeffs):
+                if not c.is_zero():
+                    structure_functions[(i, j, h)] = c
+    return structure_functions, None
+
+
+def reference_perturbation_verdict(problem, structure_functions, rounds, seed):
+    """`extension_perturbation_test` by the pairwise scan, same draws."""
+    multipliers = _image_vanishing_multipliers(problem.morphism)
+    if not multipliers:
+        return True
+    rng = random.Random(seed)
+    solve = reference_solver(problem)
+    frames = _extended_frames(problem)
+    zero = Polynomial(problem.source_bundle.base_dim)
+    for _ in range(rounds):
+        perturbed = [
+            frame + rng.choice(multipliers) * random_section(rng, problem.ambient.bundle, 1, terms=1)
+            for frame in frames
+        ]
+        for i, ei in enumerate(perturbed):
+            for j, ej in enumerate(perturbed):
+                bracket = problem.ambient.bracket(ei, ej)
+                coeffs, _ = solve([q.compose(problem.morphism.base_map) for q in bracket.coeffs])
+                for h, c in enumerate(coeffs):
+                    if structure_functions.get((i, j, h), zero) != c:
+                        return False
+    return True
+
+
+def assert_matches_reference(problem, seeds=(0, 1)):
+    """The tagged table, its witness and the perturbation verdicts equal the
+    pairwise scan's; returns the witness."""
+    ref_functions, ref_witness = reference_frame_table(problem)
+    functions, witness = problem._frame_table
+    assert witness == ref_witness
+    assert functions == ref_functions
+    assert list(functions) == list(ref_functions)
+    report = check_hypotheses(problem)
+    assert report.sections_involutive.witness == ref_witness
+    if witness is None:
+        built = construct(problem, enforce_hypotheses=False)
+        reference = CourantStructure(built.bundle, built.anchor, built.metric, ref_functions)
+        assert (json.dumps(structure_to_json(built, "E"), sort_keys=True)
+                == json.dumps(structure_to_json(reference, "E"), sort_keys=True))
+        for seed in seeds:
+            assert extension_perturbation_test(problem, 2, seed) == \
+                reference_perturbation_verdict(problem, ref_functions, 2, seed)
+    else:
+        with pytest.raises(ValueError, match="frame bracket"):
+            construct(problem, enforce_hypotheses=False)
+    return witness
+
+
+def isometry(n_base, big, beta, b_field):
+    """[[I, beta], [B, I + B beta]] on R^2N over n_base variables: the
+    B-transform after the beta-transform, an isometry of the hyperbolic
+    pairing for skew B and beta."""
+    def block(top_left, top_right, bottom_left, bottom_right):
+        return [l + r for l, r in zip(top_left, top_right)] + \
+            [l + r for l, r in zip(bottom_left, bottom_right)]
+    ident = linalg.pmat_constant(linalg.identity(big), n_base)
+    zero = linalg.pmat_constant(linalg.zeros(big, big), n_base)
+    first = block(ident, beta, zero, ident)
+    second = block(ident, zero, b_field, ident)
+    return linalg.pmat_mul(second, first)
+
+
+def random_problem(seed):
+    """A problem with a non-constant fiber matrix, a nonlinear retraction
+    x1 + c*(xN - b)^d and random ambient frame data.
+
+    The base map is x -> (x, b).  The fiber is an isometry of the standard
+    pairing (B- and beta-transforms with random polynomial entries) applied
+    to the zero-section inclusion, so P^T G P stays constant.
+    """
+    rng = random.Random(seed)
+    n = rng.choice([1, 2])
+    big = n + 1
+    std = standard_structure(big)
+    anchor = [list(row) for row in std.anchor]
+    if rng.random() < 0.3:
+        anchor[rng.randrange(big)][rng.randrange(2 * big)] += random_polynomial(rng, big, 2, 2)
+    functions = {
+        tuple(rng.randrange(2 * big) for _ in range(3)): random_polynomial(rng, big, 2, 2)
+        for _ in range(rng.choice([0, 0, 1, 3]))
+    }
+    ambient = CourantStructure(std.bundle, anchor, std.metric, functions)
+    # transforms along the base keep the image involutive more often than
+    # ones that couple the normal direction
+    span = n if rng.random() < 0.5 else big
+
+    def skew():
+        out = [[Polynomial(n)] * big for _ in range(big)]
+        if span >= 2:
+            a, b = rng.sample(range(span), 2)
+            entry = random_polynomial(rng, n, 2, 2)
+            out[a][b], out[b][a] = entry, -entry
+        return out
+
+    inclusion = [[Polynomial.constant(n, 0)] * (2 * n) for _ in range(2 * big)]
+    for a in range(n):
+        inclusion[a][a] = Polynomial.constant(n, 1)
+        inclusion[big + a][n + a] = Polynomial.constant(n, 1)
+    fiber = linalg.pmat_mul(isometry(n, big, skew(), skew()), inclusion)
+    shift = rng.choice([0, 1])
+    base_map = PolyMap(n, [Polynomial.variable(n, a) for a in range(n)]
+                       + [Polynomial.constant(n, shift)])
+    names = [f"x{a + 1}" for a in range(big)]
+    c = rng.choice(["2", "-1", "1/3"])
+    d = rng.randint(1, 3)
+    retraction = PolyMap.from_exprs(
+        [f"x1 + {c}*(x{big} - {shift})^{d}"] + names[1:n], names
+    )
+    source = TrivialBundle(n, 2 * n, "P")
+    phi = BundleMorphism(source, ambient.bundle, base_map, fiber, retraction)
+    return PullbackProblem(ambient, source, phi)
+
+
+def demo_problems():
+    scene = load_scene(TestFrameTable.DEMO)
+    for phi in scene.morphisms.values():
+        for structure in scene.structures.values():
+            if structure.bundle == phi.target:
+                yield PullbackProblem(structure, phi.source, phi)
+                alt = PolyMap(phi.target.base_dim, [
+                    r + Polynomial.variable(phi.target.base_dim, phi.target.base_dim - 1) ** 2
+                    for r in phi.retraction
+                ])
+                if alt.compose(phi.base_map) == phi.retraction.compose(phi.base_map):
+                    yield PullbackProblem(structure, phi.source, BundleMorphism(
+                        phi.source, phi.target, phi.base_map, phi.fiber_matrix, alt))
+
+
+RANDOM_PROBLEMS = 32
+
+
+class TestFrameTableReference:
+    """The tagged frame table equals the pairwise scan it replaced."""
+
+    @pytest.mark.parametrize("n, m", [
+        (n, m) for n in range(5) for m in range(5 - n) if n + m >= 1
+    ])
+    def test_intrinsic_problems(self, n, m):
+        chi = splitting_composite(n, m)
+        assert_matches_reference(PullbackProblem(standard_structure(n + m), chi.source, chi))
+        if n:
+            assert_matches_reference(pontryagin_problem(n, m))
+
+    def test_demo_scene_problems(self):
+        problems = list(demo_problems())
+        assert len(problems) >= 5
+        for problem in problems:
+            assert_matches_reference(problem)
+
+    @pytest.mark.parametrize("seed", range(RANDOM_PROBLEMS))
+    def test_random_problems(self, seed):
+        assert_matches_reference(random_problem(seed))
+
+    def test_random_problems_cover_every_outcome(self):
+        # passing tables with non-constant fibers and nonzero structure
+        # functions, failures after a nonempty partial table, and both
+        # perturbation verdicts
+        outcomes = set()
+        for seed in range(RANDOM_PROBLEMS):
+            p = random_problem(seed)
+            functions, witness = reference_frame_table(p)
+            if witness is not None:
+                outcomes.add("fails after a partial table" if functions else "fails")
+            elif functions and not linalg.pmat_is_constant(p.morphism.fiber_matrix):
+                outcomes.add(("passes", reference_perturbation_verdict(p, functions, 2, 0)))
+        assert outcomes == {"fails", "fails after a partial table",
+                            ("passes", True), ("passes", False)}
+
+    def test_least_of_several_failing_pairs(self):
+        # d_x picks up d_z from [[d_x, dx]], dz from [[dx, d_x]] and d_z from
+        # [[dx, dx]] (x2 * d_z): three pairs leave the image, and the least,
+        # (0, 1), is the witness with its own residual
+        phi = pontryagin_embedding(1, 1)
+        base = standard_structure(2)
+        functions = {
+            (0, 2, 1): Polynomial.constant(2, 1),
+            (2, 0, 3): parse("x1^2", ["x1", "x2"]),
+            (2, 2, 1): parse("x1 + x2", ["x1", "x2"]),
+        }
+        p = PullbackProblem(
+            CourantStructure(base.bundle, base.anchor, base.metric, functions),
+            phi.source, phi,
+        )
+        pairs = []
+        for i, ei in enumerate(_extended_frames(p)):
+            for j, ej in enumerate(_extended_frames(p)):
+                on_image = [q.compose(phi.base_map) for q in p.ambient.bracket(ei, ej).coeffs]
+                if any(not r.is_zero() for r in reference_solver(p)(on_image)[1]):
+                    pairs.append([i, j])
+        assert pairs == [[0, 1], [1, 0], [1, 1]]
+        witness = assert_matches_reference(p)
+        assert witness == {"frame_pair": [0, 1], "residual": ["0", "-1", "0", "0"]}

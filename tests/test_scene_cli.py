@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from courantlab import cli
 from courantlab.cli import main
 from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
 from courantlab.scene import SceneError, load_scene, structure_to_json
@@ -152,6 +153,22 @@ class TestCLI:
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        # a command prints the same and exits the same before and after
+        # other calls, with other flag values and with parses that fail
+        argv = ["axioms", "--structure", "standard1", "--json"]
+        first = main(argv), capsys.readouterr()
+        assert "degree cap 3" in first[1].out
+        assert main(["axioms", "--structure", "standard1", "--degree-cap", "1",
+                     "--seed", "4", "--json"]) == 0
+        assert main(["axioms"]) == 2   # --structure is required
+        assert main(["axioms", "--structure", "standard1", "--degree-cap", "x"]) == 2
+        assert main(["frobnicate"]) == 2
+        assert main(["intrinsic", "--n", "1", "--m", "1"]) == 1
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr()) == first
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("argv", [
         ["axioms", "--structure", "standard3", "--degree-cap", "-1"],

@@ -156,13 +156,18 @@ def _verdict_lines(name: str, verdict) -> list[str]:
     return lines
 
 
-def _cmd_axioms(args) -> int:
-    scene = _load(args)
-    structure = _resolve_structure(scene, args.structure)
+def _capped_structure(args):
+    """The named structure, once the requested --degree-cap is accepted for it."""
+    structure = _resolve_structure(_load(args), args.structure)
     try:
         check_degree_cap(structure.bundle, args.degree_cap)
     except ValueError as exc:
         raise SceneError(f"--degree-cap: {exc}") from None
+    return structure
+
+
+def _cmd_axioms(args) -> int:
+    structure = _capped_structure(args)
     report = check_axioms(structure, degree_cap=args.degree_cap, seed=args.seed)
     payload = {
         "command": "axioms",
@@ -180,8 +185,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_leibniz(args) -> int:
-    scene = _load(args)
-    structure = _resolve_structure(scene, args.structure)
+    structure = _capped_structure(args)
     try:
         report = check_leibniz(structure, degree_cap=args.degree_cap)
     except ValueError as exc:

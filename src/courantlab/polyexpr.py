@@ -29,9 +29,10 @@ Coefficients are ints when integral and `fractions.Fraction` otherwise,
 never floats.  The zero polynomial has an empty term map, and every
 operation deletes a term when it cancels, so structural equality is
 polynomial identity.  Terms keep insertion order: a product runs its outer
-loop over the left factor and its inner loop over the right one, and the
-first term of a result is what witness reports print.  Powers have one
-order too: `**` and `compose` both form q^e by binary powering (`_power`).
+loop over the left factor and its inner loop over the right one.  Powers
+have one order too: `**` and `compose` both form q^e by binary powering
+(`_power`).  Printing sorts terms; the one output that depends on term
+order is an axiom witness (courant_core), the first term of a defect.
 
 The public `terms` attribute is a read-only view of the same map with
 exponent-tuple keys and `Fraction` values.  Its len() is O(1); keys are
@@ -104,9 +105,9 @@ class ParseError(ValueError):
 
 # -- packed monomial keys and the term-dict kernel -----------------------------
 #
-# The functions below work on bare term dicts {key: int | Fraction} and are
-# shared with the certification sweep in courant_core.  None of them
-# mutates an argument other than `dst`.
+# The functions below work on bare term dicts {key: int | Fraction}.  They
+# serve Polynomial here and the operations of CourantStructure in
+# courant_core.  None of them mutates an argument other than `dst`.
 
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
@@ -196,9 +197,13 @@ def _product(p: dict, q: dict, num_vars: int) -> dict:
     if len(p) == 1:
         # a monomial factor maps distinct keys to distinct keys: no merging
         (kp, cp), = p.items()
+        if not kp and cp == 1:
+            return dict(q)      # the unit; q is canonical and checked
         out = {kp + kq: cp * cq for kq, cq in q.items()}
     elif len(q) == 1:
         (kq, cq), = q.items()
+        if not kq and cq == 1:
+            return dict(p)
         out = {kp + kq: cp * cq for kp, cp in p.items()}
     else:
         out = {}
@@ -251,7 +256,7 @@ def _substitute_monomials(terms: dict, outputs, num_vars: int) -> dict | None:
 
 
 def _deriv(terms: dict, var: int) -> dict:
-    """Partial derivative; lowering one exponent never merges two keys."""
+    """Partial derivative, not normalised; no two keys merge."""
     shift = _BITS * var
     one = 1 << shift
     out = {}
@@ -446,7 +451,7 @@ class Polynomial:
             raise ValueError(
                 f"variable index {var_index} out of range for {self.num_vars} variables"
             )
-        return _raw(self.num_vars, _deriv(self._packed, var_index))
+        return _raw(self.num_vars, _normalised(_deriv(self._packed, var_index)))
 
     def gradient(self) -> list["Polynomial"]:
         return [self.diff(i) for i in range(self.num_vars)]

@@ -1,13 +1,15 @@
 """The exact certificates against brute force through the public operations.
 
 `check_axioms` certifies each axiom with one tagged polynomial identity,
-computed by the packed sweep; the morphism checks certify the bracket and
+computed on a lifted structure; the morphism checks certify the bracket and
 metric conditions the same way on lifted structures, and `check_leibniz`
 certifies the Leibniz rules with one tagged identity per rule.  These tests recompute
 the verdicts the slow way, through `CourantStructure.bracket`, `pairing`,
 `anchor_apply` and `derived_operator` on explicit sections: over every tuple
 of the monomial frame family up to the degree cap, and over seeded random
-draws at or below the cap, which the certificates imply.
+draws at or below the cap, which the certificates imply.  The sweep and
+these tests share the structure's one bracket; `test_bracket_reference.py`
+checks that bracket against an independent sympy expansion.
 
 Every certificate sweeps only the degree-1 family, which is complete
 because each defect is of differential order <= 1 in each slot.  For the

@@ -325,7 +325,7 @@ class TestPackedKeyOverflow:
 
 class TestTaggedSweepInternals:
     def test_tagged_bracket_matches_per_tuple_brackets(self):
-        # the fast kernel agrees with the public bracket, tag by tag
+        # the tagged bracket agrees with the per-tuple brackets, tag by tag
         s = standard_structure(1)
         lifted = lift_structure(s, 2)
         fa = tagged_generating_section(s.bundle, 1, 2, 1)
@@ -346,6 +346,37 @@ class TestTaggedSweepInternals:
                         if exps[1] == b1 and exps[2] == b2
                     }
                     assert slice_terms == expected[comp].terms
+
+
+class TestOperationOutputs:
+    @pytest.mark.parametrize("lam", [Fraction(-2, 5), Fraction(1, 2), 3])
+    def test_integral_coefficients_are_ints(self, lam):
+        # G^-1 = G / lam^2 here, so D(<F, F'>) multiplies lam by 1 / lam:
+        # an accumulation left unnormalised stores Fraction(1, 1)
+        s = scaled_structure(standard_structure(2), lam)
+        lifted = lift_structure(s, 2)
+        f = tagged_generating_section(s.bundle, 1, 2, 2)
+        g = tagged_generating_section(s.bundle, 1, 2, 3)
+        pairing = lifted.pairing(f, g)
+        outputs = [*lifted.bracket(f, g), pairing, lifted.anchor_apply(f, pairing),
+                   *lifted.derived_operator(pairing)]
+        stored = [c for p in outputs for c in p._packed.values()]
+        assert any(type(c) is int for c in stored)
+        assert all(type(c) is int or c.denominator != 1 for c in stored)
+
+    def test_check_axioms_inverts_the_metric_once(self, monkeypatch):
+        # the lifted structure of the sweep reuses the base's G^-1, also when a
+        # failing axiom re-expands its witness on the base
+        calls = []
+        inverse = linalg.inverse
+        monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(1) or inverse(m))
+        s = scaled_structure(standard_structure(2), Fraction(-2, 5))
+        assert check_axioms(s, degree_cap=1).all_passed
+        assert len(calls) == 1
+        bad = CourantStructure(s.bundle, s.anchor, s.metric,
+                               {(0, 1, 0): Polynomial.constant(2, 1)})
+        assert not check_axioms(bad, degree_cap=1).all_passed
+        assert len(calls) == 2
 
 
 class TestCheckLeibniz:

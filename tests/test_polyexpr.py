@@ -320,6 +320,10 @@ class TestCoefficientTypes:
         assert (p + p)._packed == {1: 1, 0: Fraction(2, 3)}
         assert p * 6 == parse("3*x1 + 2", ["x1"]) and type((p * 6)._packed[0]) is int
 
+    def test_integral_derivatives_are_ints(self):
+        p = parse("1/2*x1^2 + 1/3*x1^3 + 3/4*x1^4", ["x1"]).diff(0)
+        assert p._packed == {1: 1, 2: 1, 3: 3} and {type(c) for c in p._packed.values()} == {int}
+
     def test_terms_is_a_read_only_view(self):
         p = parse("x1 + 1", ["x1"])
         with pytest.raises(TypeError):

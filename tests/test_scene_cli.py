@@ -175,7 +175,7 @@ class TestCLI:
         # 6 * C(12, 3) = 1320 monomial frame sections, over the 256 accepted
         ["axioms", "--structure", "standard3", "--degree-cap", "9"],
         ["leibniz", "--structure", "standard1", "--degree-cap", "-1"],
-        # the Leibniz certificate runs at cap 1: 24 * C(13, 1) = 312 sections
+        # the requested (default) cap 3: 24 * C(15, 3) = 10920 sections
         ["leibniz", "--structure", "standard12"],
         ["intrinsic", "--n", "1", "--m", "0", "--degree-cap", "-1"],
     ])
@@ -186,6 +186,19 @@ class TestCLI:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "degree-cap" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["leibniz", "--structure", "standard3", "--degree-cap", "40"],
+        # the default cap 3: 8 * C(7, 3) = 280 sections
+        ["leibniz", "--structure", "standard4"],
+        ["axioms", "--structure", "standard4"],
+    ])
+    def test_leibniz_checks_the_requested_cap_as_axioms_does(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --degree-cap: degree cap ")
 
     def test_family_limit_is_256_sections(self, capsys):
         # standard1 has rank 2 over R^1: cap 127 gives 2 * 128 = 256 sections

@@ -3,9 +3,10 @@
 Two independent routes compute the same bracket: explicit Cartan calculus
 (Lie brackets, exterior derivatives, contractions) and the Leibniz
 expansion of the frame data (anchor, metric, structure functions).  The
-axiom checker then certifies the three Courant axioms over every tuple of
-monomial-coefficient frame sections up to a degree cap, in one exact
-polynomial identity per axiom.
+axiom checker then certifies the three Courant axioms for all smooth
+sections: exact identities on the frame data decide a pass, and a tagged
+polynomial identity over the monomial-coefficient frame sections of degree
+<= 1 finds a failing tuple when an axiom fails.
 """
 
 import random

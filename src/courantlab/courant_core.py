@@ -61,6 +61,48 @@ symbols agree:
     G h D(rho(g) f) from [[[[f,g]],h]] against rho(g)(G h D f) from
     [[g,[[f,h]]]].
 
+Passing structures are decided from the frame data (Liu, Weinstein & Xu
+1997; Uchino 2002).  Write c_ijh = sum_l c_ij^l G_lh.  For any frame data
+with constant symmetric G the expansion gives the rules
+[[f, lam g]] = lam [[f,g]] + rho(f)(lam) g and
+[[lam f, g]] = lam [[f,g]] - rho(g)(lam) f + <f,g> D(lam).
+  * (ii) and (iii) are tensorial.  In [[f,g]] + [[g,f]] the anchor terms
+    cancel and the D-terms add up to D<f,g>, D being a derivation, so the
+    defect of (iii) is sum f_i g_j (c_ij^h + c_ji^h) e_h.  In
+    <[[f,g]],h> + <g,[[f,h]]> the terms in rho(f)(g_j) and rho(f)(h_m)
+    add up to rho(f)<g,h> (G is constant), and -rho(g)(f_i) <e_i,h> and
+    rho(h)(f_i) <e_i,g> from one bracket cancel their partners from the
+    other, so the defect of (ii) is -sum f_i g_j h_m (c_ijm + c_imj).
+    Both are C-infinity-linear in every slot: (iii) holds iff
+    c_ij^h + c_ji^h = 0 and (ii) iff c_ijh + c_ihj = 0.
+  * The anomalies of (i).  Let J(f,g,h) be the defect of (i) and
+    H(f,g) = rho([[f,g]]) - [rho(f), rho(g)], a vector field.  The rules
+    give H(f, lam g) = lam H(f,g) and
+    H(lam f, g) = lam H(f,g) + <f,g> rho(D(lam)), where rho o D acts on
+    grad(lam) as the matrix A G^-1 A^T.  Expanding J with the rules, one
+    slot at a time, and writing K_f(lam) = [[f, D(lam)]] - D(rho(f)(lam)):
+      J(f, g, lam h) = lam J(f,g,h) - H(f,g)(lam) h,
+      J(f, lam g, h) = lam J(f,g,h) + H(f,h)(lam) g + <g,h> K_f(lam),
+      J(lam f, g, h) = lam J(f,g,h) - H(g,h)(lam) f - <f,h> K_g(lam)
+                       + <f,g> K_h(lam).
+    The last two lines use (ii) and (iii): without them the second also
+    carries the (ii) defect times D(lam), and the third the (iii) defect
+    of (f, g) times rho(h)(lam) and its pairing with h times D(lam); and
+    (iii) turns [[D(lam), h]] into -K_h(lam).  By (ii),
+    <K_f(lam), k> = -H(f,k)(lam).  So if A G^-1 A^T = 0, H is tensorial
+    and vanishes iff H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j]
+    does, the anchor homomorphism; then K vanishes too, J is tensorial in
+    every slot, and (i) holds iff it holds on every frame triple: the
+    cap-0 sweep.
+  * The converse.  If (i)-(iii) hold, the first line gives
+    H(f,g)(lam) h = 0 for every lam and h, so H = 0 and the homomorphism
+    holds; then H(lam f, g) = 0 leaves <f,g> rho(D(lam)) = 0, and some
+    <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
+Hence the three axioms hold for all smooth sections iff the four frame
+identities hold and the cap-0 sweep passes, which is also what the
+degree-1 sweep decides.  `_certify_axioms` decides a pass that way and
+runs the degree-1 sweep only when some check fails, to find witnesses.
+
 The Leibniz rules of the bracket (Liu, Weinstein & Xu 1997) are first
 order in each of f, g, lam and mu, and are certified the same way with
 four tagged slots: f and g are generating sections, and lam and mu are
@@ -81,6 +123,8 @@ from .bundles import LinearSubspace, Section, TrivialBundle
 from .polyexpr import (
     Polynomial,
     PolyMap,
+    _BITS,
+    _FIELD,
     _add_into,
     _checked,
     _coeff,
@@ -135,7 +179,7 @@ class CourantStructure:
 
     Every product runs its outer loop over the smaller factor and each
     operation's loop nest is fixed, so results have one term order; axiom
-    witnesses depend on it (`_certify_axioms`).
+    witnesses depend on it (`_sweep_axioms`).
     """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
@@ -746,13 +790,74 @@ def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
     return family
 
 
-def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomCheck]:
-    """Exact certification of all three axioms over the monomial family.
+def _frame_identities_hold(s: CourantStructure) -> bool:
+    """Whether the frame data satisfy, checked in this order, (iii)
+    c_ij^h + c_ji^h = 0, (ii) c_ijh + c_ihj = 0, rho o D = A G^-1 A^T = 0
+    and the anchor homomorphism [rho_i, rho_j] = sum_h c_ij^h rho_h; False
+    at the first that fails.  See the module docstring.
 
-    Equivalent to enumerating every (ordered) tuple of monomial frame
-    sections of coefficient degree <= min(degree_cap, SWEEP_ORDER), which
-    is complete for all smooth sections at any cap >= 1; see the module
-    docstring.  The label names the requested cap and its family.
+    Each runs over the nonzero table entries.  Raw packed products are
+    exact here: every factor is a checked input or its derivative, so no
+    key field carries, and no result is stored.
+    """
+    k = s.bundle.rank
+    anchor, negated, metric, grouped = s._frame_tables
+    by_pair = {(i, j): hs for i, j, hs in grouped}
+    c = {(i, j, h): entry for (i, j), hs in by_pair.items() for h, entry in hs}
+    if any(c.get((j, i, h)) != _scaled(entry, -1) for (i, j, h), entry in c.items()):
+        return False
+    lowered: dict[tuple[int, int, int], dict] = {}
+    for (i, j, l), entry in c.items():
+        for h in range(k):
+            if metric[l][h]:
+                _add_into(lowered.setdefault((i, j, h), {}), _scaled(entry, metric[l][h]))
+    if any(lowered.get((i, h, j), {}) != _scaled(entry, -1)
+           for (i, j, h), entry in lowered.items()):
+        return False
+    rho_d: dict[tuple[int, int], dict] = {}     # (b, a) -> (A G^-1 A^T)_ba
+    for h, row in enumerate(s._dual_rows):
+        for b, entry in anchor[h]:
+            for a, dual in row:
+                _mul_into(rho_d.setdefault((b, a), {}), *_ordered(entry, dual))
+    if any(rho_d.values()):
+        return False
+    # given (iii) both sides are skew in (i, j), so i < j suffices
+    for i in range(k):
+        for j in range(i + 1, k):
+            defect: dict[int, dict] = {}        # b -> component along d_b
+            for first, second in ((anchor[i], anchor[j]), (negated[j], anchor[i])):
+                for a, entry in first:
+                    for b, target in second:
+                        _mul_into(defect.setdefault(b, {}), *_ordered(entry, _deriv(target, a)))
+            for h, centry in by_pair.get((i, j), ()):
+                for b, target in negated[h]:
+                    _mul_into(defect.setdefault(b, {}), *_ordered(centry, target))
+            if any(defect.values()):
+                return False
+    return True
+
+
+def _exchanged(comps: list[dict], n: int) -> list[dict]:
+    """Packed components over n + 2 variables with the exponents of the last
+    two exchanged, in the same term order.
+
+    The sweep's structure is lifted by two inert tag variables, which the
+    operations never differentiate, and its second tagged section is the
+    first with the tags exchanged, inserted in the same order.  So an
+    operation's result on the second is its result on the first with the
+    tags exchanged, term order included.
+    """
+    shift = _BITS * n
+    base = (1 << shift) - 1
+    return [{(key & base) | ((key >> shift & _FIELD) << (shift + _BITS))
+             | ((key >> (shift + _BITS)) << shift): c for key, c in terms.items()}
+            for terms in comps]
+
+
+def _sweep_axioms(s: CourantStructure, degree_cap: int) -> dict[str, dict | None]:
+    """The tagged sweep over every (ordered) tuple of monomial frame
+    sections of coefficient degree <= degree_cap: each axiom's witness,
+    None where it holds on every tuple, keyed "iii", "i", "ii".
 
     A failing axiom reports the tuple decoded from the first term of the
     first nonzero component of its defect, so this witness depends on the
@@ -760,31 +865,27 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     certificates decode the least packed key, which does not.
     """
     n, k = s.bundle.base_dim, s.bundle.rank
-    family = check_degree_cap(s.bundle, degree_cap)
-    label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
-    degree_cap = min(degree_cap, SWEEP_ORDER)
-    if k == 0:
-        check = AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
-        return {"i": check, "ii": check, "iii": check}
     lifted = lift_structure(s, 2)
     f2 = tagged_generating_section(s.bundle, degree_cap, 2, n)
     f3 = tagged_generating_section(s.bundle, degree_cap, 2, n + 1)
     inner23 = lifted.bracket(f2, f3)
     pair23 = lifted.pairing(f2, f3)
 
-    # axiom (iii): two slots, fully tagged, one identity
-    defect3 = inner23 + lifted.bracket(f3, f2) - lifted.derived_operator(pair23)
+    # axiom (iii): two slots, fully tagged, one identity; [[F3, F2]] is
+    # [[F2, F3]] with the tags exchanged
+    inner32 = lifted._section(_exchanged(lifted._terms(inner23), n))
+    defect3 = inner23 + inner32 - lifted.derived_operator(pair23)
     witness3 = _witness_from_tags(s, degree_cap, "iii", lifted._terms(defect3))
 
     # axioms (i) and (ii): first slot enumerated, remaining two tagged.  The
-    # loop makes five brackets per family member and calls the packed
+    # loop makes four brackets per family member and calls the packed
     # operations directly, so no result is wrapped as a Section and unwrapped.
     f2, f3, inner23 = lifted._terms(f2), lifted._terms(f3), lifted._terms(inner23)
     witness1 = witness2 = None
     for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, degree_cap)):
         ba = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
         inner_a2 = lifted._bracket(ba, f2)
-        inner_a3 = lifted._bracket(ba, f3)
+        inner_a3 = _exchanged(inner_a2, n)
         if witness1 is None:
             defect1 = [
                 _subtract_into(*parts) for parts in zip(
@@ -801,8 +902,33 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
             witness2 = _witness_from_tags(s, degree_cap, "ii", [defect2], (b,))
         if witness1 is not None and witness2 is not None:
             break
+    return {"iii": witness3, "i": witness1, "ii": witness2}
+
+
+def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomCheck]:
+    """Exact certification of all three axioms over the monomial family.
+
+    Equivalent to enumerating every (ordered) tuple of monomial frame
+    sections of coefficient degree <= min(degree_cap, SWEEP_ORDER), which
+    is complete for all smooth sections at any cap >= 1; see the module
+    docstring.  The label names the requested cap and its family.
+
+    At any cap >= 1 a pass is decided by the four frame identities and the
+    cap-0 sweep, which together are equivalent to the axioms (module
+    docstring).  If any of them fails, the degree-1 sweep runs and its
+    witnesses make the report; an explicit cap 0 runs the cap-0 sweep only.
+    """
+    family = check_degree_cap(s.bundle, degree_cap)
+    label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
+    if s.bundle.rank == 0:
+        check = AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
+        return {"i": check, "ii": check, "iii": check}
+    if degree_cap and _frame_identities_hold(s) and not any(_sweep_axioms(s, 0).values()):
+        witnesses = dict.fromkeys(("iii", "i", "ii"))
+    else:
+        witnesses = _sweep_axioms(s, min(degree_cap, SWEEP_ORDER))
     return {name: AxiomCheck(w is None, f"certified over {label}", w)
-            for name, w in (("iii", witness3), ("i", witness1), ("ii", witness2))}
+            for name, w in witnesses.items()}
 
 
 def check_axioms(
@@ -822,6 +948,8 @@ def check_axioms(
     degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
     certificate for all smooth sections (see the module docstring), so no
     draw can change a verdict; cap 0 bounds the claim to constant sections.
+    At cap >= 1 a pass comes from identities on the frame data, and a
+    failure from the degree-1 sweep, whose witness is the failing tuple.
     n_random tuples are drawn from the supplied sections with the given
     seed and checked directly.  Without supplied sections nothing is drawn.
     All comparisons are polynomial identities with zero tolerance.

@@ -30,10 +30,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
@@ -45,10 +41,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -15,18 +15,24 @@ Every certificate sweeps only the degree-1 family, which is complete
 because each defect is of differential order <= 1 in each slot.  For the
 axioms that rests on cancellations in the nested brackets of axiom (i);
 `test_axiom_defects_are_first_order_in_every_slot` checks the order
-directly on random frame data, where no axiom holds.
+directly on random frame data, where no axiom holds.  A passing axiom
+report comes from frame identities and the cap-0 sweep instead;
+`test_verdicts_equal_the_degree_1_sweep` compares it with the degree-1
+sweep on drawn frame data.
 """
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
 from courantlab import linalg
 from courantlab.courant_core import (
     CourantStructure,
+    _frame_identities_hold,
+    _sweep_axioms,
     check_axioms,
     check_leibniz,
     monomial_frame_basis,
@@ -493,3 +499,136 @@ def test_cap2_verdicts_equal_cap2_enumeration_on_random_frame_data(seed):
         if fails:
             idx = [names.index(sec) for sec in check.witness["sections"]]
             assert not defect(axiom, idx).is_zero(), axiom
+
+
+# -- passes decided from frame identities ----------------------------------------
+
+
+SCALES = [1, -1, 2, Fraction(1, 2), Fraction(-2, 5)]
+
+
+def raised_form(form, metric, n):
+    """Structure functions c_ij^h = sum_l c_ijl G^-1_lh of the totally skew
+    constant 3-form with the given values on increasing triples."""
+    inverse = linalg.inverse(linalg.mat(metric))
+    c = {}
+    for triple, value in form.items():
+        for perm in itertools.permutations(range(3)):
+            sign = -1 if perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)) else 1
+            i, j, l = (triple[p] for p in perm)
+            for h, entry in enumerate(inverse[l]):
+                if value and entry:
+                    c[(i, j, h)] = c.get((i, j, h), 0) + sign * value * entry
+    return {key: Polynomial.constant(n, value) for key, value in c.items()}
+
+
+@st.composite
+def perturbed_frame_data(draw):
+    """standard(n) with its metric scaled, or a random constant G with zero
+    anchor, perturbed by anchor entries of degree <= 2, structure functions
+    of degree <= 1 and a totally skew constant 3-form; n in {1, 2}, rank
+    2-4.  On standard(2) an anchor perturbation may come as the skew pair
+    A[a][3 - a] = p = -A[1 - a][2 + a], which keeps A G^-1 A^T = 0."""
+    n = draw(st.sampled_from((1, 2)))
+    scale = st.sampled_from(SCALES)
+
+    def term(degree):
+        return Polynomial(n, {draw(st.sampled_from(monomials_up_to(n, degree))): draw(scale)})
+
+    if draw(st.booleans()):
+        rank = 2 * n
+        lam = draw(scale)
+        metric = [[lam if abs(i - j) == n else 0 for j in range(rank)] for i in range(rank)]
+        anchor = [[Polynomial.constant(n, int(i == a)) for i in range(rank)] for a in range(n)]
+    else:
+        rank = draw(st.integers(2, 4))
+        metric = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                metric[i][j] = metric[j][i] = draw(st.sampled_from([0, 0, 1, -1, 2]))
+        assume(linalg.det(linalg.mat(metric)) != 0)
+        anchor = [[Polynomial(n)] * rank for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        p = term(2)
+        if rank == 4 and n == 2 and draw(st.booleans()):
+            a = draw(st.sampled_from((0, 1)))
+            anchor[a][3 - a] = anchor[a][3 - a] + p
+            anchor[1 - a][2 + a] = anchor[1 - a][2 + a] - p
+        else:
+            a, i = draw(st.integers(0, n - 1)), draw(st.integers(0, rank - 1))
+            anchor[a][i] = anchor[a][i] + p
+    c = {}
+    if rank >= 3 and draw(st.booleans()):
+        c = raised_form({triple: draw(st.sampled_from([0, 1, -1, 2]))
+                         for triple in itertools.combinations(range(rank), 3)}, metric, n)
+    for _ in range(draw(st.integers(0, 1))):
+        key = tuple(draw(st.integers(0, rank - 1)) for _ in range(3))
+        c[key] = c.get(key, Polynomial(n)) + term(1)
+    return CourantStructure(TrivialBundle(n, rank, "E"), anchor, metric, c)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(perturbed_frame_data(), st.sampled_from((1, 2)))
+def test_verdicts_equal_the_degree_1_sweep(s, cap):
+    report = check_axioms(s, degree_cap=cap, n_random=0)
+    swept = _sweep_axioms(s, 1)
+    for name, witness in swept.items():
+        assert report.checks[name].passed == (witness is None), name
+        assert report.checks[name].witness == witness, name
+
+
+def fails_only_axiom_i(s, cap=1):
+    """The report fails (i) alone, with the degree-1 sweep's witness."""
+    report = check_axioms(s, degree_cap=cap, n_random=0)
+    failed = [name for name, check in report.checks.items() if not check.passed]
+    return failed == ["i"] and report.checks["i"].witness == _sweep_axioms(s, 1)["i"]
+
+
+def test_structure_failing_only_rho_d_fails_axiom_i():
+    # anchor [1, 1] with c = 0: (ii), (iii), the homomorphism and (i) on frame
+    # triples hold, but A G^-1 A^T = 2
+    one = Polynomial.constant(1, 1)
+    s = CourantStructure(TrivialBundle(1, 2, "E"), [[one, one]], [[0, 1], [1, 0]])
+    assert not any(_sweep_axioms(s, 0).values())
+    assert not _frame_identities_hold(s)
+    assert fails_only_axiom_i(s)
+
+
+SCALED2_FRAC = scaled_structure(STD2, Fraction(-2, 5))
+
+
+def skew_anchor_pair(s):
+    # A[0][3] = x1 = -A[1][2]: A G^-1 A^T = (P + P^T) / lam = 0, but
+    # [rho_0, rho_3] = [d_1, x1 d_1] = d_1 while c = 0
+    x1 = Polynomial.variable(2, 0)
+    anchor = [list(row) for row in s.anchor]
+    anchor[0][3], anchor[1][2] = x1, -x1
+    return CourantStructure(s.bundle, anchor, s.metric)
+
+
+HOMOMORPHISM_ONLY = [
+    ("skew_anchor_pair", skew_anchor_pair(SCALED2_FRAC)),
+    # the 3-form e012 gives c_01^0 rho_0 = c_01^0 d_1 while [rho_0, rho_1] = 0
+    ("skew_3_form", CourantStructure(SCALED2_FRAC.bundle, SCALED2_FRAC.anchor,
+                                     SCALED2_FRAC.metric,
+                                     raised_form({(0, 1, 2): 1}, SCALED2_FRAC.metric, 2))),
+]
+
+
+@pytest.mark.parametrize("s", [case[1] for case in HOMOMORPHISM_ONLY],
+                         ids=[case[0] for case in HOMOMORPHISM_ONLY])
+def test_structure_failing_only_the_homomorphism_fails_axiom_i(s):
+    assert not any(_sweep_axioms(s, 0).values())
+    assert not _frame_identities_hold(s)
+    assert fails_only_axiom_i(s, cap=2)
+
+
+def test_structure_failing_only_jacobi_on_frame_triples_fails_axiom_i():
+    # zero anchor, G = I and the 3-form e012 + e034: the four frame identities
+    # hold, but the Jacobi identity of the constant c fails, which only the
+    # cap-0 sweep sees
+    metric = linalg.identity(5)
+    s = CourantStructure(TrivialBundle(1, 5, "E"), [[Polynomial(1)] * 5], metric,
+                         raised_form({(0, 1, 2): 1, (0, 3, 4): 1}, metric, 1))
+    assert _frame_identities_hold(s)
+    assert fails_only_axiom_i(s)

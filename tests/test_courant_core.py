@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from courantlab import linalg
+from courantlab import courant_core, linalg
 from courantlab.bundles import LinearSubspace, Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
@@ -25,6 +25,7 @@ from courantlab.polyexpr import (
     ExponentOverflowError,
     PolyMap,
     Polynomial,
+    _unpack,
     parse,
 )
 
@@ -315,6 +316,15 @@ class TestPackedKeyOverflow:
             assert not is_zero
             assert defect == witness["defect"]
 
+    def test_passing_anchor_near_half_the_limit_certifies(self):
+        # A = [x1^(MAX/2 + 1), 0]: A G^-1 A^T = 0 and the homomorphism holds,
+        # so no bracket of degree-1 sections, where the square of the anchor
+        # passes the limit, is formed
+        bundle = TrivialBundle(1, 2, "E")
+        x = Polynomial.monomial(1, (MAX_EXPONENT // 2 + 1,))
+        s = CourantStructure(bundle, [[x, Polynomial(1)]], [[0, 1], [1, 0]])
+        assert check_axioms(s, degree_cap=1, n_random=0).all_passed
+
     def test_sweep_beyond_the_exponent_limit_raises(self):
         bundle = TrivialBundle(1, 2, "E")
         x = Polynomial.monomial(1, (MAX_EXPONENT // 2 + 1,))
@@ -377,6 +387,40 @@ class TestOperationOutputs:
                                {(0, 1, 0): Polynomial.constant(2, 1)})
         assert not check_axioms(bad, degree_cap=1).all_passed
         assert len(calls) == 2
+
+
+class TestCertificateCost:
+    """How much bracketing `check_axioms` does, counted by wrapping the
+    packed bracket: a pass at cap >= 1 brackets the cap-0 family only, and
+    a structure that fails a frame identity runs the degree-1 sweep only."""
+
+    @staticmethod
+    def recorded(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+        return calls, original
+
+    def test_passing_structure_makes_no_degree_1_bracket(self, monkeypatch):
+        s = scaled_structure(standard_structure(3), Fraction(-2, 5))
+        calls, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
+        assert check_axioms(s, degree_cap=3, n_random=0).all_passed
+        # every bracketed component is free of x1..x3: no tuple of degree 1
+        keys = [key for _, f, g in calls for comp in (*f, *g) for key in comp]
+        assert keys and not any(any(_unpack(key, 3)) for key in keys)
+
+    def test_failing_identity_runs_the_degree_1_sweep_only(self, monkeypatch):
+        base = scaled_structure(standard_structure(2), 3)
+        s = CourantStructure(base.bundle, base.anchor, base.metric,
+                             {(0, 1, 3): Fraction(3, 2)})
+        brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
+        sweeps, sweep = self.recorded(monkeypatch, courant_core, "_sweep_axioms")
+        assert not check_axioms(s, degree_cap=3, n_random=0).all_passed
+        assert [cap for _, cap in sweeps] == [1]
+        made = len(brackets)
+        brackets.clear()
+        sweep(s, 1)
+        assert made == len(brackets)
 
 
 class TestCheckLeibniz:

@@ -22,10 +22,15 @@ import pytest
 
 from courantlab.courant_core import (
     CourantStructure,
+    _exchanged,
     check_axioms,
+    lift_structure,
+    monomial_frame_basis,
     scaled_structure,
     standard_structure,
+    tagged_generating_section,
 )
+from courantlab.polyexpr import _pack
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "axiom_witnesses.jsonl"
 
@@ -69,6 +74,27 @@ def test_reports_agree_across_caps_but_for_the_detail():
     assert len(by_structure) == len(PROBES) // 3
     for structure, reports in by_structure.items():
         assert len(reports) == 3 and reports[0] == reports[1] == reports[2], structure
+
+
+def term_lists(comps):
+    return [list(p.items()) for p in comps]
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_exchanged_tags_are_the_brackets_term_for_term(cap):
+    # the sweep forms [[b, F3]] and [[F3, F2]] by exchanging the tag
+    # exponents of [[b, F2]] and [[F2, F3]]; witnesses need equal term order
+    for name, s, _ in PROBES[::3]:
+        n, k = s.bundle.base_dim, s.bundle.rank
+        lifted = lift_structure(s, 2)
+        f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, cap, 2, t))
+                  for t in (n, n + 1))
+        assert term_lists(_exchanged(lifted._bracket(f2, f3), n)) == \
+            term_lists(lifted._bracket(f3, f2)), name
+        for i, alpha in monomial_frame_basis(s.bundle, cap):
+            b = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
+            assert term_lists(_exchanged(lifted._bracket(b, f2), n)) == \
+                term_lists(lifted._bracket(b, f3)), (name, i, alpha)
 
 
 if __name__ == "__main__":

@@ -299,6 +299,9 @@ def _cmd_pullback(args):
 
 
 def _cmd_intrinsic(args):
+    for flag, value in (("--n", args.n), ("--m", args.m)):
+        if value < 0:
+            raise SceneError(f"{flag} must be >= 0, got {value}")
     splitting = None
     if args.phi:
         try:

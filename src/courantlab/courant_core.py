@@ -174,7 +174,8 @@ class CourantStructure:
     the first call of any of them forms the anchor, metric and c_ij^h
     tables, and the first `bracket` or `derived_operator` forms G^-1 and the
     rows of G^-1 A^T (a read of `metric_inverse` forms G^-1 alone).
-    `lift_structure` forms them on the base and shares them.  A structure
+    `lift_structure` forms them on the base and shares them, and does not
+    repeat the checks its base passed.  A structure
     that is only compared, composed or printed never inverts its metric.
 
     Every product runs its outer loop over the smaller factor and each
@@ -215,12 +216,13 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "anchor", rows)
-        object.__setattr__(self, "metric", g)
-        object.__setattr__(self, "structure_functions", c)
-        for slot in ("_inverse", "_frame", "_dual"):    # formed on first use
-            object.__setattr__(self, slot, None)
+        self._fill(bundle, rows, g, c)
+
+    def _fill(self, bundle, anchor, metric, c, tables=(None, None, None)):
+        """Set every slot from checked parts; `tables` holds G^-1 and the
+        packed tables, or None for each table formed on first use."""
+        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CourantStructure is immutable")
@@ -510,12 +512,12 @@ def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
     anchor = [[p.lift(nn, 0) for p in row] for row in s.anchor]
     anchor += [[Polynomial(nn)] * k for _ in range(extra)]
     c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
-    lifted = CourantStructure(bundle, anchor, s.metric, c)
-    # Packed keys do not depend on the variable count and the new anchor rows
-    # are zero, so G^-1 and the packed tables are the base's own.
-    for slot, value in (("_inverse", s.metric_inverse), ("_frame", s._frame_tables),
-                        ("_dual", s._dual_rows)):
-        object.__setattr__(lifted, slot, value)
+    # The base's metric passed the constructor's checks, so they are not
+    # repeated.  Packed keys do not depend on the variable count and the new
+    # anchor rows are zero, so G^-1 and the packed tables are the base's own.
+    lifted = object.__new__(CourantStructure)
+    lifted._fill(bundle, anchor, s.metric, c,
+                 (s.metric_inverse, s._frame_tables, s._dual_rows))
     return lifted
 
 
@@ -921,8 +923,8 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
     if s.bundle.rank == 0:
-        check = AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
-        return {"i": check, "ii": check, "iii": check}
+        return {name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
+                for name in ("i", "ii", "iii")}
     if degree_cap and _frame_identities_hold(s) and not any(_sweep_axioms(s, 0).values()):
         witnesses = dict.fromkeys(("iii", "i", "ii"))
     else:

@@ -210,9 +210,12 @@ def build_intrinsic(
 
 
 def _perturbed_candidates(base: CourantStructure, count: int, rng: random.Random):
-    """Seeded perturbations of the structure functions and the metric."""
+    """Seeded perturbations of the structure functions and the metric; none
+    at rank 0, where there is nothing to perturb."""
     n = base.bundle.base_dim
     k = base.bundle.rank
+    if k == 0:
+        return
     for idx in range(count):
         if idx % 2 == 0 or k < 2:
             i, j, h = (rng.randrange(k) for _ in range(3))

@@ -49,6 +49,10 @@ products, which overflow to inf where `float ** int` would raise.
 
 If T is not an integer multiple of h the step is adjusted to T/round(T/h)
 so the grid lands exactly on T.
+
+numpy is imported on first use by the four functions that build or read
+arrays (`_run`, `simulate_interaction`, `energy_balance`, `write_csv`), so
+importing this module, and every exact command with it, never loads it.
 """
 
 from __future__ import annotations
@@ -57,14 +61,15 @@ import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
 from .bundles import LinearSubspace
 from .courant_core import CourantStructure, dirac_check, standard_structure
 from .polyexpr import Polynomial, PolyMap, parse, poly_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PHSystem",
@@ -299,6 +304,8 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
 
 def _run(system: PHSystem, u: InputSignal | None, x0, t_final, h, z0=None):
     """Shared RK4 core: one generated loop per run; the x stages never read z."""
+    import numpy as np
+
     if u is not None and u.m != system.m:
         raise ValueError(f"input has {u.m} channels, system has {system.m} ports")
     steps, dt = _grid(t_final, h)
@@ -353,6 +360,8 @@ def simulate_interaction(
     The state rows are (x, z) concatenated; dz/dt is recorded from the
     right-hand side at each grid point, not by differencing z.
     """
+    import numpy as np
+
     times, xs, zs, outputs, dt, diverged = _run(system, u, x0, t_final, h, z0=z0)
     states = np.hstack([xs, zs])
     zdot = -outputs  # dz/dt = -B^T grad H(x), evaluated at the grid points
@@ -395,6 +404,8 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
 
     An odd interval count falls back to a trapezoid on the last interval.
     """
+    import numpy as np
+
     system = trajectory.system
     if system is None:
         raise ValueError("trajectory carries no system")
@@ -449,6 +460,8 @@ _CSV_CHUNK = 256
 
 def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
     """t, x1..xn, y1..ym rows with 17 significant digits, written in chunks."""
+    import numpy as np
+
     xs = trajectory.states if include_z else trajectory.x
     n_cols = xs.shape[1]
     m = trajectory.outputs.shape[1]

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from courantlab import linalg
+from courantlab.bundles import TrivialBundle
+from courantlab.courant_core import CourantStructure
 from courantlab.polyexpr import Polynomial
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -30,6 +33,18 @@ def src_on_child_pythonpath():
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
         ))
         yield
+
+
+def so3_structure():
+    """Quadratic Lie algebra over a point: so(3) with the Euclidean pairing."""
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    return CourantStructure(
+        TrivialBundle(0, 3, "so3"),
+        [],
+        linalg.identity(3),
+        {key: Polynomial.constant(0, v) for key, v in eps.items()},
+    )
 
 
 def eval_term_by_term(poly: Polynomial, point) -> Fraction:

@@ -29,19 +29,7 @@ from courantlab.polyexpr import (
     parse,
 )
 
-from conftest import fd_partial
-
-
-def so3_structure():
-    """Quadratic Lie algebra over a point: so(3) with the Euclidean pairing."""
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    return CourantStructure(
-        TrivialBundle(0, 3, "so3"),
-        [],
-        linalg.identity(3),
-        {key: Polynomial.constant(0, v) for key, v in eps.items()},
-    )
+from conftest import fd_partial, so3_structure
 
 
 class TestStandardStructure:
@@ -275,6 +263,12 @@ class TestCheckAxioms:
         report = check_axioms(s, sections=extra, degree_cap=1, n_random=50)
         assert all(c.detail.endswith("; 50 random tuples") for c in report.checks.values())
 
+    def test_rank_zero_details_carry_the_suffix_once(self):
+        report = check_axioms(standard_structure(0), n_random=5)
+        assert report.all_passed
+        for check in report.checks.values():
+            assert check.detail == "rank-0 bundle: axioms hold vacuously; 0 random tuples"
+
     def test_report_serialization(self):
         report = check_axioms(standard_structure(1), n_random=5)
         payload = report.to_json()
@@ -390,9 +384,10 @@ class TestOperationOutputs:
 
 
 class TestCertificateCost:
-    """How much bracketing `check_axioms` does, counted by wrapping the
-    packed bracket: a pass at cap >= 1 brackets the cap-0 family only, and
-    a structure that fails a frame identity runs the degree-1 sweep only."""
+    """How much work `check_axioms` does, counted by wrapping the packed
+    bracket and the metric checks: a pass at cap >= 1 brackets the cap-0
+    family only, a structure that fails a frame identity runs the degree-1
+    sweep only, and neither checks the metric again."""
 
     @staticmethod
     def recorded(monkeypatch, owner, name):
@@ -421,6 +416,20 @@ class TestCertificateCost:
         brackets.clear()
         sweep(s, 1)
         assert made == len(brackets)
+
+
+    @pytest.mark.parametrize("structure_functions", [None, {(0, 1, 3): Fraction(3, 2)}])
+    def test_checks_never_revalidate_the_metric(self, monkeypatch, structure_functions):
+        # the metric's symmetry and det G != 0 were checked when s was built;
+        # the lifted structures of the sweeps share that metric unchecked
+        base = scaled_structure(standard_structure(3), Fraction(-2, 5))
+        s = CourantStructure(base.bundle, base.anchor, base.metric, structure_functions)
+        dets, _ = self.recorded(monkeypatch, linalg, "det")
+        symmetric, _ = self.recorded(monkeypatch, linalg, "is_symmetric")
+        passed = check_axioms(s, degree_cap=3, n_random=0).all_passed
+        assert passed == (structure_functions is None)
+        check_leibniz(s)
+        assert dets == [] and symmetric == []
 
 
 class TestCheckLeibniz:

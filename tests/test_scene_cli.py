@@ -148,6 +148,22 @@ class TestCLI:
         assert chain["inclusion"]["is_morphism"] is True
         assert chain["splitting_composite"]["is_morphism"] is False
 
+    @pytest.mark.parametrize("n, m", [(-1, 1), (1, -1)])
+    def test_intrinsic_negative_dimension_exit_2(self, capsys, n, m):
+        assert main(["intrinsic", "--n", str(n), "--m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        flag = "--n" if n < 0 else "--m"
+        assert lines == [f"error: {flag} must be >= 0, got -1"]
+
+    def test_intrinsic_rank_zero_is_vacuously_unique(self, capsys):
+        code = main(["intrinsic", "--n", "0", "--m", "0", "--json"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == 0 and captured.err == ""
+        assert payload["unique"] is True and payload["structure"]["metric"] == []
+
     def test_unknown_structure_exit_2(self, capsys):
         assert main(["axioms", "--structure", "nope", "--json"]) == 2
 

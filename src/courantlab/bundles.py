@@ -142,10 +142,12 @@ class BundleMorphism:
     The fiber matrix has shape target.rank x source.rank with entries in the
     source base variables.  An optional retraction r (a left inverse of
     phi0, checked exactly at construction) enables constructive extension of
-    sections along the morphism.
+    sections along the morphism, through P(r(y)) (`extension_matrix`,
+    formed on first use).
     """
 
-    __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction")
+    __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
+                 "_extension")
 
     def __init__(
         self,
@@ -182,9 +184,22 @@ class BundleMorphism:
         object.__setattr__(self, "base_map", base_map)
         object.__setattr__(self, "fiber_matrix", fm)
         object.__setattr__(self, "retraction", retraction)
+        object.__setattr__(self, "_extension", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BundleMorphism is immutable")
+
+    @property
+    def extension_matrix(self) -> list[list[Polynomial]]:
+        """P(r(y)), the fiber matrix composed with the retraction, formed on
+        first use: g(y) = P(r(y)) f(r(y)) is the section related to f."""
+        if self._extension is None:
+            if self.retraction is None:
+                raise ValueError("extension needs a morphism with a retraction")
+            object.__setattr__(
+                self, "_extension", linalg.pmat_compose(self.fiber_matrix, self.retraction)
+            )
+        return self._extension
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
@@ -307,9 +322,8 @@ def related_section(
         raise ValueError("section does not live on the morphism source")
     if phi.retraction is not None:
         r = phi.retraction
-        pulled_matrix = linalg.pmat_compose(phi.fiber_matrix, r)
         pulled_f = [p.compose(r) for p in f.coeffs]
-        comps = linalg.pmat_vec(pulled_matrix, pulled_f, num_vars=phi.target.base_dim)
+        comps = linalg.pmat_vec(phi.extension_matrix, pulled_f, num_vars=phi.target.base_dim)
         return Section(phi.target, PolyMap(phi.target.base_dim, comps))
 
     image = phi.apply(f)  # P(x) f(x), in source variables

@@ -143,6 +143,7 @@ from .polyexpr import (
 __all__ = [
     "CourantStructure",
     "standard_structure",
+    "standard_bundle",
     "scaled_structure",
     "product_structure",
     "dorfman_bracket",
@@ -431,14 +432,22 @@ def _ordered(p: dict, q: dict) -> tuple[dict, dict]:
 # -- constructors -------------------------------------------------------------
 
 
+def standard_bundle(n: int) -> TrivialBundle:
+    """The bundle TM (+) T*M over R^n that `standard_structure(n)` lives on."""
+    return TrivialBundle(n, 2 * n, label=f"P(R^{n})")
+
+
 def standard_structure(n: int) -> CourantStructure:
     """The standard structure on TM (+) T*M over R^n.
 
     Anchor [I | 0], hyperbolic pairing <(v,p),(v',p')> = p(v') + p'(v),
     vanishing frame brackets; the Dorfman bracket arises from the Leibniz
     expansion (see `dorfman_bracket` for the independent route).
+
+    The hyperbolic G is symmetric and its own inverse, so the constructor's
+    checks are not needed and G^-1 is a copy of G.
     """
-    bundle = TrivialBundle(n, 2 * n, label=f"P(R^{n})")
+    bundle = standard_bundle(n)
     anchor = [
         [Polynomial.constant(n, int(i == a)) for i in range(2 * n)]
         for a in range(n)
@@ -447,7 +456,9 @@ def standard_structure(n: int) -> CourantStructure:
         [Fraction(int(abs(i - j) == n)) for j in range(2 * n)]
         for i in range(2 * n)
     ]
-    return CourantStructure(bundle, anchor, metric)
+    s = object.__new__(CourantStructure)
+    s._fill(bundle, anchor, metric, {}, ([row[:] for row in metric], None, None))
+    return s
 
 
 def scaled_structure(base: CourantStructure, lam) -> CourantStructure:

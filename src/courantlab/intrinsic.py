@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import linalg
 from .bundles import BundleMorphism, TrivialBundle, compose_morphisms
-from .courant_core import CourantStructure, standard_structure
+from .courant_core import CourantStructure, standard_bundle, standard_structure
 from .morphisms import MorphismVerdict, check_general_base, check_identity_base
 from .polyexpr import Polynomial, PolyMap
 from .pullback import (
@@ -118,7 +118,7 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
     if (splitting.n, splitting.m) != (n, m):
         raise ValueError("splitting dimensions do not match")
     source = intrinsic_bundle(n, m)
-    target = standard_structure(n + m).bundle
+    target = standard_bundle(n + m)
     base = PolyMap(
         n,
         [Polynomial.variable(n, i) for i in range(n)]
@@ -138,7 +138,7 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
 
 def inclusion_morphism(n: int, m: int) -> BundleMorphism:
     """id (+) 0: TM (+) T*M -> TM (+) T*M (+) E (+) E*, over the identity."""
-    source = standard_structure(n).bundle
+    source = standard_bundle(n)
     target = intrinsic_bundle(n, m)
     matrix = [[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n + 2 * m)]
     return BundleMorphism.constant(source, target, matrix)
@@ -187,13 +187,15 @@ def build_intrinsic(
     problem = PullbackProblem(ambient, chi.source, chi)
     hypotheses = check_hypotheses(problem)
     structure = construct(problem, enforce_hypotheses=False)
+    standard = standard_structure(n)
+    inclusion = inclusion_morphism(n, m)
     verdicts: dict[str, MorphismVerdict] = {}
     verdicts["inclusion"] = check_identity_base(
-        standard_structure(n), structure, inclusion_morphism(n, m), degree_cap=degree_cap
+        standard, structure, inclusion, degree_cap=degree_cap
     )
+    # the Pontryagin embedding is chi after the inclusion
     verdicts["pontryagin_embedding"] = check_general_base(
-        standard_structure(n), ambient, pontryagin_embedding(n, m, splitting),
-        degree_cap=degree_cap,
+        standard, ambient, compose_morphisms(chi, inclusion), degree_cap=degree_cap,
     )
     verdicts["splitting_composite"] = check_general_base(
         structure, ambient, chi, degree_cap=degree_cap
@@ -211,12 +213,18 @@ def build_intrinsic(
 
 def _perturbed_candidates(base: CourantStructure, count: int, rng: random.Random):
     """Seeded perturbations of the structure functions and the metric; none
-    at rank 0, where there is nothing to perturb."""
+    at rank 0, where there is nothing to perturb.
+
+    Each candidate is built from the base's checked parts without repeating
+    the constructor's checks: a bumped c keeps G, G^-1 and the rows of
+    G^-1 A^T, and lam * G with lam != 0 stays symmetric and nondegenerate.
+    """
     n = base.bundle.base_dim
     k = base.bundle.rank
     if k == 0:
         return
     for idx in range(count):
+        candidate = object.__new__(CourantStructure)
         if idx % 2 == 0 or k < 2:
             i, j, h = (rng.randrange(k) for _ in range(3))
             c = dict(base.structure_functions)
@@ -224,13 +232,14 @@ def _perturbed_candidates(base: CourantStructure, count: int, rng: random.Random
             c[(i, j, h)] = c.get((i, j, h), Polynomial(n)) + bump
             if c[(i, j, h)].is_zero():
                 c[(i, j, h)] = Polynomial.constant(n, 1)
-            yield "bracket", CourantStructure(base.bundle, base.anchor, base.metric, c)
+            candidate._fill(base.bundle, base.anchor, base.metric, c,
+                            (base._inverse, None, base._dual))
+            yield "bracket", candidate
         else:
             lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
-            metric = linalg.mat_scale(base.metric, lam)
-            yield "metric", CourantStructure(
-                base.bundle, base.anchor, metric, base.structure_functions
-            )
+            candidate._fill(base.bundle, base.anchor, linalg.mat_scale(base.metric, lam),
+                            base.structure_functions)
+            yield "metric", candidate
 
 
 def uniqueness_check(

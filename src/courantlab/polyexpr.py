@@ -219,22 +219,32 @@ def _normalised(terms: dict) -> dict:
     return terms
 
 
-def _substitute_monomials(terms: dict, outputs, num_vars: int) -> dict | None:
-    """`terms` with variable i replaced by `outputs[i]`, each a single term or
-    zero, by key arithmetic; None if a term could overflow a key field."""
-    subs = []   # per variable: (shift, key or None for zero, coeff, largest exponent)
+def _monomial_table(outputs) -> tuple | None:
+    """Per output (shift, key or None for zero, coeff, largest exponent) when
+    every output is a single term or zero; None when some output is not."""
+    table = []
     for i, q in enumerate(outputs):
+        if len(q._packed) > 1:
+            return None
         if q._packed:
             (k, c), = q._packed.items()
-            subs.append((_BITS * i, k, c, max(_unpack(k, num_vars), default=0)))
+            top = max(_unpack(k, q.num_vars), default=0)
+            table.append((_BITS * i, k, c, top))
         else:
-            subs.append((_BITS * i, None, 0, 0))
+            table.append((_BITS * i, None, 0, 0))
+    return tuple(table)
+
+
+def _substitute_monomials(terms: dict, table: tuple) -> dict | None:
+    """`terms` with variable i replaced by the single term or zero that
+    `table[i]` describes (see `_monomial_table`), by key arithmetic; None if
+    a term could overflow a key field."""
     out: dict = {}
     for key, coeff in terms.items():
         new_key = 0
         bound = 0
         dropped = False
-        for shift, k, c, top in subs:
+        for shift, k, c, top in table:
             e = (key >> shift) & _FIELD
             if not e:
                 continue
@@ -468,31 +478,42 @@ class Polynomial:
     def compose(self, maps: "PolyMap | Sequence[Polynomial]") -> "Polynomial":
         """Substitute `maps[i]` for variable i; exact expansion.
 
-        The result lives in the variables of the substituted maps.  When
-        every substituted polynomial is a single term c_i * x^(k_i) or zero,
-        the substitution is a linear map on the packed keys: term
-        c * x^e goes to c * prod(c_i^e_i) * x^(sum e_i k_i), and to nothing
-        if it has a positive exponent on a zero output.  That path runs in
-        one pass over the terms.  A call where some term could reach the
-        guard bit (sum of e_i times the largest exponent of output i, over
-        the nonzero outputs, above `MAX_EXPONENT`) takes the general path,
-        which raises `ExponentOverflowError` exactly when an intermediate
-        product overflows.  Both paths give the same terms in the same order.
+        The result lives in the variables of the substituted maps.  A zero
+        or constant polynomial has no variable to substitute: once the
+        arity and the variable counts are checked, it returns a copy of its
+        terms without substitution.  When every substituted polynomial is a
+        single term c_i * x^(k_i) or zero, the substitution is a linear map
+        on the packed keys: term c * x^e goes to c * prod(c_i^e_i) *
+        x^(sum e_i k_i), and to nothing if it has a positive exponent on a
+        zero output.  That path runs in one pass over the terms, from a
+        table of (shift, key, coefficient, largest exponent) per output; a
+        `PolyMap` forms that table on its first substitution and keeps it,
+        so composing many polynomials with one map forms it once.  A call
+        where some term could reach the guard bit (sum of e_i times the
+        largest exponent of output i, over the nonzero outputs, above
+        `MAX_EXPONENT`) takes the general path, which raises
+        `ExponentOverflowError` exactly when an intermediate product
+        overflows.  All paths give the same terms in the same order.
         """
-        outputs = maps.outputs if isinstance(maps, PolyMap) else tuple(maps)
+        is_map = isinstance(maps, PolyMap)
+        outputs = maps.outputs if is_map else tuple(maps)
         if len(outputs) != self.num_vars:
             raise ValueError(
                 f"composition arity mismatch: {len(outputs)} maps for {self.num_vars} variables"
             )
-        if self.num_vars == 0:
-            inner_vars = maps.num_inputs if isinstance(maps, PolyMap) else 0
-            return _raw(inner_vars, dict(self._packed))
-        inner_vars = outputs[0].num_vars
-        for q in outputs:
-            if q.num_vars != inner_vars:
-                raise ValueError("substituted maps disagree on variable count")
-        if all(len(q._packed) <= 1 for q in outputs):
-            out = _substitute_monomials(self._packed, outputs, inner_vars)
+        if is_map:
+            inner_vars = maps.num_inputs    # the map checked its outputs against it
+        else:
+            inner_vars = outputs[0].num_vars if outputs else 0
+            for q in outputs:
+                if q.num_vars != inner_vars:
+                    raise ValueError("substituted maps disagree on variable count")
+        packed = self._packed
+        if not packed or (len(packed) == 1 and 0 in packed):
+            return _raw(inner_vars, dict(packed))
+        table = maps._monomials if is_map else _monomial_table(outputs)
+        if table is not None:
+            out = _substitute_monomials(packed, table)
             if out is not None:
                 return _raw(inner_vars, out)
         # cache powers of each substituted polynomial, formed as q ** e forms them
@@ -645,7 +666,7 @@ def _horner(items, point, var: int):
 class PolyMap:
     """A polynomial map R^num_inputs -> R^k, one polynomial per output."""
 
-    __slots__ = ("num_inputs", "outputs")
+    __slots__ = ("num_inputs", "outputs", "_table")
 
     def __init__(self, num_inputs: int, outputs: Iterable[Polynomial]):
         outputs = tuple(outputs)
@@ -659,6 +680,16 @@ class PolyMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
+
+    @property
+    def _monomials(self) -> tuple | None:
+        """`_monomial_table` of the outputs, formed on the first substitution."""
+        try:
+            return self._table
+        except AttributeError:
+            table = _monomial_table(self.outputs)
+            object.__setattr__(self, "_table", table)
+            return table
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":

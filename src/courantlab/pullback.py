@@ -36,8 +36,9 @@ t^i s^j in the solution and in its residual is that of the pair (i, j):
 The witness of a bracket leaving the image is the least such pair in
 row-major order, the pair a scan over (i, j) would meet first.  Hypothesis
 (c), `construct` and both well-definedness tests read that table; the
-hypothesis report and the constructed structure are cached on the problem
-the same way.
+hypothesis report, the constructed structure, the induced pairing G' with
+its determinant and inverse, and the anchor data along the image are cached
+on the problem the same way, so each is formed once per problem.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -88,6 +89,41 @@ class PullbackProblem:
             raise ValueError("pullback needs a morphism with a retraction")
 
     @cached_property
+    def _induced_metric(self) -> list[list[Polynomial]]:
+        """G'(x) = P(x)^T G P(x), formed once per problem."""
+        phi = self.morphism
+        n = self.source_bundle.base_dim
+        return linalg.pmat_mul(
+            linalg.pmat_mul(
+                linalg.pmat_transpose(phi.fiber_matrix),
+                linalg.pmat_constant(self.ambient.metric, n),
+            ),
+            phi.fiber_matrix,
+        )
+
+    @cached_property
+    def _induced_pairing(self):
+        """(G', det G') as exact matrices when G' is constant, else None."""
+        if not linalg.pmat_is_constant(self._induced_metric):
+            return None
+        g = linalg.pmat_constant_value(self._induced_metric)
+        return g, linalg.det(g)
+
+    @cached_property
+    def _induced_inverse(self):
+        """G'^-1; needs a constant nondegenerate induced pairing."""
+        induced = self._induced_pairing[0]
+        return linalg.inverse(induced) if induced else []
+
+    @cached_property
+    def _at_image(self):
+        """(J_r(phi0(x)), A(phi0(x))): the retraction's Jacobian and the
+        ambient anchor along the image, formed once per problem."""
+        phi = self.morphism
+        return (linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
+                linalg.pmat_compose(self.ambient.anchor, phi.base_map))
+
+    @cached_property
     def _tagged(self):
         """(ambient, base map, solve) over two inert tag variables appended.
 
@@ -98,8 +134,7 @@ class PullbackProblem:
         Needs a constant nondegenerate induced pairing.
         """
         n = self.source_bundle.base_dim + 2
-        induced = linalg.pmat_constant_value(_induced_metric(self))
-        g_inv = linalg.pmat_constant(linalg.inverse(induced) if induced else [], n)
+        g_inv = linalg.pmat_constant(self._induced_inverse, n)
         fiber = [[q.lift(n) for q in row] for row in self.morphism.fiber_matrix]
         pt_g = linalg.pmat_mul(
             linalg.pmat_transpose(fiber), linalg.pmat_constant(self.ambient.metric, n)
@@ -148,17 +183,26 @@ class PullbackProblem:
 
     @cached_property
     def _structure(self) -> CourantStructure:
-        """The constructed structure; `construct` checks its gates first."""
-        phi = self.morphism
-        anchor = linalg.pmat_mul(
-            linalg.pmat_mul(
-                linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
-                linalg.pmat_compose(self.ambient.anchor, phi.base_map),
-            ),
-            phi.fiber_matrix,
-        )
-        induced = linalg.pmat_constant_value(_induced_metric(self))
-        return CourantStructure(self.source_bundle, anchor, induced, self._frame_table[0])
+        """The constructed structure; `construct` checks its gates first.
+
+        Those gates make G' constant with nonzero determinant, and G' =
+        P^T G P is symmetric because G is, so the constructor's checks are
+        not repeated; the anchor and the structure functions are formed
+        over the source base, the latter nonzero by construction.  The
+        structure shares the problem's G'^-1.
+        """
+        anchor = linalg.pmat_mul(linalg.pmat_mul(*self._at_image), self.morphism.fiber_matrix)
+        metric = linalg.mat(self._induced_pairing[0])
+        c = dict(self._frame_table[0])
+        k = self.source_bundle.rank
+        if len(metric) != k or any(len(row) != k for row in anchor):
+            # only a morphism into a rank-0 bundle gets here (P^T of a matrix
+            # without rows has no columns); the constructor names the shape
+            return CourantStructure(self.source_bundle, anchor, metric, c)
+        structure = object.__new__(CourantStructure)
+        structure._fill(self.source_bundle, anchor, metric, c,
+                        (self._induced_inverse, None, None))
+        return structure
 
 
 @dataclass
@@ -183,22 +227,9 @@ class HypothesisReport:
         }
 
 
-def _induced_metric(p: PullbackProblem) -> list[list[Polynomial]]:
-    phi = p.morphism
-    n = p.source_bundle.base_dim
-    return linalg.pmat_mul(
-        linalg.pmat_mul(
-            linalg.pmat_transpose(phi.fiber_matrix),
-            linalg.pmat_constant(p.ambient.metric, n),
-        ),
-        phi.fiber_matrix,
-    )
-
-
 def _extended_frames(p: PullbackProblem) -> list[Section]:
     """e^_i = phi o e'_i o r: the i-th column of P(r(y)), a section of E."""
-    phi = p.morphism
-    pulled = linalg.pmat_compose(phi.fiber_matrix, phi.retraction)
+    pulled = p.morphism.extension_matrix
     big = p.ambient.bundle.base_dim
     frames = []
     for i in range(p.source_bundle.rank):
@@ -255,13 +286,9 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     if n == 0:
         projector = linalg.pmat_constant(linalg.zeros(big, big), 0)
     else:
-        j_phi0 = phi.base_map.jacobian()
-        j_r_at_image = linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map)
-        projector = linalg.pmat_mul(j_phi0, j_r_at_image)
+        projector = linalg.pmat_mul(phi.base_map.jacobian(), p._at_image[0])
     complement = linalg.pmat_sub(linalg.pmat_constant(linalg.identity(big), n), projector)
-    anchored = linalg.pmat_mul(
-        linalg.pmat_compose(p.ambient.anchor, phi.base_map), phi.fiber_matrix
-    )
+    anchored = linalg.pmat_mul(p._at_image[1], phi.fiber_matrix)
     tangency_defect = linalg.pmat_mul(complement, anchored)
     if linalg.pmat_is_zero(tangency_defect):
         anchor_check = AxiomCheck(True, "anchor maps image fibers into image tangents")
@@ -273,11 +300,9 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
         )
 
     # (b) induced pairing
-    induced = _induced_metric(p)
-    g_const = linalg.pmat_is_constant(induced)
-    if g_const:
-        g_matrix = linalg.pmat_constant_value(induced)
-        determinant = linalg.det(g_matrix)
+    induced = p._induced_metric
+    if p._induced_pairing is not None:
+        g_matrix, determinant = p._induced_pairing
         if determinant != 0:
             pairing_check = AxiomCheck(
                 True, f"induced pairing constant with determinant {determinant}"
@@ -344,8 +369,8 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
             ]
             raise ValueError(f"pullback hypotheses fail: {', '.join(failed)}")
     else:
-        induced = _induced_metric(p)
-        if not linalg.pmat_is_constant(induced):
+        induced = p._induced_metric
+        if p._induced_pairing is None:
             offender = next(
                 (i, j)
                 for i, row in enumerate(induced)
@@ -356,7 +381,7 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
                 "induced pairing is not constant on fibers; entry "
                 f"{offender} = {induced[offender[0]][offender[1]]}"
             )
-        if p.source_bundle.rank and linalg.det(linalg.pmat_constant_value(induced)) == 0:
+        if p.source_bundle.rank and p._induced_pairing[1] == 0:
             raise ValueError("induced pairing is degenerate on the image")
     witness = p._frame_table[1]
     if witness is not None:

@@ -160,3 +160,48 @@ def test_monomial_substitution_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert p.compose(zero_section) == expected
     assert not calls
+
+
+@st.composite
+def constant_compositions(draw):
+    """(p, outputs): p zero or constant, outputs a mix of zero, single-term
+    and multi-term polynomials."""
+    outer = draw(st.integers(1, 3))
+    inner = draw(st.integers(1, 2))
+    p = Polynomial.constant(outer, draw(st.one_of(st.just(0), coefficients)))
+    outputs = [draw(st.one_of(
+        st.just(Polynomial(inner)),
+        st.tuples(st.tuples(*[st.integers(0, 2)] * inner), coefficients.filter(bool))
+          .map(lambda t: Polynomial.monomial(inner, *t)),
+        polynomials(inner, st.integers(0, 2), max_terms=3),
+    )) for _ in range(outer)]
+    return p, outputs
+
+
+@bounded
+@given(constant_compositions())
+def test_zero_and_constant_polynomials_skip_substitution(case):
+    p, outputs = case
+    expected = oracle(p, outputs)
+    inner = outputs[0].num_vars
+    for maps in (PolyMap(inner, outputs), list(outputs)):
+        result = p.compose(maps)
+        assert result.num_vars == inner
+        assert result == expected
+        assert list(result.terms) == list(expected.terms)
+        assert stored_types(result) == stored_types(expected)
+        assert result._packed is not p._packed
+
+
+@bounded
+@given(constant_compositions(), st.sampled_from([-1, 1]))
+def test_zero_and_constant_polynomials_still_check_their_maps(case, surplus):
+    p, outputs = case
+    inner = outputs[0].num_vars
+    wrong_arity = outputs[:-1] if surplus < 0 else outputs + [Polynomial(inner)]
+    for maps in (PolyMap(inner, wrong_arity), wrong_arity):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            p.compose(maps)
+    wide = Polynomial.constant(p.num_vars + 1, p.constant_value())
+    with pytest.raises(ValueError, match="disagree on variable count"):
+        wide.compose(outputs + [Polynomial(inner + 1)])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import intrinsic, linalg, pullback
+from courantlab import intrinsic, linalg, polyexpr, pullback
 from courantlab.bundles import Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
@@ -176,3 +176,37 @@ class TestPontryaginEmbedding:
         assert [str(q) for q in image] == ["1", "0", "0", "0"]
         image = [row[1] for row in phi.fiber_matrix]
         assert [str(q) for q in image] == ["0", "0", "1", "0"]
+
+
+class TestWorkPerOp:
+    """What one `intrinsic` op computes, counted by wrapping."""
+
+    SIZES = [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0), (1, 3)]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_substitution_never_receives_a_constant(self, monkeypatch, n, m):
+        # zero and constant polynomials return from compose unsubstituted
+        seen = []
+        original = polyexpr._substitute_monomials
+
+        def recording(terms, *rest):
+            seen.append(list(terms))
+            return original(terms, *rest)
+
+        monkeypatch.setattr(polyexpr, "_substitute_monomials", recording)
+        result = build_intrinsic(n, m)
+        intrinsic._uniqueness(result.structure, m)
+        assert seen or n == 0
+        assert not [keys for keys in seen if keys in ([], [0])]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_determinants_only_for_raw_input(self, monkeypatch, n, m):
+        # the splitting matrix is the one raw input: its invertibility is
+        # checked, and hypothesis (b) reports the induced pairing's
+        # determinant; the standard structures and the constructed one are
+        # built from parts known to be nondegenerate
+        sizes = []
+        original = linalg.det
+        monkeypatch.setattr(linalg, "det", lambda a: sizes.append(len(a)) or original(a))
+        build_intrinsic(n, m)
+        assert sizes == [2 * n + 2 * m] * 2

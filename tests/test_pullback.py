@@ -39,6 +39,11 @@ def pontryagin_problem(n=1, m=1):
     return PullbackProblem(standard_structure(n + m), phi.source, phi)
 
 
+def splitting_problem(n, m):
+    chi = splitting_composite(n, m)
+    return PullbackProblem(standard_structure(n + m), chi.source, chi)
+
+
 class TestProblemValidation:
     def test_retraction_required(self):
         s = standard_structure(1)
@@ -377,6 +382,47 @@ class TestFrameTable:
 
 
 # -- the tagged frame table against the pairwise scan it replaced -------------
+
+
+class TestWorkPerProblem:
+    """Per-problem and per-morphism matrices are formed once, counted by
+    wrapping the `linalg` helpers that form them."""
+
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """Every argument tuple passed to linalg.<name>; the tuples keep the
+        arguments alive, so their ids stay distinct."""
+        calls = []
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("problem", [
+        pontryagin_problem(1, 1), pontryagin_problem(2, 1), splitting_problem(2, 1),
+    ], ids=["pontryagin_1_1", "pontryagin_2_1", "splitting_2_1"])
+    def test_one_induced_metric_product_per_problem(self, monkeypatch, problem):
+        # P^T G P is read by hypothesis (b), by both construct gates, by the
+        # tagged solve and by the structure; P^T is taken for it once
+        calls = self.recorded(monkeypatch, "pmat_transpose")
+        check_hypotheses(problem)
+        construct(problem, enforce_hypotheses=False)
+        if problem.hypotheses.all_passed:
+            construct(problem)
+        fiber = problem.morphism.fiber_matrix
+        assert [args[0] is fiber for args in calls].count(True) == 1
+
+    @pytest.mark.parametrize("s1, s2, phi", [
+        (standard_structure(1), standard_structure(2), pontryagin_embedding(1, 1)),
+        (standard_structure(2), standard_structure(3), pontryagin_embedding(2, 1)),
+        (scaled_structure(standard_structure(1), 2), standard_structure(2),
+         pontryagin_embedding(1, 1)),
+    ], ids=["pontryagin_1_1", "pontryagin_2_1", "scaled_source"])
+    def test_general_base_check_composes_each_matrix_once(self, monkeypatch, s1, s2, phi):
+        # both related sections of the sweep share one P(r(y))
+        calls = self.recorded(monkeypatch, "pmat_compose")
+        check_general_base(s1, s2, phi)
+        pairs = Counter((id(a), id(inner)) for a, inner in calls)
+        assert pairs and max(pairs.values()) == 1
 
 
 def reference_solver(problem):

@@ -9,6 +9,7 @@ hypothesis runs.
 - The graph of a morphism over the identity is isotropic in E1 x E2-bar
   exactly when the metric condition holds, so a verified morphism has an
   isotropic graph.
+- The pullback along the identity morphism is the ambient structure.
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ from courantlab.courant_core import (
 )
 from courantlab.morphisms import check_identity_base, graph_subbundle
 from courantlab.polyexpr import PolyMap, Polynomial
+from courantlab.pullback import PullbackProblem, construct
 
 from conftest import so3_structure
 
@@ -136,3 +138,20 @@ def test_b_field_transforms_are_verified_morphisms():
     phi = BundleMorphism(s.bundle, s.bundle, PolyMap.identity(2), matrix)
     assert check_identity_base(s, s, phi).is_morphism
     assert _graph_is_isotropic(s, s, phi)
+
+
+@st.composite
+def identity_pullback_ambients(draw):
+    """lam * standard(n), or a product of two factors of the pool."""
+    if draw(st.booleans()):
+        return scaled_structure(standard_structure(draw(st.integers(0, 3))), draw(nonzero))
+    return product_structure(FACTORS[draw(factors)], FACTORS[draw(factors)],
+                             draw(st.booleans()))
+
+
+@bounded
+@given(identity_pullback_ambients())
+def test_pullback_along_the_identity_is_the_ambient(s):
+    pulled = construct(PullbackProblem(s, s.bundle, BundleMorphism.identity(s.bundle)))
+    assert pulled == s
+    assert pulled.metric_inverse == s.metric_inverse

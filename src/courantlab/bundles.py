@@ -242,6 +242,20 @@ class BundleMorphism:
             and self.base_map == PolyMap.identity(self.source.base_dim)
         )
 
+    def induced_metric(self, metric) -> list[list[Polynomial]]:
+        """P(x)^T G P(x) for a constant G on the target fibers.
+
+        Entry (i, j) pairs the columns i and j of P, so the result is
+        source.rank x source.rank also when P has no rows (a target of rank
+        0), and zero there.
+        """
+        n = self.source.base_dim
+        columns = linalg.pmat_transpose(self.fiber_matrix, self.source.rank)
+        pt_g = linalg.pmat_mul(columns, linalg.pmat_constant(metric, n))
+        return linalg.pmat_transpose(
+            [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
+        )
+
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
         if f.bundle != self.source:

@@ -46,7 +46,6 @@ from .pullback import (
     HypothesisReport,
     PullbackProblem,
     _rejection,
-    check_hypotheses,
     construct,
 )
 
@@ -170,6 +169,12 @@ class IntrinsicResult:
         }
 
 
+def _chi_problem(n: int, m: int, splitting: SplittingIso | None) -> PullbackProblem:
+    """The pullback of standard(n + m) along the splitting composite chi."""
+    chi = splitting_composite(n, m, splitting)
+    return PullbackProblem(standard_structure(n + m), chi.source, chi)
+
+
 def build_intrinsic(
     n: int, m: int, splitting: SplittingIso | None = None, degree_cap: int = 3
 ) -> IntrinsicResult:
@@ -180,12 +185,8 @@ def build_intrinsic(
     computed; see the module docstring for why the splitting composite
     cannot verify for m >= 1 while everything else does.
     """
-    if splitting is None:
-        splitting = canonical_splitting(n, m)
-    ambient = standard_structure(n + m)
-    chi = splitting_composite(n, m, splitting)
-    problem = PullbackProblem(ambient, chi.source, chi)
-    hypotheses = check_hypotheses(problem)
+    problem = _chi_problem(n, m, splitting)
+    ambient, chi = problem.ambient, problem.morphism
     structure = construct(problem, enforce_hypotheses=False)
     standard = standard_structure(n)
     inclusion = inclusion_morphism(n, m)
@@ -208,7 +209,7 @@ def build_intrinsic(
             "which the zero-section differential cannot produce; no fiberwise "
             "isomorphism avoids this"
         )
-    return IntrinsicResult(structure, verdicts, hypotheses, notes=notes)
+    return IntrinsicResult(structure, verdicts, problem.hypotheses, notes=notes)
 
 
 def _perturbed_candidates(base: CourantStructure, count: int, rng: random.Random):
@@ -257,12 +258,7 @@ def uniqueness_check(
     representatives), and for m = 0 the construction must collapse to the
     standard structure exactly.
     """
-    if splitting is None:
-        splitting = canonical_splitting(n, m)
-    ambient = standard_structure(n + m)
-    chi = splitting_composite(n, m, splitting)
-    problem = PullbackProblem(ambient, chi.source, chi)
-    structure = construct(problem, enforce_hypotheses=False)
+    structure = construct(_chi_problem(n, m, splitting), enforce_hypotheses=False)
     return _uniqueness(structure, m, n_perturbations, seed)
 
 

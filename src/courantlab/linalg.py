@@ -2,7 +2,16 @@
 
 Rational matrices are lists of lists of Fraction.  Polynomial matrices are
 lists of lists of Polynomial and share one variable count.  Nothing here is
-numeric: solving, inversion, and rank are exact Gaussian elimination.
+numeric.
+
+`det`, `inverse`, `rank` and `solve_with_certificate` read one row
+reduction, `_reduce`.  Its pivot in each column is the first nonzero entry
+at or below the current row, swapped up; it clears that column in every
+other row, skipping the zero entries of the pivot row.  Pivot rows stay
+unscaled, because scaling costs a Fraction division per entry and only a
+solution or an inverse needs it, once per entry read off.  With this rule
+every result, the Farkas vector included, is the one Gauss-Jordan
+elimination with scaled pivot rows gives.
 """
 
 from __future__ import annotations
@@ -55,73 +64,61 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
 
 
+def _reduce(m: Matrix, cols: int) -> tuple[list[int], Fraction]:
+    """Row-reduce m in place over its first `cols` columns, by the rule in
+    the module docstring.
+
+    Returns the pivot columns, the i-th pivot in row i, and the signed
+    product of the pivots: the determinant when m is square and has a pivot
+    in every column.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    product = Fraction(1)
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        found = next((i for i in range(r, rows) if m[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            product = -product
+        top = m[r]
+        product *= top[col]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                factor = row[col] / top[col]
+                m[i] = [x - factor * y if y else x for x, y in zip(row, top)]
+        pivots.append(col)
+    return pivots, product
+
+
 def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination; det([]) = 1."""
-    n = len(a)
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return result
+    """Determinant; det([]) = 1."""
+    pivots, product = _reduce([list(row) for row in a], len(a))
+    return product if len(pivots) == len(a) else Fraction(0)
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    m = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
+    if len(_reduce(m, n)[0]) < n:
+        raise ValueError("matrix is singular")
+    return [[x / row[i] for x in row[n:]] for i, row in enumerate(m)]
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_reduce([list(row) for row in a], len(a[0]) if a else 0)[0])
 
 
 def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
     """Solve a x = b exactly.
 
     Returns (solution, None) for a consistent system (one particular
-    solution) or (None, lam) where lam is a Farkas certificate of
-    infeasibility: lam @ a == 0 and lam @ b != 0.
+    solution, every free unknown zero) or (None, lam) where lam is a Farkas
+    certificate of infeasibility: lam @ a == 0 and lam @ b != 0.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
@@ -130,30 +127,13 @@ def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
         [Fraction(v) for v in a[i]] + [Fraction(b[i])] + [Fraction(int(i == j)) for j in range(rows)]
         for i in range(rows)
     ]
-    r = 0
-    pivot_cols = []
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols]:  # 0 = nonzero row: infeasible
-            lam = m[i][cols + 1:]
-            return None, lam
+    pivots, _ = _reduce(m, cols)
+    for row in m[len(pivots):]:
+        if row[cols]:  # 0 = nonzero row: infeasible
+            return None, row[cols + 1:]
     solution = [Fraction(0)] * cols
-    for i, col in enumerate(pivot_cols):
-        solution[col] = m[i][cols]
+    for row, col in zip(m, pivots):
+        solution[col] = row[cols] / row[col]
     return solution, None
 
 
@@ -164,8 +144,9 @@ def pmat_constant(a: Matrix, num_vars: int) -> list[list[Polynomial]]:
     return [[Polynomial.constant(num_vars, v) for v in row] for row in a]
 
 
-def pmat_transpose(a: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    return [list(col) for col in zip(*a)] if a else []
+def pmat_transpose(a: list[list[Polynomial]], cols: int = 0) -> list[list[Polynomial]]:
+    """A^T; `cols` is the column count of an `a` without rows."""
+    return [list(col) for col in zip(*a)] if a else [[] for _ in range(cols)]
 
 
 def pmat_mul(a, b) -> list[list[Polynomial]]:

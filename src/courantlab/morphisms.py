@@ -51,7 +51,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .bundles import BundleMorphism, Section, TrivialBundle, related_section
+from .bundles import BundleMorphism, Section, TrivialBundle, check_related, related_section
 from .courant_core import (
     SWEEP_ORDER,
     CourantStructure,
@@ -231,11 +231,7 @@ def check_identity_base(
         ))
 
     # (metric): P^T G2 P = G1 as a polynomial identity
-    pt = linalg.pmat_transpose(phi.fiber_matrix)
-    induced = linalg.pmat_mul(
-        linalg.pmat_mul(pt, linalg.pmat_constant(s2.metric, n)), phi.fiber_matrix
-    )
-    mdefect = linalg.pmat_sub(induced, linalg.pmat_constant(s1.metric, n))
+    mdefect = linalg.pmat_sub(phi.induced_metric(s2.metric), linalg.pmat_constant(s1.metric, n))
     failures.append(_matrix_failure("metric", "fiber_pair", mdefect))
 
     # (anchor): A2 P = A1 as a polynomial identity
@@ -392,15 +388,11 @@ def check_general_base(
                     "representatives": variant_label,
                 }, shown)
     else:
-        checked = []
-        for f, g in pairs:
-            image = phi.apply(f)
-            pulled = g.coeffs.compose(phi.base_map)
-            if image != pulled:
-                raise ValueError(
-                    "supplied pair is not phi-related (input error, not a morphism failure)"
-                )
-            checked.append((f, g))
+        checked = list(pairs)
+        if not all(check_related(phi, f, g) for f, g in checked):
+            raise ValueError(
+                "supplied pair is not phi-related (input error, not a morphism failure)"
+            )
         for f1, g1 in checked:
             for f2, g2 in checked:
                 for condition, defect_of in _PAIR_DEFECTS.items():

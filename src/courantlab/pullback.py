@@ -90,16 +90,9 @@ class PullbackProblem:
 
     @cached_property
     def _induced_metric(self) -> list[list[Polynomial]]:
-        """G'(x) = P(x)^T G P(x), formed once per problem."""
-        phi = self.morphism
-        n = self.source_bundle.base_dim
-        return linalg.pmat_mul(
-            linalg.pmat_mul(
-                linalg.pmat_transpose(phi.fiber_matrix),
-                linalg.pmat_constant(self.ambient.metric, n),
-            ),
-            phi.fiber_matrix,
-        )
+        """G'(x) = P(x)^T G P(x), formed once per problem; the k x k zero
+        matrix for a morphism into a rank-0 bundle."""
+        return self.morphism.induced_metric(self.ambient.metric)
 
     @cached_property
     def _induced_pairing(self):
@@ -193,14 +186,8 @@ class PullbackProblem:
         """
         anchor = linalg.pmat_mul(linalg.pmat_mul(*self._at_image), self.morphism.fiber_matrix)
         metric = linalg.mat(self._induced_pairing[0])
-        c = dict(self._frame_table[0])
-        k = self.source_bundle.rank
-        if len(metric) != k or any(len(row) != k for row in anchor):
-            # only a morphism into a rank-0 bundle gets here (P^T of a matrix
-            # without rows has no columns); the constructor names the shape
-            return CourantStructure(self.source_bundle, anchor, metric, c)
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, anchor, metric, c,
+        structure._fill(self.source_bundle, anchor, metric, dict(self._frame_table[0]),
                         (self._induced_inverse, None, None))
         return structure
 
@@ -350,10 +337,10 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
     """Build the pullback structure; raises if a hypothesis fails.
 
     With enforce_hypotheses=False only the computability gates remain (the
-    induced pairing must be constant nondegenerate and the frame brackets
-    must project without residual); anchor tangency is reported by
-    check_hypotheses but not required.  Callers taking that road own the
-    well-definedness question.
+    induced pairing must be constant nondegenerate, read from hypothesis (b)
+    of the problem's report, and the frame brackets must project without
+    residual); anchor tangency is reported by check_hypotheses but not
+    required.  Callers taking that road own the well-definedness question.
     """
     if enforce_hypotheses:
         report = p.hypotheses
@@ -368,21 +355,8 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
                 if not check.passed
             ]
             raise ValueError(f"pullback hypotheses fail: {', '.join(failed)}")
-    else:
-        induced = p._induced_metric
-        if p._induced_pairing is None:
-            offender = next(
-                (i, j)
-                for i, row in enumerate(induced)
-                for j, q in enumerate(row)
-                if not q.is_constant()
-            )
-            raise ValueError(
-                "induced pairing is not constant on fibers; entry "
-                f"{offender} = {induced[offender[0]][offender[1]]}"
-            )
-        if p.source_bundle.rank and p._induced_pairing[1] == 0:
-            raise ValueError("induced pairing is degenerate on the image")
+    elif not p.hypotheses.pairing_nondegenerate.passed:
+        raise ValueError(p.hypotheses.pairing_nondegenerate.detail)
     witness = p._frame_table[1]
     if witness is not None:
         i, j = witness["frame_pair"]

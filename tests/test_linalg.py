@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from courantlab import linalg
 
@@ -46,3 +48,211 @@ def test_solve_infeasible_gives_farkas():
     ]
     assert all(v == 0 for v in combo)
     assert sum(lam * rhs for lam, rhs in zip(farkas, b)) != 0
+
+
+def test_pmat_transpose_keeps_the_columns_of_a_matrix_without_rows():
+    assert linalg.pmat_transpose([], 2) == [[], []]
+    assert linalg.pmat_transpose([]) == []
+
+
+# -- the one row reduction against the four loops it replaced -----------------
+#
+# These are the Gauss-Jordan loops `det`, `inverse`, `rank` and
+# `solve_with_certificate` ran before they shared one row reduction, kept
+# verbatim as the reference: the shared reduction uses the same pivot rule
+# (the first nonzero entry at or below the current row, swapped up), so
+# every value and every type must match, the Farkas vector included.
+
+
+def reference_det(a):
+    n = len(a)
+    m = [row[:] for row in a]
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return result
+
+
+def reference_inverse(a):
+    n = len(a)
+    m = [row[:] + ident_row for row, ident_row in zip(a, linalg.identity(n))]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def reference_rank(a):
+    if not a:
+        return 0
+    m = [row[:] for row in a]
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def reference_solve(a, b):
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    m = [
+        [Fraction(v) for v in a[i]] + [Fraction(b[i])] + [Fraction(int(i == j)) for j in range(rows)]
+        for i in range(rows)
+    ]
+    r = 0
+    pivot_cols = []
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols]:
+            lam = m[i][cols + 1:]
+            return None, lam
+    solution = [Fraction(0)] * cols
+    for i, col in enumerate(pivot_cols):
+        solution[col] = m[i][cols]
+    return solution, None
+
+
+def typed(value):
+    """The value with the type of every scalar in it, for exact comparison."""
+    if isinstance(value, (list, tuple)):
+        return [typed(v) for v in value]
+    return (type(value), value)
+
+
+def outcome(fn, *args):
+    """(True, typed result) or (False, the error message)."""
+    try:
+        return True, typed(fn(*args))
+    except ValueError as exc:
+        return False, str(exc)
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def systems(draw, square: bool = False):
+    """(A, b) with A of shape 0-6 x 0-6, from sparse to dense, with dependent
+    rows (singular A, and b consistent with them or not) and repeated
+    columns mixed in."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if square else draw(st.integers(0, 6))
+    zero_share = draw(st.integers(0, 4))  # out of 4: 0 is dense, 4 is all zeros
+    a = [[Fraction(0) if draw(st.integers(0, 3)) < zero_share else draw(_nonzero)
+          for _ in range(cols)] for _ in range(rows)]
+    b = [draw(_nonzero) if draw(st.booleans()) else Fraction(0) for _ in range(rows)]
+    if rows >= 2:
+        for _ in range(draw(st.integers(0, rows - 1))):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            scale = draw(_nonzero)
+            a[i] = [scale * v for v in a[j]]
+            b[i] = scale * b[j] + draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1)]))
+    if cols >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        for row in a:
+            row[i] = row[j]
+    return a, b
+
+
+def sympy_matrix(a, cols: int):
+    return sympy.Matrix(len(a), cols, [sympy.Rational(v.numerator, v.denominator)
+                                      for row in a for v in row])
+
+
+bounded = settings(max_examples=100, deadline=None, database=None)
+
+
+@bounded
+@given(systems(square=True))
+def test_det_and_inverse_match_the_reference(system):
+    a, _ = system
+    assert typed(linalg.det(a)) == typed(reference_det(a))
+    assert outcome(linalg.inverse, a) == outcome(reference_inverse, a)
+
+
+@bounded
+@given(systems())
+def test_rank_and_solve_match_the_reference(system):
+    a, b = system
+    assert typed(linalg.rank(a)) == typed(reference_rank(a))
+    assert typed(linalg.solve_with_certificate(a, b)) == typed(reference_solve(a, b))
+
+
+@bounded
+@given(systems(square=True))
+def test_det_and_inverse_agree_with_sympy(system):
+    a, _ = system
+    m = sympy_matrix(a, len(a))
+    d = linalg.det(a)
+    assert sympy.Rational(d.numerator, d.denominator) == m.det()
+    if d == 0:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(a)
+    else:
+        inv = linalg.inverse(a)
+        assert sympy_matrix(inv, len(a)) == m.inv()
+
+
+@bounded
+@given(systems())
+def test_rank_and_solve_agree_with_sympy(system):
+    a, b = system
+    cols = len(a[0]) if a else 0
+    m = sympy_matrix(a, cols)
+    r = linalg.rank(a)
+    assert r == m.rank()
+    x, farkas = linalg.solve_with_certificate(a, b)
+    consistent = m.row_join(sympy_matrix([[v] for v in b], 1)).rank() == r
+    assert (x is not None) == consistent and (farkas is None) == consistent
+    if consistent:
+        assert linalg.mat_vec(a, x) == b
+    else:
+        assert all(sum((lam * row[j] for lam, row in zip(farkas, a)), Fraction(0)) == 0
+                   for j in range(cols))
+        assert sum((lam * v for lam, v in zip(farkas, b)), Fraction(0)) != 0

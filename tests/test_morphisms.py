@@ -85,6 +85,19 @@ class TestIdentityBase:
         assert check_identity_base(s, s, phi2).is_morphism
         assert check_identity_base(s, s, compose_morphisms(phi2, phi1)).is_morphism
 
+    def test_rank_zero_target_fails_metric_condition(self):
+        # P^T G2 P is the 2 x 2 zero matrix here, not 0 x 0, so it differs
+        # from the hyperbolic metric of standard(1)
+        s1 = standard_structure(1)
+        point_bundle = TrivialBundle(1, 0)
+        s2 = CourantStructure(point_bundle, [[]], [])
+        phi = BundleMorphism(s1.bundle, point_bundle, PolyMap.identity(1), [])
+        verdict = check_identity_base(s1, s2, phi)
+        assert "metric" in verdict.failed_conditions()
+        metric = next(f for f in verdict.failures if f.condition == "metric")
+        assert metric.witness == {"fiber_pair": [0, 1]}
+        assert metric.defect == ["0", "-1", "-1", "0"]
+
     def test_requires_identity_base(self):
         s1 = standard_structure(1)
         s2 = standard_structure(2)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -362,10 +363,109 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert message in lines[0]
 
+    def test_supplied_pair_on_the_wrong_bundle_exit_2(self, tmp_path, capsys):
+        # "rotation" lives on pontryagin2, the target, not on the source
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text('[["rotation", "rotation"]]')
+        assert main([
+            "morphism", "--scene", str(SCENE), "--source", "standard1",
+            "--target", "standard2", "--map", "zero_section_embedding",
+            "--pairs", str(pairs),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: sections do not match the morphism's bundles"]
+
     def test_dirac(self, capsys):
         code = main(["dirac", "--scene", str(SCENE), "--system", "oscillator", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["is_dirac"] is True
+
+
+def _fiber_matrices(rows: int, cols: int, limit: int = 16):
+    """Up to `limit` rows x cols matrices with entries in {0, 1, -1, 2}, taken
+    at an even stride through all of them."""
+    every = list(itertools.product(("0", "1", "-1", "2"), repeat=rows * cols))
+    return [[list(flat[r * cols:(r + 1) * cols]) for r in range(rows)]
+            for flat in every[::max(1, len(every) // limit)]]
+
+
+def _pullback_scenes():
+    """(label, scene, ambient name, morphism names) for every small constant
+    pullback problem: source base n in {0, 1}, target base n or n + 1 (the
+    identity or the zero section, with the obvious retraction), ranks 0-2,
+    and an ambient that is standard<N> or anchor-free with the identity
+    metric."""
+    for n in (0, 1):
+        for big in (n, n + 1):
+            ambients = [(f"standard{big}", 2 * big)] if 2 * big <= 2 else []
+            ambients += [("flat", rank) for rank in range(3)]
+            for ambient, target_rank in ambients:
+                for k in range(3):
+                    bundles = {"E": {"base_dim": n, "rank": k},
+                               "T": {"base_dim": big, "rank": target_rank}}
+                    base_map = [f"x{i + 1}" for i in range(n)] + ["0"] * (big - n)
+                    retraction = [f"x{i + 1}" for i in range(n)]
+                    morphisms = {
+                        f"phi{index}": {"source": "E", "target": "T", "base_map": base_map,
+                                        "fiber_matrix": matrix, "retraction": retraction}
+                        for index, matrix in enumerate(_fiber_matrices(target_rank, k))
+                    }
+                    scene = {"schema_version": 1, "bundles": bundles, "morphisms": morphisms}
+                    if ambient == "flat":
+                        scene["courant_structures"] = {"flat": {
+                            "bundle": "T",
+                            "anchor": [["0"] * target_rank for _ in range(big)],
+                            "metric": [[int(i == j) for j in range(target_rank)]
+                                       for i in range(target_rank)],
+                        }}
+                    label = f"n{n}_N{big}_{ambient}{target_rank}_k{k}"
+                    yield label, scene, ambient, list(morphisms)
+
+
+class TestPullbackContract:
+    """`pullback` honours the exit-code contract on every small constant scene."""
+
+    def test_grid_exit_codes(self, tmp_path, capsys):
+        runs = 0
+        for label, scene, ambient, names in _pullback_scenes():
+            path = write_scene(tmp_path, scene, f"{label}.json")
+            for name in names:
+                argv = ["pullback", "--scene", str(path), "--ambient", ambient,
+                        "--morphism", name]
+                full = main(argv)
+                verify_only = main(argv + ["--verify-only"])
+                capsys.readouterr()
+                assert full in (0, 1, 2) and verify_only in (0, 1, 2), (label, name)
+                # the full command adds construction, never a verdict
+                assert verify_only != 0 or full == 0, (label, name)
+                runs += 2
+        assert runs > 500
+
+    @pytest.mark.parametrize("base_dim", [0, 1])
+    def test_rank_zero_target_fails_hypothesis_b(self, tmp_path, capsys, base_dim):
+        # P^T G P over a rank-0 target is the zero 2 x 2 matrix, not 0 x 0
+        flat = {"bundle": "T", "anchor": [[]] * base_dim, "metric": []}
+        names = [f"x{i + 1}" for i in range(base_dim)]
+        path = write_scene(tmp_path, {
+            "schema_version": 1,
+            "bundles": {"E": {"base_dim": base_dim, "rank": 2},
+                        "T": {"base_dim": base_dim, "rank": 0}},
+            "courant_structures": {"flat": flat},
+            "morphisms": {"phi": {"source": "E", "target": "T", "base_map": names,
+                                  "fiber_matrix": [], "retraction": names}},
+        })
+        argv = ["pullback", "--scene", str(path), "--ambient", "flat", "--morphism", "phi",
+                "--json"]
+        for extra in ([], ["--verify-only"]):
+            assert main(argv + extra) == 1
+            captured = capsys.readouterr()
+            pairing = json.loads(captured.out)["hypotheses"]["pairing_nondegenerate"]
+            assert captured.err == ""
+            assert pairing["status"] == "fail"
+            assert pairing["detail"] == "induced pairing is degenerate"
+            assert pairing["witness"] == {"induced_metric": [["0", "0"], ["0", "0"]]}
 
 
 class TestDeterminism:

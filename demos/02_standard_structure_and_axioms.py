@@ -58,10 +58,11 @@ for lam in (2, -1, "1/3"):
 # -- the two-sided Leibniz rule and its falsified variant ------------------------
 # The rule [[lam f, mu g]] = lam mu [[f,g]] + lam rho(f)(mu) g
 #                            - mu rho(g)(lam) f + <f,g> mu D(lam)
-# holds for all smooth f, g, lam, mu: the checker certifies it with one tagged
-# identity over the degree <= 1 families, which is complete because the rule
-# is of order <= 1 in each argument.  Replacing the third term's f by g breaks
-# it, and the checker decodes the least failing tuple of that identity.
+# holds for all smooth f, g, lam, mu by the bracket's expansion, so the checker
+# passes it without evaluation.  Replacing the third term's f by g breaks it by
+# mu rho(g)(lam) (g - f); the checker sweeps that defect with one tagged
+# identity over the degree <= 1 families, complete because it is of order <= 1
+# in each argument, and decodes the least failing tuple.
 
 leibniz = check_leibniz(s)
 print("\ntwo-sided rule:", "PASS" if leibniz.two_sided.passed else "FAIL")

@@ -280,7 +280,8 @@ def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMor
         raise ValueError("morphisms are not composable")
     base = outer.base_map.compose(inner.base_map)
     fiber = linalg.pmat_mul(
-        linalg.pmat_compose(outer.fiber_matrix, inner.base_map), inner.fiber_matrix
+        linalg.pmat_compose(outer.fiber_matrix, inner.base_map), inner.fiber_matrix,
+        inner.source.rank, inner.source.base_dim,
     )
     retraction = None
     if inner.retraction is not None and outer.retraction is not None:

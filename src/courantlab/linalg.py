@@ -97,20 +97,20 @@ def _reduce(m: Matrix, cols: int) -> tuple[list[int], Fraction]:
 
 def det(a: Matrix) -> Fraction:
     """Determinant; det([]) = 1."""
-    pivots, product = _reduce([list(row) for row in a], len(a))
+    pivots, product = _reduce(mat(a), len(a))
     return product if len(pivots) == len(a) else Fraction(0)
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    m = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
+    m = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
     if len(_reduce(m, n)[0]) < n:
         raise ValueError("matrix is singular")
     return [[x / row[i] for x in row[n:]] for i, row in enumerate(m)]
 
 
 def rank(a: Matrix) -> int:
-    return len(_reduce([list(row) for row in a], len(a[0]) if a else 0)[0])
+    return len(_reduce(mat(a), len(a[0]) if a else 0)[0])
 
 
 def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
@@ -149,12 +149,14 @@ def pmat_transpose(a: list[list[Polynomial]], cols: int = 0) -> list[list[Polyno
     return [list(col) for col in zip(*a)] if a else [[] for _ in range(cols)]
 
 
-def pmat_mul(a, b) -> list[list[Polynomial]]:
+def pmat_mul(a, b, cols: int = 0, num_vars: int = 0) -> list[list[Polynomial]]:
+    """A B; `cols` and `num_vars` are the column and variable counts of the
+    zero product of a `b` without rows, which neither operand shows."""
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    if not a or not b:
-        return [[] for _ in a]
-    nv = b[0][0].num_vars if b[0] else (a[0][0].num_vars if a[0] else 0)
+    if not b:
+        return [[Polynomial(num_vars)] * cols for _ in a]
+    nv = b[0][0].num_vars if b[0] else num_vars
     out = []
     for row in a:
         out_row = []

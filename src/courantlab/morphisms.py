@@ -236,7 +236,7 @@ def check_identity_base(
 
     # (anchor): A2 P = A1 as a polynomial identity
     adefect = linalg.pmat_sub(
-        linalg.pmat_mul(s2.anchor, phi.fiber_matrix), s1.anchor
+        linalg.pmat_mul(s2.anchor, phi.fiber_matrix, s1.bundle.rank, n), s1.anchor
     )
     failures.append(_matrix_failure("anchor", "entry", adefect))
     return _verdict(failures, f"identity-base criteria at degree cap {degree_cap}")
@@ -402,18 +402,12 @@ def check_general_base(
                                          "f2": f2.coeffs.to_strings()},
                              [p.to_string() for p in defect])
 
-    # (anchor): A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x), exact; over a point
-    # the right side degenerates to the zero matrix
+    # (anchor): A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x), exact
+    k1 = s1.bundle.rank
     lhs = linalg.pmat_mul(
-        linalg.pmat_compose(s2.anchor, phi.base_map), phi.fiber_matrix
+        linalg.pmat_compose(s2.anchor, phi.base_map), phi.fiber_matrix, k1, n
     )
-    if n == 0:
-        rhs = [
-            [Polynomial(0)] * s1.bundle.rank
-            for _ in range(s2.bundle.base_dim)
-        ]
-    else:
-        rhs = linalg.pmat_mul(phi.base_map.jacobian(), s1.anchor)
+    rhs = linalg.pmat_mul(phi.base_map.jacobian(), s1.anchor, k1, n)
     failures.append(_matrix_failure("anchor", "entry", linalg.pmat_sub(lhs, rhs)))
     return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 

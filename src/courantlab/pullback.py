@@ -105,8 +105,7 @@ class PullbackProblem:
     @cached_property
     def _induced_inverse(self):
         """G'^-1; needs a constant nondegenerate induced pairing."""
-        induced = self._induced_pairing[0]
-        return linalg.inverse(induced) if induced else []
+        return linalg.inverse(self._induced_pairing[0])
 
     @cached_property
     def _at_image(self):
@@ -220,7 +219,7 @@ def _extended_frames(p: PullbackProblem) -> list[Section]:
     big = p.ambient.bundle.base_dim
     frames = []
     for i in range(p.source_bundle.rank):
-        comps = [row[i] if row else Polynomial(big) for row in pulled]
+        comps = [row[i] for row in pulled]
         frames.append(Section(p.ambient.bundle, PolyMap(big, comps)))
     return frames
 
@@ -268,14 +267,10 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     n = p.source_bundle.base_dim
     big = p.ambient.bundle.base_dim
 
-    # (a) anchor tangency on image fiber elements; over a point the image
-    # tangent space is zero and the projector is the zero matrix
-    if n == 0:
-        projector = linalg.pmat_constant(linalg.zeros(big, big), 0)
-    else:
-        projector = linalg.pmat_mul(phi.base_map.jacobian(), p._at_image[0])
+    # (a) anchor tangency on image fiber elements
+    projector = linalg.pmat_mul(phi.base_map.jacobian(), p._at_image[0], big, n)
     complement = linalg.pmat_sub(linalg.pmat_constant(linalg.identity(big), n), projector)
-    anchored = linalg.pmat_mul(p._at_image[1], phi.fiber_matrix)
+    anchored = linalg.pmat_mul(p._at_image[1], phi.fiber_matrix, p.source_bundle.rank, n)
     tangency_defect = linalg.pmat_mul(complement, anchored)
     if linalg.pmat_is_zero(tangency_defect):
         anchor_check = AxiomCheck(True, "anchor maps image fibers into image tangents")

@@ -2,14 +2,17 @@
 
 `check_axioms` certifies each axiom with one tagged polynomial identity,
 computed on a lifted structure; the morphism checks certify the bracket and
-metric conditions the same way on lifted structures, and `check_leibniz`
-certifies the Leibniz rules with one tagged identity per rule.  These tests recompute
-the verdicts the slow way, through `CourantStructure.bracket`, `pairing`,
-`anchor_apply` and `derived_operator` on explicit sections: over every tuple
-of the monomial frame family up to the degree cap, and over seeded random
-draws at or below the cap, which the certificates imply.  The sweep and
-these tests share the structure's one bracket; `test_bracket_reference.py`
-checks that bracket against an independent sympy expansion.
+metric conditions the same way on lifted structures.  `check_leibniz`
+passes the two Leibniz rules by the bracket's expansion and sweeps the
+closed-form defect of the falsified variant with one tagged identity; the
+four-slot sweep it replaced is kept below as its reference.  These tests
+recompute the verdicts the slow way, through `CourantStructure.bracket`,
+`pairing`, `anchor_apply` and `derived_operator` on explicit sections: over
+every tuple of the monomial frame family up to the degree cap, and over
+seeded random draws at or below the cap, which the certificates imply.  The
+sweep and these tests share the structure's one bracket;
+`test_bracket_reference.py` checks that bracket against an independent sympy
+expansion, which also tells apart a bracket that breaks a Leibniz rule.
 
 Every certificate sweeps only the degree-1 family, which is complete
 because each defect is of differential order <= 1 in each slot.  For the
@@ -25,25 +28,35 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
 from courantlab import linalg
 from courantlab.courant_core import (
+    SWEEP_ORDER,
+    AxiomCheck,
     CourantStructure,
+    LeibnizReport,
     _frame_identities_hold,
     _sweep_axioms,
     check_axioms,
+    check_degree_cap,
     check_leibniz,
+    decode_tag,
+    lift_structure,
     monomial_frame_basis,
     random_polynomial,
     random_section,
     scaled_structure,
     standard_structure,
+    tagged_generating_section,
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import check_general_base, check_identity_base
-from courantlab.polyexpr import Polynomial, monomials_up_to, parse
+from courantlab.polyexpr import Polynomial, _unpack, monomials_up_to, parse
+from conftest import so3_structure
+from test_bracket_reference import Reference, to_sympy
 
 ARITY = {"i": 3, "ii": 3, "iii": 2}
 
@@ -341,7 +354,10 @@ def test_leibniz_certificate_equals_enumeration(s):
 
 def test_leibniz_certificate_finds_a_dropped_derived_term(monkeypatch):
     # without sum_ij G_ij g_j D(f_i) the bracket still satisfies rule 1, since
-    # that term is C-infinity-linear in g, but rule 2 loses <f,g> mu D(lam)
+    # that term is C-infinity-linear in g, but rule 2 loses <f,g> mu D(lam).
+    # `check_leibniz` decides both rules by the expansion and so cannot see a
+    # wrong implementation of it: the enumeration finds the failing tuples,
+    # and the sympy reference bracket tells the mutant apart on them
     original = CourantStructure.bracket
 
     def mutated(self, f, g):
@@ -353,13 +369,13 @@ def test_leibniz_certificate_finds_a_dropped_derived_term(monkeypatch):
         return out
 
     monkeypatch.setattr(CourantStructure, "bracket", mutated)
-    report = check_leibniz(STD2)
-    assert report.second_slot.passed
-    assert not report.two_sided.passed
-    w = report.two_sided.witness
-    assert not leibniz_defects(STD2, *witness_arguments(STD2, w))[1].is_zero()
     rule1, rule2, _ = leibniz_failures(STD2, 1)
-    assert not rule1 and (w["f"], w["g"], w["lam"], w["mu"]) in rule2
+    assert not rule1 and rule2
+    f, g, lam, mu = witness_arguments(STD2, dict(zip(("f", "g", "lam", "mu"), rule2[0])))
+    ref = Reference(STD2)
+    expected = ref.bracket(ref.section(lam * f), ref.section(mu * g))
+    assert any(sympy.expand(to_sympy(p, ref.x) - e) != 0
+               for p, e in zip(STD2.bracket(lam * f, mu * g), expected))
 
 
 def test_leibniz_certificate_without_anchor():
@@ -378,6 +394,118 @@ def test_leibniz_certificate_at_cap_0_is_bounded():
     assert report.all_passed and not report.variant_falsified
     assert "bounded" in report.second_slot.detail
     assert "bounded" in report.two_sided.detail
+
+
+# -- the four-slot tagged sweep it replaced, kept as the reference --------------
+#
+# `check_leibniz` as it was before it decided rules 1 and 2 by the bracket's
+# expansion: all three defects are evaluated through the bracket on
+# `lift_structure(s, 4)` with four tagged families, and each failing
+# identity reports its least failing tuple.  The variant's witness and
+# every verdict must be the same; only the rules' detail strings differ.
+
+
+def reference_leibniz_defects(s, f, g, lam, mu):
+    fg = s.bracket(f, g)
+    rule1 = s.bracket(f, lam * g) - (lam * fg + s.anchor_apply(f, lam) * g)
+    common = (
+        (lam * mu) * fg
+        + lam * s.anchor_apply(f, mu) * g
+        + (s.pairing(f, g) * mu) * s.derived_operator(lam)
+    )
+    cross = mu * s.anchor_apply(g, lam)
+    lhs = s.bracket(lam * f, mu * g)
+    return rule1, lhs - (common - cross * f), lhs - (common - cross * g)
+
+
+def reference_leibniz_witness(s, degree_cap, rule, defect):
+    key = min((key for p in defect for key in p._packed), default=None)
+    if key is None:
+        return None
+    n = s.bundle.base_dim
+    tags = _unpack(key, n + 4)[n:]
+    f, g = (decode_tag(s.bundle, degree_cap, t) for t in tags[:2])
+    lam, mu = (decode_tag(TrivialBundle(n, 1), degree_cap, t)[0] for t in tags[2:])
+    plain = reference_leibniz_defects(s, f, g, lam, mu)[rule]
+    assert not plain.is_zero()
+    witness = {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
+               "lam": lam.to_string(), "mu": mu.to_string(),
+               "defect": plain.coeffs.to_strings()}
+    if rule == 0:
+        del witness["mu"]
+    return witness
+
+
+def reference_check_leibniz(s, degree_cap=2):
+    cap = min(degree_cap, SWEEP_ORDER)
+    family = check_degree_cap(s.bundle, cap)
+    n = s.bundle.base_dim
+    functions = TrivialBundle(n, 1)
+    defects = reference_leibniz_defects(
+        lift_structure(s, 4),
+        tagged_generating_section(s.bundle, cap, 4, n),
+        tagged_generating_section(s.bundle, cap, 4, n + 1),
+        tagged_generating_section(functions, cap, 4, n + 2)[0],
+        tagged_generating_section(functions, cap, 4, n + 3)[0],
+    )
+    witnesses = [reference_leibniz_witness(s, cap, rule, d) for rule, d in enumerate(defects)]
+    scope = (f"every tuple of the {family} monomial frame sections and "
+             f"{check_degree_cap(functions, cap)} monomial functions of degree <= {cap}, "
+             f"one tagged identity")
+    reach = ("complete: order <= 1 in each argument, so all smooth arguments"
+             if cap else "bounded: constant coefficients only")
+    rules = [
+        AxiomCheck(True, f"certified over {scope}; {reach}") if w is None
+        else AxiomCheck(False, f"{name} failed on the least failing tuple of {scope}", w)
+        for name, w in zip(("second-slot rule", "two-sided rule"), witnesses)
+    ]
+    return LeibnizReport(*rules, witnesses[2] is not None, witnesses[2])
+
+
+def without_rule_details(report):
+    out = report.to_json()
+    for rule in ("second_slot_rule", "two_sided_rule"):
+        out[rule].pop("detail")
+    return out
+
+
+@st.composite
+def leibniz_structures(draw):
+    """Scaled standard(1-3), bumped or not, or the anchor-free so3."""
+    n = draw(st.integers(0, 3))
+    if n == 0:
+        return so3_structure()
+    s = scaled_structure(standard_structure(n), draw(st.sampled_from(
+        [Fraction(v, d) for v in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 5)])))
+    if draw(st.booleans()):
+        s = bumped(s, draw(st.tuples(*[st.integers(0, 2 * n - 1)] * 3)))
+    return s
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(leibniz_structures(), st.integers(0, 3))
+def test_leibniz_report_equals_the_tagged_sweep(s, cap):
+    report, reference = check_leibniz(s, degree_cap=cap), reference_check_leibniz(s, cap)
+    assert without_rule_details(report) == without_rule_details(reference)
+    for rule in ("second_slot", "two_sided"):
+        detail, old = getattr(report, rule).detail, getattr(reference, rule).detail
+        assert ("bounded" in detail) == ("bounded" in old) == (cap == 0)
+
+
+def test_leibniz_calls_the_bracket_only_to_reverify_the_witness(monkeypatch):
+    s = bumped(scaled_structure(standard_structure(3), Fraction(-2, 5)), (0, 1, 3))
+    original = CourantStructure.bracket
+    calls = []
+
+    def recorded(self, f, g):
+        calls.append(self)
+        return original(self, f, g)
+
+    monkeypatch.setattr(CourantStructure, "bracket", recorded)
+    report = check_leibniz(s)
+    assert report.variant_falsified
+    # [[f, g]] and [[lam f, mu g]] of the decoded witness, on s itself
+    assert len(calls) == 2 and all(c is s for c in calls)
 
 
 # -- axiom certificates at differential order 1 ----------------------------------

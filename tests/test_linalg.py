@@ -224,6 +224,27 @@ def test_rank_and_solve_match_the_reference(system):
     assert typed(linalg.solve_with_certificate(a, b)) == typed(reference_solve(a, b))
 
 
+INT_MATRICES = [
+    [[2, 1], [1, 1]],
+    [[0, 3], [2, 5]],
+    [[1, 2], [2, 4]],
+    [[4, 0, 1], [2, 3, 0], [0, 1, 7]],
+    [[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("a", INT_MATRICES)
+def test_int_input_gives_the_exact_results_of_fraction_input(a):
+    # int entries are made Fractions with the working copy, so 1 / int never
+    # turns a result into a float
+    exact = linalg.mat(a)
+    assert typed(linalg.det(a)) == typed(reference_det(exact))
+    assert outcome(linalg.inverse, a) == outcome(reference_inverse, exact)
+    assert typed(linalg.rank(a)) == typed(reference_rank(exact))
+    b = list(range(1, len(a) + 1))
+    assert typed(linalg.solve_with_certificate(a, b)) == typed(reference_solve(exact, b))
+
+
 @bounded
 @given(systems(square=True))
 def test_det_and_inverse_agree_with_sympy(system):

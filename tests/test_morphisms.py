@@ -98,6 +98,20 @@ class TestIdentityBase:
         assert metric.witness == {"fiber_pair": [0, 1]}
         assert metric.defect == ["0", "-1", "-1", "0"]
 
+    def test_rank_zero_target_lists_the_anchor_condition(self):
+        # A2 P is 1 x 2 and zero when P has no rows, so it differs from
+        # A1 = [1 0] in entry (0, 0), over either base check
+        s1 = standard_structure(1)
+        point_bundle = TrivialBundle(1, 0)
+        s2 = CourantStructure(point_bundle, [[]], [])
+        phi = BundleMorphism(s1.bundle, point_bundle, PolyMap.identity(1), [],
+                             retraction=PolyMap.identity(1))
+        for check in (check_identity_base, check_general_base):
+            verdict = check(s1, s2, phi)
+            assert verdict.failed_conditions() == {"metric", "anchor"}
+            anchor = next(f for f in verdict.failures if f.condition == "anchor")
+            assert anchor.defect == ["-1", "0"]
+
     def test_requires_identity_base(self):
         s1 = standard_structure(1)
         s2 = standard_structure(2)

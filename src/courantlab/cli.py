@@ -215,21 +215,15 @@ def _cmd_morphism(args):
     if args.map_name not in scene.morphisms:
         raise SceneError(f"unknown morphism {args.map_name!r}")
     phi = scene.morphisms[args.map_name]
-    if args.pairs == "auto":
-        if phi.is_identity_base():
-            verdict = morphisms_mod.check_identity_base(
-                s1, s2, phi, degree_cap=args.degree_cap
-            )
-        else:
-            verdict = morphisms_mod.check_general_base(
-                s1, s2, phi, degree_cap=args.degree_cap, seed=args.seed
-            )
-    else:
+    pairs = "auto"
+    if args.pairs != "auto":
         try:
             with open(args.pairs) as fh:
                 named = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SceneError(f"cannot read pairs file: {exc}") from exc
+        if not isinstance(named, list):
+            raise SceneError(f"pairs file must hold a list of pairs, got {named!r}")
         pairs = []
         for entry in named:
             try:
@@ -237,12 +231,17 @@ def _cmd_morphism(args):
                 pairs.append((scene.sections[src_name], scene.sections[tgt_name]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SceneError(f"bad pair entry {entry!r}") from exc
-        try:
+    try:
+        if pairs == "auto" and phi.is_identity_base():
+            verdict = morphisms_mod.check_identity_base(
+                s1, s2, phi, degree_cap=args.degree_cap
+            )
+        else:
             verdict = morphisms_mod.check_general_base(
                 s1, s2, phi, pairs=pairs, degree_cap=args.degree_cap, seed=args.seed
             )
-        except ValueError as exc:
-            raise SceneError(str(exc)) from exc
+    except ValueError as exc:
+        raise SceneError(str(exc)) from exc
     payload = {
         "command": "morphism",
         "map": args.map_name,
@@ -312,13 +311,17 @@ def _cmd_intrinsic(args):
             rows = spec["fiber_matrix"]
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SceneError(f"cannot read splitting file: {exc}") from exc
-        size = 2 * args.n + 2 * args.m
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise SceneError(f"splitting fiber_matrix must be a list of lists, got {rows!r}")
         names = [f"x{i + 1}" for i in range(args.n + args.m)]
         matrix = []
         for row in rows:
             out_row = []
             for entry in row:
-                poly = parse(str(entry), names)
+                try:
+                    poly = parse(str(entry), names)
+                except ParseError as exc:
+                    raise SceneError(f"splitting entry {entry!r}: {exc}") from exc
                 if not poly.is_constant():
                     raise SceneError(
                         "non-constant splitting matrices are not supported in v1: "
@@ -326,9 +329,10 @@ def _cmd_intrinsic(args):
                     )
                 out_row.append(poly.constant_value())
             matrix.append(out_row)
-        if len(matrix) != size or any(len(r) != size for r in matrix):
-            raise SceneError(f"splitting fiber_matrix must be {size} x {size}")
-        splitting = intrinsic_mod.SplittingIso(args.n, args.m, matrix)
+        try:
+            splitting = intrinsic_mod.SplittingIso(args.n, args.m, matrix)
+        except ValueError as exc:
+            raise SceneError(str(exc)) from exc
     result = intrinsic_mod.build_intrinsic(
         args.n, args.m, splitting, degree_cap=args.degree_cap
     )

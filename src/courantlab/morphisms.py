@@ -1,7 +1,8 @@
 """Classical Courant algebroid morphism checks.
 
 A bundle morphism phi between Courant algebroids is tested against the
-pointwise criteria that characterize classical morphisms:
+pointwise criteria that characterize classical morphisms (Li-Bland &
+Meinrenken, IMRN 2009):
 
   over the identity base:
     (bracket)  phi o [[f,g]]_1 = [[phi o f, phi o g]]_2
@@ -13,22 +14,46 @@ pointwise criteria that characterize classical morphisms:
     (metric)   <f1,f2>_1 = <g1,g2>_2 o phi0
     (anchor)   A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x)
 
-All checks are exact polynomial identities.  The bracket and metric
-conditions are certified over every pair of monomial frame sections with
-tagged generating sections (see courant_core), and that certificate is
-complete at degree 1: it covers every pair of smooth sections.  In each
-slot the defect is a differential operator of order <= 1 with polynomial
-coefficients, sum_beta a_beta d^beta with |beta| <= 1; the
-retraction-generated representatives g = P(r) f(r) compose with r and, in
-the condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied
-to x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller
-beta, so by induction on alpha it vanishes iff it vanishes on every
-x^alpha e_i with |alpha| <= 1.  The checks therefore sweep the family at
+Each condition has one implementation, which both base modes call; the
+identity base is the case phi0 = id, and there nothing is composed with the
+identity map.  All checks are exact polynomial identities.
+
+The anchor and metric conditions are matrix identities in both modes.  The
+anchor defect is A2(phi0) P - Jac(phi0) A1.  The metric defect is
+D = P^T G2 P - G1.  Over the identity base D is the condition itself.  Over
+a general base the related pairs are the retraction representatives
+g = P(r) f(r), and r o phi0 = id gives <g1,g2>_2 o phi0 = f1^T P^T G2 P f2,
+so the pair's metric defect is -f1^T D f2.  On the tagged families of the
+bracket sweep below (f = sum t^(i*M + a) x^alpha_a e_i, and likewise with s
+and beta_b for the second slot) that defect reads
+
+    - sum over i, j, a, b of t^(i*M + a) s^(j*M + b) x^(alpha_a + beta_b) D_ij(x),
+
+and distinct family pairs own distinct tag monomials.  So a pair fails iff
+its D_ij is nonzero, and the least failing pair in the degree-first order of
+`_least_failing_pair` is the degree-0 pair (e_i, e_j), with (i, j) the
+first nonzero entry of D in row-major order.  A perturbed representative
+g + q*w has q o phi0 = 0, so every term the perturbation adds to <g1,g2>_2
+carries a factor q and vanishes once composed with phi0: perturbations
+never change the metric defect.  The general base therefore reports the
+pair (e_i, e_j) with "representatives": "retraction" and its plain defect,
+and strict representative checking re-checks only the bracket.
+
+The bracket condition is certified over every pair of monomial frame
+sections with tagged generating sections (see courant_core), and that
+certificate is complete at degree 1: it covers every pair of smooth
+sections.  The defect is a differential operator of order <= 1 in each
+slot with polynomial coefficients, sum_beta a_beta d^beta with |beta| <= 1;
+the retraction-generated representatives compose with r and, in the
+condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied to
+x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller beta,
+so by induction on alpha it vanishes iff it vanishes on every x^alpha e_i
+with |alpha| <= 1.  The check therefore sweeps the family at
 min(degree_cap, SWEEP_ORDER); an explicit cap 0 sweeps constant sections
 only and stays a bounded claim.  The verdict's detail names the requested
-cap, which the complete certificate covers.  A failing condition reports
-its least failing pair (see `_least_failing_pair`), which is the same at
-every cap >= 1.
+cap, which the complete certificate covers.  A failing bracket reports its
+least failing pair (see `_least_failing_pair`), which is the same at every
+cap >= 1.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -39,14 +64,15 @@ wiggle off the image can break the bracket condition even when the
 retraction family verifies (zero-section embeddings are the canonical
 case: a related pair like (dx-section, extension + z*x*dx) picks up an
 x*dz bracket component along the image).  Strict representative checking
-is available through n_perturbations > 0, which re-checks the conditions
-on representatives perturbed by image-vanishing terms.  A perturbed
+is available through n_perturbations > 0, which re-checks the bracket on
+representatives perturbed by image-vanishing terms.  A perturbed
 representative g + q*w is affine, not linear, in the tagged family, so the
 order argument does not reach it and that path sweeps at the requested cap.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -150,12 +176,17 @@ def _least_failing_pair(bundle: TrivialBundle, cap: int, defect: list[Polynomial
     return tuple(decode_tag(bundle, cap, tag) for tag in least[1:])
 
 
-def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None:
-    """A failure located at the first nonzero entry of a defect matrix."""
-    where = next(
+def _first_nonzero(defect) -> tuple[int, int] | None:
+    """The first nonzero entry (r, c) of a defect matrix, in row-major order."""
+    return next(
         ((r, c) for r, row in enumerate(defect) for c, p in enumerate(row) if not p.is_zero()),
         None,
     )
+
+
+def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None:
+    """A failure located at the first nonzero entry of a defect matrix."""
+    where = _first_nonzero(defect)
     if where is None:
         return None
     return ConditionFailure(
@@ -178,6 +209,108 @@ def _validate(s1: CourantStructure, s2: CourantStructure, phi: BundleMorphism):
         raise ValueError("morphism source does not match the first structure")
     if phi.target != s2.bundle:
         raise ValueError("morphism target does not match the second structure")
+
+
+# -- the three conditions, one implementation each ------------------------------
+
+
+def _image_section(phi: BundleMorphism, f: Section) -> Section:
+    """P f, the identity-base representative of f."""
+    return Section(phi.target, phi.apply(f))
+
+
+def _bracket_failure(s1, s2, phi, cap, general=False, seed=0, n_perturbations=0):
+    """The bracket condition's least failing family pair, or None.
+
+    The two tagged families encode every pair of monomial frame sections of
+    degree <= cap, and the source side phi o [[fa, fb]]_1 is formed once.
+    Over the identity base the representatives are P fa and P fb and the
+    target bracket is not composed with the identity map.  Otherwise they
+    are the retraction representatives, then n_perturbations variants
+    perturbed by image-vanishing terms q*w, each (q, w) drawn from
+    random.Random(seed) in slot order; the first variant with a nonzero
+    defect is reported.  A retraction witness carries its plain defect,
+    recomputed on explicit sections; a perturbed one carries the tagged
+    sweep's defect.
+    """
+    n = s1.bundle.base_dim
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), _lift_morphism(phi, 2)
+    fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
+    image = phil.apply(s1l.bracket(fa, fb))
+    represent = related_section if general else _image_section
+    ga, gb = represent(phil, fa), represent(phil, fb)
+    variants = [(ga, gb, "retraction")]
+    multipliers = _image_vanishing_multipliers(phil) if general and n_perturbations > 0 else []
+    if multipliers:
+        rng = random.Random(seed)
+        nn = s2l.bundle.base_dim
+        for round_idx in range(n_perturbations):
+            perturbed = []
+            for g in (ga, gb):
+                q = rng.choice(multipliers)
+                # w is drawn over the target's own variables: a tag variable
+                # in w would shift the family pair its terms decode to
+                w = random_section(rng, s2.bundle, 1, terms=1)
+                w = Section(s2l.bundle, PolyMap(nn, [p.lift(nn) for p in w]))
+                perturbed.append(g + q * w)
+            variants.append((*perturbed, f"perturbation {round_idx}"))
+    for gxa, gxb, label in variants:
+        bracket = s2l.bracket(gxa, gxb).coeffs
+        if general:
+            bracket = [p.compose(phil.base_map) for p in bracket]
+        defect = [a - b for a, b in zip(image, bracket)]
+        pair = _least_failing_pair(s1.bundle, cap, defect)
+        if pair is None:
+            continue
+        f1, f2 = pair
+        if label == "retraction":
+            shown = _plain_defect(s1, s2, phi, "bracket", f1, f2,
+                                  represent(phi, f1), represent(phi, f2))
+        else:
+            shown = [p.to_string() for p in defect]
+        w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
+        witness = ({"f1": w1, "f2": w2, "representatives": label} if general
+                   else {"f": w1, "g": w2})
+        return ConditionFailure("bracket", witness, shown)
+    return None
+
+
+def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
+    """The metric condition from its defect matrix D = P^T G2 P - G1.
+
+    Over the identity base the failure is D itself, located at its first
+    nonzero entry.  Over a general base that entry (i, j) names the least
+    failing family pair (e_i, e_j) (see the module docstring), reported
+    with its plain defect on the retraction representatives.
+    """
+    n = s1.bundle.base_dim
+    defect = linalg.pmat_sub(phi.induced_metric(s2.metric), linalg.pmat_constant(s1.metric, n))
+    if not general:
+        return _matrix_failure("metric", "fiber_pair", defect)
+    where = _first_nonzero(defect)
+    if where is None:
+        return None
+    f1, f2 = (Section.frame(s1.bundle, i) for i in where)
+    witness = {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
+               "representatives": "retraction"}
+    return ConditionFailure("metric", witness, _plain_defect(
+        s1, s2, phi, "metric", f1, f2, related_section(phi, f1), related_section(phi, f2)
+    ))
+
+
+def _anchor_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
+    """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1.
+
+    Over the identity base phi0 = id: A2 is not composed and Jac(phi0) A1
+    is A1 itself.
+    """
+    n, k1 = s1.bundle.base_dim, s1.bundle.rank
+    a2, ja1 = s2.anchor, s1.anchor
+    if general:
+        a2 = linalg.pmat_compose(a2, phi.base_map)
+        ja1 = linalg.pmat_mul(phi.base_map.jacobian(), ja1, k1, n)
+    defect = linalg.pmat_sub(linalg.pmat_mul(a2, phi.fiber_matrix, k1, n), ja1)
+    return _matrix_failure("anchor", "entry", defect)
 
 
 # -- identity base --------------------------------------------------------------
@@ -204,42 +337,11 @@ def check_identity_base(
         raise ValueError("identity-base check needs equal base dimensions")
     if not phi.is_identity_base():
         raise ValueError("base map is not the identity")
-    n = s1.bundle.base_dim
-    failures: list[ConditionFailure] = []
-
-    # (bracket): certified over tagged generating sections
-    cap = min(degree_cap, SWEEP_ORDER)
-    s1l = lift_structure(s1, 2)
-    s2l = lift_structure(s2, 2)
-    phil = _lift_morphism(phi, 2)
-    fa = tagged_generating_section(s1.bundle, cap, 2, n)
-    fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
-    lhs = phil.apply(s1l.bracket(fa, fb))
-    rhs = s2l.bracket(
-        Section(s2l.bundle, phil.apply(fa)), Section(s2l.bundle, phil.apply(fb))
-    )
-    pair = _least_failing_pair(
-        s1.bundle, cap, [a - b for a, b in zip(lhs, rhs.coeffs)]
-    )
-    if pair is not None:
-        f, g = pair
-        images = (Section(s2.bundle, phi.apply(f)), Section(s2.bundle, phi.apply(g)))
-        failures.append(ConditionFailure(
-            "bracket",
-            {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings()},
-            _plain_defect(s1, s2, phi, "bracket", f, g, *images),
-        ))
-
-    # (metric): P^T G2 P = G1 as a polynomial identity
-    mdefect = linalg.pmat_sub(phi.induced_metric(s2.metric), linalg.pmat_constant(s1.metric, n))
-    failures.append(_matrix_failure("metric", "fiber_pair", mdefect))
-
-    # (anchor): A2 P = A1 as a polynomial identity
-    adefect = linalg.pmat_sub(
-        linalg.pmat_mul(s2.anchor, phi.fiber_matrix, s1.bundle.rank, n), s1.anchor
-    )
-    failures.append(_matrix_failure("anchor", "entry", adefect))
-    return _verdict(failures, f"identity-base criteria at degree cap {degree_cap}")
+    return _verdict([
+        _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER)),
+        _metric_failure(s1, s2, phi),
+        _anchor_failure(s1, s2, phi),
+    ], f"identity-base criteria at degree cap {degree_cap}")
 
 
 # -- general base ----------------------------------------------------------------
@@ -269,7 +371,7 @@ def _plain_defect(s1, s2, phi, condition, f1, f2, g1, g2) -> list[str]:
     defect = _PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, g1, g2)
     if all(p.is_zero() for p in defect):
         raise RuntimeError(
-            "internal inconsistency: tagged sweep flagged a pair whose "
+            "internal inconsistency: the sweep flagged a pair whose "
             "plain defect vanishes"
         )
     return [p.to_string() for p in defect]
@@ -300,115 +402,64 @@ def check_general_base(
     """Exact morphism verdict over a general base via phi-related sections.
 
     pairs="auto" derives related sections from the morphism's retraction
-    (required in that mode); the bracket and metric conditions are then
-    certified over every pair of monomial frame sections of degree
+    (required in that mode).  The bracket condition is then certified over
+    every pair of monomial frame sections of degree
     <= min(degree_cap, SWEEP_ORDER) with their retraction-generated
     representatives, the generating family the involutivity reduction
     rests on.  That is complete for all smooth sections at any cap >= 1
     (see the module docstring); cap 0 is a bounded claim.  The least
     failing pair is decoded and reported with its plain defect, recomputed
-    on explicit sections.  The detail names the requested cap.
+    on explicit sections.  The metric and anchor conditions are matrix
+    identities, as over the identity base: on the retraction
+    representatives the metric condition is P^T G2 P = G1, and a failure
+    reports the frame pair (e_i, e_j) of the first nonzero entry of the
+    defect matrix.  The detail names the requested cap.
 
-    n_perturbations > 0 turns on strict representative checking: the same
-    conditions are re-checked on representatives perturbed by terms that
+    n_perturbations > 0 turns on strict representative checking: the
+    bracket is re-checked on representatives perturbed by terms that
     vanish on the image, drawn with the given seed; this is the full
-    "any (and hence each)" quantifier.  The perturbed representatives are
-    affine in the tagged family, so the whole check then sweeps at the
-    requested cap, and a failure reports the tagged sweep's defect.
-    Zero-section embeddings generally fail the strict check even when they
-    verify on the retraction family; see the module docstring.
+    "any (and hence each)" quantifier.  Perturbations never change the
+    metric defect (see the module docstring), so only the bracket is
+    re-checked.  The perturbed representatives are affine in the tagged
+    family, so the bracket then sweeps at the requested cap, and a failure
+    on a perturbed variant reports the tagged sweep's defect.  Zero-section
+    embeddings generally fail the strict check even when they verify on the
+    retraction family; see the module docstring.
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
     morphism failure.
     """
     _validate(s1, s2, phi)
-    n = phi.source.base_dim
-    failures: list[ConditionFailure] = []
-
-    def note(condition, witness, defect):
-        if condition not in {f.condition for f in failures}:
-            failures.append(ConditionFailure(condition, witness, defect))
-
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
         # perturbed representatives are affine in the family: no order argument
         cap = degree_cap if n_perturbations > 0 else min(degree_cap, SWEEP_ORDER)
-        s1l = lift_structure(s1, 2)
-        s2l = lift_structure(s2, 2)
-        phil = _lift_morphism(phi, 2)
-        fa = tagged_generating_section(s1.bundle, cap, 2, n)
-        fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
-        ga = related_section(phil, fa)
-        gb = related_section(phil, fb)
-        rng = random.Random(seed)
-        variants: list[tuple[Section, Section, str]] = [(ga, gb, "retraction")]
-        multipliers = _image_vanishing_multipliers(phil)
-        nn = s2l.bundle.base_dim
-        for round_idx in range(n_perturbations if multipliers else 0):
-            perturbed = []
-            for g in (ga, gb):
-                q = rng.choice(multipliers)
-                # w is drawn over the target's own variables: a tag variable
-                # in w would shift the family pair its terms decode to
-                w = random_section(rng, s2.bundle, 1, terms=1)
-                w = Section(s2l.bundle, PolyMap(nn, [p.lift(nn) for p in w]))
-                perturbed.append(g + q * w)
-            variants.append((*perturbed, f"perturbation {round_idx}"))
-        # the source side does not depend on the representatives
-        lifted_bracket = phil.apply(s1l.bracket(fa, fb))
-        lifted_pairing = s1l.pairing(fa, fb)
-        for gxa, gxb, variant_label in variants:
-            bdef = [
-                a - b
-                for a, b in zip(
-                    lifted_bracket,
-                    (p.compose(phil.base_map) for p in s2l.bracket(gxa, gxb).coeffs),
-                )
-            ]
-            mdef = lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)
-            failed = {f.condition for f in failures}
-            for condition, defect in (("bracket", bdef), ("metric", [mdef])):
-                if condition in failed:
-                    continue
-                pair = _least_failing_pair(s1.bundle, cap, defect)
-                if pair is None:
-                    continue
-                f1, f2 = pair
-                if variant_label == "retraction":
-                    shown = _plain_defect(
-                        s1, s2, phi, condition, f1, f2,
-                        related_section(phi, f1), related_section(phi, f2),
-                    )
-                else:
-                    shown = [p.to_string() for p in defect]
-                note(condition, {
-                    "f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
-                    "representatives": variant_label,
-                }, shown)
+        failures = [
+            _bracket_failure(s1, s2, phi, cap, general=True, seed=seed,
+                             n_perturbations=n_perturbations),
+            _metric_failure(s1, s2, phi, general=True),
+        ]
     else:
         checked = list(pairs)
         if not all(check_related(phi, f, g) for f, g in checked):
             raise ValueError(
                 "supplied pair is not phi-related (input error, not a morphism failure)"
             )
-        for f1, g1 in checked:
-            for f2, g2 in checked:
-                for condition, defect_of in _PAIR_DEFECTS.items():
-                    defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
-                    if any(not p.is_zero() for p in defect):
-                        note(condition, {"f1": f1.coeffs.to_strings(),
-                                         "f2": f2.coeffs.to_strings()},
-                             [p.to_string() for p in defect])
-
-    # (anchor): A2(phi0(x)) P(x) = Jac(phi0)(x) A1(x), exact
-    k1 = s1.bundle.rank
-    lhs = linalg.pmat_mul(
-        linalg.pmat_compose(s2.anchor, phi.base_map), phi.fiber_matrix, k1, n
-    )
-    rhs = linalg.pmat_mul(phi.base_map.jacobian(), s1.anchor, k1, n)
-    failures.append(_matrix_failure("anchor", "entry", linalg.pmat_sub(lhs, rhs)))
+        found: dict[str, ConditionFailure] = {}
+        for (f1, g1), (f2, g2) in itertools.product(checked, repeat=2):
+            for condition, defect_of in _PAIR_DEFECTS.items():
+                if condition in found:
+                    continue
+                defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
+                if any(not p.is_zero() for p in defect):
+                    found[condition] = ConditionFailure(
+                        condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
+                        [p.to_string() for p in defect],
+                    )
+        failures = list(found.values())
+    failures.append(_anchor_failure(s1, s2, phi, general=True))
     return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 
 

@@ -10,10 +10,12 @@ from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_m
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
+    lift_structure,
     product_structure,
     random_section,
     scaled_structure,
     standard_structure,
+    tagged_generating_section,
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import (
@@ -151,6 +153,43 @@ class TestGeneralBase:
         general = check_general_base(s, s2, ident)
         identity_verdict = check_identity_base(s, s2, ident)
         assert general.failed_conditions() == identity_verdict.failed_conditions() == {"metric"}
+
+    @pytest.mark.parametrize("n, lam, fiber", [
+        (1, 1, [[1, 0], [0, 1]]),
+        (1, 2, [[1, 0], [0, 1]]),
+        (1, 1, [[2, 0], [0, Fraction(1, 2)]]),
+        (1, 1, [[1, 0], [1, 0]]),
+        (1, -3, [[0, 1], [1, 2]]),
+        (2, 1, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 3, 1, 0], [-3, 0, 0, 1]]),
+        (2, Fraction(1, 2), [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]),
+    ], ids=["identity", "scaled", "doubling", "collapse", "swap", "b_field", "mixed"])
+    def test_identity_base_agrees_in_both_checks(self, n, lam, fiber):
+        # with the identity retraction the general-base check sees the same
+        # conditions fail, the same bracket pair and the same bracket and
+        # anchor defects; its metric pair (e_i, e_j) is the identity base's
+        # fiber_pair (i, j), and its plain defect is -D_ij
+        s1 = standard_structure(n)
+        s2 = scaled_structure(s1, lam)
+        phi = BundleMorphism.constant(s1.bundle, s2.bundle, fiber)
+        assert phi.retraction == PolyMap.identity(n)
+        for cap in (0, 1, 3):
+            ident = {f.condition: f for f in check_identity_base(s1, s2, phi, cap).failures}
+            general = {f.condition: f for f in check_general_base(s1, s2, phi, degree_cap=cap).failures}
+            assert list(general) == list(ident)
+            if "bracket" in ident:
+                assert general["bracket"].witness == {
+                    "f1": ident["bracket"].witness["f"], "f2": ident["bracket"].witness["g"],
+                    "representatives": "retraction"}
+                assert general["bracket"].defect == ident["bracket"].defect
+            if "anchor" in ident:
+                assert general["anchor"].to_json() == ident["anchor"].to_json()
+            if "metric" in ident:
+                i, j = ident["metric"].witness["fiber_pair"]
+                frames = [Section.frame(s1.bundle, k).coeffs.to_strings() for k in (i, j)]
+                assert general["metric"].witness == {
+                    "f1": frames[0], "f2": frames[1], "representatives": "retraction"}
+                entry = parse(ident["metric"].defect[i * 2 * n + j], s1.bundle.var_names())
+                assert general["metric"].defect == [(-entry).to_string()]
 
     def test_pontryagin_embedding_verifies_on_retraction_family(self):
         s1 = standard_structure(1)
@@ -404,3 +443,92 @@ def test_least_failing_pair_is_the_same_at_every_cap():
     bracket = check_identity_base(s, s, phi).failures[0]
     assert bracket.condition == "bracket"
     assert bracket.witness == {"f": ["x1", "0"], "g": ["1", "0"]}
+
+
+# -- the metric condition against the tagged pairing sweep it replaced -----------
+
+
+def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=0):
+    """The general-base metric failure as the tagged pairing sweep found it.
+
+    <fa, fb>_1 - <ga, gb>_2 o phi0 on the lifted tagged families, for the
+    retraction representatives and then each perturbed variant (drawn as
+    `check_general_base` draws them), decoded to the least failing pair.  A
+    retraction witness carries the pair's plain defect, a perturbed one the
+    tagged defect.  Returns the failure's JSON, or None.
+    """
+    n = s1.bundle.base_dim
+    cap = degree_cap if n_perturbations > 0 else min(degree_cap, morphisms.SWEEP_ORDER)
+    s1l, s2l = lift_structure(s1, 2), lift_structure(s2, 2)
+    phil = morphisms._lift_morphism(phi, 2)
+    fa = tagged_generating_section(s1.bundle, cap, 2, n)
+    fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
+    ga, gb = related_section(phil, fa), related_section(phil, fb)
+    variants = [(ga, gb, "retraction")]
+    multipliers = morphisms._image_vanishing_multipliers(phil)
+    rng = random.Random(seed)
+    nn = s2l.bundle.base_dim
+    for round_idx in range(n_perturbations if multipliers else 0):
+        perturbed = []
+        for g in (ga, gb):
+            q = rng.choice(multipliers)
+            w = random_section(rng, s2.bundle, 1, terms=1)
+            perturbed.append(g + q * Section(s2l.bundle, PolyMap(nn, [p.lift(nn) for p in w])))
+        variants.append((*perturbed, f"perturbation {round_idx}"))
+    lifted_pairing = s1l.pairing(fa, fb)
+    for gxa, gxb, label in variants:
+        defect = [lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)]
+        pair = morphisms._least_failing_pair(s1.bundle, cap, defect)
+        if pair is None:
+            continue
+        f1, f2 = pair
+        if label == "retraction":
+            g1, g2 = related_section(phi, f1), related_section(phi, f2)
+            shown = [(s1.pairing(f1, f2) - s2.pairing(g1, g2).compose(phi.base_map)).to_string()]
+        else:
+            shown = [p.to_string() for p in defect]
+        return {"condition": "metric", "defect": shown,
+                "witness": {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
+                            "representatives": label}}
+    return None
+
+
+@st.composite
+def graph_embeddings(draw):
+    """(s1, s2, phi): lam1 * standard(n) into lam2 * standard(n + 1) along the
+    graph y_(n+1) = h(x), h of degree <= 1, with the retraction onto the
+    first n coordinates.  The fiber map is a scaled zero-section embedding
+    (tangent by a, cotangent by b), or a matrix of monomial entries of
+    degree <= 1."""
+    n = draw(st.integers(1, 2))
+    lam1, lam2 = draw(nonzero), draw(nonzero)
+    s1 = scaled_structure(standard_structure(n), lam1)
+    s2 = scaled_structure(standard_structure(n + 1), lam2)
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    h = Polynomial(n, draw(st.dictionaries(exps, small, max_size=2)))
+    if draw(st.booleans()):
+        # half of these meet the metric condition: a * b * lam2 = lam1
+        a = draw(nonzero)
+        b = Fraction(lam1) / (a * lam2) if draw(st.booleans()) else draw(nonzero)
+        fiber = [[Polynomial(n)] * (2 * n) for _ in range(2 * n + 2)]
+        for i in range(n):
+            fiber[i] = [Polynomial.constant(n, a if c == i else 0) for c in range(2 * n)]
+            fiber[n + 1 + i] = [Polynomial.constant(n, b if c == n + i else 0)
+                                for c in range(2 * n)]
+    else:
+        entry = st.dictionaries(exps, small, max_size=1)
+        fiber = [[Polynomial(n, draw(entry)) for _ in range(2 * n)] for _ in range(2 * n + 2)]
+    base = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + [h])
+    retraction = PolyMap(n + 1, [Polynomial.variable(n + 1, i) for i in range(n)])
+    return s1, s2, BundleMorphism(s1.bundle, s2.bundle, base, fiber, retraction)
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph_embeddings(), st.sampled_from([0, 1, 3]), st.sampled_from([0, 2]),
+       st.integers(0, 3))
+def test_metric_verdict_equals_the_tagged_pairing_sweep(case, cap, n_perturbations, seed):
+    verdict = check_general_base(*case, degree_cap=cap, seed=seed,
+                                 n_perturbations=n_perturbations)
+    metric = next((f.to_json() for f in verdict.failures if f.condition == "metric"), None)
+    assert metric == reference_metric_failure(*case, cap, seed, n_perturbations)

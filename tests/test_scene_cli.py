@@ -468,6 +468,117 @@ class TestPullbackContract:
             assert pairing["witness"] == {"induced_metric": [["0", "0"], ["0", "0"]]}
 
 
+_STANDARD = {
+    "std1": {"bundle": "P1", "anchor": [["1", "0"]], "metric": [[0, 1], [1, 0]]},
+    "std2": {"bundle": "P2", "anchor": [["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+             "metric": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]},
+}
+_ZERO_SECTION = {"source": "P1", "target": "P2", "base_map": ["x1", "0"],
+                 "fiber_matrix": [["1", "0"], ["0", "0"], ["0", "1"], ["0", "0"]]}
+
+
+def _morphism_scene(morphisms: dict) -> dict:
+    return {"schema_version": 1,
+            "bundles": {"P1": {"base_dim": 1, "rank": 2}, "P2": {"base_dim": 2, "rank": 4}},
+            "courant_structures": _STANDARD, "morphisms": morphisms}
+
+
+def _morphism_scenes():
+    """(label, scene, argv tail, expected exit) for a grid of small
+    `morphism` runs.  It varies whether the named structures live on the
+    map's bundles, whether the map has a retraction, and whether its base
+    is the identity; two of the fiber maps fail the conditions."""
+    maps = {
+        # name: (target bundle, base map, fiber matrix, retraction, verdict)
+        "identity": ("P1", ["x1"], [["1", "0"], ["0", "1"]], ["x1"], 0),
+        "doubling": ("P1", ["x1"], [["2", "0"], ["0", "1/2"]], ["x1"], 1),
+        "zero_section": ("P2", _ZERO_SECTION["base_map"], _ZERO_SECTION["fiber_matrix"],
+                         ["x1"], 0),
+        "dilation": ("P1", ["2*x1"], [["1", "0"], ["0", "1"]], ["1/2*x1"], 1),
+    }
+    for name, (target, base, fiber, retraction, verdict) in maps.items():
+        for retracted in (True, False):
+            spec = {"source": "P1", "target": target, "base_map": base, "fiber_matrix": fiber}
+            if retracted:
+                spec["retraction"] = retraction
+            scene = _morphism_scene({name: spec})
+            identity_base = base == ["x1"]
+            for source in _STANDARD:
+                for target_name in _STANDARD:
+                    matched = source == "std1" and _STANDARD[target_name]["bundle"] == target
+                    expected = verdict if matched and (retracted or identity_base) else 2
+                    label = f"{name}_{'r' if retracted else 'bare'}_{source}_{target_name}"
+                    argv = ["--source", source, "--target", target_name, "--map", name]
+                    yield label, scene, argv, expected
+
+
+class TestMorphismContract:
+    """`morphism` and `intrinsic --phi` honour the exit-code contract."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return code, captured
+
+    def test_grid_exit_codes(self, tmp_path, capsys):
+        runs = 0
+        for label, scene, argv, expected in _morphism_scenes():
+            path = write_scene(tmp_path, scene, f"{label}.json")
+            for cap in ("0", "1"):
+                code, _ = self.run(["morphism", "--scene", str(path), *argv,
+                                    "--degree-cap", cap], capsys)
+                assert code == expected, (label, cap)
+                runs += 1
+        assert runs == 64
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--source", "std2", "--target", "std2", "--map", "zero_section"],
+         "error: morphism source does not match the first structure"),
+        (["--source", "std1", "--target", "std1", "--map", "zero_section"],
+         "error: morphism target does not match the second structure"),
+        (["--source", "std1", "--target", "std2", "--map", "bare"],
+         "error: auto mode needs a morphism with a retraction"),
+    ], ids=["source_bundle", "target_bundle", "no_retraction"])
+    def test_auto_mode_input_errors(self, tmp_path, capsys, argv, message):
+        path = write_scene(tmp_path, _morphism_scene({
+            "zero_section": {**_ZERO_SECTION, "retraction": ["x1"]}, "bare": _ZERO_SECTION}))
+        code, captured = self.run(["morphism", "--scene", str(path), *argv], capsys)
+        assert code == 2 and captured.err.splitlines() == [message]
+
+    def test_pairs_file_that_is_not_a_list(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text("5")
+        code, captured = self.run([
+            "morphism", "--scene", str(SCENE), "--source", "standard1",
+            "--target", "standard2", "--map", "zero_section_embedding",
+            "--pairs", str(pairs)], capsys)
+        assert code == 2
+        assert captured.err.splitlines() == ["error: pairs file must hold a list of pairs, got 5"]
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"fiber_matrix": [[0, 0], [0, 0]]}', "splitting matrix must be invertible"),
+        ('{"fiber_matrix": [["1+", 0], [0, 1]]}', "splitting entry '1+'"),
+        ('{"fiber_matrix": [["y", 0], [0, 1]]}', "unknown identifier 'y'"),
+        ('{"fiber_matrix": [[1e400, 0], [0, 1]]}', "splitting entry inf"),
+        ('{"fiber_matrix": 5}', "fiber_matrix must be a list of lists"),
+        ('{"fiber_matrix": [[1, 0], [0]]}', "splitting matrix must be 2 x 2"),
+    ], ids=["singular", "truncated_entry", "unknown_variable", "infinite_entry",
+            "not_a_matrix", "ragged"])
+    def test_bad_splitting_file_exit_2(self, tmp_path, capsys, text, message):
+        phi = tmp_path / "phi.json"
+        phi.write_text(text)
+        code, captured = self.run(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)],
+                                  capsys)
+        assert code == 2 and message in captured.err
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         outputs = []

@@ -142,12 +142,14 @@ class BundleMorphism:
     The fiber matrix has shape target.rank x source.rank with entries in the
     source base variables.  An optional retraction r (a left inverse of
     phi0, checked exactly at construction) enables constructive extension of
-    sections along the morphism, through P(r(y)) (`extension_matrix`,
-    formed on first use).
+    sections along the morphism, through P(r(y)) (`extension_matrix`), and
+    projects target tangent vectors along the image, through J_r(phi0(x))
+    (`retraction_jacobian`).  Those and the base map's Jacobian
+    (`base_jacobian`) are formed on first use.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
-                 "_extension")
+                 "_extension", "_retraction_jacobian", "_base_jacobian", "_induced")
 
     def __init__(
         self,
@@ -185,6 +187,9 @@ class BundleMorphism:
         object.__setattr__(self, "fiber_matrix", fm)
         object.__setattr__(self, "retraction", retraction)
         object.__setattr__(self, "_extension", None)
+        object.__setattr__(self, "_retraction_jacobian", None)
+        object.__setattr__(self, "_base_jacobian", None)
+        object.__setattr__(self, "_induced", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BundleMorphism is immutable")
@@ -200,6 +205,27 @@ class BundleMorphism:
                 self, "_extension", linalg.pmat_compose(self.fiber_matrix, self.retraction)
             )
         return self._extension
+
+    @property
+    def retraction_jacobian(self) -> list[list[Polynomial]]:
+        """J_r(phi0(x)), the retraction's Jacobian along the image, formed on
+        first use: a source.base_dim x target.base_dim matrix in the source
+        base variables."""
+        if self._retraction_jacobian is None:
+            if self.retraction is None:
+                raise ValueError("the retraction's Jacobian needs a retraction")
+            object.__setattr__(self, "_retraction_jacobian", linalg.pmat_compose(
+                self.retraction.jacobian(), self.base_map
+            ))
+        return self._retraction_jacobian
+
+    @property
+    def base_jacobian(self) -> list[list[Polynomial]]:
+        """Jac(phi0)(x), formed on first use: a target.base_dim x
+        source.base_dim matrix in the source base variables."""
+        if self._base_jacobian is None:
+            object.__setattr__(self, "_base_jacobian", self.base_map.jacobian())
+        return self._base_jacobian
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
@@ -236,6 +262,31 @@ class BundleMorphism:
             retraction=retraction,
         )
 
+    def lifted(self, extra: int) -> "BundleMorphism":
+        """The same morphism over bases with `extra` inert variables appended.
+
+        The base map and the retraction act as the identity on the new
+        variables and the fiber matrix does not involve them, so r o phi0 =
+        id needs no new check, and P(r(y)), once this morphism has formed
+        it, is its own, lifted.
+        """
+        n, big = self.source.base_dim, self.target.base_dim
+        lifted = object.__new__(BundleMorphism)
+        retraction = extension = None
+        if self.retraction is not None:
+            retraction = _lift_polymap(self.retraction, extra)
+        if self._extension is not None:
+            extension = linalg.pmat_lift(self._extension, big + extra)
+        for slot, value in zip(self.__slots__, (
+            TrivialBundle(n + extra, self.source.rank, self.source.label),
+            TrivialBundle(big + extra, self.target.rank, self.target.label),
+            _lift_polymap(self.base_map, extra),
+            linalg.pmat_lift(self.fiber_matrix, n + extra),
+            retraction, extension, None, None, None,
+        )):
+            object.__setattr__(lifted, slot, value)
+        return lifted
+
     def is_identity_base(self) -> bool:
         return (
             self.source.base_dim == self.target.base_dim
@@ -247,14 +298,18 @@ class BundleMorphism:
 
         Entry (i, j) pairs the columns i and j of P, so the result is
         source.rank x source.rank also when P has no rows (a target of rank
-        0), and zero there.
+        0), and zero there.  The last result is kept with its G, so a
+        pullback problem and a morphism check on one target structure form
+        it once.
         """
-        n = self.source.base_dim
-        columns = linalg.pmat_transpose(self.fiber_matrix, self.source.rank)
-        pt_g = linalg.pmat_mul(columns, linalg.pmat_constant(metric, n))
-        return linalg.pmat_transpose(
-            [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
-        )
+        if self._induced is None or self._induced[0] != metric:
+            n = self.source.base_dim
+            columns = linalg.pmat_transpose(self.fiber_matrix, self.source.rank)
+            pt_g = linalg.pmat_mul_constant(columns, metric, n)
+            object.__setattr__(self, "_induced", (metric, linalg.pmat_transpose(
+                [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
+            )))
+        return self._induced[1]
 
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
@@ -272,6 +327,14 @@ class BundleMorphism:
             f"BundleMorphism({self.source.label} -> {self.target.label}, "
             f"base {self.base_map.to_strings()})"
         )
+
+
+def _lift_polymap(pm: PolyMap, extra: int) -> PolyMap:
+    """Extend a base map by the identity on `extra` appended variables."""
+    n = pm.num_inputs
+    outs = [p.lift(n + extra, 0) for p in pm.outputs]
+    outs += [Polynomial.variable(n + extra, n + i) for i in range(extra)]
+    return PolyMap(n + extra, outs)
 
 
 def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:

@@ -178,8 +178,9 @@ class CourantStructure:
     the first call of any of them forms the anchor, metric and c_ij^h
     tables, and the first `bracket` or `derived_operator` forms G^-1 and the
     rows of G^-1 A^T (a read of `metric_inverse` forms G^-1 alone).
-    `lift_structure` forms them on the base and shares them, and does not
-    repeat the checks its base passed.  A structure
+    `lift_structure` forms them on the base and shares them, does not
+    repeat the checks its base passed, and lifts a structure once per
+    variable count.  A structure
     that is only compared, composed or printed never inverts its metric.
 
     Every product runs its outer loop over the smaller factor and each
@@ -188,7 +189,7 @@ class CourantStructure:
     """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
-                 "_inverse", "_frame", "_dual")
+                 "_inverse", "_frame", "_dual", "_lifts")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
         n, k = bundle.base_dim, bundle.rank
@@ -224,8 +225,9 @@ class CourantStructure:
 
     def _fill(self, bundle, anchor, metric, c, tables=(None, None, None)):
         """Set every slot from checked parts; `tables` holds G^-1 and the
-        packed tables, or None for each table formed on first use."""
-        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables)):
+        packed tables, or None for each table formed on first use.  The
+        structure starts with no lifts."""
+        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables, {})):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -516,12 +518,21 @@ def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
 
     The anchor gains zero rows for the new variables, so nothing ever
     differentiates along them: coefficients may mention them as formal
-    constants.  Used by the exact certification sweeps.
+    constants.  Used by the exact certification sweeps.  Structures are
+    immutable, so each is lifted once per `extra` and the lift is kept on it.
     """
+    lifted = s._lifts.get(extra)
+    if lifted is None:
+        lifted = s._lifts[extra] = _lifted(s, extra)
+    return lifted
+
+
+def _lifted(s: CourantStructure, extra: int) -> CourantStructure:
+    """`lift_structure` without the cache."""
     n, k = s.bundle.base_dim, s.bundle.rank
     nn = n + extra
     bundle = TrivialBundle(nn, k, label=s.bundle.label)
-    anchor = [[p.lift(nn, 0) for p in row] for row in s.anchor]
+    anchor = linalg.pmat_lift(s.anchor, nn)
     anchor += [[Polynomial(nn)] * k for _ in range(extra)]
     c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
     # The base's metric passed the constructor's checks, so they are not

@@ -168,6 +168,15 @@ def pmat_mul(a, b, cols: int = 0, num_vars: int = 0) -> list[list[Polynomial]]:
     return out
 
 
+def pmat_mul_constant(a, c: Matrix, num_vars: int) -> list[list[Polynomial]]:
+    """A C for a polynomial matrix A in `num_vars` variables and a constant
+    matrix C: the terms, in order, of pmat_mul(a, pmat_constant(c,
+    num_vars)), without forming C's entries as polynomials."""
+    cols = list(zip(*c))
+    return [[poly_sum(num_vars, (x * v for x, v in zip(row, col) if v and not x.is_zero()))
+             for col in cols] for row in a]
+
+
 def pmat_vec(a, v: Sequence[Polynomial], num_vars: int | None = None) -> list[Polynomial]:
     out = []
     for row in a:
@@ -183,6 +192,13 @@ def pmat_vec(a, v: Sequence[Polynomial], num_vars: int | None = None) -> list[Po
 
 def pmat_sub(a, b) -> list[list[Polynomial]]:
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
+def pmat_lift(a, num_vars: int) -> list[list[Polynomial]]:
+    """A with its entries lifted to `num_vars` variables (new ones appended);
+    the zero entries share one zero polynomial."""
+    zero = Polynomial(num_vars)
+    return [[zero if p.is_zero() else p.lift(num_vars) for p in row] for row in a]
 
 
 def pmat_compose(a, inner: PolyMap) -> list[list[Polynomial]]:

@@ -49,11 +49,49 @@ condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied to
 x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller beta,
 so by induction on alpha it vanishes iff it vanishes on every x^alpha e_i
 with |alpha| <= 1.  The check therefore sweeps the family at
-min(degree_cap, SWEEP_ORDER); an explicit cap 0 sweeps constant sections
-only and stays a bounded claim.  The verdict's detail names the requested
-cap, which the complete certificate covers.  A failing bracket reports its
-least failing pair (see `_least_failing_pair`), which is the same at every
-cap >= 1.
+min(degree_cap, SWEEP_ORDER), or at cap 0 when the three identities below
+hold; otherwise an explicit cap 0 sweeps constant sections only and stays
+a bounded claim.  The verdict's detail names the requested cap, which the
+complete certificate covers.  A failing bracket reports its least failing
+pair (see `_least_failing_pair`), which is the same at every cap >= 1.
+
+When the defect is tensorial, the frame pairs decide it.  Write
+Delta(f, g) = phi o [[f,g]]_1 - [[g_f, g_g]]_2 o phi0 for the auto-mode
+representatives g_f = P(r) f(r) (P f over the identity base), and let
+J_r = J_r(phi0(x)) and Q = J_r A2(phi0); over the identity base J_r = I
+and phi0 = id.  For a function lam on the source base, the representative
+of lam g is (lam o r) g_g, since g_g is formed pointwise at r(y).  Then
+r o phi0 = id gives (lam o r) o phi0 = lam and g_g o phi0 = P g, and the
+chain rule gives rho2(g_f)(lam o r) o phi0 = (Q P f) . grad(lam) and
+D2(lam o r) o phi0 = G2^-1 Q^T grad(lam).  The Leibniz rules of both
+brackets (see courant_core) therefore give
+
+  Delta(f, lam g) - lam Delta(f,g) = ((A1 - Q P) f . grad(lam)) P g,
+  Delta(lam f, g) - lam Delta(f,g) = -((A1 - Q P) g . grad(lam)) P f
+      + <f,g>_1 P G1^-1 A1^T grad(lam)
+      - (<g_f, g_g>_2 o phi0) G2^-1 Q^T grad(lam).
+
+The metric condition makes <g_f, g_g>_2 o phi0 = f^T P^T G2 P g equal to
+<f,g>_1.  The projected anchor Q P = A1 removes the anchor terms and turns
+P G1^-1 A1^T into P G1^-1 P^T Q^T, so what is left vanishes iff the
+D-identity Q (P G1^-1 P^T - G2^-1) = 0 holds (G1 and G2 are symmetric).
+When the metric condition, the projected anchor and the D-identity hold,
+Delta is C-infinity-linear in both slots, Delta(f, g) =
+sum_ij f_i g_j Delta(e_i, e_j), and the bracket condition holds iff it
+holds on every frame pair: the cap-0 sweep.  A failing frame pair is also
+the least failing pair at every cap >= 1.  `_least_failing_pair` orders
+pairs by their larger degree first, so every degree-0 pair precedes every
+pair of degree 1, and among degree-0 pairs the tag i*M + 0 orders by the
+frame index i at every cap.  The witness's plain defect is that of the
+same pair.  So the cap-0 verdict is the degree-1 verdict, byte for byte.
+`_tensorial` reads the identities off the matrices the other conditions
+form: D = 0 is the metric verdict, A2(phi0) and A2(phi0) P are the anchor
+condition's, and J_r(phi0) is kept on the morphism.  If an identity fails,
+the degree-1 sweep runs.  Over the identity base the projected anchor is
+the anchor condition; over a general base it is weaker, so chi, which
+fails the anchor condition for m >= 1, still sweeps at cap 0.  (With the
+metric condition, P G1^-1 A1^T = G2^-1 Q^T alone would imply Q P = A1;
+with Q on both sides, as above, each of the three identities is needed.)
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -126,28 +164,6 @@ class MorphismVerdict:
             "failures": [f.to_json() for f in self.failures],
             "detail": self.detail,
         }
-
-
-# -- lifting helpers (inert tag variables, cf. courant_core) -------------------
-
-
-def _lift_polymap(pm: PolyMap, extra: int) -> PolyMap:
-    """Extend a base map by the identity on `extra` appended variables."""
-    n = pm.num_inputs
-    outs = [p.lift(n + extra, 0) for p in pm.outputs]
-    outs += [Polynomial.variable(n + extra, n + i) for i in range(extra)]
-    return PolyMap(n + extra, outs)
-
-
-def _lift_morphism(phi: BundleMorphism, extra: int) -> BundleMorphism:
-    src = TrivialBundle(phi.source.base_dim + extra, phi.source.rank, phi.source.label)
-    tgt = TrivialBundle(phi.target.base_dim + extra, phi.target.rank, phi.target.label)
-    n = phi.source.base_dim
-    fiber = [[p.lift(n + extra, 0) for p in row] for row in phi.fiber_matrix]
-    retraction = None
-    if phi.retraction is not None:
-        retraction = _lift_polymap(phi.retraction, extra)
-    return BundleMorphism(src, tgt, _lift_polymap(phi.base_map, extra), fiber, retraction)
 
 
 def _least_failing_pair(bundle: TrivialBundle, cap: int, defect: list[Polynomial]):
@@ -234,7 +250,7 @@ def _bracket_failure(s1, s2, phi, cap, general=False, seed=0, n_perturbations=0)
     sweep's defect.
     """
     n = s1.bundle.base_dim
-    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), _lift_morphism(phi, 2)
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
     image = phil.apply(s1l.bracket(fa, fb))
     represent = related_section if general else _image_section
@@ -298,19 +314,59 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     ))
 
 
-def _anchor_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
-    """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1.
+def _along_image(s2, phi, general=False):
+    """(A2(phi0), A2(phi0) P): the target anchor along the image and its
+    product with the fiber matrix, which the anchor condition and the
+    tensorial gate share.  Over the identity base A2 is not composed."""
+    a2 = linalg.pmat_compose(s2.anchor, phi.base_map) if general else s2.anchor
+    return a2, linalg.pmat_mul(a2, phi.fiber_matrix, phi.source.rank, phi.source.base_dim)
 
-    Over the identity base phi0 = id: A2 is not composed and Jac(phi0) A1
-    is A1 itself.
-    """
-    n, k1 = s1.bundle.base_dim, s1.bundle.rank
-    a2, ja1 = s2.anchor, s1.anchor
+
+def _anchor_failure(s1, phi, a2p, general=False) -> ConditionFailure | None:
+    """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1,
+    given A2(phi0) P.  Over the identity base Jac(phi0) A1 is A1 itself."""
+    ja1 = s1.anchor
     if general:
-        a2 = linalg.pmat_compose(a2, phi.base_map)
-        ja1 = linalg.pmat_mul(phi.base_map.jacobian(), ja1, k1, n)
-    defect = linalg.pmat_sub(linalg.pmat_mul(a2, phi.fiber_matrix, k1, n), ja1)
-    return _matrix_failure("anchor", "entry", defect)
+        ja1 = linalg.pmat_mul(phi.base_jacobian, ja1, s1.bundle.rank, s1.bundle.base_dim)
+    return _matrix_failure("anchor", "entry", linalg.pmat_sub(a2p, ja1))
+
+
+def _tensorial(s1, s2, phi, a2, a2p, general=False) -> bool:
+    """The projected anchor Q P = A1 and the D-identity
+    Q (P G1^-1 P^T - G2^-1) = 0, with Q = J_r(phi0(x)) A2(phi0).
+
+    With the metric condition they make the bracket defect tensorial (see
+    the module docstring).  Over the identity base J_r = I.
+    """
+    n = s1.bundle.base_dim
+    projected, q = a2p, a2
+    if general:
+        jr = phi.retraction_jacobian
+        projected = linalg.pmat_mul(jr, a2p, s1.bundle.rank, n)
+        q = linalg.pmat_mul(jr, a2, s2.bundle.rank, n)
+    if projected != s1.anchor:
+        return False
+    p_t = linalg.pmat_transpose(phi.fiber_matrix, s1.bundle.rank)
+    source_side = linalg.pmat_mul(
+        linalg.pmat_mul_constant(projected, s1.metric_inverse, n), p_t, s2.bundle.rank, n
+    )
+    return source_side == linalg.pmat_mul_constant(q, s2.metric_inverse, n)
+
+
+def _auto_failures(s1, s2, phi, degree_cap, general=False, seed=0, n_perturbations=0) -> list:
+    """The three conditions in auto mode.  Without perturbations the bracket
+    is swept at min(degree_cap, SWEEP_ORDER), or at cap 0 when the defect is
+    tensorial (see the module docstring).  Perturbed representatives are
+    affine in the family, so no order argument reaches them and they are
+    swept at degree_cap."""
+    a2, a2p = _along_image(s2, phi, general)
+    metric = _metric_failure(s1, s2, phi, general)
+    cap = degree_cap
+    if n_perturbations == 0:
+        tensorial = metric is None and _tensorial(s1, s2, phi, a2, a2p, general)
+        cap = 0 if tensorial else min(degree_cap, SWEEP_ORDER)
+    return [_bracket_failure(s1, s2, phi, cap, general, seed, n_perturbations), metric,
+            _anchor_failure(s1, phi, a2p, general)]
 
 
 # -- identity base --------------------------------------------------------------
@@ -325,9 +381,10 @@ def check_identity_base(
     """Exact morphism verdict for a bundle morphism over the identity.
 
     The bracket condition is certified over every pair of monomial frame
-    sections of degree <= min(degree_cap, SWEEP_ORDER), which is complete
-    for all smooth sections at any cap >= 1 (see the module docstring); cap
-    0 is a bounded claim over constant sections.  The least failing pair is
+    sections of degree <= min(degree_cap, SWEEP_ORDER), or of degree 0
+    when the defect is tensorial, which is complete for all smooth
+    sections at any cap >= 1 (see the module docstring); otherwise cap 0 is
+    a bounded claim over constant sections.  The least failing pair is
     decoded from the certificate and its plain defect recomputed.  The
     metric and anchor conditions are matrix identities.  The detail names
     the requested cap.
@@ -337,11 +394,8 @@ def check_identity_base(
         raise ValueError("identity-base check needs equal base dimensions")
     if not phi.is_identity_base():
         raise ValueError("base map is not the identity")
-    return _verdict([
-        _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER)),
-        _metric_failure(s1, s2, phi),
-        _anchor_failure(s1, s2, phi),
-    ], f"identity-base criteria at degree cap {degree_cap}")
+    return _verdict(_auto_failures(s1, s2, phi, degree_cap),
+                    f"identity-base criteria at degree cap {degree_cap}")
 
 
 # -- general base ----------------------------------------------------------------
@@ -404,10 +458,11 @@ def check_general_base(
     pairs="auto" derives related sections from the morphism's retraction
     (required in that mode).  The bracket condition is then certified over
     every pair of monomial frame sections of degree
-    <= min(degree_cap, SWEEP_ORDER) with their retraction-generated
-    representatives, the generating family the involutivity reduction
-    rests on.  That is complete for all smooth sections at any cap >= 1
-    (see the module docstring); cap 0 is a bounded claim.  The least
+    <= min(degree_cap, SWEEP_ORDER), or of degree 0 when the defect is
+    tensorial, with their retraction-generated representatives, the
+    generating family the involutivity reduction rests on.  That is
+    complete for all smooth sections at any cap >= 1 (see the module
+    docstring); otherwise cap 0 is a bounded claim.  The least
     failing pair is decoded and reported with its plain defect, recomputed
     on explicit sections.  The metric and anchor conditions are matrix
     identities, as over the identity base: on the retraction
@@ -434,13 +489,7 @@ def check_general_base(
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
-        # perturbed representatives are affine in the family: no order argument
-        cap = degree_cap if n_perturbations > 0 else min(degree_cap, SWEEP_ORDER)
-        failures = [
-            _bracket_failure(s1, s2, phi, cap, general=True, seed=seed,
-                             n_perturbations=n_perturbations),
-            _metric_failure(s1, s2, phi, general=True),
-        ]
+        failures = _auto_failures(s1, s2, phi, degree_cap, True, seed, n_perturbations)
     else:
         checked = list(pairs)
         if not all(check_related(phi, f, g) for f, g in checked):
@@ -458,8 +507,8 @@ def check_general_base(
                         condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
                         [p.to_string() for p in defect],
                     )
-        failures = list(found.values())
-    failures.append(_anchor_failure(s1, s2, phi, general=True))
+        failures = [*found.values(),
+                    _anchor_failure(s1, phi, _along_image(s2, phi, True)[1], True)]
     return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 
 

@@ -112,6 +112,7 @@ class ParseError(ValueError):
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1     # the bit above is the guard bit
+MAX_POWER_BITS = 1 << 20    # the parser's bound on bit length x exponent of a constant power
 
 
 @lru_cache(maxsize=None)
@@ -737,8 +738,11 @@ class PolyMap:
         return PolyMap(inner.num_inputs, [p.compose(inner) for p in self.outputs])
 
     def jacobian(self) -> list[list[Polynomial]]:
-        """Matrix of partials, entry (i, j) = d outputs[i] / d x_j."""
-        return [[p.diff(j) for j in range(self.num_inputs)] for p in self.outputs]
+        """Matrix of partials, entry (i, j) = d outputs[i] / d x_j; the row
+        of a constant output is zero without differentiating."""
+        zero = Polynomial(self.num_inputs)
+        return [[zero if p.is_constant() else p.diff(j) for j in range(self.num_inputs)]
+                for p in self.outputs]
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.outputs)
@@ -792,11 +796,23 @@ class _Lexer:
         return (kind, value, start)
 
 
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:      # more digits than int() converts from a string
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
 def parse(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression over the named variables into a Polynomial.
 
     Raises ParseError on syntax errors (with position), unknown identifiers,
-    and negative or malformed exponents.
+    negative or malformed exponents, and on powers too large to form:
+    before powering, an exponent above `MAX_EXPONENT` is rejected for every
+    base, and a constant power c^e whose bit length times e (the larger of
+    the numerator's and the denominator's) exceeds `MAX_POWER_BITS` = 2^20,
+    so that input text cannot ask for unbounded memory.  An integer literal
+    longer than int() converts is rejected too.
     """
     names = list(variables)
     if len(set(names)) != len(names):
@@ -847,8 +863,16 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
                 raise ParseError("negative exponent", pos)
             if kind != "int":
                 raise ParseError("expected a non-negative integer exponent", pos)
+            exponent = _integer(value, pos)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", pos)
+            if base.is_constant():
+                c = base.constant_value()
+                if max(c.numerator.bit_length(), c.denominator.bit_length()) * exponent \
+                        > MAX_POWER_BITS:
+                    raise ParseError(f"constant power above {MAX_POWER_BITS} bits", pos)
             try:
-                return base ** int(value)
+                return base ** exponent
             except ExponentOverflowError as exc:
                 raise ParseError(str(exc), pos) from None
         return base
@@ -856,14 +880,15 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     def parse_base() -> Polynomial:
         kind, value, pos = lex.next()
         if kind == "int":
-            numerator = int(value)
+            numerator = _integer(value, pos)
             kind2, value2, pos2 = lex.peek()
             if kind2 == "op" and value2 == "/":
                 lex.next()
                 kind3, value3, pos3 = lex.next()
-                if kind3 != "int" or int(value3) == 0:
+                denominator = _integer(value3, pos3) if kind3 == "int" else 0
+                if denominator == 0:
                     raise ParseError("expected a positive integer denominator", pos3)
-                return Polynomial.constant(n, Fraction(numerator, int(value3)))
+                return Polynomial.constant(n, Fraction(numerator, denominator))
             return Polynomial.constant(n, numerator)
         if kind == "ident":
             if value not in index:

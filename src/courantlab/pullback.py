@@ -55,9 +55,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .bundles import BundleMorphism, Section, TrivialBundle
+from .bundles import BundleMorphism, Section, TrivialBundle, _lift_polymap
 from .courant_core import AxiomCheck, CourantStructure, lift_structure, random_section
-from .morphisms import _image_vanishing_multipliers, _lift_polymap, check_general_base
+from .morphisms import _image_vanishing_multipliers, check_general_base
 from .polyexpr import _BITS, Polynomial, PolyMap, _raw, _unpack, poly_sum
 
 __all__ = [
@@ -110,9 +110,10 @@ class PullbackProblem:
     @cached_property
     def _at_image(self):
         """(J_r(phi0(x)), A(phi0(x))): the retraction's Jacobian and the
-        ambient anchor along the image, formed once per problem."""
+        ambient anchor along the image; the first is the morphism's own, the
+        second is formed once per problem."""
         phi = self.morphism
-        return (linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map),
+        return (phi.retraction_jacobian,
                 linalg.pmat_compose(self.ambient.anchor, phi.base_map))
 
     @cached_property
@@ -127,10 +128,8 @@ class PullbackProblem:
         """
         n = self.source_bundle.base_dim + 2
         g_inv = linalg.pmat_constant(self._induced_inverse, n)
-        fiber = [[q.lift(n) for q in row] for row in self.morphism.fiber_matrix]
-        pt_g = linalg.pmat_mul(
-            linalg.pmat_transpose(fiber), linalg.pmat_constant(self.ambient.metric, n)
-        )
+        fiber = linalg.pmat_lift(self.morphism.fiber_matrix, n)
+        pt_g = linalg.pmat_mul_constant(linalg.pmat_transpose(fiber), self.ambient.metric, n)
 
         def solve(vec):
             half = linalg.pmat_vec(pt_g, vec, num_vars=n)
@@ -268,7 +267,7 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     big = p.ambient.bundle.base_dim
 
     # (a) anchor tangency on image fiber elements
-    projector = linalg.pmat_mul(phi.base_map.jacobian(), p._at_image[0], big, n)
+    projector = linalg.pmat_mul(phi.base_jacobian, p._at_image[0], big, n)
     complement = linalg.pmat_sub(linalg.pmat_constant(linalg.identity(big), n), projector)
     anchored = linalg.pmat_mul(p._at_image[1], phi.fiber_matrix, p.source_bundle.rank, n)
     tangency_defect = linalg.pmat_mul(complement, anchored)

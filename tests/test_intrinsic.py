@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from courantlab import intrinsic, linalg, polyexpr, pullback
+from courantlab import intrinsic, linalg, morphisms, polyexpr, pullback
 from courantlab.bundles import Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
@@ -210,3 +211,30 @@ class TestWorkPerOp:
         monkeypatch.setattr(linalg, "det", lambda a: sizes.append(len(a)) or original(a))
         build_intrinsic(n, m)
         assert sizes == [2 * n + 2 * m] * 2
+
+    def test_one_lift_per_structure(self, monkeypatch):
+        # the ambient, the constructed structure and standard(n) are each
+        # lifted once, and the pullback problem and every check share the lift
+        lifts = []
+        for module in (morphisms, pullback):
+            def recording(s, extra, original=module.lift_structure):
+                lifts.append((s, extra, original(s, extra)))
+                return lifts[-1][2]
+            monkeypatch.setattr(module, "lift_structure", recording)
+        result = build_intrinsic(3, 1)
+        structures = {id(s): s for s, _, _ in lifts}
+        assert len(structures) == 3 and id(result.structure) in structures
+        assert {extra for _, extra, _ in lifts} == {2}
+        assert len({id(lifted) for _, _, lifted in lifts}) == 3
+
+    def test_retraction_jacobian_composed_once_per_morphism(self, monkeypatch):
+        # J_r(phi0) of chi serves the pullback problem and chi's check; the
+        # Pontryagin embedding's serves its own check
+        calls = []
+        original = linalg.pmat_compose
+        monkeypatch.setattr(linalg, "pmat_compose",
+                            lambda a, inner: calls.append((a, inner)) or original(a, inner))
+        build_intrinsic(3, 1)
+        jacobian = splitting_composite(3, 1).retraction.jacobian()
+        per_base_map = Counter(id(inner) for a, inner in calls if a == jacobian)
+        assert sorted(per_base_map.values()) == [1, 1]

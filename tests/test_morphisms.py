@@ -1,4 +1,5 @@
 import json
+import itertools
 import random
 from fractions import Fraction
 
@@ -460,7 +461,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     n = s1.bundle.base_dim
     cap = degree_cap if n_perturbations > 0 else min(degree_cap, morphisms.SWEEP_ORDER)
     s1l, s2l = lift_structure(s1, 2), lift_structure(s2, 2)
-    phil = morphisms._lift_morphism(phi, 2)
+    phil = phi.lifted(2)
     fa = tagged_generating_section(s1.bundle, cap, 2, n)
     fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
     ga, gb = related_section(phil, fa), related_section(phil, fb)
@@ -532,3 +533,132 @@ def test_metric_verdict_equals_the_tagged_pairing_sweep(case, cap, n_perturbatio
                                  n_perturbations=n_perturbations)
     metric = next((f.to_json() for f in verdict.failures if f.condition == "metric"), None)
     assert metric == reference_metric_failure(*case, cap, seed, n_perturbations)
+
+
+# -- the bracket condition against the degree-1 sweep the gate replaces ----------
+
+
+def reference_bracket_failure(s1, s2, phi, degree_cap, general):
+    """The bracket failure as the degree-1 sweep finds it, whatever the frame
+    identities say: the tagged families at cap min(degree_cap, SWEEP_ORDER),
+    their image (identity base) or retraction (general base)
+    representatives, the least failing pair and its plain defect.  Returns
+    the failure's JSON, or None."""
+    n = s1.bundle.base_dim
+    cap = min(degree_cap, morphisms.SWEEP_ORDER)
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
+    fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
+
+    def represent(m, f):
+        return related_section(m, f) if general else Section(m.target, m.apply(f))
+
+    def defect(m, s, t, f, g):
+        image = m.apply(s.bracket(f, g))
+        target = [p.compose(m.base_map) for p in t.bracket(represent(m, f), represent(m, g))]
+        return [a - b for a, b in zip(image, target)]
+
+    pair = morphisms._least_failing_pair(s1.bundle, cap, defect(phil, s1l, s2l, fa, fb))
+    if pair is None:
+        return None
+    f1, f2 = pair
+    shown = [p.to_string() for p in defect(phi, s1, s2, f1, f2)]
+    assert any(text != "0" for text in shown)
+    w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
+    witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
+               else {"f": w1, "g": w2})
+    return {"condition": "bracket", "defect": shown, "witness": witness}
+
+
+def reference_verdict(check, s1, s2, phi, degree_cap):
+    """`check`'s verdict JSON with the bracket from the degree-1 sweep."""
+    general = check is check_general_base
+    verdict = check(s1, s2, phi, degree_cap=degree_cap).to_json()
+    failures = [f for f in verdict["failures"] if f["condition"] != "bracket"]
+    bracket = reference_bracket_failure(s1, s2, phi, degree_cap, general)
+    verdict["failures"] = ([bracket] if bracket else []) + failures
+    verdict["is_morphism"] = not verdict["failures"]
+    return verdict
+
+
+def bumped(s, key, value):
+    """s with value added to the structure function c_key."""
+    c = dict(s.structure_functions)
+    c[key] = c.get(key, Polynomial(s.bundle.base_dim)) + value
+    return CourantStructure(s.bundle, s.anchor, s.metric, c)
+
+
+@st.composite
+def hidden_frame_arrows(draw):
+    """(s1, s2, phi) over the identity of R^1 whose bracket defect the cap-0
+    sweep cannot see unless the identities hold; each can fail just one:
+      * the D-identity: the inclusion of a rank-1 bundle with G1 = [g] and
+        no anchor into diag(g, h) with anchor [0 a], a != 0;
+      * the metric condition: the identity of a rank-3 bundle with anchor
+        [1 0 0] and G1 = hyperbolic + [g] into hyperbolic + [h], h != g;
+      * the projected anchor: diag(c, 1/c) on g * standard(1), c != 1."""
+    g = draw(nonzero)
+    kind = draw(st.sampled_from(["d_identity", "metric", "anchor"]))
+    if kind == "d_identity":
+        line, plane = TrivialBundle(1, 1, "L"), TrivialBundle(1, 2, "M")
+        a = draw(st.sampled_from([1, -2]))
+        return (CourantStructure(line, [[0]], [[g]]),
+                CourantStructure(plane, [[0, a]], [[g, 0], [0, draw(nonzero)]]),
+                BundleMorphism.constant(line, plane, [[1], [0]]))
+    if kind == "anchor":
+        s = scaled_structure(standard_structure(1), g)
+        c = Fraction(draw(st.sampled_from([2, -1, Fraction(1, 3)])))
+        return s, s, BundleMorphism.constant(s.bundle, s.bundle, [[c, 0], [0, 1 / c]])
+    h = g * draw(st.sampled_from([2, -1]))
+    bundle = TrivialBundle(1, 3, "F")
+    return (CourantStructure(bundle, [[1, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, g]]),
+            CourantStructure(bundle, [[1, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, h]]),
+            BundleMorphism.identity(bundle))
+
+
+@st.composite
+def gate_arrows(draw):
+    """(check, s1, s2, phi) around the tensorial gate: graph embeddings of
+    scaled standard(1-2); B-field maps (v, p) -> (a v, b p + B v) of scaled
+    standard(1-2) (a = 1 in about half of them), checked over the identity
+    in either mode or followed by a scaled zero-section embedding; and the
+    hidden-frame arrows, in either mode, in half of the draws.  The target
+    is bumped in half of the draws."""
+    branch = draw(st.sampled_from(["graph", "b_field", "hidden", "hidden"]))
+    if branch == "graph":
+        s1, s2, phi = draw(graph_embeddings())
+        check = check_general_base
+    elif branch == "hidden":
+        s1, s2, phi = draw(hidden_frame_arrows())
+        check = draw(st.sampled_from([check_identity_base, check_general_base]))
+    else:
+        n = draw(st.integers(1, 2))
+        s1 = s2 = scaled_structure(standard_structure(n), draw(nonzero))
+        a = draw(st.one_of(st.just(1), nonzero))
+        b = Fraction(1) / a if draw(st.booleans()) else draw(nonzero)
+        exps = st.tuples(*[st.integers(0, 1)] * n)
+        fiber = [[Polynomial.constant(n, (a if i < n else b) * (i == j)) for j in range(2 * n)]
+                 for i in range(2 * n)]
+        for i, j in itertools.combinations(range(n), 2):
+            entry = Polynomial(n, draw(st.dictionaries(exps, small, max_size=2)))
+            fiber[n + i][j], fiber[n + j][i] = entry, -entry
+        identity = PolyMap.identity(n)
+        phi = BundleMorphism(s1.bundle, s1.bundle, identity, fiber, identity)
+        check = draw(st.sampled_from([check_identity_base, check_general_base]))
+        if draw(st.booleans()):
+            _, s2, embed = draw(scaled_zero_sections().filter(lambda c: c[0].bundle == s1.bundle))
+            phi, check = compose_morphisms(embed, phi), check_general_base
+    if draw(st.booleans()):
+        k, nn = s2.bundle.rank, s2.bundle.base_dim
+        key = tuple(draw(st.integers(0, k - 1)) for _ in range(3))
+        value = draw(st.sampled_from([Polynomial.constant(nn, 1), Polynomial.constant(nn, -2),
+                                      Polynomial.variable(nn, 0)]))
+        s2 = bumped(s2, key, value)
+    return check, s1, s2, phi
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(gate_arrows(), st.sampled_from([0, 1, 3]))
+def test_verdict_equals_the_degree_1_sweep(case, cap):
+    check, *arrow = case
+    assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)

@@ -287,6 +287,31 @@ class TestPackedKeys:
         with pytest.raises(ParseError, match="exponent above"):
             parse("x1^40000", ["x1"])
 
+    def test_parse_bounds_powers_before_forming_them(self):
+        # every base: the exponent field's limit; a constant base: also the
+        # bit length times the exponent, numerator and denominator alike
+        assert parse(f"x1^{MAX_EXPONENT}", ["x1"]).degree() == MAX_EXPONENT
+        assert parse("2^32767", []).constant_value() == 2 ** 32767
+        assert parse("(2^32767)^32", []).constant_value() == 2 ** (32767 * 32)
+        assert parse("(1/2^32767)^32", []).constant_value() == Fraction(1, 2 ** (32767 * 32))
+        for text, position, message in [
+            (f"1^{MAX_EXPONENT + 1}", 2, "exponent above"),
+            ("2^99999999999", 2, "exponent above"),
+            ("(2^32767)^33", 10, "constant power above 1048576 bits"),
+            ("(1/2^32767)^33", 12, "constant power above"),
+            ("(2^32767)^32767", 10, "constant power above"),
+        ]:
+            with pytest.raises(ParseError, match=message) as err:
+                parse(text, ["x1"])
+            assert err.value.position == position, text
+
+    def test_parse_rejects_literals_int_cannot_read(self):
+        digits = "1" + "0" * 5000
+        for text, position in [(digits, 0), (f"x1^{digits}", 3), (f"1/{digits}", 2)]:
+            with pytest.raises(ParseError, match="5001 digits is too long") as err:
+                parse(text, ["x1"])
+            assert err.value.position == position
+
     def test_lift_keeps_terms(self):
         p = parse("3*x1^5*x2 - 1/2", ["x1", "x2"])
         lifted = p.lift(5, 2)

@@ -579,6 +579,55 @@ class TestMorphismContract:
         assert code == 2 and message in captured.err
 
 
+class TestParserBounds:
+    """Powers too large to form are input errors on every parsing path.
+
+    Each command runs in a child interpreter capped at 512 MiB of address
+    space and 60 s, so an unbounded power fails there instead of exhausting
+    the machine's memory.
+    """
+
+    BOMBS = ["2^99999999999", "(2^32767)^32767", "1" + "0" * 5000]
+
+    @staticmethod
+    def run_capped(argv):
+        def cap_memory():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+        result = subprocess.run([sys.executable, "-m", "courantlab.cli", *argv],
+                                capture_output=True, text=True, timeout=60,
+                                preexec_fn=cap_memory)
+        assert result.returncode == 2, result.stderr[-500:]
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return lines[0]
+
+    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    def test_intrinsic_phi(self, tmp_path, entry):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"fiber_matrix": [[entry, "0"], ["0", "1"]]}))
+        line = self.run_capped(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)])
+        assert "splitting entry" in line
+
+    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    def test_scene_expression(self, tmp_path, entry):
+        path = write_scene(tmp_path, _morphism_scene({
+            "bomb": {**_ZERO_SECTION, "fiber_matrix": [[entry, "0"], ["0", "0"],
+                                                        ["0", "1"], ["0", "0"]]}}))
+        line = self.run_capped(["morphism", "--scene", str(path), "--source", "std1",
+                                "--target", "std2", "--map", "bomb"])
+        assert "morphism 'bomb'" in line
+
+    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    def test_alt_retraction(self, entry):
+        line = self.run_capped(["pullback", "--scene", str(SCENE), "--ambient", "standard2",
+                                "--morphism", "zero_section_embedding",
+                                "--alt-retraction", json.dumps([f"x1 + {entry}"])])
+        assert line.startswith("error: bad --alt-retraction")
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
         outputs = []

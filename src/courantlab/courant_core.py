@@ -172,16 +172,16 @@ class CourantStructure:
     """Frame presentation (anchor, metric, structure functions) of a
     Courant algebroid structure on a trivial bundle.
 
-    The constructor checks the shapes, the symmetry of G and det G != 0.
-    `pairing`, `anchor_apply`, `derived_operator` and `bracket` run on
-    packed term dicts (see polyexpr) against tables formed on first use:
-    the first call of any of them forms the anchor, metric and c_ij^h
-    tables, and the first `bracket` or `derived_operator` forms G^-1 and the
-    rows of G^-1 A^T (a read of `metric_inverse` forms G^-1 alone).
+    The constructor checks the shapes and the symmetry of G, and forms G^-1
+    once: that reduction is its check that G is nonsingular, and the
+    structure keeps the result as `metric_inverse`.  `pairing`,
+    `anchor_apply`, `derived_operator` and `bracket` run on packed term
+    dicts (see polyexpr) against tables formed on first use: the first call
+    of any of them forms the anchor, metric and c_ij^h tables, and the first
+    `bracket` or `derived_operator` forms the rows of G^-1 A^T.
     `lift_structure` forms them on the base and shares them, does not
     repeat the checks its base passed, and lifts a structure once per
-    variable count.  A structure
-    that is only compared, composed or printed never inverts its metric.
+    variable count.
 
     Every product runs its outer loop over the smaller factor and each
     operation's loop nest is fixed, so results have one term order; axiom
@@ -209,8 +209,10 @@ class CourantStructure:
             raise ValueError(f"metric must be {k} x {k}")
         if not linalg.is_symmetric(g):
             raise ValueError("metric must be symmetric")
-        if linalg.det(g) == 0:
-            raise ValueError("metric must have nonzero determinant")
+        try:
+            inverse = linalg.inverse(g)
+        except ValueError:
+            raise ValueError("metric must have nonzero determinant") from None
         c: dict[tuple[int, int, int], Polynomial] = {}
         for (i, j, h), p in (structure_functions or {}).items():
             if not (0 <= i < k and 0 <= j < k and 0 <= h < k):
@@ -221,7 +223,7 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        self._fill(bundle, rows, g, c)
+        self._fill(bundle, rows, g, c, (inverse, None, None))
 
     def _fill(self, bundle, anchor, metric, c, tables=(None, None, None)):
         """Set every slot from checked parts; `tables` holds G^-1 and the
@@ -235,7 +237,8 @@ class CourantStructure:
 
     @property
     def metric_inverse(self):
-        """G^-1, formed on first use."""
+        """G^-1: the constructor's, or formed on first use by a structure
+        assembled without the constructor."""
         if self._inverse is None:
             object.__setattr__(self, "_inverse", linalg.inverse(self.metric))
         return self._inverse
@@ -1126,6 +1129,6 @@ def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
     for u in basis:
         gu = linalg.mat_vec(s.metric, u)
         for v in basis:
-            if sum((a * b for a, b in zip(gu, v)), Fraction(0)) != 0:
+            if sum((a * b for a, b in zip(gu, v) if a and b), Fraction(0)) != 0:
                 return False
     return subspace.dim == k // 2

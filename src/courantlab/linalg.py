@@ -12,6 +12,12 @@ unscaled, because scaling costs a Fraction division per entry and only a
 solution or an inverse needs it, once per entry read off.  With this rule
 every result, the Farkas vector included, is the one Gauss-Jordan
 elimination with scaled pivot rows gives.
+
+Most entries of the matrices this package forms are 0 or 1, so the loops
+here skip zeros: `mat` keeps entries that are already Fraction, `inverse`
+divides only the nonzero entries it reads off, and `mat_vec` multiplies
+only pairs of nonzero factors.  Every result is still a Fraction, the one
+the full loop gives.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ Matrix = list[list[Fraction]]
 
 
 def mat(rows) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+    return [[v if type(v) is Fraction else Fraction(v) for v in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -49,7 +55,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -106,7 +112,7 @@ def inverse(a: Matrix) -> Matrix:
     m = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
     if len(_reduce(m, n)[0]) < n:
         raise ValueError("matrix is singular")
-    return [[x / row[i] for x in row[n:]] for i, row in enumerate(m)]
+    return [[x / row[i] if x else x for x in row[n:]] for i, row in enumerate(m)]
 
 
 def rank(a: Matrix) -> int:

@@ -61,6 +61,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import comb, prod
 from operator import or_
 from typing import Iterable, Sequence, Union
 
@@ -112,7 +113,7 @@ class ParseError(ValueError):
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1     # the bit above is the guard bit
-MAX_POWER_BITS = 1 << 20    # the parser's bound on bit length x exponent of a constant power
+MAX_POWER_BITS = 1 << 20    # the parser's bound on the size of a power or product (`_size_bits`)
 
 
 @lru_cache(maxsize=None)
@@ -776,9 +777,9 @@ class _Lexer:
         if start >= len(self.text):
             return ("end", "", start)
         ch = self.text[start]
-        if ch.isdigit():
+        if ch.isdecimal():
             end = start
-            while end < len(self.text) and self.text[end].isdigit():
+            while end < len(self.text) and self.text[end].isdecimal():
                 end += 1
             return ("int", self.text[start:end], start)
         if ch.isalpha() or ch == "_":
@@ -803,20 +804,56 @@ def _integer(digits: str, pos: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    """The largest bit length of a numerator or denominator of p."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p._packed.values()), default=0)
+
+
+def _size_bits(p: Polynomial) -> int:
+    """The size of p: its term count times its largest coefficient bits."""
+    return len(p._packed) * _coefficient_bits(p)
+
+
+def _power_bits(p: Polynomial, e: int) -> int:
+    """`_size_bits` of p^e, estimated before powering.
+
+    With t terms, p^e has at most C(e + t - 1, t - 1) terms, and at most
+    prod_v (e deg_v + 1) for the degree deg_v of p in each variable v.  Each
+    coefficient is a sum of at most t^e products of e coefficients of p, so
+    it has about e (b + ceil(log2 t)) bits, b the largest of p's.  For one
+    term the estimate is e b.
+    """
+    t = len(p._packed)
+    if not t:
+        return 0
+    degrees = [max(exps) for exps in zip(*(_unpack(k, p.num_vars) for k in p._packed))]
+    count = min(comb(e + t - 1, t - 1), prod(e * d + 1 for d in degrees))
+    return count * e * (_coefficient_bits(p) + (t - 1).bit_length())
+
+
 def parse(text: str, variables: Sequence[str]) -> Polynomial:
     """Parse an expression over the named variables into a Polynomial.
 
     Raises ParseError on syntax errors (with position), unknown identifiers,
     negative or malformed exponents, and on powers too large to form:
     before powering, an exponent above `MAX_EXPONENT` is rejected for every
-    base, and a constant power c^e whose bit length times e (the larger of
-    the numerator's and the denominator's) exceeds `MAX_POWER_BITS` = 2^20,
-    so that input text cannot ask for unbounded memory.  An integer literal
-    longer than int() converts is rejected too.
+    base, and so is a power whose term count times coefficient bits could
+    exceed `MAX_POWER_BITS` = 2^20 (`_power_bits`; for a constant c^e, the
+    bit length of c's numerator or denominator times e).  A product is
+    rejected once its running value's term count times coefficient bits
+    passes `MAX_POWER_BITS`, so that input text cannot ask for unbounded
+    memory or time.  An integer literal longer than int() converts is
+    rejected too.
+
+    A text made only of decimal digits is its own constant and skips the
+    grammar.
     """
     names = list(variables)
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
+    if text.isdecimal():
+        return Polynomial.constant(len(names), _integer(text, 0))
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     lex = _Lexer(text)
@@ -850,6 +887,8 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
                     acc = acc * rhs
                 except ExponentOverflowError as exc:
                     raise ParseError(str(exc), pos) from None
+                if _size_bits(acc) > MAX_POWER_BITS:
+                    raise ParseError(f"product above {MAX_POWER_BITS} bits", pos)
             else:
                 return acc
 
@@ -866,11 +905,9 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
             exponent = _integer(value, pos)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent above {MAX_EXPONENT}", pos)
-            if base.is_constant():
-                c = base.constant_value()
-                if max(c.numerator.bit_length(), c.denominator.bit_length()) * exponent \
-                        > MAX_POWER_BITS:
-                    raise ParseError(f"constant power above {MAX_POWER_BITS} bits", pos)
+            if _power_bits(base, exponent) > MAX_POWER_BITS:
+                raise ParseError(f"{'constant ' if base.is_constant() else ''}power above "
+                                 f"{MAX_POWER_BITS} bits", pos)
             try:
                 return base ** exponent
             except ExponentOverflowError as exc:

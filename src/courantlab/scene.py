@@ -71,9 +71,15 @@ def _no_duplicates(pairs):
 
 
 def _rational(value, where: str) -> Fraction:
+    """Fraction(value) for an int or a string, read with int() when the
+    string is decimal digits or two such parts joined by '/'."""
     try:
         if isinstance(value, bool):
             raise ValueError
+        if isinstance(value, str):
+            numerator, slash, denominator = value.partition("/")
+            if numerator.isdecimal() and (denominator.isdecimal() or not slash):
+                return Fraction(int(numerator), int(denominator) if slash else 1)
         if isinstance(value, (int, str)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):

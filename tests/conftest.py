@@ -7,10 +7,12 @@ Lagrange-interpolation derivative avoids symbolic differentiation
 """
 
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from courantlab import linalg
 from courantlab.bundles import TrivialBundle
@@ -107,3 +109,22 @@ def rational_points():
         ]
 
     return make
+
+
+_ascii_digits = st.text(alphabet="0123456789", min_size=1, max_size=12)
+_integer_literals = st.one_of(
+    _ascii_digits,
+    st.builds(lambda zeros, digits: "0" * zeros + digits, st.integers(1, 4), _ascii_digits),
+    st.text(alphabet=st.characters(categories=["Nd"]), min_size=1, max_size=6),
+    # one digit past the longest literal int() converts
+    st.just("7" * (sys.get_int_max_str_digits() + 1)),
+)
+#: Integer literals (ASCII, with leading zeros, other Unicode decimals, one
+#: too long for int()) and p/q pairs of them, the zero denominator included,
+#: plus texts next to them that are not literals.
+literals = st.one_of(
+    _integer_literals,
+    st.builds(lambda p, q: f"{p}/{q}", _integer_literals, _integer_literals),
+    st.sampled_from(["", "-3", "+2", " 4", "5 ", "1_000", "1.5", "3/", "/3", "2/-3",
+                     "\u00b2", "2\u00b2", "1/\u00b3", "x1"]),
+)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courantlab import courant_core, linalg
 from courantlab.bundles import LinearSubspace, Section, TrivialBundle
@@ -527,6 +528,28 @@ class TestDiracCheck:
     def test_odd_rank_errors(self):
         with pytest.raises(ValueError, match="odd rank"):
             dirac_check(so3_structure(), LinearSubspace(3, []))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data(), st.integers(1, 4), st.sampled_from([1, Fraction(-2, 5), 3]))
+    def test_a_graph_is_dirac_iff_its_matrix_is_skew(self, data, k, lam):
+        # oracle: (v, S v) and (w, S w) pair to lam v^T (S + S^T) w, so the
+        # graph of S, of dimension k, is maximally isotropic iff S^T = -S
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        s = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
+        if data.draw(st.booleans()):        # skew, from the strict upper triangle
+            s = [[s[i][j] if i < j else -s[j][i] if i > j else Fraction(0)
+                  for j in range(k)] for i in range(k)]
+        skew = all(s[i][j] == -s[j][i] for i in range(k) for j in range(k))
+        structure = scaled_structure(standard_structure(k), lam)
+        graph = LinearSubspace.graph_of_matrix(s)
+        assert dirac_check(structure, graph) == skew
+        # the dense sum over every entry, zeros included
+        dense = [[sum((g * x for g, x in zip(row, u)), Fraction(0)) for row in structure.metric]
+                 for u in graph.basis]
+        isotropic = all(sum((a * b for a, b in zip(gu, v)), Fraction(0)) == 0
+                        for gu in dense for v in graph.basis)
+        assert (isotropic and graph.dim == k) == skew
 
 
 def test_structure_validation():

@@ -246,6 +246,22 @@ def test_int_input_gives_the_exact_results_of_fraction_input(a):
 
 
 @bounded
+@given(systems())
+def test_mat_vec_skips_zeros_without_changing_the_result(system):
+    a, b = system
+    v = (b * 6)[:len(a[0])] if a else []      # b has zeros mixed in too
+    dense = [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    assert typed(linalg.mat_vec(a, v)) == typed(dense)
+
+
+def test_mat_keeps_fraction_entries_and_converts_the_rest():
+    half = Fraction(1, 2)
+    m = linalg.mat([[half, 2], [True, Fraction(3)]])
+    assert m[0][0] is half and typed(m) == typed([[half, Fraction(2)],
+                                                  [Fraction(1), Fraction(3)]])
+
+
+@bounded
 @given(systems(square=True))
 def test_det_and_inverse_agree_with_sympy(system):
     a, _ = system

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from courantlab import linalg
 from courantlab.polyexpr import (
@@ -14,7 +16,7 @@ from courantlab.polyexpr import (
     parse,
 )
 
-from conftest import eval_term_by_term, fd_partial
+from conftest import eval_term_by_term, fd_partial, literals
 
 
 def rand_poly(rng, num_vars, degree=4, terms=4):
@@ -68,12 +70,42 @@ class TestParse:
         with pytest.raises(ParseError, match="trailing"):
             parse("x1 x1", ["x1"])
 
+    def test_digits_that_are_not_decimal_are_unexpected(self):
+        # "\u00b2".isdigit() holds but int() cannot read it
+        for text, position in [("\u00b2", 0), ("2\u00b2", 1)]:
+            with pytest.raises(ParseError) as err:
+                parse(text, [])
+            assert str(err.value) == f"unexpected character '\u00b2' (at position {position})"
+
     def test_print_parse_roundtrip(self):
         rng = random.Random(7)
         names = ["x1", "x2", "x3"]
         for _ in range(50):
             p = rand_poly(rng, 3)
             assert parse(p.to_string(names), names) == p
+
+
+def _parsed(text):
+    """("ok", the stored terms with their types) or ("error", the message
+    without its position, the position)."""
+    try:
+        p = parse(text, ["x1"])
+    except ParseError as exc:
+        return "error", str(exc).removesuffix(f" (at position {exc.position})"), exc.position
+    return "ok", p.num_vars, [(key, type(c), c) for key, c in p._packed.items()]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(literals)
+def test_a_literal_parses_as_the_grammar_reads_it(text):
+    # a decimal text skips the grammar; the parenthesised text cannot
+    fast, grammar = _parsed(text), _parsed("(" + text + ")")
+    if grammar[0] == "ok":
+        assert fast == grammar
+    elif text.isdecimal():      # too long for int(): the same error, one place left
+        assert fast[:2] == grammar[:2] and fast[2] == grammar[2] - 1
+    else:
+        assert fast[0] == "error"
 
 
 class TestArith:
@@ -304,6 +336,29 @@ class TestPackedKeys:
             with pytest.raises(ParseError, match=message) as err:
                 parse(text, ["x1"])
             assert err.value.position == position, text
+
+    def test_parse_bounds_powers_of_sums_and_long_products(self):
+        # the term count times the coefficient bits of a power is bounded
+        # before powering, and that of a running product after each factor
+        power = parse("(1+x1)^700", ["x1"])
+        assert len(power.terms) == 701 and power.terms[(350,)] == comb(700, 350)
+        assert len(parse("(x1+x2+x3)^20", ["x1", "x2", "x3"]).terms) == 231
+        product = parse("*".join(["2^32767"] * 32), [])
+        assert product.constant_value() == 2 ** (32767 * 32)
+        for text, position, message in [
+            ("(1+x1)^725", 7, "power above 1048576 bits"),
+            ("(1+x1)^3000", 7, "power above"),
+            ("(1+x1)^32767", 7, "power above"),
+            ("(2^1000*x1)^2000", 12, "power above"),
+            ("*".join(["2^32767"] * 33), 255, "product above 1048576 bits"),
+            ("*".join(["2^32767"] * 2000), 255, "product above"),
+            # the 1027th factor: 1027 terms of up to 1022 bits
+            ("*".join(["(1+x1)"] * 2000), 7 * 1026 - 1, "product above"),
+        ]:
+            with pytest.raises(ParseError, match=message) as err:
+                parse(text, ["x1"])
+            assert err.value.position == position, text
+            assert "constant" not in str(err.value)
 
     def test_parse_rejects_literals_int_cannot_read(self):
         digits = "1" + "0" * 5000

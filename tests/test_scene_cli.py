@@ -2,14 +2,18 @@ import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from courantlab import cli
+from courantlab import cli, linalg
 from courantlab.cli import main
 from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
-from courantlab.scene import SceneError, load_scene, structure_to_json
+from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
+
+from conftest import literals
 
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
@@ -84,6 +88,46 @@ class TestLoadScene:
         reloaded = scene.structures["roundtrip"]
         assert reloaded == s
         assert check_axioms(reloaded, n_random=10).all_passed
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(literals)
+    def test_rational_literals_read_as_fraction_reads_them(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(SceneError) as err:
+                _rational(text, "here")
+            assert str(err.value) == f"here: expected a rational (integer or 'p/q'), got {text!r}"
+        else:
+            got = _rational(text, "here")
+            assert type(got) is Fraction and got == expected
+
+    def test_a_structure_reduces_its_metric_once(self, tmp_path, monkeypatch):
+        # the constructor's inverse is its nonsingularity check, and the
+        # axiom certificate reads it
+        reductions = []
+        reduce = linalg._reduce
+        monkeypatch.setattr(linalg, "_reduce", lambda *a: reductions.append(1) or reduce(*a))
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"P1": {"base_dim": 1, "rank": 2}},
+                                      "courant_structures": {"s": {
+                                          "bundle": "P1", "anchor": [["1", "0"]],
+                                          "metric": [["0", "2/3"], ["2/3", "0"]]}}})
+        s = load_scene(path).structures["s"]
+        assert check_axioms(s).all_passed
+        assert len(reductions) == 1
+        assert s.metric_inverse == linalg.inverse(s.metric) == [[0, Fraction(3, 2)],
+                                                              [Fraction(3, 2), 0]]
+
+    def test_singular_metric_keeps_its_message(self, tmp_path):
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"P1": {"base_dim": 1, "rank": 2}},
+                                      "courant_structures": {"s": {
+                                          "bundle": "P1", "anchor": [["1", "0"]],
+                                          "metric": [["1", "2"], ["2", "4"]]}}})
+        with pytest.raises(SceneError) as err:
+            load_scene(path)
+        assert str(err.value) == "courant_structure 's': metric must have nonzero determinant"
 
 
 class TestCLI:
@@ -587,7 +631,9 @@ class TestParserBounds:
     the machine's memory.
     """
 
-    BOMBS = ["2^99999999999", "(2^32767)^32767", "1" + "0" * 5000]
+    BOMBS = ["2^99999999999", "(2^32767)^32767", "1" + "0" * 5000, "(1+x1)^32767",
+             "(1+x1)^3000", "*".join(["2^32767"] * 2000)]
+    IDS = ["exponent", "nested", "literal", "sum_power", "sum_power_3000", "product"]
 
     @staticmethod
     def run_capped(argv):
@@ -604,14 +650,14 @@ class TestParserBounds:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         return lines[0]
 
-    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_intrinsic_phi(self, tmp_path, entry):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"fiber_matrix": [[entry, "0"], ["0", "1"]]}))
         line = self.run_capped(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)])
         assert "splitting entry" in line
 
-    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_scene_expression(self, tmp_path, entry):
         path = write_scene(tmp_path, _morphism_scene({
             "bomb": {**_ZERO_SECTION, "fiber_matrix": [[entry, "0"], ["0", "0"],
@@ -620,7 +666,7 @@ class TestParserBounds:
                                 "--target", "std2", "--map", "bomb"])
         assert "morphism 'bomb'" in line
 
-    @pytest.mark.parametrize("entry", BOMBS, ids=["exponent", "nested", "literal"])
+    @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_alt_retraction(self, entry):
         line = self.run_capped(["pullback", "--scene", str(SCENE), "--ambient", "standard2",
                                 "--morphism", "zero_section_embedding",

@@ -145,11 +145,13 @@ class BundleMorphism:
     sections along the morphism, through P(r(y)) (`extension_matrix`), and
     projects target tangent vectors along the image, through J_r(phi0(x))
     (`retraction_jacobian`).  Those and the base map's Jacobian
-    (`base_jacobian`) are formed on first use.
+    (`base_jacobian`) are formed on first use; the last induced metric and
+    the last anchor along the image are kept with their target data.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
-                 "_extension", "_retraction_jacobian", "_base_jacobian", "_induced")
+                 "_extension", "_retraction_jacobian", "_base_jacobian", "_induced",
+                 "_anchored")
 
     def __init__(
         self,
@@ -190,6 +192,7 @@ class BundleMorphism:
         object.__setattr__(self, "_retraction_jacobian", None)
         object.__setattr__(self, "_base_jacobian", None)
         object.__setattr__(self, "_induced", None)
+        object.__setattr__(self, "_anchored", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BundleMorphism is immutable")
@@ -282,7 +285,7 @@ class BundleMorphism:
             TrivialBundle(big + extra, self.target.rank, self.target.label),
             _lift_polymap(self.base_map, extra),
             linalg.pmat_lift(self.fiber_matrix, n + extra),
-            retraction, extension, None, None, None,
+            retraction, extension, None, None, None, None,
         )):
             object.__setattr__(lifted, slot, value)
         return lifted
@@ -310,6 +313,19 @@ class BundleMorphism:
                 [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
             )))
         return self._induced[1]
+
+    def anchor_along_image(self, anchor) -> tuple[list, list]:
+        """(A(phi0(x)), A(phi0(x)) P(x)) for an anchor A on the target base.
+
+        The last result is kept with its A, so a pullback problem and a
+        morphism check on one target structure compose A with phi0 once.
+        """
+        if self._anchored is None or self._anchored[0] != anchor:
+            along = linalg.pmat_compose(anchor, self.base_map)
+            object.__setattr__(self, "_anchored", (anchor, along, linalg.pmat_mul(
+                along, self.fiber_matrix, self.source.rank, self.source.base_dim
+            )))
+        return self._anchored[1:]
 
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
@@ -470,11 +486,17 @@ class LinearSubspace:
 
     @classmethod
     def graph_of_matrix(cls, s) -> "LinearSubspace":
-        """The graph {(v, S v)} inside R^k + R^k for a square matrix S."""
+        """The graph {(v, S v)} inside R^k + R^k for a square matrix S.
+
+        Its basis (e_i, S e_i) is independent by construction, since the top
+        block is I, so the rank check of the constructor is not run.
+        """
         s = linalg.mat(s)
         k = len(s)
-        basis = []
-        for i in range(k):
-            col = [Fraction(int(j == i)) for j in range(k)]
-            basis.append(col + [s[r][i] for r in range(k)])
-        return cls(2 * k, basis)
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "ambient_dim", 2 * k)
+        object.__setattr__(graph, "basis", tuple(
+            tuple(Fraction(int(j == i)) for j in range(k)) + tuple(row[i] for row in s)
+            for i in range(k)
+        ))
+        return graph

@@ -92,16 +92,28 @@ with constant symmetric G the expansion gives the rules
     <K_f(lam), k> = -H(f,k)(lam).  So if A G^-1 A^T = 0, H is tensorial
     and vanishes iff H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j]
     does, the anchor homomorphism; then K vanishes too, J is tensorial in
-    every slot, and (i) holds iff it holds on every frame triple: the
-    cap-0 sweep.
+    every slot, and (i) holds iff it holds on every frame triple.
+  * (i) on frame triples, in closed form.  The first rule with
+    f = e_i, lam = c_jk^h, g = e_h gives [[e_i, [[e_j,e_k]]]] =
+    sum_h c_jk^h [[e_i,e_h]] + sum_l rho_i(c_jk^l) e_l, and
+    [[e_j, [[e_i,e_k]]]] likewise; the second with lam = c_ij^h, f = e_h,
+    g = e_k gives [[[[e_i,e_j]], e_k]] = sum_h c_ij^h [[e_h,e_k]]
+    - sum_l rho_k(c_ij^l) e_l + D(c_ijk), since
+    sum_h G_hk D(c_ij^h) = D(c_ijk) for constant G.  So
+      J(e_i,e_j,e_k)^l = sum_h (c_jk^h c_ih^l - c_ij^h c_hk^l - c_ik^h c_jh^l)
+                         + rho_i(c_jk^l) + rho_k(c_ij^l) - rho_j(c_ik^l)
+                         - D(c_ijk)^l
+    for any frame data with constant symmetric G, and its vanishing for
+    all i, j, k, l is the fifth frame identity: what the cap-0 sweep of
+    (i) decides.  Every term has a factor c, so it holds when c = 0.
   * The converse.  If (i)-(iii) hold, the first line gives
     H(f,g)(lam) h = 0 for every lam and h, so H = 0 and the homomorphism
     holds; then H(lam f, g) = 0 leaves <f,g> rho(D(lam)) = 0, and some
     <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
-Hence the three axioms hold for all smooth sections iff the four frame
-identities hold and the cap-0 sweep passes, which is also what the
-degree-1 sweep decides.  `_certify_axioms` decides a pass that way and
-runs the degree-1 sweep only when some check fails, to find witnesses.
+Hence the three axioms hold for all smooth sections iff the five frame
+identities hold, which is also what the degree-1 sweep decides.
+`_certify_axioms` decides a pass that way, with no bracket, and runs the
+degree-1 sweep only when some identity fails, to find witnesses.
 
 The two Leibniz rules of the bracket above hold by the expansion, for
 every structure the constructor accepts, so `check_leibniz` does not
@@ -818,27 +830,36 @@ def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
     return family
 
 
+def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
+    """{(i, j, h): c_ij^h} and {(i, j, h): c_ijh}, packed, over the nonzero
+    entries, with c_ijh = sum_l c_ij^l G_lh."""
+    metric, grouped = s._frame_tables[2:]
+    c = {(i, j, h): entry for i, j, hs in grouped for h, entry in hs}
+    lowered: dict[tuple[int, int, int], dict] = {}
+    for (i, j, l), entry in c.items():
+        for h, g in enumerate(metric[l]):
+            if g:
+                _add_into(lowered.setdefault((i, j, h), {}), _scaled(entry, g))
+    return c, lowered
+
+
 def _frame_identities_hold(s: CourantStructure) -> bool:
     """Whether the frame data satisfy, checked in this order, (iii)
     c_ij^h + c_ji^h = 0, (ii) c_ijh + c_ihj = 0, rho o D = A G^-1 A^T = 0
     and the anchor homomorphism [rho_i, rho_j] = sum_h c_ij^h rho_h; False
-    at the first that fails.  See the module docstring.
+    at the first that fails.  See the module docstring; `_frame_jacobi_holds`
+    is the fifth identity.
 
     Each runs over the nonzero table entries.  Raw packed products are
     exact here: every factor is a checked input or its derivative, so no
     key field carries, and no result is stored.
     """
     k = s.bundle.rank
-    anchor, negated, metric, grouped = s._frame_tables
+    anchor, negated, _, grouped = s._frame_tables
     by_pair = {(i, j): hs for i, j, hs in grouped}
-    c = {(i, j, h): entry for (i, j), hs in by_pair.items() for h, entry in hs}
+    c, lowered = _c_tables(s)
     if any(c.get((j, i, h)) != _scaled(entry, -1) for (i, j, h), entry in c.items()):
         return False
-    lowered: dict[tuple[int, int, int], dict] = {}
-    for (i, j, l), entry in c.items():
-        for h in range(k):
-            if metric[l][h]:
-                _add_into(lowered.setdefault((i, j, h), {}), _scaled(entry, metric[l][h]))
     if any(lowered.get((i, h, j), {}) != _scaled(entry, -1)
            for (i, j, h), entry in lowered.items()):
         return False
@@ -863,6 +884,52 @@ def _frame_identities_hold(s: CourantStructure) -> bool:
             if any(defect.values()):
                 return False
     return True
+
+
+def _frame_jacobi_holds(s: CourantStructure) -> bool:
+    """Whether (i) holds on every frame triple: for all i, j, k and l,
+      J(e_i, e_j, e_k)^l = sum_h (c_jk^h c_ih^l - c_ij^h c_hk^l - c_ik^h c_jh^l)
+                           + rho_i(c_jk^l) + rho_k(c_ij^l) - rho_j(c_ik^l)
+                           - D(c_ijk)^l = 0,
+    which is what the cap-0 sweep decides for (i), for any frame data (see
+    the module docstring).  Every term has a factor c, so the loops run over
+    the nonzero c entries; the products are exact as in
+    `_frame_identities_hold`.
+    """
+    anchor, negated = s._frame_tables[:2]
+    c, lowered = _c_tables(s)
+    first: dict[int, list] = {}         # h -> [(q, l, c_hq^l), ...]
+    second: dict[int, list] = {}        # h -> [(p, l, c_ph^l), ...]
+    for (i, j, l), entry in c.items():
+        first.setdefault(i, []).append((j, l, entry))
+        second.setdefault(j, []).append((i, l, entry))
+    jacobiator: dict[tuple, dict] = {}  # (i, j, k, l) -> J(e_i, e_j, e_k)^l
+
+    def add(key, p, q):
+        _mul_into(jacobiator.setdefault(key, {}), *_ordered(p, q))
+
+    for (x, y, h), entry in c.items():
+        minus = _scaled(entry, -1)
+        for p, l, other in second.get(h, ()):
+            add((p, x, y, l), entry, other)
+            add((x, p, y, l), minus, other)
+        for q, l, other in first.get(h, ()):
+            add((x, y, q, l), minus, other)
+        for m, (plus_row, minus_row) in enumerate(zip(anchor, negated)):
+            for (a, plus), (_, neg) in zip(plus_row, minus_row):
+                d = _deriv(entry, a)
+                if d:
+                    add((m, x, y, h), plus, d)
+                    add((x, y, m, h), plus, d)
+                    add((x, m, y, h), neg, d)
+    for key, lam in lowered.items():
+        minus = _scaled(lam, -1)
+        for l, row in enumerate(s._dual_rows):
+            for a, entry in row:
+                d = _deriv(minus, a)
+                if d:
+                    add((*key, l), entry, d)
+    return not any(jacobiator.values())
 
 
 def _exchanged(comps: list[dict], n: int) -> list[dict]:
@@ -941,9 +1008,9 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     is complete for all smooth sections at any cap >= 1; see the module
     docstring.  The label names the requested cap and its family.
 
-    At any cap >= 1 a pass is decided by the four frame identities and the
-    cap-0 sweep, which together are equivalent to the axioms (module
-    docstring).  If any of them fails, the degree-1 sweep runs and its
+    At any cap >= 1 a pass is decided by the five frame identities, which
+    together are equivalent to the axioms (module docstring), with no lift
+    and no bracket.  If any of them fails, the degree-1 sweep runs and its
     witnesses make the report; an explicit cap 0 runs the cap-0 sweep only.
     """
     family = check_degree_cap(s.bundle, degree_cap)
@@ -951,7 +1018,7 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     if s.bundle.rank == 0:
         return {name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                 for name in ("i", "ii", "iii")}
-    if degree_cap and _frame_identities_hold(s) and not any(_sweep_axioms(s, 0).values()):
+    if degree_cap and _frame_identities_hold(s) and _frame_jacobi_holds(s):
         witnesses = dict.fromkeys(("iii", "i", "ii"))
     else:
         witnesses = _sweep_axioms(s, min(degree_cap, SWEEP_ORDER))
@@ -976,8 +1043,9 @@ def check_axioms(
     degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
     certificate for all smooth sections (see the module docstring), so no
     draw can change a verdict; cap 0 bounds the claim to constant sections.
-    At cap >= 1 a pass comes from identities on the frame data, and a
-    failure from the degree-1 sweep, whose witness is the failing tuple.
+    At cap >= 1 a pass comes from five identities on the frame data, with
+    no bracket, and a failure from the degree-1 sweep, whose witness is the
+    failing tuple.
     n_random tuples are drawn from the supplied sections with the given
     seed and checked directly.  Without supplied sections nothing is drawn.
     All comparisons are polynomial identities with zero tolerance.
@@ -1118,7 +1186,12 @@ def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
     point.  Raises for odd rank, where maximal isotropy is ill-posed for a
     split-signature pairing.
     """
-    k = s.bundle.rank
+    return _maximally_isotropic(s.metric, subspace)
+
+
+def _maximally_isotropic(metric, subspace: LinearSubspace) -> bool:
+    """`dirac_check` against a constant k x k pairing matrix."""
+    k = len(metric)
     if subspace.ambient_dim != k:
         raise ValueError(
             f"subspace lives in R^{subspace.ambient_dim}, structure rank is {k}"
@@ -1127,7 +1200,7 @@ def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
         raise ValueError("maximal isotropy is undefined for odd rank")
     basis = [list(v) for v in subspace.basis]
     for u in basis:
-        gu = linalg.mat_vec(s.metric, u)
+        gu = linalg.mat_vec(metric, u)
         for v in basis:
             if sum((a * b for a, b in zip(gu, v) if a and b), Fraction(0)) != 0:
                 return False

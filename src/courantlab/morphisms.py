@@ -317,9 +317,12 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
 def _along_image(s2, phi, general=False):
     """(A2(phi0), A2(phi0) P): the target anchor along the image and its
     product with the fiber matrix, which the anchor condition and the
-    tensorial gate share.  Over the identity base A2 is not composed."""
-    a2 = linalg.pmat_compose(s2.anchor, phi.base_map) if general else s2.anchor
-    return a2, linalg.pmat_mul(a2, phi.fiber_matrix, phi.source.rank, phi.source.base_dim)
+    tensorial gate share.  Over a general base both are the morphism's
+    kept pair; over the identity base A2 is not composed."""
+    if general:
+        return phi.anchor_along_image(s2.anchor)
+    return s2.anchor, linalg.pmat_mul(s2.anchor, phi.fiber_matrix,
+                                      phi.source.rank, phi.source.base_dim)
 
 
 def _anchor_failure(s1, phi, a2p, general=False) -> ConditionFailure | None:

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
 from .bundles import LinearSubspace
-from .courant_core import CourantStructure, dirac_check, standard_structure
+from .courant_core import _maximally_isotropic
 from .polyexpr import Polynomial, PolyMap, parse, poly_sum
 
 if TYPE_CHECKING:
@@ -220,6 +220,12 @@ def _expr(poly: Polynomial, names: Sequence[str]) -> str:
     return _chain(terms, " + ") if terms else "0.0"
 
 
+def _template(poly: Polynomial, num_vars: int) -> str:
+    """`_expr` over the format fields {0}, {1}, ...: `.format(*names)` gives
+    `_expr(poly, names)` byte for byte, since no literal holds a brace."""
+    return _expr(poly, [f"{{{i}}}" for i in range(num_vars)])
+
+
 def _define(lines: list[str], name: str):
     namespace: dict = {}
     exec(compile("\n".join(lines), "<phsim field>", "exec"), namespace)
@@ -267,18 +273,22 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
     n, m = len(f_polys), len(y_polys)
     x, z = [f"x{i}" for i in range(n)], [f"z{l}" for l in range(m if track_z else 0)]
     points = [x] + [[f"p{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
+    # each field's source is built once and instantiated at every point
+    v_src = [] if v_polys is None else [_template(p, 1) for p in v_polys]
+    f_src = [_template(p, n) for p in f_polys]
+    y_src = [_template(p, n) for p in y_polys]
     body = [] if v_polys is None else ["t0 = k * dt", "t1 = t0 + half", "t3 = t0 + dt"] + [
-        f"v{s}_{i} = {_expr(p, ['t' + s])}" for s in "013" for i, p in enumerate(v_polys)]
+        f"v{s}_{i} = {src.format('t' + s)}" for s in "013" for i, src in enumerate(v_src)]
     for s, point in enumerate(points):
-        for i, p in enumerate(f_polys):
-            value = _expr(p, point)
+        for i, src in enumerate(f_src):
+            value = src.format(*point)
             body.append(f"k{s}_{i} = " + (
                 value if v_polys is None else f"({value}) + v{'0113'[s]}_{i}"))
         if s < 3:
             step = "dt" if s == 2 else "half"
             body += [f"p{s + 1}_{i} = x{i} + {step} * k{s}_{i}" for i in range(n)]
     for s in range(4 if track_z else 1):
-        body += [f"y{s}_{l} = {_expr(p, points[s])}" for l, p in enumerate(y_polys)]
+        body += [f"y{s}_{l} = {src.format(*points[s])}" for l, src in enumerate(y_src)]
     body += [f"Y{l}[k] = y0_{l}" for l in range(m)] + ["j = k + 1"]
 
     def rk4(name, sign, slope, i):
@@ -297,7 +307,7 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
         "    diverged = False",
         "    for k in range(steps):",
         *("        " + line for line in body),
-        *(f"    Y{l}[j] = {_expr(p, x)}" for l, p in enumerate(y_polys)),
+        *(f"    Y{l}[j] = {src.format(*x)}" for l, src in enumerate(y_src)),
         "    return j + 1, diverged",
     ], "run")
 
@@ -446,12 +456,13 @@ def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     """Graph of [[J, B], [-B^T, 0]] inside R^(n+m) (+) its dual, checked.
 
     Returns the subspace together with the exact maximal-isotropy verdict
-    against the standard pairing.
+    against the split pairing <(v, p), (v', p')> = p(v') + p'(v), the
+    metric of the standard structure on R^(n+m), formed alone.
     """
-    s = interconnection_matrix(system)
-    subspace = LinearSubspace.graph_of_matrix(s)
-    ambient: CourantStructure = standard_structure(system.n + system.m)
-    return subspace, dirac_check(ambient, subspace)
+    subspace = LinearSubspace.graph_of_matrix(interconnection_matrix(system))
+    k = system.n + system.m
+    split = [[int(abs(i - j) == k) for j in range(2 * k)] for i in range(2 * k)]
+    return subspace, _maximally_isotropic(split, subspace)
 
 
 # rows formatted per write: bounds the text held in memory at once

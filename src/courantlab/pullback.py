@@ -36,9 +36,11 @@ t^i s^j in the solution and in its residual is that of the pair (i, j):
 The witness of a bracket leaving the image is the least such pair in
 row-major order, the pair a scan over (i, j) would meet first.  Hypothesis
 (c), `construct` and both well-definedness tests read that table; the
-hypothesis report, the constructed structure, the induced pairing G' with
-its determinant and inverse, and the anchor data along the image are cached
-on the problem the same way, so each is formed once per problem.
+hypothesis report, the constructed structure, and the induced pairing G'
+with its determinant and inverse are cached on the problem the same way, so
+each is formed once per problem.  The anchor data along the image,
+J_r(phi0(x)), A(phi0(x)) and A(phi0(x)) P(x), are kept on the morphism,
+which a morphism check on the same ambient then reads too.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -108,15 +110,6 @@ class PullbackProblem:
         return linalg.inverse(self._induced_pairing[0])
 
     @cached_property
-    def _at_image(self):
-        """(J_r(phi0(x)), A(phi0(x))): the retraction's Jacobian and the
-        ambient anchor along the image; the first is the morphism's own, the
-        second is formed once per problem."""
-        phi = self.morphism
-        return (phi.retraction_jacobian,
-                linalg.pmat_compose(self.ambient.anchor, phi.base_map))
-
-    @cached_property
     def _tagged(self):
         """(ambient, base map, solve) over two inert tag variables appended.
 
@@ -182,7 +175,9 @@ class PullbackProblem:
         over the source base, the latter nonzero by construction.  The
         structure shares the problem's G'^-1.
         """
-        anchor = linalg.pmat_mul(linalg.pmat_mul(*self._at_image), self.morphism.fiber_matrix)
+        phi = self.morphism
+        along = phi.anchor_along_image(self.ambient.anchor)[0]
+        anchor = linalg.pmat_mul(linalg.pmat_mul(phi.retraction_jacobian, along), phi.fiber_matrix)
         metric = linalg.mat(self._induced_pairing[0])
         structure = object.__new__(CourantStructure)
         structure._fill(self.source_bundle, anchor, metric, dict(self._frame_table[0]),
@@ -267,9 +262,9 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     big = p.ambient.bundle.base_dim
 
     # (a) anchor tangency on image fiber elements
-    projector = linalg.pmat_mul(phi.base_jacobian, p._at_image[0], big, n)
+    projector = linalg.pmat_mul(phi.base_jacobian, phi.retraction_jacobian, big, n)
     complement = linalg.pmat_sub(linalg.pmat_constant(linalg.identity(big), n), projector)
-    anchored = linalg.pmat_mul(p._at_image[1], phi.fiber_matrix, p.source_bundle.rank, n)
+    anchored = phi.anchor_along_image(p.ambient.anchor)[1]
     tangency_defect = linalg.pmat_mul(complement, anchored)
     if linalg.pmat_is_zero(tangency_defect):
         anchor_check = AxiomCheck(True, "anchor maps image fibers into image tangents")

@@ -19,9 +19,11 @@ because each defect is of differential order <= 1 in each slot.  For the
 axioms that rests on cancellations in the nested brackets of axiom (i);
 `test_axiom_defects_are_first_order_in_every_slot` checks the order
 directly on random frame data, where no axiom holds.  A passing axiom
-report comes from frame identities and the cap-0 sweep instead;
+report comes from five frame identities instead;
 `test_verdicts_equal_the_degree_1_sweep` compares it with the degree-1
-sweep on drawn frame data.
+sweep on drawn frame data, and
+`test_frame_jacobi_identity_equals_the_cap_0_sweep_of_axiom_i` compares
+the fifth, axiom (i) on frame triples, with the cap-0 sweep.
 """
 import itertools
 import random
@@ -39,6 +41,7 @@ from courantlab.courant_core import (
     CourantStructure,
     LeibnizReport,
     _frame_identities_hold,
+    _frame_jacobi_holds,
     _sweep_axioms,
     check_axioms,
     check_degree_cap,
@@ -705,6 +708,14 @@ def test_verdicts_equal_the_degree_1_sweep(s, cap):
         assert report.checks[name].witness == witness, name
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(perturbed_frame_data())
+def test_frame_jacobi_identity_equals_the_cap_0_sweep_of_axiom_i(s):
+    # the closed form of (i) on frame triples holds for any frame data, also
+    # where the four other frame identities fail
+    assert _frame_jacobi_holds(s) == (_sweep_axioms(s, 0)["i"] is None)
+
+
 def fails_only_axiom_i(s, cap=1):
     """The report fails (i) alone, with the degree-1 sweep's witness."""
     report = check_axioms(s, degree_cap=cap, n_random=0)
@@ -754,9 +765,10 @@ def test_structure_failing_only_the_homomorphism_fails_axiom_i(s):
 def test_structure_failing_only_jacobi_on_frame_triples_fails_axiom_i():
     # zero anchor, G = I and the 3-form e012 + e034: the four frame identities
     # hold, but the Jacobi identity of the constant c fails, which only the
-    # cap-0 sweep sees
+    # fifth identity, (i) on frame triples, sees
     metric = linalg.identity(5)
     s = CourantStructure(TrivialBundle(1, 5, "E"), [[Polynomial(1)] * 5], metric,
                          raised_form({(0, 1, 2): 1, (0, 3, 4): 1}, metric, 1))
     assert _frame_identities_hold(s)
+    assert not _frame_jacobi_holds(s)
     assert fails_only_axiom_i(s)

@@ -26,7 +26,6 @@ from courantlab.polyexpr import (
     ExponentOverflowError,
     PolyMap,
     Polynomial,
-    _unpack,
     parse,
 )
 
@@ -386,9 +385,10 @@ class TestOperationOutputs:
 
 class TestCertificateCost:
     """How much work `check_axioms` does, counted by wrapping the packed
-    bracket and the metric checks: a pass at cap >= 1 brackets the cap-0
-    family only, a structure that fails a frame identity runs the degree-1
-    sweep only, and neither checks the metric again."""
+    bracket, the lift and the metric checks: a pass at cap >= 1 is decided
+    from the five frame identities with no lift and no bracket, a structure
+    that fails a frame identity runs the degree-1 sweep only, and neither
+    checks the metric again."""
 
     @staticmethod
     def recorded(monkeypatch, owner, name):
@@ -397,13 +397,14 @@ class TestCertificateCost:
         monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
         return calls, original
 
-    def test_passing_structure_makes_no_degree_1_bracket(self, monkeypatch):
-        s = scaled_structure(standard_structure(3), Fraction(-2, 5))
-        calls, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
-        assert check_axioms(s, degree_cap=3, n_random=0).all_passed
-        # every bracketed component is free of x1..x3: no tuple of degree 1
-        keys = [key for _, f, g in calls for comp in (*f, *g) for key in comp]
-        assert keys and not any(any(_unpack(key, 3)) for key in keys)
+    @pytest.mark.parametrize("s", [scaled_structure(standard_structure(3), Fraction(-2, 5)),
+                                   so3_structure()], ids=["standard3_scaled", "so3"])
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_passing_structure_makes_no_bracket_and_no_lift(self, monkeypatch, s, cap):
+        brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
+        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        assert check_axioms(s, degree_cap=cap, n_random=0).all_passed
+        assert brackets == [] and lifts == []
 
     def test_failing_identity_runs_the_degree_1_sweep_only(self, monkeypatch):
         base = scaled_structure(standard_structure(2), 3)

@@ -238,3 +238,16 @@ class TestWorkPerOp:
         jacobian = splitting_composite(3, 1).retraction.jacobian()
         per_base_map = Counter(id(inner) for a, inner in calls if a == jacobian)
         assert sorted(per_base_map.values()) == [1, 1]
+
+    def test_ambient_anchor_composed_once_per_morphism(self, monkeypatch):
+        # A(phi0) of chi, and A(phi0) P, serve the pullback problem, its
+        # hypothesis (a) and chi's check; the Pontryagin embedding's serve its
+        # own check
+        calls = []
+        original = linalg.pmat_compose
+        monkeypatch.setattr(linalg, "pmat_compose",
+                            lambda a, inner: calls.append((a, inner)) or original(a, inner))
+        build_intrinsic(2, 1)
+        anchor = standard_structure(3).anchor
+        per_base_map = Counter(id(inner) for a, inner in calls if a == anchor)
+        assert sorted(per_base_map.values()) == [1, 1]

@@ -23,13 +23,22 @@ expansion is validated against an independent Cartan-calculus oracle
 Axiom checking is exact.  The three axioms are multilinear over R in their
 section slots, so verifying them on every tuple drawn from the family of
 monomial-coefficient frame sections up to a degree cap certifies them for
-all sections of coefficient degree up to that cap.  The checker does this
+all sections of coefficient degree up to that cap.  A sweep does this
 without enumerating tuples: each open slot is filled with one generating
 section whose basis summands are tagged by powers of a fresh inert
 variable.  Distinct tuples land on distinct tag monomials, which cannot
-cancel, so a single polynomial identity per axiom is equivalent to the full
+cancel, so a single polynomial identity is equivalent to the full
 enumeration, and a nonzero term decodes back into an explicit witness
 tuple.
+
+Every certificate reports one witness: the least failing tuple.  Tuples
+order first by the largest coefficient degree of their members, then by
+their family tags slot by slot; the tag i*M + a of x^alpha_a e_i orders by
+frame index i, then by alpha_a's place in the graded `monomials_up_to`
+list.  So the witness does not depend on term order, every frame tuple
+precedes every tuple with a member of degree 1, and a failing tuple of
+degree <= 1 is the least at every cap >= 1.  `_least_failing_tuple`
+decodes it from a tagged defect; the frame tables below name it directly.
 
 Degree 1 is enough.  If, in one slot, a defect is a differential operator
 of order <= 1 with polynomial coefficients, it vanishes on all smooth
@@ -112,17 +121,26 @@ with constant symmetric G the expansion gives the rules
     <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
 Hence the three axioms hold for all smooth sections iff the five frame
 identities hold, which is also what the degree-1 sweep decides.
-`_certify_axioms` decides a pass that way, with no bracket, and runs the
-degree-1 sweep only when some identity fails, to find witnesses.
+`_certify_axioms` decides every verdict from the frame tables, with no
+bracket but those that re-expand witnesses.  (iii) and (ii) are tensorial,
+so each fails iff some frame tuple does, and its least nonzero entry of
+c_ij^h + c_ji^h, or c_ijm + c_imj, names the least failing tuple.  (i)
+fails on a frame triple iff the fifth identity does, and then its least
+nonzero (i, j, k) is the witness.  Otherwise, at any cap >= 1, (i) can
+still fail when another identity does; every failing tuple then has a
+member of degree 1, and the degree-1 sweep of (i) alone finds the least.
 
 The two Leibniz rules of the bracket above hold by the expansion, for
 every structure the constructor accepts, so `check_leibniz` does not
 evaluate them.  The falsified final-slot variant of the two-sided rule
-then differs from it by mu rho(g)(lam) (g - f), with no bracket in it;
-that defect is first order in each of f, g, lam and mu and is swept with
-four tagged slots: f and g are generating sections, and lam and mu are
-generating functions sum_a t^a x^alpha_a.  `tests/test_certificate_oracle.py`
-checks the order-1 property of every axiom slot on random frame data.
+then differs from it by mu rho(g)(lam) (g - f), with no bracket in it.
+That defect is first order in each of f, g, lam and mu, so the family of
+degree <= 1 decides it, and it vanishes on constant lam.  Every failing
+tuple thus has degree 1, and the least, read from the anchor matrix, is
+f = e_0, g the least member other than f whose frame has a nonzero anchor
+column, lam the least x_a that column reaches, and mu = 1.
+`tests/test_certificate_oracle.py` checks the order-1 property of every
+axiom slot on random frame data.
 """
 
 from __future__ import annotations
@@ -196,8 +214,8 @@ class CourantStructure:
     variable count.
 
     Every product runs its outer loop over the smaller factor and each
-    operation's loop nest is fixed, so results have one term order; axiom
-    witnesses depend on it (`_sweep_axioms`).
+    operation's loop nest is fixed, so results have one term order; no
+    verdict or witness depends on it.
     """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
@@ -705,6 +723,24 @@ def decode_tag(bundle: TrivialBundle, degree_cap: int, tag_exponent: int) -> Sec
     )
 
 
+def _least_failing_tuple(bundle: TrivialBundle, degree_cap: int, defect, slots: int,
+                         fixed: tuple = ()):
+    """The least family tuple among the nonzero terms of a tagged defect,
+    decoded to sections; None if the defect vanishes.
+
+    `defect` lists packed components over the base variables followed by
+    `slots` tag variables, and `fixed` holds the tags of enumerated leading
+    slots.  Tuples order by the largest coefficient degree of their
+    members, then by tag, slot by slot (see the module docstring).
+    """
+    n = bundle.base_dim
+    degrees = [sum(alpha) for alpha in monomials_up_to(n, degree_cap)]
+    tuples = (fixed + _unpack(key >> (_BITS * n), slots) for terms in defect for key in terms)
+    least = min(((max(degrees[t % len(degrees)] for t in tags), tags) for tags in tuples),
+                default=None)
+    return None if least is None else tuple(decode_tag(bundle, degree_cap, t) for t in least[1])
+
+
 # -- axiom checking -------------------------------------------------------------
 
 
@@ -772,37 +808,26 @@ def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
     }
 
 
+def _certified_witness(s: CourantStructure, axiom: str, sections) -> dict:
+    """The certificate's witness on a decoded tuple: its defect re-expanded
+    through the plain bracket, with the first nonzero component (None for
+    axiom (ii)).  Raises if that defect vanishes."""
+    witness = _plain_witness(s, axiom, sections)
+    if witness is None:
+        raise RuntimeError(
+            "internal inconsistency: the certificate flagged a tuple whose "
+            "plain defect vanishes"
+        )
+    if axiom != "ii":
+        witness["component"] = next(c for c, text in enumerate(witness["defect"]) if text != "0")
+    return witness
+
+
 def _subtract_into(dst: dict, *terms: dict) -> dict:
     """dst -= each of `terms` in turn, in place; return dst."""
     for q in terms:
         _add_into(dst, _scaled(q, -1))
     return dst
-
-
-def _witness_from_tags(s: CourantStructure, degree_cap: int, axiom: str,
-                       defect: list[dict], fixed: tuple = ()) -> dict | None:
-    """Decode the first term of the first nonzero packed component of a
-    tagged sweep defect (one component for axiom (ii)) into explicit
-    sections and re-verify it; None if the defect vanishes.
-
-    `fixed` holds the family index of an enumerated first slot, if any; the
-    remaining slots are tagged by the last two variables.
-    """
-    n = s.bundle.base_dim
-    comp = next((c for c, terms in enumerate(defect) if terms), None)
-    if comp is None:
-        return None
-    tags = fixed + _unpack(next(iter(defect[comp])), n + 2)[n:]
-    resolved = [decode_tag(s.bundle, degree_cap, t) for t in tags]
-    witness = _plain_witness(s, axiom, resolved)
-    if witness is None:
-        raise RuntimeError(
-            "internal inconsistency: tagged sweep flagged a tuple whose "
-            "plain defect vanishes"
-        )
-    if axiom != "ii":
-        witness["component"] = comp
-    return witness
 
 
 MAX_FAMILY = 256
@@ -843,12 +868,28 @@ def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
     return c, lowered
 
 
-def _frame_identities_hold(s: CourantStructure) -> bool:
-    """Whether the frame data satisfy, checked in this order, (iii)
-    c_ij^h + c_ji^h = 0, (ii) c_ijh + c_ihj = 0, rho o D = A G^-1 A^T = 0
-    and the anchor homomorphism [rho_i, rho_j] = sum_h c_ij^h rho_h; False
-    at the first that fails.  See the module docstring; `_frame_jacobi_holds`
-    is the fifth identity.
+def _least_skew_failure(table: dict, mirror: tuple, arity: int):
+    """The least key[:arity] of a frame table whose entry does not cancel
+    its mirror's, the key permuted by `mirror`; None if all cancel.
+
+    The sum is the same at a key and at its mirror, so both fail together.
+    With c_ij^h and the mirror (j, i, h) this is the least frame pair
+    failing (iii); with c_ijm and (i, m, j), the least frame triple
+    failing (ii).
+    """
+    failing = []
+    for key, entry in table.items():
+        mirrored = tuple(key[p] for p in mirror)
+        if table.get(mirrored, {}) != _scaled(entry, -1):
+            failing += [key[:arity], mirrored[:arity]]
+    return min(failing, default=None)
+
+
+def _anchor_identities_hold(s: CourantStructure) -> bool:
+    """Whether rho o D = A G^-1 A^T = 0 and the anchor homomorphism
+    [rho_i, rho_j] = sum_h c_ij^h rho_h hold, given (iii); with (ii), (iii)
+    and the fifth identity they are the five frame identities of the module
+    docstring.
 
     Each runs over the nonzero table entries.  Raw packed products are
     exact here: every factor is a checked input or its derivative, so no
@@ -857,12 +898,6 @@ def _frame_identities_hold(s: CourantStructure) -> bool:
     k = s.bundle.rank
     anchor, negated, _, grouped = s._frame_tables
     by_pair = {(i, j): hs for i, j, hs in grouped}
-    c, lowered = _c_tables(s)
-    if any(c.get((j, i, h)) != _scaled(entry, -1) for (i, j, h), entry in c.items()):
-        return False
-    if any(lowered.get((i, h, j), {}) != _scaled(entry, -1)
-           for (i, j, h), entry in lowered.items()):
-        return False
     rho_d: dict[tuple[int, int], dict] = {}     # (b, a) -> (A G^-1 A^T)_ba
     for h, row in enumerate(s._dual_rows):
         for b, entry in anchor[h]:
@@ -886,24 +921,24 @@ def _frame_identities_hold(s: CourantStructure) -> bool:
     return True
 
 
-def _frame_jacobi_holds(s: CourantStructure) -> bool:
-    """Whether (i) holds on every frame triple: for all i, j, k and l,
+def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
+    """{(i, j, k, l): J(e_i, e_j, e_k)^l} from the tables of `_c_tables`, where
       J(e_i, e_j, e_k)^l = sum_h (c_jk^h c_ih^l - c_ij^h c_hk^l - c_ik^h c_jh^l)
                            + rho_i(c_jk^l) + rho_k(c_ij^l) - rho_j(c_ik^l)
-                           - D(c_ijk)^l = 0,
-    which is what the cap-0 sweep decides for (i), for any frame data (see
-    the module docstring).  Every term has a factor c, so the loops run over
-    the nonzero c entries; the products are exact as in
-    `_frame_identities_hold`.
+                           - D(c_ijk)^l
+    is the defect of (i) on frame triples, for any frame data (see the
+    module docstring); its vanishing is the fifth frame identity.  Every
+    term has a factor c, so the loops run over the nonzero c entries; the
+    products are exact as in `_anchor_identities_hold`.  An entry may be
+    empty where its terms cancel.
     """
     anchor, negated = s._frame_tables[:2]
-    c, lowered = _c_tables(s)
     first: dict[int, list] = {}         # h -> [(q, l, c_hq^l), ...]
     second: dict[int, list] = {}        # h -> [(p, l, c_ph^l), ...]
     for (i, j, l), entry in c.items():
         first.setdefault(i, []).append((j, l, entry))
         second.setdefault(j, []).append((i, l, entry))
-    jacobiator: dict[tuple, dict] = {}  # (i, j, k, l) -> J(e_i, e_j, e_k)^l
+    jacobiator: dict[tuple, dict] = {}
 
     def add(key, p, q):
         _mul_into(jacobiator.setdefault(key, {}), *_ordered(p, q))
@@ -929,18 +964,17 @@ def _frame_jacobi_holds(s: CourantStructure) -> bool:
                 d = _deriv(minus, a)
                 if d:
                     add((*key, l), entry, d)
-    return not any(jacobiator.values())
+    return jacobiator
 
 
 def _exchanged(comps: list[dict], n: int) -> list[dict]:
     """Packed components over n + 2 variables with the exponents of the last
-    two exchanged, in the same term order.
+    two exchanged.
 
     The sweep's structure is lifted by two inert tag variables, which the
     operations never differentiate, and its second tagged section is the
-    first with the tags exchanged, inserted in the same order.  So an
-    operation's result on the second is its result on the first with the
-    tags exchanged, term order included.
+    first with the tags exchanged.  So an operation's result on the second
+    is its result on the first with the tags exchanged.
     """
     shift = _BITS * n
     base = (1 << shift) - 1
@@ -949,55 +983,32 @@ def _exchanged(comps: list[dict], n: int) -> list[dict]:
             for terms in comps]
 
 
-def _sweep_axioms(s: CourantStructure, degree_cap: int) -> dict[str, dict | None]:
-    """The tagged sweep over every (ordered) tuple of monomial frame
-    sections of coefficient degree <= degree_cap: each axiom's witness,
-    None where it holds on every tuple, keyed "iii", "i", "ii".
+def _sweep_axiom_i(s: CourantStructure) -> dict | None:
+    """Axiom (i)'s witness from the degree-1 tagged sweep, or None where it
+    holds on every tuple of the degree-1 family.
 
-    A failing axiom reports the tuple decoded from the first term of the
-    first nonzero component of its defect, so this witness depends on the
-    term order of the structure's operations; the Leibniz and morphism
-    certificates decode the least packed key, which does not.
+    The first slot is enumerated in tag order and the other two are tagged.
+    The sweep runs only when (i) holds on every frame triple, so every
+    failing tuple has a member of degree 1, and the least failing tuple of
+    the first failing member is the least of all.  Each member takes four
+    packed brackets, and no result is wrapped as a Section.
     """
     n, k = s.bundle.base_dim, s.bundle.rank
     lifted = lift_structure(s, 2)
-    f2 = tagged_generating_section(s.bundle, degree_cap, 2, n)
-    f3 = tagged_generating_section(s.bundle, degree_cap, 2, n + 1)
-    inner23 = lifted.bracket(f2, f3)
-    pair23 = lifted.pairing(f2, f3)
-
-    # axiom (iii): two slots, fully tagged, one identity; [[F3, F2]] is
-    # [[F2, F3]] with the tags exchanged
-    inner32 = lifted._section(_exchanged(lifted._terms(inner23), n))
-    defect3 = inner23 + inner32 - lifted.derived_operator(pair23)
-    witness3 = _witness_from_tags(s, degree_cap, "iii", lifted._terms(defect3))
-
-    # axioms (i) and (ii): first slot enumerated, remaining two tagged.  The
-    # loop makes four brackets per family member and calls the packed
-    # operations directly, so no result is wrapped as a Section and unwrapped.
-    f2, f3, inner23 = lifted._terms(f2), lifted._terms(f3), lifted._terms(inner23)
-    witness1 = witness2 = None
-    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, degree_cap)):
+    f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, SWEEP_ORDER, 2, n + t))
+              for t in (0, 1))
+    inner23 = lifted._bracket(f2, f3)
+    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, SWEEP_ORDER)):
         ba = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
         inner_a2 = lifted._bracket(ba, f2)
-        inner_a3 = _exchanged(inner_a2, n)
-        if witness1 is None:
-            defect1 = [
-                _subtract_into(*parts) for parts in zip(
-                    lifted._bracket(ba, inner23), lifted._bracket(inner_a2, f3),
-                    lifted._bracket(f2, inner_a3),
-                )
-            ]
-            witness1 = _witness_from_tags(s, degree_cap, "i", defect1, (b,))
-        if witness2 is None:
-            defect2 = _subtract_into(
-                lifted._anchor_apply(ba, pair23._packed), lifted._pairing(inner_a2, f3),
-                lifted._pairing(f2, inner_a3),
-            )
-            witness2 = _witness_from_tags(s, degree_cap, "ii", [defect2], (b,))
-        if witness1 is not None and witness2 is not None:
-            break
-    return {"iii": witness3, "i": witness1, "ii": witness2}
+        defect = [_subtract_into(*parts) for parts in zip(
+            lifted._bracket(ba, inner23), lifted._bracket(inner_a2, f3),
+            lifted._bracket(f2, _exchanged(inner_a2, n)),
+        )]
+        least = _least_failing_tuple(s.bundle, SWEEP_ORDER, defect, 2, (b,))
+        if least is not None:
+            return _certified_witness(s, "i", least)
+    return None
 
 
 def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomCheck]:
@@ -1008,21 +1019,33 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     is complete for all smooth sections at any cap >= 1; see the module
     docstring.  The label names the requested cap and its family.
 
-    At any cap >= 1 a pass is decided by the five frame identities, which
-    together are equivalent to the axioms (module docstring), with no lift
-    and no bracket.  If any of them fails, the degree-1 sweep runs and its
-    witnesses make the report; an explicit cap 0 runs the cap-0 sweep only.
+    The frame tables decide every verdict and name the least failing frame
+    tuple of each axiom, with no lift and no bracket.  Only when (i) holds
+    on every frame triple at a cap >= 1 while another frame identity fails
+    does the degree-1 sweep of (i) run.  A failing detail says which of the
+    two found the witness.
     """
     family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
     if s.bundle.rank == 0:
         return {name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                 for name in ("i", "ii", "iii")}
-    if degree_cap and _frame_identities_hold(s) and _frame_jacobi_holds(s):
-        witnesses = dict.fromkeys(("iii", "i", "ii"))
-    else:
-        witnesses = _sweep_axioms(s, min(degree_cap, SWEEP_ORDER))
-    return {name: AxiomCheck(w is None, f"certified over {label}", w)
+    c, lowered = _c_tables(s)
+    least = {
+        "iii": _least_skew_failure(c, (1, 0, 2), 2),
+        "i": min((key[:3] for key, entry in _frame_jacobiator(s, c, lowered).items() if entry),
+                 default=None),
+        "ii": _least_skew_failure(lowered, (0, 2, 1), 3),
+    }
+    witnesses = {name: None if frame is None else _certified_witness(
+        s, name, [Section.frame(s.bundle, i) for i in frame]) for name, frame in least.items()}
+    found = dict.fromkeys(least, "read from the frame tables")
+    if least["i"] is None and degree_cap and (least["ii"] or least["iii"]
+                                              or not _anchor_identities_hold(s)):
+        witnesses["i"] = _sweep_axiom_i(s)
+        found["i"] = "found by the degree-1 sweep of (i)"
+    return {name: AxiomCheck(True, f"certified over {label}") if w is None else
+            AxiomCheck(False, f"failed on the least failing tuple of {label}, {found[name]}", w)
             for name, w in witnesses.items()}
 
 
@@ -1043,9 +1066,10 @@ def check_axioms(
     degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
     certificate for all smooth sections (see the module docstring), so no
     draw can change a verdict; cap 0 bounds the claim to constant sections.
-    At cap >= 1 a pass comes from five identities on the frame data, with
-    no bracket, and a failure from the degree-1 sweep, whose witness is the
-    failing tuple.
+    The verdicts come from the frame tables, except that (i), when it
+    holds on every frame triple while another frame identity fails, is
+    swept at degree 1.  A failing axiom reports its least failing tuple
+    (see the module docstring).
     n_random tuples are drawn from the supplied sections with the given
     seed and checked directly.  Without supplied sections nothing is drawn.
     All comparisons are polynomial identities with zero tolerance.
@@ -1106,23 +1130,31 @@ def _variant_defect(s: CourantStructure, f, g, lam, mu) -> Section:
     return s.bracket(lam * f, mu * g) - (common - cross * g)
 
 
-def _leibniz_witness(s: CourantStructure, degree_cap: int, defect: Section):
-    """Decode the least nonzero packed key of the variant's tagged defect
-    into explicit arguments and re-verify them through the bracket; None if
-    the defect vanishes.
+def _leibniz_witness(s: CourantStructure) -> dict | None:
+    """The variant's least failing tuple at cap SWEEP_ORDER, read from the
+    anchor matrix, with its defect re-expanded through the bracket; None if
+    the anchor is zero.
 
-    The least key, over all components, does not depend on term order."""
-    key = min((key for p in defect for key in p._packed), default=None)
-    if key is None:
-        return None
+    rho(x^beta e_j)(x_a) = x^beta A_aj, so (f, g, lam, mu) fails iff g != f,
+    g's frame index j has A_aj != 0 and lam reaches such an a.  Every failing
+    tuple has the degree-1 member lam, so the least is f = e_0, g the least
+    member other than f in a nonzero column, lam the least x_a that column
+    reaches, and mu = 1 (see the module docstring).
+    """
     n = s.bundle.base_dim
-    tags = _unpack(key, n + 4)[n:]
-    f, g = (decode_tag(s.bundle, degree_cap, t) for t in tags[:2])
-    lam, mu = (decode_tag(TrivialBundle(n, 1), degree_cap, t)[0] for t in tags[2:])
+    linear = monomials_up_to(n, SWEEP_ORDER)[1:]
+    for j, beta in monomial_frame_basis(s.bundle, SWEEP_ORDER)[1:]:
+        reached = [x for x in linear if not s.anchor[x.index(1)][j].is_zero()]
+        if reached:
+            break
+    else:
+        return None
+    f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
+    lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
     plain = _variant_defect(s, f, g, lam, mu)
     if plain.is_zero():
         raise RuntimeError(
-            "internal inconsistency: tagged Leibniz certificate flagged a "
+            "internal inconsistency: the Leibniz certificate flagged a "
             "tuple whose plain defect vanishes"
         )
     return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
@@ -1148,14 +1180,11 @@ def check_leibniz(
     mu rho(g)(lam) (g - f), false whenever the anchor is nonzero.
 
     That defect is R-multilinear in (f, g, lam, mu) and of order <= 1 in
-    each.  It is evaluated once on `lift_structure(s, 4)` with the four
-    slots filled by tagged generating families at the effective cap
-    min(degree_cap, SWEEP_ORDER): f and g with `tagged_generating_section`,
-    lam and mu with sum_a t^a x^alpha_a (the same family on the rank-1
-    bundle).  Distinct tuples land on distinct tag monomials, so the
-    least nonzero packed key decodes to the least failing tuple of the
-    family, which is re-expanded through the bracket with plain sections
-    as the witness.  At cap 0 the claim is bounded to constant
+    each, so the family at the effective cap min(degree_cap, SWEEP_ORDER)
+    decides it: f and g are monomial frame sections, lam and mu monomial
+    functions.  Its least failing tuple is read from the anchor matrix
+    (`_leibniz_witness`) and re-expanded through the bracket with plain
+    sections as the witness.  At cap 0 the claim is bounded to constant
     coefficients, on which the variant cannot fail.
 
     `n_samples` and `seed` are accepted for compatibility and unused.
@@ -1163,13 +1192,7 @@ def check_leibniz(
     """
     cap = min(degree_cap, SWEEP_ORDER)
     check_degree_cap(s.bundle, cap)
-    n = s.bundle.base_dim
-    # functions are the sections of the rank-1 bundle
-    functions = TrivialBundle(n, 1)
-    f, g = (tagged_generating_section(s.bundle, cap, 4, n + t) for t in (0, 1))
-    lam, mu = (tagged_generating_section(functions, cap, 4, n + t)[0] for t in (2, 3))
-    cross = mu * lift_structure(s, 4).anchor_apply(g, lam)
-    witness = _leibniz_witness(s, cap, cross * (g - f))
+    witness = _leibniz_witness(s) if cap else None
     reach = ("complete: all smooth arguments" if cap
              else "bounded: cap 0 claims constant coefficients only")
     rule = AxiomCheck(True, f"holds by the bracket's expansion; {reach}")

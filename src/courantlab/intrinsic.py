@@ -230,9 +230,10 @@ def _perturbed_candidates(base: CourantStructure, count: int, rng: random.Random
             i, j, h = (rng.randrange(k) for _ in range(3))
             c = dict(base.structure_functions)
             bump = Polynomial.constant(n, rng.choice([1, -1, 2]))
-            c[(i, j, h)] = c.get((i, j, h), Polynomial(n)) + bump
-            if c[(i, j, h)].is_zero():
-                c[(i, j, h)] = Polynomial.constant(n, 1)
+            # where the bump cancels the entry, the entry becomes the bump,
+            # which differs from it too: no candidate equals the base
+            entry = c.get((i, j, h), Polynomial(n)) + bump
+            c[(i, j, h)] = bump if entry.is_zero() else entry
             candidate._fill(base.bundle, base.anchor, base.metric, c,
                             (base._inverse, None, base._dual))
             yield "bracket", candidate

@@ -119,12 +119,12 @@ from .bundles import BundleMorphism, Section, TrivialBundle, check_related, rela
 from .courant_core import (
     SWEEP_ORDER,
     CourantStructure,
-    decode_tag,
+    _least_failing_tuple,
     lift_structure,
     random_section,
     tagged_generating_section,
 )
-from .polyexpr import Polynomial, PolyMap, monomials_up_to
+from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
     "ConditionFailure",
@@ -167,29 +167,10 @@ class MorphismVerdict:
 
 
 def _least_failing_pair(bundle: TrivialBundle, cap: int, defect: list[Polynomial]):
-    """The least family pair (f, g) among a tagged defect's nonzero terms;
-    None if the defect vanishes.
-
-    Pairs are ordered by the larger coefficient degree, then by f's tag,
-    then by g's; a tag i*M + a orders by frame index i, then by the index a
-    in the graded `monomials_up_to` list.  So the least pair does not
-    depend on term order, and when a pair of degree <= 1 fails it is the
-    same pair at every cap >= 1.
-    """
-    n = bundle.base_dim
-    degrees = [sum(alpha) for alpha in monomials_up_to(n, cap)]
-    size = len(degrees)
-    least = min(
-        (
-            (max(degrees[exps[n] % size], degrees[exps[n + 1] % size]),
-             exps[n], exps[n + 1])
-            for p in defect for exps in p.terms
-        ),
-        default=None,
-    )
-    if least is None:
-        return None
-    return tuple(decode_tag(bundle, cap, tag) for tag in least[1:])
+    """The least family pair (f, g) among a tagged defect's nonzero terms,
+    in the one witness order of every certificate
+    (`courant_core._least_failing_tuple`); None if the defect vanishes."""
+    return _least_failing_tuple(bundle, cap, [p._packed for p in defect], 2)
 
 
 def _first_nonzero(defect) -> tuple[int, int] | None:

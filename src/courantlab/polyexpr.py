@@ -31,8 +31,9 @@ operation deletes a term when it cancels, so structural equality is
 polynomial identity.  Terms keep insertion order: a product runs its outer
 loop over the left factor and its inner loop over the right one.  Powers
 have one order too: `**` and `compose` both form q^e by binary powering
-(`_power`).  Printing sorts terms; the one output that depends on term
-order is an axiom witness (courant_core), the first term of a defect.
+(`_power`).  Printing sorts terms, and no output depends on term order:
+every certificate witness is the least failing tuple in one order
+(courant_core).
 
 The public `terms` attribute is a read-only view of the same map with
 exponent-tuple keys and `Fraction` values.  Its len() is O(1); keys are
@@ -114,6 +115,7 @@ _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_EXPONENT = (1 << (_BITS - 1)) - 1     # the bit above is the guard bit
 MAX_POWER_BITS = 1 << 20    # the parser's bound on the size of a power or product (`_size_bits`)
+MAX_PARSE_BITS = 20 * MAX_POWER_BITS    # the parser's bound on their total in one text
 
 
 @lru_cache(maxsize=None)
@@ -842,9 +844,11 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     exceed `MAX_POWER_BITS` = 2^20 (`_power_bits`; for a constant c^e, the
     bit length of c's numerator or denominator times e).  A product is
     rejected once its running value's term count times coefficient bits
-    passes `MAX_POWER_BITS`, so that input text cannot ask for unbounded
-    memory or time.  An integer literal longer than int() converts is
-    rejected too.
+    passes `MAX_POWER_BITS`.  Every power's estimate and every running
+    product's size is charged to one total, and the text is rejected once
+    that passes `MAX_PARSE_BITS`, so that input text cannot ask for
+    unbounded memory or time, however long it is.  An integer literal
+    longer than int() converts is rejected too.
 
     A text made only of decimal digits is its own constant and skips the
     grammar.
@@ -857,6 +861,15 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     lex = _Lexer(text)
+    spent = 0
+
+    def charge(bits: int, what: str, pos: int) -> None:
+        nonlocal spent
+        if bits > MAX_POWER_BITS:
+            raise ParseError(f"{what} above {MAX_POWER_BITS} bits", pos)
+        spent += bits
+        if spent > MAX_PARSE_BITS:
+            raise ParseError(f"powers and products above {MAX_PARSE_BITS} bits in all", pos)
 
     def parse_expr() -> Polynomial:
         acc = parse_signed_term()
@@ -887,8 +900,7 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
                     acc = acc * rhs
                 except ExponentOverflowError as exc:
                     raise ParseError(str(exc), pos) from None
-                if _size_bits(acc) > MAX_POWER_BITS:
-                    raise ParseError(f"product above {MAX_POWER_BITS} bits", pos)
+                charge(_size_bits(acc), "product", pos)
             else:
                 return acc
 
@@ -905,9 +917,8 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
             exponent = _integer(value, pos)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent above {MAX_EXPONENT}", pos)
-            if _power_bits(base, exponent) > MAX_POWER_BITS:
-                raise ParseError(f"{'constant ' if base.is_constant() else ''}power above "
-                                 f"{MAX_POWER_BITS} bits", pos)
+            charge(_power_bits(base, exponent),
+                   f"{'constant ' if base.is_constant() else ''}power", pos)
             try:
                 return base ** exponent
             except ExponentOverflowError as exc:

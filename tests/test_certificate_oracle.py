@@ -1,11 +1,15 @@
 """The exact certificates against brute force through the public operations.
 
-`check_axioms` certifies each axiom with one tagged polynomial identity,
-computed on a lifted structure; the morphism checks certify the bracket and
-metric conditions the same way on lifted structures.  `check_leibniz`
-passes the two Leibniz rules by the bracket's expansion and sweeps the
-closed-form defect of the falsified variant with one tagged identity; the
-four-slot sweep it replaced is kept below as its reference.  These tests
+`check_axioms` decides each axiom from the frame tables, and sweeps axiom
+(i) on tagged families only when (i) holds on every frame triple while
+another frame identity fails; the three-axiom tagged sweep it replaced is
+kept below as its reference.  The morphism checks certify the bracket
+condition with one tagged identity on lifted structures.  `check_leibniz`
+passes the two Leibniz rules by the bracket's expansion and reads the
+falsified variant's least failing tuple from the anchor matrix; the
+four-slot sweep it replaced is kept below as its reference.  Every
+certificate's witness is the least failing tuple in one order, which
+`least_failing` restates and brute force checks.  These tests
 recompute the verdicts the slow way, through `CourantStructure.bracket`,
 `pairing`, `anchor_apply` and `derived_operator` on explicit sections: over
 every tuple of the monomial frame family up to the degree cap, and over
@@ -18,10 +22,11 @@ Every certificate sweeps only the degree-1 family, which is complete
 because each defect is of differential order <= 1 in each slot.  For the
 axioms that rests on cancellations in the nested brackets of axiom (i);
 `test_axiom_defects_are_first_order_in_every_slot` checks the order
-directly on random frame data, where no axiom holds.  A passing axiom
-report comes from five frame identities instead;
-`test_verdicts_equal_the_degree_1_sweep` compares it with the degree-1
-sweep on drawn frame data, and
+directly on random frame data, where no axiom holds.  The axiom verdicts
+come from five frame identities instead;
+`test_verdicts_equal_the_degree_1_sweep` and
+`test_statuses_equal_the_reference_sweeps` compare them with the tagged
+sweeps on drawn frame data, and
 `test_frame_jacobi_identity_equals_the_cap_0_sweep_of_axiom_i` compares
 the fifth, axiom (i) on frame triples, with the cap-0 sweep.
 """
@@ -40,9 +45,10 @@ from courantlab.courant_core import (
     AxiomCheck,
     CourantStructure,
     LeibnizReport,
-    _frame_identities_hold,
-    _frame_jacobi_holds,
-    _sweep_axioms,
+    _anchor_identities_hold,
+    _c_tables,
+    _frame_jacobiator,
+    _least_skew_failure,
     check_axioms,
     check_degree_cap,
     check_leibniz,
@@ -57,7 +63,7 @@ from courantlab.courant_core import (
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import check_general_base, check_identity_base
-from courantlab.polyexpr import Polynomial, _unpack, monomials_up_to, parse
+from courantlab.polyexpr import Polynomial, PolyMap, _unpack, monomials_up_to, parse
 from conftest import so3_structure
 from test_bracket_reference import Reference, to_sympy
 
@@ -485,11 +491,20 @@ def leibniz_structures(draw):
     return s
 
 
+def without_witness(report):
+    out = without_rule_details(report)
+    del out["final_slot_variant"]["witness"]
+    return out
+
+
 @settings(max_examples=25, deadline=None, database=None)
 @given(leibniz_structures(), st.integers(0, 3))
 def test_leibniz_report_equals_the_tagged_sweep(s, cap):
+    # the sweep's witness was its least packed key; the report's is the least
+    # failing tuple in the one witness order, which brute force checks in
+    # `test_leibniz_witness_is_the_least_failing_tuple`
     report, reference = check_leibniz(s, degree_cap=cap), reference_check_leibniz(s, cap)
-    assert without_rule_details(report) == without_rule_details(reference)
+    assert without_witness(report) == without_witness(reference)
     for rule in ("second_slot", "two_sided"):
         detail, old = getattr(report, rule).detail, getattr(reference, rule).detail
         assert ("bounded" in detail) == ("bounded" in old) == (cap == 0)
@@ -698,14 +713,59 @@ def perturbed_frame_data(draw):
     return CourantStructure(TrivialBundle(n, rank, "E"), anchor, metric, c)
 
 
+# -- the three-axiom tagged sweep the frame tables replaced, kept as reference ---
+
+
+def reference_sweep_axioms(s, degree_cap):
+    """Which axioms fail, as the tagged sweep `check_axioms` ran before the
+    frame tables decided failures: (iii) with both slots tagged, and (i) and
+    (ii) with the first slot enumerated over the monomial family of degree
+    <= degree_cap and the other two tagged, all on `lift_structure(s, 2)`."""
+    n = s.bundle.base_dim
+    lifted = lift_structure(s, 2)
+    f2, f3 = (tagged_generating_section(s.bundle, degree_cap, 2, n + t) for t in (0, 1))
+    failed = {"iii": not axiom_defect_vanishes(lifted, "iii", (f2, f3)), "i": False, "ii": False}
+    for member in monomial_family(s.bundle, degree_cap):
+        b = Section(lifted.bundle, PolyMap(n + 2, [p.lift(n + 2) for p in member]))
+        for axiom in ("i", "ii"):
+            failed[axiom] = failed[axiom] or not axiom_defect_vanishes(lifted, axiom, (b, f2, f3))
+    return failed
+
+
+def failed_axioms(report):
+    return {name: not check.passed for name, check in report.checks.items()}
+
+
+def frame_jacobi_holds(s):
+    return not any(_frame_jacobiator(s, *_c_tables(s)).values())
+
+
+def four_frame_identities_hold(s):
+    """(iii), (ii), rho o D = 0 and the anchor homomorphism."""
+    c, lowered = _c_tables(s)
+    return (_least_skew_failure(c, (1, 0, 2), 2) is None
+            and _least_skew_failure(lowered, (0, 2, 1), 3) is None
+            and _anchor_identities_hold(s))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(perturbed_frame_data(), leibniz_structures()), st.integers(0, 3))
+def test_statuses_equal_the_reference_sweeps(s, cap):
+    assert failed_axioms(check_axioms(s, degree_cap=cap, n_random=0)) == \
+        reference_sweep_axioms(s, min(cap, SWEEP_ORDER))
+    assert without_witness(check_leibniz(s, degree_cap=cap)) == \
+        without_witness(reference_check_leibniz(s, cap))
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(perturbed_frame_data(), st.sampled_from((1, 2)))
 def test_verdicts_equal_the_degree_1_sweep(s, cap):
+    # every cap >= 1 reports the degree-1 verdicts, with the same witnesses
     report = check_axioms(s, degree_cap=cap, n_random=0)
-    swept = _sweep_axioms(s, 1)
-    for name, witness in swept.items():
-        assert report.checks[name].passed == (witness is None), name
-        assert report.checks[name].witness == witness, name
+    assert failed_axioms(report) == reference_sweep_axioms(s, 1)
+    at_1 = check_axioms(s, degree_cap=1, n_random=0)
+    for name, check in report.checks.items():
+        assert check.witness == at_1.checks[name].witness, name
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -713,14 +773,103 @@ def test_verdicts_equal_the_degree_1_sweep(s, cap):
 def test_frame_jacobi_identity_equals_the_cap_0_sweep_of_axiom_i(s):
     # the closed form of (i) on frame triples holds for any frame data, also
     # where the four other frame identities fail
-    assert _frame_jacobi_holds(s) == (_sweep_axioms(s, 0)["i"] is None)
+    assert frame_jacobi_holds(s) == (not reference_sweep_axioms(s, 0)["i"])
+
+
+# -- every witness is the least failing tuple in the one order ---------------------
+
+
+def least_failing(families, fails):
+    """The least tuple of family members on which `fails` holds, in the one
+    witness order: by the largest coefficient degree of its members, then by
+    member index, slot by slot; None if none fails.  `families` lists, per
+    slot, (member, degree) pairs in tag order."""
+    order = sorted(itertools.product(*(range(len(f)) for f in families)),
+                   key=lambda t: (max(families[slot][i][1] for slot, i in enumerate(t)), t))
+    for t in order:
+        members = [families[slot][i][0] for slot, i in enumerate(t)]
+        if fails(members):
+            return members
+    return None
+
+
+def section_family(bundle, cap=1):
+    return list(zip(monomial_family(bundle, cap),
+                    (sum(alpha) for _, alpha in monomial_frame_basis(bundle, cap))))
+
+
+def function_family(n, cap=1):
+    return [(Polynomial.monomial(n, alpha), sum(alpha)) for alpha in monomials_up_to(n, cap)]
+
+
+def least_axiom_tuple(s, axiom):
+    least = least_failing([section_family(s.bundle)] * ARITY[axiom],
+                          lambda t: not axiom_defect_vanishes(s, axiom, t))
+    return least and [sec.coeffs.to_strings() for sec in least]
+
+
+@st.composite
+def small_structures(draw):
+    """Drawn frame data and scaled, bumped standard(1-2) or so3: n * rank <= 8."""
+    s = draw(st.one_of(perturbed_frame_data(), leibniz_structures()))
+    assume(s.bundle.base_dim * s.bundle.rank <= 8)
+    return s
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_structures())
+def test_axiom_witnesses_are_the_least_failing_tuples(s):
+    # a passing status is the reference oracle's; a failing one is checked
+    # up to its witness, every earlier tuple passing
+    for name, check in check_axioms(s, degree_cap=1, n_random=0).checks.items():
+        if not check.passed:
+            assert check.witness["sections"] == least_axiom_tuple(s, name), name
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_structures())
+def test_leibniz_witness_is_the_least_failing_tuple(s):
+    w = check_leibniz(s, degree_cap=1).variant_witness
+    if w is not None:
+        n = s.bundle.base_dim
+        sections, functions = section_family(s.bundle), function_family(n)
+        least = least_failing([sections, sections, functions, functions],
+                              lambda t: not leibniz_defects(s, *t)[2].is_zero())
+        f, g, lam, mu = least
+        assert (w["f"], w["g"], w["lam"], w["mu"]) == \
+            (f.coeffs.to_strings(), g.coeffs.to_strings(), lam.to_string(), mu.to_string())
+
+
+@st.composite
+def constant_fiber_maps(draw):
+    """(s, P): a small structure and a constant fiber map of it to itself."""
+    s = draw(small_structures())
+    k = s.bundle.rank
+    assume(k)
+    entries = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=k, max_size=k)
+    return s, draw(st.lists(entries, min_size=k, max_size=k))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(constant_fiber_maps())
+def test_morphism_witness_is_the_least_failing_pair(case):
+    s, matrix = case
+    phi = BundleMorphism.constant(s.bundle, s.bundle, matrix)
+    bracket = [f for f in check_identity_base(s, s, phi, degree_cap=1).failures
+               if f.condition == "bracket"]
+    least = least_failing([section_family(s.bundle)] * 2,
+                          lambda t: not plain_identity_bracket_vanishes(s, s, phi, *t))
+    assert bool(bracket) == (least is not None)
+    if bracket:
+        assert [bracket[0].witness["f"], bracket[0].witness["g"]] == \
+            [sec.coeffs.to_strings() for sec in least]
 
 
 def fails_only_axiom_i(s, cap=1):
-    """The report fails (i) alone, with the degree-1 sweep's witness."""
+    """The report fails (i) alone, with the least failing tuple as witness."""
     report = check_axioms(s, degree_cap=cap, n_random=0)
     failed = [name for name, check in report.checks.items() if not check.passed]
-    return failed == ["i"] and report.checks["i"].witness == _sweep_axioms(s, 1)["i"]
+    return failed == ["i"] and report.checks["i"].witness["sections"] == least_axiom_tuple(s, "i")
 
 
 def test_structure_failing_only_rho_d_fails_axiom_i():
@@ -728,8 +877,8 @@ def test_structure_failing_only_rho_d_fails_axiom_i():
     # triples hold, but A G^-1 A^T = 2
     one = Polynomial.constant(1, 1)
     s = CourantStructure(TrivialBundle(1, 2, "E"), [[one, one]], [[0, 1], [1, 0]])
-    assert not any(_sweep_axioms(s, 0).values())
-    assert not _frame_identities_hold(s)
+    assert not any(reference_sweep_axioms(s, 0).values())
+    assert not four_frame_identities_hold(s)
     assert fails_only_axiom_i(s)
 
 
@@ -757,8 +906,8 @@ HOMOMORPHISM_ONLY = [
 @pytest.mark.parametrize("s", [case[1] for case in HOMOMORPHISM_ONLY],
                          ids=[case[0] for case in HOMOMORPHISM_ONLY])
 def test_structure_failing_only_the_homomorphism_fails_axiom_i(s):
-    assert not any(_sweep_axioms(s, 0).values())
-    assert not _frame_identities_hold(s)
+    assert not any(reference_sweep_axioms(s, 0).values())
+    assert not four_frame_identities_hold(s)
     assert fails_only_axiom_i(s, cap=2)
 
 
@@ -769,6 +918,6 @@ def test_structure_failing_only_jacobi_on_frame_triples_fails_axiom_i():
     metric = linalg.identity(5)
     s = CourantStructure(TrivialBundle(1, 5, "E"), [[Polynomial(1)] * 5], metric,
                          raised_form({(0, 1, 2): 1, (0, 3, 4): 1}, metric, 1))
-    assert _frame_identities_hold(s)
-    assert not _frame_jacobi_holds(s)
+    assert four_frame_identities_hold(s)
+    assert not frame_jacobi_holds(s)
     assert fails_only_axiom_i(s)

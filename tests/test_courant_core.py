@@ -10,6 +10,7 @@ from courantlab.bundles import LinearSubspace, Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
+    check_degree_cap,
     check_leibniz,
     dirac_check,
     dorfman_bracket,
@@ -384,11 +385,13 @@ class TestOperationOutputs:
 
 
 class TestCertificateCost:
-    """How much work `check_axioms` does, counted by wrapping the packed
-    bracket, the lift and the metric checks: a pass at cap >= 1 is decided
-    from the five frame identities with no lift and no bracket, a structure
-    that fails a frame identity runs the degree-1 sweep only, and neither
-    checks the metric again."""
+    """How much work the certificates do, counted by wrapping the packed
+    operations, the lift and the metric checks: a pass at cap >= 1 is
+    decided from the five frame identities with no lift and no bracket; a
+    failure is read from the frame tables with no lift, and brackets only
+    to re-expand its witnesses, unless (i) holds on every frame triple at a
+    cap >= 1, which lifts once and sweeps (i) alone; `check_leibniz` never
+    lifts; and none checks the metric again."""
 
     @staticmethod
     def recorded(monkeypatch, owner, name):
@@ -406,19 +409,58 @@ class TestCertificateCost:
         assert check_axioms(s, degree_cap=cap, n_random=0).all_passed
         assert brackets == [] and lifts == []
 
-    def test_failing_identity_runs_the_degree_1_sweep_only(self, monkeypatch):
-        base = scaled_structure(standard_structure(2), 3)
-        s = CourantStructure(base.bundle, base.anchor, base.metric,
-                             {(0, 1, 3): Fraction(3, 2)})
-        brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
-        sweeps, sweep = self.recorded(monkeypatch, courant_core, "_sweep_axioms")
-        assert not check_axioms(s, degree_cap=3, n_random=0).all_passed
-        assert [cap for _, cap in sweeps] == [1]
-        made = len(brackets)
-        brackets.clear()
-        sweep(s, 1)
-        assert made == len(brackets)
+    @staticmethod
+    def bumped(n, lam, bump):
+        base = scaled_structure(standard_structure(n), lam)
+        return CourantStructure(base.bundle, base.anchor, base.metric, {bump: Fraction(3, 2)})
 
+    @pytest.mark.parametrize("n, lam, bump, cap", [
+        (1, Fraction(-2, 5), (0, 1, 0), 3),     # (i) fails on a frame triple
+        (2, 3, (0, 1, 3), 0),                   # (i) holds on frame triples
+        (3, Fraction(-2, 5), (5, 0, 1), 0),
+    ], ids=["frame_triple_cap3", "n2_cap0", "n3_cap0"])
+    def test_failing_structure_brackets_only_to_reexpand_witnesses(
+            self, monkeypatch, n, lam, bump, cap):
+        s = self.bumped(n, lam, bump)
+        brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
+        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        report = check_axioms(s, degree_cap=cap, n_random=0)
+        assert not report.all_passed and lifts == []
+        assert all("frame tables" in c.detail for c in report.checks.values() if not c.passed)
+        made = [args[0] for args in brackets]
+        brackets.clear()
+        for name, check in report.checks.items():
+            if not check.passed:
+                courant_core._plain_witness(s, name, [Section.from_exprs(s.bundle, texts)
+                                                      for texts in check.witness["sections"]])
+        assert all(owner is s for owner in made) and len(made) == len(brackets) > 0
+
+    def test_axiom_i_sweep_runs_alone_after_frame_triples_pass(self, monkeypatch):
+        # (ii) and (iii) fail on frame tuples and (i) holds on every frame
+        # triple, so (i) is swept: one lift, [[F2, F3]] once, then four
+        # brackets per member up to the first failing one, and none of the
+        # pairings or anchor actions the sweep of (ii) made
+        s = self.bumped(2, 3, (0, 1, 3))
+        calls = {name: self.recorded(monkeypatch, CourantStructure, name)[0]
+                 for name in ("_bracket", "_pairing", "_anchor_apply", "_derived")}
+        lifts, lift = self.recorded(monkeypatch, courant_core, "lift_structure")
+        report = check_axioms(s, degree_cap=3, n_random=0)
+        assert [name for name, c in report.checks.items() if not c.passed] == ["iii", "i", "ii"]
+        assert report.checks["i"].detail.endswith("found by the degree-1 sweep of (i)")
+        assert [extra for _, extra in lifts] == [2]
+        lifted = lift(s, 2)
+        members = [courant_core.decode_tag(s.bundle, 1, tag).coeffs.to_strings()
+                   for tag in range(check_degree_cap(s.bundle, 1))]
+        first = members.index(report.checks["i"].witness["sections"][0])
+        on_lifted = {name: sum(args[0] is lifted for args in c) for name, c in calls.items()}
+        assert on_lifted == {"_bracket": 1 + 4 * (first + 1), "_pairing": 0,
+                             "_anchor_apply": 0, "_derived": 0}
+
+    def test_leibniz_makes_no_lift(self, monkeypatch):
+        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        assert check_leibniz(self.bumped(3, Fraction(-2, 5), (0, 1, 3))).variant_falsified
+        assert not check_leibniz(so3_structure()).variant_falsified
+        assert lifts == []
 
     @pytest.mark.parametrize("structure_functions", [None, {(0, 1, 3): Fraction(3, 2)}])
     def test_checks_never_revalidate_the_metric(self, monkeypatch, structure_functions):

@@ -21,6 +21,7 @@ from courantlab.intrinsic import (
 )
 from courantlab.polyexpr import PolyMap, Polynomial
 from courantlab.pullback import PullbackProblem, construct, rejection_condition
+from conftest import so3_structure
 
 
 class TestCanonicalSplitting:
@@ -143,6 +144,16 @@ class TestUniqueness:
         )
         condition, _ = rejection_condition(problem, scaled)
         assert condition == "metric"
+
+    def test_no_perturbed_candidate_equals_its_base(self):
+        # so3's entries are +-1: a -1 bump on an entry 1 cancels it, and the
+        # candidate takes the bump, -1, instead of restoring the entry; the
+        # fifth candidate of seed 3 is such a bump
+        so3 = so3_structure()
+        for seed in range(200):
+            for _, candidate in intrinsic._perturbed_candidates(so3, 5, random.Random(seed)):
+                assert candidate != so3, seed
+        assert intrinsic._uniqueness(so3, 1, 5, 3)
 
     def test_constant_automorphism_of_ambient_gives_same_structure(self):
         # compose the splitting with a constant B-field isometry of TE (+) T*E:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from courantlab import linalg
 from courantlab.polyexpr import (
     MAX_EXPONENT,
+    MAX_PARSE_BITS,
+    MAX_POWER_BITS,
     ExponentOverflowError,
     ParseError,
     PolyMap,
@@ -352,13 +354,27 @@ class TestPackedKeys:
             ("(2^1000*x1)^2000", 12, "power above"),
             ("*".join(["2^32767"] * 33), 255, "product above 1048576 bits"),
             ("*".join(["2^32767"] * 2000), 255, "product above"),
-            # the 1027th factor: 1027 terms of up to 1022 bits
-            ("*".join(["(1+x1)"] * 2000), 7 * 1026 - 1, "product above"),
+            # (1+x1)^1100: 1101 terms of up to 1095 bits
+            ("(1+x1)^700*(1+x1)^400", 10, "product above 1048576 bits"),
+            # the 398th factor: the running products' sizes, each below the
+            # product bound, pass MAX_PARSE_BITS in all
+            ("*".join(["(1+x1)"] * 2000), 7 * 398 - 1,
+             f"powers and products above {MAX_PARSE_BITS} bits in all"),
         ]:
             with pytest.raises(ParseError, match=message) as err:
                 parse(text, ["x1"])
             assert err.value.position == position, text
             assert "constant" not in str(err.value)
+
+    def test_parse_bounds_the_total_of_one_text(self):
+        # each power 2^32767 is charged 2 * 32767 bits; 320 of them fit in
+        # MAX_PARSE_BITS, and the text is rejected at the 321st power, before
+        # forming it
+        assert MAX_PARSE_BITS == 20 * MAX_POWER_BITS
+        assert parse("+".join(["2^32767"] * 320), []).constant_value() == 320 * 2 ** 32767
+        with pytest.raises(ParseError, match=f"above {MAX_PARSE_BITS} bits in all") as err:
+            parse("+".join(["2^32767"] * 400), [])
+        assert err.value.position == 8 * 320 + 2
 
     def test_parse_rejects_literals_int_cannot_read(self):
         digits = "1" + "0" * 5000

@@ -632,8 +632,9 @@ class TestParserBounds:
     """
 
     BOMBS = ["2^99999999999", "(2^32767)^32767", "1" + "0" * 5000, "(1+x1)^32767",
-             "(1+x1)^3000", "*".join(["2^32767"] * 2000)]
-    IDS = ["exponent", "nested", "literal", "sum_power", "sum_power_3000", "product"]
+             "(1+x1)^3000", "*".join(["2^32767"] * 2000), "+".join(["(1+x1)^700"] * 50)]
+    IDS = ["exponent", "nested", "literal", "sum_power", "sum_power_3000", "product",
+           "total"]
 
     @staticmethod
     def run_capped(argv):
@@ -698,3 +699,39 @@ class TestDeterminism:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] and outputs[0]
+
+
+class TestWitnessDeterminism:
+    """Every witness is the least failing tuple in one order, so writing a
+    scene's structure functions in another key order, with their terms in
+    another order, changes no report byte."""
+
+    FUNCTIONS = {"3,3,1": "1*x1*x2 + 2*1", "1,3,4": "1*x1 + 2*x1*x2", "1,2,4": "1/2*x2 + 2*1"}
+
+    @staticmethod
+    def scene(functions):
+        metric = [["-2/5" if abs(i - j) == 2 else "0" for j in range(4)] for i in range(4)]
+        identity = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        return {"schema_version": 1, "bundles": {"P2": {"base_dim": 2, "rank": 4}},
+                "courant_structures": {
+                    "s": {"bundle": "P2", "anchor": _STANDARD["std2"]["anchor"],
+                          "metric": metric, "structure_functions": functions},
+                    "std2": _STANDARD["std2"]},
+                "morphisms": {"id": {"source": "P2", "target": "P2", "base_map": ["x1", "x2"],
+                                     "fiber_matrix": identity}}}
+
+    def test_reordered_scene_gives_identical_reports(self, tmp_path, capsys):
+        reordered = {key: " + ".join(reversed(expr.split(" + ")))
+                     for key, expr in reversed(self.FUNCTIONS.items())}
+        assert list(reordered) == ["1,2,4", "1,3,4", "3,3,1"]
+        assert reordered["1,3,4"] == "2*x1*x2 + 1*x1"
+        commands = [(["axioms", "--structure", "s"], 1), (["leibniz", "--structure", "s"], 0),
+                    (["morphism", "--source", "s", "--target", "std2", "--map", "id"], 1)]
+        outputs = []
+        for name, functions in (("given.json", self.FUNCTIONS), ("reordered.json", reordered)):
+            path = str(write_scene(tmp_path, self.scene(functions), name))
+            for argv, code in commands:
+                assert main([*argv, "--scene", path, "--degree-cap", "1", "--json"]) == code
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count('"witness"') >= 5

@@ -1,13 +1,15 @@
 """Witness bytes of the axiom certificate, pinned against a recorded fixture.
 
-Which tuple the certificate reports as a witness depends on the order in
-which the kernel inserts and deletes terms, so a change to the kernel or to
-the sweep can change a witness without changing any verdict.  The fixture
-holds, one line per probe, the canonical JSON of `check_axioms(...).to_json()`
-for standard(n), n = 1, 2, 3, with the metric scaled by -2/5 and one
-structure function c_ij^h = 3/2, at degree caps 3, 2 and 1.  The
-certificate sweeps the degree-1 family at every cap >= 1, so the three
-lines of a probe differ only in their detail text.
+The certificate reports the least failing tuple in one order (see
+courant_core), which does not depend on term order, with its defect
+re-expanded through the plain bracket and the first nonzero component of
+that defect.  A failing detail says whether the frame tables or the
+degree-1 sweep of (i) found the witness.  The fixture holds, one line per
+probe, the canonical JSON of `check_axioms(...).to_json()` for standard(n),
+n = 1, 2, 3, with the metric scaled by -2/5 and one structure function
+c_ij^h = 3/2, at degree caps 3, 2 and 1.  The least failing tuple is the
+same at every cap >= 1, so the three lines of a probe differ only in their
+detail text.
 
 Regenerate it only when a witness change is intended:
 
@@ -82,8 +84,8 @@ def term_lists(comps):
 
 @pytest.mark.parametrize("cap", [0, 1])
 def test_exchanged_tags_are_the_brackets_term_for_term(cap):
-    # the sweep forms [[b, F3]] and [[F3, F2]] by exchanging the tag
-    # exponents of [[b, F2]] and [[F2, F3]]; witnesses need equal term order
+    # the sweep of (i) forms [[b, F3]] by exchanging the tag exponents of
+    # [[b, F2]]; the exchange keeps even the term order
     for name, s, _ in PROBES[::3]:
         n, k = s.bundle.base_dim, s.bundle.rank
         lifted = lift_structure(s, 2)

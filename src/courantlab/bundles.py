@@ -144,14 +144,15 @@ class BundleMorphism:
     phi0, checked exactly at construction) enables constructive extension of
     sections along the morphism, through P(r(y)) (`extension_matrix`), and
     projects target tangent vectors along the image, through J_r(phi0(x))
-    (`retraction_jacobian`).  Those and the base map's Jacobian
-    (`base_jacobian`) are formed on first use; the last induced metric and
+    (`retraction_jacobian`).  Those, the base map's Jacobian
+    (`base_jacobian`) and the complement of the image tangents
+    (`image_complement`) are formed on first use; the last induced metric and
     the last anchor along the image are kept with their target data.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
-                 "_extension", "_retraction_jacobian", "_base_jacobian", "_induced",
-                 "_anchored")
+                 "_extension", "_retraction_jacobian", "_base_jacobian", "_complement",
+                 "_induced", "_anchored")
 
     def __init__(
         self,
@@ -191,6 +192,7 @@ class BundleMorphism:
         object.__setattr__(self, "_extension", None)
         object.__setattr__(self, "_retraction_jacobian", None)
         object.__setattr__(self, "_base_jacobian", None)
+        object.__setattr__(self, "_complement", None)
         object.__setattr__(self, "_induced", None)
         object.__setattr__(self, "_anchored", None)
 
@@ -229,6 +231,19 @@ class BundleMorphism:
         if self._base_jacobian is None:
             object.__setattr__(self, "_base_jacobian", self.base_map.jacobian())
         return self._base_jacobian
+
+    @property
+    def image_complement(self) -> list[list[Polynomial]]:
+        """N = I - Jac(phi0)(x) J_r(phi0(x)), formed on first use: a square
+        matrix of size target.base_dim in the source base variables.  Row a
+        is grad(q_a) along the image, for q_a = y_a - phi0(r(y))_a, the
+        functions that generate every polynomial vanishing on the image."""
+        if self._complement is None:
+            n, big = self.source.base_dim, self.target.base_dim
+            projector = linalg.pmat_mul(self.base_jacobian, self.retraction_jacobian, big, n)
+            object.__setattr__(self, "_complement", linalg.pmat_sub(
+                linalg.pmat_constant(linalg.identity(big), n), projector))
+        return self._complement
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
@@ -285,7 +300,7 @@ class BundleMorphism:
             TrivialBundle(big + extra, self.target.rank, self.target.label),
             _lift_polymap(self.base_map, extra),
             linalg.pmat_lift(self.fiber_matrix, n + extra),
-            retraction, extension, None, None, None, None,
+            retraction, extension, None, None, None, None, None,
         )):
             object.__setattr__(lifted, slot, value)
         return lifted

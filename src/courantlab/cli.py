@@ -31,7 +31,13 @@ import time
 from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
-from .courant_core import check_axioms, check_degree_cap, check_leibniz, standard_structure
+from .courant_core import (
+    check_axioms,
+    check_degree_cap,
+    check_leibniz,
+    standard_bundle,
+    standard_structure,
+)
 from .phsim import (
     dirac_structure_of,
     project_behavior,
@@ -47,7 +53,9 @@ _BUILTIN = re.compile(r"^standard(\d+)$")
 
 def _common_flags(sub):
     sub.add_argument("--scene", help="scene JSON file")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random sections")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="accepted for compatibility and echoed in --json; no "
+                          "verdict depends on it")
     sub.add_argument("--degree-cap", type=int, default=3,
                      help="degree cap for section families; the axiom and "
                           "morphism certificates and the sweep of the falsified "
@@ -159,16 +167,24 @@ def _verdict_lines(name: str, verdict) -> list[str]:
 
 
 def _capped_structure(args):
-    """The named structure, once the requested --degree-cap is accepted for it."""
-    structure = _resolve_structure(_load(args), args.structure)
+    """The named structure, once the requested --degree-cap is accepted for it.
+
+    A builtin standard<N> is checked on its bundle before it is built, so a
+    rejected cap never forms the (2N)^2 metric.
+    """
+    scene = _load(args)
+    match = _BUILTIN.match(args.structure)
+    builtin = match is not None and args.structure not in scene.structures
+    bundle = (standard_bundle(int(match.group(1))) if builtin
+              else _resolve_structure(scene, args.structure).bundle)
     try:
-        check_degree_cap(structure.bundle, args.degree_cap)
+        check_degree_cap(bundle, args.degree_cap)
     except ValueError as exc:
         raise SceneError(f"--degree-cap: {exc}") from None
-    return structure
+    return _resolve_structure(scene, args.structure)
 
 
-def _cmd_axioms(args) -> int:
+def _cmd_axioms(args) -> tuple[dict, list[str]]:
     structure = _capped_structure(args)
     report = check_axioms(structure, degree_cap=args.degree_cap, seed=args.seed)
     payload = {
@@ -186,7 +202,7 @@ def _cmd_axioms(args) -> int:
     return payload, lines
 
 
-def _cmd_leibniz(args) -> int:
+def _cmd_leibniz(args) -> tuple[dict, list[str]]:
     structure = _capped_structure(args)
     try:
         report = check_leibniz(structure, degree_cap=args.degree_cap)
@@ -336,7 +352,7 @@ def _cmd_intrinsic(args):
     result = intrinsic_mod.build_intrinsic(
         args.n, args.m, splitting, degree_cap=args.degree_cap
     )
-    unique = intrinsic_mod._uniqueness(result.structure, args.m, seed=args.seed)
+    unique = intrinsic_mod._uniqueness(result.structure, args.m)
     all_arrows = all(v.is_morphism for v in result.chain_verdicts.values())
     payload = {
         "command": "intrinsic",

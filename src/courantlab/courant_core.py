@@ -140,11 +140,12 @@ tuple thus has degree 1, and the least, read from the anchor matrix, is
 f = e_0, g the least member other than f whose frame has a nonzero anchor
 column, lam the least x_a that column reaches, and mu = 1.
 `tests/test_certificate_oracle.py` checks the order-1 property of every
-axiom slot on random frame data.
+axiom slot on frame data where no axiom need hold.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -832,6 +833,9 @@ def _subtract_into(dst: dict, *terms: dict) -> dict:
 
 MAX_FAMILY = 256
 
+# supplied sections `check_axioms` accepts: MAX_POOL^3 <= MAX_FAMILY tuples
+MAX_POOL = 6
+
 # differential order of every certified defect in each slot: the monomial
 # family up to this degree is complete for all smooth sections
 SWEEP_ORDER = 1
@@ -1064,30 +1068,28 @@ def check_axioms(
 
     Each axiom is certified over every tuple of monomial frame sections of
     degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
-    certificate for all smooth sections (see the module docstring), so no
-    draw can change a verdict; cap 0 bounds the claim to constant sections.
-    The verdicts come from the frame tables, except that (i), when it
-    holds on every frame triple while another frame identity fails, is
-    swept at degree 1.  A failing axiom reports its least failing tuple
-    (see the module docstring).
-    n_random tuples are drawn from the supplied sections with the given
-    seed and checked directly.  Without supplied sections nothing is drawn.
-    All comparisons are polynomial identities with zero tolerance.
+    certificate for all smooth sections (see the module docstring), so the
+    supplied sections are not read; cap 0 bounds the claim to constant
+    sections, and there every ordered tuple of the supplied sections is
+    checked directly, in lexicographic order, and an axiom the certificate
+    passed reports its first failing tuple.  At most MAX_POOL sections are
+    accepted.  The verdicts come from the frame tables, except that (i),
+    when it holds on every frame triple while another frame identity fails,
+    is swept at degree 1.  A failing axiom reports its least failing tuple
+    (see the module docstring).  n_random and seed are accepted for
+    compatibility; nothing is drawn.  All comparisons are polynomial
+    identities with zero tolerance.
     """
-    checks = _certify_axioms(s, degree_cap)
     pool: list[Section] = list(sections)
-    rng = random.Random(seed)
-    samples = n_random if pool else 0
-    for _ in range(samples):
-        f, g, h = (pool[rng.randrange(len(pool))] for _ in range(3))
-        for name, slots in (("i", (f, g, h)), ("ii", (f, g, h)), ("iii", (f, g))):
-            if checks[name].passed:
-                witness = _plain_witness(s, name, slots)
-                if witness is not None:
-                    checks[name] = AxiomCheck(False, "supplied-section tuple check failed", witness)
-    for name, check in checks.items():
-        if check.passed:
-            check.detail += f"; {samples} random tuples"
+    if len(pool) > MAX_POOL:
+        raise ValueError(f"{len(pool)} supplied sections, more than the {MAX_POOL} accepted")
+    checks = _certify_axioms(s, degree_cap)
+    if degree_cap == 0:
+        for name, arity in (("i", 3), ("ii", 3), ("iii", 2)):
+            tuples = itertools.product(pool, repeat=arity) if checks[name].passed else ()
+            witness = next(filter(None, (_plain_witness(s, name, t) for t in tuples)), None)
+            if witness is not None:
+                checks[name] = AxiomCheck(False, "supplied-section tuple check failed", witness)
     return AxiomReport(checks)
 
 

@@ -97,21 +97,31 @@ In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
 generating set the involutivity reduction works over, and certifying the
 conditions on it is the default contract.  The characterization proper
-quantifies over ANY related representatives, and representatives that
-wiggle off the image can break the bracket condition even when the
-retraction family verifies (zero-section embeddings are the canonical
-case: a related pair like (dx-section, extension + z*x*dx) picks up an
-x*dz bracket component along the image).  Strict representative checking
-is available through n_perturbations > 0, which re-checks the bracket on
-representatives perturbed by image-vanishing terms.  A perturbed
-representative g + q*w is affine, not linear, in the tagged family, so the
-order argument does not reach it and that path sweeps at the requested cap.
+quantifies over ANY related representatives g + h with h o phi0 = 0, and
+representatives that wiggle off the image can break the bracket condition
+even when the retraction family verifies (zero-section embeddings are the
+canonical case: a related pair like (dx-section, extension + z*x*dx) picks
+up an x*dz bracket component along the image).  Strict representative
+checking (n_perturbations > 0) decides that quantifier by a matrix
+identity.  The q_a = y_a - phi0(r(y))_a generate every function vanishing
+on the image, so h = sum_a q_a w_a, and the rows of
+N = I - Jac(phi0) J_r(phi0) are the gradients of the q_a along the image.
+With q_a o phi0 = 0 the Leibniz rules give, along the image,
+  in the second slot:  [[g_f, g_g + q_a w]] - [[g_f, g_g]] = (N A2(phi0) P f)_a w,
+  in the first slot:   [[g_f + q_a w, g_g]] - [[g_f, g_g]]
+                         = -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a,
+and every term of [[q_a w, q_b w']] carries a factor q, so the changes
+add.  All of them vanish iff N A2(phi0) = 0 or P = 0: if N A2(phi0) P != 0
+the second slot with w = e_k shows it, and otherwise the first slot's last
+term is nonzero for some w, g and a unless P = 0 or N A2(phi0) = 0.  So
+the strict bracket condition holds iff the retraction one does and
+N A2(phi0) = 0 or P = 0; a failure is reported as a matrix failure at the
+first nonzero entry of N A2(phi0), with "representatives": "perturbed".
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -121,7 +131,6 @@ from .courant_core import (
     CourantStructure,
     _least_failing_tuple,
     lift_structure,
-    random_section,
     tagged_generating_section,
 )
 from .polyexpr import Polynomial, PolyMap
@@ -216,60 +225,43 @@ def _image_section(phi: BundleMorphism, f: Section) -> Section:
     return Section(phi.target, phi.apply(f))
 
 
-def _bracket_failure(s1, s2, phi, cap, general=False, seed=0, n_perturbations=0):
+def _bracket_failure(s1, s2, phi, cap, general=False):
     """The bracket condition's least failing family pair, or None.
 
     The two tagged families encode every pair of monomial frame sections of
-    degree <= cap, and the source side phi o [[fa, fb]]_1 is formed once.
-    Over the identity base the representatives are P fa and P fb and the
-    target bracket is not composed with the identity map.  Otherwise they
-    are the retraction representatives, then n_perturbations variants
-    perturbed by image-vanishing terms q*w, each (q, w) drawn from
-    random.Random(seed) in slot order; the first variant with a nonzero
-    defect is reported.  A retraction witness carries its plain defect,
-    recomputed on explicit sections; a perturbed one carries the tagged
-    sweep's defect.
+    degree <= cap.  Over the identity base the representatives are P fa and
+    P fb and the target bracket is not composed with the identity map;
+    otherwise they are the retraction representatives.  The witness carries
+    its plain defect, recomputed on explicit sections.
     """
     n = s1.bundle.base_dim
     s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
-    image = phil.apply(s1l.bracket(fa, fb))
     represent = related_section if general else _image_section
-    ga, gb = represent(phil, fa), represent(phil, fb)
-    variants = [(ga, gb, "retraction")]
-    multipliers = _image_vanishing_multipliers(phil) if general and n_perturbations > 0 else []
-    if multipliers:
-        rng = random.Random(seed)
-        nn = s2l.bundle.base_dim
-        for round_idx in range(n_perturbations):
-            perturbed = []
-            for g in (ga, gb):
-                q = rng.choice(multipliers)
-                # w is drawn over the target's own variables: a tag variable
-                # in w would shift the family pair its terms decode to
-                w = random_section(rng, s2.bundle, 1, terms=1)
-                w = Section(s2l.bundle, PolyMap(nn, [p.lift(nn) for p in w]))
-                perturbed.append(g + q * w)
-            variants.append((*perturbed, f"perturbation {round_idx}"))
-    for gxa, gxb, label in variants:
-        bracket = s2l.bracket(gxa, gxb).coeffs
-        if general:
-            bracket = [p.compose(phil.base_map) for p in bracket]
-        defect = [a - b for a, b in zip(image, bracket)]
-        pair = _least_failing_pair(s1.bundle, cap, defect)
-        if pair is None:
-            continue
-        f1, f2 = pair
-        if label == "retraction":
-            shown = _plain_defect(s1, s2, phi, "bracket", f1, f2,
-                                  represent(phi, f1), represent(phi, f2))
-        else:
-            shown = [p.to_string() for p in defect]
-        w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
-        witness = ({"f1": w1, "f2": w2, "representatives": label} if general
-                   else {"f": w1, "g": w2})
-        return ConditionFailure("bracket", witness, shown)
-    return None
+    bracket = s2l.bracket(represent(phil, fa), represent(phil, fb)).coeffs
+    if general:
+        bracket = [p.compose(phil.base_map) for p in bracket]
+    defect = [a - b for a, b in zip(phil.apply(s1l.bracket(fa, fb)), bracket)]
+    pair = _least_failing_pair(s1.bundle, cap, defect)
+    if pair is None:
+        return None
+    f1, f2 = pair
+    shown = _plain_defect(s1, s2, phi, "bracket", f1, f2, represent(phi, f1), represent(phi, f2))
+    w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
+    witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
+               else {"f": w1, "g": w2})
+    return ConditionFailure("bracket", witness, shown)
+
+
+def _perturbed_failure(phi, a2) -> ConditionFailure | None:
+    """The strict bracket condition beyond the retraction family: the matrix
+    N A2(phi0), unless P = 0 (see the module docstring)."""
+    if linalg.pmat_is_zero(phi.fiber_matrix):
+        return None
+    failure = _matrix_failure("bracket", "entry", linalg.pmat_mul(phi.image_complement, a2))
+    if failure is not None:
+        failure.witness["representatives"] = "perturbed"
+    return failure
 
 
 def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
@@ -337,20 +329,19 @@ def _tensorial(s1, s2, phi, a2, a2p, general=False) -> bool:
     return source_side == linalg.pmat_mul_constant(q, s2.metric_inverse, n)
 
 
-def _auto_failures(s1, s2, phi, degree_cap, general=False, seed=0, n_perturbations=0) -> list:
-    """The three conditions in auto mode.  Without perturbations the bracket
-    is swept at min(degree_cap, SWEEP_ORDER), or at cap 0 when the defect is
-    tensorial (see the module docstring).  Perturbed representatives are
-    affine in the family, so no order argument reaches them and they are
-    swept at degree_cap."""
+def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list:
+    """The three conditions in auto mode.  The bracket is swept at
+    min(degree_cap, SWEEP_ORDER), or at cap 0 when the defect is tensorial;
+    strict checking adds the perturbed representatives' matrix identity
+    (see the module docstring)."""
     a2, a2p = _along_image(s2, phi, general)
     metric = _metric_failure(s1, s2, phi, general)
-    cap = degree_cap
-    if n_perturbations == 0:
-        tensorial = metric is None and _tensorial(s1, s2, phi, a2, a2p, general)
-        cap = 0 if tensorial else min(degree_cap, SWEEP_ORDER)
-    return [_bracket_failure(s1, s2, phi, cap, general, seed, n_perturbations), metric,
-            _anchor_failure(s1, phi, a2p, general)]
+    tensorial = metric is None and _tensorial(s1, s2, phi, a2, a2p, general)
+    bracket = _bracket_failure(s1, s2, phi, 0 if tensorial else min(degree_cap, SWEEP_ORDER),
+                               general)
+    if bracket is None and strict:
+        bracket = _perturbed_failure(phi, a2)
+    return [bracket, metric, _anchor_failure(s1, phi, a2p, general)]
 
 
 # -- identity base --------------------------------------------------------------
@@ -415,19 +406,6 @@ def _plain_defect(s1, s2, phi, condition, f1, f2, g1, g2) -> list[str]:
     return [p.to_string() for p in defect]
 
 
-def _image_vanishing_multipliers(phi: BundleMorphism) -> list[Polynomial]:
-    """Components of q(y) = y - phi0(r(y)); each vanishes on the image."""
-    r = phi.retraction
-    composed = phi.base_map.compose(r)
-    big = phi.target.base_dim
-    out = []
-    for a in range(big):
-        q = Polynomial.variable(big, a) - composed[a]
-        if not q.is_zero():
-            out.append(q)
-    return out
-
-
 def check_general_base(
     s1: CourantStructure,
     s2: CourantStructure,
@@ -454,16 +432,19 @@ def check_general_base(
     reports the frame pair (e_i, e_j) of the first nonzero entry of the
     defect matrix.  The detail names the requested cap.
 
-    n_perturbations > 0 turns on strict representative checking: the
-    bracket is re-checked on representatives perturbed by terms that
-    vanish on the image, drawn with the given seed; this is the full
-    "any (and hence each)" quantifier.  Perturbations never change the
-    metric defect (see the module docstring), so only the bracket is
-    re-checked.  The perturbed representatives are affine in the tagged
-    family, so the bracket then sweeps at the requested cap, and a failure
-    on a perturbed variant reports the tagged sweep's defect.  Zero-section
-    embeddings generally fail the strict check even when they verify on the
-    retraction family; see the module docstring.
+    n_perturbations > 0 turns on strict representative checking, the full
+    "any (and hence each)" quantifier over representatives perturbed by
+    terms that vanish on the image.  By the Leibniz rules it holds iff the
+    retraction verdict does and N A2(phi0) = 0 or P = 0, with
+    N = I - Jac(phi0) J_r(phi0): perturbing a slot by q_a w changes the
+    bracket along the image by (N A2(phi0) P f)_a w in the second slot and
+    by -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a in the
+    first (see the module docstring).  A strict failure reports the first
+    nonzero entry of N A2(phi0) with "representatives": "perturbed".
+    Perturbations never change the metric defect.  The count and seed are
+    accepted for compatibility; nothing is drawn.  Zero-section embeddings
+    generally fail the strict check even when they verify on the
+    retraction family.
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
@@ -473,7 +454,7 @@ def check_general_base(
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
-        failures = _auto_failures(s1, s2, phi, degree_cap, True, seed, n_perturbations)
+        failures = _auto_failures(s1, s2, phi, degree_cap, True, n_perturbations > 0)
     else:
         checked = list(pairs)
         if not all(check_related(phi, f, g) for f, g in checked):

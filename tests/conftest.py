@@ -49,6 +49,16 @@ def so3_structure():
     )
 
 
+def image_vanishing_multipliers(phi) -> list[Polynomial]:
+    """The nonzero components of q(y) = y - phi0(r(y)); each vanishes on the
+    image of phi0, and together they generate every polynomial that does.
+    The perturbation references draw or enumerate their multipliers here."""
+    composed = phi.base_map.compose(phi.retraction)
+    big = phi.target.base_dim
+    qs = (Polynomial.variable(big, a) - composed[a] for a in range(big))
+    return [q for q in qs if not q.is_zero()]
+
+
 def eval_term_by_term(poly: Polynomial, point) -> Fraction:
     """Independent evaluator: plain sum of coeff * prod(x_i^e_i)."""
     point = [Fraction(v) for v in point]

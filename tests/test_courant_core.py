@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -256,19 +257,56 @@ class TestCheckAxioms:
             defect, is_zero = _plain_defect(s, name, sections)
             assert not is_zero and defect == witness["defect"]
 
-    def test_tuples_are_drawn_from_supplied_sections_only(self):
+    def test_supplied_sections_are_read_only_at_cap_0(self, monkeypatch):
+        # at cap >= 1 the certificate is complete and the pool is not read
         s = standard_structure(1)
-        report = check_axioms(s, degree_cap=1, n_random=50)
-        assert all(c.detail.endswith("; 0 random tuples") for c in report.checks.values())
         extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
-        report = check_axioms(s, sections=extra, degree_cap=1, n_random=50)
-        assert all(c.detail.endswith("; 50 random tuples") for c in report.checks.values())
+        plain = []
+        original = courant_core._plain_witness
+        monkeypatch.setattr(courant_core, "_plain_witness",
+                            lambda *args: plain.append(args) or original(*args))
+        assert check_axioms(s, sections=extra, degree_cap=1).to_json() == \
+            check_axioms(s, degree_cap=1).to_json()
+        assert plain == []
+        report = check_axioms(s, sections=extra, degree_cap=0)
+        assert report.all_passed
+        assert len(plain) == 3  # the one tuple of each axiom
+        for check in report.checks.values():
+            assert check.detail.endswith("degree cap 0")
 
-    def test_rank_zero_details_carry_the_suffix_once(self):
+    def test_first_failing_supplied_tuple_in_lexicographic_order(self):
+        # anchor [1, 1]: rho o D = 2, and (i) first fails on the tuple
+        # (x1 e_0, x1 e_1, e_0); every tuple before it passes, and (ii) and
+        # (iii) pass on every tuple
+        bundle = TrivialBundle(1, 2, "E")
+        one = Polynomial.constant(1, 1)
+        s = CourantStructure(bundle, [[one, one]], [[0, 1], [1, 0]])
+        pool = [Section.from_exprs(bundle, texts)
+                for texts in (["1", "0"], ["x1", "0"], ["0", "x1"])]
+        report = check_axioms(s, sections=pool, degree_cap=0)
+        for name, arity in (("i", 3), ("ii", 3), ("iii", 2)):
+            failing = [t for t in itertools.product(range(3), repeat=arity)
+                       if not _plain_defect(s, name, [pool[i] for i in t])[1]]
+            check = report.checks[name]
+            assert check.passed == (not failing), name
+            if failing:
+                assert check.detail == "supplied-section tuple check failed"
+                assert check.witness["sections"] == [pool[i].coeffs.to_strings()
+                                                     for i in failing[0]]
+
+    def test_pool_above_its_bound_is_rejected(self):
+        s = standard_structure(1)
+        pool = [Section.frame(s.bundle, 0, Polynomial.variable(1, 0) ** d) for d in range(7)]
+        assert courant_core.MAX_POOL ** 3 <= courant_core.MAX_FAMILY
+        assert check_axioms(s, sections=pool[:6], degree_cap=0).all_passed
+        with pytest.raises(ValueError, match="7 supplied sections"):
+            check_axioms(s, sections=pool, degree_cap=0)
+
+    def test_rank_zero_details_carry_no_suffix(self):
         report = check_axioms(standard_structure(0), n_random=5)
         assert report.all_passed
         for check in report.checks.values():
-            assert check.detail == "rank-0 bundle: axioms hold vacuously; 0 random tuples"
+            assert check.detail == "rank-0 bundle: axioms hold vacuously"
 
     def test_report_serialization(self):
         report = check_axioms(standard_structure(1), n_random=5)

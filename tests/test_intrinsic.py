@@ -110,6 +110,18 @@ class TestBuildIntrinsic:
                 assert s.bracket(fi, fj).is_zero()
 
 
+def reference_uniqueness(structure, m, seed, n_perturbations=5):
+    """`_uniqueness` as the seeded candidate loop decided it."""
+    if m == 0 and structure != standard_structure(structure.bundle.base_dim):
+        return False
+    candidates = intrinsic._perturbed_candidates(structure, n_perturbations, random.Random(seed))
+    for expected, candidate in candidates:
+        rejection = pullback._rejection(structure, candidate)
+        if rejection is None or rejection[0] != expected:
+            return False
+    return True
+
+
 class TestUniqueness:
     @pytest.mark.parametrize("n,m", [(1, 1), (2, 1)])
     def test_uniqueness_check(self, n, m):
@@ -154,6 +166,20 @@ class TestUniqueness:
             for _, candidate in intrinsic._perturbed_candidates(so3, 5, random.Random(seed)):
                 assert candidate != so3, seed
         assert intrinsic._uniqueness(so3, 1, 5, 3)
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(4) for m in range(4 - n)])
+    def test_uniqueness_equals_the_candidate_loop(self, n, m):
+        # the seeded loop the identity replaced: every candidate differs from
+        # its base in the part its label names, which `_rejection` compares
+        # first, so the loop never rejected a construction
+        structure = build_intrinsic(n, m).structure
+        for seed in range(200):
+            assert intrinsic._uniqueness(structure, m) == reference_uniqueness(structure, m, seed)
+
+    def test_so3_uniqueness_equals_the_candidate_loop(self):
+        so3 = so3_structure()
+        for seed in range(200):
+            assert intrinsic._uniqueness(so3, 1) == reference_uniqueness(so3, 1, seed)
 
     def test_constant_automorphism_of_ambient_gives_same_structure(self):
         # compose the splitting with a constant B-field isometry of TE (+) T*E:

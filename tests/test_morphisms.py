@@ -18,13 +18,16 @@ from courantlab.courant_core import (
     standard_structure,
     tagged_generating_section,
 )
-from courantlab.intrinsic import pontryagin_embedding
+from courantlab.intrinsic import _chi_problem, pontryagin_embedding
 from courantlab.morphisms import (
     check_general_base,
     check_identity_base,
     graph_subbundle,
 )
 from courantlab.polyexpr import PolyMap, Polynomial, parse
+from courantlab.pullback import construct
+
+from conftest import image_vanishing_multipliers
 
 
 def doubling_map(s):
@@ -207,7 +210,9 @@ class TestGeneralBase:
         assert not strict.is_morphism
         assert "bracket" in strict.failed_conditions()
 
-    def test_source_side_computed_once_for_all_representatives(self, monkeypatch):
+    def test_strict_failure_is_a_matrix_failure_with_one_source_bracket(self, monkeypatch):
+        # N = I - Jac(phi0) J_r(phi0) = diag(0, 1) keeps the z-row of the
+        # anchor along the image: N A2(phi0) has the single entry (1, 1)
         s1 = standard_structure(1)
         s2 = standard_structure(2)
         source_brackets = []
@@ -223,10 +228,9 @@ class TestGeneralBase:
         assert len(source_brackets) == 1
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
             '{"detail": "general-base criteria at degree cap 3", "failures": '
-            '[{"condition": "bracket", "defect": ["0", "0", "0", '
-            '"-1/2*x1^3*x3^7 - 1/2*x1^2*x3^6 - 1/2*x1*x3^5 - 1/2*x3^4"], '
-            '"witness": {"f1": ["1", "0"], "f2": ["0", "1"], '
-            '"representatives": "perturbation 0"}}], "is_morphism": false}'
+            '[{"condition": "bracket", "defect": ["0", "0", "0", "0", "0", "1", "0", "0"], '
+            '"witness": {"entry": [1, 1], "representatives": "perturbed"}}], '
+            '"is_morphism": false}'
         )
 
     def test_retraction_failure_reports_plain_defect(self):
@@ -466,7 +470,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
     ga, gb = related_section(phil, fa), related_section(phil, fb)
     variants = [(ga, gb, "retraction")]
-    multipliers = morphisms._image_vanishing_multipliers(phil)
+    multipliers = image_vanishing_multipliers(phil)
     rng = random.Random(seed)
     nn = s2l.bundle.base_dim
     for round_idx in range(n_perturbations if multipliers else 0):
@@ -533,6 +537,89 @@ def test_metric_verdict_equals_the_tagged_pairing_sweep(case, cap, n_perturbatio
                                  n_perturbations=n_perturbations)
     metric = next((f.to_json() for f in verdict.failures if f.condition == "metric"), None)
     assert metric == reference_metric_failure(*case, cap, seed, n_perturbations)
+
+
+# -- strict checking against the perturbed-variant sweep it replaced -------------
+
+
+def reference_perturbed_variant_fails(s1, s2, phi, cap=1):
+    """Whether a perturbed representative breaks the bracket condition, by the
+    tagged sweep of the variants the sampler drew from, enumerated: the
+    retraction representatives with one slot perturbed by q_a e_k, for every
+    slot, every image-vanishing multiplier q_a and every constant target
+    frame e_k."""
+    n = s1.bundle.base_dim
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
+    fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
+    ga, gb = related_section(phil, fa), related_section(phil, fb)
+    image = phil.apply(s1l.bracket(fa, fb))
+    for q in image_vanishing_multipliers(phil):
+        for k in range(s2.bundle.rank):
+            w = q * Section.frame(s2l.bundle, k)
+            for gxa, gxb in ((ga + w, gb), (ga, gb + w)):
+                bracket = [p.compose(phil.base_map) for p in s2l.bracket(gxa, gxb).coeffs]
+                if any(not (a - b).is_zero() for a, b in zip(image, bracket)):
+                    return True
+    return False
+
+
+def assert_strict_matches_the_variant_sweep(s1, s2, phi, cap=3):
+    """The strict verdict is the retraction verdict plus, when that passes
+    the bracket, a "perturbed" bracket failure iff some enumerated variant
+    fails."""
+    strict = check_general_base(s1, s2, phi, degree_cap=cap, n_perturbations=2)
+    plain = check_general_base(s1, s2, phi, degree_cap=cap).to_json()
+    perturbed = [f for f in strict.failures if f.witness.get("representatives") == "perturbed"]
+    assert [f.to_json() for f in strict.failures if f not in perturbed] == plain["failures"]
+    if "bracket" in {f["condition"] for f in plain["failures"]}:
+        assert not perturbed
+    else:
+        assert bool(perturbed) == reference_perturbed_variant_fails(s1, s2, phi)
+    return strict
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph_embeddings(), st.sampled_from([0, 1, 3]))
+def test_strict_verdict_equals_the_perturbed_variant_sweep(case, cap):
+    assert_strict_matches_the_variant_sweep(*case, cap)
+
+
+INTRINSIC_SIZES = [(n, m) for n in range(4) for m in range(4 - n) if n + m >= 1]
+
+
+@pytest.mark.parametrize("n, m", INTRINSIC_SIZES)
+def test_strict_verdicts_of_the_intrinsic_arrows(n, m):
+    problem = _chi_problem(n, m, None)
+    chi = problem.morphism
+    assert_strict_matches_the_variant_sweep(
+        construct(problem, enforce_hypotheses=False), problem.ambient, chi)
+    strict = assert_strict_matches_the_variant_sweep(
+        standard_structure(n), problem.ambient, pontryagin_embedding(n, m))
+    # tangent on image fibers, but not on the whole fiber once m >= 1
+    assert strict.is_morphism == (m == 0 or n == 0)
+
+
+def zero_section_into_a_line_extension(c):
+    """standard(1) along x -> (x, 0) into R^2 x R^2 with anchor [[1, 0], [0, 0]],
+    hyperbolic G and structure functions c: the anchor has no y2-row, so
+    N A2(phi0) = 0 while q = y2 vanishes on the image."""
+    s1 = standard_structure(1)
+    s2 = CourantStructure(TrivialBundle(2, 2, "E"), [[1, 0], [0, 0]], [[0, 1], [1, 0]], c)
+    base = PolyMap(1, [Polynomial.variable(1, 0), Polynomial(1)])
+    retraction = PolyMap(2, [Polynomial.variable(2, 0)])
+    phi = BundleMorphism(s1.bundle, s2.bundle, base,
+                         linalg.pmat_constant(linalg.identity(2), 1), retraction)
+    return s1, s2, phi
+
+
+@pytest.mark.parametrize("c", [{}, {(0, 1, 0): parse("x2", ["x1", "x2"]),
+                                    (1, 0, 0): parse("-x2", ["x1", "x2"])}],
+                         ids=["c_zero", "c_x2"])
+def test_strict_check_passes_with_nonempty_multipliers(c):
+    case = zero_section_into_a_line_extension(c)
+    assert image_vanishing_multipliers(case[2])
+    assert assert_strict_matches_the_variant_sweep(*case).is_morphism
 
 
 # -- the bracket condition against the degree-1 sweep the gate replaces ----------

@@ -9,7 +9,7 @@ import pytest
 from courantlab import linalg
 from courantlab import pullback as pullback_mod
 from courantlab.cli import main
-from courantlab.bundles import BundleMorphism, TrivialBundle, compose_morphisms
+from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
@@ -19,7 +19,7 @@ from courantlab.courant_core import (
     standard_structure,
 )
 from courantlab.intrinsic import pontryagin_embedding, splitting_composite
-from courantlab.morphisms import _image_vanishing_multipliers, check_general_base
+from courantlab.morphisms import check_general_base
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
@@ -32,6 +32,8 @@ from courantlab.pullback import (
     well_definedness_test,
 )
 from courantlab.scene import load_scene, structure_to_json
+
+from conftest import image_vanishing_multipliers
 
 
 def pontryagin_problem(n=1, m=1):
@@ -474,7 +476,7 @@ def reference_frame_table(problem):
 
 def reference_perturbation_verdict(problem, structure_functions, rounds, seed):
     """`extension_perturbation_test` by the pairwise scan, same draws."""
-    multipliers = _image_vanishing_multipliers(problem.morphism)
+    multipliers = image_vanishing_multipliers(problem.morphism)
     if not multipliers:
         return True
     rng = random.Random(seed)
@@ -492,6 +494,30 @@ def reference_perturbation_verdict(problem, structure_functions, rounds, seed):
                 coeffs, _ = solve([q.compose(problem.morphism.base_map) for q in bracket.coeffs])
                 for h, c in enumerate(coeffs):
                     if structure_functions.get((i, j, h), zero) != c:
+                        return False
+    return True
+
+
+def reference_enumerated_perturbation_verdict(problem, structure_functions):
+    """`extension_perturbation_test` by the pairwise scan over every single
+    perturbation the sampler could combine: extended frame i plus q_a e_k,
+    for every image-vanishing multiplier q_a, every constant ambient frame
+    e_k and every i; only the pairs involving frame i are bracketed again."""
+    solve = reference_solver(problem)
+    frames = _extended_frames(problem)
+    zero = Polynomial(problem.source_bundle.base_dim)
+    for q in image_vanishing_multipliers(problem.morphism):
+        for k in range(problem.ambient.bundle.rank):
+            w = q * Section.frame(problem.ambient.bundle, k)
+            for i in range(len(frames)):
+                perturbed = frames[:i] + [frames[i] + w] + frames[i + 1:]
+                pairs = {(i, j) for j in range(len(frames))} | {(j, i) for j in range(len(frames))}
+                for a, b in sorted(pairs):
+                    bracket = problem.ambient.bracket(perturbed[a], perturbed[b])
+                    coeffs, _ = solve([c.compose(problem.morphism.base_map)
+                                       for c in bracket.coeffs])
+                    if any(structure_functions.get((a, b, h), zero) != c
+                           for h, c in enumerate(coeffs)):
                         return False
     return True
 
@@ -624,6 +650,20 @@ class TestFrameTableReference:
     @pytest.mark.parametrize("seed", range(RANDOM_PROBLEMS))
     def test_random_problems(self, seed):
         assert_matches_reference(random_problem(seed))
+
+    def test_extension_verdicts_equal_the_enumerated_perturbations(self):
+        # hypothesis (a) decides the perturbations: both verdicts occur
+        problems = [splitting_problem(n, m) for n in range(5) for m in range(5 - n) if n + m]
+        problems += [pontryagin_problem(n, m) for n in range(1, 5) for m in range(5 - n)]
+        problems += list(demo_problems())
+        problems += [random_problem(seed) for seed in range(RANDOM_PROBLEMS)]
+        verdicts = []
+        for problem in problems:
+            functions, witness = reference_frame_table(problem)
+            if witness is None:
+                verdicts.append(extension_perturbation_test(problem))
+                assert verdicts[-1] == reference_enumerated_perturbation_verdict(problem, functions)
+        assert set(verdicts) == {True, False}
 
     def test_random_problems_cover_every_outcome(self):
         # passing tables with non-constant fibers and nonzero structure

@@ -268,6 +268,22 @@ class TestCLI:
             check_axioms(standard_structure(1), degree_cap=128, n_random=0)
         assert main(["axioms", "--structure", "standard1", "--degree-cap", "128"]) == 2
 
+    def test_builtin_cap_is_checked_before_the_structure_is_built(self, capsys, monkeypatch):
+        # standard600 at cap 0 has 1200 frame sections; its (2N)^2 metric is
+        # never formed
+        built = []
+        monkeypatch.setattr(cli, "standard_structure",
+                            lambda n: built.append(n) or standard_structure(n))
+        for command in ("axioms", "leibniz"):
+            assert main([command, "--structure", "standard600", "--degree-cap", "0"]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == ["error: --degree-cap: degree cap 0 gives a family of 1200 "
+                             "sections, more than the 256 the certificate accepts; "
+                             "lower the cap"]
+        assert built == []
+        assert main(["axioms", "--structure", "standard1", "--degree-cap", "0"]) == 0
+        assert built == [1]
+
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "run.csv"
         code = main([
@@ -699,6 +715,25 @@ class TestDeterminism:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] and outputs[0]
+
+
+    def test_no_report_depends_on_the_seed(self, capsys):
+        commands = [
+            ["axioms", "--structure", "standard2"],
+            ["leibniz", "--structure", "standard2"],
+            ["morphism", "--scene", str(SCENE), "--source", "standard1", "--target",
+             "standard2", "--map", "zero_section_embedding"],
+            ["pullback", "--scene", str(SCENE), "--ambient", "standard2", "--morphism",
+             "zero_section_embedding", "--alt-retraction", '["x1 + x2^2"]'],
+            ["intrinsic", "--n", "1", "--m", "1"],
+        ]
+        for argv in commands:
+            outputs = []
+            for seed in ("0", "987654"):
+                code = main([*argv, "--seed", seed, "--json"])
+                text = capsys.readouterr().out
+                outputs.append((code, text.replace(f'"seed": {seed},', '"seed": S,')))
+            assert outputs[0] == outputs[1], argv[0]
 
 
 class TestWitnessDeterminism:

@@ -146,13 +146,14 @@ class BundleMorphism:
     projects target tangent vectors along the image, through J_r(phi0(x))
     (`retraction_jacobian`).  Those, the base map's Jacobian
     (`base_jacobian`) and the complement of the image tangents
-    (`image_complement`) are formed on first use; the last induced metric and
-    the last anchor along the image are kept with their target data.
+    (`image_complement`) are formed on first use; the last induced metric,
+    the last anchor along the image and the last tagged target bracket of the
+    morphism sweep (`kept_bracket`) are kept with their target data.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
                  "_extension", "_retraction_jacobian", "_base_jacobian", "_complement",
-                 "_induced", "_anchored")
+                 "_induced", "_anchored", "_bracketed")
 
     def __init__(
         self,
@@ -195,6 +196,7 @@ class BundleMorphism:
         object.__setattr__(self, "_complement", None)
         object.__setattr__(self, "_induced", None)
         object.__setattr__(self, "_anchored", None)
+        object.__setattr__(self, "_bracketed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BundleMorphism is immutable")
@@ -300,7 +302,7 @@ class BundleMorphism:
             TrivialBundle(big + extra, self.target.rank, self.target.label),
             _lift_polymap(self.base_map, extra),
             linalg.pmat_lift(self.fiber_matrix, n + extra),
-            retraction, extension, None, None, None, None, None,
+            retraction, extension, None, None, None, None, None, None,
         )):
             object.__setattr__(lifted, slot, value)
         return lifted
@@ -316,9 +318,9 @@ class BundleMorphism:
 
         Entry (i, j) pairs the columns i and j of P, so the result is
         source.rank x source.rank also when P has no rows (a target of rank
-        0), and zero there.  The last result is kept with its G, so a
-        pullback problem and a morphism check on one target structure form
-        it once.
+        0), and zero there.  The last result is kept with its G and with
+        its factor P(x)^T G (`transposed_metric`), so a pullback problem and
+        a morphism check on one target structure form it once.
         """
         if self._induced is None or self._induced[0] != metric:
             n = self.source.base_dim
@@ -326,8 +328,13 @@ class BundleMorphism:
             pt_g = linalg.pmat_mul_constant(columns, metric, n)
             object.__setattr__(self, "_induced", (metric, linalg.pmat_transpose(
                 [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
-            )))
+            ), pt_g))
         return self._induced[1]
+
+    def transposed_metric(self, metric) -> list[list[Polynomial]]:
+        """P(x)^T G, the factor of `induced_metric` kept with it."""
+        self.induced_metric(metric)
+        return self._induced[2]
 
     def anchor_along_image(self, anchor) -> tuple[list, list]:
         """(A(phi0(x)), A(phi0(x)) P(x)) for an anchor A on the target base.
@@ -341,6 +348,18 @@ class BundleMorphism:
                 along, self.fiber_matrix, self.source.rank, self.source.base_dim
             )))
         return self._anchored[1:]
+
+    def kept_bracket(self, key, form):
+        """form(), kept with `key` until another key asks for it.
+
+        The morphism sweep keeps its tagged target bracket here
+        (`morphisms.tagged_bracket`), keyed on the target structure, the cap
+        and the base mode, so a pullback problem and a morphism check on one
+        target structure form it once.
+        """
+        if self._bracketed is None or self._bracketed[0] != key:
+            object.__setattr__(self, "_bracketed", (key, form()))
+        return self._bracketed[1]
 
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""

@@ -127,6 +127,7 @@ from dataclasses import dataclass, field
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle, check_related, related_section
 from .courant_core import (
+    MAX_FAMILY,
     SWEEP_ORDER,
     CourantStructure,
     _least_failing_tuple,
@@ -225,27 +226,52 @@ def _image_section(phi: BundleMorphism, f: Section) -> Section:
     return Section(phi.target, phi.apply(f))
 
 
+def tagged_bracket(s2, phi, cap, general=False):
+    """(phi lifted by two tags, the tagged families, [[g_a, g_b]]_2): the
+    target side of the bracket sweep.
+
+    The families fa and fb on phi's source, tagged by its last two lifted
+    variables t and s, encode every pair of monomial frame sections of
+    degree <= cap.  Over the identity base their representatives g_a and
+    g_b are P fa and P fb, and the bracket is not composed with the
+    identity map; otherwise they are the retraction representatives and the
+    bracket is composed with phi0.  At cap 0, fa = sum_i t^i e_i, so over a
+    general base g_a = sum_i t^i e^_i with the extended frames
+    e^_i = P(r(y)) e_i: the bracket is also the tagged frame bracket of
+    the pullback along phi (see pullback).  The result is kept on phi with
+    s2, cap and the base mode (`BundleMorphism.kept_bracket`), so a
+    pullback problem and a check into the same structure form it once.
+    """
+    return phi.kept_bracket((s2, cap, general),
+                            lambda: _target_side(s2, phi, cap, general))
+
+
+def _target_side(s2, phi, cap, general):
+    """`tagged_bracket` without the kept result."""
+    n, phil = phi.source.base_dim, phi.lifted(2)
+    families = [tagged_generating_section(phi.source, cap, 2, n + slot) for slot in (0, 1)]
+    represent = related_section if general else _image_section
+    bracket = lift_structure(s2, 2).bracket(*(represent(phil, f) for f in families)).coeffs
+    if general:
+        bracket = [p.compose(phil.base_map) for p in bracket]
+    return phil, families, list(bracket)
+
+
 def _bracket_failure(s1, s2, phi, cap, general=False):
     """The bracket condition's least failing family pair, or None.
 
-    The two tagged families encode every pair of monomial frame sections of
-    degree <= cap.  Over the identity base the representatives are P fa and
-    P fb and the target bracket is not composed with the identity map;
-    otherwise they are the retraction representatives.  The witness carries
-    its plain defect, recomputed on explicit sections.
+    The defect is phi o [[fa, fb]]_1 minus the target side
+    (`tagged_bracket`), over every pair of monomial frame sections of
+    degree <= cap at once.  The witness carries its plain defect,
+    recomputed on explicit sections.
     """
-    n = s1.bundle.base_dim
-    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
-    fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
-    represent = related_section if general else _image_section
-    bracket = s2l.bracket(represent(phil, fa), represent(phil, fb)).coeffs
-    if general:
-        bracket = [p.compose(phil.base_map) for p in bracket]
-    defect = [a - b for a, b in zip(phil.apply(s1l.bracket(fa, fb)), bracket)]
+    phil, (fa, fb), bracket = tagged_bracket(s2, phi, cap, general)
+    defect = [a - b for a, b in zip(phil.apply(lift_structure(s1, 2).bracket(fa, fb)), bracket)]
     pair = _least_failing_pair(s1.bundle, cap, defect)
     if pair is None:
         return None
     f1, f2 = pair
+    represent = related_section if general else _image_section
     shown = _plain_defect(s1, s2, phi, "bracket", f1, f2, represent(phi, f1), represent(phi, f2))
     w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
     witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
@@ -448,7 +474,8 @@ def check_general_base(
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
-    morphism failure.
+    morphism failure.  Every ordered pair of supplied pairs is checked, so
+    more than 16 of them (their square above MAX_FAMILY) raise ValueError.
     """
     _validate(s1, s2, phi)
     if pairs == "auto":
@@ -457,6 +484,9 @@ def check_general_base(
         failures = _auto_failures(s1, s2, phi, degree_cap, True, n_perturbations > 0)
     else:
         checked = list(pairs)
+        if len(checked) ** 2 > MAX_FAMILY:
+            raise ValueError(f"too many supplied pairs: {len(checked)}, whose "
+                             f"{len(checked) ** 2} ordered pairs exceed {MAX_FAMILY}")
         if not all(check_related(phi, f, g) for f, g in checked):
             raise ValueError(
                 "supplied pair is not phi-related (input error, not a morphism failure)"

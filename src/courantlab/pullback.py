@@ -21,25 +21,31 @@ off the extended frame sections:
   P(x) c'_ij(x) = [[e^_i, e^_j]](phi0(x)),   solved exactly through the
   projector P G'^-1 P^T G onto the column space of P.
 
-Each problem makes one bracket.  The first use of the frame table (a cached
-property of the problem) sums the extended frames with inert tags,
-F = sum_i t^i e^_i and F' = sum_j s^j e^_j, on the ambient lifted by two
-variables, brackets F with F' once, composes the result once with phi0
-(lifted by the identity on the tags) and solves it once through the
-projector, whose factors are lifted to the tags too.  The coefficient of
-t^i s^j in the solution and in its residual is that of the pair (i, j):
-  * every step is R-linear in each frame slot;
+Each problem reads one bracket, the target side of the morphism sweep at
+cap 0 (`morphisms.tagged_bracket`).  That sweep sums the source frames with
+inert tags, f = sum_i t^i e_i and f' = sum_j s^j e_j, and represents them
+through the retraction: g(y) = P(r(y)) f(r(y)) = sum_i t^i e^_i, as the
+tags are inert under r.  So it brackets F = sum_i t^i e^_i with
+F' = sum_j s^j e^_j on the ambient lifted by the two tags, once, and
+composes the result once with phi0 (lifted by the identity on the tags).
+The coefficient of t^i s^j is [[e^_i, e^_j]] o phi0:
+  * the bracket is R-linear in each slot;
   * the lifted anchor has zero rows for the tags and the lifted base map is
     the identity on them, so nothing differentiates or substitutes along a
     tag;
   * distinct pairs land on distinct tag monomials, so no two pairs cancel.
-The witness of a bracket leaving the image is the least such pair in
-row-major order, the pair a scan over (i, j) would meet first.  Hypothesis
-(c), `construct` and both well-definedness tests read that table; the
-hypothesis report, the constructed structure, and the induced pairing G'
-with its determinant and inverse are cached on the problem the same way, so
-each is formed once per problem.  The data along the image, J_r(phi0(x)),
-N = I - J_phi0 J_r(phi0), A(phi0(x)) and A(phi0(x)) P(x), are kept on the
+The frame table splits the result by its tags (`courant_core._split_tags`)
+and solves each nonzero pair through the projector.  The bracket is kept on
+the morphism with the ambient, so a check of the same morphism into the
+ambient at cap 0, such as chi's in `build_intrinsic`, reads it instead of
+making it again.  The witness of a bracket leaving the image is the least
+such pair in row-major order, the pair a scan over (i, j) would meet
+first.  Hypothesis (c), `construct` and both well-definedness tests read
+that table; the hypothesis report, the constructed structure, and the
+induced pairing G' with its determinant and inverse are cached on the
+problem the same way, so each is formed once per problem.  The data along
+the image, J_r(phi0(x)), N = I - J_phi0 J_r(phi0), A(phi0(x)) and
+A(phi0(x)) P(x), and G' with its factor P(x)^T G, are kept on the
 morphism, which a morphism check on the same ambient then reads too.
 
 Anchor tangency is checked on image fiber elements (the form used by the
@@ -65,10 +71,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .bundles import BundleMorphism, Section, TrivialBundle, _lift_polymap
-from .courant_core import AxiomCheck, CourantStructure, lift_structure
-from .morphisms import check_general_base
-from .polyexpr import _BITS, Polynomial, PolyMap, _raw, _unpack, poly_sum
+from .bundles import BundleMorphism, TrivialBundle
+from .courant_core import AxiomCheck, CourantStructure, _split_tags
+from .morphisms import check_general_base, tagged_bracket
+from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
     "PullbackProblem",
@@ -118,55 +124,33 @@ class PullbackProblem:
         return linalg.inverse(self._induced_pairing[0])
 
     @cached_property
-    def _tagged(self):
-        """(ambient, base map, solve) over two inert tag variables appended.
-
-        The ambient is `lift_structure(ambient, 2)` and the base map is lifted
-        by the identity on the tags.  solve(vec) -> (c, residual) solves
-        P(x) c(x) = vec(x) through the exact projector P G'^-1 P^T G, with P,
-        P^T G and G'^-1 lifted to the n + 2 variables once per problem.
-        Needs a constant nondegenerate induced pairing.
-        """
-        n = self.source_bundle.base_dim + 2
-        g_inv = linalg.pmat_constant(self._induced_inverse, n)
-        fiber = linalg.pmat_lift(self.morphism.fiber_matrix, n)
-        pt_g = linalg.pmat_mul_constant(linalg.pmat_transpose(fiber), self.ambient.metric, n)
-
-        def solve(vec):
-            half = linalg.pmat_vec(pt_g, vec, num_vars=n)
-            coeffs = linalg.pmat_vec(g_inv, half, num_vars=n)
-            reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
-            return coeffs, [a - b for a, b in zip(reproduced, vec)]
-
-        return (lift_structure(self.ambient, 2),
-                _lift_polymap(self.morphism.base_map, 2), solve)
-
-    @cached_property
     def _frame_table(self):
-        """(structure functions, witness) read off one tagged frame bracket.
+        """(structure functions, witness) read off the tagged frame bracket.
 
-        Every step is R-linear in each frame slot, nothing differentiates or
-        substitutes along the inert tags, and distinct pairs land on distinct
-        tag monomials, so the table equals the pairwise one.  The witness is
-        {"frame_pair", "residual"} of the least pair (i, j), in row-major
-        order, whose bracket leaves the image, else None.  The structure
-        functions are those of the pairs before it, inserted in (i, j, h)
-        order.  Needs a constant nondegenerate induced pairing.
+        The bracket is the target side of the morphism sweep at cap 0
+        (`morphisms.tagged_bracket`), split by its tags into the frame pairs
+        (i, j); each nonzero pair is solved through the projector
+        G'^-1 P^T G.  The witness is {"frame_pair", "residual"} of the least
+        pair (i, j), in row-major order, whose bracket leaves the image, else
+        None.  The structure functions are those of the pairs before it,
+        inserted in (i, j, h) order.  Needs a constant nondegenerate induced
+        pairing.
         """
-        coeffs, residual = _frame_brackets(self, _extended_frames(self))
-        first = min((key[:2] for key in residual), default=None)
-        witness = None
-        if first is not None:
-            zero = Polynomial(self.source_bundle.base_dim)
-            witness = {
-                "frame_pair": list(first),
-                "residual": [residual.get((*first, h), zero).to_string()
-                             for h in range(self.ambient.bundle.rank)],
-            }
-        structure_functions = {
-            key: coeffs[key] for key in sorted(coeffs) if first is None or key[:2] < first
-        }
-        return structure_functions, witness
+        n, phi = self.source_bundle.base_dim, self.morphism
+        pt_g = phi.transposed_metric(self.ambient.metric)
+        g_inv = linalg.pmat_constant(self._induced_inverse, n)
+        bracket = tagged_bracket(self.ambient, phi, 0, True)[2]
+        structure_functions = {}
+        for (i, j), vec in sorted(_split_tags(bracket, n).items()):
+            coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(pt_g, vec, num_vars=n), num_vars=n)
+            reproduced = linalg.pmat_vec(phi.fiber_matrix, coeffs, num_vars=n)
+            residual = [a - b for a, b in zip(reproduced, vec)]
+            if any(not q.is_zero() for q in residual):
+                return structure_functions, {
+                    "frame_pair": [i, j], "residual": [q.to_string() for q in residual]}
+            structure_functions.update(
+                ((i, j, h), c) for h, c in enumerate(coeffs) if not c.is_zero())
+        return structure_functions, None
 
     @cached_property
     def hypotheses(self) -> HypothesisReport:
@@ -213,54 +197,6 @@ class HypothesisReport:
             "pairing_nondegenerate": self.pairing_nondegenerate.to_json(),
             "sections_involutive": self.sections_involutive.to_json(),
         }
-
-
-def _extended_frames(p: PullbackProblem) -> list[Section]:
-    """e^_i = phi o e'_i o r: the i-th column of P(r(y)), a section of E."""
-    pulled = p.morphism.extension_matrix
-    big = p.ambient.bundle.base_dim
-    frames = []
-    for i in range(p.source_bundle.rank):
-        comps = [row[i] for row in pulled]
-        frames.append(Section(p.ambient.bundle, PolyMap(big, comps)))
-    return frames
-
-
-def _frame_brackets(p: PullbackProblem, frames: list[Section]):
-    """(c, residual) of every pair of `frames`, from one tagged bracket.
-
-    Both are {(i, j, h): Polynomial} dicts of the nonzero entries:
-    P c_ij = [[f_i, f_j]] o phi0 + residual_ij, read off the coefficient of
-    t^i s^j (see the module docstring for why that is exact).
-    """
-    ambient, base_map, solve = p._tagged
-    nn = ambient.bundle.base_dim
-
-    def tagged(tag: int) -> Section:
-        powers = [Polynomial.monomial(nn, [i * (v == tag) for v in range(nn)])
-                  for i in range(len(frames))]
-        return Section(ambient.bundle, PolyMap(nn, [
-            poly_sum(nn, (f[c].lift(nn) * powers[i]
-                          for i, f in enumerate(frames) if not f[c].is_zero()))
-            for c in range(ambient.bundle.rank)
-        ]))
-
-    bracket = ambient.bracket(tagged(nn - 2), tagged(nn - 1))
-    coeffs, residual = solve([q.compose(base_map) for q in bracket.coeffs])
-    n = p.source_bundle.base_dim
-    return _split_tags(coeffs, n), _split_tags(residual, n)
-
-
-def _split_tags(polys: list[Polynomial], n: int) -> dict:
-    """{(i, j, h): the coefficient of t^i s^j in polys[h]}, over the first n
-    variables; t and s are the last two of n + 2."""
-    low = (1 << (_BITS * n)) - 1
-    parts: dict[tuple[int, int, int], dict] = {}
-    for h, q in enumerate(polys):
-        for key, c in q._packed.items():
-            i, j = _unpack(key >> (_BITS * n), 2)
-            parts.setdefault((i, j, h), {})[key & low] = c
-    return {key: _raw(n, terms) for key, terms in parts.items()}
 
 
 def _tangency_defect(p: PullbackProblem) -> list[list[Polynomial]]:

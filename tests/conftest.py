@@ -15,9 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from courantlab import linalg
-from courantlab.bundles import TrivialBundle
+from courantlab.bundles import Section, TrivialBundle
 from courantlab.courant_core import CourantStructure
-from courantlab.polyexpr import Polynomial
+from courantlab.polyexpr import Polynomial, PolyMap
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -57,6 +57,16 @@ def image_vanishing_multipliers(phi) -> list[Polynomial]:
     big = phi.target.base_dim
     qs = (Polynomial.variable(big, a) - composed[a] for a in range(big))
     return [q for q in qs if not q.is_zero()]
+
+
+def _extended_frames(p) -> list[Section]:
+    """The extended frames of a pullback problem: e^_i = phi o e'_i o r, the
+    i-th column of P(r(y)), a section of the ambient bundle.  The pairwise
+    references bracket them one pair at a time."""
+    pulled = p.morphism.extension_matrix
+    big = p.ambient.bundle.base_dim
+    return [Section(p.ambient.bundle, PolyMap(big, [row[i] for row in pulled]))
+            for i in range(p.source_bundle.rank)]
 
 
 def eval_term_by_term(poly: Polynomial, point) -> Fraction:

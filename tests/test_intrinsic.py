@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import intrinsic, linalg, morphisms, polyexpr, pullback
+from courantlab import courant_core, intrinsic, linalg, polyexpr, pullback
+from courantlab.cli import main
 from courantlab.bundles import Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
@@ -249,20 +250,42 @@ class TestWorkPerOp:
         build_intrinsic(n, m)
         assert sizes == [2 * n + 2 * m] * 2
 
+    @staticmethod
+    def lifts(monkeypatch):
+        """Every lift formed, as (structure, extra, lift)."""
+        lifts = []
+        original = courant_core._lifted
+
+        def recording(s, extra):
+            lifts.append((s, extra, original(s, extra)))
+            return lifts[-1][2]
+
+        monkeypatch.setattr(courant_core, "_lifted", recording)
+        return lifts
+
     def test_one_lift_per_structure(self, monkeypatch):
         # the ambient, the constructed structure and standard(n) are each
-        # lifted once, and the pullback problem and every check share the lift
-        lifts = []
-        for module in (morphisms, pullback):
-            def recording(s, extra, original=module.lift_structure):
-                lifts.append((s, extra, original(s, extra)))
-                return lifts[-1][2]
-            monkeypatch.setattr(module, "lift_structure", recording)
+        # lifted exactly once, and the pullback problem and every check share
+        # the lift
+        lifts = self.lifts(monkeypatch)
         result = build_intrinsic(3, 1)
-        structures = {id(s): s for s, _, _ in lifts}
-        assert len(structures) == 3 and id(result.structure) in structures
+        assert len(lifts) == len({id(s) for s, _, _ in lifts}) == 3
+        assert any(s is result.structure for s, _, _ in lifts)
         assert {extra for _, extra, _ in lifts} == {2}
-        assert len({id(lifted) for _, _, lifted in lifts}) == 3
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+    def test_six_tagged_brackets_per_op(self, monkeypatch, capsys, n, m):
+        # the problem's frame bracket, then the source and target sides of
+        # the inclusion and Pontryagin checks and the source side of chi's,
+        # whose target side is the problem's bracket; all on tag lifts
+        lifts = self.lifts(monkeypatch)
+        made = []
+        original = CourantStructure._bracket
+        monkeypatch.setattr(CourantStructure, "_bracket",
+                            lambda s, f, g: made.append(s) or original(s, f, g))
+        assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
+        assert len(made) == 6
+        assert all(any(s is lifted for _, _, lifted in lifts) for s in made)
 
     def test_retraction_jacobian_composed_once_per_morphism(self, monkeypatch):
         # J_r(phi0) of chi serves the pullback problem and chi's check; the

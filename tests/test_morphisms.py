@@ -749,3 +749,35 @@ def gate_arrows(draw):
 def test_verdict_equals_the_degree_1_sweep(case, cap):
     check, *arrow = case
     assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
+
+
+# -- the kept target bracket -----------------------------------------------------
+
+
+def kept_bracket_example():
+    """(s1, targets, phi): diag(2, 1/2) on standard(1), into standard(1) and
+    into standard(1) with c_00^0 = 1.  It fails the anchor condition, so
+    its bracket is swept at the requested cap; it passes at cap 0 into
+    standard(1) only, and its witnesses at cap 1 differ."""
+    std = standard_structure(1)
+    bumped = CourantStructure(std.bundle, std.anchor, std.metric, {(0, 0, 0): 1})
+    return std, [std, bumped], doubling_map(std)
+
+
+@pytest.mark.parametrize("check", [check_identity_base, check_general_base])
+def test_kept_bracket_is_keyed_on_its_target_and_cap(check):
+    # one morphism object is checked into every target at caps 0 and 1,
+    # each case right after every case; each verdict equals that on a fresh
+    # copy of the morphism, which keeps nothing
+    s1, targets, phi = kept_bracket_example()
+    cases = [(s2, cap) for s2 in targets for cap in (0, 1)]
+    expected = [
+        check(s1, s2, BundleMorphism(phi.source, phi.target, phi.base_map, phi.fiber_matrix,
+                                     phi.retraction), degree_cap=cap).to_json()
+        for s2, cap in cases
+    ]
+    assert len({json.dumps(v) for v in expected}) == len(cases)
+    for a, b in itertools.product(range(len(cases)), repeat=2):
+        for k in (a, b):
+            s2, cap = cases[k]
+            assert check(s1, s2, phi, degree_cap=cap).to_json() == expected[k], (a, b)

@@ -109,6 +109,18 @@ def tangency_defect_on_whole_fibers(p):
     return linalg.pmat_mul(phi.image_complement, phi.anchor_along_image(p.ambient.anchor)[0])
 
 
+def tagged_bracket_keyed_without_the_structure(s2, phi, cap, general=False):
+    """`tagged_bracket` kept on the cap and the base mode alone."""
+    return phi.kept_bracket((cap, general),
+                            lambda: morphisms._target_side(s2, phi, cap, general))
+
+
+def tagged_bracket_keyed_without_the_cap(s2, phi, cap, general=False):
+    """`tagged_bracket` kept on the target structure and the base mode alone."""
+    return phi.kept_bracket((s2, general),
+                            lambda: morphisms._target_side(s2, phi, cap, general))
+
+
 def bumped(base, bump, value=Fraction(3, 2)):
     return CourantStructure(base.bundle, base.anchor, base.metric, {bump: value})
 
@@ -194,6 +206,16 @@ MUTANTS = {
         [(pullback, "_tangency_defect", tangency_defect_on_whole_fibers)],
         test_pullback.TestWellDefinedness().test_extension_perturbations_stable_for_pontryagin,
         (),                                 # Pontryagin(1, 1): N A(phi0) != 0 = N A(phi0) P
+    ),
+    "kept_bracket_key_without_the_structure": (
+        [(morphisms, "tagged_bracket", tagged_bracket_keyed_without_the_structure)],
+        test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
+        (morphisms.check_general_base,),    # standard(1) and a bumped copy at one cap
+    ),
+    "kept_bracket_key_without_the_cap": (
+        [(morphisms, "tagged_bracket", tagged_bracket_keyed_without_the_cap)],
+        test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
+        (morphisms.check_general_base,),    # the doubling map sweeps at caps 0 and 1
     ),
 }
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from courantlab import linalg
+from courantlab import courant_core, linalg
 from courantlab import pullback as pullback_mod
 from courantlab.cli import main
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms
@@ -23,7 +23,6 @@ from courantlab.morphisms import check_general_base
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
-    _extended_frames,
     check_hypotheses,
     construct,
     extension_perturbation_test,
@@ -33,7 +32,7 @@ from courantlab.pullback import (
 )
 from courantlab.scene import load_scene, structure_to_json
 
-from conftest import image_vanishing_multipliers
+from conftest import _extended_frames, image_vanishing_multipliers
 
 
 def pontryagin_problem(n=1, m=1):
@@ -263,29 +262,31 @@ class TestFunctoriality:
 
 
 class TestFrameTable:
-    """Each problem makes one bracket: its extended frames, summed with inert
-    tags, on the tag-lifted ambient.  No plain frame pair is bracketed."""
+    """Each problem reads one bracket, the morphism sweep's target side at
+    cap 0: its extended frames, summed with inert tags, on the tag-lifted
+    ambient.  A check of the same morphism into the ambient reads it again,
+    and no plain frame pair is bracketed."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
     @staticmethod
     def brackets(monkeypatch):
-        """Record every bracket made, as (structure, f, g strings), and the
-        tag-lifted ambients the pullback module builds."""
+        """Record every bracket made, as (structure, f, g strings), and every
+        lift formed, as (structure, lift)."""
         calls, lifted = [], []
         original = CourantStructure.bracket
-        original_lift = pullback_mod.lift_structure
+        original_lift = courant_core._lifted
 
         def counting(self, a, b):
             calls.append((self, tuple(a.coeffs.to_strings()), tuple(b.coeffs.to_strings())))
             return original(self, a, b)
 
         def recording(structure, extra):
-            lifted.append(original_lift(structure, extra))
-            return lifted[-1]
+            lifted.append((structure, original_lift(structure, extra)))
+            return lifted[-1][1]
 
         monkeypatch.setattr(CourantStructure, "bracket", counting)
-        monkeypatch.setattr(pullback_mod, "lift_structure", recording)
+        monkeypatch.setattr(courant_core, "_lifted", recording)
         return calls, lifted
 
     @staticmethod
@@ -308,13 +309,16 @@ class TestFrameTable:
         return tuple(sums)
 
     def assert_one_tagged_bracket_per_problem(self, calls, lifted, problems, sweeps=0):
-        # a structure is lifted once, so `sweeps` morphism checks into the
-        # ambient share the problems' lifted ambient and bracket their own
-        # tagged families on it, after the problems' brackets
-        assert len(lifted) == len(problems)
-        on_lifted = [(f, g) for s, f, g in calls if any(s is l for l in lifted)]
+        # the ambient is lifted once; each problem's tagged frames are
+        # bracketed once on that lift, before `sweeps` morphism checks into
+        # the ambient bracket their own tagged families on it
+        ambient = [lift for s, lift in lifted if s == problems[0].ambient]
+        assert len(ambient) == 1
+        on_lifted = [(f, g) for s, f, g in calls if s is ambient[0]]
         assert on_lifted[:len(problems)] == [self.tagged_frames(p) for p in problems]
         assert len(on_lifted) == len(problems) + sweeps
+        for p in problems:
+            assert on_lifted.count(self.tagged_frames(p)) == problems.count(p)
         pairs = {pair for p in problems for pair in self.frame_pairs(p)}
         assert not [c for c in calls if c[1:] in pairs]
 
@@ -326,8 +330,9 @@ class TestFrameTable:
         chi = splitting_composite(n, m)
         problem = PullbackProblem(standard_structure(n + m), chi.source, chi)
         assert len(self.frame_pairs(problem)) == (2 * n + 2 * m) ** 2
-        # the Pontryagin embedding and chi are checked into the ambient
-        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem], sweeps=2)
+        # the Pontryagin embedding and chi are checked into the ambient, and
+        # chi's check reads the problem's bracket
+        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem], sweeps=1)
 
     def test_alt_retraction_op_brackets_each_problem_once(self, monkeypatch, capsys):
         # two problems, the given retraction and the alternative one; the
@@ -379,8 +384,8 @@ class TestFrameTable:
         assert not report.sections_involutive.passed
         i, j = report.sections_involutive.witness["frame_pair"]
         assert (i, j) == (0, 1)
-        assert len(lifted) == 1
-        assert [c[1:] for c in calls if c[0] is lifted[0]] == [self.tagged_frames(p)]
+        assert [s for s, _ in lifted] == [bumped]
+        assert [(c[0], c[1:]) for c in calls] == [(lifted[0][1], self.tagged_frames(p))]
         calls.clear()
         with pytest.raises(ValueError, match=rf"frame bracket \({i},{j}\)"):
             construct(p, enforce_hypotheses=False)

@@ -622,6 +622,25 @@ class TestMorphismContract:
         assert code == 2
         assert captured.err.splitlines() == ["error: pairs file must hold a list of pairs, got 5"]
 
+    @pytest.mark.parametrize("count, expected", [(16, 0), (17, 2)])
+    def test_pairs_file_is_bounded(self, tmp_path, capsys, count, expected):
+        # every ordered pair of supplied pairs is checked: 16^2 = MAX_FAMILY
+        sections = {}
+        for k in range(1, count + 1):
+            sections[f"f{k}"] = {"bundle": "P1", "coeffs": [f"{k}*x1", f"{k}"]}
+            sections[f"g{k}"] = {"bundle": "P2", "coeffs": [f"{k}*x1", "0", f"{k}", "0"]}
+        scene = {**_morphism_scene({"zero_section": {**_ZERO_SECTION, "retraction": ["x1"]}}),
+                 "sections": sections}
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps([[f"f{k}", f"g{k}"] for k in range(1, count + 1)]))
+        code, captured = self.run([
+            "morphism", "--scene", str(write_scene(tmp_path, scene)), "--source", "std1",
+            "--target", "std2", "--map", "zero_section", "--pairs", str(pairs)], capsys)
+        assert code == expected
+        if expected == 2:
+            assert captured.err.splitlines() == [
+                "error: too many supplied pairs: 17, whose 289 ordered pairs exceed 256"]
+
     @pytest.mark.parametrize("text, message", [
         ('{"fiber_matrix": [[0, 0], [0, 0]]}', "splitting matrix must be invertible"),
         ('{"fiber_matrix": [["1+", 0], [0, 1]]}', "splitting entry '1+'"),

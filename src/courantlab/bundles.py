@@ -146,14 +146,13 @@ class BundleMorphism:
     projects target tangent vectors along the image, through J_r(phi0(x))
     (`retraction_jacobian`).  Those, the base map's Jacobian
     (`base_jacobian`) and the complement of the image tangents
-    (`image_complement`) are formed on first use; the last induced metric,
-    the last anchor along the image and the last tagged target bracket of the
-    morphism sweep (`kept_bracket`) are kept with their target data.
+    (`image_complement`) are formed on first use; the last induced metric
+    and the last anchor along the image are kept with their target data.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
                  "_extension", "_retraction_jacobian", "_base_jacobian", "_complement",
-                 "_induced", "_anchored", "_bracketed")
+                 "_induced", "_anchored")
 
     def __init__(
         self,
@@ -185,18 +184,11 @@ class BundleMorphism:
                 )
             if retraction.compose(base_map) != PolyMap.identity(source.base_dim):
                 raise ValueError("retraction does not invert the base map: r(phi0(x)) != x")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "base_map", base_map)
-        object.__setattr__(self, "fiber_matrix", fm)
-        object.__setattr__(self, "retraction", retraction)
-        object.__setattr__(self, "_extension", None)
-        object.__setattr__(self, "_retraction_jacobian", None)
-        object.__setattr__(self, "_base_jacobian", None)
-        object.__setattr__(self, "_complement", None)
-        object.__setattr__(self, "_induced", None)
-        object.__setattr__(self, "_anchored", None)
-        object.__setattr__(self, "_bracketed", None)
+        # the matrices formed on first use and the kept target data start empty
+        for slot, value in zip(self.__slots__, (source, target, base_map, fm, retraction)):
+            object.__setattr__(self, slot, value)
+        for slot in self.__slots__[5:]:
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BundleMorphism is immutable")
@@ -282,31 +274,6 @@ class BundleMorphism:
             retraction=retraction,
         )
 
-    def lifted(self, extra: int) -> "BundleMorphism":
-        """The same morphism over bases with `extra` inert variables appended.
-
-        The base map and the retraction act as the identity on the new
-        variables and the fiber matrix does not involve them, so r o phi0 =
-        id needs no new check, and P(r(y)), once this morphism has formed
-        it, is its own, lifted.
-        """
-        n, big = self.source.base_dim, self.target.base_dim
-        lifted = object.__new__(BundleMorphism)
-        retraction = extension = None
-        if self.retraction is not None:
-            retraction = _lift_polymap(self.retraction, extra)
-        if self._extension is not None:
-            extension = linalg.pmat_lift(self._extension, big + extra)
-        for slot, value in zip(self.__slots__, (
-            TrivialBundle(n + extra, self.source.rank, self.source.label),
-            TrivialBundle(big + extra, self.target.rank, self.target.label),
-            _lift_polymap(self.base_map, extra),
-            linalg.pmat_lift(self.fiber_matrix, n + extra),
-            retraction, extension, None, None, None, None, None, None,
-        )):
-            object.__setattr__(lifted, slot, value)
-        return lifted
-
     def is_identity_base(self) -> bool:
         return (
             self.source.base_dim == self.target.base_dim
@@ -349,18 +316,6 @@ class BundleMorphism:
             )))
         return self._anchored[1:]
 
-    def kept_bracket(self, key, form):
-        """form(), kept with `key` until another key asks for it.
-
-        The morphism sweep keeps its tagged target bracket here
-        (`morphisms.tagged_bracket`), keyed on the target structure, the cap
-        and the base mode, so a pullback problem and a morphism check on one
-        target structure form it once.
-        """
-        if self._bracketed is None or self._bracketed[0] != key:
-            object.__setattr__(self, "_bracketed", (key, form()))
-        return self._bracketed[1]
-
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
         if f.bundle != self.source:
@@ -377,14 +332,6 @@ class BundleMorphism:
             f"BundleMorphism({self.source.label} -> {self.target.label}, "
             f"base {self.base_map.to_strings()})"
         )
-
-
-def _lift_polymap(pm: PolyMap, extra: int) -> PolyMap:
-    """Extend a base map by the identity on `extra` appended variables."""
-    n = pm.num_inputs
-    outs = [p.lift(n + extra, 0) for p in pm.outputs]
-    outs += [Polynomial.variable(n + extra, n + i) for i in range(extra)]
-    return PolyMap(n + extra, outs)
 
 
 def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:

@@ -742,20 +742,6 @@ def _least_failing_tuple(bundle: TrivialBundle, degree_cap: int, defect, slots: 
     return None if least is None else tuple(decode_tag(bundle, degree_cap, t) for t in least[1])
 
 
-def _split_tags(polys: list[Polynomial], n: int) -> dict:
-    """{(i, j): the coefficients of t^i s^j in polys} over the tag pairs with
-    a nonzero coefficient, each a list of polynomials in the first n
-    variables; t and s are the last two of n + 2.  On a bracket of the
-    cap-0 tagged families, (i, j) is the frame pair (e_i, e_j)."""
-    low = (1 << (_BITS * n)) - 1
-    parts: dict[tuple[int, int], list[dict]] = {}
-    for h, q in enumerate(polys):
-        for key, c in q._packed.items():
-            tags = _unpack(key >> (_BITS * n), 2)
-            parts.setdefault(tags, [{} for _ in polys])[h][key & low] = c
-    return {tags: [_raw(n, terms) for terms in comps] for tags, comps in parts.items()}
-
-
 # -- axiom checking -------------------------------------------------------------
 
 

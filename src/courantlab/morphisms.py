@@ -23,75 +23,97 @@ anchor defect is A2(phi0) P - Jac(phi0) A1.  The metric defect is
 D = P^T G2 P - G1.  Over the identity base D is the condition itself.  Over
 a general base the related pairs are the retraction representatives
 g = P(r) f(r), and r o phi0 = id gives <g1,g2>_2 o phi0 = f1^T P^T G2 P f2,
-so the pair's metric defect is -f1^T D f2.  On the tagged families of the
-bracket sweep below (f = sum t^(i*M + a) x^alpha_a e_i, and likewise with s
-and beta_b for the second slot) that defect reads
+so the pair's metric defect is -f1^T D f2.  On a pair of family members
+(x^alpha e_i, x^beta e_j) that reads -x^(alpha + beta) D_ij, so the pair
+fails iff D_ij is nonzero, and the least failing pair in the witness order
+below is the frame pair (e_i, e_j), with (i, j) the first nonzero entry of
+D in row-major order.  A perturbed representative g + q*w has q o phi0 = 0,
+so every term the perturbation adds to <g1,g2>_2 carries a factor q and
+vanishes once composed with phi0: perturbations never change the metric
+defect.  The general base therefore reports the pair (e_i, e_j) with
+"representatives": "retraction" and its plain defect, and strict
+representative checking re-checks only the bracket.
 
-    - sum over i, j, a, b of t^(i*M + a) s^(j*M + b) x^(alpha_a + beta_b) D_ij(x),
+The bracket condition is decided over the family of monomial frame
+sections x^alpha e_i, and degree 1 is enough: the defect is a differential
+operator of order <= 1 in each slot with polynomial coefficients,
+sum_beta a_beta d^beta with |beta| <= 1; the retraction-generated
+representatives compose with r and, in the condition, with phi0, and
+r o phi0 = id keeps the order at 1.  Applied to x^alpha e_i the operator
+gives alpha! a_alpha plus terms with smaller beta, so by induction on alpha
+it vanishes iff it vanishes on every x^alpha e_i with |alpha| <= 1.  The
+check therefore decides the family at min(degree_cap, SWEEP_ORDER), which
+at any cap >= 1 covers every pair of smooth sections; an explicit cap 0
+decides constant sections only and stays a bounded claim.  The verdict's
+detail names the requested cap.  A failure reports the least failing pair
+in the one witness order of every certificate (see courant_core): pairs
+order by the larger coefficient degree of their members, then by the tags
+i*M + a of their members slot by slot, a being alpha's place in the graded
+`monomials_up_to` list.  So every frame pair precedes every pair of
+degree 1, and the witness is the same at every cap >= 1.
 
-and distinct family pairs own distinct tag monomials.  So a pair fails iff
-its D_ij is nonzero, and the least failing pair in the degree-first order of
-`_least_failing_pair` is the degree-0 pair (e_i, e_j), with (i, j) the
-first nonzero entry of D in row-major order.  A perturbed representative
-g + q*w has q o phi0 = 0, so every term the perturbation adds to <g1,g2>_2
-carries a factor q and vanishes once composed with phi0: perturbations
-never change the metric defect.  The general base therefore reports the
-pair (e_i, e_j) with "representatives": "retraction" and its plain defect,
-and strict representative checking re-checks only the bracket.
-
-The bracket condition is certified over every pair of monomial frame
-sections with tagged generating sections (see courant_core), and that
-certificate is complete at degree 1: it covers every pair of smooth
-sections.  The defect is a differential operator of order <= 1 in each
-slot with polynomial coefficients, sum_beta a_beta d^beta with |beta| <= 1;
-the retraction-generated representatives compose with r and, in the
-condition, with phi0, and r o phi0 = id keeps the order at 1.  Applied to
-x^alpha e_i the operator gives alpha! a_alpha plus terms with smaller beta,
-so by induction on alpha it vanishes iff it vanishes on every x^alpha e_i
-with |alpha| <= 1.  The check therefore sweeps the family at
-min(degree_cap, SWEEP_ORDER), or at cap 0 when the three identities below
-hold; otherwise an explicit cap 0 sweeps constant sections only and stays
-a bounded claim.  The verdict's detail names the requested cap, which the
-complete certificate covers.  A failing bracket reports its least failing
-pair (see `_least_failing_pair`), which is the same at every cap >= 1.
-
-When the defect is tensorial, the frame pairs decide it.  Write
-Delta(f, g) = phi o [[f,g]]_1 - [[g_f, g_g]]_2 o phi0 for the auto-mode
-representatives g_f = P(r) f(r) (P f over the identity base), and let
+The defect comes from the frame data in closed form, with no lift and no
+bracket.  Write Delta(f, g) = phi o [[f,g]]_1 - [[g_f, g_g]]_2 o phi0 for
+the representatives g_f = P(r) f(r) (P f over the identity base), and let
 J_r = J_r(phi0(x)) and Q = J_r A2(phi0); over the identity base J_r = I
-and phi0 = id.  For a function lam on the source base, the representative
+and phi0 = id.  For a function lam on the source base the representative
 of lam g is (lam o r) g_g, since g_g is formed pointwise at r(y).  Then
 r o phi0 = id gives (lam o r) o phi0 = lam and g_g o phi0 = P g, and the
 chain rule gives rho2(g_f)(lam o r) o phi0 = (Q P f) . grad(lam) and
-D2(lam o r) o phi0 = G2^-1 Q^T grad(lam).  The Leibniz rules of both
-brackets (see courant_core) therefore give
+D2(lam o r) o phi0 = G2^-1 Q^T grad(lam).
 
-  Delta(f, lam g) - lam Delta(f,g) = ((A1 - Q P) f . grad(lam)) P g,
-  Delta(lam f, g) - lam Delta(f,g) = -((A1 - Q P) g . grad(lam)) P f
-      + <f,g>_1 P G1^-1 A1^T grad(lam)
-      - (<g_f, g_g>_2 o phi0) G2^-1 Q^T grad(lam).
+  * The frame table.  For any frame data with constant symmetric G the
+    expansion of the bracket (see courant_core) of the extended frames
+    e^_i = P(r) e_i gives
 
-The metric condition makes <g_f, g_g>_2 o phi0 = f^T P^T G2 P g equal to
-<f,g>_1.  The projected anchor Q P = A1 removes the anchor terms and turns
-P G1^-1 A1^T into P G1^-1 P^T Q^T, so what is left vanishes iff the
-D-identity Q (P G1^-1 P^T - G2^-1) = 0 holds (G1 and G2 are symmetric).
-When the metric condition, the projected anchor and the D-identity hold,
-Delta is C-infinity-linear in both slots, Delta(f, g) =
-sum_ij f_i g_j Delta(e_i, e_j), and the bracket condition holds iff it
-holds on every frame pair: the cap-0 sweep.  A failing frame pair is also
-the least failing pair at every cap >= 1.  `_least_failing_pair` orders
-pairs by their larger degree first, so every degree-0 pair precedes every
-pair of degree 1, and among degree-0 pairs the tag i*M + 0 orders by the
-frame index i at every cap.  The witness's plain defect is that of the
-same pair.  So the cap-0 verdict is the degree-1 verdict, byte for byte.
-`_tensorial` reads the identities off the matrices the other conditions
-form: D = 0 is the metric verdict, A2(phi0) and A2(phi0) P are the anchor
-condition's, and J_r(phi0) is kept on the morphism.  If an identity fails,
-the degree-1 sweep runs.  Over the identity base the projected anchor is
-the anchor condition; over a general base it is weaker, so chi, which
-fails the anchor condition for m >= 1, still sweeps at cap 0.  (With the
-metric condition, P G1^-1 A1^T = G2^-1 Q^T alone would imply Q P = A1;
-with Q on both sides, as above, each of the three identities is needed.)
+      Gamma_ij := [[e^_i, e^_j]]_2 o phi0
+                = sum_abh P_ai P_bj c2_ab^h(phi0) e_h + sum_l (Q P)_li d_l(P e_j)
+                  - sum_l (Q P)_lj d_l(P e_i) + G2^-1 Q^T w_ij,
+      (w_ij)_l = ((d_l P)^T G2 P)_ij,
+
+    term by term: the c-term at the coefficients P_ai and P_bj, the two
+    anchor terms by the chain rule, and sum_ab G2_ab P_bj D2(P_ai o r) o phi0
+    with d_l(P_ai) for the derivative.  `frame_table` forms it from the
+    nonzero factors only, so with c2 = 0 and P constant it is empty at
+    once; the pullback reads the same table.  On frame pairs
+    Delta_ij = sum_h c1_ij^h P e_h - Gamma_ij.
+  * The degree-1 lines.  Write T = A1 - Q P, U = P G1^-1 A1^T,
+    V = G2^-1 Q^T and W = P^T G2 P.  The Leibniz rules of both brackets,
+    [[f, lam g]] = lam [[f,g]] + rho(f)(lam) g and
+    [[lam f, g]] = lam [[f,g]] - rho(g)(lam) f + <f,g> D(lam), with the
+    chain rule above and P D1(lam) = U grad(lam),
+    <g_f, g_g>_2 o phi0 = f^T W g, give for a linear lam = x_a or x_b
+
+      Delta(e_i, x_b e_j) = x_b Delta_ij + T_bi P e_j,
+      Delta(x_a e_i, e_j) = x_a Delta_ij + R_aij,
+          R_aij = -T_aj P e_i + (G1)_ij U e_a - W_ij V e_a,
+      Delta(x_a e_i, x_b e_j) = x_a x_b Delta_ij + x_a T_bi P e_j + x_b R_aij,
+
+    the first from the g-slot rule, the second from the f-slot rule, the
+    third from the f-slot rule with g = x_b e_j and then the first line.
+  * The pass identities.  Hence at cap >= 1 the bracket condition holds iff
+    every Delta_ij, every T_bi P e_j and every R_aij vanishes: then the
+    third line vanishes, and conversely the first two lines at Delta = 0
+    read T_bi P e_j and R_aij.  Polynomials have no zero divisors, so
+    T_bi P e_j = 0 for all (b, i, j) iff T = 0 or P = 0, and then
+    R_aij = (G1)_ij U e_a - W_ij V e_a: the condition is Delta = 0,
+    T = 0 or P = 0, and (G1)_ij U = W_ij V for every (i, j).  G1 is
+    nonsingular, so some (G1)_i0j0 is nonzero, and the last identity says
+    U = mu V with mu = W_i0j0 / (G1)_i0j0, and then (mu (G1)_ij - W_ij) V = 0,
+    so W = mu G1 unless V = 0 (when U = 0 too).  With the metric condition
+    W = G1 and mu = 1, so it reads U = V; with T = 0 as well, U =
+    P G1^-1 P^T Q^T, and the identity is Q (P G1^-1 P^T - G2^-1) = 0.  So
+    D = 0, Q P = A1 and that identity make Delta C-infinity-linear in both
+    slots.  Over the identity base Q P = A1 is the anchor condition; over
+    a general base it is weaker, so chi, which fails the anchor condition
+    for m >= 1, still passes the bracket condition: the anchor of the
+    structure pulled back along it is Q P by construction.
+
+`_bracket_failure` decides the pass from the identities at the cap, and
+on a failure enumerates the pairs of degree <= min(cap, 1) in the witness
+order by the three lines, up to the first nonzero one.  Only that pair's
+defect is recomputed through the plain brackets, on explicit sections, and
+a vanishing plain defect is reported as an internal inconsistency.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -126,15 +148,19 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle, check_related, related_section
-from .courant_core import (
-    MAX_FAMILY,
-    SWEEP_ORDER,
-    CourantStructure,
-    _least_failing_tuple,
-    lift_structure,
-    tagged_generating_section,
+from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure
+from .polyexpr import (
+    Polynomial,
+    PolyMap,
+    _checked,
+    _mul_into,
+    _normalised,
+    _product,
+    _raw,
+    _scaled,
+    monomials_up_to,
+    poly_sum,
 )
-from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
     "ConditionFailure",
@@ -174,13 +200,6 @@ class MorphismVerdict:
             "failures": [f.to_json() for f in self.failures],
             "detail": self.detail,
         }
-
-
-def _least_failing_pair(bundle: TrivialBundle, cap: int, defect: list[Polynomial]):
-    """The least family pair (f, g) among a tagged defect's nonzero terms,
-    in the one witness order of every certificate
-    (`courant_core._least_failing_tuple`); None if the defect vanishes."""
-    return _least_failing_tuple(bundle, cap, [p._packed for p in defect], 2)
 
 
 def _first_nonzero(defect) -> tuple[int, int] | None:
@@ -226,57 +245,166 @@ def _image_section(phi: BundleMorphism, f: Section) -> Section:
     return Section(phi.target, phi.apply(f))
 
 
-def tagged_bracket(s2, phi, cap, general=False):
-    """(phi lifted by two tags, the tagged families, [[g_a, g_b]]_2): the
-    target side of the bracket sweep.
-
-    The families fa and fb on phi's source, tagged by its last two lifted
-    variables t and s, encode every pair of monomial frame sections of
-    degree <= cap.  Over the identity base their representatives g_a and
-    g_b are P fa and P fb, and the bracket is not composed with the
-    identity map; otherwise they are the retraction representatives and the
-    bracket is composed with phi0.  At cap 0, fa = sum_i t^i e_i, so over a
-    general base g_a = sum_i t^i e^_i with the extended frames
-    e^_i = P(r(y)) e_i: the bracket is also the tagged frame bracket of
-    the pullback along phi (see pullback).  The result is kept on phi with
-    s2, cap and the base mode (`BundleMorphism.kept_bracket`), so a
-    pullback problem and a check into the same structure form it once.
+def frame_table(s2, phi, q, qp, general=False) -> dict:
+    """{(i, j): Gamma_ij} over the nonzero frame brackets of the
+    representatives, Gamma_ij = [[P e_i, P e_j]]_2 o phi0, each a list of
+    polynomials in the source variables, in closed form (see the module
+    docstring); q and qp are Q = J_r(phi0) A2(phi0) and Q P.  Over the
+    identity base c2 is not composed.  Only nonzero factors are multiplied,
+    so with c2 = 0 and P constant the table is empty at once.
     """
-    return phi.kept_bracket((s2, cap, general),
-                            lambda: _target_side(s2, phi, cap, general))
+    n, k1, p = phi.source.base_dim, phi.source.rank, phi.fiber_matrix
+    terms = [_structure_terms(s2, phi, general)]
+    if not linalg.pmat_is_constant(p):
+        pt_g = phi.transposed_metric(s2.metric)
+        v_t = linalg.pmat_mul_constant(q, s2.metric_inverse, n)
+        for l in range(n):
+            w = linalg.pmat_mul([[e.diff(l) for e in row] for row in pt_g], p, k1, n)
+            terms += [_anchor_terms(qp[l], [[e.diff(l) for e in row] for row in p]),
+                      _derived_terms(v_t[l], w)]
+    cells: dict = {}
+    for i, j, h, x, y in itertools.chain(*terms):
+        _mul_into(cells.setdefault((i, j), [{} for _ in p])[h], x, y)
+    return {pair: [_raw(n, _checked(_normalised(c), n)) for c in vec]
+            for pair, vec in cells.items() if any(vec)}
 
 
-def _target_side(s2, phi, cap, general):
-    """`tagged_bracket` without the kept result."""
-    n, phil = phi.source.base_dim, phi.lifted(2)
-    families = [tagged_generating_section(phi.source, cap, 2, n + slot) for slot in (0, 1)]
-    represent = related_section if general else _image_section
-    bracket = lift_structure(s2, 2).bracket(*(represent(phil, f) for f in families)).coeffs
-    if general:
-        bracket = [p.compose(phil.base_map) for p in bracket]
-    return phil, families, list(bracket)
+def _structure_terms(s2, phi, general):
+    """(i, j, h, x, y) with x y = P_ai P_bj c2_ab^h(phi0), over the nonzero P_ai and P_bj."""
+    n, p = phi.source.base_dim, [[e._packed for e in row] for row in phi.fiber_matrix]
+    for (a, b, h), c in s2.structure_functions.items():
+        c = (c.compose(phi.base_map) if general else c)._packed
+        yield from ((i, j, h, _product(x, y, n), c)
+                    for i, x in enumerate(p[a]) if x for j, y in enumerate(p[b]) if y)
 
 
-def _bracket_failure(s1, s2, phi, cap, general=False):
-    """The bracket condition's least failing family pair, or None.
+def _anchor_terms(qp_l, dp):
+    """(i, j, h, x, y) with x y = (Q P)_li d_l(P e_j)_h, into Gamma_ij and
+    negated into Gamma_ji, over the nonzero factors; dp = d_l P."""
+    return ((*pair, h, x, d._packed) for i, qpli in enumerate(qp_l) if qpli._packed
+            for h, row in enumerate(dp) for j, d in enumerate(row) if d._packed
+            for pair, x in (((i, j), qpli._packed), ((j, i), _scaled(qpli._packed, -1))))
 
-    The defect is phi o [[fa, fb]]_1 minus the target side
-    (`tagged_bracket`), over every pair of monomial frame sections of
-    degree <= cap at once.  The witness carries its plain defect,
-    recomputed on explicit sections.
+
+def _derived_terms(v_l, w):
+    """(i, j, h, x, y) with x y = (G2^-1 Q^T)_hl (w_ij)_l over the nonzero
+    factors, given row l of Q G2^-1 and w = (d_l P)^T G2 P."""
+    return ((i, j, h, v._packed, wij._packed) for i, row in enumerate(w)
+            for j, wij in enumerate(row) if wij._packed for h, v in enumerate(v_l) if v._packed)
+
+
+def _frame_defects(s1, phi, gamma) -> dict:
+    """{(i, j): Delta_ij} over the nonzero Delta_ij = sum_h c1_ij^h P e_h - Gamma_ij."""
+    n, p = s1.bundle.base_dim, phi.fiber_matrix
+    out = {pair: [-g for g in vec] for pair, vec in gamma.items()}
+    for (i, j, h), c in s1.structure_functions.items():
+        out[i, j] = [v + c * row[h] for v, row in zip(out.get((i, j), [Polynomial(n)] * len(p)), p)]
+    return {pair: vec for pair, vec in out.items() if not all(v.is_zero() for v in vec)}
+
+
+class _Tables:
+    """What Delta on the pairs of degree <= 1 is read from (see the module
+    docstring): P, G1, the nonzero Delta_ij, T = A1 - Q P, W = P^T G2 P,
+    U^T = A1 G1^-1 P^T, V^T = Q G2^-1, and whether the metric condition
+    W = G1 holds."""
+
+    def __init__(self, s1, s2, phi, a2, a2p, metric_holds, general):
+        n, k1, k2 = s1.bundle.base_dim, s1.bundle.rank, s2.bundle.rank
+        q, qp = a2, a2p
+        if general:
+            jr = phi.retraction_jacobian
+            q, qp = linalg.pmat_mul(jr, a2, k2, n), linalg.pmat_mul(jr, a2p, k1, n)
+        self.p, self.g1, self.metric_holds = phi.fiber_matrix, s1.metric, metric_holds
+        self.delta = _frame_defects(s1, phi, frame_table(s2, phi, q, qp, general))
+        self.t, self.w = linalg.pmat_sub(s1.anchor, qp), phi.induced_metric(s2.metric)
+        self.u_t = linalg.pmat_mul(linalg.pmat_mul_constant(s1.anchor, s1.metric_inverse, n),
+                                   linalg.pmat_transpose(self.p, k1), k2, n)
+        self.v_t = linalg.pmat_mul_constant(q, s2.metric_inverse, n)
+
+
+def _degree_1_holds(d: _Tables) -> bool:
+    """T = 0 or P = 0, and (G1)_ij U = W_ij V for every (i, j): with
+    Delta = 0 on frame pairs, Delta vanishes on every pair of degree 1."""
+    return (linalg.pmat_is_zero(d.t) or linalg.pmat_is_zero(d.p)) and _pairing_terms_agree(d)
+
+
+def _pairing_terms_agree(d: _Tables) -> bool:
+    """(G1)_ij U = W_ij V for every (i, j).  With (i0, j0) the first nonzero
+    entry of G1 and mu = W_i0j0 / (G1)_i0j0, that is U = mu V, and W = mu G1
+    unless V = 0; with the metric condition mu = 1 and it is U = V."""
+    if d.metric_holds:
+        return d.u_t == d.v_t
+    i, j = next((i, j) for i, row in enumerate(d.g1) for j, v in enumerate(row) if v)
+    mu = d.w[i][j] * (1 / d.g1[i][j])
+    return d.u_t == [[mu * v for v in row] for row in d.v_t] and (linalg.pmat_is_zero(d.v_t) or all(
+        w == mu * g for w_row, g_row in zip(d.w, d.g1) for w, g in zip(w_row, g_row)))
+
+
+def _first_slot(d: _Tables, a, i, j) -> list[Polynomial]:
+    """R_aij = -T_aj P e_i + (G1)_ij U e_a - W_ij V e_a."""
+    return [d.g1[i][j] * u - d.t[a][j] * row[i] - d.w[i][j] * v
+            for row, u, v in zip(d.p, d.u_t[a], d.v_t[a])]
+
+
+def _fails(d: _Tables, monos, xs, pair) -> bool:
+    """Whether Delta is nonzero on the family pair (x^alpha_a e_i,
+    x^alpha_b e_j) of degree <= 1, pair = ((i, a), (j, b)), with the
+    monomials xs[a] = x^alpha_a, by the lines of the module docstring."""
+    (i, a), (j, b) = pair
+    terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
+    if b:
+        terms.append((xs[a] * d.t[monos[b].index(1)][i], [row[j] for row in d.p]))
+    if a:
+        terms.append((xs[b], _first_slot(d, monos[a].index(1), i, j)))
+    return any(not poly_sum(len(monos[0]), (s * v[h] for s, v in terms)).is_zero()
+               for h in range(len(d.p)))
+
+
+def _witness_order(rank, monos):
+    """Every family pair ((i, a), (j, b)) of members x^alpha_a e_i, in the
+    one witness order: the larger degree first, then the tags i*M + a and
+    j*M + b slot by slot.  The product lists the pairs in tag order, and
+    the sort by degree is stable."""
+    degrees = [sum(alpha) for alpha in monos]
+    members = [(i, a) for i in range(rank) for a in range(len(monos))]
+    return sorted(itertools.product(members, repeat=2),
+                  key=lambda pair: max(degrees[pair[0][1]], degrees[pair[1][1]]))
+
+
+def _bracket_failure(s1, s2, phi, cap, a2, a2p, metric_holds, general=False):
+    """The bracket condition's failure at its least failing family pair of
+    degree <= min(cap, 1), or None.
+
+    The defect is decided from the frame tables (see the module docstring):
+    at cap 0 it vanishes iff every Delta_ij does, at cap >= 1 iff also
+    `_degree_1_holds`.  On a failure the pairs are enumerated in the
+    witness order up to the first nonzero one, whose plain defect is
+    recomputed on explicit sections.  A source of rank 0 has no pairs.
     """
-    phil, (fa, fb), bracket = tagged_bracket(s2, phi, cap, general)
-    defect = [a - b for a, b in zip(phil.apply(lift_structure(s1, 2).bracket(fa, fb)), bracket)]
-    pair = _least_failing_pair(s1.bundle, cap, defect)
-    if pair is None:
+    if not s1.bundle.rank:
         return None
-    f1, f2 = pair
+    d = _Tables(s1, s2, phi, a2, a2p, metric_holds, general)
+    if not d.delta and (not cap or _degree_1_holds(d)):
+        return None
+    n = s1.bundle.base_dim
+    monos = monomials_up_to(n, min(cap, 1))
+    xs = [Polynomial.monomial(n, alpha) for alpha in monos]
+    pair = next((p for p in _witness_order(s1.bundle.rank, monos) if _fails(d, monos, xs, p)), None)
+    if pair is None:
+        raise RuntimeError("internal inconsistency: no pair of degree <= 1 fails")
+    f1, f2 = (Section.frame(s1.bundle, i, xs[a]) for i, a in pair)
+    return _pair_failure("bracket", s1, s2, phi, f1, f2, general)
+
+
+def _pair_failure(condition, s1, s2, phi, f1, f2, general) -> ConditionFailure:
+    """A failure witnessed by the family pair (f1, f2), with its plain
+    defect on their representatives."""
     represent = related_section if general else _image_section
-    shown = _plain_defect(s1, s2, phi, "bracket", f1, f2, represent(phi, f1), represent(phi, f2))
+    shown = _plain_defect(s1, s2, phi, condition, f1, f2, represent(phi, f1), represent(phi, f2))
     w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
     witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
                else {"f": w1, "g": w2})
-    return ConditionFailure("bracket", witness, shown)
+    return ConditionFailure(condition, witness, shown)
 
 
 def _perturbed_failure(phi, a2) -> ConditionFailure | None:
@@ -306,18 +434,14 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     if where is None:
         return None
     f1, f2 = (Section.frame(s1.bundle, i) for i in where)
-    witness = {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings(),
-               "representatives": "retraction"}
-    return ConditionFailure("metric", witness, _plain_defect(
-        s1, s2, phi, "metric", f1, f2, related_section(phi, f1), related_section(phi, f2)
-    ))
+    return _pair_failure("metric", s1, s2, phi, f1, f2, True)
 
 
 def _along_image(s2, phi, general=False):
     """(A2(phi0), A2(phi0) P): the target anchor along the image and its
     product with the fiber matrix, which the anchor condition and the
-    tensorial gate share.  Over a general base both are the morphism's
-    kept pair; over the identity base A2 is not composed."""
+    bracket's frame tables share.  Over a general base both are the
+    morphism's kept pair; over the identity base A2 is not composed."""
     if general:
         return phi.anchor_along_image(s2.anchor)
     return s2.anchor, linalg.pmat_mul(s2.anchor, phi.fiber_matrix,
@@ -333,38 +457,15 @@ def _anchor_failure(s1, phi, a2p, general=False) -> ConditionFailure | None:
     return _matrix_failure("anchor", "entry", linalg.pmat_sub(a2p, ja1))
 
 
-def _tensorial(s1, s2, phi, a2, a2p, general=False) -> bool:
-    """The projected anchor Q P = A1 and the D-identity
-    Q (P G1^-1 P^T - G2^-1) = 0, with Q = J_r(phi0(x)) A2(phi0).
-
-    With the metric condition they make the bracket defect tensorial (see
-    the module docstring).  Over the identity base J_r = I.
-    """
-    n = s1.bundle.base_dim
-    projected, q = a2p, a2
-    if general:
-        jr = phi.retraction_jacobian
-        projected = linalg.pmat_mul(jr, a2p, s1.bundle.rank, n)
-        q = linalg.pmat_mul(jr, a2, s2.bundle.rank, n)
-    if projected != s1.anchor:
-        return False
-    p_t = linalg.pmat_transpose(phi.fiber_matrix, s1.bundle.rank)
-    source_side = linalg.pmat_mul(
-        linalg.pmat_mul_constant(projected, s1.metric_inverse, n), p_t, s2.bundle.rank, n
-    )
-    return source_side == linalg.pmat_mul_constant(q, s2.metric_inverse, n)
-
-
 def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list:
-    """The three conditions in auto mode.  The bracket is swept at
-    min(degree_cap, SWEEP_ORDER), or at cap 0 when the defect is tensorial;
-    strict checking adds the perturbed representatives' matrix identity
-    (see the module docstring)."""
+    """The three conditions in auto mode.  The bracket is decided at
+    min(degree_cap, SWEEP_ORDER) from the frame tables; strict checking
+    adds the perturbed representatives' matrix identity (see the module
+    docstring)."""
     a2, a2p = _along_image(s2, phi, general)
     metric = _metric_failure(s1, s2, phi, general)
-    tensorial = metric is None and _tensorial(s1, s2, phi, a2, a2p, general)
-    bracket = _bracket_failure(s1, s2, phi, 0 if tensorial else min(degree_cap, SWEEP_ORDER),
-                               general)
+    bracket = _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER), a2, a2p,
+                               metric is None, general)
     if bracket is None and strict:
         bracket = _perturbed_failure(phi, a2)
     return [bracket, metric, _anchor_failure(s1, phi, a2p, general)]
@@ -381,12 +482,12 @@ def check_identity_base(
 ) -> MorphismVerdict:
     """Exact morphism verdict for a bundle morphism over the identity.
 
-    The bracket condition is certified over every pair of monomial frame
-    sections of degree <= min(degree_cap, SWEEP_ORDER), or of degree 0
-    when the defect is tensorial, which is complete for all smooth
-    sections at any cap >= 1 (see the module docstring); otherwise cap 0 is
-    a bounded claim over constant sections.  The least failing pair is
-    decoded from the certificate and its plain defect recomputed.  The
+    The bracket condition is decided over every pair of monomial frame
+    sections of degree <= min(degree_cap, SWEEP_ORDER), which is complete
+    for all smooth sections at any cap >= 1; cap 0 is a bounded claim over
+    constant sections.  The verdict comes from closed forms in the frame
+    data, with no lift and no bracket (see the module docstring); only a
+    failure's least failing pair has its plain defect recomputed.  The
     metric and anchor conditions are matrix identities.  The detail names
     the requested cap.
     """
@@ -426,7 +527,7 @@ def _plain_defect(s1, s2, phi, condition, f1, f2, g1, g2) -> list[str]:
     defect = _PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, g1, g2)
     if all(p.is_zero() for p in defect):
         raise RuntimeError(
-            "internal inconsistency: the sweep flagged a pair whose "
+            "internal inconsistency: the frame tables flagged a pair whose "
             "plain defect vanishes"
         )
     return [p.to_string() for p in defect]
@@ -444,19 +545,20 @@ def check_general_base(
     """Exact morphism verdict over a general base via phi-related sections.
 
     pairs="auto" derives related sections from the morphism's retraction
-    (required in that mode).  The bracket condition is then certified over
+    (required in that mode).  The bracket condition is then decided over
     every pair of monomial frame sections of degree
-    <= min(degree_cap, SWEEP_ORDER), or of degree 0 when the defect is
-    tensorial, with their retraction-generated representatives, the
-    generating family the involutivity reduction rests on.  That is
-    complete for all smooth sections at any cap >= 1 (see the module
-    docstring); otherwise cap 0 is a bounded claim.  The least
-    failing pair is decoded and reported with its plain defect, recomputed
-    on explicit sections.  The metric and anchor conditions are matrix
-    identities, as over the identity base: on the retraction
-    representatives the metric condition is P^T G2 P = G1, and a failure
-    reports the frame pair (e_i, e_j) of the first nonzero entry of the
-    defect matrix.  The detail names the requested cap.
+    <= min(degree_cap, SWEEP_ORDER) with their retraction-generated
+    representatives, the generating family the involutivity reduction
+    rests on.  That is complete for all smooth sections at any cap >= 1;
+    cap 0 is a bounded claim.  The verdict comes from closed forms in the
+    frame data, the frame table Gamma of the extended frames and the
+    degree-1 lines, with no lift and no bracket (see the module
+    docstring).  The least failing pair is reported with its plain
+    defect, recomputed on explicit sections.  The metric and anchor
+    conditions are matrix identities, as over the identity base: on the
+    retraction representatives the metric condition is P^T G2 P = G1, and
+    a failure reports the frame pair (e_i, e_j) of the first nonzero entry
+    of the defect matrix.  The detail names the requested cap.
 
     n_perturbations > 0 turns on strict representative checking, the full
     "any (and hence each)" quantifier over representatives perturbed by

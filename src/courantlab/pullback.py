@@ -21,32 +21,27 @@ off the extended frame sections:
   P(x) c'_ij(x) = [[e^_i, e^_j]](phi0(x)),   solved exactly through the
   projector P G'^-1 P^T G onto the column space of P.
 
-Each problem reads one bracket, the target side of the morphism sweep at
-cap 0 (`morphisms.tagged_bracket`).  That sweep sums the source frames with
-inert tags, f = sum_i t^i e_i and f' = sum_j s^j e_j, and represents them
-through the retraction: g(y) = P(r(y)) f(r(y)) = sum_i t^i e^_i, as the
-tags are inert under r.  So it brackets F = sum_i t^i e^_i with
-F' = sum_j s^j e^_j on the ambient lifted by the two tags, once, and
-composes the result once with phi0 (lifted by the identity on the tags).
-The coefficient of t^i s^j is [[e^_i, e^_j]] o phi0:
-  * the bracket is R-linear in each slot;
-  * the lifted anchor has zero rows for the tags and the lifted base map is
-    the identity on them, so nothing differentiates or substitutes along a
-    tag;
-  * distinct pairs land on distinct tag monomials, so no two pairs cancel.
-The frame table splits the result by its tags (`courant_core._split_tags`)
-and solves each nonzero pair through the projector.  The bracket is kept on
-the morphism with the ambient, so a check of the same morphism into the
-ambient at cap 0, such as chi's in `build_intrinsic`, reads it instead of
-making it again.  The witness of a bracket leaving the image is the least
-such pair in row-major order, the pair a scan over (i, j) would meet
-first.  Hypothesis (c), `construct` and both well-definedness tests read
-that table; the hypothesis report, the constructed structure, and the
-induced pairing G' with its determinant and inverse are cached on the
-problem the same way, so each is formed once per problem.  The data along
-the image, J_r(phi0(x)), N = I - J_phi0 J_r(phi0), A(phi0(x)) and
-A(phi0(x)) P(x), and G' with its factor P(x)^T G, are kept on the
-morphism, which a morphism check on the same ambient then reads too.
+Each problem reads one frame table, the brackets [[e^_i, e^_j]] o phi0 in
+closed form (`morphisms.frame_table`, derived in the `morphisms`
+docstring): with Q = J_r(phi0(x)) A(phi0(x)), the constructed anchor Q P,
+and w_ij = ((d_l P)^T G P)_ij,
+
+  [[e^_i, e^_j]] o phi0 = sum_abh P_ai P_bj c_ab^h(phi0) e_h
+      + sum_l (Q P)_li d_l(P e_j) - sum_l (Q P)_lj d_l(P e_i) + G^-1 Q^T w_ij,
+
+for any frame data with constant symmetric G.  It is formed from the
+nonzero factors only, with no lift and no bracket: when P is constant and
+c = 0, as for every intrinsic problem, the table is empty at once and the
+structure functions vanish.  Each nonzero pair is solved through the
+projector.  The witness of a bracket leaving the image is the least such
+pair in row-major order, the pair a scan over (i, j) would meet first.
+Hypothesis (c), `construct` and both well-definedness tests read that
+table; the hypothesis report, the constructed structure, and the induced
+pairing G' with its determinant and inverse are cached on the problem the
+same way, so each is formed once per problem.  The data along the image,
+J_r(phi0(x)), N = I - J_phi0 J_r(phi0), A(phi0(x)) and A(phi0(x)) P(x),
+and G' with its factor P(x)^T G, are kept on the morphism, which a
+morphism check on the same ambient then reads too.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -72,8 +67,8 @@ from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, TrivialBundle
-from .courant_core import AxiomCheck, CourantStructure, _split_tags
-from .morphisms import check_general_base, tagged_bracket
+from .courant_core import AxiomCheck, CourantStructure
+from .morphisms import check_general_base, frame_table
 from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
@@ -124,24 +119,30 @@ class PullbackProblem:
         return linalg.inverse(self._induced_pairing[0])
 
     @cached_property
-    def _frame_table(self):
-        """(structure functions, witness) read off the tagged frame bracket.
+    def _projected(self):
+        """(Q, Q P) with Q = J_r(phi0(x)) A(phi0(x)): the frame table reads
+        both, and Q P is the constructed anchor."""
+        phi = self.morphism
+        q = linalg.pmat_mul(phi.retraction_jacobian, phi.anchor_along_image(self.ambient.anchor)[0])
+        return q, linalg.pmat_mul(q, phi.fiber_matrix)
 
-        The bracket is the target side of the morphism sweep at cap 0
-        (`morphisms.tagged_bracket`), split by its tags into the frame pairs
-        (i, j); each nonzero pair is solved through the projector
-        G'^-1 P^T G.  The witness is {"frame_pair", "residual"} of the least
-        pair (i, j), in row-major order, whose bracket leaves the image, else
-        None.  The structure functions are those of the pairs before it,
-        inserted in (i, j, h) order.  Needs a constant nondegenerate induced
-        pairing.
+    @cached_property
+    def _frame_table(self):
+        """(structure functions, witness) read off the frame brackets.
+
+        The nonzero brackets [[e^_i, e^_j]] o phi0 come in closed form from
+        `morphisms.frame_table`, with no bracket made; each is solved
+        through the projector G'^-1 P^T G.  The witness is {"frame_pair",
+        "residual"} of the least pair (i, j), in row-major order, whose
+        bracket leaves the image, else None.  The structure functions are
+        those of the pairs before it, inserted in (i, j, h) order.  Needs a
+        constant nondegenerate induced pairing.
         """
         n, phi = self.source_bundle.base_dim, self.morphism
         pt_g = phi.transposed_metric(self.ambient.metric)
         g_inv = linalg.pmat_constant(self._induced_inverse, n)
-        bracket = tagged_bracket(self.ambient, phi, 0, True)[2]
         structure_functions = {}
-        for (i, j), vec in sorted(_split_tags(bracket, n).items()):
+        for (i, j), vec in sorted(frame_table(self.ambient, phi, *self._projected, True).items()):
             coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(pt_g, vec, num_vars=n), num_vars=n)
             reproduced = linalg.pmat_vec(phi.fiber_matrix, coeffs, num_vars=n)
             residual = [a - b for a, b in zip(reproduced, vec)]
@@ -167,12 +168,9 @@ class PullbackProblem:
         over the source base, the latter nonzero by construction.  The
         structure shares the problem's G'^-1.
         """
-        phi = self.morphism
-        along = phi.anchor_along_image(self.ambient.anchor)[0]
-        anchor = linalg.pmat_mul(linalg.pmat_mul(phi.retraction_jacobian, along), phi.fiber_matrix)
         metric = linalg.mat(self._induced_pairing[0])
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, anchor, metric, dict(self._frame_table[0]),
+        structure._fill(self.source_bundle, self._projected[1], metric, dict(self._frame_table[0]),
                         (self._induced_inverse, None, None))
         return structure
 
@@ -185,18 +183,10 @@ class HypothesisReport:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.anchor_tangent.passed
-            and self.pairing_nondegenerate.passed
-            and self.sections_involutive.passed
-        )
+        return all(check.passed for check in vars(self).values())
 
     def to_json(self) -> dict:
-        return {
-            "anchor_tangent": self.anchor_tangent.to_json(),
-            "pairing_nondegenerate": self.pairing_nondegenerate.to_json(),
-            "sections_involutive": self.sections_involutive.to_json(),
-        }
+        return {name: check.to_json() for name, check in vars(self).items()}
 
 
 def _tangency_defect(p: PullbackProblem) -> list[list[Polynomial]]:
@@ -277,15 +267,7 @@ def construct(p: PullbackProblem, enforce_hypotheses: bool = True) -> CourantStr
     if enforce_hypotheses:
         report = p.hypotheses
         if not report.all_passed:
-            failed = [
-                name
-                for name, check in (
-                    ("anchor_tangent", report.anchor_tangent),
-                    ("pairing_nondegenerate", report.pairing_nondegenerate),
-                    ("sections_involutive", report.sections_involutive),
-                )
-                if not check.passed
-            ]
+            failed = [name for name, check in vars(report).items() if not check.passed]
             raise ValueError(f"pullback hypotheses fail: {', '.join(failed)}")
     elif not p.hypotheses.pairing_nondegenerate.passed:
         raise ValueError(p.hypotheses.pairing_nondegenerate.detail)

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from courantlab import linalg
-from courantlab.bundles import Section, TrivialBundle
-from courantlab.courant_core import CourantStructure
-from courantlab.polyexpr import Polynomial, PolyMap
+from courantlab.bundles import BundleMorphism, Section, TrivialBundle
+from courantlab.courant_core import CourantStructure, _least_failing_tuple
+from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _raw, _unpack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,6 +67,45 @@ def _extended_frames(p) -> list[Section]:
     big = p.ambient.bundle.base_dim
     return [Section(p.ambient.bundle, PolyMap(big, [row[i] for row in pulled]))
             for i in range(p.source_bundle.rank)]
+
+
+def lifted_morphism(phi, extra: int) -> BundleMorphism:
+    """The same morphism over bases with `extra` inert variables appended:
+    the base map and the retraction act as the identity on them, and the
+    fiber matrix does not involve them.  The tagged references sweep
+    families of sections on these variables."""
+    n, big = phi.source.base_dim, phi.target.base_dim
+
+    def lift_map(pm, extra):
+        m = pm.num_inputs
+        return PolyMap(m + extra, [p.lift(m + extra, 0) for p in pm.outputs]
+                       + [Polynomial.variable(m + extra, m + i) for i in range(extra)])
+
+    return BundleMorphism(
+        TrivialBundle(n + extra, phi.source.rank, phi.source.label),
+        TrivialBundle(big + extra, phi.target.rank, phi.target.label),
+        lift_map(phi.base_map, extra), linalg.pmat_lift(phi.fiber_matrix, n + extra),
+        retraction=None if phi.retraction is None else lift_map(phi.retraction, extra))
+
+
+def least_failing_pair(bundle, cap: int, defect: list[Polynomial]):
+    """The least family pair among the nonzero terms of a tagged defect over
+    two tag variables, in the one witness order; None if it vanishes."""
+    return _least_failing_tuple(bundle, cap, [p._packed for p in defect], 2)
+
+
+def split_tags(polys: list[Polynomial], n: int) -> dict:
+    """{(i, j): the coefficients of t^i s^j in polys} over the tag pairs with
+    a nonzero coefficient, each a list of polynomials in the first n
+    variables; t and s are the last two of n + 2.  On a bracket of the
+    cap-0 tagged families, (i, j) is the frame pair (e_i, e_j)."""
+    low = (1 << (_BITS * n)) - 1
+    parts: dict[tuple[int, int], list[dict]] = {}
+    for h, q in enumerate(polys):
+        for key, c in q._packed.items():
+            tags = _unpack(key >> (_BITS * n), 2)
+            parts.setdefault(tags, [{} for _ in polys])[h][key & low] = c
+    return {tags: [_raw(n, terms) for terms in comps] for tags, comps in parts.items()}
 
 
 def eval_term_by_term(poly: Polynomial, point) -> Fraction:

@@ -7,6 +7,7 @@ has numpy loaded.  The snapshot of `sys.modules` is taken before
 third-party modules of the environment.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -76,3 +77,23 @@ def test_simulate_loads_numpy_and_writes_the_same_bytes(tmp_path):
     assert _python(SIMULATE, str(eager), "numpy-first", str(SCENE)).split() == ["0", "True"]
     assert lazy.read_bytes() == eager.read_bytes()
     assert lazy.read_bytes().count(b"\n") == 302
+
+
+def test_morphism_checks_import_no_tagged_sweep():
+    # the bracket condition and the pullback frame table are closed forms in
+    # the unlifted frame data: neither module imports the lift, the tagged
+    # families, the tag decoder or the tag splitter, and a morphism keeps no
+    # lift and no bracket
+    from courantlab import courant_core, morphisms, pullback
+    from courantlab.bundles import BundleMorphism
+
+    tagged = {"lift_structure", "tagged_generating_section", "_least_failing_tuple",
+              "_split_tags"}
+    for module in (morphisms, pullback):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not imported & tagged, module.__name__
+        assert not set(vars(module)) & tagged, module.__name__
+    assert not hasattr(courant_core, "_split_tags")
+    assert not hasattr(BundleMorphism, "lifted") and not hasattr(BundleMorphism, "kept_bracket")

@@ -252,40 +252,33 @@ class TestWorkPerOp:
 
     @staticmethod
     def lifts(monkeypatch):
-        """Every lift formed, as (structure, extra, lift)."""
+        """Every lift formed, as (structure, extra)."""
         lifts = []
         original = courant_core._lifted
-
-        def recording(s, extra):
-            lifts.append((s, extra, original(s, extra)))
-            return lifts[-1][2]
-
-        monkeypatch.setattr(courant_core, "_lifted", recording)
+        monkeypatch.setattr(courant_core, "_lifted",
+                            lambda s, extra: lifts.append((s, extra)) or original(s, extra))
         return lifts
 
     def test_one_lift_per_structure(self, monkeypatch):
-        # the ambient, the constructed structure and standard(n) are each
-        # lifted exactly once, and the pullback problem and every check share
-        # the lift
+        # stricter than one lift per structure: the frame table and the
+        # morphism verdicts are closed forms in the unlifted frame data, so
+        # building the intrinsic structure lifts nothing
         lifts = self.lifts(monkeypatch)
-        result = build_intrinsic(3, 1)
-        assert len(lifts) == len({id(s) for s, _, _ in lifts}) == 3
-        assert any(s is result.structure for s, _, _ in lifts)
-        assert {extra for _, extra, _ in lifts} == {2}
+        build_intrinsic(3, 1)
+        assert lifts == []
 
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
     def test_six_tagged_brackets_per_op(self, monkeypatch, capsys, n, m):
-        # the problem's frame bracket, then the source and target sides of
-        # the inclusion and Pontryagin checks and the source side of chi's,
-        # whose target side is the problem's bracket; all on tag lifts
+        # stricter than the six tagged brackets the op used to make: the
+        # problem's frame table and the three chain verdicts make no bracket
+        # and no lift; the op still reports chi's anchor failure
         lifts = self.lifts(monkeypatch)
         made = []
         original = CourantStructure._bracket
         monkeypatch.setattr(CourantStructure, "_bracket",
                             lambda s, f, g: made.append(s) or original(s, f, g))
         assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
-        assert len(made) == 6
-        assert all(any(s is lifted for _, _, lifted in lifts) for s in made)
+        assert made == [] and lifts == []
 
     def test_retraction_jacobian_composed_once_per_morphism(self, monkeypatch):
         # J_r(phi0) of chi serves the pullback problem and chi's check; the

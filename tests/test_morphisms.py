@@ -27,7 +27,7 @@ from courantlab.morphisms import (
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import construct
 
-from conftest import image_vanishing_multipliers
+from conftest import image_vanishing_multipliers, least_failing_pair, lifted_morphism
 
 
 def doubling_map(s):
@@ -212,20 +212,17 @@ class TestGeneralBase:
 
     def test_strict_failure_is_a_matrix_failure_with_one_source_bracket(self, monkeypatch):
         # N = I - Jac(phi0) J_r(phi0) = diag(0, 1) keeps the z-row of the
-        # anchor along the image: N A2(phi0) has the single entry (1, 1)
+        # anchor along the image: N A2(phi0) has the single entry (1, 1).
+        # Stricter than one source bracket: the retraction verdict passes
+        # from the frame tables, so no bracket is made at all
         s1 = standard_structure(1)
         s2 = standard_structure(2)
-        source_brackets = []
-        original = CourantStructure.bracket
-
-        def counting(self, a, b):
-            if self.bundle.rank == s1.bundle.rank:
-                source_brackets.append(1)
-            return original(self, a, b)
-
-        monkeypatch.setattr(CourantStructure, "bracket", counting)
+        made = []
+        original = CourantStructure._bracket
+        monkeypatch.setattr(CourantStructure, "_bracket",
+                            lambda s, f, g: made.append(s) or original(s, f, g))
         verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), n_perturbations=3)
-        assert len(source_brackets) == 1
+        assert made == []
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
             '{"detail": "general-base criteria at degree cap 3", "failures": '
             '[{"condition": "bracket", "defect": ["0", "0", "0", "0", "0", "1", "0", "0"], '
@@ -465,7 +462,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     n = s1.bundle.base_dim
     cap = degree_cap if n_perturbations > 0 else min(degree_cap, morphisms.SWEEP_ORDER)
     s1l, s2l = lift_structure(s1, 2), lift_structure(s2, 2)
-    phil = phi.lifted(2)
+    phil = lifted_morphism(phi, 2)
     fa = tagged_generating_section(s1.bundle, cap, 2, n)
     fb = tagged_generating_section(s1.bundle, cap, 2, n + 1)
     ga, gb = related_section(phil, fa), related_section(phil, fb)
@@ -483,7 +480,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     lifted_pairing = s1l.pairing(fa, fb)
     for gxa, gxb, label in variants:
         defect = [lifted_pairing - s2l.pairing(gxa, gxb).compose(phil.base_map)]
-        pair = morphisms._least_failing_pair(s1.bundle, cap, defect)
+        pair = least_failing_pair(s1.bundle, cap, defect)
         if pair is None:
             continue
         f1, f2 = pair
@@ -549,7 +546,7 @@ def reference_perturbed_variant_fails(s1, s2, phi, cap=1):
     slot, every image-vanishing multiplier q_a and every constant target
     frame e_k."""
     n = s1.bundle.base_dim
-    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), lifted_morphism(phi, 2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
     ga, gb = related_section(phil, fa), related_section(phil, fb)
     image = phil.apply(s1l.bracket(fa, fb))
@@ -622,7 +619,7 @@ def test_strict_check_passes_with_nonempty_multipliers(c):
     assert assert_strict_matches_the_variant_sweep(*case).is_morphism
 
 
-# -- the bracket condition against the degree-1 sweep the gate replaces ----------
+# -- the bracket condition against the degree-1 sweep ----------------------------
 
 
 def reference_bracket_failure(s1, s2, phi, degree_cap, general):
@@ -633,7 +630,7 @@ def reference_bracket_failure(s1, s2, phi, degree_cap, general):
     the failure's JSON, or None."""
     n = s1.bundle.base_dim
     cap = min(degree_cap, morphisms.SWEEP_ORDER)
-    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), phi.lifted(2)
+    s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), lifted_morphism(phi, 2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
 
     def represent(m, f):
@@ -644,7 +641,7 @@ def reference_bracket_failure(s1, s2, phi, degree_cap, general):
         target = [p.compose(m.base_map) for p in t.bracket(represent(m, f), represent(m, g))]
         return [a - b for a, b in zip(image, target)]
 
-    pair = morphisms._least_failing_pair(s1.bundle, cap, defect(phil, s1l, s2l, fa, fb))
+    pair = least_failing_pair(s1.bundle, cap, defect(phil, s1l, s2l, fa, fb))
     if pair is None:
         return None
     f1, f2 = pair
@@ -751,14 +748,38 @@ def test_verdict_equals_the_degree_1_sweep(case, cap):
     assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
 
 
-# -- the kept target bracket -----------------------------------------------------
+@st.composite
+def oracle_arrows(draw):
+    """(check, s1, s2, phi): a polynomial fiber map over the identity, a
+    scaled zero section or a graph embedding."""
+    branch = draw(st.sampled_from(["fiber", "zero_section", "graph"]))
+    if branch == "fiber":
+        s, phi = draw(polynomial_fiber_maps())
+        return check_identity_base, s, s, phi
+    return (check_general_base,
+            *draw(scaled_zero_sections() if branch == "zero_section" else graph_embeddings()))
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(oracle_arrows(), st.integers(0, 3), st.sampled_from([1, 3]))
+def test_frame_table_verdict_equals_the_tagged_sweep(case, cap, order):
+    # the closed forms against the tagged sweep of every pair of degree
+    # <= min(cap, order), also when the sweep order is raised to 3
+    check, *arrow = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morphisms, "SWEEP_ORDER", order)
+        assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
+
+
+# -- the data kept on the morphism ----------------------------------------------
 
 
 def kept_bracket_example():
     """(s1, targets, phi): diag(2, 1/2) on standard(1), into standard(1) and
-    into standard(1) with c_00^0 = 1.  It fails the anchor condition, so
-    its bracket is swept at the requested cap; it passes at cap 0 into
-    standard(1) only, and its witnesses at cap 1 differ."""
+    into standard(1) with c_00^0 = 1.  It fails the anchor condition; its
+    bracket passes at cap 0 into standard(1) only, and its witnesses at
+    cap 1 differ."""
     std = standard_structure(1)
     bumped = CourantStructure(std.bundle, std.anchor, std.metric, {(0, 0, 0): 1})
     return std, [std, bumped], doubling_map(std)
@@ -766,9 +787,9 @@ def kept_bracket_example():
 
 @pytest.mark.parametrize("check", [check_identity_base, check_general_base])
 def test_kept_bracket_is_keyed_on_its_target_and_cap(check):
-    # one morphism object is checked into every target at caps 0 and 1,
-    # each case right after every case; each verdict equals that on a fresh
-    # copy of the morphism, which keeps nothing
+    # one morphism object, which keeps its induced metric and anchor along
+    # the image, is checked into every target at caps 0 and 1, each case
+    # right after every case; each verdict equals that on a fresh copy
     s1, targets, phi = kept_bracket_example()
     cases = [(s2, cap) for s2 in targets for cap in (0, 1)]
     expected = [

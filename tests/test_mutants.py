@@ -10,6 +10,7 @@ mutant is killed when the oracle's assertion fails or the certificate's
 re-expansion finds an internal inconsistency.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from courantlab import courant_core, linalg, morphisms, pullback
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
-from courantlab.polyexpr import _BITS, Polynomial, _unpack
+from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
 
 import test_certificate_oracle as oracles
 import test_morphisms
@@ -88,13 +89,25 @@ def metric_failure_with_d_transposed(s1, s2, phi, general=False):
     return failure
 
 
-def tensorial_without_the_d_identity(s1, s2, phi, a2, a2p, general=False):
-    """The tensorial gate on the projected anchor Q P = A1 alone."""
-    projected = a2p
-    if general:
-        projected = linalg.pmat_mul(phi.retraction_jacobian, a2p, s1.bundle.rank,
-                                    s1.bundle.base_dim)
-    return projected == s1.anchor
+def witness_order_without_the_degree(rank, monos):
+    """`_witness_order` ordering pairs by their tags alone."""
+    members = [(i, a) for i in range(rank) for a in range(len(monos))]
+    return list(itertools.product(members, repeat=2))
+
+
+def derived_terms_dropped(v_l, w):
+    """Gamma without its term G2^-1 Q^T w_ij."""
+    return ()
+
+
+def degree_1_holds_without_t_or_p(d):
+    """The pass check without "T = 0 or P = 0"."""
+    return morphisms._pairing_terms_agree(d)
+
+
+def first_slot_without_the_w_term(d, a, i, j):
+    """R_aij without its term -W_ij V e_a."""
+    return [d.g1[i][j] * u - d.t[a][j] * row[i] for row, u in zip(d.p, d.u_t[a])]
 
 
 def perturbed_failure_on_image_fibers(phi, a2):
@@ -107,18 +120,6 @@ def tangency_defect_on_whole_fibers(p):
     """Hypothesis (a) read as N A(phi0), the anchor on whole fibers."""
     phi = p.morphism
     return linalg.pmat_mul(phi.image_complement, phi.anchor_along_image(p.ambient.anchor)[0])
-
-
-def tagged_bracket_keyed_without_the_structure(s2, phi, cap, general=False):
-    """`tagged_bracket` kept on the cap and the base mode alone."""
-    return phi.kept_bracket((cap, general),
-                            lambda: morphisms._target_side(s2, phi, cap, general))
-
-
-def tagged_bracket_keyed_without_the_cap(s2, phi, cap, general=False):
-    """`tagged_bracket` kept on the target structure and the base mode alone."""
-    return phi.kept_bracket((s2, general),
-                            lambda: morphisms._target_side(s2, phi, cap, general))
 
 
 def bumped(base, bump, value=Fraction(3, 2)):
@@ -153,6 +154,24 @@ def hidden_d_identity():
             BundleMorphism.constant(line, plane, [[1], [0]]))
 
 
+
+def line_stretch():
+    """(s, s, phi): P = diag(x1, 1) on standard(1) over the identity."""
+    s = standard_structure(1)
+    x1, one, zero = Polynomial.variable(1, 0), Polynomial.constant(1, 1), Polynomial(1)
+    return s, s, BundleMorphism(s.bundle, s.bundle, PolyMap.identity(1), [[x1, zero], [zero, one]])
+
+
+def signed_zero_section():
+    """(s1, s2, phi): standard(1) into standard(2) along x -> (x, 0), with
+    P e_0 = -e_0 and P e_1 = x1 e_3."""
+    x1, zero = Polynomial.variable(1, 0), Polynomial(1)
+    fiber = [[-Polynomial.constant(1, 1), zero], [zero, zero], [zero, zero], [zero, x1]]
+    s1, s2 = standard_structure(1), standard_structure(2)
+    return s1, s2, BundleMorphism(s1.bundle, s2.bundle, PolyMap(1, [x1, zero]), fiber,
+                                  PolyMap(2, [Polynomial.variable(2, 0)]))
+
+
 MUTANTS = {
     # name: (patches, oracle, fixed example)
     "iii_without_i_equals_j": (
@@ -172,9 +191,9 @@ MUTANTS = {
     ),
     "decoder_key_without_the_degree": (
         [(courant_core, "_least_failing_tuple", least_tuple_without_the_degree),
-         (morphisms, "_least_failing_tuple", least_tuple_without_the_degree)],
+         (morphisms, "_witness_order", witness_order_without_the_degree)],
         inner(oracles.test_morphism_witness_is_the_least_failing_pair),
-        # (e_0, e_0) fails, and so does (e_0, x1 e_0) with the smaller tags
+        # (e_1, e_1) fails, and so does (e_0, x1 e_1) with the smaller tags
         ((bumped(standard_structure(1), (0, 0, 0), 1), [[0, 1], [0, 1]]),),
     ),
     "sweep_order_0": (
@@ -186,11 +205,6 @@ MUTANTS = {
         [(morphisms, "_metric_failure", metric_failure_with_d_transposed)],
         inner(test_morphisms.test_metric_verdict_equals_the_tagged_pairing_sweep),
         (doubled_tangent_row(), 1, 0, 0),   # the least failing pair is (e_0, e_1)
-    ),
-    "tensorial_gate_without_the_d_identity": (
-        [(morphisms, "_tensorial", tensorial_without_the_d_identity)],
-        inner(test_morphisms.test_verdict_equals_the_degree_1_sweep),
-        (hidden_d_identity(), 1),
     ),
     "fifth_identity_without_the_d_term": (
         [(courant_core, "_frame_jacobiator", frame_jacobiator_without_the_d_term)],
@@ -207,15 +221,29 @@ MUTANTS = {
         test_pullback.TestWellDefinedness().test_extension_perturbations_stable_for_pontryagin,
         (),                                 # Pontryagin(1, 1): N A(phi0) != 0 = N A(phi0) P
     ),
-    "kept_bracket_key_without_the_structure": (
-        [(morphisms, "tagged_bracket", tagged_bracket_keyed_without_the_structure)],
-        test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
-        (morphisms.check_general_base,),    # standard(1) and a bumped copy at one cap
+    "frame_table_without_the_w_term": (
+        [(morphisms, "_derived_terms", derived_terms_dropped)],
+        inner(test_morphisms.test_frame_table_verdict_equals_the_tagged_sweep),
+        # P = diag(x1, 1): w_01 = ((d_1 P)^T G P)_01 = 1 and G^-1 A^T = e_1
+        ((morphisms.check_identity_base, *line_stretch()), 0, 1),
     ),
-    "kept_bracket_key_without_the_cap": (
-        [(morphisms, "tagged_bracket", tagged_bracket_keyed_without_the_cap)],
-        test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
-        (morphisms.check_general_base,),    # the doubling map sweeps at caps 0 and 1
+    "pass_check_without_t_or_p": (
+        [(morphisms, "_degree_1_holds", degree_1_holds_without_t_or_p)],
+        inner(test_morphisms.test_verdict_equals_the_degree_1_sweep),
+        # P e_0 = e_1: W = 0 and U = 0, so only T = [1 0] != 0 fails
+        ((morphisms.check_identity_base, SCALED1, SCALED1,
+          BundleMorphism.constant(SCALED1.bundle, SCALED1.bundle, [[0, 0], [1, 0]])), 1),
+    ),
+    "first_slot_without_the_w_term": (
+        [(morphisms, "_first_slot", first_slot_without_the_w_term)],
+        inner(test_morphisms.test_verdict_equals_the_degree_1_sweep),
+        (hidden_d_identity(), 1),           # R_000 = -W_00 V e_0 alone
+    ),
+    "enumeration_without_the_degree": (
+        [(morphisms, "_witness_order", witness_order_without_the_degree)],
+        inner(test_morphisms.test_frame_table_verdict_equals_the_tagged_sweep),
+        # (e_0, e_1) fails, and so does (e_0, x1 e_0) with the smaller tags
+        ((morphisms.check_general_base, *signed_zero_section()), 1, 1),
     ),
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -19,7 +20,7 @@ from courantlab.courant_core import (
     standard_structure,
 )
 from courantlab.intrinsic import pontryagin_embedding, splitting_composite
-from courantlab.morphisms import check_general_base
+from courantlab.morphisms import check_general_base, frame_table
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
@@ -262,90 +263,49 @@ class TestFunctoriality:
 
 
 class TestFrameTable:
-    """Each problem reads one bracket, the morphism sweep's target side at
-    cap 0: its extended frames, summed with inert tags, on the tag-lifted
-    ambient.  A check of the same morphism into the ambient reads it again,
-    and no plain frame pair is bracketed."""
+    """Each problem reads one frame table, in closed form from its frame
+    data (`morphisms.frame_table`): hypothesis (c) and `construct` share it,
+    and no bracket is made and no structure lifted, neither for it nor for
+    a check of the same morphism into the ambient."""
 
     DEMO = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
     @staticmethod
-    def brackets(monkeypatch):
-        """Record every bracket made, as (structure, f, g strings), and every
-        lift formed, as (structure, lift)."""
-        calls, lifted = [], []
-        original = CourantStructure.bracket
-        original_lift = courant_core._lifted
-
-        def counting(self, a, b):
-            calls.append((self, tuple(a.coeffs.to_strings()), tuple(b.coeffs.to_strings())))
-            return original(self, a, b)
-
-        def recording(structure, extra):
-            lifted.append((structure, original_lift(structure, extra)))
-            return lifted[-1][1]
-
-        monkeypatch.setattr(CourantStructure, "bracket", counting)
-        monkeypatch.setattr(courant_core, "_lifted", recording)
-        return calls, lifted
-
-    @staticmethod
-    def frame_pairs(problem):
-        frames = [tuple(f.coeffs.to_strings()) for f in _extended_frames(problem)]
-        return [(a, b) for a in frames for b in frames]
-
-    @staticmethod
-    def tagged_frames(problem):
-        """(sum_i t^i e^_i, sum_j s^j e^_j) as strings over N + 2 variables."""
-        frames = _extended_frames(problem)
-        nn = problem.ambient.bundle.base_dim + 2
-        sums = []
-        for tag in (nn - 2, nn - 1):
-            t = Polynomial.variable(nn, tag)
-            sums.append(tuple(
-                sum((f[c].lift(nn) * t ** i for i, f in enumerate(frames)), Polynomial(nn)).to_string()
-                for c in range(problem.ambient.bundle.rank)
-            ))
-        return tuple(sums)
-
-    def assert_one_tagged_bracket_per_problem(self, calls, lifted, problems, sweeps=0):
-        # the ambient is lifted once; each problem's tagged frames are
-        # bracketed once on that lift, before `sweeps` morphism checks into
-        # the ambient bracket their own tagged families on it
-        ambient = [lift for s, lift in lifted if s == problems[0].ambient]
-        assert len(ambient) == 1
-        on_lifted = [(f, g) for s, f, g in calls if s is ambient[0]]
-        assert on_lifted[:len(problems)] == [self.tagged_frames(p) for p in problems]
-        assert len(on_lifted) == len(problems) + sweeps
-        for p in problems:
-            assert on_lifted.count(self.tagged_frames(p)) == problems.count(p)
-        pairs = {pair for p in problems for pair in self.frame_pairs(p)}
-        assert not [c for c in calls if c[1:] in pairs]
+    def recorded(monkeypatch):
+        """(brackets, lifts, tables): every `CourantStructure._bracket`
+        call, every lift formed and the morphism of every frame table a
+        pullback problem reads."""
+        brackets, lifts, tables = [], [], []
+        bracket, lift = CourantStructure._bracket, courant_core._lifted
+        table = pullback_mod.frame_table
+        monkeypatch.setattr(CourantStructure, "_bracket",
+                            lambda s, f, g: brackets.append(s) or bracket(s, f, g))
+        monkeypatch.setattr(courant_core, "_lifted",
+                            lambda s, extra: lifts.append(s) or lift(s, extra))
+        monkeypatch.setattr(pullback_mod, "frame_table",
+                            lambda s2, phi, *rest: tables.append(phi) or table(s2, phi, *rest))
+        return brackets, lifts, tables
 
     def test_intrinsic_op_brackets_each_frame_pair_once(self, monkeypatch, capsys):
-        # all k^2 pairs in one tagged bracket
-        n, m = 2, 1
-        calls, lifted = self.brackets(monkeypatch)
-        assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
-        chi = splitting_composite(n, m)
-        problem = PullbackProblem(standard_structure(n + m), chi.source, chi)
-        assert len(self.frame_pairs(problem)) == (2 * n + 2 * m) ** 2
-        # the Pontryagin embedding and chi are checked into the ambient, and
-        # chi's check reads the problem's bracket
-        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem], sweeps=1)
+        # stricter than one tagged bracket of all k^2 pairs: the problem
+        # reads one table of chi, and neither it nor the checks of the
+        # Pontryagin embedding and chi into the ambient bracket or lift
+        brackets, lifts, tables = self.recorded(monkeypatch)
+        assert main(["intrinsic", "--n", "2", "--m", "1", "--json"]) == 1
+        assert brackets == lifts == []
+        assert [phi.fiber_matrix for phi in tables] == [splitting_composite(2, 1).fiber_matrix]
 
     def test_alt_retraction_op_brackets_each_problem_once(self, monkeypatch, capsys):
-        # two problems, the given retraction and the alternative one; the
-        # zero section's constant fiber map gives both the same frames
-        calls, lifted = self.brackets(monkeypatch)
+        # two problems, the given retraction and the alternative one: one
+        # table each, with no bracket and no lift
+        brackets, lifts, tables = self.recorded(monkeypatch)
         assert main([
             "pullback", "--scene", str(self.DEMO), "--ambient", "standard2",
             "--morphism", "zero_section_embedding",
             "--alt-retraction", '["x1 + x2^2"]', "--json",
         ]) == 0
-        problem = pontryagin_problem()
-        assert len(self.frame_pairs(problem)) == 4
-        self.assert_one_tagged_bracket_per_problem(calls, lifted, [problem, problem])
+        assert brackets == lifts == []
+        assert [phi.retraction.to_strings() for phi in tables] == [["x1"], ["x2^2 + x1"]]
 
     def test_alt_retraction_op_checks_hypotheses_once_per_problem(self, monkeypatch, capsys):
         # the report, construct and the well-definedness test share one
@@ -373,27 +333,24 @@ class TestFrameTable:
     def test_failing_scan_stops_at_the_reported_pair(self, monkeypatch):
         # [[d_x, dx]] picks up d_z, which leaves the image of the zero
         # section: hypothesis (c) and construct report the same first pair
-        # from one tagged bracket
+        # from one table, made with no bracket and no lift
         phi = pontryagin_embedding(1, 1)
         base = standard_structure(2)
         bumped = CourantStructure(base.bundle, base.anchor, base.metric,
                                   {(0, 2, 1): Polynomial.constant(2, 1)})
         p = PullbackProblem(bumped, phi.source, phi)
-        calls, lifted = self.brackets(monkeypatch)
+        brackets, lifts, tables = self.recorded(monkeypatch)
         report = check_hypotheses(p)
         assert not report.sections_involutive.passed
         i, j = report.sections_involutive.witness["frame_pair"]
         assert (i, j) == (0, 1)
-        assert [s for s, _ in lifted] == [bumped]
-        assert [(c[0], c[1:]) for c in calls] == [(lifted[0][1], self.tagged_frames(p))]
-        calls.clear()
         with pytest.raises(ValueError, match=rf"frame bracket \({i},{j}\)"):
             construct(p, enforce_hypotheses=False)
-        assert len(lifted) == 1
-        assert calls == []
+        assert brackets == lifts == []
+        assert tables == [phi]
 
 
-# -- the tagged frame table against the pairwise scan it replaced -------------
+# -- the closed-form frame table against the pairwise scan ----------------------
 
 
 class TestWorkPerProblem:
@@ -528,8 +485,8 @@ def reference_enumerated_perturbation_verdict(problem, structure_functions):
 
 
 def assert_matches_reference(problem, seeds=(0, 1)):
-    """The tagged table, its witness and the perturbation verdicts equal the
-    pairwise scan's; returns the witness."""
+    """The closed-form table, its witness and the perturbation verdicts
+    equal the pairwise scan's; returns the witness."""
     ref_functions, ref_witness = reference_frame_table(problem)
     functions, witness = problem._frame_table
     assert witness == ref_witness
@@ -635,7 +592,7 @@ RANDOM_PROBLEMS = 32
 
 
 class TestFrameTableReference:
-    """The tagged frame table equals the pairwise scan it replaced."""
+    """The closed-form frame table equals the pairwise scan."""
 
     @pytest.mark.parametrize("n, m", [
         (n, m) for n in range(5) for m in range(5 - n) if n + m >= 1
@@ -655,6 +612,26 @@ class TestFrameTableReference:
     @pytest.mark.parametrize("seed", range(RANDOM_PROBLEMS))
     def test_random_problems(self, seed):
         assert_matches_reference(random_problem(seed))
+
+    def test_closed_form_equals_the_pairwise_brackets(self):
+        # Gamma_ij = [[e^_i, e^_j]] o phi0, each pair bracketed on its own,
+        # on every problem above; the table holds exactly the nonzero pairs
+        problems = [splitting_problem(n, m) for n in range(5) for m in range(5 - n) if n + m]
+        problems += [pontryagin_problem(n, m) for n in range(1, 5) for m in range(5 - n)]
+        problems += list(demo_problems())
+        problems += [random_problem(seed) for seed in range(RANDOM_PROBLEMS)]
+        varying = 0
+        for problem in problems:
+            frames, base_map = _extended_frames(problem), problem.morphism.base_map
+            expected = {}
+            for (i, ei), (j, ej) in itertools.product(enumerate(frames), repeat=2):
+                on_image = [q.compose(base_map) for q in problem.ambient.bracket(ei, ej).coeffs]
+                if any(not q.is_zero() for q in on_image):
+                    expected[i, j] = on_image
+            table = frame_table(problem.ambient, problem.morphism, *problem._projected, True)
+            assert table == expected
+            varying += bool(table) and not linalg.pmat_is_constant(problem.morphism.fiber_matrix)
+        assert varying >= 5
 
     def test_extension_verdicts_equal_the_enumerated_perturbations(self):
         # hypothesis (a) decides the perturbations: both verdicts occur

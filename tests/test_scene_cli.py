@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from courantlab import cli, linalg
 from courantlab.cli import main
@@ -572,6 +572,53 @@ def _morphism_scenes():
                     yield label, scene, argv, expected
 
 
+_CONSTANTS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"])
+
+
+@st.composite
+def _fuzzed_arrows(draw):
+    """(scene, argv without --scene) for `morphism` or `pullback`: scaled or
+    bumped standard(1-2) structures and a map with constant or linear fiber
+    entries, over the identity or along x -> (x, h) into one dimension
+    more, with or without a retraction."""
+    n, embed = draw(st.integers(1, 2)), draw(st.booleans())
+    big, names = n + embed, [f"x{i + 1}" for i in range(n)]
+
+    def structure(dim):
+        k, lam = 2 * dim, draw(st.sampled_from(["1", "-2", "1/3"]))
+        spec = {"bundle": f"P{dim}",
+                "anchor": [["1" if i == a else "0" for i in range(k)] for a in range(dim)],
+                "metric": [[lam if abs(i - j) == dim else "0" for j in range(k)]
+                           for i in range(k)]}
+        if draw(st.booleans()):
+            key = ",".join(str(draw(st.integers(1, k))) for _ in range(3))
+            spec["structure_functions"] = {key: draw(st.sampled_from(["1", "-1/2", "x1"]))}
+        return spec
+
+    linear = st.builds("{}*{}".format, st.sampled_from(["1", "-2", "1/2"]), st.sampled_from(names))
+    entry = draw(st.sampled_from([_CONSTANTS, st.one_of(_CONSTANTS, linear), None]))
+    # None: the inclusion (v, p) -> (v, 0, p, 0), the identity when not embedded
+    fiber = [["1" if (r < n and c == r) or (r >= big and c == r - embed) else "0"
+              for c in range(2 * n)] for r in range(2 * big)] if entry is None else [
+        [draw(entry) for _ in range(2 * n)] for _ in range(2 * big)]
+    phi = {"source": f"P{n}", "target": f"P{big}", "fiber_matrix": fiber,
+           "base_map": names + [draw(st.sampled_from(["0", "1", "x1", "2*x1 - 1"]))] * embed}
+    if draw(st.integers(0, 3)):
+        phi["retraction"] = names
+    scene = {"schema_version": 1,
+             "bundles": {f"P{d}": {"base_dim": d, "rank": 2 * d} for d in {n, big}},
+             "courant_structures": {"s": structure(n), "t": structure(big)},
+             "morphisms": {"phi": phi}}
+    if draw(st.booleans()):
+        argv = ["morphism", "--source", "s", "--target", "t", "--map", "phi",
+                "--degree-cap", str(draw(st.integers(0, 3)))]
+    else:
+        argv = ["pullback", "--ambient", "t", "--morphism", "phi"]
+        if embed and draw(st.booleans()):
+            argv += ["--alt-retraction", json.dumps([f"{v} + x{big}^2" for v in names])]
+    return scene, argv + draw(st.sampled_from([[], ["--json"]]))
+
+
 class TestMorphismContract:
     """`morphism` and `intrinsic --phi` honour the exit-code contract."""
 
@@ -597,6 +644,14 @@ class TestMorphismContract:
                 assert code == expected, (label, cap)
                 runs += 1
         assert runs == 64
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(_fuzzed_arrows())
+    def test_fuzzed_arrows_keep_the_contract(self, tmp_path, capsys, case):
+        # exit 0, 1 or 2 with no traceback, and exit 2 with one error line
+        scene, argv = case
+        self.run([argv[0], "--scene", str(write_scene(tmp_path, scene)), *argv[1:]], capsys)
 
     @pytest.mark.parametrize("argv, message", [
         (["--source", "std2", "--target", "std2", "--map", "zero_section"],

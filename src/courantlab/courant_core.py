@@ -23,22 +23,19 @@ expansion is validated against an independent Cartan-calculus oracle
 Axiom checking is exact.  The three axioms are multilinear over R in their
 section slots, so verifying them on every tuple drawn from the family of
 monomial-coefficient frame sections up to a degree cap certifies them for
-all sections of coefficient degree up to that cap.  A sweep does this
-without enumerating tuples: each open slot is filled with one generating
-section whose basis summands are tagged by powers of a fresh inert
-variable.  Distinct tuples land on distinct tag monomials, which cannot
-cancel, so a single polynomial identity is equivalent to the full
-enumeration, and a nonzero term decodes back into an explicit witness
-tuple.
+all sections of coefficient degree up to that cap.  No certificate
+enumerates those tuples or brackets them: each reads its verdict from
+identities in the frame data (below), and brackets explicit sections only
+to re-expand its witness.
 
 Every certificate reports one witness: the least failing tuple.  Tuples
 order first by the largest coefficient degree of their members, then by
-their family tags slot by slot; the tag i*M + a of x^alpha_a e_i orders by
-frame index i, then by alpha_a's place in the graded `monomials_up_to`
-list.  So the witness does not depend on term order, every frame tuple
-precedes every tuple with a member of degree 1, and a failing tuple of
-degree <= 1 is the least at every cap >= 1.  `_least_failing_tuple`
-decodes it from a tagged defect; the frame tables below name it directly.
+their members' places in the family slot by slot; x^alpha_a e_i has place
+i*M + a in `monomial_frame_basis`, ordering by frame index i, then by
+alpha_a's place in the graded `monomials_up_to` list.  So the witness does
+not depend on term order, every frame tuple precedes every tuple with a
+member of degree 1, and a failing tuple of degree <= 1 is the least at
+every cap >= 1.  The frame tables below name it directly.
 
 Degree 1 is enough.  If, in one slot, a defect is a differential operator
 of order <= 1 with polynomial coefficients, it vanishes on all smooth
@@ -47,9 +44,9 @@ to x^alpha it gives alpha! times its coefficient of order alpha plus terms
 fixed by smaller alpha, so by induction every coefficient is zero.  Taking
 the slots one at a time (the others held first on the family, then on
 arbitrary sections) extends this to whole tuples.  Every certificate here
-is of that kind, so each sweeps at cap min(degree_cap, SWEEP_ORDER) and is
-complete for all smooth sections at any cap >= 1; an explicit cap 0 sweeps
-constant sections only and stays a bounded claim.
+is of that kind, so each decides at cap min(degree_cap, SWEEP_ORDER) and
+is complete for all smooth sections at any cap >= 1; an explicit cap 0
+covers constant sections only and stays a bounded claim.
 
 The orders.  The bracket is first order in each slot, and axioms (ii) and
 (iii) apply it once.  Axiom (i) nests two brackets, which allows order 2
@@ -84,24 +81,29 @@ with constant symmetric G the expansion gives the rules
     other, so the defect of (ii) is -sum f_i g_j h_m (c_ijm + c_imj).
     Both are C-infinity-linear in every slot: (iii) holds iff
     c_ij^h + c_ji^h = 0 and (ii) iff c_ijh + c_ihj = 0.
-  * The anomalies of (i).  Let J(f,g,h) be the defect of (i) and
-    H(f,g) = rho([[f,g]]) - [rho(f), rho(g)], a vector field.  The rules
-    give H(f, lam g) = lam H(f,g) and
-    H(lam f, g) = lam H(f,g) + <f,g> rho(D(lam)), where rho o D acts on
-    grad(lam) as the matrix A G^-1 A^T.  Expanding J with the rules, one
-    slot at a time, and writing K_f(lam) = [[f, D(lam)]] - D(rho(f)(lam)):
-      J(f, g, lam h) = lam J(f,g,h) - H(f,g)(lam) h,
-      J(f, lam g, h) = lam J(f,g,h) + H(f,h)(lam) g + <g,h> K_f(lam),
-      J(lam f, g, h) = lam J(f,g,h) - H(g,h)(lam) f - <f,h> K_g(lam)
-                       + <f,g> K_h(lam).
-    The last two lines use (ii) and (iii): without them the second also
-    carries the (ii) defect times D(lam), and the third the (iii) defect
-    of (f, g) times rho(h)(lam) and its pairing with h times D(lam); and
-    (iii) turns [[D(lam), h]] into -K_h(lam).  By (ii),
-    <K_f(lam), k> = -H(f,k)(lam).  So if A G^-1 A^T = 0, H is tensorial
-    and vanishes iff H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j]
-    does, the anchor homomorphism; then K vanishes too, J is tensorial in
-    every slot, and (i) holds iff it holds on every frame triple.
+  * The five slot rules of (i).  Let J(f,g,h) be the defect of (i),
+    H(f,g) = rho([[f,g]]) - [rho(f), rho(g)], a vector field,
+    K_f(lam) = [[f, D(lam)]] - D(rho(f)(lam)), and II(f,g,h) and III(f,g)
+    the defects of (ii) and (iii), both tensorial.  Expanding with the
+    rules above, one slot at a time, gives, with J = J(f,g,h),
+      J(f, g, lam h) = lam J - H(f,g)(lam) h,
+      J(f, lam g, h) = lam J + H(f,h)(lam) g + <g,h> K_f(lam)
+                       + II(f,g,h) D(lam),
+      J(lam f, g, h) = lam J - H(g,h)(lam) f - <f,h> K_g(lam)
+                       + <f,g> K_h(lam) + rho(h)(lam) III(f,g)
+                       - <f,g> III(D(lam), h)
+                       - (II(g,h,f) + <h, III(f,g)>) D(lam),
+    and H(f, lam g) = lam H(f,g), H(lam f, g) = lam H(f,g)
+    + <f,g> rho(D(lam)), where rho o D acts on grad(lam) as the matrix
+    A G^-1 A^T, and K_{lam f}(mu) = lam K_f(mu) - rho(D(mu))(lam) f.  K_f
+    is first order with no term of order 0: the second-order parts of
+    rho(f) applied to D(lam) and of D applied to rho(f)(lam) agree.  By
+    the definition of II, <K_f(lam), k> = -H(f,k)(lam) - II(f, D(lam), k).
+    If A G^-1 A^T = 0, H is tensorial and vanishes iff the anchor
+    homomorphism H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j] = 0
+    holds; if (ii) holds as well, K vanishes, and if (iii) does too, J is
+    tensorial in every slot and (i) holds iff it holds on every frame
+    triple.
   * (i) on frame triples, in closed form.  The first rule with
     f = e_i, lam = c_jk^h, g = e_h gives [[e_i, [[e_j,e_k]]]] =
     sum_h c_jk^h [[e_i,e_h]] + sum_l rho_i(c_jk^l) e_l, and
@@ -113,14 +115,35 @@ with constant symmetric G the expansion gives the rules
                          + rho_i(c_jk^l) + rho_k(c_ij^l) - rho_j(c_ik^l)
                          - D(c_ijk)^l
     for any frame data with constant symmetric G, and its vanishing for
-    all i, j, k, l is the fifth frame identity: what the cap-0 sweep of
-    (i) decides.  Every term has a factor c, so it holds when c = 0.
+    all i, j, k, l is the fifth frame identity: (i) on the family of
+    cap 0.  Every term has a factor c, so it holds when c = 0.
+  * (i) on tuples of degree <= 1, where it holds on frame triples.  Let
+    each of lam, mu, nu be 1 or a coordinate.  The rules, slot by slot,
+    give
+      J(lam e_i, mu e_j, nu e_k) = mu nu T1 + lam nu T2 + lam mu T3
+                                   + nu T12 + mu T13
+    where a term is absent when the functions it differentiates are
+    constant, and, with <e_i, e_j> = G_ij and II_ijk, III_ij on frames,
+      T1  = -H_jk(lam) e_i - G_ik K_j(lam) + G_ij K_k(lam)
+            + rho_k(lam) III_ij - G_ij III(D(lam), e_k)
+            - (c_ijk - c_jki) D(lam),
+      T2  = H_ik(mu) e_j + G_jk K_i(mu) + II_ijk D(mu),
+      T3  = -H_ij(nu) e_k,
+      T12 = G_ik rho(D(lam))(mu) e_j - G_jk rho(D(mu))(lam) e_i,
+      T13 = -G_ij rho(D(lam))(nu) e_k,
+    since II(e_j,e_k,e_i) + <e_k, III_ij> = c_ijk - c_jki.  Each T is
+    linear in the gradients it takes, so its entries at lam = x_a (and
+    mu = x_b, nu = x_c) form a frame table read from J_ijk, H, rho o D,
+    K_i(x_a) = K_{e_i}(x_a), II and III.  The slot table of i holds the
+    entries with first frame index i.  Subtracting the terms of the lower
+    tuples recovers each entry from J on the tuples, so (i) holds on every
+    tuple with first member x^alpha e_i iff that table vanishes.
   * The converse.  If (i)-(iii) hold, the first line gives
     H(f,g)(lam) h = 0 for every lam and h, so H = 0 and the homomorphism
     holds; then H(lam f, g) = 0 leaves <f,g> rho(D(lam)) = 0, and some
     <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
 Hence the three axioms hold for all smooth sections iff the five frame
-identities hold, which is also what the degree-1 sweep decides.
+identities hold, which is also what the tuples of degree 1 decide.
 `_certify_axioms` decides every verdict from the frame tables, with no
 bracket but those that re-expand witnesses.  (iii) and (ii) are tensorial,
 so each fails iff some frame tuple does, and its least nonzero entry of
@@ -128,7 +151,13 @@ c_ij^h + c_ji^h, or c_ijm + c_imj, names the least failing tuple.  (i)
 fails on a frame triple iff the fifth identity does, and then its least
 nonzero (i, j, k) is the witness.  Otherwise, at any cap >= 1, (i) can
 still fail when another identity does; every failing tuple then has a
-member of degree 1, and the degree-1 sweep of (i) alone finds the least.
+member of degree 1.  The slot tables decide whether one fails, first
+frame index by first frame index, and the tuples of the first nonzero
+table are walked in the witness order, first slot major, each value
+summed from the table, up to the first nonzero one: the least failing
+tuple, and the only one re-expanded (`_axiom_i_witness`).  Its detail
+still reads "found by the degree-1 sweep of (i)", naming the degree-1
+family the walk covers.
 
 The two Leibniz rules of the bracket above hold by the expansion, for
 every structure the constructor accepts, so `check_leibniz` does not
@@ -157,8 +186,6 @@ from .bundles import LinearSubspace, Section, TrivialBundle
 from .polyexpr import (
     Polynomial,
     PolyMap,
-    _BITS,
-    _FIELD,
     _add_into,
     _checked,
     _coeff,
@@ -169,7 +196,6 @@ from .polyexpr import (
     _product,
     _raw,
     _scaled,
-    _unpack,
     monomials_up_to,
     poly_sum,
 )
@@ -210,9 +236,6 @@ class CourantStructure:
     dicts (see polyexpr) against tables formed on first use: the first call
     of any of them forms the anchor, metric and c_ij^h tables, and the first
     `bracket` or `derived_operator` forms the rows of G^-1 A^T.
-    `lift_structure` forms them on the base and shares them, does not
-    repeat the checks its base passed, and lifts a structure once per
-    variable count.
 
     Every product runs its outer loop over the smaller factor and each
     operation's loop nest is fixed, so results have one term order; no
@@ -220,7 +243,7 @@ class CourantStructure:
     """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
-                 "_inverse", "_frame", "_dual", "_lifts")
+                 "_inverse", "_frame", "_dual")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
         n, k = bundle.base_dim, bundle.rank
@@ -258,9 +281,8 @@ class CourantStructure:
 
     def _fill(self, bundle, anchor, metric, c, tables=(None, None, None)):
         """Set every slot from checked parts; `tables` holds G^-1 and the
-        packed tables, or None for each table formed on first use.  The
-        structure starts with no lifts."""
-        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables, {})):
+        packed tables, or None for each table formed on first use."""
+        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
@@ -547,37 +569,6 @@ def product_structure(
     return CourantStructure(bundle, anchor, metric, c)
 
 
-def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
-    """The same structure over a base with `extra` inert variables appended.
-
-    The anchor gains zero rows for the new variables, so nothing ever
-    differentiates along them: coefficients may mention them as formal
-    constants.  Used by the exact certification sweeps.  Structures are
-    immutable, so each is lifted once per `extra` and the lift is kept on it.
-    """
-    lifted = s._lifts.get(extra)
-    if lifted is None:
-        lifted = s._lifts[extra] = _lifted(s, extra)
-    return lifted
-
-
-def _lifted(s: CourantStructure, extra: int) -> CourantStructure:
-    """`lift_structure` without the cache."""
-    n, k = s.bundle.base_dim, s.bundle.rank
-    nn = n + extra
-    bundle = TrivialBundle(nn, k, label=s.bundle.label)
-    anchor = linalg.pmat_lift(s.anchor, nn)
-    anchor += [[Polynomial(nn)] * k for _ in range(extra)]
-    c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
-    # The base's metric passed the constructor's checks, so they are not
-    # repeated.  Packed keys do not depend on the variable count and the new
-    # anchor rows are zero, so G^-1 and the packed tables are the base's own.
-    lifted = object.__new__(CourantStructure)
-    lifted._fill(bundle, anchor, s.metric, c,
-                 (s.metric_inverse, s._frame_tables, s._dual_rows))
-    return lifted
-
-
 # -- Cartan calculus on R^n: the independent oracle for the standard bracket --
 
 
@@ -678,68 +669,13 @@ def random_section(rng: random.Random, bundle: TrivialBundle, degree: int,
     return Section(bundle, PolyMap(bundle.base_dim, comps))
 
 
-# -- tagged generating sections -------------------------------------------------
+# -- the monomial family -------------------------------------------------------
 
 
 def monomial_frame_basis(bundle: TrivialBundle, degree_cap: int):
     """All monomial-coefficient frame sections x^alpha e_i, deg <= cap."""
     monos = monomials_up_to(bundle.base_dim, degree_cap)
     return [(i, alpha) for i in range(bundle.rank) for alpha in monos]
-
-
-def tagged_generating_section(
-    bundle: TrivialBundle, degree_cap: int, extra: int, tag_var: int
-) -> Section:
-    """One section over the lifted base encoding the whole monomial family.
-
-    Component i is sum_a t^(i*M + a) x^alpha_a where t is the tag variable;
-    an R-multilinear identity evaluated on such sections holds iff it holds
-    on every tuple of family members, since distinct tuples produce distinct
-    tag monomials.
-    """
-    n, k = bundle.base_dim, bundle.rank
-    nn = n + extra
-    if not n <= tag_var < nn:
-        raise ValueError("tag variable must be one of the appended variables")
-    monos = monomials_up_to(n, degree_cap)
-    big = TrivialBundle(nn, k, label=bundle.label)
-    comps = []
-    for i in range(k):
-        terms = {}
-        for a, alpha in enumerate(monos):
-            exps = [0] * nn
-            exps[:n] = alpha
-            exps[tag_var] = i * len(monos) + a
-            terms[tuple(exps)] = Fraction(1)
-        comps.append(Polynomial(nn, terms))
-    return Section(big, PolyMap(nn, comps))
-
-
-def decode_tag(bundle: TrivialBundle, degree_cap: int, tag_exponent: int) -> Section:
-    """Rebuild the family member a tag exponent refers to."""
-    monos = monomials_up_to(bundle.base_dim, degree_cap)
-    i, a = divmod(tag_exponent, len(monos))
-    return Section.frame(
-        bundle, i, Polynomial.monomial(bundle.base_dim, monos[a])
-    )
-
-
-def _least_failing_tuple(bundle: TrivialBundle, degree_cap: int, defect, slots: int,
-                         fixed: tuple = ()):
-    """The least family tuple among the nonzero terms of a tagged defect,
-    decoded to sections; None if the defect vanishes.
-
-    `defect` lists packed components over the base variables followed by
-    `slots` tag variables, and `fixed` holds the tags of enumerated leading
-    slots.  Tuples order by the largest coefficient degree of their
-    members, then by tag, slot by slot (see the module docstring).
-    """
-    n = bundle.base_dim
-    degrees = [sum(alpha) for alpha in monomials_up_to(n, degree_cap)]
-    tuples = (fixed + _unpack(key >> (_BITS * n), slots) for terms in defect for key in terms)
-    least = min(((max(degrees[t % len(degrees)] for t in tags), tags) for tags in tuples),
-                default=None)
-    return None if least is None else tuple(decode_tag(bundle, degree_cap, t) for t in least[1])
 
 
 # -- axiom checking -------------------------------------------------------------
@@ -772,41 +708,41 @@ class AxiomReport:
         return {name: check.to_json() for name, check in self.checks.items()}
 
 
-def _axiom_defect_i(s: CourantStructure, f, g, h) -> Section:
-    return (
-        s.bracket(f, s.bracket(g, h))
-        - s.bracket(s.bracket(f, g), h)
-        - s.bracket(g, s.bracket(f, h))
-    )
+def _subtract_into(dst: dict, *terms: dict) -> dict:
+    """dst -= each of `terms` in turn, in place; return dst."""
+    for q in terms:
+        _add_into(dst, _scaled(q, -1))
+    return dst
 
 
-def _axiom_defect_ii(s: CourantStructure, f, g, h) -> Polynomial:
-    return (
-        s.anchor_apply(f, s.pairing(g, h))
-        - s.pairing(s.bracket(f, g), h)
-        - s.pairing(g, s.bracket(f, h))
-    )
+def _defect_i(s: CourantStructure, f, g, h) -> list[dict]:
+    return list(map(_subtract_into, s._bracket(f, s._bracket(g, h)),
+                    s._bracket(s._bracket(f, g), h), s._bracket(g, s._bracket(f, h))))
 
 
-def _axiom_defect_iii(s: CourantStructure, f, g) -> Section:
-    return s.bracket(f, g) + s.bracket(g, f) - s.derived_operator(s.pairing(f, g))
+def _defect_ii(s: CourantStructure, f, g, h) -> list[dict]:
+    return [_subtract_into(s._anchor_apply(f, s._pairing(g, h)),
+                           s._pairing(s._bracket(f, g), h), s._pairing(g, s._bracket(f, h)))]
 
 
-_AXIOM_DEFECTS = {"i": _axiom_defect_i, "ii": _axiom_defect_ii, "iii": _axiom_defect_iii}
+def _defect_iii(s: CourantStructure, f, g) -> list[dict]:
+    negated = [_scaled(q, -1) for q in s._bracket(g, f)]     # [[f,g]] - (-[[g,f]]) - D<f,g>
+    return list(map(_subtract_into, s._bracket(f, g), negated, s._derived(s._pairing(f, g))))
+
+
+_AXIOM_DEFECTS = {"i": _defect_i, "ii": _defect_ii, "iii": _defect_iii}
 
 
 def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
-    """An axiom's defect on explicit sections as a witness; None if it vanishes."""
-    defect = _AXIOM_DEFECTS[axiom](s, *sections)
-    if defect.is_zero():
+    """An axiom's defect on explicit sections as a witness; None if it vanishes.
+
+    The defect is formed on packed term dicts, one component for (ii), and
+    wrapped once for printing."""
+    defect = _AXIOM_DEFECTS[axiom](s, *map(s._terms, sections))
+    if not any(defect):
         return None
-    return {
-        "sections": [sec.coeffs.to_strings() for sec in sections],
-        "defect": (
-            [defect.to_string()] if axiom == "ii" else defect.coeffs.to_strings()
-        ),
-        "component": None,
-    }
+    return {"sections": [sec.coeffs.to_strings() for sec in sections],
+            "defect": [_raw(s.bundle.base_dim, p).to_string() for p in defect], "component": None}
 
 
 def _certified_witness(s: CourantStructure, axiom: str, sections) -> dict:
@@ -815,20 +751,11 @@ def _certified_witness(s: CourantStructure, axiom: str, sections) -> dict:
     axiom (ii)).  Raises if that defect vanishes."""
     witness = _plain_witness(s, axiom, sections)
     if witness is None:
-        raise RuntimeError(
-            "internal inconsistency: the certificate flagged a tuple whose "
-            "plain defect vanishes"
-        )
+        raise RuntimeError("internal inconsistency: the certificate flagged a tuple "
+                           "whose plain defect vanishes")
     if axiom != "ii":
         witness["component"] = next(c for c, text in enumerate(witness["defect"]) if text != "0")
     return witness
-
-
-def _subtract_into(dst: dict, *terms: dict) -> dict:
-    """dst -= each of `terms` in turn, in place; return dst."""
-    for q in terms:
-        _add_into(dst, _scaled(q, -1))
-    return dst
 
 
 MAX_FAMILY = 256
@@ -845,8 +772,11 @@ def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
     """Reject a degree cap the certificate does not accept; return the family size.
 
     The family of monomial frame sections up to the cap has rank * C(n + cap, n)
-    members.  The sweep's cost grows with the cube of that size, so the
-    certificate accepts at most MAX_FAMILY of them.
+    members, and the certificate accepts at most MAX_FAMILY of them.  No
+    certificate's cost depends on that size any more: each decides at
+    min(cap, SWEEP_ORDER) from the frame data.  The bound only keeps the
+    requested family, which the reports name, within what the certificate
+    claims to cover.
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
@@ -889,40 +819,58 @@ def _least_skew_failure(table: dict, mirror: tuple, arity: int):
     return min(failing, default=None)
 
 
-def _anchor_identities_hold(s: CourantStructure) -> bool:
-    """Whether rho o D = A G^-1 A^T = 0 and the anchor homomorphism
-    [rho_i, rho_j] = sum_h c_ij^h rho_h hold, given (iii); with (ii), (iii)
-    and the fifth identity they are the five frame identities of the module
-    docstring.
+def _mul_at(table: dict, key, h: int, p: dict, q: dict) -> None:
+    """table[key][h] += p * q, the row and entry made on first use; nothing
+    when a factor is zero."""
+    if p and q:
+        _mul_into(table.setdefault(key, {}).setdefault(h, {}), *_ordered(p, q))
 
-    Each runs over the nonzero table entries.  Raw packed products are
+
+def _pruned(table: dict) -> dict:
+    """A table of {h: packed dict} rows without its empty entries and rows."""
+    rows = ((key, {h: p for h, p in row.items() if p}) for key, row in table.items())
+    return {key: row for key, row in rows if row}
+
+
+def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
+    """rho o D and H over their nonzero entries: {(b, a): (A G^-1 A^T)_ba},
+    which is rho(D(x_a))(x_b), and {(i, j): {b: H(e_i, e_j)^b}} over every
+    ordered pair, with H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j].
+
+    [rho_i, rho_j] is formed once per pair i < j, from the nonzero
+    derivatives of the anchor entries only.  Raw packed products are
     exact here: every factor is a checked input or its derivative, so no
     key field carries, and no result is stored.
     """
     k = s.bundle.rank
     anchor, negated, _, grouped = s._frame_tables
-    by_pair = {(i, j): hs for i, j, hs in grouped}
-    rho_d: dict[tuple[int, int], dict] = {}     # (b, a) -> (A G^-1 A^T)_ba
+    rho_d: dict[tuple[int, int], dict] = {}
     for h, row in enumerate(s._dual_rows):
         for b, entry in anchor[h]:
             for a, dual in row:
                 _mul_into(rho_d.setdefault((b, a), {}), *_ordered(entry, dual))
-    if any(rho_d.values()):
-        return False
-    # given (iii) both sides are skew in (i, j), so i < j suffices
+    anomaly: dict[tuple[int, int], dict] = {}
     for i in range(k):
         for j in range(i + 1, k):
-            defect: dict[int, dict] = {}        # b -> component along d_b
             for first, second in ((anchor[i], anchor[j]), (negated[j], anchor[i])):
                 for a, entry in first:
                     for b, target in second:
-                        _mul_into(defect.setdefault(b, {}), *_ordered(entry, _deriv(target, a)))
-            for h, centry in by_pair.get((i, j), ()):
-                for b, target in negated[h]:
-                    _mul_into(defect.setdefault(b, {}), *_ordered(centry, target))
-            if any(defect.values()):
-                return False
-    return True
+                        d = _deriv(target, a)
+                        if d:   # [rho_i, rho_j] in H(e_j, e_i), negated in H(e_i, e_j)
+                            _mul_at(anomaly, (j, i), b, entry, d)
+                            _mul_at(anomaly, (i, j), b, _scaled(entry, -1), d)
+    for i, j, hs in grouped:
+        for h, centry in hs:
+            for b, target in anchor[h]:
+                _mul_at(anomaly, (i, j), b, centry, target)
+    return {key: p for key, p in rho_d.items() if p}, _pruned(anomaly)
+
+
+def _anchor_identities_hold(s: CourantStructure) -> bool:
+    """Whether rho o D = A G^-1 A^T = 0 and the anchor homomorphism H = 0
+    hold; with (ii), (iii) and the fifth identity they are the five frame
+    identities of the module docstring."""
+    return not any(_anchor_tables(s))
 
 
 def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
@@ -933,7 +881,7 @@ def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
     is the defect of (i) on frame triples, for any frame data (see the
     module docstring); its vanishing is the fifth frame identity.  Every
     term has a factor c, so the loops run over the nonzero c entries; the
-    products are exact as in `_anchor_identities_hold`.  An entry may be
+    products are exact as in `_anchor_tables`.  An entry may be
     empty where its terms cancel.
     """
     anchor, negated = s._frame_tables[:2]
@@ -971,47 +919,110 @@ def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
     return jacobiator
 
 
-def _exchanged(comps: list[dict], n: int) -> list[dict]:
-    """Packed components over n + 2 variables with the exponents of the last
-    two exchanged.
+def _slot_tables(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anomaly: dict):
+    """Yield, for each first frame index i in turn, the slot table of (i):
+    {(j, k, u, v, w): {h: coefficient}} over the nonzero coefficients of the
+    terms T1 ... T13 of J(lam e_i, mu e_j, nu e_k) (see the module
+    docstring), for J = 0 on frame triples.  u, v and w name the variable
+    whose gradient the term takes from lam, mu and nu, or are None where
+    the term multiplies by that function instead.
 
-    The sweep's structure is lifted by two inert tag variables, which the
-    operations never differentiate, and its second tagged section is the
-    first with the tags exchanged.  So an operation's result on the second
-    is its result on the first with the tags exchanged.
+    K_i^a = K_{e_i}(x_a) = [[e_i, D(x_a)]] - D(A_ai) is formed once for all
+    i, with D(x_a)_h read off the rows of G^-1 A^T; the products are exact
+    as in `_anchor_tables`.
     """
-    shift = _BITS * n
-    base = (1 << shift) - 1
-    return [{(key & base) | ((key >> shift & _FIELD) << (shift + _BITS))
-             | ((key >> (shift + _BITS)) << shift): c for key, c in terms.items()}
-            for terms in comps]
+    k = s.bundle.rank
+    anchor, _, metric, _ = s._frame_tables
+    k_table: dict[tuple[int, int], dict] = {}
+    for (i, j, h), centry in c.items():             # sum_j D(x_a)_j c_ij^h
+        for a, dual in s._dual_rows[j]:
+            _mul_at(k_table, (i, a), h, dual, centry)
+    for i in range(k):                              # rho_i(D(x_a)_h) - D(A_bi)_h
+        for b, target in anchor[i]:
+            for h, row in enumerate(s._dual_rows):
+                for a, dual in row:
+                    _mul_at(k_table, (i, a), h, target, _deriv(dual, b))
+                    _mul_at(k_table, (i, b), h, _scaled(dual, -1), _deriv(target, a))
+    pairs = [(x, y, g) for x, row in enumerate(metric) for y, g in enumerate(row) if g]
+    for i in range(k):
+        table: dict = {}
+        row_i = [(y, g) for x, y, g in pairs if x == i]
+        for (x, y), row in anomaly.items():
+            for v, p in row.items():
+                _mul_at(table, (x, y, v, None, None), i, {0: -1}, p)       # -H(g,h)(lam) f
+                for m in range(k) if x == i else ():
+                    _mul_at(table, (y, m, None, None, v), m, {0: -1}, p)   # -H(f,g)(nu) h
+                    _mul_at(table, (m, y, None, v, None), m, {0: 1}, p)    # H(f,h)(mu) g
+        for (j, v), row in k_table.items():
+            for x, y, g in pairs:
+                for h, p in row.items():
+                    if j == i:
+                        _mul_at(table, (x, y, None, v, None), h, {0: g}, p)    # <g,h> K_f(mu)
+                    if x == i:
+                        _mul_at(table, (j, y, v, None, None), h, {0: -g}, p)   # -<f,h> K_g(lam)
+                        _mul_at(table, (y, j, v, None, None), h, {0: g}, p)    # <f,g> K_h(lam)
+        for (x, y, z), centry in lowered.items():
+            minus_c = _scaled(centry, -1)
+            for h, row in enumerate(s._dual_rows):
+                for v, p in row:
+                    if x == i:      # II(f,g,h) D(mu) twice, and -c_ijk D(lam)
+                        _mul_at(table, (y, z, None, v, None), h, minus_c, p)
+                        _mul_at(table, (z, y, None, v, None), h, minus_c, p)
+                        _mul_at(table, (y, z, v, None, None), h, minus_c, p)
+                    if z == i:      # +c_jki D(lam)
+                        _mul_at(table, (x, y, v, None, None), h, centry, p)
+        for (x, y, h), p in c.items():
+            for x, y in ((x, y), (y, x)):           # III(e_x, e_y)^h = c_xy^h + c_yx^h
+                for m in range(k) if x == i else ():
+                    for v, target in anchor[m]:     # rho(h)(lam) III(f,g)
+                        _mul_at(table, (y, m, v, None, None), h, target, p)
+                for v, dual in s._dual_rows[x]:     # -<f,g> III(D(lam), h)
+                    for j, g in row_i:
+                        _mul_at(table, (j, y, v, None, None), h, _scaled(dual, -g), p)
+        for (b, a), r in rho_d.items():             # r = rho(D(x_a))(x_b)
+            for x, y, g in pairs:
+                _mul_at(table, (x, y, b, a, None), i, {0: -g}, r)      # -<g,h> rho(D(mu))(lam) f
+                for m in range(k) if x == i else ():
+                    _mul_at(table, (m, y, a, b, None), m, {0: g}, r)   # <f,h> rho(D(lam))(mu) g
+                    _mul_at(table, (y, m, a, None, b), m, {0: -g}, r)  # -<f,g> rho(D(lam))(nu) h
+        yield _pruned(table)
 
 
-def _sweep_axiom_i(s: CourantStructure) -> dict | None:
-    """Axiom (i)'s witness from the degree-1 tagged sweep, or None where it
-    holds on every tuple of the degree-1 family.
+def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anomaly: dict):
+    """Axiom (i)'s witness on the least failing tuple of degree <= 1, or
+    None where (i) holds on all of them, from the slot tables.
 
-    The first slot is enumerated in tag order and the other two are tagged.
-    The sweep runs only when (i) holds on every frame triple, so every
-    failing tuple has a member of degree 1, and the least failing tuple of
-    the first failing member is the least of all.  Each member takes four
-    packed brackets, and no result is wrapped as a Section.
+    Runs only when (i) holds on every frame triple, so every failing tuple
+    has a member of degree 1.  The tuples x^alpha e_i of one first frame
+    index i are contiguous in the witness order and fail iff the slot table
+    of i is nonzero; the first nonzero table is walked member by member, in
+    tag order slot by slot, and the value at each tuple summed from the
+    terms whose gradients its members supply, up to the first nonzero one.
+    Only that tuple is re-expanded.
     """
-    n, k = s.bundle.base_dim, s.bundle.rank
-    lifted = lift_structure(s, 2)
-    f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, SWEEP_ORDER, 2, n + t))
-              for t in (0, 1))
-    inner23 = lifted._bracket(f2, f3)
-    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, SWEEP_ORDER)):
-        ba = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
-        inner_a2 = lifted._bracket(ba, f2)
-        defect = [_subtract_into(*parts) for parts in zip(
-            lifted._bracket(ba, inner23), lifted._bracket(inner_a2, f3),
-            lifted._bracket(f2, _exchanged(inner_a2, n)),
-        )]
-        least = _least_failing_tuple(s.bundle, SWEEP_ORDER, defect, 2, (b,))
-        if least is not None:
-            return _certified_witness(s, "i", least)
+    n = s.bundle.base_dim
+    monos = monomials_up_to(n, SWEEP_ORDER)
+    # per monomial: multiply by it, or take the gradient of a linear one
+    options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
+               for alpha in monos]
+    members = [(j, a) for j in range(s.bundle.rank) for a in range(len(monos))]
+    for i, table in enumerate(_slot_tables(s, c, lowered, rho_d, anomaly)):
+        pairs = {key[:2] for key in table}
+        for a1, ((j, a2), (m, a3)) in itertools.product(
+                range(len(monos)) if table else (), itertools.product(members, repeat=2)):
+            if (j, m) not in pairs:
+                continue
+            out: dict[int, dict] = {}       # J at the tuple, component by component
+            for choice in itertools.product(options[a1], options[a2], options[a3]):
+                grads, keys = zip(*choice)
+                for h, p in table.get((j, m, *grads), {}).items():
+                    _add_into(out.setdefault(h, {}), {key + sum(keys): cf for key, cf in p.items()})
+            if any(out.values()):
+                return _certified_witness(s, "i", [
+                    Section.frame(s.bundle, frame, Polynomial.monomial(n, monos[a]))
+                    for frame, a in ((i, a1), (j, a2), (m, a3))])
+        if table:
+            raise RuntimeError("internal inconsistency: a nonzero slot table of (i) fails nowhere")
     return None
 
 
@@ -1023,11 +1034,12 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     is complete for all smooth sections at any cap >= 1; see the module
     docstring.  The label names the requested cap and its family.
 
-    The frame tables decide every verdict and name the least failing frame
-    tuple of each axiom, with no lift and no bracket.  Only when (i) holds
-    on every frame triple at a cap >= 1 while another frame identity fails
-    does the degree-1 sweep of (i) run.  A failing detail says which of the
-    two found the witness.
+    The frame tables decide every verdict and name the least failing tuple
+    of each axiom, with no lift and no bracket but those that re-expand the
+    witnesses.  When (i) holds on every frame triple at a cap >= 1 while
+    another frame identity fails, the slot tables of (i) decide it on the
+    tuples of degree 1 (`_axiom_i_witness`).  A failing detail says which
+    found the witness.
     """
     family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
@@ -1044,10 +1056,11 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     witnesses = {name: None if frame is None else _certified_witness(
         s, name, [Section.frame(s.bundle, i) for i in frame]) for name, frame in least.items()}
     found = dict.fromkeys(least, "read from the frame tables")
-    if least["i"] is None and degree_cap and (least["ii"] or least["iii"]
-                                              or not _anchor_identities_hold(s)):
-        witnesses["i"] = _sweep_axiom_i(s)
-        found["i"] = "found by the degree-1 sweep of (i)"
+    if least["i"] is None and degree_cap:
+        rho_d, anomaly = _anchor_tables(s)
+        if least["ii"] or least["iii"] or rho_d or anomaly:
+            witnesses["i"] = _axiom_i_witness(s, c, lowered, rho_d, anomaly)
+            found["i"] = "found by the degree-1 sweep of (i)"
     return {name: AxiomCheck(True, f"certified over {label}") if w is None else
             AxiomCheck(False, f"failed on the least failing tuple of {label}, {found[name]}", w)
             for name, w in witnesses.items()}
@@ -1073,12 +1086,13 @@ def check_axioms(
     sections, and there every ordered tuple of the supplied sections is
     checked directly, in lexicographic order, and an axiom the certificate
     passed reports its first failing tuple.  At most MAX_POOL sections are
-    accepted.  The verdicts come from the frame tables, except that (i),
-    when it holds on every frame triple while another frame identity fails,
-    is swept at degree 1.  A failing axiom reports its least failing tuple
-    (see the module docstring).  n_random and seed are accepted for
-    compatibility; nothing is drawn.  All comparisons are polynomial
-    identities with zero tolerance.
+    accepted.  The verdicts come from the frame tables; (i), when it holds
+    on every frame triple while another frame identity fails, is decided on
+    the tuples of degree 1 by the slot tables of the five rules, with no
+    lift and no bracket.  A failing axiom reports its least failing tuple
+    (see the module docstring), whose defect alone is re-expanded.  n_random
+    and seed are accepted for compatibility; nothing is drawn.  All
+    comparisons are polynomial identities with zero tolerance.
     """
     pool: list[Section] = list(sections)
     if len(pool) > MAX_POOL:

@@ -200,13 +200,6 @@ def pmat_sub(a, b) -> list[list[Polynomial]]:
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
-def pmat_lift(a, num_vars: int) -> list[list[Polynomial]]:
-    """A with its entries lifted to `num_vars` variables (new ones appended);
-    the zero entries share one zero polynomial."""
-    zero = Polynomial(num_vars)
-    return [[zero if p.is_zero() else p.lift(num_vars) for p in row] for row in a]
-
-
 def pmat_compose(a, inner: PolyMap) -> list[list[Polynomial]]:
     """Entrywise substitution: each entry p becomes p(inner(.))."""
     return [[p.compose(inner) for p in row] for row in a]

@@ -16,8 +16,23 @@ from hypothesis import strategies as st
 
 from courantlab import linalg
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
-from courantlab.courant_core import CourantStructure, _least_failing_tuple
-from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _raw, _unpack
+from courantlab.courant_core import (
+    SWEEP_ORDER,
+    CourantStructure,
+    _certified_witness,
+    _subtract_into,
+    monomial_frame_basis,
+)
+from courantlab.polyexpr import (
+    _BITS,
+    _FIELD,
+    Polynomial,
+    PolyMap,
+    _pack,
+    _raw,
+    _unpack,
+    monomials_up_to,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,6 +62,136 @@ def so3_structure():
         linalg.identity(3),
         {key: Polynomial.constant(0, v) for key, v in eps.items()},
     )
+
+
+# -- the tag layer: lifts, tagged families and their decoder ---------------------
+#
+# The certificates decide every verdict from the frame data and no longer
+# lift a structure or tag a family; the tagged sweeps they replaced are kept
+# here as the references the oracles compare them with.
+
+
+def pmat_lift(a, num_vars: int) -> list[list[Polynomial]]:
+    """A with its entries lifted to `num_vars` variables (new ones appended);
+    the zero entries share one zero polynomial."""
+    zero = Polynomial(num_vars)
+    return [[zero if p.is_zero() else p.lift(num_vars) for p in row] for row in a]
+
+
+def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
+    """The same structure over a base with `extra` inert variables appended.
+
+    The anchor gains zero rows for the new variables, so nothing ever
+    differentiates along them: coefficients may mention them as formal
+    constants.  The base's metric passed the constructor's checks, so they
+    are not repeated.  Packed keys do not depend on the variable count and
+    the new anchor rows are zero, so G^-1 and the packed tables are the
+    base's own.
+    """
+    n, k = s.bundle.base_dim, s.bundle.rank
+    nn = n + extra
+    anchor = pmat_lift(s.anchor, nn) + [[Polynomial(nn)] * k for _ in range(extra)]
+    c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
+    lifted = object.__new__(CourantStructure)
+    lifted._fill(TrivialBundle(nn, k, label=s.bundle.label), anchor, s.metric, c,
+                 (s.metric_inverse, s._frame_tables, s._dual_rows))
+    return lifted
+
+
+def tagged_generating_section(bundle: TrivialBundle, degree_cap: int, extra: int,
+                              tag_var: int) -> Section:
+    """One section over the lifted base encoding the whole monomial family.
+
+    Component i is sum_a t^(i*M + a) x^alpha_a where t is the tag variable;
+    an R-multilinear identity evaluated on such sections holds iff it holds
+    on every tuple of family members, since distinct tuples produce distinct
+    tag monomials.
+    """
+    n, k = bundle.base_dim, bundle.rank
+    nn = n + extra
+    if not n <= tag_var < nn:
+        raise ValueError("tag variable must be one of the appended variables")
+    monos = monomials_up_to(n, degree_cap)
+    comps = []
+    for i in range(k):
+        terms = {}
+        for a, alpha in enumerate(monos):
+            exps = [0] * nn
+            exps[:n] = alpha
+            exps[tag_var] = i * len(monos) + a
+            terms[tuple(exps)] = Fraction(1)
+        comps.append(Polynomial(nn, terms))
+    return Section(TrivialBundle(nn, k, label=bundle.label), PolyMap(nn, comps))
+
+
+def decode_tag(bundle: TrivialBundle, degree_cap: int, tag_exponent: int) -> Section:
+    """Rebuild the family member a tag exponent refers to."""
+    monos = monomials_up_to(bundle.base_dim, degree_cap)
+    i, a = divmod(tag_exponent, len(monos))
+    return Section.frame(bundle, i, Polynomial.monomial(bundle.base_dim, monos[a]))
+
+
+def _least_failing_tuple(bundle: TrivialBundle, degree_cap: int, defect, slots: int,
+                         fixed: tuple = ()):
+    """The least family tuple among the nonzero terms of a tagged defect,
+    decoded to sections; None if the defect vanishes.
+
+    `defect` lists packed components over the base variables followed by
+    `slots` tag variables, and `fixed` holds the tags of enumerated leading
+    slots.  Tuples order by the largest coefficient degree of their
+    members, then by tag, slot by slot (see the courant_core docstring).
+    """
+    n = bundle.base_dim
+    degrees = [sum(alpha) for alpha in monomials_up_to(n, degree_cap)]
+    tuples = (fixed + _unpack(key >> (_BITS * n), slots) for terms in defect for key in terms)
+    least = min(((max(degrees[t % len(degrees)] for t in tags), tags) for tags in tuples),
+                default=None)
+    return None if least is None else tuple(decode_tag(bundle, degree_cap, t) for t in least[1])
+
+
+def _exchanged(comps: list[dict], n: int) -> list[dict]:
+    """Packed components over n + 2 variables with the exponents of the last
+    two exchanged.
+
+    The sweep's structure is lifted by two inert tag variables, which the
+    operations never differentiate, and its second tagged section is the
+    first with the tags exchanged.  So an operation's result on the second
+    is its result on the first with the tags exchanged.
+    """
+    shift = _BITS * n
+    base = (1 << shift) - 1
+    return [{(key & base) | ((key >> shift & _FIELD) << (shift + _BITS))
+             | ((key >> (shift + _BITS)) << shift): c for key, c in terms.items()}
+            for terms in comps]
+
+
+def reference_sweep_axiom_i(s: CourantStructure) -> dict | None:
+    """Axiom (i)'s witness from the degree-1 tagged sweep `check_axioms` ran
+    before the slot tables, or None where (i) holds on every tuple of the
+    degree-1 family; meant for structures on which (i) holds on every frame
+    triple.
+
+    The first slot is enumerated in tag order and the other two are tagged.
+    Every failing tuple then has a member of degree 1, and the least failing
+    tuple of the first failing member is the least of all.  Each member
+    takes four packed brackets on the lift by two tags.
+    """
+    n, k = s.bundle.base_dim, s.bundle.rank
+    lifted = lift_structure(s, 2)
+    f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, SWEEP_ORDER, 2, n + t))
+              for t in (0, 1))
+    inner23 = lifted._bracket(f2, f3)
+    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, SWEEP_ORDER)):
+        ba = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
+        inner_a2 = lifted._bracket(ba, f2)
+        defect = [_subtract_into(*parts) for parts in zip(
+            lifted._bracket(ba, inner23), lifted._bracket(inner_a2, f3),
+            lifted._bracket(f2, _exchanged(inner_a2, n)),
+        )]
+        least = _least_failing_tuple(s.bundle, SWEEP_ORDER, defect, 2, (b,))
+        if least is not None:
+            return _certified_witness(s, "i", least)
+    return None
 
 
 def image_vanishing_multipliers(phi) -> list[Polynomial]:
@@ -84,7 +229,7 @@ def lifted_morphism(phi, extra: int) -> BundleMorphism:
     return BundleMorphism(
         TrivialBundle(n + extra, phi.source.rank, phi.source.label),
         TrivialBundle(big + extra, phi.target.rank, phi.target.label),
-        lift_map(phi.base_map, extra), linalg.pmat_lift(phi.fiber_matrix, n + extra),
+        lift_map(phi.base_map, extra), pmat_lift(phi.fiber_matrix, n + extra),
         retraction=None if phi.retraction is None else lift_map(phi.retraction, extra))
 
 

@@ -22,14 +22,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from courantlab.bundles import Section, TrivialBundle
-from courantlab.courant_core import (
-    CourantStructure,
-    lift_structure,
-    scaled_structure,
-    standard_structure,
-    tagged_generating_section,
-)
+from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.polyexpr import Polynomial, PolyMap, monomials_up_to
+
+from conftest import lift_structure, tagged_generating_section
 
 bounded = settings(max_examples=25, deadline=timedelta(seconds=5), database=None)
 

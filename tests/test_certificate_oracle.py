@@ -1,9 +1,10 @@
 """The exact certificates against brute force through the public operations.
 
-`check_axioms` decides each axiom from the frame tables, and sweeps axiom
-(i) on tagged families only when (i) holds on every frame triple while
-another frame identity fails; the three-axiom tagged sweep it replaced is
-kept below as its reference.  The morphism checks certify the bracket
+`check_axioms` decides each axiom from the frame tables, and axiom (i) on
+the tuples of degree 1 from the slot tables of the five rules when (i)
+holds on every frame triple while another frame identity fails; the
+three-axiom tagged sweep it replaced is kept below as its reference, and
+the degree-1 sweep of (i) in conftest (`reference_sweep_axiom_i`).  The morphism checks certify the bracket
 condition with one tagged identity on lifted structures.  `check_leibniz`
 passes the two Leibniz rules by the bracket's expansion and reads the
 falsified variant's least failing tuple from the anchor matrix; the
@@ -52,19 +53,22 @@ from courantlab.courant_core import (
     check_axioms,
     check_degree_cap,
     check_leibniz,
-    decode_tag,
-    lift_structure,
     monomial_frame_basis,
     random_polynomial,
     random_section,
     scaled_structure,
     standard_structure,
-    tagged_generating_section,
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import check_general_base, check_identity_base
 from courantlab.polyexpr import Polynomial, PolyMap, _unpack, monomials_up_to, parse
-from conftest import so3_structure
+from conftest import (
+    decode_tag,
+    lift_structure,
+    reference_sweep_axiom_i,
+    so3_structure,
+    tagged_generating_section,
+)
 from test_bracket_reference import Reference, to_sympy
 
 ARITY = {"i": 3, "ii": 3, "iii": 2}
@@ -921,3 +925,87 @@ def test_structure_failing_only_jacobi_on_frame_triples_fails_axiom_i():
     assert four_frame_identities_hold(s)
     assert not frame_jacobi_holds(s)
     assert fails_only_axiom_i(s)
+
+
+# -- axiom (i) on degree-1 tuples from the slot tables ----------------------------
+#
+# Where (i) holds on every frame triple while another frame identity fails,
+# `check_axioms` reads (i) on the tuples of degree 1 from the slot tables of
+# the module docstring's five rules; the tagged sweep it ran before is kept
+# in conftest as `reference_sweep_axiom_i`.
+
+
+@st.composite
+def bumped_standards(draw):
+    """Scaled standard(1-3) with one structure function c_ij^h bumped to a
+    constant or a coordinate."""
+    n = draw(st.integers(1, 3))
+    s = scaled_structure(standard_structure(n), draw(st.sampled_from(SCALES)))
+    bump = draw(st.tuples(*[st.integers(0, 2 * n - 1)] * 3))
+    value = draw(st.sampled_from([Fraction(3, 2), Fraction(-1), *(
+        Polynomial.variable(n, a) for a in range(n))]))
+    return bumped(s, bump) if value == Fraction(3, 2) else CourantStructure(
+        s.bundle, s.anchor, s.metric, {bump: value})
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(perturbed_frame_data(), bumped_standards()), st.integers(0, 3))
+def test_axiom_i_slot_tables_equal_the_tagged_sweep(s, cap):
+    # statuses as the reference sweeps give them, and at a cap >= 1 the
+    # witness of (i) the tagged degree-1 sweep finds wherever (i) holds on
+    # every frame triple; the frame tables' witnesses are unchanged code
+    report = check_axioms(s, degree_cap=cap, n_random=0)
+    assert failed_axioms(report) == reference_sweep_axioms(s, min(cap, SWEEP_ORDER))
+    check = report.checks["i"]
+    if cap and s.bundle.rank and frame_jacobi_holds(s):
+        assert check.witness == reference_sweep_axiom_i(s)
+        if check.witness is not None:
+            assert check.detail.endswith("found by the degree-1 sweep of (i)")
+
+
+def jacobiator(s, f, g, h):
+    return axiom_defect(s, "i", (f, g, h))
+
+
+def anchor_anomaly(s, f, g, lam):
+    """H(f, g)(lam) = rho([[f,g]])(lam) - [rho(f), rho(g)](lam)."""
+    act = s.anchor_apply
+    return act(s.bracket(f, g), lam) - act(f, act(g, lam)) + act(g, act(f, lam))
+
+
+def k_operator(s, f, lam):
+    """K_f(lam) = [[f, D(lam)]] - D(rho(f)(lam))."""
+    return s.bracket(f, s.derived_operator(lam)) - s.derived_operator(s.anchor_apply(f, lam))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 10 ** 6))
+def test_slot_rules_hold_for_any_frame_data(seed):
+    # the five rules of the courant_core docstring, on polynomial frame data
+    # where no axiom need hold, degree-1 sections and degree-2 lam, mu;
+    # II and III are the (ii) and (iii) defects, expanded through the bracket
+    rng = random.Random(seed)
+    s = random_frame_data(rng, n=rng.choice((1, 2)), rank=rng.choice((2, 3)))
+    f, g, h = (random_section(rng, s.bundle, 1) for _ in range(3))
+    lam, mu = (random_polynomial(rng, s.bundle.base_dim, 2) for _ in range(2))
+    pair, act, d = s.pairing, s.anchor_apply, s.derived_operator
+
+    def ii(*t):
+        return axiom_defect(s, "ii", t)
+
+    def iii(*t):
+        return axiom_defect(s, "iii", t)
+
+    j = jacobiator(s, f, g, h)
+    assert jacobiator(s, f, g, lam * h) == lam * j - anchor_anomaly(s, f, g, lam) * h
+    assert jacobiator(s, f, lam * g, h) == (lam * j + anchor_anomaly(s, f, h, lam) * g
+                                            + pair(g, h) * k_operator(s, f, lam)
+                                            + ii(f, g, h) * d(lam))
+    assert jacobiator(s, lam * f, g, h) == (
+        lam * j - anchor_anomaly(s, g, h, lam) * f - pair(f, h) * k_operator(s, g, lam)
+        + pair(f, g) * k_operator(s, h, lam) + act(h, lam) * iii(f, g)
+        - pair(f, g) * iii(d(lam), h) - (ii(g, h, f) + pair(h, iii(f, g))) * d(lam))
+    assert anchor_anomaly(s, f, lam * g, mu) == lam * anchor_anomaly(s, f, g, mu)
+    assert anchor_anomaly(s, lam * f, g, mu) == (lam * anchor_anomaly(s, f, g, mu)
+                                                 + pair(f, g) * act(d(lam), mu))
+    assert k_operator(s, lam * f, mu) == lam * k_operator(s, f, mu) - act(d(mu), lam) * f

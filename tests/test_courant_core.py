@@ -11,16 +11,13 @@ from courantlab.bundles import LinearSubspace, Section, TrivialBundle
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
-    check_degree_cap,
     check_leibniz,
     dirac_check,
     dorfman_bracket,
-    lift_structure,
     product_structure,
     random_section,
     scaled_structure,
     standard_structure,
-    tagged_generating_section,
     vf_bracket,
 )
 from courantlab.polyexpr import (
@@ -31,7 +28,13 @@ from courantlab.polyexpr import (
     parse,
 )
 
-from conftest import fd_partial, so3_structure
+from conftest import (
+    decode_tag,
+    fd_partial,
+    lift_structure,
+    so3_structure,
+    tagged_generating_section,
+)
 
 
 class TestStandardStructure:
@@ -374,7 +377,7 @@ class TestTaggedSweepInternals:
         fa = tagged_generating_section(s.bundle, 1, 2, 1)
         fb = tagged_generating_section(s.bundle, 1, 2, 2)
         tagged = lifted.bracket(fa, fb)
-        from courantlab.courant_core import decode_tag, monomial_frame_basis
+        from courantlab.courant_core import monomial_frame_basis
         basis = monomial_frame_basis(s.bundle, 1)
         for b1 in range(len(basis)):
             for b2 in range(len(basis)):
@@ -424,12 +427,12 @@ class TestOperationOutputs:
 
 class TestCertificateCost:
     """How much work the certificates do, counted by wrapping the packed
-    operations, the lift and the metric checks: a pass at cap >= 1 is
-    decided from the five frame identities with no lift and no bracket; a
-    failure is read from the frame tables with no lift, and brackets only
-    to re-expand its witnesses, unless (i) holds on every frame triple at a
-    cap >= 1, which lifts once and sweeps (i) alone; `check_leibniz` never
-    lifts; and none checks the metric again."""
+    operations and the metric checks: a pass at cap >= 1 is decided from
+    the five frame identities with no bracket; a failure is read from the
+    frame tables, and brackets only to re-expand its witnesses, also when
+    (i) holds on every frame triple at a cap >= 1 and its slot tables decide
+    it; no certificate lifts a structure, since the package keeps no lift;
+    and none checks the metric again."""
 
     @staticmethod
     def recorded(monkeypatch, owner, name):
@@ -438,12 +441,20 @@ class TestCertificateCost:
         monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
         return calls, original
 
+    @staticmethod
+    def lifts():
+        """Every lift a certificate forms: none can be, as the package keeps
+        neither the lift nor the tagged families."""
+        deleted = {"lift_structure", "_lifted", "tagged_generating_section"}
+        assert not deleted & set(vars(courant_core))
+        return []
+
     @pytest.mark.parametrize("s", [scaled_structure(standard_structure(3), Fraction(-2, 5)),
                                    so3_structure()], ids=["standard3_scaled", "so3"])
     @pytest.mark.parametrize("cap", [1, 3])
     def test_passing_structure_makes_no_bracket_and_no_lift(self, monkeypatch, s, cap):
         brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
-        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        lifts = self.lifts()
         assert check_axioms(s, degree_cap=cap, n_random=0).all_passed
         assert brackets == [] and lifts == []
 
@@ -461,7 +472,7 @@ class TestCertificateCost:
             self, monkeypatch, n, lam, bump, cap):
         s = self.bumped(n, lam, bump)
         brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
-        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        lifts = self.lifts()
         report = check_axioms(s, degree_cap=cap, n_random=0)
         assert not report.all_passed and lifts == []
         assert all("frame tables" in c.detail for c in report.checks.values() if not c.passed)
@@ -473,29 +484,37 @@ class TestCertificateCost:
                                                       for texts in check.witness["sections"]])
         assert all(owner is s for owner in made) and len(made) == len(brackets) > 0
 
-    def test_axiom_i_sweep_runs_alone_after_frame_triples_pass(self, monkeypatch):
+    def test_axiom_i_slot_tables_bracket_only_to_reexpand_witnesses(self, monkeypatch):
         # (ii) and (iii) fail on frame tuples and (i) holds on every frame
-        # triple, so (i) is swept: one lift, [[F2, F3]] once, then four
-        # brackets per member up to the first failing one, and none of the
-        # pairings or anchor actions the sweep of (ii) made
-        s = self.bumped(2, 3, (0, 1, 3))
-        calls = {name: self.recorded(monkeypatch, CourantStructure, name)[0]
-                 for name in ("_bracket", "_pairing", "_anchor_apply", "_derived")}
-        lifts, lift = self.recorded(monkeypatch, courant_core, "lift_structure")
-        report = check_axioms(s, degree_cap=3, n_random=0)
-        assert [name for name, c in report.checks.items() if not c.passed] == ["iii", "i", "ii"]
-        assert report.checks["i"].detail.endswith("found by the degree-1 sweep of (i)")
-        assert [extra for _, extra in lifts] == [2]
-        lifted = lift(s, 2)
-        members = [courant_core.decode_tag(s.bundle, 1, tag).coeffs.to_strings()
-                   for tag in range(check_degree_cap(s.bundle, 1))]
-        first = members.index(report.checks["i"].witness["sections"][0])
-        on_lifted = {name: sum(args[0] is lifted for args in c) for name, c in calls.items()}
-        assert on_lifted == {"_bracket": 1 + 4 * (first + 1), "_pairing": 0,
-                             "_anchor_apply": 0, "_derived": 0}
+        # triple, so the slot tables of (i) decide it at degree 1: no lift,
+        # and every packed operation made is one of the re-expansions of the
+        # three witnesses, on s itself; bumped standard(2) and standard(3)
+        # at caps 1 and 3
+        names = ("_bracket", "_pairing", "_anchor_apply", "_derived")
+        calls = {name: self.recorded(monkeypatch, CourantStructure, name)[0] for name in names}
+        lifts = self.lifts()
+        cases = [(2, 3, (0, 1, 3)), (3, Fraction(-2, 5), (0, 5, 1))]
+        for (n, lam, bump), cap in itertools.product(cases, [1, 3]):
+            s = self.bumped(n, lam, bump)
+            for c in calls.values():
+                c.clear()
+            report = check_axioms(s, degree_cap=cap, n_random=0)
+            assert [name for name, c in report.checks.items() if not c.passed] == \
+                ["iii", "i", "ii"]
+            assert report.checks["i"].detail.endswith("found by the degree-1 sweep of (i)")
+            made = {name: [args[0] for args in c] for name, c in calls.items()}
+            for c in calls.values():
+                c.clear()
+            for name, check in report.checks.items():
+                courant_core._plain_witness(s, name, [Section.from_exprs(s.bundle, texts)
+                                                      for texts in check.witness["sections"]])
+            again = {name: [args[0] for args in c] for name, c in calls.items()}
+            assert made == again and len(made["_bracket"]) == 6 + 2 + 2, (n, cap)
+            assert all(owner is s for owners in made.values() for owner in owners)
+        assert lifts == []
 
     def test_leibniz_makes_no_lift(self, monkeypatch):
-        lifts, _ = self.recorded(monkeypatch, courant_core, "lift_structure")
+        lifts = self.lifts()
         assert check_leibniz(self.bumped(3, Fraction(-2, 5), (0, 1, 3))).variant_falsified
         assert not check_leibniz(so3_structure()).variant_falsified
         assert lifts == []

@@ -97,3 +97,18 @@ def test_morphism_checks_import_no_tagged_sweep():
         assert not set(vars(module)) & tagged, module.__name__
     assert not hasattr(courant_core, "_split_tags")
     assert not hasattr(BundleMorphism, "lifted") and not hasattr(BundleMorphism, "kept_bracket")
+
+
+def test_certificates_define_no_tag_layer():
+    # axiom (i) on degree-1 tuples is read from the slot tables, so the lift,
+    # the tagged families, their decoder and the tagged sweep left the
+    # package: neither courant_core nor linalg defines or imports them, and
+    # a structure keeps no lift
+    from courantlab import courant_core, linalg
+    from courantlab.courant_core import CourantStructure
+
+    deleted = {"lift_structure", "_lifted", "tagged_generating_section", "decode_tag",
+               "_least_failing_tuple", "_exchanged", "_sweep_axiom_i", "pmat_lift"}
+    for module in (courant_core, linalg):
+        assert not set(vars(module)) & deleted, module.__name__
+    assert "_lifts" not in CourantStructure.__slots__

@@ -252,12 +252,10 @@ class TestWorkPerOp:
 
     @staticmethod
     def lifts(monkeypatch):
-        """Every lift formed, as (structure, extra)."""
-        lifts = []
-        original = courant_core._lifted
-        monkeypatch.setattr(courant_core, "_lifted",
-                            lambda s, extra: lifts.append((s, extra)) or original(s, extra))
-        return lifts
+        """Every lift formed, as (structure, extra): none can be, as the
+        package keeps no lift."""
+        assert not {"lift_structure", "_lifted"} & set(vars(courant_core))
+        return []
 
     def test_one_lift_per_structure(self, monkeypatch):
         # stricter than one lift per structure: the frame table and the

@@ -11,12 +11,10 @@ from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_m
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
-    lift_structure,
     product_structure,
     random_section,
     scaled_structure,
     standard_structure,
-    tagged_generating_section,
 )
 from courantlab.intrinsic import _chi_problem, pontryagin_embedding
 from courantlab.morphisms import (
@@ -27,7 +25,13 @@ from courantlab.morphisms import (
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import construct
 
-from conftest import image_vanishing_multipliers, least_failing_pair, lifted_morphism
+from conftest import (
+    image_vanishing_multipliers,
+    least_failing_pair,
+    lift_structure,
+    lifted_morphism,
+    tagged_generating_section,
+)
 
 
 def doubling_map(s):

@@ -7,7 +7,10 @@ on, and names the oracle test of `test_certificate_oracle.py`,
 oracle runs in-process on a fixed example, not on a hypothesis search, so
 the table is deterministic; without the mutant the same call passes.  A
 mutant is killed when the oracle's assertion fails or the certificate's
-re-expansion finds an internal inconsistency.
+re-expansion finds an internal inconsistency.  The slot-rule rows keep
+`_slot_tables` and take the contributions of one term of the five rules
+back out of its tables; the tag decoder they once patched in the package
+lives in `conftest` with the tagged references.
 """
 
 import itertools
@@ -21,12 +24,15 @@ from courantlab.courant_core import CourantStructure, scaled_structure, standard
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
 
+import conftest
 import test_certificate_oracle as oracles
 import test_morphisms
 import test_pullback
 
 least_skew_failure = courant_core._least_skew_failure
 frame_jacobiator = courant_core._frame_jacobiator
+slot_tables = courant_core._slot_tables
+_mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
 perturbed_failure = morphisms._perturbed_failure
 
@@ -73,12 +79,96 @@ def least_tuple_without_the_degree(bundle, degree_cap, defect, slots, fixed=()):
     tuples = [fixed + _unpack(key >> (_BITS * n), slots) for terms in defect for key in terms]
     least = min(tuples, default=None)
     return None if least is None else tuple(
-        courant_core.decode_tag(bundle, degree_cap, t) for t in least)
+        conftest.decode_tag(bundle, degree_cap, t) for t in least)
 
 
 def frame_jacobiator_without_the_d_term(s, c, lowered):
     """The fifth identity without its term -D(c_ijk)^l."""
     return frame_jacobiator(s, c, {})
+
+
+def slot_tables_without(term):
+    """`_slot_tables` with the contributions of one term of the slot rules
+    taken back out; `term` lists them as {(i, j, k, a, b, c): {h: terms}}."""
+    def mutant(s, c, lowered, rho_d, anomaly):
+        removed = term(s, c, lowered, rho_d)
+        for i, table in enumerate(slot_tables(s, c, lowered, rho_d, anomaly)):
+            for key, row in removed.items():
+                for h, p in row.items() if key[0] == i else ():
+                    courant_core._subtract_into(table.setdefault(key[1:], {}).setdefault(h, {}), p)
+            yield courant_core._pruned(table)
+    return mutant
+
+
+def metric_pairs(s):
+    return [(x, y, g) for x, row in enumerate(s.metric) for y, g in enumerate(row) if g]
+
+
+def ii_times_d_mu(s, c, lowered, rho_d):
+    """II(f,g,h) D(mu) of J(f, mu g, h): II_ijk = -(c_ijk + c_ikj)."""
+    out = {}
+    for (x, y, z), entry in lowered.items():
+        for h, row in enumerate(s._dual_rows):
+            for v, p in row:
+                for key in ((x, y, z, None, v, None), (x, z, y, None, v, None)):
+                    _mul_at(out, key, h, _scaled(entry, -1), p)
+    return out
+
+
+def rho_h_times_iii(s, c, lowered, rho_d):
+    """rho(h)(lam) III(f,g) of J(lam f, g, h)."""
+    out = {}
+    for (x, y, h), p in c.items():
+        for x, y in ((x, y), (y, x)):
+            for m, column in enumerate(s._frame_tables[0]):
+                for v, target in column:
+                    _mul_at(out, (x, y, m, v, None, None), h, target, p)
+    return out
+
+
+def pairing_times_iii_of_d_lam(s, c, lowered, rho_d):
+    """-<f,g> III(D(lam), h) of J(lam f, g, h)."""
+    out = {}
+    for (x, y, h), p in c.items():
+        for x, y in ((x, y), (y, x)):
+            for v, dual in s._dual_rows[x]:
+                for i, j, g in metric_pairs(s):
+                    _mul_at(out, (i, j, y, v, None, None), h, _scaled(dual, -g), p)
+    return out
+
+
+def ii_and_iii_times_d_lam(s, c, lowered, rho_d):
+    """-(II(g,h,f) + <h, III(f,g)>) D(lam) = -(c_ijk - c_jki) D(lam) of J(lam f, g, h)."""
+    out = {}
+    for (x, y, z), entry in lowered.items():
+        for h, row in enumerate(s._dual_rows):
+            for v, p in row:
+                _mul_at(out, (x, y, z, v, None, None), h, _scaled(entry, -1), p)
+                _mul_at(out, (z, x, y, v, None, None), h, entry, p)
+    return out
+
+
+def rho_d_mu_of_lam(s, c, lowered, rho_d):
+    """-<g,h> rho(D(mu))(lam) f of J(lam f, mu g, h), which K_{lam f}(mu)'s
+    -rho(D(mu))(lam) f contributes."""
+    out = {}
+    for (b, a), r in rho_d.items():
+        for x, y, g in metric_pairs(s):
+            for i in range(s.bundle.rank):
+                _mul_at(out, (i, x, y, b, a, None), i, {0: -g}, r)
+    return out
+
+
+def walk_second_slot_major(s, c, lowered, rho_d, anomaly):
+    """`_axiom_i_witness` walking the degree-1 tuples with the second slot
+    major instead of the first, on the plain defect."""
+    n = s.bundle.base_dim
+    family = [Section.frame(s.bundle, i, Polynomial.monomial(n, alpha))
+              for i, alpha in courant_core.monomial_frame_basis(s.bundle, 1)]
+    for g, f, h in itertools.product(family, repeat=3):
+        if not oracles.axiom_defect_vanishes(s, "i", (f, g, h)):
+            return courant_core._certified_witness(s, "i", [f, g, h])
+    return None
 
 
 def metric_failure_with_d_transposed(s1, s2, phi, general=False):
@@ -172,6 +262,13 @@ def signed_zero_section():
                                   PolyMap(2, [Polynomial.variable(2, 0)]))
 
 
+def anchor_with_rho_d():
+    """Anchor [1, 1] with G = [[0, 1], [1, 0]] and c = 0: only A G^-1 A^T = 2
+    fails, so (i) fails on degree-1 tuples only."""
+    one = Polynomial.constant(1, 1)
+    return CourantStructure(TrivialBundle(1, 2, "E"), [[one, one]], [[0, 1], [1, 0]])
+
+
 MUTANTS = {
     # name: (patches, oracle, fixed example)
     "iii_without_i_equals_j": (
@@ -190,7 +287,7 @@ MUTANTS = {
         (standard_structure(1),),           # anchor column 0 is nonzero
     ),
     "decoder_key_without_the_degree": (
-        [(courant_core, "_least_failing_tuple", least_tuple_without_the_degree),
+        [(conftest, "_least_failing_tuple", least_tuple_without_the_degree),
          (morphisms, "_witness_order", witness_order_without_the_degree)],
         inner(oracles.test_morphism_witness_is_the_least_failing_pair),
         # (e_1, e_1) fails, and so does (e_0, x1 e_1) with the smaller tags
@@ -200,6 +297,37 @@ MUTANTS = {
         [(courant_core, "SWEEP_ORDER", 0), (morphisms, "SWEEP_ORDER", 0)],
         oracles.test_doubling_bracket_passes_at_cap_0_and_fails_at_cap_1,
         (),                                 # [d_x, x d_x] = d_x fails at degree 1 only
+    ),
+    "slot_rule_without_ii_d_mu": (
+        [(courant_core, "_slot_tables", slot_tables_without(ii_times_d_mu))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        (bumped(SCALED1, (0, 0, 1)), 1),     # II_000 = -2 c_000 with c_00^1 = 3/2
+    ),
+    "slot_rule_without_rho_h_iii": (
+        [(courant_core, "_slot_tables", slot_tables_without(rho_h_times_iii))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        (bumped(SCALED1, (0, 1, 1)), 1),
+    ),
+    "slot_rule_without_iii_of_d_lam": (
+        [(courant_core, "_slot_tables", slot_tables_without(pairing_times_iii_of_d_lam))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        (bumped(SCALED1, (1, 0, 0)), 1),
+    ),
+    "slot_rule_without_ii_iii_d_lam": (
+        [(courant_core, "_slot_tables", slot_tables_without(ii_and_iii_times_d_lam))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        (bumped(SCALED1, (0, 1, 1)), 3),
+    ),
+    "k_rule_without_rho_d_mu_lam": (
+        [(courant_core, "_slot_tables", slot_tables_without(rho_d_mu_of_lam))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        (anchor_with_rho_d(), 1),
+    ),
+    "walk_without_first_slot_major": (
+        [(courant_core, "_axiom_i_witness", walk_second_slot_major)],
+        inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
+        # (e_0, x1 e_0, e_0) fails, and so does (x1 e_0, e_0, e_0), its slots exchanged
+        (bumped(SCALED1, (0, 0, 1)),),
     ),
     "metric_witness_from_d_transposed": (
         [(morphisms, "_metric_failure", metric_failure_with_d_transposed)],

@@ -276,12 +276,11 @@ class TestFrameTable:
         call, every lift formed and the morphism of every frame table a
         pullback problem reads."""
         brackets, lifts, tables = [], [], []
-        bracket, lift = CourantStructure._bracket, courant_core._lifted
-        table = pullback_mod.frame_table
+        bracket, table = CourantStructure._bracket, pullback_mod.frame_table
+        # no lift can be formed: the package keeps none
+        assert not {"lift_structure", "_lifted"} & set(vars(courant_core))
         monkeypatch.setattr(CourantStructure, "_bracket",
                             lambda s, f, g: brackets.append(s) or bracket(s, f, g))
-        monkeypatch.setattr(courant_core, "_lifted",
-                            lambda s, extra: lifts.append(s) or lift(s, extra))
         monkeypatch.setattr(pullback_mod, "frame_table",
                             lambda s2, phi, *rest: tables.append(phi) or table(s2, phi, *rest))
         return brackets, lifts, tables

@@ -24,15 +24,14 @@ import pytest
 
 from courantlab.courant_core import (
     CourantStructure,
-    _exchanged,
     check_axioms,
-    lift_structure,
     monomial_frame_basis,
     scaled_structure,
     standard_structure,
-    tagged_generating_section,
 )
 from courantlab.polyexpr import _pack
+
+from conftest import _exchanged, lift_structure, tagged_generating_section
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "axiom_witnesses.jsonl"
 

@@ -142,17 +142,17 @@ class BundleMorphism:
     The fiber matrix has shape target.rank x source.rank with entries in the
     source base variables.  An optional retraction r (a left inverse of
     phi0, checked exactly at construction) enables constructive extension of
-    sections along the morphism, through P(r(y)) (`extension_matrix`), and
-    projects target tangent vectors along the image, through J_r(phi0(x))
-    (`retraction_jacobian`).  Those, the base map's Jacobian
-    (`base_jacobian`) and the complement of the image tangents
-    (`image_complement`) are formed on first use; the last induced metric
-    and the last anchor along the image are kept with their target data.
+    sections along the morphism, through P(r(y)) (`extension_matrix`,
+    formed on first use).  The matrices the morphism conditions and the
+    pullback read along the image of phi0 are formed once per target
+    structure, in the record `morphisms.along_image` keeps in the `_along`
+    slot with that structure.  A composite read off another morphism's
+    columns (see `compose_morphisms`) names them in `_selection`, and its
+    record is theirs.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
-                 "_extension", "_retraction_jacobian", "_base_jacobian", "_complement",
-                 "_induced", "_anchored")
+                 "_extension", "_along", "_selection")
 
     def __init__(
         self,
@@ -184,7 +184,7 @@ class BundleMorphism:
                 )
             if retraction.compose(base_map) != PolyMap.identity(source.base_dim):
                 raise ValueError("retraction does not invert the base map: r(phi0(x)) != x")
-        # the matrices formed on first use and the kept target data start empty
+        # the extension matrix and the record along the image start empty
         for slot, value in zip(self.__slots__, (source, target, base_map, fm, retraction)):
             object.__setattr__(self, slot, value)
         for slot in self.__slots__[5:]:
@@ -204,40 +204,6 @@ class BundleMorphism:
                 self, "_extension", linalg.pmat_compose(self.fiber_matrix, self.retraction)
             )
         return self._extension
-
-    @property
-    def retraction_jacobian(self) -> list[list[Polynomial]]:
-        """J_r(phi0(x)), the retraction's Jacobian along the image, formed on
-        first use: a source.base_dim x target.base_dim matrix in the source
-        base variables."""
-        if self._retraction_jacobian is None:
-            if self.retraction is None:
-                raise ValueError("the retraction's Jacobian needs a retraction")
-            object.__setattr__(self, "_retraction_jacobian", linalg.pmat_compose(
-                self.retraction.jacobian(), self.base_map
-            ))
-        return self._retraction_jacobian
-
-    @property
-    def base_jacobian(self) -> list[list[Polynomial]]:
-        """Jac(phi0)(x), formed on first use: a target.base_dim x
-        source.base_dim matrix in the source base variables."""
-        if self._base_jacobian is None:
-            object.__setattr__(self, "_base_jacobian", self.base_map.jacobian())
-        return self._base_jacobian
-
-    @property
-    def image_complement(self) -> list[list[Polynomial]]:
-        """N = I - Jac(phi0)(x) J_r(phi0(x)), formed on first use: a square
-        matrix of size target.base_dim in the source base variables.  Row a
-        is grad(q_a) along the image, for q_a = y_a - phi0(r(y))_a, the
-        functions that generate every polynomial vanishing on the image."""
-        if self._complement is None:
-            n, big = self.source.base_dim, self.target.base_dim
-            projector = linalg.pmat_mul(self.base_jacobian, self.retraction_jacobian, big, n)
-            object.__setattr__(self, "_complement", linalg.pmat_sub(
-                linalg.pmat_constant(linalg.identity(big), n), projector))
-        return self._complement
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
@@ -280,52 +246,13 @@ class BundleMorphism:
             and self.base_map == PolyMap.identity(self.source.base_dim)
         )
 
-    def induced_metric(self, metric) -> list[list[Polynomial]]:
-        """P(x)^T G P(x) for a constant G on the target fibers.
-
-        Entry (i, j) pairs the columns i and j of P, so the result is
-        source.rank x source.rank also when P has no rows (a target of rank
-        0), and zero there.  The last result is kept with its G and with
-        its factor P(x)^T G (`transposed_metric`), so a pullback problem and
-        a morphism check on one target structure form it once.
-        """
-        if self._induced is None or self._induced[0] != metric:
-            n = self.source.base_dim
-            columns = linalg.pmat_transpose(self.fiber_matrix, self.source.rank)
-            pt_g = linalg.pmat_mul_constant(columns, metric, n)
-            object.__setattr__(self, "_induced", (metric, linalg.pmat_transpose(
-                [linalg.pmat_vec(pt_g, column, num_vars=n) for column in columns]
-            ), pt_g))
-        return self._induced[1]
-
-    def transposed_metric(self, metric) -> list[list[Polynomial]]:
-        """P(x)^T G, the factor of `induced_metric` kept with it."""
-        self.induced_metric(metric)
-        return self._induced[2]
-
-    def anchor_along_image(self, anchor) -> tuple[list, list]:
-        """(A(phi0(x)), A(phi0(x)) P(x)) for an anchor A on the target base.
-
-        The last result is kept with its A, so a pullback problem and a
-        morphism check on one target structure compose A with phi0 once.
-        """
-        if self._anchored is None or self._anchored[0] != anchor:
-            along = linalg.pmat_compose(anchor, self.base_map)
-            object.__setattr__(self, "_anchored", (anchor, along, linalg.pmat_mul(
-                along, self.fiber_matrix, self.source.rank, self.source.base_dim
-            )))
-        return self._anchored[1:]
-
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
         if f.bundle != self.source:
             raise ValueError("section does not live on the morphism source")
-        return PolyMap(
-            self.source.base_dim,
-            linalg.pmat_vec(
-                self.fiber_matrix, list(f.coeffs), num_vars=self.source.base_dim
-            ),
-        )
+        n = self.source.base_dim
+        return PolyMap(n, [linalg.polynomial(x, n) for x in
+                           linalg.pmat_vec(linalg.sparse(self.fiber_matrix), f.coeffs.outputs)])
 
     def __repr__(self):
         return (
@@ -334,19 +261,43 @@ class BundleMorphism:
         )
 
 
+def _coordinate_columns(phi: BundleMorphism) -> list[int] | None:
+    """[r_0, r_1, ...] when phi is over the identity and column c of its
+    fiber matrix is the unit vector e_(r_c), else None."""
+    rows = [[r for r, p in enumerate(col) if not p.is_zero()] for col in zip(*phi.fiber_matrix)]
+    if phi.is_identity_base() and len(rows) == phi.source.rank and all(
+            len(rs) == 1 and phi.fiber_matrix[rs[0]][c] == 1 for c, rs in enumerate(rows)):
+        return [rs[0] for rs in rows]
+    return None
+
+
 def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:
-    """outer . inner; retractions compose contravariantly when both exist."""
+    """outer . inner; retractions compose contravariantly when both exist.
+
+    When inner is a coordinate inclusion over the identity (column c of its
+    fiber matrix is e_(r_c)), column c of the composite's fiber matrix is
+    column r_c of outer's, and its base map and retraction equal outer's.
+    The composite then names (outer, [r_c]) in `_selection`, and its record
+    along the image is a column selection of outer's (see
+    `morphisms.along_image`).
+    """
     if inner.target != outer.source:
         raise ValueError("morphisms are not composable")
-    base = outer.base_map.compose(inner.base_map)
-    fiber = linalg.pmat_mul(
-        linalg.pmat_compose(outer.fiber_matrix, inner.base_map), inner.fiber_matrix,
-        inner.source.rank, inner.source.base_dim,
-    )
+    n, outer_fiber = inner.source.base_dim, outer.fiber_matrix
+    if not inner.is_identity_base():
+        outer_fiber = linalg.pmat_compose(outer_fiber, inner.base_map)
+    fiber = linalg.pmat_mul(linalg.sparse(outer_fiber), linalg.sparse(inner.fiber_matrix))
     retraction = None
     if inner.retraction is not None and outer.retraction is not None:
         retraction = inner.retraction.compose(outer.retraction)
-    return BundleMorphism(inner.source, outer.target, base, fiber, retraction=retraction)
+    composite = BundleMorphism(inner.source, outer.target, outer.base_map.compose(inner.base_map),
+                               [[linalg.polynomial(x, n) for x in row]
+                                for row in linalg.dense(fiber, inner.source.rank)],
+                               retraction=retraction)
+    cols = _coordinate_columns(inner)
+    if cols is not None:
+        object.__setattr__(composite, "_selection", (outer, cols))
+    return composite
 
 
 def check_related(phi: BundleMorphism, f: Section, g: Section) -> bool:
@@ -398,8 +349,9 @@ def related_section(
     if phi.retraction is not None:
         r = phi.retraction
         pulled_f = [p.compose(r) for p in f.coeffs]
-        comps = linalg.pmat_vec(phi.extension_matrix, pulled_f, num_vars=phi.target.base_dim)
-        return Section(phi.target, PolyMap(phi.target.base_dim, comps))
+        comps = linalg.pmat_vec(linalg.sparse(phi.extension_matrix), pulled_f)
+        big = phi.target.base_dim
+        return Section(phi.target, PolyMap(big, [linalg.polynomial(x, big) for x in comps]))
 
     image = phi.apply(f)  # P(x) f(x), in source variables
     n_target = phi.target.base_dim

@@ -49,6 +49,9 @@ from .polyexpr import ExponentOverflowError, ParseError, PolyMap, parse
 from .scene import Scene, SceneError, load_scene, structure_to_json
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
+# the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
+# splitting matrix 4(n + m)^2 entries
+MAX_INTRINSIC_DIMENSION = 64
 
 
 def _common_flags(sub):
@@ -319,6 +322,9 @@ def _cmd_intrinsic(args):
     for flag, value in (("--n", args.n), ("--m", args.m)):
         if value < 0:
             raise SceneError(f"{flag} must be >= 0, got {value}")
+    if args.n + args.m > MAX_INTRINSIC_DIMENSION:
+        raise SceneError(f"--n + --m must be at most {MAX_INTRINSIC_DIMENSION}, "
+                         f"got {args.n + args.m}")
     splitting = None
     if args.phi:
         try:

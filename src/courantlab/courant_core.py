@@ -197,7 +197,6 @@ from .polyexpr import (
     _raw,
     _scaled,
     monomials_up_to,
-    poly_sum,
 )
 
 __all__ = [
@@ -320,14 +319,19 @@ class CourantStructure:
     @property
     def _dual_rows(self):
         """Rows of G^-1 A^T as packed (a, entry) lists over the nonzero
-        entries, formed on first use: D(lam)_h = sum_a dual[h][a] d_a lam."""
+        entries, formed on first use: D(lam)_h = sum_a dual[h][a] d_a lam.
+        Each entry sum_i A[a][i] G^-1[h][i] is summed on packed dicts, term
+        by term in the order of i."""
         if self._dual is None:
-            n, k = self.bundle.base_dim, self.bundle.rank
-            ginv = self.metric_inverse
-            rows = ([(a, poly_sum(n, (self.anchor[a][i] * ginv[h][i]
-                                      for i in range(k) if ginv[h][i]))._packed)
-                     for a in range(n)] for h in range(k))
-            object.__setattr__(self, "_dual", [[(a, p) for a, p in row if p] for row in rows])
+            rows = []
+            for ginv_h in self.metric_inverse:
+                row = [(a, {}) for a in range(self.bundle.base_dim)]
+                for i, g in enumerate(ginv_h):
+                    if g:
+                        for a, entry in row:
+                            _add_into(entry, _scaled(self.anchor[a][i]._packed, g))
+                rows.append([(a, entry) for a, entry in row if entry])
+            object.__setattr__(self, "_dual", rows)
         return self._dual
 
     def __eq__(self, other):

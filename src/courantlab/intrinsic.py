@@ -191,7 +191,8 @@ def build_intrinsic(
     verdicts["inclusion"] = check_identity_base(
         standard, structure, inclusion, degree_cap=degree_cap
     )
-    # the Pontryagin embedding is chi after the inclusion
+    # the Pontryagin embedding is chi after the inclusion: it reads chi's
+    # record along the image through the inclusion's columns
     verdicts["pontryagin_embedding"] = check_general_base(
         standard, ambient, compose_morphisms(chi, inclusion), degree_cap=degree_cap,
     )

@@ -1,8 +1,6 @@
-"""Exact linear algebra over Fraction, plus matrices of polynomials.
+"""Exact linear algebra over Fraction, plus matrices of frame data.
 
-Rational matrices are lists of lists of Fraction.  Polynomial matrices are
-lists of lists of Polynomial and share one variable count.  Nothing here is
-numeric.
+Rational matrices are lists of lists of Fraction.  Nothing here is numeric.
 
 `det`, `inverse`, `rank` and `solve_with_certificate` read one row
 reduction, `_reduce`.  Its pivot in each column is the first nonzero entry
@@ -18,6 +16,20 @@ here skip zeros: `mat` keeps entries that are already Fraction, `inverse`
 divides only the nonzero entries it reads off, and `mat_vec` multiplies
 only pairs of nonzero factors.  Every result is still a Fraction, the one
 the full loop gives.
+
+Matrices of frame data (fiber matrices, anchors, metrics, Jacobians) go
+through one kernel, the `pmat_*` functions, on sparse rows: a matrix is a
+list of rows, each a dict {column: entry} over its nonzero entries.  An
+entry is an exact scalar, int when integral and Fraction otherwise, or a
+Polynomial; `sparse` brings a dense matrix into this form, a constant
+Polynomial becoming its scalar, and `dense` prints it back.  A product or
+sum of scalars stays a scalar, so constant frame data are never wrapped; one
+with a Polynomial factor is a Polynomial, so polynomial fiber maps flow
+through the same loops.  Sums that cancel are dropped, and the zero test is
+`is_zero`: a zero Polynomial is truthy, so no entry is tested by
+truthiness.  A scalar prints as the constant polynomial it equals:
+str(Fraction(-3, 2)) is Polynomial.constant(n, Fraction(-3, 2)).to_string().
+`pmat_compose` and `pmat_constant` work on dense Polynomial matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyexpr import Polynomial, PolyMap, poly_sum
+from .polyexpr import Polynomial, PolyMap
 
 Matrix = list[list[Fraction]]
 
@@ -43,15 +55,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-        for row in a
-    ]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
@@ -143,76 +146,90 @@ def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
     return solution, None
 
 
-# -- polynomial matrices ------------------------------------------------------
+# -- matrices of frame data ----------------------------------------------------
+
+
+def is_zero(x) -> bool:
+    """Whether an entry is zero.  A zero Polynomial is truthy, so no entry
+    is ever tested by truthiness."""
+    return not x._packed if type(x) is Polynomial else not x
+
+
+def _scalar(x):
+    """x, with an integral Fraction turned into its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def entry(x):
+    """An entry in canonical form: a constant Polynomial or an integral
+    Fraction becomes its int or Fraction, anything else is kept."""
+    if type(x) is Polynomial:
+        return x if any(x._packed) else x._packed.get(0, 0)
+    return _scalar(x)
+
+
+def polynomial(x, num_vars: int) -> Polynomial:
+    """An entry as a Polynomial in `num_vars` variables."""
+    return x if type(x) is Polynomial else Polynomial.constant(num_vars, x)
+
+
+def sparse(a) -> list[dict]:
+    """The rows of a dense matrix, each as {column: entry} over its nonzero
+    entries, in canonical form."""
+    return [{j: entry(x) for j, x in enumerate(row) if not is_zero(x)} for row in a]
+
+
+def dense(a: list[dict], cols: int) -> list[list]:
+    """The dense matrix of sparse rows with `cols` columns; zeros are 0."""
+    return [[row.get(j, 0) for j in range(cols)] for row in a]
+
+
+def _nonzero(row: dict) -> dict:
+    """The entries of a sparse row that do not vanish, in canonical form."""
+    return {j: _scalar(v) for j, v in row.items() if not is_zero(v)}
+
+
+def pmat_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """A B on sparse rows: row i of the product accumulates x * b[k] over
+    the entries (k, x) of a's row i, in their order, and drops the sums
+    that cancel."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(_nonzero(acc))
+    return out
+
+
+def pmat_vec(a: list[dict], v) -> list:
+    """A v for sparse rows A and a dense vector v, as the product with the
+    column v."""
+    return [row.get(0, 0) for row in pmat_mul(a, sparse([x] for x in v))]
+
+
+def pmat_sub(a: list[dict], b: list[dict]) -> list[dict]:
+    """A - B on sparse rows."""
+    return [_nonzero({**ra, **{j: ra[j] - y if j in ra else -y for j, y in rb.items()}})
+            for ra, rb in zip(a, b)]
+
+
+def pmat_transpose(a: list[dict], cols: int) -> list[dict]:
+    """A^T on sparse rows, for an `a` with `cols` columns."""
+    return [{i: row[j] for i, row in enumerate(a) if j in row} for j in range(cols)]
+
+
+def pmat_is_constant(a: list[dict]) -> bool:
+    """Whether no entry of the sparse rows is a non-constant Polynomial."""
+    return all(type(x) is not Polynomial or not any(x._packed) for row in a for x in row.values())
 
 
 def pmat_constant(a: Matrix, num_vars: int) -> list[list[Polynomial]]:
     return [[Polynomial.constant(num_vars, v) for v in row] for row in a]
 
 
-def pmat_transpose(a: list[list[Polynomial]], cols: int = 0) -> list[list[Polynomial]]:
-    """A^T; `cols` is the column count of an `a` without rows."""
-    return [list(col) for col in zip(*a)] if a else [[] for _ in range(cols)]
-
-
-def pmat_mul(a, b, cols: int = 0, num_vars: int = 0) -> list[list[Polynomial]]:
-    """A B; `cols` and `num_vars` are the column and variable counts of the
-    zero product of a `b` without rows, which neither operand shows."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    if not b:
-        return [[Polynomial(num_vars)] * cols for _ in a]
-    nv = b[0][0].num_vars if b[0] else num_vars
-    out = []
-    for row in a:
-        out_row = []
-        for col in zip(*b):
-            out_row.append(poly_sum(nv, (
-                x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())
-            )))
-        out.append(out_row)
-    return out
-
-
-def pmat_mul_constant(a, c: Matrix, num_vars: int) -> list[list[Polynomial]]:
-    """A C for a polynomial matrix A in `num_vars` variables and a constant
-    matrix C: the terms, in order, of pmat_mul(a, pmat_constant(c,
-    num_vars)), without forming C's entries as polynomials."""
-    cols = list(zip(*c))
-    return [[poly_sum(num_vars, (x * v for x, v in zip(row, col) if v and not x.is_zero()))
-             for col in cols] for row in a]
-
-
-def pmat_vec(a, v: Sequence[Polynomial], num_vars: int | None = None) -> list[Polynomial]:
-    out = []
-    for row in a:
-        if num_vars is not None:
-            nv = num_vars
-        else:
-            nv = v[0].num_vars if v else (row[0].num_vars if row else 0)
-        out.append(poly_sum(nv, (
-            x * y for x, y in zip(row, v) if not (x.is_zero() or y.is_zero())
-        )))
-    return out
-
-
-def pmat_sub(a, b) -> list[list[Polynomial]]:
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 def pmat_compose(a, inner: PolyMap) -> list[list[Polynomial]]:
-    """Entrywise substitution: each entry p becomes p(inner(.))."""
+    """Entrywise substitution in a dense Polynomial matrix: each entry p
+    becomes p(inner(.))."""
     return [[p.compose(inner) for p in row] for row in a]
-
-
-def pmat_is_zero(a) -> bool:
-    return all(p.is_zero() for row in a for p in row)
-
-
-def pmat_constant_value(a) -> Matrix:
-    """Extract the Fraction matrix from a constant polynomial matrix."""
-    return [[p.constant_value() for p in row] for row in a]
-
-
-def pmat_is_constant(a) -> bool:
-    return all(p.is_constant() for row in a for p in row)

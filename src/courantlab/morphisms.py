@@ -109,6 +109,18 @@ D2(lam o r) o phi0 = G2^-1 Q^T grad(lam).
     for m >= 1, still passes the bracket condition: the anchor of the
     structure pulled back along it is Q P by construction.
 
+Every matrix above that one morphism phi and one target structure s2
+determine, P, P^T G2, W, A2(phi0), A2(phi0) P, Jac(phi0), Q, Q P, V and the
+frame table, is formed once, in the record `along_image` keeps on phi with
+s2 (`AlongImage`); constant frame data stay exact scalars there (see
+`linalg`).  A pullback problem into s2 and every check of phi into s2 read
+that record.  A composite chi o i with i a coordinate inclusion over the
+identity, as the Pontryagin embedding is, reads chi's record through the
+columns i selects: P i, i^T P^T G2 and i^T W i are selections, and so is
+its frame table, Gamma_ij of the composite being Gamma_(r_i r_j) of chi.
+T = A1 - Q P and U read the source structure as well, and each check forms
+them.
+
 `_bracket_failure` decides the pass from the identities at the cap, and
 on a failure enumerates the pairs of degree <= min(cap, 1) in the witness
 order by the three lines, up to the first nonzero one.  Only that pair's
@@ -138,13 +150,16 @@ the second slot with w = e_k shows it, and otherwise the first slot's last
 term is nonzero for some w, g and a unless P = 0 or N A2(phi0) = 0.  So
 the strict bracket condition holds iff the retraction one does and
 N A2(phi0) = 0 or P = 0; a failure is reported as a matrix failure at the
-first nonzero entry of N A2(phi0), with "representatives": "perturbed".
+first nonzero entry of N A2(phi0) = A2(phi0) - Jac(phi0) Q, with
+"representatives": "perturbed".
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle, check_related, related_section
@@ -202,22 +217,21 @@ class MorphismVerdict:
         }
 
 
-def _first_nonzero(defect) -> tuple[int, int] | None:
-    """The first nonzero entry (r, c) of a defect matrix, in row-major order."""
-    return next(
-        ((r, c) for r, row in enumerate(defect) for c, p in enumerate(row) if not p.is_zero()),
-        None,
-    )
+def _first_nonzero(defect: list[dict]) -> tuple[int, int] | None:
+    """The first nonzero entry (r, c) of a defect matrix in sparse rows, in
+    row-major order."""
+    return next(((r, min(row)) for r, row in enumerate(defect) if row), None)
 
 
-def _matrix_failure(condition: str, key: str, defect) -> ConditionFailure | None:
-    """A failure located at the first nonzero entry of a defect matrix."""
+def _matrix_failure(condition: str, key: str, defect: list[dict], cols: int):
+    """A failure located at the first nonzero entry of a defect matrix in
+    sparse rows with `cols` columns, or None; a scalar entry prints as the
+    constant polynomial it equals."""
     where = _first_nonzero(defect)
     if where is None:
         return None
-    return ConditionFailure(
-        condition, {key: list(where)}, [p.to_string() for row in defect for p in row]
-    )
+    return ConditionFailure(condition, {key: list(where)},
+                            [str(x) for row in linalg.dense(defect, cols) for x in row])
 
 
 _ORDER = {"bracket": 0, "metric": 1, "anchor": 2}
@@ -245,23 +259,114 @@ def _image_section(phi: BundleMorphism, f: Section) -> Section:
     return Section(phi.target, phi.apply(f))
 
 
-def frame_table(s2, phi, q, qp, general=False) -> dict:
+class AlongImage:
+    """What the morphism conditions and the pullback read of one morphism
+    phi into one target structure s2, each matrix formed once (see the
+    module docstring): P; P^T G2 and W = P^T G2 P; A2(phi0) and A2(phi0) P;
+    Jac(phi0); Q = J_r(phi0) A2(phi0), Q P and V^T = Q G2^-1; and the frame
+    table Gamma, formed on first read.  Matrices are sparse rows in
+    canonical form (`linalg.sparse`), so constant frame data are exact
+    scalars.  Over the identity base nothing is composed, Q is A2 and `jac`
+    is None for the identity; without a retraction Q, Q P and V^T are None.
+    T = A1 - Q P and U^T = A1 G1^-1 P^T read the source structure too, and
+    each check forms them (`_Lines`).
+    """
+
+    def __init__(self, s2, phi):
+        self.s2, self.phi = s2, phi
+        self.n, self.k1, self.k2 = phi.source.base_dim, phi.source.rank, phi.target.rank
+        self.p = p = linalg.sparse(phi.fiber_matrix)
+        self.pt_g = linalg.pmat_mul(linalg.pmat_transpose(p, self.k1), linalg.sparse(s2.metric))
+        self.w = linalg.pmat_mul(self.pt_g, p)
+        if phi.is_identity_base():
+            self.base_map = self.jac = None
+            self.a2 = self.q = linalg.sparse(s2.anchor)
+        else:
+            self.base_map = phi.base_map
+            self.a2 = linalg.sparse(linalg.pmat_compose(s2.anchor, phi.base_map))
+            self.jac = linalg.sparse(phi.base_map.jacobian())
+            self.q = None if phi.retraction is None else linalg.pmat_mul(linalg.sparse(
+                linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map)), self.a2)
+        self.ap = linalg.pmat_mul(self.a2, p)
+        self.qp = self.v_t = None
+        if self.q is not None:
+            self.qp = self.ap if self.q is self.a2 else linalg.pmat_mul(self.q, p)
+            self.v_t = linalg.pmat_mul(self.q, linalg.sparse(s2.metric_inverse))
+
+    def selected(self, phi, cols: list[int]) -> "AlongImage":
+        """The record of the composite phi whose column c is column cols[c]
+        of this record's morphism (`bundles.compose_morphisms`): P, P^T G2,
+        W, A2(phi0) P and Q P are selected, and Gamma too once this record
+        has formed it (Gamma_ij of the composite is Gamma_(cols[i] cols[j]));
+        the rest is shared."""
+        out = object.__new__(AlongImage)
+        vars(out).update(vars(self), phi=phi, k1=len(cols))
+        if "table" in vars(self):
+            out.table = {(i, j): self.table[a, b] for i, a in enumerate(cols)
+                         for j, b in enumerate(cols) if (a, b) in self.table}
+        out.p, out.ap = _columns(self.p, cols), _columns(self.ap, cols)
+        out.pt_g = [self.pt_g[c] for c in cols]
+        out.w = _columns([self.w[c] for c in cols], cols)
+        out.qp = None if self.qp is None else _columns(self.qp, cols)
+        return out
+
+    @cached_property
+    def table(self) -> dict:
+        """`frame_table` of this record, formed on first read."""
+        return frame_table(self)
+
+    def normal(self, a: list[dict], qa: list[dict]) -> list[dict]:
+        """N a = a - Jac(phi0) J_r a, given qa = J_r a, for
+        N = I - Jac(phi0) J_r(phi0): zero over the identity base."""
+        return linalg.pmat_sub(a, qa if self.jac is None else linalg.pmat_mul(self.jac, qa))
+
+
+def _columns(a: list[dict], cols: list[int]) -> list[dict]:
+    """The sparse rows of a restricted to the columns cols, renumbered."""
+    return [{c: row[j] for c, j in enumerate(cols) if j in row} for row in a]
+
+
+def along_image(s2, phi) -> AlongImage:
+    """The record of phi into the target structure s2, formed once and kept
+    on phi with s2 until phi is read into another target; a composite that
+    names outer columns in `_selection` selects them from outer's record."""
+    kept = phi._along
+    if kept is not None and kept[0] is s2:
+        return kept[1]
+    if phi._selection is not None:
+        outer, cols = phi._selection
+        record = along_image(s2, outer).selected(phi, cols)
+    else:
+        record = AlongImage(s2, phi)
+    object.__setattr__(phi, "_along", (s2, record))
+    return record
+
+
+def _terms(x) -> dict:
+    """The packed term dict of a nonzero entry."""
+    return x._packed if type(x) is Polynomial else {0: x}
+
+
+def _diff(a: list[dict], l: int) -> list[dict]:
+    """d_l of every entry of sparse rows, the nonzero ones kept."""
+    return [{j: d for j, d in ((j, x.diff(l)) for j, x in row.items() if type(x) is Polynomial)
+             if not linalg.is_zero(d)} for row in a]
+
+
+def frame_table(rec: AlongImage) -> dict:
     """{(i, j): Gamma_ij} over the nonzero frame brackets of the
     representatives, Gamma_ij = [[P e_i, P e_j]]_2 o phi0, each a list of
-    polynomials in the source variables, in closed form (see the module
-    docstring); q and qp are Q = J_r(phi0) A2(phi0) and Q P.  Over the
-    identity base c2 is not composed.  Only nonzero factors are multiplied,
-    so with c2 = 0 and P constant the table is empty at once.
+    polynomials in the source variables, in closed form from the record
+    (see the module docstring).  Over the identity base c2 is not composed.
+    Only nonzero factors are multiplied, so with c2 = 0 and P constant the
+    table is empty at once.
     """
-    n, k1, p = phi.source.base_dim, phi.source.rank, phi.fiber_matrix
-    terms = [_structure_terms(s2, phi, general)]
+    n, p = rec.n, rec.p
+    terms = [_structure_terms(rec)]
     if not linalg.pmat_is_constant(p):
-        pt_g = phi.transposed_metric(s2.metric)
-        v_t = linalg.pmat_mul_constant(q, s2.metric_inverse, n)
         for l in range(n):
-            w = linalg.pmat_mul([[e.diff(l) for e in row] for row in pt_g], p, k1, n)
-            terms += [_anchor_terms(qp[l], [[e.diff(l) for e in row] for row in p]),
-                      _derived_terms(v_t[l], w)]
+            w = linalg.pmat_mul(_diff(rec.pt_g, l), p)
+            terms += [_anchor_terms(rec.qp[l], _diff(p, l)), _derived_terms(rec.v_t[l], w)]
     cells: dict = {}
     for i, j, h, x, y in itertools.chain(*terms):
         _mul_into(cells.setdefault((i, j), [{} for _ in p])[h], x, y)
@@ -269,91 +374,90 @@ def frame_table(s2, phi, q, qp, general=False) -> dict:
             for pair, vec in cells.items() if any(vec)}
 
 
-def _structure_terms(s2, phi, general):
+def _structure_terms(rec):
     """(i, j, h, x, y) with x y = P_ai P_bj c2_ab^h(phi0), over the nonzero P_ai and P_bj."""
-    n, p = phi.source.base_dim, [[e._packed for e in row] for row in phi.fiber_matrix]
-    for (a, b, h), c in s2.structure_functions.items():
-        c = (c.compose(phi.base_map) if general else c)._packed
+    n, p = rec.n, [{i: _terms(x) for i, x in row.items()} for row in rec.p]
+    for (a, b, h), c in rec.s2.structure_functions.items():
+        c = (c if rec.base_map is None else c.compose(rec.base_map))._packed
         yield from ((i, j, h, _product(x, y, n), c)
-                    for i, x in enumerate(p[a]) if x for j, y in enumerate(p[b]) if y)
+                    for i, x in p[a].items() for j, y in p[b].items())
 
 
-def _anchor_terms(qp_l, dp):
+def _anchor_terms(qp_l: dict, dp: list[dict]):
     """(i, j, h, x, y) with x y = (Q P)_li d_l(P e_j)_h, into Gamma_ij and
     negated into Gamma_ji, over the nonzero factors; dp = d_l P."""
-    return ((*pair, h, x, d._packed) for i, qpli in enumerate(qp_l) if qpli._packed
-            for h, row in enumerate(dp) for j, d in enumerate(row) if d._packed
-            for pair, x in (((i, j), qpli._packed), ((j, i), _scaled(qpli._packed, -1))))
+    return ((*pair, h, x, d._packed) for i, qpli in ((i, _terms(x)) for i, x in qp_l.items())
+            for h, row in enumerate(dp) for j, d in row.items()
+            for pair, x in (((i, j), qpli), ((j, i), _scaled(qpli, -1))))
 
 
-def _derived_terms(v_l, w):
+def _derived_terms(v_l: dict, w: list[dict]):
     """(i, j, h, x, y) with x y = (G2^-1 Q^T)_hl (w_ij)_l over the nonzero
     factors, given row l of Q G2^-1 and w = (d_l P)^T G2 P."""
-    return ((i, j, h, v._packed, wij._packed) for i, row in enumerate(w)
-            for j, wij in enumerate(row) if wij._packed for h, v in enumerate(v_l) if v._packed)
+    return ((i, j, h, _terms(v), _terms(wij)) for i, row in enumerate(w)
+            for j, wij in row.items() for h, v in v_l.items())
 
 
-def _frame_defects(s1, phi, gamma) -> dict:
+def _frame_defects(s1, p: list[dict], gamma) -> dict:
     """{(i, j): Delta_ij} over the nonzero Delta_ij = sum_h c1_ij^h P e_h - Gamma_ij."""
-    n, p = s1.bundle.base_dim, phi.fiber_matrix
+    n = s1.bundle.base_dim
     out = {pair: [-g for g in vec] for pair, vec in gamma.items()}
     for (i, j, h), c in s1.structure_functions.items():
-        out[i, j] = [v + c * row[h] for v, row in zip(out.get((i, j), [Polynomial(n)] * len(p)), p)]
+        out[i, j] = [v + c * row.get(h, 0)
+                     for v, row in zip(out.get((i, j), [Polynomial(n)] * len(p)), p)]
     return {pair: vec for pair, vec in out.items() if not all(v.is_zero() for v in vec)}
 
 
-class _Tables:
+class _Lines:
     """What Delta on the pairs of degree <= 1 is read from (see the module
-    docstring): P, G1, the nonzero Delta_ij, T = A1 - Q P, W = P^T G2 P,
-    U^T = A1 G1^-1 P^T, V^T = Q G2^-1, and whether the metric condition
-    W = G1 holds."""
+    docstring), in sparse rows: the record's P, W = P^T G2 P and
+    V^T = Q G2^-1, with G1, the nonzero Delta_ij, T = A1 - Q P,
+    U^T = A1 G1^-1 P^T and whether the metric condition W = G1 holds."""
 
-    def __init__(self, s1, s2, phi, a2, a2p, metric_holds, general):
-        n, k1, k2 = s1.bundle.base_dim, s1.bundle.rank, s2.bundle.rank
-        q, qp = a2, a2p
-        if general:
-            jr = phi.retraction_jacobian
-            q, qp = linalg.pmat_mul(jr, a2, k2, n), linalg.pmat_mul(jr, a2p, k1, n)
-        self.p, self.g1, self.metric_holds = phi.fiber_matrix, s1.metric, metric_holds
-        self.delta = _frame_defects(s1, phi, frame_table(s2, phi, q, qp, general))
-        self.t, self.w = linalg.pmat_sub(s1.anchor, qp), phi.induced_metric(s2.metric)
-        self.u_t = linalg.pmat_mul(linalg.pmat_mul_constant(s1.anchor, s1.metric_inverse, n),
-                                   linalg.pmat_transpose(self.p, k1), k2, n)
-        self.v_t = linalg.pmat_mul_constant(q, s2.metric_inverse, n)
+    def __init__(self, s1, rec, a1, metric_holds):
+        self.p, self.w, self.v_t, self.metric_holds = rec.p, rec.w, rec.v_t, metric_holds
+        self.g1 = linalg.sparse(s1.metric)
+        self.delta = _frame_defects(s1, rec.p, rec.table)
+        self.t = linalg.pmat_sub(a1, rec.qp)
+        self.u_t = linalg.pmat_mul(linalg.pmat_mul(a1, linalg.sparse(s1.metric_inverse)),
+                                   linalg.pmat_transpose(rec.p, rec.k1))
 
 
-def _degree_1_holds(d: _Tables) -> bool:
+def _degree_1_holds(d: _Lines) -> bool:
     """T = 0 or P = 0, and (G1)_ij U = W_ij V for every (i, j): with
     Delta = 0 on frame pairs, Delta vanishes on every pair of degree 1."""
-    return (linalg.pmat_is_zero(d.t) or linalg.pmat_is_zero(d.p)) and _pairing_terms_agree(d)
+    return (not any(d.t) or not any(d.p)) and _pairing_terms_agree(d)
 
 
-def _pairing_terms_agree(d: _Tables) -> bool:
+def _pairing_terms_agree(d: _Lines) -> bool:
     """(G1)_ij U = W_ij V for every (i, j).  With (i0, j0) the first nonzero
     entry of G1 and mu = W_i0j0 / (G1)_i0j0, that is U = mu V, and W = mu G1
     unless V = 0; with the metric condition mu = 1 and it is U = V."""
     if d.metric_holds:
         return d.u_t == d.v_t
-    i, j = next((i, j) for i, row in enumerate(d.g1) for j, v in enumerate(row) if v)
-    mu = d.w[i][j] * (1 / d.g1[i][j])
-    return d.u_t == [[mu * v for v in row] for row in d.v_t] and (linalg.pmat_is_zero(d.v_t) or all(
-        w == mu * g for w_row, g_row in zip(d.w, d.g1) for w, g in zip(w_row, g_row)))
+    i, j = _first_nonzero(d.g1)
+    mu = d.w[i].get(j, 0) * (Fraction(1) / d.g1[i][j])
+
+    def times_mu(a):
+        return [{} if linalg.is_zero(mu) else {c: mu * x for c, x in row.items()} for row in a]
+
+    return d.u_t == times_mu(d.v_t) and (not any(d.v_t) or d.w == times_mu(d.g1))
 
 
-def _first_slot(d: _Tables, a, i, j) -> list[Polynomial]:
+def _first_slot(d: _Lines, a, i, j) -> list:
     """R_aij = -T_aj P e_i + (G1)_ij U e_a - W_ij V e_a."""
-    return [d.g1[i][j] * u - d.t[a][j] * row[i] - d.w[i][j] * v
-            for row, u, v in zip(d.p, d.u_t[a], d.v_t[a])]
+    return [d.g1[i].get(j, 0) * d.u_t[a].get(h, 0) - d.t[a].get(j, 0) * row.get(i, 0)
+            - d.w[i].get(j, 0) * d.v_t[a].get(h, 0) for h, row in enumerate(d.p)]
 
 
-def _fails(d: _Tables, monos, xs, pair) -> bool:
+def _fails(d: _Lines, monos, xs, pair) -> bool:
     """Whether Delta is nonzero on the family pair (x^alpha_a e_i,
     x^alpha_b e_j) of degree <= 1, pair = ((i, a), (j, b)), with the
     monomials xs[a] = x^alpha_a, by the lines of the module docstring."""
     (i, a), (j, b) = pair
     terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
     if b:
-        terms.append((xs[a] * d.t[monos[b].index(1)][i], [row[j] for row in d.p]))
+        terms.append((xs[a] * d.t[monos[b].index(1)].get(i, 0), [row.get(j, 0) for row in d.p]))
     if a:
         terms.append((xs[b], _first_slot(d, monos[a].index(1), i, j)))
     return any(not poly_sum(len(monos[0]), (s * v[h] for s, v in terms)).is_zero()
@@ -371,7 +475,7 @@ def _witness_order(rank, monos):
                   key=lambda pair: max(degrees[pair[0][1]], degrees[pair[1][1]]))
 
 
-def _bracket_failure(s1, s2, phi, cap, a2, a2p, metric_holds, general=False):
+def _bracket_failure(s1, s2, phi, a1, cap, metric_holds, general=False):
     """The bracket condition's failure at its least failing family pair of
     degree <= min(cap, 1), or None.
 
@@ -383,7 +487,7 @@ def _bracket_failure(s1, s2, phi, cap, a2, a2p, metric_holds, general=False):
     """
     if not s1.bundle.rank:
         return None
-    d = _Tables(s1, s2, phi, a2, a2p, metric_holds, general)
+    d = _Lines(s1, along_image(s2, phi), a1, metric_holds)
     if not d.delta and (not cap or _degree_1_holds(d)):
         return None
     n = s1.bundle.base_dim
@@ -407,12 +511,12 @@ def _pair_failure(condition, s1, s2, phi, f1, f2, general) -> ConditionFailure:
     return ConditionFailure(condition, witness, shown)
 
 
-def _perturbed_failure(phi, a2) -> ConditionFailure | None:
+def _perturbed_failure(rec: AlongImage) -> ConditionFailure | None:
     """The strict bracket condition beyond the retraction family: the matrix
     N A2(phi0), unless P = 0 (see the module docstring)."""
-    if linalg.pmat_is_zero(phi.fiber_matrix):
+    if not any(rec.p):
         return None
-    failure = _matrix_failure("bracket", "entry", linalg.pmat_mul(phi.image_complement, a2))
+    failure = _matrix_failure("bracket", "entry", rec.normal(rec.a2, rec.q), rec.k2)
     if failure is not None:
         failure.witness["representatives"] = "perturbed"
     return failure
@@ -426,10 +530,9 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     failing family pair (e_i, e_j) (see the module docstring), reported
     with its plain defect on the retraction representatives.
     """
-    n = s1.bundle.base_dim
-    defect = linalg.pmat_sub(phi.induced_metric(s2.metric), linalg.pmat_constant(s1.metric, n))
+    defect = linalg.pmat_sub(along_image(s2, phi).w, linalg.sparse(s1.metric))
     if not general:
-        return _matrix_failure("metric", "fiber_pair", defect)
+        return _matrix_failure("metric", "fiber_pair", defect, s1.bundle.rank)
     where = _first_nonzero(defect)
     if where is None:
         return None
@@ -437,24 +540,12 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     return _pair_failure("metric", s1, s2, phi, f1, f2, True)
 
 
-def _along_image(s2, phi, general=False):
-    """(A2(phi0), A2(phi0) P): the target anchor along the image and its
-    product with the fiber matrix, which the anchor condition and the
-    bracket's frame tables share.  Over a general base both are the
-    morphism's kept pair; over the identity base A2 is not composed."""
-    if general:
-        return phi.anchor_along_image(s2.anchor)
-    return s2.anchor, linalg.pmat_mul(s2.anchor, phi.fiber_matrix,
-                                      phi.source.rank, phi.source.base_dim)
-
-
-def _anchor_failure(s1, phi, a2p, general=False) -> ConditionFailure | None:
+def _anchor_failure(s1, s2, phi, a1) -> ConditionFailure | None:
     """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1,
-    given A2(phi0) P.  Over the identity base Jac(phi0) A1 is A1 itself."""
-    ja1 = s1.anchor
-    if general:
-        ja1 = linalg.pmat_mul(phi.base_jacobian, ja1, s1.bundle.rank, s1.bundle.base_dim)
-    return _matrix_failure("anchor", "entry", linalg.pmat_sub(a2p, ja1))
+    given A1 in sparse rows.  Over the identity base Jac(phi0) A1 is A1."""
+    rec = along_image(s2, phi)
+    ja1 = a1 if rec.jac is None else linalg.pmat_mul(rec.jac, a1)
+    return _matrix_failure("anchor", "entry", linalg.pmat_sub(rec.ap, ja1), s1.bundle.rank)
 
 
 def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list:
@@ -462,13 +553,13 @@ def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list
     min(degree_cap, SWEEP_ORDER) from the frame tables; strict checking
     adds the perturbed representatives' matrix identity (see the module
     docstring)."""
-    a2, a2p = _along_image(s2, phi, general)
+    a1 = linalg.sparse(s1.anchor)
     metric = _metric_failure(s1, s2, phi, general)
-    bracket = _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER), a2, a2p,
+    bracket = _bracket_failure(s1, s2, phi, a1, min(degree_cap, SWEEP_ORDER),
                                metric is None, general)
     if bracket is None and strict:
-        bracket = _perturbed_failure(phi, a2)
-    return [bracket, metric, _anchor_failure(s1, phi, a2p, general)]
+        bracket = _perturbed_failure(along_image(s2, phi))
+    return [bracket, metric, _anchor_failure(s1, s2, phi, a1)]
 
 
 # -- identity base --------------------------------------------------------------
@@ -604,8 +695,7 @@ def check_general_base(
                         condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
                         [p.to_string() for p in defect],
                     )
-        failures = [*found.values(),
-                    _anchor_failure(s1, phi, _along_image(s2, phi, True)[1], True)]
+        failures = [*found.values(), _anchor_failure(s1, s2, phi, linalg.sparse(s1.anchor))]
     return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 
 

@@ -455,6 +455,9 @@ class Polynomial:
         return self.num_vars == other.num_vars and self._packed == other._packed
 
     def __hash__(self):
+        """A constant hashes as its value, which it equals; see `__eq__`."""
+        if not any(self._packed):
+            return hash(self._packed.get(0, 0))
         return hash((self.num_vars, frozenset(self._packed.items())))
 
     # -- calculus ---------------------------------------------------------

@@ -36,12 +36,15 @@ structure functions vanish.  Each nonzero pair is solved through the
 projector.  The witness of a bracket leaving the image is the least such
 pair in row-major order, the pair a scan over (i, j) would meet first.
 Hypothesis (c), `construct` and both well-definedness tests read that
-table; the hypothesis report, the constructed structure, and the induced
-pairing G' with its determinant and inverse are cached on the problem the
-same way, so each is formed once per problem.  The data along the image,
-J_r(phi0(x)), N = I - J_phi0 J_r(phi0), A(phi0(x)) and A(phi0(x)) P(x),
-and G' with its factor P(x)^T G, are kept on the morphism, which a
-morphism check on the same ambient then reads too.
+table.  The table and every matrix along the image, P, P^T G, G' = P^T G P,
+A(phi0(x)), A(phi0(x)) P(x), Q and Q P, come from the one record of the
+morphism into the ambient (`morphisms.along_image`), formed once and kept
+on the morphism, which a morphism check into the same ambient then reads
+too; constant data stay exact scalars there.  Hypothesis (a)'s defect is
+N A(phi0) P = A(phi0) P - J_phi0 Q P, so N itself is never formed.  The
+hypothesis report, the constructed structure, and the determinant and
+inverse of G' are cached on the problem, so each is formed once per
+problem.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -68,7 +71,7 @@ from functools import cached_property
 from . import linalg
 from .bundles import BundleMorphism, TrivialBundle
 from .courant_core import AxiomCheck, CourantStructure
-from .morphisms import check_general_base, frame_table
+from .morphisms import along_image, check_general_base
 from .polyexpr import Polynomial, PolyMap
 
 __all__ = [
@@ -100,17 +103,22 @@ class PullbackProblem:
             raise ValueError("pullback needs a morphism with a retraction")
 
     @cached_property
-    def _induced_metric(self) -> list[list[Polynomial]]:
-        """G'(x) = P(x)^T G P(x), formed once per problem; the k x k zero
-        matrix for a morphism into a rank-0 bundle."""
-        return self.morphism.induced_metric(self.ambient.metric)
+    def _record(self):
+        """The morphism's record along the image into the ambient
+        (`morphisms.along_image`), which a check of the morphism into the
+        ambient reads too: P, P^T G, G' = P^T G P, Q, Q P and the frame
+        table."""
+        return along_image(self.ambient, self.morphism)
 
     @cached_property
     def _induced_pairing(self):
-        """(G', det G') as exact matrices when G' is constant, else None."""
-        if not linalg.pmat_is_constant(self._induced_metric):
+        """(G', det G') with G' in canonical form when G' is constant, else
+        None; G' is the k x k zero matrix for a morphism into a rank-0
+        bundle."""
+        w = self._record.w
+        if not linalg.pmat_is_constant(w):
             return None
-        g = linalg.pmat_constant_value(self._induced_metric)
+        g = [[linalg.entry(x) for x in row] for row in linalg.dense(w, len(w))]
         return g, linalg.det(g)
 
     @cached_property
@@ -119,38 +127,28 @@ class PullbackProblem:
         return linalg.inverse(self._induced_pairing[0])
 
     @cached_property
-    def _projected(self):
-        """(Q, Q P) with Q = J_r(phi0(x)) A(phi0(x)): the frame table reads
-        both, and Q P is the constructed anchor."""
-        phi = self.morphism
-        q = linalg.pmat_mul(phi.retraction_jacobian, phi.anchor_along_image(self.ambient.anchor)[0])
-        return q, linalg.pmat_mul(q, phi.fiber_matrix)
-
-    @cached_property
     def _frame_table(self):
         """(structure functions, witness) read off the frame brackets.
 
         The nonzero brackets [[e^_i, e^_j]] o phi0 come in closed form from
-        `morphisms.frame_table`, with no bracket made; each is solved
+        the record's frame table, with no bracket made; each is solved
         through the projector G'^-1 P^T G.  The witness is {"frame_pair",
         "residual"} of the least pair (i, j), in row-major order, whose
         bracket leaves the image, else None.  The structure functions are
         those of the pairs before it, inserted in (i, j, h) order.  Needs a
         constant nondegenerate induced pairing.
         """
-        n, phi = self.source_bundle.base_dim, self.morphism
-        pt_g = phi.transposed_metric(self.ambient.metric)
-        g_inv = linalg.pmat_constant(self._induced_inverse, n)
+        n, record = self.source_bundle.base_dim, self._record
+        g_inv = linalg.sparse(self._induced_inverse)
         structure_functions = {}
-        for (i, j), vec in sorted(frame_table(self.ambient, phi, *self._projected, True).items()):
-            coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(pt_g, vec, num_vars=n), num_vars=n)
-            reproduced = linalg.pmat_vec(phi.fiber_matrix, coeffs, num_vars=n)
-            residual = [a - b for a, b in zip(reproduced, vec)]
-            if any(not q.is_zero() for q in residual):
+        for (i, j), vec in sorted(record.table.items()):
+            coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(record.pt_g, vec))
+            residual = [a - b for a, b in zip(linalg.pmat_vec(record.p, coeffs), vec)]
+            if not all(map(linalg.is_zero, residual)):
                 return structure_functions, {
-                    "frame_pair": [i, j], "residual": [q.to_string() for q in residual]}
-            structure_functions.update(
-                ((i, j, h), c) for h, c in enumerate(coeffs) if not c.is_zero())
+                    "frame_pair": [i, j], "residual": [str(q) for q in residual]}
+            structure_functions.update(((i, j, h), linalg.polynomial(c, n))
+                                       for h, c in enumerate(coeffs) if not linalg.is_zero(c))
         return structure_functions, None
 
     @cached_property
@@ -168,10 +166,12 @@ class PullbackProblem:
         over the source base, the latter nonzero by construction.  The
         structure shares the problem's G'^-1.
         """
-        metric = linalg.mat(self._induced_pairing[0])
+        n = self.source_bundle.base_dim
+        anchor = [[linalg.polynomial(x, n) for x in row]
+                  for row in linalg.dense(self._record.qp, self.source_bundle.rank)]
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, self._projected[1], metric, dict(self._frame_table[0]),
-                        (self._induced_inverse, None, None))
+        structure._fill(self.source_bundle, anchor, linalg.mat(self._induced_pairing[0]),
+                        dict(self._frame_table[0]), (self._induced_inverse, None, None))
         return structure
 
 
@@ -189,27 +189,27 @@ class HypothesisReport:
         return {name: check.to_json() for name, check in vars(self).items()}
 
 
-def _tangency_defect(p: PullbackProblem) -> list[list[Polynomial]]:
-    """Hypothesis (a)'s defect N A(phi0(x)) P(x), N = I - J_phi0 J_r(phi0)."""
-    phi = p.morphism
-    return linalg.pmat_mul(phi.image_complement, phi.anchor_along_image(p.ambient.anchor)[1])
+def _tangency_defect(p: PullbackProblem) -> list[list]:
+    """Hypothesis (a)'s defect N A(phi0(x)) P(x), N = I - J_phi0 J_r(phi0),
+    as A(phi0) P - J_phi0 Q P."""
+    return p._record.normal(p._record.ap, p._record.qp)
 
 
 def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
     """Exact yes/no for the three pullback hypotheses, with witnesses."""
     # (a) anchor tangency on image fiber elements
     tangency_defect = _tangency_defect(p)
-    if linalg.pmat_is_zero(tangency_defect):
+    if not any(tangency_defect):
         anchor_check = AxiomCheck(True, "anchor maps image fibers into image tangents")
     else:
         anchor_check = AxiomCheck(
             False,
             "anchor leaves the image tangent spaces",
-            {"defect": [[q.to_string() for q in row] for row in tangency_defect]},
+            {"defect": [[str(q) for q in row]
+                        for row in linalg.dense(tangency_defect, p.source_bundle.rank)]},
         )
 
     # (b) induced pairing
-    induced = p._induced_metric
     if p._induced_pairing is not None:
         g_matrix, determinant = p._induced_pairing
         if determinant != 0:
@@ -223,12 +223,9 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
                 {"induced_metric": [[str(v) for v in row] for row in g_matrix]},
             )
     else:
-        offender = next(
-            (i, j)
-            for i, row in enumerate(induced)
-            for j, q in enumerate(row)
-            if not q.is_constant()
-        )
+        induced = linalg.dense(p._record.w, p.source_bundle.rank)
+        offender = next((i, j) for i, row in enumerate(induced) for j, q in enumerate(row)
+                        if type(q) is Polynomial and not q.is_constant())
         pairing_check = AxiomCheck(
             False,
             "induced pairing is not constant on fibers; entry "
@@ -353,6 +350,7 @@ def _rejection(constructed: CourantStructure, candidate: CourantStructure):
         witness = [(key, d.to_string()) for key, d in diffs if not d.is_zero()]
         return "bracket", witness
     if candidate.anchor != constructed.anchor:
-        defect = linalg.pmat_sub(candidate.anchor, constructed.anchor)
+        defect = [[a - b for a, b in zip(r1, r2)]
+                  for r1, r2 in zip(candidate.anchor, constructed.anchor)]
         return "anchor", [[q.to_string() for q in row] for row in defect]
     return None

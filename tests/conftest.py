@@ -32,6 +32,7 @@ from courantlab.polyexpr import (
     _raw,
     _unpack,
     monomials_up_to,
+    poly_sum,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +63,30 @@ def so3_structure():
         linalg.identity(3),
         {key: Polynomial.constant(0, v) for key, v in eps.items()},
     )
+
+
+# -- dense polynomial matrices --------------------------------------------------
+#
+# The package multiplies frame data on sparse rows whose entries mix scalars
+# and polynomials (`linalg`).  These are the dense all-Polynomial loops it
+# replaced, kept as the reference that kernel is compared with and that the
+# pairwise references solve with.
+
+
+def reference_pmat_mul(a, b, cols: int = 0, num_vars: int = 0) -> list[list[Polynomial]]:
+    """A B for dense Polynomial matrices; `cols` and `num_vars` shape the
+    zero product of a `b` without rows."""
+    if not b:
+        return [[Polynomial(num_vars)] * cols for _ in a]
+    nv = b[0][0].num_vars if b[0] else num_vars
+    return [[poly_sum(nv, (x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())))
+             for col in zip(*b)] for row in a]
+
+
+def reference_pmat_vec(a, v, num_vars: int) -> list[Polynomial]:
+    """A v for a dense Polynomial matrix and vector."""
+    return [poly_sum(num_vars, (x * y for x, y in zip(row, v) if not (x.is_zero() or y.is_zero())))
+            for row in a]
 
 
 # -- the tag layer: lifts, tagged families and their decoder ---------------------

@@ -61,7 +61,7 @@ from courantlab.courant_core import (
 )
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.morphisms import check_general_base, check_identity_base
-from courantlab.polyexpr import Polynomial, PolyMap, _unpack, monomials_up_to, parse
+from courantlab.polyexpr import Polynomial, PolyMap, _unpack, monomials_up_to, parse, poly_sum
 from conftest import (
     decode_tag,
     lift_structure,
@@ -715,6 +715,20 @@ def perturbed_frame_data(draw):
         key = tuple(draw(st.integers(0, rank - 1)) for _ in range(3))
         c[key] = c.get(key, Polynomial(n)) + term(1)
     return CourantStructure(TrivialBundle(n, rank, "E"), anchor, metric, c)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(perturbed_frame_data(), leibniz_structures()))
+def test_dual_rows_equal_the_polynomial_products(s):
+    # the rows of G^-1 A^T, summed on packed dicts, are the sums of
+    # Polynomial products they replaced, term for term and in order
+    n, k, ginv = s.bundle.base_dim, s.bundle.rank, s.metric_inverse
+    reference = [[(a, entry._packed) for a, entry in (
+        (a, poly_sum(n, (s.anchor[a][i] * ginv[h][i] for i in range(k) if ginv[h][i])))
+        for a in range(n)) if not entry.is_zero()] for h in range(k)]
+    assert s._dual_rows == reference
+    assert [[list(p.items()) for _, p in row] for row in s._dual_rows] == \
+        [[list(p.items()) for _, p in row] for row in reference]
 
 
 # -- the three-axiom tagged sweep the frame tables replaced, kept as reference ---

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import courant_core, intrinsic, linalg, polyexpr, pullback
+from courantlab import courant_core, intrinsic, linalg, morphisms, polyexpr, pullback
 from courantlab.cli import main
-from courantlab.bundles import Section, TrivialBundle
+from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
@@ -20,6 +20,7 @@ from courantlab.intrinsic import (
     splitting_composite,
     uniqueness_check,
 )
+from courantlab.morphisms import check_general_base
 from courantlab.polyexpr import PolyMap, Polynomial
 from courantlab.pullback import PullbackProblem, construct, rejection_condition
 from conftest import so3_structure
@@ -189,8 +190,8 @@ class TestUniqueness:
         n, m = 1, 1
         b_field = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 3, 1, 0], [-3, 0, 0, 1]]
         base = canonical_splitting(n, m)
-        composed = linalg.mat_mul(linalg.mat(b_field),
-                                  [list(r) for r in base.fiber_matrix])
+        composed = linalg.dense(linalg.pmat_mul(linalg.sparse(b_field),
+                                                linalg.sparse(base.fiber_matrix)), 4)
         twisted = SplittingIso(n, m, composed)
         original = build_intrinsic(n, m).structure
         assert build_intrinsic(n, m, twisted).structure == original
@@ -199,8 +200,8 @@ class TestUniqueness:
         n, m = 1, 1
         stretch = [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         base = canonical_splitting(n, m)
-        composed = linalg.mat_mul(linalg.mat(stretch),
-                                  [list(r) for r in base.fiber_matrix])
+        composed = linalg.dense(linalg.pmat_mul(linalg.sparse(stretch),
+                                                linalg.sparse(base.fiber_matrix)), 4)
         twisted = SplittingIso(n, m, composed)
         assert build_intrinsic(n, m, twisted).structure != build_intrinsic(n, m).structure
 
@@ -215,6 +216,25 @@ class TestPontryaginEmbedding:
         assert [str(q) for q in image] == ["1", "0", "0", "0"]
         image = [row[1] for row in phi.fiber_matrix]
         assert [str(q) for q in image] == ["0", "0", "1", "0"]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+def test_pontryagin_record_is_the_column_selection_of_chis(n, m):
+    # the Pontryagin embedding reads chi's record through the columns of
+    # the inclusion; a copy without the selection forms its record in full,
+    # and both records and verdicts are the same
+    problem = intrinsic._chi_problem(n, m, None)
+    ambient, chi = problem.ambient, problem.morphism
+    construct(problem, enforce_hypotheses=False)
+    phi = compose_morphisms(chi, intrinsic.inclusion_morphism(n, m))
+    copy = BundleMorphism(phi.source, phi.target, phi.base_map, phi.fiber_matrix, phi.retraction)
+    selected, full = morphisms.along_image(ambient, phi), morphisms.along_image(ambient, copy)
+    assert phi._selection[0] is chi and copy._selection is None
+    for name in ("p", "pt_g", "w", "a2", "ap", "jac", "q", "qp", "v_t", "table"):
+        assert getattr(selected, name) == getattr(full, name), name
+    standard = standard_structure(n)
+    assert (check_general_base(standard, ambient, phi).to_json()
+            == check_general_base(standard, ambient, copy).to_json())
 
 
 class TestWorkPerOp:
@@ -278,27 +298,57 @@ class TestWorkPerOp:
         assert main(["intrinsic", "--n", str(n), "--m", str(m), "--json"]) == 1
         assert made == [] and lifts == []
 
-    def test_retraction_jacobian_composed_once_per_morphism(self, monkeypatch):
-        # J_r(phi0) of chi serves the pullback problem and chi's check; the
-        # Pontryagin embedding's serves its own check
+    @staticmethod
+    def composed(monkeypatch):
+        """(matrix, inner map) of every `linalg.pmat_compose` call."""
         calls = []
         original = linalg.pmat_compose
         monkeypatch.setattr(linalg, "pmat_compose",
                             lambda a, inner: calls.append((a, inner)) or original(a, inner))
+        return calls
+
+    @staticmethod
+    def records(monkeypatch):
+        """Every record along the image formed in full."""
+        formed = []
+        init = morphisms.AlongImage.__init__
+        monkeypatch.setattr(morphisms.AlongImage, "__init__",
+                            lambda self, s2, phi: formed.append(self) or init(self, s2, phi))
+        return formed
+
+    def test_retraction_jacobian_composed_once_per_morphism(self, monkeypatch):
+        # stricter than once per morphism: J_r(phi0) of chi serves the
+        # pullback problem, chi's check and, through the column selection,
+        # the Pontryagin embedding's check, so one op composes it once and
+        # forms Q = J_r(phi0) A(phi0) once
+        calls, formed = self.composed(monkeypatch), self.records(monkeypatch)
         build_intrinsic(3, 1)
         jacobian = splitting_composite(3, 1).retraction.jacobian()
-        per_base_map = Counter(id(inner) for a, inner in calls if a == jacobian)
-        assert sorted(per_base_map.values()) == [1, 1]
+        assert [a == jacobian for a, _ in calls].count(True) == 1
+        assert [r.q is not None and r.q is not r.a2 for r in formed] == [True, False]
 
     def test_ambient_anchor_composed_once_per_morphism(self, monkeypatch):
-        # A(phi0) of chi, and A(phi0) P, serve the pullback problem, its
-        # hypothesis (a) and chi's check; the Pontryagin embedding's serve its
-        # own check
-        calls = []
-        original = linalg.pmat_compose
-        monkeypatch.setattr(linalg, "pmat_compose",
-                            lambda a, inner: calls.append((a, inner)) or original(a, inner))
+        # stricter than once per morphism: A(phi0) and A(phi0) P of chi serve
+        # the pullback problem, its hypothesis (a), chi's check and, through
+        # the column selection, the Pontryagin embedding's check; the op
+        # forms two records, chi's into the ambient and the inclusion's
+        calls, formed = self.composed(monkeypatch), self.records(monkeypatch)
         build_intrinsic(2, 1)
         anchor = standard_structure(3).anchor
-        per_base_map = Counter(id(inner) for a, inner in calls if a == anchor)
-        assert sorted(per_base_map.values()) == [1, 1]
+        assert [a == anchor for a, _ in calls].count(True) == 1
+        assert [r.phi.fiber_matrix for r in formed] == [
+            splitting_composite(2, 1).fiber_matrix, intrinsic.inclusion_morphism(2, 1).fiber_matrix]
+
+    def test_matrix_operations_per_op(self, monkeypatch, capsys):
+        # `intrinsic --n 3 --m 1` made 59 exact matrix operations before the
+        # record (17 pmat_mul, 9 pmat_mul_constant, 20 pmat_vec, 10 pmat_sub,
+        # 2 det, 1 inverse); the records of chi and the inclusion, the
+        # composed fiber of the Pontryagin embedding, its selected record and
+        # the empty frame table leave 33
+        counts = Counter()
+        for name in ("pmat_mul", "pmat_vec", "pmat_sub", "det", "inverse"):
+            original = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, name=name, original=original:
+                                counts.update([name]) or original(*args))
+        assert main(["intrinsic", "--n", "3", "--m", "1"]) == 1
+        assert counts == {"pmat_mul": 20, "pmat_sub": 10, "det": 2, "inverse": 1}

@@ -5,13 +5,17 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from courantlab import linalg
+from courantlab.polyexpr import Polynomial, parse
+
+from conftest import reference_pmat_mul, reference_pmat_vec
 
 
 def test_det_and_inverse():
     a = linalg.mat([[2, 1], [1, 1]])
     assert linalg.det(a) == 1
     inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(2)
+    product = linalg.pmat_mul(linalg.sparse(a), linalg.sparse(inv))
+    assert linalg.dense(product, 2) == linalg.identity(2)
     assert linalg.det([]) == 1  # empty matrix convention
 
 
@@ -51,8 +55,10 @@ def test_solve_infeasible_gives_farkas():
 
 
 def test_pmat_transpose_keeps_the_columns_of_a_matrix_without_rows():
-    assert linalg.pmat_transpose([], 2) == [[], []]
-    assert linalg.pmat_transpose([]) == []
+    # on sparse rows: the two columns of a matrix without rows become two
+    # empty rows
+    assert linalg.pmat_transpose([], 2) == [{}, {}]
+    assert linalg.pmat_transpose([], 0) == []
 
 
 # -- the one row reduction against the four loops it replaced -----------------
@@ -293,3 +299,62 @@ def test_rank_and_solve_agree_with_sympy(system):
         assert all(sum((lam * row[j] for lam, row in zip(farkas, a)), Fraction(0)) == 0
                    for j in range(cols))
         assert sum((lam * v for lam, v in zip(farkas, b)), Fraction(0)) != 0
+
+
+# -- the frame-data kernel against the dense Polynomial loops ---------------------
+
+_NAMES = ["x1", "x2"]
+_SCALARS = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+_POLYS = [Polynomial(2), Polynomial.constant(2, 3), Polynomial.constant(2, Fraction(1, 3))] + [
+    parse(t, _NAMES) for t in ("x1", "-x1", "x1*x2 + 1", "1/3*x2", "x1 - 2")]
+
+
+@st.composite
+def mixed_operands(draw, constant: bool = False):
+    """(a, b, v, columns of b): matrices and a vector of up to 3 x 3 whose
+    entries mix ints, Fractions and Polynomials in two variables; with
+    `constant`, every Polynomial is constant."""
+    pool = _SCALARS + [p for p in _POLYS if not constant or p.is_constant()]
+    entry = st.sampled_from(pool)
+    rows, inner, cols = (draw(st.integers(0, 3)) for _ in range(3))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return a, b, [draw(entry) for _ in range(inner)], cols
+
+
+def as_polynomials(a):
+    return [[linalg.polynomial(x, 2) for x in row] for row in a]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mixed_operands())
+def test_kernel_equals_the_dense_polynomial_loops(case):
+    # product, vector product, difference and transpose on sparse rows
+    # against the all-Polynomial loops; no sparse row stores a zero, and no
+    # entry is tested by truthiness
+    a, b, v, cols = case
+    inner = len(b)
+    sa, sb = linalg.sparse(a), linalg.sparse(b)
+    product = linalg.pmat_mul(sa, sb)
+    assert linalg.dense(product, cols) == reference_pmat_mul(as_polynomials(a), as_polynomials(b),
+                                                            cols, 2)
+    assert linalg.pmat_vec(sa, v) == reference_pmat_vec(as_polynomials(a),
+                                                         as_polynomials([v])[0], 2)
+    assert linalg.dense(linalg.pmat_sub(sb, sb), cols) == [[0] * cols for _ in b]
+    assert linalg.pmat_sub(linalg.pmat_transpose(linalg.pmat_transpose(sa, inner), len(a)), sa) \
+        == [{} for _ in a]
+    for rows in (sa, sb, product):
+        assert not [x for row in rows for x in row.values() if linalg.is_zero(x)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mixed_operands(constant=True))
+def test_constant_frame_data_stays_scalar(case):
+    # constant Polynomials enter as their scalars, and scalar times scalar
+    # stays a scalar in canonical form: an int when integral
+    a, b, v, _ = case
+    product = linalg.pmat_mul(linalg.sparse(a), linalg.sparse(b))
+    values = [x for row in product for x in row.values()]
+    values += linalg.pmat_vec(linalg.sparse(a), [linalg.entry(x) for x in v])
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1)

@@ -806,3 +806,26 @@ def test_kept_bracket_is_keyed_on_its_target_and_cap(check):
         for k in (a, b):
             s2, cap = cases[k]
             assert check(s1, s2, phi, degree_cap=cap).to_json() == expected[k], (a, b)
+
+
+# -- zero polynomials from cancellation -----------------------------------------
+
+
+def b_transform(b: str):
+    """(s, phi): standard(2) and its B-transform over the identity for
+    B = b dx1 ^ dx2, with fiber matrix [[I, 0], [S, I]], S = [[0, b], [-b, 0]]."""
+    s = standard_structure(2)
+    entry = parse(b, ["x1", "x2"])
+    fiber = [[Polynomial.constant(2, int(i == j)) for j in range(4)] for i in range(4)]
+    fiber[2][1], fiber[3][0] = entry, -entry
+    return s, BundleMorphism(s.bundle, s.bundle, PolyMap.identity(2), fiber, PolyMap.identity(2))
+
+
+@pytest.mark.parametrize("b", ["x1", "x1*x2 - 3", "2*x2^2 + x1"])
+def test_closed_b_transform_is_an_automorphism(b):
+    # every 2-form on R^2 is closed, so e^B preserves the Dorfman bracket;
+    # P^T G P = G holds through the cancellation b - b in its off-diagonal
+    # entries, whose zero polynomials the kernel must drop by `is_zero`
+    s, phi = b_transform(b)
+    assert check_identity_base(s, s, phi).is_morphism
+    assert check_general_base(s, s, phi).is_morphism

@@ -26,6 +26,7 @@ from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
 
 import conftest
 import test_certificate_oracle as oracles
+import test_intrinsic
 import test_morphisms
 import test_pullback
 
@@ -34,7 +35,7 @@ frame_jacobiator = courant_core._frame_jacobiator
 slot_tables = courant_core._slot_tables
 _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
-perturbed_failure = morphisms._perturbed_failure
+along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
 
 
 def skew_failure_without_i_equals_j(table, mirror, arity):
@@ -197,19 +198,37 @@ def degree_1_holds_without_t_or_p(d):
 
 def first_slot_without_the_w_term(d, a, i, j):
     """R_aij without its term -W_ij V e_a."""
-    return [d.g1[i][j] * u - d.t[a][j] * row[i] for row, u in zip(d.p, d.u_t[a])]
+    return [d.g1[i].get(j, 0) * d.u_t[a].get(h, 0) - d.t[a].get(j, 0) * row.get(i, 0)
+            for h, row in enumerate(d.p)]
 
 
-def perturbed_failure_on_image_fibers(phi, a2):
+def perturbed_failure_on_image_fibers(rec):
     """Strict checking on N A2(phi0) P, the anchor on image fibers only."""
-    return perturbed_failure(phi, linalg.pmat_mul(a2, phi.fiber_matrix, phi.source.rank,
-                                                  phi.source.base_dim))
+    if not any(rec.p):
+        return None
+    return morphisms._matrix_failure("bracket", "entry", rec.normal(rec.ap, rec.qp), rec.k1)
 
 
 def tangency_defect_on_whole_fibers(p):
     """Hypothesis (a) read as N A(phi0), the anchor on whole fibers."""
-    phi = p.morphism
-    return linalg.pmat_mul(phi.image_complement, phi.anchor_along_image(p.ambient.anchor)[0])
+    return p._record.normal(p._record.a2, p._record.q)
+
+
+def zero_by_truthiness(x):
+    """The kernel's zero test by truthiness, which a zero Polynomial passes."""
+    return not x
+
+
+def along_image_without_the_target(s2, phi):
+    """`along_image` returning the kept record whatever its target."""
+    if phi._along is not None:
+        return phi._along[1]
+    return along_image(s2, phi)
+
+
+def selection_off_by_one(record, phi, cols):
+    """The column selection shifted by one column."""
+    return selected(record, phi, [(c + 1) % record.k1 for c in cols])
 
 
 def bumped(base, bump, value=Fraction(3, 2)):
@@ -373,13 +392,39 @@ MUTANTS = {
         # (e_0, e_1) fails, and so does (e_0, x1 e_0) with the smaller tags
         ((morphisms.check_general_base, *signed_zero_section()), 1, 1),
     ),
+    "zero_test_by_truthiness": (
+        [(linalg, "is_zero", zero_by_truthiness)],
+        test_morphisms.test_closed_b_transform_is_an_automorphism,
+        ("x1",),                            # (P^T G P)_01 = x1 - x1, a zero polynomial
+    ),
+    "record_key_without_the_target": (
+        [(morphisms, "along_image", along_image_without_the_target)],
+        test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
+        (morphisms.check_general_base,),    # one morphism into standard(1) and a bumped copy
+    ),
+    "pontryagin_selection_off_by_one": (
+        [(morphisms.AlongImage, "selected", selection_off_by_one)],
+        test_intrinsic.test_pontryagin_record_is_the_column_selection_of_chis,
+        (1, 1),                             # columns (v, p) of chi read as (p, e)
+    ),
 }
+
+
+def fresh(example):
+    """The example with every morphism in it rebuilt: a record along the
+    image kept on a shared morphism by an earlier run would hide a mutant."""
+    if isinstance(example, tuple):
+        return tuple(fresh(value) for value in example)
+    if isinstance(example, BundleMorphism):
+        return BundleMorphism(example.source, example.target, example.base_map,
+                              example.fiber_matrix, example.retraction)
+    return example
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_oracle_passes_without_the_mutant(name):
     _, oracle, example = MUTANTS[name]
-    oracle(*example)
+    oracle(*fresh(example))
 
 
 @pytest.mark.parametrize("name", MUTANTS)
@@ -388,5 +433,5 @@ def test_mutant_is_killed(monkeypatch, name):
     for module, attribute, mutant in patches:
         monkeypatch.setattr(module, attribute, mutant)
     with pytest.raises((AssertionError, RuntimeError)) as killed:
-        oracle(*example)
+        oracle(*fresh(example))
     assert killed.type is AssertionError or "internal inconsistency" in str(killed.value)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from courantlab import linalg
 from courantlab.polyexpr import (
@@ -428,9 +428,38 @@ class TestCoefficientTypes:
 
     def test_linalg_on_constant_values_stays_rational(self):
         rows = [[parse("2", []), parse("1", [])], [parse("1", []), parse("3", [])]]
-        m = linalg.pmat_constant_value(rows)
+        m = [[p.constant_value() for p in row] for row in rows]
         assert {type(v) for row in m for v in row} == {Fraction}
         assert type(linalg.det(m)) is Fraction and linalg.det(m) == 5
         inv = linalg.inverse(m)
         assert {type(v) for row in inv for v in row} == {Fraction}
         assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+
+
+# -- hashing agrees with equality across scalars and polynomials -----------------
+
+_VALUES = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+_MIXED = st.one_of(
+    st.sampled_from(_VALUES),
+    st.sampled_from(_VALUES).map(Fraction),
+    st.builds(Polynomial.constant, st.sampled_from([0, 1, 2]), st.sampled_from(_VALUES)),
+    st.sampled_from([parse(t, ["x1", "x2"]) for t in ("x1", "x1 + 1", "-x1", "1/2*x2^2 - x1")]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_MIXED, _MIXED)
+def test_equal_values_hash_equal(a, b):
+    # a constant polynomial equals its scalar, so it hashes as that scalar;
+    # the matrix kernel mixes both in one matrix
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_a_constant_polynomial_and_its_scalar_are_one_member():
+    assert Polynomial.constant(2, 3) == 3 and len({Polynomial.constant(2, 3), 3}) == 1
+    half = {Polynomial.constant(1, Fraction(1, 2)), Fraction(1, 2),
+            Polynomial.constant(1, Fraction(2, 4))}
+    assert len(half) == 1 and len({Polynomial(2), 0, Fraction(0)}) == 1
+    x1 = parse("x1", ["x1"])
+    assert hash(x1) == hash(parse("x1 + 1 - 1", ["x1"])) and len({x1, 1}) == 2

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from courantlab import courant_core, linalg
+from courantlab import morphisms as morphisms_mod
 from courantlab import pullback as pullback_mod
 from courantlab.cli import main
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms
@@ -19,8 +20,8 @@ from courantlab.courant_core import (
     scaled_structure,
     standard_structure,
 )
-from courantlab.intrinsic import pontryagin_embedding, splitting_composite
-from courantlab.morphisms import check_general_base, frame_table
+from courantlab.intrinsic import inclusion_morphism, pontryagin_embedding, splitting_composite
+from courantlab.morphisms import along_image, check_general_base, frame_table
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import (
     PullbackProblem,
@@ -33,7 +34,8 @@ from courantlab.pullback import (
 )
 from courantlab.scene import load_scene, structure_to_json
 
-from conftest import _extended_frames, image_vanishing_multipliers
+from conftest import (_extended_frames, image_vanishing_multipliers, reference_pmat_mul,
+                      reference_pmat_vec)
 
 
 def pontryagin_problem(n=1, m=1):
@@ -44,6 +46,11 @@ def pontryagin_problem(n=1, m=1):
 def splitting_problem(n, m):
     chi = splitting_composite(n, m)
     return PullbackProblem(standard_structure(n + m), chi.source, chi)
+
+
+def is_constant(matrix) -> bool:
+    """Whether every entry of a dense Polynomial matrix is constant."""
+    return all(p.is_constant() for row in matrix for p in row)
 
 
 class TestProblemValidation:
@@ -273,26 +280,28 @@ class TestFrameTable:
     @staticmethod
     def recorded(monkeypatch):
         """(brackets, lifts, tables): every `CourantStructure._bracket`
-        call, every lift formed and the morphism of every frame table a
-        pullback problem reads."""
+        call, every lift formed and the morphism of every frame table
+        formed."""
         brackets, lifts, tables = [], [], []
-        bracket, table = CourantStructure._bracket, pullback_mod.frame_table
+        bracket, table = CourantStructure._bracket, morphisms_mod.frame_table
         # no lift can be formed: the package keeps none
         assert not {"lift_structure", "_lifted"} & set(vars(courant_core))
         monkeypatch.setattr(CourantStructure, "_bracket",
                             lambda s, f, g: brackets.append(s) or bracket(s, f, g))
-        monkeypatch.setattr(pullback_mod, "frame_table",
-                            lambda s2, phi, *rest: tables.append(phi) or table(s2, phi, *rest))
+        monkeypatch.setattr(morphisms_mod, "frame_table",
+                            lambda record: tables.append(record.phi) or table(record))
         return brackets, lifts, tables
 
     def test_intrinsic_op_brackets_each_frame_pair_once(self, monkeypatch, capsys):
-        # stricter than one tagged bracket of all k^2 pairs: the problem
-        # reads one table of chi, and neither it nor the checks of the
-        # Pontryagin embedding and chi into the ambient bracket or lift
+        # stricter than one tagged bracket of all k^2 pairs: one table of
+        # chi is formed, which the problem, chi's check and (selected) the
+        # Pontryagin embedding's check read, and one of the inclusion; no
+        # bracket is made and nothing is lifted
         brackets, lifts, tables = self.recorded(monkeypatch)
         assert main(["intrinsic", "--n", "2", "--m", "1", "--json"]) == 1
         assert brackets == lifts == []
-        assert [phi.fiber_matrix for phi in tables] == [splitting_composite(2, 1).fiber_matrix]
+        assert [phi.fiber_matrix for phi in tables] == [
+            splitting_composite(2, 1).fiber_matrix, inclusion_morphism(2, 1).fiber_matrix]
 
     def test_alt_retraction_op_brackets_each_problem_once(self, monkeypatch, capsys):
         # two problems, the given retraction and the alternative one: one
@@ -365,19 +374,33 @@ class TestWorkPerProblem:
         monkeypatch.setattr(linalg, name, lambda *args: calls.append(args) or original(*args))
         return calls
 
+    @staticmethod
+    def records(monkeypatch):
+        """(target, morphism) of every record along the image formed in
+        full; a column selection of a kept record is not one."""
+        formed = []
+        init = morphisms_mod.AlongImage.__init__
+        monkeypatch.setattr(morphisms_mod.AlongImage, "__init__",
+                            lambda self, s2, phi: formed.append((s2, phi)) or init(self, s2, phi))
+        return formed
+
     @pytest.mark.parametrize("problem", [
         pontryagin_problem(1, 1), pontryagin_problem(2, 1), splitting_problem(2, 1),
     ], ids=["pontryagin_1_1", "pontryagin_2_1", "splitting_2_1"])
     def test_one_induced_metric_product_per_problem(self, monkeypatch, problem):
-        # P^T G P is read by hypothesis (b), by both construct gates, by the
-        # tagged solve and by the structure; P^T is taken for it once
+        # stricter than one P^T per problem: P^T G P, read by hypothesis
+        # (b), by both construct gates, by the solve and by the structure,
+        # comes from the one record of the morphism into the ambient (for
+        # the Pontryagin embedding, of chi, whose columns it selects), and
+        # P^T is taken once in all
+        formed = self.records(monkeypatch)
         calls = self.recorded(monkeypatch, "pmat_transpose")
         check_hypotheses(problem)
         construct(problem, enforce_hypotheses=False)
         if problem.hypotheses.all_passed:
             construct(problem)
-        fiber = problem.morphism.fiber_matrix
-        assert [args[0] is fiber for args in calls].count(True) == 1
+        assert [s2 for s2, _ in formed] == [problem.ambient]
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("s1, s2, phi", [
         (standard_structure(1), standard_structure(2), pontryagin_embedding(1, 1)),
@@ -386,27 +409,34 @@ class TestWorkPerProblem:
          pontryagin_embedding(1, 1)),
     ], ids=["pontryagin_1_1", "pontryagin_2_1", "scaled_source"])
     def test_general_base_check_composes_each_matrix_once(self, monkeypatch, s1, s2, phi):
-        # both related sections of the sweep share one P(r(y))
+        # stricter than once per check: both related sections of a failing
+        # pair share one P(r(y)), and a second check of the morphism into
+        # the same target reads the kept record and composes nothing
         calls = self.recorded(monkeypatch, "pmat_compose")
-        check_general_base(s1, s2, phi)
+        formed = self.records(monkeypatch)
+        first = check_general_base(s1, s2, phi).to_json()
+        composed = len(calls)
+        assert check_general_base(s1, s2, phi).to_json() == first
         pairs = Counter((id(a), id(inner)) for a, inner in calls)
-        assert pairs and max(pairs.values()) == 1
+        assert pairs and max(pairs.values()) == 1 and len(calls) == composed
+        assert [target for target, _ in formed] == [s2]
 
 
 def reference_solver(problem):
-    """solve(vec) -> (c, residual): P c = vec through the projector, in n variables."""
+    """solve(vec) -> (c, residual): P c = vec through the projector, in n
+    variables, with the dense Polynomial loops of `conftest`."""
     fiber = problem.morphism.fiber_matrix
     n = problem.source_bundle.base_dim
-    pt_g = linalg.pmat_mul(
-        linalg.pmat_transpose(fiber), linalg.pmat_constant(problem.ambient.metric, n)
+    pt_g = reference_pmat_mul(
+        [list(col) for col in zip(*fiber)], linalg.pmat_constant(problem.ambient.metric, n)
     )
-    induced = linalg.pmat_constant_value(linalg.pmat_mul(pt_g, fiber)) if pt_g else []
+    induced = [[p.constant_value() for p in row] for row in reference_pmat_mul(pt_g, fiber)]
     g_inv = linalg.pmat_constant(linalg.inverse(induced) if induced else [], n)
 
     def solve(vec):
-        half = linalg.pmat_vec(pt_g, vec, num_vars=n)
-        coeffs = linalg.pmat_vec(g_inv, half, num_vars=n)
-        reproduced = linalg.pmat_vec(fiber, coeffs, num_vars=n)
+        half = reference_pmat_vec(pt_g, vec, n)
+        coeffs = reference_pmat_vec(g_inv, half, n)
+        reproduced = reference_pmat_vec(fiber, coeffs, n)
         return coeffs, [a - b for a, b in zip(reproduced, vec)]
 
     return solve
@@ -518,7 +548,7 @@ def isometry(n_base, big, beta, b_field):
     zero = linalg.pmat_constant(linalg.zeros(big, big), n_base)
     first = block(ident, beta, zero, ident)
     second = block(ident, zero, b_field, ident)
-    return linalg.pmat_mul(second, first)
+    return reference_pmat_mul(second, first)
 
 
 def random_problem(seed):
@@ -557,7 +587,7 @@ def random_problem(seed):
     for a in range(n):
         inclusion[a][a] = Polynomial.constant(n, 1)
         inclusion[big + a][n + a] = Polynomial.constant(n, 1)
-    fiber = linalg.pmat_mul(isometry(n, big, skew(), skew()), inclusion)
+    fiber = reference_pmat_mul(isometry(n, big, skew(), skew()), inclusion)
     shift = rng.choice([0, 1])
     base_map = PolyMap(n, [Polynomial.variable(n, a) for a in range(n)]
                        + [Polynomial.constant(n, shift)])
@@ -627,9 +657,9 @@ class TestFrameTableReference:
                 on_image = [q.compose(base_map) for q in problem.ambient.bracket(ei, ej).coeffs]
                 if any(not q.is_zero() for q in on_image):
                     expected[i, j] = on_image
-            table = frame_table(problem.ambient, problem.morphism, *problem._projected, True)
+            table = frame_table(along_image(problem.ambient, problem.morphism))
             assert table == expected
-            varying += bool(table) and not linalg.pmat_is_constant(problem.morphism.fiber_matrix)
+            varying += bool(table) and not is_constant(problem.morphism.fiber_matrix)
         assert varying >= 5
 
     def test_extension_verdicts_equal_the_enumerated_perturbations(self):
@@ -656,7 +686,7 @@ class TestFrameTableReference:
             functions, witness = reference_frame_table(p)
             if witness is not None:
                 outcomes.add("fails after a partial table" if functions else "fails")
-            elif functions and not linalg.pmat_is_constant(p.morphism.fiber_matrix):
+            elif functions and not is_constant(p.morphism.fiber_matrix):
                 outcomes.add(("passes", reference_perturbation_verdict(p, functions, 2, 0)))
         assert outcomes == {"fails", "fails after a partial table",
                             ("passes", True), ("passes", False)}

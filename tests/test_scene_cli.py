@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import subprocess
@@ -926,3 +927,153 @@ class TestWitnessDeterminism:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].count('"witness"') >= 5
+
+
+# -- intrinsic and load_scene under fuzzing --------------------------------------
+
+_WRONG_TYPES = [None, True, 1.5, -1, "x1", "", [], {}, [[1]], [["1", "0"], ["0"]], {"a": 1}]
+
+
+@st.composite
+def _intrinsic_runs(draw):
+    """(argv without --phi, phi file text or None) for `intrinsic`: --n,
+    --m and --degree-cap small, negative or large, and a splitting file that
+    is valid, non-square, singular, ragged or wrong-typed."""
+    dimension = st.one_of(st.integers(-2, 3), st.sampled_from([-10 ** 9, 40, 10 ** 9]))
+    n, m = draw(dimension), draw(dimension)
+    argv = ["intrinsic", "--n", str(n), "--m", str(m), "--degree-cap",
+            str(draw(st.one_of(st.integers(-2, 4), st.sampled_from([10 ** 6, 10 ** 30]))))]
+    argv += draw(st.sampled_from([[], ["--json"]]))
+    if not draw(st.booleans()):
+        return argv, None
+    size = max(0, min(2 * n + 2 * m, 6)) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    entry = st.sampled_from(["1", "0", "-1", "1/2", "2", "x1", 3, 0, 1])
+    rows = [[draw(entry) for _ in range(size + draw(st.sampled_from([0, 0, 0, 0, 1, -1])))]
+            for _ in range(max(size, 0))]
+    kind = draw(st.sampled_from(["permutation", "drawn", "singular", "wrong_type", "shape"]))
+    if kind == "permutation" and size > 0:
+        order = draw(st.permutations(range(size)))
+        rows = [[int(j == order[i]) for j in range(size)] for i in range(size)]
+    elif kind == "singular":
+        rows = [[0] * size for _ in range(size)]
+    elif kind == "wrong_type" and rows and rows[0]:
+        rows[draw(st.integers(0, len(rows) - 1))][0] = draw(st.sampled_from(_WRONG_TYPES))
+    spec = {"fiber_matrix": rows}
+    if kind == "shape":
+        spec = draw(st.sampled_from([rows, {"fiber_matrix": draw(st.sampled_from(_WRONG_TYPES))},
+                                     {"matrix": rows}, "text", 5]))
+    return argv, json.dumps(spec)
+
+
+class TestIntrinsicContract:
+    """`intrinsic` honours the exit-code contract on fuzzed dimensions, caps
+    and splitting files."""
+
+    @settings(max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(_intrinsic_runs())
+    def test_fuzzed_runs_keep_the_contract(self, tmp_path, capsys, case):
+        argv, phi = case
+        if phi is not None:
+            path = tmp_path / "phi.json"
+            path.write_text(phi)
+            argv = argv + ["--phi", str(path)]
+        TestMorphismContract.run(argv, capsys)
+
+    @pytest.mark.parametrize("n, m", [(10 ** 9, 0), (0, 10 ** 9), (40, 25)])
+    def test_dimensions_are_bounded(self, capsys, n, m):
+        # the splitting matrix has (2n + 2m)^2 entries: a rank above 128 is
+        # an input error, not a MemoryError
+        code, captured = TestMorphismContract.run(
+            ["intrinsic", "--n", str(n), "--m", str(m)], capsys)
+        assert code == 2
+        assert captured.err == f"error: --n + --m must be at most 64, got {n + m}\n"
+
+    def test_largest_dimension_runs(self, capsys):
+        code, _ = TestMorphismContract.run(["intrinsic", "--n", "40", "--m", "24"], capsys)
+        assert code == 1
+
+
+def _scene_paths(value, path=()):
+    """Every path to a value inside a JSON value, the root excluded."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _scene_paths(child, path + (key,))
+
+
+_LOAD_BASE = {
+    "schema_version": 1,
+    "bundles": {"P1": {"base_dim": 1, "rank": 2}, "P2": {"base_dim": 2, "rank": 4}},
+    "courant_structures": {**_STANDARD, "bumped": {**_STANDARD["std1"],
+                                                   "structure_functions": {"1,1,2": "x1"}}},
+    "morphisms": {"phi": {**_ZERO_SECTION, "retraction": ["x1"]}},
+    "sections": {"f": {"bundle": "P1", "coeffs": ["x1", "1"]}},
+    "ph_systems": {"osc": {"n": 2, "m": 1, "J": [[0, 1], [-1, 0]], "B": [[1], [0]],
+                           "H": "1/2*x1^2 + 1/2*x2^2"}},
+    "inputs": {"u": {"u": ["1"]}},
+}
+_LOAD_PATHS = list(_scene_paths(_LOAD_BASE))
+_LOAD_COMMANDS = [
+    ["axioms", "--structure", "std1"],
+    ["morphism", "--source", "std1", "--target", "std2", "--map", "phi"],
+    ["pullback", "--ambient", "std2", "--morphism", "phi"],
+    ["dirac", "--system", "osc"],
+]
+
+
+_GONE = object()
+
+
+def _held(value, key):
+    """value[key] when value is a dict or a list that holds key, else _GONE."""
+    if isinstance(value, dict) and key in value:
+        return value[key]
+    if isinstance(value, list) and isinstance(key, int) and key < len(value):
+        return value[key]
+    return _GONE
+
+
+def _square(value):
+    return isinstance(value, list) and all(isinstance(row, list) for row in value) and value
+
+
+@st.composite
+def _corrupted_scenes(draw):
+    """(scene, argv without --scene): the base scene with one to three
+    corruptions, each a deleted key, a value of the wrong type, or a matrix
+    made non-square, ragged or singular."""
+    scene = json.loads(json.dumps(_LOAD_BASE))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_LOAD_PATHS))
+        parent = scene
+        for key in path[:-1]:
+            parent = _held(parent, key)
+        value = _held(parent, path[-1])
+        if value is _GONE:
+            continue    # an earlier corruption removed the path
+        how = draw(st.sampled_from(["delete", "wrong_type", "ragged", "drop_row", "singular"]))
+        if how == "delete":
+            del parent[path[-1]]
+        elif how == "wrong_type" or not _square(value):
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_WRONG_TYPES)))
+        elif how == "ragged":
+            value[draw(st.integers(0, len(value) - 1))].append("0")
+        elif how == "drop_row":
+            value.pop()
+        else:
+            parent[path[-1]] = [[0] * len(row) for row in value]
+    return scene, draw(st.sampled_from(_LOAD_COMMANDS))
+
+
+class TestLoadSceneContract:
+    """Scene loading honours the exit-code contract on corrupted scenes."""
+
+    @settings(max_examples=800, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(_corrupted_scenes())
+    def test_corrupted_scenes_keep_the_contract(self, tmp_path, capsys, case):
+        scene, argv = case
+        TestMorphismContract.run([argv[0], "--scene", str(write_scene(tmp_path, scene)),
+                                  *argv[1:]], capsys)

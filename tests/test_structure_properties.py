@@ -110,11 +110,11 @@ def b_field_morphisms(draw):
 
 def _graph_is_isotropic(s1, s2, phi) -> bool:
     """Gamma^T diag(G1, -G2) Gamma = 0 for the graph generators Gamma."""
-    gamma = graph_subbundle(phi).fiber_generators
-    metric = linalg.pmat_constant(product_structure(s1, s2, flip=True).metric,
-                                  phi.source.base_dim)
-    form = linalg.pmat_mul(linalg.pmat_transpose(gamma), linalg.pmat_mul(metric, gamma))
-    return linalg.pmat_is_zero(form)
+    gamma = linalg.sparse(graph_subbundle(phi).fiber_generators)
+    metric = linalg.sparse(product_structure(s1, s2, flip=True).metric)
+    form = linalg.pmat_mul(linalg.pmat_transpose(gamma, phi.source.rank),
+                           linalg.pmat_mul(metric, gamma))
+    return not any(form)
 
 
 @bounded

@@ -356,21 +356,7 @@ def related_section(
     image = phi.apply(f)  # P(x) f(x), in source variables
     n_target = phi.target.base_dim
     monos = monomials_up_to(n_target, degree_cap)
-    # powers of the base map components, shared across all candidates
-    base_powers: list[list[Polynomial]] = [
-        [Polynomial.constant(phi.source.base_dim, 1)] for _ in range(n_target)
-    ]
-
-    def composed_monomial(exps: tuple[int, ...]) -> Polynomial:
-        prod = Polynomial.constant(phi.source.base_dim, 1)
-        for i, e in enumerate(exps):
-            while len(base_powers[i]) <= e:
-                base_powers[i].append(base_powers[i][-1] * phi.base_map[i])
-            if e:
-                prod = prod * base_powers[i][e]
-        return prod
-
-    columns = [composed_monomial(exps) for exps in monos]
+    columns = [Polynomial.monomial(n_target, exps).compose(phi.base_map) for exps in monos]
     solved_components: list[Polynomial] = []
     for comp_index in range(phi.target.rank):
         target_poly = image[comp_index]

@@ -52,13 +52,25 @@ _BUILTIN = re.compile(r"^standard(\d+)$")
 # the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
 # splitting matrix 4(n + m)^2 entries
 MAX_INTRINSIC_DIMENSION = 64
+# the most RK4 steps of `simulate` and `project`: each state, output and z
+# coordinate keeps one float per grid row
+MAX_STEPS = 10 ** 6
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors honour the exit-code contract: one
+    `error:` line on stderr and exit code 2, with no usage lines.  The
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(2)
 
 
 def _common_flags(sub):
     sub.add_argument("--scene", help="scene JSON file")
     sub.add_argument("--seed", type=int, default=0,
-                     help="accepted for compatibility and echoed in --json; no "
-                          "verdict depends on it")
+                     help="echoed in --json; no verdict depends on it")
     sub.add_argument("--degree-cap", type=int, default=3,
                      help="degree cap for section families; the axiom and "
                           "morphism certificates and the sweep of the falsified "
@@ -74,7 +86,7 @@ def _common_flags(sub):
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every later
     `main` call in the process; parsing never changes it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="courantlab",
         description="Exact Courant algebroid workbench and port-Hamiltonian simulator",
     )
@@ -89,8 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--structure", required=True)
     p.add_argument("--samples", type=int, default=100,
-                   help="accepted for compatibility and no longer used: the "
-                        "rules are certified exactly")
+                   help="not read: the rules are certified exactly")
 
     p = sub.add_parser("morphism", help="classical Courant morphism verdict")
     _common_flags(p)
@@ -189,7 +200,7 @@ def _capped_structure(args):
 
 def _cmd_axioms(args) -> tuple[dict, list[str]]:
     structure = _capped_structure(args)
-    report = check_axioms(structure, degree_cap=args.degree_cap, seed=args.seed)
+    report = check_axioms(structure, degree_cap=args.degree_cap)
     payload = {
         "command": "axioms",
         "structure": args.structure,
@@ -257,7 +268,7 @@ def _cmd_morphism(args):
             )
         else:
             verdict = morphisms_mod.check_general_base(
-                s1, s2, phi, pairs=pairs, degree_cap=args.degree_cap, seed=args.seed
+                s1, s2, phi, pairs=pairs, degree_cap=args.degree_cap
             )
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
@@ -407,6 +418,9 @@ def _cmd_trajectory(args):
             raise SceneError(f"{flag} must be positive and finite, got {value!r}")
     if args.step > args.t_final:
         raise SceneError(f"--h {args.step!r} is longer than the horizon --T {args.t_final!r}")
+    if args.t_final / args.step > MAX_STEPS:
+        raise SceneError(f"--T / --h must be at most {MAX_STEPS} steps, "
+                         f"got --T {args.t_final!r} and --h {args.step!r}")
     try:
         if z0 is None:
             trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)

@@ -176,7 +176,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -219,8 +218,6 @@ __all__ = [
     "LeibnizReport",
     "check_leibniz",
     "dirac_check",
-    "random_section",
-    "random_polynomial",
 ]
 
 
@@ -532,7 +529,7 @@ def scaled_structure(base: CourantStructure, lam) -> CourantStructure:
     return CourantStructure(
         base.bundle,
         base.anchor,
-        linalg.mat_scale(base.metric, lam),
+        [[x * lam for x in row] for row in base.metric],
         base.structure_functions,
     )
 
@@ -644,33 +641,6 @@ def dorfman_bracket(f: Section, g: Section) -> Section:
     contraction = interior_twoform(y, d_oneform(alpha))
     form = [a - b for a, b in zip(lie, contraction)]
     return Section(bundle, PolyMap(n, vec + form))
-
-
-# -- randomized sections -------------------------------------------------------
-
-
-_COEFF_POOL = [
-    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3),
-    Fraction(-3), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3),
-]
-
-
-def random_polynomial(rng: random.Random, num_vars: int, degree: int,
-                      terms: int = 3) -> Polynomial:
-    monos = monomials_up_to(num_vars, degree)
-    chosen = {}
-    for _ in range(terms):
-        chosen[rng.choice(monos)] = rng.choice(_COEFF_POOL)
-    return Polynomial(num_vars, chosen)
-
-
-def random_section(rng: random.Random, bundle: TrivialBundle, degree: int,
-                   terms: int = 2) -> Section:
-    comps = [
-        random_polynomial(rng, bundle.base_dim, degree, terms)
-        for _ in range(bundle.rank)
-    ]
-    return Section(bundle, PolyMap(bundle.base_dim, comps))
 
 
 # -- the monomial family -------------------------------------------------------
@@ -1074,8 +1044,6 @@ def check_axioms(
     s: CourantStructure,
     sections: Sequence[Section] = (),
     degree_cap: int = 3,
-    n_random: int = 100,
-    seed: int = 0,
 ) -> AxiomReport:
     """Exact pass/fail per axiom.
 
@@ -1094,8 +1062,7 @@ def check_axioms(
     on every frame triple while another frame identity fails, is decided on
     the tuples of degree 1 by the slot tables of the five rules, with no
     lift and no bracket.  A failing axiom reports its least failing tuple
-    (see the module docstring), whose defect alone is re-expanded.  n_random
-    and seed are accepted for compatibility; nothing is drawn.  All
+    (see the module docstring), whose defect alone is re-expanded.  All
     comparisons are polynomial identities with zero tolerance.
     """
     pool: list[Section] = list(sections)
@@ -1184,9 +1151,7 @@ def _leibniz_witness(s: CourantStructure) -> dict | None:
 
 def check_leibniz(
     s: CourantStructure,
-    n_samples: int = 100,
     degree_cap: int = 2,
-    seed: int = 0,
 ) -> LeibnizReport:
     """Decide the two Leibniz rules, and falsify the final-slot variant.
 
@@ -1207,7 +1172,6 @@ def check_leibniz(
     sections as the witness.  At cap 0 the claim is bounded to constant
     coefficients, on which the variant cannot fail.
 
-    `n_samples` and `seed` are accepted for compatibility and unused.
     Raises ValueError when the family exceeds MAX_FAMILY.
     """
     cap = min(degree_cap, SWEEP_ORDER)
@@ -1233,7 +1197,9 @@ def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
 
 
 def _maximally_isotropic(metric, subspace: LinearSubspace) -> bool:
-    """`dirac_check` against a constant k x k pairing matrix."""
+    """`dirac_check` against a constant k x k pairing matrix G: the subspace
+    has dimension k / 2 and the Gram matrix B G B^T of its basis rows B
+    vanishes."""
     k = len(metric)
     if subspace.ambient_dim != k:
         raise ValueError(
@@ -1241,10 +1207,7 @@ def _maximally_isotropic(metric, subspace: LinearSubspace) -> bool:
         )
     if k % 2:
         raise ValueError("maximal isotropy is undefined for odd rank")
-    basis = [list(v) for v in subspace.basis]
-    for u in basis:
-        gu = linalg.mat_vec(metric, u)
-        for v in basis:
-            if sum((a * b for a, b in zip(gu, v) if a and b), Fraction(0)) != 0:
-                return False
-    return subspace.dim == k // 2
+    basis = linalg.sparse(subspace.basis)
+    gram = linalg.pmat_mul(linalg.pmat_mul(basis, linalg.sparse(metric)),
+                           linalg.pmat_transpose(basis, k))
+    return subspace.dim == k // 2 and not any(gram)

@@ -210,45 +210,10 @@ def build_intrinsic(
     return IntrinsicResult(structure, verdicts, problem.hypotheses, notes=notes)
 
 
-def _perturbed_candidates(base: CourantStructure, count: int, rng):
-    """Seeded perturbations of the structure functions and the metric, drawn
-    from rng (a random.Random); none at rank 0, where there is nothing to
-    perturb.  No verdict reads them: they demonstrate `rejection_condition`.
-
-    Each candidate is built from the base's checked parts without repeating
-    the constructor's checks: a bumped c keeps G, G^-1 and the rows of
-    G^-1 A^T, and lam * G with lam != 0 stays symmetric and nondegenerate.
-    """
-    n = base.bundle.base_dim
-    k = base.bundle.rank
-    if k == 0:
-        return
-    for idx in range(count):
-        candidate = object.__new__(CourantStructure)
-        if idx % 2 == 0 or k < 2:
-            i, j, h = (rng.randrange(k) for _ in range(3))
-            c = dict(base.structure_functions)
-            bump = Polynomial.constant(n, rng.choice([1, -1, 2]))
-            # where the bump cancels the entry, the entry becomes the bump,
-            # which differs from it too: no candidate equals the base
-            entry = c.get((i, j, h), Polynomial(n)) + bump
-            c[(i, j, h)] = bump if entry.is_zero() else entry
-            candidate._fill(base.bundle, base.anchor, base.metric, c,
-                            (base._inverse, None, base._dual))
-            yield "bracket", candidate
-        else:
-            lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
-            candidate._fill(base.bundle, base.anchor, linalg.mat_scale(base.metric, lam),
-                            base.structure_functions)
-            yield "metric", candidate
-
-
 def uniqueness_check(
     n: int,
     m: int,
     splitting: SplittingIso | None = None,
-    n_perturbations: int = 5,
-    seed: int = 0,
 ) -> bool:
     """True iff the constructed structure is the unique compatible one.
 
@@ -260,15 +225,12 @@ def uniqueness_check(
     because r o phi0 = id, so Jac(phi0) is injective: A' =
     J_r(phi0) A(phi0) P and c'_ij are determined, and G' is given.  What
     remains checked is that for m = 0 the construction collapses to the
-    standard structure exactly.  The count and seed are accepted for
-    compatibility; nothing is drawn.
+    standard structure exactly.
     """
     structure = construct(_chi_problem(n, m, splitting), enforce_hypotheses=False)
     return _uniqueness(structure, m)
 
 
-def _uniqueness(structure: CourantStructure, m: int, n_perturbations: int = 5,
-                seed: int = 0) -> bool:
-    """`uniqueness_check` on an already constructed structure; the count and
-    seed are accepted for compatibility."""
+def _uniqueness(structure: CourantStructure, m: int) -> bool:
+    """`uniqueness_check` on an already constructed structure."""
     return m != 0 or structure == standard_structure(structure.bundle.base_dim)

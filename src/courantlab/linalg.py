@@ -12,10 +12,9 @@ every result, the Farkas vector included, is the one Gauss-Jordan
 elimination with scaled pivot rows gives.
 
 Most entries of the matrices this package forms are 0 or 1, so the loops
-here skip zeros: `mat` keeps entries that are already Fraction, `inverse`
-divides only the nonzero entries it reads off, and `mat_vec` multiplies
-only pairs of nonzero factors.  Every result is still a Fraction, the one
-the full loop gives.
+here skip zeros: `mat` keeps entries that are already Fraction, and
+`inverse` divides only the nonzero entries it reads off.  Every result is
+still a Fraction, the one the full loop gives.
 
 Matrices of frame data (fiber matrices, anchors, metrics, Jacobians) go
 through one kernel, the `pmat_*` functions, on sparse rows: a matrix is a
@@ -55,18 +54,6 @@ def identity(n: int) -> Matrix:
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def mat_scale(a: Matrix, s: Fraction) -> Matrix:
-    return [[x * s for x in row] for row in a]
 
 
 def is_symmetric(a: Matrix) -> bool:

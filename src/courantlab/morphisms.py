@@ -136,7 +136,7 @@ representatives that wiggle off the image can break the bracket condition
 even when the retraction family verifies (zero-section embeddings are the
 canonical case: a related pair like (dx-section, extension + z*x*dx) picks
 up an x*dz bracket component along the image).  Strict representative
-checking (n_perturbations > 0) decides that quantifier by a matrix
+checking (`strict`) decides that quantifier by a matrix
 identity.  The q_a = y_a - phi0(r(y))_a generate every function vanishing
 on the image, so h = sum_a q_a w_a, and the rows of
 N = I - Jac(phi0) J_r(phi0) are the gradients of the q_a along the image.
@@ -630,8 +630,7 @@ def check_general_base(
     phi: BundleMorphism,
     pairs="auto",
     degree_cap: int = 3,
-    seed: int = 0,
-    n_perturbations: int = 0,
+    strict: bool = False,
 ) -> MorphismVerdict:
     """Exact morphism verdict over a general base via phi-related sections.
 
@@ -651,7 +650,7 @@ def check_general_base(
     a failure reports the frame pair (e_i, e_j) of the first nonzero entry
     of the defect matrix.  The detail names the requested cap.
 
-    n_perturbations > 0 turns on strict representative checking, the full
+    strict=True turns on strict representative checking, the full
     "any (and hence each)" quantifier over representatives perturbed by
     terms that vanish on the image.  By the Leibniz rules it holds iff the
     retraction verdict does and N A2(phi0) = 0 or P = 0, with
@@ -660,8 +659,7 @@ def check_general_base(
     by -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a in the
     first (see the module docstring).  A strict failure reports the first
     nonzero entry of N A2(phi0) with "representatives": "perturbed".
-    Perturbations never change the metric defect.  The count and seed are
-    accepted for compatibility; nothing is drawn.  Zero-section embeddings
+    Perturbations never change the metric defect.  Zero-section embeddings
     generally fail the strict check even when they verify on the
     retraction family.
 
@@ -674,7 +672,7 @@ def check_general_base(
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
-        failures = _auto_failures(s1, s2, phi, degree_cap, True, n_perturbations > 0)
+        failures = _auto_failures(s1, s2, phi, degree_cap, True, strict)
     else:
         checked = list(pairs)
         if len(checked) ** 2 > MAX_FAMILY:

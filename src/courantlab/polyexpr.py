@@ -16,14 +16,10 @@ exponent reaches the guard bit raises `ExponentOverflowError` instead of aliasin
 into the next variable.  A key does not depend on the variable count, so
 appending variables leaves keys unchanged and `lift` is a shift.
 
-The same linearity makes substitution cheap when each substituted
-polynomial is one term c_i * x^(k_i) or zero, as for the zero-section base
-maps x -> (x, 0): `compose` then sends the key e of each term to
-sum e_i k_i and its coefficient c to c * prod(c_i^e_i), in one pass and
-without polynomial products.  If some term's sum of e_i times the largest
-exponent of output i could pass `MAX_EXPONENT`, the whole call falls back
-to the general expansion, which raises `ExponentOverflowError` exactly as
-before.
+Substitution has one path: `compose` expands each term as the product of
+the powers of the substituted polynomials, formed by `_power` and cached
+per call, so a power that reaches the guard bit raises
+`ExponentOverflowError` as `**` does.
 
 Coefficients are ints when integral and `fractions.Fraction` otherwise,
 never floats.  The zero polynomial has an empty term map, and every
@@ -221,52 +217,6 @@ def _normalised(terms: dict) -> dict:
         if type(c) is Fraction and c.denominator == 1:
             terms[key] = c.numerator
     return terms
-
-
-def _monomial_table(outputs) -> tuple | None:
-    """Per output (shift, key or None for zero, coeff, largest exponent) when
-    every output is a single term or zero; None when some output is not."""
-    table = []
-    for i, q in enumerate(outputs):
-        if len(q._packed) > 1:
-            return None
-        if q._packed:
-            (k, c), = q._packed.items()
-            top = max(_unpack(k, q.num_vars), default=0)
-            table.append((_BITS * i, k, c, top))
-        else:
-            table.append((_BITS * i, None, 0, 0))
-    return tuple(table)
-
-
-def _substitute_monomials(terms: dict, table: tuple) -> dict | None:
-    """`terms` with variable i replaced by the single term or zero that
-    `table[i]` describes (see `_monomial_table`), by key arithmetic; None if
-    a term could overflow a key field."""
-    out: dict = {}
-    for key, coeff in terms.items():
-        new_key = 0
-        bound = 0
-        dropped = False
-        for shift, k, c, top in table:
-            e = (key >> shift) & _FIELD
-            if not e:
-                continue
-            if k is None:
-                dropped = True
-                continue
-            bound += e * top
-            new_key += e * k
-            if c != 1:
-                coeff = coeff * c ** e
-        if bound > MAX_EXPONENT:
-            return None
-        if dropped:
-            continue
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            coeff = coeff.numerator
-        _add_into(out, {new_key: coeff})
-    return out
 
 
 def _deriv(terms: dict, var: int) -> dict:
@@ -488,19 +438,11 @@ class Polynomial:
         The result lives in the variables of the substituted maps.  A zero
         or constant polynomial has no variable to substitute: once the
         arity and the variable counts are checked, it returns a copy of its
-        terms without substitution.  When every substituted polynomial is a
-        single term c_i * x^(k_i) or zero, the substitution is a linear map
-        on the packed keys: term c * x^e goes to c * prod(c_i^e_i) *
-        x^(sum e_i k_i), and to nothing if it has a positive exponent on a
-        zero output.  That path runs in one pass over the terms, from a
-        table of (shift, key, coefficient, largest exponent) per output; a
-        `PolyMap` forms that table on its first substitution and keeps it,
-        so composing many polynomials with one map forms it once.  A call
-        where some term could reach the guard bit (sum of e_i times the
-        largest exponent of output i, over the nonzero outputs, above
-        `MAX_EXPONENT`) takes the general path, which raises
-        `ExponentOverflowError` exactly when an intermediate product
-        overflows.  All paths give the same terms in the same order.
+        terms without substitution.  Otherwise term c * x^e becomes
+        c * prod(q_i^e_i), the powers q_i^e_i formed by binary powering
+        (`_power`) and cached for the call, and the images are summed in
+        the order of the terms.  A power or product whose exponent reaches
+        the guard bit raises `ExponentOverflowError`, as in `**`.
         """
         is_map = isinstance(maps, PolyMap)
         outputs = maps.outputs if is_map else tuple(maps)
@@ -518,11 +460,6 @@ class Polynomial:
         packed = self._packed
         if not packed or (len(packed) == 1 and 0 in packed):
             return _raw(inner_vars, dict(packed))
-        table = maps._monomials if is_map else _monomial_table(outputs)
-        if table is not None:
-            out = _substitute_monomials(packed, table)
-            if out is not None:
-                return _raw(inner_vars, out)
         # cache powers of each substituted polynomial, formed as q ** e forms them
         powers = [_power_cache(q) for q in outputs]
         out = {}
@@ -673,7 +610,7 @@ def _horner(items, point, var: int):
 class PolyMap:
     """A polynomial map R^num_inputs -> R^k, one polynomial per output."""
 
-    __slots__ = ("num_inputs", "outputs", "_table")
+    __slots__ = ("num_inputs", "outputs")
 
     def __init__(self, num_inputs: int, outputs: Iterable[Polynomial]):
         outputs = tuple(outputs)
@@ -687,16 +624,6 @@ class PolyMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMap is immutable")
-
-    @property
-    def _monomials(self) -> tuple | None:
-        """`_monomial_table` of the outputs, formed on the first substitution."""
-        try:
-            return self._table
-        except AttributeError:
-            table = _monomial_table(self.outputs)
-            object.__setattr__(self, "_table", table)
-            return table
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":

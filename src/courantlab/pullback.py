@@ -292,9 +292,7 @@ def well_definedness_test(p: PullbackProblem, alternative_retraction: PolyMap) -
     return construct(p) == construct(other)
 
 
-def extension_perturbation_test(
-    p: PullbackProblem, n_perturbations: int = 2, seed: int = 0
-) -> bool:
+def extension_perturbation_test(p: PullbackProblem) -> bool:
     """True iff the constructed structure survives every perturbation of the
     extensions by sections vanishing on the image of the base map.
 
@@ -303,8 +301,7 @@ def extension_perturbation_test(
     (a), N A(phi0) P = 0, does: the Leibniz rules put every change of the
     frame brackets along the image, and its projection, in terms of
     N A(phi0) P (see the module docstring).  The structure must be
-    constructible, as for `construct` without enforced hypotheses; the
-    count and seed are accepted for compatibility, and nothing is drawn.
+    constructible, as for `construct` without enforced hypotheses.
     """
     construct(p, enforce_hypotheses=False)
     return p.hypotheses.anchor_tangent.passed
@@ -337,8 +334,8 @@ def _rejection(constructed: CourantStructure, candidate: CourantStructure):
     """`rejection_condition` against an already constructed structure."""
     n = constructed.bundle.base_dim
     if candidate.metric != constructed.metric:
-        defect = linalg.mat_sub(candidate.metric, constructed.metric)
-        return "metric", [[str(v) for v in row] for row in defect]
+        return "metric", [[str(x - y) for x, y in zip(r1, r2)]
+                          for r1, r2 in zip(candidate.metric, constructed.metric)]
     if candidate.structure_functions != constructed.structure_functions:
         keys = set(candidate.structure_functions) | set(constructed.structure_functions)
         zero = Polynomial(n)

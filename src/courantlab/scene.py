@@ -28,7 +28,9 @@ be written as JSON integers or as strings like "3/2".
 
 Loading validates everything eagerly: field shapes, unknown references,
 duplicate names and malformed expressions raise SceneError (CLI exit
-code 2).  Every field's JSON shape is checked before any object is built.
+code 2).  Every field's JSON shape is checked before any object is built,
+and a bundle's base_dim and rank are bounded by MAX_BUNDLE_DIMENSION before
+anything is sized by them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from .polyexpr import ParseError, PolyMap, Polynomial, parse
 __all__ = ["Scene", "SceneError", "load_scene", "structure_to_json"]
 
 SCHEMA_VERSION = 1
+# the largest base_dim and rank of a scene bundle, checked before a variable
+# name or an entry is formed for it: the largest rank `intrinsic` builds
+MAX_BUNDLE_DIMENSION = 128
 
 
 class SceneError(Exception):
@@ -170,6 +175,10 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
+        for key in ("base_dim", "rank"):
+            if spec[key] > MAX_BUNDLE_DIMENSION:
+                raise SceneError(f"{where}: {key} must be at most {MAX_BUNDLE_DIMENSION}, "
+                                 f"got {spec[key]}")
         try:
             scene.bundles[name] = TrivialBundle(
                 spec["base_dim"], spec["rank"], spec.get("label", name)

@@ -7,6 +7,7 @@ Lagrange-interpolation derivative avoids symbolic differentiation
 """
 
 import os
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,74 @@ def so3_structure():
         linalg.identity(3),
         {key: Polynomial.constant(0, v) for key, v in eps.items()},
     )
+
+
+# -- drawn sections and candidates ---------------------------------------------
+#
+# No verdict of the package draws at random.  These seeded draws feed the
+# tests that compare a verdict or a bracket with an independent reference.
+
+
+_COEFF_POOL = [
+    Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3),
+    Fraction(-3), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3),
+]
+
+
+def random_polynomial(rng: random.Random, num_vars: int, degree: int,
+                      terms: int = 3) -> Polynomial:
+    monos = monomials_up_to(num_vars, degree)
+    chosen = {}
+    for _ in range(terms):
+        chosen[rng.choice(monos)] = rng.choice(_COEFF_POOL)
+    return Polynomial(num_vars, chosen)
+
+
+def random_section(rng: random.Random, bundle: TrivialBundle, degree: int,
+                   terms: int = 2) -> Section:
+    comps = [
+        random_polynomial(rng, bundle.base_dim, degree, terms)
+        for _ in range(bundle.rank)
+    ]
+    return Section(bundle, PolyMap(bundle.base_dim, comps))
+
+
+def perturbed_candidates(base: CourantStructure, count: int, rng: random.Random):
+    """Seeded perturbations of the structure functions and the metric, each
+    labelled with the condition it breaks; none at rank 0, where there is
+    nothing to perturb.
+
+    Each candidate is built from the base's checked parts without repeating
+    the constructor's checks: a bumped c keeps G, G^-1 and the rows of
+    G^-1 A^T, and lam * G with lam != 0 stays symmetric and nondegenerate.
+    """
+    n = base.bundle.base_dim
+    k = base.bundle.rank
+    if k == 0:
+        return
+    for idx in range(count):
+        candidate = object.__new__(CourantStructure)
+        if idx % 2 == 0 or k < 2:
+            i, j, h = (rng.randrange(k) for _ in range(3))
+            c = dict(base.structure_functions)
+            bump = Polynomial.constant(n, rng.choice([1, -1, 2]))
+            # where the bump cancels the entry, the entry becomes the bump,
+            # which differs from it too: no candidate equals the base
+            entry = c.get((i, j, h), Polynomial(n)) + bump
+            c[(i, j, h)] = bump if entry.is_zero() else entry
+            candidate._fill(base.bundle, base.anchor, base.metric, c,
+                            (base._inverse, None, base._dual))
+            yield "bracket", candidate
+        else:
+            lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
+            metric = [[x * lam for x in row] for row in base.metric]
+            candidate._fill(base.bundle, base.anchor, metric, base.structure_functions)
+            yield "metric", candidate
+
+
+def mat_vec(a, v) -> list[Fraction]:
+    """A v for a dense rational matrix and vector."""
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
 # -- dense polynomial matrices --------------------------------------------------

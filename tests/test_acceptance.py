@@ -33,7 +33,6 @@ from courantlab.courant_core import (
     check_leibniz,
     dirac_check,
     dorfman_bracket,
-    random_section,
     scaled_structure,
     standard_structure,
 )
@@ -65,6 +64,8 @@ from courantlab.pullback import (
     well_definedness_test,
 )
 
+from conftest import perturbed_candidates, random_section
+
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
 
@@ -82,8 +83,7 @@ def oscillator():
 def test_criterion_01_axiom_certification():
     started = time.perf_counter()
     for n in (1, 2, 3):
-        result = check_axioms(standard_structure(n), degree_cap=3,
-                              n_random=100, seed=0)
+        result = check_axioms(standard_structure(n), degree_cap=3)
         assert result.all_passed, f"standard({n}) failed an axiom"
     elapsed = time.perf_counter() - started
     assert elapsed <= 60.0, f"axiom certification took {elapsed:.1f}s"
@@ -111,17 +111,17 @@ def test_criterion_03_scaled_structures():
     for lam in (Fraction(2), Fraction(-1), Fraction(1, 3)):
         for n in (1, 2):
             s = scaled_structure(standard_structure(n), lam)
-            assert check_axioms(s, degree_cap=3, n_random=50, seed=0).all_passed
+            assert check_axioms(s, degree_cap=3).all_passed
         s3 = scaled_structure(standard_structure(3), lam)
         for cap in (2, 3):
-            certified = check_axioms(s3, degree_cap=cap, n_random=50, seed=0)
+            certified = check_axioms(s3, degree_cap=cap)
             assert certified.all_passed
     report(3, "scaled metrics (2, -1, 1/3) certified for n<=3 at cap 3, n=3 also "
               "at cap 2: complete for all smooth sections (exact)")
 
 
 def test_criterion_04_leibniz_ledger():
-    result = check_leibniz(standard_structure(2), n_samples=100, seed=0)
+    result = check_leibniz(standard_structure(2))
     assert result.second_slot.passed
     assert result.two_sided.passed
     assert result.variant_falsified and result.variant_witness is not None
@@ -188,20 +188,20 @@ def test_criterion_07_pullback_round_trip():
     problem = PullbackProblem(standard_structure(2), phi.source, phi)
     assert check_hypotheses(problem).all_passed
     structure = construct(problem)
-    assert check_axioms(structure, n_random=50, seed=0).all_passed
+    assert check_axioms(structure).all_passed
     assert check_general_base(structure, problem.ambient, phi).is_morphism
     assert well_definedness_test(problem, PolyMap.from_exprs(["x1 + x2^2"], ["x1", "x2"]))
     assert well_definedness_test(problem, PolyMap.from_exprs(["x1 + x2"], ["x1", "x2"]))
-    assert extension_perturbation_test(problem, n_perturbations=3, seed=0)
+    assert extension_perturbation_test(problem)
     # pullback along the identity
     s = standard_structure(2)
     ident = PullbackProblem(s, s.bundle, BundleMorphism.identity(s.bundle))
     assert check_hypotheses(ident).all_passed
     again = construct(ident)
     assert again == s
-    assert check_axioms(again, n_random=20, seed=0).all_passed
+    assert check_axioms(again).all_passed
     assert check_general_base(again, s, ident.morphism).is_morphism
-    assert extension_perturbation_test(ident, n_perturbations=2, seed=0)
+    assert extension_perturbation_test(ident)
     report(7, "zero-section instance and identity pullback: hypotheses, axioms, "
               "morphism verdict, and well-definedness across retractions and "
               ">=2 extension perturbations, all exact")
@@ -210,18 +210,17 @@ def test_criterion_07_pullback_round_trip():
 def test_criterion_08_intrinsic_uniqueness():
     for n, m in ((1, 1), (2, 1)):
         result = build_intrinsic(n, m)
-        assert check_axioms(result.structure, n_random=30, seed=0).all_passed
+        assert check_axioms(result.structure).all_passed
         assert result.chain_verdicts["inclusion"].is_morphism
         assert result.chain_verdicts["pontryagin_embedding"].is_morphism
-        assert uniqueness_check(n, m, n_perturbations=5, seed=0)
+        assert uniqueness_check(n, m)
         # every seeded perturbed candidate is rejected with a named condition
         chi = splitting_composite(n, m)
         problem = PullbackProblem(standard_structure(n + m), chi.source, chi)
         base = result.structure
         rng = random.Random(0)
-        from courantlab.intrinsic import _perturbed_candidates
         rejected = 0
-        for expected, candidate in _perturbed_candidates(base, 5, rng):
+        for expected, candidate in perturbed_candidates(base, 5, rng):
             rejection = rejection_condition(problem, candidate)
             assert rejection is not None, "perturbed candidate was not rejected"
             assert rejection[0] == expected

@@ -54,8 +54,6 @@ from courantlab.courant_core import (
     check_degree_cap,
     check_leibniz,
     monomial_frame_basis,
-    random_polynomial,
-    random_section,
     scaled_structure,
     standard_structure,
 )
@@ -65,6 +63,8 @@ from courantlab.polyexpr import Polynomial, PolyMap, _unpack, monomials_up_to, p
 from conftest import (
     decode_tag,
     lift_structure,
+    random_polynomial,
+    random_section,
     reference_sweep_axiom_i,
     so3_structure,
     tagged_generating_section,
@@ -123,7 +123,7 @@ ENUMERATED = [
 @pytest.mark.parametrize("s, cap", [case[1:] for case in ENUMERATED],
                          ids=[case[0] for case in ENUMERATED])
 def test_certificate_equals_enumeration(s, cap):
-    report = check_axioms(s, degree_cap=cap, n_random=0)
+    report = check_axioms(s, degree_cap=cap)
     family = monomial_family(s.bundle, cap)
     for axiom, arity in ARITY.items():
         failing = [
@@ -151,7 +151,7 @@ RANDOM_DRAWS = [
 def test_random_draws_at_the_cap_agree_with_certificate(s, cap, draws):
     # the random phase check_axioms ran after its certificate, through the
     # plain path: a defect may only show on an axiom the certificate failed
-    report = check_axioms(s, degree_cap=cap, n_random=0)
+    report = check_axioms(s, degree_cap=cap)
     rng = random.Random(0)
     pool = [random_section(rng, s.bundle, cap) for _ in range(draws)]
     failed = set()
@@ -624,7 +624,7 @@ def test_cap2_verdicts_equal_cap2_enumeration_on_random_frame_data(seed):
     rng = random.Random(100 + seed)
     n = 1 + seed % 2
     s = random_frame_data(rng, n, 2, anchor_degree=1 + seed % 2)
-    report = check_axioms(s, degree_cap=2, n_random=0)
+    report = check_axioms(s, degree_cap=2)
     family = monomial_family(s.bundle, 2)
     brackets = {(a, b): s.bracket(f, g) for (a, f), (b, g)
                 in itertools.product(enumerate(family), repeat=2)}
@@ -769,7 +769,7 @@ def four_frame_identities_hold(s):
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.one_of(perturbed_frame_data(), leibniz_structures()), st.integers(0, 3))
 def test_statuses_equal_the_reference_sweeps(s, cap):
-    assert failed_axioms(check_axioms(s, degree_cap=cap, n_random=0)) == \
+    assert failed_axioms(check_axioms(s, degree_cap=cap)) == \
         reference_sweep_axioms(s, min(cap, SWEEP_ORDER))
     assert without_witness(check_leibniz(s, degree_cap=cap)) == \
         without_witness(reference_check_leibniz(s, cap))
@@ -779,9 +779,9 @@ def test_statuses_equal_the_reference_sweeps(s, cap):
 @given(perturbed_frame_data(), st.sampled_from((1, 2)))
 def test_verdicts_equal_the_degree_1_sweep(s, cap):
     # every cap >= 1 reports the degree-1 verdicts, with the same witnesses
-    report = check_axioms(s, degree_cap=cap, n_random=0)
+    report = check_axioms(s, degree_cap=cap)
     assert failed_axioms(report) == reference_sweep_axioms(s, 1)
-    at_1 = check_axioms(s, degree_cap=1, n_random=0)
+    at_1 = check_axioms(s, degree_cap=1)
     for name, check in report.checks.items():
         assert check.witness == at_1.checks[name].witness, name
 
@@ -839,7 +839,7 @@ def small_structures(draw):
 def test_axiom_witnesses_are_the_least_failing_tuples(s):
     # a passing status is the reference oracle's; a failing one is checked
     # up to its witness, every earlier tuple passing
-    for name, check in check_axioms(s, degree_cap=1, n_random=0).checks.items():
+    for name, check in check_axioms(s, degree_cap=1).checks.items():
         if not check.passed:
             assert check.witness["sections"] == least_axiom_tuple(s, name), name
 
@@ -885,7 +885,7 @@ def test_morphism_witness_is_the_least_failing_pair(case):
 
 def fails_only_axiom_i(s, cap=1):
     """The report fails (i) alone, with the least failing tuple as witness."""
-    report = check_axioms(s, degree_cap=cap, n_random=0)
+    report = check_axioms(s, degree_cap=cap)
     failed = [name for name, check in report.checks.items() if not check.passed]
     return failed == ["i"] and report.checks["i"].witness["sections"] == least_axiom_tuple(s, "i")
 
@@ -968,7 +968,7 @@ def test_axiom_i_slot_tables_equal_the_tagged_sweep(s, cap):
     # statuses as the reference sweeps give them, and at a cap >= 1 the
     # witness of (i) the tagged degree-1 sweep finds wherever (i) holds on
     # every frame triple; the frame tables' witnesses are unchanged code
-    report = check_axioms(s, degree_cap=cap, n_random=0)
+    report = check_axioms(s, degree_cap=cap)
     assert failed_axioms(report) == reference_sweep_axioms(s, min(cap, SWEEP_ORDER))
     check = report.checks["i"]
     if cap and s.bundle.rank and frame_jacobi_holds(s):

@@ -15,7 +15,6 @@ from courantlab.courant_core import (
     dirac_check,
     dorfman_bracket,
     product_structure,
-    random_section,
     scaled_structure,
     standard_structure,
     vf_bracket,
@@ -32,6 +31,7 @@ from conftest import (
     decode_tag,
     fd_partial,
     lift_structure,
+    random_section,
     so3_structure,
     tagged_generating_section,
 )
@@ -78,7 +78,7 @@ class TestScaledStructure:
     @pytest.mark.parametrize("lam", [Fraction(2), Fraction(-1), Fraction(1, 3)])
     def test_axioms_pass(self, lam):
         s = scaled_structure(standard_structure(1), lam)
-        assert check_axioms(s, n_random=20).all_passed
+        assert check_axioms(s).all_passed
 
 
 class TestPairing:
@@ -214,14 +214,14 @@ class TestBracket:
 class TestCheckAxioms:
     @pytest.mark.parametrize("n", [1, 2])
     def test_standard_passes(self, n):
-        assert check_axioms(standard_structure(n), n_random=20).all_passed
+        assert check_axioms(standard_structure(n)).all_passed
 
     def test_perturbed_structure_function_fails_iii_with_witness(self):
         s = standard_structure(1)
         bad = CourantStructure(
             s.bundle, s.anchor, s.metric, {(0, 1, 0): Polynomial.constant(1, 1)}
         )
-        report = check_axioms(bad, n_random=5)
+        report = check_axioms(bad)
         assert not report.checks["iii"].passed
         witness = report.checks["iii"].witness
         assert witness is not None
@@ -236,21 +236,21 @@ class TestCheckAxioms:
         assert defect.coeffs.to_strings() == witness["defect"]
 
     def test_so3_passes(self):
-        assert check_axioms(so3_structure(), n_random=20).all_passed
+        assert check_axioms(so3_structure()).all_passed
 
     def test_supplied_sections_are_used(self):
         s = standard_structure(1)
         extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
-        assert check_axioms(s, sections=extra, n_random=10).all_passed
+        assert check_axioms(s, sections=extra).all_passed
 
     def test_supplied_sections_above_the_cap_are_checked(self):
         # anchor [1, 1]: rho o D = A G^-1 A^T = 2, which no constant section sees
         bundle = TrivialBundle(1, 2, "E")
         one = Polynomial.constant(1, 1)
         s = CourantStructure(bundle, [[one, one]], [[0, 1], [1, 0]])
-        assert check_axioms(s, degree_cap=0, n_random=20).all_passed
+        assert check_axioms(s, degree_cap=0).all_passed
         extra = [Section.from_exprs(bundle, ["x1", "0"]), Section.from_exprs(bundle, ["0", "x1"])]
-        report = check_axioms(s, sections=extra, degree_cap=0, n_random=20)
+        report = check_axioms(s, sections=extra, degree_cap=0)
         failed = [name for name, check in report.checks.items() if not check.passed]
         assert failed
         for name in failed:
@@ -306,13 +306,13 @@ class TestCheckAxioms:
             check_axioms(s, sections=pool, degree_cap=0)
 
     def test_rank_zero_details_carry_no_suffix(self):
-        report = check_axioms(standard_structure(0), n_random=5)
+        report = check_axioms(standard_structure(0))
         assert report.all_passed
         for check in report.checks.values():
             assert check.detail == "rank-0 bundle: axioms hold vacuously"
 
     def test_report_serialization(self):
-        report = check_axioms(standard_structure(1), n_random=5)
+        report = check_axioms(standard_structure(1))
         payload = report.to_json()
         assert set(payload) == {"i", "ii", "iii"}
         assert all(entry["status"] == "pass" for entry in payload.values())
@@ -342,7 +342,7 @@ class TestPackedKeyOverflow:
         bundle = TrivialBundle(1, 2, "E")
         x = parse("x1^256", ["x1"])
         s = CourantStructure(bundle, [[x, x]], [[0, 1], [1, 0]])
-        report = check_axioms(s, degree_cap=1, n_random=0)
+        report = check_axioms(s, degree_cap=1)
         failed = [name for name, check in report.checks.items() if not check.passed]
         assert failed
         for name in failed:
@@ -359,14 +359,14 @@ class TestPackedKeyOverflow:
         bundle = TrivialBundle(1, 2, "E")
         x = Polynomial.monomial(1, (MAX_EXPONENT // 2 + 1,))
         s = CourantStructure(bundle, [[x, Polynomial(1)]], [[0, 1], [1, 0]])
-        assert check_axioms(s, degree_cap=1, n_random=0).all_passed
+        assert check_axioms(s, degree_cap=1).all_passed
 
     def test_sweep_beyond_the_exponent_limit_raises(self):
         bundle = TrivialBundle(1, 2, "E")
         x = Polynomial.monomial(1, (MAX_EXPONENT // 2 + 1,))
         s = CourantStructure(bundle, [[x, x]], [[0, 1], [1, 0]])
         with pytest.raises(ExponentOverflowError):
-            check_axioms(s, degree_cap=1, n_random=0)
+            check_axioms(s, degree_cap=1)
 
 
 class TestTaggedSweepInternals:
@@ -455,7 +455,7 @@ class TestCertificateCost:
     def test_passing_structure_makes_no_bracket_and_no_lift(self, monkeypatch, s, cap):
         brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
         lifts = self.lifts()
-        assert check_axioms(s, degree_cap=cap, n_random=0).all_passed
+        assert check_axioms(s, degree_cap=cap).all_passed
         assert brackets == [] and lifts == []
 
     @staticmethod
@@ -473,7 +473,7 @@ class TestCertificateCost:
         s = self.bumped(n, lam, bump)
         brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
         lifts = self.lifts()
-        report = check_axioms(s, degree_cap=cap, n_random=0)
+        report = check_axioms(s, degree_cap=cap)
         assert not report.all_passed and lifts == []
         assert all("frame tables" in c.detail for c in report.checks.values() if not c.passed)
         made = [args[0] for args in brackets]
@@ -498,7 +498,7 @@ class TestCertificateCost:
             s = self.bumped(n, lam, bump)
             for c in calls.values():
                 c.clear()
-            report = check_axioms(s, degree_cap=cap, n_random=0)
+            report = check_axioms(s, degree_cap=cap)
             assert [name for name, c in report.checks.items() if not c.passed] == \
                 ["iii", "i", "ii"]
             assert report.checks["i"].detail.endswith("found by the degree-1 sweep of (i)")
@@ -527,7 +527,7 @@ class TestCertificateCost:
         s = CourantStructure(base.bundle, base.anchor, base.metric, structure_functions)
         dets, _ = self.recorded(monkeypatch, linalg, "det")
         symmetric, _ = self.recorded(monkeypatch, linalg, "is_symmetric")
-        passed = check_axioms(s, degree_cap=3, n_random=0).all_passed
+        passed = check_axioms(s, degree_cap=3).all_passed
         assert passed == (structure_functions is None)
         check_leibniz(s)
         assert dets == [] and symmetric == []
@@ -544,7 +544,7 @@ class TestCheckLeibniz:
         assert lhs == rhs == 3 * s.bracket(f, g)
 
     def test_standard_rules_pass_and_variant_falsified(self):
-        report = check_leibniz(standard_structure(2), n_samples=40)
+        report = check_leibniz(standard_structure(2))
         assert report.second_slot.passed
         assert report.two_sided.passed
         assert report.variant_falsified
@@ -573,7 +573,7 @@ class TestCheckLeibniz:
         assert s.bracket(lam * f, mu * g) == corrected_rhs
 
     def test_anchorless_structure_cannot_falsify(self):
-        report = check_leibniz(so3_structure(), n_samples=10)
+        report = check_leibniz(so3_structure())
         assert report.all_passed and not report.variant_falsified
 
 
@@ -583,7 +583,7 @@ class TestProductStructure:
         flipped = product_structure(s, s, flip=True)
         assert flipped.bundle.rank == 4 and flipped.bundle.base_dim == 2
         assert flipped.metric[2][3] == -1
-        assert check_axioms(flipped, n_random=20).all_passed
+        assert check_axioms(flipped).all_passed
 
     def test_rank_zero_factor(self):
         s = standard_structure(1)

@@ -7,10 +7,14 @@ has numpy loaded.  The snapshot of `sys.modules` is taken before
 third-party modules of the environment.
 """
 
+import argparse
 import ast
+import inspect
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
@@ -112,3 +116,99 @@ def test_certificates_define_no_tag_layer():
     for module in (courant_core, linalg):
         assert not set(vars(module)) & deleted, module.__name__
     assert "_lifts" not in CourantStructure.__slots__
+
+
+# -- what the certificate and kernel designs left behind --------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "courantlab"
+
+
+def _code_lines(path: Path) -> int:
+    """Lines holding a token other than a comment, outside docstrings."""
+    source = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+               tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skipped:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_no_module_imports_random():
+    # no verdict draws at random; the seeded draws live in tests/conftest.py
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {(node.module or "").partition(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert "random" not in imported, path.name
+
+
+def test_verdicts_take_no_sampling_parameters():
+    from courantlab import courant_core, intrinsic, morphisms, pullback
+
+    expected = {
+        courant_core.check_axioms: ["s", "sections", "degree_cap"],
+        courant_core.check_leibniz: ["s", "degree_cap"],
+        morphisms.check_general_base: ["s1", "s2", "phi", "pairs", "degree_cap", "strict"],
+        pullback.extension_perturbation_test: ["p"],
+        intrinsic.uniqueness_check: ["n", "m", "splitting"],
+        intrinsic._uniqueness: ["structure", "m"],
+    }
+    for function, names in expected.items():
+        assert list(inspect.signature(function).parameters) == names, function.__name__
+    assert not hasattr(courant_core, "random_section")
+    assert not hasattr(courant_core, "random_polynomial")
+    assert not hasattr(courant_core, "_COEFF_POOL")
+    assert not hasattr(intrinsic, "_perturbed_candidates")
+
+
+def test_one_substitution_path_and_one_matrix_kernel():
+    from courantlab import linalg, polyexpr
+
+    for name in ("_substitute_monomials", "_monomial_table"):
+        assert not hasattr(polyexpr, name)
+    assert "_table" not in polyexpr.PolyMap.__slots__
+    for name in ("mat_vec", "mat_sub", "mat_scale"):
+        assert not hasattr(linalg, name)
+
+
+def test_no_flag_or_environment_variable_is_added():
+    from courantlab import cli
+
+    common = ["--degree-cap", "--help", "--json", "--out", "--scene", "--seed", "-h"]
+    expected = {
+        "axioms": ["--structure"],
+        "leibniz": ["--samples", "--structure"],
+        "morphism": ["--map", "--pairs", "--source", "--target"],
+        "pullback": ["--alt-retraction", "--ambient", "--morphism", "--verify-only"],
+        "intrinsic": ["--m", "--n", "--phi"],
+        "simulate": ["--T", "--h", "--input", "--system", "--x0"],
+        "project": ["--T", "--h", "--input", "--system", "--x0", "--z0"],
+        "dirac": ["--system"],
+    }
+    parser = cli._build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    assert list(commands) == list(expected)
+    for name, sub in commands.items():
+        flags = sorted(flag for action in sub._actions for flag in action.option_strings)
+        assert flags == sorted(common + expected[name]), name
+    for path in sorted(SRC.glob("*.py")):
+        assert "environ" not in path.read_text() and "getenv" not in path.read_text(), path.name
+
+
+def test_code_lines_fell():
+    # 3,421 code lines before the unread sampling parameters, the draw
+    # helpers, the monomial substitution path and the dense rational helpers
+    # left the package
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) < 3421

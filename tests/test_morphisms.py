@@ -12,7 +12,6 @@ from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
     product_structure,
-    random_section,
     scaled_structure,
     standard_structure,
 )
@@ -30,6 +29,7 @@ from conftest import (
     least_failing_pair,
     lift_structure,
     lifted_morphism,
+    random_section,
     tagged_generating_section,
 )
 
@@ -210,7 +210,7 @@ class TestGeneralBase:
         s1 = standard_structure(1)
         s2 = standard_structure(2)
         phi = pontryagin_embedding(1, 1)
-        strict = check_general_base(s1, s2, phi, n_perturbations=3)
+        strict = check_general_base(s1, s2, phi, strict=True)
         assert not strict.is_morphism
         assert "bracket" in strict.failed_conditions()
 
@@ -225,7 +225,7 @@ class TestGeneralBase:
         original = CourantStructure._bracket
         monkeypatch.setattr(CourantStructure, "_bracket",
                             lambda s, f, g: made.append(s) or original(s, f, g))
-        verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), n_perturbations=3)
+        verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), strict=True)
         assert made == []
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
             '{"detail": "general-base criteria at degree cap 3", "failures": '
@@ -534,8 +534,7 @@ def graph_embeddings(draw):
 @given(graph_embeddings(), st.sampled_from([0, 1, 3]), st.sampled_from([0, 2]),
        st.integers(0, 3))
 def test_metric_verdict_equals_the_tagged_pairing_sweep(case, cap, n_perturbations, seed):
-    verdict = check_general_base(*case, degree_cap=cap, seed=seed,
-                                 n_perturbations=n_perturbations)
+    verdict = check_general_base(*case, degree_cap=cap, strict=n_perturbations > 0)
     metric = next((f.to_json() for f in verdict.failures if f.condition == "metric"), None)
     assert metric == reference_metric_failure(*case, cap, seed, n_perturbations)
 
@@ -568,7 +567,7 @@ def assert_strict_matches_the_variant_sweep(s1, s2, phi, cap=3):
     """The strict verdict is the retraction verdict plus, when that passes
     the bracket, a "perturbed" bracket failure iff some enumerated variant
     fails."""
-    strict = check_general_base(s1, s2, phi, degree_cap=cap, n_perturbations=2)
+    strict = check_general_base(s1, s2, phi, degree_cap=cap, strict=True)
     plain = check_general_base(s1, s2, phi, degree_cap=cap).to_json()
     perturbed = [f for f in strict.failures if f.witness.get("representatives") == "perturbed"]
     assert [f.to_json() for f in strict.failures if f not in perturbed] == plain["failures"]

@@ -2,10 +2,11 @@
 
 Each row of MUTANTS replaces a private function or constant of the package
 with a mutated copy kept below, which drops one condition a shortcut rests
-on, and names the oracle test of `test_certificate_oracle.py`,
-`test_morphisms.py` or `test_pullback.py` that must fail under it.  The
-oracle runs in-process on a fixed example, not on a hypothesis search, so
-the table is deterministic; without the mutant the same call passes.  A
+on, and names the oracle test of another test module (such as
+`test_certificate_oracle.py`, `test_morphisms.py` or `test_courant_core.py`)
+that must fail under it.  The oracle runs in-process on a fixed example,
+not on a hypothesis search, so the table is deterministic; without the
+mutant the same call passes.  A
 mutant is killed when the oracle's assertion fails or the certificate's
 re-expansion finds an internal inconsistency.  The slot-rule rows keep
 `_slot_tables` and take the contributions of one term of the five rules
@@ -26,6 +27,7 @@ from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
 
 import conftest
 import test_certificate_oracle as oracles
+import test_courant_core
 import test_intrinsic
 import test_morphisms
 import test_pullback
@@ -36,6 +38,7 @@ slot_tables = courant_core._slot_tables
 _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
+auto_failures = morphisms._auto_failures
 
 
 def skew_failure_without_i_equals_j(table, mirror, arity):
@@ -231,6 +234,26 @@ def selection_off_by_one(record, phi, cols):
     return selected(record, phi, [(c + 1) % record.k1 for c in cols])
 
 
+def gram_without_the_metric(metric, subspace):
+    """`_maximally_isotropic` with the Gram matrix B B^T, the metric left out."""
+    basis = linalg.sparse(subspace.basis)
+    gram = linalg.pmat_mul(basis, linalg.pmat_transpose(basis, len(metric)))
+    return subspace.dim == len(metric) // 2 and not any(gram)
+
+
+def isotropic_of_any_dimension(metric, subspace):
+    """`_maximally_isotropic` without its test dim == k / 2."""
+    basis = linalg.sparse(subspace.basis)
+    gram = linalg.pmat_mul(linalg.pmat_mul(basis, linalg.sparse(metric)),
+                           linalg.pmat_transpose(basis, len(metric)))
+    return not any(gram)
+
+
+def auto_failures_ignoring_strict(s1, s2, phi, degree_cap, general=False, strict=False):
+    """`_auto_failures` with its strict flag dropped."""
+    return auto_failures(s1, s2, phi, degree_cap, general)
+
+
 def bumped(base, bump, value=Fraction(3, 2)):
     return CourantStructure(base.bundle, base.anchor, base.metric, {bump: value})
 
@@ -401,6 +424,21 @@ MUTANTS = {
         [(morphisms, "along_image", along_image_without_the_target)],
         test_morphisms.test_kept_bracket_is_keyed_on_its_target_and_cap,
         (morphisms.check_general_base,),    # one morphism into standard(1) and a bumped copy
+    ),
+    "gram_without_the_metric": (
+        [(courant_core, "_maximally_isotropic", gram_without_the_metric)],
+        test_courant_core.TestDiracCheck().test_skew_graph_accepted,
+        (),                                 # B B^T = I + S S^T != 0 on the graph of S
+    ),
+    "isotropy_without_the_dimension": (
+        [(courant_core, "_maximally_isotropic", isotropic_of_any_dimension)],
+        test_courant_core.TestDiracCheck().test_zero_subspace_not_maximal,
+        (),                                 # LinearSubspace(2, []): isotropic, dimension 0
+    ),
+    "strict_flag_ignored": (
+        [(morphisms, "_auto_failures", auto_failures_ignoring_strict)],
+        test_morphisms.TestGeneralBase().test_wiggling_representatives_break_bracket_condition,
+        (),                                 # Pontryagin(1, 1) verifies, fails strict checking
     ),
     "pontryagin_selection_off_by_one": (
         [(morphisms.AlongImage, "selected", selection_off_by_one)],

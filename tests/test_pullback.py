@@ -15,8 +15,6 @@ from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_m
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
-    random_polynomial,
-    random_section,
     scaled_structure,
     standard_structure,
 )
@@ -34,8 +32,8 @@ from courantlab.pullback import (
 )
 from courantlab.scene import load_scene, structure_to_json
 
-from conftest import (_extended_frames, image_vanishing_multipliers, reference_pmat_mul,
-                      reference_pmat_vec)
+from conftest import (_extended_frames, image_vanishing_multipliers, random_polynomial,
+                      random_section, reference_pmat_mul, reference_pmat_vec)
 
 
 def pontryagin_problem(n=1, m=1):
@@ -161,7 +159,7 @@ class TestConstruct:
         p = pontryagin_problem()
         got = construct(p)
         assert got == standard_structure(1)
-        assert check_axioms(got, n_random=20).all_passed
+        assert check_axioms(got).all_passed
 
     def test_intrinsic_chain_instance_values(self):
         # A' = [1 0 0 0], block-hyperbolic pairing on (v,p,e,eps), c' = 0
@@ -173,7 +171,7 @@ class TestConstruct:
             [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
         )
         assert not got.structure_functions
-        assert check_axioms(got, n_random=20).all_passed
+        assert check_axioms(got).all_passed
 
     def test_construct_raises_on_failed_hypotheses(self):
         chi = splitting_composite(1, 1)
@@ -211,19 +209,19 @@ class TestWellDefinedness:
             well_definedness_test(p, PolyMap.from_exprs(["x2"], ["x1", "x2"]))
 
     def test_extension_perturbations_stable_for_pontryagin(self):
-        assert extension_perturbation_test(pontryagin_problem(), 3)
+        assert extension_perturbation_test(pontryagin_problem())
 
     def test_extension_perturbations_unstable_for_splitting_composite(self):
         # the honest failure: without anchor tangency the bracket read along
         # the image depends on the extension ([[d_z, (1+z) d_x]] = d_x != 0)
         chi = splitting_composite(1, 1)
         p = PullbackProblem(standard_structure(2), chi.source, chi)
-        assert not extension_perturbation_test(p, 3)
+        assert not extension_perturbation_test(p)
 
     def test_identity_perturbations_trivial(self):
         s = standard_structure(1)
         p = PullbackProblem(s, s.bundle, BundleMorphism.identity(s.bundle))
-        assert extension_perturbation_test(p, 2)
+        assert extension_perturbation_test(p)
 
 
 class TestUniqueness:
@@ -529,7 +527,7 @@ def assert_matches_reference(problem, seeds=(0, 1)):
         assert (json.dumps(structure_to_json(built, "E"), sort_keys=True)
                 == json.dumps(structure_to_json(reference, "E"), sort_keys=True))
         for seed in seeds:
-            assert extension_perturbation_test(problem, 2, seed) == \
+            assert extension_perturbation_test(problem) == \
                 reference_perturbation_verdict(problem, ref_functions, 2, seed)
     else:
         with pytest.raises(ValueError, match="frame bracket"):

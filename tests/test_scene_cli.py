@@ -88,7 +88,7 @@ class TestLoadScene:
         scene = load_scene(path)
         reloaded = scene.structures["roundtrip"]
         assert reloaded == s
-        assert check_axioms(reloaded, n_random=10).all_passed
+        assert check_axioms(reloaded).all_passed
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(literals)
@@ -266,7 +266,7 @@ class TestCLI:
         # standard1 has rank 2 over R^1: cap 127 gives 2 * 128 = 256 sections
         assert check_degree_cap(standard_structure(1).bundle, 127) == 256
         with pytest.raises(ValueError, match="258 sections"):
-            check_axioms(standard_structure(1), degree_cap=128, n_random=0)
+            check_axioms(standard_structure(1), degree_cap=128)
         assert main(["axioms", "--structure", "standard1", "--degree-cap", "128"]) == 2
 
     def test_builtin_cap_is_checked_before_the_structure_is_built(self, capsys, monkeypatch):
@@ -1077,3 +1077,238 @@ class TestLoadSceneContract:
         scene, argv = case
         TestMorphismContract.run([argv[0], "--scene", str(write_scene(tmp_path, scene)),
                                   *argv[1:]], capsys)
+
+    @pytest.mark.parametrize("key", ["base_dim", "rank"])
+    def test_bundle_sizes_are_bounded_before_loading(self, tmp_path, capsys, key):
+        # a morphism source with base_dim 10^12 once made loading list 10^12
+        # variable names; the bound rejects it before any name is formed
+        scene = {"schema_version": 1,
+                 "bundles": {"B": {"base_dim": 1, "rank": 1, key: 10 ** 12},
+                             "T": {"base_dim": 1, "rank": 1}},
+                 "morphisms": {"phi": {"source": "B", "target": "T", "base_map": ["x1"],
+                                       "fiber_matrix": [["1"]]}}}
+        code, captured = TestMorphismContract.run(
+            ["morphism", "--scene", str(write_scene(tmp_path, scene)), "--source", "standard1",
+             "--target", "standard1", "--map", "phi"], capsys)
+        assert code == 2
+        assert captured.err == f"error: bundle 'B': {key} must be at most 128, got {10 ** 12}\n"
+
+    def test_largest_bundle_loads(self, tmp_path, capsys):
+        scene = {"schema_version": 1, "bundles": {"B": {"base_dim": 128, "rank": 128}}}
+        code, _ = TestMorphismContract.run(
+            ["axioms", "--scene", str(write_scene(tmp_path, scene)), "--structure", "standard1"],
+            capsys)
+        assert code == 0
+
+
+# -- argparse failures, simulate, project and dirac under fuzzing ------------------
+
+_REQUIRED = {
+    "axioms": ["--structure", "standard1"],
+    "leibniz": ["--structure", "standard1"],
+    "morphism": ["--source", "standard1", "--target", "standard1", "--map", "identity1"],
+    "pullback": ["--ambient", "standard1", "--morphism", "identity1"],
+    "intrinsic": ["--n", "1", "--m", "1"],
+    "simulate": ["--system", "oscillator", "--input", "unit", "--x0", "1,0", "--T", "0.01",
+                 "--h", "0.001"],
+    "project": ["--system", "oscillator", "--input", "unit", "--x0", "1,0", "--z0", "0",
+                "--T", "0.01", "--h", "0.001"],
+    "dirac": ["--system", "oscillator"],
+}
+
+
+class TestArgumentContract:
+    """A value argparse cannot convert, and a missing flag, exit 2 with
+    exactly one `error:` line and no usage lines."""
+
+    @pytest.mark.parametrize("command", list(_REQUIRED))
+    def test_non_integer_degree_cap(self, capsys, command):
+        code, captured = TestMorphismContract.run(
+            [command, "--scene", str(SCENE), *_REQUIRED[command], "--degree-cap", "x"], capsys)
+        assert code == 2
+        assert captured.err == "error: argument --degree-cap: invalid int value: 'x'\n"
+
+    def test_non_integer_dimension(self, capsys):
+        code, captured = TestMorphismContract.run(["intrinsic", "--n", "x", "--m", "1"], capsys)
+        assert code == 2
+        assert captured.err == "error: argument --n: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["morphism"], "the following arguments are required: --source, --target, --map"),
+        (["intrinsic", "--n", "1"], "the following arguments are required: --m"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["morphism_flags", "intrinsic_m", "command", "unknown_command"])
+    def test_missing_or_unknown_argument(self, capsys, argv, message):
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert code == 2
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_help_is_unchanged(self, capsys):
+        assert main(["axioms", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: courantlab axioms") and captured.err == ""
+
+
+_SYSTEM_TERMS = ["1", "x1", "-x1", "1/2*x1^2", "x1*x2", "x2^2", "-3/2*x3", "x1^60",
+                 "2*x1^3 - x2"]
+_SYSTEM_ENTRIES = [0, 0, 1, -1, 2, "1/2", "-3/2"]
+_BAD_ENTRIES = ["x1", 1.5, None, True, "1/0", [1]]
+
+
+def _negated(value):
+    if isinstance(value, int):
+        return -value
+    return value[1:] if value.startswith("-") else f"-{value}"
+
+
+@st.composite
+def _fuzzed_systems(draw, broken: bool):
+    """A ph_system spec: n in 0-3 states and m in 0-2 ports, J skew, B of
+    the declared shape and H a sum of drawn terms.  When `broken`, one part
+    is malformed: J not skew or ragged, B of the wrong shape, an entry of
+    the wrong type, or an H outside the float range or naming a variable
+    the system lacks."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    entry = st.sampled_from(_SYSTEM_ENTRIES)
+    j = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            j[a][b] = draw(entry)
+            j[b][a] = _negated(j[a][b])
+    b = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    terms = [draw(st.sampled_from([t for t in _SYSTEM_TERMS
+                                   if not any(f"x{k}" in t for k in range(n + 1, 4))]))
+             for _ in range(draw(st.integers(0, 3)))]
+    how = draw(st.sampled_from(["not_skew", "ragged", "b_rows", "b_columns", "wrong_type",
+                                "float_range", "variable"])) if broken else None
+    target = j if draw(st.booleans()) and n else b
+    if how == "not_skew" and n:
+        j[0][0] = 1
+    elif how == "ragged" and target and target[0]:
+        target[0].append(0)
+    elif how == "b_rows":
+        b = b[:-1] if b and draw(st.booleans()) else b + [[1] * m]
+    elif how == "b_columns" and b:
+        b = [row[:-1] if row and draw(st.booleans()) else row + [1] for row in b]
+    elif how == "wrong_type" and target and target[0]:
+        target[0][0] = draw(st.sampled_from(_BAD_ENTRIES))
+    elif how == "float_range":
+        terms.append("10^400*x1" if n else "10^400")
+    elif how == "variable":
+        terms.append(f"x{n + 1}")
+    return {"n": n, "m": m, "J": j, "B": b, "H": " + ".join(terms) or "0"}
+
+
+def _vector(draw, size, broken: bool):
+    """A comma-separated float vector of `size` components; when `broken`,
+    one that is too short, too long, non-finite or not a number."""
+    values = [draw(st.sampled_from(["0", "1", "-0.5", "1e100", "2.5"])) for _ in range(size)]
+    how = draw(st.sampled_from(["short", "long", "nan", "inf", "a", "1e400"])) if broken else None
+    if how == "short":
+        values = values[:-1] if values else ["1"]
+    elif how == "long":
+        values.append("1")
+    elif how is not None:
+        values = [how] + values[1:]
+    return ",".join(values)
+
+
+_FAULTS = [None, None, None, None, None, None, "system", "name", "input", "signal", "x0",
+           "z0", "T", "h", "steps"]
+_BAD_TIMES = ["0", "-1", "nan", "inf", "-inf"]
+
+
+@st.composite
+def _trajectory_runs(draw, command):
+    """(scene, argv without --scene) for `simulate`, `project` or `dirac`
+    on one drawn system and input signal, with drawn --x0, --z0, --T and
+    --h.  Most runs are well-formed; the rest carry one fault: a malformed
+    system, an unknown system or input name, a signal of the wrong length or
+    outside the float range, a bad vector, a bad --T or --h, or more steps
+    than MAX_STEPS."""
+    fault = draw(st.sampled_from(_FAULTS))
+    system = draw(_fuzzed_systems(fault == "system"))
+    ports = system["m"] + (draw(st.sampled_from([-1, 1])) if fault == "input" else 0)
+    signal = [draw(st.sampled_from(["0", "1", "t", "-2*t^2"])) for _ in range(max(ports, 0))]
+    if fault == "signal":
+        signal.append(draw(st.sampled_from(["10^400*t", "x1", "t^"])))
+    scene = {"schema_version": 1, "ph_systems": {"s": system}, "inputs": {"u": {"u": signal}}}
+    name = "missing" if fault == "name" else "s"
+    if command == "dirac":
+        return scene, ["dirac", "--system", name, *draw(st.sampled_from([[], ["--json"]]))]
+    t_final, step = draw(st.sampled_from([("0.01", "0.001"), ("0.1", "0.01"), ("1", "0.3"),
+                                          ("0.3", "0.3"), ("1e308", "1e308")]))
+    if fault == "T":
+        t_final = draw(st.sampled_from(_BAD_TIMES))
+    elif fault == "h":
+        step = draw(st.sampled_from(_BAD_TIMES + ["2"]))
+    elif fault == "steps":
+        t_final, step = draw(st.sampled_from([("1e300", "0.3"), ("0.01", "1e-300"),
+                                              ("1e-300", "5e-324"), ("1e308", "1e-308")]))
+    argv = [command, "--system", name, "--input", "u",
+            f"--x0={_vector(draw, system['n'], fault == 'x0')}"]
+    if command == "project":
+        argv.append(f"--z0={_vector(draw, system['m'], fault == 'z0')}")
+    return scene, argv + ["--T", t_final, "--h", step]
+
+
+def _run_contract(tmp_path, capsys, case):
+    # exit 0, 1 or 2 with no traceback, and exit 2 with one error line
+    scene, argv = case
+    return TestMorphismContract.run(
+        [argv[0], "--scene", str(write_scene(tmp_path, scene)), *argv[1:]], capsys)
+
+
+_FUZZ = settings(max_examples=500, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                        HealthCheck.too_slow])
+
+
+class TestSimulateContract:
+    """`simulate` honours the exit-code contract on drawn systems and runs."""
+
+    @_FUZZ
+    @given(_trajectory_runs("simulate"))
+    def test_fuzzed_runs_keep_the_contract(self, tmp_path, capsys, case):
+        _run_contract(tmp_path, capsys, case)
+
+    @pytest.mark.parametrize("t_final, step", [("1e300", "0.3"), ("0.01", "1e-300"),
+                                               ("1e-300", "5e-324"), ("1.000001", "1e-6")])
+    def test_step_count_is_bounded(self, capsys, t_final, step):
+        # T / h once sized one float buffer per coordinate with no bound: an
+        # OverflowError when the step count overflowed to inf or passed an
+        # index, and a buffer of any size that fits
+        argv = ["simulate", "--scene", str(SCENE), *_REQUIRED["simulate"][:6],
+                "--T", t_final, "--h", step]
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: --T / --h must be at most 1000000 steps")
+
+
+class TestProjectContract:
+    """`project` honours the exit-code contract on drawn systems and runs."""
+
+    @_FUZZ
+    @given(_trajectory_runs("project"))
+    def test_fuzzed_runs_keep_the_contract(self, tmp_path, capsys, case):
+        _run_contract(tmp_path, capsys, case)
+
+    def test_step_count_is_bounded(self, capsys):
+        argv = ["project", "--scene", str(SCENE), *_REQUIRED["project"][:8],
+                "--T", "1e300", "--h", "1"]
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: --T / --h must be at most 1000000 steps")
+
+
+class TestDiracContract:
+    """`dirac` honours the exit-code contract on drawn systems."""
+
+    @settings(max_examples=600, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(_trajectory_runs("dirac"))
+    def test_fuzzed_systems_keep_the_contract(self, tmp_path, capsys, case):
+        code, captured = _run_contract(tmp_path, capsys, case)
+        # the graph of a skew block is always maximally isotropic
+        assert code in (0, 2)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .polyexpr import Polynomial, PolyMap, monomials_up_to
+from .polyexpr import Polynomial, PolyMap, _coeff, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -139,53 +139,55 @@ class Section:
 class BundleMorphism:
     """Vector bundle morphism: base map phi0 and fiber action e -> P(x) e.
 
-    The fiber matrix has shape target.rank x source.rank with entries in the
-    source base variables.  An optional retraction r (a left inverse of
-    phi0, checked exactly at construction) enables constructive extension of
-    sections along the morphism, through P(r(y)) (`extension_matrix`,
-    formed on first use).  The matrices the morphism conditions and the
-    pullback read along the image of phi0 are formed once per target
-    structure, in the record `morphisms.along_image` keeps in the `_along`
-    slot with that structure.  A composite read off another morphism's
-    columns (see `compose_morphisms`) names them in `_selection`, and its
-    record is theirs.
+    The fiber matrix has shape target.rank x source.rank; its entries are
+    exact scalars or polynomials in the source base variables.  The
+    morphism keeps it once, as the kernel's canonical sparse rows
+    (`fiber_rows`, see `linalg`), which every consumer reads; `fiber_matrix`
+    is a dense view with Polynomial entries, formed on first read.  An
+    optional retraction r (a left inverse of phi0, checked exactly at
+    construction) enables constructive extension of sections along the
+    morphism, through the rows of P(r(y)) (`extension_rows`, formed on first
+    use).  The matrices the morphism conditions and the pullback read along
+    the image of phi0 are formed once per target structure, in the record
+    `morphisms.along_image` keeps in the `_along` slot with that structure.
+    A composite read off another morphism's columns (see
+    `compose_morphisms`) names them in `_selection`, and its record is
+    theirs.
     """
 
-    __slots__ = ("source", "target", "base_map", "fiber_matrix", "retraction",
-                 "_extension", "_along", "_selection")
+    __slots__ = ("source", "target", "base_map", "fiber_rows", "retraction",
+                 "_fiber", "_extension", "_along", "_selection")
 
     def __init__(
         self,
         source: TrivialBundle,
         target: TrivialBundle,
         base_map: PolyMap,
-        fiber_matrix: Sequence[Sequence[Polynomial]],
+        fiber_matrix: Sequence[Sequence],
         retraction: PolyMap | None = None,
     ):
         if base_map.num_inputs != source.base_dim or len(base_map) != target.base_dim:
-            raise ValueError(
-                f"base map shape {base_map.num_inputs}->{len(base_map)} does not match "
-                f"bases {source.base_dim}->{target.base_dim}"
-            )
+            raise ValueError(f"base map shape {base_map.num_inputs}->{len(base_map)} does not "
+                             f"match bases {source.base_dim}->{target.base_dim}")
         fm = [list(row) for row in fiber_matrix]
         if len(fm) != target.rank or any(len(row) != source.rank for row in fm):
-            raise ValueError(
-                f"fiber matrix must be {target.rank} x {source.rank}"
-            )
-        for row in fm:
-            for p in row:
-                if p.num_vars != source.base_dim:
-                    raise ValueError("fiber matrix entries must use source base variables")
+            raise ValueError(f"fiber matrix must be {target.rank} x {source.rank}")
+        if any(p.num_vars != source.base_dim if type(p) is Polynomial
+               else type(p) not in (int, Fraction) for row in fm for p in row):
+            raise ValueError("fiber matrix entries must be exact scalars or polynomials "
+                             "in the source base variables")
         if retraction is not None:
             if retraction.num_inputs != target.base_dim or len(retraction) != source.base_dim:
-                raise ValueError(
-                    f"retraction shape {retraction.num_inputs}->{len(retraction)} does not "
-                    f"match bases {target.base_dim}->{source.base_dim}"
-                )
+                raise ValueError(f"retraction shape {retraction.num_inputs}->{len(retraction)} "
+                                 f"does not match bases {target.base_dim}->{source.base_dim}")
             if retraction.compose(base_map) != PolyMap.identity(source.base_dim):
                 raise ValueError("retraction does not invert the base map: r(phi0(x)) != x")
-        # the extension matrix and the record along the image start empty
-        for slot, value in zip(self.__slots__, (source, target, base_map, fm, retraction)):
+        self._fill(source, target, base_map, linalg.sparse(fm), retraction)
+
+    def _fill(self, source, target, base_map, rows, retraction):
+        """Set every slot from checked parts; the dense view, the extension
+        rows and the record along the image start empty."""
+        for slot, value in zip(self.__slots__, (source, target, base_map, rows, retraction)):
             object.__setattr__(self, slot, value)
         for slot in self.__slots__[5:]:
             object.__setattr__(self, slot, None)
@@ -194,27 +196,33 @@ class BundleMorphism:
         raise AttributeError("BundleMorphism is immutable")
 
     @property
-    def extension_matrix(self) -> list[list[Polynomial]]:
-        """P(r(y)), the fiber matrix composed with the retraction, formed on
-        first use: g(y) = P(r(y)) f(r(y)) is the section related to f."""
+    def fiber_matrix(self) -> list[list[Polynomial]]:
+        """P as a dense matrix of polynomials in the source base variables,
+        formed from `fiber_rows` on first read."""
+        if self._fiber is None:
+            n = self.source.base_dim
+            object.__setattr__(self, "_fiber", [
+                [linalg.polynomial(x, n) for x in row]
+                for row in linalg.dense(self.fiber_rows, self.source.rank)])
+        return self._fiber
+
+    @property
+    def extension_rows(self) -> list[dict]:
+        """P(r(y)), the fiber matrix composed with the retraction, in sparse
+        rows, formed on first use: g(y) = P(r(y)) f(r(y)) is the section
+        related to f."""
         if self._extension is None:
             if self.retraction is None:
                 raise ValueError("extension needs a morphism with a retraction")
             object.__setattr__(
-                self, "_extension", linalg.pmat_compose(self.fiber_matrix, self.retraction)
+                self, "_extension", linalg.pmat_compose(self.fiber_rows, self.retraction)
             )
         return self._extension
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
-        n = bundle.base_dim
-        return cls(
-            bundle,
-            bundle,
-            PolyMap.identity(n),
-            linalg.pmat_constant(linalg.identity(bundle.rank), n),
-            retraction=PolyMap.identity(n),
-        )
+        k = bundle.rank
+        return cls.constant(bundle, bundle, [[int(i == j) for j in range(k)] for i in range(k)])
 
     @classmethod
     def constant(
@@ -225,20 +233,16 @@ class BundleMorphism:
         base_map: PolyMap | None = None,
         retraction: PolyMap | None = None,
     ) -> "BundleMorphism":
-        """Morphism with a constant fiber matrix (default base: identity)."""
+        """Morphism with a constant fiber matrix of rationals (default base:
+        identity)."""
         if base_map is None:
             if source.base_dim != target.base_dim:
                 raise ValueError("identity base requires equal base dimensions")
             base_map = PolyMap.identity(source.base_dim)
             if retraction is None:
                 retraction = PolyMap.identity(source.base_dim)
-        return cls(
-            source,
-            target,
-            base_map,
-            linalg.pmat_constant(linalg.mat(matrix), source.base_dim),
-            retraction=retraction,
-        )
+        return cls(source, target, base_map, [[_coeff(v) for v in row] for row in matrix],
+                   retraction=retraction)
 
     def is_identity_base(self) -> bool:
         return (
@@ -252,7 +256,7 @@ class BundleMorphism:
             raise ValueError("section does not live on the morphism source")
         n = self.source.base_dim
         return PolyMap(n, [linalg.polynomial(x, n) for x in
-                           linalg.pmat_vec(linalg.sparse(self.fiber_matrix), f.coeffs.outputs)])
+                           linalg.pmat_vec(self.fiber_rows, f.coeffs.outputs)])
 
     def __repr__(self):
         return (
@@ -264,36 +268,39 @@ class BundleMorphism:
 def _coordinate_columns(phi: BundleMorphism) -> list[int] | None:
     """[r_0, r_1, ...] when phi is over the identity and column c of its
     fiber matrix is the unit vector e_(r_c), else None."""
-    rows = [[r for r, p in enumerate(col) if not p.is_zero()] for col in zip(*phi.fiber_matrix)]
-    if phi.is_identity_base() and len(rows) == phi.source.rank and all(
-            len(rs) == 1 and phi.fiber_matrix[rs[0]][c] == 1 for c, rs in enumerate(rows)):
-        return [rs[0] for rs in rows]
+    units = {}
+    for r, row in enumerate(phi.fiber_rows):
+        for c, x in row.items():
+            units[c] = r if c not in units and type(x) is int and x == 1 else None
+    if phi.is_identity_base() and len(units) == phi.source.rank and None not in units.values():
+        return [units[c] for c in range(phi.source.rank)]
     return None
 
 
 def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMorphism:
     """outer . inner; retractions compose contravariantly when both exist.
 
-    When inner is a coordinate inclusion over the identity (column c of its
-    fiber matrix is e_(r_c)), column c of the composite's fiber matrix is
-    column r_c of outer's, and its base map and retraction equal outer's.
-    The composite then names (outer, [r_c]) in `_selection`, and its record
-    along the image is a column selection of outer's (see
-    `morphisms.along_image`).
+    The composite's fiber rows are outer's, composed with inner's base map
+    unless that is the identity, times inner's, with no dense matrix formed.
+    Its retraction r_inner o r_outer inverts its base map because both
+    factors do, so it is not checked again.  When inner is a coordinate
+    inclusion over the identity (column c of its fiber matrix is e_(r_c)),
+    column c of the composite's fiber matrix is column r_c of outer's, and
+    its base map and retraction equal outer's.  The composite then names
+    (outer, [r_c]) in `_selection`, and its record along the image is a
+    column selection of outer's (see `morphisms.along_image`).
     """
     if inner.target != outer.source:
         raise ValueError("morphisms are not composable")
-    n, outer_fiber = inner.source.base_dim, outer.fiber_matrix
+    outer_rows = outer.fiber_rows
     if not inner.is_identity_base():
-        outer_fiber = linalg.pmat_compose(outer_fiber, inner.base_map)
-    fiber = linalg.pmat_mul(linalg.sparse(outer_fiber), linalg.sparse(inner.fiber_matrix))
+        outer_rows = linalg.pmat_compose(outer_rows, inner.base_map)
     retraction = None
     if inner.retraction is not None and outer.retraction is not None:
         retraction = inner.retraction.compose(outer.retraction)
-    composite = BundleMorphism(inner.source, outer.target, outer.base_map.compose(inner.base_map),
-                               [[linalg.polynomial(x, n) for x in row]
-                                for row in linalg.dense(fiber, inner.source.rank)],
-                               retraction=retraction)
+    composite = object.__new__(BundleMorphism)
+    composite._fill(inner.source, outer.target, outer.base_map.compose(inner.base_map),
+                    linalg.pmat_mul(outer_rows, inner.fiber_rows), retraction)
     cols = _coordinate_columns(inner)
     if cols is not None:
         object.__setattr__(composite, "_selection", (outer, cols))
@@ -349,7 +356,7 @@ def related_section(
     if phi.retraction is not None:
         r = phi.retraction
         pulled_f = [p.compose(r) for p in f.coeffs]
-        comps = linalg.pmat_vec(linalg.sparse(phi.extension_matrix), pulled_f)
+        comps = linalg.pmat_vec(phi.extension_rows, pulled_f)
         big = phi.target.base_dim
         return Section(phi.target, PolyMap(big, [linalg.polynomial(x, big) for x in comps]))
 

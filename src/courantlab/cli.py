@@ -15,7 +15,8 @@ Exit codes: 0 all requested verdicts pass, 1 a verification failed,
 2 input or schema error.  JSON reports (--json) are canonical: keys are
 sorted and nothing time- or machine-dependent is included, so identical
 inputs and seeds produce byte-identical output.  Timing appears only in
-the human-readable rendering.
+the human-readable rendering.  `simulate` and `project` write CSV and take
+only --scene and --out of the shared flags.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ MAX_INTRINSIC_DIMENSION = 64
 # the most RK4 steps of `simulate` and `project`: each state, output and z
 # coordinate keeps one float per grid row
 MAX_STEPS = 10 ** 6
+# the most floats those grid buffers hold in one run, (steps + 1) times the
+# coordinates kept: 80 MB
+MAX_GRID_VALUES = 10 ** 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,8 +71,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _common_flags(sub):
+def _common_flags(sub, report=True):
+    """--scene and --out, and for a command with a verdict report --seed,
+    --degree-cap and --json."""
     sub.add_argument("--scene", help="scene JSON file")
+    sub.add_argument("--out", help="write the report or CSV here instead of stdout")
+    if not report:
+        return
     sub.add_argument("--seed", type=int, default=0,
                      help="echoed in --json; no verdict depends on it")
     sub.add_argument("--degree-cap", type=int, default=3,
@@ -79,7 +88,6 @@ def _common_flags(sub):
                           "constant sections; the two Leibniz rules hold by the "
                           "bracket's expansion")
     sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--out", help="write the report or CSV here instead of stdout")
 
 
 @functools.cache
@@ -129,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, text in (("simulate", "integrate a port-Hamiltonian system to CSV"),
                        ("project", "interaction run projected to the open behavior")):
         p = sub.add_parser(name, help=text)
-        _common_flags(p)
+        _common_flags(p, report=False)
         p.add_argument("--system", required=True)
         p.add_argument("--input", required=True, dest="input_name")
         p.add_argument("--x0", required=True, help="comma-separated initial state")
@@ -421,6 +429,12 @@ def _cmd_trajectory(args):
     if args.t_final / args.step > MAX_STEPS:
         raise SceneError(f"--T / --h must be at most {MAX_STEPS} steps, "
                          f"got --T {args.t_final!r} and --h {args.step!r}")
+    # the grid buffers hold steps + 1 rows of the states, the outputs and z
+    columns = system.n + system.m + (0 if z0 is None else system.m)
+    values = (max(1, round(args.t_final / args.step)) + 1) * columns
+    if values > MAX_GRID_VALUES:
+        raise SceneError(f"the run keeps {values} grid values for {columns} coordinates, "
+                         f"more than {MAX_GRID_VALUES}")
     try:
         if z0 is None:
             trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
@@ -482,7 +496,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.degree_cap < 0:
+    if getattr(args, "degree_cap", 0) < 0:
         sys.stderr.write(f"error: --degree-cap must be >= 0, got {args.degree_cap}\n")
         return 2
     started = time.perf_counter()

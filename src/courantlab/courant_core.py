@@ -227,7 +227,11 @@ class CourantStructure:
 
     The constructor checks the shapes and the symmetry of G, and forms G^-1
     once: that reduction is its check that G is nonsingular, and the
-    structure keeps the result as `metric_inverse`.  `pairing`,
+    structure keeps the result as `metric_inverse`.  `rows` holds G, G^-1
+    and A in the kernel's canonical sparse rows (see `linalg`), in one slot
+    formed on first read, unless the structure was assembled with them (a
+    pullback takes them from its record); the morphism checks and the
+    pullback read these rows, never the dense matrices.  `pairing`,
     `anchor_apply`, `derived_operator` and `bracket` run on packed term
     dicts (see polyexpr) against tables formed on first use: the first call
     of any of them forms the anchor, metric and c_ij^h tables, and the first
@@ -239,7 +243,7 @@ class CourantStructure:
     """
 
     __slots__ = ("bundle", "anchor", "metric", "structure_functions",
-                 "_inverse", "_frame", "_dual")
+                 "_inverse", "_rows", "_frame", "_dual")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
         n, k = bundle.base_dim, bundle.rank
@@ -273,11 +277,11 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        self._fill(bundle, rows, g, c, (inverse, None, None))
+        self._fill(bundle, rows, g, c, (inverse, None, None, None))
 
-    def _fill(self, bundle, anchor, metric, c, tables=(None, None, None)):
-        """Set every slot from checked parts; `tables` holds G^-1 and the
-        packed tables, or None for each table formed on first use."""
+    def _fill(self, bundle, anchor, metric, c, tables=(None, None, None, None)):
+        """Set every slot from checked parts; `tables` holds G^-1, the rows
+        and the packed tables, or None for each formed on first use."""
         for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables)):
             object.__setattr__(self, slot, value)
 
@@ -287,10 +291,19 @@ class CourantStructure:
     @property
     def metric_inverse(self):
         """G^-1: the constructor's, or formed on first use by a structure
-        assembled without the constructor."""
+        assembled without the constructor, from its rows when it has them."""
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", linalg.inverse(self.metric))
+            object.__setattr__(self, "_inverse", linalg.inverse(self.metric) if self._rows is None
+                               else linalg.dense(self._rows[1], self.bundle.rank))
         return self._inverse
+
+    @property
+    def rows(self) -> tuple[list[dict], list[dict], list[dict]]:
+        """(G, G^-1, A) in canonical sparse rows, formed once."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", (linalg.sparse(self.metric), linalg.sparse(
+                self.metric_inverse), linalg.sparse(self.anchor)))
+        return self._rows
 
     @property
     def _frame_tables(self):
@@ -505,19 +518,17 @@ def standard_structure(n: int) -> CourantStructure:
     expansion (see `dorfman_bracket` for the independent route).
 
     The hyperbolic G is symmetric and its own inverse, so the constructor's
-    checks are not needed and G^-1 is a copy of G.
+    checks are not needed and G^-1 is a copy of G; the rows of G (and G^-1)
+    and of A are written down, row i of G holding 1 at column i +- n.
     """
-    bundle = standard_bundle(n)
-    anchor = [
-        [Polynomial.constant(n, int(i == a)) for i in range(2 * n)]
-        for a in range(n)
-    ]
-    metric = [
-        [Fraction(int(abs(i - j) == n)) for j in range(2 * n)]
-        for i in range(2 * n)
-    ]
+    bundle, k = standard_bundle(n), 2 * n
+    zero, one = Polynomial(n), Polynomial.constant(n, 1)
+    anchor = [[one if i == a else zero for i in range(k)] for a in range(n)]
+    metric = [[int(abs(i - j) == n) for j in range(k)] for i in range(k)]
+    g = [{(i + n) % k: 1} for i in range(k)]
     s = object.__new__(CourantStructure)
-    s._fill(bundle, anchor, metric, {}, ([row[:] for row in metric], None, None))
+    s._fill(bundle, anchor, metric, {},
+            ([row[:] for row in metric], (g, g, [{a: 1} for a in range(n)]), None, None))
     return s
 
 

@@ -68,7 +68,7 @@ class SplittingIso:
     fiber_matrix: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, n: int, m: int, fiber_matrix):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in fiber_matrix)
+        rows = tuple(map(tuple, linalg.mat(fiber_matrix)))
         size = 2 * n + 2 * m
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"splitting matrix must be {size} x {size}")
@@ -88,14 +88,14 @@ def canonical_splitting(n: int, m: int) -> SplittingIso:
     """
     if n < 0 or m < 0:
         raise ValueError("dimensions must be >= 0")
-    size = 2 * n + 2 * m
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    size, zero, one = 2 * n + 2 * m, Fraction(0), Fraction(1)
+    matrix = [[zero] * size for _ in range(size)]
     for a in range(n):
-        matrix[a][a] = Fraction(1)  # v -> tangent x-block
-        matrix[n + m + a][n + a] = Fraction(1)  # p -> cotangent x-block
+        matrix[a][a] = one  # v -> tangent x-block
+        matrix[n + m + a][n + a] = one  # p -> cotangent x-block
     for b in range(m):
-        matrix[n + b][2 * n + b] = Fraction(1)  # e -> tangent z-block
-        matrix[n + m + n + b][2 * n + m + b] = Fraction(1)  # eps -> cotangent z-block
+        matrix[n + b][2 * n + b] = one  # e -> tangent z-block
+        matrix[n + m + n + b][2 * n + m + b] = one  # eps -> cotangent z-block
     return SplittingIso(n, m, matrix)
 
 
@@ -115,28 +115,16 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
         raise ValueError("splitting dimensions do not match")
     source = intrinsic_bundle(n, m)
     target = standard_bundle(n + m)
-    base = PolyMap(
-        n,
-        [Polynomial.variable(n, i) for i in range(n)]
-        + [Polynomial(n)] * m,
-    )
-    retraction = PolyMap(
-        n + m, [Polynomial.variable(n + m, i) for i in range(n)]
-    )
-    return BundleMorphism(
-        source,
-        target,
-        base,
-        linalg.pmat_constant([list(r) for r in splitting.fiber_matrix], n),
-        retraction=retraction,
-    )
+    base = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + [Polynomial(n)] * m)
+    retraction = PolyMap(n + m, [Polynomial.variable(n + m, i) for i in range(n)])
+    return BundleMorphism(source, target, base, splitting.fiber_matrix, retraction=retraction)
 
 
 def inclusion_morphism(n: int, m: int) -> BundleMorphism:
     """id (+) 0: TM (+) T*M -> TM (+) T*M (+) E (+) E*, over the identity."""
     source = standard_bundle(n)
     target = intrinsic_bundle(n, m)
-    matrix = [[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n + 2 * m)]
+    matrix = [[int(i == j) for j in range(2 * n)] for i in range(2 * n + 2 * m)]
     return BundleMorphism.constant(source, target, matrix)
 
 

@@ -20,15 +20,20 @@ Matrices of frame data (fiber matrices, anchors, metrics, Jacobians) go
 through one kernel, the `pmat_*` functions, on sparse rows: a matrix is a
 list of rows, each a dict {column: entry} over its nonzero entries.  An
 entry is an exact scalar, int when integral and Fraction otherwise, or a
-Polynomial; `sparse` brings a dense matrix into this form, a constant
-Polynomial becoming its scalar, and `dense` prints it back.  A product or
-sum of scalars stays a scalar, so constant frame data are never wrapped; one
-with a Polynomial factor is a Polynomial, so polynomial fiber maps flow
-through the same loops.  Sums that cancel are dropped, and the zero test is
-`is_zero`: a zero Polynomial is truthy, so no entry is tested by
-truthiness.  A scalar prints as the constant polynomial it equals:
-str(Fraction(-3, 2)) is Polynomial.constant(n, Fraction(-3, 2)).to_string().
-`pmat_compose` and `pmat_constant` work on dense Polynomial matrices.
+non-constant Polynomial; `sparse` brings a dense matrix into this canonical
+form, a constant Polynomial becoming its scalar, and `dense` prints it back.
+A morphism keeps its fiber matrix and a structure its G, G^-1 and A in this
+form, each formed once (`BundleMorphism.fiber_rows`,
+`CourantStructure.rows`), and every consumer reads those rows.  A product
+or sum of scalars stays a scalar, so constant frame data are never wrapped;
+one with a Polynomial factor is a Polynomial, so polynomial fiber maps flow
+through the same loops, and `pmat_compose` substitutes into the Polynomial
+entries only.  Sums that cancel are dropped, and every result entry is
+brought into canonical form (a constant sum becomes its scalar), so rows
+stay canonical through every operation.  The zero test is `is_zero`: a zero
+Polynomial is truthy, so no entry is tested by truthiness.  A scalar prints
+as the constant polynomial it equals: str(Fraction(-3, 2)) is
+Polynomial.constant(n, Fraction(-3, 2)).to_string().
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ def mat(rows) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -142,17 +148,12 @@ def is_zero(x) -> bool:
     return not x._packed if type(x) is Polynomial else not x
 
 
-def _scalar(x):
-    """x, with an integral Fraction turned into its int."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
 def entry(x):
     """An entry in canonical form: a constant Polynomial or an integral
     Fraction becomes its int or Fraction, anything else is kept."""
     if type(x) is Polynomial:
         return x if any(x._packed) else x._packed.get(0, 0)
-    return _scalar(x)
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def polynomial(x, num_vars: int) -> Polynomial:
@@ -173,7 +174,7 @@ def dense(a: list[dict], cols: int) -> list[list]:
 
 def _nonzero(row: dict) -> dict:
     """The entries of a sparse row that do not vanish, in canonical form."""
-    return {j: _scalar(v) for j, v in row.items() if not is_zero(v)}
+    return {j: entry(v) for j, v in row.items() if not is_zero(v)}
 
 
 def pmat_mul(a: list[dict], b: list[dict]) -> list[dict]:
@@ -208,15 +209,12 @@ def pmat_transpose(a: list[dict], cols: int) -> list[dict]:
 
 
 def pmat_is_constant(a: list[dict]) -> bool:
-    """Whether no entry of the sparse rows is a non-constant Polynomial."""
-    return all(type(x) is not Polynomial or not any(x._packed) for row in a for x in row.values())
+    """Whether every entry of canonical sparse rows is a scalar."""
+    return all(type(x) is not Polynomial for row in a for x in row.values())
 
 
-def pmat_constant(a: Matrix, num_vars: int) -> list[list[Polynomial]]:
-    return [[Polynomial.constant(num_vars, v) for v in row] for row in a]
-
-
-def pmat_compose(a, inner: PolyMap) -> list[list[Polynomial]]:
-    """Entrywise substitution in a dense Polynomial matrix: each entry p
-    becomes p(inner(.))."""
-    return [[p.compose(inner) for p in row] for row in a]
+def pmat_compose(a: list[dict], inner: PolyMap) -> list[dict]:
+    """Entrywise substitution in sparse rows: a Polynomial entry p becomes
+    p(inner(.)), in canonical form, and a scalar entry is kept."""
+    return [_nonzero({j: x.compose(inner) if type(x) is Polynomial else x
+                      for j, x in row.items()}) for row in a]

@@ -265,33 +265,36 @@ class AlongImage:
     module docstring): P; P^T G2 and W = P^T G2 P; A2(phi0) and A2(phi0) P;
     Jac(phi0); Q = J_r(phi0) A2(phi0), Q P and V^T = Q G2^-1; and the frame
     table Gamma, formed on first read.  Matrices are sparse rows in
-    canonical form (`linalg.sparse`), so constant frame data are exact
-    scalars.  Over the identity base nothing is composed, Q is A2 and `jac`
-    is None for the identity; without a retraction Q, Q P and V^T are None.
-    T = A1 - Q P and U^T = A1 G1^-1 P^T read the source structure too, and
-    each check forms them (`_Lines`).
+    canonical form (see `linalg`), read off phi's `fiber_rows` and s2's
+    `rows` with no dense matrix converted, so constant frame data are exact
+    scalars; composition along phi0 substitutes into polynomial entries
+    only.  Over the identity base nothing is composed, Q is A2 and `jac` is
+    None for the identity; without a retraction Q, Q P and V^T are None.
+    T = A1 - Q P and U^T = A1 G1^-1 P^T read the source structure's rows
+    too, and each check forms them (`_Lines`).
     """
 
     def __init__(self, s2, phi):
         self.s2, self.phi = s2, phi
         self.n, self.k1, self.k2 = phi.source.base_dim, phi.source.rank, phi.target.rank
-        self.p = p = linalg.sparse(phi.fiber_matrix)
-        self.pt_g = linalg.pmat_mul(linalg.pmat_transpose(p, self.k1), linalg.sparse(s2.metric))
+        self.p = p = phi.fiber_rows
+        g2, g2_inv, a2 = s2.rows
+        self.pt_g = linalg.pmat_mul(linalg.pmat_transpose(p, self.k1), g2)
         self.w = linalg.pmat_mul(self.pt_g, p)
         if phi.is_identity_base():
             self.base_map = self.jac = None
-            self.a2 = self.q = linalg.sparse(s2.anchor)
+            self.a2 = self.q = a2
         else:
             self.base_map = phi.base_map
-            self.a2 = linalg.sparse(linalg.pmat_compose(s2.anchor, phi.base_map))
+            self.a2 = linalg.pmat_compose(a2, phi.base_map)
             self.jac = linalg.sparse(phi.base_map.jacobian())
-            self.q = None if phi.retraction is None else linalg.pmat_mul(linalg.sparse(
-                linalg.pmat_compose(phi.retraction.jacobian(), phi.base_map)), self.a2)
+            self.q = None if phi.retraction is None else linalg.pmat_mul(linalg.pmat_compose(
+                linalg.sparse(phi.retraction.jacobian()), phi.base_map), self.a2)
         self.ap = linalg.pmat_mul(self.a2, p)
         self.qp = self.v_t = None
         if self.q is not None:
             self.qp = self.ap if self.q is self.a2 else linalg.pmat_mul(self.q, p)
-            self.v_t = linalg.pmat_mul(self.q, linalg.sparse(s2.metric_inverse))
+            self.v_t = linalg.pmat_mul(self.q, g2_inv)
 
     def selected(self, phi, cols: list[int]) -> "AlongImage":
         """The record of the composite phi whose column c is column cols[c]
@@ -414,12 +417,12 @@ class _Lines:
     V^T = Q G2^-1, with G1, the nonzero Delta_ij, T = A1 - Q P,
     U^T = A1 G1^-1 P^T and whether the metric condition W = G1 holds."""
 
-    def __init__(self, s1, rec, a1, metric_holds):
+    def __init__(self, s1, rec, metric_holds):
         self.p, self.w, self.v_t, self.metric_holds = rec.p, rec.w, rec.v_t, metric_holds
-        self.g1 = linalg.sparse(s1.metric)
+        self.g1, g1_inv, a1 = s1.rows
         self.delta = _frame_defects(s1, rec.p, rec.table)
         self.t = linalg.pmat_sub(a1, rec.qp)
-        self.u_t = linalg.pmat_mul(linalg.pmat_mul(a1, linalg.sparse(s1.metric_inverse)),
+        self.u_t = linalg.pmat_mul(linalg.pmat_mul(a1, g1_inv),
                                    linalg.pmat_transpose(rec.p, rec.k1))
 
 
@@ -475,7 +478,7 @@ def _witness_order(rank, monos):
                   key=lambda pair: max(degrees[pair[0][1]], degrees[pair[1][1]]))
 
 
-def _bracket_failure(s1, s2, phi, a1, cap, metric_holds, general=False):
+def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     """The bracket condition's failure at its least failing family pair of
     degree <= min(cap, 1), or None.
 
@@ -487,7 +490,7 @@ def _bracket_failure(s1, s2, phi, a1, cap, metric_holds, general=False):
     """
     if not s1.bundle.rank:
         return None
-    d = _Lines(s1, along_image(s2, phi), a1, metric_holds)
+    d = _Lines(s1, along_image(s2, phi), metric_holds)
     if not d.delta and (not cap or _degree_1_holds(d)):
         return None
     n = s1.bundle.base_dim
@@ -530,7 +533,7 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     failing family pair (e_i, e_j) (see the module docstring), reported
     with its plain defect on the retraction representatives.
     """
-    defect = linalg.pmat_sub(along_image(s2, phi).w, linalg.sparse(s1.metric))
+    defect = linalg.pmat_sub(along_image(s2, phi).w, s1.rows[0])
     if not general:
         return _matrix_failure("metric", "fiber_pair", defect, s1.bundle.rank)
     where = _first_nonzero(defect)
@@ -540,10 +543,10 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     return _pair_failure("metric", s1, s2, phi, f1, f2, True)
 
 
-def _anchor_failure(s1, s2, phi, a1) -> ConditionFailure | None:
-    """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1,
-    given A1 in sparse rows.  Over the identity base Jac(phi0) A1 is A1."""
-    rec = along_image(s2, phi)
+def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
+    """The anchor condition from its defect matrix A2(phi0) P - Jac(phi0) A1.
+    Over the identity base Jac(phi0) A1 is A1."""
+    rec, a1 = along_image(s2, phi), s1.rows[2]
     ja1 = a1 if rec.jac is None else linalg.pmat_mul(rec.jac, a1)
     return _matrix_failure("anchor", "entry", linalg.pmat_sub(rec.ap, ja1), s1.bundle.rank)
 
@@ -553,13 +556,11 @@ def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list
     min(degree_cap, SWEEP_ORDER) from the frame tables; strict checking
     adds the perturbed representatives' matrix identity (see the module
     docstring)."""
-    a1 = linalg.sparse(s1.anchor)
     metric = _metric_failure(s1, s2, phi, general)
-    bracket = _bracket_failure(s1, s2, phi, a1, min(degree_cap, SWEEP_ORDER),
-                               metric is None, general)
+    bracket = _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER), metric is None, general)
     if bracket is None and strict:
         bracket = _perturbed_failure(along_image(s2, phi))
-    return [bracket, metric, _anchor_failure(s1, s2, phi, a1)]
+    return [bracket, metric, _anchor_failure(s1, s2, phi)]
 
 
 # -- identity base --------------------------------------------------------------
@@ -693,7 +694,7 @@ def check_general_base(
                         condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
                         [p.to_string() for p in defect],
                     )
-        failures = [*found.values(), _anchor_failure(s1, s2, phi, linalg.sparse(s1.anchor))]
+        failures = [*found.values(), _anchor_failure(s1, s2, phi)]
     return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
 
 
@@ -724,12 +725,8 @@ class GraphSubbundle:
 
 def graph_subbundle(phi: BundleMorphism) -> GraphSubbundle:
     """Product-bundle presentation of graph(phi) over graph(phi0)."""
-    n = phi.source.base_dim
-    embedding = PolyMap(
-        n,
-        [Polynomial.variable(n, i) for i in range(n)]
-        + list(phi.base_map.outputs),
-    )
-    top = linalg.pmat_constant(linalg.identity(phi.source.rank), n)
-    generators = top + [list(row) for row in phi.fiber_matrix]
-    return GraphSubbundle(phi.source, phi.target, embedding, generators)
+    n, k = phi.source.base_dim, phi.source.rank
+    embedding = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + list(phi.base_map))
+    top = [[Polynomial.constant(n, int(i == j)) for j in range(k)] for i in range(k)]
+    return GraphSubbundle(phi.source, phi.target, embedding,
+                          top + [list(row) for row in phi.fiber_matrix])

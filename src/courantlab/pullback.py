@@ -44,7 +44,8 @@ too; constant data stay exact scalars there.  Hypothesis (a)'s defect is
 N A(phi0) P = A(phi0) P - J_phi0 Q P, so N itself is never formed.  The
 hypothesis report, the constructed structure, and the determinant and
 inverse of G' are cached on the problem, so each is formed once per
-problem.
+problem; the constructed structure takes its rows, G', G'^-1 and
+A' = Q P, from the record and the problem.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -112,19 +113,20 @@ class PullbackProblem:
 
     @cached_property
     def _induced_pairing(self):
-        """(G', det G') with G' in canonical form when G' is constant, else
+        """(G', det G') with G' a rational matrix when G' is constant, else
         None; G' is the k x k zero matrix for a morphism into a rank-0
         bundle."""
         w = self._record.w
         if not linalg.pmat_is_constant(w):
             return None
-        g = [[linalg.entry(x) for x in row] for row in linalg.dense(w, len(w))]
+        g = linalg.mat(linalg.dense(w, len(w)))
         return g, linalg.det(g)
 
     @cached_property
     def _induced_inverse(self):
-        """G'^-1; needs a constant nondegenerate induced pairing."""
-        return linalg.inverse(self._induced_pairing[0])
+        """G'^-1 in sparse rows; needs a constant nondegenerate induced
+        pairing."""
+        return linalg.sparse(linalg.inverse(self._induced_pairing[0]))
 
     @cached_property
     def _frame_table(self):
@@ -138,8 +140,7 @@ class PullbackProblem:
         those of the pairs before it, inserted in (i, j, h) order.  Needs a
         constant nondegenerate induced pairing.
         """
-        n, record = self.source_bundle.base_dim, self._record
-        g_inv = linalg.sparse(self._induced_inverse)
+        n, record, g_inv = self.source_bundle.base_dim, self._record, self._induced_inverse
         structure_functions = {}
         for (i, j), vec in sorted(record.table.items()):
             coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(record.pt_g, vec))
@@ -164,14 +165,16 @@ class PullbackProblem:
         P^T G P is symmetric because G is, so the constructor's checks are
         not repeated; the anchor and the structure functions are formed
         over the source base, the latter nonzero by construction.  The
-        structure shares the problem's G'^-1.
+        structure's rows are the record's G' and A' = Q P with the
+        problem's G'^-1, and its dense G' is the problem's.
         """
-        n = self.source_bundle.base_dim
+        n, record = self.source_bundle.base_dim, self._record
         anchor = [[linalg.polynomial(x, n) for x in row]
-                  for row in linalg.dense(self._record.qp, self.source_bundle.rank)]
+                  for row in linalg.dense(record.qp, self.source_bundle.rank)]
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, anchor, linalg.mat(self._induced_pairing[0]),
-                        dict(self._frame_table[0]), (self._induced_inverse, None, None))
+        structure._fill(self.source_bundle, anchor, self._induced_pairing[0],
+                        dict(self._frame_table[0]),
+                        (None, (record.w, self._induced_inverse, record.qp), None, None))
         return structure
 
 
@@ -284,10 +287,8 @@ def well_definedness_test(p: PullbackProblem, alternative_retraction: PolyMap) -
     an invalid one raises.
     """
     phi = p.morphism
-    alt = BundleMorphism(
-        phi.source, phi.target, phi.base_map, phi.fiber_matrix,
-        retraction=alternative_retraction,
-    )
+    alt = BundleMorphism(phi.source, phi.target, phi.base_map,
+                         linalg.dense(phi.fiber_rows, phi.source.rank), alternative_retraction)
     other = PullbackProblem(p.ambient, p.source_bundle, alt)
     return construct(p) == construct(other)
 

@@ -29,8 +29,8 @@ be written as JSON integers or as strings like "3/2".
 Loading validates everything eagerly: field shapes, unknown references,
 duplicate names and malformed expressions raise SceneError (CLI exit
 code 2).  Every field's JSON shape is checked before any object is built,
-and a bundle's base_dim and rank are bounded by MAX_BUNDLE_DIMENSION before
-anything is sized by them.
+and a bundle's base_dim and rank, and a ph_system's n and m, are bounded by
+MAX_BUNDLE_DIMENSION before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .polyexpr import ParseError, PolyMap, Polynomial, parse
 __all__ = ["Scene", "SceneError", "load_scene", "structure_to_json"]
 
 SCHEMA_VERSION = 1
-# the largest base_dim and rank of a scene bundle, checked before a variable
-# name or an entry is formed for it: the largest rank `intrinsic` builds
+# the largest base_dim and rank of a scene bundle, and n and m of a ph_system,
+# checked before a variable name or an entry is formed for them: the largest
+# rank `intrinsic` builds
 MAX_BUNDLE_DIMENSION = 128
 
 
@@ -99,6 +100,14 @@ def _expr(text, variables, where: str) -> Polynomial:
         return parse(text, variables)
     except ParseError as exc:
         raise SceneError(f"{where}: {exc}") from exc
+
+
+def _bounded(spec: dict, keys, where: str) -> None:
+    """Raise unless every dimension spec[key] is at most MAX_BUNDLE_DIMENSION."""
+    for key in keys:
+        if spec[key] > MAX_BUNDLE_DIMENSION:
+            raise SceneError(f"{where}: {key} must be at most {MAX_BUNDLE_DIMENSION}, "
+                             f"got {spec[key]}")
 
 
 def _vars(n: int) -> list[str]:
@@ -175,10 +184,7 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
-        for key in ("base_dim", "rank"):
-            if spec[key] > MAX_BUNDLE_DIMENSION:
-                raise SceneError(f"{where}: {key} must be at most {MAX_BUNDLE_DIMENSION}, "
-                                 f"got {spec[key]}")
+        _bounded(spec, ("base_dim", "rank"), where)
         try:
             scene.bundles[name] = TrivialBundle(
                 spec["base_dim"], spec["rank"], spec.get("label", name)
@@ -250,6 +256,7 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["ph_systems"].items():
         where = f"ph_system {name!r}"
+        _bounded(spec, ("n", "m"), where)
         n, m = spec["n"], spec["m"]
         jm = [[_rational(v, where) for v in row] for row in spec["J"]]
         bm = [[_rational(v, where) for v in row] for row in spec["B"]]

@@ -120,7 +120,7 @@ def perturbed_candidates(base: CourantStructure, count: int, rng: random.Random)
             entry = c.get((i, j, h), Polynomial(n)) + bump
             c[(i, j, h)] = bump if entry.is_zero() else entry
             candidate._fill(base.bundle, base.anchor, base.metric, c,
-                            (base._inverse, None, base._dual))
+                            (base._inverse, None, None, base._dual))
             yield "bracket", candidate
         else:
             lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
@@ -150,6 +150,11 @@ def reference_pmat_mul(a, b, cols: int = 0, num_vars: int = 0) -> list[list[Poly
     nv = b[0][0].num_vars if b[0] else num_vars
     return [[poly_sum(nv, (x * y for x, y in zip(row, col) if not (x.is_zero() or y.is_zero())))
              for col in zip(*b)] for row in a]
+
+
+def pmat_constant(a, num_vars: int) -> list[list[Polynomial]]:
+    """A rational matrix as a dense Polynomial matrix in `num_vars` variables."""
+    return [[Polynomial.constant(num_vars, v) for v in row] for row in a]
 
 
 def reference_pmat_vec(a, v, num_vars: int) -> list[Polynomial]:
@@ -188,7 +193,7 @@ def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
     c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
     lifted = object.__new__(CourantStructure)
     lifted._fill(TrivialBundle(nn, k, label=s.bundle.label), anchor, s.metric, c,
-                 (s.metric_inverse, s._frame_tables, s._dual_rows))
+                 (s.metric_inverse, None, s._frame_tables, s._dual_rows))
     return lifted
 
 
@@ -302,10 +307,10 @@ def _extended_frames(p) -> list[Section]:
     """The extended frames of a pullback problem: e^_i = phi o e'_i o r, the
     i-th column of P(r(y)), a section of the ambient bundle.  The pairwise
     references bracket them one pair at a time."""
-    pulled = p.morphism.extension_matrix
-    big = p.ambient.bundle.base_dim
-    return [Section(p.ambient.bundle, PolyMap(big, [row[i] for row in pulled]))
-            for i in range(p.source_bundle.rank)]
+    big, k = p.ambient.bundle.base_dim, p.source_bundle.rank
+    pulled = linalg.dense(p.morphism.extension_rows, k)
+    return [Section(p.ambient.bundle, PolyMap(big, [linalg.polynomial(row[i], big) for row in pulled]))
+            for i in range(k)]
 
 
 def lifted_morphism(phi, extra: int) -> BundleMorphism:

@@ -109,6 +109,23 @@ class TestApplyMorphism:
         assert list(via_composite) == staged
 
 
+def test_composition_substitutes_the_inner_base_map():
+    # the composite's fiber matrix is P_outer(phi0(x)) P_inner(x): along
+    # x -> x^2 the outer entry x1 reads x1^2, so the entry is x1^2 + x1, and
+    # the composite acts as the two arrows in turn
+    line, plane = line_bundle(1, 1), line_bundle(1, 2)
+    inner = BundleMorphism(line, plane, PolyMap.from_exprs(["x1^2"], ["x1"]),
+                           [[parse("1", ["x1"])], [parse("x1", ["x1"])]])
+    outer = BundleMorphism(plane, line, PolyMap.identity(1),
+                           [[parse("x1", ["x1"]), parse("1", ["x1"])]])
+    composed = compose_morphisms(outer, inner)
+    assert composed.fiber_matrix == [[parse("x1^2 + x1", ["x1"])]]
+    f = Section.from_exprs(line, ["x1 - 1"])
+    staged = [sum((p.compose(inner.base_map) * q for p, q in zip(row, inner.apply(f))),
+                  Polynomial(1)) for row in outer.fiber_matrix]
+    assert list(composed.apply(f)) == staged
+
+
 class TestRelatedSections:
     def test_identity_gives_same_section(self):
         b = line_bundle(2, 2)

@@ -236,6 +236,28 @@ def test_pontryagin_record_is_the_column_selection_of_chis(n, m):
             == check_general_base(standard, ambient, copy).to_json())
 
 
+@pytest.mark.parametrize("n, m, scale", [(1, 1, 1), (1, 1, 2), (2, 1, 2), (2, 1, Fraction(1, 2))])
+def test_composite_record_equals_a_fresh_copys(n, m, scale):
+    # chi after the inclusion with its unit columns scaled: only unit columns
+    # (scale 1) make the composite a column selection of chi, and either way
+    # its record and verdict equal those of a copy that forms its own
+    problem = intrinsic._chi_problem(n, m, None)
+    ambient, chi = problem.ambient, problem.morphism
+    construct(problem, enforce_hypotheses=False)
+    inclusion = intrinsic.inclusion_morphism(n, m)
+    scaled = BundleMorphism.constant(inclusion.source, inclusion.target, [
+        [scale * x for x in row] for row in linalg.dense(inclusion.fiber_rows, 2 * n)])
+    phi = compose_morphisms(chi, scaled)
+    copy = BundleMorphism(phi.source, phi.target, phi.base_map, phi.fiber_matrix, phi.retraction)
+    assert (phi._selection is not None) == (scale == 1)
+    record, full = morphisms.along_image(ambient, phi), morphisms.along_image(ambient, copy)
+    for name in ("p", "pt_g", "w", "a2", "ap", "jac", "q", "qp", "v_t", "table"):
+        assert getattr(record, name) == getattr(full, name), name
+    standard = standard_structure(n)
+    assert (check_general_base(standard, ambient, phi).to_json()
+            == check_general_base(standard, ambient, copy).to_json())
+
+
 class TestWorkPerOp:
     """What one `intrinsic` op computes, counted by wrapping."""
 
@@ -309,7 +331,7 @@ class TestWorkPerOp:
 
     @staticmethod
     def composed(monkeypatch):
-        """(matrix, inner map) of every `linalg.pmat_compose` call."""
+        """(sparse rows, inner map) of every `linalg.pmat_compose` call."""
         calls = []
         original = linalg.pmat_compose
         monkeypatch.setattr(linalg, "pmat_compose",
@@ -332,7 +354,7 @@ class TestWorkPerOp:
         # forms Q = J_r(phi0) A(phi0) once
         calls, formed = self.composed(monkeypatch), self.records(monkeypatch)
         build_intrinsic(3, 1)
-        jacobian = splitting_composite(3, 1).retraction.jacobian()
+        jacobian = linalg.sparse(splitting_composite(3, 1).retraction.jacobian())
         assert [a == jacobian for a, _ in calls].count(True) == 1
         assert [r.q is not None and r.q is not r.a2 for r in formed] == [True, False]
 
@@ -343,10 +365,30 @@ class TestWorkPerOp:
         # forms two records, chi's into the ambient and the inclusion's
         calls, formed = self.composed(monkeypatch), self.records(monkeypatch)
         build_intrinsic(2, 1)
-        anchor = standard_structure(3).anchor
+        anchor = standard_structure(3).rows[2]
         assert [a == anchor for a, _ in calls].count(True) == 1
         assert [r.phi.fiber_matrix for r in formed] == [
             splitting_composite(2, 1).fiber_matrix, intrinsic.inclusion_morphism(2, 1).fiber_matrix]
+
+    def test_conversions_per_op(self, monkeypatch):
+        # before morphisms and structures kept their rows, one
+        # build_intrinsic(3, 1) made 25 `linalg.sparse` calls, 291
+        # `Polynomial.constant` calls and 530 Fraction constructions (every
+        # Fraction.__new__, arithmetic results included); now the two
+        # builder fiber matrices, the two Jacobians and G'^-1 are converted,
+        # the standard structures write their rows down, and the constants
+        # left are the substitution caches, the constructed anchor and the
+        # standard anchors' 0 and 1
+        counts = Counter()
+        sparse, constant, new = linalg.sparse, Polynomial.constant.__func__, Fraction.__new__
+        monkeypatch.setattr(linalg, "sparse", lambda a: counts.update(["sparse"]) or sparse(a))
+        monkeypatch.setattr(Polynomial, "constant", classmethod(
+            lambda cls, n, v: counts.update(["constant"]) or constant(cls, n, v)))
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                            counts.update(["Fraction"]) or new(cls, *args, **kwargs))
+        build_intrinsic(3, 1)
+        monkeypatch.undo()
+        assert counts == {"sparse": 5, "constant": 65, "Fraction": 114}
 
     def test_matrix_operations_per_op(self, monkeypatch, capsys):
         # `intrinsic --n 3 --m 1` made 59 exact matrix operations before the

@@ -26,6 +26,7 @@ from courantlab.pullback import construct
 
 from conftest import (
     image_vanishing_multipliers,
+    pmat_constant,
     least_failing_pair,
     lift_structure,
     lifted_morphism,
@@ -304,7 +305,7 @@ class TestGeneralBase:
         phi = BundleMorphism(
             s1.bundle, s2.bundle,
             PolyMap.from_exprs(["2*x1"], ["x1"]),
-            linalg.pmat_constant(linalg.identity(2), 1),
+            pmat_constant(linalg.identity(2), 1),
             retraction=PolyMap.from_exprs(["1/2*x1"], ["x1"]),
         )
         verdict = check_general_base(s1, s2, phi)
@@ -609,7 +610,7 @@ def zero_section_into_a_line_extension(c):
     base = PolyMap(1, [Polynomial.variable(1, 0), Polynomial(1)])
     retraction = PolyMap(2, [Polynomial.variable(2, 0)])
     phi = BundleMorphism(s1.bundle, s2.bundle, base,
-                         linalg.pmat_constant(linalg.identity(2), 1), retraction)
+                         pmat_constant(linalg.identity(2), 1), retraction)
     return s1, s2, phi
 
 

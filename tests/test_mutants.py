@@ -19,13 +19,14 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import courant_core, linalg, morphisms, pullback
+from courantlab import bundles, courant_core, linalg, morphisms, pullback
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
 from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
 
 import conftest
+import test_bundles
 import test_certificate_oracle as oracles
 import test_courant_core
 import test_intrinsic
@@ -254,6 +255,22 @@ def auto_failures_ignoring_strict(s1, s2, phi, degree_cap, general=False, strict
     return auto_failures(s1, s2, phi, degree_cap, general)
 
 
+def coordinate_columns_of_doubled_units(phi):
+    """`_coordinate_columns` accepting a unit column scaled by 2."""
+    units = {}
+    for r, row in enumerate(phi.fiber_rows):
+        for c, x in row.items():
+            units[c] = r if c not in units and type(x) is int and x in (1, 2) else None
+    if phi.is_identity_base() and len(units) == phi.source.rank and None not in units.values():
+        return [units[c] for c in range(phi.source.rank)]
+    return None
+
+
+def compose_without_substitution(a, inner):
+    """Row composition leaving every non-constant entry unsubstituted."""
+    return [dict(row) for row in a]
+
+
 def bumped(base, bump, value=Fraction(3, 2)):
     return CourantStructure(base.bundle, base.anchor, base.metric, {bump: value})
 
@@ -439,6 +456,16 @@ MUTANTS = {
         [(morphisms, "_auto_failures", auto_failures_ignoring_strict)],
         test_morphisms.TestGeneralBase().test_wiggling_representatives_break_bracket_condition,
         (),                                 # Pontryagin(1, 1) verifies, fails strict checking
+    ),
+    "coordinate_columns_of_doubled_units": (
+        [(bundles, "_coordinate_columns", coordinate_columns_of_doubled_units)],
+        test_intrinsic.test_composite_record_equals_a_fresh_copys,
+        (1, 1, 2),                          # chi after 2 (id (+) 0) read as a selection of chi
+    ),
+    "row_composition_without_substitution": (
+        [(linalg, "pmat_compose", compose_without_substitution)],
+        test_bundles.test_composition_substitutes_the_inner_base_map,
+        (),                                 # the outer entry x1 along x -> x^2 stays x1
     ),
     "pontryagin_selection_off_by_one": (
         [(morphisms.AlongImage, "selected", selection_off_by_one)],

@@ -32,8 +32,9 @@ from courantlab.pullback import (
 )
 from courantlab.scene import load_scene, structure_to_json
 
-from conftest import (_extended_frames, image_vanishing_multipliers, random_polynomial,
-                      random_section, reference_pmat_mul, reference_pmat_vec)
+from conftest import (_extended_frames, image_vanishing_multipliers, pmat_constant,
+                      random_polynomial, random_section, reference_pmat_mul,
+                      reference_pmat_vec)
 
 
 def pontryagin_problem(n=1, m=1):
@@ -56,7 +57,7 @@ class TestProblemValidation:
         s = standard_structure(1)
         phi = BundleMorphism(
             s.bundle, s.bundle, PolyMap.identity(1),
-            linalg.pmat_constant(linalg.identity(2), 1),
+            pmat_constant(linalg.identity(2), 1),
         )
         with pytest.raises(ValueError, match="retraction"):
             PullbackProblem(s, s.bundle, phi)
@@ -426,10 +427,10 @@ def reference_solver(problem):
     fiber = problem.morphism.fiber_matrix
     n = problem.source_bundle.base_dim
     pt_g = reference_pmat_mul(
-        [list(col) for col in zip(*fiber)], linalg.pmat_constant(problem.ambient.metric, n)
+        [list(col) for col in zip(*fiber)], pmat_constant(problem.ambient.metric, n)
     )
     induced = [[p.constant_value() for p in row] for row in reference_pmat_mul(pt_g, fiber)]
-    g_inv = linalg.pmat_constant(linalg.inverse(induced) if induced else [], n)
+    g_inv = pmat_constant(linalg.inverse(induced) if induced else [], n)
 
     def solve(vec):
         half = reference_pmat_vec(pt_g, vec, n)
@@ -542,8 +543,8 @@ def isometry(n_base, big, beta, b_field):
     def block(top_left, top_right, bottom_left, bottom_right):
         return [l + r for l, r in zip(top_left, top_right)] + \
             [l + r for l, r in zip(bottom_left, bottom_right)]
-    ident = linalg.pmat_constant(linalg.identity(big), n_base)
-    zero = linalg.pmat_constant(linalg.zeros(big, big), n_base)
+    ident = pmat_constant(linalg.identity(big), n_base)
+    zero = pmat_constant(linalg.zeros(big, big), n_base)
     first = block(ident, beta, zero, ident)
     second = block(ident, zero, b_field, ident)
     return reference_pmat_mul(second, first)

@@ -1123,10 +1123,13 @@ class TestArgumentContract:
 
     @pytest.mark.parametrize("command", list(_REQUIRED))
     def test_non_integer_degree_cap(self, capsys, command):
+        # `simulate` and `project` take no --degree-cap at all
         code, captured = TestMorphismContract.run(
             [command, "--scene", str(SCENE), *_REQUIRED[command], "--degree-cap", "x"], capsys)
         assert code == 2
-        assert captured.err == "error: argument --degree-cap: invalid int value: 'x'\n"
+        assert captured.err == ("error: unrecognized arguments: --degree-cap x\n"
+                                if command in ("simulate", "project") else
+                                "error: argument --degree-cap: invalid int value: 'x'\n")
 
     def test_non_integer_dimension(self, capsys):
         code, captured = TestMorphismContract.run(["intrinsic", "--n", "x", "--m", "1"], capsys)
@@ -1284,6 +1287,49 @@ class TestSimulateContract:
         code, captured = TestMorphismContract.run(argv, capsys)
         assert code == 2
         assert captured.err.startswith("error: --T / --h must be at most 1000000 steps")
+
+    @staticmethod
+    def unreachable(monkeypatch):
+        """Make every run that sizes its grid buffers fail the test."""
+        def sized(*args):
+            raise AssertionError("a grid buffer was sized")
+        for name in ("simulate_ph", "simulate_interaction"):
+            monkeypatch.setattr(cli, name, sized)
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_system_dimensions_are_bounded(self, tmp_path, capsys, monkeypatch, key):
+        # a ph_system's n and m once sized its J, B and grid buffers with no
+        # bound; they are checked before J or B is read, here an empty J and B
+        self.unreachable(monkeypatch)
+        system = {"n": 0, "m": 0, "J": [], "B": [], "H": "0", key: 10 ** 12}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system},
+                                       "inputs": {"u": {"u": []}}})
+        run = ["--input", "u", "--x0=", "--T", "1", "--h", "1"]
+        for argv in (["simulate", *run], ["project", *run, "--z0="], ["dirac"]):
+            code, captured = TestMorphismContract.run(
+                [*argv, "--scene", str(scene), "--system", "s"], capsys)
+            assert (code, captured.err) == (
+                2, f"error: ph_system 's': {key} must be at most 128, got {10 ** 12}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_grid_values_are_bounded(self, tmp_path, capsys, monkeypatch, command):
+        # 10^6 steps are within MAX_STEPS, but 10^6 + 1 grid rows of 10
+        # coordinates (states, an output, and a z coordinate for `project`)
+        # pass MAX_GRID_VALUES, which 9 coordinates would not
+        self.unreachable(monkeypatch)
+        columns, m = 10, 1
+        n = columns - m - (command == "project")
+        system = {"n": n, "m": m, "J": [[0] * n for _ in range(n)], "B": [[0]] * n, "H": "0"}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system},
+                                       "inputs": {"u": {"u": ["0"]}}})
+        argv = [command, "--scene", str(scene), "--system", "s", "--input", "u",
+                "--x0=" + ",".join(["0"] * n), "--T", "1", "--h", "1e-6"]
+        if command == "project":
+            argv.append("--z0=0")
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert (code, captured.err) == (2, f"error: the run keeps {1000001 * columns} grid values "
+                                           f"for {columns} coordinates, more than 10000000\n")
+        assert 1000001 * (columns - 1) <= cli.MAX_GRID_VALUES < 1000001 * columns
 
 
 class TestProjectContract:

@@ -10,14 +10,19 @@ hypothesis runs.
   exactly when the metric condition holds, so a verified morphism has an
   isotropic graph.
 - The pullback along the identity morphism is the ambient structure.
+- Every morphism keeps its fiber matrix, and every structure its G, G^-1 and
+  A, as the canonical sparse rows `linalg.sparse` forms from the dense
+  views, whether they come from a scene, a builder, a composition or a
+  pullback; a composite's fiber matrix is also the dense product.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import linalg
-from courantlab.bundles import BundleMorphism, TrivialBundle
+from courantlab import intrinsic, linalg
+from courantlab.bundles import BundleMorphism, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
     CourantStructure,
     check_axioms,
@@ -26,10 +31,11 @@ from courantlab.courant_core import (
     standard_structure,
 )
 from courantlab.morphisms import check_identity_base, graph_subbundle
-from courantlab.polyexpr import PolyMap, Polynomial
+from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import PullbackProblem, construct
+from courantlab.scene import load_scene
 
-from conftest import so3_structure
+from conftest import reference_pmat_mul, so3_structure
 
 bounded = settings(max_examples=20, deadline=None, database=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -155,3 +161,136 @@ def test_pullback_along_the_identity_is_the_ambient(s):
     pulled = construct(PullbackProblem(s, s.bundle, BundleMorphism.identity(s.bundle)))
     assert pulled == s
     assert pulled.metric_inverse == s.metric_inverse
+
+
+# -- the rows every consumer reads ---------------------------------------------
+
+# entries in x1, x2: scalars, zeros and a constant that cancel only after
+# parsing, and polynomials
+_ENTRIES = ["0", "1", "-1", "2", "3/2", "-1/3", "x1 - x1", "(x1 + 1)^2 - x1^2 - 2*x1",
+            "x1", "x2", "x1*x2 - 1/2", "x1^2 + x2"]
+_BUILDERS = ["splitting", "inclusion", "pontryagin", "identity", "constant"]
+
+
+def _typed(rows):
+    """Rows with each entry paired with its type: canonical means an int, a
+    non-integral Fraction or a non-constant Polynomial, nothing else."""
+    return [{j: (type(x), x) for j, x in row.items()} for row in rows]
+
+
+def _matrix(draw, rows, cols, pool=_ENTRIES):
+    return [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _parsed(texts, n):
+    return [[parse(t, [f"x{i + 1}" for i in range(n)]) for t in row] for row in texts]
+
+
+@st.composite
+def _scene_parts(draw, path):
+    """(morphism, structure) loaded from a drawn scene over R^2: a morphism
+    between bundles of rank 0-3 along a drawn base map, and a structure with
+    a drawn anchor and a diagonal metric of nonzero rationals."""
+    k1, k2, k = (draw(st.integers(0, 3)) for _ in range(3))
+    diagonal = [str(draw(nonzero)) for _ in range(k)]
+    scene = {
+        "schema_version": 1,
+        "bundles": {"A": {"base_dim": 2, "rank": k1}, "B": {"base_dim": 2, "rank": k2},
+                    "C": {"base_dim": 2, "rank": k}},
+        "courant_structures": {"s": {
+            "bundle": "C", "anchor": _matrix(draw, 2, k),
+            "metric": [[d if i == j else "0" for j in range(k)] for i, d in enumerate(diagonal)]}},
+        "morphisms": {"phi": {"source": "A", "target": "B", "fiber_matrix": _matrix(draw, k2, k1),
+                              "base_map": [draw(st.sampled_from(["x1", "x2", "x1^2", "0"]))
+                                           for _ in range(2)]}},
+    }
+    path.write_text(json.dumps(scene))
+    loaded = load_scene(path)
+    return loaded.morphisms["phi"], loaded.structures["s"]
+
+
+@st.composite
+def _builder_morphisms(draw):
+    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(_BUILDERS))
+    if kind == "splitting":
+        return intrinsic.splitting_composite(n, m)
+    if kind == "inclusion":
+        return intrinsic.inclusion_morphism(n, m)
+    if kind == "pontryagin":
+        return intrinsic.pontryagin_embedding(n, m)
+    bundle = TrivialBundle(n, 2 * n + m)
+    if kind == "identity":
+        return BundleMorphism.identity(bundle)
+    values = [0, 1, -1, Fraction(1, 2), Fraction(4, 2), "3/2", 0.25]
+    return BundleMorphism.constant(bundle, bundle, _matrix(draw, bundle.rank, bundle.rank, values))
+
+
+@st.composite
+def _composites(draw):
+    """(outer, inner) with polynomial fiber matrices, inner along a drawn
+    base map R^1 -> R^2 or over the identity of R^2."""
+    k1, k2, k3 = (draw(st.integers(0, 3)) for _ in range(3))
+    outer = BundleMorphism(TrivialBundle(2, k2), TrivialBundle(2, k3), PolyMap.identity(2),
+                           _parsed(_matrix(draw, k3, k2), 2))
+    if draw(st.booleans()):
+        base = PolyMap.from_exprs([draw(st.sampled_from(["x1", "x1^2", "1 - x1", "0"]))
+                                   for _ in range(2)], ["x1"])
+        fiber = _parsed(_matrix(draw, k2, k1, [e for e in _ENTRIES if "x2" not in e]), 1)
+        return outer, BundleMorphism(TrivialBundle(1, k1), TrivialBundle(2, k2), base, fiber)
+    return outer, BundleMorphism(TrivialBundle(2, k1), TrivialBundle(2, k2), PolyMap.identity(2),
+                                 _parsed(_matrix(draw, k2, k1), 2))
+
+
+@st.composite
+def _pullback_structures(draw):
+    """The structure a pullback constructs: along chi, along the Pontryagin
+    embedding, or along the identity of a drawn ambient."""
+    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["chi", "pontryagin", "identity"]))
+    if kind == "chi":
+        return construct(intrinsic._chi_problem(n, m, None), enforce_hypotheses=False)
+    if kind == "pontryagin":
+        phi = intrinsic.pontryagin_embedding(n, m)
+        return construct(PullbackProblem(standard_structure(n + m), phi.source, phi))
+    s = draw(identity_pullback_ambients())
+    return construct(PullbackProblem(s, s.bundle, BundleMorphism.identity(s.bundle)))
+
+
+def _assert_canonical_structure(s):
+    g, g_inv, a = s.rows
+    assert _typed(g) == _typed(linalg.sparse(s.metric))
+    assert _typed(g_inv) == _typed(linalg.sparse(s.metric_inverse))
+    assert _typed(a) == _typed(linalg.sparse(s.anchor))
+    k = s.bundle.rank
+    assert linalg.dense(g_inv, k) == (linalg.inverse(s.metric) if k else [])
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_stored_rows_are_the_sparse_rows_of_the_dense_views(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(["scene", "builder", "composite", "standard", "pullback"]))
+    if kind == "scene":
+        path = tmp_path_factory.getbasetemp() / "rows_scene.json"
+        phi, s = data.draw(_scene_parts(path))
+        assert _typed(phi.fiber_rows) == _typed(linalg.sparse(phi.fiber_matrix))
+        _assert_canonical_structure(s)
+    elif kind == "builder":
+        phi = data.draw(_builder_morphisms())
+        assert _typed(phi.fiber_rows) == _typed(linalg.sparse(phi.fiber_matrix))
+    elif kind == "composite":
+        outer, inner = data.draw(_composites())
+        phi = compose_morphisms(outer, inner)
+        assert _typed(phi.fiber_rows) == _typed(linalg.sparse(phi.fiber_matrix))
+        along = [[p.compose(inner.base_map) for p in row] for row in outer.fiber_matrix]
+        assert phi.fiber_matrix == reference_pmat_mul(along, inner.fiber_matrix,
+                                                      inner.source.rank, inner.source.base_dim)
+    elif kind == "standard":
+        n = data.draw(st.integers(0, 3))
+        s = standard_structure(n)
+        if data.draw(st.booleans()):
+            s = scaled_structure(s, data.draw(nonzero))
+        _assert_canonical_structure(s)
+    else:
+        _assert_canonical_structure(data.draw(_pullback_structures()))

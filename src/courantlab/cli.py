@@ -17,6 +17,19 @@ sorted and nothing time- or machine-dependent is included, so identical
 inputs and seeds produce byte-identical output.  Timing appears only in
 the human-readable rendering.  `simulate` and `project` write CSV and take
 only --scene and --out of the shared flags.
+
+The --json bytes, and the structure `pullback` prints, equal what the json
+module's dumps(report, sort_keys=True, indent=2) writes, and `_canonical`
+writes them: a report holds only dicts with str keys, lists, tuples, str,
+int, bool and None, so one walk joins the pieces, sorting keys and quoting
+strings with the C `encode_basestring_ascii`.  dumps with an indent would
+take the json module's pure-Python encoder instead.  Anything else in a
+report raises TypeError.
+
+`main` parses argv in one pass: a first argument naming a command goes
+straight to that command's parser, and only any other argv, including
+--help and an option before the command, to the top-level parser, so every
+error line, help text and exit code is argparse's.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import math
 import re
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
@@ -46,8 +60,8 @@ from .phsim import (
     simulate_ph,
     write_csv,
 )
-from .polyexpr import ExponentOverflowError, ParseError, PolyMap, parse
-from .scene import Scene, SceneError, load_scene, structure_to_json
+from .polyexpr import ExponentOverflowError, PolyMap
+from .scene import Scene, SceneError, _expr, _vars, load_scene, structure_to_json
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
 # the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
@@ -99,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Courant algebroid workbench and port-Hamiltonian simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices   # `main` hands a command's argv to its parser
 
     p = sub.add_parser("axioms", help="check the three Courant axioms")
     _common_flags(p)
@@ -153,9 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> Scene:
-    if args.scene:
-        return load_scene(args.scene)
-    return Scene()
+    return load_scene(args.scene) if args.scene else Scene()
 
 
 def _resolve_structure(scene: Scene, name: str):
@@ -167,9 +180,35 @@ def _resolve_structure(scene: Scene, name: str):
     raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
 
 
+def _canonical(value, out: list, newline: str = "\n") -> list:
+    """Append to `out` the pieces of the json module's dumps(value,
+    sort_keys=True, indent=2) and return it; `newline` is the line break and
+    indent of the line `value` starts on."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        inner, brackets = newline + "  ", "{}" if kind is dict else "[]"
+        separator = brackets[0] + inner
+        for key in sorted(value) if kind is dict else range(len(value)):
+            if kind is dict and type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (separator, _quote(key), ": ") if kind is dict else (separator,)
+            _canonical(value[key], out, inner)
+            separator = "," + inner
+        out += (newline, brackets[1]) if value else (brackets,)
+    elif kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return out
+
+
 def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
     if args.json:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = "".join(_canonical(report, [])) + "\n"
     else:
         text = "\n".join(human_lines + [f"elapsed: {elapsed:.3f}s"]) + "\n"
     if args.out:
@@ -180,12 +219,10 @@ def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
 
 
 def _verdict_lines(name: str, verdict) -> list[str]:
-    if verdict.is_morphism:
-        return [f"{name}: PASS"]
-    lines = [f"{name}: FAIL"]
-    for failure in verdict.failures:
-        lines.append(f"  condition {failure.condition}: defect {failure.defect}")
-    return lines
+    """PASS, or FAIL and a line per failed condition."""
+    return [f"{name}: {'PASS' if verdict.is_morphism else 'FAIL'}"] + [
+        f"  condition {failure.condition}: defect {failure.defect}"
+        for failure in verdict.failures]
 
 
 def _capped_structure(args):
@@ -195,15 +232,14 @@ def _capped_structure(args):
     rejected cap never forms the (2N)^2 metric.
     """
     scene = _load(args)
-    match = _BUILTIN.match(args.structure)
-    builtin = match is not None and args.structure not in scene.structures
-    bundle = (standard_bundle(int(match.group(1))) if builtin
-              else _resolve_structure(scene, args.structure).bundle)
+    match = args.structure not in scene.structures and _BUILTIN.match(args.structure)
+    structure = None if match else _resolve_structure(scene, args.structure)
     try:
-        check_degree_cap(bundle, args.degree_cap)
+        check_degree_cap(standard_bundle(int(match.group(1))) if match else structure.bundle,
+                         args.degree_cap)
     except ValueError as exc:
         raise SceneError(f"--degree-cap: {exc}") from None
-    return _resolve_structure(scene, args.structure)
+    return standard_structure(int(match.group(1))) if match else structure
 
 
 def _cmd_axioms(args) -> tuple[dict, list[str]]:
@@ -225,18 +261,14 @@ def _cmd_axioms(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_leibniz(args) -> tuple[dict, list[str]]:
-    structure = _capped_structure(args)
-    try:
-        report = check_leibniz(structure, degree_cap=args.degree_cap)
-    except ValueError as exc:
-        raise SceneError(f"--degree-cap: {exc}") from None
-    ok = report.all_passed
+    # the certificate's cap, min(--degree-cap, SWEEP_ORDER), passes the cap check too
+    report = check_leibniz(_capped_structure(args), degree_cap=args.degree_cap)
     payload = {
         "command": "leibniz",
         "structure": args.structure,
         "seed": args.seed,
         "report": report.to_json(),
-        "exit_code": 0 if ok else 1,
+        "exit_code": 0 if report.all_passed else 1,
     }
     lines = [
         f"second-slot rule: {'PASS' if report.second_slot.passed else 'FAIL'}",
@@ -258,7 +290,7 @@ def _cmd_morphism(args):
         try:
             with open(args.pairs) as fh:
                 named = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SceneError(f"cannot read pairs file: {exc}") from exc
         if not isinstance(named, list):
             raise SceneError(f"pairs file must hold a list of pairs, got {named!r}")
@@ -271,13 +303,10 @@ def _cmd_morphism(args):
                 raise SceneError(f"bad pair entry {entry!r}") from exc
     try:
         if pairs == "auto" and phi.is_identity_base():
-            verdict = morphisms_mod.check_identity_base(
-                s1, s2, phi, degree_cap=args.degree_cap
-            )
+            verdict = morphisms_mod.check_identity_base(s1, s2, phi, degree_cap=args.degree_cap)
         else:
-            verdict = morphisms_mod.check_general_base(
-                s1, s2, phi, pairs=pairs, degree_cap=args.degree_cap
-            )
+            verdict = morphisms_mod.check_general_base(s1, s2, phi, pairs=pairs,
+                                                       degree_cap=args.degree_cap)
     except ValueError as exc:
         raise SceneError(str(exc)) from exc
     payload = {
@@ -316,15 +345,13 @@ def _cmd_pullback(args):
         structure = pullback_mod.construct(problem)
         payload["structure"] = structure_to_json(structure, phi.source.label)
         lines.append("constructed structure:")
-        lines.append(json.dumps(payload["structure"], sort_keys=True, indent=2))
+        lines.append("".join(_canonical(payload["structure"], [])))
         if args.alt_retraction:
             try:
-                exprs = json.loads(args.alt_retraction)
-                names = [f"x{i + 1}" for i in range(phi.target.base_dim)]
-                alt = PolyMap(
-                    phi.target.base_dim, [parse(e, names) for e in exprs]
-                )
-            except (json.JSONDecodeError, ParseError, TypeError) as exc:
+                exprs, names = json.loads(args.alt_retraction), _vars(phi.target.base_dim)
+                alt = PolyMap(phi.target.base_dim,
+                              [_expr(e, names, "bad --alt-retraction", {}) for e in exprs])
+            except (ValueError, RecursionError, TypeError) as exc:
                 raise SceneError(f"bad --alt-retraction: {exc}") from exc
             try:
                 stable = pullback_mod.well_definedness_test(problem, alt)
@@ -350,26 +377,22 @@ def _cmd_intrinsic(args):
             with open(args.phi) as fh:
                 spec = json.load(fh)
             rows = spec["fiber_matrix"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
             raise SceneError(f"cannot read splitting file: {exc}") from exc
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise SceneError(f"splitting fiber_matrix must be a list of lists, got {rows!r}")
-        names = [f"x{i + 1}" for i in range(args.n + args.m)]
-        matrix = []
-        for row in rows:
-            out_row = []
-            for entry in row:
-                try:
-                    poly = parse(str(entry), names)
-                except ParseError as exc:
-                    raise SceneError(f"splitting entry {entry!r}: {exc}") from exc
-                if not poly.is_constant():
-                    raise SceneError(
-                        "non-constant splitting matrices are not supported in v1: "
-                        f"entry {entry!r} varies over the total space"
-                    )
-                out_row.append(poly.constant_value())
-            matrix.append(out_row)
+        names, seen = _vars(args.n + args.m), {}
+
+        def constant(entry):
+            poly = _expr(str(entry), names, f"splitting entry {entry!r}", seen)
+            if not poly.is_constant():
+                raise SceneError(
+                    "non-constant splitting matrices are not supported in v1: "
+                    f"entry {entry!r} varies over the total space"
+                )
+            return poly.constant_value()
+
+        matrix = [[constant(entry) for entry in row] for row in rows]
         try:
             splitting = intrinsic_mod.SplittingIso(args.n, args.m, matrix)
         except ValueError as exc:
@@ -492,8 +515,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = (parser.parse_args(argv) if command is None
+                else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "degree_cap", 0) < 0:

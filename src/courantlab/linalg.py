@@ -2,8 +2,9 @@
 
 Rational matrices are lists of lists of Fraction.  Nothing here is numeric.
 
-`det`, `inverse`, `rank` and `solve_with_certificate` read one row
-reduction, `_reduce`.  Its pivot in each column is the first nonzero entry
+`det`, `det_inverse`, `inverse`, `rank` and `solve_with_certificate` read
+one row reduction, `_reduce`; `det_inverse` gives a determinant and an
+inverse from one.  Its pivot in each column is the first nonzero entry
 at or below the current row, swapped up; it clears that column in every
 other row, skipping the zero entries of the pivot row.  Pivot rows stay
 unscaled, because scaling costs a Fraction division per entry and only a
@@ -103,12 +104,21 @@ def det(a: Matrix) -> Fraction:
     return product if len(pivots) == len(a) else Fraction(0)
 
 
-def inverse(a: Matrix) -> Matrix:
+def det_inverse(a: Matrix) -> tuple[Fraction, Matrix | None]:
+    """(det a, a^-1) from one reduction; a^-1 is None when det a = 0."""
     n = len(a)
     m = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
-    if len(_reduce(m, n)[0]) < n:
+    pivots, product = _reduce(m, n)
+    if len(pivots) < n:
+        return Fraction(0), None
+    return product, [[x / row[i] if x else x for x in row[n:]] for i, row in enumerate(m)]
+
+
+def inverse(a: Matrix) -> Matrix:
+    inv = det_inverse(a)[1]
+    if inv is None:
         raise ValueError("matrix is singular")
-    return [[x / row[i] if x else x for x in row[n:]] for i, row in enumerate(m)]
+    return inv
 
 
 def rank(a: Matrix) -> int:

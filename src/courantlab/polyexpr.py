@@ -440,9 +440,10 @@ class Polynomial:
         arity and the variable counts are checked, it returns a copy of its
         terms without substitution.  Otherwise term c * x^e becomes
         c * prod(q_i^e_i), the powers q_i^e_i formed by binary powering
-        (`_power`) and cached for the call, and the images are summed in
-        the order of the terms.  A power or product whose exponent reaches
-        the guard bit raises `ExponentOverflowError`, as in `**`.
+        (`_power`) and cached for the call, one cache for each variable
+        that occurs, and the images are summed in the order of the terms.
+        A power or product whose exponent reaches the guard bit raises
+        `ExponentOverflowError`, as in `**`.
         """
         is_map = isinstance(maps, PolyMap)
         outputs = maps.outputs if is_map else tuple(maps)
@@ -460,13 +461,15 @@ class Polynomial:
         packed = self._packed
         if not packed or (len(packed) == 1 and 0 in packed):
             return _raw(inner_vars, dict(packed))
-        # cache powers of each substituted polynomial, formed as q ** e forms them
-        powers = [_power_cache(q) for q in outputs]
-        out = {}
+        # cache powers of each substituted polynomial, formed as q ** e forms
+        # them, from the first term in which its variable occurs
+        powers, out = {}, {}
         for key, coeff in self._packed.items():
             factor = None
             for i, e in enumerate(_unpack(key, self.num_vars)):
                 if e:
+                    if i not in powers:
+                        powers[i] = _power_cache(outputs[i])
                     qe = _power(outputs[i], e, powers[i])
                     factor = qe if factor is None else factor * qe
             if factor is None:

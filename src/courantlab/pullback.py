@@ -43,9 +43,9 @@ on the morphism, which a morphism check into the same ambient then reads
 too; constant data stay exact scalars there.  Hypothesis (a)'s defect is
 N A(phi0) P = A(phi0) P - J_phi0 Q P, so N itself is never formed.  The
 hypothesis report, the constructed structure, and the determinant and
-inverse of G' are cached on the problem, so each is formed once per
-problem; the constructed structure takes its rows, G', G'^-1 and
-A' = Q P, from the record and the problem.
+inverse of G', both read off one row reduction, are cached on the problem,
+so each is formed once per problem; the constructed structure takes its
+rows, G', G'^-1 and A' = Q P, from the record and the problem.
 
 Anchor tangency is checked on image fiber elements (the form used by the
 uniqueness proof), not on the image submanifold alone.  Well-definedness is
@@ -113,20 +113,16 @@ class PullbackProblem:
 
     @cached_property
     def _induced_pairing(self):
-        """(G', det G') with G' a rational matrix when G' is constant, else
-        None; G' is the k x k zero matrix for a morphism into a rank-0
-        bundle."""
+        """(G', det G', G'^-1 in sparse rows) with G' a rational matrix when
+        G' is constant, else None; G'^-1 is None when det G' = 0, and one
+        reduction gives both.  G' is the k x k zero matrix for a morphism
+        into a rank-0 bundle."""
         w = self._record.w
         if not linalg.pmat_is_constant(w):
             return None
         g = linalg.mat(linalg.dense(w, len(w)))
-        return g, linalg.det(g)
-
-    @cached_property
-    def _induced_inverse(self):
-        """G'^-1 in sparse rows; needs a constant nondegenerate induced
-        pairing."""
-        return linalg.sparse(linalg.inverse(self._induced_pairing[0]))
+        determinant, inverse = linalg.det_inverse(g)
+        return g, determinant, None if inverse is None else linalg.sparse(inverse)
 
     @cached_property
     def _frame_table(self):
@@ -140,7 +136,7 @@ class PullbackProblem:
         those of the pairs before it, inserted in (i, j, h) order.  Needs a
         constant nondegenerate induced pairing.
         """
-        n, record, g_inv = self.source_bundle.base_dim, self._record, self._induced_inverse
+        n, record, g_inv = self.source_bundle.base_dim, self._record, self._induced_pairing[2]
         structure_functions = {}
         for (i, j), vec in sorted(record.table.items()):
             coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(record.pt_g, vec))
@@ -174,7 +170,7 @@ class PullbackProblem:
         structure = object.__new__(CourantStructure)
         structure._fill(self.source_bundle, anchor, self._induced_pairing[0],
                         dict(self._frame_table[0]),
-                        (None, (record.w, self._induced_inverse, record.qp), None, None))
+                        (None, (record.w, self._induced_pairing[2], record.qp), None, None))
         return structure
 
 
@@ -214,7 +210,7 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
 
     # (b) induced pairing
     if p._induced_pairing is not None:
-        g_matrix, determinant = p._induced_pairing
+        g_matrix, determinant, _ = p._induced_pairing
         if determinant != 0:
             pairing_check = AxiomCheck(
                 True, f"induced pairing constant with determinant {determinant}"

@@ -31,6 +31,11 @@ duplicate names and malformed expressions raise SceneError (CLI exit
 code 2).  Every field's JSON shape is checked before any object is built,
 and a bundle's base_dim and rank, and a ph_system's n and m, are bounded by
 MAX_BUNDLE_DIMENSION before anything is sized by them.
+
+Each distinct literal is read once per load: an expression once per text
+and variable names, a rational once per JSON type and value.  The
+Polynomials and Fractions read are immutable, so the fields that repeat a
+literal share one; nothing is kept from one load to the next.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from fractions import Fraction
 from .bundles import BundleMorphism, Section, TrivialBundle
 from .courant_core import CourantStructure
 from .phsim import InputSignal, PHSystem
-from .polyexpr import ParseError, PolyMap, Polynomial, parse
+from .polyexpr import PolyMap, Polynomial, parse
 
 __all__ = ["Scene", "SceneError", "load_scene", "structure_to_json"]
 
@@ -76,29 +81,40 @@ def _no_duplicates(pairs):
     return seen
 
 
-def _rational(value, where: str) -> Fraction:
-    """Fraction(value) for an int or a string, read with int() when the
-    string is decimal digits or two such parts joined by '/'."""
+def _rational(value, where: str, seen: dict) -> Fraction:
+    """Fraction(value) for an int or a string, read once per load: `seen`
+    keeps each one read, keyed on its JSON type and value, so that `true`
+    never reads as 1."""
+    key = (type(value), value) if isinstance(value, (int, str)) else None
+    if key in seen:
+        return seen[key]
     try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, str):
-            numerator, slash, denominator = value.partition("/")
-            if numerator.isdecimal() and (denominator.isdecimal() or not slash):
-                return Fraction(int(numerator), int(denominator) if slash else 1)
-        if isinstance(value, (int, str)):
-            return Fraction(value)
+        if key is not None and type(value) is not bool:
+            seen[key] = number = Fraction(value)
+            return number
     except (ValueError, ZeroDivisionError):
         pass
     raise SceneError(f"{where}: expected a rational (integer or 'p/q'), got {value!r}")
 
 
-def _expr(text, variables, where: str) -> Polynomial:
+def _expr(text, variables: tuple, where: str, seen: dict) -> Polynomial:
+    """The expression `text` over `variables`, parsed once per load: `seen`
+    keeps each one parsed, keyed on the text and the variable names, since
+    one text reads differently, or not at all, over other names."""
     if not isinstance(text, str):
         raise SceneError(f"{where}: expected an expression string, got {text!r}")
+    key = (text, variables)
+    if key not in seen:
+        seen[key] = _built(where, parse, text, variables)
+    return seen[key]
+
+
+def _built(where: str, make, *args):
+    """make(*args), a ValueError it raises (a ParseError among them) raised
+    as a SceneError at `where`."""
     try:
-        return parse(text, variables)
-    except ParseError as exc:
+        return make(*args)
+    except ValueError as exc:
         raise SceneError(f"{where}: {exc}") from exc
 
 
@@ -110,8 +126,8 @@ def _bounded(spec: dict, keys, where: str) -> None:
                              f"got {spec[key]}")
 
 
-def _vars(n: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(n)]
+def _vars(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(n))
 
 
 # The fields of each scene section and the JSON shape of each; a trailing
@@ -167,7 +183,7 @@ def load_scene(path) -> Scene:
             raw = json.load(fh, object_pairs_hook=_no_duplicates)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep
         raise SceneError(f"scene file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SceneError("scene root must be a JSON object")
@@ -180,17 +196,13 @@ def load_scene(path) -> Scene:
         if key != "schema_version" and key not in _SECTIONS:
             raise SceneError(f"unknown scene field {key!r}")
     entries = {section: _entries(raw, section) for section in _SECTIONS}
-    scene = Scene()
+    scene, exprs, numbers = Scene(), {}, {}
 
     for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
         _bounded(spec, ("base_dim", "rank"), where)
-        try:
-            scene.bundles[name] = TrivialBundle(
-                spec["base_dim"], spec["rank"], spec.get("label", name)
-            )
-        except ValueError as exc:
-            raise SceneError(f"{where}: {exc}") from exc
+        scene.bundles[name] = _built(where, TrivialBundle, spec["base_dim"], spec["rank"],
+                                     spec.get("label", name))
 
     def bundle_ref(name, where) -> TrivialBundle:
         if name not in scene.bundles:
@@ -204,7 +216,7 @@ def load_scene(path) -> Scene:
         if len(coeffs) != bundle.rank:
             raise SceneError(f"{where}: coeffs must list {bundle.rank} expressions")
         names = _vars(bundle.base_dim)
-        polys = [_expr(c, names, where) for c in coeffs]
+        polys = [_expr(c, names, where, exprs) for c in coeffs]
         scene.sections[name] = Section(bundle, PolyMap(bundle.base_dim, polys))
 
     for name, spec in entries["courant_structures"].items():
@@ -213,8 +225,8 @@ def load_scene(path) -> Scene:
         names = _vars(bundle.base_dim)
         if len(spec["anchor"]) != bundle.base_dim:
             raise SceneError(f"{where}: anchor must have {bundle.base_dim} rows")
-        anchor = [[_expr(e, names, where) for e in row] for row in spec["anchor"]]
-        metric = [[_rational(v, where) for v in row] for row in spec["metric"]]
+        anchor = [[_expr(e, names, where, exprs) for e in row] for row in spec["anchor"]]
+        metric = [[_rational(v, where, numbers) for v in row] for row in spec["metric"]]
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
             try:
@@ -223,11 +235,9 @@ def load_scene(path) -> Scene:
                 raise SceneError(
                     f"{where}: structure function key {key!r} is not 'i,j,h'"
                 ) from exc
-            functions[(i - 1, j - 1, h - 1)] = _expr(expr_text, names, where)
-        try:
-            scene.structures[name] = CourantStructure(bundle, anchor, metric, functions)
-        except ValueError as exc:
-            raise SceneError(f"{where}: {exc}") from exc
+            functions[(i - 1, j - 1, h - 1)] = _expr(expr_text, names, where, exprs)
+        scene.structures[name] = _built(where, CourantStructure, bundle, anchor, metric,
+                                        functions)
 
     for name, spec in entries["morphisms"].items():
         where = f"morphism {name!r}"
@@ -238,40 +248,34 @@ def load_scene(path) -> Scene:
         if len(spec["base_map"]) != target.base_dim:
             raise SceneError(f"{where}: base_map must list {target.base_dim} expressions")
         base_map = PolyMap(
-            source.base_dim, [_expr(e, src_names, where) for e in spec["base_map"]]
+            source.base_dim, [_expr(e, src_names, where, exprs) for e in spec["base_map"]]
         )
-        fiber = [[_expr(e, src_names, where) for e in row] for row in spec["fiber_matrix"]]
+        fiber = [[_expr(e, src_names, where, exprs) for e in row]
+                 for row in spec["fiber_matrix"]]
         retraction = None
         if "retraction" in spec:
             retraction = PolyMap(
                 target.base_dim,
-                [_expr(e, tgt_names, where) for e in spec["retraction"]],
+                [_expr(e, tgt_names, where, exprs) for e in spec["retraction"]],
             )
-        try:
-            scene.morphisms[name] = BundleMorphism(
-                source, target, base_map, fiber, retraction=retraction
-            )
-        except ValueError as exc:
-            raise SceneError(f"{where}: {exc}") from exc
+        scene.morphisms[name] = _built(where, BundleMorphism, source, target, base_map, fiber,
+                                       retraction)
 
     for name, spec in entries["ph_systems"].items():
         where = f"ph_system {name!r}"
         _bounded(spec, ("n", "m"), where)
         n, m = spec["n"], spec["m"]
-        jm = [[_rational(v, where) for v in row] for row in spec["J"]]
-        bm = [[_rational(v, where) for v in row] for row in spec["B"]]
+        jm = [[_rational(v, where, numbers) for v in row] for row in spec["J"]]
+        bm = [[_rational(v, where, numbers) for v in row] for row in spec["B"]]
         if len(jm) != n or (m and len(bm) != n):
             raise SceneError(f"{where}: J must be {n}x{n} and B {n}x{m}")
-        h = _expr(spec["H"], _vars(n), where)
-        try:
-            scene.ph_systems[name] = PHSystem(jm, bm, h, spec.get("label", name))
-        except ValueError as exc:
-            raise SceneError(f"{where}: {exc}") from exc
+        h = _expr(spec["H"], _vars(n), where, exprs)
+        scene.ph_systems[name] = _built(where, PHSystem, jm, bm, h, spec.get("label", name))
 
     for name, spec in entries["inputs"].items():
         where = f"input {name!r}"
         scene.inputs[name] = InputSignal(
-            PolyMap(1, [_expr(e, ["t"], where) for e in spec["u"]])
+            PolyMap(1, [_expr(e, ("t",), where, exprs) for e in spec["u"]])
         )
 
     return scene

@@ -211,9 +211,22 @@ def test_no_flag_or_environment_variable_is_added():
         assert "environ" not in path.read_text() and "getenv" not in path.read_text(), path.name
 
 
+def test_no_module_calls_json_dumps():
+    # `cli._canonical` writes the canonical report bytes: json.dumps with an
+    # indent takes the json module's pure-Python encoder
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                  for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        assert "json.dumps" not in text and "dumps" not in called, path.name
+
+
 def test_code_lines_fell():
     # 3,421 code lines before the unread sampling parameters, the draw
     # helpers, the monomial substitution path and the dense rational helpers
     # left the package, 3,310 after; with the frame rows stored once,
-    # `pmat_constant` gone and the simulator's bounds added, 3,297
+    # `pmat_constant` gone and the simulator's bounds added, 3,297; the
+    # report writer, the one-pass dispatch and the literal memo came with
+    # cuts in the same modules, 3,295
     assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3297

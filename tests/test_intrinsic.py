@@ -294,12 +294,17 @@ class TestWorkPerOp:
         # the splitting matrix is the one raw input: its invertibility is
         # checked, and hypothesis (b) reports the induced pairing's
         # determinant; the standard structures and the constructed one are
-        # built from parts known to be nondegenerate
-        sizes = []
-        original = linalg.det
-        monkeypatch.setattr(linalg, "det", lambda a: sizes.append(len(a)) or original(a))
+        # built from parts known to be nondegenerate.  Stricter than the two
+        # `det` calls and one `inverse` once made: G' is reduced once for
+        # its determinant and its inverse, so the op makes two reductions
+        sizes, reduced = [], []
+        det, reduce = linalg.det, linalg._reduce
+        monkeypatch.setattr(linalg, "det", lambda a: sizes.append(len(a)) or det(a))
+        monkeypatch.setattr(linalg, "_reduce",
+                            lambda a, cols: reduced.append(cols) or reduce(a, cols))
         build_intrinsic(n, m)
-        assert sizes == [2 * n + 2 * m] * 2
+        assert sizes == [2 * n + 2 * m]
+        assert reduced == [2 * n + 2 * m] * 2
 
     @staticmethod
     def lifts(monkeypatch):
@@ -378,7 +383,10 @@ class TestWorkPerOp:
         # builder fiber matrices, the two Jacobians and G'^-1 are converted,
         # the standard structures write their rows down, and the constants
         # left are the substitution caches, the constructed anchor and the
-        # standard anchors' 0 and 1
+        # standard anchors' 0 and 1.  With a substitution cache formed only
+        # for a variable that occurs, and G' reduced once for its
+        # determinant and inverse, 65 constants and 114 Fractions became 38
+        # and 101
         counts = Counter()
         sparse, constant, new = linalg.sparse, Polynomial.constant.__func__, Fraction.__new__
         monkeypatch.setattr(linalg, "sparse", lambda a: counts.update(["sparse"]) or sparse(a))
@@ -388,18 +396,20 @@ class TestWorkPerOp:
                             counts.update(["Fraction"]) or new(cls, *args, **kwargs))
         build_intrinsic(3, 1)
         monkeypatch.undo()
-        assert counts == {"sparse": 5, "constant": 65, "Fraction": 114}
+        assert counts == {"sparse": 5, "constant": 38, "Fraction": 101}
 
     def test_matrix_operations_per_op(self, monkeypatch, capsys):
         # `intrinsic --n 3 --m 1` made 59 exact matrix operations before the
         # record (17 pmat_mul, 9 pmat_mul_constant, 20 pmat_vec, 10 pmat_sub,
         # 2 det, 1 inverse); the records of chi and the inclusion, the
         # composed fiber of the Pontryagin embedding, its selected record and
-        # the empty frame table leave 33
+        # the empty frame table leave 33; one reduction of G' gives its
+        # determinant and inverse (`det_inverse`), where `det` and `inverse`
+        # each reduced it
         counts = Counter()
-        for name in ("pmat_mul", "pmat_vec", "pmat_sub", "det", "inverse"):
+        for name in ("pmat_mul", "pmat_vec", "pmat_sub", "det", "inverse", "det_inverse"):
             original = getattr(linalg, name)
             monkeypatch.setattr(linalg, name, lambda *args, name=name, original=original:
                                 counts.update([name]) or original(*args))
         assert main(["intrinsic", "--n", "3", "--m", "1"]) == 1
-        assert counts == {"pmat_mul": 20, "pmat_sub": 10, "det": 2, "inverse": 1}
+        assert counts == {"pmat_mul": 20, "pmat_sub": 10, "det": 1, "det_inverse": 1}

@@ -220,6 +220,10 @@ def test_det_and_inverse_match_the_reference(system):
     a, _ = system
     assert typed(linalg.det(a)) == typed(reference_det(a))
     assert outcome(linalg.inverse, a) == outcome(reference_inverse, a)
+    # one reduction gives both: the determinant, and the inverse unless it is 0
+    determinant, inv = linalg.det_inverse(a)
+    assert typed(determinant) == typed(reference_det(a))
+    assert (True, typed(inv)) == outcome(reference_inverse, a) if determinant else inv is None
 
 
 @bounded

@@ -1,4 +1,5 @@
-"""Mutants of the certificate shortcuts, each killed by a named oracle.
+"""Mutants of the certificate and front-end shortcuts, each killed by a
+named oracle.
 
 Each row of MUTANTS replaces a private function or constant of the package
 with a mutated copy kept below, which drops one condition a shortcut rests
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import bundles, courant_core, linalg, morphisms, pullback
+from courantlab import bundles, cli, courant_core, linalg, morphisms, pullback, scene
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
@@ -32,6 +33,7 @@ import test_courant_core
 import test_intrinsic
 import test_morphisms
 import test_pullback
+import test_scene_cli
 
 least_skew_failure = courant_core._least_skew_failure
 frame_jacobiator = courant_core._frame_jacobiator
@@ -40,6 +42,7 @@ _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
 auto_failures = morphisms._auto_failures
+canonical, rational = cli._canonical, scene._rational
 
 
 def skew_failure_without_i_equals_j(table, mirror, arity):
@@ -271,6 +274,37 @@ def compose_without_substitution(a, inner):
     return [dict(row) for row in a]
 
 
+def canonical_with_unsorted_keys(value, out, newline="\n"):
+    """`_canonical` listing a dict's keys in insertion order."""
+    if type(value) is not dict or not value:
+        return canonical(value, out, newline)
+    separator, inner = "{" + newline + "  ", newline + "  "
+    for key in value:
+        out += (separator, cli._quote(key), ": ")
+        canonical_with_unsorted_keys(value[key], out, inner)
+        separator = "," + inner
+    out += (newline, "}")
+    return out
+
+
+def expr_keyed_on_the_arity(text, variables, where, seen):
+    """`_expr` with its memo keyed on the number of variables, not their names."""
+    if not isinstance(text, str):
+        raise scene.SceneError(f"{where}: expected an expression string, got {text!r}")
+    key = (text, len(variables))
+    if key not in seen:
+        seen[key] = scene._built(where, scene.parse, text, variables)
+    return seen[key]
+
+
+def rational_keyed_on_the_value(value, where, seen):
+    """`_rational` with its memo keyed on the value alone, where true equals 1."""
+    key = value if isinstance(value, (int, str)) else None
+    if key not in seen:
+        seen[key] = rational(value, where, {})
+    return seen[key]
+
+
 def bumped(base, bump, value=Fraction(3, 2)):
     return CourantStructure(base.bundle, base.anchor, base.metric, {bump: value})
 
@@ -466,6 +500,21 @@ MUTANTS = {
         [(linalg, "pmat_compose", compose_without_substitution)],
         test_bundles.test_composition_substitutes_the_inner_base_map,
         (),                                 # the outer entry x1 along x -> x^2 stays x1
+    ),
+    "writer_keys_unsorted": (
+        [(cli, "_canonical", canonical_with_unsorted_keys)],
+        test_scene_cli.test_report_keys_are_sorted,
+        (),                                 # the payload lists "command" before "axioms"
+    ),
+    "expression_memo_keyed_on_the_arity": (
+        [(scene, "_expr", expr_keyed_on_the_arity)],
+        test_scene_cli.test_an_input_reads_x1_as_unknown_beside_a_p1_section,
+        (),                                 # a P1 section's "x1" read before a signal's
+    ),
+    "numeral_memo_keyed_on_the_value": (
+        [(scene, "_rational", rational_keyed_on_the_value)],
+        test_scene_cli.test_a_metric_reads_true_as_no_rational_beside_1,
+        (),                                 # a metric's 1 read before its true
     ),
     "pontryagin_selection_off_by_one": (
         [(morphisms.AlongImage, "selected", selection_off_by_one)],

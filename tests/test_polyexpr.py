@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courantlab import linalg
+from courantlab import linalg, polyexpr
 from courantlab.polyexpr import (
     MAX_EXPONENT,
     MAX_PARSE_BITS,
@@ -223,6 +223,17 @@ class TestCompose:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
             parse("y1*y2", ["y1", "y2"]).compose(PolyMap.from_exprs(["x1"], ["x1"]))
+
+    def test_powers_cached_only_for_variables_that_occur(self, monkeypatch):
+        # y2 does not occur, so its output gets no power cache
+        sub = PolyMap.from_exprs(["x1+x2", "x1^2", "x2-1"], ["x1", "x2"])
+        p = parse("y1^3 + 2*y1*y3", ["y1", "y2", "y3"])
+        expected = parse("(x1+x2)^3 + 2*(x1+x2)*(x2-1)", ["x1", "x2"])
+        formed = []
+        original = polyexpr._power_cache
+        monkeypatch.setattr(polyexpr, "_power_cache", lambda q: formed.append(q) or original(q))
+        assert p.compose(sub) == expected
+        assert formed == [sub.outputs[0], sub.outputs[2]]
 
 
 class TestPolyMap:

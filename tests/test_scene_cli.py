@@ -1,17 +1,21 @@
+import contextlib
 import copy
+import io
 import itertools
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import cli, linalg
+from courantlab import cli, linalg, scene as scene_module
 from courantlab.cli import main
 from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
+from courantlab.polyexpr import parse
 from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
 
 from conftest import literals
@@ -97,10 +101,10 @@ class TestLoadScene:
             expected = Fraction(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(SceneError) as err:
-                _rational(text, "here")
+                _rational(text, "here", {})
             assert str(err.value) == f"here: expected a rational (integer or 'p/q'), got {text!r}"
         else:
-            got = _rational(text, "here")
+            got = _rational(text, "here", {})
             assert type(got) is Fraction and got == expected
 
     def test_a_structure_reduces_its_metric_once(self, tmp_path, monkeypatch):
@@ -179,6 +183,19 @@ class TestCLI:
         assert code == 0
         assert payload["well_defined"] is True
         assert payload["structure"]["metric"] == [["0", "1"], ["1", "0"]]
+
+    @pytest.mark.parametrize("exprs, message", [
+        ("[1]", "bad --alt-retraction: expected an expression string, got 1"),
+        ('["x1", null]', "bad --alt-retraction: expected an expression string, got None"),
+        ('["x3"]', "bad --alt-retraction: unknown identifier 'x3' (at position 0)"),
+        ("5", "bad --alt-retraction: 'int' object is not iterable"),
+    ], ids=["integer", "null", "unknown", "not_a_list"])
+    def test_bad_alt_retraction_entries_exit_2(self, capsys, exprs, message):
+        # a non-string entry once reached the parser and ended in an
+        # AttributeError traceback
+        code = main(["pullback", "--scene", str(SCENE), "--ambient", "standard2",
+                     "--morphism", "zero_section_embedding", "--alt-retraction", exprs])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
     def test_intrinsic_m0(self, capsys):
         code = main(["intrinsic", "--n", "2", "--m", "0", "--json"])
@@ -1093,12 +1110,115 @@ class TestLoadSceneContract:
         assert code == 2
         assert captured.err == f"error: bundle 'B': {key} must be at most 128, got {10 ** 12}\n"
 
+    @pytest.mark.parametrize("reader, text", [
+        *itertools.product(["scene", "pairs", "phi"], [b'["\xff"]', b"[" * 100_000]),
+        ("alt_retraction", b"[" * 100_000),   # argv holds text, never bytes
+    ], ids=["scene_not_utf8", "scene_too_deep", "pairs_not_utf8", "pairs_too_deep",
+            "phi_not_utf8", "phi_too_deep", "alt_retraction_too_deep"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, reader, text):
+        # bytes that are not UTF-8 and arrays nested past the recursion
+        # limit once ended in a traceback
+        path = tmp_path / "input.json"
+        path.write_bytes(text)
+        argv, prefix = {
+            "scene": (["axioms", "--scene", str(path), "--structure", "standard1"],
+                      "scene file is not valid JSON"),
+            "pairs": (["morphism", "--scene", str(SCENE), *_REQUIRED["morphism"],
+                       "--pairs", str(path)], "cannot read pairs file"),
+            "phi": (["intrinsic", *_REQUIRED["intrinsic"], "--phi", str(path)],
+                    "cannot read splitting file"),
+            "alt_retraction": (["pullback", "--scene", str(SCENE), "--ambient", "standard2",
+                                "--morphism", "zero_section_embedding",
+                                "--alt-retraction", text.decode("latin-1")],
+                               "bad --alt-retraction"),
+        }[reader]
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert code == 2 and captured.err.startswith(f"error: {prefix}: ")
+
     def test_largest_bundle_loads(self, tmp_path, capsys):
         scene = {"schema_version": 1, "bundles": {"B": {"base_dim": 128, "rank": 128}}}
         code, _ = TestMorphismContract.run(
             ["axioms", "--scene", str(write_scene(tmp_path, scene)), "--structure", "standard1"],
             capsys)
         assert code == 0
+
+
+# -- the canonical JSON writer and the per-load literal memo -----------------------
+
+_CHARACTERS = st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028😀'))
+_LEAVES = st.one_of(
+    st.text(_CHARACTERS, max_size=6), st.integers(),
+    st.integers(2 ** 64, 2 ** 200).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.booleans(), st.none())
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(_CHARACTERS, max_size=4), inner, max_size=4)), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_REPORTS)
+def test_canonical_writer_equals_json_dumps(value):
+    assert "".join(cli._canonical(value, [])) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"}, ["a", {"b": {2}}], b"x"],
+                         ids=["float", "fraction", "int_key", "nested_set", "bytes"])
+def test_canonical_writer_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._canonical(value, [])
+
+
+def test_report_keys_are_sorted():
+    # the payload lists "command" first and "axioms" later; the report sorts them
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["axioms", "--structure", "standard1", "--json"]) == 0
+    text = out.getvalue()
+    assert text.index('"axioms"') < text.index('"command"')
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def _axioms_beside(sections: dict) -> tuple[int, str]:
+    """(exit code, stderr) of `axioms --structure standard1` on a scene with
+    a bundle P1 over x1 and the given sections."""
+    payload = {"schema_version": 1, "bundles": {"P1": {"base_dim": 1, "rank": 2}}, **sections}
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "scene.json"
+        path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["axioms", "--scene", str(path), "--structure", "standard1"])
+    return code, err.getvalue()
+
+
+def test_an_input_reads_x1_as_unknown_beside_a_p1_section():
+    # one text over other variable names is another literal: a section over
+    # x1 reads "x1" first, and the signal over t still rejects it
+    assert _axioms_beside({"sections": {"s": {"bundle": "P1", "coeffs": ["x1", "0"]}},
+                           "inputs": {"u": {"u": ["x1"]}}}) == (
+        2, "error: input 'u': unknown identifier 'x1' (at position 0)\n")
+
+
+def test_a_metric_reads_true_as_no_rational_beside_1():
+    # JSON true equals 1 in Python; read after 1, it is still no rational
+    structure = {"bundle": "P1", "anchor": [["0", "0"]], "metric": [[1, 0], [0, True]]}
+    assert _axioms_beside({"courant_structures": {"s": structure}}) == (
+        2, "error: courant_structure 's': expected a rational (integer or 'p/q'), got True\n")
+
+
+def test_each_distinct_literal_is_read_once_per_load(monkeypatch):
+    # the demo scene repeats most of its literals: a repeated one is shared,
+    # and a second load reads every one again
+    texts = []
+    monkeypatch.setattr(scene_module, "parse",
+                        lambda text, names: texts.append((text, names)) or parse(text, names))
+    first = load_scene(SCENE)
+    read = list(texts)
+    assert len(read) == len(set(read))
+    second = load_scene(SCENE)
+    assert texts == read + read
+    one, other = (s.structures["standard2"].anchor for s in (first, second))
+    assert one[0][0] is one[1][1] and one[0][0] is not other[0][0]
 
 
 # -- argparse failures, simulate, project and dirac under fuzzing ------------------
@@ -1147,10 +1267,94 @@ class TestArgumentContract:
         assert code == 2
         assert captured.err.startswith(f"error: {message}")
 
-    def test_help_is_unchanged(self, capsys):
+    def test_help_is_unchanged(self, capsys, monkeypatch):
+        # the bytes argparse printed when every argv went through the
+        # top-level parser; a command's argv now goes to its parser alone
+        monkeypatch.setenv("COLUMNS", "80")
         assert main(["axioms", "--help"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("usage: courantlab axioms") and captured.err == ""
+        assert capsys.readouterr() == (_AXIOMS_HELP, "")
+        for argv in (["--help"], ["-h", "axioms"]):
+            assert main(argv) == 0
+            assert capsys.readouterr() == (_TOP_LEVEL_HELP, ""), argv
+
+    def test_abbreviated_flag(self, capsys):
+        assert main(["axioms", "--structure", "standard1", "--json"]) == 0
+        full = capsys.readouterr()
+        assert main(["axioms", "--struct", "standard1", "--json"]) == 0
+        assert capsys.readouterr() == full and json.loads(full.out)["structure"] == "standard1"
+        assert main(["axioms", "--s", "standard1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: ambiguous option: --s could match --scene, --seed, --structure\n")
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["axioms", "--structure", "standard1", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["courantlab", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == expected
+        monkeypatch.setattr(sys, "argv", ["courantlab"])
+        assert main() == 2
+        assert capsys.readouterr() == (
+            "", "error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--json", "axioms", "--structure", "standard1"], "unrecognized arguments: --json"),
+        (["--seed", "1", "axioms"], "argument command: invalid choice: '1' (choose from "
+         "'axioms', 'leibniz', 'morphism', 'pullback', 'intrinsic', 'simulate', 'project', "
+         "'dirac')"),
+        (["axioms", "--structure", "standard1", "--", "x"], "unrecognized arguments: -- x"),
+    ], ids=["flag", "option", "double_dash"])
+    def test_option_before_the_command(self, capsys, argv, message):
+        # the top-level parser reads an argv whose first argument names no
+        # command, and reports what it reported before
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_AXIOMS_HELP = """\
+usage: courantlab axioms [-h] [--scene SCENE] [--out OUT] [--seed SEED]
+                         [--degree-cap DEGREE_CAP] [--json] --structure
+                         STRUCTURE
+
+options:
+  -h, --help            show this help message and exit
+  --scene SCENE         scene JSON file
+  --out OUT             write the report or CSV here instead of stdout
+  --seed SEED           echoed in --json; no verdict depends on it
+  --degree-cap DEGREE_CAP
+                        degree cap for section families; the axiom and
+                        morphism certificates and the sweep of the falsified
+                        Leibniz variant are complete for all smooth sections
+                        at any cap >= 1, and cap 0 bounds the claim to
+                        constant sections; the two Leibniz rules hold by the
+                        bracket's expansion
+  --json                machine-readable report
+  --structure STRUCTURE
+                        scene structure name or builtin standard<N>
+"""
+
+_TOP_LEVEL_HELP = """\
+usage: courantlab [-h]
+                  {axioms,leibniz,morphism,pullback,intrinsic,simulate,project,dirac}
+                  ...
+
+Exact Courant algebroid workbench and port-Hamiltonian simulator
+
+positional arguments:
+  {axioms,leibniz,morphism,pullback,intrinsic,simulate,project,dirac}
+    axioms              check the three Courant axioms
+    leibniz             check the bracket Leibniz rules
+    morphism            classical Courant morphism verdict
+    pullback            pullback hypothesis report and construction
+    intrinsic           build the intrinsic structure candidate
+    simulate            integrate a port-Hamiltonian system to CSV
+    project             interaction run projected to the open behavior
+    dirac               check the interconnection graph for maximal isotropy
+
+options:
+  -h, --help            show this help message and exit
+"""
 
 
 _SYSTEM_TERMS = ["1", "x1", "-x1", "1/2*x1^2", "x1*x2", "x2^2", "-3/2*x3", "x1^60",

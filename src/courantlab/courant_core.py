@@ -24,9 +24,8 @@ Axiom checking is exact.  The three axioms are multilinear over R in their
 section slots, so verifying them on every tuple drawn from the family of
 monomial-coefficient frame sections up to a degree cap certifies them for
 all sections of coefficient degree up to that cap.  No certificate
-enumerates those tuples or brackets them: each reads its verdict from
-identities in the frame data (below), and brackets explicit sections only
-to re-expand its witness.
+enumerates those tuples or brackets them: each reads its verdict, and its
+witness's defect, from identities in the frame data (below).
 
 Every certificate reports one witness: the least failing tuple.  Tuples
 order first by the largest coefficient degree of their members, then by
@@ -144,20 +143,24 @@ with constant symmetric G the expansion gives the rules
     <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
 Hence the three axioms hold for all smooth sections iff the five frame
 identities hold, which is also what the tuples of degree 1 decide.
-`_certify_axioms` decides every verdict from the frame tables, with no
-bracket but those that re-expand witnesses.  (iii) and (ii) are tensorial,
-so each fails iff some frame tuple does, and its least nonzero entry of
-c_ij^h + c_ji^h, or c_ijm + c_imj, names the least failing tuple.  (i)
-fails on a frame triple iff the fifth identity does, and then its least
-nonzero (i, j, k) is the witness.  Otherwise, at any cap >= 1, (i) can
-still fail when another identity does; every failing tuple then has a
-member of degree 1.  The slot tables decide whether one fails, first
-frame index by first frame index, and the tuples of the first nonzero
-table are walked in the witness order, first slot major, each value
-summed from the table, up to the first nonzero one: the least failing
-tuple, and the only one re-expanded (`_axiom_i_witness`).  Its detail
-still reads "found by the degree-1 sweep of (i)", naming the degree-1
-family the walk covers.
+`_certify_axioms` decides every verdict and forms every witness from the
+frame tables, with no bracket.  (iii) and (ii) are tensorial, so each
+fails iff some frame tuple does; its least nonzero entry of
+c_ij^h + c_ji^h, or c_ijm + c_imj, names the least failing tuple, and
+those entries, negated for (ii), are the tuple's defect.  (i) fails on a
+frame triple iff the fifth identity does, and then its least nonzero
+(i, j, k) is the witness, with the defect J(e_i, e_j, e_k).  Otherwise,
+at any cap >= 1, (i) can still fail when another identity does; every
+failing tuple then has a member of degree 1.  The slot tables decide
+whether one fails, first frame index by first frame index, and the tuples
+of the first nonzero table are walked in the witness order, first slot
+major, each value summed from the table, up to the first nonzero one: the
+least failing tuple, whose value is its defect (`_axiom_i_witness`).  Its
+detail still reads "found by the degree-1 sweep of (i)", naming the
+degree-1 family the walk covers.  Every printed defect is checked against
+the exponent limit of the packed keys.  `tests/conftest.py` keeps the
+re-expansion of a witness through the plain bracket as the reference the
+oracles compare every defect with.
 
 The two Leibniz rules of the bracket above hold by the expansion, for
 every structure the constructor accepts, so `check_leibniz` does not
@@ -167,7 +170,8 @@ That defect is first order in each of f, g, lam and mu, so the family of
 degree <= 1 decides it, and it vanishes on constant lam.  Every failing
 tuple thus has degree 1, and the least, read from the anchor matrix, is
 f = e_0, g the least member other than f whose frame has a nonzero anchor
-column, lam the least x_a that column reaches, and mu = 1.
+column, lam the least x_a that column reaches, and mu = 1; with
+g = x^beta e_j, its defect is x^beta A_aj (g - f).
 `tests/test_certificate_oracle.py` checks the order-1 property of every
 axiom slot on frame data where no axiom need hold.
 """
@@ -724,23 +728,17 @@ def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
     The defect is formed on packed term dicts, one component for (ii), and
     wrapped once for printing."""
     defect = _AXIOM_DEFECTS[axiom](s, *map(s._terms, sections))
-    if not any(defect):
-        return None
+    return _witness(s, sections, defect, False) if any(defect) else None
+
+
+def _witness(s: CourantStructure, sections, defect: list[dict], component: bool) -> dict:
+    """The witness of a failing tuple of explicit sections: the tuple, its
+    packed defect checked and printed, and, if `component`, the index of
+    the defect's first nonzero component (None otherwise)."""
+    n = s.bundle.base_dim
     return {"sections": [sec.coeffs.to_strings() for sec in sections],
-            "defect": [_raw(s.bundle.base_dim, p).to_string() for p in defect], "component": None}
-
-
-def _certified_witness(s: CourantStructure, axiom: str, sections) -> dict:
-    """The certificate's witness on a decoded tuple: its defect re-expanded
-    through the plain bracket, with the first nonzero component (None for
-    axiom (ii)).  Raises if that defect vanishes."""
-    witness = _plain_witness(s, axiom, sections)
-    if witness is None:
-        raise RuntimeError("internal inconsistency: the certificate flagged a tuple "
-                           "whose plain defect vanishes")
-    if axiom != "ii":
-        witness["component"] = next(c for c, text in enumerate(witness["defect"]) if text != "0")
-    return witness
+            "defect": [_raw(n, _checked(p, n)).to_string() for p in defect],
+            "component": next(h for h, p in enumerate(defect) if p) if component else None}
 
 
 MAX_FAMILY = 256
@@ -802,6 +800,29 @@ def _least_skew_failure(table: dict, mirror: tuple, arity: int):
         if table.get(mirrored, {}) != _scaled(entry, -1):
             failing += [key[:arity], mirrored[:arity]]
     return min(failing, default=None)
+
+
+def _sum_at(table: dict, *keys) -> dict:
+    """The sum of a frame table's entries at `keys`, as a new dict."""
+    out: dict = {}
+    for key in keys:
+        _add_into(out, table.get(key, {}))
+    return out
+
+
+def _frame_witness(s: CourantStructure, axiom: str, frame, c, lowered, jacobiator) -> dict:
+    """An axiom's witness on the failing frame tuple `frame`, its defect read
+    from the frame tables (see the module docstring): c_ij^h + c_ji^h in
+    component h for (iii), -(c_ijm + c_imj) for (ii), and J(e_i,e_j,e_k)^l
+    in component l for (i)."""
+    k = s.bundle.rank
+    if axiom == "iii":
+        defect = [_sum_at(c, (*frame, h), (*frame[::-1], h)) for h in range(k)]
+    elif axiom == "ii":
+        defect = [_scaled(_sum_at(lowered, frame, (frame[0], frame[2], frame[1])), -1)]
+    else:
+        defect = [jacobiator.get((*frame, l), {}) for l in range(k)]
+    return _witness(s, [Section.frame(s.bundle, i) for i in frame], defect, axiom != "ii")
 
 
 def _mul_at(table: dict, key, h: int, p: dict, q: dict) -> None:
@@ -982,8 +1003,10 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     index i are contiguous in the witness order and fail iff the slot table
     of i is nonzero; the first nonzero table is walked member by member, in
     tag order slot by slot, and the value at each tuple summed from the
-    terms whose gradients its members supply, up to the first nonzero one.
-    Only that tuple is re-expanded.
+    terms whose gradients its members supply, up to the first nonzero one,
+    which is the witness's defect.  Each table entry is a product of two
+    checked factors, so it is checked before the walk shifts its keys: a
+    shift past a set guard bit would carry into the next variable's field.
     """
     n = s.bundle.base_dim
     monos = monomials_up_to(n, SWEEP_ORDER)
@@ -1001,11 +1024,14 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
             for choice in itertools.product(options[a1], options[a2], options[a3]):
                 grads, keys = zip(*choice)
                 for h, p in table.get((j, m, *grads), {}).items():
-                    _add_into(out.setdefault(h, {}), {key + sum(keys): cf for key, cf in p.items()})
+                    # checked before the shift, which could carry past a guard bit
+                    _add_into(out.setdefault(h, {}),
+                              {key + sum(keys): cf for key, cf in _checked(p, n).items()})
             if any(out.values()):
-                return _certified_witness(s, "i", [
+                return _witness(s, [
                     Section.frame(s.bundle, frame, Polynomial.monomial(n, monos[a]))
-                    for frame, a in ((i, a1), (j, a2), (m, a3))])
+                    for frame, a in ((i, a1), (j, a2), (m, a3))],
+                    [out.get(h, {}) for h in range(s.bundle.rank)], True)
         if table:
             raise RuntimeError("internal inconsistency: a nonzero slot table of (i) fails nowhere")
     return None
@@ -1019,9 +1045,9 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
     is complete for all smooth sections at any cap >= 1; see the module
     docstring.  The label names the requested cap and its family.
 
-    The frame tables decide every verdict and name the least failing tuple
-    of each axiom, with no lift and no bracket but those that re-expand the
-    witnesses.  When (i) holds on every frame triple at a cap >= 1 while
+    The frame tables decide every verdict, name the least failing tuple of
+    each axiom and give its defect, with no lift and no bracket.  When (i)
+    holds on every frame triple at a cap >= 1 while
     another frame identity fails, the slot tables of (i) decide it on the
     tuples of degree 1 (`_axiom_i_witness`).  A failing detail says which
     found the witness.
@@ -1032,14 +1058,14 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
         return {name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                 for name in ("i", "ii", "iii")}
     c, lowered = _c_tables(s)
+    jacobiator = _frame_jacobiator(s, c, lowered)
     least = {
         "iii": _least_skew_failure(c, (1, 0, 2), 2),
-        "i": min((key[:3] for key, entry in _frame_jacobiator(s, c, lowered).items() if entry),
-                 default=None),
+        "i": min((key[:3] for key, entry in jacobiator.items() if entry), default=None),
         "ii": _least_skew_failure(lowered, (0, 2, 1), 3),
     }
-    witnesses = {name: None if frame is None else _certified_witness(
-        s, name, [Section.frame(s.bundle, i) for i in frame]) for name, frame in least.items()}
+    witnesses = {name: None if frame is None else _frame_witness(
+        s, name, frame, c, lowered, jacobiator) for name, frame in least.items()}
     found = dict.fromkeys(least, "read from the frame tables")
     if least["i"] is None and degree_cap:
         rho_d, anomaly = _anchor_tables(s)
@@ -1073,8 +1099,9 @@ def check_axioms(
     on every frame triple while another frame identity fails, is decided on
     the tuples of degree 1 by the slot tables of the five rules, with no
     lift and no bracket.  A failing axiom reports its least failing tuple
-    (see the module docstring), whose defect alone is re-expanded.  All
-    comparisons are polynomial identities with zero tolerance.
+    (see the module docstring) with the defect the tables give it, and a
+    supplied tuple with its defect through the bracket.  All comparisons
+    are polynomial identities with zero tolerance.
     """
     pool: list[Section] = list(sections)
     if len(pool) > MAX_POOL:
@@ -1116,28 +1143,16 @@ class LeibnizReport:
         }
 
 
-def _variant_defect(s: CourantStructure, f, g, lam, mu) -> Section:
-    """The defect of the final-slot variant on explicit arguments, expanded
-    through the bracket; it vanishes iff the variant holds there."""
-    common = (
-        (lam * mu) * s.bracket(f, g)
-        + lam * s.anchor_apply(f, mu) * g
-        + (s.pairing(f, g) * mu) * s.derived_operator(lam)
-    )
-    cross = mu * s.anchor_apply(g, lam)
-    return s.bracket(lam * f, mu * g) - (common - cross * g)
-
-
 def _leibniz_witness(s: CourantStructure) -> dict | None:
-    """The variant's least failing tuple at cap SWEEP_ORDER, read from the
-    anchor matrix, with its defect re-expanded through the bracket; None if
-    the anchor is zero.
+    """The variant's least failing tuple at cap SWEEP_ORDER and its defect,
+    both read from the anchor matrix; None if the anchor is zero.
 
     rho(x^beta e_j)(x_a) = x^beta A_aj, so (f, g, lam, mu) fails iff g != f,
     g's frame index j has A_aj != 0 and lam reaches such an a.  Every failing
     tuple has the degree-1 member lam, so the least is f = e_0, g the least
     member other than f in a nonzero column, lam the least x_a that column
-    reaches, and mu = 1 (see the module docstring).
+    reaches, and mu = 1 (see the module docstring); its defect is
+    mu rho(g)(lam) (g - f) = x^beta A_aj (g - f).
     """
     n = s.bundle.base_dim
     linear = monomials_up_to(n, SWEEP_ORDER)[1:]
@@ -1149,15 +1164,10 @@ def _leibniz_witness(s: CourantStructure) -> dict | None:
         return None
     f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
     lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
-    plain = _variant_defect(s, f, g, lam, mu)
-    if plain.is_zero():
-        raise RuntimeError(
-            "internal inconsistency: the Leibniz certificate flagged a "
-            "tuple whose plain defect vanishes"
-        )
+    cross = g[j] * s.anchor[reached[0].index(1)][j]     # rho(g)(lam), with mu = 1
     return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
             "lam": lam.to_string(), "mu": mu.to_string(),
-            "defect": plain.coeffs.to_strings()}
+            "defect": ((g - f) * cross).coeffs.to_strings()}
 
 
 def check_leibniz(
@@ -1178,10 +1188,10 @@ def check_leibniz(
     That defect is R-multilinear in (f, g, lam, mu) and of order <= 1 in
     each, so the family at the effective cap min(degree_cap, SWEEP_ORDER)
     decides it: f and g are monomial frame sections, lam and mu monomial
-    functions.  Its least failing tuple is read from the anchor matrix
-    (`_leibniz_witness`) and re-expanded through the bracket with plain
-    sections as the witness.  At cap 0 the claim is bounded to constant
-    coefficients, on which the variant cannot fail.
+    functions.  Its least failing tuple and that tuple's defect are read
+    from the anchor matrix (`_leibniz_witness`), with no bracket.  At cap 0
+    the claim is bounded to constant coefficients, on which the variant
+    cannot fail.
 
     Raises ValueError when the family exceeds MAX_FAMILY.
     """

@@ -31,7 +31,7 @@ D in row-major order.  A perturbed representative g + q*w has q o phi0 = 0,
 so every term the perturbation adds to <g1,g2>_2 carries a factor q and
 vanishes once composed with phi0: perturbations never change the metric
 defect.  The general base therefore reports the pair (e_i, e_j) with
-"representatives": "retraction" and its plain defect, and strict
+"representatives": "retraction" and the defect -D_ij, and strict
 representative checking re-checks only the bracket.
 
 The bracket condition is decided over the family of monomial frame
@@ -122,10 +122,11 @@ T = A1 - Q P and U read the source structure as well, and each check forms
 them.
 
 `_bracket_failure` decides the pass from the identities at the cap, and
-on a failure enumerates the pairs of degree <= min(cap, 1) in the witness
-order by the three lines, up to the first nonzero one.  Only that pair's
-defect is recomputed through the plain brackets, on explicit sections, and
-a vanishing plain defect is reported as an internal inconsistency.
+on a failure sums Delta on the pairs of degree <= min(cap, 1) in the
+witness order from the three lines (`_pair_defect`), up to the first
+nonzero one: the witness, whose defect is that sum.  No failure brackets
+a section; `tests/conftest.py` keeps the recomputation of a pair's defect
+through the plain brackets as the reference the oracles compare it with.
 
 In auto mode the related pairs come from the morphism's retraction: the
 constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
@@ -162,7 +163,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .bundles import BundleMorphism, Section, TrivialBundle, check_related, related_section
+from .bundles import BundleMorphism, Section, TrivialBundle, check_related
 from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure
 from .polyexpr import (
     Polynomial,
@@ -252,11 +253,6 @@ def _validate(s1: CourantStructure, s2: CourantStructure, phi: BundleMorphism):
 
 
 # -- the three conditions, one implementation each ------------------------------
-
-
-def _image_section(phi: BundleMorphism, f: Section) -> Section:
-    """P f, the identity-base representative of f."""
-    return Section(phi.target, phi.apply(f))
 
 
 class AlongImage:
@@ -453,18 +449,17 @@ def _first_slot(d: _Lines, a, i, j) -> list:
             - d.w[i].get(j, 0) * d.v_t[a].get(h, 0) for h, row in enumerate(d.p)]
 
 
-def _fails(d: _Lines, monos, xs, pair) -> bool:
-    """Whether Delta is nonzero on the family pair (x^alpha_a e_i,
-    x^alpha_b e_j) of degree <= 1, pair = ((i, a), (j, b)), with the
-    monomials xs[a] = x^alpha_a, by the lines of the module docstring."""
+def _pair_defect(d: _Lines, monos, xs, pair) -> list[Polynomial]:
+    """Delta on the family pair (x^alpha_a e_i, x^alpha_b e_j) of degree
+    <= 1, pair = ((i, a), (j, b)), with the monomials xs[a] = x^alpha_a,
+    component by component, summed from the lines of the module docstring."""
     (i, a), (j, b) = pair
     terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
     if b:
         terms.append((xs[a] * d.t[monos[b].index(1)].get(i, 0), [row.get(j, 0) for row in d.p]))
     if a:
         terms.append((xs[b], _first_slot(d, monos[a].index(1), i, j)))
-    return any(not poly_sum(len(monos[0]), (s * v[h] for s, v in terms)).is_zero()
-               for h in range(len(d.p)))
+    return [poly_sum(len(monos[0]), (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
 def _witness_order(rank, monos):
@@ -484,9 +479,9 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
 
     The defect is decided from the frame tables (see the module docstring):
     at cap 0 it vanishes iff every Delta_ij does, at cap >= 1 iff also
-    `_degree_1_holds`.  On a failure the pairs are enumerated in the
-    witness order up to the first nonzero one, whose plain defect is
-    recomputed on explicit sections.  A source of rank 0 has no pairs.
+    `_degree_1_holds`.  On a failure Delta is summed from its lines on the
+    pairs in the witness order, up to the first nonzero one, the witness
+    with that defect.  A source of rank 0 has no pairs.
     """
     if not s1.bundle.rank:
         return None
@@ -496,22 +491,21 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     n = s1.bundle.base_dim
     monos = monomials_up_to(n, min(cap, 1))
     xs = [Polynomial.monomial(n, alpha) for alpha in monos]
-    pair = next((p for p in _witness_order(s1.bundle.rank, monos) if _fails(d, monos, xs, p)), None)
-    if pair is None:
-        raise RuntimeError("internal inconsistency: no pair of degree <= 1 fails")
-    f1, f2 = (Section.frame(s1.bundle, i, xs[a]) for i, a in pair)
-    return _pair_failure("bracket", s1, s2, phi, f1, f2, general)
+    for pair in _witness_order(s1.bundle.rank, monos):
+        defect = _pair_defect(d, monos, xs, pair)
+        if not all(x.is_zero() for x in defect):
+            f1, f2 = (Section.frame(s1.bundle, i, xs[a]) for i, a in pair)
+            return _pair_failure("bracket", f1, f2, defect, general)
+    raise RuntimeError("internal inconsistency: no pair of degree <= 1 fails")
 
 
-def _pair_failure(condition, s1, s2, phi, f1, f2, general) -> ConditionFailure:
-    """A failure witnessed by the family pair (f1, f2), with its plain
-    defect on their representatives."""
-    represent = related_section if general else _image_section
-    shown = _plain_defect(s1, s2, phi, condition, f1, f2, represent(phi, f1), represent(phi, f2))
+def _pair_failure(condition, f1, f2, defect: list, general) -> ConditionFailure:
+    """A failure witnessed by the family pair (f1, f2), with its defect on
+    their representatives, each entry a Polynomial or an exact scalar."""
     w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
     witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
                else {"f": w1, "g": w2})
-    return ConditionFailure(condition, witness, shown)
+    return ConditionFailure(condition, witness, [str(x) for x in defect])
 
 
 def _perturbed_failure(rec: AlongImage) -> ConditionFailure | None:
@@ -531,7 +525,7 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     Over the identity base the failure is D itself, located at its first
     nonzero entry.  Over a general base that entry (i, j) names the least
     failing family pair (e_i, e_j) (see the module docstring), reported
-    with its plain defect on the retraction representatives.
+    with its defect on the retraction representatives, -D_ij.
     """
     defect = linalg.pmat_sub(along_image(s2, phi).w, s1.rows[0])
     if not general:
@@ -539,8 +533,9 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     where = _first_nonzero(defect)
     if where is None:
         return None
-    f1, f2 = (Section.frame(s1.bundle, i) for i in where)
-    return _pair_failure("metric", s1, s2, phi, f1, f2, True)
+    i, j = where
+    return _pair_failure("metric", Section.frame(s1.bundle, i), Section.frame(s1.bundle, j),
+                         [-defect[i][j]], True)
 
 
 def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
@@ -578,10 +573,10 @@ def check_identity_base(
     sections of degree <= min(degree_cap, SWEEP_ORDER), which is complete
     for all smooth sections at any cap >= 1; cap 0 is a bounded claim over
     constant sections.  The verdict comes from closed forms in the frame
-    data, with no lift and no bracket (see the module docstring); only a
-    failure's least failing pair has its plain defect recomputed.  The
-    metric and anchor conditions are matrix identities.  The detail names
-    the requested cap.
+    data, with no lift and no bracket (see the module docstring), and so
+    is a failure's least failing pair with its defect.  The metric and
+    anchor conditions are matrix identities.  The detail names the
+    requested cap.
     """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
@@ -614,17 +609,6 @@ def _metric_defect(s1, s2, phi, f1, f2, g1, g2) -> list[Polynomial]:
 _PAIR_DEFECTS = {"bracket": _bracket_defect, "metric": _metric_defect}
 
 
-def _plain_defect(s1, s2, phi, condition, f1, f2, g1, g2) -> list[str]:
-    """A decoded pair's plain defect on `condition`, re-verified nonzero."""
-    defect = _PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, g1, g2)
-    if all(p.is_zero() for p in defect):
-        raise RuntimeError(
-            "internal inconsistency: the frame tables flagged a pair whose "
-            "plain defect vanishes"
-        )
-    return [p.to_string() for p in defect]
-
-
 def check_general_base(
     s1: CourantStructure,
     s2: CourantStructure,
@@ -644,8 +628,8 @@ def check_general_base(
     cap 0 is a bounded claim.  The verdict comes from closed forms in the
     frame data, the frame table Gamma of the extended frames and the
     degree-1 lines, with no lift and no bracket (see the module
-    docstring).  The least failing pair is reported with its plain
-    defect, recomputed on explicit sections.  The metric and anchor
+    docstring).  The least failing pair is reported with its defect,
+    summed from the same lines.  The metric and anchor
     conditions are matrix identities, as over the identity base: on the
     retraction representatives the metric condition is P^T G2 P = G1, and
     a failure reports the frame pair (e_i, e_j) of the first nonzero entry

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import strategies as st
 
 from courantlab import linalg
-from courantlab.bundles import BundleMorphism, Section, TrivialBundle
+from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
 from courantlab.courant_core import (
     SWEEP_ORDER,
     CourantStructure,
-    _certified_witness,
+    _plain_witness,
     _subtract_into,
     monomial_frame_basis,
 )
+from courantlab.morphisms import _PAIR_DEFECTS
 from courantlab.polyexpr import (
     _BITS,
     _FIELD,
@@ -289,8 +290,63 @@ def reference_sweep_axiom_i(s: CourantStructure) -> dict | None:
         )]
         least = _least_failing_tuple(s.bundle, SWEEP_ORDER, defect, 2, (b,))
         if least is not None:
-            return _certified_witness(s, "i", least)
+            return reference_axiom_witness(s, "i", least)
     return None
+
+
+# -- the plain re-expansion of witnesses ------------------------------------------
+#
+# Every certificate reads its witness's defect from the frame tables.  The
+# re-expansion of the witness through the plain bracket, which the
+# certificates once ran after their verdict, is kept here as the reference
+# the witness oracles compare every defect with.
+
+
+def reference_axiom_witness(s: CourantStructure, axiom: str, sections) -> dict:
+    """An axiom's witness on a failing tuple: its defect re-expanded through
+    the plain bracket, with the first nonzero component (None for (ii))."""
+    witness = _plain_witness(s, axiom, sections)
+    assert witness is not None, "the plain defect of the witness vanishes"
+    if axiom != "ii":
+        witness["component"] = next(c for c, text in enumerate(witness["defect"]) if text != "0")
+    return witness
+
+
+def reference_variant_defect(s: CourantStructure, f, g, lam, mu) -> Section:
+    """The defect of the final-slot Leibniz variant on explicit arguments,
+    expanded through the bracket; it vanishes iff the variant holds there."""
+    common = (
+        (lam * mu) * s.bracket(f, g)
+        + lam * s.anchor_apply(f, mu) * g
+        + (s.pairing(f, g) * mu) * s.derived_operator(lam)
+    )
+    cross = mu * s.anchor_apply(g, lam)
+    return s.bracket(lam * f, mu * g) - (common - cross * g)
+
+
+def recorded_structure_operations(monkeypatch) -> list:
+    """Record every call of the structure's packed operations and of its
+    public bracket: a list collecting (name, structure) per call, which a
+    certificate that reads its witnesses from the frame tables leaves
+    empty."""
+    calls = []
+    for name in ("_bracket", "_pairing", "_anchor_apply", "_derived", "bracket"):
+        original = getattr(CourantStructure, name)
+        monkeypatch.setattr(CourantStructure, name, lambda s, *args, name=name, original=original:
+                            calls.append((name, s)) or original(s, *args))
+    return calls
+
+
+def reference_pair_defect(s1, s2, phi, condition, f1, f2, general) -> list[str]:
+    """A morphism condition's defect on the family pair (f1, f2), recomputed
+    through the plain brackets and pairings on their retraction (general
+    base) or image (identity base) representatives."""
+    def represent(f):
+        return related_section(phi, f) if general else Section(phi.target, phi.apply(f))
+
+    defect = _PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, represent(f1), represent(f2))
+    assert not all(p.is_zero() for p in defect), "the plain defect of the pair vanishes"
+    return [p.to_string() for p in defect]
 
 
 def image_vanishing_multipliers(phi) -> list[Polynomial]:

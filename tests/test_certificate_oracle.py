@@ -10,8 +10,9 @@ passes the two Leibniz rules by the bracket's expansion and reads the
 falsified variant's least failing tuple from the anchor matrix; the
 four-slot sweep it replaced is kept below as its reference.  Every
 certificate's witness is the least failing tuple in one order, which
-`least_failing` restates and brute force checks.  These tests
-recompute the verdicts the slow way, through `CourantStructure.bracket`,
+`least_failing` restates and brute force checks; its defect, read from the
+frame tables, is compared with the plain re-expansion in conftest.  These
+tests recompute the verdicts the slow way, through `CourantStructure.bracket`,
 `pairing`, `anchor_apply` and `derived_operator` on explicit sections: over
 every tuple of the monomial frame family up to the degree cap, and over
 seeded random draws at or below the cap, which the certificates imply.  The
@@ -40,7 +41,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
-from courantlab import linalg
+from courantlab import linalg, morphisms
 from courantlab.courant_core import (
     SWEEP_ORDER,
     AxiomCheck,
@@ -65,11 +66,16 @@ from conftest import (
     lift_structure,
     random_polynomial,
     random_section,
+    recorded_structure_operations,
+    reference_axiom_witness,
+    reference_pair_defect,
     reference_sweep_axiom_i,
+    reference_variant_defect,
     so3_structure,
     tagged_generating_section,
 )
 from test_bracket_reference import Reference, to_sympy
+from test_morphisms import graph_embeddings
 
 ARITY = {"i": 3, "ii": 3, "iii": 2}
 
@@ -514,20 +520,15 @@ def test_leibniz_report_equals_the_tagged_sweep(s, cap):
         assert ("bounded" in detail) == ("bounded" in old) == (cap == 0)
 
 
-def test_leibniz_calls_the_bracket_only_to_reverify_the_witness(monkeypatch):
-    s = bumped(scaled_structure(standard_structure(3), Fraction(-2, 5)), (0, 1, 3))
-    original = CourantStructure.bracket
-    calls = []
-
-    def recorded(self, f, g):
-        calls.append(self)
-        return original(self, f, g)
-
-    monkeypatch.setattr(CourantStructure, "bracket", recorded)
-    report = check_leibniz(s)
-    assert report.variant_falsified
-    # [[f, g]] and [[lam f, mu g]] of the decoded witness, on s itself
-    assert len(calls) == 2 and all(c is s for c in calls)
+def test_leibniz_makes_no_bracket(monkeypatch):
+    # the variant's witness and its defect rho(g)(lam) (g - f) are read from
+    # the anchor matrix, with no operation of the structure
+    calls = recorded_structure_operations(monkeypatch)
+    for n in (1, 2, 3):
+        s = scaled_structure(standard_structure(n), Fraction(-2, 5))
+        for structure in (s, bumped(s, (0, 1, 2 * n - 1))):
+            assert check_leibniz(structure).variant_falsified
+    assert calls == []
 
 
 # -- axiom certificates at differential order 1 ----------------------------------
@@ -834,17 +835,20 @@ def small_structures(draw):
     return s
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(small_structures())
 def test_axiom_witnesses_are_the_least_failing_tuples(s):
     # a passing status is the reference oracle's; a failing one is checked
-    # up to its witness, every earlier tuple passing
+    # up to its witness, every earlier tuple passing, and its defect and
+    # component against the plain re-expansion
     for name, check in check_axioms(s, degree_cap=1).checks.items():
         if not check.passed:
             assert check.witness["sections"] == least_axiom_tuple(s, name), name
+            sections = [Section.from_exprs(s.bundle, texts) for texts in check.witness["sections"]]
+            assert check.witness == reference_axiom_witness(s, name, sections), name
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=100, deadline=None, database=None)
 @given(small_structures())
 def test_leibniz_witness_is_the_least_failing_tuple(s):
     w = check_leibniz(s, degree_cap=1).variant_witness
@@ -856,6 +860,8 @@ def test_leibniz_witness_is_the_least_failing_tuple(s):
         f, g, lam, mu = least
         assert (w["f"], w["g"], w["lam"], w["mu"]) == \
             (f.coeffs.to_strings(), g.coeffs.to_strings(), lam.to_string(), mu.to_string())
+        defect = reference_variant_defect(s, f, g, lam, mu)
+        assert not defect.is_zero() and w["defect"] == defect.coeffs.to_strings()
 
 
 @st.composite
@@ -868,7 +874,7 @@ def constant_fiber_maps(draw):
     return s, draw(st.lists(entries, min_size=k, max_size=k))
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, database=None)
 @given(constant_fiber_maps())
 def test_morphism_witness_is_the_least_failing_pair(case):
     s, matrix = case
@@ -881,6 +887,31 @@ def test_morphism_witness_is_the_least_failing_pair(case):
     if bracket:
         assert [bracket[0].witness["f"], bracket[0].witness["g"]] == \
             [sec.coeffs.to_strings() for sec in least]
+        assert bracket[0].defect == reference_pair_defect(s, s, phi, "bracket", *least, False)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(graph_embeddings())
+def test_general_base_witnesses_are_the_least_failing_pairs(case):
+    # the bracket pair, with its retraction representatives, and the metric
+    # pair (e_i, e_j) are each the least failing pair, with the defect of
+    # the plain re-expansion
+    s1, s2, phi = case
+    family = section_family(s1.bundle)
+    related = {id(f): related_section(phi, f) for f, _ in family}
+
+    def defect(condition, f1, f2):
+        g1, g2 = related[id(f1)], related[id(f2)]
+        return morphisms._PAIR_DEFECTS[condition](s1, s2, phi, f1, f2, g1, g2)
+
+    for failure in check_general_base(s1, s2, phi, degree_cap=1).failures:
+        if failure.condition != "anchor":
+            least = least_failing([family] * 2, lambda t: not all(
+                p.is_zero() for p in defect(failure.condition, *t)))
+            assert [failure.witness["f1"], failure.witness["f2"]] == \
+                [sec.coeffs.to_strings() for sec in least]
+            assert failure.defect == reference_pair_defect(s1, s2, phi, failure.condition,
+                                                           *least, True)
 
 
 def fails_only_axiom_i(s, cap=1):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from courantlab import courant_core, linalg
@@ -32,9 +33,11 @@ from conftest import (
     fd_partial,
     lift_structure,
     random_section,
+    recorded_structure_operations,
     so3_structure,
     tagged_generating_section,
 )
+from test_bracket_reference import Reference
 
 
 class TestStandardStructure:
@@ -368,6 +371,57 @@ class TestPackedKeyOverflow:
         with pytest.raises(ExponentOverflowError):
             check_axioms(s, degree_cap=1)
 
+    def test_witness_whose_plain_expansion_overflows_is_reported(self):
+        # the nested brackets of (i) on (e_0, e_1, x1 e_0) pass the limit on
+        # the way, but its defect, read from the slot tables, stays below
+        # it; sympy's expansion of the same tuple gives the same defect
+        high = Polynomial.monomial(1, (MAX_EXPONENT - 1,))
+        s = CourantStructure(TrivialBundle(1, 2, "E"), [[high, Polynomial.variable(1, 0)]],
+                             [[0, -1], [-1, 1]])
+        check = check_axioms(s, degree_cap=1).checks["i"]
+        assert check.witness["sections"] == [["1", "0"], ["0", "1"], ["x1", "0"]]
+        assert check.witness["defect"] == [f"-{MAX_EXPONENT - 2}*x1^{MAX_EXPONENT - 1}", "0"]
+        ref = Reference(s)
+        f, g, h = (ref.section(Section.from_exprs(s.bundle, texts))
+                   for texts in check.witness["sections"])
+        nested = zip(ref.bracket(f, ref.bracket(g, h)), ref.bracket(ref.bracket(f, g), h),
+                     ref.bracket(g, ref.bracket(f, h)))
+        x1 = ref.x[0]
+        assert [sympy.expand(a - b - c) for a, b, c in nested] == \
+            [-(MAX_EXPONENT - 2) * x1 ** (MAX_EXPONENT - 1), 0]
+        with pytest.raises(ExponentOverflowError):
+            courant_core._plain_witness(s, "i", [Section.from_exprs(s.bundle, texts)
+                                                 for texts in check.witness["sections"]])
+
+    @staticmethod
+    def walked(anchor_exponent, c_exponent):
+        """Hyperbolic rank 4 over R^2 with A_(x1, 2) = x2^a and c_01^2 = x2^c:
+        (iii) and (ii) fail on frames, (i) holds on frame triples, and the
+        walk of (i) reaches the slot-table entry H(e_0, e_1)^(x1) = x2^(a+c),
+        a product of two checked factors, on (e_0, x1 e_0, e_1)."""
+        zero = Polynomial(2)
+        a, c = (Polynomial.monomial(2, (0, e)) for e in (anchor_exponent, c_exponent))
+        metric = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        return CourantStructure(TrivialBundle(2, 4, "E"), [[zero, zero, a, zero], [zero] * 4],
+                                metric, {(0, 1, 2): c})
+
+    def test_walk_entry_at_the_limit_is_printed(self):
+        s = self.walked(MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 1)
+        check = check_axioms(s, degree_cap=1).checks["i"]
+        assert check.detail.endswith("found by the degree-1 sweep of (i)")
+        assert check.witness["sections"] == [["1", "0", "0", "0"], ["x1", "0", "0", "0"],
+                                             ["0", "1", "0", "0"]]
+        assert check.witness["defect"] == [f"x2^{MAX_EXPONENT}", "0", "0", "0"]
+
+    @pytest.mark.parametrize("exponents", [
+        (MAX_EXPONENT // 2 + 1, MAX_EXPONENT // 2 + 1),     # x2^(MAX + 1): the guard bit
+        (MAX_EXPONENT, MAX_EXPONENT),   # x2^(2 MAX), which a shift by 2 would carry past it
+    ], ids=["guard_bit", "carry"])
+    def test_walk_entry_beyond_the_limit_raises(self, exponents):
+        # every slot-table entry the walk sums is checked before its shift
+        with pytest.raises(ExponentOverflowError):
+            check_axioms(self.walked(*exponents), degree_cap=1)
+
 
 class TestTaggedSweepInternals:
     def test_tagged_bracket_matches_per_tuple_brackets(self):
@@ -411,8 +465,8 @@ class TestOperationOutputs:
         assert all(type(c) is int or c.denominator != 1 for c in stored)
 
     def test_check_axioms_inverts_the_metric_once(self, monkeypatch):
-        # the lifted structure of the sweep reuses the base's G^-1, also when a
-        # failing axiom re-expands its witness on the base
+        # the lifted structure of the sweep reuses the base's G^-1, also when
+        # an axiom fails
         calls = []
         inverse = linalg.inverse
         monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(1) or inverse(m))
@@ -428,11 +482,12 @@ class TestOperationOutputs:
 class TestCertificateCost:
     """How much work the certificates do, counted by wrapping the packed
     operations and the metric checks: a pass at cap >= 1 is decided from
-    the five frame identities with no bracket; a failure is read from the
-    frame tables, and brackets only to re-expand its witnesses, also when
-    (i) holds on every frame triple at a cap >= 1 and its slot tables decide
-    it; no certificate lifts a structure, since the package keeps no lift;
-    and none checks the metric again."""
+    the five frame identities with no bracket; a failure and its witness's
+    defect are read from the frame tables with no bracket, pairing, anchor
+    action or derived operator, also when (i) holds on every frame triple
+    at a cap >= 1 and its slot tables decide it; no certificate lifts a
+    structure, since the package keeps no lift; and none checks the metric
+    again."""
 
     @staticmethod
     def recorded(monkeypatch, owner, name):
@@ -463,55 +518,30 @@ class TestCertificateCost:
         base = scaled_structure(standard_structure(n), lam)
         return CourantStructure(base.bundle, base.anchor, base.metric, {bump: Fraction(3, 2)})
 
-    @pytest.mark.parametrize("n, lam, bump, cap", [
-        (1, Fraction(-2, 5), (0, 1, 0), 3),     # (i) fails on a frame triple
-        (2, 3, (0, 1, 3), 0),                   # (i) holds on frame triples
-        (3, Fraction(-2, 5), (5, 0, 1), 0),
-    ], ids=["frame_triple_cap3", "n2_cap0", "n3_cap0"])
-    def test_failing_structure_brackets_only_to_reexpand_witnesses(
-            self, monkeypatch, n, lam, bump, cap):
-        s = self.bumped(n, lam, bump)
-        brackets, _ = self.recorded(monkeypatch, CourantStructure, "_bracket")
+    def test_failing_structure_makes_no_bracket(self, monkeypatch):
+        # (iii) and (ii) fail on frame tuples, and (i) on a frame triple or
+        # not, at every cap
+        calls = recorded_structure_operations(monkeypatch)
         lifts = self.lifts()
-        report = check_axioms(s, degree_cap=cap)
-        assert not report.all_passed and lifts == []
-        assert all("frame tables" in c.detail for c in report.checks.values() if not c.passed)
-        made = [args[0] for args in brackets]
-        brackets.clear()
-        for name, check in report.checks.items():
-            if not check.passed:
-                courant_core._plain_witness(s, name, [Section.from_exprs(s.bundle, texts)
-                                                      for texts in check.witness["sections"]])
-        assert all(owner is s for owner in made) and len(made) == len(brackets) > 0
+        cases = [(1, Fraction(-2, 5), (0, 1, 0)), (2, 3, (0, 1, 3)), (3, Fraction(-2, 5), (5, 0, 1))]
+        for (n, lam, bump), cap in itertools.product(cases, range(4)):
+            assert not check_axioms(self.bumped(n, lam, bump), degree_cap=cap).all_passed
+        assert calls == [] and lifts == []
 
-    def test_axiom_i_slot_tables_bracket_only_to_reexpand_witnesses(self, monkeypatch):
+    def test_axiom_i_slot_tables_make_no_bracket(self, monkeypatch):
         # (ii) and (iii) fail on frame tuples and (i) holds on every frame
-        # triple, so the slot tables of (i) decide it at degree 1: no lift,
-        # and every packed operation made is one of the re-expansions of the
-        # three witnesses, on s itself; bumped standard(2) and standard(3)
-        # at caps 1 and 3
-        names = ("_bracket", "_pairing", "_anchor_apply", "_derived")
-        calls = {name: self.recorded(monkeypatch, CourantStructure, name)[0] for name in names}
+        # triple, so the slot tables of (i) decide it at degree 1 and its
+        # witness's defect is the walk's sum; bumped standard(2) and
+        # standard(3) at caps 1-3
+        calls = recorded_structure_operations(monkeypatch)
         lifts = self.lifts()
         cases = [(2, 3, (0, 1, 3)), (3, Fraction(-2, 5), (0, 5, 1))]
-        for (n, lam, bump), cap in itertools.product(cases, [1, 3]):
-            s = self.bumped(n, lam, bump)
-            for c in calls.values():
-                c.clear()
-            report = check_axioms(s, degree_cap=cap)
+        for (n, lam, bump), cap in itertools.product(cases, [1, 2, 3]):
+            report = check_axioms(self.bumped(n, lam, bump), degree_cap=cap)
             assert [name for name, c in report.checks.items() if not c.passed] == \
                 ["iii", "i", "ii"]
             assert report.checks["i"].detail.endswith("found by the degree-1 sweep of (i)")
-            made = {name: [args[0] for args in c] for name, c in calls.items()}
-            for c in calls.values():
-                c.clear()
-            for name, check in report.checks.items():
-                courant_core._plain_witness(s, name, [Section.from_exprs(s.bundle, texts)
-                                                      for texts in check.witness["sections"]])
-            again = {name: [args[0] for args in c] for name, c in calls.items()}
-            assert made == again and len(made["_bracket"]) == 6 + 2 + 2, (n, cap)
-            assert all(owner is s for owners in made.values() for owner in owners)
-        assert lifts == []
+        assert calls == [] and lifts == []
 
     def test_leibniz_makes_no_lift(self, monkeypatch):
         lifts = self.lifts()

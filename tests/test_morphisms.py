@@ -31,6 +31,7 @@ from conftest import (
     lift_structure,
     lifted_morphism,
     random_section,
+    recorded_structure_operations,
     tagged_generating_section,
 )
 
@@ -774,6 +775,25 @@ def test_frame_table_verdict_equals_the_tagged_sweep(case, cap, order):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(morphisms, "SWEEP_ORDER", order)
         assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
+
+
+def test_failing_morphism_makes_no_bracket(monkeypatch):
+    # every failing pair's defect is read from the Delta lines or from D, in
+    # both base modes and at every cap, with no operation of either structure
+    calls = recorded_structure_operations(monkeypatch)
+    s1, s2 = standard_structure(1), standard_structure(2)
+    phi = pontryagin_embedding(1, 1)
+    fiber = [list(row) for row in phi.fiber_matrix]
+    fiber[0] = [2 * p for p in fiber[0]]
+    doubled = BundleMorphism(phi.source, phi.target, phi.base_map, fiber, phi.retraction)
+    cases = [(check, s1, s1, doubling_map(s1)) for check in (check_identity_base, check_general_base)]
+    cases += [(check_general_base, s1, s2, doubled),
+              (check_general_base, s1, scaled_structure(s1, 2), BundleMorphism.identity(s1.bundle))]
+    failed = set()
+    for (check, *arrow), cap in itertools.product(cases, range(4)):
+        verdict = check(*arrow, degree_cap=cap)
+        failed |= {(f.condition, "f1" in f.witness or "f" in f.witness) for f in verdict.failures}
+    assert {("bracket", True), ("metric", True)} <= failed and calls == []
 
 
 # -- the data kept on the morphism ----------------------------------------------

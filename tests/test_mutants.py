@@ -7,9 +7,12 @@ on, and names the oracle test of another test module (such as
 `test_certificate_oracle.py`, `test_morphisms.py` or `test_courant_core.py`)
 that must fail under it.  The oracle runs in-process on a fixed example,
 not on a hypothesis search, so the table is deterministic; without the
-mutant the same call passes.  A
-mutant is killed when the oracle's assertion fails or the certificate's
-re-expansion finds an internal inconsistency.  The slot-rule rows keep
+mutant the same call passes.  A mutant is killed when the oracle's
+assertion fails, or when the package raises one of the internal
+inconsistencies it still checks (`STILL_RAISED`).  The certificates read
+every witness's defect from the frame tables; the oracles compare it with
+the plain re-expansion kept in `conftest`, so a mutant that changes a
+defect but not its tuple is killed there.  The slot-rule rows keep
 `_slot_tables` and take the contributions of one term of the five rules
 back out of its tables; the tag decoder they once patched in the package
 lives in `conftest` with the tagged references.
@@ -24,7 +27,7 @@ from courantlab import bundles, cli, courant_core, linalg, morphisms, pullback, 
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
-from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack
+from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack, parse, poly_sum
 
 import conftest
 import test_bundles
@@ -37,6 +40,7 @@ import test_scene_cli
 
 least_skew_failure = courant_core._least_skew_failure
 frame_jacobiator = courant_core._frame_jacobiator
+frame_witness = courant_core._frame_witness
 slot_tables = courant_core._slot_tables
 _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
@@ -61,24 +65,38 @@ def skew_failure_without_the_mirror(table, mirror, arity):
                 != courant_core._scaled(entry, -1)), default=None)
 
 
-def leibniz_witness_without_g_other_than_f(s):
-    """`_leibniz_witness` with g drawn from every member, f among them."""
-    n = s.bundle.base_dim
-    linear = courant_core.monomials_up_to(n, 1)[1:]
-    for j, beta in courant_core.monomial_frame_basis(s.bundle, 1):
-        reached = [x for x in linear if not s.anchor[x.index(1)][j].is_zero()]
-        if reached:
-            break
-    else:
-        return None
-    g = Section.frame(s.bundle, j, courant_core.Polynomial.monomial(n, beta))
-    f, lam = Section.frame(s.bundle, 0), courant_core.Polynomial.monomial(n, reached[0])
-    mu = courant_core.Polynomial.constant(n, 1)
-    if courant_core._variant_defect(s, f, g, lam, mu).is_zero():
-        raise RuntimeError("internal inconsistency: the Leibniz certificate flagged a "
-                           "tuple whose plain defect vanishes")
-    return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(), "lam": lam.to_string(),
-            "mu": mu.to_string(), "defect": []}
+def leibniz_witness_with(first_g, factor):
+    """`_leibniz_witness` with g drawn from the members from `first_g` on and
+    the defect rho(g)(lam) factor(f, g)."""
+    def mutant(s):
+        n = s.bundle.base_dim
+        linear = courant_core.monomials_up_to(n, 1)[1:]
+        for j, beta in courant_core.monomial_frame_basis(s.bundle, 1)[first_g:]:
+            reached = [x for x in linear if not s.anchor[x.index(1)][j].is_zero()]
+            if reached:
+                break
+        else:
+            return None
+        f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
+        lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
+        cross = g[j] * s.anchor[reached[0].index(1)][j]
+        return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(), "lam": lam.to_string(),
+                "mu": mu.to_string(), "defect": (factor(f, g) * cross).coeffs.to_strings()}
+    return mutant
+
+
+def frame_defect_negated(axiom):
+    """`_frame_witness` with the defect of `axiom` negated: the entries it
+    reads, c_ij^h for (iii), c_ijm for (ii) or J_ijk^l for (i), taken with
+    the opposite sign."""
+    negated = ("iii", "ii", "i").index(axiom)
+
+    def mutant(s, name, frame, *tables):
+        if name == axiom:
+            tables = [{key: _scaled(p, -1) for key, p in table.items()} if t == negated else table
+                      for t, table in enumerate(tables)]
+        return frame_witness(s, name, frame, *tables)
+    return mutant
 
 
 def least_tuple_without_the_degree(bundle, degree_cap, defect, slots, fixed=()):
@@ -175,7 +193,7 @@ def walk_second_slot_major(s, c, lowered, rho_d, anomaly):
               for i, alpha in courant_core.monomial_frame_basis(s.bundle, 1)]
     for g, f, h in itertools.product(family, repeat=3):
         if not oracles.axiom_defect_vanishes(s, "i", (f, g, h)):
-            return courant_core._certified_witness(s, "i", [f, g, h])
+            return conftest.reference_axiom_witness(s, "i", [f, g, h])
     return None
 
 
@@ -184,6 +202,14 @@ def metric_failure_with_d_transposed(s1, s2, phi, general=False):
     failure = metric_failure(s1, s2, phi, general)
     if general and failure is not None:
         failure.witness["f1"], failure.witness["f2"] = failure.witness["f2"], failure.witness["f1"]
+    return failure
+
+
+def metric_failure_with_plus_d(s1, s2, phi, general=False):
+    """`_metric_failure` reporting the general-base pair's defect as +D_ij."""
+    failure = metric_failure(s1, s2, phi, general)
+    if general and failure is not None:
+        failure.defect = [str(-parse(text, s1.bundle.var_names())) for text in failure.defect]
     return failure
 
 
@@ -207,6 +233,17 @@ def first_slot_without_the_w_term(d, a, i, j):
     """R_aij without its term -W_ij V e_a."""
     return [d.g1[i].get(j, 0) * d.u_t[a].get(h, 0) - d.t[a].get(j, 0) * row.get(i, 0)
             for h, row in enumerate(d.p)]
+
+
+def pair_defect_with_the_t_line_at_x_b(d, monos, xs, pair):
+    """`_pair_defect` with the line x_a T_bi P e_j read as x_b T_bi P e_j."""
+    (i, a), (j, b) = pair
+    terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
+    if b:
+        terms.append((xs[b] * d.t[monos[b].index(1)].get(i, 0), [row.get(j, 0) for row in d.p]))
+    if a:
+        terms.append((xs[b], morphisms._first_slot(d, monos[a].index(1), i, j)))
+    return [poly_sum(len(monos[0]), (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
 def perturbed_failure_on_image_fibers(rec):
@@ -375,9 +412,29 @@ MUTANTS = {
         (bumped(SCALED1, (0, 1, 1)),),      # c_010 != 0, so (e_0, e_0, e_1) fails
     ),
     "leibniz_without_g_other_than_f": (
-        [(courant_core, "_leibniz_witness", leibniz_witness_without_g_other_than_f)],
+        [(courant_core, "_leibniz_witness", leibniz_witness_with(0, lambda f, g: g - f))],
         inner(oracles.test_leibniz_witness_is_the_least_failing_tuple),
         (standard_structure(1),),           # anchor column 0 is nonzero
+    ),
+    "leibniz_factor_f_minus_g": (
+        [(courant_core, "_leibniz_witness", leibniz_witness_with(1, lambda f, g: f - g))],
+        inner(oracles.test_leibniz_witness_is_the_least_failing_tuple),
+        (standard_structure(1),),           # g = x1 e_0: x1 (g - f) read as x1 (f - g)
+    ),
+    "iii_defect_negated": (
+        [(courant_core, "_frame_witness", frame_defect_negated("iii"))],
+        inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
+        (bumped(SCALED1, (0, 1, 0)),),      # (iii), (ii) and (i) fail on frame tuples
+    ),
+    "ii_defect_negated": (
+        [(courant_core, "_frame_witness", frame_defect_negated("ii"))],
+        inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
+        (bumped(SCALED1, (0, 1, 0)),),
+    ),
+    "frame_i_defect_negated": (
+        [(courant_core, "_frame_witness", frame_defect_negated("i"))],
+        inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
+        (bumped(SCALED1, (0, 1, 0)),),
     ),
     "decoder_key_without_the_degree": (
         [(conftest, "_least_failing_tuple", least_tuple_without_the_degree),
@@ -426,6 +483,17 @@ MUTANTS = {
         [(morphisms, "_metric_failure", metric_failure_with_d_transposed)],
         inner(test_morphisms.test_metric_verdict_equals_the_tagged_pairing_sweep),
         (doubled_tangent_row(), 1, 0, 0),   # the least failing pair is (e_0, e_1)
+    ),
+    "metric_defect_plus_d": (
+        [(morphisms, "_metric_failure", metric_failure_with_plus_d)],
+        inner(test_morphisms.test_metric_verdict_equals_the_tagged_pairing_sweep),
+        (doubled_tangent_row(), 1, 0, 0),   # D_01 = 1, so the pair's defect is -1
+    ),
+    "delta_t_line_at_x_b": (
+        [(morphisms, "_pair_defect", pair_defect_with_the_t_line_at_x_b)],
+        inner(oracles.test_morphism_witness_is_the_least_failing_pair),
+        # P e_0 = e_1: only T = [1 0] fails, first on (e_0, x1 e_0), by T_00 P e_0
+        ((SCALED1, [[0, 0], [1, 0]]),),
     ),
     "fifth_identity_without_the_d_term": (
         [(courant_core, "_frame_jacobiator", frame_jacobiator_without_the_d_term)],
@@ -524,6 +592,11 @@ MUTANTS = {
 }
 
 
+# the internal inconsistencies the package still raises
+STILL_RAISED = ("internal inconsistency: no pair of degree <= 1 fails",
+                "internal inconsistency: a nonzero slot table of (i) fails nowhere")
+
+
 def fresh(example):
     """The example with every morphism in it rebuilt: a record along the
     image kept on a shared morphism by an earlier run would hide a mutant."""
@@ -548,4 +621,4 @@ def test_mutant_is_killed(monkeypatch, name):
         monkeypatch.setattr(module, attribute, mutant)
     with pytest.raises((AssertionError, RuntimeError)) as killed:
         oracle(*fresh(example))
-    assert killed.type is AssertionError or "internal inconsistency" in str(killed.value)
+    assert killed.type is AssertionError or str(killed.value) in STILL_RAISED

@@ -229,16 +229,18 @@ class CourantStructure:
     """Frame presentation (anchor, metric, structure functions) of a
     Courant algebroid structure on a trivial bundle.
 
-    The constructor checks the shapes and the symmetry of G, and forms G^-1
-    once: that reduction is its check that G is nonsingular, and the
-    structure keeps the result as `metric_inverse`.  `rows` holds G, G^-1
-    and A in the kernel's canonical sparse rows (see `linalg`), in one slot
-    formed on first read, unless the structure was assembled with them (a
-    pullback takes them from its record); the morphism checks and the
-    pullback read these rows, never the dense matrices.  `pairing`,
-    `anchor_apply`, `derived_operator` and `bracket` run on packed term
-    dicts (see polyexpr) against tables formed on first use: the first call
-    of any of them forms the anchor, metric and c_ij^h tables, and the first
+    The frame data are stored once, as `rows`: G, G^-1 and A in the
+    kernel's canonical sparse rows (see `linalg`), a scalar entry kept as a
+    scalar.  The constructor checks the shapes, forms the rows, checks the
+    symmetry of G on them and forms G^-1 by one reduction, which is its
+    check that G is nonsingular.  A structure assembled from checked parts
+    (`standard_structure`, `scaled_structure`, `product_structure`, a
+    pullback) is given its rows.  `anchor`, `metric` and `metric_inverse`
+    are read-only dense views of the rows, formed on each read; no check,
+    certificate or construction reads them.  `pairing`, `anchor_apply`,
+    `derived_operator` and `bracket` run on packed term dicts (see
+    polyexpr) against tables formed on first use: the first call of any of
+    them forms the anchor, metric and c_ij^h tables, and the first
     `bracket` or `derived_operator` forms the rows of G^-1 A^T.
 
     Every product runs its outer loop over the smaller factor and each
@@ -246,31 +248,25 @@ class CourantStructure:
     verdict or witness depends on it.
     """
 
-    __slots__ = ("bundle", "anchor", "metric", "structure_functions",
-                 "_inverse", "_rows", "_frame", "_dual")
+    __slots__ = ("bundle", "structure_functions", "rows", "_frame", "_dual")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
         n, k = bundle.base_dim, bundle.rank
-        rows = [list(r) for r in anchor]
-        if len(rows) != n or any(len(r) != k for r in rows):
+        anchor = [list(r) for r in anchor]
+        if len(anchor) != n or any(len(r) != k for r in anchor):
             raise ValueError(f"anchor must be {n} x {k}")
-        rows = [
-            [p if isinstance(p, Polynomial) else Polynomial.constant(n, p) for p in r]
-            for r in rows
-        ]
-        for r in rows:
-            for p in r:
-                if p.num_vars != n:
-                    raise ValueError("anchor entries must use the base variables")
-        g = linalg.mat(metric)
+        anchor = [[p if isinstance(p, Polynomial) else _coeff(p) for p in r] for r in anchor]
+        if any(isinstance(p, Polynomial) and p.num_vars != n for r in anchor for p in r):
+            raise ValueError("anchor entries must use the base variables")
+        g = [[_coeff(v) for v in r] for r in metric]
         if len(g) != k or any(len(r) != k for r in g):
             raise ValueError(f"metric must be {k} x {k}")
+        g = linalg.sparse(g)
         if not linalg.is_symmetric(g):
             raise ValueError("metric must be symmetric")
-        try:
-            inverse = linalg.inverse(g)
-        except ValueError:
-            raise ValueError("metric must have nonzero determinant") from None
+        inverse = linalg.det_inverse(g)[1]
+        if inverse is None:
+            raise ValueError("metric must have nonzero determinant")
         c: dict[tuple[int, int, int], Polynomial] = {}
         for (i, j, h), p in (structure_functions or {}).items():
             if not (0 <= i < k and 0 <= j < k and 0 <= h < k):
@@ -281,51 +277,55 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        self._fill(bundle, rows, g, c, (inverse, None, None, None))
+        self._fill(bundle, c, (g, inverse, linalg.sparse(anchor)))
 
-    def _fill(self, bundle, anchor, metric, c, tables=(None, None, None, None)):
-        """Set every slot from checked parts; `tables` holds G^-1, the rows
-        and the packed tables, or None for each formed on first use."""
-        for slot, value in zip(self.__slots__, (bundle, anchor, metric, c, *tables)):
+    def _fill(self, bundle, c, rows, frame=None, dual=None):
+        """Set every slot from checked parts: the structure functions, the
+        rows (G, G^-1, A) and the packed tables, None for each formed on
+        first use."""
+        for slot, value in zip(self.__slots__, (bundle, c, rows, frame, dual)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CourantStructure is immutable")
 
     @property
-    def metric_inverse(self):
-        """G^-1: the constructor's, or formed on first use by a structure
-        assembled without the constructor, from its rows when it has them."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", linalg.inverse(self.metric) if self._rows is None
-                               else linalg.dense(self._rows[1], self.bundle.rank))
-        return self._inverse
+    def anchor(self) -> list[list[Polynomial]]:
+        """A as a dense n x k matrix of Polynomials."""
+        n = self.bundle.base_dim
+        return [[linalg.polynomial(x, n) for x in row]
+                for row in linalg.dense(self.rows[2], self.bundle.rank)]
 
     @property
-    def rows(self) -> tuple[list[dict], list[dict], list[dict]]:
-        """(G, G^-1, A) in canonical sparse rows, formed once."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows", (linalg.sparse(self.metric), linalg.sparse(
-                self.metric_inverse), linalg.sparse(self.anchor)))
-        return self._rows
+    def metric(self) -> list[list[Fraction]]:
+        """G as a dense k x k rational matrix."""
+        return linalg.mat(linalg.dense(self.rows[0], self.bundle.rank))
+
+    @property
+    def metric_inverse(self) -> list[list[Fraction]]:
+        """G^-1 as a dense k x k rational matrix."""
+        return linalg.mat(linalg.dense(self.rows[1], self.bundle.rank))
 
     @property
     def _frame_tables(self):
         """(anchor, negated anchor, metric, grouped c), formed on first use:
         anchor[i] lists (a, A[a][i]) over the nonzero entries, and grouped c
         lists (i, j, [(h, c_ij^h), ...]) in `structure_functions` order, all
-        as packed term dicts; the metric holds exact coefficients."""
+        as packed term dicts, a scalar entry packed as the constant term;
+        the metric holds exact coefficients."""
         if self._frame is None:
-            n, k = self.bundle.base_dim, self.bundle.rank
-            anchor = [[(a, self.anchor[a][i]._packed) for a in range(n)
-                       if not self.anchor[a][i].is_zero()] for i in range(k)]
+            g, _, a = self.rows
+            anchor = [[] for _ in range(self.bundle.rank)]
+            for x, row in enumerate(a):
+                for i, entry in row.items():
+                    anchor[i].append((x, _packed(entry)))
             grouped: dict[tuple[int, int], list] = {}
             for (i, j, h), p in self.structure_functions.items():
                 grouped.setdefault((i, j), []).append((h, p._packed))
             object.__setattr__(self, "_frame", (
                 anchor,
-                [[(a, _scaled(entry, -1)) for a, entry in row] for row in anchor],
-                [[_coeff(v) for v in row] for row in self.metric],
+                [[(x, _scaled(entry, -1)) for x, entry in row] for row in anchor],
+                linalg.dense(g, self.bundle.rank),
                 [(i, j, hs) for (i, j), hs in grouped.items()],
             ))
         return self._frame
@@ -335,16 +335,17 @@ class CourantStructure:
         """Rows of G^-1 A^T as packed (a, entry) lists over the nonzero
         entries, formed on first use: D(lam)_h = sum_a dual[h][a] d_a lam.
         Each entry sum_i A[a][i] G^-1[h][i] is summed on packed dicts, term
-        by term in the order of i."""
+        by term in the order of the stored entries of row h of G^-1."""
         if self._dual is None:
+            _, g_inv, a = self.rows
             rows = []
-            for ginv_h in self.metric_inverse:
-                row = [(a, {}) for a in range(self.bundle.base_dim)]
-                for i, g in enumerate(ginv_h):
-                    if g:
-                        for a, entry in row:
-                            _add_into(entry, _scaled(self.anchor[a][i]._packed, g))
-                rows.append([(a, entry) for a, entry in row if entry])
+            for ginv_h in g_inv:
+                row = [(x, {}) for x in range(self.bundle.base_dim)]
+                for i, g in ginv_h.items():
+                    for x, entry in row:
+                        if i in a[x]:
+                            _add_into(entry, _scaled(_packed(a[x][i]), g))
+                rows.append([(x, entry) for x, entry in row if entry])
             object.__setattr__(self, "_dual", rows)
         return self._dual
 
@@ -353,8 +354,8 @@ class CourantStructure:
             return NotImplemented
         return (
             self.bundle == other.bundle
-            and self.anchor == other.anchor
-            and self.metric == other.metric
+            and self.rows[2] == other.rows[2]
+            and self.rows[0] == other.rows[0]
             and self.structure_functions == other.structure_functions
         )
 
@@ -500,6 +501,12 @@ class CourantStructure:
         return [self._finished(q) for q in out]
 
 
+def _packed(x) -> dict:
+    """An entry of the frame rows as a packed term dict: a scalar is the
+    constant term."""
+    return x._packed if type(x) is Polynomial else {0: x}
+
+
 def _ordered(p: dict, q: dict) -> tuple[dict, dict]:
     """(p, q) with the smaller factor first: every product of the structure's
     operations runs its outer loop over the smaller factor."""
@@ -521,32 +528,29 @@ def standard_structure(n: int) -> CourantStructure:
     vanishing frame brackets; the Dorfman bracket arises from the Leibniz
     expansion (see `dorfman_bracket` for the independent route).
 
-    The hyperbolic G is symmetric and its own inverse, so the constructor's
-    checks are not needed and G^-1 is a copy of G; the rows of G (and G^-1)
-    and of A are written down, row i of G holding 1 at column i +- n.
+    Its rows are written down, with no check: the hyperbolic G is symmetric
+    and its own inverse, row i of G and of G^-1 holding 1 at column i +- n,
+    and row a of A holds 1 at column a.
     """
     bundle, k = standard_bundle(n), 2 * n
-    zero, one = Polynomial(n), Polynomial.constant(n, 1)
-    anchor = [[one if i == a else zero for i in range(k)] for a in range(n)]
-    metric = [[int(abs(i - j) == n) for j in range(k)] for i in range(k)]
     g = [{(i + n) % k: 1} for i in range(k)]
     s = object.__new__(CourantStructure)
-    s._fill(bundle, anchor, metric, {},
-            ([row[:] for row in metric], (g, g, [{a: 1} for a in range(n)]), None, None))
+    s._fill(bundle, {}, (g, g, [{a: 1} for a in range(n)]))
     return s
 
 
 def scaled_structure(base: CourantStructure, lam) -> CourantStructure:
-    """Same anchor and brackets, metric scaled by a nonzero rational."""
+    """Same anchor and brackets, metric scaled by a nonzero rational: the
+    rows of lam G and of G^-1 / lam, with no check."""
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("metric scale must be nonzero")
-    return CourantStructure(
-        base.bundle,
-        base.anchor,
-        [[x * lam for x in row] for row in base.metric],
-        base.structure_functions,
-    )
+    g, g_inv, a = base.rows
+    s = object.__new__(CourantStructure)
+    s._fill(base.bundle, dict(base.structure_functions), (
+        [{j: linalg.entry(x * lam) for j, x in row.items()} for row in g],
+        [{j: linalg.entry(x / lam) for j, x in row.items()} for row in g_inv], a))
+    return s
 
 
 def product_structure(
@@ -555,34 +559,30 @@ def product_structure(
     """Block structure on the product base with metric diag(G1, +-G2).
 
     With flip=True the second metric is negated, which is the product used
-    to test graphs of morphisms for isotropy.
+    to test graphs of morphisms for isotropy.  The rows of the blocks are
+    shifted into place, with no check: G^-1 is diag(G1^-1, +-G2^-1).
     """
     n1, k1 = s1.bundle.base_dim, s1.bundle.rank
-    n2, k2 = s2.bundle.base_dim, s2.bundle.rank
-    n, k = n1 + n2, k1 + k2
+    n, k = n1 + s2.bundle.base_dim, k1 + s2.bundle.rank
     bundle = TrivialBundle(n, k, label=f"{s1.bundle.label}x{s2.bundle.label}")
-    zero = Polynomial(n)
-    anchor = [[zero] * k for _ in range(n)]
-    for a in range(n1):
-        for i in range(k1):
-            anchor[a][i] = s1.anchor[a][i].lift(n, 0)
-    for a in range(n2):
-        for i in range(k2):
-            anchor[n1 + a][k1 + i] = s2.anchor[a][i].lift(n, n1)
-    sign = Fraction(-1 if flip else 1)
-    metric = linalg.zeros(k, k)
-    for i in range(k1):
-        for j in range(k1):
-            metric[i][j] = s1.metric[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            metric[k1 + i][k1 + j] = sign * s2.metric[i][j]
-    c: dict[tuple[int, int, int], Polynomial] = {}
-    for (i, j, h), p in s1.structure_functions.items():
-        c[(i, j, h)] = p.lift(n, 0)
-    for (i, j, h), p in s2.structure_functions.items():
-        c[(k1 + i, k1 + j, k1 + h)] = p.lift(n, n1)
-    return CourantStructure(bundle, anchor, metric, c)
+    sign = -1 if flip else 1
+
+    def block(rows, offset, scale=1):
+        return [{offset + j: scale * x for j, x in row.items()} for row in rows]
+
+    def lifted(rows, offset, shift):
+        return [{offset + i: x.lift(n, shift) if type(x) is Polynomial else x
+                 for i, x in row.items()} for row in rows]
+
+    (g1, g1_inv, a1), (g2, g2_inv, a2) = s1.rows, s2.rows
+    c = {key: p.lift(n, 0) for key, p in s1.structure_functions.items()}
+    c.update(((k1 + i, k1 + j, k1 + h), p.lift(n, n1))
+             for (i, j, h), p in s2.structure_functions.items())
+    s = object.__new__(CourantStructure)
+    s._fill(bundle, c, (block(g1, 0) + block(g2, k1, sign),
+                        block(g1_inv, 0) + block(g2_inv, k1, sign),
+                        lifted(a1, 0, 0) + lifted(a2, k1, n1)))
+    return s
 
 
 # -- Cartan calculus on R^n: the independent oracle for the standard bracket --
@@ -1154,17 +1154,17 @@ def _leibniz_witness(s: CourantStructure) -> dict | None:
     reaches, and mu = 1 (see the module docstring); its defect is
     mu rho(g)(lam) (g - f) = x^beta A_aj (g - f).
     """
-    n = s.bundle.base_dim
+    n, a = s.bundle.base_dim, s.rows[2]
     linear = monomials_up_to(n, SWEEP_ORDER)[1:]
     for j, beta in monomial_frame_basis(s.bundle, SWEEP_ORDER)[1:]:
-        reached = [x for x in linear if not s.anchor[x.index(1)][j].is_zero()]
+        reached = [x for x in linear if j in a[x.index(1)]]
         if reached:
             break
     else:
         return None
     f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
     lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
-    cross = g[j] * s.anchor[reached[0].index(1)][j]     # rho(g)(lam), with mu = 1
+    cross = g[j] * linalg.polynomial(a[reached[0].index(1)][j], n)   # rho(g)(lam), with mu = 1
     return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
             "lam": lam.to_string(), "mu": mu.to_string(),
             "defect": ((g - f) * cross).coeffs.to_strings()}
@@ -1214,13 +1214,13 @@ def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
     point.  Raises for odd rank, where maximal isotropy is ill-posed for a
     split-signature pairing.
     """
-    return _maximally_isotropic(s.metric, subspace)
+    return _maximally_isotropic(s.rows[0], subspace)
 
 
-def _maximally_isotropic(metric, subspace: LinearSubspace) -> bool:
-    """`dirac_check` against a constant k x k pairing matrix G: the subspace
-    has dimension k / 2 and the Gram matrix B G B^T of its basis rows B
-    vanishes."""
+def _maximally_isotropic(metric: list[dict], subspace: LinearSubspace) -> bool:
+    """`dirac_check` against the sparse rows of a constant k x k pairing
+    matrix G: the subspace has dimension k / 2 and the Gram matrix B G B^T
+    of its basis rows B vanishes."""
     k = len(metric)
     if subspace.ambient_dim != k:
         raise ValueError(
@@ -1229,6 +1229,6 @@ def _maximally_isotropic(metric, subspace: LinearSubspace) -> bool:
     if k % 2:
         raise ValueError("maximal isotropy is undefined for odd rank")
     basis = linalg.sparse(subspace.basis)
-    gram = linalg.pmat_mul(linalg.pmat_mul(basis, linalg.sparse(metric)),
+    gram = linalg.pmat_mul(linalg.pmat_mul(basis, metric),
                            linalg.pmat_transpose(basis, k))
     return subspace.dim == k // 2 and not any(gram)

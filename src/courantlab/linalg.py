@@ -1,39 +1,40 @@
-"""Exact linear algebra over Fraction, plus matrices of frame data.
+"""Exact linear algebra on sparse rows, the package's one matrix form.
 
-Rational matrices are lists of lists of Fraction.  Nothing here is numeric.
+A matrix is a list of rows, each a dict {column: entry} over its nonzero
+entries.  An entry is an exact scalar, int when integral and Fraction
+otherwise, or a non-constant Polynomial; `sparse` brings a dense matrix into
+this canonical form, a constant Polynomial becoming its scalar, and `dense`
+prints it back.  Nothing here is numeric.  Dense matrices, lists of lists,
+appear only at the API edge: `det`, `rank`, `inverse` and
+`solve_with_certificate` take one, call `sparse` at entry and return
+Fraction results, and `mat` and `identity` write one down.
 
-`det`, `det_inverse`, `inverse`, `rank` and `solve_with_certificate` read
-one row reduction, `_reduce`; `det_inverse` gives a determinant and an
-inverse from one.  Its pivot in each column is the first nonzero entry
-at or below the current row, swapped up; it clears that column in every
-other row, skipping the zero entries of the pivot row.  Pivot rows stay
-unscaled, because scaling costs a Fraction division per entry and only a
-solution or an inverse needs it, once per entry read off.  With this rule
-every result, the Farkas vector included, is the one Gauss-Jordan
-elimination with scaled pivot rows gives.
+There is one elimination, `_reduce`, on sparse rows of scalars; `det_inverse`
+gives a determinant and an inverse in sparse rows from one reduction, and
+`det`, `inverse`, `rank` and `solve_with_certificate` read it too.  Its pivot
+in each column is the first nonzero entry at or below the current row,
+swapped up; it clears that column in every other row that stores it, over
+the entries the pivot row stores, and deletes the entries that cancel.
+Pivot rows stay unscaled, because scaling costs a Fraction division per
+entry and only a solution or an inverse needs it, once per entry read off.
+With this rule every result, the Farkas vector included, is the one
+Gauss-Jordan elimination with scaled pivot rows gives.  Canonical rows hold
+ints, and int / int is a float, so the factor and every entry read off are
+formed as Fractions.
 
-Most entries of the matrices this package forms are 0 or 1, so the loops
-here skip zeros: `mat` keeps entries that are already Fraction, and
-`inverse` divides only the nonzero entries it reads off.  Every result is
-still a Fraction, the one the full loop gives.
-
-Matrices of frame data (fiber matrices, anchors, metrics, Jacobians) go
-through one kernel, the `pmat_*` functions, on sparse rows: a matrix is a
-list of rows, each a dict {column: entry} over its nonzero entries.  An
-entry is an exact scalar, int when integral and Fraction otherwise, or a
-non-constant Polynomial; `sparse` brings a dense matrix into this canonical
-form, a constant Polynomial becoming its scalar, and `dense` prints it back.
-A morphism keeps its fiber matrix and a structure its G, G^-1 and A in this
-form, each formed once (`BundleMorphism.fiber_rows`,
-`CourantStructure.rows`), and every consumer reads those rows.  A product
-or sum of scalars stays a scalar, so constant frame data are never wrapped;
-one with a Polynomial factor is a Polynomial, so polynomial fiber maps flow
-through the same loops, and `pmat_compose` substitutes into the Polynomial
-entries only.  Sums that cancel are dropped, and every result entry is
-brought into canonical form (a constant sum becomes its scalar), so rows
-stay canonical through every operation.  The zero test is `is_zero`: a zero
-Polynomial is truthy, so no entry is tested by truthiness.  A scalar prints
-as the constant polynomial it equals: str(Fraction(-3, 2)) is
+Frame data (fiber matrices, anchors, metrics, Jacobians) go through the
+`pmat_*` functions, whose entries mix scalars and Polynomials.  A morphism
+keeps its fiber matrix and a structure its G, G^-1 and A in this form, each
+formed once (`BundleMorphism.fiber_rows`, `CourantStructure.rows`), and
+every consumer reads those rows.  A product or sum of scalars stays a
+scalar, so constant frame data are never wrapped; one with a Polynomial
+factor is a Polynomial, so polynomial fiber maps flow through the same
+loops, and `pmat_compose` substitutes into the Polynomial entries only.
+Sums that cancel are dropped, and every result entry is brought into
+canonical form (a constant sum becomes its scalar), so rows stay canonical
+through every operation.  The zero test is `is_zero`: a zero Polynomial is
+truthy, so no entry is tested by truthiness.  A scalar prints as the
+constant polynomial it equals: str(Fraction(-3, 2)) is
 Polynomial.constant(n, Fraction(-3, 2)).to_string().
 """
 
@@ -47,7 +48,7 @@ from .polyexpr import Polynomial, PolyMap
 Matrix = list[list[Fraction]]
 
 
-# -- rational matrices -------------------------------------------------------
+# -- the API edge and the elimination -------------------------------------------
 
 
 def mat(rows) -> Matrix:
@@ -63,13 +64,15 @@ def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def is_symmetric(a: Matrix) -> bool:
-    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
+def is_symmetric(a: list[dict]) -> bool:
+    """Whether sparse rows are symmetric: every stored entry has its mirror."""
+    return all(a[j].get(i) == x for i, row in enumerate(a) for j, x in row.items())
 
 
-def _reduce(m: Matrix, cols: int) -> tuple[list[int], Fraction]:
-    """Row-reduce m in place over its first `cols` columns, by the rule in
-    the module docstring.
+def _reduce(m: list[dict], cols: int) -> tuple[list[int], Fraction]:
+    """Row-reduce the scalar sparse rows m in place over their first `cols`
+    columns, by the rule in the module docstring; entries that cancel are
+    deleted, so a row stores no zero.
 
     Returns the pivot columns, the i-th pivot in row i, and the signed
     product of the pivots: the determinant when m is square and has a pivot
@@ -82,47 +85,55 @@ def _reduce(m: Matrix, cols: int) -> tuple[list[int], Fraction]:
         r = len(pivots)
         if r == rows:
             break
-        found = next((i for i in range(r, rows) if m[i][col]), None)
+        found = next((i for i in range(r, rows) if col in m[i]), None)
         if found is None:
             continue
         if found != r:
             m[r], m[found] = m[found], m[r]
             product = -product
         top = m[r]
-        product *= top[col]
+        p = top[col]
+        product *= p
         for i, row in enumerate(m):
-            if i != r and row[col]:
-                factor = row[col] / top[col]
-                m[i] = [x - factor * y if y else x for x, y in zip(row, top)]
+            if i != r and col in row:
+                factor = Fraction(row[col], p)
+                for j, y in top.items():
+                    x = row.get(j, 0) - factor * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(col)
     return pivots, product
 
 
 def det(a: Matrix) -> Fraction:
     """Determinant; det([]) = 1."""
-    pivots, product = _reduce(mat(a), len(a))
+    pivots, product = _reduce(sparse(a), len(a))
     return product if len(pivots) == len(a) else Fraction(0)
 
 
-def det_inverse(a: Matrix) -> tuple[Fraction, Matrix | None]:
-    """(det a, a^-1) from one reduction; a^-1 is None when det a = 0."""
+def det_inverse(a: list[dict]) -> tuple[Fraction, list[dict] | None]:
+    """(det A, A^-1) for the square sparse rows A of scalars, from one
+    reduction; A^-1 is None when det A = 0 and is in canonical form."""
     n = len(a)
-    m = [row + ident_row for row, ident_row in zip(mat(a), identity(n))]
+    m = [{**row, n + i: 1} for i, row in enumerate(a)]
     pivots, product = _reduce(m, n)
     if len(pivots) < n:
         return Fraction(0), None
-    return product, [[x / row[i] if x else x for x in row[n:]] for i, row in enumerate(m)]
+    return product, [{j - n: entry(Fraction(row[j], row[i])) for j in range(n, 2 * n) if j in row}
+                     for i, row in enumerate(m)]
 
 
 def inverse(a: Matrix) -> Matrix:
-    inv = det_inverse(a)[1]
+    inv = det_inverse(sparse(a))[1]
     if inv is None:
         raise ValueError("matrix is singular")
-    return inv
+    return mat(dense(inv, len(a)))
 
 
 def rank(a: Matrix) -> int:
-    return len(_reduce(mat(a), len(a[0]) if a else 0)[0])
+    return len(_reduce(sparse(a), len(a[0]) if a else 0)[0])
 
 
 def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
@@ -135,17 +146,14 @@ def solve_with_certificate(a: Matrix, b: Sequence[Fraction]):
     rows = len(a)
     cols = len(a[0]) if a else 0
     # augmented with b and with an identity block tracking row operations
-    m = [
-        [Fraction(v) for v in a[i]] + [Fraction(b[i])] + [Fraction(int(i == j)) for j in range(rows)]
-        for i in range(rows)
-    ]
+    m = sparse([[*a[i], b[i], *(int(i == j) for j in range(rows))] for i in range(rows)])
     pivots, _ = _reduce(m, cols)
     for row in m[len(pivots):]:
-        if row[cols]:  # 0 = nonzero row: infeasible
-            return None, row[cols + 1:]
+        if cols in row:  # 0 = nonzero row: infeasible
+            return None, [Fraction(row.get(j, 0)) for j in range(cols + 1, cols + 1 + rows)]
     solution = [Fraction(0)] * cols
     for row, col in zip(m, pivots):
-        solution[col] = row[cols] / row[col]
+        solution[col] = Fraction(row.get(cols, 0), row[col])
     return solution, None
 
 

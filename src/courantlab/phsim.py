@@ -461,7 +461,7 @@ def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     """
     subspace = LinearSubspace.graph_of_matrix(interconnection_matrix(system))
     k = system.n + system.m
-    split = [[int(abs(i - j) == k) for j in range(2 * k)] for i in range(2 * k)]
+    split = [{(i + k) % (2 * k): 1} for i in range(2 * k)]
     return subspace, _maximally_isotropic(split, subspace)
 
 

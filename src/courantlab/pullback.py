@@ -113,16 +113,12 @@ class PullbackProblem:
 
     @cached_property
     def _induced_pairing(self):
-        """(G', det G', G'^-1 in sparse rows) with G' a rational matrix when
-        G' is constant, else None; G'^-1 is None when det G' = 0, and one
+        """(det G', G'^-1 in sparse rows) when G' = P^T G P, the record's
+        rows, is constant, else None; G'^-1 is None when det G' = 0, and one
         reduction gives both.  G' is the k x k zero matrix for a morphism
         into a rank-0 bundle."""
         w = self._record.w
-        if not linalg.pmat_is_constant(w):
-            return None
-        g = linalg.mat(linalg.dense(w, len(w)))
-        determinant, inverse = linalg.det_inverse(g)
-        return g, determinant, None if inverse is None else linalg.sparse(inverse)
+        return linalg.det_inverse(w) if linalg.pmat_is_constant(w) else None
 
     @cached_property
     def _frame_table(self):
@@ -136,7 +132,7 @@ class PullbackProblem:
         those of the pairs before it, inserted in (i, j, h) order.  Needs a
         constant nondegenerate induced pairing.
         """
-        n, record, g_inv = self.source_bundle.base_dim, self._record, self._induced_pairing[2]
+        n, record, g_inv = self.source_bundle.base_dim, self._record, self._induced_pairing[1]
         structure_functions = {}
         for (i, j), vec in sorted(record.table.items()):
             coeffs = linalg.pmat_vec(g_inv, linalg.pmat_vec(record.pt_g, vec))
@@ -159,18 +155,14 @@ class PullbackProblem:
 
         Those gates make G' constant with nonzero determinant, and G' =
         P^T G P is symmetric because G is, so the constructor's checks are
-        not repeated; the anchor and the structure functions are formed
-        over the source base, the latter nonzero by construction.  The
-        structure's rows are the record's G' and A' = Q P with the
-        problem's G'^-1, and its dense G' is the problem's.
+        not repeated.  The structure is assembled from rows: G' and
+        A' = Q P are the record's, G'^-1 is the problem's, and the structure
+        functions, formed over the source base, are nonzero by construction.
         """
-        n, record = self.source_bundle.base_dim, self._record
-        anchor = [[linalg.polynomial(x, n) for x in row]
-                  for row in linalg.dense(record.qp, self.source_bundle.rank)]
+        record = self._record
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, anchor, self._induced_pairing[0],
-                        dict(self._frame_table[0]),
-                        (None, (record.w, self._induced_pairing[2], record.qp), None, None))
+        structure._fill(self.source_bundle, dict(self._frame_table[0]),
+                        (record.w, self._induced_pairing[1], record.qp))
         return structure
 
 
@@ -210,7 +202,7 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
 
     # (b) induced pairing
     if p._induced_pairing is not None:
-        g_matrix, determinant, _ = p._induced_pairing
+        determinant, _ = p._induced_pairing
         if determinant != 0:
             pairing_check = AxiomCheck(
                 True, f"induced pairing constant with determinant {determinant}"
@@ -219,7 +211,8 @@ def check_hypotheses(p: PullbackProblem) -> HypothesisReport:
             pairing_check = AxiomCheck(
                 False,
                 "induced pairing is degenerate",
-                {"induced_metric": [[str(v) for v in row] for row in g_matrix]},
+                {"induced_metric": [[str(v) for v in row] for row in
+                                    linalg.dense(p._record.w, p.source_bundle.rank)]},
             )
     else:
         induced = linalg.dense(p._record.w, p.source_bundle.rank)
@@ -329,10 +322,11 @@ def rejection_condition(p: PullbackProblem, candidate: CourantStructure):
 
 def _rejection(constructed: CourantStructure, candidate: CourantStructure):
     """`rejection_condition` against an already constructed structure."""
-    n = constructed.bundle.base_dim
-    if candidate.metric != constructed.metric:
-        return "metric", [[str(x - y) for x, y in zip(r1, r2)]
-                          for r1, r2 in zip(candidate.metric, constructed.metric)]
+    n, k = constructed.bundle.base_dim, constructed.bundle.rank
+    (g1, _, a1), (g2, _, a2) = candidate.rows, constructed.rows
+    if g1 != g2:
+        return "metric", [[str(x) for x in row]
+                          for row in linalg.dense(linalg.pmat_sub(g1, g2), k)]
     if candidate.structure_functions != constructed.structure_functions:
         keys = set(candidate.structure_functions) | set(constructed.structure_functions)
         zero = Polynomial(n)
@@ -343,8 +337,7 @@ def _rejection(constructed: CourantStructure, candidate: CourantStructure):
         ]
         witness = [(key, d.to_string()) for key, d in diffs if not d.is_zero()]
         return "bracket", witness
-    if candidate.anchor != constructed.anchor:
-        defect = [[a - b for a, b in zip(r1, r2)]
-                  for r1, r2 in zip(candidate.anchor, constructed.anchor)]
-        return "anchor", [[q.to_string() for q in row] for row in defect]
+    if a1 != a2:
+        return "anchor", [[linalg.polynomial(x, n).to_string() for x in row]
+                          for row in linalg.dense(linalg.pmat_sub(a1, a2), k)]
     return None

@@ -23,6 +23,7 @@ from courantlab.courant_core import (
     _plain_witness,
     _subtract_into,
     monomial_frame_basis,
+    scaled_structure,
 )
 from courantlab.morphisms import _PAIR_DEFECTS
 from courantlab.polyexpr import (
@@ -102,16 +103,15 @@ def perturbed_candidates(base: CourantStructure, count: int, rng: random.Random)
     labelled with the condition it breaks; none at rank 0, where there is
     nothing to perturb.
 
-    Each candidate is built from the base's checked parts without repeating
-    the constructor's checks: a bumped c keeps G, G^-1 and the rows of
-    G^-1 A^T, and lam * G with lam != 0 stays symmetric and nondegenerate.
+    Each candidate is built from the base's checked rows without repeating
+    the constructor's checks: a bumped c keeps G, G^-1, A and the rows of
+    G^-1 A^T, and lam * G with lam != 0 is `scaled_structure`.
     """
     n = base.bundle.base_dim
     k = base.bundle.rank
     if k == 0:
         return
     for idx in range(count):
-        candidate = object.__new__(CourantStructure)
         if idx % 2 == 0 or k < 2:
             i, j, h = (rng.randrange(k) for _ in range(3))
             c = dict(base.structure_functions)
@@ -120,14 +120,12 @@ def perturbed_candidates(base: CourantStructure, count: int, rng: random.Random)
             # which differs from it too: no candidate equals the base
             entry = c.get((i, j, h), Polynomial(n)) + bump
             c[(i, j, h)] = bump if entry.is_zero() else entry
-            candidate._fill(base.bundle, base.anchor, base.metric, c,
-                            (base._inverse, None, None, base._dual))
+            candidate = object.__new__(CourantStructure)
+            candidate._fill(base.bundle, c, base.rows, dual=base._dual)
             yield "bracket", candidate
         else:
             lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
-            metric = [[x * lam for x in row] for row in base.metric]
-            candidate._fill(base.bundle, base.anchor, metric, base.structure_functions)
-            yield "metric", candidate
+            yield "metric", scaled_structure(base, lam)
 
 
 def mat_vec(a, v) -> list[Fraction]:
@@ -188,13 +186,13 @@ def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
     the new anchor rows are zero, so G^-1 and the packed tables are the
     base's own.
     """
-    n, k = s.bundle.base_dim, s.bundle.rank
-    nn = n + extra
-    anchor = pmat_lift(s.anchor, nn) + [[Polynomial(nn)] * k for _ in range(extra)]
+    nn = s.bundle.base_dim + extra
+    g, g_inv, _ = s.rows
+    anchor = linalg.sparse(pmat_lift(s.anchor, nn)) + [{} for _ in range(extra)]
     c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
     lifted = object.__new__(CourantStructure)
-    lifted._fill(TrivialBundle(nn, k, label=s.bundle.label), anchor, s.metric, c,
-                 (s.metric_inverse, None, s._frame_tables, s._dual_rows))
+    lifted._fill(TrivialBundle(nn, s.bundle.rank, label=s.bundle.label), c, (g, g_inv, anchor),
+                 s._frame_tables, s._dual_rows)
     return lifted
 
 

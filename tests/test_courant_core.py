@@ -465,18 +465,21 @@ class TestOperationOutputs:
         assert all(type(c) is int or c.denominator != 1 for c in stored)
 
     def test_check_axioms_inverts_the_metric_once(self, monkeypatch):
-        # the lifted structure of the sweep reuses the base's G^-1, also when
-        # an axiom fails
+        # stricter than one inverse per structure: a scaled structure's
+        # G^-1 is its base's, scaled, so it reduces nothing; the constructor
+        # reduces G once, and no check reduces it again, also when an axiom
+        # fails
         calls = []
-        inverse = linalg.inverse
-        monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(1) or inverse(m))
+        reduce = linalg._reduce
+        monkeypatch.setattr(linalg, "_reduce",
+                            lambda m, cols: calls.append(cols) or reduce(m, cols))
         s = scaled_structure(standard_structure(2), Fraction(-2, 5))
         assert check_axioms(s, degree_cap=1).all_passed
-        assert len(calls) == 1
+        assert calls == []
         bad = CourantStructure(s.bundle, s.anchor, s.metric,
                                {(0, 1, 0): Polynomial.constant(2, 1)})
         assert not check_axioms(bad, degree_cap=1).all_passed
-        assert len(calls) == 2
+        assert calls == [4]
 
 
 class TestCertificateCost:
@@ -557,10 +560,11 @@ class TestCertificateCost:
         s = CourantStructure(base.bundle, base.anchor, base.metric, structure_functions)
         dets, _ = self.recorded(monkeypatch, linalg, "det")
         symmetric, _ = self.recorded(monkeypatch, linalg, "is_symmetric")
+        reductions, _ = self.recorded(monkeypatch, linalg, "_reduce")
         passed = check_axioms(s, degree_cap=3).all_passed
         assert passed == (structure_functions is None)
         check_leibniz(s)
-        assert dets == [] and symmetric == []
+        assert dets == [] and symmetric == [] and reductions == []
 
 
 class TestCheckLeibniz:

@@ -229,5 +229,7 @@ def test_code_lines_fell():
     # `pmat_constant` gone and the simulator's bounds added, 3,297, which
     # the report writer, the one-pass dispatch and the literal memo kept,
     # with cuts in the same modules; with every witness's defect read from
-    # the frame tables and the plain re-expansion moved to the tests, 3,283
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3283
+    # the frame tables and the plain re-expansion moved to the tests, 3,283;
+    # with a structure's frame data stored only as sparse rows, the dense
+    # copies and their fallbacks gone and `_reduce` run on rows, 3,267
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3267

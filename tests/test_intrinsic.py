@@ -386,7 +386,11 @@ class TestWorkPerOp:
         # standard anchors' 0 and 1.  With a substitution cache formed only
         # for a variable that occurs, and G' reduced once for its
         # determinant and inverse, 65 constants and 114 Fractions became 38
-        # and 101
+        # and 101.  With the structures' frame data stored only as rows and
+        # G' reduced on its rows, no G'^-1 is converted and no dense anchor
+        # is formed, but the splitting matrix's `det` converts it at its
+        # entry: 5 conversions, 12 constants (the substitution caches) and
+        # 35 Fractions
         counts = Counter()
         sparse, constant, new = linalg.sparse, Polynomial.constant.__func__, Fraction.__new__
         monkeypatch.setattr(linalg, "sparse", lambda a: counts.update(["sparse"]) or sparse(a))
@@ -396,7 +400,7 @@ class TestWorkPerOp:
                             counts.update(["Fraction"]) or new(cls, *args, **kwargs))
         build_intrinsic(3, 1)
         monkeypatch.undo()
-        assert counts == {"sparse": 5, "constant": 38, "Fraction": 101}
+        assert counts == {"sparse": 5, "constant": 12, "Fraction": 35}
 
     def test_matrix_operations_per_op(self, monkeypatch, capsys):
         # `intrinsic --n 3 --m 1` made 59 exact matrix operations before the

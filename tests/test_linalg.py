@@ -5,6 +5,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from courantlab import linalg
+from courantlab.bundles import TrivialBundle
+from courantlab.courant_core import CourantStructure
 from courantlab.polyexpr import Polynomial, parse
 
 from conftest import mat_vec, reference_pmat_mul, reference_pmat_vec
@@ -52,6 +54,38 @@ def test_solve_infeasible_gives_farkas():
     ]
     assert all(v == 0 for v in combo)
     assert sum(lam * rhs for lam, rhs in zip(farkas, b)) != 0
+
+
+class Unreduced(Exception):
+    pass
+
+
+def test_every_elimination_is_the_one_reduction(monkeypatch):
+    # with `_reduce` raising, every exact solve and the constructor's check
+    # of G raise with it: no other elimination is left to fall back on
+    def raising(m, cols):
+        raise Unreduced
+
+    monkeypatch.setattr(linalg, "_reduce", raising)
+    a = linalg.mat([[2, 1], [1, 1]])
+    for call in (lambda: linalg.det(a), lambda: linalg.rank(a), lambda: linalg.inverse(a),
+                 lambda: linalg.det_inverse(linalg.sparse(a)),
+                 lambda: linalg.solve_with_certificate(a, [1, 2]),
+                 lambda: CourantStructure(TrivialBundle(0, 2, "E"), [], a)):
+        with pytest.raises(Unreduced):
+            call()
+
+
+def test_a_structure_stores_its_frame_data_only_as_rows():
+    # G, G^-1 and A live in `rows`; no slot holds a dense frame matrix, and
+    # the dense `anchor`, `metric` and `metric_inverse` are views
+    assert CourantStructure.__slots__ == ("bundle", "structure_functions", "rows", "_frame",
+                                          "_dual")
+    x1 = Polynomial.variable(1, 0)
+    half = Fraction(1, 2)
+    s = CourantStructure(TrivialBundle(1, 2, "E"), [[x1, 0]], [[0, half], [half, 0]])
+    assert s.rows == ([{1: half}, {0: half}], [{1: 2}, {0: 2}], [{0: x1}])
+    assert s.metric_inverse == [[0, 2], [2, 0]] and s.anchor == [[x1, Polynomial(1)]]
 
 
 def test_pmat_transpose_keeps_the_columns_of_a_matrix_without_rows():
@@ -220,10 +254,15 @@ def test_det_and_inverse_match_the_reference(system):
     a, _ = system
     assert typed(linalg.det(a)) == typed(reference_det(a))
     assert outcome(linalg.inverse, a) == outcome(reference_inverse, a)
-    # one reduction gives both: the determinant, and the inverse unless it is 0
-    determinant, inv = linalg.det_inverse(a)
+    # one reduction of the sparse rows gives both: the determinant, and the
+    # inverse in canonical sparse rows unless it is 0
+    determinant, inv = linalg.det_inverse(linalg.sparse(a))
     assert typed(determinant) == typed(reference_det(a))
-    assert (True, typed(inv)) == outcome(reference_inverse, a) if determinant else inv is None
+    if determinant:
+        assert typed(linalg.dense(inv, len(a))) == \
+            typed(linalg.dense(linalg.sparse(reference_inverse(a)), len(a)))
+    else:
+        assert inv is None
 
 
 @bounded
@@ -245,8 +284,9 @@ INT_MATRICES = [
 
 @pytest.mark.parametrize("a", INT_MATRICES)
 def test_int_input_gives_the_exact_results_of_fraction_input(a):
-    # int entries are made Fractions with the working copy, so 1 / int never
-    # turns a result into a float
+    # canonical rows hold ints, for int and integral Fraction input alike,
+    # so the factor and every entry read off are formed as Fractions: 1 / int
+    # never turns a result into a float
     exact = linalg.mat(a)
     assert typed(linalg.det(a)) == typed(reference_det(exact))
     assert outcome(linalg.inverse, a) == outcome(reference_inverse, exact)

@@ -34,6 +34,7 @@ import test_bundles
 import test_certificate_oracle as oracles
 import test_courant_core
 import test_intrinsic
+import test_linalg
 import test_morphisms
 import test_pullback
 import test_scene_cli
@@ -285,7 +286,7 @@ def gram_without_the_metric(metric, subspace):
 def isotropic_of_any_dimension(metric, subspace):
     """`_maximally_isotropic` without its test dim == k / 2."""
     basis = linalg.sparse(subspace.basis)
-    gram = linalg.pmat_mul(linalg.pmat_mul(basis, linalg.sparse(metric)),
+    gram = linalg.pmat_mul(linalg.pmat_mul(basis, metric),
                            linalg.pmat_transpose(basis, len(metric)))
     return not any(gram)
 
@@ -340,6 +341,46 @@ def rational_keyed_on_the_value(value, where, seen):
     if key not in seen:
         seen[key] = rational(value, where, {})
     return seen[key]
+
+
+def reduce_with(factor_of, signed_swap):
+    """`linalg._reduce` with the factor factor_of(entry, pivot) and, unless
+    `signed_swap`, a row swap that leaves the sign of the product."""
+    def mutant(m, cols):
+        rows = len(m)
+        pivots = []
+        product = Fraction(1)
+        for col in range(cols):
+            r = len(pivots)
+            if r == rows:
+                break
+            found = next((i for i in range(r, rows) if col in m[i]), None)
+            if found is None:
+                continue
+            if found != r:
+                m[r], m[found] = m[found], m[r]
+                product = -product if signed_swap else product
+            top = m[r]
+            p = top[col]
+            product *= p
+            for i, row in enumerate(m):
+                if i != r and col in row:
+                    factor = factor_of(row[col], p)
+                    for j, y in top.items():
+                        x = row.get(j, 0) - factor * y
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+            pivots.append(col)
+        return pivots, product
+    return mutant
+
+
+def symmetric_over_upper_entries(a):
+    """`linalg.is_symmetric` reading only the stored entries above the
+    diagonal, as a loop over j > i would."""
+    return all(a[j].get(i) == x for i, row in enumerate(a) for j, x in row.items() if j > i)
 
 
 def bumped(base, bump, value=Fraction(3, 2)):
@@ -583,6 +624,21 @@ MUTANTS = {
         [(scene, "_rational", rational_keyed_on_the_value)],
         test_scene_cli.test_a_metric_reads_true_as_no_rational_beside_1,
         (),                                 # a metric's 1 read before its true
+    ),
+    "reduce_factor_int_division": (
+        [(linalg, "_reduce", reduce_with(lambda x, p: x / p, True))],
+        test_linalg.test_int_input_gives_the_exact_results_of_fraction_input,
+        (test_linalg.INT_MATRICES[0],),     # [[2, 1], [1, 1]]: the factor 1 / 2 is a float
+    ),
+    "reduce_swap_keeps_sign": (
+        [(linalg, "_reduce", reduce_with(Fraction, False))],
+        inner(test_linalg.test_det_and_inverse_match_the_reference),
+        (([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], []),),  # det -1, one swap
+    ),
+    "symmetry_over_upper_stored_entries": (
+        [(linalg, "is_symmetric", symmetric_over_upper_entries)],
+        test_scene_cli.TestAxiomsContract().test_constructor_rejection_keeps_its_error_line,
+        ("asymmetric_below_the_diagonal",),  # G = [[1, 0], [2, 1]] stores G_10 alone
     ),
     "pontryagin_selection_off_by_one": (
         [(morphisms.AlongImage, "selected", selection_off_by_one)],

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from courantlab import cli, linalg, scene as scene_module
 from courantlab.cli import main
 from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
-from courantlab.polyexpr import parse
+from courantlab.polyexpr import Polynomial, parse
 from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
 
 from conftest import literals
@@ -109,10 +110,12 @@ class TestLoadScene:
 
     def test_a_structure_reduces_its_metric_once(self, tmp_path, monkeypatch):
         # the constructor's inverse is its nonsingularity check, and the
-        # axiom certificate reads it
+        # axiom certificate reads it; the one reduction runs on the sparse
+        # rows of [G | I]
         reductions = []
         reduce = linalg._reduce
-        monkeypatch.setattr(linalg, "_reduce", lambda *a: reductions.append(1) or reduce(*a))
+        monkeypatch.setattr(linalg, "_reduce", lambda m, cols: reductions.append(
+            [dict(row) for row in m]) or reduce(m, cols))
         path = write_scene(tmp_path, {"schema_version": 1,
                                       "bundles": {"P1": {"base_dim": 1, "rank": 2}},
                                       "courant_structures": {"s": {
@@ -120,9 +123,35 @@ class TestLoadScene:
                                           "metric": [["0", "2/3"], ["2/3", "0"]]}}})
         s = load_scene(path).structures["s"]
         assert check_axioms(s).all_passed
-        assert len(reductions) == 1
+        assert reductions == [[{1: Fraction(2, 3), 2: 1}, {0: Fraction(2, 3), 3: 1}]]
+        assert s.rows[1] == [{1: Fraction(3, 2)}, {0: Fraction(3, 2)}]
         assert s.metric_inverse == linalg.inverse(s.metric) == [[0, Fraction(3, 2)],
                                                               [Fraction(3, 2), 0]]
+
+    def test_a_certify_scene_load_converts_no_dense_matrix(self, tmp_path, monkeypatch):
+        # scaled standard(3), as the certify workload writes it: the metric
+        # is reduced once, on rows, no dense inverse or Fraction matrix is
+        # formed, and the only constants are the two anchor literals' parses,
+        # none for the zeros of the rows
+        counts = Counter()
+        for name in ("_reduce", "inverse", "mat", "dense"):
+            original = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, name=name, original=original:
+                                counts.update([name]) or original(*args))
+        constant = Polynomial.constant.__func__
+        monkeypatch.setattr(Polynomial, "constant", classmethod(
+            lambda cls, n, v: counts.update(["constant"]) or constant(cls, n, v)))
+        spec = {"bundle": "P3",
+                "anchor": [["1" if i == a else "0" for i in range(6)] for a in range(3)],
+                "metric": [["-2/5" if abs(i - j) == 3 else "0" for j in range(6)]
+                           for i in range(6)]}
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"P3": {"base_dim": 3, "rank": 6}},
+                                      "courant_structures": {"s": spec}})
+        s = load_scene(path).structures["s"]
+        monkeypatch.undo()
+        assert counts == {"_reduce": 1, "constant": 2}
+        assert s.rows[2] == [{0: 1}, {1: 1}, {2: 1}]
 
     def test_singular_metric_keeps_its_message(self, tmp_path):
         path = write_scene(tmp_path, {"schema_version": 1,
@@ -790,6 +819,34 @@ class TestAxiomsContract:
     def test_fuzzed_structures_keep_the_contract(self, tmp_path, capsys, case):
         _fuzzed_contract(tmp_path, capsys, case)
 
+    # each constructor rejection and the one error line it prints
+    REJECTIONS = {
+        "metric_not_k_by_k": ({"metric": [["0", "1"]]}, "metric must be 2 x 2"),
+        "ragged_metric_row": ({"metric": [["0", "1"], ["1"]]}, "metric must be 2 x 2"),
+        "asymmetric_below_the_diagonal": ({"metric": [["1", "0"], ["2", "1"]]},
+                                          "metric must be symmetric"),
+        "singular_monomial_metric": ({"metric": [["1", "0"], ["0", "0"]]},
+                                     "metric must have nonzero determinant"),
+        "singular_metric": ({"metric": [["1", "2"], ["2", "4"]]},
+                            "metric must have nonzero determinant"),
+        "anchor_not_n_by_k": ({"anchor": [["1"]]}, "anchor must be 1 x 2"),
+        "structure_function_index": ({"structure_functions": {"1,3,1": "1"}},
+                                     "structure function index (0, 2, 0) out of range"),
+    }
+
+    @pytest.mark.parametrize("name", REJECTIONS)
+    def test_constructor_rejection_keeps_its_error_line(self, name):
+        fields, message = self.REJECTIONS[name]
+        spec = {"bundle": "P1", "anchor": [["1", "0"]], "metric": [["0", "1"], ["1", "0"]],
+                **fields}
+        assert _axioms_beside({"courant_structures": {"s": spec}}, "s") == (
+            2, f"error: courant_structure 's': {message}\n")
+
+    def test_a_rank_0_bundle_still_loads(self):
+        spec = {"bundle": "P0", "anchor": [[]], "metric": []}
+        assert _axioms_beside({"bundles": {"P0": {"base_dim": 1, "rank": 0}},
+                               "courant_structures": {"s": spec}}, "s") == (0, "")
+
     @pytest.mark.parametrize("cap, expected", [(-1, 2), (1, 0), (2, 2), (3, 2)])
     def test_family_bound_sets_the_cap(self, capsys, cap, expected):
         # standard9 has 18 frame sections: 18 * C(9 + cap, cap) must stay
@@ -1178,16 +1235,16 @@ def test_report_keys_are_sorted():
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-def _axioms_beside(sections: dict) -> tuple[int, str]:
-    """(exit code, stderr) of `axioms --structure standard1` on a scene with
-    a bundle P1 over x1 and the given sections."""
+def _axioms_beside(sections: dict, structure: str = "standard1") -> tuple[int, str]:
+    """(exit code, stderr) of `axioms --structure <structure>` on a scene
+    with a bundle P1 over x1 and the given sections."""
     payload = {"schema_version": 1, "bundles": {"P1": {"base_dim": 1, "rank": 2}}, **sections}
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "scene.json"
         path.write_text(json.dumps(payload))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["axioms", "--scene", str(path), "--structure", "standard1"])
+            code = main(["axioms", "--scene", str(path), "--structure", structure])
     return code, err.getvalue()
 
 
@@ -1217,8 +1274,11 @@ def test_each_distinct_literal_is_read_once_per_load(monkeypatch):
     assert len(read) == len(set(read))
     second = load_scene(SCENE)
     assert texts == read + read
-    one, other = (s.structures["standard2"].anchor for s in (first, second))
-    assert one[0][0] is one[1][1] and one[0][0] is not other[0][0]
+    # "x2" is read once for two sections; a structure keeps its anchor's
+    # constants as scalars in its rows, so the sections show the sharing
+    one, other = ((s.sections["rotation"].coeffs.outputs[0],
+                   s.sections["radial_form"].coeffs.outputs[3]) for s in (first, second))
+    assert one[0] is one[1] and one[0] is not other[0]
 
 
 # -- argparse failures, simulate, project and dirac under fuzzing ------------------

@@ -10,7 +10,6 @@ embedding constructive and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,17 +17,29 @@ from . import linalg
 from .polyexpr import Polynomial, PolyMap, _coeff, monomials_up_to
 
 
-@dataclass(frozen=True)
 class TrivialBundle:
-    """The trivial bundle R^base_dim x R^rank -> R^base_dim."""
+    """The trivial bundle R^base_dim x R^rank -> R^base_dim; two bundles are
+    equal when their dimensions are, whatever their labels."""
 
-    base_dim: int
-    rank: int
-    label: str = field(default="E", compare=False)
+    __slots__ = ("base_dim", "rank", "label")
 
-    def __post_init__(self):
-        if self.base_dim < 0 or self.rank < 0:
+    def __init__(self, base_dim: int, rank: int, label: str = "E"):
+        if base_dim < 0 or rank < 0:
             raise ValueError("bundle dimensions must be >= 0")
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TrivialBundle is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base_dim, self.rank) == (other.base_dim, other.rank)
+
+    def __hash__(self):
+        return hash((self.base_dim, self.rank))
 
     def var_names(self) -> list[str]:
         return [f"x{i + 1}" for i in range(self.base_dim)]
@@ -316,21 +327,25 @@ def check_related(phi: BundleMorphism, f: Section, g: Section) -> bool:
     return image == pulled
 
 
-@dataclass(frozen=True)
 class NonExistenceCertificate:
     """Proof that no polynomial section of degree <= degree_cap is related.
 
     The coefficient matching problem is a linear system A c = b per fiber
     component; `farkas` is an exact vector with farkas @ A = 0 and
     farkas @ b != 0, certifying infeasibility of component `component`.
+    `monomials` are exponent tuples; `matrix`, `rhs` and `farkas` are
+    tuples of Fractions.
     """
 
-    degree_cap: int
-    component: int
-    monomials: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    farkas: tuple[Fraction, ...]
+    __slots__ = ("degree_cap", "component", "monomials", "matrix", "rhs", "farkas")
+
+    def __init__(self, degree_cap: int, component: int, monomials, matrix, rhs, farkas):
+        for slot, value in zip(self.__slots__,
+                               (degree_cap, component, monomials, matrix, rhs, farkas)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NonExistenceCertificate is immutable")
 
     def verify(self) -> bool:
         combo = [
@@ -389,12 +404,11 @@ def related_section(
     return Section(phi.target, PolyMap(n_target, solved_components))
 
 
-@dataclass(frozen=True)
 class LinearSubspace:
-    """A subspace of R^ambient_dim given by a linearly independent basis."""
+    """A subspace of R^ambient_dim given by a linearly independent basis,
+    held as a tuple of Fraction tuples."""
 
-    ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis):
         rows = tuple(tuple(Fraction(v) for v in vec) for vec in basis)
@@ -405,6 +419,9 @@ class LinearSubspace:
             raise ValueError("basis vectors are linearly dependent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearSubspace is immutable")
 
     @property
     def dim(self) -> int:

@@ -180,7 +180,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -670,11 +669,9 @@ def monomial_frame_basis(bundle: TrivialBundle, degree_cap: int):
 # -- axiom checking -------------------------------------------------------------
 
 
-@dataclass
 class AxiomCheck:
-    passed: bool
-    detail: str
-    witness: dict | None = None
+    def __init__(self, passed: bool, detail: str, witness: dict | None = None):
+        self.passed, self.detail, self.witness = passed, detail, witness
 
     def to_json(self) -> dict:
         out = {"status": "pass" if self.passed else "fail", "detail": self.detail}
@@ -683,11 +680,11 @@ class AxiomCheck:
         return out
 
 
-@dataclass
 class AxiomReport:
     """Exact verdicts for the three Courant axioms."""
 
-    checks: dict[str, AxiomCheck]
+    def __init__(self, checks: dict[str, AxiomCheck]):
+        self.checks = checks
 
     @property
     def all_passed(self) -> bool:
@@ -1119,14 +1116,13 @@ def check_axioms(
 # -- Leibniz rules ---------------------------------------------------------------
 
 
-@dataclass
 class LeibnizReport:
     """Exact verdicts for the function-linearity rules of the bracket."""
 
-    second_slot: AxiomCheck
-    two_sided: AxiomCheck
-    variant_falsified: bool
-    variant_witness: dict | None
+    def __init__(self, second_slot: AxiomCheck, two_sided: AxiomCheck,
+                 variant_falsified: bool, variant_witness: dict | None):
+        self.second_slot, self.two_sided = second_slot, two_sided
+        self.variant_falsified, self.variant_witness = variant_falsified, variant_witness
 
     @property
     def all_passed(self) -> bool:

@@ -36,7 +36,6 @@ J_r(phi0) A(phi0) P and c' (see `uniqueness_check`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -58,14 +57,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SplittingIso:
     """Constant fiber isomorphism identifying the pulled-back sum with
-    TE (+) T*E over the identity on the total space."""
+    TE (+) T*E over the identity on the total space; `fiber_matrix` is a
+    tuple of Fraction rows."""
 
-    n: int
-    m: int
-    fiber_matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "m", "fiber_matrix")
 
     def __init__(self, n: int, m: int, fiber_matrix):
         rows = tuple(map(tuple, linalg.mat(fiber_matrix)))
@@ -77,6 +74,9 @@ class SplittingIso:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "fiber_matrix", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SplittingIso is immutable")
 
 
 def canonical_splitting(n: int, m: int) -> SplittingIso:
@@ -137,13 +137,13 @@ def pontryagin_embedding(n: int, m: int, splitting: SplittingIso | None = None) 
     return compose_morphisms(splitting_composite(n, m, splitting), inclusion_morphism(n, m))
 
 
-@dataclass
 class IntrinsicResult:
-    structure: CourantStructure
-    chain_verdicts: dict[str, MorphismVerdict]
-    hypotheses: HypothesisReport
-    unique: bool | None = None
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, structure: CourantStructure, chain_verdicts: dict[str, MorphismVerdict],
+                 hypotheses: HypothesisReport, unique: bool | None = None,
+                 notes: list[str] | None = None):
+        self.structure, self.chain_verdicts = structure, chain_verdicts
+        self.hypotheses, self.unique = hypotheses, unique
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {

@@ -158,7 +158,6 @@ first nonzero entry of N A2(phi0) = A2(phi0) - Jac(phi0) Q, with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -188,20 +187,18 @@ __all__ = [
 ]
 
 
-@dataclass
 class ConditionFailure:
-    condition: str  # "bracket" | "metric" | "anchor"
-    witness: dict
-    defect: list[str]
+    def __init__(self, condition: str, witness: dict, defect: list[str]):
+        # condition: "bracket" | "metric" | "anchor"
+        self.condition, self.witness, self.defect = condition, witness, defect
 
     def to_json(self) -> dict:
         return {"condition": self.condition, "witness": self.witness, "defect": self.defect}
 
 
-@dataclass
 class MorphismVerdict:
-    failures: list[ConditionFailure] = field(default_factory=list)
-    detail: str = ""
+    def __init__(self, failures: list[ConditionFailure] | None = None, detail: str = ""):
+        self.failures, self.detail = [] if failures is None else failures, detail
 
     @property
     def is_morphism(self) -> bool:
@@ -685,7 +682,6 @@ def check_general_base(
 # -- graph presentation ------------------------------------------------------------
 
 
-@dataclass
 class GraphSubbundle:
     """The graph of a morphism inside the product bundle.
 
@@ -693,10 +689,10 @@ class GraphSubbundle:
     {(e, P(x) e)} over each source base point.
     """
 
-    source: TrivialBundle
-    target: TrivialBundle
-    base_embedding: PolyMap
-    fiber_generators: list[list[Polynomial]]
+    def __init__(self, source: TrivialBundle, target: TrivialBundle, base_embedding: PolyMap,
+                 fiber_generators: list[list[Polynomial]]):
+        self.source, self.target = source, target
+        self.base_embedding, self.fiber_generators = base_embedding, fiber_generators
 
     def to_json(self) -> dict:
         return {

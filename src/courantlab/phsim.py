@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 from array import array
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
@@ -160,19 +159,18 @@ class InputSignal:
         return f"InputSignal({self.u.to_strings(['t'])})"
 
 
-@dataclass
 class Trajectory:
-    """Grid samples of a simulation run."""
+    """Grid samples of a simulation run: `times` (N+1,), `states` (N+1,
+    state dim) and `outputs` (N+1, m), B^T grad H along the run.  An
+    interaction run keeps dz/dt from the RHS as `zdot`; a closed run keeps
+    max |H(x_t) - H(x_0)| as `energy_drift`."""
 
-    times: np.ndarray          # (N+1,)
-    states: np.ndarray         # (N+1, state dim)
-    outputs: np.ndarray        # (N+1, m): B^T grad H along the run
-    step: float
-    system: PHSystem | None = None
-    zdot: np.ndarray | None = None     # interaction runs: dz/dt from the RHS
-    z_dim: int = 0
-    energy_drift: float | None = None  # closed runs: max |H(x_t) - H(x_0)|
-    diverged: bool = field(default=False)
+    def __init__(self, times: np.ndarray, states: np.ndarray, outputs: np.ndarray, step: float,
+                 system: PHSystem | None = None, zdot: np.ndarray | None = None, z_dim: int = 0,
+                 energy_drift: float | None = None, diverged: bool = False):
+        self.times, self.states, self.outputs, self.step = times, states, outputs, step
+        self.system, self.zdot, self.z_dim = system, zdot, z_dim
+        self.energy_drift, self.diverged = energy_drift, diverged
 
     @property
     def x(self) -> np.ndarray:
@@ -395,11 +393,9 @@ def project_behavior(trajectory: Trajectory) -> Trajectory:
     )
 
 
-@dataclass
 class BalanceReport:
-    delta_energy: float
-    supplied: float
-    residual: float
+    def __init__(self, delta_energy: float, supplied: float, residual: float):
+        self.delta_energy, self.supplied, self.residual = delta_energy, supplied, residual
 
     def to_json(self) -> dict:
         return {

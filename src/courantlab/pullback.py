@@ -66,7 +66,6 @@ P^T G has full rank, as G' = P^T G P is invertible, so a nonzero entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -86,22 +85,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PullbackProblem:
     """Ambient structure, source bundle, and the connecting morphism."""
 
-    ambient: CourantStructure
-    source_bundle: TrivialBundle
-    morphism: BundleMorphism
-
-    def __post_init__(self):
-        phi = self.morphism
-        if phi.source != self.source_bundle:
+    def __init__(self, ambient: CourantStructure, source_bundle: TrivialBundle,
+                 morphism: BundleMorphism):
+        if morphism.source != source_bundle:
             raise ValueError("morphism source does not match the source bundle")
-        if phi.target != self.ambient.bundle:
+        if morphism.target != ambient.bundle:
             raise ValueError("morphism target does not match the ambient bundle")
-        if phi.retraction is None:
+        if morphism.retraction is None:
             raise ValueError("pullback needs a morphism with a retraction")
+        vars(self).update(ambient=ambient, source_bundle=source_bundle, morphism=morphism)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PullbackProblem is immutable")
 
     @cached_property
     def _record(self):
@@ -166,11 +164,13 @@ class PullbackProblem:
         return structure
 
 
-@dataclass
 class HypothesisReport:
-    anchor_tangent: AxiomCheck
-    pairing_nondegenerate: AxiomCheck
-    sections_involutive: AxiomCheck
+    def __init__(self, anchor_tangent: AxiomCheck, pairing_nondegenerate: AxiomCheck,
+                 sections_involutive: AxiomCheck):
+        # `vars(self)` keeps this order for `all_passed` and `to_json`
+        self.anchor_tangent = anchor_tangent
+        self.pairing_nondegenerate = pairing_nondegenerate
+        self.sections_involutive = sections_involutive
 
     @property
     def all_passed(self) -> bool:

@@ -41,7 +41,6 @@ literal share one; nothing is kept from one load to the next.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundles import BundleMorphism, Section, TrivialBundle
@@ -62,14 +61,21 @@ class SceneError(Exception):
     """Schema violation, parse failure, or dangling reference."""
 
 
-@dataclass
 class Scene:
-    bundles: dict[str, TrivialBundle] = field(default_factory=dict)
-    sections: dict[str, Section] = field(default_factory=dict)
-    structures: dict[str, CourantStructure] = field(default_factory=dict)
-    morphisms: dict[str, BundleMorphism] = field(default_factory=dict)
-    ph_systems: dict[str, PHSystem] = field(default_factory=dict)
-    inputs: dict[str, InputSignal] = field(default_factory=dict)
+    """The named objects of a scene file, one dict per kind."""
+
+    def __init__(self, bundles: dict[str, TrivialBundle] | None = None,
+                 sections: dict[str, Section] | None = None,
+                 structures: dict[str, CourantStructure] | None = None,
+                 morphisms: dict[str, BundleMorphism] | None = None,
+                 ph_systems: dict[str, PHSystem] | None = None,
+                 inputs: dict[str, InputSignal] | None = None):
+        self.bundles = {} if bundles is None else bundles
+        self.sections = {} if sections is None else sections
+        self.structures = {} if structures is None else structures
+        self.morphisms = {} if morphisms is None else morphisms
+        self.ph_systems = {} if ph_systems is None else ph_systems
+        self.inputs = {} if inputs is None else inputs
 
 
 def _no_duplicates(pairs):

@@ -5,10 +5,18 @@ Each check runs in a fresh interpreter, because the test process itself
 has numpy loaded.  The snapshot of `sys.modules` is taken before
 `courantlab.cli` is imported, since `site` may already have loaded
 third-party modules of the environment.
+
+The records of `src/` are plain classes with hand-written constructors, so
+a cold start builds no dataclass and loads neither `dataclasses` nor what
+it brings in (`inspect`, `ast`, `dis`, `tokenize`).  The tests below pin
+what the dataclass versions gave: each constructor's parameters, a fresh
+default container per instance, immutability where they were frozen, and
+`TrivialBundle`'s equality on its dimensions.
 """
 
 import argparse
 import ast
+import importlib
 import inspect
 import io
 import json
@@ -16,6 +24,8 @@ import subprocess
 import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
 
@@ -73,6 +83,7 @@ def test_exact_commands_load_only_stdlib_and_courantlab():
     for name, (_, modules) in records.items():
         assert _foreign(modules) == [], name
         assert "numpy" not in modules, name
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(modules), name
 
 
 def test_simulate_loads_numpy_and_writes_the_same_bytes(tmp_path):
@@ -81,6 +92,104 @@ def test_simulate_loads_numpy_and_writes_the_same_bytes(tmp_path):
     assert _python(SIMULATE, str(eager), "numpy-first", str(SCENE)).split() == ["0", "True"]
     assert lazy.read_bytes() == eager.read_bytes()
     assert lazy.read_bytes().count(b"\n") == 302
+
+
+# -- the plain record classes ---------------------------------------------------
+
+REQUIRED = inspect.Parameter.empty
+
+# each record's constructor parameters and defaults, as the dataclass versions
+# took them; a `field(default_factory=...)` default is now None, which the
+# constructor replaces by a fresh container
+RECORD_PARAMETERS = {
+    ("bundles", "TrivialBundle"): {"base_dim": REQUIRED, "rank": REQUIRED, "label": "E"},
+    ("bundles", "NonExistenceCertificate"): dict.fromkeys(
+        ["degree_cap", "component", "monomials", "matrix", "rhs", "farkas"], REQUIRED),
+    ("bundles", "LinearSubspace"): dict.fromkeys(["ambient_dim", "basis"], REQUIRED),
+    ("courant_core", "AxiomCheck"): {"passed": REQUIRED, "detail": REQUIRED, "witness": None},
+    ("courant_core", "AxiomReport"): {"checks": REQUIRED},
+    ("courant_core", "LeibnizReport"): dict.fromkeys(
+        ["second_slot", "two_sided", "variant_falsified", "variant_witness"], REQUIRED),
+    ("intrinsic", "SplittingIso"): dict.fromkeys(["n", "m", "fiber_matrix"], REQUIRED),
+    ("intrinsic", "IntrinsicResult"): {"structure": REQUIRED, "chain_verdicts": REQUIRED,
+                                       "hypotheses": REQUIRED, "unique": None, "notes": None},
+    ("morphisms", "ConditionFailure"): dict.fromkeys(["condition", "witness", "defect"], REQUIRED),
+    ("morphisms", "MorphismVerdict"): {"failures": None, "detail": ""},
+    ("morphisms", "GraphSubbundle"): dict.fromkeys(
+        ["source", "target", "base_embedding", "fiber_generators"], REQUIRED),
+    ("phsim", "Trajectory"): {"times": REQUIRED, "states": REQUIRED, "outputs": REQUIRED,
+                              "step": REQUIRED, "system": None, "zdot": None, "z_dim": 0,
+                              "energy_drift": None, "diverged": False},
+    ("phsim", "BalanceReport"): dict.fromkeys(["delta_energy", "supplied", "residual"], REQUIRED),
+    ("pullback", "PullbackProblem"): dict.fromkeys(
+        ["ambient", "source_bundle", "morphism"], REQUIRED),
+    ("pullback", "HypothesisReport"): dict.fromkeys(
+        ["anchor_tangent", "pairing_nondegenerate", "sections_involutive"], REQUIRED),
+    ("scene", "Scene"): dict.fromkeys(
+        ["bundles", "sections", "structures", "morphisms", "ph_systems", "inputs"], None),
+}
+
+
+def test_records_keep_their_constructors():
+    for (module, name), expected in RECORD_PARAMETERS.items():
+        cls = getattr(importlib.import_module(f"courantlab.{module}"), name)
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == list(expected.items()), name
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, name
+
+
+def test_default_containers_are_fresh_per_instance():
+    from courantlab.intrinsic import IntrinsicResult
+    from courantlab.morphisms import MorphismVerdict
+    from courantlab.scene import Scene
+
+    kinds = RECORD_PARAMETERS["scene", "Scene"]
+    first, second = Scene(), Scene()
+    for kind in kinds:
+        assert getattr(first, kind) == {} and getattr(first, kind) is not getattr(second, kind)
+    given = {kind: {} for kind in kinds}
+    assert all(getattr(Scene(**given), kind) is given[kind] for kind in kinds)
+    first, second = MorphismVerdict(), MorphismVerdict()
+    assert first.failures == [] and first.failures is not second.failures
+    first, second = IntrinsicResult(None, {}, None), IntrinsicResult(None, {}, None)
+    assert first.notes == [] and first.notes is not second.notes
+    notes = ["kept"]
+    assert IntrinsicResult(None, {}, None, notes=notes).notes is notes
+
+
+def test_frozen_records_refuse_assignment():
+    from fractions import Fraction
+
+    from courantlab.bundles import LinearSubspace, NonExistenceCertificate, TrivialBundle
+    from courantlab.intrinsic import _chi_problem, canonical_splitting
+
+    one = (Fraction(1),)
+    problem = _chi_problem(1, 1, None)
+    records = [
+        (TrivialBundle(1, 2), "rank"),
+        (LinearSubspace(2, [[1, 0]]), "basis"),
+        (canonical_splitting(1, 1), "fiber_matrix"),
+        (NonExistenceCertificate(1, 0, ((0,),), (one,), one, one), "farkas"),
+        (problem, "morphism"),
+    ]
+    for record, field in records:
+        before = getattr(record, field)
+        for name in (field, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert getattr(record, field) is before and not hasattr(record, "unknown")
+    # the cached properties still fill in once
+    assert problem._record is problem._record and problem.hypotheses is problem.hypotheses
+
+
+def test_bundles_compare_by_dimensions_only():
+    from courantlab.bundles import TrivialBundle
+
+    assert TrivialBundle(1, 2, "A") == TrivialBundle(1, 2, "B")
+    assert hash(TrivialBundle(1, 2, "A")) == hash(TrivialBundle(1, 2, "B"))
+    assert TrivialBundle(1, 2) != TrivialBundle(2, 1) and TrivialBundle(1, 2) != (1, 2)
+    assert TrivialBundle(1, 2).__eq__((1, 2)) is NotImplemented
+    assert len({TrivialBundle(1, 2, "A"), TrivialBundle(1, 2, "B"), TrivialBundle(1, 3)}) == 2
 
 
 def test_morphism_checks_import_no_tagged_sweep():
@@ -143,14 +252,17 @@ def _code_lines(path: Path) -> int:
 
 
 def test_no_module_imports_random():
-    # no verdict draws at random; the seeded draws live in tests/conftest.py
+    # no verdict draws at random; the seeded draws live in tests/conftest.py.
+    # No record is a dataclass: `dataclasses` loads `inspect` and builds each
+    # record's methods through `exec`, on every cold start
+    banned = {"random", "dataclasses"}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = {alias.name.partition(".")[0] for node in ast.walk(tree)
                     if isinstance(node, ast.Import) for alias in node.names}
         imported |= {(node.module or "").partition(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom)}
-        assert "random" not in imported, path.name
+        assert not banned & imported, path.name
 
 
 def test_verdicts_take_no_sampling_parameters():
@@ -231,5 +343,7 @@ def test_code_lines_fell():
     # with cuts in the same modules; with every witness's defect read from
     # the frame tables and the plain re-expansion moved to the tests, 3,283;
     # with a structure's frame data stored only as sparse rows, the dense
-    # copies and their fallbacks gone and `_reduce` run on rows, 3,267
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3267
+    # copies and their fallbacks gone and `_reduce` run on rows, 3,267; with
+    # every record a plain class, whose constructor replaces the field
+    # declarations and the `dataclasses` imports, 3,259
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3259

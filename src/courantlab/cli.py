@@ -27,9 +27,11 @@ take the json module's pure-Python encoder instead.  Anything else in a
 report raises TypeError.
 
 `main` parses argv in one pass: a first argument naming a command goes
-straight to that command's parser, and only any other argv, including
---help and an option before the command, to the top-level parser, so every
-error line, help text and exit code is argparse's.
+straight to that command's parser, which is all that argv builds, and
+only any other argv, including --help and an option before the command,
+builds the top-level parser with every command's.  Both are built from
+one function per command's flags, so every error line, help text and exit
+code is argparse's and the same either way.
 """
 
 from __future__ import annotations
@@ -85,74 +87,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _common_flags(sub, report=True):
-    """--scene and --out, and for a command with a verdict report --seed,
-    --degree-cap and --json."""
-    sub.add_argument("--scene", help="scene JSON file")
-    sub.add_argument("--out", help="write the report or CSV here instead of stdout")
-    if not report:
-        return
-    sub.add_argument("--seed", type=int, default=0,
-                     help="echoed in --json; no verdict depends on it")
-    sub.add_argument("--degree-cap", type=int, default=3,
-                     help="degree cap for section families; the axiom and "
-                          "morphism certificates and the sweep of the falsified "
-                          "Leibniz variant are complete for all smooth sections "
-                          "at any cap >= 1, and cap 0 bounds the claim to "
-                          "constant sections; the two Leibniz rules hold by the "
-                          "bracket's expansion")
-    sub.add_argument("--json", action="store_true", help="machine-readable report")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused by every later
-    `main` call in the process; parsing never changes it."""
-    parser = _Parser(
-        prog="courantlab",
-        description="Exact Courant algebroid workbench and port-Hamiltonian simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices   # `main` hands a command's argv to its parser
-
-    p = sub.add_parser("axioms", help="check the three Courant axioms")
-    _common_flags(p)
-    p.add_argument("--structure", required=True,
-                   help="scene structure name or builtin standard<N>")
-
-    p = sub.add_parser("leibniz", help="check the bracket Leibniz rules")
-    _common_flags(p)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--samples", type=int, default=100,
-                   help="not read: the rules are certified exactly")
-
-    p = sub.add_parser("morphism", help="classical Courant morphism verdict")
-    _common_flags(p)
-    p.add_argument("--source", required=True, help="source structure name")
-    p.add_argument("--target", required=True, help="target structure name")
-    p.add_argument("--map", required=True, dest="map_name", help="morphism name")
-    p.add_argument("--pairs", default="auto",
-                   help="'auto' or a JSON file with [source_section, target_section] names")
-
-    p = sub.add_parser("pullback", help="pullback hypothesis report and construction")
-    _common_flags(p)
-    p.add_argument("--ambient", required=True, help="ambient structure name")
-    p.add_argument("--morphism", required=True, dest="map_name")
-    p.add_argument("--verify-only", action="store_true",
-                   help="stop after the hypothesis report")
-    p.add_argument("--alt-retraction",
-                   help="JSON array of expressions; runs the well-definedness test")
-
-    p = sub.add_parser("intrinsic", help="build the intrinsic structure candidate")
-    _common_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--phi", help="JSON file with a constant fiber_matrix for the splitting")
-
-    for name, text in (("simulate", "integrate a port-Hamiltonian system to CSV"),
-                       ("project", "interaction run projected to the open behavior")):
-        p = sub.add_parser(name, help=text)
-        _common_flags(p, report=False)
+def _add_flags(p, name: str):
+    """Add the flags of command `name` to its parser `p` and return it:
+    --scene and --out, --seed, --degree-cap and --json for a command with a
+    verdict report, and the command's own."""
+    p.add_argument("--scene", help="scene JSON file")
+    p.add_argument("--out", help="write the report or CSV here instead of stdout")
+    if name in ("simulate", "project"):
         p.add_argument("--system", required=True)
         p.add_argument("--input", required=True, dest="input_name")
         p.add_argument("--x0", required=True, help="comma-separated initial state")
@@ -160,10 +101,65 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--z0", required=True)
         p.add_argument("--T", type=float, required=True, dest="t_final")
         p.add_argument("--h", type=float, required=True, dest="step")
+        return p
+    p.add_argument("--seed", type=int, default=0,
+                   help="echoed in --json; no verdict depends on it")
+    p.add_argument("--degree-cap", type=int, default=3,
+                   help="degree cap for section families; the axiom and "
+                        "morphism certificates and the sweep of the falsified "
+                        "Leibniz variant are complete for all smooth sections "
+                        "at any cap >= 1, and cap 0 bounds the claim to "
+                        "constant sections; the two Leibniz rules hold by the "
+                        "bracket's expansion")
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    if name == "axioms":
+        p.add_argument("--structure", required=True,
+                       help="scene structure name or builtin standard<N>")
+    elif name == "leibniz":
+        p.add_argument("--structure", required=True)
+        p.add_argument("--samples", type=int, default=100,
+                       help="not read: the rules are certified exactly")
+    elif name == "morphism":
+        p.add_argument("--source", required=True, help="source structure name")
+        p.add_argument("--target", required=True, help="target structure name")
+        p.add_argument("--map", required=True, dest="map_name", help="morphism name")
+        p.add_argument("--pairs", default="auto",
+                       help="'auto' or a JSON file with [source_section, target_section] names")
+    elif name == "pullback":
+        p.add_argument("--ambient", required=True, help="ambient structure name")
+        p.add_argument("--morphism", required=True, dest="map_name")
+        p.add_argument("--verify-only", action="store_true",
+                       help="stop after the hypothesis report")
+        p.add_argument("--alt-retraction",
+                       help="JSON array of expressions; runs the well-definedness test")
+    elif name == "intrinsic":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--phi", help="JSON file with a constant fiber_matrix for the splitting")
+    else:
+        p.add_argument("--system", required=True)
+    return p
 
-    p = sub.add_parser("dirac", help="check the interconnection graph for maximal isotropy")
-    _common_flags(p)
-    p.add_argument("--system", required=True)
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name`, built on the first call: what the
+    top-level parser's `add_parser` makes for it."""
+    return _add_flags(_Parser(prog=f"courantlab {name}"), name)
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's parser, built on the first
+    call; `main` reads it only for an argv whose first argument names no
+    command.  Parsing never changes a parser."""
+    parser = _Parser(
+        prog="courantlab",
+        description="Exact Courant algebroid workbench and port-Hamiltonian simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -183,10 +179,14 @@ def _resolve_structure(scene: Scene, name: str):
 def _canonical(value, out: list, newline: str = "\n") -> list:
     """Append to `out` the pieces of the json module's dumps(value,
     sort_keys=True, indent=2) and return it; `newline` is the line break and
-    indent of the line `value` starts on."""
+    indent of the line `value` starts on.  A list of strings is written with
+    one join."""
     kind = type(value)
     if kind is dict or kind is list or kind is tuple:
         inner, brackets = newline + "  ", "{}" if kind is dict else "[]"
+        if kind is not dict and value and all(type(x) is str for x in value):
+            out += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
+            return out
         separator = brackets[0] + inner
         for key in sorted(value) if kind is dict else range(len(value)):
             if kind is dict and type(key) is not str:
@@ -501,25 +501,24 @@ def _cmd_dirac(args):
     return payload, lines
 
 
-_HANDLERS = {
-    "axioms": _cmd_axioms,
-    "leibniz": _cmd_leibniz,
-    "morphism": _cmd_morphism,
-    "pullback": _cmd_pullback,
-    "intrinsic": _cmd_intrinsic,
-    "simulate": _cmd_trajectory,
-    "project": _cmd_trajectory,
-    "dirac": _cmd_dirac,
+# each command's handler and its line in the top-level help, in its order
+_COMMANDS = {
+    "axioms": (_cmd_axioms, "check the three Courant axioms"),
+    "leibniz": (_cmd_leibniz, "check the bracket Leibniz rules"),
+    "morphism": (_cmd_morphism, "classical Courant morphism verdict"),
+    "pullback": (_cmd_pullback, "pullback hypothesis report and construction"),
+    "intrinsic": (_cmd_intrinsic, "build the intrinsic structure candidate"),
+    "simulate": (_cmd_trajectory, "integrate a port-Hamiltonian system to CSV"),
+    "project": (_cmd_trajectory, "interaction run projected to the open behavior"),
+    "dirac": (_cmd_dirac, "check the interconnection graph for maximal isotropy"),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = (parser.parse_args(argv) if command is None
-                else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+        args = (_command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+                if argv and argv[0] in _COMMANDS else _build_parser().parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "degree_cap", 0) < 0:
@@ -527,7 +526,7 @@ def main(argv=None) -> int:
         return 2
     started = time.perf_counter()
     try:
-        payload, lines = _HANDLERS[args.command](args)
+        payload, lines = _COMMANDS[args.command][0](args)
     except (SceneError, ExponentOverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -257,10 +257,9 @@ class CourantStructure:
         anchor = [[p if isinstance(p, Polynomial) else _coeff(p) for p in r] for r in anchor]
         if any(isinstance(p, Polynomial) and p.num_vars != n for r in anchor for p in r):
             raise ValueError("anchor entries must use the base variables")
-        g = [[_coeff(v) for v in r] for r in metric]
-        if len(g) != k or any(len(r) != k for r in g):
+        g = [{j: x for j, v in enumerate(r) if (x := _coeff(v))} for r in metric]
+        if len(g) != k or any(len(r) != k for r in metric):
             raise ValueError(f"metric must be {k} x {k}")
-        g = linalg.sparse(g)
         if not linalg.is_symmetric(g):
             raise ValueError("metric must be symmetric")
         inverse = linalg.det_inverse(g)[1]

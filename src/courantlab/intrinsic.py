@@ -60,20 +60,22 @@ __all__ = [
 class SplittingIso:
     """Constant fiber isomorphism identifying the pulled-back sum with
     TE (+) T*E over the identity on the total space; `fiber_matrix` is a
-    tuple of Fraction rows."""
+    tuple of Fraction rows, and `rows` its canonical sparse rows, converted
+    once and reduced once to check invertibility, which chi's fiber map
+    keeps."""
 
-    __slots__ = ("n", "m", "fiber_matrix")
+    __slots__ = ("n", "m", "fiber_matrix", "rows")
 
     def __init__(self, n: int, m: int, fiber_matrix):
-        rows = tuple(map(tuple, linalg.mat(fiber_matrix)))
+        matrix = tuple(map(tuple, linalg.mat(fiber_matrix)))
         size = 2 * n + 2 * m
-        if len(rows) != size or any(len(r) != size for r in rows):
+        if len(matrix) != size or any(len(r) != size for r in matrix):
             raise ValueError(f"splitting matrix must be {size} x {size}")
-        if linalg.det([list(r) for r in rows]) == 0:
+        rows = linalg.sparse(matrix)
+        if linalg.det_inverse(rows)[0] == 0:
             raise ValueError("splitting matrix must be invertible")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "fiber_matrix", rows)
+        for slot, value in zip(self.__slots__, (n, m, matrix, rows)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplittingIso is immutable")
@@ -107,7 +109,9 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
     """chi = Phi o (0_E (+) id): the two lower chain arrows composed.
 
     Base map is the zero section x -> (x, 0) with retraction (x, z) -> x;
-    the fiber map is the constant splitting matrix.
+    the fiber map is the constant splitting matrix, whose checked rows chi
+    keeps.  The retraction inverts the zero section by construction, so it
+    is not checked again, as for a composite (`compose_morphisms`).
     """
     if splitting is None:
         splitting = canonical_splitting(n, m)
@@ -117,7 +121,9 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
     target = standard_bundle(n + m)
     base = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + [Polynomial(n)] * m)
     retraction = PolyMap(n + m, [Polynomial.variable(n + m, i) for i in range(n)])
-    return BundleMorphism(source, target, base, splitting.fiber_matrix, retraction=retraction)
+    chi = object.__new__(BundleMorphism)
+    chi._fill(source, target, base, splitting.rows, retraction)
+    return chi
 
 
 def inclusion_morphism(n: int, m: int) -> BundleMorphism:

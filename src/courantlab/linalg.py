@@ -19,8 +19,12 @@ Pivot rows stay unscaled, because scaling costs a Fraction division per
 entry and only a solution or an inverse needs it, once per entry read off.
 With this rule every result, the Farkas vector included, is the one
 Gauss-Jordan elimination with scaled pivot rows gives.  Canonical rows hold
-ints, and int / int is a float, so the factor and every entry read off are
-formed as Fractions.
+ints, and int / int is a float, so the factor and every entry of an inverse
+read off are exact quotients (`_quotient`), in canonical form; of two ints
+a Fraction is formed only when the division is inexact.  The signed pivot
+product stays an int while the pivots are ints; `det` and `det_inverse`
+return it as a Fraction at the API edge, as `solve_with_certificate`
+returns Fractions.
 
 Frame data (fiber matrices, anchors, metrics, Jacobians) go through the
 `pmat_*` functions, whose entries mix scalars and Polynomials.  A morphism
@@ -69,18 +73,24 @@ def is_symmetric(a: list[dict]) -> bool:
     return all(a[j].get(i) == x for i, row in enumerate(a) for j, x in row.items())
 
 
-def _reduce(m: list[dict], cols: int) -> tuple[list[int], Fraction]:
+def _quotient(x, p):
+    """x / p for exact scalars, in canonical form: floor division when x
+    and p are ints and p divides x, else through a Fraction."""
+    return x // p if type(x) is type(p) is int and not x % p else entry(Fraction(x, p))
+
+
+def _reduce(m: list[dict], cols: int) -> tuple[list[int], int | Fraction]:
     """Row-reduce the scalar sparse rows m in place over their first `cols`
     columns, by the rule in the module docstring; entries that cancel are
     deleted, so a row stores no zero.
 
     Returns the pivot columns, the i-th pivot in row i, and the signed
-    product of the pivots: the determinant when m is square and has a pivot
-    in every column.
+    product of the pivots, an int while they are: the determinant when m is
+    square and has a pivot in every column.
     """
     rows = len(m)
     pivots: list[int] = []
-    product = Fraction(1)
+    product = 1
     for col in range(cols):
         r = len(pivots)
         if r == rows:
@@ -96,7 +106,7 @@ def _reduce(m: list[dict], cols: int) -> tuple[list[int], Fraction]:
         product *= p
         for i, row in enumerate(m):
             if i != r and col in row:
-                factor = Fraction(row[col], p)
+                factor = _quotient(row[col], p)
                 for j, y in top.items():
                     x = row.get(j, 0) - factor * y
                     if x:
@@ -110,7 +120,7 @@ def _reduce(m: list[dict], cols: int) -> tuple[list[int], Fraction]:
 def det(a: Matrix) -> Fraction:
     """Determinant; det([]) = 1."""
     pivots, product = _reduce(sparse(a), len(a))
-    return product if len(pivots) == len(a) else Fraction(0)
+    return Fraction(product if len(pivots) == len(a) else 0)
 
 
 def det_inverse(a: list[dict]) -> tuple[Fraction, list[dict] | None]:
@@ -121,8 +131,8 @@ def det_inverse(a: list[dict]) -> tuple[Fraction, list[dict] | None]:
     pivots, product = _reduce(m, n)
     if len(pivots) < n:
         return Fraction(0), None
-    return product, [{j - n: entry(Fraction(row[j], row[i])) for j in range(n, 2 * n) if j in row}
-                     for i, row in enumerate(m)]
+    return Fraction(product), [{j - n: _quotient(row[j], row[i]) for j in range(n, 2 * n)
+                                if j in row} for i, row in enumerate(m)]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -488,12 +488,12 @@ class Polynomial:
     # -- printing ----------------------------------------------------------
 
     def to_string(self, names: Sequence[str] | None = None) -> str:
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.num_vars)]
-        elif len(names) != self.num_vars:
+        if names is not None and len(names) != self.num_vars:
             raise ValueError("wrong number of variable names")
         if not self._packed:
             return "0"
+        if names is None:
+            names = [f"x{i + 1}" for i in range(self.num_vars)]
         terms = [(_unpack(key, self.num_vars), c) for key, c in self._packed.items()]
         terms.sort(key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
         parts: list[str] = []

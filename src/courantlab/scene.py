@@ -184,9 +184,13 @@ def _entries(raw: dict, section: str) -> dict:
 
 
 def load_scene(path) -> Scene:
+    """The scene in the file at `path`.  The file is read once, as bytes,
+    and decoded as strict UTF-8 with a text reader's newline translation,
+    so every error line and position is the one a text reader gives."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh, object_pairs_hook=_no_duplicates)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
     except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep

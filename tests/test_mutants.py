@@ -325,6 +325,20 @@ def canonical_with_unsorted_keys(value, out, newline="\n"):
     return out
 
 
+def canonical_joining_strings_without_the_indent(value, out, newline="\n"):
+    """`_canonical` joining a list of strings with bare line breaks, which
+    drop the indent of every item after the first."""
+    if type(value) is not list or not value or not all(type(x) is str for x in value):
+        return canonical(value, out, newline)
+    out += ("[", newline + "  ", ",\n".join(map(cli._quote, value)), newline, "]")
+    return out
+
+
+def quotient_by_floor(x, p):
+    """`linalg._quotient` flooring without checking that p divides x."""
+    return x // p
+
+
 def expr_keyed_on_the_arity(text, variables, where, seen):
     """`_expr` with its memo keyed on the number of variables, not their names."""
     if not isinstance(text, str):
@@ -349,7 +363,7 @@ def reduce_with(factor_of, signed_swap):
     def mutant(m, cols):
         rows = len(m)
         pivots = []
-        product = Fraction(1)
+        product = 1
         for col in range(cols):
             r = len(pivots)
             if r == rows:
@@ -625,10 +639,21 @@ MUTANTS = {
         test_scene_cli.test_a_metric_reads_true_as_no_rational_beside_1,
         (),                                 # a metric's 1 read before its true
     ),
+    "writer_joins_strings_without_the_indent": (
+        [(cli, "_canonical", canonical_joining_strings_without_the_indent)],
+        test_scene_cli.test_canonical_writer_equals_json_dumps_on_a_fixed_report,
+        (),                                 # an anchor row ["1", "x1"] one level down
+    ),
     "reduce_factor_int_division": (
         [(linalg, "_reduce", reduce_with(lambda x, p: x / p, True))],
         test_linalg.test_int_input_gives_the_exact_results_of_fraction_input,
-        (test_linalg.INT_MATRICES[0],),     # [[2, 1], [1, 1]]: the factor 1 / 2 is a float
+        # the factor 4 / 3 is a float, and the pivot product -0.9999999999999998
+        ([[3, 1], [4, 1]],),
+    ),
+    "read_off_floors": (
+        [(linalg, "_quotient", quotient_by_floor)],
+        test_linalg.test_int_input_gives_the_exact_results_of_fraction_input,
+        ([[2]],),                           # the inverse 1 / 2 floors to 0
     ),
     "reduce_swap_keeps_sign": (
         [(linalg, "_reduce", reduce_with(Fraction, False))],

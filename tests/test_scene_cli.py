@@ -1167,6 +1167,24 @@ class TestLoadSceneContract:
         assert code == 2
         assert captured.err == f"error: bundle 'B': {key} must be at most 128, got {10 ** 12}\n"
 
+    @pytest.mark.parametrize("data, message", [
+        (b'\xef\xbb\xbf{"schema_version": 1}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ('{"schema_version": 1}'.encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{\r\n "schema_version": 1,\r\n "bundles": {\r\n  "B": {"base_dim": 1 "rank": 2}'
+         b'\r\n }\r\n}\r\n', "Expecting ',' delimiter: line 4 column 23 (char 60)"),
+        (b'{\r "schema_version": 1,\r "bundles": {"B": {"base_dim": 1,\r "rank": 2,}}\r}\r',
+         "Expecting property name enclosed in double quotes: line 4 column 12 (char 69)"),
+    ], ids=["utf8_bom", "utf16", "crlf_syntax_error", "lone_cr_syntax_error"])
+    def test_scene_reader_error_lines(self, tmp_path, capsys, data, message):
+        # the lines a text reader gives: strict UTF-8, so a BOM is not
+        # skipped, and positions counted after \r\n and \r become \n
+        path = tmp_path / "scene.json"
+        path.write_bytes(data)
+        assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
+        assert capsys.readouterr() == ("", f"error: scene file is not valid JSON: {message}\n")
+
     @pytest.mark.parametrize("reader, text", [
         *itertools.product(["scene", "pairs", "phi"], [b'["\xff"]', b"[" * 100_000]),
         ("alt_retraction", b"[" * 100_000),   # argv holds text, never bytes
@@ -1216,6 +1234,14 @@ _REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @given(_REPORTS)
 def test_canonical_writer_equals_json_dumps(value):
     assert "".join(cli._canonical(value, [])) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_canonical_writer_equals_json_dumps_on_a_fixed_report():
+    # lists of strings, written with one join, at the top and one level
+    # down, beside a list of ints, an empty list and a tuple of strings
+    report = {"anchor": [["1", "x1"], ["0", "-x1^2 + 1/2"]], "notes": ["a", "é\n"],
+              "pair": (0, 1), "empty": [], "names": ("x1", "x2"), "exit_code": 1}
+    assert "".join(cli._canonical(report, [])) == json.dumps(report, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"}, ["a", {"b": {2}}], b"x"],
@@ -1295,6 +1321,43 @@ _REQUIRED = {
                 "--T", "0.01", "--h", "0.001"],
     "dirac": ["--system", "oscillator"],
 }
+
+
+class TestCommandParser:
+    """`main` hands a command's argv to a parser built for that command
+    alone, equal to the top-level parser's subparser for it."""
+
+    FIELDS = ("option_strings", "dest", "default", "required", "type", "help", "nargs",
+              "const", "choices", "metavar")
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_command_parser_equals_the_subparser(self, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = next(action for action in cli._build_parser()._actions
+                    if action.dest == "command").choices[name]
+        alone = cli._command_parser(name)
+        assert alone is not full and type(alone) is type(full) and alone.prog == full.prog
+        assert alone.format_help() == full.format_help()
+        assert alone.format_usage() == full.format_usage()
+        assert len(alone._actions) == len(full._actions)
+        for mine, theirs in zip(alone._actions, full._actions):
+            assert type(mine) is type(theirs)
+            for field in self.FIELDS:
+                assert getattr(mine, field) == getattr(theirs, field), (name, field)
+
+    def test_a_command_builds_its_parser_alone(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__", lambda self, *args, **kwargs:
+                            built.append(kwargs.get("prog")) or init(self, *args, **kwargs))
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        assert main(["axioms", "--structure", "standard1", "--json"]) == 0
+        assert main(["axioms", "--structure", "standard2", "--json"]) == 0
+        assert built == ["courantlab axioms"]
+        assert cli._build_parser.cache_info().currsize == 0
+        assert cli._command_parser.cache_info().currsize == 1
+        capsys.readouterr()
 
 
 class TestArgumentContract:

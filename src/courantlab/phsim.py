@@ -23,8 +23,8 @@ and generates one RK4 loop function per run from them (`_loop`), from float
 source built of `repr(float(coeff))` literals and generated names only, so
 no scene text reaches it and each coefficient is rounded once.  The loop
 keeps x (and z) in scalar locals, evaluates V once per time point (never
-when V = 0) and stores grid rows in `array('d')` columns.  Its float
-operations, in order, are those of the list-based RK4 loop it replaced:
+when V = 0) and stores grid rows in `array('d')` columns.  Its floats are
+those of the list-based RK4 loop it replaced, bit for bit:
 
   k_s = (F(stage point s)) + V(stage time s)    no "+ V" when V = 0
   stage points x + (h/2) k_1, x + (h/2) k_2, x + h k_3
@@ -36,12 +36,30 @@ Y(x_k), the stage-1 evaluation of step k (the last grid point gets one
 evaluation after the loop).  An interaction run also evaluates Y at the
 other three stage points, for its z stages.
 
-The z samples never feed back into x, and the x statements of the loop are
-generated from F and V alone, so they perform literally the same floating-
-point operations with or without the z channel: the x marginal of an
-interaction run is bitwise identical to the plain run.  dz/dt is recorded
-from the right-hand side at the grid points (not by differencing), which
-makes the projection an algebraic identity there.
+Each evaluation point (a stage point with F, and with Y where it is
+evaluated there; the final x with Y; a time point with V) computes each
+distinct term once (`_emit`).  A term's magnitude is |c| * x * ... * y, the
+literal left out where it is 1.0; one that occurs more than once at the point
+is bound to a local, and every other term keeps its own text, the chain of
+repr(float(c)) and the variables.  A shared term after the first of its
+sum (or of its `_CHAIN` group) is added as `+ name`, or subtracted as
+`- name` when c < 0; a negative shared term that opens a sum or group is
+written `-1.0*name`.  Every float, NaN bits included, is the unshared one:
+(-|c|) * x * ... * y and -1.0 * (|c| * x * ... * y) are both the exact
+negation of |c| * x * ... * y, since rounding is symmetric, a NaN made
+inside the chain (inf * 0) is the same default NaN either way, and an
+operation with one NaN operand returns that NaN (as x86-64 SSE2 does); and
+a - u is a + (-u) exactly.  A unary minus would flip a NaN's sign, so none
+is written.  Only flat chains are shared: a chain of more than `_CHAIN`
+operands is grouped, and its groups set its rounding.
+
+The z samples never feed back into x.  With the z channel, F shares terms
+with Y at all four stage points instead of the first alone, which changes
+the source of the x statements but, sharing being exact, none of their
+floats: the x marginal of an interaction run is bitwise identical to the
+plain run.  dz/dt is recorded from the right-hand side at the grid points
+(not by differencing), which makes the projection an algebraic identity
+there.
 
 A run stops after the first grid row whose x is not finite, keeps that row
 and reports `diverged`.  The generated code writes powers as repeated
@@ -59,6 +77,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -109,12 +128,8 @@ class PHSystem:
             raise ValueError(
                 f"H has {hamiltonian.num_vars} variables, state dimension is {n}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "j", jm)
-        object.__setattr__(self, "b", bm)
-        object.__setattr__(self, "hamiltonian", hamiltonian)
-        object.__setattr__(self, "label", label)
+        for slot, value in zip(self.__slots__, (n, m, jm, bm, hamiltonian, label)):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PHSystem is immutable")
@@ -195,33 +210,58 @@ def _chain(operands: list[str], op: str) -> str:
     return op.join(operands)
 
 
-def _expr(poly: Polynomial, names: Sequence[str]) -> str:
-    """Float source for poly at the variables `names`.
+# How a term is written when it opens a sum and when it follows another, by
+# whether it is a negated shared one: that is read by name, and opens as
+# -1.0*name, never as -name, which would flip a NaN's sign
+_SIGNS = {False: ("", " + "), True: ("-1.0*", " - ")}
 
-    Built from `repr(float(coeff))` literals, the given names, `*`, `+` and
-    grouping parentheses; no text from a scene reaches it.  Powers are
-    repeated products, so overflow gives inf rather than OverflowError.  A
+
+def _terms(poly: Polynomial) -> list[tuple]:
+    """(negated, key, text) per term of poly, over the format fields {0},
+    {1}, ... for its variables.
+
+    The text is the term's own product chain of `repr(float(coeff))` (left
+    out when coeff = 1) and the variables, a power written as repeated
+    products, so overflow gives inf rather than OverflowError.  The key is
+    its magnitude, the text without its sign and without a factor 1.0 (an
+    exact one), if that has a product and the chain is flat, else None.  A
     coefficient outside the float range raises ValueError.
     """
-    terms = []
+    names, terms = [f"{{{i}}}" for i in range(poly.num_vars)], []
     for exps, coeff in poly.terms.items():
         try:
-            factors = [] if coeff == 1 else [repr(float(coeff))]
+            literal = repr(float(coeff))
         except OverflowError:
             size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
-            raise ValueError(
-                f"a field coefficient of size 10^{size:.0f} is outside the float range"
-            ) from None
-        for name, e in zip(names, exps):
-            factors.extend([name] * e)
-        terms.append(_chain(factors, "*") if factors else "1.0")
-    return _chain(terms, " + ") if terms else "0.0"
+            raise ValueError(f"a field coefficient of size 10^{size:.0f} is outside "
+                             "the float range") from None
+        chain = [name for name, e in zip(names, exps) for _ in range(e)]
+        text = _chain(([] if coeff == 1 else [literal]) + chain, "*") or "1.0"
+        # a grouped chain rounds by its groups, so only flat ones are shared
+        key = text.lstrip("-").removeprefix("1.0*") if len(chain) < _CHAIN else ""
+        terms.append((coeff < 0, key if "*" in key else None, text))
+    return terms
 
 
-def _template(poly: Polynomial, num_vars: int) -> str:
-    """`_expr` over the format fields {0}, {1}, ...: `.format(*names)` gives
-    `_expr(poly, names)` byte for byte, since no literal holds a brace."""
-    return _expr(poly, [f"{{{i}}}" for i in range(num_vars)])
+def _emit(rows: list[list[tuple]], point: Sequence[str], tag: int | str):
+    """(bindings, sums): float source for the polys of the `_terms` rows at
+    `point`, from the terms' texts, the point's names, `+`, `-` and grouping
+    parentheses; no text from a scene reaches it.  Each key that occurs more
+    than once is computed once, by a binding `w<tag>_<i> = key`, and read by
+    name with the signs of `_SIGNS` (see the module docstring); every other
+    term keeps its text.
+    """
+    counts = Counter(key for row in rows for _, key, _ in row)
+    shared = {key: f"w{tag}_{i}" for i, key in
+              enumerate(key for key, count in counts.items() if key and count > 1)}
+    sums = []
+    for row in rows:
+        pieces = [_SIGNS[key in shared and negated][i % _CHAIN > 0] + shared.get(key, text)
+                  for i, (negated, key, text) in enumerate(row)]
+        groups = ["".join(pieces[i:i + _CHAIN]) for i in range(0, len(pieces), _CHAIN)]
+        sums.append((_chain([f"({g})" for g in groups], " + ") if len(groups) > 1
+                     else "".join(groups) or "0.0").format(*point))
+    return [f"{name} = {key}".format(*point) for key, name in shared.items()], sums
 
 
 def _define(lines: list[str], name: str):
@@ -231,11 +271,12 @@ def _define(lines: list[str], name: str):
 
 
 def _compile(polys: Iterable[Polynomial], num_vars: int):
-    """One float function: point -> [p(point) for p in polys] (see `_expr`)."""
+    """One float function: point -> [p(point) for p in polys] (see `_emit`)."""
     names = [f"v{i}" for i in range(num_vars)]
+    bindings, sums = _emit([_terms(p) for p in polys], names, "")
     return _define([
         "def evaluate(point):", f"    [{', '.join(names)}] = point",
-        "    return [" + ", ".join(_expr(p, names) for p in polys) + "]",
+        *("    " + line for line in bindings), "    return [" + ", ".join(sums) + "]",
     ], "evaluate")
 
 
@@ -244,10 +285,7 @@ def _fields(system: PHSystem, u: InputSignal | None):
     n = system.n
     grad = system.gradient()
     f = [poly_sum(n, (g * c for g, c in zip(grad, row))) for row in system.j]
-    y = [
-        poly_sum(n, (g * row[l] for g, row in zip(grad, system.b)))
-        for l in range(system.m)
-    ]
+    y = [poly_sum(n, (g * row[l] for g, row in zip(grad, system.b))) for l in range(system.m)]
     v = [] if u is None else [
         poly_sum(1, (p * c for p, c in zip(u.u, row))) for row in system.b
     ]
@@ -271,23 +309,25 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
     n, m = len(f_polys), len(y_polys)
     x, z = [f"x{i}" for i in range(n)], [f"z{l}" for l in range(m if track_z else 0)]
     points = [x] + [[f"p{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
-    # each field's source is built once and instantiated at every point
-    v_src = [] if v_polys is None else [_template(p, 1) for p in v_polys]
-    f_src = [_template(p, n) for p in f_polys]
-    y_src = [_template(p, n) for p in y_polys]
-    body = [] if v_polys is None else ["t0 = k * dt", "t1 = t0 + half", "t3 = t0 + dt"] + [
-        f"v{s}_{i} = {src.format('t' + s)}" for s in "013" for i, src in enumerate(v_src)]
+    f_rows, y_rows = ([_terms(p) for p in polys] for polys in (f_polys, y_polys))
+    body, ys = [], []
+    if v_polys is not None:
+        body = ["t0 = k * dt", "t1 = t0 + half", "t3 = t0 + dt"]
+        v_rows = [_terms(p) for p in v_polys]
+        for t in ("t0", "t1", "t3"):
+            bindings, sums = _emit(v_rows, [t], t)
+            body += bindings + [f"v{t[1]}_{i} = {src}" for i, src in enumerate(sums)]
     for s, point in enumerate(points):
-        for i, src in enumerate(f_src):
-            value = src.format(*point)
-            body.append(f"k{s}_{i} = " + (
-                value if v_polys is None else f"({value}) + v{'0113'[s]}_{i}"))
+        # F shares its terms with Y at each point where Y is evaluated
+        bindings, sums = _emit(f_rows + (y_rows if s == 0 or track_z else []), point, s)
+        body += bindings + [f"k{s}_{i} = " + (
+            src if v_polys is None else f"({src}) + v{'0113'[s]}_{i}")
+            for i, src in enumerate(sums[:n])]
+        ys += [f"y{s}_{l} = {src}" for l, src in enumerate(sums[n:])]
         if s < 3:
             step = "dt" if s == 2 else "half"
             body += [f"p{s + 1}_{i} = x{i} + {step} * k{s}_{i}" for i in range(n)]
-    for s in range(4 if track_z else 1):
-        body += [f"y{s}_{l} = {src.format(*points[s])}" for l, src in enumerate(y_src)]
-    body += [f"Y{l}[k] = y0_{l}" for l in range(m)] + ["j = k + 1"]
+    body += ys + [f"Y{l}[k] = y0_{l}" for l in range(m)] + ["j = k + 1"]
 
     def rk4(name, sign, slope, i):
         return [f"{name} = {name} {sign} sixth * ({slope}0_{i} + 2.0 * {slope}1_{i} + "
@@ -300,12 +340,14 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
     finite = " and ".join(f"isfinite({name})" for name in x) or "True"
     body += [f"if not ({finite}):", "    diverged = True", "    break"]
     columns = [v.upper() for v in x] + [f"Y{l}" for l in range(m)] + [v.upper() for v in z]
+    bindings, sums = _emit(y_rows, x, 4)
     return _define([
         f"def run(steps, dt, half, sixth, isfinite, {', '.join(x + z + columns)}):",
         "    diverged = False",
         "    for k in range(steps):",
         *("        " + line for line in body),
-        *(f"    Y{l}[j] = {src.format(*x)}" for l, src in enumerate(y_src)),
+        *("    " + line for line in bindings),
+        *(f"    Y{l}[j] = {src}" for l, src in enumerate(sums)),
         "    return j + 1, diverged",
     ], "run")
 
@@ -436,16 +478,9 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
 
 def interconnection_matrix(system: PHSystem):
     """The skew block [[J, B], [-B^T, 0]] of the interaction system."""
-    n, m = system.n, system.m
-    total = n + m
-    s = linalg.zeros(total, total)
-    for i in range(n):
-        for k in range(n):
-            s[i][k] = system.j[i][k]
-        for k in range(m):
-            s[i][n + k] = system.b[i][k]
-            s[n + k][i] = -system.b[i][k]
-    return s
+    lower = [[-row[l] for row in system.b] + zeros
+             for l, zeros in enumerate(linalg.zeros(system.m, system.m))]
+    return [j_row + b_row for j_row, b_row in zip(system.j, system.b)] + lower
 
 
 def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
@@ -472,11 +507,7 @@ def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
     xs = trajectory.states if include_z else trajectory.x
     n_cols = xs.shape[1]
     m = trajectory.outputs.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n_cols)]
-        + [f"y{i + 1}" for i in range(m)]
-    )
+    header = ["t", *(f"x{i + 1}" for i in range(n_cols)), *(f"y{i + 1}" for i in range(m))]
     row = ",".join(["%.17g"] * len(header)) + "\n"
     times = trajectory.times
     with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:

@@ -293,10 +293,13 @@ def load_scene(path) -> Scene:
 
 def structure_to_json(s: CourantStructure, bundle_name: str) -> dict:
     """Scene fragment for a structure, with canonical expression strings."""
+    (g, _, a), k = s.rows, s.bundle.rank
+    # printed from the rows: str gives a scalar's text and a Polynomial's
+    # to_string, and a missing entry is 0
     fragment = {
         "bundle": bundle_name,
-        "anchor": [[p.to_string() for p in row] for row in s.anchor],
-        "metric": [[str(v) for v in row] for row in s.metric],
+        "anchor": [[str(row.get(j, 0)) for j in range(k)] for row in a],
+        "metric": [[str(row.get(j, 0)) for j in range(k)] for row in g],
     }
     functions = {
         f"{i + 1},{j + 1},{h + 1}": p.to_string()

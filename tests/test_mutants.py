@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import bundles, cli, courant_core, linalg, morphisms, pullback, scene
+from courantlab import bundles, cli, courant_core, linalg, morphisms, phsim, pullback, scene
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
@@ -36,6 +36,7 @@ import test_courant_core
 import test_intrinsic
 import test_linalg
 import test_morphisms
+import test_phsim_reference
 import test_pullback
 import test_scene_cli
 
@@ -406,6 +407,13 @@ def inner(test):
     return test.hypothesis.inner_test
 
 
+# `phsim._SIGNS` with a shared negative term after the first of its sum
+# added, and with one that opens a sum written -name
+SIGNS_ADDING = {False: ("", " + "), True: ("-1.0*", " + ")}
+SIGNS_UNARY_MINUS = {False: ("", " + "), True: ("-", " - ")}
+QUARTIC_CASE = next(case for case in test_phsim_reference.BITWISE_CASES if case[0] == "quartic")
+
+
 SCALED1 = scaled_structure(standard_structure(1), Fraction(-2, 5))
 
 
@@ -669,6 +677,18 @@ MUTANTS = {
         [(morphisms.AlongImage, "selected", selection_off_by_one)],
         test_intrinsic.test_pontryagin_record_is_the_column_selection_of_chis,
         (1, 1),                             # columns (v, p) of chi read as (p, e)
+    ),
+    "shared_negative_term_added": (
+        [(phsim, "_SIGNS", SIGNS_ADDING)],
+        test_phsim_reference.test_fused_loop_bitwise_equals_list_loop,
+        # F_2 = -x1 - 1/2 x1^3 + ... shares 1/2 x1^3 with Y_1, subtracted after
+        # -x1; the list loop compiles F and Y apart and leaves it unshared
+        QUARTIC_CASE,
+    ),
+    "shared_negative_term_opens_with_a_unary_minus": (
+        [(phsim, "_SIGNS", SIGNS_UNARY_MINUS)],
+        test_phsim_reference.test_shared_negative_term_keeps_the_nan_bits,
+        (),                                 # -name flips the sign of the NaN inf * 0.0
     ),
 }
 

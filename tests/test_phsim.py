@@ -1,11 +1,14 @@
 import io
 import math
+import re
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from courantlab import phsim
 from courantlab.courant_core import dirac_check, standard_structure
 from courantlab.bundles import LinearSubspace
 from courantlab.phsim import (
@@ -267,6 +270,106 @@ class TestCSV:
             path = tmp_path / f"run_{include_z}.csv"
             write_csv(traj, path, include_z=include_z)
             assert path.read_text() == expected
+
+
+def bench_quartic():
+    """Seed 1's draw of the bench's quartic pair: n = 4, m = 2, a skew J of
+    small integers and a quartic H."""
+    h = parse("1/4*x1^2 + 1/16*x1^4 + 3/4*x2^2 + 1/8*x2^4 + 1/2*x3^2 + 1/8*x3^4 "
+              "+ 3/4*x4^2 + 1/16*x4^4", ["x1", "x2", "x3", "x4"])
+    j = [[0, 2, -1, 1], [-2, 0, -1, -1], [1, 1, 0, -1], [-1, 1, 1, 0]]
+    return PHSystem(j, [[1, 0], [-1, 1], [0, -1], [-1, 0]], h)
+
+
+# the loop of a quadratic system whose fields repeat no term magnitude, as
+# generated before each repeated one was computed once per point
+QUAD_SOURCE = """\
+def run(steps, dt, half, sixth, isfinite, x0, x1, z0, X0, X1, Y0, Z0):
+    diverged = False
+    for k in range(steps):
+        t0 = k * dt
+        t1 = t0 + half
+        t3 = t0 + dt
+        v0_0 = 0.25 + -0.05*t0
+        v0_1 = 0.125 + -0.025*t0
+        v1_0 = 0.25 + -0.05*t1
+        v1_1 = 0.125 + -0.025*t1
+        v3_0 = 0.25 + -0.05*t3
+        v3_1 = 0.125 + -0.025*t3
+        k0_0 = (0.75*x0 + 2.25*x1) + v0_0
+        k0_1 = (-1.5*x0 + -0.75*x1) + v0_1
+        p1_0 = x0 + half * k0_0
+        p1_1 = x1 + half * k0_1
+        k1_0 = (0.75*p1_0 + 2.25*p1_1) + v1_0
+        k1_1 = (-1.5*p1_0 + -0.75*p1_1) + v1_1
+        p2_0 = x0 + half * k1_0
+        p2_1 = x1 + half * k1_1
+        k2_0 = (0.75*p2_0 + 2.25*p2_1) + v1_0
+        k2_1 = (-1.5*p2_0 + -0.75*p2_1) + v1_1
+        p3_0 = x0 + dt * k2_0
+        p3_1 = x1 + dt * k2_1
+        k3_0 = (0.75*p3_0 + 2.25*p3_1) + v3_0
+        k3_1 = (-1.5*p3_0 + -0.75*p3_1) + v3_1
+        y0_0 = 1.25*x0 + 1.25*x1
+        y1_0 = 1.25*p1_0 + 1.25*p1_1
+        y2_0 = 1.25*p2_0 + 1.25*p2_1
+        y3_0 = 1.25*p3_0 + 1.25*p3_1
+        Y0[k] = y0_0
+        j = k + 1
+        z0 = z0 - sixth * (y0_0 + 2.0 * y1_0 + 2.0 * y2_0 + y3_0)
+        Z0[j] = z0
+        x0 = x0 + sixth * (k0_0 + 2.0 * k1_0 + 2.0 * k2_0 + k3_0)
+        X0[j] = x0
+        x1 = x1 + sixth * (k0_1 + 2.0 * k1_1 + 2.0 * k2_1 + k3_1)
+        X1[j] = x1
+        if not (isfinite(x0) and isfinite(x1)):
+            diverged = True
+            break
+    Y0[j] = 1.25*x0 + 1.25*x1
+    return j + 1, diverged
+"""
+
+
+def loop_source(monkeypatch, system, u, x0, z0):
+    """The source lines of the loop that a run of the system generates."""
+    captured, define = [], phsim._define
+    monkeypatch.setattr(phsim, "_define",
+                        lambda lines, name: captured.append(lines) or define(lines, name))
+    phsim._run(system, u, x0, 0.01, 1e-3, z0=z0)
+    return captured[0]
+
+
+def stage_magnitudes(lines, s):
+    """How often each product magnitude |c|*x*...*y is written at stage s."""
+    counts = Counter()
+    for line in lines:
+        target, _, value = line.strip().partition(" = ")
+        if re.fullmatch(f"[kyw]{s}_[0-9]+", target):
+            for term in re.split(r" [+-] ", value.replace("(", "").replace(")", "")):
+                term = term.lstrip("-").removeprefix("1.0*")
+                counts[term] += "*" in term
+    return counts
+
+
+class TestGeneratedSource:
+    def test_repeated_terms_are_computed_once_per_point(self, monkeypatch):
+        # the quartic pair's F and Y repeat most term magnitudes: the loop
+        # body held 241 `*` (307 with z) while each term was written out
+        u = InputSignal.from_exprs(["-1/20 + 1/200*t", "1/40 + -1/200*t"])
+        x0 = [0.1, 0.2, 0.3, 0.4]
+        for z0, stars in ((None, 132), ([0.1, 0.2], 141)):
+            lines = loop_source(monkeypatch, bench_quartic(), u, x0, z0)
+            body = [line for line in lines if line.startswith(" " * 8)]
+            assert sum(line.count("*") for line in body) == stars
+            for s in range(4):
+                assert max(stage_magnitudes(body, s).values()) == 1
+
+    def test_fields_without_repeated_terms_keep_their_source(self, monkeypatch):
+        quad = PHSystem([[0, "3/2"], ["-3/2", 0]], [[1], ["1/2"]],
+                        parse("1/2*x1^2 + 1/2*x1*x2 + 3/4*x2^2", ["x1", "x2"]))
+        u = InputSignal.from_exprs(["1/4 - 1/20*t"])
+        lines = loop_source(monkeypatch, quad, u, [0.5, -0.5], [0.0])
+        assert "\n".join(lines) == QUAD_SOURCE.rstrip("\n")
 
 
 NAMES = ["x1", "x2", "x3"]

@@ -307,3 +307,19 @@ def test_long_chains_compile_in_the_fused_loop():
     got = _run(system, u, x0, 0.002, 1e-3)
     assert_bitwise(got, list_reference_run(system, u, x0, 0.002, 1e-3))
     assert np.all(np.isfinite(got[1])) and 0.0 < got[1][-1, 0] ** 5000
+
+
+def test_shared_negative_term_keeps_the_nan_bits():
+    # H = 3/4 x1^2 x2: F_2 = -3/2 x1 x2 and Y = 3/2 x1 x2 share one
+    # magnitude, which opens F_2's sum as -1.0*name wherever Y is evaluated.
+    # From x1 = 1e200 the first slope F_1 = 3/4 x1^2 overflows, so the
+    # stage-1 point is (inf, 0.0) and inf * 0.0 is a NaN there; a unary
+    # minus would flip its sign bit
+    system = PHSystem(J_OSC, B_OSC, parse("3/4*x1^2*x2", ["x1", "x2"]))
+    u = InputSignal.zero(1)
+    for z in (None, [0.5]):
+        want = list_reference_run(system, u, [1e200, 0.0], 1.0, 0.1, z0=z)
+        got = _run(system, u, [1e200, 0.0], 1.0, 0.1, z0=z)
+        assert_bitwise(got, want)
+        times, xs, _, outputs, _, diverged = got
+        assert diverged and len(times) == 2 and np.isnan(xs[1, 1]) and np.isnan(outputs[1, 0])

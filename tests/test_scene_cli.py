@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from courantlab import cli, linalg, scene as scene_module
 from courantlab.cli import main
-from courantlab.courant_core import check_axioms, check_degree_cap, standard_structure
+from courantlab.bundles import TrivialBundle
+from courantlab.courant_core import (CourantStructure, check_axioms, check_degree_cap,
+                                     standard_structure)
 from courantlab.polyexpr import Polynomial, parse
 from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
 
@@ -1305,6 +1307,45 @@ def test_each_distinct_literal_is_read_once_per_load(monkeypatch):
     one, other = ((s.sections["rotation"].coeffs.outputs[0],
                    s.sections["radial_form"].coeffs.outputs[3]) for s in (first, second))
     assert one[0] is one[1] and one[0] is not other[0]
+
+
+def test_a_structure_is_printed_from_its_rows(monkeypatch, capsys):
+    # the dense views `anchor` and `metric` form one constant Polynomial per
+    # scalar anchor entry and one Fraction per metric entry (24 and 64 for
+    # this op); printed from the rows, a structure forms neither
+    counts, printed, inside = Counter(), [], []
+    new, constant = Fraction.__new__, Polynomial.constant
+
+    def counted(kind, make):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[kind] += 1
+            return make(*args, **kwargs)
+        return wrapper
+
+    def printing(s, bundle_name):
+        inside.append(s)
+        try:
+            printed.append((s, structure_to_json(s, bundle_name)))
+        finally:
+            inside.pop()
+        return printed[-1][1]
+
+    monkeypatch.setattr(Fraction, "__new__", counted("Fraction", new))
+    monkeypatch.setattr(Polynomial, "constant", staticmethod(counted("constant", constant)))
+    monkeypatch.setattr(cli, "structure_to_json", printing)
+    assert main(["intrinsic", "--n", "3", "--m", "1", "--json"]) == 1
+    assert counts == {} and len(printed) == 1
+    monkeypatch.undo()
+    assert json.loads(capsys.readouterr().out)["structure"] == printed[0][1]
+    # the same text as the dense views give: a scalar by str, a polynomial
+    # by to_string and a missing entry as 0
+    x1 = Polynomial.variable(1, 0)
+    mixed = CourantStructure(TrivialBundle(1, 2, "E"), [[x1 * x1 - 2, Fraction(-1, 3)]],
+                             [[0, Fraction(3, 2)], [Fraction(3, 2), -1]])
+    for s, fragment in printed + [(mixed, structure_to_json(mixed, "E"))]:
+        assert fragment["anchor"] == [[p.to_string() for p in row] for row in s.anchor]
+        assert fragment["metric"] == [[str(v) for v in row] for row in s.metric]
 
 
 # -- argparse failures, simulate, project and dirac under fuzzing ------------------

@@ -210,21 +210,11 @@ def _chain(operands: list[str], op: str) -> str:
     return op.join(operands)
 
 
-# How a term is written when it opens a sum and when it follows another, by
-# whether it is a negated shared one: that is read by name, and opens as
-# -1.0*name, never as -name, which would flip a NaN's sign
-_SIGNS = {False: ("", " + "), True: ("-1.0*", " - ")}
-
-
-def _terms(poly: Polynomial) -> list[tuple]:
-    """(negated, key, text) per term of poly, over the format fields {0},
-    {1}, ... for its variables.
-
-    The text is the term's own product chain of `repr(float(coeff))` (left
+def _terms(poly: Polynomial) -> list[str]:
+    """Each term's own float source, over the format fields {0}, {1}, ...
+    for poly's variables: the product chain of `repr(float(coeff))` (left
     out when coeff = 1) and the variables, a power written as repeated
-    products, so overflow gives inf rather than OverflowError.  The key is
-    its magnitude, the text without its sign and without a factor 1.0 (an
-    exact one), if that has a product and the chain is flat, else None.  A
+    products, so overflow gives inf rather than OverflowError.  A
     coefficient outside the float range raises ValueError.
     """
     names, terms = [f"{{{i}}}" for i in range(poly.num_vars)], []
@@ -235,33 +225,36 @@ def _terms(poly: Polynomial) -> list[tuple]:
             size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
             raise ValueError(f"a field coefficient of size 10^{size:.0f} is outside "
                              "the float range") from None
-        chain = [name for name, e in zip(names, exps) for _ in range(e)]
-        text = _chain(([] if coeff == 1 else [literal]) + chain, "*") or "1.0"
-        # a grouped chain rounds by its groups, so only flat ones are shared
-        key = text.lstrip("-").removeprefix("1.0*") if len(chain) < _CHAIN else ""
-        terms.append((coeff < 0, key if "*" in key else None, text))
+        chain = [name for name, e in zip(names, exps) if e for _ in range(e)]
+        terms.append(_chain(([] if coeff == 1 else [literal]) + chain, "*") or "1.0")
     return terms
 
 
-def _emit(rows: list[list[tuple]], point: Sequence[str], tag: int | str):
-    """(bindings, sums): float source for the polys of the `_terms` rows at
-    `point`, from the terms' texts, the point's names, `+`, `-` and grouping
-    parentheses; no text from a scene reaches it.  Each key that occurs more
-    than once is computed once, by a binding `w<tag>_<i> = key`, and read by
-    name with the signs of `_SIGNS` (see the module docstring); every other
-    term keeps its text.
+def _emit(rows: list[list[str]]):
+    """The float source of the polys whose `_terms` are rows, at a point:
+    `_emit(rows)(point, tag)` gives (bindings, sums), built from the terms,
+    the point's names, `+`, `-` and grouping parentheses; no text from a
+    scene reaches it.  A term's key is its magnitude, its text without the
+    sign and without a factor 1.0 (an exact one).  Each key of a flat
+    product that occurs more than once is computed once, by a binding
+    `w<tag>_<i> = key`, and read by name: a negated one as -1.0*name where
+    it opens a sum or a `_CHAIN` group and as `- name` after another term
+    (see the module docstring).  Every other term keeps its text.  The
+    source is built once, over the fields of `_terms` and {t} for the tag,
+    and formatted at each point.
     """
-    counts = Counter(key for row in rows for _, key, _ in row)
-    shared = {key: f"w{tag}_{i}" for i, key in
-              enumerate(key for key, count in counts.items() if key and count > 1)}
-    sums = []
-    for row in rows:
-        pieces = [_SIGNS[key in shared and negated][i % _CHAIN > 0] + shared.get(key, text)
-                  for i, (negated, key, text) in enumerate(row)]
-        groups = ["".join(pieces[i:i + _CHAIN]) for i in range(0, len(pieces), _CHAIN)]
-        sums.append((_chain([f"({g})" for g in groups], " + ") if len(groups) > 1
-                     else "".join(groups) or "0.0").format(*point))
-    return [f"{name} = {key}".format(*point) for key, name in shared.items()], sums
+    keys = [[text.lstrip("-").removeprefix("1.0*") for text in row] for row in rows]
+    counts = Counter(key for row in keys for key in row if "*" in key and "(" not in key)
+    shared = {key: f"w{{t}}_{i}" for i, key in
+              enumerate(key for key, count in counts.items() if count > 1)}
+    sums = [_chain([("-1.0*" if text[0] == "-" else "") + shared[key] if key in shared
+                    else text for text, key in zip(row, row_keys)], " + ") or "0.0"
+            for row, row_keys in zip(rows, keys)]
+    # a negated shared term after another is subtracted: in the templates,
+    # only the shared names start with w
+    templates = ([f"{name} = {key}" for key, name in shared.items()],
+                 [src.replace(" + -1.0*w", " - w") for src in sums])
+    return lambda point, tag: [[src.format(*point, t=tag) for src in part] for part in templates]
 
 
 def _define(lines: list[str], name: str):
@@ -273,7 +266,7 @@ def _define(lines: list[str], name: str):
 def _compile(polys: Iterable[Polynomial], num_vars: int):
     """One float function: point -> [p(point) for p in polys] (see `_emit`)."""
     names = [f"v{i}" for i in range(num_vars)]
-    bindings, sums = _emit([_terms(p) for p in polys], names, "")
+    bindings, sums = _emit([_terms(p) for p in polys])(names, "")
     return _define([
         "def evaluate(point):", f"    [{', '.join(names)}] = point",
         *("    " + line for line in bindings), "    return [" + ", ".join(sums) + "]",
@@ -285,7 +278,10 @@ def _fields(system: PHSystem, u: InputSignal | None):
     n = system.n
     grad = system.gradient()
     f = [poly_sum(n, (g * c for g, c in zip(grad, row))) for row in system.j]
-    y = [poly_sum(n, (g * row[l] for g, row in zip(grad, system.b))) for l in range(system.m)]
+    y = [
+        poly_sum(n, (g * row[l] for g, row in zip(grad, system.b)))
+        for l in range(system.m)
+    ]
     v = [] if u is None else [
         poly_sum(1, (p * c for p, c in zip(u.u, row))) for row in system.b
     ]
@@ -310,16 +306,18 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
     x, z = [f"x{i}" for i in range(n)], [f"z{l}" for l in range(m if track_z else 0)]
     points = [x] + [[f"p{s}_{i}" for i in range(n)] for s in (1, 2, 3)]
     f_rows, y_rows = ([_terms(p) for p in polys] for polys in (f_polys, y_polys))
+    # F shares its terms with Y at each point where Y is evaluated; each
+    # family's source is built once and formatted at its points
+    stages = [_emit(f_rows + y_rows)] + [_emit(f_rows + (y_rows if track_z else []))] * 3
     body, ys = [], []
     if v_polys is not None:
+        at = _emit([_terms(p) for p in v_polys])
         body = ["t0 = k * dt", "t1 = t0 + half", "t3 = t0 + dt"]
-        v_rows = [_terms(p) for p in v_polys]
         for t in ("t0", "t1", "t3"):
-            bindings, sums = _emit(v_rows, [t], t)
+            bindings, sums = at([t], t)
             body += bindings + [f"v{t[1]}_{i} = {src}" for i, src in enumerate(sums)]
-    for s, point in enumerate(points):
-        # F shares its terms with Y at each point where Y is evaluated
-        bindings, sums = _emit(f_rows + (y_rows if s == 0 or track_z else []), point, s)
+    for s, (point, at) in enumerate(zip(points, stages)):
+        bindings, sums = at(point, s)
         body += bindings + [f"k{s}_{i} = " + (
             src if v_polys is None else f"({src}) + v{'0113'[s]}_{i}")
             for i, src in enumerate(sums[:n])]
@@ -340,7 +338,7 @@ def _loop(f_polys, y_polys, v_polys, track_z: bool):
     finite = " and ".join(f"isfinite({name})" for name in x) or "True"
     body += [f"if not ({finite}):", "    diverged = True", "    break"]
     columns = [v.upper() for v in x] + [f"Y{l}" for l in range(m)] + [v.upper() for v in z]
-    bindings, sums = _emit(y_rows, x, 4)
+    bindings, sums = _emit(y_rows)(x, 4)
     return _define([
         f"def run(steps, dt, half, sixth, isfinite, {', '.join(x + z + columns)}):",
         "    diverged = False",
@@ -478,9 +476,16 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
 
 def interconnection_matrix(system: PHSystem):
     """The skew block [[J, B], [-B^T, 0]] of the interaction system."""
-    lower = [[-row[l] for row in system.b] + zeros
-             for l, zeros in enumerate(linalg.zeros(system.m, system.m))]
-    return [j_row + b_row for j_row, b_row in zip(system.j, system.b)] + lower
+    n, m = system.n, system.m
+    total = n + m
+    s = linalg.zeros(total, total)
+    for i in range(n):
+        for k in range(n):
+            s[i][k] = system.j[i][k]
+        for k in range(m):
+            s[i][n + k] = system.b[i][k]
+            s[n + k][i] = -system.b[i][k]
+    return s
 
 
 def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
@@ -507,7 +512,11 @@ def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
     xs = trajectory.states if include_z else trajectory.x
     n_cols = xs.shape[1]
     m = trajectory.outputs.shape[1]
-    header = ["t", *(f"x{i + 1}" for i in range(n_cols)), *(f"y{i + 1}" for i in range(m))]
+    header = (
+        ["t"]
+        + [f"x{i + 1}" for i in range(n_cols)]
+        + [f"y{i + 1}" for i in range(m)]
+    )
     row = ",".join(["%.17g"] * len(header)) + "\n"
     times = trajectory.times
     with nullcontext(path) if hasattr(path, "write") else open(path, "w") as fh:

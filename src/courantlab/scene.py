@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle
 from .courant_core import CourantStructure
 from .phsim import InputSignal, PHSystem
@@ -293,13 +294,12 @@ def load_scene(path) -> Scene:
 
 def structure_to_json(s: CourantStructure, bundle_name: str) -> dict:
     """Scene fragment for a structure, with canonical expression strings."""
-    (g, _, a), k = s.rows, s.bundle.rank
-    # printed from the rows: str gives a scalar's text and a Polynomial's
-    # to_string, and a missing entry is 0
+    # printed from the frame rows: str gives a scalar's text and a
+    # Polynomial's to_string, and a missing entry is 0
     fragment = {
         "bundle": bundle_name,
-        "anchor": [[str(row.get(j, 0)) for j in range(k)] for row in a],
-        "metric": [[str(row.get(j, 0)) for j in range(k)] for row in g],
+        "anchor": [[str(v) for v in row] for row in linalg.dense(s.rows[2], s.bundle.rank)],
+        "metric": [[str(v) for v in row] for row in linalg.dense(s.rows[0], s.bundle.rank)],
     }
     functions = {
         f"{i + 1},{j + 1},{h + 1}": p.to_string()

@@ -407,11 +407,25 @@ def inner(test):
     return test.hypothesis.inner_test
 
 
-# `phsim._SIGNS` with a shared negative term after the first of its sum
-# added, and with one that opens a sum written -name
-SIGNS_ADDING = {False: ("", " + "), True: ("-1.0*", " + ")}
-SIGNS_UNARY_MINUS = {False: ("", " + "), True: ("-", " - ")}
-QUARTIC_CASE = next(case for case in test_phsim_reference.BITWISE_CASES if case[0] == "quartic")
+def emit_writing(old, new):
+    """`phsim._emit` with `old` written as `new` in the source it gives: a
+    shared term's name starts with w, and no other name does."""
+    emit = phsim._emit
+
+    def mutant(rows):
+        at = emit(rows)
+        return lambda point, tag: [[src.replace(old, new) for src in part]
+                                   for part in at(point, tag)]
+    return mutant
+
+
+# a shared negative term added after another term, and one that opens a sum
+# written -name
+EMIT_ADDING = emit_writing(" - w", " + w")
+EMIT_UNARY_MINUS = emit_writing("-1.0*w", "-w")
+QUARTIC_CASE, SHARED_IN_F_CASE = (
+    next(case for case in test_phsim_reference.BITWISE_CASES if case[0] == name)
+    for name in ("quartic", "shared_in_f"))
 
 
 SCALED1 = scaled_structure(standard_structure(1), Fraction(-2, 5))
@@ -679,14 +693,21 @@ MUTANTS = {
         (1, 1),                             # columns (v, p) of chi read as (p, e)
     ),
     "shared_negative_term_added": (
-        [(phsim, "_SIGNS", SIGNS_ADDING)],
+        [(phsim, "_emit", EMIT_ADDING)],
         test_phsim_reference.test_fused_loop_bitwise_equals_list_loop,
         # F_2 = -x1 - 1/2 x1^3 + ... shares 1/2 x1^3 with Y_1, subtracted after
-        # -x1; the list loop compiles F and Y apart and leaves it unshared
+        # -x1; the list loop writes every term out on its own
         QUARTIC_CASE,
     ),
+    "shared_negative_term_added_within_f": (
+        [(phsim, "_emit", EMIT_ADDING)],
+        test_phsim_reference.test_fused_loop_bitwise_equals_list_loop,
+        # F_3 = -2 x1 - 2 x2 subtracts the 2 x2 it shares with F_1, and Y
+        # holds no such term
+        SHARED_IN_F_CASE,
+    ),
     "shared_negative_term_opens_with_a_unary_minus": (
-        [(phsim, "_SIGNS", SIGNS_UNARY_MINUS)],
+        [(phsim, "_emit", EMIT_UNARY_MINUS)],
         test_phsim_reference.test_shared_negative_term_keeps_the_nan_bits,
         (),                                 # -name flips the sign of the NaN inf * 0.0
     ),

@@ -9,10 +9,11 @@ The tolerance was fixed before the comparison: max abs difference <= 1e-12
 over 10 000 steps.
 
 `list_reference_run` is the RK4 loop on Python float lists that the fused
-loop replaced: the same compiled fields called once per stage through a
-right-hand-side closure.  Every float operation of the fused loop is the
-one this loop performs, in the same order, so the two must agree bitwise,
-signed zeros and NaNs included.
+loop replaced: the fields compiled term by term, with no term shared
+(`unshared_compile`), and called once per stage through a right-hand-side
+closure.  Every float of the fused loop, which computes a term magnitude
+repeated at a point once, is the one this loop computes, so the two must
+agree bitwise, signed zeros and NaNs included.
 """
 
 import itertools
@@ -24,7 +25,7 @@ import pytest
 from courantlab.phsim import (
     InputSignal,
     PHSystem,
-    _compile,
+    _chain,
     _fields,
     _grid,
     _run,
@@ -54,6 +55,27 @@ def _reference_compile(poly):
         return total
 
     return evaluate
+
+
+def unshared_compile(polys, num_vars):
+    """point -> [p(point) for p in polys], each term written out on its own:
+    its repr(float(coeff)) (left out when coeff = 1) and its variables
+    joined by `*`, the terms by ` + `, as the simulator wrote every field
+    before it shared repeated terms."""
+    names = [f"v{i}" for i in range(num_vars)]
+    sums = []
+    for poly in polys:
+        terms = []
+        for exps, coeff in poly.terms.items():
+            factors = [] if coeff == 1 else [repr(float(coeff))]
+            for name, e in zip(names, exps):
+                factors.extend([name] * e)
+            terms.append(_chain(factors, "*") if factors else "1.0")
+        sums.append(_chain(terms, " + ") if terms else "0.0")
+    namespace = {}
+    exec(f"def evaluate(point):\n    [{', '.join(names)}] = point\n"
+         f"    return [{', '.join(sums)}]", namespace)
+    return namespace["evaluate"]
 
 
 def reference_run(system, u, x0, t_final, h, z0=None):
@@ -117,9 +139,9 @@ def list_reference_run(system, u, x0, t_final, h, z0=None):
     steps, dt = _grid(t_final, h)
     n, m = system.n, system.m
     f_polys, y_polys, v_polys = _fields(system, u)
-    f_fn = _compile(f_polys, n)
-    y_fn = _compile(y_polys, n)
-    v_fn = _compile(v_polys, 1) if any(not p.is_zero() for p in v_polys) else None
+    f_fn = unshared_compile(f_polys, n)
+    y_fn = unshared_compile(y_polys, n)
+    v_fn = unshared_compile(v_polys, 1) if any(not p.is_zero() for p in v_polys) else None
 
     def rhs(t, point):
         if v_fn is None:
@@ -254,6 +276,13 @@ def closed_oscillator():
     return PHSystem(J_OSC, [[], []], parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"]))
 
 
+def shared_in_f():
+    """F = (2 x2 + 2 x3, -2 x1 + 2 x3, -2 x1 - 2 x2) and Y = 2 x3: the
+    magnitude 2 x2 is shared by F_1 and F_3 alone, negated in F_3."""
+    j = [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]]
+    return PHSystem(j, [[0], [0], [1]], parse("x1^2 + x2^2 + x3^2", ["x1", "x2", "x3"]))
+
+
 # (name, system, input, x0, z0, T, h, rows); rows < T/h + 1 marks a divergence
 BITWISE_CASES = [
     *((name, make, u, x0, z0, 10.0, 1e-3, 10_001) for name, make, u, x0, z0 in CASES),
@@ -262,6 +291,8 @@ BITWISE_CASES = [
     ("diverging_quartic", diverging_quartic, InputSignal.from_exprs(["1 + t"]),
      [1e100, 1.0], [0.5], 1.0, 0.1, 2),
     ("closed_m0", closed_oscillator, None, [1.0, 0.5], None, 1.0, 1e-3, 1001),
+    ("shared_in_f", shared_in_f, InputSignal.from_exprs(["1/10*t"]), [0.3, -0.2, 0.5],
+     [0.1], 1.0, 1e-3, 1001),
     # V = (1, 0): the zero component is still added, turning x2 = -0.0 into 0.0
     ("signed_zero_u1", oscillator, InputSignal.constant([1]), [0.0, -0.0], [-0.0],
      0.1, 1e-3, 101),

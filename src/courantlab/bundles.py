@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .polyexpr import Polynomial, PolyMap, _coeff, monomials_up_to
+from .polyexpr import Polynomial, PolyMap, _coeff, _is_identity, monomials_up_to
 
 
 class TrivialBundle:
@@ -187,13 +187,8 @@ class BundleMorphism:
                else type(p) not in (int, Fraction) for row in fm for p in row):
             raise ValueError("fiber matrix entries must be exact scalars or polynomials "
                              "in the source base variables")
-        if retraction is not None:
-            if retraction.num_inputs != target.base_dim or len(retraction) != source.base_dim:
-                raise ValueError(f"retraction shape {retraction.num_inputs}->{len(retraction)} "
-                                 f"does not match bases {target.base_dim}->{source.base_dim}")
-            if retraction.compose(base_map) != PolyMap.identity(source.base_dim):
-                raise ValueError("retraction does not invert the base map: r(phi0(x)) != x")
-        self._fill(source, target, base_map, linalg.sparse(fm), retraction)
+        self._fill(source, target, base_map, linalg.sparse(fm),
+                   _checked_retraction(source, target, base_map, retraction))
 
     def _fill(self, source, target, base_map, rows, retraction):
         """Set every slot from checked parts; the dense view, the extension
@@ -256,10 +251,9 @@ class BundleMorphism:
                    retraction=retraction)
 
     def is_identity_base(self) -> bool:
-        return (
-            self.source.base_dim == self.target.base_dim
-            and self.base_map == PolyMap.identity(self.source.base_dim)
-        )
+        """Whether phi0 is x -> x: its outputs are the source variables, in
+        order, which needs equal base dimensions."""
+        return _is_identity(self.source.base_dim, self.base_map.outputs)
 
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""
@@ -274,6 +268,20 @@ class BundleMorphism:
             f"BundleMorphism({self.source.label} -> {self.target.label}, "
             f"base {self.base_map.to_strings()})"
         )
+
+
+def _checked_retraction(source: TrivialBundle, target: TrivialBundle, base_map: PolyMap,
+                       retraction: PolyMap | None) -> PolyMap | None:
+    """`retraction`, checked to map the target base to the source base and
+    to invert `base_map`: r(phi0(x)) = x, an identity test on the composite;
+    None passes."""
+    if retraction is not None:
+        if retraction.num_inputs != target.base_dim or len(retraction) != source.base_dim:
+            raise ValueError(f"retraction shape {retraction.num_inputs}->{len(retraction)} "
+                             f"does not match bases {target.base_dim}->{source.base_dim}")
+        if not _is_identity(source.base_dim, retraction.compose(base_map).outputs):
+            raise ValueError("retraction does not invert the base map: r(phi0(x)) != x")
+    return retraction
 
 
 def _coordinate_columns(phi: BundleMorphism) -> list[int] | None:

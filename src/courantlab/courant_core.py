@@ -868,13 +868,6 @@ def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
     return {key: p for key, p in rho_d.items() if p}, _pruned(anomaly)
 
 
-def _anchor_identities_hold(s: CourantStructure) -> bool:
-    """Whether rho o D = A G^-1 A^T = 0 and the anchor homomorphism H = 0
-    hold; with (ii), (iii) and the fifth identity they are the five frame
-    identities of the module docstring."""
-    return not any(_anchor_tables(s))
-
-
 def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
     """{(i, j, k, l): J(e_i, e_j, e_k)^l} from the tables of `_c_tables`, where
       J(e_i, e_j, e_k)^l = sum_h (c_jk^h c_ih^l - c_ij^h c_hk^l - c_ik^h c_jh^l)

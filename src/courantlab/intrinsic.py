@@ -32,14 +32,19 @@ is the unique candidate compatible with the verifiable arrows.  The gates
 injective, and r o phi0 = id makes Jac(phi0) injective, so the metric,
 anchor and bracket conditions on the frames determine G', A' =
 J_r(phi0) A(phi0) P and c' (see `uniqueness_check`).
+
+The chain's constant maps are written down as sparse rows, as
+`standard_structure` writes its frame data, and keep their checks: the
+canonical splitting's rows are checked invertible by `det_inverse`, and
+the inclusion's identity retraction is checked to invert its base map.  A
+splitting given as a dense matrix (`--phi`) is converted to rows once, by
+the same checks.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
-from .bundles import BundleMorphism, TrivialBundle, compose_morphisms
+from .bundles import BundleMorphism, TrivialBundle, _checked_retraction, compose_morphisms
 from .courant_core import CourantStructure, standard_bundle, standard_structure
 from .morphisms import MorphismVerdict, check_general_base, check_identity_base
 from .polyexpr import Polynomial, PolyMap
@@ -59,26 +64,38 @@ __all__ = [
 
 class SplittingIso:
     """Constant fiber isomorphism identifying the pulled-back sum with
-    TE (+) T*E over the identity on the total space; `fiber_matrix` is a
-    tuple of Fraction rows, and `rows` its canonical sparse rows, converted
-    once and reduced once to check invertibility, which chi's fiber map
-    keeps."""
+    TE (+) T*E over the identity on the total space.  It keeps its canonical
+    sparse rows, `rows`, reduced once by `det_inverse` to check
+    invertibility, which chi's fiber map keeps; a dense matrix is converted
+    once at the constructor.  `fiber_matrix` is a dense view, a tuple of
+    Fraction rows formed on first read."""
 
-    __slots__ = ("n", "m", "fiber_matrix", "rows")
+    __slots__ = ("n", "m", "rows", "_matrix")
 
     def __init__(self, n: int, m: int, fiber_matrix):
-        matrix = tuple(map(tuple, linalg.mat(fiber_matrix)))
+        matrix = linalg.mat(fiber_matrix)
         size = 2 * n + 2 * m
         if len(matrix) != size or any(len(r) != size for r in matrix):
             raise ValueError(f"splitting matrix must be {size} x {size}")
-        rows = linalg.sparse(matrix)
+        self._fill(n, m, linalg.sparse(matrix))
+
+    def _fill(self, n: int, m: int, rows: list[dict]):
+        """Set the slots from square canonical rows, checked invertible."""
         if linalg.det_inverse(rows)[0] == 0:
             raise ValueError("splitting matrix must be invertible")
-        for slot, value in zip(self.__slots__, (n, m, matrix, rows)):
+        for slot, value in zip(self.__slots__, (n, m, rows, None)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SplittingIso is immutable")
+
+    @property
+    def fiber_matrix(self) -> tuple:
+        """The dense view of `rows`, formed on first read."""
+        if self._matrix is None:
+            dense = linalg.dense(self.rows, len(self.rows))
+            object.__setattr__(self, "_matrix", tuple(map(tuple, linalg.mat(dense))))
+        return self._matrix
 
 
 def canonical_splitting(n: int, m: int) -> SplittingIso:
@@ -90,15 +107,13 @@ def canonical_splitting(n: int, m: int) -> SplittingIso:
     """
     if n < 0 or m < 0:
         raise ValueError("dimensions must be >= 0")
-    size, zero, one = 2 * n + 2 * m, Fraction(0), Fraction(1)
-    matrix = [[zero] * size for _ in range(size)]
-    for a in range(n):
-        matrix[a][a] = one  # v -> tangent x-block
-        matrix[n + m + a][n + a] = one  # p -> cotangent x-block
-    for b in range(m):
-        matrix[n + b][2 * n + b] = one  # e -> tangent z-block
-        matrix[n + m + n + b][2 * n + m + b] = one  # eps -> cotangent z-block
-    return SplittingIso(n, m, matrix)
+    # target rows: tangent x-block <- v, tangent z-block <- e, cotangent
+    # x-block <- p, cotangent z-block <- eps
+    sources = [*range(n), *range(2 * n, 2 * n + m),
+               *range(n, 2 * n), *range(2 * n + m, 2 * n + 2 * m)]
+    splitting = object.__new__(SplittingIso)
+    splitting._fill(n, m, [{c: 1} for c in sources])
+    return splitting
 
 
 def intrinsic_bundle(n: int, m: int) -> TrivialBundle:
@@ -127,11 +142,16 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
 
 
 def inclusion_morphism(n: int, m: int) -> BundleMorphism:
-    """id (+) 0: TM (+) T*M -> TM (+) T*M (+) E (+) E*, over the identity."""
-    source = standard_bundle(n)
-    target = intrinsic_bundle(n, m)
-    matrix = [[int(i == j) for j in range(2 * n)] for i in range(2 * n + 2 * m)]
-    return BundleMorphism.constant(source, target, matrix)
+    """id (+) 0: TM (+) T*M -> TM (+) T*M (+) E (+) E*, over the identity.
+
+    Its rows are written down: row i < 2n holds 1 at column i, and the 2m
+    rows of E (+) E* are empty.  The base map is its own retraction, checked
+    to invert it as the constructor checks a retraction."""
+    source, target, base = standard_bundle(n), intrinsic_bundle(n, m), PolyMap.identity(n)
+    inclusion = object.__new__(BundleMorphism)
+    rows = [{i: 1} for i in range(2 * n)] + [{} for _ in range(2 * m)]
+    inclusion._fill(source, target, base, rows, _checked_retraction(source, target, base, base))
+    return inclusion
 
 
 def pontryagin_embedding(n: int, m: int, splitting: SplittingIso | None = None) -> BundleMorphism:

@@ -36,10 +36,14 @@ factor is a Polynomial, so polynomial fiber maps flow through the same
 loops, and `pmat_compose` substitutes into the Polynomial entries only.
 Sums that cancel are dropped, and every result entry is brought into
 canonical form (a constant sum becomes its scalar), so rows stay canonical
-through every operation.  The zero test is `is_zero`: a zero Polynomial is
-truthy, so no entry is tested by truthiness.  A scalar prints as the
-constant polynomial it equals: str(Fraction(-3, 2)) is
-Polynomial.constant(n, Fraction(-3, 2)).to_string().
+through every operation.  One routine does both, `_nonzero`, with one
+`type()` dispatch per entry: an int is kept when nonzero, a Fraction when
+nonzero and as its int when integral, a Polynomial when non-constant and as
+its scalar when constant and nonzero.  `sparse` and every `pmat_*` pass
+their (column, entry) pairs through it.  A zero Polynomial is truthy, so no
+entry is tested by truthiness; `is_zero` and `entry` state the same rule
+for one entry.  A scalar prints as the constant polynomial it equals:
+str(Fraction(-3, 2)) is Polynomial.constant(n, Fraction(-3, 2)).to_string().
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ def polynomial(x, num_vars: int) -> Polynomial:
 def sparse(a) -> list[dict]:
     """The rows of a dense matrix, each as {column: entry} over its nonzero
     entries, in canonical form."""
-    return [{j: entry(x) for j, x in enumerate(row) if not is_zero(x)} for row in a]
+    return [_nonzero(enumerate(row)) for row in a]
 
 
 def dense(a: list[dict], cols: int) -> list[list]:
@@ -200,9 +204,21 @@ def dense(a: list[dict], cols: int) -> list[list]:
     return [[row.get(j, 0) for j in range(cols)] for row in a]
 
 
-def _nonzero(row: dict) -> dict:
-    """The entries of a sparse row that do not vanish, in canonical form."""
-    return {j: entry(v) for j, v in row.items() if not is_zero(v)}
+def _nonzero(pairs) -> dict:
+    """The row {column: entry} of the (column, entry) pairs whose entry does
+    not vanish, in canonical form and in their order: the rule of `is_zero`
+    and `entry`, with one type dispatch per entry."""
+    out = {}
+    for j, v in pairs:
+        t = type(v)
+        if t is Polynomial:
+            if any(v._packed):
+                out[j] = v
+            elif v._packed:
+                out[j] = v._packed[0]
+        elif v:
+            out[j] = v.numerator if t is Fraction and v.denominator == 1 else v
+    return out
 
 
 def pmat_mul(a: list[dict], b: list[dict]) -> list[dict]:
@@ -215,7 +231,7 @@ def pmat_mul(a: list[dict], b: list[dict]) -> list[dict]:
         for k, x in row.items():
             for j, y in b[k].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(_nonzero(acc))
+        out.append(_nonzero(acc.items()))
     return out
 
 
@@ -227,7 +243,7 @@ def pmat_vec(a: list[dict], v) -> list:
 
 def pmat_sub(a: list[dict], b: list[dict]) -> list[dict]:
     """A - B on sparse rows."""
-    return [_nonzero({**ra, **{j: ra[j] - y if j in ra else -y for j, y in rb.items()}})
+    return [_nonzero({**ra, **{j: ra[j] - y if j in ra else -y for j, y in rb.items()}}.items())
             for ra, rb in zip(a, b)]
 
 
@@ -244,5 +260,5 @@ def pmat_is_constant(a: list[dict]) -> bool:
 def pmat_compose(a: list[dict], inner: PolyMap) -> list[dict]:
     """Entrywise substitution in sparse rows: a Polynomial entry p becomes
     p(inner(.)), in canonical form, and a scalar entry is kept."""
-    return [_nonzero({j: x.compose(inner) if type(x) is Polynomial else x
-                      for j, x in row.items()}) for row in a]
+    return [_nonzero((j, x.compose(inner) if type(x) is Polynomial else x)
+                     for j, x in row.items()) for row in a]

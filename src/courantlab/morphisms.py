@@ -163,7 +163,7 @@ from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle, check_related
-from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure
+from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure, _packed
 from .polyexpr import (
     Polynomial,
     PolyMap,
@@ -338,11 +338,6 @@ def along_image(s2, phi) -> AlongImage:
     return record
 
 
-def _terms(x) -> dict:
-    """The packed term dict of a nonzero entry."""
-    return x._packed if type(x) is Polynomial else {0: x}
-
-
 def _diff(a: list[dict], l: int) -> list[dict]:
     """d_l of every entry of sparse rows, the nonzero ones kept."""
     return [{j: d for j, d in ((j, x.diff(l)) for j, x in row.items() if type(x) is Polynomial)
@@ -372,7 +367,7 @@ def frame_table(rec: AlongImage) -> dict:
 
 def _structure_terms(rec):
     """(i, j, h, x, y) with x y = P_ai P_bj c2_ab^h(phi0), over the nonzero P_ai and P_bj."""
-    n, p = rec.n, [{i: _terms(x) for i, x in row.items()} for row in rec.p]
+    n, p = rec.n, [{i: _packed(x) for i, x in row.items()} for row in rec.p]
     for (a, b, h), c in rec.s2.structure_functions.items():
         c = (c if rec.base_map is None else c.compose(rec.base_map))._packed
         yield from ((i, j, h, _product(x, y, n), c)
@@ -382,7 +377,7 @@ def _structure_terms(rec):
 def _anchor_terms(qp_l: dict, dp: list[dict]):
     """(i, j, h, x, y) with x y = (Q P)_li d_l(P e_j)_h, into Gamma_ij and
     negated into Gamma_ji, over the nonzero factors; dp = d_l P."""
-    return ((*pair, h, x, d._packed) for i, qpli in ((i, _terms(x)) for i, x in qp_l.items())
+    return ((*pair, h, x, d._packed) for i, qpli in ((i, _packed(x)) for i, x in qp_l.items())
             for h, row in enumerate(dp) for j, d in row.items()
             for pair, x in (((i, j), qpli), ((j, i), _scaled(qpli, -1))))
 
@@ -390,7 +385,7 @@ def _anchor_terms(qp_l: dict, dp: list[dict]):
 def _derived_terms(v_l: dict, w: list[dict]):
     """(i, j, h, x, y) with x y = (G2^-1 Q^T)_hl (w_ij)_l over the nonzero
     factors, given row l of Q G2^-1 and w = (d_l P)^T G2 P."""
-    return ((i, j, h, _terms(v), _terms(wij)) for i, row in enumerate(w)
+    return ((i, j, h, _packed(v), _packed(wij)) for i, row in enumerate(w)
             for j, wij in row.items() for h, v in v_l.items())
 
 

@@ -19,7 +19,9 @@ appending variables leaves keys unchanged and `lift` is a shift.
 Substitution has one path: `compose` expands each term as the product of
 the powers of the substituted polynomials, formed by `_power` and cached
 per call, so a power that reaches the guard bit raises
-`ExponentOverflowError` as `**` does.
+`ExponentOverflowError` as `**` does.  Substituting the identity map in the
+same variables (`_is_identity`) returns a copy of the terms, which is what
+the expansion gives.
 
 Coefficients are ints when integral and `fractions.Fraction` otherwise,
 never floats.  The zero polynomial has an empty term map, and every
@@ -444,6 +446,17 @@ class Polynomial:
         that occurs, and the images are summed in the order of the terms.
         A power or product whose exponent reaches the guard bit raises
         `ExponentOverflowError`, as in `**`.
+
+        When the maps are x_1, ..., x_n in these same n variables, in order
+        and with coefficient 1 (`_is_identity`), the copy of the terms is
+        returned without expansion, and it is exact: each x_i^e_i is the
+        single term of key e_i << 16 i, the keys of distinct variables
+        occupy distinct fields, so their product is the one term of key
+        `key` and coefficient 1, and c times it is the term itself.  The
+        images of distinct terms have distinct keys and nothing cancels, so
+        the sum keeps the keys, coefficients and order of the terms.  No
+        exponent can reach the guard bit, as every stored exponent is below
+        it.
         """
         is_map = isinstance(maps, PolyMap)
         outputs = maps.outputs if is_map else tuple(maps)
@@ -459,7 +472,7 @@ class Polynomial:
                 if q.num_vars != inner_vars:
                     raise ValueError("substituted maps disagree on variable count")
         packed = self._packed
-        if not packed or (len(packed) == 1 and 0 in packed):
+        if not packed or (len(packed) == 1 and 0 in packed) or _is_identity(inner_vars, outputs):
             return _raw(inner_vars, dict(packed))
         # cache powers of each substituted polynomial, formed as q ** e forms
         # them, from the first term in which its variable occurs
@@ -534,6 +547,15 @@ def _raw(num_vars: int, packed: dict) -> Polynomial:
     _set_num_vars(p, num_vars)
     _set_packed(p, packed)
     return p
+
+
+def _is_identity(num_vars: int, outputs) -> bool:
+    """Whether `outputs`, polynomials in `num_vars` variables, are those
+    variables x_1, ..., x_n in order: output i is the single term of key
+    1 << 16 i with coefficient 1.  A permutation of the variables, a scaled
+    variable or the variables of a larger space is not."""
+    return len(outputs) == num_vars and all(
+        q._packed == {1 << (_BITS * i): 1} for i, q in enumerate(outputs))
 
 
 def _power_cache(q: Polynomial) -> dict:

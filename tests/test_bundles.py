@@ -109,6 +109,33 @@ class TestApplyMorphism:
         assert list(via_composite) == staged
 
 
+NEAR_IDENTITY = [["x1", "x2"], ["x2", "x1"], ["2*x1", "x2"], ["x1", "x2 + 1"]]
+
+
+@pytest.mark.parametrize("exprs", NEAR_IDENTITY)
+def test_identity_base_reads_the_whole_map(exprs):
+    # phi0 is the identity exactly when it equals PolyMap.identity: a
+    # permutation of the variables or a coefficient 2 is not
+    plane = line_bundle(2, 1)
+    f = PolyMap.from_exprs(exprs, ["x1", "x2"])
+    assert BundleMorphism(plane, plane, f, [[1]]).is_identity_base() is (f == PolyMap.identity(2))
+
+
+@pytest.mark.parametrize("exprs", NEAR_IDENTITY)
+def test_retraction_check_reads_the_whole_map(exprs):
+    # over the identity base, r o phi0 = r, so the constructor accepts r
+    # exactly when it equals PolyMap.identity
+    plane = line_bundle(2, 1)
+    f = PolyMap.from_exprs(exprs, ["x1", "x2"])
+    try:
+        BundleMorphism(plane, plane, PolyMap.identity(2), [[1]], retraction=f)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "retraction does not invert the base map: r(phi0(x)) != x"
+        accepted = False
+    assert accepted is (f == PolyMap.identity(2))
+
+
 def test_composition_substitutes_the_inner_base_map():
     # the composite's fiber matrix is P_outer(phi0(x)) P_inner(x): along
     # x -> x^2 the outer entry x1 reads x1^2, so the entry is x1^2 + x1, and

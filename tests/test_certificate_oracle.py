@@ -47,7 +47,7 @@ from courantlab.courant_core import (
     AxiomCheck,
     CourantStructure,
     LeibnizReport,
-    _anchor_identities_hold,
+    _anchor_tables,
     _c_tables,
     _frame_jacobiator,
     _least_skew_failure,
@@ -764,7 +764,7 @@ def four_frame_identities_hold(s):
     c, lowered = _c_tables(s)
     return (_least_skew_failure(c, (1, 0, 2), 2) is None
             and _least_skew_failure(lowered, (0, 2, 1), 3) is None
-            and _anchor_identities_hold(s))
+            and not any(_anchor_tables(s)))
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -10,19 +10,23 @@ same overflow behaviour.
 """
 
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from courantlab import polyexpr
 from courantlab.polyexpr import (
     MAX_EXPONENT,
     ExponentOverflowError,
     PolyMap,
     Polynomial,
+    parse,
     poly_sum,
 )
 
 bounded = settings(max_examples=80, deadline=timedelta(seconds=2), database=None)
+derandomized = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 coefficients = st.one_of(
     st.sampled_from([1, -1, 2, 3]),
@@ -188,3 +192,62 @@ def test_zero_and_constant_polynomials_still_check_their_maps(case, surplus):
     wide = Polynomial.constant(p.num_vars + 1, p.constant_value())
     with pytest.raises(ValueError, match="disagree on variable count"):
         wide.compose(outputs + [Polynomial(inner + 1)])
+
+
+def variables(n: int, num_vars: int) -> list[Polynomial]:
+    return [Polynomial.variable(num_vars, i) for i in range(n)]
+
+
+def expansion_refused(q):
+    raise AssertionError("the identity substitution formed a power cache")
+
+
+@derandomized
+@given(st.integers(1, 3).flatmap(lambda n: polynomials(n, st.integers(0, 3), max_terms=6)))
+def test_identity_substitution_returns_the_expansion(p):
+    # x_i -> x_i in the same variables returns a copy of the terms without
+    # forming a power: the oracle's keys, coefficients, types and order
+    n = p.num_vars
+    expected = oracle(p, variables(n, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyexpr, "_power_cache", expansion_refused)
+        results = [p.compose(PolyMap(n, variables(n, n))), p.compose(variables(n, n))]
+    for result in results:
+        assert list(result._packed.items()) == list(expected._packed.items())
+        assert stored_types(result) == stored_types(expected)
+        assert result._packed is not p._packed
+
+
+@st.composite
+def near_identity_maps(draw):
+    """(p, outputs): the variables of p out of order, one of them scaled, or
+    all of them in one variable more."""
+    n = draw(st.integers(1, 3))
+    p = draw(polynomials(n, st.integers(0, 3), max_terms=6))
+    kind = draw(st.sampled_from(["permuted", "scaled", "wider"] if n > 1 else ["scaled", "wider"]))
+    if kind == "permuted":
+        order = draw(st.permutations(range(n)).filter(lambda o: o != list(range(n))))
+        return p, [Polynomial.variable(n, i) for i in order]
+    if kind == "scaled":
+        outputs = variables(n, n)
+        i = draw(st.integers(0, n - 1))
+        outputs[i] = outputs[i] * draw(st.sampled_from([2, -1, Fraction(1, 2)]))
+        return p, outputs
+    return p, variables(n, n + 1)
+
+
+@derandomized
+@given(near_identity_maps())
+def test_a_map_near_the_identity_takes_the_expansion(case):
+    p, outputs = case
+    assert not polyexpr._is_identity(outputs[0].num_vars, outputs)
+    assert_same(p, outputs)
+
+
+@pytest.mark.parametrize("exprs", [["x1", "x2"], ["x2", "x1"], ["2*x1", "x2"]])
+def test_the_identity_shortcut_reads_the_order_and_the_coefficients(exprs):
+    # after (x2, x1) the terms swap their variables, after (2 x1, x2) the
+    # coefficients double per power of x1; only (x1, x2) returns the terms
+    names = ["x1", "x2"]
+    p = parse("x1^2*x2 - 3*x1 + 1/2*x2^3 + 1", names)
+    assert_same(p, PolyMap.from_exprs(exprs, names).outputs)

@@ -267,9 +267,14 @@ class TestWorkPerOp:
     def test_substitution_never_receives_a_constant(self, monkeypatch, n, m):
         # zero and constant polynomials return from compose unsubstituted
         # `_power_cache` is the one substitution entry, past that return; it
-        # records the keys of the polynomial being composed
-        composing, seen = [], []
+        # records the keys of the polynomial being composed.  A substitution
+        # of the identity map returns the terms unexpanded too, so with
+        # m = 0, where every substitution is one, nothing reaches it: the
+        # guard `seen or n == 0` became the assertion that the identity
+        # shortcut ran, and substitution is still seen for m >= 1
+        composing, seen, shortcuts = [], [], []
         original, compose = polyexpr._power_cache, Polynomial.compose
+        is_identity = polyexpr._is_identity
 
         def entering(self, maps):
             composing.append(list(self._packed))
@@ -284,9 +289,12 @@ class TestWorkPerOp:
 
         monkeypatch.setattr(Polynomial, "compose", entering)
         monkeypatch.setattr(polyexpr, "_power_cache", recording)
+        monkeypatch.setattr(polyexpr, "_is_identity", lambda num_vars, outputs: (
+            is_identity(num_vars, outputs) and not shortcuts.append(num_vars)))
         result = build_intrinsic(n, m)
         intrinsic._uniqueness(result.structure, m)
-        assert seen or n == 0
+        assert shortcuts or n == 0
+        assert seen or m == 0 or n == 0
         assert not [keys for keys in seen if keys in ([], [0])]
 
     @pytest.mark.parametrize("n, m", SIZES)
@@ -397,7 +405,11 @@ class TestWorkPerOp:
         # the Fractions left are canonical_splitting's 0 and 1 and the two
         # determinants `det_inverse` returns; with the splitting's rows
         # converted once and kept by chi, whose retraction is not composed
-        # with its base map again, 4 conversions and 9 constants
+        # with its base map again, 4 conversions and 9 constants.  With the
+        # canonical splitting and the inclusion written down as rows and a
+        # substitution of the identity map returning its terms unexpanded,
+        # sparse 4 -> 2 (the two Jacobians), constants 9 -> 3 (the caches
+        # of chi's substitutions) and Fractions 4 -> 2 (the determinants)
         counts = Counter()
         sparse, constant, new = linalg.sparse, Polynomial.constant.__func__, Fraction.__new__
         monkeypatch.setattr(linalg, "sparse", lambda a: counts.update(["sparse"]) or sparse(a))
@@ -407,7 +419,7 @@ class TestWorkPerOp:
                             counts.update(["Fraction"]) or new(cls, *args, **kwargs))
         build_intrinsic(3, 1)
         monkeypatch.undo()
-        assert counts == {"sparse": 4, "constant": 9, "Fraction": 4}
+        assert counts == {"sparse": 2, "constant": 3, "Fraction": 2}
 
     def test_matrix_operations_per_op(self, monkeypatch, capsys):
         # `intrinsic --n 3 --m 1` made 59 exact matrix operations before the

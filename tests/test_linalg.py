@@ -405,3 +405,32 @@ def test_constant_frame_data_stays_scalar(case):
     values += linalg.pmat_vec(linalg.sparse(a), [linalg.entry(x) for x in v])
     for x in values:
         assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),  # integral and proper
+    st.sampled_from(_POLYS),                # zero, constant and non-constant
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(
+        lambda c: Polynomial.constant(2, c)),
+)
+
+
+def entrywise(pairs) -> dict:
+    """The canonical row by the one-entry rule: `is_zero`, then `entry`."""
+    return {j: linalg.entry(v) for j, v in pairs if not linalg.is_zero(v)}
+
+
+def typed_items(row: dict) -> list:
+    return [(j, typed(v)) for j, v in row.items()]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 6), _ENTRIES, max_size=7))
+def test_one_dispatch_per_entry_equals_the_entrywise_rule(row):
+    # `_nonzero` dispatches once on each entry's type; `sparse` passes its
+    # (column, entry) pairs to it.  Both keep the columns, order, values and
+    # types the entrywise rule keeps
+    assert typed_items(linalg._nonzero(row.items())) == typed_items(entrywise(row.items()))
+    values = list(row.values())
+    assert typed_items(linalg.sparse([values])[0]) == typed_items(entrywise(enumerate(values)))

@@ -845,7 +845,7 @@ def b_transform(b: str):
 def test_closed_b_transform_is_an_automorphism(b):
     # every 2-form on R^2 is closed, so e^B preserves the Dorfman bracket;
     # P^T G P = G holds through the cancellation b - b in its off-diagonal
-    # entries, whose zero polynomials the kernel must drop by `is_zero`
+    # entries, whose zero polynomials the kernel must drop (`_nonzero`)
     s, phi = b_transform(b)
     assert check_identity_base(s, s, phi).is_morphism
     assert check_general_base(s, s, phi).is_morphism

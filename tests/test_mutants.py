@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import bundles, cli, courant_core, linalg, morphisms, phsim, pullback, scene
+from courantlab import (bundles, cli, courant_core, intrinsic, linalg, morphisms, phsim, polyexpr,
+                        pullback, scene)
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
@@ -32,6 +33,7 @@ from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack, parse, poly
 import conftest
 import test_bundles
 import test_certificate_oracle as oracles
+import test_compose
 import test_courant_core
 import test_intrinsic
 import test_linalg
@@ -260,9 +262,31 @@ def tangency_defect_on_whole_fibers(p):
     return p._record.normal(p._record.a2, p._record.q)
 
 
-def zero_by_truthiness(x):
-    """The kernel's zero test by truthiness, which a zero Polynomial passes."""
-    return not x
+def nonzero_by_truthiness(pairs):
+    """The kernel's canonical form with its zero test by truthiness, which a
+    zero Polynomial passes."""
+    return {j: linalg.entry(v) for j, v in pairs if v}
+
+
+def identity_up_to_a_permutation(num_vars, outputs):
+    """`_is_identity` over the set of outputs, which a permutation of the
+    variables passes."""
+    return len(outputs) == num_vars and {frozenset(q._packed.items()) for q in outputs} \
+        == {frozenset({(1 << (_BITS * i), 1)}) for i in range(num_vars)}
+
+
+def identity_by_its_keys(num_vars, outputs):
+    """`_is_identity` reading the keys only, which 2 x_i passes."""
+    return len(outputs) == num_vars and all(
+        list(q._packed) == [1 << (_BITS * i)] for i, q in enumerate(outputs))
+
+
+def splitting_in_source_order(n, m):
+    """`canonical_splitting` writing its rows in source order, without the
+    reorder (v, p, e, eps) -> (v, e, p, eps)."""
+    splitting = object.__new__(intrinsic.SplittingIso)
+    splitting._fill(n, m, [{c: 1} for c in range(2 * n + 2 * m)])
+    return splitting
 
 
 def along_image_without_the_target(s2, phi):
@@ -612,9 +636,34 @@ MUTANTS = {
         ((morphisms.check_general_base, *signed_zero_section()), 1, 1),
     ),
     "zero_test_by_truthiness": (
-        [(linalg, "is_zero", zero_by_truthiness)],
+        [(linalg, "_nonzero", nonzero_by_truthiness)],
         test_morphisms.test_closed_b_transform_is_an_automorphism,
         ("x1",),                            # (P^T G P)_01 = x1 - x1, a zero polynomial
+    ),
+    "identity_substitution_up_to_a_permutation": (
+        [(polyexpr, "_is_identity", identity_up_to_a_permutation)],
+        test_compose.test_the_identity_shortcut_reads_the_order_and_the_coefficients,
+        (["x2", "x1"],),                    # x1^2 x2 after (x2, x1) is x2^2 x1
+    ),
+    "identity_substitution_by_its_keys": (
+        [(polyexpr, "_is_identity", identity_by_its_keys)],
+        test_compose.test_the_identity_shortcut_reads_the_order_and_the_coefficients,
+        (["2*x1", "x2"],),                  # -3 x1 after (2 x1, x2) is -6 x1
+    ),
+    "identity_base_up_to_a_permutation": (
+        [(bundles, "_is_identity", identity_up_to_a_permutation)],
+        test_bundles.test_identity_base_reads_the_whole_map,
+        (["x2", "x1"],),                    # phi0 = (x2, x1) is no identity base
+    ),
+    "retraction_check_by_its_keys": (
+        [(bundles, "_is_identity", identity_by_its_keys)],
+        test_bundles.test_retraction_check_reads_the_whole_map,
+        (["2*x1", "x2"],),                  # r o id = (2 x1, x2) does not invert the identity
+    ),
+    "splitting_rows_in_source_order": (
+        [(intrinsic, "canonical_splitting", splitting_in_source_order)],
+        test_intrinsic.TestBuildIntrinsic().test_n1_m1_expected_structure,
+        (),                                 # G' pairs v with e instead of p
     ),
     "record_key_without_the_target": (
         [(morphisms, "along_image", along_image_without_the_target)],

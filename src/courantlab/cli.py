@@ -30,8 +30,11 @@ report raises TypeError.
 straight to that command's parser, which is all that argv builds, and
 only any other argv, including --help and an option before the command,
 builds the top-level parser with every command's.  Both are built from
-one function per command's flags, so every error line, help text and exit
-code is argparse's and the same either way.
+one function per command's flags.  A command's parser reads a plain argv,
+exact flags each given once with their values and every required one
+present, straight from its own actions (see `_Parser`); every other argv
+reaches argparse, so every error line, help text and exit code is
+argparse's and the same either way.
 """
 
 from __future__ import annotations
@@ -80,11 +83,56 @@ MAX_GRID_VALUES = 10 ** 7
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors honour the exit-code contract: one
     `error:` line on stderr and exit code 2, with no usage lines.  The
-    subcommand parsers are built from the same class."""
+    subcommand parsers are built from the same class.
+
+    `parse_args` reads a plain argv without argparse's matcher, into the
+    namespace argparse builds from it.  An argv is plain when every token is
+    the exact option string of a store or store_true action, no action is
+    given twice, each store flag is followed by its value or written
+    --flag=value, no value after a separate flag starts with "-", no value
+    is "--", no store_true flag carries a value, every required action is
+    given, and each action's type converts its value.  Every other argv,
+    such as -h, an abbreviation, --, a positional, a repeat, a missing flag
+    or a value the type cannot convert, goes to argparse unchanged."""
 
     def error(self, message):
         sys.stderr.write(f"error: {message}\n")
         sys.exit(2)
+
+    def parse_args(self, args=None, namespace=None):
+        return self._read(args, namespace) or super().parse_args(args, namespace)
+
+    def _read(self, args, namespace):
+        """The namespace of a plain argv, read from this parser's actions:
+        their defaults, SUPPRESS skipped, under the values given; None for
+        any other argv.  `namespace` is changed only when one is returned."""
+        seen, values, tokens = {}, {}, iter(sys.argv[1:] if args is None else args)
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            action = self._option_string_actions.get(flag)
+            store = (type(action) is argparse._StoreAction and action.nargs is None
+                     and action.choices is None)
+            # a flag with no token after it reads as followed by a flag, and
+            # argparse stores a value "--" as an empty list
+            value = next(tokens, "-") if store and not eq else value
+            if (action in seen or value == "--" or (value.startswith("-") and not eq if store
+                    else eq or type(action) is not argparse._StoreTrueAction)):
+                return None
+            try:
+                seen[action] = (action.type or str)(value) if store else action.const
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        for action in self._actions:
+            if action in seen:
+                values[action.dest] = seen[action]
+            # argparse converts a string default it keeps with the action's type
+            elif action.required or action.type is not None and isinstance(action.default, str):
+                return None
+            elif action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
+                values.setdefault(action.dest, action.default)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        vars(namespace).update(values)
+        return namespace
 
 
 def _add_flags(p, name: str):

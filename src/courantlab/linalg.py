@@ -248,8 +248,13 @@ def pmat_sub(a: list[dict], b: list[dict]) -> list[dict]:
 
 
 def pmat_transpose(a: list[dict], cols: int) -> list[dict]:
-    """A^T on sparse rows, for an `a` with `cols` columns."""
-    return [{i: row[j] for i, row in enumerate(a) if j in row} for j in range(cols)]
+    """A^T on sparse rows, for an `a` with `cols` columns, in one pass over
+    the stored entries: each column keeps its rows in increasing order."""
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def pmat_is_constant(a: list[dict]) -> bool:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from courantlab import linalg
 from courantlab.bundles import TrivialBundle
@@ -434,3 +434,30 @@ def test_one_dispatch_per_entry_equals_the_entrywise_rule(row):
     assert typed_items(linalg._nonzero(row.items())) == typed_items(entrywise(row.items()))
     values = list(row.values())
     assert typed_items(linalg.sparse([values])[0]) == typed_items(entrywise(enumerate(values)))
+
+
+def reference_transpose(a, cols):
+    """`pmat_transpose` as it was: every column looked up in every row."""
+    return [{i: row[j] for i, row in enumerate(a) if j in row} for j in range(cols)]
+
+
+@st.composite
+def sparse_rows(draw):
+    """(rows, cols): up to 5 sparse rows over `cols` columns, some empty,
+    each stored with its columns in drawn order."""
+    cols = draw(st.integers(0, 5))
+    row = st.dictionaries(st.integers(0, cols - 1), _ENTRIES, max_size=cols) if cols else \
+        st.just({})
+    return draw(st.lists(row, max_size=5)), cols
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(sparse_rows())
+@example(([{2: 1, 0: Fraction(1, 2)}, {}, {2: parse("x1", _NAMES)}], 4))
+def test_one_pass_transpose_equals_the_probing_one(case):
+    # one walk over the stored entries fills each column with its rows in
+    # increasing order, as probing every row did: the same keys in the same
+    # order, the same values, and a column no row stores stays empty
+    a, cols = case
+    assert [list(col.items()) for col in linalg.pmat_transpose(a, cols)] \
+        == [list(col.items()) for col in reference_transpose(a, cols)]

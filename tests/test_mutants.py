@@ -18,6 +18,7 @@ back out of its tables; the tag decoder they once patched in the package
 lives in `conftest` with the tagged references.
 """
 
+import argparse
 import itertools
 from fractions import Fraction
 
@@ -382,6 +383,42 @@ def rational_keyed_on_the_value(value, where, seen):
     return seen[key]
 
 
+def reader_without(check):
+    """`cli._Parser._read` without one check: "required" reads an argv that
+    lacks a required flag, "repeat" keeps the first value of a repeated
+    flag, and "dash" takes a value starting with "-" after a separate flag."""
+    def mutant(self, args, namespace):
+        seen, values, tokens = {}, {}, iter(args)
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            action = self._option_string_actions.get(flag)
+            store = (type(action) is argparse._StoreAction and action.nargs is None
+                     and action.choices is None)
+            value = next(tokens, "-") if store and not eq else value
+            if action in seen and check == "repeat":
+                continue
+            dash = value.startswith("-") and not eq and check != "dash"
+            if (action in seen or value == "--" or (dash if store
+                    else eq or type(action) is not argparse._StoreTrueAction)):
+                return None
+            try:
+                seen[action] = (action.type or str)(value) if store else action.const
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        for action in self._actions:
+            if action in seen:
+                values[action.dest] = seen[action]
+            elif (action.required and check != "required" or action.type is not None
+                  and isinstance(action.default, str)):
+                return None
+            elif action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
+                values.setdefault(action.dest, action.default)
+        namespace = argparse.Namespace() if namespace is None else namespace
+        vars(namespace).update(values)
+        return namespace
+    return mutant
+
+
 def reduce_with(factor_of, signed_swap):
     """`linalg._reduce` with the factor factor_of(entry, pivot) and, unless
     `signed_swap`, a row swap that leaves the sign of the product."""
@@ -709,6 +746,21 @@ MUTANTS = {
         [(scene, "_rational", rational_keyed_on_the_value)],
         test_scene_cli.test_a_metric_reads_true_as_no_rational_beside_1,
         (),                                 # a metric's 1 read before its true
+    ),
+    "reader_without_the_required_flags": (
+        [(cli._Parser, "_read", reader_without("required"))],
+        test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
+        test_scene_cli._READER_CASES["missing_required"],   # morphism without --map
+    ),
+    "reader_keeping_the_first_repeat": (
+        [(cli._Parser, "_read", reader_without("repeat"))],
+        test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
+        test_scene_cli._READER_CASES["repeated_flag"],      # argparse keeps standard2
+    ),
+    "reader_taking_a_dash_value": (
+        [(cli._Parser, "_read", reader_without("dash"))],
+        test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
+        test_scene_cli._READER_CASES["dash_value"],         # --structure --json: no value
     ),
     "writer_joins_strings_without_the_indent": (
         [(cli, "_canonical", canonical_joining_strings_without_the_indent)],

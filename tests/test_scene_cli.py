@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -1364,6 +1365,70 @@ _REQUIRED = {
 }
 
 
+# (command, argv after it, whether `_Parser._read` reads it rather than
+# leaving it to argparse)
+_SIM = ["--scene", str(SCENE), "--system", "oscillator", "--input", "unit"]
+_READER_CASES = {
+    "plain": ("axioms", ["--structure", "standard1", "--json"], True),
+    "defaults": ("leibniz", ["--structure", "standard1"], True),
+    "equals_form": ("axioms", ["--structure=standard1", "--seed=-3", "--degree-cap", "2"], True),
+    "empty_value": ("axioms", ["--structure", "", "--json"], True),
+    "value_holding_equals": ("pullback", ["--scene", str(SCENE), "--ambient", "standard1",
+                                          "--morphism", "identity1", "--alt-retraction", "a=b"],
+                             True),
+    "store_true_flag": ("pullback", ["--scene", str(SCENE), "--ambient", "standard1",
+                                     "--morphism=identity1", "--verify-only"], True),
+    "every_flag": ("morphism", ["--scene", str(SCENE), "--source", "standard1", "--target",
+                                "standard1", "--map", "identity1", "--pairs", "auto", "--seed",
+                                "7", "--degree-cap", "1", "--json"], True),
+    "negative_after_equals": ("simulate", [*_SIM, "--x0=-1,0", "--T", "1e-2", "--h=0.001"],
+                              True),
+    "floats": ("project", [*_SIM, "--x0", "1,0", "--z0", "0", "--T", "0.01", "--h", "1e-3"],
+               True),
+    "missing_required": ("morphism", ["--source", "standard1", "--target", "standard1"], False),
+    "repeated_flag": ("axioms", ["--structure", "standard1", "--structure", "standard2"], False),
+    "dash_value": ("axioms", ["--structure", "--json"], False),
+    "negative_value": ("intrinsic", ["--n", "-5", "--m", "1"], False),
+    "double_dash_value": ("axioms", ["--structure=--", "--json"], False),
+    "missing_value": ("axioms", ["--json", "--structure"], False),
+    "abbreviation": ("axioms", ["--struct", "standard1"], False),
+    "abbreviation_with_equals": ("axioms", ["--struct=standard1"], False),
+    "help": ("axioms", ["--structure", "standard1", "-h"], False),
+    "double_dash": ("axioms", ["--structure", "standard1", "--", "x"], False),
+    "store_true_with_value": ("axioms", ["--structure", "standard1", "--json=1"], False),
+    "bad_int": ("intrinsic", ["--n", "x", "--m", "1"], False),
+    "empty_int": ("intrinsic", ["--n=", "--m", "1"], False),
+    "positional": ("dirac", ["oscillator"], False),
+    "unknown_flag": ("dirac", ["--system", "oscillator", "--bogus"], False),
+}
+
+
+@st.composite
+def _drawn_argvs(draw):
+    """(command, argv after it): the command's required flags with their
+    values, or none, and up to four flags more, in a drawn order.  A flag is
+    exact, abbreviated or -h; it stands alone, takes a value after it or is
+    written --flag=value, from a pool of values that look like numbers,
+    flags or assignments.  Half the argvs keep the required flags and only
+    exact flags, a store_true flag alone and any other with a value."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    actions = cli._command_parser(command)._option_string_actions
+    flags = [flag for flag in actions if flag not in ("-h", "--help")]
+    plain = draw(st.booleans())
+    words = st.sampled_from(flags) if plain else st.one_of(
+        st.sampled_from(flags), st.sampled_from(["-h", "--help"] + [
+            flag[:k] for flag in flags if flag.startswith("--") for k in range(3, len(flag))]))
+    values = st.sampled_from(["3", "-5", "", "x", "1e-3", "--json", "a=b"])
+    required = _REQUIRED[command] if plain or draw(st.booleans()) else []
+    units = [required[i:i + 2] for i in range(0, len(required), 2)]
+    for flag, value, form in draw(st.lists(st.tuples(words, values, st.integers(0, 2)),
+                                           max_size=4)):
+        if plain:
+            form = 0 if actions[flag].nargs == 0 else form or 1
+        units.append([[flag], [flag, value], [f"{flag}={value}"]][form])
+    return command, [token for unit in draw(st.permutations(units)) for token in unit]
+
+
 class TestCommandParser:
     """`main` hands a command's argv to a parser built for that command
     alone, equal to the top-level parser's subparser for it."""
@@ -1474,6 +1539,64 @@ class TestArgumentContract:
         # command, and reports what it reported before
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @staticmethod
+    def read_as_argparse_does(command, argv):
+        """What `_read` makes of a command's argv, once checked to be None
+        or what argparse alone builds; argparse's output is dropped."""
+        parser = cli._command_parser(command)
+        read = parser._read(argv, argparse.Namespace(command=command))
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = argparse.ArgumentParser.parse_args(
+                    parser, argv, argparse.Namespace(command=command))
+        except SystemExit:
+            expected = None
+        assert read is None or expected is not None and vars(read) == vars(expected)
+        return read
+
+    @pytest.mark.parametrize("command, argv, accepted", list(_READER_CASES.values()),
+                             ids=list(_READER_CASES))
+    def test_direct_reader_equals_argparse(self, command, argv, accepted):
+        # `_read` reads a plain argv into argparse's namespace and leaves
+        # every other argv to argparse
+        assert (self.read_as_argparse_does(command, argv) is not None) == accepted
+
+    @settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @given(_drawn_argvs())
+    def test_direct_reader_equals_argparse_on_drawn_argvs(self, case):
+        self.read_as_argparse_does(*case)
+
+    def test_direct_reader_leaves_choices_nargs_and_typed_defaults_to_argparse(self):
+        # no command has such a flag; the reader declines each rather than
+        # skip argparse's check, list or conversion
+        parser = cli._Parser(prog="p")
+        parser.add_argument("--k", type=int, default="3")
+        parser.add_argument("--c", choices=["a"])
+        parser.add_argument("--v", nargs=1)
+        for argv in ([], ["--k", "1", "--c", "a"], ["--k", "1", "--v", "a"]):
+            assert parser._read(argv, None) is None, argv
+        assert argparse.ArgumentParser.parse_args(parser, []).k == 3
+        assert vars(parser._read(["--k", "1"], None)) == {"k": 1, "c": None, "v": None} \
+            == vars(argparse.ArgumentParser.parse_args(parser, ["--k", "1"]))
+
+    # argparse stores --structure=-- as an empty list, on which `axioms`
+    # raises TypeError by either path
+    @pytest.mark.parametrize("command, argv", [case[:2] for name, case in _READER_CASES.items()
+                                               if name != "double_dash_value"],
+                             ids=[name for name in _READER_CASES if name != "double_dash_value"])
+    def test_main_is_unchanged_when_argparse_reads_every_argv(self, capsys, monkeypatch,
+                                                             command, argv):
+        def run():
+            code = main([command, *argv])
+            out, err = capsys.readouterr()
+            return code, [line for line in out.splitlines()
+                          if not line.startswith("elapsed:")], err
+
+        direct = run()
+        monkeypatch.setattr(cli._Parser, "_read", lambda self, args, namespace: None)
+        assert run() == direct
 
 
 _AXIOMS_HELP = """\

@@ -26,15 +26,15 @@ strings with the C `encode_basestring_ascii`.  dumps with an indent would
 take the json module's pure-Python encoder instead.  Anything else in a
 report raises TypeError.
 
-`main` parses argv in one pass: a first argument naming a command goes
-straight to that command's parser, which is all that argv builds, and
-only any other argv, including --help and an option before the command,
-builds the top-level parser with every command's.  Both are built from
-one function per command's flags.  A command's parser reads a plain argv,
-exact flags each given once with their values and every required one
-present, straight from its own actions (see `_Parser`); every other argv
-reaches argparse, so every error line, help text and exit code is
-argparse's and the same either way.
+`main` reads a plain argv without building a parser: each command's flags
+are declared once, as data (`_FLAGS`), and `_read` reads an argv whose
+first argument names a command and whose flags are exact, each given once
+with its value and every required one present, straight from that table.
+Only an argv `_read` declines builds a parser from the same table: that
+command's parser, or the top-level parser with every command's when the
+first argument names none (--help, an option before the command).  So
+every error line, help text and exit code is argparse's, and a plain argv
+imports no `locale`, which argparse's first message does.
 """
 
 from __future__ import annotations
@@ -83,109 +83,99 @@ MAX_GRID_VALUES = 10 ** 7
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors honour the exit-code contract: one
     `error:` line on stderr and exit code 2, with no usage lines.  The
-    subcommand parsers are built from the same class.
-
-    `parse_args` reads a plain argv without argparse's matcher, into the
-    namespace argparse builds from it.  An argv is plain when every token is
-    the exact option string of a store or store_true action, no action is
-    given twice, each store flag is followed by its value or written
-    --flag=value, no value after a separate flag starts with "-", no value
-    is "--", no store_true flag carries a value, every required action is
-    given, and each action's type converts its value.  Every other argv,
-    such as -h, an abbreviation, --, a positional, a repeat, a missing flag
-    or a value the type cannot convert, goes to argparse unchanged."""
+    subcommand parsers are built from the same class, and only for an argv
+    `_read` declines."""
 
     def error(self, message):
         sys.stderr.write(f"error: {message}\n")
         sys.exit(2)
 
-    def parse_args(self, args=None, namespace=None):
-        return self._read(args, namespace) or super().parse_args(args, namespace)
 
-    def _read(self, args, namespace):
-        """The namespace of a plain argv, read from this parser's actions:
-        their defaults, SUPPRESS skipped, under the values given; None for
-        any other argv.  `namespace` is changed only when one is returned."""
-        seen, values, tokens = {}, {}, iter(sys.argv[1:] if args is None else args)
-        for token in tokens:
-            flag, eq, value = token.partition("=")
-            action = self._option_string_actions.get(flag)
-            store = (type(action) is argparse._StoreAction and action.nargs is None
-                     and action.choices is None)
-            # a flag with no token after it reads as followed by a flag, and
-            # argparse stores a value "--" as an empty list
-            value = next(tokens, "-") if store and not eq else value
-            if (action in seen or value == "--" or (value.startswith("-") and not eq if store
-                    else eq or type(action) is not argparse._StoreTrueAction)):
-                return None
-            try:
-                seen[action] = (action.type or str)(value) if store else action.const
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-        for action in self._actions:
-            if action in seen:
-                values[action.dest] = seen[action]
-            # argparse converts a string default it keeps with the action's type
-            elif action.required or action.type is not None and isinstance(action.default, str):
-                return None
-            elif action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
-                values.setdefault(action.dest, action.default)
-        namespace = argparse.Namespace() if namespace is None else namespace
-        vars(namespace).update(values)
-        return namespace
+# Each command's flags, declared once: option -> (dest, type, required,
+# default, help).  The type `bool` marks a store_true flag, None a string
+# flag; a default is the value it stands for, as argparse would convert a
+# string default through the type.  `_read` reads a plain argv from this
+# table and argparse's parsers are built from it.
+_FILES = {"--scene": ("scene", None, False, None, "scene JSON file"),
+          "--out": ("out", None, False, None, "write the report or CSV here instead of stdout")}
+_VERDICT = {**_FILES,
+            "--seed": ("seed", int, False, 0, "echoed in --json; no verdict depends on it"),
+            "--degree-cap": ("degree_cap", int, False, 3, "degree cap for section families; the "
+                             "axiom and morphism certificates and the sweep of the falsified "
+                             "Leibniz variant are complete for all smooth sections at any cap >= "
+                             "1, and cap 0 bounds the claim to constant sections; the two Leibniz "
+                             "rules hold by the bracket's expansion"),
+            "--json": ("json", bool, False, False, "machine-readable report")}
+_TRAJECTORY = {**_FILES, "--system": ("system", None, True, None, None),
+               "--input": ("input_name", None, True, None, None),
+               "--x0": ("x0", None, True, None, "comma-separated initial state")}
+_TIMES = {"--T": ("t_final", float, True, None, None), "--h": ("step", float, True, None, None)}
+_FLAGS = {
+    "axioms": {**_VERDICT, "--structure": ("structure", None, True, None,
+                                           "scene structure name or builtin standard<N>")},
+    "leibniz": {**_VERDICT, "--structure": ("structure", None, True, None, None),
+                "--samples": ("samples", int, False, 100,
+                              "not read: the rules are certified exactly")},
+    "morphism": {**_VERDICT, "--source": ("source", None, True, None, "source structure name"),
+                 "--target": ("target", None, True, None, "target structure name"),
+                 "--map": ("map_name", None, True, None, "morphism name"),
+                 "--pairs": ("pairs", None, False, "auto", "'auto' or a JSON file with "
+                             "[source_section, target_section] names")},
+    "pullback": {**_VERDICT, "--ambient": ("ambient", None, True, None, "ambient structure name"),
+                 "--morphism": ("map_name", None, True, None, None),
+                 "--verify-only": ("verify_only", bool, False, False,
+                                   "stop after the hypothesis report"),
+                 "--alt-retraction": ("alt_retraction", None, False, None, "JSON array of "
+                                      "expressions; runs the well-definedness test")},
+    "intrinsic": {**_VERDICT, "--n": ("n", int, True, None, None),
+                  "--m": ("m", int, True, None, None),
+                  "--phi": ("phi", None, False, None,
+                            "JSON file with a constant fiber_matrix for the splitting")},
+    "simulate": {**_TRAJECTORY, **_TIMES},
+    "project": {**_TRAJECTORY, "--z0": ("z0", None, True, None, None), **_TIMES},
+    "dirac": {**_VERDICT, "--system": ("system", None, True, None, None)},
+}
 
 
-def _add_flags(p, name: str):
-    """Add the flags of command `name` to its parser `p` and return it:
-    --scene and --out, --seed, --degree-cap and --json for a command with a
-    verdict report, and the command's own."""
-    p.add_argument("--scene", help="scene JSON file")
-    p.add_argument("--out", help="write the report or CSV here instead of stdout")
-    if name in ("simulate", "project"):
-        p.add_argument("--system", required=True)
-        p.add_argument("--input", required=True, dest="input_name")
-        p.add_argument("--x0", required=True, help="comma-separated initial state")
-        if name == "project":
-            p.add_argument("--z0", required=True)
-        p.add_argument("--T", type=float, required=True, dest="t_final")
-        p.add_argument("--h", type=float, required=True, dest="step")
-        return p
-    p.add_argument("--seed", type=int, default=0,
-                   help="echoed in --json; no verdict depends on it")
-    p.add_argument("--degree-cap", type=int, default=3,
-                   help="degree cap for section families; the axiom and "
-                        "morphism certificates and the sweep of the falsified "
-                        "Leibniz variant are complete for all smooth sections "
-                        "at any cap >= 1, and cap 0 bounds the claim to "
-                        "constant sections; the two Leibniz rules hold by the "
-                        "bracket's expansion")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    if name == "axioms":
-        p.add_argument("--structure", required=True,
-                       help="scene structure name or builtin standard<N>")
-    elif name == "leibniz":
-        p.add_argument("--structure", required=True)
-        p.add_argument("--samples", type=int, default=100,
-                       help="not read: the rules are certified exactly")
-    elif name == "morphism":
-        p.add_argument("--source", required=True, help="source structure name")
-        p.add_argument("--target", required=True, help="target structure name")
-        p.add_argument("--map", required=True, dest="map_name", help="morphism name")
-        p.add_argument("--pairs", default="auto",
-                       help="'auto' or a JSON file with [source_section, target_section] names")
-    elif name == "pullback":
-        p.add_argument("--ambient", required=True, help="ambient structure name")
-        p.add_argument("--morphism", required=True, dest="map_name")
-        p.add_argument("--verify-only", action="store_true",
-                       help="stop after the hypothesis report")
-        p.add_argument("--alt-retraction",
-                       help="JSON array of expressions; runs the well-definedness test")
-    elif name == "intrinsic":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--phi", help="JSON file with a constant fiber_matrix for the splitting")
-    else:
-        p.add_argument("--system", required=True)
+def _read(name: str, argv) -> argparse.Namespace | None:
+    """The namespace argparse builds for command `name` from a plain argv,
+    read from the flag table; None for any other argv.  An argv is plain
+    when every token is a flag of the command, exact and given once, each
+    string or typed flag followed by its value or written --flag=value, no
+    value after a separate flag starts with "-", no value is "--", no
+    store_true flag carries a value, every required flag is given and each
+    value converts by its flag's type."""
+    flags, values, tokens = _FLAGS[name], {}, iter(argv)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        flag = flags.get(option)
+        if flag is None or flag[0] in values:
+            return None
+        dest, kind = flag[:2]
+        if kind is bool and not eq:
+            values[dest] = True
+            continue
+        # a flag with no token after it reads as followed by a flag
+        value = value if eq else next(tokens, "-")
+        if kind is bool or value == "--" or value.startswith("-") and not eq:
+            return None
+        try:
+            values[dest] = kind(value) if kind else value
+        except ValueError:
+            return None
+    for dest, _, required, default, _ in flags.values():
+        if dest not in values:
+            if required:
+                return None
+            values[dest] = default
+    return argparse.Namespace(command=name, **values)
+
+
+def _with_flags(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """The parser `p` with the flags of command `name` added from the table."""
+    for option, (dest, kind, required, default, text) in _FLAGS[name].items():
+        p.add_argument(option, dest=dest, help=text, **{"action": "store_true"} if kind is bool
+                       else {"type": kind, "required": required, "default": default})
     return p
 
 
@@ -193,7 +183,7 @@ def _add_flags(p, name: str):
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command `name`, built on the first call: what the
     top-level parser's `add_parser` makes for it."""
-    return _add_flags(_Parser(prog=f"courantlab {name}"), name)
+    return _with_flags(_Parser(prog=f"courantlab {name}"), name)
 
 
 @functools.cache
@@ -207,8 +197,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text) in _COMMANDS.items():
-        _add_flags(sub.add_parser(name, help=text), name)
+        _with_flags(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parsed(argv) -> argparse.Namespace:
+    """argparse's namespace of an argv `_read` declines, from the parser of
+    the command argv[0] names, or from the top-level parser when it names
+    none.  argparse stores a value "--" as an empty list, which is
+    rejected as a missing value."""
+    args = (_command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if argv and argv[0] in _FLAGS else _build_parser().parse_args(argv))
+    for option, (dest, *_) in _FLAGS[args.command].items():
+        if type(getattr(args, dest)) is list:
+            _command_parser(args.command).error(f"argument {option}: expected one argument")
+    return args
 
 
 def _load(args) -> Scene:
@@ -224,13 +227,20 @@ def _resolve_structure(scene: Scene, name: str):
     raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
 
 
+# the JSON text of each leaf type of a report
+_LEAVES = {str: _quote, int: int.__repr__, bool: lambda v: "true" if v else "false",
+           type(None): lambda v: "null"}
+
+
 def _canonical(value, out: list, newline: str = "\n") -> list:
     """Append to `out` the pieces of the json module's dumps(value,
     sort_keys=True, indent=2) and return it; `newline` is the line break and
-    indent of the line `value` starts on.  A list of strings is written with
-    one join."""
+    indent of the line `value` starts on.  A leaf in a container is written
+    in place, and a list of strings with one join."""
     kind = type(value)
-    if kind is dict or kind is list or kind is tuple:
+    if kind in _LEAVES:
+        out.append(_LEAVES[kind](value))
+    elif kind is dict or kind is list or kind is tuple:
         inner, brackets = newline + "  ", "{}" if kind is dict else "[]"
         if kind is not dict and value and all(type(x) is str for x in value):
             out += ("[", inner, ("," + inner).join(map(_quote, value)), newline, "]")
@@ -240,15 +250,14 @@ def _canonical(value, out: list, newline: str = "\n") -> list:
             if kind is dict and type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out += (separator, _quote(key), ": ") if kind is dict else (separator,)
-            _canonical(value[key], out, inner)
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                _canonical(item, out, inner)
+            else:
+                out.append(leaf(item))
             separator = "," + inner
         out += (newline, brackets[1]) if value else (brackets,)
-    elif kind is str:
-        out.append(_quote(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None or kind is bool:
-        out.append("null" if value is None else "true" if value else "false")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     return out
@@ -565,8 +574,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = (_command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-                if argv and argv[0] in _COMMANDS else _build_parser().parse_args(argv))
+        args = argv and argv[0] in _FLAGS and _read(argv[0], argv[1:]) or _parsed(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "degree_cap", 0) < 0:

@@ -230,9 +230,12 @@ class CourantStructure:
 
     The frame data are stored once, as `rows`: G, G^-1 and A in the
     kernel's canonical sparse rows (see `linalg`), a scalar entry kept as a
-    scalar.  The constructor checks the shapes, forms the rows, checks the
-    symmetry of G on them and forms G^-1 by one reduction, which is its
-    check that G is nonsingular.  A structure assembled from checked parts
+    scalar.  The constructor forms the rows and hands them to `_checked`,
+    the one checked-rows path, which a scene reaches with rows it read
+    straight from its literals: it checks the shapes, the symmetry of G on
+    the rows and forms G^-1 by one reduction, which is its check that G is
+    nonsingular, with the same error lines in the same order on either
+    path.  A structure assembled from checked parts
     (`standard_structure`, `scaled_structure`, `product_structure`, a
     pullback) is given its rows.  `anchor`, `metric` and `metric_inverse`
     are read-only dense views of the rows, formed on each read; no check,
@@ -250,15 +253,32 @@ class CourantStructure:
     __slots__ = ("bundle", "structure_functions", "rows", "_frame", "_dual")
 
     def __init__(self, bundle: TrivialBundle, anchor, metric, structure_functions=None):
-        n, k = bundle.base_dim, bundle.rank
+        n = bundle.base_dim
         anchor = [list(r) for r in anchor]
-        if len(anchor) != n or any(len(r) != k for r in anchor):
+
+        def anchor_rows():
+            scalars = [[p if isinstance(p, Polynomial) else _coeff(p) for p in r] for r in anchor]
+            if any(isinstance(p, Polynomial) and p.num_vars != n for r in scalars for p in r):
+                raise ValueError("anchor entries must use the base variables")
+            yield from linalg.sparse(scalars)
+
+        self._checked(bundle, anchor, anchor_rows(), metric, (
+            linalg._nonzero((j, _coeff(v)) for j, v in enumerate(r)) for r in metric),
+            structure_functions)
+
+    def _checked(self, bundle, anchor_shape, anchor, metric_shape, metric, structure_functions):
+        """Check the frame data, fill the slots and return the structure:
+        the one path of the constructor and of a scene, which reads A and G
+        straight into rows.  They come as the canonical sparse rows `anchor`
+        and `metric`, the matrices they were read from as `anchor_shape`
+        and `metric_shape`; the rows are taken (the constructor's generators
+        convert them) once the anchor's shape is checked, and the metric's
+        shape is checked after that."""
+        n, k = bundle.base_dim, bundle.rank
+        if len(anchor_shape) != n or any(len(r) != k for r in anchor_shape):
             raise ValueError(f"anchor must be {n} x {k}")
-        anchor = [[p if isinstance(p, Polynomial) else _coeff(p) for p in r] for r in anchor]
-        if any(isinstance(p, Polynomial) and p.num_vars != n for r in anchor for p in r):
-            raise ValueError("anchor entries must use the base variables")
-        g = [{j: x for j, v in enumerate(r) if (x := _coeff(v))} for r in metric]
-        if len(g) != k or any(len(r) != k for r in metric):
+        anchor, g = list(anchor), list(metric)
+        if len(metric_shape) != k or any(len(r) != k for r in metric_shape):
             raise ValueError(f"metric must be {k} x {k}")
         if not linalg.is_symmetric(g):
             raise ValueError("metric must be symmetric")
@@ -275,7 +295,8 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        self._fill(bundle, c, (g, inverse, linalg.sparse(anchor)))
+        self._fill(bundle, c, (g, inverse, anchor))
+        return self
 
     def _fill(self, bundle, c, rows, frame=None, dual=None):
         """Set every slot from checked parts: the structure functions, the
@@ -724,15 +745,21 @@ def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
     The defect is formed on packed term dicts, one component for (ii), and
     wrapped once for printing."""
     defect = _AXIOM_DEFECTS[axiom](s, *map(s._terms, sections))
-    return _witness(s, sections, defect, False) if any(defect) else None
+    return _witness(s, [sec.coeffs.to_strings() for sec in sections], defect,
+                    False) if any(defect) else None
+
+
+def _member(k: int, i: int, text: str = "1") -> list[str]:
+    """The printed coefficients of the frame member text * e_i of rank k."""
+    return ["0"] * i + [text] + ["0"] * (k - 1 - i)
 
 
 def _witness(s: CourantStructure, sections, defect: list[dict], component: bool) -> dict:
-    """The witness of a failing tuple of explicit sections: the tuple, its
-    packed defect checked and printed, and, if `component`, the index of
-    the defect's first nonzero component (None otherwise)."""
+    """The witness of a failing tuple of sections, printed as `sections`:
+    the tuple, its packed defect checked and printed, and, if `component`,
+    the index of the defect's first nonzero component (None otherwise)."""
     n = s.bundle.base_dim
-    return {"sections": [sec.coeffs.to_strings() for sec in sections],
+    return {"sections": sections,
             "defect": [_raw(n, _checked(p, n)).to_string() for p in defect],
             "component": next(h for h, p in enumerate(defect) if p) if component else None}
 
@@ -818,7 +845,7 @@ def _frame_witness(s: CourantStructure, axiom: str, frame, c, lowered, jacobiato
         defect = [_scaled(_sum_at(lowered, frame, (frame[0], frame[2], frame[1])), -1)]
     else:
         defect = [jacobiator.get((*frame, l), {}) for l in range(k)]
-    return _witness(s, [Section.frame(s.bundle, i) for i in frame], defect, axiom != "ii")
+    return _witness(s, [_member(k, i) for i in frame], defect, axiom != "ii")
 
 
 def _mul_at(table: dict, key, h: int, p: dict, q: dict) -> None:
@@ -997,12 +1024,13 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     checked factors, so it is checked before the walk shifts its keys: a
     shift past a set guard bit would carry into the next variable's field.
     """
-    n = s.bundle.base_dim
+    n, k = s.bundle.base_dim, s.bundle.rank
     monos = monomials_up_to(n, SWEEP_ORDER)
     # per monomial: multiply by it, or take the gradient of a linear one
     options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
                for alpha in monos]
-    members = [(j, a) for j in range(s.bundle.rank) for a in range(len(monos))]
+    texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
+    members = [(j, a) for j in range(k) for a in range(len(monos))]
     for i, table in enumerate(_slot_tables(s, c, lowered, rho_d, anomaly)):
         pairs = {key[:2] for key in table}
         for a1, ((j, a2), (m, a3)) in itertools.product(
@@ -1017,10 +1045,9 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
                     _add_into(out.setdefault(h, {}),
                               {key + sum(keys): cf for key, cf in _checked(p, n).items()})
             if any(out.values()):
-                return _witness(s, [
-                    Section.frame(s.bundle, frame, Polynomial.monomial(n, monos[a]))
-                    for frame, a in ((i, a1), (j, a2), (m, a3))],
-                    [out.get(h, {}) for h in range(s.bundle.rank)], True)
+                return _witness(s, [_member(k, frame, texts[a])
+                                    for frame, a in ((i, a1), (j, a2), (m, a3))],
+                                [out.get(h, {}) for h in range(k)], True)
         if table:
             raise RuntimeError("internal inconsistency: a nonzero slot table of (i) fails nowhere")
     return None

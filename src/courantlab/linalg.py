@@ -21,10 +21,13 @@ With this rule every result, the Farkas vector included, is the one
 Gauss-Jordan elimination with scaled pivot rows gives.  Canonical rows hold
 ints, and int / int is a float, so the factor and every entry of an inverse
 read off are exact quotients (`_quotient`), in canonical form; of two ints
-a Fraction is formed only when the division is inexact.  The signed pivot
-product stays an int while the pivots are ints; `det` and `det_inverse`
-return it as a Fraction at the API edge, as `solve_with_certificate`
-returns Fractions.
+a Fraction is formed only when the division is inexact.  The pivot
+product is read after the reduction, off the reduced rows, with the sign
+of the row swaps: a pivot row keeps its pivot, because every later pivot
+row is zero in its column.  `det` and `det_inverse` return it as a
+Fraction at the API edge, as `solve_with_certificate` returns Fractions,
+and `det_inverse` forms one quotient per distinct (entry, pivot) pair of
+its read-off.
 
 Frame data (fiber matrices, anchors, metrics, Jacobians) go through the
 `pmat_*` functions, whose entries mix scalars and Polynomials.  A morphism
@@ -48,6 +51,7 @@ str(Fraction(-3, 2)) is Polynomial.constant(n, Fraction(-3, 2)).to_string().
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,31 +87,33 @@ def _quotient(x, p):
     return x // p if type(x) is type(p) is int and not x % p else entry(Fraction(x, p))
 
 
-def _reduce(m: list[dict], cols: int) -> tuple[list[int], int | Fraction]:
+def _reduce(m: list[dict], cols: int) -> tuple[list[int], int]:
     """Row-reduce the scalar sparse rows m in place over their first `cols`
     columns, by the rule in the module docstring; entries that cancel are
     deleted, so a row stores no zero.
 
-    Returns the pivot columns, the i-th pivot in row i, and the signed
-    product of the pivots, an int while they are: the determinant when m is
-    square and has a pivot in every column.
+    Returns the pivot columns, the i-th pivot in row i, and the sign of the
+    row swaps.  A pivot row keeps its pivot once chosen, since every later
+    pivot row is zero in its column, so the pivots are read off the reduced
+    rows (`_pivot_product`).
     """
     rows = len(m)
     pivots: list[int] = []
-    product = 1
+    sign = 1
     for col in range(cols):
         r = len(pivots)
         if r == rows:
             break
-        found = next((i for i in range(r, rows) if col in m[i]), None)
-        if found is None:
+        for found in range(r, rows):
+            if col in m[found]:
+                break
+        else:
             continue
         if found != r:
             m[r], m[found] = m[found], m[r]
-            product = -product
+            sign = -sign
         top = m[r]
         p = top[col]
-        product *= p
         for i, row in enumerate(m):
             if i != r and col in row:
                 factor = _quotient(row[col], p)
@@ -118,25 +124,42 @@ def _reduce(m: list[dict], cols: int) -> tuple[list[int], int | Fraction]:
                     else:
                         del row[j]
         pivots.append(col)
-    return pivots, product
+    return pivots, sign
+
+
+def _pivot_product(m: list[dict], sign: int) -> Fraction:
+    """The determinant of square rows m that `_reduce` gave a pivot in
+    every column, with the sign of its swaps: the signed product of the
+    pivots m[i][i], as a Fraction."""
+    return Fraction(math.prod((row[i] for i, row in enumerate(m)), start=sign))
 
 
 def det(a: Matrix) -> Fraction:
     """Determinant; det([]) = 1."""
-    pivots, product = _reduce(sparse(a), len(a))
-    return Fraction(product if len(pivots) == len(a) else 0)
+    pivots, sign = _reduce(m := sparse(a), len(a))
+    return _pivot_product(m, sign) if len(pivots) == len(a) else Fraction(0)
+
+
+class _Quotients(dict):
+    """x / p by `_quotient`, keyed on (x, p), each formed on its first read."""
+
+    def __missing__(self, key):
+        self[key] = q = _quotient(*key)
+        return q
 
 
 def det_inverse(a: list[dict]) -> tuple[Fraction, list[dict] | None]:
     """(det A, A^-1) for the square sparse rows A of scalars, from one
-    reduction; A^-1 is None when det A = 0 and is in canonical form."""
+    reduction; A^-1 is None when det A = 0 and is in canonical form.  Each
+    distinct (entry, pivot) quotient of the read-off is formed once."""
     n = len(a)
     m = [{**row, n + i: 1} for i, row in enumerate(a)]
-    pivots, product = _reduce(m, n)
+    pivots, sign = _reduce(m, n)
     if len(pivots) < n:
         return Fraction(0), None
-    return Fraction(product), [{j - n: _quotient(row[j], row[i]) for j in range(n, 2 * n)
-                                if j in row} for i, row in enumerate(m)]
+    quotients = _Quotients()
+    return _pivot_product(m, sign), [{j - n: quotients[row[j], row[i]] for j in range(n, 2 * n)
+                                      if j in row} for i, row in enumerate(m)]
 
 
 def inverse(a: Matrix) -> Matrix:

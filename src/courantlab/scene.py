@@ -33,9 +33,12 @@ and a bundle's base_dim and rank, and a ph_system's n and m, are bounded by
 MAX_BUNDLE_DIMENSION before anything is sized by them.
 
 Each distinct literal is read once per load: an expression once per text
-and variable names, a rational once per JSON type and value.  The
-Polynomials and Fractions read are immutable, so the fields that repeat a
-literal share one; nothing is kept from one load to the next.
+and variable names, a rational once per JSON type and value, an integer
+without Fraction's string parser.  The Polynomials and Fractions read are
+immutable, so the fields that repeat a literal share one; nothing is kept
+from one load to the next.  A structure's anchor and metric are read
+straight into canonical sparse rows, a constant literal as its scalar and
+no zero stored, and go to the constructor's checks as rows.
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import linalg
 from .bundles import BundleMorphism, Section, TrivialBundle
 from .courant_core import CourantStructure
+from .linalg import _nonzero, dense
 from .phsim import InputSignal, PHSystem
 from .polyexpr import PolyMap, Polynomial, parse
 
@@ -88,6 +91,10 @@ def _no_duplicates(pairs):
     return seen
 
 
+# the one decoder of every load; json.loads would build one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicates)
+
+
 def _rational(value, where: str, seen: dict) -> Fraction:
     """Fraction(value) for an int or a string, read once per load: `seen`
     keeps each one read, keyed on its JSON type and value, so that `true`
@@ -97,7 +104,9 @@ def _rational(value, where: str, seen: dict) -> Fraction:
         return seen[key]
     try:
         if key is not None and type(value) is not bool:
-            seen[key] = number = Fraction(value)
+            # an integer literal, signed or not, skips Fraction's string parser
+            digits = value.removeprefix("-") if type(value) is str else ""
+            seen[key] = number = Fraction(int(value) if digits.isdecimal() else value)
             return number
     except (ValueError, ZeroDivisionError):
         pass
@@ -191,7 +200,9 @@ def load_scene(path) -> Scene:
     try:
         with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
-        raw = json.loads(text, object_pairs_hook=_no_duplicates)
+        if text.startswith("\ufeff"):     # json.loads's check, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
     except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep
@@ -236,8 +247,11 @@ def load_scene(path) -> Scene:
         names = _vars(bundle.base_dim)
         if len(spec["anchor"]) != bundle.base_dim:
             raise SceneError(f"{where}: anchor must have {bundle.base_dim} rows")
-        anchor = [[_expr(e, names, where, exprs) for e in row] for row in spec["anchor"]]
-        metric = [[_rational(v, where, numbers) for v in row] for row in spec["metric"]]
+        # written as canonical sparse rows as they are read
+        anchor = [_nonzero((j, _expr(e, names, where, exprs)) for j, e in enumerate(row))
+                  for row in spec["anchor"]]
+        metric = [_nonzero((j, _rational(v, where, numbers)) for j, v in enumerate(row))
+                  for row in spec["metric"]]
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
             try:
@@ -247,8 +261,8 @@ def load_scene(path) -> Scene:
                     f"{where}: structure function key {key!r} is not 'i,j,h'"
                 ) from exc
             functions[(i - 1, j - 1, h - 1)] = _expr(expr_text, names, where, exprs)
-        scene.structures[name] = _built(where, CourantStructure, bundle, anchor, metric,
-                                        functions)
+        scene.structures[name] = _built(where, object.__new__(CourantStructure)._checked, bundle,
+                                        spec["anchor"], anchor, spec["metric"], metric, functions)
 
     for name, spec in entries["morphisms"].items():
         where = f"morphism {name!r}"
@@ -298,8 +312,8 @@ def structure_to_json(s: CourantStructure, bundle_name: str) -> dict:
     # Polynomial's to_string, and a missing entry is 0
     fragment = {
         "bundle": bundle_name,
-        "anchor": [[str(v) for v in row] for row in linalg.dense(s.rows[2], s.bundle.rank)],
-        "metric": [[str(v) for v in row] for row in linalg.dense(s.rows[0], s.bundle.rank)],
+        "anchor": [[str(v) for v in row] for row in dense(s.rows[2], s.bundle.rank)],
+        "metric": [[str(v) for v in row] for row in dense(s.rows[0], s.bundle.rank)],
     }
     functions = {
         f"{i + 1},{j + 1},{h + 1}": p.to_string()

@@ -461,3 +461,92 @@ def test_one_pass_transpose_equals_the_probing_one(case):
     a, cols = case
     assert [list(col.items()) for col in linalg.pmat_transpose(a, cols)] \
         == [list(col.items()) for col in reference_transpose(a, cols)]
+
+
+# `_reduce` and `det_inverse` as they were, kept as the reference of the
+# elimination: the pivot found by a generator, the signed pivot product
+# kept as the reduction runs, and one `_quotient` per entry read off.
+
+
+def reference_reduce(m, cols):
+    rows = len(m)
+    pivots = []
+    product = 1
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        found = next((i for i in range(r, rows) if col in m[i]), None)
+        if found is None:
+            continue
+        if found != r:
+            m[r], m[found] = m[found], m[r]
+            product = -product
+        top = m[r]
+        p = top[col]
+        product *= p
+        for i, row in enumerate(m):
+            if i != r and col in row:
+                factor = linalg._quotient(row[col], p)
+                for j, y in top.items():
+                    x = row.get(j, 0) - factor * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        pivots.append(col)
+    return pivots, product
+
+
+def reference_det_inverse(a):
+    n = len(a)
+    m = [{**row, n + i: 1} for i, row in enumerate(a)]
+    pivots, product = reference_reduce(m, n)
+    if len(pivots) < n:
+        return Fraction(0), None
+    return Fraction(product), [{j - n: linalg._quotient(row[j], row[i])
+                                for j in range(n, 2 * n) if j in row} for i, row in enumerate(m)]
+
+
+_STORED = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4)).map(
+    linalg.entry).filter(bool)
+
+
+@st.composite
+def scalar_rows(draw):
+    """Square canonical sparse rows of scalars, 0-6 wide, each stored in a
+    drawn column order: some rows empty, some a multiple of another (a
+    singular matrix), some a permutation times one repeated scalar (every
+    pivot equal, and row swaps), and the first column often empty above
+    its first entry (a swap)."""
+    k = draw(st.integers(0, 6))
+    if k and draw(st.booleans()):
+        scale, order = draw(_STORED), draw(st.permutations(range(k)))
+        a = [{order[i]: scale} for i in range(k)]
+    else:
+        a = [dict(draw(st.lists(st.tuples(st.integers(0, k - 1), _STORED), max_size=k)))
+             if k and draw(st.integers(0, 4)) else {} for _ in range(k)]
+    if k >= 2 and draw(st.booleans()):
+        i, j, scale = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)), draw(_STORED)
+        a[i] = {col: linalg.entry(scale * x) for col, x in a[j].items()}
+    if k >= 2 and draw(st.booleans()):
+        a[0].pop(0, None)
+    return a
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(scalar_rows())
+@example([{1: 1}, {0: 1}])                            # det -1, by one swap
+@example([{0: 2}, {1: 3}])                            # the entry 1 over two pivots
+@example([{0: Fraction(3, 2), 1: 1}, {0: 3, 1: 2}])   # singular
+def test_elimination_equals_the_running_product_reference(a):
+    # the pivot product read off the reduced rows, with the swaps' sign,
+    # and the read-off with one quotient per distinct (entry, pivot) give
+    # the reference's determinant and inverse rows: values, int or Fraction,
+    # and the order of every row's keys; `det` gives the same determinant
+    determinant, inverse = linalg.det_inverse([dict(row) for row in a])
+    expected, rows = reference_det_inverse([dict(row) for row in a])
+    assert typed(determinant) == typed(expected)
+    assert typed(linalg.det(linalg.dense(a, len(a)))) == typed(expected)
+    assert (inverse is None) == (rows is None)
+    assert [typed_items(row) for row in inverse or []] == [typed_items(row) for row in rows or []]

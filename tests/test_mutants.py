@@ -52,6 +52,7 @@ metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
 auto_failures = morphisms._auto_failures
 canonical, rational = cli._canonical, scene._rational
+pivot_product = linalg._pivot_product
 
 
 def skew_failure_without_i_equals_j(table, mirror, arity):
@@ -384,61 +385,76 @@ def rational_keyed_on_the_value(value, where, seen):
 
 
 def reader_without(check):
-    """`cli._Parser._read` without one check: "required" reads an argv that
-    lacks a required flag, "repeat" keeps the first value of a repeated
-    flag, and "dash" takes a value starting with "-" after a separate flag."""
-    def mutant(self, args, namespace):
-        seen, values, tokens = {}, {}, iter(args)
+    """`cli._read` without one check: "required" reads an argv that lacks a
+    required flag, "repeat" keeps the first value of a repeated flag, and
+    "dash" takes a value starting with "-" after a separate flag."""
+    def mutant(name, argv):
+        flags, values, tokens = cli._FLAGS[name], {}, iter(argv)
         for token in tokens:
-            flag, eq, value = token.partition("=")
-            action = self._option_string_actions.get(flag)
-            store = (type(action) is argparse._StoreAction and action.nargs is None
-                     and action.choices is None)
-            value = next(tokens, "-") if store and not eq else value
-            if action in seen and check == "repeat":
+            option, eq, value = token.partition("=")
+            flag = flags.get(option)
+            if flag is None:
+                return None
+            dest, kind = flag[:2]
+            if dest in values:
+                if check != "repeat":
+                    return None
+                if kind is not bool and not eq:
+                    next(tokens, None)
                 continue
-            dash = value.startswith("-") and not eq and check != "dash"
-            if (action in seen or value == "--" or (dash if store
-                    else eq or type(action) is not argparse._StoreTrueAction)):
+            if kind is bool:
+                if eq:
+                    return None
+                values[dest] = True
+                continue
+            value = value if eq else next(tokens, "-")
+            if value == "--" or value.startswith("-") and not eq and check != "dash":
                 return None
             try:
-                seen[action] = (action.type or str)(value) if store else action.const
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                values[dest] = kind(value) if kind else value
+            except ValueError:
                 return None
-        for action in self._actions:
-            if action in seen:
-                values[action.dest] = seen[action]
-            elif (action.required and check != "required" or action.type is not None
-                  and isinstance(action.default, str)):
-                return None
-            elif action.default is not argparse.SUPPRESS and not hasattr(namespace, action.dest):
-                values.setdefault(action.dest, action.default)
-        namespace = argparse.Namespace() if namespace is None else namespace
-        vars(namespace).update(values)
-        return namespace
+        for dest, _, required, default, _ in flags.values():
+            if dest not in values:
+                if required and check != "required":
+                    return None
+                values[dest] = default
+        return argparse.Namespace(command=name, **values)
     return mutant
+
+
+def rows_keeping_constant_polynomials(pairs):
+    """`linalg._nonzero` as the scene's row writer without the canonical
+    form: a constant Polynomial, and an integral Fraction, kept as read."""
+    return {j: v for j, v in pairs if not linalg.is_zero(v)}
+
+
+def rows_storing_zeros(pairs):
+    """The scene's row writer storing an anchor's zero literal as 0."""
+    return {j: linalg.entry(v) for j, v in pairs if type(v) is Polynomial or v}
 
 
 def reduce_with(factor_of, signed_swap):
     """`linalg._reduce` with the factor factor_of(entry, pivot) and, unless
-    `signed_swap`, a row swap that leaves the sign of the product."""
+    `signed_swap`, a row swap that leaves the sign."""
     def mutant(m, cols):
         rows = len(m)
         pivots = []
-        product = 1
+        sign = 1
         for col in range(cols):
             r = len(pivots)
             if r == rows:
                 break
-            found = next((i for i in range(r, rows) if col in m[i]), None)
-            if found is None:
+            for found in range(r, rows):
+                if col in m[found]:
+                    break
+            else:
                 continue
             if found != r:
                 m[r], m[found] = m[found], m[r]
-                product = -product if signed_swap else product
+                sign = -sign if signed_swap else sign
             top = m[r]
             p = top[col]
-            product *= p
             for i, row in enumerate(m):
                 if i != r and col in row:
                     factor = factor_of(row[col], p)
@@ -449,8 +465,21 @@ def reduce_with(factor_of, signed_swap):
                         else:
                             del row[j]
             pivots.append(col)
-        return pivots, product
+        return pivots, sign
     return mutant
+
+
+def pivot_product_without_the_sign(m, sign):
+    """`linalg._pivot_product` ignoring the sign of the row swaps."""
+    return pivot_product(m, 1)
+
+
+class QuotientsKeyedOnTheEntry(dict):
+    """`linalg._Quotients` keyed on the entry alone, so an entry read off
+    over a second pivot takes the first one's quotient."""
+
+    def __getitem__(self, key):
+        return self.setdefault(key[0], linalg._quotient(*key))
 
 
 def symmetric_over_upper_entries(a):
@@ -748,19 +777,29 @@ MUTANTS = {
         (),                                 # a metric's 1 read before its true
     ),
     "reader_without_the_required_flags": (
-        [(cli._Parser, "_read", reader_without("required"))],
+        [(cli, "_read", reader_without("required"))],
         test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
         test_scene_cli._READER_CASES["missing_required"],   # morphism without --map
     ),
     "reader_keeping_the_first_repeat": (
-        [(cli._Parser, "_read", reader_without("repeat"))],
+        [(cli, "_read", reader_without("repeat"))],
         test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
         test_scene_cli._READER_CASES["repeated_flag"],      # argparse keeps standard2
     ),
     "reader_taking_a_dash_value": (
-        [(cli._Parser, "_read", reader_without("dash"))],
+        [(cli, "_read", reader_without("dash"))],
         test_scene_cli.TestArgumentContract().test_direct_reader_equals_argparse,
         test_scene_cli._READER_CASES["dash_value"],         # --structure --json: no value
+    ),
+    "scene_rows_keeping_constant_polynomials": (
+        [(scene, "_nonzero", rows_keeping_constant_polynomials)],
+        test_scene_cli.assert_rows_read_again,
+        (test_scene_cli.SCENE,),            # the anchor literal "1" kept as a Polynomial
+    ),
+    "scene_rows_storing_zeros": (
+        [(scene, "_nonzero", rows_storing_zeros)],
+        test_scene_cli.assert_rows_read_again,
+        (test_scene_cli.SCENE,),            # the anchor literal "0" stored
     ),
     "writer_joins_strings_without_the_indent": (
         [(cli, "_canonical", canonical_joining_strings_without_the_indent)],
@@ -782,6 +821,16 @@ MUTANTS = {
         [(linalg, "_reduce", reduce_with(Fraction, False))],
         inner(test_linalg.test_det_and_inverse_match_the_reference),
         (([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], []),),  # det -1, one swap
+    ),
+    "pivot_product_without_the_swap_sign": (
+        [(linalg, "_pivot_product", pivot_product_without_the_sign)],
+        inner(test_linalg.test_elimination_equals_the_running_product_reference),
+        ([{1: 1}, {0: 1}],),                # det -1, by one swap
+    ),
+    "read_off_memo_keyed_on_the_entry": (
+        [(linalg, "_Quotients", QuotientsKeyedOnTheEntry)],
+        inner(test_linalg.test_elimination_equals_the_running_product_reference),
+        ([{0: 2}, {1: 3}],),                # 1 / 3 read as the 1 / 2 formed first
     ),
     "symmetry_over_upper_stored_entries": (
         [(linalg, "is_symmetric", symmetric_over_upper_entries)],

@@ -4,6 +4,7 @@ import copy
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -23,8 +24,10 @@ from courantlab.polyexpr import Polynomial, parse
 from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
 
 from conftest import literals
+from test_bench_layers import _bench_module
 
 SCENE = Path(__file__).resolve().parent.parent / "demos" / "scenes" / "oscillator.json"
+MORPHISM_SCENE = Path(__file__).resolve().parent / "data" / "morphism_scene.json"
 
 
 def write_scene(tmp_path, payload, name="scene.json"):
@@ -845,6 +848,11 @@ class TestAxiomsContract:
         assert _axioms_beside({"courant_structures": {"s": spec}}, "s") == (
             2, f"error: courant_structure 's': {message}\n")
 
+    def test_a_double_dash_value_is_a_missing_value(self, capsys):
+        # argparse stores --structure=-- as an empty list
+        assert TestMorphismContract.run(["axioms", "--structure=--"], capsys) == (2, (
+            "", "error: argument --structure: expected one argument\n"))
+
     def test_a_rank_0_bundle_still_loads(self):
         spec = {"bundle": "P0", "anchor": [[]], "metric": []}
         assert _axioms_beside({"bundles": {"P0": {"base_dim": 1, "rank": 0}},
@@ -871,6 +879,12 @@ class TestLeibnizContract:
     @given(_fuzzed_structures("leibniz"))
     def test_fuzzed_structures_keep_the_contract(self, tmp_path, capsys, case):
         _fuzzed_contract(tmp_path, capsys, case)
+
+
+    def test_a_double_dash_value_is_a_missing_value(self, capsys):
+        # argparse stores --structure=-- as an empty list
+        assert TestMorphismContract.run(["leibniz", "--structure=--"], capsys) == (2, (
+            "", "error: argument --structure: expected one argument\n"))
 
 
 class TestParserBounds:
@@ -1056,6 +1070,11 @@ class TestIntrinsicContract:
             path.write_text(phi)
             argv = argv + ["--phi", str(path)]
         TestMorphismContract.run(argv, capsys)
+
+    def test_a_double_dash_value_is_a_missing_value(self, capsys):
+        # argparse stores --n=-- as an empty list
+        assert TestMorphismContract.run(["intrinsic", "--n=--", "--m", "1"], capsys) == (2, (
+            "", "error: argument --n: expected one argument\n"))
 
     @pytest.mark.parametrize("n, m", [(10 ** 9, 0), (0, 10 ** 9), (40, 25)])
     def test_dimensions_are_bounded(self, capsys, n, m):
@@ -1310,6 +1329,43 @@ def test_each_distinct_literal_is_read_once_per_load(monkeypatch):
     assert one[0] is one[1] and one[0] is not other[0]
 
 
+def typed_rows(rows):
+    return [[(j, type(x), x) for j, x in row.items()] for row in rows]
+
+
+def assert_rows_read_again(path):
+    """Every structure of the scene at `path` stores as its A and G rows
+    `linalg.sparse` of the matrices read again from the file's JSON, by
+    `parse` and `Fraction`: the same columns in the same order, values and
+    types (int, Fraction or Polynomial)."""
+    raw, loaded = json.loads(Path(path).read_text()), load_scene(path)
+    for name, spec in raw.get("courant_structures", {}).items():
+        names = tuple(f"x{i + 1}" for i in range(raw["bundles"][spec["bundle"]]["base_dim"]))
+        anchor = [[parse(e, names) for e in row] for row in spec["anchor"]]
+        metric = [[Fraction(v) for v in row] for row in spec["metric"]]
+        g, _, a = loaded.structures[name].rows
+        assert typed_rows(a) == typed_rows(linalg.sparse(anchor)), name
+        assert typed_rows(g) == typed_rows(linalg.sparse(metric)), name
+
+
+def _benchmark_scenes():
+    workloads = _bench_module("workloads")
+    return [op.scene for workload in ("certify", "pipeline", "simulate") for seed in (1, 2, 3)
+            for cycle in (0, 1) for op in workloads.make_cycle(workload, seed, cycle) if op.scene]
+
+
+def test_a_scene_reads_its_structures_straight_into_rows(tmp_path):
+    # the benchmark's scenes, the demo scene and the morphism fixture scene
+    scenes = _benchmark_scenes()
+    assert len(scenes) > 100
+    for i, data in enumerate(scenes):
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(data)
+        assert_rows_read_again(path)
+    assert_rows_read_again(SCENE)
+    assert_rows_read_again(MORPHISM_SCENE)
+
+
 def test_a_structure_is_printed_from_its_rows(monkeypatch, capsys):
     # the dense views `anchor` and `metric` form one constant Polynomial per
     # scalar anchor entry and one Fraction per metric entry (24 and 64 for
@@ -1365,7 +1421,7 @@ _REQUIRED = {
 }
 
 
-# (command, argv after it, whether `_Parser._read` reads it rather than
+# (command, argv after it, whether `_read` reads it rather than
 # leaving it to argparse)
 _SIM = ["--scene", str(SCENE), "--system", "oscillator", "--input", "unit"]
 _READER_CASES = {
@@ -1430,8 +1486,9 @@ def _drawn_argvs(draw):
 
 
 class TestCommandParser:
-    """`main` hands a command's argv to a parser built for that command
-    alone, equal to the top-level parser's subparser for it."""
+    """`main` reads a plain argv from the flag table and hands any other
+    argv of a command to a parser built for that command alone, equal to
+    the top-level parser's subparser for it."""
 
     FIELDS = ("option_strings", "dest", "default", "required", "type", "help", "nargs",
               "const", "choices", "metavar")
@@ -1451,7 +1508,7 @@ class TestCommandParser:
             for field in self.FIELDS:
                 assert getattr(mine, field) == getattr(theirs, field), (name, field)
 
-    def test_a_command_builds_its_parser_alone(self, capsys, monkeypatch):
+    def test_a_plain_argv_builds_no_parser(self, capsys, monkeypatch):
         built = []
         init = cli._Parser.__init__
         monkeypatch.setattr(cli._Parser, "__init__", lambda self, *args, **kwargs:
@@ -1459,11 +1516,27 @@ class TestCommandParser:
         cli._build_parser.cache_clear()
         cli._command_parser.cache_clear()
         assert main(["axioms", "--structure", "standard1", "--json"]) == 0
-        assert main(["axioms", "--structure", "standard2", "--json"]) == 0
-        assert built == ["courantlab axioms"]
+        assert main(["leibniz", "--structure", "standard1"]) == 0
+        assert built == [] and cli._build_parser.cache_info().currsize == 0
+        assert cli._command_parser.cache_info().currsize == 0
+        # help and an error argv each build that command's parser alone
+        assert main(["axioms", "-h"]) == 0
+        assert main(["intrinsic", "--n", "x", "--m", "1"]) == 2
+        assert built == ["courantlab axioms", "courantlab intrinsic"]
         assert cli._build_parser.cache_info().currsize == 0
-        assert cli._command_parser.cache_info().currsize == 1
+        assert cli._command_parser.cache_info().currsize == 2
         capsys.readouterr()
+
+    def test_a_plain_argv_imports_no_locale(self):
+        # argparse's messages go through gettext, whose first call imports
+        # locale; a fresh interpreter reading a plain argv makes none
+        code = ("import sys\nfrom courantlab.cli import main\n"
+                "main(['axioms', '--structure', 'standard2', '--json'])\n"
+                "sys.stderr.write(str('locale' in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stderr == "False" and json.loads(run.stdout)["exit_code"] == 0
 
 
 class TestArgumentContract:
@@ -1545,7 +1618,7 @@ class TestArgumentContract:
         """What `_read` makes of a command's argv, once checked to be None
         or what argparse alone builds; argparse's output is dropped."""
         parser = cli._command_parser(command)
-        read = parser._read(argv, argparse.Namespace(command=command))
+        read = cli._read(command, argv)
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
@@ -1568,24 +1641,26 @@ class TestArgumentContract:
     def test_direct_reader_equals_argparse_on_drawn_argvs(self, case):
         self.read_as_argparse_does(*case)
 
-    def test_direct_reader_leaves_choices_nargs_and_typed_defaults_to_argparse(self):
-        # no command has such a flag; the reader declines each rather than
-        # skip argparse's check, list or conversion
-        parser = cli._Parser(prog="p")
-        parser.add_argument("--k", type=int, default="3")
-        parser.add_argument("--c", choices=["a"])
-        parser.add_argument("--v", nargs=1)
-        for argv in ([], ["--k", "1", "--c", "a"], ["--k", "1", "--v", "a"]):
-            assert parser._read(argv, None) is None, argv
-        assert argparse.ArgumentParser.parse_args(parser, []).k == 3
-        assert vars(parser._read(["--k", "1"], None)) == {"k": 1, "c": None, "v": None} \
-            == vars(argparse.ArgumentParser.parse_args(parser, ["--k", "1"]))
+    def test_the_flag_table_holds_only_what_the_reader_reads(self):
+        # the reader knows no choices, nargs or string default under a type:
+        # each flag argparse builds from the table is a plain store or a
+        # store_true flag, with the table's dest, type, default and
+        # requirement
+        for name, flags in cli._FLAGS.items():
+            actions = cli._command_parser(name)._option_string_actions
+            assert set(actions) == {*flags, "-h", "--help"}, name
+            for option, (dest, kind, required, default, text) in flags.items():
+                action = actions[option]
+                assert type(action) is (argparse._StoreTrueAction if kind is bool
+                                        else argparse._StoreAction), option
+                assert action.nargs in (None, 0) and action.choices is None
+                assert (action.dest, action.required, action.default, action.help) == (
+                    dest, required, default, text)
+                assert kind is bool or action.type is kind and not (
+                    kind and isinstance(default, str))
 
-    # argparse stores --structure=-- as an empty list, on which `axioms`
-    # raises TypeError by either path
-    @pytest.mark.parametrize("command, argv", [case[:2] for name, case in _READER_CASES.items()
-                                               if name != "double_dash_value"],
-                             ids=[name for name in _READER_CASES if name != "double_dash_value"])
+    @pytest.mark.parametrize("command, argv", [case[:2] for case in _READER_CASES.values()],
+                             ids=list(_READER_CASES))
     def test_main_is_unchanged_when_argparse_reads_every_argv(self, capsys, monkeypatch,
                                                              command, argv):
         def run():
@@ -1595,7 +1670,7 @@ class TestArgumentContract:
                           if not line.startswith("elapsed:")], err
 
         direct = run()
-        monkeypatch.setattr(cli._Parser, "_read", lambda self, args, namespace: None)
+        monkeypatch.setattr(cli, "_read", lambda name, argv: None)
         assert run() == direct
 
 
@@ -1841,6 +1916,11 @@ class TestProjectContract:
 
 class TestDiracContract:
     """`dirac` honours the exit-code contract on drawn systems."""
+
+    def test_a_double_dash_value_is_a_missing_value(self, capsys):
+        # argparse stores --system=-- as an empty list
+        assert TestMorphismContract.run(["dirac", "--system=--"], capsys) == (2, (
+            "", "error: argument --system: expected one argument\n"))
 
     @settings(max_examples=600, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])

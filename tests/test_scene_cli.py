@@ -880,7 +880,6 @@ class TestLeibnizContract:
     def test_fuzzed_structures_keep_the_contract(self, tmp_path, capsys, case):
         _fuzzed_contract(tmp_path, capsys, case)
 
-
     def test_a_double_dash_value_is_a_missing_value(self, capsys):
         # argparse stores --structure=-- as an empty list
         assert TestMorphismContract.run(["leibniz", "--structure=--"], capsys) == (2, (

@@ -14,10 +14,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .polyexpr import Polynomial, PolyMap, _coeff, _is_identity, monomials_up_to
+from .polyexpr import Frozen, Polynomial, PolyMap, _coeff, _is_identity, monomials_up_to
 
 
-class TrivialBundle:
+class TrivialBundle(Frozen):
     """The trivial bundle R^base_dim x R^rank -> R^base_dim; two bundles are
     equal when their dimensions are, whatever their labels."""
 
@@ -26,12 +26,7 @@ class TrivialBundle:
     def __init__(self, base_dim: int, rank: int, label: str = "E"):
         if base_dim < 0 or rank < 0:
             raise ValueError("bundle dimensions must be >= 0")
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrivialBundle is immutable")
+        self._set(base_dim, rank, label)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -57,7 +52,7 @@ def whitney_sum(b1: TrivialBundle, b2: TrivialBundle) -> TrivialBundle:
     return TrivialBundle(b1.base_dim, b1.rank + b2.rank, f"{b1.label}(+){b2.label}")
 
 
-class Section:
+class Section(Frozen):
     """A global polynomial section, held as frame coefficients."""
 
     __slots__ = ("bundle", "coeffs")
@@ -68,11 +63,7 @@ class Section:
                 f"section shape {coeffs.num_inputs}->{len(coeffs)} does not match "
                 f"bundle {bundle.base_dim}->{bundle.rank}"
             )
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Section is immutable")
+        self._set(bundle, coeffs)
 
     @classmethod
     def zero(cls, bundle: TrivialBundle) -> "Section":
@@ -147,7 +138,7 @@ class Section:
         return f"Section({self.bundle.label}: {self.coeffs.to_strings()})"
 
 
-class BundleMorphism:
+class BundleMorphism(Frozen):
     """Vector bundle morphism: base map phi0 and fiber action e -> P(x) e.
 
     The fiber matrix has shape target.rank x source.rank; its entries are
@@ -187,19 +178,9 @@ class BundleMorphism:
                else type(p) not in (int, Fraction) for row in fm for p in row):
             raise ValueError("fiber matrix entries must be exact scalars or polynomials "
                              "in the source base variables")
-        self._fill(source, target, base_map, linalg.sparse(fm),
-                   _checked_retraction(source, target, base_map, retraction))
-
-    def _fill(self, source, target, base_map, rows, retraction):
-        """Set every slot from checked parts; the dense view, the extension
-        rows and the record along the image start empty."""
-        for slot, value in zip(self.__slots__, (source, target, base_map, rows, retraction)):
-            object.__setattr__(self, slot, value)
-        for slot in self.__slots__[5:]:
-            object.__setattr__(self, slot, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BundleMorphism is immutable")
+        # the dense view, the extension rows and the record along the image start empty
+        self._set(source, target, base_map, linalg.sparse(fm),
+                  _checked_retraction(source, target, base_map, retraction))
 
     @property
     def fiber_matrix(self) -> list[list[Polynomial]]:
@@ -318,8 +299,8 @@ def compose_morphisms(outer: BundleMorphism, inner: BundleMorphism) -> BundleMor
     if inner.retraction is not None and outer.retraction is not None:
         retraction = inner.retraction.compose(outer.retraction)
     composite = object.__new__(BundleMorphism)
-    composite._fill(inner.source, outer.target, outer.base_map.compose(inner.base_map),
-                    linalg.pmat_mul(outer_rows, inner.fiber_rows), retraction)
+    composite._set(inner.source, outer.target, outer.base_map.compose(inner.base_map),
+                   linalg.pmat_mul(outer_rows, inner.fiber_rows), retraction)
     cols = _coordinate_columns(inner)
     if cols is not None:
         object.__setattr__(composite, "_selection", (outer, cols))
@@ -335,7 +316,7 @@ def check_related(phi: BundleMorphism, f: Section, g: Section) -> bool:
     return image == pulled
 
 
-class NonExistenceCertificate:
+class NonExistenceCertificate(Frozen):
     """Proof that no polynomial section of degree <= degree_cap is related.
 
     The coefficient matching problem is a linear system A c = b per fiber
@@ -348,12 +329,7 @@ class NonExistenceCertificate:
     __slots__ = ("degree_cap", "component", "monomials", "matrix", "rhs", "farkas")
 
     def __init__(self, degree_cap: int, component: int, monomials, matrix, rhs, farkas):
-        for slot, value in zip(self.__slots__,
-                               (degree_cap, component, monomials, matrix, rhs, farkas)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonExistenceCertificate is immutable")
+        self._set(degree_cap, component, monomials, matrix, rhs, farkas)
 
     def verify(self) -> bool:
         combo = [
@@ -386,16 +362,13 @@ def related_section(
     image = phi.apply(f)  # P(x) f(x), in source variables
     n_target = phi.target.base_dim
     monos = monomials_up_to(n_target, degree_cap)
-    columns = [Polynomial.monomial(n_target, exps).compose(phi.base_map) for exps in monos]
+    columns = [Polynomial.monomial(n_target, exps).compose(phi.base_map).terms for exps in monos]
     solved_components: list[Polynomial] = []
     for comp_index in range(phi.target.rank):
-        target_poly = image[comp_index]
-        row_keys = sorted(set(target_poly.terms) | {k for c in columns for k in c.terms})
-        a = [
-            [col.terms.get(key, Fraction(0)) for col in columns]
-            for key in row_keys
-        ]
-        b = [target_poly.terms.get(key, Fraction(0)) for key in row_keys]
+        target = image[comp_index].terms
+        row_keys = sorted(set(target).union(*columns))
+        a = [[col.get(key, Fraction(0)) for col in columns] for key in row_keys]
+        b = [target.get(key, Fraction(0)) for key in row_keys]
         solution, farkas = linalg.solve_with_certificate(a, b)
         if solution is None:
             return NonExistenceCertificate(
@@ -412,7 +385,7 @@ def related_section(
     return Section(phi.target, PolyMap(n_target, solved_components))
 
 
-class LinearSubspace:
+class LinearSubspace(Frozen):
     """A subspace of R^ambient_dim given by a linearly independent basis,
     held as a tuple of Fraction tuples."""
 
@@ -425,11 +398,7 @@ class LinearSubspace:
                 raise ValueError("basis vector has wrong length")
         if rows and linalg.rank([list(v) for v in rows]) != len(rows):
             raise ValueError("basis vectors are linearly dependent")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSubspace is immutable")
+        self._set(ambient_dim, rows)
 
     @property
     def dim(self) -> int:
@@ -445,8 +414,7 @@ class LinearSubspace:
         s = linalg.mat(s)
         k = len(s)
         graph = object.__new__(cls)
-        object.__setattr__(graph, "ambient_dim", 2 * k)
-        object.__setattr__(graph, "basis", tuple(
+        graph._set(2 * k, tuple(
             tuple(Fraction(int(j == i)) for j in range(k)) + tuple(row[i] for row in s)
             for i in range(k)
         ))

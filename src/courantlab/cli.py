@@ -30,11 +30,11 @@ report raises TypeError.
 are declared once, as data (`_FLAGS`), and `_read` reads an argv whose
 first argument names a command and whose flags are exact, each given once
 with its value and every required one present, straight from that table.
-Only an argv `_read` declines builds a parser from the same table: that
-command's parser, or the top-level parser with every command's when the
-first argument names none (--help, an option before the command).  So
-every error line, help text and exit code is argparse's, and a plain argv
-imports no `locale`, which argparse's first message does.
+Only an argv `_read` declines (--help, an abbreviation, an error, an
+option before the command) builds a parser from the same table: the
+top-level parser with every command's.  So every error line, help text and
+exit code is argparse's, and a plain argv imports no `locale`, which
+argparse's first message does.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ from .phsim import (
     write_csv,
 )
 from .polyexpr import ExponentOverflowError, PolyMap
-from .scene import Scene, SceneError, _expr, _vars, load_scene, structure_to_json
+from .scene import (MAX_BUNDLE_DIMENSION, Scene, SceneError, _expr, _vars, load_scene,
+                    structure_to_json)
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
 # the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
@@ -180,17 +181,10 @@ def _with_flags(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParse
 
 
 @functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command `name`, built on the first call: what the
-    top-level parser's `add_parser` makes for it."""
-    return _with_flags(_Parser(prog=f"courantlab {name}"), name)
-
-
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser with every command's parser, built on the first
-    call; `main` reads it only for an argv whose first argument names no
-    command.  Parsing never changes a parser."""
+    call; `main` reads it only for an argv `_read` declines.  Parsing never
+    changes a parser."""
     parser = _Parser(
         prog="courantlab",
         description="Exact Courant algebroid workbench and port-Hamiltonian simulator",
@@ -202,15 +196,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parsed(argv) -> argparse.Namespace:
-    """argparse's namespace of an argv `_read` declines, from the parser of
-    the command argv[0] names, or from the top-level parser when it names
-    none.  argparse stores a value "--" as an empty list, which is
+    """argparse's namespace of an argv `_read` declines, from the top-level
+    parser.  argparse stores a value "--" as an empty list, which is
     rejected as a missing value."""
-    args = (_command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if argv and argv[0] in _FLAGS else _build_parser().parse_args(argv))
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     for option, (dest, *_) in _FLAGS[args.command].items():
         if type(getattr(args, dest)) is list:
-            _command_parser(args.command).error(f"argument {option}: expected one argument")
+            parser.error(f"argument {option}: expected one argument")
     return args
 
 
@@ -223,7 +216,13 @@ def _resolve_structure(scene: Scene, name: str):
         return scene.structures[name]
     match = _BUILTIN.match(name)
     if match:
-        return standard_structure(int(match.group(1)))
+        # no scene bundle has a rank 2N above the bound; the digit count is
+        # checked first, as int() refuses a string of more than 4300 digits
+        digits = match.group(1).lstrip("0") or "0"
+        if len(digits) > 3 or 2 * int(digits) > MAX_BUNDLE_DIMENSION:
+            raise SceneError(f"builtin structure {name!r} has rank 2N above "
+                             f"{MAX_BUNDLE_DIMENSION}, the largest rank of a scene bundle")
+        return standard_structure(int(digits))
     raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
 
 

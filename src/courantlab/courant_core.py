@@ -186,6 +186,7 @@ from typing import Sequence
 from . import linalg
 from .bundles import LinearSubspace, Section, TrivialBundle
 from .polyexpr import (
+    Frozen,
     Polynomial,
     PolyMap,
     _add_into,
@@ -224,7 +225,7 @@ __all__ = [
 ]
 
 
-class CourantStructure:
+class CourantStructure(Frozen):
     """Frame presentation (anchor, metric, structure functions) of a
     Courant algebroid structure on a trivial bundle.
 
@@ -295,18 +296,8 @@ class CourantStructure:
                 raise ValueError("structure functions must use the base variables")
             if not p.is_zero():
                 c[(i, j, h)] = p
-        self._fill(bundle, c, (g, inverse, anchor))
+        self._set(bundle, c, (g, inverse, anchor))
         return self
-
-    def _fill(self, bundle, c, rows, frame=None, dual=None):
-        """Set every slot from checked parts: the structure functions, the
-        rows (G, G^-1, A) and the packed tables, None for each formed on
-        first use."""
-        for slot, value in zip(self.__slots__, (bundle, c, rows, frame, dual)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CourantStructure is immutable")
 
     @property
     def anchor(self) -> list[list[Polynomial]]:
@@ -554,7 +545,7 @@ def standard_structure(n: int) -> CourantStructure:
     bundle, k = standard_bundle(n), 2 * n
     g = [{(i + n) % k: 1} for i in range(k)]
     s = object.__new__(CourantStructure)
-    s._fill(bundle, {}, (g, g, [{a: 1} for a in range(n)]))
+    s._set(bundle, {}, (g, g, [{a: 1} for a in range(n)]))
     return s
 
 
@@ -566,7 +557,7 @@ def scaled_structure(base: CourantStructure, lam) -> CourantStructure:
         raise ValueError("metric scale must be nonzero")
     g, g_inv, a = base.rows
     s = object.__new__(CourantStructure)
-    s._fill(base.bundle, dict(base.structure_functions), (
+    s._set(base.bundle, dict(base.structure_functions), (
         [{j: linalg.entry(x * lam) for j, x in row.items()} for row in g],
         [{j: linalg.entry(x / lam) for j, x in row.items()} for row in g_inv], a))
     return s
@@ -598,9 +589,9 @@ def product_structure(
     c.update(((k1 + i, k1 + j, k1 + h), p.lift(n, n1))
              for (i, j, h), p in s2.structure_functions.items())
     s = object.__new__(CourantStructure)
-    s._fill(bundle, c, (block(g1, 0) + block(g2, k1, sign),
-                        block(g1_inv, 0) + block(g2_inv, k1, sign),
-                        lifted(a1, 0, 0) + lifted(a2, k1, n1)))
+    s._set(bundle, c, (block(g1, 0) + block(g2, k1, sign),
+                       block(g1_inv, 0) + block(g2_inv, k1, sign),
+                       lifted(a1, 0, 0) + lifted(a2, k1, n1)))
     return s
 
 

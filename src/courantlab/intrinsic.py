@@ -47,7 +47,7 @@ from . import linalg
 from .bundles import BundleMorphism, TrivialBundle, _checked_retraction, compose_morphisms
 from .courant_core import CourantStructure, standard_bundle, standard_structure
 from .morphisms import MorphismVerdict, check_general_base, check_identity_base
-from .polyexpr import Polynomial, PolyMap
+from .polyexpr import Frozen, Polynomial, PolyMap
 from .pullback import HypothesisReport, PullbackProblem, construct
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-class SplittingIso:
+class SplittingIso(Frozen):
     """Constant fiber isomorphism identifying the pulled-back sum with
     TE (+) T*E over the identity on the total space.  It keeps its canonical
     sparse rows, `rows`, reduced once by `det_inverse` to check
@@ -83,11 +83,7 @@ class SplittingIso:
         """Set the slots from square canonical rows, checked invertible."""
         if linalg.det_inverse(rows)[0] == 0:
             raise ValueError("splitting matrix must be invertible")
-        for slot, value in zip(self.__slots__, (n, m, rows, None)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplittingIso is immutable")
+        self._set(n, m, rows)
 
     @property
     def fiber_matrix(self) -> tuple:
@@ -137,7 +133,7 @@ def splitting_composite(n: int, m: int, splitting: SplittingIso | None = None) -
     base = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + [Polynomial(n)] * m)
     retraction = PolyMap(n + m, [Polynomial.variable(n + m, i) for i in range(n)])
     chi = object.__new__(BundleMorphism)
-    chi._fill(source, target, base, splitting.rows, retraction)
+    chi._set(source, target, base, splitting.rows, retraction)
     return chi
 
 
@@ -150,7 +146,7 @@ def inclusion_morphism(n: int, m: int) -> BundleMorphism:
     source, target, base = standard_bundle(n), intrinsic_bundle(n, m), PolyMap.identity(n)
     inclusion = object.__new__(BundleMorphism)
     rows = [{i: 1} for i in range(2 * n)] + [{} for _ in range(2 * m)]
-    inclusion._fill(source, target, base, rows, _checked_retraction(source, target, base, base))
+    inclusion._set(source, target, base, rows, _checked_retraction(source, target, base, base))
     return inclusion
 
 

@@ -84,7 +84,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from . import linalg
 from .bundles import LinearSubspace
 from .courant_core import _maximally_isotropic
-from .polyexpr import Polynomial, PolyMap, parse, poly_sum
+from .polyexpr import Frozen, Polynomial, PolyMap, _unpack, parse, poly_sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,7 +104,7 @@ __all__ = [
 ]
 
 
-class PHSystem:
+class PHSystem(Frozen):
     """x' = J grad H + B u with skew J; the skewness check is exact."""
 
     __slots__ = ("n", "m", "j", "b", "hamiltonian", "label")
@@ -128,11 +128,7 @@ class PHSystem:
             raise ValueError(
                 f"H has {hamiltonian.num_vars} variables, state dimension is {n}"
             )
-        for slot, value in zip(self.__slots__, (n, m, jm, bm, hamiltonian, label)):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PHSystem is immutable")
+        self._set(n, m, jm, bm, hamiltonian, label)
 
     def gradient(self) -> list[Polynomial]:
         return self.hamiltonian.gradient()
@@ -141,7 +137,7 @@ class PHSystem:
         return f"PHSystem({self.label}: n={self.n}, m={self.m})"
 
 
-class InputSignal:
+class InputSignal(Frozen):
     """A polynomial input t -> u(t) in R^m."""
 
     __slots__ = ("u",)
@@ -149,10 +145,7 @@ class InputSignal:
     def __init__(self, u: PolyMap):
         if u.num_inputs != 1:
             raise ValueError("input signals are functions of the single variable t")
-        object.__setattr__(self, "u", u)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InputSignal is immutable")
+        self._set(u)
 
     @classmethod
     def zero(cls, m: int) -> "InputSignal":
@@ -218,14 +211,14 @@ def _terms(poly: Polynomial) -> list[str]:
     coefficient outside the float range raises ValueError.
     """
     names, terms = [f"{{{i}}}" for i in range(poly.num_vars)], []
-    for exps, coeff in poly.terms.items():
+    for key, coeff in poly._packed.items():
         try:
             literal = repr(float(coeff))
         except OverflowError:
             size = math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator)
             raise ValueError(f"a field coefficient of size 10^{size:.0f} is outside "
                              "the float range") from None
-        chain = [name for name, e in zip(names, exps) if e for _ in range(e)]
+        chain = [name for name, e in zip(names, _unpack(key, len(names))) if e for _ in range(e)]
         terms.append(_chain(([] if coeff == 1 else [literal]) + chain, "*") or "1.0")
     return terms
 

@@ -33,10 +33,15 @@ have one order too: `**` and `compose` both form q^e by binary powering
 every certificate witness is the least failing tuple in one order
 (courant_core).
 
-The public `terms` attribute is a read-only view of the same map with
-exponent-tuple keys and `Fraction` values.  Its len() is O(1); keys are
-decoded only while iterating.  `constant_value()` and `eval()` return
+The public `terms` attribute is a read-only `types.MappingProxyType` over
+a dict {exponent tuple: Fraction}, built in term order on each read: every
+key is decoded and every coefficient converted then, so even its len()
+costs a pass over the terms.  `constant_value()` and `eval()` return
 `Fraction` too.
+
+`Frozen` is the base of every immutable record of the package: assigning
+an attribute raises AttributeError, and a constructor fills the slots
+with `_set`.
 
 A `PolyMap` is a tuple of polynomials sharing one input arity: a polynomial
 map R^n -> R^k.  It serves both as the coefficient vector of a bundle
@@ -57,11 +62,12 @@ literals into a rational literal.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import comb, prod
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -233,40 +239,22 @@ def _deriv(terms: dict, var: int) -> dict:
     return out
 
 
-class _TermsView(Mapping):
-    """Read-only {exponent tuple: Fraction} view of a packed term dict."""
+class Frozen:
+    """Base of the immutable records: assigning an attribute raises
+    AttributeError("<Class> is immutable")."""
 
-    __slots__ = ("_packed", "_num_vars")
+    __slots__ = ()
 
-    def __init__(self, packed: dict, num_vars: int):
-        self._packed = packed
-        self._num_vars = num_vars
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __len__(self):
-        return len(self._packed)
-
-    def __iter__(self):
-        n = self._num_vars
-        return (_unpack(key, n) for key in self._packed)
-
-    def __getitem__(self, exps):
-        try:
-            if len(exps) != self._num_vars:
-                raise KeyError(exps)
-            return Fraction(self._packed[_pack(exps)])
-        except (TypeError, ValueError):
-            raise KeyError(exps) from None
-
-    def items(self):
-        """A list of (exponent tuple, Fraction) pairs, in term order."""
-        n = self._num_vars
-        return [(_unpack(key, n), Fraction(c)) for key, c in self._packed.items()]
-
-    def __repr__(self):
-        return repr(dict(self.items()))
+    def _set(self, *values):
+        """Fill the slots in order from `values`, those after them with None."""
+        for slot, value in zip_longest(self.__slots__, values):
+            object.__setattr__(self, slot, value)
 
 
-class Polynomial:
+class Polynomial(Frozen):
     """Immutable sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("num_vars", "_packed")
@@ -288,13 +276,11 @@ class Polynomial:
         _set_num_vars(self, num_vars)
         _set_packed(self, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
     @property
-    def terms(self) -> Mapping:
-        """Read-only {exponent tuple: Fraction} view of the terms."""
-        return _TermsView(self._packed, self.num_vars)
+    def terms(self) -> MappingProxyType:
+        """Read-only {exponent tuple: Fraction} map of the terms, in term order."""
+        n = self.num_vars
+        return MappingProxyType({_unpack(key, n): Fraction(c) for key, c in self._packed.items()})
 
     # -- constructors ---------------------------------------------------
 
@@ -426,13 +412,14 @@ class Polynomial:
         return [self.diff(i) for i in range(self.num_vars)]
 
     def eval(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation by recursive Horner accumulation."""
-        if len(point) != self.num_vars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self.num_vars}"
-            )
+        """Exact evaluation: the sum of c * prod(x_i ** e_i) over the terms,
+        which no order of summation changes."""
+        n = self.num_vars
+        if len(point) != n:
+            raise ValueError(f"point has {len(point)} coordinates, expected {n}")
         point = [Fraction(v) for v in point]
-        return _horner(list(self._packed.items()), point, 0)
+        return sum((c * prod(map(pow, point, _unpack(key, n))) for key, c in self._packed.items()),
+                   Fraction(0))
 
     def compose(self, maps: "PolyMap | Sequence[Polynomial]") -> "Polynomial":
         """Substitute `maps[i]` for variable i; exact expansion.
@@ -536,7 +523,8 @@ class Polynomial:
         return f"Polynomial({self.num_vars}, {self.to_string()!r})"
 
 
-# The slot setters write past Polynomial.__setattr__, which refuses every write.
+# The slot setters write past `Frozen.__setattr__`, which refuses every write;
+# `_raw` and the constructor call them directly, as `_set` costs a loop.
 _set_num_vars = Polynomial.num_vars.__set__
 _set_packed = Polynomial._packed.__set__
 
@@ -609,30 +597,7 @@ def poly_sum(num_vars: int, polys: Iterable[Polynomial]) -> Polynomial:
     return _raw(num_vars, out)
 
 
-def _horner(items, point, var: int):
-    """Recursive Horner evaluation over packed keys, grouping on one variable."""
-    if not items:
-        return Fraction(0)
-    if var == len(point):
-        return sum((c for _, c in items), Fraction(0))
-    shift = _BITS * var
-    groups: dict[int, list] = {}
-    for key, coeff in items:
-        groups.setdefault((key >> shift) & _FIELD, []).append((key, coeff))
-    x = point[var]
-    acc = Fraction(0)
-    prev = None
-    for e in sorted(groups, reverse=True):
-        if prev is not None:
-            acc = acc * x ** (prev - e)
-        acc = acc + _horner(groups[e], point, var + 1)
-        prev = e
-    if prev:
-        acc = acc * x ** prev
-    return acc
-
-
-class PolyMap:
+class PolyMap(Frozen):
     """A polynomial map R^num_inputs -> R^k, one polynomial per output."""
 
     __slots__ = ("num_inputs", "outputs")
@@ -644,11 +609,9 @@ class PolyMap:
                 raise ValueError(
                     f"component has {p.num_vars} variables, expected {num_inputs}"
                 )
+        # two direct writes: a PolyMap is built too often for the loop of `_set`
         object.__setattr__(self, "num_inputs", num_inputs)
         object.__setattr__(self, "outputs", outputs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMap is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "PolyMap":

@@ -72,7 +72,7 @@ from . import linalg
 from .bundles import BundleMorphism, TrivialBundle
 from .courant_core import AxiomCheck, CourantStructure
 from .morphisms import along_image, check_general_base
-from .polyexpr import Polynomial, PolyMap
+from .polyexpr import Frozen, Polynomial, PolyMap
 
 __all__ = [
     "PullbackProblem",
@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 
-class PullbackProblem:
+class PullbackProblem(Frozen):
     """Ambient structure, source bundle, and the connecting morphism."""
 
     def __init__(self, ambient: CourantStructure, source_bundle: TrivialBundle,
@@ -97,9 +97,6 @@ class PullbackProblem:
         if morphism.retraction is None:
             raise ValueError("pullback needs a morphism with a retraction")
         vars(self).update(ambient=ambient, source_bundle=source_bundle, morphism=morphism)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PullbackProblem is immutable")
 
     @cached_property
     def _record(self):
@@ -159,8 +156,8 @@ class PullbackProblem:
         """
         record = self._record
         structure = object.__new__(CourantStructure)
-        structure._fill(self.source_bundle, dict(self._frame_table[0]),
-                        (record.w, self._induced_pairing[1], record.qp))
+        structure._set(self.source_bundle, dict(self._frame_table[0]),
+                       (record.w, self._induced_pairing[1], record.qp))
         return structure
 
 

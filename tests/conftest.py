@@ -121,7 +121,7 @@ def perturbed_candidates(base: CourantStructure, count: int, rng: random.Random)
             entry = c.get((i, j, h), Polynomial(n)) + bump
             c[(i, j, h)] = bump if entry.is_zero() else entry
             candidate = object.__new__(CourantStructure)
-            candidate._fill(base.bundle, c, base.rows, dual=base._dual)
+            candidate._set(base.bundle, c, base.rows, None, base._dual)
             yield "bracket", candidate
         else:
             lam = rng.choice([Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)])
@@ -191,8 +191,8 @@ def lift_structure(s: CourantStructure, extra: int) -> CourantStructure:
     anchor = linalg.sparse(pmat_lift(s.anchor, nn)) + [{} for _ in range(extra)]
     c = {key: p.lift(nn, 0) for key, p in s.structure_functions.items()}
     lifted = object.__new__(CourantStructure)
-    lifted._fill(TrivialBundle(nn, s.bundle.rank, label=s.bundle.label), c, (g, g_inv, anchor),
-                 s._frame_tables, s._dual_rows)
+    lifted._set(TrivialBundle(nn, s.bundle.rank, label=s.bundle.label), c, (g, g_inv, anchor),
+                s._frame_tables, s._dual_rows)
     return lifted
 
 

@@ -10,8 +10,11 @@ The records of `src/` are plain classes with hand-written constructors, so
 a cold start builds no dataclass and loads neither `dataclasses` nor what
 it brings in (`inspect`, `ast`, `dis`, `tokenize`).  The tests below pin
 what the dataclass versions gave: each constructor's parameters, a fresh
-default container per instance, immutability where they were frozen, and
-`TrivialBundle`'s equality on its dimensions.
+default container per instance, and `TrivialBundle`'s equality on its
+dimensions.  Twelve immutable records, `Polynomial` and `PolyMap` among
+them, derive from `polyexpr.Frozen`, which refuses every assignment with
+"<Class> is immutable"; each declares `__slots__` and so keeps no
+`__dict__`, except `PullbackProblem`, whose cached properties live in one.
 """
 
 import argparse
@@ -160,26 +163,45 @@ def test_default_containers_are_fresh_per_instance():
 def test_frozen_records_refuse_assignment():
     from fractions import Fraction
 
-    from courantlab.bundles import LinearSubspace, NonExistenceCertificate, TrivialBundle
+    from courantlab.bundles import (BundleMorphism, LinearSubspace, NonExistenceCertificate,
+                                    Section, TrivialBundle)
+    from courantlab.courant_core import standard_structure
     from courantlab.intrinsic import _chi_problem, canonical_splitting
+    from courantlab.phsim import InputSignal, PHSystem
+    from courantlab.polyexpr import Frozen, PolyMap, parse
 
     one = (Fraction(1),)
+    bundle = TrivialBundle(1, 2)
+    morphism, splitting = BundleMorphism.identity(bundle), canonical_splitting(1, 1)
     problem = _chi_problem(1, 1, None)
     records = [
-        (TrivialBundle(1, 2), "rank"),
-        (LinearSubspace(2, [[1, 0]]), "basis"),
-        (canonical_splitting(1, 1), "fiber_matrix"),
+        (parse("x1 + 1", ["x1"]), "num_vars"),
+        (PolyMap.identity(1), "outputs"),
+        (bundle, "rank"),
+        (Section.zero(bundle), "coeffs"),
+        (morphism, "fiber_rows"),
         (NonExistenceCertificate(1, 0, ((0,),), (one,), one, one), "farkas"),
+        (LinearSubspace(2, [[1, 0]]), "basis"),
+        (standard_structure(1), "rows"),
+        (splitting, "fiber_matrix"),
+        (PHSystem([[0, 1], [-1, 0]], [[0], [1]], parse("x1^2 + x2^2", ["x1", "x2"])),
+         "hamiltonian"),
+        (InputSignal.zero(1), "u"),
         (problem, "morphism"),
     ]
     for record, field in records:
+        cls = type(record).__name__
+        assert isinstance(record, Frozen), cls
         before = getattr(record, field)
         for name in (field, "unknown"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^{cls} is immutable$"):
                 setattr(record, name, None)
         assert getattr(record, field) is before and not hasattr(record, "unknown")
-    # the cached properties still fill in once
+        assert hasattr(record, "__dict__") == (cls == "PullbackProblem"), cls
+    # the cached properties and the views formed on first read still fill in once
     assert problem._record is problem._record and problem.hypotheses is problem.hypotheses
+    assert morphism.fiber_matrix is morphism.fiber_matrix
+    assert splitting.fiber_matrix is splitting.fiber_matrix
 
 
 def test_bundles_compare_by_dimensions_only():
@@ -367,5 +389,10 @@ def test_code_lines_fell():
     # the pivot product read off the reduced rows and the quotient memo of
     # the read-off (+9), and the one scene decoder with json.loads's BOM
     # check and the integer literal read without Fraction's parser (+6),
-    # 3,341
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3341
+    # 3,341; with one `polyexpr.Frozen` base in place of the twelve records'
+    # `__setattr__` methods and slot-writing loops, the term view a
+    # `MappingProxyType` over a plain dict, the evaluator the plain sum of
+    # the terms in place of the Horner recursion, and the CLI's per-command
+    # parser cache deleted (3 lines) while the bound on a builtin standard<N>
+    # of `morphism` and `pullback` came in (5), 3,267
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3267

@@ -36,6 +36,30 @@ def write_scene(tmp_path, payload, name="scene.json"):
     return path
 
 
+def refuse_large_builtins(monkeypatch) -> list:
+    """Make `cli.standard_structure` raise for a rank 2N above the bound of
+    a scene bundle instead of building it; return the list of N built."""
+    built = []
+
+    def guarded(n):
+        if 2 * n > scene_module.MAX_BUNDLE_DIMENSION:
+            raise MemoryError(f"standard{n} was built")
+        built.append(n)
+        return standard_structure(n)
+
+    monkeypatch.setattr(cli, "standard_structure", guarded)
+    return built
+
+
+# a builtin standard<N> whose rank 2N no scene bundle can match, and its line
+_TOO_LARGE = ["65", "100000000", "0" + "9" * 5000]
+
+
+def _too_large(n: str) -> str:
+    return (f"error: builtin structure 'standard{n}' has rank 2N above 128, "
+            f"the largest rank of a scene bundle")
+
+
 class TestLoadScene:
     def test_minimal_scene(self, tmp_path):
         path = write_scene(tmp_path, {
@@ -556,6 +580,14 @@ class TestPullbackContract:
                 runs += 2
         assert runs > 500
 
+    @pytest.mark.parametrize("n", _TOO_LARGE)
+    def test_a_builtin_ambient_above_the_bound_is_not_built(self, capsys, monkeypatch, n):
+        built = refuse_large_builtins(monkeypatch)
+        code, captured = TestMorphismContract.run(
+            ["pullback", "--scene", str(SCENE), "--ambient", f"standard{n}",
+             "--morphism", "zero_section_embedding"], capsys)
+        assert code == 2 and captured.err.splitlines() == [_too_large(n)] and built == []
+
     @pytest.mark.parametrize("base_dim", [0, 1])
     def test_rank_zero_target_fails_hypothesis_b(self, tmp_path, capsys, base_dim):
         # P^T G P over a rank-0 target is the zero 2 x 2 matrix, not 0 x 0
@@ -719,6 +751,17 @@ class TestMorphismContract:
             "zero_section": {**_ZERO_SECTION, "retraction": ["x1"]}, "bare": _ZERO_SECTION}))
         code, captured = self.run(["morphism", "--scene", str(path), *argv], capsys)
         assert code == 2 and captured.err.splitlines() == [message]
+
+    @pytest.mark.parametrize("n", _TOO_LARGE)
+    def test_a_builtin_above_the_bundle_bound_is_not_built(self, capsys, monkeypatch, n):
+        # the bound is checked before the structure is built, for --source
+        # and --target alike; standard64, of rank 128, is still built
+        built = refuse_large_builtins(monkeypatch)
+        for source, target in ((f"standard{n}", "standard1"), ("standard64", f"standard{n}")):
+            code, captured = self.run(["morphism", "--scene", str(SCENE), "--source", source,
+                                       "--target", target, "--map", "nope"], capsys)
+            assert code == 2 and captured.err.splitlines() == [_too_large(n)]
+        assert built == [64]
 
     def test_pairs_file_that_is_not_a_list(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
@@ -1458,6 +1501,12 @@ _READER_CASES = {
 }
 
 
+def _subparser(name):
+    """The top-level parser's parser of command `name`."""
+    return next(action for action in cli._build_parser()._actions
+                if action.dest == "command").choices[name]
+
+
 @st.composite
 def _drawn_argvs(draw):
     """(command, argv after it): the command's required flags with their
@@ -1467,7 +1516,7 @@ def _drawn_argvs(draw):
     flags or assignments.  Half the argvs keep the required flags and only
     exact flags, a store_true flag alone and any other with a value."""
     command = draw(st.sampled_from(list(cli._COMMANDS)))
-    actions = cli._command_parser(command)._option_string_actions
+    actions = _subparser(command)._option_string_actions
     flags = [flag for flag in actions if flag not in ("-h", "--help")]
     plain = draw(st.booleans())
     words = st.sampled_from(flags) if plain else st.one_of(
@@ -1486,26 +1535,17 @@ def _drawn_argvs(draw):
 
 class TestCommandParser:
     """`main` reads a plain argv from the flag table and hands any other
-    argv of a command to a parser built for that command alone, equal to
-    the top-level parser's subparser for it."""
-
-    FIELDS = ("option_strings", "dest", "default", "required", "type", "help", "nargs",
-              "const", "choices", "metavar")
+    argv to the top-level parser, whose subparser for a command is built
+    from the same table."""
 
     @pytest.mark.parametrize("name", list(cli._COMMANDS))
-    def test_command_parser_equals_the_subparser(self, monkeypatch, name):
+    def test_command_parser_equals_the_subparser(self, capsys, monkeypatch, name):
+        # a command's -h is read by the top-level parser's subparser for it
         monkeypatch.setenv("COLUMNS", "80")
-        full = next(action for action in cli._build_parser()._actions
-                    if action.dest == "command").choices[name]
-        alone = cli._command_parser(name)
-        assert alone is not full and type(alone) is type(full) and alone.prog == full.prog
-        assert alone.format_help() == full.format_help()
-        assert alone.format_usage() == full.format_usage()
-        assert len(alone._actions) == len(full._actions)
-        for mine, theirs in zip(alone._actions, full._actions):
-            assert type(mine) is type(theirs)
-            for field in self.FIELDS:
-                assert getattr(mine, field) == getattr(theirs, field), (name, field)
+        sub = _subparser(name)
+        assert type(sub) is cli._Parser and sub.prog == f"courantlab {name}"
+        assert main([name, "-h"]) == 0
+        assert capsys.readouterr() == (sub.format_help(), "")
 
     def test_a_plain_argv_builds_no_parser(self, capsys, monkeypatch):
         built = []
@@ -1513,17 +1553,13 @@ class TestCommandParser:
         monkeypatch.setattr(cli._Parser, "__init__", lambda self, *args, **kwargs:
                             built.append(kwargs.get("prog")) or init(self, *args, **kwargs))
         cli._build_parser.cache_clear()
-        cli._command_parser.cache_clear()
         assert main(["axioms", "--structure", "standard1", "--json"]) == 0
         assert main(["leibniz", "--structure", "standard1"]) == 0
         assert built == [] and cli._build_parser.cache_info().currsize == 0
-        assert cli._command_parser.cache_info().currsize == 0
-        # help and an error argv each build that command's parser alone
+        # help and an error argv build the top-level parser, once
         assert main(["axioms", "-h"]) == 0
         assert main(["intrinsic", "--n", "x", "--m", "1"]) == 2
-        assert built == ["courantlab axioms", "courantlab intrinsic"]
-        assert cli._build_parser.cache_info().currsize == 0
-        assert cli._command_parser.cache_info().currsize == 2
+        assert built == ["courantlab", *(f"courantlab {name}" for name in cli._COMMANDS)]
         capsys.readouterr()
 
     def test_a_plain_argv_imports_no_locale(self):
@@ -1616,7 +1652,7 @@ class TestArgumentContract:
     def read_as_argparse_does(command, argv):
         """What `_read` makes of a command's argv, once checked to be None
         or what argparse alone builds; argparse's output is dropped."""
-        parser = cli._command_parser(command)
+        parser = _subparser(command)
         read = cli._read(command, argv)
         try:
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -1646,7 +1682,7 @@ class TestArgumentContract:
         # store_true flag, with the table's dest, type, default and
         # requirement
         for name, flags in cli._FLAGS.items():
-            actions = cli._command_parser(name)._option_string_actions
+            actions = _subparser(name)._option_string_actions
             assert set(actions) == {*flags, "-h", "--help"}, name
             for option, (dest, kind, required, default, text) in flags.items():
                 action = actions[option]

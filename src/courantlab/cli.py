@@ -52,6 +52,7 @@ from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
 from .courant_core import (
+    MAX_FAMILY,
     check_axioms,
     check_degree_cap,
     check_leibniz,
@@ -289,6 +290,11 @@ def _capped_structure(args):
     """
     scene = _load(args)
     match = args.structure not in scene.structures and _BUILTIN.match(args.structure)
+    # an N of four digits has a family above MAX_FAMILY at every cap; the
+    # digit count is checked first, as int() refuses more than 4300 digits
+    if match and len(match.group(1).lstrip("0")) > 3:
+        raise SceneError(f"builtin structure {args.structure!r} has rank 2N above {MAX_FAMILY}, "
+                         f"the largest family the certificate accepts")
     structure = None if match else _resolve_structure(scene, args.structure)
     try:
         check_degree_cap(standard_bundle(int(match.group(1))) if match else structure.bundle,

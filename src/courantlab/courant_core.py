@@ -152,10 +152,11 @@ frame triple iff the fifth identity does, and then its least nonzero
 (i, j, k) is the witness, with the defect J(e_i, e_j, e_k).  Otherwise,
 at any cap >= 1, (i) can still fail when another identity does; every
 failing tuple then has a member of degree 1.  The slot tables decide
-whether one fails, first frame index by first frame index, and the tuples
-of the first nonzero table are walked in the witness order, first slot
-major, each value summed from the table, up to the first nonzero one: the
-least failing tuple, whose value is its defect (`_axiom_i_witness`).  Its
+whether one fails, first frame index by first frame index.  The tuples of
+the first nonzero table whose frame pair the table holds are walked in the
+witness order, first slot major, each value summed from the table, up to
+the first nonzero one: the least failing tuple, whose value is its defect
+(`_axiom_i_witness`); a tuple of any other frame pair reads no entry.  Its
 detail still reads "found by the degree-1 sweep of (i)", naming the
 degree-1 family the walk covers.  Every printed defect is checked against
 the exponent limit of the packed keys.  `tests/conftest.py` keeps the
@@ -168,10 +169,11 @@ evaluate them.  The falsified final-slot variant of the two-sided rule
 then differs from it by mu rho(g)(lam) (g - f), with no bracket in it.
 That defect is first order in each of f, g, lam and mu, so the family of
 degree <= 1 decides it, and it vanishes on constant lam.  Every failing
-tuple thus has degree 1, and the least, read from the anchor matrix, is
+tuple thus has degree 1, and the least, read from the anchor rows, is
 f = e_0, g the least member other than f whose frame has a nonzero anchor
 column, lam the least x_a that column reaches, and mu = 1; with
-g = x^beta e_j, its defect is x^beta A_aj (g - f).
+g = x^beta e_j, its defect is x^beta A_aj (g - f), formed on packed term
+dicts with no Section or Polynomial product.
 `tests/test_certificate_oracle.py` checks the order-1 property of every
 axiom slot on frame data where no axiom need hold.
 """
@@ -955,7 +957,8 @@ def _slot_tables(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anoma
             for h, row in enumerate(s._dual_rows):
                 for a, dual in row:
                     _mul_at(k_table, (i, a), h, target, _deriv(dual, b))
-                    _mul_at(k_table, (i, b), h, _scaled(dual, -1), _deriv(target, a))
+                    if d := _deriv(target, a):      # no -dual formed for a zero partner
+                        _mul_at(k_table, (i, b), h, _scaled(dual, -1), d)
     pairs = [(x, y, g) for x, row in enumerate(metric) for y, g in enumerate(row) if g]
     for i in range(k):
         table: dict = {}
@@ -1008,10 +1011,13 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     Runs only when (i) holds on every frame triple, so every failing tuple
     has a member of degree 1.  The tuples x^alpha e_i of one first frame
     index i are contiguous in the witness order and fail iff the slot table
-    of i is nonzero; the first nonzero table is walked member by member, in
-    tag order slot by slot, and the value at each tuple summed from the
-    terms whose gradients its members supply, up to the first nonzero one,
-    which is the witness's defect.  Each table entry is a product of two
+    of i is nonzero.  A tuple whose frame pair (j, m) the table does not
+    hold reads no entry, so the first nonzero table is walked over its
+    pairs only, in the witness order: the loops nest as alpha's place in
+    the first slot, j, the second place, m, the third place, each
+    ascending.  The value at each tuple is summed from the terms whose
+    gradients its members supply, up to the first nonzero one, which is
+    the witness's defect.  Each table entry is a product of two
     checked factors, so it is checked before the walk shifts its keys: a
     shift past a set guard bit would carry into the next variable's field.
     """
@@ -1021,24 +1027,24 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
                for alpha in monos]
     texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
-    members = [(j, a) for j in range(k) for a in range(len(monos))]
+    places = range(len(monos))
     for i, table in enumerate(_slot_tables(s, c, lowered, rho_d, anomaly)):
-        pairs = {key[:2] for key in table}
-        for a1, ((j, a2), (m, a3)) in itertools.product(
-                range(len(monos)) if table else (), itertools.product(members, repeat=2)):
-            if (j, m) not in pairs:
-                continue
-            out: dict[int, dict] = {}       # J at the tuple, component by component
-            for choice in itertools.product(options[a1], options[a2], options[a3]):
-                grads, keys = zip(*choice)
-                for h, p in table.get((j, m, *grads), {}).items():
-                    # checked before the shift, which could carry past a guard bit
-                    _add_into(out.setdefault(h, {}),
-                              {key + sum(keys): cf for key, cf in _checked(p, n).items()})
-            if any(out.values()):
-                return _witness(s, [_member(k, frame, texts[a])
-                                    for frame, a in ((i, a1), (j, a2), (m, a3))],
-                                [out.get(h, {}) for h in range(k)], True)
+        partners: dict[int, list] = {}      # j -> the m of the table's pairs (j, m), ascending
+        for j, m in sorted({key[:2] for key in table}):
+            partners.setdefault(j, []).append(m)
+        for a1, (j, ms), a2 in itertools.product(places, partners.items(), places):
+            for m, a3 in itertools.product(ms, places):
+                out: dict[int, dict] = {}   # J at the tuple, component by component
+                for choice in itertools.product(options[a1], options[a2], options[a3]):
+                    grads, keys = zip(*choice)
+                    for h, p in table.get((j, m, *grads), {}).items():
+                        # checked before the shift, which could carry past a guard bit
+                        _add_into(out.setdefault(h, {}),
+                                  {key + sum(keys): cf for key, cf in _checked(p, n).items()})
+                if any(out.values()):
+                    return _witness(s, [_member(k, frame, texts[a])
+                                        for frame, a in ((i, a1), (j, a2), (m, a3))],
+                                    [out.get(h, {}) for h in range(k)], True)
         if table:
             raise RuntimeError("internal inconsistency: a nonzero slot table of (i) fails nowhere")
     return None
@@ -1151,29 +1157,33 @@ class LeibnizReport:
 
 def _leibniz_witness(s: CourantStructure) -> dict | None:
     """The variant's least failing tuple at cap SWEEP_ORDER and its defect,
-    both read from the anchor matrix; None if the anchor is zero.
+    both read from the anchor rows; None if the anchor is zero.
 
     rho(x^beta e_j)(x_a) = x^beta A_aj, so (f, g, lam, mu) fails iff g != f,
     g's frame index j has A_aj != 0 and lam reaches such an a.  Every failing
     tuple has the degree-1 member lam, so the least is f = e_0, g the least
     member other than f in a nonzero column, lam the least x_a that column
-    reaches, and mu = 1 (see the module docstring); its defect is
-    mu rho(g)(lam) (g - f) = x^beta A_aj (g - f).
+    reaches, and mu = 1 (see the module docstring).  The tuple is printed
+    as the axiom witnesses are (`_member`), and its defect
+    mu rho(g)(lam) (g - f) = x^beta A_aj (g - f) is formed on packed term
+    dicts, each shift by x^beta checked against the exponent limit.
     """
-    n, a = s.bundle.base_dim, s.rows[2]
-    linear = monomials_up_to(n, SWEEP_ORDER)[1:]
-    for j, beta in monomial_frame_basis(s.bundle, SWEEP_ORDER)[1:]:
-        reached = [x for x in linear if j in a[x.index(1)]]
-        if reached:
-            break
-    else:
+    n, k, a = s.bundle.base_dim, s.bundle.rank, s.rows[2]
+    j = min((col for row in a for col in row), default=None)
+    if j is None:
         return None
-    f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
-    lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
-    cross = g[j] * linalg.polynomial(a[reached[0].index(1)][j], n)   # rho(g)(lam), with mu = 1
-    return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
-            "lam": lam.to_string(), "mu": mu.to_string(),
-            "defect": ((g - f) * cross).coeffs.to_strings()}
+    # the members after e_0 are x^beta e_0 over the linear monomials in the
+    # witness order, x_n first, then e_1, ...: g = x_n e_0 if column 0 is
+    # nonzero, else e_j, and lam the first linear monomial column j reaches
+    x = next(x for x in range(n - 1, -1, -1) if j in a[x])
+    beta = 0 if j else _pack((0,) * (n - 1) + (1,))     # the packed key of x^beta
+    cross = _checked({key + beta: cf for key, cf in _packed(a[x][j]).items()}, n)
+    defect = [{} for _ in range(k)]
+    defect[j] = _checked({key + beta: cf for key, cf in cross.items()}, n)
+    _add_into(defect[0], _scaled(cross, -1))
+    return {"f": _member(k, 0), "g": _member(k, j, "1" if j else f"x{n}"),
+            "lam": f"x{x + 1}", "mu": "1",
+            "defect": [_raw(n, p).to_string() for p in defect]}
 
 
 def check_leibniz(
@@ -1195,7 +1205,9 @@ def check_leibniz(
     each, so the family at the effective cap min(degree_cap, SWEEP_ORDER)
     decides it: f and g are monomial frame sections, lam and mu monomial
     functions.  Its least failing tuple and that tuple's defect are read
-    from the anchor matrix (`_leibniz_witness`), with no bracket.  At cap 0
+    from the anchor rows (`_leibniz_witness`), with no bracket and no
+    Polynomial product; a defect past the exponent limit of the packed
+    keys raises ExponentOverflowError.  At cap 0
     the claim is bounded to constant coefficients, on which the variant
     cannot fail.
 

@@ -240,13 +240,15 @@ def _deriv(terms: dict, var: int) -> dict:
 
 
 class Frozen:
-    """Base of the immutable records: assigning an attribute raises
-    AttributeError("<Class> is immutable")."""
+    """Base of the immutable records: assigning or deleting an attribute
+    raises AttributeError("<Class> is immutable")."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def _set(self, *values):
         """Fill the slots in order from `values`, those after them with None."""

@@ -33,12 +33,16 @@ and a bundle's base_dim and rank, and a ph_system's n and m, are bounded by
 MAX_BUNDLE_DIMENSION before anything is sized by them.
 
 Each distinct literal is read once per load: an expression once per text
-and variable names, a rational once per JSON type and value, an integer
-without Fraction's string parser.  The Polynomials and Fractions read are
-immutable, so the fields that repeat a literal share one; nothing is kept
-from one load to the next.  A structure's anchor and metric are read
-straight into canonical sparse rows, a constant literal as its scalar and
-no zero stored, and go to the constructor's checks as rows.
+and variable names, a rational once per JSON type and value (so `true`
+never reads as 1), an integer without Fraction's string parser.  The
+Polynomials and Fractions read are immutable, so the fields that repeat a
+literal share one; nothing is kept from one load to the next.  A
+structure's anchor and metric are read straight into canonical sparse
+rows (`_row`): each distinct text of an anchor, per variable names, and of
+a metric is read once to its canonical entry, a scalar, a non-constant
+Polynomial or 0 for a zero, and each further entry repeating it is one
+dict lookup; no zero is stored.  The rows go to the constructor's checks,
+which find every error in the order a dense read would.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from fractions import Fraction
 
 from .bundles import BundleMorphism, Section, TrivialBundle
 from .courant_core import CourantStructure
-from .linalg import _nonzero, dense
+from .linalg import dense, entry
 from .phsim import InputSignal, PHSystem
 from .polyexpr import PolyMap, Polynomial, parse
 
@@ -123,6 +127,22 @@ def _expr(text, variables: tuple, where: str, seen: dict) -> Polynomial:
     if key not in seen:
         seen[key] = _built(where, parse, text, variables)
     return seen[key]
+
+
+def _row(row: list, texts: dict, read, *args) -> dict:
+    """A matrix row of literals as a canonical sparse row, in column order.
+    A text is read by read(text, *args) once per load and `texts` keeps its
+    canonical entry, 0 for a zero, so a repeated text costs one lookup.  A
+    literal of another type is read each time, through read's own memo, and
+    its entry is stored but never looked up: JSON true equals 1."""
+    out = {}
+    for j, v in enumerate(row):
+        x = texts.get(v) if type(v) is str else None
+        if x is None:
+            x = texts[v] = entry(read(v, *args))
+        if x:
+            out[j] = x
+    return out
 
 
 def _built(where: str, make, *args):
@@ -218,7 +238,10 @@ def load_scene(path) -> Scene:
         if key != "schema_version" and key not in _SECTIONS:
             raise SceneError(f"unknown scene field {key!r}")
     entries = {section: _entries(raw, section) for section in _SECTIONS}
-    scene, exprs, numbers = Scene(), {}, {}
+    # the memos of one load: expressions by text and variable names,
+    # rationals by JSON type and value, and the canonical entries of anchor
+    # texts, per variable names, and of metric texts
+    scene, exprs, numbers, anchor_texts, metric_texts = Scene(), {}, {}, {}, {}
 
     for name, spec in entries["bundles"].items():
         where = f"bundle {name!r}"
@@ -248,10 +271,9 @@ def load_scene(path) -> Scene:
         if len(spec["anchor"]) != bundle.base_dim:
             raise SceneError(f"{where}: anchor must have {bundle.base_dim} rows")
         # written as canonical sparse rows as they are read
-        anchor = [_nonzero((j, _expr(e, names, where, exprs)) for j, e in enumerate(row))
+        anchor = [_row(row, anchor_texts.setdefault(names, {}), _expr, names, where, exprs)
                   for row in spec["anchor"]]
-        metric = [_nonzero((j, _rational(v, where, numbers)) for j, v in enumerate(row))
-                  for row in spec["metric"]]
+        metric = [_row(row, metric_texts, _rational, where, numbers) for row in spec["metric"]]
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
             try:

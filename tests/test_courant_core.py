@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from courantlab import courant_core, linalg
 from courantlab.bundles import LinearSubspace, Section, TrivialBundle
 from courantlab.courant_core import (
+    SWEEP_ORDER,
     CourantStructure,
     check_axioms,
     check_leibniz,
     dirac_check,
     dorfman_bracket,
+    monomial_frame_basis,
     product_structure,
     scaled_structure,
     standard_structure,
@@ -25,6 +27,10 @@ from courantlab.polyexpr import (
     ExponentOverflowError,
     PolyMap,
     Polynomial,
+    _add_into,
+    _checked,
+    _pack,
+    monomials_up_to,
     parse,
 )
 
@@ -38,6 +44,7 @@ from conftest import (
     tagged_generating_section,
 )
 from test_bracket_reference import Reference
+from test_certificate_oracle import bumped_standards, leibniz_structures, perturbed_frame_data
 
 
 class TestStandardStructure:
@@ -694,3 +701,119 @@ def test_structure_validation():
         CourantStructure(bundle, [[0, 0]], [[1, 0], [0, 0]])
     with pytest.raises(ValueError, match="anchor"):
         CourantStructure(bundle, [[0, 0], [0, 0]], [[0, 1], [1, 0]])
+
+
+# -- the certificates' direct paths against the forms they replaced -------------
+#
+# `_leibniz_witness` prints its tuple from the frame index and forms its
+# defect on packed term dicts, and `_axiom_i_witness` walks only the frame
+# pairs its slot table holds.  The forms they replaced, a witness built from
+# Sections and a Polynomial product and a walk over every tuple of the table,
+# are kept here as the references, and every witness dict must equal theirs.
+
+
+def reference_leibniz_witness(s):
+    """`_leibniz_witness` built from Sections, Polynomials and a Polynomial
+    product: the least failing tuple and x^beta A_aj (g - f)."""
+    n, a = s.bundle.base_dim, s.rows[2]
+    linear = monomials_up_to(n, SWEEP_ORDER)[1:]
+    for j, beta in monomial_frame_basis(s.bundle, SWEEP_ORDER)[1:]:
+        reached = [x for x in linear if j in a[x.index(1)]]
+        if reached:
+            break
+    else:
+        return None
+    f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
+    lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
+    cross = g[j] * linalg.polynomial(a[reached[0].index(1)][j], n)   # rho(g)(lam), with mu = 1
+    return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(),
+            "lam": lam.to_string(), "mu": mu.to_string(),
+            "defect": ((g - f) * cross).coeffs.to_strings()}
+
+
+def reference_axiom_i_walk(s, c, lowered, rho_d, anomaly):
+    """`_axiom_i_witness` stepping through every tuple of the first nonzero
+    slot table in the witness order and skipping those whose frame pair the
+    table does not hold."""
+    n, k = s.bundle.base_dim, s.bundle.rank
+    monos = monomials_up_to(n, SWEEP_ORDER)
+    options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
+               for alpha in monos]
+    texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
+    members = [(j, a) for j in range(k) for a in range(len(monos))]
+    for i, table in enumerate(courant_core._slot_tables(s, c, lowered, rho_d, anomaly)):
+        pairs = {key[:2] for key in table}
+        for a1, ((j, a2), (m, a3)) in itertools.product(
+                range(len(monos)) if table else (), itertools.product(members, repeat=2)):
+            if (j, m) not in pairs:
+                continue
+            out = {}
+            for choice in itertools.product(options[a1], options[a2], options[a3]):
+                grads, keys = zip(*choice)
+                for h, p in table.get((j, m, *grads), {}).items():
+                    _add_into(out.setdefault(h, {}),
+                              {key + sum(keys): cf for key, cf in _checked(p, n).items()})
+            if any(out.values()):
+                return courant_core._witness(
+                    s, [courant_core._member(k, frame, texts[a])
+                        for frame, a in ((i, a1), (j, a2), (m, a3))],
+                    [out.get(h, {}) for h in range(k)], True)
+        if table:
+            raise RuntimeError("internal inconsistency: a nonzero slot table of (i) fails nowhere")
+    return None
+
+
+@st.composite
+def anchored_structures(draw):
+    """Frame data over R^1-R^3 of rank 1-4: a zero anchor, or entries drawn
+    among zeros, constants, coordinates and polynomials of degree 2, column
+    0 zero or not; a scaled hyperbolic or a diagonal metric; and up to two
+    structure functions, constant or a coordinate."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    scale = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 5)])
+    if k % 2 == 0 and draw(st.booleans()):
+        lam = draw(scale)
+        metric = [[lam if abs(i - j) == k // 2 else 0 for j in range(k)] for i in range(k)]
+    else:
+        metric = [[draw(scale) if i == j else 0 for j in range(k)] for i in range(k)]
+    names = [f"x{a + 1}" for a in range(n)]
+    entries = st.sampled_from(["0", "0", "0", "1", "-3/2", "x1", names[-1], f"2*{names[-1]}^2",
+                               f"x1*{names[-1]} - 1"])
+    zero = draw(st.integers(0, 4)) == 0
+    anchor = [[parse("0" if zero else draw(entries), names) for _ in range(k)] for _ in range(n)]
+    if draw(st.booleans()):              # column 0 zero: g = e_j with j > 0
+        for row in anchor:
+            row[0] = Polynomial(n)
+    values = st.sampled_from([Fraction(3, 2), Fraction(-1), *(
+        Polynomial.variable(n, a) for a in range(n))])
+    functions = {draw(st.tuples(*[st.integers(0, k - 1)] * 3)): draw(values)
+                 for _ in range(draw(st.integers(0, 2)))}
+    return CourantStructure(TrivialBundle(n, k, "E"), anchor, metric, functions)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(anchored_structures(), leibniz_structures()))
+def test_leibniz_witness_equals_the_polynomial_reference(s):
+    # bumped and scaled standard(n), where g = x_n e_0, polynomial anchors,
+    # anchors with column 0 zero, where g = e_j, and zero anchors
+    assert courant_core._leibniz_witness(s) == reference_leibniz_witness(s)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(bumped_standards(), perturbed_frame_data(), anchored_structures()))
+def test_axiom_i_walk_equals_the_all_pairs_reference(s):
+    # the walk runs where (i) holds on every frame triple, as in
+    # `_certify_axioms`; elsewhere the fifth identity names the witness
+    c, lowered = courant_core._c_tables(s)
+    if not any(courant_core._frame_jacobiator(s, c, lowered).values()):
+        rho_d, anomaly = courant_core._anchor_tables(s)
+        assert courant_core._axiom_i_witness(s, c, lowered, rho_d, anomaly) == \
+            reference_axiom_i_walk(s, c, lowered, rho_d, anomaly)
+
+
+def test_leibniz_witness_makes_no_polynomial_product(monkeypatch):
+    products = []
+    monkeypatch.setattr(Polynomial, "__mul__", lambda *args: products.append(args))
+    s = scaled_structure(standard_structure(3), Fraction(-2, 5))
+    assert check_leibniz(s).variant_witness["g"] == ["x3", "0", "0", "0", "0", "0"]
+    assert products == []

@@ -29,7 +29,7 @@ from courantlab import (bundles, cli, courant_core, intrinsic, linalg, morphisms
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
-from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _unpack, parse, poly_sum
+from courantlab.polyexpr import _BITS, Polynomial, PolyMap, _checked, _unpack, parse, poly_sum
 
 import conftest
 import test_bundles
@@ -71,23 +71,26 @@ def skew_failure_without_the_mirror(table, mirror, arity):
                 != courant_core._scaled(entry, -1)), default=None)
 
 
-def leibniz_witness_with(first_g, factor):
-    """`_leibniz_witness` with g drawn from the members from `first_g` on and
-    the defect rho(g)(lam) factor(f, g)."""
+def leibniz_witness_with(g_may_be_f=False, f_minus_g=False):
+    """`_leibniz_witness` with g drawn from the members from f = e_0 on, so
+    that g = f where column 0 is nonzero, or with the defect formed as
+    x^beta A_aj (f - g)."""
     def mutant(s):
-        n = s.bundle.base_dim
-        linear = courant_core.monomials_up_to(n, 1)[1:]
-        for j, beta in courant_core.monomial_frame_basis(s.bundle, 1)[first_g:]:
-            reached = [x for x in linear if not s.anchor[x.index(1)][j].is_zero()]
-            if reached:
-                break
-        else:
+        n, k, a = s.bundle.base_dim, s.bundle.rank, s.rows[2]
+        j = min((col for row in a for col in row), default=None)
+        if j is None:
             return None
-        f, g = Section.frame(s.bundle, 0), Section.frame(s.bundle, j, Polynomial.monomial(n, beta))
-        lam, mu = Polynomial.monomial(n, reached[0]), Polynomial.constant(n, 1)
-        cross = g[j] * s.anchor[reached[0].index(1)][j]
-        return {"f": f.coeffs.to_strings(), "g": g.coeffs.to_strings(), "lam": lam.to_string(),
-                "mu": mu.to_string(), "defect": (factor(f, g) * cross).coeffs.to_strings()}
+        x = next(x for x in range(n - 1, -1, -1) if j in a[x])
+        beta = 0 if j or g_may_be_f else 1 << (_BITS * (n - 1))
+        sign = -1 if f_minus_g else 1
+        cross = _checked({key + beta: cf for key, cf in courant_core._packed(a[x][j]).items()}, n)
+        defect = [{} for _ in range(k)]
+        defect[j] = _checked({key + beta: sign * cf for key, cf in cross.items()}, n)
+        polyexpr._add_into(defect[0], _scaled(cross, -sign))
+        return {"f": courant_core._member(k, 0),
+                "g": courant_core._member(k, j, f"x{n}" if beta else "1"),
+                "lam": f"x{x + 1}", "mu": "1",
+                "defect": [polyexpr._raw(n, p).to_string() for p in defect]}
     return mutant
 
 
@@ -201,6 +204,43 @@ def walk_second_slot_major(s, c, lowered, rho_d, anomaly):
         if not oracles.axiom_defect_vanishes(s, "i", (f, g, h)):
             return conftest.reference_axiom_witness(s, "i", [f, g, h])
     return None
+
+
+def walk_with(pairs_in_table_order=False, m_outside_a2=False):
+    """`_axiom_i_witness` taking the table's frame pairs in the order the
+    table first holds them instead of ascending, or nesting its loops as
+    a1, j, m, a2, a3 instead of a1, j, a2, m, a3."""
+    def mutant(s, c, lowered, rho_d, anomaly):
+        n, k = s.bundle.base_dim, s.bundle.rank
+        monos = polyexpr.monomials_up_to(n, 1)
+        options = [[(None, polyexpr._pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
+                   for alpha in monos]
+        texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
+        places = range(len(monos))
+        for i, table in enumerate(courant_core._slot_tables(s, c, lowered, rho_d, anomaly)):
+            partners = {}
+            pairs = dict.fromkeys(key[:2] for key in table)
+            for j, m in pairs if pairs_in_table_order else sorted(pairs):
+                partners.setdefault(j, []).append(m)
+            walk = [(a1, j, a2, m, a3)
+                    for a1, (j, ms) in itertools.product(places, partners.items())
+                    for a2, m, a3 in itertools.product(places, ms, places)]
+            if m_outside_a2:
+                walk.sort(key=lambda t: (t[0], t[1], t[3], t[2], t[4]))
+            for a1, j, a2, m, a3 in walk:
+                out = {}
+                for choice in itertools.product(options[a1], options[a2], options[a3]):
+                    grads, keys = zip(*choice)
+                    for h, p in table.get((j, m, *grads), {}).items():
+                        polyexpr._add_into(out.setdefault(h, {}), {
+                            key + sum(keys): cf for key, cf in _checked(p, n).items()})
+                if any(out.values()):
+                    return courant_core._witness(
+                        s, [courant_core._member(k, frame, texts[a])
+                            for frame, a in ((i, a1), (j, a2), (m, a3))],
+                        [out.get(h, {}) for h in range(k)], True)
+        return None
+    return mutant
 
 
 def metric_failure_with_d_transposed(s1, s2, phi, general=False):
@@ -423,15 +463,24 @@ def reader_without(check):
     return mutant
 
 
-def rows_keeping_constant_polynomials(pairs):
-    """`linalg._nonzero` as the scene's row writer without the canonical
-    form: a constant Polynomial, and an integral Fraction, kept as read."""
-    return {j: v for j, v in pairs if not linalg.is_zero(v)}
-
-
-def rows_storing_zeros(pairs):
-    """The scene's row writer storing an anchor's zero literal as 0."""
-    return {j: linalg.entry(v) for j, v in pairs if type(v) is Polynomial or v}
+def scene_row_with(store_zeros=False, keep_as_read=False):
+    """`scene._row` storing an anchor's zero literal as 0 (a zero stored in
+    G would stop its reduction), or keeping a nonzero literal as read
+    instead of its canonical entry: a constant Polynomial, and an integral
+    Fraction, kept as they are."""
+    def mutant(row, texts, read, *args):
+        out = {}
+        for j, v in enumerate(row):
+            x = texts.get(v) if type(v) is str else None
+            if x is None:
+                x = read(v, *args)
+                x = 0 if linalg.is_zero(x) else x if keep_as_read else linalg.entry(x)
+                if type(v) is str:
+                    texts[v] = x
+            if x or store_zeros and read is scene._expr:
+                out[j] = x
+        return out
+    return mutant
 
 
 def reduce_with(factor_of, signed_swap):
@@ -566,6 +615,20 @@ def anchor_with_rho_d():
     return CourantStructure(TrivialBundle(1, 2, "E"), [[one, one]], [[0, 1], [1, 0]])
 
 
+def anchor_across_two_columns():
+    """G = I of rank 4 over R^2 with A_01 = A_13 = 1 and c_01^3 = 3/2: (i)
+    holds on every frame triple and fails on (e_0, x2 e_0, e_1), whose
+    second place comes before that of (e_0, x1 e_0, e_0)."""
+    return CourantStructure(TrivialBundle(2, 4, "E"), [[0, 1, 0, 0], [0, 0, 0, 1]],
+                            [[int(i == j) for j in range(4)] for i in range(4)],
+                            {(0, 1, 3): Fraction(3, 2)})
+
+
+def anchor_in_column_1():
+    """Anchor [0, 1] over R^1 with the hyperbolic G: column 0 is zero."""
+    return CourantStructure(TrivialBundle(1, 2, "E"), [[0, 1]], [[0, 1], [1, 0]])
+
+
 MUTANTS = {
     # name: (patches, oracle, fixed example)
     "iii_without_i_equals_j": (
@@ -579,14 +642,19 @@ MUTANTS = {
         (bumped(SCALED1, (0, 1, 1)),),      # c_010 != 0, so (e_0, e_0, e_1) fails
     ),
     "leibniz_without_g_other_than_f": (
-        [(courant_core, "_leibniz_witness", leibniz_witness_with(0, lambda f, g: g - f))],
+        [(courant_core, "_leibniz_witness", leibniz_witness_with(g_may_be_f=True))],
         inner(oracles.test_leibniz_witness_is_the_least_failing_tuple),
         (standard_structure(1),),           # anchor column 0 is nonzero
     ),
     "leibniz_factor_f_minus_g": (
-        [(courant_core, "_leibniz_witness", leibniz_witness_with(1, lambda f, g: f - g))],
+        [(courant_core, "_leibniz_witness", leibniz_witness_with(f_minus_g=True))],
         inner(oracles.test_leibniz_witness_is_the_least_failing_tuple),
         (standard_structure(1),),           # g = x1 e_0: x1 (g - f) read as x1 (f - g)
+    ),
+    "leibniz_defect_f_minus_g_at_a_later_column": (
+        [(courant_core, "_leibniz_witness", leibniz_witness_with(f_minus_g=True))],
+        inner(test_courant_core.test_leibniz_witness_equals_the_polynomial_reference),
+        (anchor_in_column_1(),),            # g = e_1: the defect (-1, 1) read as (1, -1)
     ),
     "iii_defect_negated": (
         [(courant_core, "_frame_witness", frame_defect_negated("iii"))],
@@ -639,6 +707,19 @@ MUTANTS = {
         [(courant_core, "_slot_tables", slot_tables_without(rho_d_mu_of_lam))],
         inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
         (anchor_with_rho_d(), 1),
+    ),
+    "walk_taking_the_pairs_in_table_order": (
+        [(courant_core, "_axiom_i_witness", walk_with(pairs_in_table_order=True))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        # the table of e_0 holds the pair (1, 0) before (0, 1): (e_0, x2 e_0, e_1)
+        # fails, and (e_0, x2 e_1, e_0) after it
+        (bumped(standard_structure(2), (0, 1, 2)), 1),
+    ),
+    "walk_with_m_outside_the_second_place": (
+        [(courant_core, "_axiom_i_witness", walk_with(m_outside_a2=True))],
+        inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
+        # m = 0 looped first finds (e_0, x1 e_0, e_0)
+        (anchor_across_two_columns(), 1),
     ),
     "walk_without_first_slot_major": (
         [(courant_core, "_axiom_i_witness", walk_second_slot_major)],
@@ -792,14 +873,14 @@ MUTANTS = {
         test_scene_cli._READER_CASES["dash_value"],         # --structure --json: no value
     ),
     "scene_rows_keeping_constant_polynomials": (
-        [(scene, "_nonzero", rows_keeping_constant_polynomials)],
+        [(scene, "_row", scene_row_with(keep_as_read=True))],
         test_scene_cli.assert_rows_read_again,
         (test_scene_cli.SCENE,),            # the anchor literal "1" kept as a Polynomial
     ),
     "scene_rows_storing_zeros": (
-        [(scene, "_nonzero", rows_storing_zeros)],
+        [(scene, "_row", scene_row_with(store_zeros=True))],
         test_scene_cli.assert_rows_read_again,
-        (test_scene_cli.SCENE,),            # the anchor literal "0" stored
+        (test_scene_cli.SCENE,),            # the anchor literal "0" stored as 0
     ),
     "writer_joins_strings_without_the_indent": (
         [(cli, "_canonical", canonical_joining_strings_without_the_indent)],

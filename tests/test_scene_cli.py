@@ -60,6 +60,17 @@ def _too_large(n: str) -> str:
             f"the largest rank of a scene bundle")
 
 
+# a builtin standard<N> of `axioms` and `leibniz` with a family above
+# MAX_FAMILY at every cap, read without int(): four digits, and 5000, more
+# than int() converts
+_TOO_MANY_DIGITS = ["1000", "0" + "9" * 5000]
+
+
+def _too_many_digits(n: str) -> str:
+    return (f"error: builtin structure 'standard{n}' has rank 2N above 256, "
+            f"the largest family the certificate accepts\n")
+
+
 class TestLoadScene:
     def test_minimal_scene(self, tmp_path):
         path = write_scene(tmp_path, {
@@ -896,6 +907,11 @@ class TestAxiomsContract:
         assert TestMorphismContract.run(["axioms", "--structure=--"], capsys) == (2, (
             "", "error: argument --structure: expected one argument\n"))
 
+    @pytest.mark.parametrize("n", _TOO_MANY_DIGITS, ids=["4_digits", "5001_digits"])
+    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, n):
+        assert TestMorphismContract.run(["axioms", "--structure", f"standard{n}"], capsys) == (
+            2, ("", _too_many_digits(n)))
+
     def test_a_rank_0_bundle_still_loads(self):
         spec = {"bundle": "P0", "anchor": [[]], "metric": []}
         assert _axioms_beside({"bundles": {"P0": {"base_dim": 1, "rank": 0}},
@@ -927,6 +943,23 @@ class TestLeibnizContract:
         # argparse stores --structure=-- as an empty list
         assert TestMorphismContract.run(["leibniz", "--structure=--"], capsys) == (2, (
             "", "error: argument --structure: expected one argument\n"))
+
+    @pytest.mark.parametrize("n", _TOO_MANY_DIGITS, ids=["4_digits", "5001_digits"])
+    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, n):
+        assert TestMorphismContract.run(["leibniz", "--structure", f"standard{n}"], capsys) == (
+            2, ("", _too_many_digits(n)))
+
+    def test_an_anchor_entry_at_the_exponent_limit_overflows(self, tmp_path, capsys):
+        # the witness g = x1 e_0 shifts A_00 = x1^32767 past the limit of the
+        # packed keys
+        path = write_scene(tmp_path, {
+            "schema_version": 1, "bundles": {"P1": {"base_dim": 1, "rank": 2}},
+            "courant_structures": {"s": {"bundle": "P1", "anchor": [["x1^32767", "0"]],
+                                         "metric": [["0", "1"], ["1", "0"]]}}})
+        assert TestMorphismContract.run(["leibniz", "--scene", str(path), "--structure", "s"],
+                                        capsys) == (2, ("", (
+            "error: a product has an exponent above 32767, the per-variable limit of the "
+            "packed monomial keys\n")))
 
 
 class TestParserBounds:

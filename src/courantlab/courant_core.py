@@ -244,13 +244,18 @@ class CourantStructure(Frozen):
     are read-only dense views of the rows, formed on each read; no check,
     certificate or construction reads them.  `pairing`, `anchor_apply`,
     `derived_operator` and `bracket` run on packed term dicts (see
-    polyexpr) against tables formed on first use: the first call of any of
-    them forms the anchor, metric and c_ij^h tables, and the first
-    `bracket` or `derived_operator` forms the rows of G^-1 A^T.
+    polyexpr), reading G and c_ij^h as stored; the anchor columns and the
+    rows of G^-1 A^T are formed on first use.  They are the expansion term
+    by term: `bracket` is rho(f)(g_j) e_j - rho(g)(f_i) e_i
+    + f_i g_j c_ij^h e_h + (G g)_i D(f_i), composed from the other three
+    and G g, with no tuning of its own.  No benchmark workload calls them:
+    the certificates read every verdict from the frame tables, and only
+    checks on supplied sections and the tests make a bracket.
 
-    Every product runs its outer loop over the smaller factor and each
-    operation's loop nest is fixed, so results have one term order; no
-    verdict or witness depends on it.
+    Every product runs its outer loop over the smaller factor, and its
+    factors are finished outputs (normalised and checked), so no packed key
+    carries past a guard bit.  Each operation's loops are fixed, so results
+    have one term order; no verdict or witness depends on it.
     """
 
     __slots__ = ("bundle", "structure_functions", "rows", "_frame", "_dual")
@@ -320,26 +325,17 @@ class CourantStructure(Frozen):
 
     @property
     def _frame_tables(self):
-        """(anchor, negated anchor, metric, grouped c), formed on first use:
-        anchor[i] lists (a, A[a][i]) over the nonzero entries, and grouped c
-        lists (i, j, [(h, c_ij^h), ...]) in `structure_functions` order, all
-        as packed term dicts, a scalar entry packed as the constant term;
-        the metric holds exact coefficients."""
+        """(anchor, negated anchor), formed on first use: anchor[i] lists
+        (a, A[a][i]) over the nonzero entries of column i as packed term
+        dicts, a scalar entry packed as the constant term, and the negated
+        anchor the same entries times -1."""
         if self._frame is None:
-            g, _, a = self.rows
             anchor = [[] for _ in range(self.bundle.rank)]
-            for x, row in enumerate(a):
+            for x, row in enumerate(self.rows[2]):
                 for i, entry in row.items():
                     anchor[i].append((x, _packed(entry)))
-            grouped: dict[tuple[int, int], list] = {}
-            for (i, j, h), p in self.structure_functions.items():
-                grouped.setdefault((i, j), []).append((h, p._packed))
             object.__setattr__(self, "_frame", (
-                anchor,
-                [[(x, _scaled(entry, -1)) for x, entry in row] for row in anchor],
-                linalg.dense(g, self.bundle.rank),
-                [(i, j, hs) for (i, j), hs in grouped.items()],
-            ))
+                anchor, [[(x, _scaled(entry, -1)) for x, entry in row] for row in anchor]))
         return self._frame
 
     @property
@@ -423,15 +419,21 @@ class CourantStructure(Frozen):
     def _finished(self, terms: dict) -> dict:
         return _checked(_normalised(terms), self.bundle.base_dim) if terms else terms
 
+    def _lowered(self, g: list[dict]) -> list[dict]:
+        """G g: (G g)_i = sum_j G_ij g_j over the stored entries of row i of
+        G.  Each component keeps keys of g, so it is finished when g is."""
+        out = []
+        for row in self.rows[0]:
+            s: dict = {}
+            for j, x in row.items():
+                _add_into(s, _scaled(g[j], x))
+            out.append(s)
+        return out
+
     def _pairing(self, f: list[dict], g: list[dict]) -> dict:
-        nv = self.bundle.base_dim
-        metric = self._frame_tables[2]
         out: dict = {}
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                if fi and gj and metric[i][j]:
-                    prod = _product(*_ordered(fi, gj), nv)
-                    _mul_into(out, *_ordered(prod, {0: metric[i][j]}))
+        for fi, gi in zip(f, self._lowered(g)):
+            _mul_into(out, *_ordered(fi, gi))
         return self._finished(out)
 
     def _anchor_apply(self, f: list[dict], p: dict) -> dict:
@@ -439,9 +441,7 @@ class CourantStructure(Frozen):
         anchor = self._frame_tables[0]
         out: dict = {}
         for i, fi in enumerate(f):
-            if not fi:
-                continue
-            for a, entry in anchor[i]:
+            for a, entry in anchor[i] if fi else ():
                 d = _deriv(p, a)
                 if d:
                     _mul_into(out, *_ordered(_product(*_ordered(fi, entry), nv), d))
@@ -459,57 +459,18 @@ class CourantStructure(Frozen):
         return [self._finished(q) for q in out]
 
     def _bracket(self, f: list[dict], g: list[dict]) -> list[dict]:
+        """rho(f)(g_j) e_j - rho(g)(f_i) e_i + f_i g_j c_ij^h e_h
+        + (G g)_i D(f_i), term by term."""
         nv = self.bundle.base_dim
-        anchor, negated, metric, c_entries = self._frame_tables
-        df: dict[int, list[dict]] = {}    # a -> the partials d_a of f's components
-        dg: dict[int, list[dict]] = {}
-        out = [{} for _ in f]
-        # f_i rho(e_i)(g_j) e_j
-        for i, fi in enumerate(f):
-            if not fi:
-                continue
-            for a, entry in anchor[i]:
-                if a not in dg:
-                    dg[a] = [_deriv(gj, a) if gj else gj for gj in g]
-                fie = _product(*_ordered(fi, entry), nv)
-                for j, d in enumerate(dg[a]):
-                    if d:
-                        _mul_into(out[j], *_ordered(fie, d))
-        # - g_j rho(e_j)(f_i) e_i
-        for j, gj in enumerate(g):
-            if not gj:
-                continue
-            for a, entry in negated[j]:
-                if a not in df:
-                    df[a] = [_deriv(fi, a) if fi else fi for fi in f]
-                gje = _product(*_ordered(gj, entry), nv)
-                for i, d in enumerate(df[a]):
-                    if d:
-                        _mul_into(out[i], *_ordered(gje, d))
-        # f_i g_j [[e_i, e_j]]
-        for i, j, hs in c_entries:
-            fi, gj = f[i], g[j]
-            if fi and gj:
-                prod = _product(*_ordered(fi, gj), nv)
-                for h, centry in hs:
-                    _mul_into(out[h], *_ordered(prod, centry))
-        # sum_ij G_ij g_j D(f_i)
-        for i, fi in enumerate(f):
-            if not fi:
-                continue
-            s: dict = {}
-            for j, gj in enumerate(g):
-                if metric[i][j] and gj:
-                    _add_into(s, _scaled(gj, metric[i][j]))
-            if not s:
-                continue
-            for h, row in enumerate(self._dual_rows):
-                for a, entry in row:
-                    if a not in df:
-                        df[a] = [_deriv(fj, a) if fj else fj for fj in f]
-                    d = df[a][i]
-                    if d:
-                        _mul_into(out[h], *_ordered(_product(*_ordered(s, entry), nv), d))
+        out = [_subtract_into(self._anchor_apply(f, gj), self._anchor_apply(g, fj))
+               for fj, gj in zip(f, g)]
+        for (i, j, h), p in self.structure_functions.items():
+            if f[i] and g[j]:
+                _mul_into(out[h], *_ordered(_product(*_ordered(f[i], g[j]), nv), p._packed))
+        for fi, gi in zip(f, self._lowered(g)):
+            if fi and gi:
+                for h, d in enumerate(self._derived(fi)):
+                    _mul_into(out[h], *_ordered(gi, d))
         return [self._finished(q) for q in out]
 
 
@@ -791,13 +752,11 @@ def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
 def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
     """{(i, j, h): c_ij^h} and {(i, j, h): c_ijh}, packed, over the nonzero
     entries, with c_ijh = sum_l c_ij^l G_lh."""
-    metric, grouped = s._frame_tables[2:]
-    c = {(i, j, h): entry for i, j, hs in grouped for h, entry in hs}
+    c = {key: p._packed for key, p in s.structure_functions.items()}
     lowered: dict[tuple[int, int, int], dict] = {}
     for (i, j, l), entry in c.items():
-        for h, g in enumerate(metric[l]):
-            if g:
-                _add_into(lowered.setdefault((i, j, h), {}), _scaled(entry, g))
+        for h, g in s.rows[0][l].items():
+            _add_into(lowered.setdefault((i, j, h), {}), _scaled(entry, g))
     return c, lowered
 
 
@@ -865,7 +824,7 @@ def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
     key field carries, and no result is stored.
     """
     k = s.bundle.rank
-    anchor, negated, _, grouped = s._frame_tables
+    anchor, negated = s._frame_tables
     rho_d: dict[tuple[int, int], dict] = {}
     for h, row in enumerate(s._dual_rows):
         for b, entry in anchor[h]:
@@ -881,10 +840,9 @@ def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
                         if d:   # [rho_i, rho_j] in H(e_j, e_i), negated in H(e_i, e_j)
                             _mul_at(anomaly, (j, i), b, entry, d)
                             _mul_at(anomaly, (i, j), b, _scaled(entry, -1), d)
-    for i, j, hs in grouped:
-        for h, centry in hs:
-            for b, target in anchor[h]:
-                _mul_at(anomaly, (i, j), b, centry, target)
+    for (i, j, h), p in s.structure_functions.items():
+        for b, target in anchor[h]:
+            _mul_at(anomaly, (i, j), b, p._packed, target)
     return {key: p for key, p in rho_d.items() if p}, _pruned(anomaly)
 
 
@@ -899,7 +857,7 @@ def _frame_jacobiator(s: CourantStructure, c: dict, lowered: dict) -> dict:
     products are exact as in `_anchor_tables`.  An entry may be
     empty where its terms cancel.
     """
-    anchor, negated = s._frame_tables[:2]
+    anchor, negated = s._frame_tables
     first: dict[int, list] = {}         # h -> [(q, l, c_hq^l), ...]
     second: dict[int, list] = {}        # h -> [(p, l, c_ph^l), ...]
     for (i, j, l), entry in c.items():
@@ -947,7 +905,7 @@ def _slot_tables(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anoma
     as in `_anchor_tables`.
     """
     k = s.bundle.rank
-    anchor, _, metric, _ = s._frame_tables
+    anchor = s._frame_tables[0]
     k_table: dict[tuple[int, int], dict] = {}
     for (i, j, h), centry in c.items():             # sum_j D(x_a)_j c_ij^h
         for a, dual in s._dual_rows[j]:
@@ -959,7 +917,7 @@ def _slot_tables(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anoma
                     _mul_at(k_table, (i, a), h, target, _deriv(dual, b))
                     if d := _deriv(target, a):      # no -dual formed for a zero partner
                         _mul_at(k_table, (i, b), h, _scaled(dual, -1), d)
-    pairs = [(x, y, g) for x, row in enumerate(metric) for y, g in enumerate(row) if g]
+    pairs = [(x, y, g) for x, row in enumerate(s.rows[0]) for y, g in row.items()]
     for i in range(k):
         table: dict = {}
         row_i = [(y, g) for x, y, g in pairs if x == i]
@@ -978,7 +936,7 @@ def _slot_tables(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, anoma
                         _mul_at(table, (j, y, v, None, None), h, {0: -g}, p)   # -<f,h> K_g(lam)
                         _mul_at(table, (y, j, v, None, None), h, {0: g}, p)    # <f,g> K_h(lam)
         for (x, y, z), centry in lowered.items():
-            minus_c = _scaled(centry, -1)
+            minus_c = _scaled(centry, -1) if x == i else None
             for h, row in enumerate(s._dual_rows):
                 for v, p in row:
                     if x == i:      # II(f,g,h) D(mu) twice, and -c_ijk D(lam)

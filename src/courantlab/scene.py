@@ -181,7 +181,7 @@ _FIELDS = {
     "inputs": {"u": "list"},
 }
 _SHAPES = {
-    "integer": ("an integer", lambda v: isinstance(v, int)),
+    "integer": ("an integer", lambda v: type(v) is int),    # JSON true is no dimension
     "string": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
     "matrix": ("a list of lists",
@@ -314,7 +314,9 @@ def load_scene(path) -> Scene:
         n, m = spec["n"], spec["m"]
         jm = [[_rational(v, where, numbers) for v in row] for row in spec["J"]]
         bm = [[_rational(v, where, numbers) for v in row] for row in spec["B"]]
-        if len(jm) != n or (m and len(bm) != n):
+        # B is n x m, or [] when m = 0; with n = 0 no row of B holds the m ports
+        b_shaped = (len(bm) == n and (n or not m)) or (not bm and not m)
+        if len(jm) != n or not b_shaped or any(len(row) != m for row in bm):
             raise SceneError(f"{where}: J must be {n}x{n} and B {n}x{m}")
         h = _expr(spec["H"], _vars(n), where, exprs)
         scene.ph_systems[name] = _built(where, PHSystem, jm, bm, h, spec.get("label", name))

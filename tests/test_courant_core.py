@@ -378,13 +378,18 @@ class TestPackedKeyOverflow:
         with pytest.raises(ExponentOverflowError):
             check_axioms(s, degree_cap=1)
 
-    def test_witness_whose_plain_expansion_overflows_is_reported(self):
-        # the nested brackets of (i) on (e_0, e_1, x1 e_0) pass the limit on
-        # the way, but its defect, read from the slot tables, stays below
-        # it; sympy's expansion of the same tuple gives the same defect
+    @staticmethod
+    def near_the_limit():
+        """Rank 2 over R^1 with A = [x1^(MAX - 1), x1]."""
         high = Polynomial.monomial(1, (MAX_EXPONENT - 1,))
-        s = CourantStructure(TrivialBundle(1, 2, "E"), [[high, Polynomial.variable(1, 0)]],
-                             [[0, -1], [-1, 1]])
+        return CourantStructure(TrivialBundle(1, 2, "E"), [[high, Polynomial.variable(1, 0)]],
+                                [[0, -1], [-1, 1]])
+
+    def test_witness_near_the_limit_equals_its_plain_defect(self):
+        # the defect of (i) on (e_0, e_1, x1 e_0), read from the slot tables,
+        # is the one sympy's expansion and the plain bracket give: every
+        # term of the plain expansion stays within the limit
+        s = self.near_the_limit()
         check = check_axioms(s, degree_cap=1).checks["i"]
         assert check.witness["sections"] == [["1", "0"], ["0", "1"], ["x1", "0"]]
         assert check.witness["defect"] == [f"-{MAX_EXPONENT - 2}*x1^{MAX_EXPONENT - 1}", "0"]
@@ -396,9 +401,18 @@ class TestPackedKeyOverflow:
         x1 = ref.x[0]
         assert [sympy.expand(a - b - c) for a, b, c in nested] == \
             [-(MAX_EXPONENT - 2) * x1 ** (MAX_EXPONENT - 1), 0]
+        plain = courant_core._plain_witness(s, "i", [Section.from_exprs(s.bundle, texts)
+                                                     for texts in check.witness["sections"]])
+        assert plain["defect"] == check.witness["defect"]
+
+    def test_plain_expansion_past_the_limit_raises(self):
+        # on (e_0, e_0, x1^2 e_0) the inner bracket 2 x1^MAX e_0 is at the
+        # limit, and the outer one differentiates it against A_00, past it
+        s = self.near_the_limit()
+        e0, x1sq = (Section.from_exprs(s.bundle, [text, "0"]) for text in ("1", "x1^2"))
+        assert s.bracket(e0, x1sq).coeffs.to_strings() == [f"2*x1^{MAX_EXPONENT}", "0"]
         with pytest.raises(ExponentOverflowError):
-            courant_core._plain_witness(s, "i", [Section.from_exprs(s.bundle, texts)
-                                                 for texts in check.witness["sections"]])
+            courant_core._plain_witness(s, "i", [e0, e0, x1sq])
 
     @staticmethod
     def walked(anchor_exponent, c_exponent):

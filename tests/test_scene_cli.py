@@ -1307,6 +1307,21 @@ class TestLoadSceneContract:
         code, captured = TestMorphismContract.run(argv, capsys)
         assert code == 2 and captured.err.startswith(f"error: {prefix}: ")
 
+    @pytest.mark.parametrize("section, entry, key", [
+        ("bundles", {"base_dim": True, "rank": 2}, "base_dim"),
+        ("bundles", {"base_dim": 1, "rank": False}, "rank"),
+        ("ph_systems", {"n": True, "m": False, "J": [[0]], "B": [], "H": "x1^2"}, "n"),
+        ("ph_systems", {"n": 1, "m": False, "J": [[0]], "B": [], "H": "x1^2"}, "m"),
+    ], ids=["base_dim", "rank", "n", "m"])
+    def test_a_json_boolean_is_no_dimension(self, tmp_path, capsys, section, entry, key):
+        # bool is a subclass of int, so true once loaded as 1 and false as 0
+        scene = write_scene(tmp_path, {"schema_version": 1, section: {"s": entry}})
+        noun = {"bundles": "bundle", "ph_systems": "ph_system"}[section]
+        code, captured = TestMorphismContract.run(
+            ["axioms", "--scene", str(scene), "--structure", "standard1"], capsys)
+        assert (code, captured.err) == (
+            2, f"error: {noun} 's': {key} must be an integer, got {entry[key]}\n")
+
     def test_largest_bundle_loads(self, tmp_path, capsys):
         scene = {"schema_version": 1, "bundles": {"B": {"base_dim": 128, "rank": 128}}}
         code, _ = TestMorphismContract.run(
@@ -1945,6 +1960,18 @@ class TestSimulateContract:
             assert (code, captured.err) == (
                 2, f"error: ph_system 's': {key} must be at most 128, got {10 ** 12}\n")
 
+    def test_declared_m_is_the_column_count_of_b(self, tmp_path, capsys, monkeypatch):
+        # m = 0 with a B of one column once loaded as a system of one port,
+        # and the run wrote a y1 column
+        self.unreachable(monkeypatch)
+        system = {"n": 2, "m": 0, "J": [[0, 1], [-1, 0]], "B": [[1], [0]], "H": "x1^2"}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system},
+                                       "inputs": {"u": {"u": ["1"]}}})
+        code, captured = TestMorphismContract.run(
+            ["simulate", "--scene", str(scene), "--system", "s", "--input", "u", "--x0=1,0",
+             "--T", "1", "--h", "1"], capsys)
+        assert (code, captured.err) == (2, "error: ph_system 's': J must be 2x2 and B 2x0\n")
+
     @pytest.mark.parametrize("command", ["simulate", "project"])
     def test_grid_values_are_bounded(self, tmp_path, capsys, monkeypatch, command):
         # 10^6 steps are within MAX_STEPS, but 10^6 + 1 grid rows of 10
@@ -1989,6 +2016,27 @@ class TestDiracContract:
         # argparse stores --system=-- as an empty list
         assert TestMorphismContract.run(["dirac", "--system=--"], capsys) == (2, (
             "", "error: argument --system: expected one argument\n"))
+
+    @pytest.mark.parametrize("n, m, b", [
+        (2, 1, [[1, 2], [0, 1]]), (2, 0, [[1], [0]]), (2, 1, []), (0, 1, []), (2, 0, [[]]),
+    ], ids=["two_columns_for_one_port", "a_column_for_no_port", "no_rows_for_one_port",
+            "one_port_without_states", "one_row_for_two_states"])
+    def test_b_of_another_shape_than_declared_exits_2(self, tmp_path, capsys, n, m, b):
+        # B was read for its own shape, so a system declared with one port and
+        # a B of two columns reported dimension 4 and exit 0
+        system = {"n": n, "m": m, "J": [[0] * n for _ in range(n)], "B": b, "H": "0"}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system}})
+        assert TestMorphismContract.run(["dirac", "--scene", str(scene), "--system", "s"],
+                                        capsys) == (2, ("", f"error: ph_system 's': J must be "
+                                                            f"{n}x{n} and B {n}x{m}\n"))
+
+    @pytest.mark.parametrize("b", [[], [[], []]], ids=["empty", "empty_rows"])
+    def test_b_without_ports_may_be_empty(self, tmp_path, capsys, b):
+        system = {"n": 2, "m": 0, "J": [[0, 1], [-1, 0]], "B": b, "H": "x1^2"}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system}})
+        code, captured = TestMorphismContract.run(
+            ["dirac", "--scene", str(scene), "--system", "s", "--json"], capsys)
+        assert code == 0 and json.loads(captured.out)["dimension"] == 2
 
     @settings(max_examples=600, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])

@@ -15,7 +15,6 @@ from .bundles import (
     check_related,
     compose_morphisms,
     related_section,
-    whitney_sum,
 )
 from .courant_core import (
     AxiomReport,

@@ -43,15 +43,6 @@ class TrivialBundle(Frozen):
         return f"TrivialBundle({self.label}: R^{self.base_dim} x R^{self.rank})"
 
 
-def whitney_sum(b1: TrivialBundle, b2: TrivialBundle) -> TrivialBundle:
-    """Fiberwise direct sum; block order is (b1, b2)."""
-    if b1.base_dim != b2.base_dim:
-        raise ValueError(
-            f"base dimension mismatch: {b1.base_dim} vs {b2.base_dim}"
-        )
-    return TrivialBundle(b1.base_dim, b1.rank + b2.rank, f"{b1.label}(+){b2.label}")
-
-
 class Section(Frozen):
     """A global polynomial section, held as frame coefficients."""
 
@@ -145,20 +136,20 @@ class BundleMorphism(Frozen):
     exact scalars or polynomials in the source base variables.  The
     morphism keeps it once, as the kernel's canonical sparse rows
     (`fiber_rows`, see `linalg`), which every consumer reads; `fiber_matrix`
-    is a dense view with Polynomial entries, formed on first read.  An
+    is a dense view with Polynomial entries, formed on each read.  An
     optional retraction r (a left inverse of phi0, checked exactly at
     construction) enables constructive extension of sections along the
-    morphism, through the rows of P(r(y)) (`extension_rows`, formed on first
-    use).  The matrices the morphism conditions and the pullback read along
-    the image of phi0 are formed once per target structure, in the record
-    `morphisms.along_image` keeps in the `_along` slot with that structure.
+    morphism (`related_section`).  The matrices the morphism conditions
+    and the pullback read along the image of phi0 are formed once per
+    target structure, in the record `morphisms.along_image` keeps in the
+    `_along` slot with that structure.
     A composite read off another morphism's columns (see
     `compose_morphisms`) names them in `_selection`, and its record is
     theirs.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_rows", "retraction",
-                 "_fiber", "_extension", "_along", "_selection")
+                 "_along", "_selection")
 
     def __init__(
         self,
@@ -178,33 +169,17 @@ class BundleMorphism(Frozen):
                else type(p) not in (int, Fraction) for row in fm for p in row):
             raise ValueError("fiber matrix entries must be exact scalars or polynomials "
                              "in the source base variables")
-        # the dense view, the extension rows and the record along the image start empty
+        # the record along the image starts empty
         self._set(source, target, base_map, linalg.sparse(fm),
                   _checked_retraction(source, target, base_map, retraction))
 
     @property
     def fiber_matrix(self) -> list[list[Polynomial]]:
         """P as a dense matrix of polynomials in the source base variables,
-        formed from `fiber_rows` on first read."""
-        if self._fiber is None:
-            n = self.source.base_dim
-            object.__setattr__(self, "_fiber", [
-                [linalg.polynomial(x, n) for x in row]
-                for row in linalg.dense(self.fiber_rows, self.source.rank)])
-        return self._fiber
-
-    @property
-    def extension_rows(self) -> list[dict]:
-        """P(r(y)), the fiber matrix composed with the retraction, in sparse
-        rows, formed on first use: g(y) = P(r(y)) f(r(y)) is the section
-        related to f."""
-        if self._extension is None:
-            if self.retraction is None:
-                raise ValueError("extension needs a morphism with a retraction")
-            object.__setattr__(
-                self, "_extension", linalg.pmat_compose(self.fiber_rows, self.retraction)
-            )
-        return self._extension
+        formed from `fiber_rows` on each read."""
+        n = self.source.base_dim
+        return [[linalg.polynomial(x, n) for x in row]
+                for row in linalg.dense(self.fiber_rows, self.source.rank)]
 
     @classmethod
     def identity(cls, bundle: TrivialBundle) -> "BundleMorphism":
@@ -355,7 +330,7 @@ def related_section(
     if phi.retraction is not None:
         r = phi.retraction
         pulled_f = [p.compose(r) for p in f.coeffs]
-        comps = linalg.pmat_vec(phi.extension_rows, pulled_f)
+        comps = linalg.pmat_vec(linalg.pmat_compose(phi.fiber_rows, r), pulled_f)
         big = phi.target.base_dim
         return Section(phi.target, PolyMap(big, [linalg.polynomial(x, big) for x in comps]))
 

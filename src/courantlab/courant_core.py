@@ -250,7 +250,7 @@ class CourantStructure(Frozen):
     + f_i g_j c_ij^h e_h + (G g)_i D(f_i), composed from the other three
     and G g, with no tuning of its own.  No benchmark workload calls them:
     the certificates read every verdict from the frame tables, and only
-    checks on supplied sections and the tests make a bracket.
+    the morphism check on supplied pairs and the tests make a bracket.
 
     Every product runs its outer loop over the smaller factor, and its
     factors are finished outputs (normalised and checked), so no packed key
@@ -391,13 +391,6 @@ class CourantStructure(Frozen):
     def bracket(self, f: Section, g: Section) -> Section:
         """The bracket of arbitrary sections via the Leibniz expansion."""
         return self._section(self._bracket(self._terms(f), self._terms(g)))
-
-    def frame_bracket(self, i: int, j: int) -> Section:
-        """[[e_i, e_j]] = sum_h c_ij^h e_h."""
-        n, zero = self.bundle.base_dim, Polynomial(self.bundle.base_dim)
-        return Section(self.bundle, PolyMap(n, [
-            self.structure_functions.get((i, j, h), zero) for h in range(self.bundle.rank)
-        ]))
 
     def _terms(self, f: Section) -> list[dict]:
         if f.bundle != self.bundle:
@@ -675,34 +668,6 @@ def _subtract_into(dst: dict, *terms: dict) -> dict:
     return dst
 
 
-def _defect_i(s: CourantStructure, f, g, h) -> list[dict]:
-    return list(map(_subtract_into, s._bracket(f, s._bracket(g, h)),
-                    s._bracket(s._bracket(f, g), h), s._bracket(g, s._bracket(f, h))))
-
-
-def _defect_ii(s: CourantStructure, f, g, h) -> list[dict]:
-    return [_subtract_into(s._anchor_apply(f, s._pairing(g, h)),
-                           s._pairing(s._bracket(f, g), h), s._pairing(g, s._bracket(f, h)))]
-
-
-def _defect_iii(s: CourantStructure, f, g) -> list[dict]:
-    negated = [_scaled(q, -1) for q in s._bracket(g, f)]     # [[f,g]] - (-[[g,f]]) - D<f,g>
-    return list(map(_subtract_into, s._bracket(f, g), negated, s._derived(s._pairing(f, g))))
-
-
-_AXIOM_DEFECTS = {"i": _defect_i, "ii": _defect_ii, "iii": _defect_iii}
-
-
-def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
-    """An axiom's defect on explicit sections as a witness; None if it vanishes.
-
-    The defect is formed on packed term dicts, one component for (ii), and
-    wrapped once for printing."""
-    defect = _AXIOM_DEFECTS[axiom](s, *map(s._terms, sections))
-    return _witness(s, [sec.coeffs.to_strings() for sec in sections], defect,
-                    False) if any(defect) else None
-
-
 def _member(k: int, i: int, text: str = "1") -> list[str]:
     """The printed coefficients of the frame member text * e_i of rank k."""
     return ["0"] * i + [text] + ["0"] * (k - 1 - i)
@@ -719,9 +684,6 @@ def _witness(s: CourantStructure, sections, defect: list[dict], component: bool)
 
 
 MAX_FAMILY = 256
-
-# supplied sections `check_axioms` accepts: MAX_POOL^3 <= MAX_FAMILY tuples
-MAX_POOL = 6
 
 # differential order of every certified defect in each slot: the monomial
 # family up to this degree is complete for all smooth sections
@@ -1048,11 +1010,7 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
             for name, w in witnesses.items()}
 
 
-def check_axioms(
-    s: CourantStructure,
-    sections: Sequence[Section] = (),
-    degree_cap: int = 3,
-) -> AxiomReport:
+def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     """Exact pass/fail per axiom.
 
     (i)   [[f,[[g,h]]]] = [[[[f,g]],h]] + [[g,[[f,h]]]]
@@ -1061,30 +1019,16 @@ def check_axioms(
 
     Each axiom is certified over every tuple of monomial frame sections of
     degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
-    certificate for all smooth sections (see the module docstring), so the
-    supplied sections are not read; cap 0 bounds the claim to constant
-    sections, and there every ordered tuple of the supplied sections is
-    checked directly, in lexicographic order, and an axiom the certificate
-    passed reports its first failing tuple.  At most MAX_POOL sections are
-    accepted.  The verdicts come from the frame tables; (i), when it holds
-    on every frame triple while another frame identity fails, is decided on
-    the tuples of degree 1 by the slot tables of the five rules, with no
-    lift and no bracket.  A failing axiom reports its least failing tuple
-    (see the module docstring) with the defect the tables give it, and a
-    supplied tuple with its defect through the bracket.  All comparisons
-    are polynomial identities with zero tolerance.
+    certificate for all smooth sections (see the module docstring); cap 0
+    bounds the claim to constant sections.  The verdicts come from the
+    frame tables; (i), when it holds on every frame triple while another
+    frame identity fails, is decided on the tuples of degree 1 by the slot
+    tables of the five rules, with no lift and no bracket.  A failing axiom
+    reports its least failing tuple (see the module docstring) with the
+    defect the tables give it.  All comparisons are polynomial identities
+    with zero tolerance.
     """
-    pool: list[Section] = list(sections)
-    if len(pool) > MAX_POOL:
-        raise ValueError(f"{len(pool)} supplied sections, more than the {MAX_POOL} accepted")
-    checks = _certify_axioms(s, degree_cap)
-    if degree_cap == 0:
-        for name, arity in (("i", 3), ("ii", 3), ("iii", 2)):
-            tuples = itertools.product(pool, repeat=arity) if checks[name].passed else ()
-            witness = next(filter(None, (_plain_witness(s, name, t) for t in tuples)), None)
-            if witness is not None:
-                checks[name] = AxiomCheck(False, "supplied-section tuple check failed", witness)
-    return AxiomReport(checks)
+    return AxiomReport(_certify_axioms(s, degree_cap))
 
 
 # -- Leibniz rules ---------------------------------------------------------------

@@ -68,9 +68,9 @@ class SplittingIso(Frozen):
     sparse rows, `rows`, reduced once by `det_inverse` to check
     invertibility, which chi's fiber map keeps; a dense matrix is converted
     once at the constructor.  `fiber_matrix` is a dense view, a tuple of
-    Fraction rows formed on first read."""
+    Fraction rows formed on each read."""
 
-    __slots__ = ("n", "m", "rows", "_matrix")
+    __slots__ = ("n", "m", "rows")
 
     def __init__(self, n: int, m: int, fiber_matrix):
         matrix = linalg.mat(fiber_matrix)
@@ -87,11 +87,8 @@ class SplittingIso(Frozen):
 
     @property
     def fiber_matrix(self) -> tuple:
-        """The dense view of `rows`, formed on first read."""
-        if self._matrix is None:
-            dense = linalg.dense(self.rows, len(self.rows))
-            object.__setattr__(self, "_matrix", tuple(map(tuple, linalg.mat(dense))))
-        return self._matrix
+        """The dense view of `rows`, formed on each read."""
+        return tuple(map(tuple, linalg.mat(linalg.dense(self.rows, len(self.rows)))))
 
 
 def canonical_splitting(n: int, m: int) -> SplittingIso:
@@ -161,17 +158,15 @@ def pontryagin_embedding(n: int, m: int, splitting: SplittingIso | None = None) 
 
 class IntrinsicResult:
     def __init__(self, structure: CourantStructure, chain_verdicts: dict[str, MorphismVerdict],
-                 hypotheses: HypothesisReport, unique: bool | None = None,
-                 notes: list[str] | None = None):
+                 hypotheses: HypothesisReport, notes: list[str] | None = None):
         self.structure, self.chain_verdicts = structure, chain_verdicts
-        self.hypotheses, self.unique = hypotheses, unique
+        self.hypotheses = hypotheses
         self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         return {
             "chain_verdicts": {k: v.to_json() for k, v in self.chain_verdicts.items()},
             "hypotheses": self.hypotheses.to_json(),
-            "unique": self.unique,
             "notes": self.notes,
         }
 

@@ -72,10 +72,6 @@ def identity(n: int) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def is_symmetric(a: list[dict]) -> bool:
     """Whether sparse rows are symmetric: every stored entry has its mirror."""
     return all(a[j].get(i) == x for i, row in enumerate(a) for j, x in row.items())

@@ -467,20 +467,6 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
     return BalanceReport(delta, supplied, abs(delta - supplied))
 
 
-def interconnection_matrix(system: PHSystem):
-    """The skew block [[J, B], [-B^T, 0]] of the interaction system."""
-    n, m = system.n, system.m
-    total = n + m
-    s = linalg.zeros(total, total)
-    for i in range(n):
-        for k in range(n):
-            s[i][k] = system.j[i][k]
-        for k in range(m):
-            s[i][n + k] = system.b[i][k]
-            s[n + k][i] = -system.b[i][k]
-    return s
-
-
 def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     """Graph of [[J, B], [-B^T, 0]] inside R^(n+m) (+) its dual, checked.
 
@@ -488,8 +474,10 @@ def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     against the split pairing <(v, p), (v', p')> = p(v') + p'(v), the
     metric of the standard structure on R^(n+m), formed alone.
     """
-    subspace = LinearSubspace.graph_of_matrix(interconnection_matrix(system))
-    k = system.n + system.m
+    j, b, m = system.j, system.b, system.m
+    subspace = LinearSubspace.graph_of_matrix(
+        [jr + br for jr, br in zip(j, b)] + [[-row[l] for row in b] + [0] * m for l in range(m)])
+    k = system.n + m
     split = [{(i + k) % (2 * k): 1} for i in range(2 * k)]
     return subspace, _maximally_isotropic(split, subspace)
 
@@ -498,11 +486,12 @@ def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
 _CSV_CHUNK = 256
 
 
-def write_csv(trajectory: Trajectory, path, include_z: bool = False) -> None:
-    """t, x1..xn, y1..ym rows with 17 significant digits, written in chunks."""
+def write_csv(trajectory: Trajectory, path) -> None:
+    """t, x1..xn, y1..ym rows with 17 significant digits, written in chunks;
+    the states z of an interaction run are not written."""
     import numpy as np
 
-    xs = trajectory.states if include_z else trajectory.x
+    xs = trajectory.x
     n_cols = xs.shape[1]
     m = trajectory.outputs.shape[1]
     header = (

@@ -170,14 +170,14 @@ def _vars(n: int) -> tuple[str, ...]:
 # "?" marks an optional field.  Expressions and rationals inside a field are
 # checked where they are parsed.
 _FIELDS = {
-    "bundles": {"base_dim": "integer", "rank": "integer"},
+    "bundles": {"base_dim": "integer", "rank": "integer", "label?": "string"},
     "sections": {"bundle": "string", "coeffs": "list"},
     "courant_structures": {"bundle": "string", "anchor": "matrix", "metric": "matrix",
                            "structure_functions?": "object"},
     "morphisms": {"source": "string", "target": "string", "base_map": "list",
                   "fiber_matrix": "matrix", "retraction?": "list"},
     "ph_systems": {"n": "integer", "m": "integer", "J": "matrix", "B": "matrix",
-                   "H": "string"},
+                   "H": "string", "label?": "string"},
     "inputs": {"u": "list"},
 }
 _SHAPES = {
@@ -277,12 +277,16 @@ def load_scene(path) -> Scene:
         functions = {}
         for key, expr_text in spec.get("structure_functions", {}).items():
             try:
-                i, j, h = (int(part) for part in key.split(","))
-            except ValueError as exc:
-                raise SceneError(
-                    f"{where}: structure function key {key!r} is not 'i,j,h'"
-                ) from exc
-            functions[(i - 1, j - 1, h - 1)] = _expr(expr_text, names, where, exprs)
+                index = [int(part) for part in key.split(",")]
+            except ValueError:
+                index = []
+            # one spelling per index: no sign, space, underscore or leading zero
+            if len(index) != 3 or ",".join(map(str, index)) != key or min(index) < 0:
+                raise SceneError(f"{where}: structure function key {key!r} is not 'i,j,h'")
+            if not all(1 <= x <= bundle.rank for x in index):
+                raise SceneError(f"{where}: structure function key {key!r} is out of range "
+                                 f"1..{bundle.rank}")
+            functions[tuple(x - 1 for x in index)] = _expr(expr_text, names, where, exprs)
         scene.structures[name] = _built(where, object.__new__(CourantStructure)._checked, bundle,
                                         spec["anchor"], anchor, spec["metric"], metric, functions)
 

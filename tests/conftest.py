@@ -20,8 +20,8 @@ from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_s
 from courantlab.courant_core import (
     SWEEP_ORDER,
     CourantStructure,
-    _plain_witness,
     _subtract_into,
+    _witness,
     monomial_frame_basis,
     scaled_structure,
 )
@@ -33,6 +33,7 @@ from courantlab.polyexpr import (
     PolyMap,
     _pack,
     _raw,
+    _scaled,
     _unpack,
     monomials_up_to,
     poly_sum,
@@ -300,6 +301,34 @@ def reference_sweep_axiom_i(s: CourantStructure) -> dict | None:
 # the witness oracles compare every defect with.
 
 
+def _defect_i(s: CourantStructure, f, g, h) -> list[dict]:
+    return list(map(_subtract_into, s._bracket(f, s._bracket(g, h)),
+                    s._bracket(s._bracket(f, g), h), s._bracket(g, s._bracket(f, h))))
+
+
+def _defect_ii(s: CourantStructure, f, g, h) -> list[dict]:
+    return [_subtract_into(s._anchor_apply(f, s._pairing(g, h)),
+                           s._pairing(s._bracket(f, g), h), s._pairing(g, s._bracket(f, h)))]
+
+
+def _defect_iii(s: CourantStructure, f, g) -> list[dict]:
+    negated = [_scaled(q, -1) for q in s._bracket(g, f)]     # [[f,g]] - (-[[g,f]]) - D<f,g>
+    return list(map(_subtract_into, s._bracket(f, g), negated, s._derived(s._pairing(f, g))))
+
+
+_AXIOM_DEFECTS = {"i": _defect_i, "ii": _defect_ii, "iii": _defect_iii}
+
+
+def _plain_witness(s: CourantStructure, axiom: str, sections) -> dict | None:
+    """An axiom's defect on explicit sections as a witness; None if it vanishes.
+
+    The defect is formed on packed term dicts, one component for (ii), and
+    wrapped once for printing."""
+    defect = _AXIOM_DEFECTS[axiom](s, *map(s._terms, sections))
+    return _witness(s, [sec.coeffs.to_strings() for sec in sections], defect,
+                    False) if any(defect) else None
+
+
 def reference_axiom_witness(s: CourantStructure, axiom: str, sections) -> dict:
     """An axiom's witness on a failing tuple: its defect re-expanded through
     the plain bracket, with the first nonzero component (None for (ii))."""
@@ -362,7 +391,8 @@ def _extended_frames(p) -> list[Section]:
     i-th column of P(r(y)), a section of the ambient bundle.  The pairwise
     references bracket them one pair at a time."""
     big, k = p.ambient.bundle.base_dim, p.source_bundle.rank
-    pulled = linalg.dense(p.morphism.extension_rows, k)
+    phi = p.morphism
+    pulled = linalg.dense(linalg.pmat_compose(phi.fiber_rows, phi.retraction), k)
     return [Section(p.ambient.bundle, PolyMap(big, [linalg.polynomial(row[i], big) for row in pulled]))
             for i in range(k)]
 

@@ -12,7 +12,6 @@ from courantlab.bundles import (
     check_related,
     compose_morphisms,
     related_section,
-    whitney_sum,
 )
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 
@@ -28,26 +27,6 @@ def cusp_morphism():
     base = PolyMap.from_exprs(["x1^2", "x1^3"], ["x1"])
     fiber = [[Polynomial.constant(1, 1)]]
     return BundleMorphism(source, target, base, fiber)
-
-
-class TestWhitneySum:
-    def test_rank_additivity(self):
-        tm = line_bundle(2, 2, "TM")
-        tsm = line_bundle(2, 2, "T*M")
-        assert whitney_sum(tm, tsm).rank == 4
-
-    def test_rank_zero_neutral(self):
-        b = line_bundle(2, 3)
-        assert whitney_sum(b, line_bundle(2, 0)).rank == 3
-
-    def test_nested(self):
-        n2 = lambda k: line_bundle(2, k)
-        total = whitney_sum(whitney_sum(n2(2), n2(2)), whitney_sum(n2(1), n2(1)))
-        assert total.rank == 6 and total.base_dim == 2
-
-    def test_base_mismatch(self):
-        with pytest.raises(ValueError, match="base dimension"):
-            whitney_sum(line_bundle(1, 1), line_bundle(2, 1))
 
 
 class TestApplyMorphism:

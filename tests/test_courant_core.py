@@ -35,11 +35,13 @@ from courantlab.polyexpr import (
 )
 
 from conftest import (
+    _plain_witness,
     decode_tag,
     fd_partial,
     lift_structure,
     random_section,
     recorded_structure_operations,
+    reference_axiom_witness,
     so3_structure,
     tagged_generating_section,
 )
@@ -210,7 +212,8 @@ class TestBracket:
             for j in range(3):
                 fi = Section.frame(s.bundle, i)
                 fj = Section.frame(s.bundle, j)
-                assert s.bracket(fi, fj) == s.frame_bracket(i, j)
+                assert s.bracket(fi, fj).coeffs.outputs == tuple(
+                    s.structure_functions.get((i, j, h), Polynomial(0)) for h in range(3))
 
     def test_everything_zero(self):
         bundle = TrivialBundle(1, 2, "flat")
@@ -248,72 +251,20 @@ class TestCheckAxioms:
     def test_so3_passes(self):
         assert check_axioms(so3_structure()).all_passed
 
-    def test_supplied_sections_are_used(self):
-        s = standard_structure(1)
-        extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
-        assert check_axioms(s, sections=extra).all_passed
-
-    def test_supplied_sections_above_the_cap_are_checked(self):
-        # anchor [1, 1]: rho o D = A G^-1 A^T = 2, which no constant section sees
+    def test_a_failure_no_constant_section_sees_is_reported_at_cap_1(self):
+        # anchor [1, 1]: rho o D = A G^-1 A^T = 2, which no constant section
+        # sees; the cap-1 certificate is complete and names a witness
         bundle = TrivialBundle(1, 2, "E")
         one = Polynomial.constant(1, 1)
         s = CourantStructure(bundle, [[one, one]], [[0, 1], [1, 0]])
         assert check_axioms(s, degree_cap=0).all_passed
-        extra = [Section.from_exprs(bundle, ["x1", "0"]), Section.from_exprs(bundle, ["0", "x1"])]
-        report = check_axioms(s, sections=extra, degree_cap=0)
+        report = check_axioms(s, degree_cap=1)
         failed = [name for name, check in report.checks.items() if not check.passed]
         assert failed
         for name in failed:
-            assert report.checks[name].detail == "supplied-section tuple check failed"
             witness = report.checks[name].witness
             sections = [Section.from_exprs(bundle, texts) for texts in witness["sections"]]
-            defect, is_zero = _plain_defect(s, name, sections)
-            assert not is_zero and defect == witness["defect"]
-
-    def test_supplied_sections_are_read_only_at_cap_0(self, monkeypatch):
-        # at cap >= 1 the certificate is complete and the pool is not read
-        s = standard_structure(1)
-        extra = [Section.from_exprs(s.bundle, ["x1^2", "x1"])]
-        plain = []
-        original = courant_core._plain_witness
-        monkeypatch.setattr(courant_core, "_plain_witness",
-                            lambda *args: plain.append(args) or original(*args))
-        assert check_axioms(s, sections=extra, degree_cap=1).to_json() == \
-            check_axioms(s, degree_cap=1).to_json()
-        assert plain == []
-        report = check_axioms(s, sections=extra, degree_cap=0)
-        assert report.all_passed
-        assert len(plain) == 3  # the one tuple of each axiom
-        for check in report.checks.values():
-            assert check.detail.endswith("degree cap 0")
-
-    def test_first_failing_supplied_tuple_in_lexicographic_order(self):
-        # anchor [1, 1]: rho o D = 2, and (i) first fails on the tuple
-        # (x1 e_0, x1 e_1, e_0); every tuple before it passes, and (ii) and
-        # (iii) pass on every tuple
-        bundle = TrivialBundle(1, 2, "E")
-        one = Polynomial.constant(1, 1)
-        s = CourantStructure(bundle, [[one, one]], [[0, 1], [1, 0]])
-        pool = [Section.from_exprs(bundle, texts)
-                for texts in (["1", "0"], ["x1", "0"], ["0", "x1"])]
-        report = check_axioms(s, sections=pool, degree_cap=0)
-        for name, arity in (("i", 3), ("ii", 3), ("iii", 2)):
-            failing = [t for t in itertools.product(range(3), repeat=arity)
-                       if not _plain_defect(s, name, [pool[i] for i in t])[1]]
-            check = report.checks[name]
-            assert check.passed == (not failing), name
-            if failing:
-                assert check.detail == "supplied-section tuple check failed"
-                assert check.witness["sections"] == [pool[i].coeffs.to_strings()
-                                                     for i in failing[0]]
-
-    def test_pool_above_its_bound_is_rejected(self):
-        s = standard_structure(1)
-        pool = [Section.frame(s.bundle, 0, Polynomial.variable(1, 0) ** d) for d in range(7)]
-        assert courant_core.MAX_POOL ** 3 <= courant_core.MAX_FAMILY
-        assert check_axioms(s, sections=pool[:6], degree_cap=0).all_passed
-        with pytest.raises(ValueError, match="7 supplied sections"):
-            check_axioms(s, sections=pool, degree_cap=0)
+            assert witness == reference_axiom_witness(s, name, sections)
 
     def test_rank_zero_details_carry_no_suffix(self):
         report = check_axioms(standard_structure(0))
@@ -401,8 +352,8 @@ class TestPackedKeyOverflow:
         x1 = ref.x[0]
         assert [sympy.expand(a - b - c) for a, b, c in nested] == \
             [-(MAX_EXPONENT - 2) * x1 ** (MAX_EXPONENT - 1), 0]
-        plain = courant_core._plain_witness(s, "i", [Section.from_exprs(s.bundle, texts)
-                                                     for texts in check.witness["sections"]])
+        plain = _plain_witness(s, "i", [Section.from_exprs(s.bundle, texts)
+                                        for texts in check.witness["sections"]])
         assert plain["defect"] == check.witness["defect"]
 
     def test_plain_expansion_past_the_limit_raises(self):
@@ -412,7 +363,7 @@ class TestPackedKeyOverflow:
         e0, x1sq = (Section.from_exprs(s.bundle, [text, "0"]) for text in ("1", "x1^2"))
         assert s.bracket(e0, x1sq).coeffs.to_strings() == [f"2*x1^{MAX_EXPONENT}", "0"]
         with pytest.raises(ExponentOverflowError):
-            courant_core._plain_witness(s, "i", [e0, e0, x1sq])
+            _plain_witness(s, "i", [e0, e0, x1sq])
 
     @staticmethod
     def walked(anchor_exponent, c_exponent):

@@ -253,23 +253,21 @@ class TestCSV:
         outputs = rng.normal(size=(rows, 2))
         states[7] = [np.inf, -np.inf, np.nan]
         states[1500] = [-0.0, 0.0, 5e-324]
+        states[9] = [np.nan, 5e-324, 1.0]     # the written columns see nan and a subnormal too
         outputs[2499] = [np.nan, -0.0]
         traj = Trajectory(np.arange(rows) * 1e-3, states, outputs, 1e-3, z_dim=1)
-        for include_z in (False, True):
-            xs = traj.states if include_z else traj.x
-            header = (["t"] + [f"x{i + 1}" for i in range(xs.shape[1])]
-                      + [f"y{i + 1}" for i in range(outputs.shape[1])])
-            lines = [",".join(header)]
-            for idx, t in enumerate(traj.times):
-                row = [t, *xs[idx], *traj.outputs[idx]]
-                lines.append(",".join(f"{v:.17g}" for v in row))
-            expected = "\n".join(lines) + "\n"
-            buffer = io.StringIO()
-            write_csv(traj, buffer, include_z=include_z)
-            assert buffer.getvalue() == expected
-            path = tmp_path / f"run_{include_z}.csv"
-            write_csv(traj, path, include_z=include_z)
-            assert path.read_text() == expected
+        # the last state column is z, which is not written
+        lines = ["t,x1,x2,y1,y2"]
+        for idx, t in enumerate(traj.times):
+            row = [t, *states[idx, :2], *outputs[idx]]
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        expected = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        write_csv(traj, buffer)
+        assert buffer.getvalue() == expected
+        path = tmp_path / "run.csv"
+        write_csv(traj, path)
+        assert path.read_text() == expected
 
 
 def bench_quartic():

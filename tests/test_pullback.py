@@ -544,7 +544,7 @@ def isometry(n_base, big, beta, b_field):
         return [l + r for l, r in zip(top_left, top_right)] + \
             [l + r for l, r in zip(bottom_left, bottom_right)]
     ident = pmat_constant(linalg.identity(big), n_base)
-    zero = pmat_constant(linalg.zeros(big, big), n_base)
+    zero = pmat_constant([[0] * big for _ in range(big)], n_base)
     first = block(ident, beta, zero, ident)
     second = block(ident, zero, b_field, ident)
     return reference_pmat_mul(second, first)

@@ -891,7 +891,7 @@ class TestAxiomsContract:
                             "metric must have nonzero determinant"),
         "anchor_not_n_by_k": ({"anchor": [["1"]]}, "anchor must be 1 x 2"),
         "structure_function_index": ({"structure_functions": {"1,3,1": "1"}},
-                                     "structure function index (0, 2, 0) out of range"),
+                                     "structure function key '1,3,1' is out of range 1..2"),
     }
 
     @pytest.mark.parametrize("name", REJECTIONS)
@@ -1321,6 +1321,41 @@ class TestLoadSceneContract:
             ["axioms", "--scene", str(scene), "--structure", "standard1"], capsys)
         assert (code, captured.err) == (
             2, f"error: {noun} 's': {key} must be an integer, got {entry[key]}\n")
+
+    @pytest.mark.parametrize("key, reason", [
+        ("01,1,2", "is not 'i,j,h'"), ("1_0,1,1", "is not 'i,j,h'"),
+        (" 1 ,1,1", "is not 'i,j,h'"), ("0,1,1", "is out of range 1..2"),
+        ("3,1,1", "is out of range 1..2"),
+    ], ids=["leading_zero", "underscore", "spaces", "index_0", "past_the_rank"])
+    def test_a_structure_function_key_has_one_spelling(self, key, reason):
+        # int() read "01" and "1_0" as 1 and 10, and a key out of range was
+        # named by its 0-based index, as "(2, 0, 0)" for "3,1,1"
+        spec = {"bundle": "P1", "anchor": [["1", "0"]], "metric": [["0", "1"], ["1", "0"]],
+                "structure_functions": {key: "1"}}
+        assert _axioms_beside({"courant_structures": {"s": spec}}, "s") == (
+            2, f"error: courant_structure 's': structure function key {key!r} {reason}\n")
+
+    @pytest.mark.parametrize("functions", [{"1,1,2": "1", "01,1,2": "0"},
+                                           {"01,1,2": "0", "1,1,2": "1"}], ids=["first", "last"])
+    def test_two_spellings_of_one_key_exit_2_in_either_order(self, functions):
+        # both spellings once named c_11^2, and the later one won: the
+        # verdict depended on the order of the keys
+        spec = {"bundle": "P1", "anchor": [["1", "0"]], "metric": [["0", "1"], ["1", "0"]],
+                "structure_functions": functions}
+        assert _axioms_beside({"courant_structures": {"s": spec}}, "s") == (
+            2, "error: courant_structure 's': structure function key '01,1,2' is not 'i,j,h'\n")
+
+    @pytest.mark.parametrize("section, label", [
+        ("bundles", [1, 2]), ("bundles", 7), ("ph_systems", {"x": 1}), ("ph_systems", None),
+    ], ids=["bundle_list", "bundle_integer", "ph_system_object", "ph_system_null"])
+    def test_a_label_must_be_a_string(self, section, label):
+        # a bundle's label is printed as the "bundle" of a built structure,
+        # which then no scene could load
+        entry = {"bundles": {"base_dim": 1, "rank": 2},
+                 "ph_systems": {"n": 1, "m": 0, "J": [[0]], "B": [], "H": "x1^2"}}[section]
+        noun = {"bundles": "bundle", "ph_systems": "ph_system"}[section]
+        assert _axioms_beside({section: {"P1": {**entry, "label": label}}}) == (
+            2, f"error: {noun} 'P1': label must be a string, got {label!r}\n")
 
     def test_largest_bundle_loads(self, tmp_path, capsys):
         scene = {"schema_version": 1, "bundles": {"B": {"base_dim": 128, "rank": 128}}}

@@ -16,6 +16,9 @@ from typing import Sequence
 from . import linalg
 from .polyexpr import Frozen, Polynomial, PolyMap, _coeff, _is_identity, monomials_up_to
 
+__all__ = ["TrivialBundle", "Section", "BundleMorphism", "compose_morphisms", "check_related",
+           "NonExistenceCertificate", "related_section", "LinearSubspace"]
+
 
 class TrivialBundle(Frozen):
     """The trivial bundle R^base_dim x R^rank -> R^base_dim; two bundles are

@@ -35,6 +35,12 @@ option before the command) builds a parser from the same table: the
 top-level parser with every command's.  So every error line, help text and
 exit code is argparse's, and a plain argv imports no `locale`, which
 argparse's first message does.
+
+Every structure name is read by one resolver, `_resolve_structure`: a
+scene structure, else a builtin standard<N>.  `axioms` and `leibniz` pass
+it their --degree-cap, which it accepts for the structure before a builtin
+is built; the other commands bound a builtin's rank instead.  Every other
+scene object is looked up by `_named`, which names an unknown one.
 """
 
 from __future__ import annotations
@@ -212,19 +218,39 @@ def _load(args) -> Scene:
     return load_scene(args.scene) if args.scene else Scene()
 
 
-def _resolve_structure(scene: Scene, name: str):
-    if name in scene.structures:
-        return scene.structures[name]
-    match = _BUILTIN.match(name)
+def _resolve_structure(scene: Scene, name: str, cap: int | None = None):
+    """The scene structure or builtin standard<N> called `name`.
+
+    Without a cap a builtin's rank 2N is at most the largest rank of a scene
+    bundle.  With one, the requested --degree-cap is accepted for the
+    structure first, a builtin's on its bundle before it is built, so a
+    rejected cap never forms the (2N)^2 metric; an N of four digits has a
+    family above MAX_FAMILY at every cap.  The digit count is checked
+    before int(), which refuses a string of more than 4300 digits.
+    """
+    structure = scene.structures.get(name)
+    match = structure is None and _BUILTIN.match(name)
     if match:
-        # no scene bundle has a rank 2N above the bound; the digit count is
-        # checked first, as int() refuses a string of more than 4300 digits
         digits = match.group(1).lstrip("0") or "0"
-        if len(digits) > 3 or 2 * int(digits) > MAX_BUNDLE_DIMENSION:
-            raise SceneError(f"builtin structure {name!r} has rank 2N above "
-                             f"{MAX_BUNDLE_DIMENSION}, the largest rank of a scene bundle")
-        return standard_structure(int(digits))
-    raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
+        if len(digits) > 3 or cap is None and 2 * int(digits) > MAX_BUNDLE_DIMENSION:
+            raise SceneError(f"builtin structure {name!r} has rank 2N above " + (
+                f"{MAX_BUNDLE_DIMENSION}, the largest rank of a scene bundle" if cap is None
+                else f"{MAX_FAMILY}, the largest family the certificate accepts"))
+    elif structure is None:
+        raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
+    if cap is not None:
+        try:
+            check_degree_cap(standard_bundle(int(digits)) if match else structure.bundle, cap)
+        except ValueError as exc:
+            raise SceneError(f"--degree-cap: {exc}") from None
+    return standard_structure(int(digits)) if match else structure
+
+
+def _named(table: dict, kind: str, name: str):
+    """The scene's `kind` called `name`, from its table of that kind."""
+    if name not in table:
+        raise SceneError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 # the JSON text of each leaf type of a report
@@ -282,30 +308,8 @@ def _verdict_lines(name: str, verdict) -> list[str]:
         for failure in verdict.failures]
 
 
-def _capped_structure(args):
-    """The named structure, once the requested --degree-cap is accepted for it.
-
-    A builtin standard<N> is checked on its bundle before it is built, so a
-    rejected cap never forms the (2N)^2 metric.
-    """
-    scene = _load(args)
-    match = args.structure not in scene.structures and _BUILTIN.match(args.structure)
-    # an N of four digits has a family above MAX_FAMILY at every cap; the
-    # digit count is checked first, as int() refuses more than 4300 digits
-    if match and len(match.group(1).lstrip("0")) > 3:
-        raise SceneError(f"builtin structure {args.structure!r} has rank 2N above {MAX_FAMILY}, "
-                         f"the largest family the certificate accepts")
-    structure = None if match else _resolve_structure(scene, args.structure)
-    try:
-        check_degree_cap(standard_bundle(int(match.group(1))) if match else structure.bundle,
-                         args.degree_cap)
-    except ValueError as exc:
-        raise SceneError(f"--degree-cap: {exc}") from None
-    return standard_structure(int(match.group(1))) if match else structure
-
-
 def _cmd_axioms(args) -> tuple[dict, list[str]]:
-    structure = _capped_structure(args)
+    structure = _resolve_structure(_load(args), args.structure, args.degree_cap)
     report = check_axioms(structure, degree_cap=args.degree_cap)
     payload = {
         "command": "axioms",
@@ -324,7 +328,8 @@ def _cmd_axioms(args) -> tuple[dict, list[str]]:
 
 def _cmd_leibniz(args) -> tuple[dict, list[str]]:
     # the certificate's cap, min(--degree-cap, SWEEP_ORDER), passes the cap check too
-    report = check_leibniz(_capped_structure(args), degree_cap=args.degree_cap)
+    report = check_leibniz(_resolve_structure(_load(args), args.structure, args.degree_cap),
+                           degree_cap=args.degree_cap)
     payload = {
         "command": "leibniz",
         "structure": args.structure,
@@ -344,9 +349,7 @@ def _cmd_morphism(args):
     scene = _load(args)
     s1 = _resolve_structure(scene, args.source)
     s2 = _resolve_structure(scene, args.target)
-    if args.map_name not in scene.morphisms:
-        raise SceneError(f"unknown morphism {args.map_name!r}")
-    phi = scene.morphisms[args.map_name]
+    phi = _named(scene.morphisms, "morphism", args.map_name)
     pairs = "auto"
     if args.pairs != "auto":
         try:
@@ -358,11 +361,11 @@ def _cmd_morphism(args):
             raise SceneError(f"pairs file must hold a list of pairs, got {named!r}")
         pairs = []
         for entry in named:
-            try:
-                src_name, tgt_name = entry
-                pairs.append((scene.sections[src_name], scene.sections[tgt_name]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SceneError(f"bad pair entry {entry!r}") from exc
+            # a pair is a list of two section names, not any two-item iterable
+            if not (type(entry) is list and len(entry) == 2
+                    and all(type(name) is str and name in scene.sections for name in entry)):
+                raise SceneError(f"bad pair entry {entry!r}")
+            pairs.append((scene.sections[entry[0]], scene.sections[entry[1]]))
     try:
         if pairs == "auto" and phi.is_identity_base():
             verdict = morphisms_mod.check_identity_base(s1, s2, phi, degree_cap=args.degree_cap)
@@ -384,9 +387,7 @@ def _cmd_morphism(args):
 def _cmd_pullback(args):
     scene = _load(args)
     ambient = _resolve_structure(scene, args.ambient)
-    if args.map_name not in scene.morphisms:
-        raise SceneError(f"unknown morphism {args.map_name!r}")
-    phi = scene.morphisms[args.map_name]
+    phi = _named(scene.morphisms, "morphism", args.map_name)
     try:
         problem = pullback_mod.PullbackProblem(ambient, phi.source, phi)
     except ValueError as exc:
@@ -411,6 +412,8 @@ def _cmd_pullback(args):
         if args.alt_retraction:
             try:
                 exprs, names = json.loads(args.alt_retraction), _vars(phi.target.base_dim)
+                if type(exprs) is not list:
+                    raise ValueError(f"expected a JSON array of expressions, got {exprs!r}")
                 alt = PolyMap(phi.target.base_dim,
                               [_expr(e, names, "bad --alt-retraction", {}) for e in exprs])
             except (ValueError, RecursionError, TypeError) as exc:
@@ -498,12 +501,8 @@ def _parse_vector(text: str, expected: int, what: str):
 def _cmd_trajectory(args):
     """simulate (the open system) and project (the interaction run's behavior)."""
     scene = _load(args)
-    if args.system not in scene.ph_systems:
-        raise SceneError(f"unknown ph_system {args.system!r}")
-    system = scene.ph_systems[args.system]
-    if args.input_name not in scene.inputs:
-        raise SceneError(f"unknown input {args.input_name!r}")
-    signal = scene.inputs[args.input_name]
+    system = _named(scene.ph_systems, "ph_system", args.system)
+    signal = _named(scene.inputs, "input", args.input_name)
     x0 = _parse_vector(args.x0, system.n, "--x0")
     z0 = _parse_vector(args.z0, system.m, "--z0") if args.command == "project" else None
     for flag, value in (("--T", args.t_final), ("--h", args.step)):
@@ -545,9 +544,7 @@ def _cmd_trajectory(args):
 
 def _cmd_dirac(args):
     scene = _load(args)
-    if args.system not in scene.ph_systems:
-        raise SceneError(f"unknown ph_system {args.system!r}")
-    system = scene.ph_systems[args.system]
+    system = _named(scene.ph_systems, "ph_system", args.system)
     subspace, verdict = dirac_structure_of(system)
     payload = {
         "command": "dirac",

@@ -143,7 +143,7 @@ with constant symmetric G the expansion gives the rules
     <e_i, e_j> = G_ij is nonzero, so A G^-1 A^T = 0.
 Hence the three axioms hold for all smooth sections iff the five frame
 identities hold, which is also what the tuples of degree 1 decide.
-`_certify_axioms` decides every verdict and forms every witness from the
+`check_axioms` decides every verdict and forms every witness from the
 frame tables, with no bracket.  (iii) and (ii) are tensorial, so each
 fails iff some frame tuple does; its least nonzero entry of
 c_ij^h + c_ji^h, or c_ijm + c_imj, names the least failing tuple, and
@@ -970,26 +970,31 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     return None
 
 
-def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomCheck]:
-    """Exact certification of all three axioms over the monomial family.
+def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
+    """Exact pass/fail per axiom.
 
-    Equivalent to enumerating every (ordered) tuple of monomial frame
-    sections of coefficient degree <= min(degree_cap, SWEEP_ORDER), which
-    is complete for all smooth sections at any cap >= 1; see the module
-    docstring.  The label names the requested cap and its family.
+    (i)   [[f,[[g,h]]]] = [[[[f,g]],h]] + [[g,[[f,h]]]]
+    (ii)  rho(f)<g,h> = <[[f,g]],h> + <g,[[f,h]]>
+    (iii) [[f,g]] + [[g,f]] = D(<f,g>)
+
+    Each axiom is certified over every tuple of monomial frame sections of
+    degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
+    certificate for all smooth sections (see the module docstring); cap 0
+    bounds the claim to constant sections.  The label names the requested
+    cap and its family.
 
     The frame tables decide every verdict, name the least failing tuple of
     each axiom and give its defect, with no lift and no bracket.  When (i)
-    holds on every frame triple at a cap >= 1 while
-    another frame identity fails, the slot tables of (i) decide it on the
-    tuples of degree 1 (`_axiom_i_witness`).  A failing detail says which
-    found the witness.
+    holds on every frame triple at a cap >= 1 while another frame identity
+    fails, the slot tables of (i) decide it on the tuples of degree 1
+    (`_axiom_i_witness`).  A failing detail says which found the witness.
+    All comparisons are polynomial identities with zero tolerance.
     """
     family = check_degree_cap(s.bundle, degree_cap)
     label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
     if s.bundle.rank == 0:
-        return {name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
-                for name in ("i", "ii", "iii")}
+        return AxiomReport({name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
+                            for name in ("i", "ii", "iii")})
     c, lowered = _c_tables(s)
     jacobiator = _frame_jacobiator(s, c, lowered)
     least = {
@@ -1005,30 +1010,9 @@ def _certify_axioms(s: CourantStructure, degree_cap: int) -> dict[str, AxiomChec
         if least["ii"] or least["iii"] or rho_d or anomaly:
             witnesses["i"] = _axiom_i_witness(s, c, lowered, rho_d, anomaly)
             found["i"] = "found by the degree-1 sweep of (i)"
-    return {name: AxiomCheck(True, f"certified over {label}") if w is None else
-            AxiomCheck(False, f"failed on the least failing tuple of {label}, {found[name]}", w)
-            for name, w in witnesses.items()}
-
-
-def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
-    """Exact pass/fail per axiom.
-
-    (i)   [[f,[[g,h]]]] = [[[[f,g]],h]] + [[g,[[f,h]]]]
-    (ii)  rho(f)<g,h> = <[[f,g]],h> + <g,[[f,h]]>
-    (iii) [[f,g]] + [[g,f]] = D(<f,g>)
-
-    Each axiom is certified over every tuple of monomial frame sections of
-    degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
-    certificate for all smooth sections (see the module docstring); cap 0
-    bounds the claim to constant sections.  The verdicts come from the
-    frame tables; (i), when it holds on every frame triple while another
-    frame identity fails, is decided on the tuples of degree 1 by the slot
-    tables of the five rules, with no lift and no bracket.  A failing axiom
-    reports its least failing tuple (see the module docstring) with the
-    defect the tables give it.  All comparisons are polynomial identities
-    with zero tolerance.
-    """
-    return AxiomReport(_certify_axioms(s, degree_cap))
+    return AxiomReport({name: AxiomCheck(True, f"certified over {label}") if w is None else
+                        AxiomCheck(False, f"failed on the least failing tuple of {label}, "
+                                   f"{found[name]}", w) for name, w in witnesses.items()})
 
 
 # -- Leibniz rules ---------------------------------------------------------------

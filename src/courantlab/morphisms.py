@@ -162,8 +162,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .bundles import BundleMorphism, Section, TrivialBundle, check_related
-from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure, _packed
+from .bundles import BundleMorphism, TrivialBundle, check_related
+from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure, _member, _packed
 from .polyexpr import (
     Polynomial,
     PolyMap,
@@ -486,17 +486,17 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     for pair in _witness_order(s1.bundle.rank, monos):
         defect = _pair_defect(d, monos, xs, pair)
         if not all(x.is_zero() for x in defect):
-            f1, f2 = (Section.frame(s1.bundle, i, xs[a]) for i, a in pair)
+            f1, f2 = (_member(s1.bundle.rank, i, str(xs[a])) for i, a in pair)
             return _pair_failure("bracket", f1, f2, defect, general)
     raise RuntimeError("internal inconsistency: no pair of degree <= 1 fails")
 
 
 def _pair_failure(condition, f1, f2, defect: list, general) -> ConditionFailure:
-    """A failure witnessed by the family pair (f1, f2), with its defect on
-    their representatives, each entry a Polynomial or an exact scalar."""
-    w1, w2 = f1.coeffs.to_strings(), f2.coeffs.to_strings()
-    witness = ({"f1": w1, "f2": w2, "representatives": "retraction"} if general
-               else {"f": w1, "g": w2})
+    """A failure witnessed by the family pair (f1, f2), printed frame
+    members (`courant_core._member`), with its defect on their
+    representatives, each entry a Polynomial or an exact scalar."""
+    witness = ({"f1": f1, "f2": f2, "representatives": "retraction"} if general
+               else {"f": f1, "g": f2})
     return ConditionFailure(condition, witness, [str(x) for x in defect])
 
 
@@ -526,8 +526,8 @@ def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     if where is None:
         return None
     i, j = where
-    return _pair_failure("metric", Section.frame(s1.bundle, i), Section.frame(s1.bundle, j),
-                         [-defect[i][j]], True)
+    k = s1.bundle.rank
+    return _pair_failure("metric", _member(k, i), _member(k, j), [-defect[i][j]], True)
 
 
 def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:

@@ -83,7 +83,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
 from .bundles import LinearSubspace
-from .courant_core import _maximally_isotropic
+from .courant_core import dirac_check, standard_structure
 from .polyexpr import Frozen, Polynomial, PolyMap, _unpack, parse, poly_sum
 
 if TYPE_CHECKING:
@@ -470,16 +470,14 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
 def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     """Graph of [[J, B], [-B^T, 0]] inside R^(n+m) (+) its dual, checked.
 
-    Returns the subspace together with the exact maximal-isotropy verdict
-    against the split pairing <(v, p), (v', p')> = p(v') + p'(v), the
-    metric of the standard structure on R^(n+m), formed alone.
+    Returns the subspace together with `dirac_check`'s exact
+    maximal-isotropy verdict in the standard structure on R^(n+m), whose
+    metric is the split pairing <(v, p), (v', p')> = p(v') + p'(v).
     """
     j, b, m = system.j, system.b, system.m
     subspace = LinearSubspace.graph_of_matrix(
         [jr + br for jr, br in zip(j, b)] + [[-row[l] for row in b] + [0] * m for l in range(m)])
-    k = system.n + m
-    split = [{(i + k) % (2 * k): 1} for i in range(2 * k)]
-    return subspace, _maximally_isotropic(split, subspace)
+    return subspace, dirac_check(standard_structure(system.n + m), subspace)
 
 
 # rows formatted per write: bounds the text held in memory at once

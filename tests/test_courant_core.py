@@ -768,7 +768,7 @@ def test_leibniz_witness_equals_the_polynomial_reference(s):
 @given(st.one_of(bumped_standards(), perturbed_frame_data(), anchored_structures()))
 def test_axiom_i_walk_equals_the_all_pairs_reference(s):
     # the walk runs where (i) holds on every frame triple, as in
-    # `_certify_axioms`; elsewhere the fifth identity names the witness
+    # `check_axioms`; elsewhere the fifth identity names the witness
     c, lowered = courant_core._c_tables(s)
     if not any(courant_core._frame_jacobiator(s, c, lowered).values()):
         rho_d, anomaly = courant_core._anchor_tables(s)

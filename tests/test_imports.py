@@ -323,9 +323,12 @@ def test_no_helper_only_the_tests_read():
     # the Whitney sum, the frame bracket (the structure functions hold it),
     # the extension rows (P(r(y)) is formed where a section is extended),
     # the interconnection helper, the dense zero matrix and the CSV's z
-    # columns had no caller but the tests
+    # columns had no caller but the tests.  The capped reading of a
+    # structure name is `_resolve_structure` with a cap, the certificate is
+    # `check_axioms` itself, and the split pairing of `dirac_structure_of`
+    # is the standard structure's metric, read through `dirac_check`
     import courantlab
-    from courantlab import bundles, linalg, phsim
+    from courantlab import bundles, cli, courant_core, linalg, phsim
     from courantlab.bundles import BundleMorphism
     from courantlab.courant_core import CourantStructure
 
@@ -334,6 +337,83 @@ def test_no_helper_only_the_tests_read():
     assert not hasattr(BundleMorphism, "extension_rows")
     assert not hasattr(phsim, "interconnection_matrix") and not hasattr(linalg, "zeros")
     assert list(inspect.signature(phsim.write_csv).parameters) == ["trajectory", "path"]
+    assert not hasattr(cli, "_capped_structure") and not hasattr(courant_core, "_certify_axioms")
+    assert list(inspect.signature(cli._resolve_structure).parameters) == ["scene", "name", "cap"]
+    tree = ast.parse(Path(phsim.__file__).read_text())
+    assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "courant_core" for alias in node.names
+                if alias.name.startswith("_")]
+
+
+# -- one declaration of the public names ------------------------------------------
+
+# the modules whose `__all__` the package republishes, in its import order
+PUBLISHED = ["polyexpr", "bundles", "courant_core", "morphisms", "pullback", "intrinsic",
+             "phsim", "scene"]
+
+# the names `courantlab/__init__.py` listed itself before it republished each
+# module's `__all__`; every one still imports from the root
+LISTED_AT_THE_ROOT = """
+    ParseError PolyMap Polynomial monomials_up_to parse
+    BundleMorphism LinearSubspace NonExistenceCertificate Section TrivialBundle check_related
+    compose_morphisms related_section
+    AxiomReport CourantStructure LeibnizReport check_axioms check_leibniz dirac_check
+    dorfman_bracket product_structure scaled_structure standard_structure
+    MorphismVerdict check_general_base check_identity_base graph_subbundle
+    HypothesisReport PullbackProblem check_hypotheses construct extension_perturbation_test
+    uniqueness_test well_definedness_test
+    IntrinsicResult SplittingIso build_intrinsic canonical_splitting pontryagin_embedding
+    splitting_composite uniqueness_check
+    BalanceReport InputSignal PHSystem Trajectory dirac_structure_of energy_balance
+    project_behavior simulate_interaction simulate_ph simulate_poisson
+    Scene SceneError load_scene structure_to_json
+""".split()
+
+
+def test_the_root_republishes_each_modules_all():
+    import courantlab
+
+    init = ast.parse(Path(courantlab.__file__).read_text())
+    statements = init.body[1:]   # after the docstring
+    assert [(node.level, node.module, [a.name for a in node.names]) for node in statements[:-1]] \
+        == [(1, name, ["*"]) for name in PUBLISHED]
+    assert [t.id for t in statements[-1].targets] == ["__version__"]
+    assert courantlab.__version__ == "0.1.0"
+    declared = [name for module in PUBLISHED
+                for name in importlib.import_module(f"courantlab.{module}").__all__]
+    assert len(declared) == len(set(declared))
+    public = {name for name in vars(courantlab) if not name.startswith("_")}
+    submodules = {name for name in public if inspect.ismodule(getattr(courantlab, name))}
+    assert submodules <= {path.stem for path in SRC.glob("*.py")}
+    assert public - submodules == set(declared)
+    # every module that declares its public names is republished
+    for path in sorted(SRC.glob("*.py")):
+        names = {target.id for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name)}
+        assert ("__all__" in names) == (path.stem in PUBLISHED), path.name
+
+
+def test_every_name_the_root_listed_still_imports():
+    import courantlab
+
+    assert len(LISTED_AT_THE_ROOT) == 55
+    namespace = {}
+    exec(f"from courantlab import {', '.join(LISTED_AT_THE_ROOT)}", namespace)
+    assert all(namespace[name] is getattr(courantlab, name) for name in LISTED_AT_THE_ROOT)
+    # among them the names public in their module and once missing at the root
+    from courantlab import ExponentOverflowError, MAX_FAMILY, write_csv  # noqa: F401
+
+
+def test_a_wildcard_import_of_bundles_binds_its_all():
+    from courantlab import bundles
+
+    assert bundles.__all__ == ["TrivialBundle", "Section", "BundleMorphism",
+                               "compose_morphisms", "check_related", "NonExistenceCertificate",
+                               "related_section", "LinearSubspace"]
+    namespace = {}
+    exec("from courantlab.bundles import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bundles.__all__)
 
 
 def test_one_substitution_path_and_one_matrix_kernel():
@@ -441,5 +521,12 @@ def test_code_lines_fell():
     # helper with `linalg.zeros`, the dense views' caches, the CSV's z
     # columns and the unset `IntrinsicResult.unique` gone, while a scene
     # reads each structure-function key in one spelling and range (+3),
-    # 3,168
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3168
+    # 3,168; with each public name declared once, in its module's
+    # `__all__` (the root's import lists, 61 code lines, became eight
+    # wildcard imports, 9, and `bundles` gained its `__all__`), one CLI
+    # resolver of structure names and one lookup of the other scene
+    # objects (the capped resolver folded in), the split pairing left to
+    # `standard_structure`, `check_axioms` the certificate itself and the
+    # morphism witnesses printed with `_member`, while `--pairs` and
+    # `--alt-retraction` check the type of what they read (+3), 3,102
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3102

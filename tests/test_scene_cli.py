@@ -258,11 +258,16 @@ class TestCLI:
         ("[1]", "bad --alt-retraction: expected an expression string, got 1"),
         ('["x1", null]', "bad --alt-retraction: expected an expression string, got None"),
         ('["x3"]', "bad --alt-retraction: unknown identifier 'x3' (at position 0)"),
-        ("5", "bad --alt-retraction: 'int' object is not iterable"),
-    ], ids=["integer", "null", "unknown", "not_a_list"])
+        ("5", "bad --alt-retraction: expected a JSON array of expressions, got 5"),
+        ('{"x1 + x2^2": 7}',
+         "bad --alt-retraction: expected a JSON array of expressions, got {'x1 + x2^2': 7}"),
+        ('"1"', "bad --alt-retraction: expected a JSON array of expressions, got '1'"),
+        ("null", "bad --alt-retraction: expected a JSON array of expressions, got None"),
+    ], ids=["integer", "null", "unknown", "not_a_list", "object", "string", "bare_null"])
     def test_bad_alt_retraction_entries_exit_2(self, capsys, exprs, message):
         # a non-string entry once reached the parser and ended in an
-        # AttributeError traceback
+        # AttributeError traceback; an object was once read as the list of
+        # its keys and a string as the list of its characters
         code = main(["pullback", "--scene", str(SCENE), "--ambient", "standard2",
                      "--morphism", "zero_section_embedding", "--alt-retraction", exprs])
         assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
@@ -783,6 +788,26 @@ class TestMorphismContract:
             "--pairs", str(pairs)], capsys)
         assert code == 2
         assert captured.err.splitlines() == ["error: pairs file must hold a list of pairs, got 5"]
+
+    @pytest.mark.parametrize("entry, printed", [("fg", "'fg'"),
+                                                ({"f": 0, "g": 1}, "{'f': 0, 'g': 1}")],
+                             ids=["two_letter_string", "two_key_object"])
+    def test_a_pair_entry_is_a_list_of_two_names(self, tmp_path, capsys, entry, printed):
+        # f and g are equal under the identity, so ["f", "g"] passes; a
+        # string or an object that unpacks to the two names is no pair
+        sections = {name: {"bundle": "P1", "coeffs": ["x1", "1"]} for name in "fg"}
+        identity = {"source": "P1", "target": "P1", "base_map": ["x1"],
+                    "fiber_matrix": [["1", "0"], ["0", "1"]], "retraction": ["x1"]}
+        scene = write_scene(tmp_path, {**_morphism_scene({"identity": identity}),
+                                       "sections": sections})
+        pairs = tmp_path / "pairs.json"
+        argv = ["morphism", "--scene", str(scene), "--source", "std1", "--target", "std1",
+                "--map", "identity", "--pairs", str(pairs)]
+        pairs.write_text(json.dumps([["f", "g"]]))
+        assert self.run(argv, capsys)[0] == 0
+        pairs.write_text(json.dumps([entry]))
+        code, captured = self.run(argv, capsys)
+        assert code == 2 and captured.err.splitlines() == [f"error: bad pair entry {printed}"]
 
     @pytest.mark.parametrize("count, expected", [(16, 0), (17, 2)])
     def test_pairs_file_is_bounded(self, tmp_path, capsys, count, expected):

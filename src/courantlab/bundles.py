@@ -148,11 +148,12 @@ class BundleMorphism(Frozen):
     `_along` slot with that structure.
     A composite read off another morphism's columns (see
     `compose_morphisms`) names them in `_selection`, and its record is
-    theirs.
+    theirs.  Whether phi0 is the identity is tested once, on the first
+    `is_identity_base`, and kept in `_identity_base`.
     """
 
     __slots__ = ("source", "target", "base_map", "fiber_rows", "retraction",
-                 "_along", "_selection")
+                 "_along", "_selection", "_identity_base")
 
     def __init__(
         self,
@@ -212,7 +213,10 @@ class BundleMorphism(Frozen):
     def is_identity_base(self) -> bool:
         """Whether phi0 is x -> x: its outputs are the source variables, in
         order, which needs equal base dimensions."""
-        return _is_identity(self.source.base_dim, self.base_map.outputs)
+        if self._identity_base is None:
+            object.__setattr__(self, "_identity_base",
+                               _is_identity(self.source.base_dim, self.base_map.outputs))
+        return self._identity_base
 
     def apply(self, f: Section) -> PolyMap:
         """The fiberwise image x -> P(x) f(x), indexed by source base points."""

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import os
 import re
 import sys
 import time
@@ -72,9 +72,9 @@ from .phsim import (
     simulate_ph,
     write_csv,
 )
-from .polyexpr import ExponentOverflowError, PolyMap
-from .scene import (MAX_BUNDLE_DIMENSION, Scene, SceneError, _expr, _vars, load_scene,
-                    structure_to_json)
+from .polyexpr import ExponentOverflowError
+from .scene import (MAX_BUNDLE_DIMENSION, Scene, SceneError, _fields, _polymap, _rational, _row,
+                    _vars, load_scene, read_json, structure_to_json)
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
 # the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
@@ -215,7 +215,7 @@ def _parsed(argv) -> argparse.Namespace:
 
 
 def _load(args) -> Scene:
-    return load_scene(args.scene) if args.scene else Scene()
+    return Scene() if args.scene is None else load_scene(args.scene)
 
 
 def _resolve_structure(scene: Scene, name: str, cap: int | None = None):
@@ -352,11 +352,7 @@ def _cmd_morphism(args):
     phi = _named(scene.morphisms, "morphism", args.map_name)
     pairs = "auto"
     if args.pairs != "auto":
-        try:
-            with open(args.pairs) as fh:
-                named = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise SceneError(f"cannot read pairs file: {exc}") from exc
+        named = read_json(args.pairs, "pairs file")
         if not isinstance(named, list):
             raise SceneError(f"pairs file must hold a list of pairs, got {named!r}")
         pairs = []
@@ -385,9 +381,20 @@ def _cmd_morphism(args):
 
 
 def _cmd_pullback(args):
+    if args.verify_only and args.alt_retraction is not None:
+        raise SceneError("--alt-retraction is tested on the constructed structure, "
+                         "which --verify-only does not build")
     scene = _load(args)
     ambient = _resolve_structure(scene, args.ambient)
     phi = _named(scene.morphisms, "morphism", args.map_name)
+    alt = None
+    if args.alt_retraction is not None:
+        # argv holds text; its bytes are read as a file's are
+        exprs = read_json(os.fsencode(args.alt_retraction), "--alt-retraction")
+        if type(exprs) is not list:
+            raise SceneError(f"bad --alt-retraction: expected a JSON array of expressions, "
+                             f"got {exprs!r}")
+        alt = _polymap(exprs, _vars(phi.target.base_dim), "bad --alt-retraction", {})
     try:
         problem = pullback_mod.PullbackProblem(ambient, phi.source, phi)
     except ValueError as exc:
@@ -409,15 +416,7 @@ def _cmd_pullback(args):
         payload["structure"] = structure_to_json(structure, phi.source.label)
         lines.append("constructed structure:")
         lines.append("".join(_canonical(payload["structure"], [])))
-        if args.alt_retraction:
-            try:
-                exprs, names = json.loads(args.alt_retraction), _vars(phi.target.base_dim)
-                if type(exprs) is not list:
-                    raise ValueError(f"expected a JSON array of expressions, got {exprs!r}")
-                alt = PolyMap(phi.target.base_dim,
-                              [_expr(e, names, "bad --alt-retraction", {}) for e in exprs])
-            except (ValueError, RecursionError, TypeError) as exc:
-                raise SceneError(f"bad --alt-retraction: {exc}") from exc
+        if alt is not None:
             try:
                 stable = pullback_mod.well_definedness_test(problem, alt)
             except ValueError as exc:
@@ -437,29 +436,14 @@ def _cmd_intrinsic(args):
         raise SceneError(f"--n + --m must be at most {MAX_INTRINSIC_DIMENSION}, "
                          f"got {args.n + args.m}")
     splitting = None
-    if args.phi:
+    if args.phi is not None:
+        # a one-field object whose entries are read as a metric's are
+        where, texts, numbers = "splitting file", {}, {}
+        spec = _fields(read_json(args.phi, where), {"fiber_matrix": "matrix"}, where, where)
+        rows = [_row(row, texts, _rational, where, numbers) for row in spec["fiber_matrix"]]
         try:
-            with open(args.phi) as fh:
-                spec = json.load(fh)
-            rows = spec["fiber_matrix"]
-        except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
-            raise SceneError(f"cannot read splitting file: {exc}") from exc
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise SceneError(f"splitting fiber_matrix must be a list of lists, got {rows!r}")
-        names, seen = _vars(args.n + args.m), {}
-
-        def constant(entry):
-            poly = _expr(str(entry), names, f"splitting entry {entry!r}", seen)
-            if not poly.is_constant():
-                raise SceneError(
-                    "non-constant splitting matrices are not supported in v1: "
-                    f"entry {entry!r} varies over the total space"
-                )
-            return poly.constant_value()
-
-        matrix = [[constant(entry) for entry in row] for row in rows]
-        try:
-            splitting = intrinsic_mod.SplittingIso(args.n, args.m, matrix)
+            splitting = object.__new__(intrinsic_mod.SplittingIso)._checked(
+                args.n, args.m, spec["fiber_matrix"], rows)
         except ValueError as exc:
             raise SceneError(str(exc)) from exc
     result = intrinsic_mod.build_intrinsic(

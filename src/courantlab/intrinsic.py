@@ -67,17 +67,24 @@ class SplittingIso(Frozen):
     TE (+) T*E over the identity on the total space.  It keeps its canonical
     sparse rows, `rows`, reduced once by `det_inverse` to check
     invertibility, which chi's fiber map keeps; a dense matrix is converted
-    once at the constructor.  `fiber_matrix` is a dense view, a tuple of
-    Fraction rows formed on each read."""
+    once at the constructor, and a splitting file is read straight into
+    rows (`_checked`).  `fiber_matrix` is a dense view, a tuple of Fraction
+    rows formed on each read."""
 
     __slots__ = ("n", "m", "rows")
 
     def __init__(self, n: int, m: int, fiber_matrix):
-        matrix = linalg.mat(fiber_matrix)
+        self._checked(n, m, fiber_matrix, linalg.sparse(linalg.mat(fiber_matrix)))
+
+    def _checked(self, n: int, m: int, shape, rows: list[dict]) -> "SplittingIso":
+        """Fill the slots from the canonical rows `rows` of the matrix
+        `shape`, once it is square of size 2n + 2m, and return the
+        splitting: the one path of the constructor and of a splitting file."""
         size = 2 * n + 2 * m
-        if len(matrix) != size or any(len(r) != size for r in matrix):
+        if len(shape) != size or any(len(r) != size for r in shape):
             raise ValueError(f"splitting matrix must be {size} x {size}")
-        self._fill(n, m, linalg.sparse(matrix))
+        self._fill(n, m, rows)
+        return self
 
     def _fill(self, n: int, m: int, rows: list[dict]):
         """Set the slots from square canonical rows, checked invertible."""

@@ -460,8 +460,14 @@ class Polynomial(Frozen):
             for q in outputs:
                 if q.num_vars != inner_vars:
                     raise ValueError("substituted maps disagree on variable count")
+        return self._substituted(outputs, inner_vars, _is_identity(inner_vars, outputs))
+
+    def _substituted(self, outputs: tuple, inner_vars: int, identity: bool) -> "Polynomial":
+        """`compose` once the arity is checked, `identity` the verdict of
+        `_is_identity` on the outputs, which `PolyMap.compose` reads once
+        for all of its own."""
         packed = self._packed
-        if not packed or (len(packed) == 1 and 0 in packed) or _is_identity(inner_vars, outputs):
+        if identity or not packed or (len(packed) == 1 and 0 in packed):
             return _raw(inner_vars, dict(packed))
         # cache powers of each substituted polynomial, formed as q ** e forms
         # them, from the first term in which its variable occurs
@@ -658,7 +664,9 @@ class PolyMap(Frozen):
                 f"composition arity mismatch: inner has {len(inner.outputs)} outputs, "
                 f"outer expects {self.num_inputs}"
             )
-        return PolyMap(inner.num_inputs, [p.compose(inner) for p in self.outputs])
+        n, outputs = inner.num_inputs, inner.outputs
+        identity = _is_identity(n, outputs)
+        return PolyMap(n, [p._substituted(outputs, n, identity) for p in self.outputs])
 
     def jacobian(self) -> list[list[Polynomial]]:
         """Matrix of partials, entry (i, j) = d outputs[i] / d x_j; the row

@@ -26,9 +26,10 @@ be written as JSON integers or as strings like "3/2".
       "inputs":     {NAME: {"u": [expr in t, ...]}}
     }
 
-Loading validates everything eagerly: field shapes, unknown references,
-duplicate names and malformed expressions raise SceneError (CLI exit
-code 2).  Every field's JSON shape is checked before any object is built,
+Loading validates everything eagerly: field shapes, unknown fields and
+references, duplicate names and malformed expressions raise SceneError (CLI
+exit code 2).  `read_json` reads every outside JSON input, the CLI's flag
+files and flag values too, and `_fields` is the one field rule.  Every field's JSON shape is checked before any object is built,
 and a bundle's base_dim and rank, and a ph_system's n and m, are bounded by
 MAX_BUNDLE_DIMENSION before anything is sized by them.
 
@@ -56,7 +57,7 @@ from .linalg import dense, entry
 from .phsim import InputSignal, PHSystem
 from .polyexpr import PolyMap, Polynomial, parse
 
-__all__ = ["Scene", "SceneError", "load_scene", "structure_to_json"]
+__all__ = ["Scene", "SceneError", "load_scene", "read_json", "structure_to_json"]
 
 SCHEMA_VERSION = 1
 # the largest base_dim and rank of a scene bundle, and n and m of a ph_system,
@@ -86,17 +87,44 @@ class Scene:
         self.inputs = {} if inputs is None else inputs
 
 
+class _DuplicateName(ValueError):
+    """A name that one object of a JSON text holds twice."""
+
+
 def _no_duplicates(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise SceneError(f"duplicate name {key!r} in scene object")
+            raise _DuplicateName(key)
         seen[key] = value
     return seen
 
 
-# the one decoder of every load; json.loads would build one per call
+# the one decoder of every outside JSON input; json.loads would build one per call
 _DECODER = json.JSONDecoder(object_pairs_hook=_no_duplicates)
+
+
+def read_json(source, what: str):
+    """The JSON value of `source`: the path of a file, or the text itself as
+    bytes (an argv value).  A file is read once, as bytes.  The bytes are
+    decoded as strict UTF-8 with a text reader's newline translation, so
+    every error line and position is the one a text reader gives.  A BOM is
+    refused, as json.loads refuses it, and so is an object that holds a name
+    twice.  Every error is one SceneError naming `what`."""
+    try:
+        if type(source) is not bytes:
+            with open(source, "rb", buffering=0) as fh:
+                source = fh.read()
+        text = source.decode().replace("\r\n", "\n").replace("\r", "\n")
+        if text.startswith("\ufeff"):     # json.loads's check, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except OSError as exc:
+        raise SceneError(f"cannot read {what}: {exc}") from exc
+    except _DuplicateName as exc:
+        raise SceneError(f"duplicate name {exc.args[0]!r} in {what}") from None
+    except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep
+        raise SceneError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _rational(value, where: str, seen: dict) -> Fraction:
@@ -145,12 +173,18 @@ def _row(row: list, texts: dict, read, *args) -> dict:
     return out
 
 
+def _polymap(texts: list, variables: tuple, where: str, seen: dict) -> PolyMap:
+    """The map over `variables` whose outputs are the expressions `texts`."""
+    return PolyMap(len(variables), [_expr(text, variables, where, seen) for text in texts])
+
+
 def _built(where: str, make, *args):
-    """make(*args), a ValueError it raises (a ParseError among them) raised
-    as a SceneError at `where`."""
+    """make(*args), a ValueError it raises (a ParseError among them), or
+    the RecursionError of parentheses nested too deep, raised as a
+    SceneError at `where`."""
     try:
         return make(*args)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SceneError(f"{where}: {exc}") from exc
 
 
@@ -191,42 +225,39 @@ _SHAPES = {
 _SECTIONS = tuple(_FIELDS)
 
 
+def _fields(spec, fields: dict, where: str, what: str) -> dict:
+    """`spec`, once it is an object (`what` names it otherwise) that holds
+    every required field of `fields` in its declared shape and no field
+    `fields` does not declare."""
+    if not isinstance(spec, dict):
+        raise SceneError(f"{what} must be an object, got {spec!r}")
+    for field, shape in fields.items():
+        key = field.rstrip("?")
+        if key in spec:
+            noun, fits = _SHAPES[shape]
+            if not fits(spec[key]):
+                raise SceneError(f"{where}: {key} must be {noun}, got {spec[key]!r}")
+        elif key == field:
+            raise SceneError(f"{where}: missing field {key!r}")
+    for key in spec:
+        if key not in fields and key + "?" not in fields:
+            raise SceneError(f"{where}: unknown field {key!r}")
+    return spec
+
+
 def _entries(raw: dict, section: str) -> dict:
     """A scene section whose entries have every field in its declared shape."""
     entries = raw.get(section, {})
     if not isinstance(entries, dict):
         raise SceneError(f"scene field {section!r} must be an object, got {entries!r}")
     for name, spec in entries.items():
-        if not isinstance(spec, dict):
-            raise SceneError(f"{section} entry {name!r} must be an object, got {spec!r}")
-        where = f"{section[:-1]} {name!r}"
-        for key, shape in _FIELDS[section].items():
-            optional = key.endswith("?")
-            key = key.rstrip("?")
-            if key not in spec:
-                if optional:
-                    continue
-                raise SceneError(f"{where}: missing field {key!r}")
-            noun, fits = _SHAPES[shape]
-            if not fits(spec[key]):
-                raise SceneError(f"{where}: {key} must be {noun}, got {spec[key]!r}")
+        _fields(spec, _FIELDS[section], f"{section[:-1]} {name!r}", f"{section} entry {name!r}")
     return entries
 
 
 def load_scene(path) -> Scene:
-    """The scene in the file at `path`.  The file is read once, as bytes,
-    and decoded as strict UTF-8 with a text reader's newline translation,
-    so every error line and position is the one a text reader gives."""
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
-        if text.startswith("\ufeff"):     # json.loads's check, which decode skips
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        raw = _DECODER.decode(text)
-    except OSError as exc:
-        raise SceneError(f"cannot read scene file: {exc}") from exc
-    except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep
-        raise SceneError(f"scene file is not valid JSON: {exc}") from exc
+    """The scene in the file at `path`, read by `read_json`."""
+    raw = read_json(path, "scene file")
     if not isinstance(raw, dict):
         raise SceneError("scene root must be a JSON object")
     version = raw.get("schema_version")
@@ -260,9 +291,8 @@ def load_scene(path) -> Scene:
         coeffs = spec["coeffs"]
         if len(coeffs) != bundle.rank:
             raise SceneError(f"{where}: coeffs must list {bundle.rank} expressions")
-        names = _vars(bundle.base_dim)
-        polys = [_expr(c, names, where, exprs) for c in coeffs]
-        scene.sections[name] = Section(bundle, PolyMap(bundle.base_dim, polys))
+        scene.sections[name] = Section(bundle, _polymap(coeffs, _vars(bundle.base_dim), where,
+                                                        exprs))
 
     for name, spec in entries["courant_structures"].items():
         where = f"courant_structure {name!r}"
@@ -295,20 +325,14 @@ def load_scene(path) -> Scene:
         source = bundle_ref(spec["source"], where)
         target = bundle_ref(spec["target"], where)
         src_names = _vars(source.base_dim)
-        tgt_names = _vars(target.base_dim)
         if len(spec["base_map"]) != target.base_dim:
             raise SceneError(f"{where}: base_map must list {target.base_dim} expressions")
-        base_map = PolyMap(
-            source.base_dim, [_expr(e, src_names, where, exprs) for e in spec["base_map"]]
-        )
+        base_map = _polymap(spec["base_map"], src_names, where, exprs)
         fiber = [[_expr(e, src_names, where, exprs) for e in row]
                  for row in spec["fiber_matrix"]]
         retraction = None
         if "retraction" in spec:
-            retraction = PolyMap(
-                target.base_dim,
-                [_expr(e, tgt_names, where, exprs) for e in spec["retraction"]],
-            )
+            retraction = _polymap(spec["retraction"], _vars(target.base_dim), where, exprs)
         scene.morphisms[name] = _built(where, BundleMorphism, source, target, base_map, fiber,
                                        retraction)
 
@@ -327,9 +351,7 @@ def load_scene(path) -> Scene:
 
     for name, spec in entries["inputs"].items():
         where = f"input {name!r}"
-        scene.inputs[name] = InputSignal(
-            PolyMap(1, [_expr(e, ("t",), where, exprs) for e in spec["u"]])
-        )
+        scene.inputs[name] = InputSignal(_polymap(spec["u"], ("t",), where, exprs))
 
     return scene
 

@@ -466,6 +466,22 @@ def test_no_module_calls_json_dumps():
         assert "json.dumps" not in text and "dumps" not in called, path.name
 
 
+def test_only_the_scene_decodes_json():
+    # `scene.read_json` is the one reader of outside JSON (the scene file,
+    # --pairs, --phi and --alt-retraction), with the one decoder that
+    # refuses a duplicate key
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+                  for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Attribute, ast.Name))}
+        if path.stem == "scene":
+            assert text.count("JSONDecoder(") == 1 and not {"load", "loads"} & called
+        else:
+            assert not {"load", "loads", "JSONDecoder"} & called, path.name
+            assert "json.load" not in text and "JSONDecoder" not in text, path.name
+
+
 def test_code_lines_fell():
     # 3,421 code lines before the unread sampling parameters, the draw
     # helpers, the monomial substitution path and the dense rational helpers
@@ -528,5 +544,11 @@ def test_code_lines_fell():
     # objects (the capped resolver folded in), the split pairing left to
     # `standard_structure`, `check_axioms` the certificate itself and the
     # morphism witnesses printed with `_member`, while `--pairs` and
-    # `--alt-retraction` check the type of what they read (+3), 3,102
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3102
+    # `--alt-retraction` check the type of what they read (+3), 3,102; with
+    # `scene.read_json` the one reader of every outside JSON input (the
+    # CLI's three decoders, their except blocks and the splitting entries'
+    # `constant()` closure gone, cli -16), `_fields` the one field rule,
+    # which now refuses an unknown field (scene +3), the splitting file's
+    # rows checked by `SplittingIso._checked` (+2) and each map's identity
+    # tested once per composition and per morphism (+7), 3,098
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3098

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from courantlab import courant_core, intrinsic, linalg, morphisms, polyexpr, pullback
+from courantlab import bundles, courant_core, intrinsic, linalg, morphisms, polyexpr, pullback
 from courantlab.cli import main
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms
 from courantlab.courant_core import (
@@ -271,15 +271,17 @@ class TestWorkPerOp:
         # of the identity map returns the terms unexpanded too, so with
         # m = 0, where every substitution is one, nothing reaches it: the
         # guard `seen or n == 0` became the assertion that the identity
-        # shortcut ran, and substitution is still seen for m >= 1
+        # shortcut ran, and substitution is still seen for m >= 1.
+        # `_substituted` is where `Polynomial.compose` and `PolyMap.compose`
+        # meet, once the identity verdict is read
         composing, seen, shortcuts = [], [], []
-        original, compose = polyexpr._power_cache, Polynomial.compose
+        original, substituted = polyexpr._power_cache, Polynomial._substituted
         is_identity = polyexpr._is_identity
 
-        def entering(self, maps):
+        def entering(self, *args):
             composing.append(list(self._packed))
             try:
-                return compose(self, maps)
+                return substituted(self, *args)
             finally:
                 composing.pop()
 
@@ -287,7 +289,7 @@ class TestWorkPerOp:
             seen.extend(composing[-1:])
             return original(q)
 
-        monkeypatch.setattr(Polynomial, "compose", entering)
+        monkeypatch.setattr(Polynomial, "_substituted", entering)
         monkeypatch.setattr(polyexpr, "_power_cache", recording)
         monkeypatch.setattr(polyexpr, "_is_identity", lambda num_vars, outputs: (
             is_identity(num_vars, outputs) and not shortcuts.append(num_vars)))
@@ -296,6 +298,22 @@ class TestWorkPerOp:
         assert shortcuts or n == 0
         assert seen or m == 0 or n == 0
         assert not [keys for keys in seen if keys in ([], [0])]
+
+    def test_each_map_is_tested_for_the_identity_once(self, monkeypatch):
+        # `PolyMap.compose` once reached `_is_identity(inner)` through
+        # `Polynomial.compose` once per non-constant output, and
+        # `is_identity_base` on every call
+        calls, is_identity = [], polyexpr._is_identity
+        counted = lambda num_vars, outputs: calls.append(num_vars) or is_identity(num_vars,
+                                                                                  outputs)
+        x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        outer, inner = PolyMap(2, [x1 * x2, x1 + x2, x2]), PolyMap(2, [x1 + x2, x2])
+        phi = BundleMorphism.identity(TrivialBundle(2, 3))
+        monkeypatch.setattr(polyexpr, "_is_identity", counted)
+        monkeypatch.setattr(bundles, "_is_identity", counted)
+        outer.compose(inner)
+        phi.is_identity_base()
+        assert phi.is_identity_base() and calls == [2, 2]
 
     @pytest.mark.parametrize("n, m", SIZES)
     def test_determinants_only_for_raw_input(self, monkeypatch, n, m):

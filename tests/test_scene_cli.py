@@ -505,8 +505,16 @@ class TestCLI:
           "courant_structures": {"s": {"bundle": ["E"], "anchor": [["1", "0"]],
                                        "metric": [[0, 1], [1, 0]]}}},
          "bundle must be a string"),
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2, "lable": "E"}}},
+         "bundle 'E': unknown field 'lable'"),
+        ({"bundles": {"E": {"base_dim": 1, "rank": 2}},
+          "morphisms": {"f": {"source": "E", "target": "E", "base_map": ["x1"],
+                              "fiber_matrix": [["1", "0"], ["0", "1"]],
+                              "retracton": ["x1"]}}},
+         "morphism 'f': unknown field 'retracton'"),
     ], ids=["bundle_not_object", "metric_not_matrix", "structure_functions_not_object",
-            "retraction_not_list", "input_not_list", "bundle_name_not_string"])
+            "retraction_not_list", "input_not_list", "bundle_name_not_string",
+            "unknown_bundle_field", "misspelt_retraction"])
     def test_malformed_scene_shape_exit_2(self, tmp_path, capsys, fragment, message):
         path = write_scene(tmp_path, {"schema_version": 1, **fragment})
         assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
@@ -604,12 +612,13 @@ class TestPullbackContract:
              "--morphism", "zero_section_embedding"], capsys)
         assert code == 2 and captured.err.splitlines() == [_too_large(n)] and built == []
 
-    @pytest.mark.parametrize("base_dim", [0, 1])
-    def test_rank_zero_target_fails_hypothesis_b(self, tmp_path, capsys, base_dim):
-        # P^T G P over a rank-0 target is the zero 2 x 2 matrix, not 0 x 0
+    @staticmethod
+    def rank_zero_target(tmp_path, base_dim):
+        """A scene whose morphism phi into the rank-0 bundle of the
+        structure "flat" fails hypothesis (b)."""
         flat = {"bundle": "T", "anchor": [[]] * base_dim, "metric": []}
         names = [f"x{i + 1}" for i in range(base_dim)]
-        path = write_scene(tmp_path, {
+        return write_scene(tmp_path, {
             "schema_version": 1,
             "bundles": {"E": {"base_dim": base_dim, "rank": 2},
                         "T": {"base_dim": base_dim, "rank": 0}},
@@ -617,6 +626,11 @@ class TestPullbackContract:
             "morphisms": {"phi": {"source": "E", "target": "T", "base_map": names,
                                   "fiber_matrix": [], "retraction": names}},
         })
+
+    @pytest.mark.parametrize("base_dim", [0, 1])
+    def test_rank_zero_target_fails_hypothesis_b(self, tmp_path, capsys, base_dim):
+        # P^T G P over a rank-0 target is the zero 2 x 2 matrix, not 0 x 0
+        path = self.rank_zero_target(tmp_path, base_dim)
         argv = ["pullback", "--scene", str(path), "--ambient", "flat", "--morphism", "phi",
                 "--json"]
         for extra in ([], ["--verify-only"]):
@@ -627,6 +641,38 @@ class TestPullbackContract:
             assert pairing["status"] == "fail"
             assert pairing["detail"] == "induced pairing is degenerate"
             assert pairing["witness"] == {"induced_metric": [["0", "0"], ["0", "0"]]}
+
+    @pytest.mark.parametrize("value, line", [
+        ("", "--alt-retraction is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"a": 1}', "bad --alt-retraction: expected a JSON array of expressions, got {'a': 1}"),
+        ('["x1"]', None),
+    ], ids=["empty", "object", "valid"])
+    def test_a_given_alt_retraction_is_read_before_the_construction(self, tmp_path, capsys,
+                                                                    value, line):
+        # the value was once read only after a construction that passed:
+        # `--alt-retraction=` exited 0 unread, and any value exited 1 unread
+        # when a hypothesis failed
+        scenes = [["--scene", str(SCENE), "--ambient", "standard2", "--morphism",
+                   "zero_section_embedding"],
+                  ["--scene", str(self.rank_zero_target(tmp_path, 1)), "--ambient", "flat",
+                   "--morphism", "phi"]]
+        for argv, code in zip(scenes, (0, 1)):
+            found = TestMorphismContract.run(["pullback", *argv, f"--alt-retraction={value}"],
+                                             capsys)
+            assert found[0] == (code if line is None else 2)
+            assert found[1].err == ("" if line is None else f"error: {line}\n")
+
+    @pytest.mark.parametrize("value", ["", '{"a": 1}', '["x1 + x2^2"]'],
+                             ids=["empty", "object", "valid"])
+    def test_verify_only_with_alt_retraction_exits_2(self, capsys, value):
+        # --verify-only stops before the construction the value is tested
+        # on, so the pair once exited 0 with the value unread
+        code, captured = TestMorphismContract.run(
+            ["pullback", "--scene", str(SCENE), "--ambient", "standard2", "--morphism",
+             "zero_section_embedding", "--verify-only", "--alt-retraction", value], capsys)
+        assert (code, captured.err) == (2, "error: --alt-retraction is tested on the "
+                                           "constructed structure, which --verify-only does "
+                                           "not build\n")
 
 
 _STANDARD = {
@@ -830,19 +876,46 @@ class TestMorphismContract:
 
     @pytest.mark.parametrize("text, message", [
         ('{"fiber_matrix": [[0, 0], [0, 0]]}', "splitting matrix must be invertible"),
-        ('{"fiber_matrix": [["1+", 0], [0, 1]]}', "splitting entry '1+'"),
-        ('{"fiber_matrix": [["y", 0], [0, 1]]}', "unknown identifier 'y'"),
-        ('{"fiber_matrix": [[1e400, 0], [0, 1]]}', "splitting entry inf"),
-        ('{"fiber_matrix": 5}', "fiber_matrix must be a list of lists"),
+        ('{"fiber_matrix": [["1+", 0], [0, 1]]}',
+         "splitting file: expected a rational (integer or 'p/q'), got '1+'"),
+        ('{"fiber_matrix": [["y", 0], [0, 1]]}',
+         "splitting file: expected a rational (integer or 'p/q'), got 'y'"),
+        ('{"fiber_matrix": [[1e400, 0], [0, 1]]}',
+         "splitting file: expected a rational (integer or 'p/q'), got inf"),
+        ('{"fiber_matrix": [["2*3", 0], [0, 1]]}',
+         "splitting file: expected a rational (integer or 'p/q'), got '2*3'"),
+        ('{"fiber_matrix": 5}', "splitting file: fiber_matrix must be a list of lists, got 5"),
         ('{"fiber_matrix": [[1, 0], [0]]}', "splitting matrix must be 2 x 2"),
+        ('{"matrix": [[1, 0], [0, 1]]}', "splitting file: missing field 'fiber_matrix'"),
+        ('{"fiber_matrix": [[1, 0], [0, 1]], "label": "x"}',
+         "splitting file: unknown field 'label'"),
+        ('{"fiber_matrix": [[2, 0], [0, 1]], "fiber_matrix": [[1, 0], [0, 1]]}',
+         "duplicate name 'fiber_matrix' in splitting file"),
+        ("[[1, 0], [0, 1]]", "splitting file must be an object, got [[1, 0], [0, 1]]"),
     ], ids=["singular", "truncated_entry", "unknown_variable", "infinite_entry",
-            "not_a_matrix", "ragged"])
+            "constant_expression", "not_a_matrix", "ragged", "missing_field", "unknown_field",
+            "duplicate_field", "not_an_object"])
     def test_bad_splitting_file_exit_2(self, tmp_path, capsys, text, message):
+        # the file is a one-field object under the scene's field rule, and
+        # its entries are rationals, read as a metric's are
         phi = tmp_path / "phi.json"
         phi.write_text(text)
         code, captured = self.run(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)],
                                   capsys)
-        assert code == 2 and message in captured.err
+        assert (code, captured.err) == (2, f"error: {message}\n")
+
+    def test_splitting_entries_read_as_a_metric_reads_them(self, tmp_path, capsys):
+        # an integer, a 'p/q' string and the same value spelled another way
+        # give one splitting, and the report of the swap of v and p equals
+        # the one of the same matrix written with other literals
+        reports = []
+        for rows in ([[0, 1], [1, 0]], [["0", "1/1"], ["2/2", "-0"]]):
+            phi = tmp_path / "phi.json"
+            phi.write_text(json.dumps({"fiber_matrix": rows}))
+            code, captured = self.run(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi),
+                                       "--json"], capsys)
+            reports.append((code, captured.out))
+        assert reports[0] == reports[1] and reports[0][1]
 
 
 _FUZZED_TERMS = ["0", "1", "-1", "2", "1/2", "-3/2", "x1", "-2*x1", "x1^2", "x1*x2",
@@ -1017,10 +1090,12 @@ class TestParserBounds:
 
     @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_intrinsic_phi(self, tmp_path, entry):
+        # a splitting entry is a rational, as a metric's is: no power is formed
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"fiber_matrix": [[entry, "0"], ["0", "1"]]}))
         line = self.run_capped(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)])
-        assert "splitting entry" in line
+        assert line == f"error: splitting file: expected a rational (integer or 'p/q'), " \
+            f"got {entry!r}"
 
     @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_scene_expression(self, tmp_path, entry):
@@ -1263,6 +1338,20 @@ def _corrupted_scenes(draw):
     return scene, draw(st.sampled_from(_LOAD_COMMANDS))
 
 
+# each fault of a JSON input and its error line, which names the input
+_UNREADABLE = {
+    "not_utf8": (b'["\xff"]', "{} is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+                              "position 2: invalid start byte"),
+    "too_deep": (b"[" * 100_000, "{} is not valid JSON: maximum recursion depth exceeded"),
+    "duplicate_key": (b'[{"a": 1, "a": 2}]', "duplicate name 'a' in {}"),
+    "bom": (b"\xef\xbb\xbf[]", "{} is not valid JSON: Unexpected UTF-8 BOM (decode using "
+                                "utf-8-sig): line 1 column 1 (char 0)"),
+}
+# every JSON input with each fault; argv holds text, never bytes that are not UTF-8
+_JSON_FAULTS = [(reader, fault) for reader in ("scene", "pairs", "phi", "alt_retraction")
+                for fault in _UNREADABLE if (reader, fault) != ("alt_retraction", "not_utf8")]
+
+
 class TestLoadSceneContract:
     """Scene loading honours the exit-code contract on corrupted scenes."""
 
@@ -1307,30 +1396,52 @@ class TestLoadSceneContract:
         assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
         assert capsys.readouterr() == ("", f"error: scene file is not valid JSON: {message}\n")
 
-    @pytest.mark.parametrize("reader, text", [
-        *itertools.product(["scene", "pairs", "phi"], [b'["\xff"]', b"[" * 100_000]),
-        ("alt_retraction", b"[" * 100_000),   # argv holds text, never bytes
-    ], ids=["scene_not_utf8", "scene_too_deep", "pairs_not_utf8", "pairs_too_deep",
-            "phi_not_utf8", "phi_too_deep", "alt_retraction_too_deep"])
-    def test_unreadable_json_exits_2(self, tmp_path, capsys, reader, text):
+    @pytest.mark.parametrize("reader, fault", _JSON_FAULTS,
+                             ids=[f"{reader}_{fault}" for reader, fault in _JSON_FAULTS])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, reader, fault):
         # bytes that are not UTF-8 and arrays nested past the recursion
-        # limit once ended in a traceback
+        # limit once ended in a traceback; every JSON input goes through the
+        # scene's one reader, so each refuses a duplicate key and a BOM alike
+        text, line = _UNREADABLE[fault]
         path = tmp_path / "input.json"
         path.write_bytes(text)
-        argv, prefix = {
+        argv, what = {
             "scene": (["axioms", "--scene", str(path), "--structure", "standard1"],
-                      "scene file is not valid JSON"),
+                      "scene file"),
             "pairs": (["morphism", "--scene", str(SCENE), *_REQUIRED["morphism"],
-                       "--pairs", str(path)], "cannot read pairs file"),
+                       "--pairs", str(path)], "pairs file"),
             "phi": (["intrinsic", *_REQUIRED["intrinsic"], "--phi", str(path)],
-                    "cannot read splitting file"),
+                    "splitting file"),
             "alt_retraction": (["pullback", "--scene", str(SCENE), "--ambient", "standard2",
                                 "--morphism", "zero_section_embedding",
-                                "--alt-retraction", text.decode("latin-1")],
-                               "bad --alt-retraction"),
+                                "--alt-retraction", text.decode("utf-8", "surrogateescape")],
+                               "--alt-retraction"),
         }[reader]
         code, captured = TestMorphismContract.run(argv, capsys)
-        assert code == 2 and captured.err.startswith(f"error: {prefix}: ")
+        assert code == 2 and captured.err.startswith(f"error: {line.format(what)}")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["axioms", "--scene=", "--structure", "standard1"], "scene file"),
+        (["morphism", "--scene", str(SCENE), "--source", "standard1", "--target", "standard1",
+          "--map", "identity1", "--pairs="], "pairs file"),
+        (["intrinsic", "--n", "1", "--m", "1", "--phi="], "splitting file"),
+    ], ids=["scene", "pairs", "phi"])
+    def test_an_empty_path_is_read(self, capsys, argv, what):
+        # `--scene=` once read as no scene and `--phi=` as no splitting
+        code, captured = TestMorphismContract.run(argv, capsys)
+        assert (code, captured.err) == (
+            2, f"error: cannot read {what}: [Errno 2] No such file or directory: ''\n")
+
+    def test_parentheses_nested_too_deep_exit_2(self, tmp_path, capsys):
+        # the expression parser's RecursionError once ended in a traceback
+        text = "(" * 5000 + "x1" + ")" * 5000
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"E": {"base_dim": 1, "rank": 1}},
+                                      "sections": {"s": {"bundle": "E", "coeffs": [text]}}})
+        code, captured = TestMorphismContract.run(
+            ["axioms", "--scene", str(path), "--structure", "standard1"], capsys)
+        assert code == 2
+        assert captured.err.startswith("error: section 's': maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("section, entry, key", [
         ("bundles", {"base_dim": True, "rank": 2}, "base_dim"),

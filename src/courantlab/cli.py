@@ -37,10 +37,11 @@ exit code is argparse's, and a plain argv imports no `locale`, which
 argparse's first message does.
 
 Every structure name is read by one resolver, `_resolve_structure`: a
-scene structure, else a builtin standard<N>.  `axioms` and `leibniz` pass
-it their --degree-cap, which it accepts for the structure before a builtin
-is built; the other commands bound a builtin's rank instead.  Every other
-scene object is looked up by `_named`, which names an unknown one.
+scene structure, else a builtin standard<N>, whose rank 2N it bounds by
+the largest rank of a scene bundle before the structure is built.  No
+--degree-cap is too large: every certificate decides at min(cap, 1).
+Every other scene object is looked up by `_named`, which names an unknown
+one.
 """
 
 from __future__ import annotations
@@ -57,14 +58,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
-from .courant_core import (
-    MAX_FAMILY,
-    check_axioms,
-    check_degree_cap,
-    check_leibniz,
-    standard_bundle,
-    standard_structure,
-)
+from .courant_core import check_axioms, check_leibniz, standard_structure
 from .phsim import (
     dirac_structure_of,
     project_behavior,
@@ -106,14 +100,16 @@ class _Parser(argparse.ArgumentParser):
 # table and argparse's parsers are built from it.
 _FILES = {"--scene": ("scene", None, False, None, "scene JSON file"),
           "--out": ("out", None, False, None, "write the report or CSV here instead of stdout")}
+_JSON = {"--json": ("json", bool, False, False, "machine-readable report")}
 _VERDICT = {**_FILES,
             "--seed": ("seed", int, False, 0, "echoed in --json; no verdict depends on it"),
-            "--degree-cap": ("degree_cap", int, False, 3, "degree cap for section families; the "
-                             "axiom and morphism certificates and the sweep of the falsified "
-                             "Leibniz variant are complete for all smooth sections at any cap >= "
-                             "1, and cap 0 bounds the claim to constant sections; the two Leibniz "
-                             "rules hold by the bracket's expansion"),
-            "--json": ("json", bool, False, False, "machine-readable report")}
+            "--degree-cap": ("degree_cap", int, False, 3, "degree cap for section families; "
+                             "every certificate decides at min(cap, 1), so the axiom and "
+                             "morphism verdicts and the falsified Leibniz variant are complete "
+                             "for all smooth sections at any cap >= 1, and cap 0 bounds the "
+                             "claim to constant sections; the two Leibniz rules hold by the "
+                             "bracket's expansion"),
+            **_JSON}
 _TRAJECTORY = {**_FILES, "--system": ("system", None, True, None, None),
                "--input": ("input_name", None, True, None, None),
                "--x0": ("x0", None, True, None, "comma-separated initial state")}
@@ -129,7 +125,8 @@ _FLAGS = {
                  "--map": ("map_name", None, True, None, "morphism name"),
                  "--pairs": ("pairs", None, False, "auto", "'auto' or a JSON file with "
                              "[source_section, target_section] names")},
-    "pullback": {**_VERDICT, "--ambient": ("ambient", None, True, None, "ambient structure name"),
+    "pullback": {**_FILES, "--seed": ("seed", int, False, 0, "not read: nothing is drawn"),
+                 **_JSON, "--ambient": ("ambient", None, True, None, "ambient structure name"),
                  "--morphism": ("map_name", None, True, None, None),
                  "--verify-only": ("verify_only", bool, False, False,
                                    "stop after the hypothesis report"),
@@ -141,7 +138,7 @@ _FLAGS = {
                             "JSON file with a constant fiber_matrix for the splitting")},
     "simulate": {**_TRAJECTORY, **_TIMES},
     "project": {**_TRAJECTORY, "--z0": ("z0", None, True, None, None), **_TIMES},
-    "dirac": {**_VERDICT, "--system": ("system", None, True, None, None)},
+    "dirac": {**_FILES, **_JSON, "--system": ("system", None, True, None, None)},
 }
 
 
@@ -218,32 +215,24 @@ def _load(args) -> Scene:
     return Scene() if args.scene is None else load_scene(args.scene)
 
 
-def _resolve_structure(scene: Scene, name: str, cap: int | None = None):
+def _resolve_structure(scene: Scene, name: str):
     """The scene structure or builtin standard<N> called `name`.
 
-    Without a cap a builtin's rank 2N is at most the largest rank of a scene
-    bundle.  With one, the requested --degree-cap is accepted for the
-    structure first, a builtin's on its bundle before it is built, so a
-    rejected cap never forms the (2N)^2 metric; an N of four digits has a
-    family above MAX_FAMILY at every cap.  The digit count is checked
-    before int(), which refuses a string of more than 4300 digits.
+    A builtin's rank 2N is at most the largest rank of a scene bundle, and
+    that is checked before the (2N)^2 metric is formed.  The digit count is
+    checked before int(), which refuses a string of more than 4300 digits.
     """
     structure = scene.structures.get(name)
-    match = structure is None and _BUILTIN.match(name)
-    if match:
-        digits = match.group(1).lstrip("0") or "0"
-        if len(digits) > 3 or cap is None and 2 * int(digits) > MAX_BUNDLE_DIMENSION:
-            raise SceneError(f"builtin structure {name!r} has rank 2N above " + (
-                f"{MAX_BUNDLE_DIMENSION}, the largest rank of a scene bundle" if cap is None
-                else f"{MAX_FAMILY}, the largest family the certificate accepts"))
-    elif structure is None:
+    if structure is not None:
+        return structure
+    match = _BUILTIN.match(name)
+    if not match:
         raise SceneError(f"unknown structure {name!r} (and not a builtin standard<N>)")
-    if cap is not None:
-        try:
-            check_degree_cap(standard_bundle(int(digits)) if match else structure.bundle, cap)
-        except ValueError as exc:
-            raise SceneError(f"--degree-cap: {exc}") from None
-    return standard_structure(int(digits)) if match else structure
+    digits = match.group(1).lstrip("0") or "0"
+    if len(digits) > 3 or 2 * int(digits) > MAX_BUNDLE_DIMENSION:
+        raise SceneError(f"builtin structure {name!r} has rank 2N above "
+                         f"{MAX_BUNDLE_DIMENSION}, the largest rank of a scene bundle")
+    return standard_structure(int(digits))
 
 
 def _named(table: dict, kind: str, name: str):
@@ -309,8 +298,11 @@ def _verdict_lines(name: str, verdict) -> list[str]:
 
 
 def _cmd_axioms(args) -> tuple[dict, list[str]]:
-    structure = _resolve_structure(_load(args), args.structure, args.degree_cap)
-    report = check_axioms(structure, degree_cap=args.degree_cap)
+    structure = _resolve_structure(_load(args), args.structure)
+    try:
+        report = check_axioms(structure, degree_cap=args.degree_cap)
+    except ValueError as exc:       # degree-1 tables past MAX_TABLE_WORK
+        raise SceneError(str(exc)) from exc
     payload = {
         "command": "axioms",
         "structure": args.structure,
@@ -327,8 +319,7 @@ def _cmd_axioms(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_leibniz(args) -> tuple[dict, list[str]]:
-    # the certificate's cap, min(--degree-cap, SWEEP_ORDER), passes the cap check too
-    report = check_leibniz(_resolve_structure(_load(args), args.structure, args.degree_cap),
+    report = check_leibniz(_resolve_structure(_load(args), args.structure),
                            degree_cap=args.degree_cap)
     payload = {
         "command": "leibniz",

@@ -156,12 +156,19 @@ whether one fails, first frame index by first frame index.  The tuples of
 the first nonzero table whose frame pair the table holds are walked in the
 witness order, first slot major, each value summed from the table, up to
 the first nonzero one: the least failing tuple, whose value is its defect
-(`_axiom_i_witness`); a tuple of any other frame pair reads no entry.  Its
-detail still reads "found by the degree-1 sweep of (i)", naming the
-degree-1 family the walk covers.  Every printed defect is checked against
-the exponent limit of the packed keys.  `tests/conftest.py` keeps the
-re-expansion of a witness through the plain bracket as the reference the
-oracles compare every defect with.
+(`_axiom_i_witness`); a tuple of any other frame pair reads no entry, and
+a slot's x_t whose variable no entry differentiates there is skipped.  A
+failing detail names that source, "the slot tables of (i)", or "the frame
+tables".  The degree-1 tables are bounded by their work, not by any
+family: rho o D and the anchor brackets [rho_i, rho_j] form at most
+MAX_TABLE_WORK entry products, counted before they are formed, and the
+slot tables, about (n k)^2 keys, are built only where (n k)^2 is at most
+MAX_TABLE_WORK; past either, `check_axioms` raises ValueError.  Every
+cap-1 family of rank * (base_dim + 1) <= 256 passes both, since then
+n k < 256.  Every printed defect is checked against the exponent limit of
+the packed keys.  `tests/conftest.py` keeps the re-expansion of a witness
+through the plain bracket as the reference the oracles compare every
+defect with.
 
 The two Leibniz rules of the bracket above hold by the expansion, for
 every structure the constructor accepts, so `check_leibniz` does not
@@ -181,7 +188,6 @@ axiom slot on frame data where no axiom need hold.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -219,8 +225,8 @@ __all__ = [
     "AxiomReport",
     "check_axioms",
     "check_degree_cap",
-    "MAX_FAMILY",
     "SWEEP_ORDER",
+    "MAX_TABLE_WORK",
     "LeibnizReport",
     "check_leibniz",
     "dirac_check",
@@ -683,32 +689,34 @@ def _witness(s: CourantStructure, sections, defect: list[dict], component: bool)
             "component": next(h for h, p in enumerate(defect) if p) if component else None}
 
 
-MAX_FAMILY = 256
-
 # differential order of every certified defect in each slot: the monomial
 # family up to this degree is complete for all smooth sections
 SWEEP_ORDER = 1
 
+# the most entry products of rho o D and the anchor brackets, and the most
+# slot-table keys, (n k)^2, that deciding (i) at degree 1 may take
+MAX_TABLE_WORK = 2 ** 16
 
-def check_degree_cap(bundle: TrivialBundle, degree_cap: int) -> int:
-    """Reject a degree cap the certificate does not accept; return the family size.
 
-    The family of monomial frame sections up to the cap has rank * C(n + cap, n)
-    members, and the certificate accepts at most MAX_FAMILY of them.  No
-    certificate's cost depends on that size any more: each decides at
-    min(cap, SWEEP_ORDER) from the frame data.  The bound only keeps the
-    requested family, which the reports name, within what the certificate
-    claims to cover.
+def _within_work(work: int, what: str) -> None:
+    """Raise ValueError when `work` passes MAX_TABLE_WORK."""
+    if work > MAX_TABLE_WORK:
+        raise ValueError(f"deciding axiom (i) at degree 1 takes {work} {what}, more than "
+                         f"the {MAX_TABLE_WORK} the certificate allows")
+
+
+def check_degree_cap(degree_cap: int) -> int:
+    """Reject a negative degree cap; return the degree the certificates
+    decide, min(degree_cap, SWEEP_ORDER).
+
+    Every certificate decides at that degree from the frame data, and at
+    any cap >= 1 its verdict holds for all smooth sections; cap 0 bounds
+    the claim to constant sections.  So no cap is too large, and nothing
+    is sized by the family of monomial frame sections the cap names.
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
-    family = bundle.rank * math.comb(bundle.base_dim + degree_cap, degree_cap)
-    if family > MAX_FAMILY:
-        raise ValueError(
-            f"degree cap {degree_cap} gives a family of {family} sections, "
-            f"more than the {MAX_FAMILY} the certificate accepts; lower the cap"
-        )
-    return family
+    return min(degree_cap, SWEEP_ORDER)
 
 
 def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
@@ -781,12 +789,28 @@ def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
     ordered pair, with H(e_i, e_j) = sum_h c_ij^h rho_h - [rho_i, rho_j].
 
     [rho_i, rho_j] is formed once per pair i < j, from the nonzero
-    derivatives of the anchor entries only.  Raw packed products are
-    exact here: every factor is a checked input or its derivative, so no
-    key field carries, and no result is stored.
+    derivatives of the anchor entries only, indexed by variable first.
+    Each anchor entry A_ai takes at most one product per nonzero row of A
+    in rho o D, and one per entry of another column that depends on x_a
+    in the brackets, each formed once and negated for H(e_i, e_j): at most
+    (n k)^2 in all.  That count is checked against MAX_TABLE_WORK before
+    G^-1 A^T is read or any product formed.  Raw packed products are exact
+    here: every factor is a checked input or its derivative, so no key
+    field carries, and no result is stored.
     """
-    k = s.bundle.rank
+    n, k = s.bundle.base_dim, s.bundle.rank
     anchor, negated = s._frame_tables
+    grads: list[dict[int, list]] = [{} for _ in range(k)]   # j -> {a: [(b, d_a A_bj), ...]}
+    reach: dict[int, int] = {}                              # a -> entries depending on x_a
+    for j, column in enumerate(anchor):
+        for b, target in column:
+            for a in range(n) if any(target) else ():       # a constant has no variable
+                if d := _deriv(target, a):
+                    grads[j].setdefault(a, []).append((b, d))
+                    reach[a] = reach.get(a, 0) + 1
+    rows = sum(1 for row in s.rows[2] if row)
+    _within_work(sum(rows + reach.get(a, 0) - len(grads[i].get(a, ()))
+                     for i, column in enumerate(anchor) for a, _ in column), "anchor products")
     rho_d: dict[tuple[int, int], dict] = {}
     for h, row in enumerate(s._dual_rows):
         for b, entry in anchor[h]:
@@ -795,13 +819,12 @@ def _anchor_tables(s: CourantStructure) -> tuple[dict, dict]:
     anomaly: dict[tuple[int, int], dict] = {}
     for i in range(k):
         for j in range(i + 1, k):
-            for first, second in ((anchor[i], anchor[j]), (negated[j], anchor[i])):
-                for a, entry in first:
-                    for b, target in second:
-                        d = _deriv(target, a)
-                        if d:   # [rho_i, rho_j] in H(e_j, e_i), negated in H(e_i, e_j)
-                            _mul_at(anomaly, (j, i), b, entry, d)
-                            _mul_at(anomaly, (i, j), b, _scaled(entry, -1), d)
+            for first, second in ((anchor[i], grads[j]), (negated[j], grads[i])):
+                for a, entry in first if second else ():
+                    for b, d in second.get(a, ()):      # [rho_i, rho_j] in H(e_j, e_i)
+                        _mul_at(anomaly, (j, i), b, entry, d)
+            if (j, i) in anomaly:                       # negated in H(e_i, e_j)
+                anomaly[(i, j)] = {b: _scaled(p, -1) for b, p in anomaly[(j, i)].items()}
     for (i, j, h), p in s.structure_functions.items():
         for b, target in anchor[h]:
             _mul_at(anomaly, (i, j), b, p._packed, target)
@@ -935,25 +958,34 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     hold reads no entry, so the first nonzero table is walked over its
     pairs only, in the witness order: the loops nest as alpha's place in
     the first slot, j, the second place, m, the third place, each
-    ascending.  The value at each tuple is summed from the terms whose
-    gradients its members supply, up to the first nonzero one, which is
-    the witness's defect.  Each table entry is a product of two
-    checked factors, so it is checked before the walk shifts its keys: a
-    shift past a set guard bit would carry into the next variable's field.
+    ascending.  Each slot visits place 0 and only the x_t whose variable t
+    some key of the table differentiates in that slot: at any other x_t
+    every term multiplies by x_t, so the value is x_t times the value with
+    1 in that place, a tuple earlier in the witness order, and the least
+    failing tuple is never skipped.  The value at each tuple is summed
+    from the terms whose gradients its members supply, up to the first
+    nonzero one, which is the witness's defect.  Each table entry is a
+    product of two checked factors, so it is checked before the walk
+    shifts its keys: a shift past a set guard bit would carry into the
+    next variable's field.  The tables hold about (n k)^2 keys, which is
+    checked against MAX_TABLE_WORK before the first is built.
     """
     n, k = s.bundle.base_dim, s.bundle.rank
+    _within_work((n * k) ** 2, "slot-table keys, (n k)^2")
     monos = monomials_up_to(n, SWEEP_ORDER)
     # per monomial: multiply by it, or take the gradient of a linear one
     options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
                for alpha in monos]
     texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
-    places = range(len(monos))
     for i, table in enumerate(_slot_tables(s, c, lowered, rho_d, anomaly)):
         partners: dict[int, list] = {}      # j -> the m of the table's pairs (j, m), ascending
         for j, m in sorted({key[:2] for key in table}):
             partners.setdefault(j, []).append(m)
-        for a1, (j, ms), a2 in itertools.product(places, partners.items(), places):
-            for m, a3 in itertools.product(ms, places):
+        # per slot: place 0 and each x_t whose variable t a key differentiates there
+        first, second, third = ([a for a in range(len(monos)) if not a or options[a][1][0] in used]
+                                for used in ({key[slot] for key in table} for slot in (2, 3, 4)))
+        for a1, (j, ms), a2 in itertools.product(first, partners.items(), second):
+            for m, a3 in itertools.product(ms, third):
                 out: dict[int, dict] = {}   # J at the tuple, component by component
                 for choice in itertools.product(options[a1], options[a2], options[a3]):
                     grads, keys = zip(*choice)
@@ -978,20 +1010,23 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     (iii) [[f,g]] + [[g,f]] = D(<f,g>)
 
     Each axiom is certified over every tuple of monomial frame sections of
-    degree <= min(degree_cap, SWEEP_ORDER).  At any cap >= 1 that is a
-    certificate for all smooth sections (see the module docstring); cap 0
-    bounds the claim to constant sections.  The label names the requested
-    cap and its family.
+    degree <= min(degree_cap, SWEEP_ORDER), the degree `check_degree_cap`
+    returns.  At any cap >= 1 that is a certificate for all smooth
+    sections (see the module docstring); cap 0 bounds the claim to
+    constant sections.  Each detail names the requested cap, the degree
+    decided and that scope.
 
     The frame tables decide every verdict, name the least failing tuple of
     each axiom and give its defect, with no lift and no bracket.  When (i)
     holds on every frame triple at a cap >= 1 while another frame identity
     fails, the slot tables of (i) decide it on the tuples of degree 1
     (`_axiom_i_witness`).  A failing detail says which found the witness.
-    All comparisons are polynomial identities with zero tolerance.
+    All comparisons are polynomial identities with zero tolerance.  A
+    negative cap, or degree-1 tables past MAX_TABLE_WORK, raise ValueError.
     """
-    family = check_degree_cap(s.bundle, degree_cap)
-    label = f"all {family}^t tuples of the {family} monomial frame sections, degree cap {degree_cap}"
+    cap = check_degree_cap(degree_cap)
+    label = (f"degree cap {degree_cap}, decided at degree {cap}, scope "
+             + ("all smooth sections" if cap else "constant sections only"))
     if s.bundle.rank == 0:
         return AxiomReport({name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                             for name in ("i", "ii", "iii")})
@@ -1004,14 +1039,14 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     }
     witnesses = {name: None if frame is None else _frame_witness(
         s, name, frame, c, lowered, jacobiator) for name, frame in least.items()}
-    found = dict.fromkeys(least, "read from the frame tables")
-    if least["i"] is None and degree_cap:
+    found = dict.fromkeys(least, "the frame tables")
+    if least["i"] is None and cap:
         rho_d, anomaly = _anchor_tables(s)
         if least["ii"] or least["iii"] or rho_d or anomaly:
             witnesses["i"] = _axiom_i_witness(s, c, lowered, rho_d, anomaly)
-            found["i"] = "found by the degree-1 sweep of (i)"
-    return AxiomReport({name: AxiomCheck(True, f"certified over {label}") if w is None else
-                        AxiomCheck(False, f"failed on the least failing tuple of {label}, "
+            found["i"] = "the slot tables of (i)"
+    return AxiomReport({name: AxiomCheck(True, f"certified: {label}") if w is None else
+                        AxiomCheck(False, f"failed: {label}; least failing tuple from "
                                    f"{found[name]}", w) for name, w in witnesses.items()})
 
 
@@ -1095,12 +1130,9 @@ def check_leibniz(
     Polynomial product; a defect past the exponent limit of the packed
     keys raises ExponentOverflowError.  At cap 0
     the claim is bounded to constant coefficients, on which the variant
-    cannot fail.
-
-    Raises ValueError when the family exceeds MAX_FAMILY.
+    cannot fail.  A negative cap raises ValueError (`check_degree_cap`).
     """
-    cap = min(degree_cap, SWEEP_ORDER)
-    check_degree_cap(s.bundle, cap)
+    cap = check_degree_cap(degree_cap)
     witness = _leibniz_witness(s) if cap else None
     reach = ("complete: all smooth arguments" if cap
              else "bounded: cap 0 claims constant coefficients only")

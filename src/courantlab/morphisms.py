@@ -163,7 +163,7 @@ from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, TrivialBundle, check_related
-from .courant_core import MAX_FAMILY, SWEEP_ORDER, CourantStructure, _member, _packed
+from .courant_core import CourantStructure, _member, _packed, check_degree_cap
 from .polyexpr import (
     Polynomial,
     PolyMap,
@@ -185,6 +185,10 @@ __all__ = [
     "GraphSubbundle",
     "graph_subbundle",
 ]
+
+# the most supplied pairs of `check_general_base`, whose ordered pairs are
+# each bracketed
+MAX_PAIRS = 16
 
 
 class ConditionFailure:
@@ -455,14 +459,13 @@ def _pair_defect(d: _Lines, monos, xs, pair) -> list[Polynomial]:
 
 
 def _witness_order(rank, monos):
-    """Every family pair ((i, a), (j, b)) of members x^alpha_a e_i, in the
-    one witness order: the larger degree first, then the tags i*M + a and
-    j*M + b slot by slot.  The product lists the pairs in tag order, and
-    the sort by degree is stable."""
-    degrees = [sum(alpha) for alpha in monos]
+    """Every family pair ((i, a), (j, b)) of members x^alpha_a e_i, with
+    monos of degree <= 1, in the one witness order and one at a time: the
+    frame pairs (a = b = 0), then the pairs of degree 1, each in the order
+    of the tags i*M + a and j*M + b slot by slot."""
     members = [(i, a) for i in range(rank) for a in range(len(monos))]
-    return sorted(itertools.product(members, repeat=2),
-                  key=lambda pair: max(degrees[pair[0][1]], degrees[pair[1][1]]))
+    yield from itertools.product([(i, 0) for i in range(rank)], repeat=2)
+    yield from (pair for pair in itertools.product(members, repeat=2) if pair[0][1] or pair[1][1])
 
 
 def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
@@ -539,12 +542,12 @@ def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
 
 
 def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list:
-    """The three conditions in auto mode.  The bracket is decided at
-    min(degree_cap, SWEEP_ORDER) from the frame tables; strict checking
-    adds the perturbed representatives' matrix identity (see the module
-    docstring)."""
+    """The three conditions in auto mode.  The bracket is decided at the
+    degree `check_degree_cap` returns, from the frame tables; strict
+    checking adds the perturbed representatives' matrix identity (see the
+    module docstring)."""
     metric = _metric_failure(s1, s2, phi, general)
-    bracket = _bracket_failure(s1, s2, phi, min(degree_cap, SWEEP_ORDER), metric is None, general)
+    bracket = _bracket_failure(s1, s2, phi, check_degree_cap(degree_cap), metric is None, general)
     if bracket is None and strict:
         bracket = _perturbed_failure(along_image(s2, phi))
     return [bracket, metric, _anchor_failure(s1, s2, phi)]
@@ -568,7 +571,7 @@ def check_identity_base(
     data, with no lift and no bracket (see the module docstring), and so
     is a failure's least failing pair with its defect.  The metric and
     anchor conditions are matrix identities.  The detail names the
-    requested cap.
+    requested cap; a negative one raises ValueError (`check_degree_cap`).
     """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
@@ -625,7 +628,8 @@ def check_general_base(
     conditions are matrix identities, as over the identity base: on the
     retraction representatives the metric condition is P^T G2 P = G1, and
     a failure reports the frame pair (e_i, e_j) of the first nonzero entry
-    of the defect matrix.  The detail names the requested cap.
+    of the defect matrix.  The detail names the requested cap; a negative
+    one raises ValueError in auto mode (`check_degree_cap`).
 
     strict=True turns on strict representative checking, the full
     "any (and hence each)" quantifier over representatives perturbed by
@@ -643,7 +647,7 @@ def check_general_base(
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
     morphism failure.  Every ordered pair of supplied pairs is checked, so
-    more than 16 of them (their square above MAX_FAMILY) raise ValueError.
+    more than MAX_PAIRS of them raise ValueError.
     """
     _validate(s1, s2, phi)
     if pairs == "auto":
@@ -652,9 +656,8 @@ def check_general_base(
         failures = _auto_failures(s1, s2, phi, degree_cap, True, strict)
     else:
         checked = list(pairs)
-        if len(checked) ** 2 > MAX_FAMILY:
-            raise ValueError(f"too many supplied pairs: {len(checked)}, whose "
-                             f"{len(checked) ** 2} ordered pairs exceed {MAX_FAMILY}")
+        if len(checked) > MAX_PAIRS:
+            raise ValueError(f"too many supplied pairs: {len(checked)}, more than {MAX_PAIRS}")
         if not all(check_related(phi, f, g) for f, g in checked):
             raise ValueError(
                 "supplied pair is not phi-related (input error, not a morphism failure)"

@@ -2,8 +2,9 @@
 
 A scene is one JSON object.  Polynomial expressions use the grammar from
 `polyexpr`; base variables are always named x1..xn for the arity the field
-demands, and input signals use the single variable t.  Rational numbers may
-be written as JSON integers or as strings like "3/2".
+demands, and input signals use the single variable t.  Rational numbers are
+JSON integers or strings of an optional minus sign and ASCII digits, with
+an optional "/" and a nonzero denominator, like "-3/2".
 
     {
       "schema_version": 1,
@@ -49,6 +50,7 @@ which find every error in the order a dense read would.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .bundles import BundleMorphism, Section, TrivialBundle
@@ -127,18 +129,23 @@ def read_json(source, what: str):
         raise SceneError(f"{what} is not valid JSON: {exc}") from exc
 
 
+# a rational text: an optional minus sign, ASCII digits, and an optional
+# "/" and digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value, where: str, seen: dict) -> Fraction:
-    """Fraction(value) for an int or a string, read once per load: `seen`
-    keeps each one read, keyed on its JSON type and value, so that `true`
-    never reads as 1."""
-    key = (type(value), value) if isinstance(value, (int, str)) else None
+    """The Fraction of an int, or of a string of the form -?p(/q)? in ASCII
+    digits with q nonzero, read once per load: `seen` keeps each one read,
+    keyed on its JSON type and value, so that `true` never reads as 1."""
+    key = (type(value), value) if type(value) in (int, str) else None
     if key in seen:
         return seen[key]
     try:
-        if key is not None and type(value) is not bool:
-            # an integer literal, signed or not, skips Fraction's string parser
-            digits = value.removeprefix("-") if type(value) is str else ""
-            seen[key] = number = Fraction(int(value) if digits.isdecimal() else value)
+        if type(value) is int or key and _RATIONAL.fullmatch(value):
+            # an integer text skips Fraction's string parser
+            seen[key] = number = Fraction(int(value) if type(value) is str and "/" not in value
+                                          else value)
             return number
     except (ValueError, ZeroDivisionError):
         pass
@@ -215,6 +222,7 @@ _FIELDS = {
     "inputs": {"u": "list"},
 }
 _SHAPES = {
+    "version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
     "integer": ("an integer", lambda v: type(v) is int),    # JSON true is no dimension
     "string": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -222,7 +230,15 @@ _SHAPES = {
                lambda v: isinstance(v, list) and all(isinstance(row, list) for row in v)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
-_SECTIONS = tuple(_FIELDS)
+# the scene root: the schema version and the sections, each optional
+_ROOT = {"schema_version": "version", **{f"{section}?": "object" for section in _FIELDS}}
+
+
+def _shown(value) -> str:
+    """repr(value), cut to 80 characters: a field's error line names the
+    value it refuses, not a whole file of it."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _fields(spec, fields: dict, where: str, what: str) -> dict:
@@ -230,13 +246,13 @@ def _fields(spec, fields: dict, where: str, what: str) -> dict:
     every required field of `fields` in its declared shape and no field
     `fields` does not declare."""
     if not isinstance(spec, dict):
-        raise SceneError(f"{what} must be an object, got {spec!r}")
+        raise SceneError(f"{what} must be an object, got {_shown(spec)}")
     for field, shape in fields.items():
         key = field.rstrip("?")
         if key in spec:
             noun, fits = _SHAPES[shape]
             if not fits(spec[key]):
-                raise SceneError(f"{where}: {key} must be {noun}, got {spec[key]!r}")
+                raise SceneError(f"{where}: {key} must be {noun}, got {_shown(spec[key])}")
         elif key == field:
             raise SceneError(f"{where}: missing field {key!r}")
     for key in spec:
@@ -245,30 +261,15 @@ def _fields(spec, fields: dict, where: str, what: str) -> dict:
     return spec
 
 
-def _entries(raw: dict, section: str) -> dict:
-    """A scene section whose entries have every field in its declared shape."""
-    entries = raw.get(section, {})
-    if not isinstance(entries, dict):
-        raise SceneError(f"scene field {section!r} must be an object, got {entries!r}")
-    for name, spec in entries.items():
-        _fields(spec, _FIELDS[section], f"{section[:-1]} {name!r}", f"{section} entry {name!r}")
-    return entries
-
-
 def load_scene(path) -> Scene:
-    """The scene in the file at `path`, read by `read_json`."""
-    raw = read_json(path, "scene file")
-    if not isinstance(raw, dict):
-        raise SceneError("scene root must be a JSON object")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise SceneError(
-            f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
-        )
-    for key in raw:
-        if key != "schema_version" and key not in _SECTIONS:
-            raise SceneError(f"unknown scene field {key!r}")
-    entries = {section: _entries(raw, section) for section in _SECTIONS}
+    """The scene in the file at `path`, read by `read_json`, its root and
+    every entry of each section checked by `_fields`."""
+    raw = _fields(read_json(path, "scene file"), _ROOT, "scene", "scene root")
+    entries = {section: raw.get(section, {}) for section in _FIELDS}
+    for section, named in entries.items():
+        for name, spec in named.items():
+            _fields(spec, _FIELDS[section], f"{section[:-1]} {name!r}",
+                    f"{section} entry {name!r}")
     # the memos of one load: expressions by text and variable names,
     # rationals by JSON type and value, and the canonical entries of anchor
     # texts, per variable names, and of metric texts

@@ -1,12 +1,13 @@
 import json
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import linalg, morphisms
+from courantlab import courant_core, linalg, morphisms
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms, related_section
 from courantlab.courant_core import (
     CourantStructure,
@@ -21,7 +22,7 @@ from courantlab.morphisms import (
     check_identity_base,
     graph_subbundle,
 )
-from courantlab.polyexpr import PolyMap, Polynomial, parse
+from courantlab.polyexpr import PolyMap, Polynomial, monomials_up_to, parse
 from courantlab.pullback import construct
 
 from conftest import (
@@ -418,9 +419,9 @@ def cap_free_reports(check, *args):
     """to_json() at caps 1, 2 and 3, as swept (order 1) and as a full sweep
     of each cap, with the cap number cut from the detail."""
     out = set()
-    for order in (morphisms.SWEEP_ORDER, 3):
+    for order in (courant_core.SWEEP_ORDER, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(morphisms, "SWEEP_ORDER", order)
+            mp.setattr(courant_core, "SWEEP_ORDER", order)
             for cap in (1, 2, 3):
                 report = check(*args, degree_cap=cap).to_json()
                 assert report["detail"].endswith(f"degree cap {cap}")
@@ -466,7 +467,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     tagged defect.  Returns the failure's JSON, or None.
     """
     n = s1.bundle.base_dim
-    cap = degree_cap if n_perturbations > 0 else min(degree_cap, morphisms.SWEEP_ORDER)
+    cap = degree_cap if n_perturbations > 0 else min(degree_cap, courant_core.SWEEP_ORDER)
     s1l, s2l = lift_structure(s1, 2), lift_structure(s2, 2)
     phil = lifted_morphism(phi, 2)
     fa = tagged_generating_section(s1.bundle, cap, 2, n)
@@ -634,7 +635,7 @@ def reference_bracket_failure(s1, s2, phi, degree_cap, general):
     representatives, the least failing pair and its plain defect.  Returns
     the failure's JSON, or None."""
     n = s1.bundle.base_dim
-    cap = min(degree_cap, morphisms.SWEEP_ORDER)
+    cap = min(degree_cap, courant_core.SWEEP_ORDER)
     s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), lifted_morphism(phi, 2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
 
@@ -773,7 +774,7 @@ def test_frame_table_verdict_equals_the_tagged_sweep(case, cap, order):
     # <= min(cap, order), also when the sweep order is raised to 3
     check, *arrow = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(morphisms, "SWEEP_ORDER", order)
+        mp.setattr(courant_core, "SWEEP_ORDER", order)
         assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
 
 
@@ -794,6 +795,46 @@ def test_failing_morphism_makes_no_bracket(monkeypatch):
         verdict = check(*arrow, degree_cap=cap)
         failed |= {(f.condition, "f1" in f.witness or "f" in f.witness) for f in verdict.failures}
     assert {("bracket", True), ("metric", True)} <= failed and calls == []
+
+
+def sorted_witness_order(rank, monos):
+    """The reference order of the family pairs: every pair listed in tag
+    order, then sorted stably by the larger degree of its members."""
+    degrees = [sum(alpha) for alpha in monos]
+    members = [(i, a) for i in range(rank) for a in range(len(monos))]
+    return sorted(itertools.product(members, repeat=2),
+                  key=lambda pair: max(degrees[pair[0][1]], degrees[pair[1][1]]))
+
+
+@pytest.mark.parametrize("rank, n, cap", [(1, 0, 1), (2, 1, 0), (1, 1, 1), (2, 1, 1),
+                                          (3, 2, 1), (2, 3, 1), (4, 3, 0), (4, 3, 1)])
+def test_witness_order_is_the_sorted_reference(rank, n, cap):
+    monos = monomials_up_to(n, cap)
+    assert list(morphisms._witness_order(rank, monos)) == sorted_witness_order(rank, monos)
+
+
+def test_the_pair_walk_lists_no_pairs_ahead():
+    # rank 64 over R^64, the identity into the same metric with a zero
+    # anchor: T = A1 != 0, so the walk passes the 64^2 frame pairs and
+    # fails first on (e_0, x1 e_0); the sorted reference would hold all
+    # (64 * 65)^2, about 17.5 million, pairs first
+    n = k = 64
+    metric = [[int(i == j) for j in range(k)] for i in range(k)]
+    anchor = [[int(a == i == 0) for i in range(k)] for a in range(n)]
+    bundle = TrivialBundle(n, k, "E")
+    s1 = CourantStructure(bundle, anchor, metric)
+    s2 = CourantStructure(bundle, [[0] * k for _ in range(n)], metric)
+    phi = BundleMorphism.identity(bundle)
+    tracemalloc.start()
+    try:
+        verdict = check_identity_base(s1, s2, phi, degree_cap=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+    bracket = verdict.failures[0]
+    assert bracket.condition == "bracket" and bracket.witness == {
+        "f": ["1"] + ["0"] * (k - 1), "g": ["x1"] + ["0"] * (k - 1)}
 
 
 # -- the data kept on the morphism ----------------------------------------------

@@ -206,17 +206,18 @@ def walk_second_slot_major(s, c, lowered, rho_d, anomaly):
     return None
 
 
-def walk_with(pairs_in_table_order=False, m_outside_a2=False):
+def walk_with(pairs_in_table_order=False, m_outside_a2=False, place_0_only=False):
     """`_axiom_i_witness` taking the table's frame pairs in the order the
-    table first holds them instead of ascending, or nesting its loops as
-    a1, j, m, a2, a3 instead of a1, j, a2, m, a3."""
+    table first holds them instead of ascending, nesting its loops as
+    a1, j, m, a2, a3 instead of a1, j, a2, m, a3, or visiting place 0 alone
+    in each slot, as if no slot differentiated any variable."""
     def mutant(s, c, lowered, rho_d, anomaly):
         n, k = s.bundle.base_dim, s.bundle.rank
         monos = polyexpr.monomials_up_to(n, 1)
         options = [[(None, polyexpr._pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
                    for alpha in monos]
         texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
-        places = range(len(monos))
+        places = range(1 if place_0_only else len(monos))
         for i, table in enumerate(courant_core._slot_tables(s, c, lowered, rho_d, anomaly)):
             partners = {}
             pairs = dict.fromkeys(key[:2] for key in table)
@@ -624,6 +625,15 @@ def anchor_across_two_columns():
                             {(0, 1, 3): Fraction(3, 2)})
 
 
+def anchor_row_1_over_r3():
+    """Anchor row 1 = [1, 1] over R^3, the other rows zero, with the
+    hyperbolic G and c = 0: (i) holds on every frame triple and fails first
+    on (x1 e_0, e_1, x1 e_0), x1 being the last linear monomial of R^3 in
+    the graded order."""
+    return CourantStructure(TrivialBundle(3, 2, "E"), [[1, 1], [0, 0], [0, 0]],
+                            [[0, 1], [1, 0]])
+
+
 def anchor_in_column_1():
     """Anchor [0, 1] over R^1 with the hyperbolic G: column 0 is zero."""
     return CourantStructure(TrivialBundle(1, 2, "E"), [[0, 1]], [[0, 1], [1, 0]])
@@ -679,7 +689,7 @@ MUTANTS = {
         ((bumped(standard_structure(1), (0, 0, 0), 1), [[0, 1], [0, 1]]),),
     ),
     "sweep_order_0": (
-        [(courant_core, "SWEEP_ORDER", 0), (morphisms, "SWEEP_ORDER", 0)],
+        [(courant_core, "SWEEP_ORDER", 0)],   # morphisms read it through check_degree_cap
         oracles.test_doubling_bracket_passes_at_cap_0_and_fails_at_cap_1,
         (),                                 # [d_x, x d_x] = d_x fails at degree 1 only
     ),
@@ -720,6 +730,11 @@ MUTANTS = {
         inner(oracles.test_axiom_i_slot_tables_equal_the_tagged_sweep),
         # m = 0 looped first finds (e_0, x1 e_0, e_0)
         (anchor_across_two_columns(), 1),
+    ),
+    "walk_visiting_place_0_only": (
+        [(courant_core, "_axiom_i_witness", walk_with(place_0_only=True))],
+        inner(test_courant_core.test_axiom_i_walk_equals_the_all_pairs_reference),
+        (anchor_row_1_over_r3(),),
     ),
     "walk_without_first_slot_major": (
         [(courant_core, "_axiom_i_witness", walk_second_slot_major)],

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from courantlab import cli, linalg, scene as scene_module
 from courantlab.cli import main
 from courantlab.bundles import TrivialBundle
-from courantlab.courant_core import (CourantStructure, check_axioms, check_degree_cap,
-                                     standard_structure)
+from courantlab.courant_core import CourantStructure, check_axioms, standard_structure
 from courantlab.polyexpr import Polynomial, parse
 from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
 
@@ -60,15 +61,9 @@ def _too_large(n: str) -> str:
             f"the largest rank of a scene bundle")
 
 
-# a builtin standard<N> of `axioms` and `leibniz` with a family above
-# MAX_FAMILY at every cap, read without int(): four digits, and 5000, more
-# than int() converts
+# builtins of four digits, and of 5000, more than int() converts: the digit
+# count is read first
 _TOO_MANY_DIGITS = ["1000", "0" + "9" * 5000]
-
-
-def _too_many_digits(n: str) -> str:
-    return (f"error: builtin structure 'standard{n}' has rank 2N above 256, "
-            f"the largest family the certificate accepts\n")
 
 
 class TestLoadScene:
@@ -119,8 +114,23 @@ class TestLoadScene:
 
     def test_unknown_field(self, tmp_path):
         path = write_scene(tmp_path, {"schema_version": 1, "bundlez": {}})
-        with pytest.raises(SceneError, match="unknown scene field"):
+        with pytest.raises(SceneError, match="^scene: unknown field 'bundlez'$"):
             load_scene(path)
+
+    @pytest.mark.parametrize("root, message", [
+        ([1], "scene root must be an object, got [1]"),
+        ({}, "scene: missing field 'schema_version'"),
+        ({"schema_version": 2}, "scene: schema_version must be 1, got 2"),
+        ({"schema_version": 1, "bundles": 5}, "scene: bundles must be an object, got 5"),
+        ({"schema_version": 1, "bundlez": {}}, "scene: unknown field 'bundlez'"),
+        # a refused value is shown in at most 80 characters
+        (list(range(30)), "scene root must be an object, got " + repr(list(range(30)))[:77] + "..."),
+    ], ids=["not_an_object", "no_version", "other_version", "section_not_an_object",
+            "unknown_section", "long_root"])
+    def test_the_root_is_read_by_the_field_rule(self, tmp_path, root, message):
+        with pytest.raises(SceneError) as err:
+            load_scene(write_scene(tmp_path, root))
+        assert str(err.value) == message
 
     def test_structure_roundtrip(self, tmp_path):
         # structures emitted as JSON fragments reload and pass the axioms
@@ -139,7 +149,12 @@ class TestLoadScene:
     @settings(max_examples=200, deadline=None, database=None)
     @given(literals)
     def test_rational_literals_read_as_fraction_reads_them(self, text):
+        # only an optional minus sign and ASCII digits, then optionally "/"
+        # and ASCII digits, are a literal; Fraction reads it
+        head, slash, tail = text.removeprefix("-").partition("/")
         try:
+            if not all(part.isascii() and part.isdigit() for part in [head] + [tail] * len(slash)):
+                raise ValueError(text)
             expected = Fraction(text)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(SceneError) as err:
@@ -326,11 +341,9 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["axioms", "--structure", "standard3", "--degree-cap", "-1"],
-        # 6 * C(12, 3) = 1320 monomial frame sections, over the 256 accepted
-        ["axioms", "--structure", "standard3", "--degree-cap", "9"],
+        ["axioms", "--structure", "standard3", "--degree-cap", "9.0"],
         ["leibniz", "--structure", "standard1", "--degree-cap", "-1"],
-        # the requested (default) cap 3: 24 * C(15, 3) = 10920 sections
-        ["leibniz", "--structure", "standard12"],
+        ["leibniz", "--structure", "standard12", "--degree-cap", "-10"],
         ["intrinsic", "--n", "1", "--m", "0", "--degree-cap", "-1"],
     ])
     def test_bad_degree_cap_exit_2(self, capsys, argv):
@@ -343,39 +356,43 @@ class TestCLI:
 
     @pytest.mark.parametrize("argv", [
         ["leibniz", "--structure", "standard3", "--degree-cap", "40"],
-        # the default cap 3: 8 * C(7, 3) = 280 sections
         ["leibniz", "--structure", "standard4"],
         ["axioms", "--structure", "standard4"],
     ])
     def test_leibniz_checks_the_requested_cap_as_axioms_does(self, capsys, argv):
-        assert main(argv) == 2
+        # both decide at min(cap, 1): caps whose families of 280 sections or
+        # more were once refused pass in both, and a negative cap exits 2 in both
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: --degree-cap: degree cap ")
+        assert captured.err == "" and "PASS" in captured.out
+        for command in ("axioms", "leibniz"):
+            assert main([command, *argv[1:3], "--degree-cap", "-1"]) == 2
+            assert capsys.readouterr().err == "error: --degree-cap must be >= 0, got -1\n"
 
-    def test_family_limit_is_256_sections(self, capsys):
-        # standard1 has rank 2 over R^1: cap 127 gives 2 * 128 = 256 sections
-        assert check_degree_cap(standard_structure(1).bundle, 127) == 256
-        with pytest.raises(ValueError, match="258 sections"):
-            check_axioms(standard_structure(1), degree_cap=128)
-        assert main(["axioms", "--structure", "standard1", "--degree-cap", "128"]) == 2
+    def test_no_degree_cap_is_too_large(self, capsys):
+        # standard1 at caps 128 and 10^40, whose families once exceeded 256
+        # sections, decides at degree 1 as at every cap >= 1
+        for cap in (128, 10 ** 40):
+            assert check_axioms(standard_structure(1), degree_cap=cap).checks["i"].detail == (
+                f"certified: degree cap {cap}, decided at degree 1, scope all smooth sections")
+            assert main(["axioms", "--structure", "standard1", "--degree-cap", str(cap)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_builtin_cap_is_checked_before_the_structure_is_built(self, capsys, monkeypatch):
-        # standard600 at cap 0 has 1200 frame sections; its (2N)^2 metric is
-        # never formed
+        # standard600, of rank 1200, is refused at every cap by its rank,
+        # and its (2N)^2 metric is never formed; standard64, of rank 128, is
+        # built at the default cap 3
         built = []
         monkeypatch.setattr(cli, "standard_structure",
                             lambda n: built.append(n) or standard_structure(n))
         for command in ("axioms", "leibniz"):
             assert main([command, "--structure", "standard600", "--degree-cap", "0"]) == 2
             lines = capsys.readouterr().err.splitlines()
-            assert lines == ["error: --degree-cap: degree cap 0 gives a family of 1200 "
-                             "sections, more than the 256 the certificate accepts; "
-                             "lower the cap"]
+            assert lines == [_too_large("600")]
         assert built == []
         assert main(["axioms", "--structure", "standard1", "--degree-cap", "0"]) == 0
-        assert built == [1]
+        assert main(["axioms", "--structure", "standard64"]) == 0
+        assert built == [1, 64]
 
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -857,7 +874,7 @@ class TestMorphismContract:
 
     @pytest.mark.parametrize("count, expected", [(16, 0), (17, 2)])
     def test_pairs_file_is_bounded(self, tmp_path, capsys, count, expected):
-        # every ordered pair of supplied pairs is checked: 16^2 = MAX_FAMILY
+        # every ordered pair of supplied pairs is checked: at most MAX_PAIRS = 16
         sections = {}
         for k in range(1, count + 1):
             sections[f"f{k}"] = {"bundle": "P1", "coeffs": [f"{k}*x1", f"{k}"]}
@@ -872,7 +889,7 @@ class TestMorphismContract:
         assert code == expected
         if expected == 2:
             assert captured.err.splitlines() == [
-                "error: too many supplied pairs: 17, whose 289 ordered pairs exceed 256"]
+                "error: too many supplied pairs: 17, more than 16"]
 
     @pytest.mark.parametrize("text, message", [
         ('{"fiber_matrix": [[0, 0], [0, 0]]}', "splitting matrix must be invertible"),
@@ -1006,26 +1023,112 @@ class TestAxiomsContract:
             "", "error: argument --structure: expected one argument\n"))
 
     @pytest.mark.parametrize("n", _TOO_MANY_DIGITS, ids=["4_digits", "5001_digits"])
-    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, n):
+    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, monkeypatch, n):
+        built = refuse_large_builtins(monkeypatch)
         assert TestMorphismContract.run(["axioms", "--structure", f"standard{n}"], capsys) == (
-            2, ("", _too_many_digits(n)))
+            2, ("", _too_large(n) + "\n"))
+        assert built == []
 
     def test_a_rank_0_bundle_still_loads(self):
         spec = {"bundle": "P0", "anchor": [[]], "metric": []}
         assert _axioms_beside({"bundles": {"P0": {"base_dim": 1, "rank": 0}},
                                "courant_structures": {"s": spec}}, "s") == (0, "")
 
-    @pytest.mark.parametrize("cap, expected", [(-1, 2), (1, 0), (2, 2), (3, 2)])
-    def test_family_bound_sets_the_cap(self, capsys, cap, expected):
-        # standard9 has 18 frame sections: 18 * C(9 + cap, cap) must stay
-        # within MAX_FAMILY, although every verdict is decided at cap 1
+    @pytest.mark.parametrize("cap, expected", [(-1, 2), (1, 0), (2, 0), (3, 0)])
+    def test_every_cap_of_0_or_more_is_decided(self, capsys, cap, expected):
+        # standard9 decides at min(cap, 1) at every cap; its families of
+        # 990 and 3960 sections at caps 2 and 3 once exited 2
         code, captured = TestMorphismContract.run(
             ["axioms", "--structure", "standard9", "--degree-cap", str(cap)], capsys)
         assert code == expected
-        if cap == 2:
-            assert captured.err == ("error: --degree-cap: degree cap 2 gives a family of 990 "
-                                    "sections, more than the 256 the certificate accepts; "
-                                    "lower the cap\n")
+        if cap >= 0:
+            assert captured.err == "" and captured.out.count(
+                f"certified: degree cap {cap}, decided at degree {min(cap, 1)}") == 3
+
+    @pytest.mark.parametrize("cap", [1, 10 ** 40])
+    def test_a_wide_base_decides_at_any_cap(self, tmp_path, capsys, cap):
+        # rank 2 over R^128: no cap is too large, and no detail prints a
+        # family size, which at cap 10^40 would pass the digits str() writes
+        spec = {"bundle": "E", "anchor": [["0", "0"]] * 128, "metric": [["0", "1"], ["1", "0"]]}
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"E": {"base_dim": 128, "rank": 2}},
+                                      "courant_structures": {"s": spec}})
+        code, captured = TestMorphismContract.run(
+            ["axioms", "--scene", str(path), "--structure", "s", "--degree-cap", str(cap),
+             "--json"], capsys)
+        assert code == 0 and json.loads(captured.out)["degree_cap"] == cap
+
+    @pytest.mark.parametrize("n", [127, 128])
+    def test_the_walk_skips_the_variables_no_slot_differentiates(self, tmp_path, capsys, n):
+        # rank 2 over R^n with anchor row 1 = [1, 1]: only x1 is walked, so
+        # (i) fails first on (x1 e_0, e_1, x1 e_0) without the (n+1)^3
+        # places; at n = 128 the slot tables' (n k)^2 is MAX_TABLE_WORK itself
+        spec = {"bundle": "E", "anchor": [["1", "1"]] + [["0", "0"]] * (n - 1),
+                "metric": [["0", "1"], ["1", "0"]]}
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"E": {"base_dim": n, "rank": 2}},
+                                      "courant_structures": {"s": spec}})
+        code, captured = TestMorphismContract.run(
+            ["axioms", "--scene", str(path), "--structure", "s", "--degree-cap", "1", "--json"],
+            capsys)
+        check = json.loads(captured.out)["axioms"]["i"]
+        assert code == 1 and check["witness"]["sections"] == [["x1", "0"], ["0", "1"],
+                                                              ["x1", "0"]]
+        assert check["detail"].endswith("least failing tuple from the slot tables of (i)")
+
+    PAST_THE_WORK_BOUND = {
+        # rank 3 over R^128 with anchor row 1 = [0, 0, 1]: rho o D = 1 is
+        # nonzero, so (i), which holds on every frame triple, needs the slot
+        # tables, whose (128 * 3)^2 keys are never built (the cap-1 family
+        # of 387 sections once exited 2 as well)
+        "slot_tables": (128, 3, [["0", "0", "1"]] + [["0", "0", "0"]] * 127,
+                        [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+                        "147456 slot-table keys, (n k)^2"),
+        # a dense constant anchor at rank 128 over R^128 with the split
+        # pairing: rho o D would take 128 products per anchor entry
+        "anchor_products": (128, 128, [[str((a + b) % 3 + 1) for b in range(128)]
+                                       for a in range(128)],
+                            [[str(int(i == (j + 64) % 128)) for j in range(128)]
+                             for i in range(128)],
+                            "2097152 anchor products"),
+    }
+
+    @pytest.mark.parametrize("name", PAST_THE_WORK_BOUND)
+    def test_degree_1_tables_past_the_work_bound_exit_2(self, tmp_path, capsys, name):
+        n, k, anchor, metric, work = self.PAST_THE_WORK_BOUND[name]
+        path = write_scene(tmp_path, {"schema_version": 1,
+                                      "bundles": {"E": {"base_dim": n, "rank": k}},
+                                      "courant_structures": {"s": {
+                                          "bundle": "E", "anchor": anchor, "metric": metric}}})
+        assert TestMorphismContract.run(["axioms", "--scene", str(path), "--structure", "s"],
+                                        capsys) == (2, ("", (
+            f"error: deciding axiom (i) at degree 1 takes {work}, more than the 65536 "
+            "the certificate allows\n")))
+
+    def test_a_dense_rank_128_scene_is_refused_before_its_tables_are_formed(self, tmp_path):
+        # dense invertible G, a dense constant anchor and c = 0 at rank 128
+        # over R^128: (i) holds on every frame triple and rho o D is nonzero,
+        # so the degree-1 tables would decide it, the slot tables with some
+        # 2.7e8 keys; their work is counted from the anchor's nonzero entries
+        # and refused with no G^-1 A^T, product or table formed
+        n = k = 128
+        spec = {"bundle": "E",
+                "anchor": [[str((a * 7 + b * 3) % 5 + 1) for b in range(k)] for a in range(n)],
+                "metric": [["2" if i == j else "1" for j in range(k)] for i in range(k)]}
+        s = load_scene(write_scene(tmp_path, {
+            "schema_version": 1, "bundles": {"E": {"base_dim": n, "rank": k}},
+            "courant_structures": {"s": spec}})).structures["s"]
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="takes 2097152 anchor products"):
+                check_axioms(s, degree_cap=3)
+            elapsed, peak = time.perf_counter() - started, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 0.2 s and 9 MB measured, most of it the anchor's frame tables,
+        # which every axiom reads; the slot tables alone would take GBs
+        assert s._dual is None and elapsed < 10 and peak < 2 ** 24
 
 
 class TestLeibnizContract:
@@ -1043,9 +1146,11 @@ class TestLeibnizContract:
             "", "error: argument --structure: expected one argument\n"))
 
     @pytest.mark.parametrize("n", _TOO_MANY_DIGITS, ids=["4_digits", "5001_digits"])
-    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, n):
+    def test_a_builtin_of_four_digits_names_the_structure(self, capsys, monkeypatch, n):
+        built = refuse_large_builtins(monkeypatch)
         assert TestMorphismContract.run(["leibniz", "--structure", f"standard{n}"], capsys) == (
-            2, ("", _too_many_digits(n)))
+            2, ("", _too_large(n) + "\n"))
+        assert built == []
 
     def test_an_anchor_entry_at_the_exponent_limit_overflows(self, tmp_path, capsys):
         # the witness g = x1 e_0 shifts A_00 = x1^32767 past the limit of the
@@ -1565,6 +1670,17 @@ def test_an_input_reads_x1_as_unknown_beside_a_p1_section():
         2, "error: input 'u': unknown identifier 'x1' (at position 0)\n")
 
 
+@pytest.mark.parametrize("text", ["+1", " 1", "1.5", "1e3", "1_000", "\u0661", "1/\u0662"])
+def test_a_metric_entry_is_an_integer_or_p_over_q_in_ascii_digits(text):
+    # texts Fraction() reads but the literal rule does not
+    structure = {"bundle": "P1", "anchor": [["0", "0"]], "metric": [["0", text], [text, "0"]]}
+    assert _axioms_beside({"courant_structures": {"s": structure}}) == (
+        2, f"error: courant_structure 's': expected a rational (integer or 'p/q'), "
+           f"got {text!r}\n")
+    structure["metric"] = [["0", "-03/2"], ["-03/2", "0"]]
+    assert _axioms_beside({"courant_structures": {"s": structure}}) == (0, "")
+
+
 def test_a_metric_reads_true_as_no_rational_beside_1():
     # JSON true equals 1 in Python; read after 1, it is still no rational
     structure = {"bundle": "P1", "anchor": [["0", "0"]], "metric": [[1, 0], [0, True]]}
@@ -1799,12 +1915,12 @@ class TestArgumentContract:
 
     @pytest.mark.parametrize("command", list(_REQUIRED))
     def test_non_integer_degree_cap(self, capsys, command):
-        # `simulate` and `project` take no --degree-cap at all
+        # `simulate`, `project`, `pullback` and `dirac` take no --degree-cap at all
         code, captured = TestMorphismContract.run(
             [command, "--scene", str(SCENE), *_REQUIRED[command], "--degree-cap", "x"], capsys)
         assert code == 2
         assert captured.err == ("error: unrecognized arguments: --degree-cap x\n"
-                                if command in ("simulate", "project") else
+                                if command in ("simulate", "project", "pullback", "dirac") else
                                 "error: argument --degree-cap: invalid int value: 'x'\n")
 
     def test_non_integer_dimension(self, capsys):
@@ -1939,12 +2055,12 @@ options:
   --out OUT             write the report or CSV here instead of stdout
   --seed SEED           echoed in --json; no verdict depends on it
   --degree-cap DEGREE_CAP
-                        degree cap for section families; the axiom and
-                        morphism certificates and the sweep of the falsified
-                        Leibniz variant are complete for all smooth sections
-                        at any cap >= 1, and cap 0 bounds the claim to
-                        constant sections; the two Leibniz rules hold by the
-                        bracket's expansion
+                        degree cap for section families; every certificate
+                        decides at min(cap, 1), so the axiom and morphism
+                        verdicts and the falsified Leibniz variant are
+                        complete for all smooth sections at any cap >= 1, and
+                        cap 0 bounds the claim to constant sections; the two
+                        Leibniz rules hold by the bracket's expansion
   --json                machine-readable report
   --structure STRUCTURE
                         scene structure name or builtin standard<N>

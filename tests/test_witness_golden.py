@@ -4,8 +4,9 @@ The certificate reports the least failing tuple in one order (see
 courant_core), which does not depend on term order, with its defect read
 from the frame tables and the first nonzero component of that defect;
 `conftest.reference_axiom_witness` re-expands a witness through the plain
-bracket as the reference.  A failing detail says whether the frame tables
-or the degree-1 sweep of (i) found the witness.  The fixture holds, one line per
+bracket as the reference.  Each detail names the requested cap, the degree
+decided and the scope, and a failing one whether the frame tables or the
+slot tables of (i) gave the witness.  The fixture holds, one line per
 probe, the canonical JSON of `check_axioms(...).to_json()` for standard(n),
 n = 1, 2, 3, with the metric scaled by -2/5 and one structure function
 c_ij^h = 3/2, at degree caps 3, 2 and 1.  The least failing tuple is the

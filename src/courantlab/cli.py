@@ -18,6 +18,17 @@ inputs and seeds produce byte-identical output.  Timing appears only in
 the human-readable rendering.  `simulate` and `project` write CSV and take
 only --scene and --out of the shared flags.
 
+`project` writes the interaction run from (x0, z0) projected by
+(x, z) -> (x, -dz/dt), and those are the open run's rows from x0, bit for
+bit, so both commands run `simulate_ph` and write its rows:
+  - the x statements of the interaction loop compute the open loop's floats:
+    z never feeds back into x, and sharing a term with Y is exact (`phsim`);
+  - the outputs Y(x_k) are emitted the same way in both loops, by the
+    stage-1 family at each grid row and by Y alone after the last step;
+  - -dz/dt = -(-Y) is Y bit for bit, a sign flipped twice, NaNs included.
+So no CSV byte depends on z0.  `project` still reads and checks --z0 before
+the run, with the same error lines and exit codes.
+
 The --json bytes, and the structure `pullback` prints, equal what the json
 module's dumps(report, sort_keys=True, indent=2) writes, and `_canonical`
 writes them: a report holds only dicts with str keys, lists, tuples, str,
@@ -59,26 +70,20 @@ from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
 from .courant_core import check_axioms, check_leibniz, standard_structure
-from .phsim import (
-    dirac_structure_of,
-    project_behavior,
-    simulate_interaction,
-    simulate_ph,
-    write_csv,
-)
+from .phsim import dirac_structure_of, simulate_ph, write_csv
 from .polyexpr import ExponentOverflowError
 from .scene import (MAX_BUNDLE_DIMENSION, Scene, SceneError, _fields, _polymap, _rational, _row,
-                    _vars, load_scene, read_json, structure_to_json)
+                    _shown, _vars, load_scene, read_json, structure_to_json)
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
 # the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
 # splitting matrix 4(n + m)^2 entries
 MAX_INTRINSIC_DIMENSION = 64
-# the most RK4 steps of `simulate` and `project`: each state, output and z
+# the most RK4 steps of `simulate` and `project`: each state and output
 # coordinate keeps one float per grid row
 MAX_STEPS = 10 ** 6
 # the most floats those grid buffers hold in one run, (steps + 1) times the
-# coordinates kept: 80 MB
+# n + m coordinates kept: 80 MB
 MAX_GRID_VALUES = 10 ** 7
 
 
@@ -137,7 +142,9 @@ _FLAGS = {
                   "--phi": ("phi", None, False, None,
                             "JSON file with a constant fiber_matrix for the splitting")},
     "simulate": {**_TRAJECTORY, **_TIMES},
-    "project": {**_TRAJECTORY, "--z0": ("z0", None, True, None, None), **_TIMES},
+    "project": {**_TRAJECTORY, "--z0": ("z0", None, True, None, "comma-separated initial "
+                                        "z, checked; the projection does not depend on it"),
+                **_TIMES},
     "dirac": {**_FILES, **_JSON, "--system": ("system", None, True, None, None)},
 }
 
@@ -345,13 +352,13 @@ def _cmd_morphism(args):
     if args.pairs != "auto":
         named = read_json(args.pairs, "pairs file")
         if not isinstance(named, list):
-            raise SceneError(f"pairs file must hold a list of pairs, got {named!r}")
+            raise SceneError(f"pairs file must hold a list of pairs, got {_shown(named)}")
         pairs = []
         for entry in named:
             # a pair is a list of two section names, not any two-item iterable
             if not (type(entry) is list and len(entry) == 2
                     and all(type(name) is str and name in scene.sections for name in entry)):
-                raise SceneError(f"bad pair entry {entry!r}")
+                raise SceneError(f"bad pair entry {_shown(entry)}")
             pairs.append((scene.sections[entry[0]], scene.sections[entry[1]]))
     try:
         if pairs == "auto" and phi.is_identity_base():
@@ -384,7 +391,7 @@ def _cmd_pullback(args):
         exprs = read_json(os.fsencode(args.alt_retraction), "--alt-retraction")
         if type(exprs) is not list:
             raise SceneError(f"bad --alt-retraction: expected a JSON array of expressions, "
-                             f"got {exprs!r}")
+                             f"got {_shown(exprs)}")
         alt = _polymap(exprs, _vars(phi.target.base_dim), "bad --alt-retraction", {})
     try:
         problem = pullback_mod.PullbackProblem(ambient, phi.source, phi)
@@ -462,24 +469,31 @@ def _cmd_intrinsic(args):
 
 
 def _parse_vector(text: str, expected: int, what: str):
-    try:
-        values = [float(v) for v in text.split(",")] if text else []
-    except ValueError as exc:
-        raise SceneError(f"bad {what}: {exc}") from exc
+    values = []
+    for v in text.split(",") if text else []:
+        try:
+            values.append(float(v))
+        except ValueError:      # float's own line, with the part cut
+            raise SceneError(f"bad {what}: could not convert string to float: "
+                             f"{_shown(v)}") from None
     if len(values) != expected:
         raise SceneError(f"{what} must have {expected} components")
     if not all(map(math.isfinite, values)):
-        raise SceneError(f"{what} must be finite, got {text!r}")
+        raise SceneError(f"{what} must be finite, got {_shown(text)}")
     return values
 
 
 def _cmd_trajectory(args):
-    """simulate (the open system) and project (the interaction run's behavior)."""
+    """simulate (the open system) and project (the interaction run's
+    behavior), both from the open run: the projection's rows are its rows,
+    bit for bit (see the module docstring), so `project` checks --z0 and
+    never integrates z."""
     scene = _load(args)
     system = _named(scene.ph_systems, "ph_system", args.system)
     signal = _named(scene.inputs, "input", args.input_name)
     x0 = _parse_vector(args.x0, system.n, "--x0")
-    z0 = _parse_vector(args.z0, system.m, "--z0") if args.command == "project" else None
+    if args.command == "project":
+        _parse_vector(args.z0, system.m, "--z0")
     for flag, value in (("--T", args.t_final), ("--h", args.step)):
         if not (math.isfinite(value) and value > 0):
             raise SceneError(f"{flag} must be positive and finite, got {value!r}")
@@ -488,19 +502,14 @@ def _cmd_trajectory(args):
     if args.t_final / args.step > MAX_STEPS:
         raise SceneError(f"--T / --h must be at most {MAX_STEPS} steps, "
                          f"got --T {args.t_final!r} and --h {args.step!r}")
-    # the grid buffers hold steps + 1 rows of the states, the outputs and z
-    columns = system.n + system.m + (0 if z0 is None else system.m)
+    # the grid buffers hold steps + 1 rows of the states and the outputs
+    columns = system.n + system.m
     values = (max(1, round(args.t_final / args.step)) + 1) * columns
     if values > MAX_GRID_VALUES:
         raise SceneError(f"the run keeps {values} grid values for {columns} coordinates, "
                          f"more than {MAX_GRID_VALUES}")
     try:
-        if z0 is None:
-            trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
-            rows = trajectory
-        else:
-            trajectory = simulate_interaction(system, signal, x0, z0, args.t_final, args.step)
-            rows = project_behavior(trajectory)
+        trajectory = simulate_ph(system, signal, x0, args.t_final, args.step)
     except ValueError as exc:
         raise SceneError(f"ph_system {args.system!r}, input {args.input_name!r}: {exc}") from None
     if trajectory.step != args.step:
@@ -509,11 +518,7 @@ def _cmd_trajectory(args):
     if trajectory.diverged:
         sys.stderr.write(f"warning: trajectory overflowed before the horizon, at step "
                          f"{len(trajectory.times) - 1} (t = {float(trajectory.times[-1])!r})\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_csv(rows, fh)
-    else:
-        write_csv(rows, sys.stdout)
+    write_csv(trajectory, args.out or sys.stdout)
     return None, None
 
 

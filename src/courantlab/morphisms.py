@@ -124,7 +124,8 @@ them.
 `_bracket_failure` decides the pass from the identities at the cap, and
 on a failure sums Delta on the pairs of degree <= min(cap, 1) in the
 witness order from the three lines (`_pair_defect`), up to the first
-nonzero one: the witness, whose defect is that sum.  No failure brackets
+nonzero one: the witness, whose defect is that sum.  The frame pairs are
+walked only where some Delta_ij is nonzero.  No failure brackets
 a section; `tests/conftest.py` keeps the recomputation of a pair's defect
 through the plain brackets as the reference the oracles compare it with.
 
@@ -458,13 +459,15 @@ def _pair_defect(d: _Lines, monos, xs, pair) -> list[Polynomial]:
     return [poly_sum(len(monos[0]), (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
-def _witness_order(rank, monos):
+def _witness_order(rank, monos, frames=True):
     """Every family pair ((i, a), (j, b)) of members x^alpha_a e_i, with
     monos of degree <= 1, in the one witness order and one at a time: the
-    frame pairs (a = b = 0), then the pairs of degree 1, each in the order
-    of the tags i*M + a and j*M + b slot by slot."""
+    frame pairs (a = b = 0), left out unless `frames`, then the pairs of
+    degree 1, each in the order of the tags i*M + a and j*M + b slot by
+    slot."""
     members = [(i, a) for i in range(rank) for a in range(len(monos))]
-    yield from itertools.product([(i, 0) for i in range(rank)], repeat=2)
+    if frames:
+        yield from itertools.product([(i, 0) for i in range(rank)], repeat=2)
     yield from (pair for pair in itertools.product(members, repeat=2) if pair[0][1] or pair[1][1])
 
 
@@ -476,7 +479,9 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     at cap 0 it vanishes iff every Delta_ij does, at cap >= 1 iff also
     `_degree_1_holds`.  On a failure Delta is summed from its lines on the
     pairs in the witness order, up to the first nonzero one, the witness
-    with that defect.  A source of rank 0 has no pairs.
+    with that defect; a frame pair's defect is its Delta_ij alone, so with
+    every Delta_ij zero the walk starts at degree 1.  A source of rank 0
+    has no pairs.
     """
     if not s1.bundle.rank:
         return None
@@ -486,7 +491,7 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     n = s1.bundle.base_dim
     monos = monomials_up_to(n, min(cap, 1))
     xs = [Polynomial.monomial(n, alpha) for alpha in monos]
-    for pair in _witness_order(s1.bundle.rank, monos):
+    for pair in _witness_order(s1.bundle.rank, monos, bool(d.delta)):
         defect = _pair_defect(d, monos, xs, pair)
         if not all(x.is_zero() for x in defect):
             f1, f2 = (_member(s1.bundle.rank, i, str(xs[a])) for i, a in pair)

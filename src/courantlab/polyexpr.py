@@ -101,6 +101,13 @@ class ExponentOverflowError(OverflowError):
     """A product needs an exponent above MAX_EXPONENT in some variable."""
 
 
+def _shown(value) -> str:
+    """repr(value), cut to 80 characters: an error line names the value it
+    refuses, not a whole file of it."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class ParseError(ValueError):
     """Syntax or name error in a polynomial expression, with position."""
 
@@ -868,7 +875,7 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
             return Polynomial.constant(n, numerator)
         if kind == "ident":
             if value not in index:
-                raise ParseError(f"unknown identifier {value!r}", pos)
+                raise ParseError(f"unknown identifier {_shown(value)}", pos)
             return Polynomial.variable(n, index[value])
         if kind == "op" and value == "(":
             inner = parse_expr()
@@ -881,5 +888,5 @@ def parse(text: str, variables: Sequence[str]) -> Polynomial:
     result = parse_expr()
     kind, value, pos = lex.peek()
     if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
+        raise ParseError(f"unexpected trailing input {_shown(value)}", pos)
     return result

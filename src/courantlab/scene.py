@@ -57,7 +57,7 @@ from .bundles import BundleMorphism, Section, TrivialBundle
 from .courant_core import CourantStructure
 from .linalg import dense, entry
 from .phsim import InputSignal, PHSystem
-from .polyexpr import PolyMap, Polynomial, parse
+from .polyexpr import PolyMap, Polynomial, _shown, parse
 
 __all__ = ["Scene", "SceneError", "load_scene", "read_json", "structure_to_json"]
 
@@ -124,7 +124,7 @@ def read_json(source, what: str):
     except OSError as exc:
         raise SceneError(f"cannot read {what}: {exc}") from exc
     except _DuplicateName as exc:
-        raise SceneError(f"duplicate name {exc.args[0]!r} in {what}") from None
+        raise SceneError(f"duplicate name {_shown(exc.args[0])} in {what}") from None
     except (ValueError, RecursionError) as exc:     # bad JSON or UTF-8, or nested too deep
         raise SceneError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -149,7 +149,7 @@ def _rational(value, where: str, seen: dict) -> Fraction:
             return number
     except (ValueError, ZeroDivisionError):
         pass
-    raise SceneError(f"{where}: expected a rational (integer or 'p/q'), got {value!r}")
+    raise SceneError(f"{where}: expected a rational (integer or 'p/q'), got {_shown(value)}")
 
 
 def _expr(text, variables: tuple, where: str, seen: dict) -> Polynomial:
@@ -157,7 +157,7 @@ def _expr(text, variables: tuple, where: str, seen: dict) -> Polynomial:
     keeps each one parsed, keyed on the text and the variable names, since
     one text reads differently, or not at all, over other names."""
     if not isinstance(text, str):
-        raise SceneError(f"{where}: expected an expression string, got {text!r}")
+        raise SceneError(f"{where}: expected an expression string, got {_shown(text)}")
     key = (text, variables)
     if key not in seen:
         seen[key] = _built(where, parse, text, variables)
@@ -222,7 +222,8 @@ _FIELDS = {
     "inputs": {"u": "list"},
 }
 _SHAPES = {
-    "version": (str(SCHEMA_VERSION), lambda v: v == SCHEMA_VERSION),
+    # the JSON integer 1, not true or 1.0
+    "version": (str(SCHEMA_VERSION), lambda v: type(v) is int and v == SCHEMA_VERSION),
     "integer": ("an integer", lambda v: type(v) is int),    # JSON true is no dimension
     "string": ("a string", lambda v: isinstance(v, str)),
     "list": ("a list", lambda v: isinstance(v, list)),
@@ -232,13 +233,6 @@ _SHAPES = {
 }
 # the scene root: the schema version and the sections, each optional
 _ROOT = {"schema_version": "version", **{f"{section}?": "object" for section in _FIELDS}}
-
-
-def _shown(value) -> str:
-    """repr(value), cut to 80 characters: a field's error line names the
-    value it refuses, not a whole file of it."""
-    text = repr(value)
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _fields(spec, fields: dict, where: str, what: str) -> dict:

@@ -565,5 +565,11 @@ def test_code_lines_fell():
     # with the degree-1 tables of (i) bounded by their work,
     # `MAX_TABLE_WORK`, counted before they are formed, and the anchor
     # brackets walked over a gradient index (courant_core +17, the CLI's
-    # exit 2 on that bound +3), 3,093
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3093
+    # exit 2 on that bound +3), 3,093; with `project` written from the open
+    # run (the CLI's interaction call, projection and z columns gone, and
+    # the CSV handed its --out path: cli -9, with the refused values of its
+    # lines cut by `_shown`), `_shown` moved to `polyexpr` for the parser's
+    # lines (polyexpr +3, scene -3), the simulator's terms shared only where
+    # that saves multiplies (+4) and the walk of a morphism's pairs skipping
+    # the frame pairs where Delta vanishes (+1), 3,089
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3089

@@ -813,11 +813,15 @@ def test_witness_order_is_the_sorted_reference(rank, n, cap):
     assert list(morphisms._witness_order(rank, monos)) == sorted_witness_order(rank, monos)
 
 
-def test_the_pair_walk_lists_no_pairs_ahead():
+def test_the_pair_walk_lists_no_pairs_ahead(monkeypatch):
     # rank 64 over R^64, the identity into the same metric with a zero
-    # anchor: T = A1 != 0, so the walk passes the 64^2 frame pairs and
-    # fails first on (e_0, x1 e_0); the sorted reference would hold all
-    # (64 * 65)^2, about 17.5 million, pairs first
+    # anchor: T = A1 != 0 and every Delta_ij = 0, so the walk skips the
+    # 64^2 frame pairs, whose defects it once summed (4,160 calls), and
+    # fails on the 64th pair of degree 1, (e_0, x1 e_0); the sorted
+    # reference would hold all (64 * 65)^2, about 17.5 million, pairs first
+    calls, pair_defect = [], morphisms._pair_defect
+    monkeypatch.setattr(morphisms, "_pair_defect",
+                        lambda *args: calls.append(args[-1]) or pair_defect(*args))
     n = k = 64
     metric = [[int(i == j) for j in range(k)] for i in range(k)]
     anchor = [[int(a == i == 0) for i in range(k)] for a in range(n)]
@@ -835,6 +839,7 @@ def test_the_pair_walk_lists_no_pairs_ahead():
     bracket = verdict.failures[0]
     assert bracket.condition == "bracket" and bracket.witness == {
         "f": ["1"] + ["0"] * (k - 1), "g": ["x1"] + ["0"] * (k - 1)}
+    assert len(calls) == 64 and calls[-1] == ((0, 0), (0, 64))
 
 
 # -- the data kept on the morphism ----------------------------------------------

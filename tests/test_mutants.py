@@ -51,6 +51,8 @@ _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
 auto_failures = morphisms._auto_failures
+witness_order = morphisms._witness_order
+check_degree_cap, parse_vector = courant_core.check_degree_cap, cli._parse_vector
 canonical, rational = cli._canonical, scene._rational
 pivot_product = linalg._pivot_product
 
@@ -260,10 +262,28 @@ def metric_failure_with_plus_d(s1, s2, phi, general=False):
     return failure
 
 
-def witness_order_without_the_degree(rank, monos):
+def witness_order_without_the_degree(rank, monos, frames=True):
     """`_witness_order` ordering pairs by their tags alone."""
     members = [(i, a) for i in range(rank) for a in range(len(monos))]
     return list(itertools.product(members, repeat=2))
+
+
+def witness_order_without_the_frame_pairs(rank, monos, frames=True):
+    """`_witness_order` leaving out the frame pairs also where Delta does
+    not vanish."""
+    return witness_order(rank, monos, False)
+
+
+def degree_cap_without_the_cap_0_scope(degree_cap):
+    """`check_degree_cap` deciding every cap at SWEEP_ORDER, so that cap 0
+    claims all smooth sections as well."""
+    check_degree_cap(degree_cap)
+    return courant_core.SWEEP_ORDER
+
+
+def vector_without_the_z0_check(text, expected, what):
+    """`_parse_vector` leaving --z0 unread, which no byte of `project` reads."""
+    return None if what == "--z0" else parse_vector(text, expected, what)
 
 
 def derived_terms_dropped(v_l, w):
@@ -634,6 +654,17 @@ def anchor_row_1_over_r3():
                             [[0, 1], [1, 0]])
 
 
+def open_b_field_over_r3():
+    """(check, s, s, phi): e^B on standard(3) over the identity, with
+    B = x1 dx2 ^ dx3.  dB = dx1 ^ dx2 ^ dx3 != 0, so Delta does not vanish
+    and the least failing pair is the frame pair (e_0, e_1)."""
+    s, x1 = standard_structure(3), Polynomial.variable(3, 0)
+    fiber = [[Polynomial.constant(3, int(i == j)) for j in range(6)] for i in range(6)]
+    fiber[4][2], fiber[5][1] = x1, -x1
+    return (morphisms.check_identity_base, s, s,
+            BundleMorphism(s.bundle, s.bundle, PolyMap.identity(3), fiber, PolyMap.identity(3)))
+
+
 def anchor_in_column_1():
     """Anchor [0, 1] over R^1 with the hyperbolic G: column 0 is zero."""
     return CourantStructure(TrivialBundle(1, 2, "E"), [[0, 1]], [[0, 1], [1, 0]])
@@ -741,6 +772,17 @@ MUTANTS = {
         inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
         # (e_0, x1 e_0, e_0) fails, and so does (x1 e_0, e_0, e_0), its slots exchanged
         (bumped(SCALED1, (0, 0, 1)),),
+    ),
+    "cap_0_claiming_all_sections": (
+        [(courant_core, "check_degree_cap", degree_cap_without_the_cap_0_scope)],
+        oracles.test_certificate_equals_enumeration,
+        # anchor [1, 1]: every constant triple passes, and (i) fails at degree 1
+        (anchor_with_rho_d(), 0),
+    ),
+    "walk_without_the_frame_pairs": (
+        [(morphisms, "_witness_order", witness_order_without_the_frame_pairs)],
+        inner(test_morphisms.test_verdict_equals_the_degree_1_sweep),
+        (open_b_field_over_r3(), 1),        # (e_0, x3 e_1) found after the frame pairs
     ),
     "metric_witness_from_d_transposed": (
         [(morphisms, "_metric_failure", metric_failure_with_d_transposed)],
@@ -937,6 +979,11 @@ MUTANTS = {
         [(morphisms.AlongImage, "selected", selection_off_by_one)],
         test_intrinsic.test_pontryagin_record_is_the_column_selection_of_chis,
         (1, 1),                             # columns (v, p) of chi read as (p, e)
+    ),
+    "project_without_its_z0_check": (
+        [(cli, "_parse_vector", vector_without_the_z0_check)],
+        test_scene_cli.TestCLI().test_bad_trajectory_input_exit_2,
+        ("project", ["--z0=nan"]),          # exits 0 with the open run's rows
     ),
     "shared_negative_term_added": (
         [(phsim, "_emit", EMIT_ADDING)],

@@ -29,6 +29,7 @@ from courantlab.phsim import (
     _fields,
     _grid,
     _run,
+    project_behavior,
     simulate_interaction,
     simulate_ph,
 )
@@ -312,6 +313,24 @@ def test_fused_loop_bitwise_equals_list_loop(name, make, u, x0, z0, t_final, h, 
         if z is not None:
             # the z rows stop at the same grid row as x
             assert zs.shape == (rows, system.m)
+
+
+@pytest.mark.parametrize("name, make, u, x0, z0, t_final, h, rows",
+                         [case for case in BITWISE_CASES if case[4] is not None],
+                         ids=[case[0] for case in BITWISE_CASES if case[4] is not None])
+def test_z_moves_no_x_row_and_no_output(name, make, u, x0, z0, t_final, h, rows):
+    # the premise of the CLI's `project`, which writes the open run's rows:
+    # the x rows and outputs of a run with z are those of the run without
+    # it, bit for bit, and so is every other result but the z rows; the
+    # projection's outputs -(-Y) are Y
+    system = make()
+    times, xs, zs, outputs, dt, diverged = _run(system, u, x0, t_final, h, z0=z0)
+    assert zs.shape == (rows, system.m)
+    assert_bitwise((times, xs, None, outputs, dt, diverged), _run(system, u, x0, t_final, h))
+    projected = project_behavior(simulate_interaction(system, u, x0, z0, t_final, h))
+    ph = simulate_ph(system, u, x0, t_final, h)
+    assert_bitwise([projected.times, projected.states, projected.outputs, projected.diverged],
+                   [ph.times, ph.states, ph.outputs, ph.diverged])
 
 
 def test_long_chains_compile_in_the_fused_loop():

@@ -68,6 +68,19 @@ def test_fixture_covers_186_ops():
     assert sum(map(len, EXPECTED.values())) == 186
 
 
+def test_each_projection_has_the_bytes_of_its_open_run():
+    # `project` writes the open run's rows (see the cli docstring): each
+    # project_* op of a cycle has the digest of its simulate_* twin
+    twins = 0
+    for lines in EXPECTED.values():
+        digests = {record["slot"]: record["digest"] for record in map(json.loads, lines)}
+        for slot, digest in digests.items():
+            if slot.startswith("project_"):
+                assert digest == digests["simulate_" + slot.removeprefix("project_")], slot
+                twins += 1
+    assert twins == 12
+
+
 @pytest.mark.parametrize("workload, seed, cycle", CYCLES,
                          ids=[f"{w}-seed{s}-cycle{c}" for w, s, c in CYCLES])
 def test_replay_bytes(workload, seed, cycle):

@@ -17,12 +17,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import cli, linalg, scene as scene_module
+from courantlab import cli, linalg, phsim, scene as scene_module
 from courantlab.cli import main
 from courantlab.bundles import TrivialBundle
 from courantlab.courant_core import CourantStructure, check_axioms, standard_structure
 from courantlab.polyexpr import Polynomial, parse
-from courantlab.scene import SceneError, _rational, load_scene, structure_to_json
+from courantlab.scene import SceneError, _rational, _shown, load_scene, structure_to_json
 
 from conftest import literals
 from test_bench_layers import _bench_module
@@ -159,7 +159,8 @@ class TestLoadScene:
         except (ValueError, ZeroDivisionError):
             with pytest.raises(SceneError) as err:
                 _rational(text, "here", {})
-            assert str(err.value) == f"here: expected a rational (integer or 'p/q'), got {text!r}"
+            assert str(err.value) == ("here: expected a rational (integer or 'p/q'), got "
+                                      + _shown(text))
         else:
             got = _rational(text, "here", {})
             assert type(got) is Fraction and got == expected
@@ -411,13 +412,20 @@ class TestCLI:
                 "--input", "ramp", "--x0", "1,0", "--T", "0.05", "--h", "0.001"]
         assert main(["simulate", *base, "--out", str(sim)]) == 0
         assert main(["project", *base, "--z0", "0", "--out", str(proj)]) == 0
-        sim_rows = sim.read_text().splitlines()
-        proj_rows = proj.read_text().splitlines()
-        assert sim_rows[0] == proj_rows[0]
-        for a, b in zip(sim_rows[1:], proj_rows[1:]):
-            va, vb = a.split(","), b.split(",")
-            assert va[:3] == vb[:3]  # identical x columns, bitwise
-            assert abs(float(va[3]) - float(vb[3])) <= 1e-12
+        assert proj.read_bytes() == sim.read_bytes() and len(sim.read_text().splitlines()) == 52
+
+    def test_project_runs_the_open_system_with_no_z(self, tmp_path, monkeypatch):
+        # the projection of the interaction run is the open run, bit for bit
+        # (see the cli docstring): `project` sizes no z buffer
+        runs = []
+        run = phsim._run
+        monkeypatch.setattr(phsim, "_run",
+                            lambda *args, **kw: runs.append(kw.get("z0")) or run(*args, **kw))
+        assert not hasattr(cli, "simulate_interaction") and not hasattr(cli, "project_behavior")
+        assert main(["project", "--scene", str(SCENE), "--system", "oscillator", "--input",
+                     "ramp", "--x0", "1,0", "--z0", "0.5", "--T", "0.01", "--h", "0.001",
+                     "--out", str(tmp_path / "proj.csv")]) == 0
+        assert runs == [None]
 
     @pytest.mark.parametrize("command, override", [
         ("simulate", ["--x0=nan,0"]),
@@ -430,16 +438,18 @@ class TestCLI:
         ("project", ["--T", "inf"]),
         ("simulate", ["--T", "1", "--h", "5"]),
     ])
-    def test_bad_trajectory_input_exit_2(self, capsys, command, override):
+    def test_bad_trajectory_input_exit_2(self, command, override):
+        # captured without a fixture, so that a mutant row can run it
         argv = [command, "--scene", str(SCENE), "--system", "oscillator",
                 "--input", "unit", "--x0", "1,0", "--T", "0.01", "--h", "0.001"]
         if command == "project":
             argv += ["--z0", "0"]
         argv += override  # argparse keeps the last value of a repeated flag
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("command", ["simulate", "project"])
@@ -1200,7 +1210,7 @@ class TestParserBounds:
         phi.write_text(json.dumps({"fiber_matrix": [[entry, "0"], ["0", "1"]]}))
         line = self.run_capped(["intrinsic", "--n", "1", "--m", "0", "--phi", str(phi)])
         assert line == f"error: splitting file: expected a rational (integer or 'p/q'), " \
-            f"got {entry!r}"
+            f"got {_shown(entry)}"
 
     @pytest.mark.parametrize("entry", BOMBS, ids=IDS)
     def test_scene_expression(self, tmp_path, entry):
@@ -1500,6 +1510,43 @@ class TestLoadSceneContract:
         path.write_bytes(data)
         assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
         assert capsys.readouterr() == ("", f"error: scene file is not valid JSON: {message}\n")
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_the_schema_version_is_the_json_integer_1(self, tmp_path, capsys, version):
+        # JSON true and 1.0 once read as version 1 and exited 0
+        argv = ["axioms", "--scene", str(write_scene(tmp_path, {"schema_version": version})),
+                "--structure", "standard1"]
+        assert TestMorphismContract.run(argv, capsys) == (
+            2, ("", f"error: scene: schema_version must be 1, got {version!r}\n"))
+
+    def test_a_refused_value_is_cut_in_its_error_line(self, tmp_path, capsys):
+        # a 300,000-character metric entry once gave a 300,077-byte line;
+        # every refused value is shown in at most 80 characters: an entry, an
+        # expression that is no string, an unknown name or trailing input, a
+        # duplicate name, an --x0 part or the whole --x0, a pair entry and an
+        # --alt-retraction that is no array
+        long = "7" * 150_000 + "/" + "3" * 149_999
+        lists = tmp_path / "list.json"
+        lists.write_text(json.dumps([[long]]))
+        structure = {"bundle": "P1", "anchor": [["1", "0"]], "metric": [[long, 1], [1, 0]]}
+        duplicate = tmp_path / "duplicate.json"
+        duplicate.write_text('{"schema_version": 1, "%s": 1, "%s": 2}' % (long, long))
+        run = ["simulate", "--scene", str(SCENE), *_REQUIRED["simulate"]]
+        lines = [_axioms_beside({"courant_structures": {"s": structure}}, "s")[1],
+                 *(_axioms_beside({"sections": {"s": {"bundle": "P1", "coeffs": [coeff, "0"]}}})[1]
+                   for coeff in ([long], "y" * 300_000, "1 y" + "y" * 300_000))]
+        for argv in (["axioms", "--scene", str(duplicate), "--structure", "standard1"],
+                     [*run, "--x0", "1," + long], [*run, "--x0", "1," + "0" * 300_000 + "1e999"],
+                     ["morphism", "--scene", str(SCENE), *_REQUIRED["morphism"],
+                      "--pairs", str(lists)],
+                     ["pullback", "--scene", str(SCENE), "--ambient", "standard2", "--morphism",
+                      "zero_section_embedding", "--alt-retraction", json.dumps(long)]):
+            code, captured = TestMorphismContract.run(argv, capsys)
+            assert code == 2
+            lines.append(captured.err)
+        for line in lines:
+            assert line.startswith("error: ") and line.count("\n") == 1 and len(line) < 200, line
+        assert lines[0].endswith("got " + repr(long)[:77] + "...\n")
 
     @pytest.mark.parametrize("reader, fault", _JSON_FAULTS,
                              ids=[f"{reader}_{fault}" for reader, fault in _JSON_FAULTS])
@@ -2229,8 +2276,7 @@ class TestSimulateContract:
         """Make every run that sizes its grid buffers fail the test."""
         def sized(*args):
             raise AssertionError("a grid buffer was sized")
-        for name in ("simulate_ph", "simulate_interaction"):
-            monkeypatch.setattr(cli, name, sized)
+        monkeypatch.setattr(cli, "simulate_ph", sized)
 
     @pytest.mark.parametrize("key", ["n", "m"])
     def test_system_dimensions_are_bounded(self, tmp_path, capsys, monkeypatch, key):
@@ -2262,11 +2308,11 @@ class TestSimulateContract:
     @pytest.mark.parametrize("command", ["simulate", "project"])
     def test_grid_values_are_bounded(self, tmp_path, capsys, monkeypatch, command):
         # 10^6 steps are within MAX_STEPS, but 10^6 + 1 grid rows of 10
-        # coordinates (states, an output, and a z coordinate for `project`)
-        # pass MAX_GRID_VALUES, which 9 coordinates would not
+        # coordinates (the states and an output, for `project` too, which
+        # keeps no z) pass MAX_GRID_VALUES, which 9 coordinates would not
         self.unreachable(monkeypatch)
         columns, m = 10, 1
-        n = columns - m - (command == "project")
+        n = columns - m
         system = {"n": n, "m": m, "J": [[0] * n for _ in range(n)], "B": [[0]] * n, "H": "0"}
         scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system},
                                        "inputs": {"u": {"u": ["0"]}}})
@@ -2282,6 +2328,24 @@ class TestSimulateContract:
 
 class TestProjectContract:
     """`project` honours the exit-code contract on drawn systems and runs."""
+
+    def test_the_grid_bound_counts_no_z(self, tmp_path, capsys, monkeypatch):
+        # n = 8 and m = 1 keep (n + m) 1000001 values, within MAX_GRID_VALUES,
+        # which the n + 2m of a run with z once passed: the run is reached
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(cli, "simulate_ph", reached)
+        n = 8
+        system = {"n": n, "m": 1, "J": [[0] * n for _ in range(n)], "B": [[0]] * n, "H": "0"}
+        scene = write_scene(tmp_path, {"schema_version": 1, "ph_systems": {"s": system},
+                                       "inputs": {"u": {"u": ["0"]}}})
+        assert (n + 1) * 1000001 <= cli.MAX_GRID_VALUES < (n + 2) * 1000001
+        with pytest.raises(Reached):
+            main(["project", "--scene", str(scene), "--system", "s", "--input", "u",
+                  "--x0=" + ",".join(["0"] * n), "--z0=0", "--T", "1", "--h", "1e-6"])
 
     @_FUZZ
     @given(_trajectory_runs("project"))

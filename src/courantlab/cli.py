@@ -76,9 +76,9 @@ from .scene import (MAX_BUNDLE_DIMENSION, Scene, SceneError, _fields, _polymap, 
                     _shown, _vars, load_scene, read_json, structure_to_json)
 
 _BUILTIN = re.compile(r"^standard(\d+)$")
-# the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), and the
-# splitting matrix 4(n + m)^2 entries
-MAX_INTRINSIC_DIMENSION = 64
+# the largest n + m of `intrinsic`: TE (+) T*E has rank 2(n + m), at most
+# the largest rank of a scene bundle
+MAX_INTRINSIC_DIMENSION = MAX_BUNDLE_DIMENSION // 2
 # the most RK4 steps of `simulate` and `project`: each state and output
 # coordinate keeps one float per grid row
 MAX_STEPS = 10 ** 6
@@ -109,11 +109,8 @@ _JSON = {"--json": ("json", bool, False, False, "machine-readable report")}
 _VERDICT = {**_FILES,
             "--seed": ("seed", int, False, 0, "echoed in --json; no verdict depends on it"),
             "--degree-cap": ("degree_cap", int, False, 3, "degree cap for section families; "
-                             "every certificate decides at min(cap, 1), so the axiom and "
-                             "morphism verdicts and the falsified Leibniz variant are complete "
-                             "for all smooth sections at any cap >= 1, and cap 0 bounds the "
-                             "claim to constant sections; the two Leibniz rules hold by the "
-                             "bracket's expansion"),
+                             "each verdict's detail names the degree it decided and its "
+                             "scope"),
             **_JSON}
 _TRAJECTORY = {**_FILES, "--system": ("system", None, True, None, None),
                "--input": ("input_name", None, True, None, None),

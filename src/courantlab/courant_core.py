@@ -719,6 +719,16 @@ def check_degree_cap(degree_cap: int) -> int:
     return min(degree_cap, SWEEP_ORDER)
 
 
+def _decided_scope(degree_cap: int) -> tuple[int, str]:
+    """The degree `check_degree_cap` returns for the cap, and the scope
+    clause of a verdict decided there: the requested cap, that degree and
+    the sections the verdict covers.  Every detail that depends on the cap
+    writes its scope with this clause."""
+    decided = check_degree_cap(degree_cap)
+    return decided, (f"degree cap {degree_cap}, decided at degree {decided}, scope "
+                     + ("all smooth sections" if decided else "constant sections only"))
+
+
 def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
     """{(i, j, h): c_ij^h} and {(i, j, h): c_ijh}, packed, over the nonzero
     entries, with c_ijh = sum_l c_ij^l G_lh."""
@@ -1013,8 +1023,8 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     degree <= min(degree_cap, SWEEP_ORDER), the degree `check_degree_cap`
     returns.  At any cap >= 1 that is a certificate for all smooth
     sections (see the module docstring); cap 0 bounds the claim to
-    constant sections.  Each detail names the requested cap, the degree
-    decided and that scope.
+    constant sections.  Each detail carries the scope clause of
+    `_decided_scope`: the requested cap, the degree decided and that scope.
 
     The frame tables decide every verdict, name the least failing tuple of
     each axiom and give its defect, with no lift and no bracket.  When (i)
@@ -1024,9 +1034,7 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     All comparisons are polynomial identities with zero tolerance.  A
     negative cap, or degree-1 tables past MAX_TABLE_WORK, raise ValueError.
     """
-    cap = check_degree_cap(degree_cap)
-    label = (f"degree cap {degree_cap}, decided at degree {cap}, scope "
-             + ("all smooth sections" if cap else "constant sections only"))
+    cap, label = _decided_scope(degree_cap)
     if s.bundle.rank == 0:
         return AxiomReport({name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                             for name in ("i", "ii", "iii")})
@@ -1057,9 +1065,10 @@ class LeibnizReport:
     """Exact verdicts for the function-linearity rules of the bracket."""
 
     def __init__(self, second_slot: AxiomCheck, two_sided: AxiomCheck,
-                 variant_falsified: bool, variant_witness: dict | None):
+                 variant_falsified: bool, variant_witness: dict | None, variant_detail: str):
         self.second_slot, self.two_sided = second_slot, two_sided
         self.variant_falsified, self.variant_witness = variant_falsified, variant_witness
+        self.variant_detail = variant_detail
 
     @property
     def all_passed(self) -> bool:
@@ -1072,6 +1081,7 @@ class LeibnizReport:
             "final_slot_variant": {
                 "status": "falsified" if self.variant_falsified else "not falsified",
                 "witness": self.variant_witness,
+                "detail": self.variant_detail,
             },
         }
 
@@ -1118,7 +1128,8 @@ def check_leibniz(
                            - mu rho(g)(lam) f + <f,g> mu D(lam).
     Both hold by the bracket's expansion for any frame data with constant
     symmetric G (see the module docstring), which is what the constructor
-    accepts, so they pass without evaluation.  The variant of rule 2 whose
+    accepts, so they pass without evaluation, for all smooth sections at
+    every cap, and their detail says so.  The variant of rule 2 whose
     third term reads "- mu rho(g)(lam) g" then has the defect
     mu rho(g)(lam) (g - f), false whenever the anchor is nonzero.
 
@@ -1130,27 +1141,54 @@ def check_leibniz(
     Polynomial product; a defect past the exponent limit of the packed
     keys raises ExponentOverflowError.  At cap 0
     the claim is bounded to constant coefficients, on which the variant
-    cannot fail.  A negative cap raises ValueError (`check_degree_cap`).
+    cannot fail.  The variant's detail is the scope clause of the degree it
+    is decided at (`_decided_scope`).  A negative cap raises ValueError.
     """
-    cap = check_degree_cap(degree_cap)
+    cap, scope = _decided_scope(degree_cap)
     witness = _leibniz_witness(s) if cap else None
-    reach = ("complete: all smooth arguments" if cap
-             else "bounded: cap 0 claims constant coefficients only")
-    rule = AxiomCheck(True, f"holds by the bracket's expansion; {reach}")
-    return LeibnizReport(rule, rule, witness is not None, witness)
+    rule = AxiomCheck(True, "holds by the bracket's expansion for all smooth sections "
+                            "at every cap")
+    return LeibnizReport(rule, rule, witness is not None, witness, scope)
 
 
 # -- linear Dirac structures ------------------------------------------------------
 
 
 def dirac_check(s: CourantStructure, subspace: LinearSubspace) -> bool:
-    """True iff the subspace is isotropic for the metric and of half rank.
+    """True iff the constant subspace L is a Dirac structure: isotropic for
+    the metric, of half rank, and closed under the bracket.
 
-    The fiber metric is constant, so the check is the same over every base
-    point.  Raises for odd rank, where maximal isotropy is ill-posed for a
-    split-signature pairing.
+    The fiber metric is constant, so isotropy and rank are the same over
+    every base point.  Closure is read from the lowered structure
+    functions.  For the constant basis l_a = sum_i lam^a_i e_i of L the
+    anchor and D terms of the bracket vanish, every coefficient being
+    constant, so [[l_a, l_b]] = sum_ij lam^a_i lam^b_j c_ij^h e_h and
+
+      <[[l_a, l_b]], l_c> = T_abc = sum_ijh lam^a_i lam^b_j c_ijh lam^c_h.
+
+    L is Lagrangian, so L^perp = L, and [[l_a, l_b]] lies in L iff T_abc
+    vanishes as a polynomial for every c.  The basis decides every section
+    of L: [[f, lam g]] = lam [[f,g]] + rho(f)(lam) g and
+    [[lam f, g]] = lam [[f,g]] - rho(g)(lam) f + <f,g> D(lam), with
+    <f,g> = 0 on L.  Raises for odd rank, where maximal isotropy is
+    ill-posed for a split-signature pairing.
     """
-    return _maximally_isotropic(s.rows[0], subspace)
+    return _maximally_isotropic(s.rows[0], subspace) and _closed(s, subspace)
+
+
+def _closed(s: CourantStructure, subspace: LinearSubspace) -> bool:
+    """`dirac_check`'s closure: every T_abc vanishes, summed over the
+    nonzero lowered entries c_ijh of `_c_tables` and the nonzero
+    coordinates lam^a_i of the basis."""
+    columns: list[list] = [[] for _ in range(s.bundle.rank)]     # i -> [(a, lam^a_i), ...]
+    for a, row in enumerate(linalg.sparse(subspace.basis)):
+        for i, lam in row.items():
+            columns[i].append((a, lam))
+    tensor: dict[tuple[int, int, int], dict] = {}
+    for (i, j, h), entry in _c_tables(s)[1].items():
+        for (a, x), (b, y), (c, z) in itertools.product(columns[i], columns[j], columns[h]):
+            _add_into(tensor.setdefault((a, b, c), {}), _scaled(entry, x * y * z))
+    return not any(tensor.values())
 
 
 def _maximally_isotropic(metric: list[dict], subspace: LinearSubspace) -> bool:

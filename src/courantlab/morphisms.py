@@ -45,12 +45,13 @@ it vanishes iff it vanishes on every x^alpha e_i with |alpha| <= 1.  The
 check therefore decides the family at min(degree_cap, SWEEP_ORDER), which
 at any cap >= 1 covers every pair of smooth sections; an explicit cap 0
 decides constant sections only and stays a bounded claim.  The verdict's
-detail names the requested cap.  A failure reports the least failing pair
-in the one witness order of every certificate (see courant_core): pairs
-order by the larger coefficient degree of their members, then by the tags
-i*M + a of their members slot by slot, a being alpha's place in the graded
-`monomials_up_to` list.  So every frame pair precedes every pair of
-degree 1, and the witness is the same at every cap >= 1.
+detail is the scope clause of `courant_core._decided_scope`.  A failure
+reports the least failing pair in the one witness order of every
+certificate (see courant_core): pairs order by the larger coefficient
+degree of their members, then by the tags i*M + a of their members slot by
+slot, a being alpha's place in the graded `monomials_up_to` list.  So
+every frame pair precedes every pair of degree 1, and the witness is the
+same at every cap >= 1.
 
 The defect comes from the frame data in closed form, with no lift and no
 bracket.  Write Delta(f, g) = phi o [[f,g]]_1 - [[g_f, g_g]]_2 o phi0 for
@@ -121,8 +122,8 @@ its frame table, Gamma_ij of the composite being Gamma_(r_i r_j) of chi.
 T = A1 - Q P and U read the source structure as well, and each check forms
 them.
 
-`_bracket_failure` decides the pass from the identities at the cap, and
-on a failure sums Delta on the pairs of degree <= min(cap, 1) in the
+`_bracket_failure` decides the pass from the identities at the decided
+degree, and on a failure sums Delta on the pairs of that degree in the
 witness order from the three lines (`_pair_defect`), up to the first
 nonzero one: the witness, whose defect is that sum.  The frame pairs are
 walked only where some Delta_ij is nonzero.  No failure brackets
@@ -163,11 +164,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .bundles import BundleMorphism, TrivialBundle, check_related
-from .courant_core import CourantStructure, _member, _packed, check_degree_cap
+from .bundles import BundleMorphism, check_related
+from .courant_core import CourantStructure, _decided_scope, _member, _packed
 from .polyexpr import (
     Polynomial,
-    PolyMap,
     _checked,
     _mul_into,
     _normalised,
@@ -183,8 +183,6 @@ __all__ = [
     "MorphismVerdict",
     "check_identity_base",
     "check_general_base",
-    "GraphSubbundle",
-    "graph_subbundle",
 ]
 
 # the most supplied pairs of `check_general_base`, whose ordered pairs are
@@ -471,12 +469,12 @@ def _witness_order(rank, monos, frames=True):
     yield from (pair for pair in itertools.product(members, repeat=2) if pair[0][1] or pair[1][1])
 
 
-def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
+def _bracket_failure(s1, s2, phi, decided, metric_holds, general=False):
     """The bracket condition's failure at its least failing family pair of
-    degree <= min(cap, 1), or None.
+    degree <= decided, the degree `check_degree_cap` returned, or None.
 
     The defect is decided from the frame tables (see the module docstring):
-    at cap 0 it vanishes iff every Delta_ij does, at cap >= 1 iff also
+    at degree 0 it vanishes iff every Delta_ij does, at degree 1 iff also
     `_degree_1_holds`.  On a failure Delta is summed from its lines on the
     pairs in the witness order, up to the first nonzero one, the witness
     with that defect; a frame pair's defect is its Delta_ij alone, so with
@@ -486,10 +484,10 @@ def _bracket_failure(s1, s2, phi, cap, metric_holds, general=False):
     if not s1.bundle.rank:
         return None
     d = _Lines(s1, along_image(s2, phi), metric_holds)
-    if not d.delta and (not cap or _degree_1_holds(d)):
+    if not d.delta and (not decided or _degree_1_holds(d)):
         return None
     n = s1.bundle.base_dim
-    monos = monomials_up_to(n, min(cap, 1))
+    monos = monomials_up_to(n, decided)
     xs = [Polynomial.monomial(n, alpha) for alpha in monos]
     for pair in _witness_order(s1.bundle.rank, monos, bool(d.delta)):
         defect = _pair_defect(d, monos, xs, pair)
@@ -546,13 +544,13 @@ def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
     return _matrix_failure("anchor", "entry", linalg.pmat_sub(rec.ap, ja1), s1.bundle.rank)
 
 
-def _auto_failures(s1, s2, phi, degree_cap, general=False, strict=False) -> list:
+def _auto_failures(s1, s2, phi, decided, general=False, strict=False) -> list:
     """The three conditions in auto mode.  The bracket is decided at the
-    degree `check_degree_cap` returns, from the frame tables; strict
+    degree `check_degree_cap` returned, from the frame tables; strict
     checking adds the perturbed representatives' matrix identity (see the
     module docstring)."""
     metric = _metric_failure(s1, s2, phi, general)
-    bracket = _bracket_failure(s1, s2, phi, check_degree_cap(degree_cap), metric is None, general)
+    bracket = _bracket_failure(s1, s2, phi, decided, metric is None, general)
     if bracket is None and strict:
         bracket = _perturbed_failure(along_image(s2, phi))
     return [bracket, metric, _anchor_failure(s1, s2, phi)]
@@ -576,15 +574,16 @@ def check_identity_base(
     data, with no lift and no bracket (see the module docstring), and so
     is a failure's least failing pair with its defect.  The metric and
     anchor conditions are matrix identities.  The detail names the
-    requested cap; a negative one raises ValueError (`check_degree_cap`).
+    requested cap, the degree decided and the scope (`_decided_scope`); a
+    negative cap raises ValueError.
     """
     _validate(s1, s2, phi)
     if s1.bundle.base_dim != s2.bundle.base_dim:
         raise ValueError("identity-base check needs equal base dimensions")
     if not phi.is_identity_base():
         raise ValueError("base map is not the identity")
-    return _verdict(_auto_failures(s1, s2, phi, degree_cap),
-                    f"identity-base criteria at degree cap {degree_cap}")
+    decided, scope = _decided_scope(degree_cap)
+    return _verdict(_auto_failures(s1, s2, phi, decided), f"identity-base criteria: {scope}")
 
 
 # -- general base ----------------------------------------------------------------
@@ -633,8 +632,9 @@ def check_general_base(
     conditions are matrix identities, as over the identity base: on the
     retraction representatives the metric condition is P^T G2 P = G1, and
     a failure reports the frame pair (e_i, e_j) of the first nonzero entry
-    of the defect matrix.  The detail names the requested cap; a negative
-    one raises ValueError in auto mode (`check_degree_cap`).
+    of the defect matrix.  The detail names the requested cap, the degree
+    decided and the scope (`_decided_scope`); a negative cap raises
+    ValueError in auto mode.
 
     strict=True turns on strict representative checking, the full
     "any (and hence each)" quantifier over representatives perturbed by
@@ -652,64 +652,34 @@ def check_general_base(
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
     morphism failure.  Every ordered pair of supplied pairs is checked, so
-    more than MAX_PAIRS of them raise ValueError.
+    more than MAX_PAIRS of them raise ValueError.  No cap is read then,
+    and the detail names the supplied pairs instead.
     """
     _validate(s1, s2, phi)
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
-        failures = _auto_failures(s1, s2, phi, degree_cap, True, strict)
-    else:
-        checked = list(pairs)
-        if len(checked) > MAX_PAIRS:
-            raise ValueError(f"too many supplied pairs: {len(checked)}, more than {MAX_PAIRS}")
-        if not all(check_related(phi, f, g) for f, g in checked):
-            raise ValueError(
-                "supplied pair is not phi-related (input error, not a morphism failure)"
-            )
-        found: dict[str, ConditionFailure] = {}
-        for (f1, g1), (f2, g2) in itertools.product(checked, repeat=2):
-            for condition, defect_of in _PAIR_DEFECTS.items():
-                if condition in found:
-                    continue
-                defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
-                if any(not p.is_zero() for p in defect):
-                    found[condition] = ConditionFailure(
-                        condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
-                        [p.to_string() for p in defect],
-                    )
-        failures = [*found.values(), _anchor_failure(s1, s2, phi)]
-    return _verdict(failures, f"general-base criteria at degree cap {degree_cap}")
-
-
-# -- graph presentation ------------------------------------------------------------
-
-
-class GraphSubbundle:
-    """The graph of a morphism inside the product bundle.
-
-    base_embedding: x -> (x, phi0(x)); fiber_generators: columns spanning
-    {(e, P(x) e)} over each source base point.
-    """
-
-    def __init__(self, source: TrivialBundle, target: TrivialBundle, base_embedding: PolyMap,
-                 fiber_generators: list[list[Polynomial]]):
-        self.source, self.target = source, target
-        self.base_embedding, self.fiber_generators = base_embedding, fiber_generators
-
-    def to_json(self) -> dict:
-        return {
-            "base_embedding": self.base_embedding.to_strings(),
-            "fiber_generators": [
-                [p.to_string() for p in row] for row in self.fiber_generators
-            ],
-        }
-
-
-def graph_subbundle(phi: BundleMorphism) -> GraphSubbundle:
-    """Product-bundle presentation of graph(phi) over graph(phi0)."""
-    n, k = phi.source.base_dim, phi.source.rank
-    embedding = PolyMap(n, [Polynomial.variable(n, i) for i in range(n)] + list(phi.base_map))
-    top = [[Polynomial.constant(n, int(i == j)) for j in range(k)] for i in range(k)]
-    return GraphSubbundle(phi.source, phi.target, embedding,
-                          top + [list(row) for row in phi.fiber_matrix])
+        decided, scope = _decided_scope(degree_cap)
+        return _verdict(_auto_failures(s1, s2, phi, decided, True, strict),
+                        f"general-base criteria: {scope}")
+    checked = list(pairs)
+    if len(checked) > MAX_PAIRS:
+        raise ValueError(f"too many supplied pairs: {len(checked)}, more than {MAX_PAIRS}")
+    if not all(check_related(phi, f, g) for f, g in checked):
+        raise ValueError(
+            "supplied pair is not phi-related (input error, not a morphism failure)"
+        )
+    found: dict[str, ConditionFailure] = {}
+    for (f1, g1), (f2, g2) in itertools.product(checked, repeat=2):
+        for condition, defect_of in _PAIR_DEFECTS.items():
+            if condition in found:
+                continue
+            defect = defect_of(s1, s2, phi, f1, f2, g1, g2)
+            if any(not p.is_zero() for p in defect):
+                found[condition] = ConditionFailure(
+                    condition, {"f1": f1.coeffs.to_strings(), "f2": f2.coeffs.to_strings()},
+                    [p.to_string() for p in defect],
+                )
+    return _verdict([*found.values(), _anchor_failure(s1, s2, phi)],
+                    f"general-base criteria on the {len(checked)} supplied pairs, "
+                    "scope those sections only")

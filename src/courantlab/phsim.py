@@ -37,23 +37,21 @@ evaluation after the loop).  An interaction run also evaluates Y at the
 other three stage points, for its z stages.
 
 Each evaluation point (a stage point with F, and with Y where it is
-evaluated there; the final x with Y; a time point with V) computes a
-repeated term once where that saves multiplies (`_emit`).  A term's
-magnitude is |c| * x * ... * y, the literal left out where it is 1.0.  A
-shared term after the first of its sum (or of its `_CHAIN` group) is added
-as `+ name`, or subtracted as `- name` when c < 0; a negative shared term
-that opens a sum or group is written `-1.0*name`.  So a magnitude is bound
-to a local when its occurrences, each written out as the chain of
-repr(float(c)) and the variables, take more multiplies than its binding
-and one per `-1.0*name`; every other term keeps its own text.  Every
-float, NaN bits included, is the unshared one: (-|c|) * x * ... * y and
--1.0 * (|c| * x * ... * y) are both the exact negation of
-|c| * x * ... * y, since rounding is symmetric, a NaN made inside the chain
-(inf * 0) is the same default NaN either way, and an operation with one
-NaN operand returns that NaN (as x86-64 SSE2 does); and a - u is a + (-u)
-exactly.  A unary minus would flip a NaN's sign, so none is written.  Only
-flat chains are shared: a chain of more than `_CHAIN` operands is grouped,
-and its groups set its rounding.
+evaluated there; the final x with Y; a time point with V) computes each
+distinct term once (`_emit`).  A term's magnitude is |c| * x * ... * y, the
+literal left out where it is 1.0; one that occurs more than once at the point
+is bound to a local, and every other term keeps its own text, the chain of
+repr(float(c)) and the variables.  A shared term after the first of its
+sum (or of its `_CHAIN` group) is added as `+ name`, or subtracted as
+`- name` when c < 0; a negative shared term that opens a sum or group is
+written `-1.0*name`.  Every float, NaN bits included, is the unshared one:
+(-|c|) * x * ... * y and -1.0 * (|c| * x * ... * y) are both the exact
+negation of |c| * x * ... * y, since rounding is symmetric, a NaN made
+inside the chain (inf * 0) is the same default NaN either way, and an
+operation with one NaN operand returns that NaN (as x86-64 SSE2 does); and
+a - u is a + (-u) exactly.  A unary minus would flip a NaN's sign, so none
+is written.  Only flat chains are shared: a chain of more than `_CHAIN`
+operands is grouped, and its groups set its rounding.
 
 The z samples never feed back into x.  With the z channel, F shares terms
 with Y at all four stage points instead of the first alone, which changes
@@ -234,24 +232,18 @@ def _emit(rows: list[list[str]]):
     `_emit(rows)(point, tag)` gives (bindings, sums), built from the terms,
     the point's names, `+`, `-` and grouping parentheses; no text from a
     scene reaches it.  A term's key is its magnitude, its text without the
-    sign and without a factor 1.0 (an exact one).  A key of a flat
-    product is computed once, by a binding `w<tag>_<i> = key`, where that
-    saves multiplies, and read by name: a negated one as -1.0*name where it
-    opens a sum or a `_CHAIN` group and as `- name` after another term (see
-    the module docstring).  Every other term keeps its text.  The
+    sign and without a factor 1.0 (an exact one).  Each key of a flat
+    product that occurs more than once is computed once, by a binding
+    `w<tag>_<i> = key`, and read by name: a negated one as -1.0*name where
+    it opens a sum or a `_CHAIN` group and as `- name` after another term
+    (see the module docstring).  Every other term keeps its text.  The
     source is built once, over the fields of `_terms` and {t} for the tag,
     and formatted at each point.
     """
     keys = [[text.lstrip("-").removeprefix("1.0*") for text in row] for row in rows]
-    # the multiplies a key's occurrences take written out, less the -1.0*name
-    # of each negated one that opens its sum or group; its binding takes the key's
-    saved = Counter()
-    for row, row_keys in zip(rows, keys):
-        for i, (text, key) in enumerate(zip(row, row_keys)):
-            if "*" in key and "(" not in key:
-                saved[key] += text.count("*") - (text[0] == "-" and i % _CHAIN == 0)
+    counts = Counter(key for row in keys for key in row if "*" in key and "(" not in key)
     shared = {key: f"w{{t}}_{i}" for i, key in
-              enumerate(key for key, count in saved.items() if count > key.count("*"))}
+              enumerate(key for key, count in counts.items() if count > 1)}
     sums = [_chain([("-1.0*" if text[0] == "-" else "") + shared[key] if key in shared
                     else text for text, key in zip(row, row_keys)], " + ") or "0.0"
             for row, row_keys in zip(rows, keys)]

@@ -63,8 +63,8 @@ __all__ = ["Scene", "SceneError", "load_scene", "read_json", "structure_to_json"
 
 SCHEMA_VERSION = 1
 # the largest base_dim and rank of a scene bundle, and n and m of a ph_system,
-# checked before a variable name or an entry is formed for them: the largest
-# rank `intrinsic` builds
+# checked before a variable name or an entry is formed for them; `intrinsic`
+# builds no larger rank (cli.MAX_INTRINSIC_DIMENSION)
 MAX_BUNDLE_DIMENSION = 128
 
 

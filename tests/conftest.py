@@ -69,6 +69,23 @@ def so3_structure():
     )
 
 
+def so3_double():
+    """The double g x| g* of g = so(3) over a point, rank 6: frames
+    e_1..e_3, then e^1..e^3, the split pairing, [[e_i, e_j]] = eps_ijk e_k,
+    [[e_i, e^j]] = eps_ijk e^k and [[e^j, e_i]] = -eps_ijk e^k.  All three
+    axioms hold."""
+    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+    c = {}
+    for (i, j, h), sign in eps.items():
+        c[i, j, h], c[i, 3 + j, 3 + h], c[3 + j, i, 3 + h] = sign, sign, -sign
+    return CourantStructure(
+        TrivialBundle(0, 6, "so3 double"), [],
+        [[int(abs(i - j) == 3) for j in range(6)] for i in range(6)],
+        {key: Polynomial.constant(0, v) for key, v in c.items()},
+    )
+
+
 # -- drawn sections and candidates ---------------------------------------------
 #
 # No verdict of the package draws at random.  These seeded draws feed the

@@ -364,7 +364,7 @@ def test_leibniz_certificate_equals_enumeration(s):
     assert report.second_slot.passed == (not rule1)
     assert report.two_sided.passed == (not rule2)
     assert report.variant_falsified == bool(variant)
-    assert "complete" in report.second_slot.detail
+    assert "all smooth sections" in report.second_slot.detail
     w = report.variant_witness
     assert (w["f"], w["g"], w["lam"], w["mu"]) in variant
     defect = leibniz_defects(s, *witness_arguments(s, w))[2]
@@ -408,11 +408,13 @@ def test_leibniz_certificate_without_anchor():
 
 
 def test_leibniz_certificate_at_cap_0_is_bounded():
-    # constant lam has rho(g)(lam) = 0, so the variant coincides with rule 2
+    # constant lam has rho(g)(lam) = 0, so the variant coincides with rule 2;
+    # the variant's claim is bounded, the rules' is not
     report = check_leibniz(STD2, degree_cap=0)
     assert report.all_passed and not report.variant_falsified
-    assert "bounded" in report.second_slot.detail
-    assert "bounded" in report.two_sided.detail
+    assert report.variant_detail == "degree cap 0, decided at degree 0, scope constant sections only"
+    assert report.second_slot.detail == report.two_sided.detail == (
+        "holds by the bracket's expansion for all smooth sections at every cap")
 
 
 # -- the four-slot tagged sweep it replaced, kept as the reference --------------
@@ -476,12 +478,12 @@ def reference_check_leibniz(s, degree_cap=2):
         else AxiomCheck(False, f"{name} failed on the least failing tuple of {scope}", w)
         for name, w in zip(("second-slot rule", "two-sided rule"), witnesses)
     ]
-    return LeibnizReport(*rules, witnesses[2] is not None, witnesses[2])
+    return LeibnizReport(*rules, witnesses[2] is not None, witnesses[2], f"at degree {cap}")
 
 
 def without_rule_details(report):
     out = report.to_json()
-    for rule in ("second_slot_rule", "two_sided_rule"):
+    for rule in ("second_slot_rule", "two_sided_rule", "final_slot_variant"):
         out[rule].pop("detail")
     return out
 
@@ -513,9 +515,13 @@ def test_leibniz_report_equals_the_tagged_sweep(s, cap):
     # `test_leibniz_witness_is_the_least_failing_tuple`
     report, reference = check_leibniz(s, degree_cap=cap), reference_check_leibniz(s, cap)
     assert without_witness(report) == without_witness(reference)
+    # the rules hold at every cap; the variant is decided at min(cap, 1)
     for rule in ("second_slot", "two_sided"):
-        detail, old = getattr(report, rule).detail, getattr(reference, rule).detail
-        assert ("bounded" in detail) == ("bounded" in old) == (cap == 0)
+        assert getattr(report, rule).detail == (
+            "holds by the bracket's expansion for all smooth sections at every cap")
+    assert report.variant_detail == (
+        f"degree cap {cap}, decided at degree {min(cap, 1)}, scope "
+        + ("all smooth sections" if cap else "constant sections only"))
 
 
 def test_leibniz_makes_no_bracket(monkeypatch):

@@ -45,6 +45,7 @@ from conftest import (
     random_section,
     recorded_structure_operations,
     reference_axiom_witness,
+    so3_double,
     so3_structure,
     tagged_generating_section,
 )
@@ -620,6 +621,12 @@ class TestProductStructure:
             assert all(p.is_zero() for p in list(got)[2:])
 
 
+def constant_section(s, vector) -> Section:
+    """The constant section of s with the given frame coefficients."""
+    n = s.bundle.base_dim
+    return Section(s.bundle, PolyMap(n, [Polynomial.constant(n, v) for v in vector]))
+
+
 class TestDiracCheck:
     def test_skew_graph_accepted(self):
         s = standard_structure(3)
@@ -637,6 +644,48 @@ class TestDiracCheck:
     def test_odd_rank_errors(self):
         with pytest.raises(ValueError, match="odd rank"):
             dirac_check(so3_structure(), LinearSubspace(3, []))
+
+    def test_a_lagrangian_that_is_not_closed_is_refused(self):
+        # in the so(3) double, the graph of r = e_1 ^ e_2, spanned by
+        # e_2 + e^1, -e_1 + e^2 and e^3, is Lagrangian, and
+        # <[[l_1, l_2]], l_3> = 1, so it is no Dirac structure; g and g*
+        # are closed
+        s = so3_double()
+        assert check_axioms(s, degree_cap=1).all_passed
+        graph = LinearSubspace(6, [[0, 1, 0, 1, 0, 0], [-1, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]])
+        l1, l2, l3 = (constant_section(s, v) for v in graph.basis)
+        assert s.pairing(s.bracket(l1, l2), l3) == Polynomial.constant(0, 1)
+        assert not dirac_check(s, graph)
+        for block in (range(3), range(3, 6)):
+            assert dirac_check(s, LinearSubspace(6, [[int(i == j) for i in range(6)]
+                                                    for j in block]))
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_closure_agrees_with_the_plain_bracket(self, data):
+        # oracle: a Lagrangian L of the so(3) double, g or g* moved by B-
+        # and beta-transforms (v, xi) -> (v, xi + S v) and (v + R xi, xi),
+        # S and R skew, which keep the split pairing; L is Dirac iff the
+        # plain bracket of every two basis sections pairs to zero with the third
+        s = so3_double()
+        entries = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+        start = data.draw(st.sampled_from([range(3), range(3, 6)]))
+        basis = [[Fraction(int(i == j)) for i in range(6)] for j in start]
+        for _ in range(data.draw(st.integers(0, 3))):
+            upper = {(i, j): data.draw(entries) for i, j in itertools.combinations(range(3), 2)}
+            skew = [[upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(3)]
+                    for i in range(3)]
+            # (from block, to block): B adds S v to xi, beta adds R xi to v
+            move = data.draw(st.sampled_from([(0, 3), (3, 0)]))
+            for row in basis:
+                source = row[move[0]:move[0] + 3]
+                for i in range(3):
+                    row[move[1] + i] += sum((x * y for x, y in zip(skew[i], source)), 0)
+        subspace = LinearSubspace(6, basis)
+        sections = [constant_section(s, v) for v in subspace.basis]
+        closed = all(s.pairing(s.bracket(f, g), h).is_zero()
+                     for f, g, h in itertools.product(sections, repeat=3))
+        assert dirac_check(s, subspace) == closed
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.data(), st.integers(1, 4), st.sampled_from([1, Fraction(-2, 5), 3]))

@@ -17,11 +17,7 @@ from courantlab.courant_core import (
     standard_structure,
 )
 from courantlab.intrinsic import _chi_problem, pontryagin_embedding
-from courantlab.morphisms import (
-    check_general_base,
-    check_identity_base,
-    graph_subbundle,
-)
+from courantlab.morphisms import check_general_base, check_identity_base
 from courantlab.polyexpr import PolyMap, Polynomial, monomials_up_to, parse
 from courantlab.pullback import construct
 
@@ -231,7 +227,8 @@ class TestGeneralBase:
         verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), strict=True)
         assert made == []
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
-            '{"detail": "general-base criteria at degree cap 3", "failures": '
+            '{"detail": "general-base criteria: degree cap 3, decided at degree 1, '
+            'scope all smooth sections", "failures": '
             '[{"condition": "bracket", "defect": ["0", "0", "0", "0", "0", "1", "0", "0"], '
             '"witness": {"entry": [1, 1], "representatives": "perturbed"}}], '
             '"is_morphism": false}'
@@ -251,7 +248,8 @@ class TestGeneralBase:
                                  retraction=phi.retraction)
         verdict = check_general_base(s1, s2, doubled)
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
-            '{"detail": "general-base criteria at degree cap 3", "failures": ['
+            '{"detail": "general-base criteria: degree cap 3, decided at degree 1, '
+            'scope all smooth sections", "failures": ['
             '{"condition": "bracket", "defect": ["-2", "0", "0", "0"], '
             '"witness": {"f1": ["1", "0"], "f2": ["x1", "0"], '
             '"representatives": "retraction"}}, '
@@ -349,34 +347,6 @@ class TestGeneralBase:
         assert v1.is_morphism and v2.is_morphism
 
 
-class TestGraphSubbundle:
-    def test_identity_diagonal(self):
-        s = standard_structure(1)
-        graph = graph_subbundle(BundleMorphism.identity(s.bundle))
-        assert graph.base_embedding == PolyMap.from_exprs(["x1", "x1"], ["x1"])
-
-    def test_zero_fiber_map(self):
-        b1 = TrivialBundle(1, 1, "E1")
-        b2 = TrivialBundle(1, 1, "E2")
-        phi = BundleMorphism.constant(b1, b2, [[0]])
-        graph = graph_subbundle(phi)
-        assert graph.fiber_generators[0][0] == Polynomial.constant(1, 1)
-        assert graph.fiber_generators[1][0].is_zero()
-
-    def test_cusp_graph_over_cuspidal_curve(self):
-        source = TrivialBundle(1, 1, "line/R")
-        target = TrivialBundle(2, 1, "line/R^2")
-        phi = BundleMorphism(
-            source, target,
-            PolyMap.from_exprs(["x1^2", "x1^3"], ["x1"]),
-            [[Polynomial.constant(1, 1)]],
-        )
-        graph = graph_subbundle(phi)
-        assert graph.base_embedding == PolyMap.from_exprs(
-            ["x1", "x1^2", "x1^3"], ["x1"]
-        )
-
-
 # -- cap invariance: degree 1 is the conditions' differential order ---------------
 
 bounded = settings(max_examples=40, deadline=None, database=None,
@@ -416,17 +386,14 @@ def scaled_zero_sections(draw):
 
 
 def cap_free_reports(check, *args):
-    """to_json() at caps 1, 2 and 3, as swept (order 1) and as a full sweep
-    of each cap, with the cap number cut from the detail."""
+    """to_json() at caps 1, 2 and 3, with the detail, which names the cap
+    and the degree decided, checked and cut."""
     out = set()
-    for order in (courant_core.SWEEP_ORDER, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(courant_core, "SWEEP_ORDER", order)
-            for cap in (1, 2, 3):
-                report = check(*args, degree_cap=cap).to_json()
-                assert report["detail"].endswith(f"degree cap {cap}")
-                report["detail"] = report["detail"][: -len(str(cap))]
-                out.add(json.dumps(report, sort_keys=True))
+    for cap in (1, 2, 3):
+        report = check(*args, degree_cap=cap).to_json()
+        assert report.pop("detail").endswith(
+            f" criteria: degree cap {cap}, decided at degree 1, scope all smooth sections")
+        out.add(json.dumps(report, sort_keys=True))
     return out
 
 
@@ -444,7 +411,7 @@ def test_general_base_report_is_cap_invariant(case):
 
 
 def test_least_failing_pair_is_the_same_at_every_cap():
-    # the full cap-2 and cap-3 sweeps also see the failing pair
+    # the cap-2 and cap-3 families also hold the failing pair
     # ([x1, 0], [x1^2, 0]); the least pair, of degree 1, is reported at every cap
     s = standard_structure(1)
     phi = BundleMorphism.constant(s.bundle, s.bundle, [[1, 0], [1, 0]])
@@ -628,14 +595,14 @@ def test_strict_check_passes_with_nonempty_multipliers(c):
 # -- the bracket condition against the degree-1 sweep ----------------------------
 
 
-def reference_bracket_failure(s1, s2, phi, degree_cap, general):
-    """The bracket failure as the degree-1 sweep finds it, whatever the frame
-    identities say: the tagged families at cap min(degree_cap, SWEEP_ORDER),
-    their image (identity base) or retraction (general base)
-    representatives, the least failing pair and its plain defect.  Returns
-    the failure's JSON, or None."""
+def reference_bracket_failure(s1, s2, phi, degree_cap, general, order=1):
+    """The bracket failure as the sweep of order `order` finds it, whatever
+    the frame identities say: the tagged families at cap
+    min(degree_cap, order), their image (identity base) or retraction
+    (general base) representatives, the least failing pair and its plain
+    defect.  Returns the failure's JSON, or None."""
     n = s1.bundle.base_dim
-    cap = min(degree_cap, courant_core.SWEEP_ORDER)
+    cap = min(degree_cap, order)
     s1l, s2l, phil = lift_structure(s1, 2), lift_structure(s2, 2), lifted_morphism(phi, 2)
     fa, fb = (tagged_generating_section(s1.bundle, cap, 2, n + slot) for slot in (0, 1))
 
@@ -659,12 +626,13 @@ def reference_bracket_failure(s1, s2, phi, degree_cap, general):
     return {"condition": "bracket", "defect": shown, "witness": witness}
 
 
-def reference_verdict(check, s1, s2, phi, degree_cap):
-    """`check`'s verdict JSON with the bracket from the degree-1 sweep."""
+def reference_verdict(check, s1, s2, phi, degree_cap, order=1):
+    """`check`'s verdict JSON with the bracket from the sweep of order
+    `order`, degree 1 unless raised."""
     general = check is check_general_base
     verdict = check(s1, s2, phi, degree_cap=degree_cap).to_json()
     failures = [f for f in verdict["failures"] if f["condition"] != "bracket"]
-    bracket = reference_bracket_failure(s1, s2, phi, degree_cap, general)
+    bracket = reference_bracket_failure(s1, s2, phi, degree_cap, general, order)
     verdict["failures"] = ([bracket] if bracket else []) + failures
     verdict["is_morphism"] = not verdict["failures"]
     return verdict
@@ -771,11 +739,9 @@ def oracle_arrows(draw):
 @given(oracle_arrows(), st.integers(0, 3), st.sampled_from([1, 3]))
 def test_frame_table_verdict_equals_the_tagged_sweep(case, cap, order):
     # the closed forms against the tagged sweep of every pair of degree
-    # <= min(cap, order), also when the sweep order is raised to 3
+    # <= min(cap, order), also when the sweep's order is raised to 3
     check, *arrow = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(courant_core, "SWEEP_ORDER", order)
-        assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap)
+    assert check(*arrow, degree_cap=cap).to_json() == reference_verdict(check, *arrow, cap, order)
 
 
 def test_failing_morphism_makes_no_bracket(monkeypatch):

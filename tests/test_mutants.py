@@ -999,6 +999,11 @@ MUTANTS = {
         # holds no such term
         SHARED_IN_F_CASE,
     ),
+    "dirac_without_closure": (
+        [(courant_core, "_closed", lambda s, subspace: True)],
+        test_courant_core.TestDiracCheck().test_a_lagrangian_that_is_not_closed_is_refused,
+        (),                                 # the graph of e_1 ^ e_2 in the so(3) double
+    ),
     "shared_negative_term_opens_with_a_unary_minus": (
         [(phsim, "_emit", EMIT_UNARY_MINUS)],
         test_phsim_reference.test_shared_negative_term_keeps_the_nan_bits,

@@ -26,7 +26,6 @@ from courantlab.phsim import (
 )
 from courantlab.polyexpr import Polynomial, parse
 
-import test_phsim_reference
 
 J_OSC = [[0, 1], [-1, 0]]
 B_OSC = [[1], [0]]
@@ -353,10 +352,7 @@ def stage_magnitudes(lines, s):
 class TestGeneratedSource:
     def test_repeated_terms_are_computed_once_per_point(self, monkeypatch):
         # the quartic pair's F and Y repeat most term magnitudes: the loop
-        # body held 241 `*` (307 with z) while each term was written out.
-        # Without Y, 1/2 x1 opens F_3 and, negated, F_4 at stages 1-3: its
-        # binding and -1.0*name would take the two multiplies that writing
-        # it twice takes, so it is written twice
+        # body held 241 `*` (307 with z) while each term was written out
         u = InputSignal.from_exprs(["-1/20 + 1/200*t", "1/40 + -1/200*t"])
         x0 = [0.1, 0.2, 0.3, 0.4]
         for z0, stars in ((None, 132), ([0.1, 0.2], 141)):
@@ -364,19 +360,7 @@ class TestGeneratedSource:
             body = [line for line in lines if line.startswith(" " * 8)]
             assert sum(line.count("*") for line in body) == stars
             for s in range(4):
-                repeated = {term for term, count in stage_magnitudes(body, s).items()
-                            if count > 1}
-                assert repeated == (set() if z0 or not s else {f"0.5*p{s}_0"})
-
-    def test_a_magnitude_is_shared_only_where_that_saves_multiplies(self, monkeypatch):
-        # in `shared_in_f`, 2 x1 opens F_2 and F_3 negated: bound to a local
-        # and read as -1.0*name twice it took 3 multiplies per stage point,
-        # where -2.0*x0 written twice takes 2; the loop held 43 `*` (46 with z)
-        _, make, u, x0, z0 = next(case for case in test_phsim_reference.BITWISE_CASES
-                                  if case[0] == "shared_in_f")[:5]
-        for z, stars in ((None, 39), (z0, 42)):
-            lines = loop_source(monkeypatch, make(), u, x0, z)
-            assert sum(line.count("*") for line in lines) == stars
+                assert max(stage_magnitudes(body, s).values()) == 1
 
     def test_fields_without_repeated_terms_keep_their_source(self, monkeypatch):
         quad = PHSystem([[0, "3/2"], ["-3/2", 0]], [[1], ["1/2"]],

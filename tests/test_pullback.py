@@ -249,6 +249,20 @@ class TestUniqueness:
         condition, _ = rejection_condition(p, candidate)
         assert condition == "metric"
 
+    def test_constructed_structure_is_no_rejection(self):
+        p = pontryagin_problem()
+        assert rejection_condition(p, construct(p)) is None
+
+    def test_perturbed_anchor_rejected_via_anchor(self):
+        # the constructed anchor [1, 0] with its second entry set to x1: the
+        # metric and the structure functions agree, so only the anchor differs
+        p = pontryagin_problem()
+        base = construct(p)
+        anchor = [[base.anchor[0][0], Polynomial.variable(1, 0)]]
+        candidate = CourantStructure(base.bundle, anchor, base.metric, base.structure_functions)
+        assert not uniqueness_test(p, candidate)
+        assert rejection_condition(p, candidate) == ("anchor", [["0", "x1"]])
+
     def test_wrong_bundle_rejected(self):
         p = pontryagin_problem()
         with pytest.raises(ValueError, match="bundle"):

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,11 +18,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import cli, linalg, phsim, scene as scene_module
+from courantlab import cli, courant_core, intrinsic, linalg, morphisms, phsim, scene as scene_module
 from courantlab.cli import main
-from courantlab.bundles import TrivialBundle
+from courantlab.bundles import BundleMorphism, TrivialBundle
 from courantlab.courant_core import CourantStructure, check_axioms, standard_structure
-from courantlab.polyexpr import Polynomial, parse
+from courantlab.polyexpr import Polynomial, PolyMap, parse
 from courantlab.scene import SceneError, _rational, _shown, load_scene, structure_to_json
 
 from conftest import literals
@@ -882,6 +883,31 @@ class TestMorphismContract:
         code, captured = self.run(argv, capsys)
         assert code == 2 and captured.err.splitlines() == [f"error: bad pair entry {printed}"]
 
+    def test_supplied_pairs_read_no_cap(self, tmp_path, capsys):
+        # the supplied-pairs verdict brackets the pairs it is given, at no
+        # cap: its report is the same at every cap and names its pairs
+        # instead; the report on the same arrow in auto mode names the cap
+        scene = json.loads(SCENE.read_text())
+        scene["morphisms"]["identity2"] = {
+            "source": "pontryagin2", "target": "pontryagin2", "base_map": ["x1", "x2"],
+            "fiber_matrix": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+            "retraction": ["x1", "x2"]}
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text('[["rotation", "rotation"], ["radial_form", "radial_form"]]')
+        argv = ["morphism", "--scene", str(write_scene(tmp_path, scene)), "--source",
+                "standard2", "--target", "standard2", "--map", "identity2", "--json"]
+        reports = set()
+        for cap in ("0", "3", "7"):
+            code, captured = self.run(argv + ["--pairs", str(pairs), "--degree-cap", cap], capsys)
+            assert code == 0 and captured.err == ""
+            reports.add(captured.out)
+        detail = json.loads(reports.pop())["verdict"]["detail"]
+        assert not reports and detail == (
+            "general-base criteria on the 2 supplied pairs, scope those sections only")
+        code, captured = self.run(argv + ["--degree-cap", "7"], capsys)
+        assert code == 0 and json.loads(captured.out)["verdict"]["detail"] == (
+            "identity-base criteria: degree cap 7, decided at degree 1, scope all smooth sections")
+
     @pytest.mark.parametrize("count, expected", [(16, 0), (17, 2)])
     def test_pairs_file_is_bounded(self, tmp_path, capsys, count, expected):
         # every ordered pair of supplied pairs is checked: at most MAX_PAIRS = 16
@@ -1613,8 +1639,10 @@ class TestLoadSceneContract:
     @pytest.mark.parametrize("key, reason", [
         ("01,1,2", "is not 'i,j,h'"), ("1_0,1,1", "is not 'i,j,h'"),
         (" 1 ,1,1", "is not 'i,j,h'"), ("0,1,1", "is out of range 1..2"),
-        ("3,1,1", "is out of range 1..2"),
-    ], ids=["leading_zero", "underscore", "spaces", "index_0", "past_the_rank"])
+        ("3,1,1", "is out of range 1..2"), ("a,1,1", "is not 'i,j,h'"),
+        ("1,2", "is not 'i,j,h'"),
+    ], ids=["leading_zero", "underscore", "spaces", "index_0", "past_the_rank", "not_a_number",
+            "two_parts"])
     def test_a_structure_function_key_has_one_spelling(self, key, reason):
         # int() read "01" and "1_0" as 1 and 10, and a key out of range was
         # named by its 0-based index, as "(2, 0, 0)" for "3,1,1"
@@ -1726,6 +1754,63 @@ def test_a_metric_entry_is_an_integer_or_p_over_q_in_ascii_digits(text):
            f"got {text!r}\n")
     structure["metric"] = [["0", "-03/2"], ["-03/2", "0"]]
     assert _axioms_beside({"courant_structures": {"s": structure}}) == (0, "")
+
+
+def test_a_base_map_lists_one_expression_per_target_variable():
+    morphism = {"source": "P1", "target": "P1", "base_map": ["x1", "0"],
+                "fiber_matrix": [["1", "0"], ["0", "1"]]}
+    assert _axioms_beside({"morphisms": {"f": morphism}}) == (
+        2, "error: morphism 'f': base_map must list 1 expressions\n")
+
+
+def _guarded_oscillator():
+    return phsim.PHSystem([[0, 1], [-1, 0]], [[1], [0]],
+                          parse("1/2*x1^2 + 1/2*x2^2", ["x1", "x2"]))
+
+
+def _translation():
+    s = standard_structure(1)
+    fiber = [[Polynomial.constant(1, int(i == j)) for j in range(2)] for i in range(2)]
+    return s, s, BundleMorphism(s.bundle, s.bundle, PolyMap.from_exprs(["x1 + 1"], ["x1"]),
+                                fiber)
+
+
+# the library's input guards that no command reaches, each with its whole line
+LIBRARY_GUARDS = {
+    "identity_base_off_the_identity": (
+        lambda: morphisms.check_identity_base(*_translation()), "base map is not the identity"),
+    "negative_splitting": (lambda: intrinsic.canonical_splitting(-1, 0),
+                           "dimensions must be >= 0"),
+    "splitting_of_other_dimensions": (
+        lambda: intrinsic.splitting_composite(1, 0, intrinsic.canonical_splitting(1, 1)),
+        "splitting dimensions do not match"),
+    "zero_step": (lambda: phsim.simulate_ph(_guarded_oscillator(), phsim.InputSignal.zero(1),
+                                            [1.0, 0.0], 1.0, 0.0),
+                  "horizon and step must be positive"),
+    "input_channels": (lambda: phsim.simulate_ph(_guarded_oscillator(),
+                                                 phsim.InputSignal.zero(2), [1.0, 0.0], 1.0, 0.1),
+                       "input has 2 channels, system has 1 ports"),
+    "x0_length": (lambda: phsim.simulate_ph(_guarded_oscillator(), phsim.InputSignal.zero(1),
+                                            [1.0], 1.0, 0.1),
+                  "x0 must have 2 coordinates"),
+    "z0_length": (lambda: phsim.simulate_interaction(_guarded_oscillator(),
+                                                     phsim.InputSignal.zero(1), [1.0, 0.0],
+                                                     [0.0, 0.0], 1.0, 0.1),
+                  "z0 must have 1 coordinates"),
+    "balance_without_a_system": (
+        lambda: phsim.energy_balance(phsim.Trajectory(None, None, None, 0.5),
+                                     phsim.InputSignal.zero(1)),
+        "trajectory carries no system"),
+    "negative_degree_cap": (lambda: courant_core.check_degree_cap(-1),
+                            "degree cap must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_GUARDS)
+def test_a_library_guard_raises_its_line(name):
+    call, message = LIBRARY_GUARDS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_a_metric_reads_true_as_no_rational_beside_1():
@@ -2102,12 +2187,8 @@ options:
   --out OUT             write the report or CSV here instead of stdout
   --seed SEED           echoed in --json; no verdict depends on it
   --degree-cap DEGREE_CAP
-                        degree cap for section families; every certificate
-                        decides at min(cap, 1), so the axiom and morphism
-                        verdicts and the falsified Leibniz variant are
-                        complete for all smooth sections at any cap >= 1, and
-                        cap 0 bounds the claim to constant sections; the two
-                        Leibniz rules hold by the bracket's expansion
+                        degree cap for section families; each verdict's detail
+                        names the degree it decided and its scope
   --json                machine-readable report
   --structure STRUCTURE
                         scene structure name or builtin standard<N>

@@ -30,7 +30,7 @@ from courantlab.courant_core import (
     scaled_structure,
     standard_structure,
 )
-from courantlab.morphisms import check_identity_base, graph_subbundle
+from courantlab.morphisms import check_identity_base
 from courantlab.polyexpr import PolyMap, Polynomial, parse
 from courantlab.pullback import PullbackProblem, construct
 from courantlab.scene import load_scene
@@ -115,8 +115,9 @@ def b_field_morphisms(draw):
 
 
 def _graph_is_isotropic(s1, s2, phi) -> bool:
-    """Gamma^T diag(G1, -G2) Gamma = 0 for the graph generators Gamma."""
-    gamma = linalg.sparse(graph_subbundle(phi).fiber_generators)
+    """Gamma^T diag(G1, -G2) Gamma = 0 for the generators Gamma = [I; P] of
+    the graph {(e, P e)} of phi in E1 x E2-bar."""
+    gamma = [{i: 1} for i in range(phi.source.rank)] + list(phi.fiber_rows)
     metric = linalg.sparse(product_structure(s1, s2, flip=True).metric)
     form = linalg.pmat_mul(linalg.pmat_transpose(gamma, phi.source.rank),
                            linalg.pmat_mul(metric, gamma))

@@ -9,7 +9,8 @@ One executable, eight subcommands:
   intrinsic  the canonical intrinsic-structure pipeline
   simulate   port-Hamiltonian trajectory (CSV)
   project    interaction-system behavior projection (CSV)
-  dirac      maximal-isotropy check for a system's interconnection graph
+  dirac      whether a system's interconnection graph is Dirac (isotropic,
+             half rank, closed)
 
 Exit codes: 0 all requested verdicts pass, 1 a verification failed,
 2 input or schema error.  JSON reports (--json) are canonical: keys are
@@ -50,7 +51,8 @@ argparse's first message does.
 Every structure name is read by one resolver, `_resolve_structure`: a
 scene structure, else a builtin standard<N>, whose rank 2N it bounds by
 the largest rank of a scene bundle before the structure is built.  No
---degree-cap is too large: every certificate decides at min(cap, 1).
+--degree-cap is too large: every certificate decides at the degree
+`courant_core._decided_scope` reads off the cap.
 Every other scene object is looked up by `_named`, which names an unknown
 one.
 """
@@ -69,6 +71,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import intrinsic as intrinsic_mod
 from . import morphisms as morphisms_mod
 from . import pullback as pullback_mod
+from .bundles import _checked_retraction
 from .courant_core import check_axioms, check_leibniz, standard_structure
 from .phsim import dirac_structure_of, simulate_ph, write_csv
 from .polyexpr import ExponentOverflowError
@@ -390,6 +393,10 @@ def _cmd_pullback(args):
             raise SceneError(f"bad --alt-retraction: expected a JSON array of expressions, "
                              f"got {_shown(exprs)}")
         alt = _polymap(exprs, _vars(phi.target.base_dim), "bad --alt-retraction", {})
+        try:
+            _checked_retraction(phi.source, phi.target, phi.base_map, alt)
+        except ValueError as exc:
+            raise SceneError(f"invalid alternative retraction: {exc}") from exc
     try:
         problem = pullback_mod.PullbackProblem(ambient, phi.source, phi)
     except ValueError as exc:
@@ -532,7 +539,7 @@ def _cmd_dirac(args):
     }
     lines = [
         f"interconnection graph dimension: {subspace.dim}",
-        f"maximally isotropic: {'PASS' if verdict else 'FAIL'}",
+        f"Dirac (isotropic, half rank, closed): {'PASS' if verdict else 'FAIL'}",
     ]
     return payload, lines
 
@@ -546,7 +553,7 @@ _COMMANDS = {
     "intrinsic": (_cmd_intrinsic, "build the intrinsic structure candidate"),
     "simulate": (_cmd_trajectory, "integrate a port-Hamiltonian system to CSV"),
     "project": (_cmd_trajectory, "interaction run projected to the open behavior"),
-    "dirac": (_cmd_dirac, "check the interconnection graph for maximal isotropy"),
+    "dirac": (_cmd_dirac, "check the graph: Dirac (isotropic, half rank, closed)"),
 }
 
 

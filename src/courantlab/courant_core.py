@@ -43,9 +43,11 @@ to x^alpha it gives alpha! times its coefficient of order alpha plus terms
 fixed by smaller alpha, so by induction every coefficient is zero.  Taking
 the slots one at a time (the others held first on the family, then on
 arbitrary sections) extends this to whole tuples.  Every certificate here
-is of that kind, so each decides at cap min(degree_cap, SWEEP_ORDER) and
-is complete for all smooth sections at any cap >= 1; an explicit cap 0
-covers constant sections only and stays a bounded claim.
+is of that kind, so each decides at the degree `_decided_scope` reads off
+its cap, 1 at any cap >= 1, where it is complete for all smooth sections;
+an explicit cap 0 decides degree 0, covers constant sections only and
+stays a bounded claim.  `_degree_1_members` lists the monomials of degree
+<= 1 in the witness order, and every walk over members reads it.
 
 The orders.  The bracket is first order in each slot, and axioms (ii) and
 (iii) apply it once.  Axiom (i) nests two brackets, which allows order 2
@@ -197,13 +199,13 @@ from .polyexpr import (
     Frozen,
     Polynomial,
     PolyMap,
+    _BITS,
     _add_into,
     _checked,
     _coeff,
     _deriv,
     _mul_into,
     _normalised,
-    _pack,
     _product,
     _raw,
     _scaled,
@@ -224,8 +226,6 @@ __all__ = [
     "lie_derivative_oneform",
     "AxiomReport",
     "check_axioms",
-    "check_degree_cap",
-    "SWEEP_ORDER",
     "MAX_TABLE_WORK",
     "LeibnizReport",
     "check_leibniz",
@@ -689,10 +689,6 @@ def _witness(s: CourantStructure, sections, defect: list[dict], component: bool)
             "component": next(h for h, p in enumerate(defect) if p) if component else None}
 
 
-# differential order of every certified defect in each slot: the monomial
-# family up to this degree is complete for all smooth sections
-SWEEP_ORDER = 1
-
 # the most entry products of rho o D and the anchor brackets, and the most
 # slot-table keys, (n k)^2, that deciding (i) at degree 1 may take
 MAX_TABLE_WORK = 2 ** 16
@@ -705,28 +701,30 @@ def _within_work(work: int, what: str) -> None:
                          f"the {MAX_TABLE_WORK} the certificate allows")
 
 
-def check_degree_cap(degree_cap: int) -> int:
-    """Reject a negative degree cap; return the degree the certificates
-    decide, min(degree_cap, SWEEP_ORDER).
+def _decided_scope(degree_cap: int) -> tuple[bool, str]:
+    """Whether a verdict under the cap covers all smooth sections, and its
+    scope clause: the requested cap, the degree decided and the sections
+    covered.  The one reader of a cap; a negative one raises ValueError.
 
-    Every certificate decides at that degree from the frame data, and at
-    any cap >= 1 its verdict holds for all smooth sections; cap 0 bounds
-    the claim to constant sections.  So no cap is too large, and nothing
-    is sized by the family of monomial frame sections the cap names.
+    Every certified defect is of order <= 1 in each slot, so degree 1
+    decides it for all smooth sections at any cap >= 1 (see the module
+    docstring), and cap 0 decides degree 0, a claim bounded to constant
+    sections.  So no cap is too large, and nothing is sized by the family
+    of monomial frame sections the cap names.  Every detail that depends
+    on the cap writes its scope with this clause.
     """
     if degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
-    return min(degree_cap, SWEEP_ORDER)
+    smooth = degree_cap >= 1
+    return smooth, (f"degree cap {degree_cap}, decided at degree {int(smooth)}, scope "
+                    + ("all smooth sections" if smooth else "constant sections only"))
 
 
-def _decided_scope(degree_cap: int) -> tuple[int, str]:
-    """The degree `check_degree_cap` returns for the cap, and the scope
-    clause of a verdict decided there: the requested cap, that degree and
-    the sections the verdict covers.  Every detail that depends on the cap
-    writes its scope with this clause."""
-    decided = check_degree_cap(degree_cap)
-    return decided, (f"degree cap {degree_cap}, decided at degree {decided}, scope "
-                     + ("all smooth sections" if decided else "constant sections only"))
+def _degree_1_members(n: int) -> list[tuple[int | None, int, str]]:
+    """The monomials of degree <= 1 in n variables in the witness order,
+    graded as `monomials_up_to` lists them: 1, then x_n, ..., x_1.  Each is
+    (variable, packed key, printed text), with the variable None for 1."""
+    return [(None, 0, "1")] + [(t, 1 << _BITS * t, f"x{t + 1}") for t in range(n - 1, -1, -1)]
 
 
 def _c_tables(s: CourantStructure) -> tuple[dict, dict]:
@@ -982,17 +980,15 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
     """
     n, k = s.bundle.base_dim, s.bundle.rank
     _within_work((n * k) ** 2, "slot-table keys, (n k)^2")
-    monos = monomials_up_to(n, SWEEP_ORDER)
-    # per monomial: multiply by it, or take the gradient of a linear one
-    options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
-               for alpha in monos]
-    texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
+    members = _degree_1_members(n)
+    # per member: multiply by it, or take the gradient of its variable
+    options = [[(None, key)] + ([(t, 0)] if t is not None else []) for t, key, _ in members]
     for i, table in enumerate(_slot_tables(s, c, lowered, rho_d, anomaly)):
         partners: dict[int, list] = {}      # j -> the m of the table's pairs (j, m), ascending
         for j, m in sorted({key[:2] for key in table}):
             partners.setdefault(j, []).append(m)
         # per slot: place 0 and each x_t whose variable t a key differentiates there
-        first, second, third = ([a for a in range(len(monos)) if not a or options[a][1][0] in used]
+        first, second, third = ([a for a, (t, _, _) in enumerate(members) if not a or t in used]
                                 for used in ({key[slot] for key in table} for slot in (2, 3, 4)))
         for a1, (j, ms), a2 in itertools.product(first, partners.items(), second):
             for m, a3 in itertools.product(ms, third):
@@ -1004,7 +1000,7 @@ def _axiom_i_witness(s: CourantStructure, c: dict, lowered: dict, rho_d: dict, a
                         _add_into(out.setdefault(h, {}),
                                   {key + sum(keys): cf for key, cf in _checked(p, n).items()})
                 if any(out.values()):
-                    return _witness(s, [_member(k, frame, texts[a])
+                    return _witness(s, [_member(k, frame, members[a][2])
                                         for frame, a in ((i, a1), (j, a2), (m, a3))],
                                     [out.get(h, {}) for h in range(k)], True)
         if table:
@@ -1020,11 +1016,11 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     (iii) [[f,g]] + [[g,f]] = D(<f,g>)
 
     Each axiom is certified over every tuple of monomial frame sections of
-    degree <= min(degree_cap, SWEEP_ORDER), the degree `check_degree_cap`
-    returns.  At any cap >= 1 that is a certificate for all smooth
-    sections (see the module docstring); cap 0 bounds the claim to
-    constant sections.  Each detail carries the scope clause of
-    `_decided_scope`: the requested cap, the degree decided and that scope.
+    the degree `_decided_scope` reads off the cap: 1 at any cap >= 1, a
+    certificate for all smooth sections (see the module docstring), and 0
+    at cap 0, a claim bounded to constant sections.  Each detail carries
+    that function's scope clause: the requested cap, the degree decided
+    and that scope.
 
     The frame tables decide every verdict, name the least failing tuple of
     each axiom and give its defect, with no lift and no bracket.  When (i)
@@ -1034,7 +1030,7 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     All comparisons are polynomial identities with zero tolerance.  A
     negative cap, or degree-1 tables past MAX_TABLE_WORK, raise ValueError.
     """
-    cap, label = _decided_scope(degree_cap)
+    smooth, label = _decided_scope(degree_cap)
     if s.bundle.rank == 0:
         return AxiomReport({name: AxiomCheck(True, "rank-0 bundle: axioms hold vacuously")
                             for name in ("i", "ii", "iii")})
@@ -1048,7 +1044,7 @@ def check_axioms(s: CourantStructure, degree_cap: int = 3) -> AxiomReport:
     witnesses = {name: None if frame is None else _frame_witness(
         s, name, frame, c, lowered, jacobiator) for name, frame in least.items()}
     found = dict.fromkeys(least, "the frame tables")
-    if least["i"] is None and cap:
+    if least["i"] is None and smooth:
         rho_d, anomaly = _anchor_tables(s)
         if least["ii"] or least["iii"] or rho_d or anomaly:
             witnesses["i"] = _axiom_i_witness(s, c, lowered, rho_d, anomaly)
@@ -1087,7 +1083,7 @@ class LeibnizReport:
 
 
 def _leibniz_witness(s: CourantStructure) -> dict | None:
-    """The variant's least failing tuple at cap SWEEP_ORDER and its defect,
+    """The variant's least failing tuple of degree <= 1 and its defect,
     both read from the anchor rows; None if the anchor is zero.
 
     rho(x^beta e_j)(x_a) = x^beta A_aj, so (f, g, lam, mu) fails iff g != f,
@@ -1104,23 +1100,20 @@ def _leibniz_witness(s: CourantStructure) -> dict | None:
     if j is None:
         return None
     # the members after e_0 are x^beta e_0 over the linear monomials in the
-    # witness order, x_n first, then e_1, ...: g = x_n e_0 if column 0 is
-    # nonzero, else e_j, and lam the first linear monomial column j reaches
-    x = next(x for x in range(n - 1, -1, -1) if j in a[x])
-    beta = 0 if j else _pack((0,) * (n - 1) + (1,))     # the packed key of x^beta
+    # witness order, then e_1, ...: g = x_n e_0 if column 0 is nonzero, else
+    # e_j, and lam the first linear monomial column j reaches
+    members = _degree_1_members(n)
+    _, beta, text = members[0 if j else 1]
+    x, _, lam = next(m for m in members[1:] if j in a[m[0]])
     cross = _checked({key + beta: cf for key, cf in _packed(a[x][j]).items()}, n)
     defect = [{} for _ in range(k)]
     defect[j] = _checked({key + beta: cf for key, cf in cross.items()}, n)
     _add_into(defect[0], _scaled(cross, -1))
-    return {"f": _member(k, 0), "g": _member(k, j, "1" if j else f"x{n}"),
-            "lam": f"x{x + 1}", "mu": "1",
+    return {"f": _member(k, 0), "g": _member(k, j, text), "lam": lam, "mu": "1",
             "defect": [_raw(n, p).to_string() for p in defect]}
 
 
-def check_leibniz(
-    s: CourantStructure,
-    degree_cap: int = 2,
-) -> LeibnizReport:
+def check_leibniz(s: CourantStructure, degree_cap: int = 3) -> LeibnizReport:
     """Decide the two Leibniz rules, and falsify the final-slot variant.
 
     Rule 1 (second slot):  [[f, lam g]] = lam [[f,g]] + rho(f)(lam) g.
@@ -1134,7 +1127,7 @@ def check_leibniz(
     mu rho(g)(lam) (g - f), false whenever the anchor is nonzero.
 
     That defect is R-multilinear in (f, g, lam, mu) and of order <= 1 in
-    each, so the family at the effective cap min(degree_cap, SWEEP_ORDER)
+    each, so the family at the degree `_decided_scope` reads off the cap
     decides it: f and g are monomial frame sections, lam and mu monomial
     functions.  Its least failing tuple and that tuple's defect are read
     from the anchor rows (`_leibniz_witness`), with no bracket and no
@@ -1144,8 +1137,8 @@ def check_leibniz(
     cannot fail.  The variant's detail is the scope clause of the degree it
     is decided at (`_decided_scope`).  A negative cap raises ValueError.
     """
-    cap, scope = _decided_scope(degree_cap)
-    witness = _leibniz_witness(s) if cap else None
+    smooth, scope = _decided_scope(degree_cap)
+    witness = _leibniz_witness(s) if smooth else None
     rule = AxiomCheck(True, "holds by the bracket's expansion for all smooth sections "
                             "at every cap")
     return LeibnizReport(rule, rule, witness is not None, witness, scope)

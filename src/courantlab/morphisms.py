@@ -42,16 +42,17 @@ representatives compose with r and, in the condition, with phi0, and
 r o phi0 = id keeps the order at 1.  Applied to x^alpha e_i the operator
 gives alpha! a_alpha plus terms with smaller beta, so by induction on alpha
 it vanishes iff it vanishes on every x^alpha e_i with |alpha| <= 1.  The
-check therefore decides the family at min(degree_cap, SWEEP_ORDER), which
-at any cap >= 1 covers every pair of smooth sections; an explicit cap 0
-decides constant sections only and stays a bounded claim.  The verdict's
-detail is the scope clause of `courant_core._decided_scope`.  A failure
-reports the least failing pair in the one witness order of every
-certificate (see courant_core): pairs order by the larger coefficient
-degree of their members, then by the tags i*M + a of their members slot by
-slot, a being alpha's place in the graded `monomials_up_to` list.  So
-every frame pair precedes every pair of degree 1, and the witness is the
-same at every cap >= 1.
+check therefore decides the family at the degree
+`courant_core._decided_scope` reads off the cap, 1 at any cap >= 1, which
+covers every pair of smooth sections; an explicit cap 0 decides constant
+sections only and stays a bounded claim.  The verdict's detail is that
+function's scope clause, and the walk reads its members from
+`courant_core._degree_1_members`.  A failure reports the least failing
+pair in the one witness order of every certificate (see courant_core):
+pairs order by the larger coefficient degree of their members, then by the
+tags i*M + a of their members slot by slot, a being alpha's place in the
+graded `monomials_up_to` list.  So every frame pair precedes every pair of
+degree 1, and the witness is the same at every cap >= 1.
 
 The defect comes from the frame data in closed form, with no lift and no
 bracket.  Write Delta(f, g) = phi o [[f,g]]_1 - [[g_f, g_g]]_2 o phi0 for
@@ -165,7 +166,7 @@ from functools import cached_property
 
 from . import linalg
 from .bundles import BundleMorphism, check_related
-from .courant_core import CourantStructure, _decided_scope, _member, _packed
+from .courant_core import CourantStructure, _decided_scope, _degree_1_members, _member, _packed
 from .polyexpr import (
     Polynomial,
     _checked,
@@ -174,7 +175,6 @@ from .polyexpr import (
     _product,
     _raw,
     _scaled,
-    monomials_up_to,
     poly_sum,
 )
 
@@ -444,34 +444,35 @@ def _first_slot(d: _Lines, a, i, j) -> list:
             - d.w[i].get(j, 0) * d.v_t[a].get(h, 0) for h, row in enumerate(d.p)]
 
 
-def _pair_defect(d: _Lines, monos, xs, pair) -> list[Polynomial]:
+def _pair_defect(d: _Lines, members, xs, pair) -> list[Polynomial]:
     """Delta on the family pair (x^alpha_a e_i, x^alpha_b e_j) of degree
-    <= 1, pair = ((i, a), (j, b)), with the monomials xs[a] = x^alpha_a,
-    component by component, summed from the lines of the module docstring."""
+    <= 1, pair = ((i, a), (j, b)), with members[a] the a-th entry of
+    `_degree_1_members` and xs[a] = x^alpha_a, component by component,
+    summed from the lines of the module docstring."""
     (i, a), (j, b) = pair
     terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
     if b:
-        terms.append((xs[a] * d.t[monos[b].index(1)].get(i, 0), [row.get(j, 0) for row in d.p]))
+        terms.append((xs[a] * d.t[members[b][0]].get(i, 0), [row.get(j, 0) for row in d.p]))
     if a:
-        terms.append((xs[b], _first_slot(d, monos[a].index(1), i, j)))
-    return [poly_sum(len(monos[0]), (s * v[h] for s, v in terms)) for h in range(len(d.p))]
+        terms.append((xs[b], _first_slot(d, members[a][0], i, j)))
+    return [poly_sum(xs[0].num_vars, (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
-def _witness_order(rank, monos, frames=True):
-    """Every family pair ((i, a), (j, b)) of members x^alpha_a e_i, with
-    monos of degree <= 1, in the one witness order and one at a time: the
-    frame pairs (a = b = 0), left out unless `frames`, then the pairs of
-    degree 1, each in the order of the tags i*M + a and j*M + b slot by
-    slot."""
-    members = [(i, a) for i in range(rank) for a in range(len(monos))]
+def _witness_order(rank, members, frames=True):
+    """Every family pair ((i, a), (j, b)) of frame members x^alpha_a e_i,
+    with `members` the monomials of degree <= 1 the walk visits, in the one
+    witness order and one at a time: the frame pairs (a = b = 0), left out
+    unless `frames`, then the pairs of degree 1, each in the order of the
+    tags i*M + a and j*M + b slot by slot."""
+    tags = [(i, a) for i in range(rank) for a in range(len(members))]
     if frames:
         yield from itertools.product([(i, 0) for i in range(rank)], repeat=2)
-    yield from (pair for pair in itertools.product(members, repeat=2) if pair[0][1] or pair[1][1])
+    yield from (pair for pair in itertools.product(tags, repeat=2) if pair[0][1] or pair[1][1])
 
 
-def _bracket_failure(s1, s2, phi, decided, metric_holds, general=False):
+def _bracket_failure(s1, s2, phi, smooth, metric_holds, general=False):
     """The bracket condition's failure at its least failing family pair of
-    degree <= decided, the degree `check_degree_cap` returned, or None.
+    degree <= 1, or of degree 0 unless `smooth` (`_decided_scope`), or None.
 
     The defect is decided from the frame tables (see the module docstring):
     at degree 0 it vanishes iff every Delta_ij does, at degree 1 iff also
@@ -484,15 +485,15 @@ def _bracket_failure(s1, s2, phi, decided, metric_holds, general=False):
     if not s1.bundle.rank:
         return None
     d = _Lines(s1, along_image(s2, phi), metric_holds)
-    if not d.delta and (not decided or _degree_1_holds(d)):
+    if not d.delta and (not smooth or _degree_1_holds(d)):
         return None
     n = s1.bundle.base_dim
-    monos = monomials_up_to(n, decided)
-    xs = [Polynomial.monomial(n, alpha) for alpha in monos]
-    for pair in _witness_order(s1.bundle.rank, monos, bool(d.delta)):
-        defect = _pair_defect(d, monos, xs, pair)
+    members = _degree_1_members(n)[:None if smooth else 1]   # cap 0: the constant alone
+    xs = [_raw(n, {key: 1}) for _, key, _ in members]
+    for pair in _witness_order(s1.bundle.rank, members, bool(d.delta)):
+        defect = _pair_defect(d, members, xs, pair)
         if not all(x.is_zero() for x in defect):
-            f1, f2 = (_member(s1.bundle.rank, i, str(xs[a])) for i, a in pair)
+            f1, f2 = (_member(s1.bundle.rank, i, members[a][2]) for i, a in pair)
             return _pair_failure("bracket", f1, f2, defect, general)
     raise RuntimeError("internal inconsistency: no pair of degree <= 1 fails")
 
@@ -544,13 +545,13 @@ def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
     return _matrix_failure("anchor", "entry", linalg.pmat_sub(rec.ap, ja1), s1.bundle.rank)
 
 
-def _auto_failures(s1, s2, phi, decided, general=False, strict=False) -> list:
-    """The three conditions in auto mode.  The bracket is decided at the
-    degree `check_degree_cap` returned, from the frame tables; strict
-    checking adds the perturbed representatives' matrix identity (see the
-    module docstring)."""
+def _auto_failures(s1, s2, phi, smooth, general=False, strict=False) -> list:
+    """The three conditions in auto mode.  The bracket is decided from the
+    frame tables at the degree `_decided_scope` read off the cap, 1 where
+    `smooth`, else 0; strict checking adds the perturbed representatives'
+    matrix identity (see the module docstring)."""
     metric = _metric_failure(s1, s2, phi, general)
-    bracket = _bracket_failure(s1, s2, phi, decided, metric is None, general)
+    bracket = _bracket_failure(s1, s2, phi, smooth, metric is None, general)
     if bracket is None and strict:
         bracket = _perturbed_failure(along_image(s2, phi))
     return [bracket, metric, _anchor_failure(s1, s2, phi)]
@@ -568,11 +569,11 @@ def check_identity_base(
     """Exact morphism verdict for a bundle morphism over the identity.
 
     The bracket condition is decided over every pair of monomial frame
-    sections of degree <= min(degree_cap, SWEEP_ORDER), which is complete
-    for all smooth sections at any cap >= 1; cap 0 is a bounded claim over
-    constant sections.  The verdict comes from closed forms in the frame
-    data, with no lift and no bracket (see the module docstring), and so
-    is a failure's least failing pair with its defect.  The metric and
+    sections of the degree `_decided_scope` reads off the cap, which is
+    complete for all smooth sections at any cap >= 1; cap 0 is a bounded
+    claim over constant sections.  The verdict comes from closed forms in
+    the frame data, with no lift and no bracket (see the module
+    docstring), and so is a failure's least failing pair with its defect.  The metric and
     anchor conditions are matrix identities.  The detail names the
     requested cap, the degree decided and the scope (`_decided_scope`); a
     negative cap raises ValueError.
@@ -582,8 +583,8 @@ def check_identity_base(
         raise ValueError("identity-base check needs equal base dimensions")
     if not phi.is_identity_base():
         raise ValueError("base map is not the identity")
-    decided, scope = _decided_scope(degree_cap)
-    return _verdict(_auto_failures(s1, s2, phi, decided), f"identity-base criteria: {scope}")
+    smooth, scope = _decided_scope(degree_cap)
+    return _verdict(_auto_failures(s1, s2, phi, smooth), f"identity-base criteria: {scope}")
 
 
 # -- general base ----------------------------------------------------------------
@@ -620,11 +621,11 @@ def check_general_base(
 
     pairs="auto" derives related sections from the morphism's retraction
     (required in that mode).  The bracket condition is then decided over
-    every pair of monomial frame sections of degree
-    <= min(degree_cap, SWEEP_ORDER) with their retraction-generated
-    representatives, the generating family the involutivity reduction
-    rests on.  That is complete for all smooth sections at any cap >= 1;
-    cap 0 is a bounded claim.  The verdict comes from closed forms in the
+    every pair of monomial frame sections of the degree `_decided_scope`
+    reads off the cap, with their retraction-generated representatives,
+    the generating family the involutivity reduction rests on.  That is
+    complete for all smooth sections at any cap >= 1; cap 0 is a bounded
+    claim.  The verdict comes from closed forms in the
     frame data, the frame table Gamma of the extended frames and the
     degree-1 lines, with no lift and no bracket (see the module
     docstring).  The least failing pair is reported with its defect,
@@ -644,10 +645,11 @@ def check_general_base(
     bracket along the image by (N A2(phi0) P f)_a w in the second slot and
     by -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a in the
     first (see the module docstring).  A strict failure reports the first
-    nonzero entry of N A2(phi0) with "representatives": "perturbed".
-    Perturbations never change the metric defect.  Zero-section embeddings
-    generally fail the strict check even when they verify on the
-    retraction family.
+    nonzero entry of N A2(phi0) with "representatives": "perturbed", and
+    a strict detail names that quantifier, "with perturbed
+    representatives".  Perturbations never change the metric defect.
+    Zero-section embeddings generally fail the strict check even when they
+    verify on the retraction family.
 
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
@@ -659,9 +661,10 @@ def check_general_base(
     if pairs == "auto":
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
-        decided, scope = _decided_scope(degree_cap)
-        return _verdict(_auto_failures(s1, s2, phi, decided, True, strict),
-                        f"general-base criteria: {scope}")
+        smooth, scope = _decided_scope(degree_cap)
+        return _verdict(_auto_failures(s1, s2, phi, smooth, True, strict),
+                        "general-base criteria"
+                        f"{' with perturbed representatives' if strict else ''}: {scope}")
     checked = list(pairs)
     if len(checked) > MAX_PAIRS:
         raise ValueError(f"too many supplied pairs: {len(checked)}, more than {MAX_PAIRS}")

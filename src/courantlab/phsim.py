@@ -474,9 +474,10 @@ def energy_balance(trajectory: Trajectory, u: InputSignal) -> BalanceReport:
 def dirac_structure_of(system: PHSystem) -> tuple[LinearSubspace, bool]:
     """Graph of [[J, B], [-B^T, 0]] inside R^(n+m) (+) its dual, checked.
 
-    Returns the subspace together with `dirac_check`'s exact
-    maximal-isotropy verdict in the standard structure on R^(n+m), whose
-    metric is the split pairing <(v, p), (v', p')> = p(v') + p'(v).
+    Returns the subspace together with `dirac_check`'s exact verdict,
+    Dirac (isotropic, half rank, closed), in the standard structure on
+    R^(n+m), whose metric is the split pairing
+    <(v, p), (v', p')> = p(v') + p'(v).
     """
     j, b, m = system.j, system.b, system.m
     subspace = LinearSubspace.graph_of_matrix(

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from courantlab import linalg
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, related_section
 from courantlab.courant_core import (
-    SWEEP_ORDER,
     CourantStructure,
     _subtract_into,
     _witness,
@@ -294,17 +293,17 @@ def reference_sweep_axiom_i(s: CourantStructure) -> dict | None:
     """
     n, k = s.bundle.base_dim, s.bundle.rank
     lifted = lift_structure(s, 2)
-    f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, SWEEP_ORDER, 2, n + t))
+    f2, f3 = (lifted._terms(tagged_generating_section(s.bundle, 1, 2, n + t))
               for t in (0, 1))
     inner23 = lifted._bracket(f2, f3)
-    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, SWEEP_ORDER)):
+    for b, (i, alpha) in enumerate(monomial_frame_basis(s.bundle, 1)):
         ba = [{_pack(alpha): 1} if c == i else {} for c in range(k)]
         inner_a2 = lifted._bracket(ba, f2)
         defect = [_subtract_into(*parts) for parts in zip(
             lifted._bracket(ba, inner23), lifted._bracket(inner_a2, f3),
             lifted._bracket(f2, _exchanged(inner_a2, n)),
         )]
-        least = _least_failing_tuple(s.bundle, SWEEP_ORDER, defect, 2, (b,))
+        least = _least_failing_tuple(s.bundle, 1, defect, 2, (b,))
         if least is not None:
             return reference_axiom_witness(s, "i", least)
     return None

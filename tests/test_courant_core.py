@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from courantlab import courant_core, linalg
 from courantlab.bundles import LinearSubspace, Section, TrivialBundle
 from courantlab.courant_core import (
-    SWEEP_ORDER,
     CourantStructure,
     check_axioms,
     check_leibniz,
@@ -729,12 +728,20 @@ def test_structure_validation():
 # are kept here as the references, and every witness dict must equal theirs.
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_the_degree_1_members_are_the_graded_monomials_of_degree_1(n):
+    # the members every walk visits, in the witness order: 1, then x_n ... x_1
+    expected = [(alpha.index(1) if any(alpha) else None, _pack(alpha),
+                 Polynomial.monomial(n, alpha).to_string()) for alpha in monomials_up_to(n, 1)]
+    assert courant_core._degree_1_members(n) == expected
+
+
 def reference_leibniz_witness(s):
     """`_leibniz_witness` built from Sections, Polynomials and a Polynomial
     product: the least failing tuple and x^beta A_aj (g - f)."""
     n, a = s.bundle.base_dim, s.rows[2]
-    linear = monomials_up_to(n, SWEEP_ORDER)[1:]
-    for j, beta in monomial_frame_basis(s.bundle, SWEEP_ORDER)[1:]:
+    linear = monomials_up_to(n, 1)[1:]
+    for j, beta in monomial_frame_basis(s.bundle, 1)[1:]:
         reached = [x for x in linear if j in a[x.index(1)]]
         if reached:
             break
@@ -753,7 +760,7 @@ def reference_axiom_i_walk(s, c, lowered, rho_d, anomaly):
     slot table in the witness order and skipping those whose frame pair the
     table does not hold."""
     n, k = s.bundle.base_dim, s.bundle.rank
-    monos = monomials_up_to(n, SWEEP_ORDER)
+    monos = monomials_up_to(n, 1)
     options = [[(None, _pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
                for alpha in monos]
     texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]

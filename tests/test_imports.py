@@ -340,6 +340,9 @@ def test_no_helper_only_the_tests_read():
     # Gamma = [I; P] from the fiber rows
     for module in (courantlab, morphisms):
         assert not {"GraphSubbundle", "graph_subbundle"} & set(vars(module))
+    # degree 1 is what every certificate's proof decides, not a setting
+    for module in (courantlab, courant_core):
+        assert not {"SWEEP_ORDER", "check_degree_cap"} & set(vars(module))
     assert list(inspect.signature(phsim.write_csv).parameters) == ["trajectory", "path"]
     assert not hasattr(cli, "_capped_structure") and not hasattr(courant_core, "_certify_axioms")
     assert list(inspect.signature(cli._resolve_structure).parameters) == ["scene", "name"]
@@ -593,5 +596,11 @@ def test_code_lines_fell():
     # presentation that no command read (`GraphSubbundle`,
     # `graph_subbundle`) gone (morphisms -19 with the supplied-pairs branch
     # un-nested), the simulator binding every repeated magnitude again (-4)
-    # and the closure test of `dirac_check` added (`_closed`, +10), 3,076
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3076
+    # and the closure test of `dirac_check` added (`_closed`, +10), 3,076;
+    # with the cap read once, by `_decided_scope`, `SWEEP_ORDER` and
+    # `check_degree_cap` gone and the degree-1 members listed once, by
+    # `_degree_1_members`, for the walks of (i), of the Leibniz variant and
+    # of a morphism's pairs (courant_core -8, morphisms 0 with a strict
+    # detail of its own), while `pullback` checks --alt-retraction when it
+    # reads it (cli +5), 3,073
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3073

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from courantlab import courant_core, linalg, morphisms
+from courantlab import linalg, morphisms
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle, compose_morphisms, related_section
 from courantlab.courant_core import (
     CourantStructure,
@@ -227,12 +227,22 @@ class TestGeneralBase:
         verdict = check_general_base(s1, s2, pontryagin_embedding(1, 1), strict=True)
         assert made == []
         assert json.dumps(verdict.to_json(), sort_keys=True) == (
-            '{"detail": "general-base criteria: degree cap 3, decided at degree 1, '
-            'scope all smooth sections", "failures": '
+            '{"detail": "general-base criteria with perturbed representatives: degree cap 3, '
+            'decided at degree 1, scope all smooth sections", "failures": '
             '[{"condition": "bracket", "defect": ["0", "0", "0", "0", "0", "1", "0", "0"], '
             '"witness": {"entry": [1, 1], "representatives": "perturbed"}}], '
             '"is_morphism": false}'
         )
+
+    def test_a_strict_pass_names_the_perturbed_representatives(self):
+        # along x -> (x, 0) into the line extension N A2(phi0) = 0, so both
+        # verdicts pass, and only the detail tells the strict one apart
+        case = zero_section_into_a_line_extension({})
+        strict, plain = (check_general_base(*case, strict=flag) for flag in (True, False))
+        assert strict.is_morphism and plain.is_morphism
+        scope = "degree cap 3, decided at degree 1, scope all smooth sections"
+        assert strict.detail == f"general-base criteria with perturbed representatives: {scope}"
+        assert plain.detail == f"general-base criteria: {scope}"
 
     def test_retraction_failure_reports_plain_defect(self):
         # doubling the tangent row of the Pontryagin embedding: [d_x, x d_x]
@@ -434,7 +444,7 @@ def reference_metric_failure(s1, s2, phi, degree_cap=3, seed=0, n_perturbations=
     tagged defect.  Returns the failure's JSON, or None.
     """
     n = s1.bundle.base_dim
-    cap = degree_cap if n_perturbations > 0 else min(degree_cap, courant_core.SWEEP_ORDER)
+    cap = degree_cap if n_perturbations > 0 else min(degree_cap, 1)
     s1l, s2l = lift_structure(s1, 2), lift_structure(s2, 2)
     phil = lifted_morphism(phi, 2)
     fa = tagged_generating_section(s1.bundle, cap, 2, n)

@@ -52,7 +52,7 @@ metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
 auto_failures = morphisms._auto_failures
 witness_order = morphisms._witness_order
-check_degree_cap, parse_vector = courant_core.check_degree_cap, cli._parse_vector
+decided_scope, parse_vector = courant_core._decided_scope, cli._parse_vector
 canonical, rational = cli._canonical, scene._rational
 pivot_product = linalg._pivot_product
 
@@ -82,16 +82,16 @@ def leibniz_witness_with(g_may_be_f=False, f_minus_g=False):
         j = min((col for row in a for col in row), default=None)
         if j is None:
             return None
-        x = next(x for x in range(n - 1, -1, -1) if j in a[x])
-        beta = 0 if j or g_may_be_f else 1 << (_BITS * (n - 1))
+        members = courant_core._degree_1_members(n)
+        _, beta, text = members[0 if j or g_may_be_f else 1]
+        x, _, lam = next(m for m in members[1:] if j in a[m[0]])
         sign = -1 if f_minus_g else 1
         cross = _checked({key + beta: cf for key, cf in courant_core._packed(a[x][j]).items()}, n)
         defect = [{} for _ in range(k)]
         defect[j] = _checked({key + beta: sign * cf for key, cf in cross.items()}, n)
         polyexpr._add_into(defect[0], _scaled(cross, -sign))
         return {"f": courant_core._member(k, 0),
-                "g": courant_core._member(k, j, f"x{n}" if beta else "1"),
-                "lam": f"x{x + 1}", "mu": "1",
+                "g": courant_core._member(k, j, text), "lam": lam, "mu": "1",
                 "defect": [polyexpr._raw(n, p).to_string() for p in defect]}
     return mutant
 
@@ -215,11 +215,9 @@ def walk_with(pairs_in_table_order=False, m_outside_a2=False, place_0_only=False
     in each slot, as if no slot differentiated any variable."""
     def mutant(s, c, lowered, rho_d, anomaly):
         n, k = s.bundle.base_dim, s.bundle.rank
-        monos = polyexpr.monomials_up_to(n, 1)
-        options = [[(None, polyexpr._pack(alpha))] + ([(alpha.index(1), 0)] if any(alpha) else [])
-                   for alpha in monos]
-        texts = [f"x{alpha.index(1) + 1}" if any(alpha) else "1" for alpha in monos]
-        places = range(1 if place_0_only else len(monos))
+        members = courant_core._degree_1_members(n)
+        options = [[(None, key)] + ([(t, 0)] if t is not None else []) for t, key, _ in members]
+        places = range(1 if place_0_only else len(members))
         for i, table in enumerate(courant_core._slot_tables(s, c, lowered, rho_d, anomaly)):
             partners = {}
             pairs = dict.fromkeys(key[:2] for key in table)
@@ -239,7 +237,7 @@ def walk_with(pairs_in_table_order=False, m_outside_a2=False, place_0_only=False
                             key + sum(keys): cf for key, cf in _checked(p, n).items()})
                 if any(out.values()):
                     return courant_core._witness(
-                        s, [courant_core._member(k, frame, texts[a])
+                        s, [courant_core._member(k, frame, members[a][2])
                             for frame, a in ((i, a1), (j, a2), (m, a3))],
                         [out.get(h, {}) for h in range(k)], True)
         return None
@@ -262,23 +260,30 @@ def metric_failure_with_plus_d(s1, s2, phi, general=False):
     return failure
 
 
-def witness_order_without_the_degree(rank, monos, frames=True):
+def witness_order_without_the_degree(rank, members, frames=True):
     """`_witness_order` ordering pairs by their tags alone."""
-    members = [(i, a) for i in range(rank) for a in range(len(monos))]
-    return list(itertools.product(members, repeat=2))
+    tags = [(i, a) for i in range(rank) for a in range(len(members))]
+    return list(itertools.product(tags, repeat=2))
 
 
-def witness_order_without_the_frame_pairs(rank, monos, frames=True):
+def witness_order_without_the_frame_pairs(rank, members, frames=True):
     """`_witness_order` leaving out the frame pairs also where Delta does
     not vanish."""
-    return witness_order(rank, monos, False)
+    return witness_order(rank, members, False)
 
 
-def degree_cap_without_the_cap_0_scope(degree_cap):
-    """`check_degree_cap` deciding every cap at SWEEP_ORDER, so that cap 0
+def scope_decided_at_degree_0(degree_cap):
+    """`_decided_scope` deciding every cap at degree 0, as if the defects
+    were of order 0, so that any cap claims constant sections only."""
+    decided_scope(degree_cap)
+    return decided_scope(0)
+
+
+def scope_without_the_cap_0_scope(degree_cap):
+    """`_decided_scope` deciding every cap at degree 1, so that cap 0
     claims all smooth sections as well."""
-    check_degree_cap(degree_cap)
-    return courant_core.SWEEP_ORDER
+    decided_scope(degree_cap)
+    return decided_scope(max(degree_cap, 1))
 
 
 def vector_without_the_z0_check(text, expected, what):
@@ -302,15 +307,15 @@ def first_slot_without_the_w_term(d, a, i, j):
             for h, row in enumerate(d.p)]
 
 
-def pair_defect_with_the_t_line_at_x_b(d, monos, xs, pair):
+def pair_defect_with_the_t_line_at_x_b(d, members, xs, pair):
     """`_pair_defect` with the line x_a T_bi P e_j read as x_b T_bi P e_j."""
     (i, a), (j, b) = pair
     terms = [(xs[a] * xs[b], d.delta[i, j])] if (i, j) in d.delta else []
     if b:
-        terms.append((xs[b] * d.t[monos[b].index(1)].get(i, 0), [row.get(j, 0) for row in d.p]))
+        terms.append((xs[b] * d.t[members[b][0]].get(i, 0), [row.get(j, 0) for row in d.p]))
     if a:
-        terms.append((xs[b], morphisms._first_slot(d, monos[a].index(1), i, j)))
-    return [poly_sum(len(monos[0]), (s * v[h] for s, v in terms)) for h in range(len(d.p))]
+        terms.append((xs[b], morphisms._first_slot(d, members[a][0], i, j)))
+    return [poly_sum(xs[0].num_vars, (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
 def perturbed_failure_on_image_fibers(rec):
@@ -720,7 +725,8 @@ MUTANTS = {
         ((bumped(standard_structure(1), (0, 0, 0), 1), [[0, 1], [0, 1]]),),
     ),
     "sweep_order_0": (
-        [(courant_core, "SWEEP_ORDER", 0)],   # morphisms read it through check_degree_cap
+        [(courant_core, "_decided_scope", scope_decided_at_degree_0),
+         (morphisms, "_decided_scope", scope_decided_at_degree_0)],
         oracles.test_doubling_bracket_passes_at_cap_0_and_fails_at_cap_1,
         (),                                 # [d_x, x d_x] = d_x fails at degree 1 only
     ),
@@ -774,7 +780,8 @@ MUTANTS = {
         (bumped(SCALED1, (0, 0, 1)),),
     ),
     "cap_0_claiming_all_sections": (
-        [(courant_core, "check_degree_cap", degree_cap_without_the_cap_0_scope)],
+        [(courant_core, "_decided_scope", scope_without_the_cap_0_scope),
+         (morphisms, "_decided_scope", scope_without_the_cap_0_scope)],
         oracles.test_certificate_equals_enumeration,
         # anchor [1, 1]: every constant triple passes, and (i) fails at degree 1
         (anchor_with_rho_d(), 0),

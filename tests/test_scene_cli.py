@@ -540,9 +540,18 @@ class TestCLI:
                               "fiber_matrix": [["1", "0"], ["0", "1"]],
                               "retracton": ["x1"]}}},
          "morphism 'f': unknown field 'retracton'"),
+        ({"bundles": {"pontryagin2": {"base_dim": 2, "rank": 4}},
+          "sections": {"rotation": {"bundle": "pontryagin2", "coeffs": ["x2", "-x1", "0"]}}},
+         "error: section 'rotation': coeffs must list 4 expressions"),
+        ({"bundles": {"pontryagin1": {"base_dim": 1, "rank": 2}},
+          "courant_structures": {"standard1": {"bundle": "pontryagin1",
+                                               "anchor": [["1", "0"], ["0", "1"]],
+                                               "metric": [[0, 1], [1, 0]]}}},
+         "error: courant_structure 'standard1': anchor must have 1 rows"),
     ], ids=["bundle_not_object", "metric_not_matrix", "structure_functions_not_object",
             "retraction_not_list", "input_not_list", "bundle_name_not_string",
-            "unknown_bundle_field", "misspelt_retraction"])
+            "unknown_bundle_field", "misspelt_retraction", "section_coeffs_not_rank",
+            "anchor_rows_not_base_dim"])
     def test_malformed_scene_shape_exit_2(self, tmp_path, capsys, fragment, message):
         path = write_scene(tmp_path, {"schema_version": 1, **fragment})
         assert main(["axioms", "--scene", str(path), "--structure", "standard1"]) == 2
@@ -670,21 +679,28 @@ class TestPullbackContract:
             assert pairing["detail"] == "induced pairing is degenerate"
             assert pairing["witness"] == {"induced_metric": [["0", "0"], ["0", "0"]]}
 
-    @pytest.mark.parametrize("value, line", [
-        ("", "--alt-retraction is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
-        ('{"a": 1}', "bad --alt-retraction: expected a JSON array of expressions, got {'a': 1}"),
-        ('["x1"]', None),
-    ], ids=["empty", "object", "valid"])
+    @pytest.mark.parametrize("value, lines", [
+        ("", ["--alt-retraction is not valid JSON: Expecting value: line 1 column 1 (char 0)"] * 2),
+        ('{"a": 1}',
+         ["bad --alt-retraction: expected a JSON array of expressions, got {'a': 1}"] * 2),
+        ('["0"]', ["invalid alternative retraction: retraction does not invert the base map: "
+                   "r(phi0(x)) != x"] * 2),
+        ('["x1", "x1"]',
+         ["invalid alternative retraction: retraction shape 2->2 does not match bases 2->1",
+          "invalid alternative retraction: retraction shape 1->2 does not match bases 1->1"]),
+        ('["x1"]', [None, None]),
+    ], ids=["empty", "object", "not_inverting", "wrong_shape", "valid"])
     def test_a_given_alt_retraction_is_read_before_the_construction(self, tmp_path, capsys,
-                                                                    value, line):
+                                                                    value, lines):
         # the value was once read only after a construction that passed:
         # `--alt-retraction=` exited 0 unread, and any value exited 1 unread
-        # when a hypothesis failed
+        # when a hypothesis failed; a retraction that does not invert phi0,
+        # or has the wrong shape, was then checked only on the construction
         scenes = [["--scene", str(SCENE), "--ambient", "standard2", "--morphism",
                    "zero_section_embedding"],
                   ["--scene", str(self.rank_zero_target(tmp_path, 1)), "--ambient", "flat",
                    "--morphism", "phi"]]
-        for argv, code in zip(scenes, (0, 1)):
+        for argv, code, line in zip(scenes, (0, 1), lines):
             found = TestMorphismContract.run(["pullback", *argv, f"--alt-retraction={value}"],
                                              capsys)
             assert found[0] == (code if line is None else 2)
@@ -1801,7 +1817,7 @@ LIBRARY_GUARDS = {
         lambda: phsim.energy_balance(phsim.Trajectory(None, None, None, 0.5),
                                      phsim.InputSignal.zero(1)),
         "trajectory carries no system"),
-    "negative_degree_cap": (lambda: courant_core.check_degree_cap(-1),
+    "negative_degree_cap": (lambda: courant_core._decided_scope(-1),
                             "degree cap must be >= 0, got -1"),
 }
 
@@ -2210,7 +2226,7 @@ positional arguments:
     intrinsic           build the intrinsic structure candidate
     simulate            integrate a port-Hamiltonian system to CSV
     project             interaction run projected to the open behavior
-    dirac               check the interconnection graph for maximal isotropy
+    dirac               check the graph: Dirac (isotropic, half rank, closed)
 
 options:
   -h, --help            show this help message and exit

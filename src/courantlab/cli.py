@@ -13,7 +13,8 @@ One executable, eight subcommands:
              half rank, closed)
 
 Exit codes: 0 all requested verdicts pass, 1 a verification failed,
-2 input or schema error.  JSON reports (--json) are canonical: keys are
+2 input or schema error, or an --out that cannot be written (the file is
+opened once the command's work is done).  JSON reports (--json) are canonical: keys are
 sorted and nothing time- or machine-dependent is included, so identical
 inputs and seeds produce byte-identical output.  Timing appears only in
 the human-readable rendering.  `simulate` and `project` write CSV and take
@@ -290,11 +291,19 @@ def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
         text = "".join(_canonical(report, [])) + "\n"
     else:
         text = "\n".join(human_lines + [f"elapsed: {elapsed:.3f}s"]) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, lambda fh: fh.write(text))
+
+
+def _write_out(path: str | None, write) -> None:
+    """write(fh) to the file `path`, or to stdout when --out is not given;
+    an OSError opening or writing the file is the one error line of --out."""
+    if not path:
+        return write(sys.stdout)
+    try:
+        with open(path, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise SceneError(f"cannot write --out {_shown(path)}: {exc}") from None
 
 
 def _verdict_lines(name: str, verdict) -> list[str]:
@@ -520,9 +529,13 @@ def _cmd_trajectory(args):
         sys.stderr.write(f"warning: --h {args.step!r} does not divide --T {args.t_final!r}; "
                          f"the effective step is {trajectory.step!r}\n")
     if trajectory.diverged:
-        sys.stderr.write(f"warning: trajectory overflowed before the horizon, at step "
-                         f"{len(trajectory.times) - 1} (t = {float(trajectory.times[-1])!r})\n")
-    write_csv(trajectory, args.out or sys.stdout)
+        # the kept last row is the first whose x is not finite
+        row = trajectory.x[-1].tolist()
+        i = next(i for i, v in enumerate(row) if not math.isfinite(v))
+        sys.stderr.write(f"warning: trajectory diverged before the horizon, at step "
+                         f"{len(trajectory.times) - 1} (t = {float(trajectory.times[-1])!r}); "
+                         f"x{i + 1} is {row[i]!r}\n")
+    _write_out(args.out, functools.partial(write_csv, trajectory))
     return None, None
 
 
@@ -569,13 +582,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, lines = _COMMANDS[args.command][0](args)
+        if payload is not None:
+            _emit(args, payload, lines, time.perf_counter() - started)
     except (SceneError, ExponentOverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if payload is None:
-        return 0
-    _emit(args, payload, lines, time.perf_counter() - started)
-    return payload["exit_code"]
+    return 0 if payload is None else payload["exit_code"]
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ lives in `conftest` with the tagged references.
 """
 
 import argparse
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from courantlab import (bundles, cli, courant_core, intrinsic, linalg, morphisms, phsim, polyexpr,
-                        pullback, scene)
+from courantlab import (_csvtext, bundles, cli, courant_core, intrinsic, linalg, morphisms, phsim,
+                        polyexpr, pullback, scene)
 from courantlab.bundles import BundleMorphism, Section, TrivialBundle
 from courantlab.courant_core import CourantStructure, scaled_structure, standard_structure
 from courantlab.intrinsic import pontryagin_embedding
@@ -39,6 +41,7 @@ import test_courant_core
 import test_intrinsic
 import test_linalg
 import test_morphisms
+import test_phsim
 import test_phsim_reference
 import test_pullback
 import test_scene_cli
@@ -593,6 +596,19 @@ QUARTIC_CASE, SHARED_IN_F_CASE = (
     for name in ("quartic", "shared_in_f"))
 
 
+def source_with(module, name, old, new):
+    """`module.name` compiled from its source with the one occurrence of
+    `old` written as `new`, in the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+CSV_CASE = test_phsim.TestCSVDigits().test_a_named_value_is_written_as_the_reference
+
+
 SCALED1 = scaled_structure(standard_structure(1), Fraction(-2, 5))
 
 
@@ -1010,6 +1026,25 @@ MUTANTS = {
         [(courant_core, "_closed", lambda s, subspace: True)],
         test_courant_core.TestDiracCheck().test_a_lagrangian_that_is_not_closed_is_refused,
         (),                                 # the graph of e_1 ^ e_2 in the so(3) double
+    ),
+    "csv_digits_rounded_half_up": (
+        [(_csvtext, "_digits", source_with(
+            _csvtext, "_digits",
+            "(rest > half) | ((rest == half) & (n & np.uint64(1)).astype(bool))", "rest >= half"))],
+        CSV_CASE,
+        ("fast_tie_rounds_down_to_even",),  # ...312|5 rounds to the even 2, not to 3
+    ),
+    "csv_exponent_trusted_to_log10": (
+        [(_csvtext, "_digits", source_with(
+            _csvtext, "_digits", "if not (low.any() or high.any()):", "if True:"))],
+        CSV_CASE,
+        ("log10_rounded_up",),              # floor(log10) = 3 leaves 16 digits
+    ),
+    "csv_point_of_an_empty_fraction": (
+        [(_csvtext, "_words", source_with(
+            _csvtext, "_words", "np.where(frac != 0, _POINT, 0)", "_POINT"))],
+        CSV_CASE,
+        ("empty_fraction_has_no_point",),   # 3.0 is written "3", not "3."
     ),
     "shared_negative_term_opens_with_a_unary_minus": (
         [(phsim, "_emit", EMIT_UNARY_MINUS)],

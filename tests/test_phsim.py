@@ -255,6 +255,10 @@ class TestCSV:
         states[1500] = [-0.0, 0.0, 5e-324]
         states[9] = [np.nan, 5e-324, 1.0]     # the written columns see nan and a subnormal too
         outputs[2499] = [np.nan, -0.0]
+        # values '%.17g' formats itself on both sides of a chunk boundary,
+        # in the last column, between values of the exact digits
+        chunk = phsim._CSV_CHUNK
+        outputs[chunk - 1:chunk + 1] = [[0.25, 1e-300], [-1e13, -2.5e-5]]
         traj = Trajectory(np.arange(rows) * 1e-3, states, outputs, 1e-3, z_dim=1)
         # the last state column is z, which is not written
         lines = ["t,x1,x2,y1,y2"]
@@ -268,6 +272,82 @@ class TestCSV:
         path = tmp_path / "run.csv"
         write_csv(traj, path)
         assert path.read_text() == expected
+
+
+def reference_text(values: list[float]) -> str:
+    return ",".join("%.17g" % v for v in values) + "\n"
+
+
+# values whose '%.17g' text pins one rule of `_csvtext`: (value, text)
+CSV_CASES = {
+    # an exact tie at the 18th digit rounds half to even, down and up: past
+    # the fast range, which '%.17g' writes itself, and inside it
+    "tie_rounds_down_to_even": (1e14 + 0.125, "100000000000000.12"),
+    "tie_rounds_up_to_even": (1e14 + 0.375, "100000000000000.38"),
+    "fast_tie_rounds_down_to_even": (1 + 2.0 ** -17, "1.0000076293945312"),
+    "fast_tie_rounds_up_to_even": (1 + 3 * 2.0 ** -17, "1.0000228881835938"),
+    "fast_tie_at_twelve": (1e12 + 1 / 32, "1000000000000.0312"),
+    # np.log10 gives exactly 3.0, one above the decimal exponent
+    "log10_rounded_up": (float(np.nextafter(1000.0, 0.0)), "999.99999999999989"),
+    "empty_fraction_has_no_point": (3.0, "3"),
+    "int_part_zero": (0.5, "0.5"),
+    "least_fast_value": (1e-4, "0.0001"),
+    "below_the_fast_range": (float(np.nextafter(1e-4, 0.0)), "9.9999999999999991e-05"),
+    "largest_fast_value": (float(np.nextafter(1e13, 0.0)), "9999999999999.998"),
+    "above_the_fast_range": (1e13, "10000000000000"),
+    "negative": (-2.5, "-2.5"),
+    "zero": (0.0, "0"),
+    "negative_zero": (-0.0, "-0"),
+    "inf": (math.inf, "inf"),
+    "negative_inf": (-math.inf, "-inf"),
+    "nan": (math.nan, "nan"),
+    "least_subnormal": (5e-324, "4.9406564584124654e-324"),
+}
+
+
+class TestCSVDigits:
+    """`_csvtext.rows_text` against the per-value '%.17g' it replaces."""
+
+    @staticmethod
+    def text(values):
+        from courantlab._csvtext import rows_text
+
+        return rows_text(np.array(values, dtype=float).reshape(1, -1))
+
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_a_named_value_is_written_as_the_reference(self, name):
+        value, text = CSV_CASES[name]
+        assert "%.17g" % value == text
+        assert self.text([value]) == text + "\n"
+        assert self.text([1.0, value, -0.0]) == f"1,{text},-0\n"
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-6, 17):
+            for direction in (0.0, math.inf):
+                x = 10.0 ** k
+                for _ in range(4):
+                    x = float(np.nextafter(x, direction))
+                    values += [x, -x]
+            values.append(10.0 ** k)
+        assert self.text(values) == reference_text(values)
+
+    def test_every_exponent_of_the_fast_range(self):
+        # mantissas drawn at each decimal exponent X from -4 to 12, and the
+        # values either side of 1e-4 and of 1e13, the ends of the fast range
+        rng = np.random.default_rng(11)
+        values = [float(v) for x in range(-4, 13)
+                  for v in rng.uniform(1.0, 10.0, 200) * 10.0 ** x]
+        for bound in (1e-4, 1e13):
+            values += [float(np.nextafter(bound, 0.0)), bound, float(np.nextafter(bound, 1.0))]
+        assert self.text(values) == reference_text(values)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.one_of(st.floats(), st.floats(min_value=1e-4, max_value=1e13),
+                              st.floats(min_value=-1e13, max_value=-1e-4)),
+                    min_size=1, max_size=40))
+    def test_drawn_floats_are_written_as_the_reference(self, values):
+        assert self.text(values) == reference_text(values)
 
 
 def bench_quartic():

@@ -488,11 +488,22 @@ class TestCLI:
     @pytest.mark.parametrize("command", ["simulate", "project"])
     def test_run_metadata_warnings(self, tmp_path, capsys, command):
         # T / h = 10 / 3 rounds to 3 steps of 1/3; x1 = 1e100 overflows
-        # x1^4 + x2^4 on the first step
+        # x1^4 + x2^4 on the first step and the row kept holds a NaN
+        self.check_divergence_warnings(tmp_path, capsys, command, "x1^4 + x2^4",
+                                       "1e100,1", "x1 is nan")
+
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_divergence_names_an_infinite_coordinate(self, tmp_path, capsys, command):
+        # x1 = 1e200 keeps x1 finite under x1^3 while x2' = -3 x1^2 is -inf
+        self.check_divergence_warnings(tmp_path, capsys, command, "x1^3",
+                                       "1e200,1", "x2 is -inf")
+
+    @staticmethod
+    def check_divergence_warnings(tmp_path, capsys, command, hamiltonian, x0, named):
         scene = json.loads(SCENE.read_text())
-        scene["ph_systems"]["oscillator"]["H"] = "x1^4 + x2^4"
+        scene["ph_systems"]["oscillator"]["H"] = hamiltonian
         argv = [command, "--scene", str(write_scene(tmp_path, scene)),
-                "--system", "oscillator", "--input", "off", "--x0=1e100,1",
+                "--system", "oscillator", "--input", "off", f"--x0={x0}",
                 "--T", "1", "--h", "0.3"]
         if command == "project":
             argv += ["--z0", "0"]
@@ -501,8 +512,8 @@ class TestCLI:
         assert captured.err.splitlines() == [
             "warning: --h 0.3 does not divide --T 1.0; the effective step is "
             "0.3333333333333333",
-            "warning: trajectory overflowed before the horizon, at step 1 "
-            "(t = 0.3333333333333333)",
+            "warning: trajectory diverged before the horizon, at step 1 "
+            f"(t = 0.3333333333333333); {named}",
         ]
         rows = captured.out.splitlines()
         assert len(rows) == 3 and rows[2].startswith("0.33333333333333331,")
@@ -1073,6 +1084,13 @@ class TestAxiomsContract:
         # argparse stores --structure=-- as an empty list
         assert TestMorphismContract.run(["axioms", "--structure=--"], capsys) == (2, (
             "", "error: argument --structure: expected one argument\n"))
+
+    def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        # a directory as --out once ended in a traceback of IsADirectoryError
+        out = str(tmp_path)
+        assert TestMorphismContract.run(["axioms", *_REQUIRED["axioms"], "--out", out],
+                                        capsys) == (2, ("", (
+            f"error: cannot write --out {out!r}: [Errno 21] Is a directory: {out!r}\n")))
 
     @pytest.mark.parametrize("n", _TOO_MANY_DIGITS, ids=["4_digits", "5001_digits"])
     def test_a_builtin_of_four_digits_names_the_structure(self, capsys, monkeypatch, n):
@@ -2367,6 +2385,16 @@ class TestSimulateContract:
         code, captured = TestMorphismContract.run(argv, capsys)
         assert code == 2
         assert captured.err.startswith("error: --T / --h must be at most 1000000 steps")
+
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_an_unwritable_out_is_one_error_line(self, tmp_path, capsys, command):
+        # a path in a missing directory once ended in a traceback of
+        # FileNotFoundError
+        out = str(tmp_path / "missing" / "x.csv")
+        argv = [command, "--scene", str(SCENE), *_REQUIRED[command], "--out", out]
+        assert TestMorphismContract.run(argv, capsys) == (2, ("", (
+            f"error: cannot write --out {out!r}: [Errno 2] No such file or directory: "
+            f"{out!r}\n")))
 
     @staticmethod
     def unreachable(monkeypatch):

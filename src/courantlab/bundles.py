@@ -60,10 +60,6 @@ class Section(Frozen):
         self._set(bundle, coeffs)
 
     @classmethod
-    def zero(cls, bundle: TrivialBundle) -> "Section":
-        return cls(bundle, PolyMap.zero(bundle.base_dim, bundle.rank))
-
-    @classmethod
     def frame(cls, bundle: TrivialBundle, index: int, coeff: Polynomial | None = None) -> "Section":
         """coeff * e_index; constant frame section when coeff is omitted."""
         if not 0 <= index < bundle.rank:
@@ -77,10 +73,6 @@ class Section(Frozen):
     @classmethod
     def from_exprs(cls, bundle: TrivialBundle, exprs: Sequence[str]) -> "Section":
         return cls(bundle, PolyMap.from_exprs(exprs, bundle.var_names()))
-
-    @classmethod
-    def from_constant(cls, bundle: TrivialBundle, values) -> "Section":
-        return cls(bundle, PolyMap.constant(bundle.base_dim, values))
 
     def __getitem__(self, i) -> Polynomial:
         return self.coeffs[i]
@@ -101,9 +93,6 @@ class Section(Frozen):
             self.bundle,
             PolyMap(self.bundle.base_dim, [a - b for a, b in zip(self, other)]),
         )
-
-    def __neg__(self) -> "Section":
-        return Section(self.bundle, PolyMap(self.bundle.base_dim, [-a for a in self]))
 
     def __mul__(self, scalar) -> "Section":
         """Multiply by a scalar or by a function on the base."""

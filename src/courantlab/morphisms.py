@@ -27,12 +27,8 @@ so the pair's metric defect is -f1^T D f2.  On a pair of family members
 (x^alpha e_i, x^beta e_j) that reads -x^(alpha + beta) D_ij, so the pair
 fails iff D_ij is nonzero, and the least failing pair in the witness order
 below is the frame pair (e_i, e_j), with (i, j) the first nonzero entry of
-D in row-major order.  A perturbed representative g + q*w has q o phi0 = 0,
-so every term the perturbation adds to <g1,g2>_2 carries a factor q and
-vanishes once composed with phi0: perturbations never change the metric
-defect.  The general base therefore reports the pair (e_i, e_j) with
-"representatives": "retraction" and the defect -D_ij, and strict
-representative checking re-checks only the bracket.
+D in row-major order.  The general base therefore reports the pair
+(e_i, e_j) with "representatives": "retraction" and the defect -D_ij.
 
 The bracket condition is decided over the family of monomial frame
 sections x^alpha e_i, and degree 1 is enough: the defect is a differential
@@ -131,31 +127,14 @@ walked only where some Delta_ij is nonzero.  No failure brackets
 a section; `tests/conftest.py` keeps the recomputation of a pair's defect
 through the plain brackets as the reference the oracles compare it with.
 
-In auto mode the related pairs come from the morphism's retraction: the
-constructive extension device g(y) = P(r(y)) f(r(y)).  That family is the
-generating set the involutivity reduction works over, and certifying the
-conditions on it is the default contract.  The characterization proper
-quantifies over ANY related representatives g + h with h o phi0 = 0, and
-representatives that wiggle off the image can break the bracket condition
-even when the retraction family verifies (zero-section embeddings are the
-canonical case: a related pair like (dx-section, extension + z*x*dx) picks
-up an x*dz bracket component along the image).  Strict representative
-checking (`strict`) decides that quantifier by a matrix
-identity.  The q_a = y_a - phi0(r(y))_a generate every function vanishing
-on the image, so h = sum_a q_a w_a, and the rows of
-N = I - Jac(phi0) J_r(phi0) are the gradients of the q_a along the image.
-With q_a o phi0 = 0 the Leibniz rules give, along the image,
-  in the second slot:  [[g_f, g_g + q_a w]] - [[g_f, g_g]] = (N A2(phi0) P f)_a w,
-  in the first slot:   [[g_f + q_a w, g_g]] - [[g_f, g_g]]
-                         = -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a,
-and every term of [[q_a w, q_b w']] carries a factor q, so the changes
-add.  All of them vanish iff N A2(phi0) = 0 or P = 0: if N A2(phi0) P != 0
-the second slot with w = e_k shows it, and otherwise the first slot's last
-term is nonzero for some w, g and a unless P = 0 or N A2(phi0) = 0.  So
-the strict bracket condition holds iff the retraction one does and
-N A2(phi0) = 0 or P = 0; a failure is reported as a matrix failure at the
-first nonzero entry of N A2(phi0) = A2(phi0) - Jac(phi0) Q, with
-"representatives": "perturbed".
+In auto mode the verdict quantifies over the related pairs the morphism's
+retraction generates, g(y) = P(r(y)) f(r(y)), the family the involutivity
+reduction works over.  Representatives perturbed off the image, g + h with
+h o phi0 = 0, can still break the bracket condition where that family
+verifies: the Pontryagin embedding of R^1 into R^2 passes, and a slot
+perturbed by y2 e_k, for some target frame e_k, breaks it.  The quantifier
+over every representative is left to the generalized-morphism verdict, a
+Dirac structure in E1 x E2-bar supported on the graph of phi0.
 """
 
 from __future__ import annotations
@@ -507,17 +486,6 @@ def _pair_failure(condition, f1, f2, defect: list, general) -> ConditionFailure:
     return ConditionFailure(condition, witness, [str(x) for x in defect])
 
 
-def _perturbed_failure(rec: AlongImage) -> ConditionFailure | None:
-    """The strict bracket condition beyond the retraction family: the matrix
-    N A2(phi0), unless P = 0 (see the module docstring)."""
-    if not any(rec.p):
-        return None
-    failure = _matrix_failure("bracket", "entry", rec.normal(rec.a2, rec.q), rec.k2)
-    if failure is not None:
-        failure.witness["representatives"] = "perturbed"
-    return failure
-
-
 def _metric_failure(s1, s2, phi, general=False) -> ConditionFailure | None:
     """The metric condition from its defect matrix D = P^T G2 P - G1.
 
@@ -545,15 +513,12 @@ def _anchor_failure(s1, s2, phi) -> ConditionFailure | None:
     return _matrix_failure("anchor", "entry", linalg.pmat_sub(rec.ap, ja1), s1.bundle.rank)
 
 
-def _auto_failures(s1, s2, phi, smooth, general=False, strict=False) -> list:
+def _auto_failures(s1, s2, phi, smooth, general=False) -> list:
     """The three conditions in auto mode.  The bracket is decided from the
     frame tables at the degree `_decided_scope` read off the cap, 1 where
-    `smooth`, else 0; strict checking adds the perturbed representatives'
-    matrix identity (see the module docstring)."""
+    `smooth`, else 0."""
     metric = _metric_failure(s1, s2, phi, general)
     bracket = _bracket_failure(s1, s2, phi, smooth, metric is None, general)
-    if bracket is None and strict:
-        bracket = _perturbed_failure(along_image(s2, phi))
     return [bracket, metric, _anchor_failure(s1, s2, phi)]
 
 
@@ -615,7 +580,6 @@ def check_general_base(
     phi: BundleMorphism,
     pairs="auto",
     degree_cap: int = 3,
-    strict: bool = False,
 ) -> MorphismVerdict:
     """Exact morphism verdict over a general base via phi-related sections.
 
@@ -623,7 +587,9 @@ def check_general_base(
     (required in that mode).  The bracket condition is then decided over
     every pair of monomial frame sections of the degree `_decided_scope`
     reads off the cap, with their retraction-generated representatives,
-    the generating family the involutivity reduction rests on.  That is
+    the generating family the involutivity reduction rests on;
+    representatives perturbed off the image are left to the
+    generalized-morphism verdict (see the module docstring).  That is
     complete for all smooth sections at any cap >= 1; cap 0 is a bounded
     claim.  The verdict comes from closed forms in the
     frame data, the frame table Gamma of the extended frames and the
@@ -637,20 +603,6 @@ def check_general_base(
     decided and the scope (`_decided_scope`); a negative cap raises
     ValueError in auto mode.
 
-    strict=True turns on strict representative checking, the full
-    "any (and hence each)" quantifier over representatives perturbed by
-    terms that vanish on the image.  By the Leibniz rules it holds iff the
-    retraction verdict does and N A2(phi0) = 0 or P = 0, with
-    N = I - Jac(phi0) J_r(phi0): perturbing a slot by q_a w changes the
-    bracket along the image by (N A2(phi0) P f)_a w in the second slot and
-    by -(N A2(phi0) P g)_a w + <w, P g>_2 G2^-1 (N A2(phi0))^T e_a in the
-    first (see the module docstring).  A strict failure reports the first
-    nonzero entry of N A2(phi0) with "representatives": "perturbed", and
-    a strict detail names that quantifier, "with perturbed
-    representatives".  Perturbations never change the metric defect.
-    Zero-section embeddings generally fail the strict check even when they
-    verify on the retraction family.
-
     Alternatively pass an explicit list of (source_section, target_section)
     pairs; pairs failing the relatedness equation are an input error, not a
     morphism failure.  Every ordered pair of supplied pairs is checked, so
@@ -662,9 +614,8 @@ def check_general_base(
         if phi.retraction is None:
             raise ValueError("auto mode needs a morphism with a retraction")
         smooth, scope = _decided_scope(degree_cap)
-        return _verdict(_auto_failures(s1, s2, phi, smooth, True, strict),
-                        "general-base criteria"
-                        f"{' with perturbed representatives' if strict else ''}: {scope}")
+        return _verdict(_auto_failures(s1, s2, phi, smooth, True),
+                        f"general-base criteria: {scope}")
     checked = list(pairs)
     if len(checked) > MAX_PAIRS:
         raise ValueError(f"too many supplied pairs: {len(checked)}, more than {MAX_PAIRS}")

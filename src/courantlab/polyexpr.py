@@ -294,10 +294,6 @@ class Polynomial(Frozen):
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
-
-    @classmethod
     def constant(cls, num_vars: int, value: Scalar) -> "Polynomial":
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")

@@ -71,7 +71,7 @@ from functools import cached_property
 from . import linalg
 from .bundles import BundleMorphism, TrivialBundle
 from .courant_core import AxiomCheck, CourantStructure
-from .morphisms import along_image, check_general_base
+from .morphisms import along_image
 from .polyexpr import Frozen, Polynomial, PolyMap
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "construct",
     "well_definedness_test",
     "extension_perturbation_test",
-    "uniqueness_test",
 ]
 
 
@@ -294,17 +293,6 @@ def extension_perturbation_test(p: PullbackProblem) -> bool:
     return p.hypotheses.anchor_tangent.passed
 
 
-def uniqueness_test(p: PullbackProblem, candidate: CourantStructure) -> bool:
-    """True iff the candidate is the constructed structure and the morphism
-    verifies against the ambient from it."""
-    if candidate.bundle != p.source_bundle:
-        raise ValueError("candidate lives on the wrong bundle")
-    if candidate != construct(p):
-        return False
-    verdict = check_general_base(candidate, p.ambient, p.morphism)
-    return verdict.is_morphism
-
-
 def rejection_condition(p: PullbackProblem, candidate: CourantStructure):
     """Name the morphism condition a deviating candidate violates.
 
@@ -312,8 +300,11 @@ def rejection_condition(p: PullbackProblem, candidate: CourantStructure):
     representatives: a differing pairing breaks the metric condition, a
     differing frame bracket breaks the bracket condition, a differing anchor
     breaks the anchor-compatibility condition.  Returns (condition, defect)
-    or None when the candidate matches the construction.
+    or None when the candidate matches the construction; a candidate on a
+    bundle of another shape than the source bundle raises ValueError.
     """
+    if candidate.bundle != p.source_bundle:
+        raise ValueError("candidate lives on the wrong bundle")
     return _rejection(construct(p, enforce_hypotheses=False), candidate)
 
 

@@ -60,7 +60,6 @@ from courantlab.pullback import (
     construct,
     extension_perturbation_test,
     rejection_condition,
-    uniqueness_test,
     well_definedness_test,
 )
 

@@ -37,7 +37,8 @@ class TestApplyMorphism:
 
     def test_zero_section(self):
         phi = cusp_morphism()
-        assert phi.apply(Section.zero(phi.source)).is_zero()
+        zero = Section(phi.source, PolyMap.zero(1, 1))
+        assert phi.apply(zero).is_zero()
 
     def test_cusp_image(self):
         # f(x) = (x, x): fiber value x carried over the base image (x^2, x^3)
@@ -214,8 +215,8 @@ class TestCheckRelated:
         with pytest.raises(ValueError):
             check_related(
                 BundleMorphism.identity(b),
-                Section.zero(b),
-                Section.zero(other),
+                Section(b, PolyMap.zero(1, 2)),
+                Section(other, PolyMap.zero(2, 2)),
             )
 
 

@@ -100,8 +100,8 @@ class TestPairing:
     def test_frozen_constant_example(self):
         # <(2,3),(4,5)> = 3*4 + 5*2 = 22: e(f') + e'(f) evaluated directly
         s = standard_structure(1)
-        f = Section.from_constant(s.bundle, [2, 3])
-        g = Section.from_constant(s.bundle, [4, 5])
+        f = Section.from_exprs(s.bundle, ["2", "3"])
+        g = Section.from_exprs(s.bundle, ["4", "5"])
         assert s.pairing(f, g) == Polynomial.constant(1, 22)
 
     def test_tangent_isotropy(self):
@@ -121,8 +121,8 @@ class TestPairing:
 class TestDorfmanBracket:
     def test_constant_sections_vanish(self):
         s = standard_structure(2)
-        f = Section.from_constant(s.bundle, [1, 2, 3, 4])
-        g = Section.from_constant(s.bundle, [5, 6, 7, 8])
+        f = Section.from_exprs(s.bundle, ["1", "2", "3", "4"])
+        g = Section.from_exprs(s.bundle, ["5", "6", "7", "8"])
         assert dorfman_bracket(f, g).is_zero()
 
     def test_vector_field_bracket_example(self):

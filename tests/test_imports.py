@@ -180,7 +180,7 @@ def test_frozen_records_refuse_assignment():
         (parse("x1 + 1", ["x1"]), "num_vars"),
         (PolyMap.identity(1), "outputs"),
         (bundle, "rank"),
-        (Section.zero(bundle), "coeffs"),
+        (Section(bundle, PolyMap.zero(1, 2)), "coeffs"),
         (morphism, "fiber_rows"),
         (NonExistenceCertificate(1, 0, ((0,),), (one,), one, one), "farkas"),
         (LinearSubspace(2, [[1, 0]]), "basis"),
@@ -303,7 +303,7 @@ def test_verdicts_take_no_sampling_parameters():
     expected = {
         courant_core.check_axioms: ["s", "degree_cap"],
         courant_core.check_leibniz: ["s", "degree_cap"],
-        morphisms.check_general_base: ["s1", "s2", "phi", "pairs", "degree_cap", "strict"],
+        morphisms.check_general_base: ["s1", "s2", "phi", "pairs", "degree_cap"],
         pullback.extension_perturbation_test: ["p"],
         intrinsic.uniqueness_check: ["n", "m", "splitting"],
         intrinsic._uniqueness: ["structure", "m"],
@@ -347,6 +347,15 @@ def test_no_helper_only_the_tests_read():
     for module in (courantlab, courant_core):
         assert not {"SWEEP_ORDER", "check_degree_cap"} & set(vars(module))
     assert list(inspect.signature(phsim.write_csv).parameters) == ["trajectory", "path"]
+    # strict morphism mode, `uniqueness_test` and the zero, constant and
+    # negated sections had no reader but the tests
+    from courantlab import pullback
+    from courantlab.bundles import Section
+    from courantlab.polyexpr import Polynomial
+
+    assert not hasattr(morphisms, "_perturbed_failure") and not hasattr(pullback, "uniqueness_test")
+    assert not {"zero", "from_constant", "__neg__"} & set(vars(Section))
+    assert not hasattr(Polynomial, "zero")
     assert not hasattr(cli, "_capped_structure") and not hasattr(courant_core, "_certify_axioms")
     assert list(inspect.signature(cli._resolve_structure).parameters) == ["scene", "name"]
     tree = ast.parse(Path(phsim.__file__).read_text())
@@ -363,7 +372,8 @@ PUBLISHED = ["polyexpr", "bundles", "courant_core", "morphisms", "pullback", "in
 
 # the names `courantlab/__init__.py` listed itself before it republished each
 # module's `__all__`; every one still imports from the root, but for
-# `graph_subbundle`, which no command read and which left with its record
+# `graph_subbundle`, which no command read and which left with its record,
+# and `uniqueness_test`, which no criterion or command called
 LISTED_AT_THE_ROOT = """
     ParseError PolyMap Polynomial monomials_up_to parse
     BundleMorphism LinearSubspace NonExistenceCertificate Section TrivialBundle check_related
@@ -372,7 +382,7 @@ LISTED_AT_THE_ROOT = """
     dorfman_bracket product_structure scaled_structure standard_structure
     MorphismVerdict check_general_base check_identity_base
     HypothesisReport PullbackProblem check_hypotheses construct extension_perturbation_test
-    uniqueness_test well_definedness_test
+    well_definedness_test
     IntrinsicResult SplittingIso build_intrinsic canonical_splitting pontryagin_embedding
     splitting_composite uniqueness_check
     BalanceReport InputSignal PHSystem Trajectory dirac_structure_of energy_balance
@@ -408,7 +418,7 @@ def test_the_root_republishes_each_modules_all():
 def test_every_name_the_root_listed_still_imports():
     import courantlab
 
-    assert len(LISTED_AT_THE_ROOT) == 54
+    assert len(LISTED_AT_THE_ROOT) == 53
     namespace = {}
     exec(f"from courantlab import {', '.join(LISTED_AT_THE_ROOT)}", namespace)
     assert all(namespace[name] is getattr(courantlab, name) for name in LISTED_AT_THE_ROOT)
@@ -609,5 +619,9 @@ def test_code_lines_fell():
     # integer digits instead of one '%.17g' per value (`_csvtext`, +77, which
     # takes `write_csv` to under half its time; phsim -2), and every --out
     # written by one writer that turns an OSError into the exit-2 line, while
-    # a diverged run names its first non-finite coordinate (cli +6), 3,154
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3154
+    # a diverged run names its first non-finite coordinate (cli +6), 3,154;
+    # with strict morphism mode, `uniqueness_test` and the zero, constant and
+    # negated constructors that only tests read gone (morphisms -11, pullback
+    # -6 with its bundle check moved into `rejection_condition`, bundles -8,
+    # polyexpr -3), 3,126
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= 3126

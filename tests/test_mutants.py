@@ -53,7 +53,6 @@ slot_tables = courant_core._slot_tables
 _mul_at, _scaled = courant_core._mul_at, courant_core._scaled
 metric_failure = morphisms._metric_failure
 along_image, selected = morphisms.along_image, morphisms.AlongImage.selected
-auto_failures = morphisms._auto_failures
 witness_order = morphisms._witness_order
 decided_scope, parse_vector = courant_core._decided_scope, cli._parse_vector
 canonical, rational = cli._canonical, scene._rational
@@ -321,13 +320,6 @@ def pair_defect_with_the_t_line_at_x_b(d, members, xs, pair):
     return [poly_sum(xs[0].num_vars, (s * v[h] for s, v in terms)) for h in range(len(d.p))]
 
 
-def perturbed_failure_on_image_fibers(rec):
-    """Strict checking on N A2(phi0) P, the anchor on image fibers only."""
-    if not any(rec.p):
-        return None
-    return morphisms._matrix_failure("bracket", "entry", rec.normal(rec.ap, rec.qp), rec.k1)
-
-
 def tangency_defect_on_whole_fibers(p):
     """Hypothesis (a) read as N A(phi0), the anchor on whole fibers."""
     return p._record.normal(p._record.a2, p._record.q)
@@ -385,11 +377,6 @@ def isotropic_of_any_dimension(metric, subspace):
     gram = linalg.pmat_mul(linalg.pmat_mul(basis, metric),
                            linalg.pmat_transpose(basis, len(metric)))
     return not any(gram)
-
-
-def auto_failures_ignoring_strict(s1, s2, phi, degree_cap, general=False, strict=False):
-    """`_auto_failures` with its strict flag dropped."""
-    return auto_failures(s1, s2, phi, degree_cap, general)
 
 
 def coordinate_columns_of_doubled_units(phi):
@@ -828,11 +815,6 @@ MUTANTS = {
         inner(oracles.test_axiom_witnesses_are_the_least_failing_tuples),
         (bumped(SCALED1, (0, 1, 1), Polynomial.variable(1, 0)),),  # D(c_011) = D(x1) != 0
     ),
-    "strict_check_on_image_fibers": (
-        [(morphisms, "_perturbed_failure", perturbed_failure_on_image_fibers)],
-        test_morphisms.TestGeneralBase().test_wiggling_representatives_break_bracket_condition,
-        (),                                 # Pontryagin(1, 1): N A2(phi0) P = 0 != N A2(phi0)
-    ),
     "extension_verdict_on_whole_fibers": (
         [(pullback, "_tangency_defect", tangency_defect_on_whole_fibers)],
         test_pullback.TestWellDefinedness().test_extension_perturbations_stable_for_pontryagin,
@@ -906,11 +888,6 @@ MUTANTS = {
         [(courant_core, "_maximally_isotropic", isotropic_of_any_dimension)],
         test_courant_core.TestDiracCheck().test_zero_subspace_not_maximal,
         (),                                 # LinearSubspace(2, []): isotropic, dimension 0
-    ),
-    "strict_flag_ignored": (
-        [(morphisms, "_auto_failures", auto_failures_ignoring_strict)],
-        test_morphisms.TestGeneralBase().test_wiggling_representatives_break_bracket_condition,
-        (),                                 # Pontryagin(1, 1) verifies, fails strict checking
     ),
     "coordinate_columns_of_doubled_units": (
         [(bundles, "_coordinate_columns", coordinate_columns_of_doubled_units)],
